@@ -39,7 +39,7 @@ fn ablate_opt_nodes(c: &mut Criterion) {
         let mut symbols = 0u64;
         let mut over_bits = 0u64;
         for b in &blocks {
-            let (decision, selection) = slc.analyze(b);
+            let (decision, selection) = slc.analyze_with(&slc.analysis(b));
             if let Some(sel) = selection {
                 lossy += 1;
                 symbols += sel.symbols as u64;
@@ -58,7 +58,7 @@ fn ablate_opt_nodes(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % blocks.len();
-            slc.analyze(&blocks[i])
+            slc.analyze_with(&slc.analysis(&blocks[i]))
         })
     });
 }

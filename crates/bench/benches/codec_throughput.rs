@@ -1,9 +1,8 @@
 //! Microbenchmarks: per-block compress/decompress throughput of every
-//! codec, SLC's size-only fast path (the hardware's tree adder), the
+//! codec, SLC's size-only fast path (the hardware's tree adder) and the
 //! evaluation layer's shared-analysis burst-map sweep vs the per-scheme
-//! re-encode it replaced, and the batch engine's end-to-end GB/s rows
-//! ([`slc_bench::bench_engine_e2e`], shared with the `eval_pipeline`
-//! bench).
+//! re-encode it replaced. (The batch engine's end-to-end GB/s rows are
+//! registered once, in the `eval_pipeline` bench.)
 //!
 //! The sample set mixes the block archetypes GPU traffic exhibits — zero
 //! blocks, repeated values, integer ramps, small integers, smooth float
@@ -146,7 +145,7 @@ fn bench_slc_paths(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % blocks.len();
-            slc.stored_bits(&blocks[i])
+            slc.stored_bits_with(&slc.analysis(&blocks[i]))
         })
     });
     g.bench_function("compress_full", |b| {
@@ -326,6 +325,5 @@ fn main() {
     bench_eval_paths(&mut c);
     bench_sim_paths(&mut c);
     bench_lint_paths(&mut c);
-    slc_bench::bench_engine_e2e(&mut c);
     slc_bench::write_baseline(&c, "codec_throughput", "BENCH_CODEC_JSON", "BENCH_codec.json");
 }

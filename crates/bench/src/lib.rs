@@ -1,10 +1,9 @@
 //! Benchmark-only crate.
 //!
 //! Hosts the Criterion benches that regenerate every table and figure of
-//! the paper (see `benches/`). The library re-exports the pieces the
-//! benches share: the batch-engine end-to-end rows (measured by both
-//! `codec_throughput` and `eval_pipeline`) and the JSON baseline writer
-//! every custom bench `main` funnels through.
+//! the paper (see `benches/`). The library holds the batch-engine
+//! end-to-end rows (registered once, by `eval_pipeline`) and the JSON
+//! baseline writer every custom bench `main` funnels through.
 
 #![forbid(unsafe_code)]
 

@@ -11,13 +11,8 @@
 //! the base. Special encodings cover the all-zero block and a block that
 //! repeats a single 8-byte value.
 
-use crate::bitstream::{BitReader, FixedBitWriter};
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS, BLOCK_BYTES};
-
-/// Fixed writer capacity for any BDI encode: the widest geometry (B2D1,
-/// 596 bits) plus the tag, rounded up to whole bytes, plus the writer's
-/// 8-byte flush slack.
-const WRITER_CAP: usize = (4usize + 596).div_ceil(8) + 8;
+use crate::bitstream::{BitReader, BitWriter};
+use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
 
 /// The BDI encoding chosen for a block, ordered by decreasing specificity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,8 +135,8 @@ impl Bdi {
 
     /// Determines the best encoding for `block` without materialising it.
     ///
-    /// Same planner as [`compress`](BlockCompressor::compress), so the two
-    /// can never disagree on the winning variant.
+    /// Same planner as [`compress_into`](BlockCompressor::compress_into),
+    /// so the two can never disagree on the winning variant.
     pub fn choose_encoding(&self, block: &Block) -> BdiEncoding {
         let v8 = words_of(block);
         if is_zero(&v8) {
@@ -410,53 +405,6 @@ fn plan_arm<const LANES: usize>(
     Some((base, need))
 }
 
-/// The complete BDI encode, appending the payload (or the verbatim
-/// block) to `out`; returns `(size_bits, is_compressed)`. Both
-/// [`compress`](BlockCompressor::compress) and the engine's
-/// [`compress_into`](BlockCompressor::compress_into) path funnel here,
-/// so they cannot diverge.
-fn encode_into(block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
-    // One word-load pass feeds the cheap special-case checks, then the
-    // planner tests all six geometries directly on the staging words.
-    let v8 = words_of(block);
-    if is_zero(&v8) {
-        let mut w = FixedBitWriter::<WRITER_CAP>::new();
-        w.write(BdiEncoding::Zeros.tag() as u64, 4);
-        return (w.finish_into(out), true);
-    }
-    if is_repeat8(&v8) {
-        let mut w = FixedBitWriter::<WRITER_CAP>::new();
-        w.write(BdiEncoding::Repeat.tag() as u64, 4);
-        w.write(v8[0], 64);
-        return (w.finish_into(out), true);
-    }
-    let Some((enc, base_bytes, delta_bytes, base, mask)) = best_base_delta(&v8) else {
-        out.extend_from_slice(block);
-        return (BLOCK_BITS, false);
-    };
-    let n = BLOCK_BYTES / base_bytes;
-    let mut w = FixedBitWriter::<WRITER_CAP>::new();
-    w.write(enc.tag() as u64, 4);
-    w.write(base & mask_for(base_bytes), base_bytes as u32 * 8);
-    // Value 0's flag goes first on the wire (MSB of the field):
-    // reverse the LSB-indexed bitmap once and write it whole.
-    w.write(mask.reverse_bits() >> (64 - n), n as u32);
-    // Only the winning arm's value lane is ever materialised.
-    match (base_bytes, delta_bytes) {
-        (8, 1) => encode_deltas::<8, 1>(&v8, base, mask, &mut w),
-        (8, 2) => encode_deltas::<8, 2>(&v8, base, mask, &mut w),
-        (8, 4) => encode_deltas::<8, 4>(&v8, base, mask, &mut w),
-        (4, 1) => encode_deltas::<4, 1>(&split4(&v8), base, mask, &mut w),
-        (4, 2) => encode_deltas::<4, 2>(&split4(&v8), base, mask, &mut w),
-        (2, 1) => encode_deltas::<2, 1>(&split2(&v8), base, mask, &mut w),
-        // slc-lint: allow(hot-path): planner invariant — choose_encoding only returns geometries handled above
-        _ => unreachable!("not a BDI geometry"),
-    }
-    let bits = w.finish_into(out);
-    debug_assert_eq!(bits, enc.size_bits());
-    (bits, true)
-}
-
 /// Writes the delta section of one `BASE`/`DELTA` geometry: every
 /// `64 / delta_bits` deltas are packed into a single `u64` staging word
 /// (MSB-first, mirroring [`decode_base_delta`]'s fetch layout exactly)
@@ -467,7 +415,7 @@ fn encode_deltas<const BASE: usize, const DELTA: usize>(
     values: &[u64],
     base: u64,
     mask: u64,
-    w: &mut FixedBitWriter<WRITER_CAP>,
+    w: &mut BitWriter<'_>,
 ) {
     let n = BLOCK_BYTES / BASE;
     debug_assert_eq!(values.len(), n);
@@ -495,19 +443,45 @@ impl BlockCompressor for Bdi {
         "bdi"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
-        // slc-lint: allow(hot-path): the block's single output-payload allocation (documented contract)
-        let mut payload = Vec::new();
-        let (bits, compressed) = encode_into(block, &mut payload);
-        if compressed {
-            Compressed::new(bits, payload)
-        } else {
-            Compressed::uncompressed(block)
-        }
-    }
-
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
-        encode_into(block, out)
+        // One word-load pass feeds the cheap special-case checks, then the
+        // planner tests all six geometries directly on the staging words.
+        let v8 = words_of(block);
+        if is_zero(&v8) {
+            let mut w = BitWriter::new(out);
+            w.write(BdiEncoding::Zeros.tag() as u64, 4);
+            return (w.finish(), true);
+        }
+        if is_repeat8(&v8) {
+            let mut w = BitWriter::new(out);
+            w.write(BdiEncoding::Repeat.tag() as u64, 4);
+            w.write(v8[0], 64);
+            return (w.finish(), true);
+        }
+        let Some((enc, base_bytes, delta_bytes, base, mask)) = best_base_delta(&v8) else {
+            return store_verbatim(block, out);
+        };
+        let n = BLOCK_BYTES / base_bytes;
+        let mut w = BitWriter::new(out);
+        w.write(enc.tag() as u64, 4);
+        w.write(base & mask_for(base_bytes), base_bytes as u32 * 8);
+        // Value 0's flag goes first on the wire (MSB of the field):
+        // reverse the LSB-indexed bitmap once and write it whole.
+        w.write(mask.reverse_bits() >> (64 - n), n as u32);
+        // Only the winning arm's value lane is ever materialised.
+        match (base_bytes, delta_bytes) {
+            (8, 1) => encode_deltas::<8, 1>(&v8, base, mask, &mut w),
+            (8, 2) => encode_deltas::<8, 2>(&v8, base, mask, &mut w),
+            (8, 4) => encode_deltas::<8, 4>(&v8, base, mask, &mut w),
+            (4, 1) => encode_deltas::<4, 1>(&split4(&v8), base, mask, &mut w),
+            (4, 2) => encode_deltas::<4, 2>(&split4(&v8), base, mask, &mut w),
+            (2, 1) => encode_deltas::<2, 1>(&split2(&v8), base, mask, &mut w),
+            // slc-lint: allow(hot-path): planner invariant — choose_encoding only returns geometries handled above
+            _ => unreachable!("not a BDI geometry"),
+        }
+        let bits = w.finish();
+        debug_assert_eq!(bits, enc.size_bits());
+        (bits, true)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {

@@ -15,7 +15,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS, BLOCK_BYTES};
+use crate::{Block, BlockCompressor, BLOCK_BYTES};
 
 /// Number of deltas per block (words - 1).
 const DELTAS: usize = WORDS_PER_BLOCK - 1;
@@ -131,7 +131,7 @@ fn undo_dbx(base: u32, dbx: &[u32; PLANES]) -> [u32; WORDS_PER_BLOCK] {
 
 const PLANE_MASK: u32 = (1u32 << DELTAS) - 1;
 
-fn write_plane_run(w: &mut BitWriter, run: u32) {
+fn write_plane_run(w: &mut BitWriter<'_>, run: u32) {
     if run == 1 {
         w.write(0b01, 2); // single all-zero plane
     } else {
@@ -145,10 +145,10 @@ impl BlockCompressor for Bpc {
         "bpc"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         let words = block_to_words(block);
         let dbx = dbx_planes(&words);
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::new(out);
         // Base word: '00' zero | '01' + 16 LSBs when upper half zero | '1' + raw.
         let base = words[0];
         if base == 0 {
@@ -181,12 +181,7 @@ impl BlockCompressor for Bpc {
             }
             k += 1;
         }
-        let (payload, bits) = w.finish();
-        if bits >= BLOCK_BITS {
-            Compressed::uncompressed(block)
-        } else {
-            Compressed::new(bits, payload)
-        }
+        w.finish_block(block)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
@@ -247,6 +242,7 @@ impl BlockCompressor for Bpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BLOCK_BITS;
     use proptest::prelude::*;
 
     fn block_from_u32s(f: impl Fn(usize) -> u32) -> Block {

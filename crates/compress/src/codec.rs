@@ -92,7 +92,7 @@ impl CodecId {
 /// can be shared across the engine's worker threads.
 ///
 /// Blanket-implemented for every `BlockCompressor + Send + Sync`, so the
-/// seven codecs need no per-type opt-in and the engine takes
+/// codecs need no per-type opt-in and the engine takes
 /// `Arc<dyn BlockCodec>` without caring which one it holds.
 pub trait BlockCodec: BlockCompressor + Send + Sync {}
 

@@ -9,9 +9,9 @@
 //! and the decompressor reconstructs the same dictionary as it decodes, so
 //! no dictionary bits travel with the block.
 
-use crate::bitstream::{BitReader, FixedBitWriter};
+use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS, BLOCK_BYTES};
+use crate::{Block, BlockCompressor, BLOCK_BYTES};
 
 /// Number of dictionary entries (4-bit index as in the original design).
 pub const DICT_ENTRIES: usize = 16;
@@ -202,12 +202,10 @@ impl BlockCompressor for Cpack {
         "cpack"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         let words = block_to_words(block);
         let mut dict = Dictionary::new();
-        // Worst case is all-miss: 34 bits/word = 136 bytes, plus the fixed
-        // writer's 8-byte flush slack.
-        let mut w = FixedBitWriter::<{ 34 * WORDS_PER_BLOCK / 8 + 8 }>::new();
+        let mut w = BitWriter::new(out);
         for &word in &words {
             // Prefix, index and literal bits fuse into one write per word
             // (bit-identical to the field-by-field layout); the token
@@ -218,12 +216,7 @@ impl BlockCompressor for Cpack {
                 dict.push(word);
             }
         }
-        let (payload, bits) = w.finish();
-        if bits >= BLOCK_BITS {
-            Compressed::uncompressed(block)
-        } else {
-            Compressed::new(bits, payload)
-        }
+        w.finish_block(block)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
@@ -286,6 +279,7 @@ impl BlockCompressor for Cpack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BLOCK_BITS;
     use proptest::prelude::*;
 
     fn block_from_u32s(f: impl Fn(usize) -> u32) -> Block {

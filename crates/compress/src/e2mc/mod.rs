@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS, BLOCK_BYTES};
+use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
 
 /// Number of parallel decoding ways (the paper's best configuration).
 pub const WAYS: usize = 4;
@@ -188,7 +188,7 @@ impl SymbolTable {
 
     /// Appends the codeword(s) for `symbol` — one precomputed write, even
     /// for escapes (escape codeword and raw bits are fused at training).
-    pub fn encode_symbol(&self, w: &mut BitWriter, symbol: u16) {
+    pub fn encode_symbol(&self, w: &mut BitWriter<'_>, symbol: u16) {
         let packed = self.enc[symbol as usize];
         w.write(packed >> 8, (packed & 0xff) as u32);
     }
@@ -222,7 +222,7 @@ impl SymbolTable {
 
     /// Serialises a stash produced by
     /// [`stash_encodings`](Self::stash_encodings).
-    pub fn write_encodings(w: &mut BitWriter, encodings: &[u64; SYMBOLS_PER_BLOCK]) {
+    pub fn write_encodings(w: &mut BitWriter<'_>, encodings: &[u64; SYMBOLS_PER_BLOCK]) {
         // Fuse consecutive codewords into one staging word while their
         // summed widths fit the writer's 57-bit push budget, so a typical
         // block costs a handful of writer calls instead of one per
@@ -428,7 +428,7 @@ impl BlockCompressor for E2mc {
         "e2mc"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         let symbols = block_to_symbols(block);
         // Size-then-write over one stashed table pass (shared with SLC's
         // framing; see SymbolTable::stash_encodings) — replaces the seed's
@@ -437,9 +437,9 @@ impl BlockCompressor for E2mc {
         let way_bits = SymbolTable::way_bits(&encodings);
         let total = HEADER_BITS + way_bits.iter().sum::<u32>();
         if total >= BLOCK_BITS {
-            return Compressed::uncompressed(block);
+            return store_verbatim(block, out);
         }
-        let mut w = BitWriter::with_capacity_bits(total);
+        let mut w = BitWriter::new(out);
         w.write(1, 1); // mode: compressed
         let mut offset = 0u32;
         for &bits in way_bits.iter().take(WAYS - 1) {
@@ -447,10 +447,9 @@ impl BlockCompressor for E2mc {
             w.write(offset as u64, PDP_BITS);
         }
         SymbolTable::write_encodings(&mut w, &encodings);
-        let (payload, bits) = w.finish();
-        debug_assert_eq!(bits, total);
-        debug_assert_eq!(bits, self.lossless_size_bits(block));
-        Compressed::new(bits, payload)
+        debug_assert_eq!(w.len_bits(), total);
+        debug_assert_eq!(total, self.lossless_size_bits(block));
+        w.finish_block(block)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {

@@ -9,7 +9,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS, BLOCK_BYTES};
+use crate::{Block, BlockCompressor, BLOCK_BYTES};
 
 /// FPC word patterns with their 3-bit prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,9 +131,9 @@ impl BlockCompressor for Fpc {
         "fpc"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         let words = block_to_words(block);
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::new(out);
         let mut i = 0;
         while i < WORDS_PER_BLOCK {
             let word = words[i];
@@ -164,12 +164,7 @@ impl BlockCompressor for Fpc {
             w.write(((p.prefix() as u64) << bits) | data, 3 + bits);
             i += 1;
         }
-        let (payload, bits) = w.finish();
-        if bits >= BLOCK_BITS {
-            Compressed::uncompressed(block)
-        } else {
-            Compressed::new(bits, payload)
-        }
+        w.finish_block(block)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
@@ -242,6 +237,7 @@ fn sign_extend32(v: u32, bits: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BLOCK_BITS;
     use proptest::prelude::*;
 
     fn block_from_u32s(f: impl Fn(usize) -> u32) -> Block {

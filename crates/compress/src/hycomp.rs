@@ -12,7 +12,7 @@ use crate::bitstream::{BitReader, BitWriter};
 use crate::e2mc::{CanonicalCode, MAX_CODE_LEN};
 use crate::sc2::Sc2;
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS, BLOCK_BYTES};
+use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
 
 /// One Huffman-coded field of an `f32` word (FP-H splits words into
 /// sign+exponent / mantissa-high / mantissa-low).
@@ -36,7 +36,7 @@ impl FieldCode {
         (w >> self.shift) & ((1 << self.bits) - 1)
     }
 
-    fn encode(&self, wtr: &mut BitWriter, w: u32) {
+    fn encode(&self, wtr: &mut BitWriter<'_>, w: u32) {
         let f = self.field_of(w) as usize;
         wtr.write(self.code.code(f) as u64, self.code.length(f));
     }
@@ -85,18 +85,17 @@ impl BlockCompressor for FpH {
         "fp-h"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         if self.size_bits(block) >= BLOCK_BITS {
-            return Compressed::uncompressed(block);
+            return store_verbatim(block, out);
         }
-        let mut wtr = BitWriter::new();
+        let mut wtr = BitWriter::new(out);
         for w in block_to_words(block) {
             for f in &self.fields {
                 f.encode(&mut wtr, w);
             }
         }
-        let (payload, bits) = wtr.finish();
-        Compressed::new(bits, payload)
+        wtr.finish_block(block)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
@@ -198,17 +197,24 @@ impl BlockCompressor for HyComp {
         "hycomp"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         let choice = self.choose(block);
-        let inner = self.method(choice).compress(block);
-        if !inner.is_compressed() || inner.size_bits() + TAG_BITS >= BLOCK_BITS {
-            return Compressed::uncompressed(block);
+        // The sub-codec stays a black box behind the trait: it encodes
+        // onto the sink, then its stream is re-framed behind the tag.
+        let start = out.len();
+        let (inner_bits, coded) = self.method(choice).compress_into(block, out);
+        if !coded || inner_bits + TAG_BITS >= BLOCK_BITS {
+            out.truncate(start);
+            return store_verbatim(block, out);
         }
-        let mut wtr = BitWriter::new();
+        let mut inner = [0u8; BLOCK_BYTES];
+        let inner_len = out.len() - start;
+        inner[..inner_len].copy_from_slice(&out[start..]);
+        out.truncate(start);
+        let mut wtr = BitWriter::new(out);
         wtr.write(choice.tag(), TAG_BITS);
-        wtr.append(inner.payload(), inner.size_bits());
-        let (payload, bits) = wtr.finish();
-        Compressed::new(bits, payload)
+        wtr.append(&inner, inner_bits);
+        (wtr.finish(), true)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
@@ -224,19 +230,22 @@ impl BlockCompressor for HyComp {
             // slc-lint: allow(hot-path): corrupt-tag guard, contained by the engine's per-chunk catch_unwind
             t => panic!("corrupt HyComp stream: tag {t}"),
         };
-        // Re-frame the remaining bits for the sub-decoder. The realigned
-        // copy allocates, but through BitWriter's buffer, not the
-        // banned-on-hot-paths calls — and only on the rare HyComp leg.
+        // Re-frame the remaining bits for the sub-decoder: realigned to
+        // bit 0 of a stack buffer, one left-justified 64-bit word per read
+        // (the last store's zero padding is why the buffer has 8 bytes of
+        // slack past a block).
         let inner_bits = size_bits - TAG_BITS;
-        let mut inner_w = BitWriter::new();
+        let mut inner = [0u8; BLOCK_BYTES + 8];
         let mut remaining = inner_bits;
-        while remaining > 0 {
-            let take = remaining.min(56);
-            inner_w.write(r.read(take), take);
+        for word in inner.chunks_exact_mut(8) {
+            if remaining == 0 {
+                break;
+            }
+            let take = remaining.min(64);
+            word.copy_from_slice(&(r.read(take) << (64 - take)).to_be_bytes());
             remaining -= take;
         }
-        let (bytes, bits) = inner_w.finish();
-        self.method(choice).decompress_into(bits.max(1), true, &bytes, out);
+        self.method(choice).decompress_into(inner_bits.max(1), true, &inner, out);
     }
 
     fn size_bits(&self, block: &Block) -> u32 {

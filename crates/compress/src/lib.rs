@@ -38,8 +38,8 @@
 //! time rather than bit by bit:
 //!
 //! * **Staging-word bitstream** — [`bitstream::BitWriter`] accumulates
-//!   bits in a 64-bit staging word and flushes completed bytes with one
-//!   bulk copy per `write`; [`bitstream::BitReader`] serves any read or
+//!   bits in a 64-bit staging word and lands completed bytes with one
+//!   8-byte store per push; [`bitstream::BitReader`] serves any read or
 //!   peek from a single (at most 16-byte) window load. Codecs fuse each
 //!   token's prefix, index and literal fields into one `write`/`peek`
 //!   pair, so a C-PACK word or an FPC pattern costs two bitstream calls
@@ -56,8 +56,9 @@
 //!   arrays (BDI value/mask bitmaps, C-PACK's FIFO dictionary, BPC's
 //!   planes, E2MC's way sizes), and E2MC computes its parallel-decoding
 //!   pointers from code-length sums *before* encoding, eliminating the
-//!   per-way scratch writers. The only heap allocation per block is the
-//!   output payload itself.
+//!   per-way scratch writers. Encoding through
+//!   [`BlockCompressor::compress_into`] allocates nothing per block; the
+//!   owned [`BlockCompressor::compress`] wrapper allocates its payload.
 //! * **Transposed bit-planes** — BPC's DBP rotation runs as a 32×32
 //!   bit-matrix transpose (Hacker's Delight §7-3), ~5 word-ops per plane
 //!   instead of a 33×31 single-bit gather.
@@ -87,17 +88,20 @@
 //!   lanes in a single pass then plans every base+delta arm with two
 //!   branchless fit-bitmap sweeps; its decoder is monomorphised per
 //!   geometry so every trip count and shift is a compile-time constant.
-//! * **Fixed-capacity block writer** — bounded encodes (C-PACK, BDI) use
-//!   [`bitstream::FixedBitWriter`], which stages into a stack buffer with
-//!   one unconditional 8-byte store per flush and allocates exactly once
-//!   at `finish`, bit-identical to [`bitstream::BitWriter`].
-//! * **Batched delta writes + append-into encode** — BDI packs every
-//!   `64 / delta_bits` deltas of an arm into one `u64` with compile-time
-//!   trip counts (monomorphised per geometry like its decoder) so the
-//!   writer is touched once per staging word, not once per value; and
-//!   [`BlockCompressor::compress_into`] lets the engine's per-block loop
-//!   append payload bytes straight into the chunk buffer, skipping the
-//!   per-block payload allocation.
+//! * **One writer over the caller's sink** — every codec serialises
+//!   through the same [`bitstream::BitWriter`], which borrows the
+//!   `Vec<u8>` handed to [`BlockCompressor::compress_into`] and flushes
+//!   with one unconditional 8-byte store at its cursor (the sink is
+//!   zero-extended a block's worth ahead when a flush runs out of room,
+//!   and trimmed to the stream's end at `finish`). There is no staging
+//!   buffer to size, allocate or copy out of: the engine's per-block
+//!   loop gets payload bytes straight in its chunk buffer, and the
+//!   "coded stream vs verbatim block" decision is taken once, in the
+//!   writer's block finish.
+//! * **Batched delta writes** — BDI packs every `64 / delta_bits` deltas
+//!   of an arm into one `u64` with compile-time trip counts
+//!   (monomorphised per geometry like its decoder) so the writer is
+//!   touched once per staging word, not once per value.
 //! * **Interleaved rANS entropy substrate** — [`rans`] adds a 4-lane
 //!   byte-oriented rANS coder whose encode/decode inner loops are
 //!   branch-free (reciprocal-multiply encode, 4096-slot LUT decode,
@@ -171,7 +175,6 @@ impl Compressed {
 
     /// Wraps a block stored verbatim because compression did not pay off.
     pub fn uncompressed(block: &Block) -> Self {
-        // slc-lint: allow(hot-path): the block's single output-payload allocation (documented contract)
         Self { size_bits: BLOCK_BITS, payload: block.to_vec(), compressed: false }
     }
 
@@ -206,8 +209,27 @@ pub trait BlockCompressor {
     /// Short machine-friendly identifier (e.g. `"bdi"`, `"e2mc"`).
     fn name(&self) -> &'static str;
 
-    /// Compresses one block.
-    fn compress(&self, block: &Block) -> Compressed;
+    /// Compresses one block, appending exactly
+    /// [`size_bytes`](Compressed::size_bytes) payload bytes to `out` —
+    /// the coded stream, or the verbatim block when coding does not pay
+    /// — and returning `(size_bits, is_compressed)`. Bytes already in
+    /// `out` are left untouched.
+    ///
+    /// This is the one encode path: every codec serialises through a
+    /// [`bitstream::BitWriter`] over `out` itself, so the engine's
+    /// per-block loop lands payload bytes straight in the chunk buffer
+    /// and nothing allocates per block.
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool);
+
+    /// Compresses one block into an owned [`Compressed`] (convenience
+    /// wrapper over [`compress_into`](Self::compress_into) for cold paths
+    /// and tests; its payload is the wrapper's one allocation).
+    fn compress(&self, block: &Block) -> Compressed {
+        // slc-lint: allow(hot-path): the owned wrapper's single payload allocation (documented contract); only the default size_bits reaches it, hot callers encode through compress_into
+        let mut payload = Vec::with_capacity(BLOCK_BYTES);
+        let (size_bits, compressed) = self.compress_into(block, &mut payload);
+        Compressed { size_bits, payload, compressed }
+    }
 
     /// Reconstructs the original block into a caller-provided buffer.
     ///
@@ -245,21 +267,6 @@ pub trait BlockCompressor {
         self.compress(block).size_bits()
     }
 
-    /// Compresses one block, appending exactly
-    /// [`size_bytes`](Compressed::size_bytes) payload bytes to `out`
-    /// and returning `(size_bits, is_compressed)`.
-    ///
-    /// The engine's per-block loop encodes straight into the chunk
-    /// buffer through this; the default delegates to
-    /// [`compress`](Self::compress), and codecs whose writers can target
-    /// a caller buffer (BDI) override it to skip the per-block payload
-    /// allocation. Must be observationally identical to `compress`.
-    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
-        let c = self.compress(block);
-        out.extend_from_slice(&c.payload()[..c.size_bytes() as usize]);
-        (c.size_bits(), c.is_compressed())
-    }
-
     /// The codec's whole-chunk coding mode, if it has one.
     ///
     /// `None` (the default) means the engine codes chunk blocks
@@ -269,6 +276,14 @@ pub trait BlockCompressor {
     fn chunk_coder(&self) -> Option<&dyn codec::ChunkCoder> {
         None
     }
+}
+
+/// The "store uncompressed" leg of the paper's Figure 4, shared by every
+/// codec's [`compress_into`](BlockCompressor::compress_into): appends the
+/// verbatim block.
+pub(crate) fn store_verbatim(block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
+    out.extend_from_slice(block);
+    (BLOCK_BITS, false)
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::codec::ChunkCoder;
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS};
+use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS};
 
 /// log2 of the frequency scale: frequencies are normalised to 2^12.
 pub const RANS_SCALE_BITS: u32 = 12;
@@ -207,13 +207,12 @@ fn write_table(freq: &[u16; 256], out: &mut Vec<u8>) {
     debug_assert!(!present.is_empty());
     out.push((present.len() - 1) as u8);
     out.extend_from_slice(&present);
-    let mut w = BitWriter::with_capacity_bits(present.len() as u32 * RANS_SCALE_BITS);
+    let mut w = BitWriter::new(out);
     for &s in &present {
         // freq - 1 so the single-symbol table's 4096 fits the 12-bit field.
         w.write(u64::from(freq[s as usize]) - 1, RANS_SCALE_BITS);
     }
-    let (bytes, _) = w.finish();
-    out.extend_from_slice(&bytes);
+    w.finish();
 }
 
 /// Reads the symbol-count byte of a serialised table. The wire encodes
@@ -321,24 +320,22 @@ fn rans_encode(data: &[u8], t: &EncTable, out: &mut Vec<u8>) {
 }
 
 /// Encodes `data` as one self-contained rANS stream
-/// (`[table][states][words]`, see the module docs). The frequency table
-/// is gathered from `data` itself — the whole-chunk path that amortises
-/// one table over every block of an engine chunk.
+/// (`[table][states][words]`, see the module docs), appended to `out`.
+/// The frequency table is gathered from `data` itself — the whole-chunk
+/// path that amortises one table over every block of an engine chunk.
 ///
 /// # Panics
 ///
 /// Panics on empty input (no meaningful table exists).
-pub fn encode_stream(data: &[u8]) -> Vec<u8> {
+pub fn encode_stream(data: &[u8], out: &mut Vec<u8>) {
     // slc-lint: allow(assert): documented API-contract panic, checked once per stream on the encode side
     assert!(!data.is_empty(), "rANS stream encode needs at least one byte");
     let counts = histogram(data);
     // slc-lint: allow(hot-path): infallible after the non-empty assert — a non-empty histogram always has a non-zero count
     let freq = normalize_freqs(&counts).expect("non-empty data has a non-zero count");
     let enc = EncTable::build(&freq);
-    let mut out = Vec::with_capacity(data.len() / 2 + 64);
-    write_table(&freq, &mut out);
-    rans_encode(data, &enc, &mut out);
-    out
+    write_table(&freq, out);
+    rans_encode(data, &enc, out);
 }
 
 /// Decodes a stream produced by [`encode_stream`] into `dst` (whose
@@ -482,13 +479,15 @@ impl BlockCompressor for Rans {
         "rans"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
-        let stream = encode_stream(block);
-        let bits = (stream.len() * 8) as u32;
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
+        let start = out.len();
+        encode_stream(block, out);
+        let bits = ((out.len() - start) * 8) as u32;
         if bits >= BLOCK_BITS {
-            return Compressed::uncompressed(block);
+            out.truncate(start);
+            return store_verbatim(block, out);
         }
-        Compressed::new(bits, stream)
+        (bits, true)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
@@ -510,7 +509,9 @@ impl BlockCompressor for Rans {
 
 impl ChunkCoder for Rans {
     fn encode_chunk(&self, chunk: &[u8]) -> Vec<u8> {
-        encode_stream(chunk)
+        let mut out = Vec::with_capacity(chunk.len() / 2 + 64);
+        encode_stream(chunk, &mut out);
+        out
     }
 
     fn decode_chunk(&self, src: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
@@ -524,7 +525,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn roundtrip(data: &[u8]) {
-        let stream = encode_stream(data);
+        let stream = Rans::new().encode_chunk(data);
         let mut out = vec![0u8; data.len()];
         decode_stream(&stream, &mut out).expect("own stream decodes");
         assert_eq!(out, data, "roundtrip of {} bytes", data.len());
@@ -536,7 +537,7 @@ mod tests {
     #[test]
     fn single_symbol_stream_is_table_plus_states_only() {
         let data = vec![0xabu8; 1000];
-        let stream = encode_stream(&data);
+        let stream = Rans::new().encode_chunk(&data);
         // n=1 table: 1 + 1 + 2 bytes, then 16 state bytes, zero words
         // (freq 4096 never renormalises).
         assert_eq!(stream.len(), 4 + STATE_BYTES);
@@ -563,7 +564,7 @@ mod tests {
         let mut data = vec![7u8; 8192];
         data[100] = 200;
         data[5000] = 200;
-        let stream = encode_stream(&data);
+        let stream = Rans::new().encode_chunk(&data);
         assert!(stream.len() < data.len() / 8, "skewed stream must compress: {}", stream.len());
         roundtrip(&data);
     }
@@ -607,7 +608,7 @@ mod tests {
     #[test]
     fn corrupt_streams_error_out() {
         let data: Vec<u8> = (0..2048u32).map(|i| (i % 17) as u8).collect();
-        let stream = encode_stream(&data);
+        let stream = Rans::new().encode_chunk(&data);
         let mut out = vec![0u8; data.len()];
         // Truncation at every boundary: error, never a panic.
         for cut in 0..stream.len() {

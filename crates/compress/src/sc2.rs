@@ -10,7 +10,7 @@
 use crate::bitstream::{BitReader, BitWriter};
 use crate::e2mc::{CanonicalCode, MAX_CODE_LEN};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS, BLOCK_BYTES};
+use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
 use std::collections::HashMap;
 
 /// Number of most-frequent words granted Huffman codes.
@@ -63,11 +63,11 @@ impl BlockCompressor for Sc2 {
         "sc2"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         if self.size_bits(block) >= BLOCK_BITS {
-            return Compressed::uncompressed(block);
+            return store_verbatim(block, out);
         }
-        let mut wtr = BitWriter::new();
+        let mut wtr = BitWriter::new(out);
         for w in block_to_words(block) {
             match self.lookup.get(&w) {
                 Some(&e) => {
@@ -80,8 +80,7 @@ impl BlockCompressor for Sc2 {
                 }
             }
         }
-        let (payload, bits) = wtr.finish();
-        Compressed::new(bits, payload)
+        wtr.finish_block(block)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {

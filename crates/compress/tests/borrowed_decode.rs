@@ -7,6 +7,11 @@
 //! relies on a zeroed canvas without establishing one (the historic
 //! hazard is BDI's zero-run and masked-delta encodings) shows up as a
 //! mismatch here, not as silent corruption in an arena reuser.
+//!
+//! The encode mirror rides along: `compress_into` appends to a
+//! caller-owned sink, so it is checked against a sink with a dirty prefix
+//! (which must survive) and dirty spare capacity (which must not leak
+//! into the appended bytes).
 
 use proptest::prelude::*;
 use slc_compress::bdi::Bdi;
@@ -14,10 +19,10 @@ use slc_compress::bpc::Bpc;
 use slc_compress::cpack::Cpack;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::fpc::Fpc;
-use slc_compress::hycomp::HyComp;
+use slc_compress::hycomp::{FpH, HyComp};
 use slc_compress::rans::Rans;
 use slc_compress::sc2::Sc2;
-use slc_compress::{BlockCodec, BLOCK_BYTES};
+use slc_compress::{BlockCodec, BLOCK_BITS, BLOCK_BYTES};
 use std::sync::{Arc, OnceLock};
 
 fn codecs() -> &'static [Arc<dyn BlockCodec>] {
@@ -32,6 +37,7 @@ fn codecs() -> &'static [Arc<dyn BlockCodec>] {
             Arc::new(Bpc::new()),
             Arc::new(E2mc::train_on_bytes(&bytes, &E2mcConfig::default())),
             Arc::new(Sc2::train_on_bytes(&bytes, slc_compress::sc2::DEFAULT_TOP_K)),
+            Arc::new(FpH::train_on_bytes(&bytes)),
             Arc::new(HyComp::train_on_bytes(&bytes)),
             Arc::new(Rans::new()),
         ]
@@ -46,6 +52,14 @@ fn check_block(block: &[u8; BLOCK_BYTES]) {
         let mut borrowed = [0xa5u8; BLOCK_BYTES];
         codec.decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut borrowed);
         assert_eq!(borrowed, owned, "{}: borrowed decode must equal owned", codec.name());
+        let mut sink = vec![0xa5u8; 2 * BLOCK_BYTES];
+        sink.truncate(3);
+        let (bits, coded) = codec.compress_into(block, &mut sink);
+        assert_eq!((bits, coded), (c.size_bits(), c.is_compressed()), "{}", codec.name());
+        assert!(coded || bits == BLOCK_BITS, "{}: verbatim is one whole block", codec.name());
+        assert_eq!(sink[..3], [0xa5u8; 3], "{}: sink prefix must survive", codec.name());
+        assert_eq!(sink.len() - 3, bits.div_ceil(8) as usize, "{}: appended length", codec.name());
+        assert_eq!(&sink[3..], c.payload(), "{}: appended bytes must equal owned", codec.name());
     }
 }
 

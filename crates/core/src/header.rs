@@ -61,7 +61,7 @@ impl SlcHeader {
     ///
     /// Panics if a lossy header's fields are out of range (`ss ≥ 64`,
     /// `len ∉ 1..=16`, or a pdp too wide).
-    pub fn write(&self, w: &mut BitWriter) {
+    pub fn write(&self, w: &mut BitWriter<'_>) {
         match *self {
             SlcHeader::Lossless { pdps } => {
                 w.write(0, 1);
@@ -109,10 +109,11 @@ mod tests {
     use proptest::prelude::*;
 
     fn roundtrip(h: SlcHeader) -> SlcHeader {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         h.write(&mut w);
         assert_eq!(w.len_bits(), h.size_bits());
-        let (bytes, bits) = w.finish();
+        let bits = w.finish();
         let mut r = BitReader::new(&bytes, bits);
         SlcHeader::read(&mut r)
     }
@@ -143,16 +144,14 @@ mod tests {
     #[should_panic(expected = "len")]
     fn zero_len_lossy_header_rejected() {
         let h = SlcHeader::Lossy { ss: 0, len: 0, pdps: [0; 3] };
-        let mut w = BitWriter::new();
-        h.write(&mut w);
+        h.write(&mut BitWriter::new(&mut Vec::new()));
     }
 
     #[test]
     #[should_panic(expected = "ss")]
     fn out_of_range_ss_rejected() {
         let h = SlcHeader::Lossy { ss: 64, len: 1, pdps: [0; 3] };
-        let mut w = BitWriter::new();
-        h.write(&mut w);
+        h.write(&mut BitWriter::new(&mut Vec::new()));
     }
 
     #[test]

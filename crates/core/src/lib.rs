@@ -24,18 +24,16 @@
 //! code lengths, captured (with their sum) as
 //! [`slc_compress::e2mc::BlockAnalysis`] by a single
 //! [`E2mc::analyze`](slc_compress::e2mc::E2mc::analyze) pass.
-//! [`SlcCompressor`] exposes paired entry points around it:
-//!
-//! * block-taking convenience — [`slc::SlcCompressor::analyze`],
-//!   [`stored_bits`](slc::SlcCompressor::stored_bits),
-//!   [`stored_bursts`](slc::SlcCompressor::stored_bursts),
-//!   [`compress`](slc::SlcCompressor::compress) — each of which derives
-//!   the analysis internally; and
-//! * `*_with` overloads ([`analyze_with`](slc::SlcCompressor::analyze_with),
-//!   [`stored_bits_with`](slc::SlcCompressor::stored_bits_with),
-//!   [`stored_bursts_with`](slc::SlcCompressor::stored_bursts_with),
-//!   [`compress_with`](slc::SlcCompressor::compress_with)) that consume a
-//!   precomputed `&BlockAnalysis`.
+//! [`slc::SlcCompressor::analysis`] produces it and every size-only
+//! decision consumes it:
+//! [`analyze_with`](slc::SlcCompressor::analyze_with),
+//! [`stored_bits_with`](slc::SlcCompressor::stored_bits_with),
+//! [`stored_bursts_with`](slc::SlcCompressor::stored_bursts_with) and
+//! [`compress_with`](slc::SlcCompressor::compress_with) take a
+//! `&BlockAnalysis`; only the encoders keep a block-taking convenience
+//! ([`compress`](slc::SlcCompressor::compress),
+//! [`roundtrip`](slc::SlcCompressor::roundtrip)) that derives the
+//! analysis internally.
 //!
 //! **Sharing contract:** an analysis is valid for any number of
 //! consumers as long as (a) it was produced by the *same trained table*
@@ -44,8 +42,8 @@
 //! are *not* baked into the analysis — N schemes at different
 //! configurations can sweep one analysis with N cheap decisions, which
 //! is exactly what the workload harness' snapshot cache does (see
-//! `slc-workloads::analysis`). The `*_with` overloads are pinned
-//! bit-identical to their block-taking twins by unit and property tests.
+//! `slc-workloads::analysis`). `compress_with` is pinned bit-identical
+//! to `compress` by unit and property tests.
 //!
 //! # Quick start
 //!

@@ -237,15 +237,9 @@ impl SlcCompressor {
     }
 
     /// Computes the Fig. 4 decision and (for lossy mode) the Fig. 5
-    /// selection for `block`, without encoding anything.
-    ///
-    /// Exposed so experiments can study the decision distribution (the
-    /// Fig. 2 heat map) without paying for encoding.
-    pub fn analyze(&self, block: &Block) -> (BudgetDecision, Option<Selection>) {
-        self.analyze_with(&self.analysis(block))
-    }
-
-    /// [`analyze`](Self::analyze) over a precomputed [`BlockAnalysis`].
+    /// selection from a block's [`BlockAnalysis`], without encoding
+    /// anything — exposed so experiments can study the decision
+    /// distribution (the Fig. 2 heat map) without paying for encoding.
     ///
     /// The budget decision needs only the code-length sum; the Fig. 5
     /// tree is built just for blocks the budget sends lossy, from the
@@ -270,11 +264,6 @@ impl SlcCompressor {
     /// Stored size in bits and whether the block goes lossy, without
     /// encoding anything — the fast path for burst accounting (hardware
     /// likewise derives the burst count from the code-length sum alone).
-    pub fn stored_bits(&self, block: &Block) -> (u32, bool) {
-        self.stored_bits_with(&self.analysis(block))
-    }
-
-    /// [`stored_bits`](Self::stored_bits) over a precomputed analysis.
     pub fn stored_bits_with(&self, analysis: &BlockAnalysis) -> (u32, bool) {
         let (decision, selection) = self.analyze_with(analysis);
         match (decision.mode, selection) {
@@ -293,12 +282,6 @@ impl SlcCompressor {
     }
 
     /// Bursts the stored block costs under the configured MAG.
-    pub fn stored_bursts(&self, block: &Block) -> u32 {
-        self.stored_bursts_with(&self.analysis(block))
-    }
-
-    /// [`stored_bursts`](Self::stored_bursts) over a precomputed
-    /// analysis.
     pub fn stored_bursts_with(&self, analysis: &BlockAnalysis) -> u32 {
         let (bits, _) = self.stored_bits_with(analysis);
         self.config.mag.bursts_for_bits(bits, BLOCK_BYTES as u32)
@@ -447,18 +430,18 @@ impl SlcCompressor {
         enc
     }
 
-    /// Per-way encoded bit counts — the pdps are then known before a
-    /// single codeword is written, so the block encodes in one pass with
-    /// no scratch writers.
-    fn way_bits(&self, encodings: &[u64; SYMBOLS_PER_BLOCK]) -> ([u32; WAYS], [u32; WAYS - 1]) {
+    /// The parallel decoding pointers, from the per-way encoded bit
+    /// counts — known before a single codeword is written, so the block
+    /// encodes in one pass with no scratch writers.
+    fn pdps(&self, encodings: &[u64; SYMBOLS_PER_BLOCK]) -> [u32; WAYS - 1] {
         let way_bits = SymbolTable::way_bits(encodings);
         let mut pdps = [0u32; WAYS - 1];
         let mut offset = 0u32;
-        for (i, &bits) in way_bits.iter().take(WAYS - 1).enumerate() {
+        for (pdp, &bits) in pdps.iter_mut().zip(&way_bits) {
             offset += bits;
-            pdps[i] = offset;
+            *pdp = offset;
         }
-        (way_bits, pdps)
+        pdps
     }
 
     /// Writes header + all ways into one stream (ways lie back to back, so
@@ -468,15 +451,15 @@ impl SlcCompressor {
         &self,
         header: SlcHeader,
         encodings: &[u64; SYMBOLS_PER_BLOCK],
-        total_bits: u32,
         kind: StoredKind,
         decision: BudgetDecision,
     ) -> SlcCompressed {
-        let mut w = BitWriter::with_capacity_bits(total_bits);
+        // A stored stream is shorter than the raw block.
+        let mut payload = Vec::with_capacity(BLOCK_BYTES);
+        let mut w = BitWriter::new(&mut payload);
         header.write(&mut w);
         SymbolTable::write_encodings(&mut w, encodings);
-        let (payload, size_bits) = w.finish();
-        debug_assert_eq!(size_bits, total_bits);
+        let size_bits = w.finish();
         SlcCompressed {
             payload,
             size_bits,
@@ -489,10 +472,8 @@ impl SlcCompressor {
     fn store_lossless(&self, block: &Block, decision: BudgetDecision) -> SlcCompressed {
         let symbols = block_to_symbols(block);
         let encodings = self.encodings(&symbols, None);
-        let (way_bits, pdps) = self.way_bits(&encodings);
-        let header = SlcHeader::Lossless { pdps };
-        let total = header.size_bits() + way_bits.iter().sum::<u32>();
-        let out = self.encode_stream(header, &encodings, total, StoredKind::Lossless, decision);
+        let header = SlcHeader::Lossless { pdps: self.pdps(&encodings) };
+        let out = self.encode_stream(header, &encodings, StoredKind::Lossless, decision);
         debug_assert_eq!(out.size_bits, decision.comp_size_bits);
         out
     }
@@ -505,16 +486,10 @@ impl SlcCompressor {
     ) -> SlcCompressed {
         let symbols = block_to_symbols(block);
         let encodings = self.encodings(&symbols, Some((sel.start, sel.symbols)));
-        let (way_bits, pdps) = self.way_bits(&encodings);
+        let pdps = self.pdps(&encodings);
         let header = SlcHeader::Lossy { ss: sel.start as u8, len: sel.symbols as u8, pdps };
-        let total = header.size_bits() + way_bits.iter().sum::<u32>();
-        let out = self.encode_stream(
-            header,
-            &encodings,
-            total,
-            StoredKind::Lossy { selection: sel },
-            decision,
-        );
+        let out =
+            self.encode_stream(header, &encodings, StoredKind::Lossy { selection: sel }, decision);
         debug_assert!(
             out.size_bits <= decision.bit_budget,
             "lossy block {} bits overshoots budget {}",
@@ -762,11 +737,11 @@ mod tests {
         let s = slc(SlcVariant::TslcOpt);
         for k in 0..128 {
             let block = float_block(k as f32 * 2.3, 0.2);
-            let (bits, lossy) = s.stored_bits(&block);
+            let (bits, lossy) = s.stored_bits_with(&s.analysis(&block));
             let c = s.compress(&block);
             assert_eq!(bits, c.size_bits(), "block {k}");
             assert_eq!(lossy, c.is_lossy(), "block {k}");
-            assert_eq!(s.stored_bursts(&block), c.bursts(), "block {k}");
+            assert_eq!(s.stored_bursts_with(&s.analysis(&block)), c.bursts(), "block {k}");
         }
     }
 
@@ -781,9 +756,6 @@ mod tests {
                 let block = float_block(k as f32 * 1.9, 0.15 + (k % 5) as f32 * 0.04);
                 let a = s.analysis(&block);
                 assert_eq!(a, s.e2mc().analyze(&block));
-                assert_eq!(s.analyze_with(&a), s.analyze(&block));
-                assert_eq!(s.stored_bits_with(&a), s.stored_bits(&block));
-                assert_eq!(s.stored_bursts_with(&a), s.stored_bursts(&block));
                 let c_with = s.compress_with(&block, &a);
                 let c = s.compress(&block);
                 assert_eq!(c_with.payload(), c.payload());
@@ -910,7 +882,7 @@ mod tests {
         let s = slc(SlcVariant::TslcOpt);
         for k in 0..128 {
             let block = float_block(k as f32 * 2.3, 0.2);
-            let (decision, selection) = s.analyze(&block);
+            let (decision, selection) = s.analyze_with(&s.analysis(&block));
             let c = s.compress(&block);
             assert_eq!(c.decision(), decision);
             match c.kind() {

@@ -329,14 +329,6 @@ pub enum ContainerError {
         /// Length of the buffer the caller supplied.
         out_len: usize,
     },
-    /// The decoded length is not a multiple of the element size
-    /// (the typed [`decompress_f32`](crate::Engine::decompress_f32) path).
-    ElementMisaligned {
-        /// Decoded byte length from the header.
-        total_len: u64,
-        /// Element size the caller asked for.
-        element_bytes: u32,
-    },
 }
 
 impl fmt::Display for ContainerError {
@@ -370,9 +362,6 @@ impl fmt::Display for ContainerError {
             }
             ContainerError::OutputLenMismatch { total_len, out_len } => {
                 write!(f, "output buffer holds {out_len} bytes, container decodes to {total_len}")
-            }
-            ContainerError::ElementMisaligned { total_len, element_bytes } => {
-                write!(f, "decoded length {total_len} is not a multiple of {element_bytes}")
             }
         }
     }
@@ -495,7 +484,6 @@ mod tests {
             ContainerError::InvalidEntry { chunk: 1, reason: "test" },
             ContainerError::ChunkCorrupt { chunk: 0, reason: "test" },
             ContainerError::OutputLenMismatch { total_len: 9, out_len: 4 },
-            ContainerError::ElementMisaligned { total_len: 7, element_bytes: 4 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -2,8 +2,8 @@
 //!
 //! Every codec in `slc-compress` works one 128 B block at a time — the
 //! granularity GPU memory-compression hardware sees. This crate is the
-//! batch front end above them: an [`Engine`] takes an arbitrary byte (or
-//! `f32`) stream, shards it into fixed-size chunks, compresses the
+//! batch front end above them: an [`Engine`] takes an arbitrary byte
+//! stream, shards it into fixed-size chunks, compresses the
 //! chunks in parallel via `slc-par`, and emits the self-describing
 //! framed container of [`container`] (magic + version + codec id +
 //! chunk geometry + a per-chunk `(offset, encoded_bits, storage_mode)`
@@ -212,33 +212,42 @@ impl Engine {
             });
             encode_chunk(codec, chunk, chunk_hints)
         });
-        let mut dir_bytes = Vec::with_capacity(encoded.len() * DIR_ENTRY_BYTES);
-        let mut payload_len = 0u64;
-        let mut header = Vec::with_capacity(HEADER_BYTES);
         // A raw chunk's buffer comes back empty (see `encode_chunk`): its
         // stored bytes are the chunk's own slice of the input.
-        for ((data, mode), chunk) in encoded.iter().zip(bytes.chunks(self.chunk_bytes)) {
-            let stored: &[u8] = if *mode == StorageMode::Raw { chunk } else { data };
-            let entry = DirEntry {
-                offset: payload_len,
-                encoded_bits: (stored.len() * 8) as u32,
-                mode: *mode,
-            };
-            entry.write_to(&mut dir_bytes);
-            payload_len += stored.len() as u64;
+        let stored: Vec<(&[u8], StorageMode)> = encoded
+            .iter()
+            .zip(bytes.chunks(self.chunk_bytes))
+            .map(|((data, mode), chunk)| {
+                (if *mode == StorageMode::Raw { chunk } else { &data[..] }, *mode)
+            })
+            .collect();
+        let dir: Vec<_> = stored.iter().map(|&(s, mode)| (s.len(), mode)).collect();
+        let mut out = self.frame_head(bytes.len() as u64, &dir);
+        for (s, _) in stored {
+            out.extend_from_slice(s);
         }
+        out
+    }
+
+    /// Starts a container: the header and one directory entry per chunk
+    /// of the given stored length and mode (offsets are the running
+    /// payload length), with room reserved for the payload the caller
+    /// then appends chunk by chunk.
+    fn frame_head(&self, total_len: u64, chunks: &[(usize, StorageMode)]) -> Vec<u8> {
+        let payload_len: usize = chunks.iter().map(|&(len, _)| len).sum();
+        let mut out =
+            Vec::with_capacity(HEADER_BYTES + chunks.len() * DIR_ENTRY_BYTES + payload_len);
         Header {
             codec: self.id,
             chunk_bytes: self.chunk_bytes as u32,
-            chunk_count: encoded.len() as u32,
-            total_len: bytes.len() as u64,
+            chunk_count: chunks.len() as u32,
+            total_len,
         }
-        .write_to(&mut header);
-        let mut out = Vec::with_capacity(HEADER_BYTES + dir_bytes.len() + payload_len as usize);
-        out.extend_from_slice(&header);
-        out.extend_from_slice(&dir_bytes);
-        for ((data, mode), chunk) in encoded.iter().zip(bytes.chunks(self.chunk_bytes)) {
-            out.extend_from_slice(if *mode == StorageMode::Raw { chunk } else { data });
+        .write_to(&mut out);
+        let mut offset = 0u64;
+        for &(len, mode) in chunks {
+            DirEntry { offset, encoded_bits: (len * 8) as u32, mode }.write_to(&mut out);
+            offset += len as u64;
         }
         out
     }
@@ -360,33 +369,6 @@ impl Engine {
             total_len: 0,
         }
     }
-
-    /// [`compress`](Self::compress) over an `f32` stream (little-endian
-    /// byte view — the layout `GpuMemory` stores).
-    pub fn compress_f32(&self, values: &[f32]) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.compress(&bytes)
-    }
-
-    /// [`decompress`](Self::decompress) back into an `f32` stream; errors
-    /// with [`ContainerError::ElementMisaligned`] when the decoded length
-    /// is not a multiple of 4.
-    pub fn decompress_f32(&self, container: &[u8]) -> Result<Vec<f32>, ContainerError> {
-        let bytes = self.decompress(container)?;
-        if bytes.len() % 4 != 0 {
-            return Err(ContainerError::ElementMisaligned {
-                total_len: bytes.len() as u64,
-                element_bytes: 4,
-            });
-        }
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
 }
 
 /// Incremental, bounded-memory encoder for serving scenarios (built by
@@ -403,7 +385,8 @@ pub struct StreamEncoder {
     engine: Engine,
     /// Raw tail shorter than one chunk, awaiting more input.
     pending: Vec<u8>,
-    dir: Vec<DirEntry>,
+    /// Stored length and mode of every chunk encoded so far.
+    dir: Vec<(usize, StorageMode)>,
     payload: Vec<u8>,
     total_len: u64,
 }
@@ -441,19 +424,7 @@ impl StreamEncoder {
             let chunk = std::mem::take(&mut self.pending);
             self.encode_one(&chunk);
         }
-        let mut out = Vec::with_capacity(
-            HEADER_BYTES + self.dir.len() * DIR_ENTRY_BYTES + self.payload.len(),
-        );
-        Header {
-            codec: self.engine.id,
-            chunk_bytes: self.engine.chunk_bytes as u32,
-            chunk_count: self.dir.len() as u32,
-            total_len: self.total_len,
-        }
-        .write_to(&mut out);
-        for entry in &self.dir {
-            entry.write_to(&mut out);
-        }
+        let mut out = self.engine.frame_head(self.total_len, &self.dir);
         out.extend_from_slice(&self.payload);
         out
     }
@@ -468,11 +439,7 @@ impl StreamEncoder {
         // A raw chunk's buffer comes back empty (see `encode_chunk`): its
         // stored bytes are the caller's chunk itself.
         let stored: &[u8] = if mode == StorageMode::Raw { chunk } else { &data };
-        self.dir.push(DirEntry {
-            offset: self.payload.len() as u64,
-            encoded_bits: (stored.len() * 8) as u32,
-            mode,
-        });
+        self.dir.push((stored.len(), mode));
         self.payload.extend_from_slice(stored);
     }
 }
@@ -853,24 +820,6 @@ mod tests {
         let e = bdi_engine(256);
         let f = e.clone();
         assert!(Arc::ptr_eq(&e.codec, &f.codec));
-    }
-
-    #[test]
-    fn f32_roundtrip() {
-        let e = bdi_engine(256);
-        let values: Vec<f32> = (0..300).map(|i| i as f32 * 0.5).collect();
-        let c = e.compress_f32(&values);
-        assert_eq!(e.decompress_f32(&c).unwrap(), values);
-    }
-
-    #[test]
-    fn f32_rejects_misaligned_streams() {
-        let e = bdi_engine(256);
-        let c = e.compress(&[1u8, 2, 3]);
-        assert_eq!(
-            e.decompress_f32(&c),
-            Err(ContainerError::ElementMisaligned { total_len: 3, element_bytes: 4 })
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use slc_compress::{BlockCodec, ChunkCoder, Compressed, BLOCK_BITS, BLOCK_BYTES};
 use slc_engine::{ContainerError, DirEntry, Engine, Header, StorageMode, Threads};
 use std::sync::{Arc, OnceLock};
 
-/// All seven codecs, trained once for the whole test binary (training
+/// Every registered codec, trained once for the whole test binary (training
 /// E2MC/SC2/HyComp per proptest case would dominate the runtime).
 fn codecs() -> &'static [Arc<dyn BlockCodec>] {
     static CODECS: OnceLock<Vec<Arc<dyn BlockCodec>>> = OnceLock::new();

@@ -26,7 +26,7 @@ fn main() {
                     b.copy_from_slice(chunk);
                     sizes += a.e2mc.size_bits(&b) as u64 / 8;
                     n += 1;
-                    let (d, sel) = slc.analyze(&b);
+                    let (d, sel) = slc.analyze_with(&slc.analysis(&b));
                     match (d.mode, sel) {
                         (ModeChoice::Lossy, Some(_)) => lossy += 1,
                         (ModeChoice::Lossy, None) => missed += 1,

@@ -74,18 +74,20 @@ fn mask(v: u64, w: u32) -> u64 {
 fn golden_byte_vectors() {
     // write(0b101, 3) ++ write(0xABCD, 16): 101 1010101111001101 ->
     // 10110101 01111001 101xxxxx.
-    let mut w = BitWriter::new();
+    let mut bytes = Vec::new();
+    let mut w = BitWriter::new(&mut bytes);
     w.write(0b101, 3);
     w.write(0xABCD, 16);
-    let (bytes, len) = w.finish();
+    let len = w.finish();
     assert_eq!(len, 19);
     assert_eq!(bytes, vec![0xB5, 0x79, 0xA0]);
 
     // A 64-bit field crossing the staging-word split path.
-    let mut w = BitWriter::new();
+    let mut bytes = Vec::new();
+    let mut w = BitWriter::new(&mut bytes);
     w.write(1, 1);
     w.write(0x0123_4567_89AB_CDEF, 64);
-    let (bytes, len) = w.finish();
+    let len = w.finish();
     assert_eq!(len, 65);
     assert_eq!(bytes, vec![0x80, 0x91, 0xA2, 0xB3, 0xC4, 0xD5, 0xE6, 0xF7, 0x80]);
 }
@@ -174,13 +176,14 @@ proptest! {
     #[test]
     fn prop_writer_matches_seed_reference(fields in proptest::collection::vec((any::<u64>(), 1u32..=64), 0..96)) {
         let mut reference = reference::RefWriter::new();
-        let mut writer = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut writer = BitWriter::new(&mut bytes);
         for &(v, w) in &fields {
             let m = mask(v, w);
             reference.write(m, w);
             writer.write(m, w);
         }
-        let (bytes, len) = writer.finish();
+        let len = writer.finish();
         prop_assert_eq!(len, reference.len_bits);
         prop_assert_eq!(bytes, reference.bytes);
     }

@@ -49,9 +49,10 @@ fn bit_flipped_mode_bit_is_detected() {
 
 #[test]
 fn bitreader_bounds_are_enforced() {
-    let mut w = BitWriter::new();
+    let mut bytes = Vec::new();
+    let mut w = BitWriter::new(&mut bytes);
     w.write(0xff, 8);
-    let (bytes, len) = w.finish();
+    let len = w.finish();
     let mut r = BitReader::new(&bytes, len);
     r.read(8);
     assert!(catch_unwind(AssertUnwindSafe(|| {
@@ -70,15 +71,13 @@ fn bitreader_bounds_are_enforced() {
 fn header_rejects_malformed_fields() {
     assert!(catch_unwind(|| {
         let h = SlcHeader::Lossy { ss: 63, len: 2, pdps: [0; 3] };
-        let mut w = BitWriter::new();
-        h.write(&mut w); // ss 63 is fine; the hole runs past the block at decode level
-        w
+        // ss 63 is fine; the hole runs past the block at decode level
+        h.write(&mut BitWriter::new(&mut Vec::new()));
     })
     .is_ok());
     assert!(catch_unwind(|| {
         let h = SlcHeader::Lossy { ss: 70, len: 1, pdps: [0; 3] };
-        let mut w = BitWriter::new();
-        h.write(&mut w)
+        h.write(&mut BitWriter::new(&mut Vec::new()))
     })
     .is_err());
 }

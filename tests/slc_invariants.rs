@@ -22,7 +22,7 @@ fn slc_never_costs_more_bursts_than_e2mc() {
             if !region.safe_to_approx {
                 continue;
             }
-            let slc_bursts = slc.stored_bursts(&block);
+            let slc_bursts = slc.stored_bursts_with(&slc.analysis(&block));
             let e2mc_bursts = Mag::GDDR5.bursts_for_bits(a.e2mc.size_bits(&block), 128);
             assert!(
                 slc_bursts <= e2mc_bursts,
@@ -161,7 +161,7 @@ fn wider_mag_means_fewer_interior_budget_points() {
                 continue;
             }
             total += u64::from(max);
-            saved += u64::from(max - slc.stored_bursts(&block));
+            saved += u64::from(max - slc.stored_bursts_with(&slc.analysis(&block)));
         }
         gains.push(saved as f64 / total as f64);
     }
