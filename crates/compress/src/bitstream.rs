@@ -327,6 +327,24 @@ impl<'a> BitReader<'a> {
         self.window(self.pos, take) << (width - take)
     }
 
+    /// Overwrites `copy` with the whole stream followed by zeros and
+    /// returns the stream's length in bits, for decoders that keep several
+    /// cursors of their own: any 8-byte load at a byte offset
+    /// `<= BLOCK_BYTES` stays inside the copy, and every bit past the
+    /// stream's end — slack in the last byte, whatever follows it in the
+    /// backing slice — reads as zero. Block streams are at most
+    /// [`BLOCK_BITS`] long; a longer one is cut there.
+    pub fn pad_into(&self, copy: &mut [u8; BLOCK_BYTES + 8]) -> u32 {
+        *copy = [0; BLOCK_BYTES + 8];
+        let bits = self.len_bits.min(BLOCK_BITS);
+        let (whole, slack) = ((bits / 8) as usize, bits % 8);
+        copy[..whole].copy_from_slice(&self.bytes[..whole]);
+        if slack > 0 {
+            copy[whole] = self.bytes[whole] & !(0xff >> slack);
+        }
+        self.len_bits
+    }
+
     /// Advances the cursor by `width` bits (used together with
     /// [`peek_padded`](Self::peek_padded)).
     ///

@@ -8,9 +8,14 @@
 //! table (built from sampled traffic, see [`SymbolSampler`]) covers the
 //! `top_k` most probable symbols; everything else is sent as an escape code
 //! followed by the 16 raw bits. Symbols are split into 4 **parallel
-//! decoding ways** (PDWs) of 16 symbols so hardware can decode them
-//! concurrently; the block header carries one *parallel decoding pointer*
-//! (pdp) per non-first way.
+//! decoding ways** (PDWs) of 16 symbols, each an independently
+//! addressable sub-stream: the block header carries one *parallel
+//! decoding pointer* (pdp) per non-first way. The hardware puts one
+//! decoder on each way; the software decoder
+//! ([`SymbolTable::decode_ways_into`], shared with SLC) does the same with
+//! four cursors advanced in lock step, so the ways' table loads overlap
+//! in the pipeline, and it rejects a block whose ways do not tile the
+//! data section exactly.
 //!
 //! The compressed size of a block is just the sum of its code lengths plus
 //! the header — the property SLC's bit-budgeting exploits (the paper's
@@ -40,6 +45,7 @@ pub use analysis::{BlockAnalysis, TREE_SUM_NODES};
 pub use huffman::{CanonicalCode, MAX_CODE_LEN};
 pub use sampler::SymbolSampler;
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::bitstream::{BitReader, BitWriter};
@@ -107,7 +113,7 @@ pub struct SymbolTable {
     /// `(symbol << 16) | (escape << 8) | code_length`. Fuses the canonical
     /// decode and the entry-to-symbol lookup into one load per symbol;
     /// length 0 marks windows no codeword covers (corrupt stream).
-    dec: Vec<u32>,
+    dec: Box<[u32; 1 << MAX_CODE_LEN]>,
     /// Symbol value -> encoded width in bits. Duplicates the width byte of
     /// `enc` at 1/8th the footprint (64 KB vs 512 KB): the size-only paths
     /// (code-length sums, SLC's tree adder) touch symbols randomly, so the
@@ -165,7 +171,9 @@ impl SymbolTable {
                 })
             })
             .map(|packed| packed.unwrap_or(0))
-            .collect();
+            .collect::<Vec<u32>>()
+            .try_into()
+            .expect("one entry per window");
         let bits = enc.iter().map(|&p| (p & 0xff) as u8).collect();
         Self { code, escape_entry, top: symbols, enc, dec, bits }
     }
@@ -245,66 +253,77 @@ impl SymbolTable {
         }
     }
 
-    /// Decodes one symbol.
+    /// Decodes the four parallel decoding ways of a block side by side,
+    /// as the paper's four hardware decoders would: way `w` starts at
+    /// absolute bit `starts[w]` of `r`'s stream and holds symbols
+    /// `w * WAY_SYMBOLS..(w + 1) * WAY_SYMBOLS` of `out`, minus those in
+    /// `hole` (SLC's truncated run: never on the wire, left untouched
+    /// here; E2MC passes an empty range).
+    ///
+    /// The four cursors advance in lock step — symbol *i* of every way per
+    /// iteration — so the four table loads are independent and overlap
+    /// instead of queueing behind one load→shift chain. Each symbol
+    /// rebuilds its window with one unconditional 8-byte load from
+    /// [`BitReader::pad_into`]'s copy: no refill branch, no slice-end
+    /// check, and bits past the stream's end read as zero (a symbol takes
+    /// at most escape + 16 raw bits = 32 of the load's 57 aligned bits).
     ///
     /// # Panics
     ///
-    /// Panics on a corrupt stream.
-    pub fn decode_symbol(&self, r: &mut BitReader<'_>) -> u16 {
-        let window = r.peek_padded(MAX_CODE_LEN) as u32;
-        let packed = self.dec[window as usize];
-        let len = packed & 0xff;
-        if len == 0 {
-            panic!("corrupt E2MC stream: no codeword matches window {window:#06x}");
-        }
-        r.skip(len);
-        if packed & 0x100 != 0 {
-            r.read(16) as u16
-        } else {
-            (packed >> 16) as u16
-        }
-    }
-
-    /// Decodes one symbol per slot of `out` (the allocation-free way path).
-    ///
-    /// Runs a register-buffered loop: a left-aligned 64-bit window is
-    /// refilled from the reader only when fewer than 32 valid bits remain
-    /// (the worst case consumption per symbol is escape code + 16 raw
-    /// bits), so most symbols cost one table load and one shift instead of
-    /// a reader round-trip.
-    pub fn decode_way_into(&self, r: &mut BitReader<'_>, out: &mut [u16]) {
-        let mut pos = r.position();
-        let mut buf = 0u64; // decoded bits, left-aligned
-        let mut avail = 0u32;
-        for slot in out {
-            if avail < 32 {
-                r.seek(pos);
-                // peek_padded returns the low 57 bits; left-align them.
-                buf = r.peek_padded(57) << 7;
-                avail = 57;
+    /// Panics on a corrupt stream: a window no codeword covers, or a way
+    /// that does not end exactly where the next one starts (the last one
+    /// at the stream's end). Cursors only move forward from `starts[0]`,
+    /// so that one check also bounds every start and end by the stream
+    /// length.
+    pub fn decode_ways_into(
+        &self,
+        r: &BitReader<'_>,
+        starts: [u32; WAYS],
+        hole: Range<usize>,
+        out: &mut [u16; SYMBOLS_PER_BLOCK],
+    ) {
+        let mut stream = [0u8; BLOCK_BYTES + 8];
+        let len_bits = r.pad_into(&mut stream);
+        // One wrapped subtraction tests both ends of the hole; spelled
+        // `hole.contains(&slot)` the loop is a fifth slower.
+        let (hole_start, hole_len) = (hole.start, hole.len());
+        let mut pos = starts;
+        let mut covered = true;
+        'decode: for i in 0..WAY_SYMBOLS {
+            for (way, pos) in pos.iter_mut().enumerate() {
+                let slot = way * WAY_SYMBOLS + i;
+                if slot.wrapping_sub(hole_start) < hole_len {
+                    continue;
+                }
+                // Past the block every bit is padding, so clamping the
+                // load keeps a corrupt pdp inside the copy at no cost to
+                // the bits it reads.
+                let byte = (*pos as usize / 8).min(BLOCK_BYTES);
+                let mut word = [0u8; 8];
+                word.copy_from_slice(&stream[byte..byte + 8]);
+                let buf = u64::from_be_bytes(word) << (*pos % 8);
+                let packed = self.dec[(buf >> (64 - MAX_CODE_LEN)) as usize];
+                let len = packed & 0xff;
+                if len == 0 {
+                    covered = false;
+                    break 'decode;
+                }
+                *pos += if packed & 0x100 != 0 {
+                    // Escape: the 16 raw bits follow the codeword.
+                    out[slot] = (buf >> (64 - len - 16)) as u16;
+                    len + 16
+                } else {
+                    out[slot] = (packed >> 16) as u16;
+                    len
+                };
             }
-            let window = (buf >> (64 - MAX_CODE_LEN)) as u32;
-            let packed = self.dec[window as usize];
-            let len = packed & 0xff;
-            if len == 0 {
-                // slc-lint: allow(hot-path): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
-                panic!("corrupt E2MC stream: no codeword matches window {window:#06x}");
-            }
-            let consumed;
-            if packed & 0x100 != 0 {
-                // Escape: the 16 raw bits follow the codeword, still
-                // inside the 32-bit guarantee.
-                *slot = ((buf >> (64 - len - 16)) & 0xffff) as u16;
-                consumed = len + 16;
-            } else {
-                *slot = (packed >> 16) as u16;
-                consumed = len;
-            }
-            buf <<= consumed;
-            avail -= consumed;
-            pos += consumed;
         }
-        r.seek(pos);
+        if !covered || pos != [starts[1], starts[2], starts[3], len_bits] {
+            let what =
+                if covered { "a way ends off the next one's start" } else { "no codeword matches" };
+            // slc-lint: allow(hot-path): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
+            panic!("corrupt E2MC stream: {what}");
+        }
     }
 
     /// The underlying canonical code (decode tables, per-entry lengths).
@@ -460,19 +479,14 @@ impl BlockCompressor for E2mc {
         let mut r = BitReader::new(payload, size_bits);
         // slc-lint: allow(assert): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
         assert!(r.read_bit(), "corrupt E2MC stream: mode bit clear on compressed block");
-        let mut pdps = [0u32; WAYS];
-        for p in pdps.iter_mut().skip(1) {
-            *p = r.read(PDP_BITS) as u32;
+        // Each way is independently addressable through its pdp; the
+        // table decodes all four side by side.
+        let mut starts = [HEADER_BITS; WAYS];
+        for s in starts.iter_mut().skip(1) {
+            *s += r.read(PDP_BITS) as u32;
         }
-        let data_start = HEADER_BITS;
         let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        for (way, pdp) in pdps.iter().enumerate() {
-            // Each way is independently addressable: seek to its pdp as the
-            // hardware's parallel decoders would.
-            r.seek(data_start + pdp);
-            self.table
-                .decode_way_into(&mut r, &mut symbols[way * WAY_SYMBOLS..(way + 1) * WAY_SYMBOLS]);
-        }
+        self.table.decode_ways_into(&r, starts, 0..0, &mut symbols);
         *out = symbols_to_block(&symbols);
     }
 
@@ -598,12 +612,160 @@ mod tests {
 
     #[test]
     fn ways_are_independently_seekable() {
-        // The decoder seeks each pdp; a correct roundtrip of a block whose
+        // The decoder starts a cursor at each pdp; a roundtrip of a block whose
         // ways have distinct content exercises all four pointers.
         let e = trained();
         let block = block_from_u32s(|i| (i as u32 / 16) * 31 % 97);
         let c = e.compress(&block);
         assert_eq!(e.decompress(&c), block);
+    }
+
+    /// Sentinel for slots a decoder must leave alone.
+    const UNTOUCHED: u16 = 0xa5a5;
+
+    /// The header-less way streams of `symbols` minus `hole`, built from
+    /// the stash primitives every in-tree producer uses: bytes, bit
+    /// length and the four way starts.
+    fn way_stream(
+        table: &SymbolTable,
+        symbols: &[u16; SYMBOLS_PER_BLOCK],
+        hole: Range<usize>,
+    ) -> (Vec<u8>, u32, [u32; WAYS]) {
+        let mut encodings = table.stash_encodings(symbols);
+        encodings[hole].fill(0);
+        let way_bits = SymbolTable::way_bits(&encodings);
+        let mut starts = [0u32; WAYS];
+        for way in 1..WAYS {
+            starts[way] = starts[way - 1] + way_bits[way - 1];
+        }
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
+        SymbolTable::write_encodings(&mut w, &encodings);
+        let len_bits = w.finish();
+        (bytes, len_bits, starts)
+    }
+
+    /// Scalar reference for `decode_ways_into`: one bit at a time, one
+    /// symbol at a time through the canonical code, way after way. `None`
+    /// where the stream is corrupt.
+    fn reference_decode(
+        table: &SymbolTable,
+        bytes: &[u8],
+        len_bits: u32,
+        starts: [u32; WAYS],
+        hole: Range<usize>,
+    ) -> Option<[u16; SYMBOLS_PER_BLOCK]> {
+        let bits = |pos: u32, n: u32| {
+            (pos..pos + n).fold(0u32, |acc, i| {
+                let bit = i < len_bits && bytes[i as usize / 8] >> (7 - i % 8) & 1 == 1;
+                acc << 1 | u32::from(bit)
+            })
+        };
+        let mut out = [UNTOUCHED; SYMBOLS_PER_BLOCK];
+        for (way, symbols) in out.chunks_exact_mut(WAY_SYMBOLS).enumerate() {
+            let mut pos = starts[way];
+            for (i, symbol) in symbols.iter_mut().enumerate() {
+                if hole.contains(&(way * WAY_SYMBOLS + i)) {
+                    continue;
+                }
+                let (entry, len) = table.code.decode_checked(bits(pos, MAX_CODE_LEN))?;
+                pos += len;
+                *symbol = if entry as usize == table.escape_entry {
+                    pos += 16;
+                    bits(pos - 16, 16) as u16
+                } else {
+                    table.top[entry as usize]
+                };
+            }
+            let end = if way + 1 < WAYS { starts[way + 1] } else { len_bits };
+            if pos != end {
+                return None;
+            }
+        }
+        Some(out)
+    }
+
+    /// Runs both decoders on the stream, handed over as a slice of exactly
+    /// `ceil(len_bits / 8)` bytes inside a dirty buffer with the slack
+    /// bits of its last byte set; they must agree on accept-vs-reject and
+    /// on every slot.
+    fn decode_both(
+        table: &SymbolTable,
+        bytes: &[u8],
+        len_bits: u32,
+        starts: [u32; WAYS],
+        hole: Range<usize>,
+    ) -> Option<[u16; SYMBOLS_PER_BLOCK]> {
+        let n = len_bits.div_ceil(8) as usize;
+        let mut dirty = vec![0xa5u8; n + 32];
+        dirty[16..16 + n].copy_from_slice(&bytes[..n]);
+        let slack = (8 - len_bits % 8) % 8;
+        dirty[16 + n - 1] |= (1 << slack) - 1;
+        let stream = &dirty[16..16 + n];
+        let expect = reference_decode(table, stream, len_bits, starts, hole.clone());
+        let got = std::panic::catch_unwind(|| {
+            let mut out = [UNTOUCHED; SYMBOLS_PER_BLOCK];
+            table.decode_ways_into(&BitReader::new(stream, len_bits), starts, hole, &mut out);
+            out
+        })
+        .ok();
+        assert_eq!(got, expect, "decoders disagree");
+        got
+    }
+
+    /// What a correct decode of `symbols` minus `hole` looks like.
+    fn punched(symbols: &[u16; SYMBOLS_PER_BLOCK], hole: Range<usize>) -> [u16; SYMBOLS_PER_BLOCK] {
+        let mut expect = *symbols;
+        expect[hole].fill(UNTOUCHED);
+        expect
+    }
+
+    /// Symbols drawn from the trained ramp, with every slot whose bit is
+    /// set in `escapes` replaced by an out-of-table value.
+    fn mixed_symbols(seed: u32, escapes: u64) -> [u16; SYMBOLS_PER_BLOCK] {
+        let mut symbols = block_to_symbols(&block_from_u32s(|i| {
+            (seed.wrapping_mul(2654435761) ^ (i as u32 * 31)) % 97
+        }));
+        for (slot, s) in symbols.iter_mut().enumerate() {
+            if escapes >> slot & 1 == 1 {
+                *s = 0xc000 | (seed as u16).wrapping_mul(257).wrapping_add(slot as u16 * 3);
+            }
+        }
+        symbols
+    }
+
+    #[test]
+    fn every_hole_decodes_like_the_scalar_reference() {
+        // In-distribution, escape-heavy and all-escape (incompressible,
+        // coded only where the hole makes room) blocks under every hole,
+        // including holes at slot 0 / 63 and holes that swallow whole ways.
+        let e = trained();
+        for escapes in [0, 0x8421_1248_8001_4002, u64::MAX] {
+            let symbols = mixed_symbols(7, escapes);
+            for start in 0..=SYMBOLS_PER_BLOCK {
+                for end in start..=SYMBOLS_PER_BLOCK {
+                    let (bytes, len_bits, starts) = way_stream(e.table(), &symbols, start..end);
+                    if len_bits > BLOCK_BITS {
+                        continue; // no block stream is longer than a block
+                    }
+                    let got = decode_both(e.table(), &bytes, len_bits, starts, start..end);
+                    assert_eq!(got, Some(punched(&symbols, start..end)), "hole {start}..{end}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pdp_off_its_way_boundary_is_rejected() {
+        // Way 1's codewords still parse from one bit further on, which the
+        // per-way decoder accepted as garbage; way 0 ending off that start
+        // is the tell.
+        let e = trained();
+        let symbols = mixed_symbols(3, 0);
+        let (bytes, len_bits, mut starts) = way_stream(e.table(), &symbols, 0..0);
+        assert!(decode_both(e.table(), &bytes, len_bits, starts, 0..0).is_some());
+        starts[1] += 1;
+        assert_eq!(decode_both(e.table(), &bytes, len_bits, starts, 0..0), None);
     }
 
     #[test]
@@ -667,6 +829,36 @@ mod tests {
             let c = e.compress(&block);
             prop_assert!(c.is_compressed());
             prop_assert_eq!(e.decompress(&c), block);
+        }
+
+        #[test]
+        fn prop_produced_ways_tile_the_stream(seed in any::<u32>(), escapes in any::<u64>(),
+                                              a in 0usize..=SYMBOLS_PER_BLOCK, b in 0usize..=SYMBOLS_PER_BLOCK) {
+            // What the encoders write, the decoder accepts: every way ends
+            // exactly on the next one's start, whatever the hole.
+            let e = trained();
+            let symbols = mixed_symbols(seed, escapes);
+            let hole = a.min(b)..a.max(b);
+            let (bytes, len_bits, starts) = way_stream(e.table(), &symbols, hole.clone());
+            prop_assume!(len_bits <= BLOCK_BITS);
+            let got = decode_both(e.table(), &bytes, len_bits, starts, hole.clone());
+            prop_assert_eq!(got, Some(punched(&symbols, hole)));
+        }
+
+        #[test]
+        fn prop_flipped_streams_decode_like_the_scalar_reference(seed in any::<u32>(), escapes in any::<u64>(),
+                                                                 a in 0usize..=SYMBOLS_PER_BLOCK, len in 0usize..=16,
+                                                                 flip in any::<u32>()) {
+            let e = trained();
+            let symbols = mixed_symbols(seed, escapes & escapes.rotate_left(7));
+            let hole = a..(a + len).min(SYMBOLS_PER_BLOCK);
+            let (mut bytes, len_bits, starts) = way_stream(e.table(), &symbols, hole.clone());
+            prop_assume!(0 < len_bits && len_bits <= BLOCK_BITS);
+            let bit = flip % len_bits;
+            bytes[bit as usize / 8] ^= 0x80 >> (bit % 8);
+            // Accept or reject, decode_both holds the two decoders to the
+            // same verdict and the same symbols.
+            decode_both(e.table(), &bytes, len_bits, starts, hole);
         }
 
         #[test]

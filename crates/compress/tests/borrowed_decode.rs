@@ -8,6 +8,11 @@
 //! hazard is BDI's zero-run and masked-delta encodings) shows up as a
 //! mismatch here, not as silent corruption in an arena reuser.
 //!
+//! The payload is also decoded from an exact-length slice of a dirty
+//! buffer, the way the engine frames it: word-at-a-time decoders (E2MC's
+//! four-cursor way decoder reads 8 bytes per symbol) must treat
+//! everything past the slice as zero bits.
+//!
 //! The encode mirror rides along: `compress_into` appends to a
 //! caller-owned sink, so it is checked against a sink with a dirty prefix
 //! (which must survive) and dirty spare capacity (which must not leak
@@ -52,6 +57,15 @@ fn check_block(block: &[u8; BLOCK_BYTES]) {
         let mut borrowed = [0xa5u8; BLOCK_BYTES];
         codec.decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut borrowed);
         assert_eq!(borrowed, owned, "{}: borrowed decode must equal owned", codec.name());
+        // The payload as the engine hands it over: a slice of exactly
+        // `ceil(bits / 8)` bytes with other blocks' bytes on both sides,
+        // which a decoder loading whole words must never let in.
+        let n = c.size_bits().div_ceil(8) as usize;
+        let mut framed = vec![0xa5u8; n + 32];
+        framed[16..16 + n].copy_from_slice(&c.payload()[..n]);
+        let mut exact = [0x5au8; BLOCK_BYTES];
+        codec.decompress_into(c.size_bits(), c.is_compressed(), &framed[16..16 + n], &mut exact);
+        assert_eq!(exact, owned, "{}: exact-length slice in a dirty buffer", codec.name());
         let mut sink = vec![0xa5u8; 2 * BLOCK_BYTES];
         sink.truncate(3);
         let (bits, coded) = codec.compress_into(block, &mut sink);

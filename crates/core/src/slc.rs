@@ -11,7 +11,7 @@ use crate::header::{SlcHeader, LOSSLESS_HEADER_BITS, LOSSY_HEADER_DELTA};
 use crate::predict::{fill_approximated, PredictorKind};
 use crate::tree::{CodeLengthTree, Selection};
 use slc_compress::bitstream::{BitReader, BitWriter};
-use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable, WAYS, WAY_SYMBOLS};
+use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable, WAYS};
 use slc_compress::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
 use slc_compress::{Block, Mag, BLOCK_BITS, BLOCK_BYTES};
 
@@ -519,37 +519,22 @@ impl SlcCompressor {
     }
 
     fn decode_stream(&self, c: &SlcCompressed) -> Block {
-        let table = self.e2mc.table();
         let mut r = BitReader::new(&c.payload, c.size_bits);
         let header = SlcHeader::read(&mut r);
         let (hole, pdps) = match header {
-            SlcHeader::Lossless { pdps } => (None, pdps),
-            SlcHeader::Lossy { ss, len, pdps } => (Some((ss as usize, len as usize)), pdps),
+            SlcHeader::Lossless { pdps } => (0..0, pdps),
+            SlcHeader::Lossy { ss, len, pdps } => (ss as usize..(ss + len) as usize, pdps),
         };
-        let data_start = header.size_bits();
-        let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        let (hole_start, hole_end) = match hole {
-            Some((ss, len)) => (ss, ss + len),
-            None => (SYMBOLS_PER_BLOCK, SYMBOLS_PER_BLOCK),
-        };
-        for way in 0..WAYS {
-            let offset = if way == 0 { 0 } else { pdps[way - 1] };
-            r.seek(data_start + offset);
-            // The hole is contiguous, so each way splits into at most two
-            // contiguous coded segments — decoded with the buffered way
-            // decoder instead of symbol-by-symbol reader calls.
-            let (lo, hi) = (way * WAY_SYMBOLS, (way + 1) * WAY_SYMBOLS);
-            let head = lo..hole_start.clamp(lo, hi);
-            let tail = hole_end.clamp(lo, hi)..hi;
-            if !head.is_empty() {
-                table.decode_way_into(&mut r, &mut symbols[head]);
-            }
-            if !tail.is_empty() {
-                table.decode_way_into(&mut r, &mut symbols[tail]);
-            }
+        // The truncated run never reached the wire: the way decoder skips
+        // it and the predictor fills it in afterwards.
+        let mut starts = [header.size_bits(); WAYS];
+        for (start, pdp) in starts[1..].iter_mut().zip(pdps) {
+            *start += pdp;
         }
-        if let Some((ss, len)) = hole {
-            fill_approximated(&mut symbols, ss, len, self.config.predictor);
+        let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
+        self.e2mc.table().decode_ways_into(&r, starts, hole.clone(), &mut symbols);
+        if !hole.is_empty() {
+            fill_approximated(&mut symbols, hole.start, hole.len(), self.config.predictor);
         }
         symbols_to_block(&symbols)
     }
@@ -565,7 +550,9 @@ impl SlcCompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slc_compress::e2mc::E2mcConfig;
+    use crate::header::LOSSY_HEADER_BITS;
+    use proptest::prelude::*;
+    use slc_compress::e2mc::{E2mcConfig, PDP_BITS};
     use slc_compress::BlockCompressor;
 
     /// Training data resembling a smooth f32 field: symbol stream has
@@ -645,6 +632,36 @@ mod tests {
             }
         }
         panic!("no lossy block found");
+    }
+
+    #[test]
+    fn flipped_pdps_are_rejected_not_decoded_to_garbage() {
+        // A pdp that points into the middle of a way still parses as
+        // codewords; what gives it away is the way before it ending
+        // somewhere else. Every bit of every pdp, lossless and lossy.
+        let s = slc(SlcVariant::TslcOpt);
+        let (mut lossless, mut lossy) = (0, 0);
+        for k in 0..64 {
+            let c = s.compress(&float_block(k as f32 * 1.7, 0.125 + (k % 7) as f32 * 0.05));
+            let header_bits = match c.kind() {
+                StoredKind::Uncompressed => continue,
+                StoredKind::Lossless => {
+                    lossless += 1;
+                    LOSSLESS_HEADER_BITS
+                }
+                StoredKind::Lossy { .. } => {
+                    lossy += 1;
+                    LOSSY_HEADER_BITS
+                }
+            };
+            for bit in header_bits - (WAYS as u32 - 1) * PDP_BITS..header_bits {
+                let mut corrupt = c.clone();
+                corrupt.payload[bit as usize / 8] ^= 0x80 >> (bit % 8);
+                let verdict = std::panic::catch_unwind(|| s.decompress(&corrupt));
+                assert!(verdict.is_err(), "block {k}: pdp bit {bit} flipped, still decoded");
+            }
+        }
+        assert!(lossless > 0 && lossy > 0, "scan must cover both framings");
     }
 
     #[test]
@@ -895,6 +912,36 @@ mod tests {
                     "verbatim storage must mean no burst savings"
                 ),
                 StoredKind::Lossless => {}
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_stored_streams_tile_their_ways(words in proptest::collection::vec(any::<u32>(), 32),
+                                                noise in any::<u32>(), threshold in 0u32..=32) {
+            // The decoder rejects a block whose ways do not end exactly on
+            // the next way's start, so every stream `encode_stream` writes
+            // — lossless or with any hole the tree selects — must tile:
+            // smooth floats with `noise`-selected words replaced by
+            // arbitrary bits, under every threshold and variant.
+            let mut block = float_block(words[0] as f32 * 1e-7, 0.125);
+            for (i, w) in words.iter().enumerate() {
+                if noise >> i & 1 == 1 {
+                    block[i * 4..i * 4 + 4].copy_from_slice(&w.to_le_bytes());
+                }
+            }
+            let e2mc = e2mc();
+            for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
+                let config = SlcConfig::new(Mag::GDDR5, threshold, variant);
+                let s = SlcCompressor::new(e2mc.clone(), config);
+                let c = s.compress(&block);
+                let out = s.decompress(&c);
+                if !c.is_lossy() {
+                    prop_assert_eq!(out, block);
+                }
             }
         }
     }

@@ -89,20 +89,30 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    let work = || {
+        IN_WORKER.with(|w| w.set(true));
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let item = slots[i].lock().expect("slot poisoned").take().expect("taken once");
+            let result = f(item);
+            *out[i].lock().expect("slot poisoned") = Some(result);
+        }
+    };
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i].lock().expect("slot poisoned").take().expect("taken once");
-                    let result = f(item);
-                    *out[i].lock().expect("slot poisoned") = Some(result);
-                }
-            });
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+        // Join by hand: the scope's own join replaces a worker's panic
+        // payload with a generic "a scoped thread panicked".
+        let mut panicked = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
     });
     out.into_iter()

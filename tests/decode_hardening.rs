@@ -2,18 +2,22 @@
 //! every block codec. Corrupt streams must fail loudly (a guarded panic
 //! with a diagnostic) or decode to *some* full-size block — never index
 //! out of bounds — and the [`Compressed`] boundary must reject payloads
-//! that cannot hold their declared bit length.
+//! that cannot hold their declared bit length. E2MC's parallel decoding
+//! pointers are held to more: a flipped pdp is always rejected, at the
+//! codec and as `ChunkCorrupt` through the engine.
 
 use slc::slc_compress::bdi::Bdi;
 use slc::slc_compress::bpc::Bpc;
 use slc::slc_compress::cpack::Cpack;
-use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
+use slc::slc_compress::e2mc::{E2mc, E2mcConfig, HEADER_BITS};
 use slc::slc_compress::fpc::Fpc;
 use slc::slc_compress::hycomp::HyComp;
 use slc::slc_compress::rans::Rans;
 use slc::slc_compress::sc2::Sc2;
 use slc::slc_compress::{BlockCompressor, Compressed, BLOCK_BYTES};
+use slc::slc_engine::{ContainerError, Engine, Frame, StorageMode};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Deterministic corruption source (xorshift64*), so a failing flip is
 /// reproducible from the test output alone.
@@ -135,6 +139,71 @@ fn seeded_bit_flips_are_contained() {
         assert_eq!(codec.decompress(&c), block, "{}: codec state poisoned", codec.name());
         println!("{}: {panics}/64 flips tripped a guard", codec.name());
     }
+}
+
+/// Flips stream bit `bit` (MSB-first, as the codecs number them).
+fn flip_stream_bit(bytes: &mut [u8], bit: u32) {
+    bytes[bit as usize / 8] ^= 0x80 >> (bit % 8);
+}
+
+#[test]
+fn e2mc_pdp_flips_are_rejected() {
+    // A flipped pdp still points at parseable codewords, so "decodes to
+    // some block" used to be the outcome; the way before it no longer
+    // ending on it is what the decoder now rejects. Seeded blocks, every
+    // bit of all three pdps (stream bits 1..HEADER_BITS).
+    let e = E2mc::train_on_bytes(&training_bytes(), &E2mcConfig::default());
+    let mut rng = Rng(0x9d9_f11b);
+    for _ in 0..16 {
+        let mut block = [0u8; BLOCK_BYTES];
+        for c in block.chunks_exact_mut(4) {
+            c.copy_from_slice(&((rng.next() % 257) as f32).to_le_bytes());
+        }
+        let c = e.compress(&block);
+        assert!(c.is_compressed());
+        for bit in 1..HEADER_BITS {
+            let mut bytes = c.payload().to_vec();
+            flip_stream_bit(&mut bytes, bit);
+            let corrupt = Compressed::new(c.size_bits(), bytes);
+            assert!(
+                catch_unwind(AssertUnwindSafe(|| e.decompress(&corrupt))).is_err(),
+                "pdp bit {bit} flipped, block still decoded"
+            );
+        }
+        assert_eq!(e.decompress(&c), block);
+    }
+}
+
+#[test]
+fn e2mc_pdp_flips_surface_as_chunk_corrupt_through_the_engine() {
+    let e = E2mc::train_on_bytes(&training_bytes(), &E2mcConfig::default());
+    let engine = Engine::new(Arc::new(e)).with_chunk_bytes(4 * BLOCK_BYTES);
+    let data: Vec<u8> = (0..8 * BLOCK_BYTES as u32 / 4)
+        .flat_map(|i| (((i * 3) % 257) as f32).to_le_bytes())
+        .collect();
+    let container = engine.compress(&data);
+    let frame = Frame::parse(&container).unwrap();
+    let payload_at = container.len() - frame.payload.len();
+    let mut rng = Rng(0x9d9_c0de);
+    for (chunk, entry) in frame.directory.iter().enumerate() {
+        assert_eq!(entry.mode, StorageMode::Coded);
+        // The chunk's first block: a u16 tag (bit 15 = coded), then the
+        // stream whose bits 1..HEADER_BITS are the pdps.
+        let tag_at = payload_at + entry.offset as usize;
+        assert!(container[tag_at + 1] & 0x80 != 0, "first block of chunk {chunk} is coded");
+        for _ in 0..8 {
+            let bit = 1 + (rng.next() % u64::from(HEADER_BITS - 1)) as u32;
+            let mut corrupt = container.clone();
+            flip_stream_bit(&mut corrupt[tag_at + 2..], bit);
+            match engine.decompress(&corrupt) {
+                Err(ContainerError::ChunkCorrupt { chunk: at, .. }) => assert_eq!(at, chunk),
+                other => {
+                    panic!("chunk {chunk}, pdp bit {bit}: expected ChunkCorrupt, got {other:?}")
+                }
+            }
+        }
+    }
+    assert_eq!(engine.decompress(&container).unwrap(), data);
 }
 
 #[test]
