@@ -12,7 +12,9 @@
 //! repeats a single 8-byte value.
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
+use crate::{
+    load_verbatim, store_verbatim, Block, BlockCompressor, DecodeError, BLOCK_BITS, BLOCK_BYTES,
+};
 
 /// The BDI encoding chosen for a block, ordered by decreasing specificity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,13 +66,9 @@ impl BdiEncoding {
         }
     }
 
-    /// Inverse of [`tag`](Self::tag).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown tag (corrupt stream).
-    pub fn from_tag(tag: u8) -> Self {
-        match tag {
+    /// Inverse of [`tag`](Self::tag); `None` for a tag no encoding owns.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Some(match tag {
             0 => BdiEncoding::Zeros,
             1 => BdiEncoding::Repeat,
             2 => BdiEncoding::B8D1,
@@ -80,9 +78,8 @@ impl BdiEncoding {
             6 => BdiEncoding::B4D2,
             7 => BdiEncoding::B2D1,
             8 => BdiEncoding::Uncompressed,
-            // slc-lint: allow(hot-path): corrupt-tag guard, contained by the engine's per-chunk catch_unwind
-            other => panic!("corrupt BDI stream: unknown tag {other}"),
-        }
+            _ => return None,
+        })
     }
 
     /// Compressed size in bits for this encoding on a 128 B block
@@ -484,13 +481,18 @@ impl BlockCompressor for Bdi {
         (bits, true)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
         let mut r = BitReader::new(payload, size_bits);
-        let enc = BdiEncoding::from_tag(r.read(4) as u8);
+        let enc = BdiEncoding::from_tag(r.read(4) as u8).ok_or(DecodeError::UnknownTag)?;
         // The caller's buffer may hold stale bytes; the zero-run and
         // masked-delta arms rely on a zeroed canvas.
         out.fill(0);
@@ -502,10 +504,9 @@ impl BlockCompressor for Bdi {
                     chunk.copy_from_slice(&v);
                 }
             }
-            BdiEncoding::Uncompressed => {
-                // slc-lint: allow(hot-path): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
-                unreachable!("verbatim blocks use Compressed::uncompressed")
-            }
+            // Verbatim blocks travel with the coded flag clear; no
+            // encoder writes this tag into a coded stream.
+            BdiEncoding::Uncompressed => return Err(DecodeError::UnknownTag),
             BdiEncoding::B8D1 => decode_base_delta::<8, 1>(&mut r, out),
             BdiEncoding::B8D2 => decode_base_delta::<8, 2>(&mut r, out),
             BdiEncoding::B8D4 => decode_base_delta::<8, 4>(&mut r, out),
@@ -513,6 +514,7 @@ impl BlockCompressor for Bdi {
             BdiEncoding::B4D2 => decode_base_delta::<4, 2>(&mut r, out),
             BdiEncoding::B2D1 => decode_base_delta::<2, 1>(&mut r, out),
         }
+        r.check()
     }
 
     fn size_bits(&self, block: &Block) -> u32 {
@@ -683,8 +685,9 @@ mod tests {
             BdiEncoding::B2D1,
             BdiEncoding::Uncompressed,
         ] {
-            assert_eq!(BdiEncoding::from_tag(enc.tag()), enc);
+            assert_eq!(BdiEncoding::from_tag(enc.tag()), Some(enc));
         }
+        assert!((9..=u8::MAX).all(|tag| BdiEncoding::from_tag(tag).is_none()));
     }
 
     proptest! {

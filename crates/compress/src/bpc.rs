@@ -15,7 +15,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{Block, BlockCompressor, BLOCK_BYTES};
+use crate::{load_verbatim, Block, BlockCompressor, DecodeError};
 
 /// Number of deltas per block (words - 1).
 const DELTAS: usize = WORDS_PER_BLOCK - 1;
@@ -184,10 +184,15 @@ impl BlockCompressor for Bpc {
         w.finish_block(block)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
         let mut r = BitReader::new(payload, size_bits);
         let base = if r.read_bit() {
@@ -231,18 +236,20 @@ impl BlockCompressor for Bpc {
                 dbx[k] = 0b11 << pos;
                 k += 1;
             } else {
-                // slc-lint: allow(hot-path): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
-                panic!("corrupt BPC stream: prefix 000000");
+                // Prefix 000000 is unassigned — and what the zero
+                // padding past a truncated stream reads as.
+                return Err(DecodeError::UnknownTag);
             }
         }
         *out = words_to_block(&undo_dbx(base, &dbx));
+        r.check()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BLOCK_BITS;
+    use crate::{BLOCK_BITS, BLOCK_BYTES};
     use proptest::prelude::*;
 
     fn block_from_u32s(f: impl Fn(usize) -> u32) -> Block {

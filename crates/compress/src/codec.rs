@@ -13,7 +13,7 @@
 //!   the stream was encoded with. Wire values are append-only: retiring
 //!   a codec retires its number, it is never reused.
 
-use crate::BlockCompressor;
+use crate::{BlockCompressor, DecodeError};
 
 /// Stable wire identity of a block codec (one byte in container headers).
 ///
@@ -109,9 +109,11 @@ impl<T: BlockCompressor + Send + Sync + ?Sized> BlockCodec for T {}
 /// engine's raw fallback (store the chunk verbatim when coding does not
 /// pay) applies to chunk coders exactly as to per-block coding.
 ///
-/// `decode_chunk` must be containment-safe: for arbitrary `src` bytes it
-/// returns `Err` (or fills `dst` completely) — never an out-of-bounds
-/// access, and any panic is treated as corruption by the engine's guard.
+/// `decode_chunk` must be total, like
+/// [`BlockCompressor::decompress_into`]: for arbitrary `src` bytes it
+/// returns a [`DecodeError`] or fills `dst` completely — never a panic,
+/// never an out-of-bounds access. The engine calls it with no guard
+/// around it.
 pub trait ChunkCoder: Send + Sync {
     /// Encodes `chunk` as one self-contained stream.
     fn encode_chunk(&self, chunk: &[u8]) -> Vec<u8>;
@@ -119,7 +121,7 @@ pub trait ChunkCoder: Send + Sync {
     /// Decodes a stream produced by
     /// [`encode_chunk`](Self::encode_chunk) into `dst`, whose length is
     /// the original chunk length.
-    fn decode_chunk(&self, src: &[u8], dst: &mut [u8]) -> Result<(), &'static str>;
+    fn decode_chunk(&self, src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError>;
 }
 
 #[cfg(test)]

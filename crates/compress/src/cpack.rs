@@ -11,7 +11,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{Block, BlockCompressor, BLOCK_BYTES};
+use crate::{load_verbatim, Block, BlockCompressor, DecodeError};
 
 /// Number of dictionary entries (4-bit index as in the original design).
 pub const DICT_ENTRIES: usize = 16;
@@ -219,10 +219,15 @@ impl BlockCompressor for Cpack {
         w.finish_block(block)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
         let mut r = BitReader::new(payload, size_bits);
         let mut dict = Dictionary::new();
@@ -266,20 +271,21 @@ impl BlockCompressor for Cpack {
                         dict.push(w);
                         w
                     }
-                    // slc-lint: allow(hot-path): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
-                    _ => panic!("corrupt C-PACK stream: prefix 1111"),
+                    // Prefix 1111 is the code space's one unassigned leaf.
+                    _ => return Err(DecodeError::UnknownTag),
                 },
             };
             *slot = word;
         }
         *out = words_to_block(&words);
+        r.check()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BLOCK_BITS;
+    use crate::{BLOCK_BITS, BLOCK_BYTES};
     use proptest::prelude::*;
 
     fn block_from_u32s(f: impl Fn(usize) -> u32) -> Block {

@@ -202,26 +202,13 @@ impl CanonicalCode {
     }
 
     /// Decodes one entry from `peek` (left-aligned `MAX_CODE_LEN`-bit
-    /// window) returning `(entry, length)`.
+    /// window) returning `(entry, length)`, or `None` when no codeword
+    /// covers the window (corrupt stream).
     ///
     /// Single table lookup: the window's top [`max_length`](Self::max_length)
     /// bits index a flat table precomputed at construction, replacing the
     /// bit-serial canonical walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a window that matches no codeword (corrupt stream).
-    pub fn decode(&self, peek: u32) -> (u32, u32) {
-        match self.decode_checked(peek) {
-            Some(hit) => hit,
-            // slc-lint: allow(hot-path): documented corrupt-stream guard, contained by the engine's per-chunk catch_unwind
-            None => panic!("corrupt Huffman stream: no codeword matches window {peek:#06x}"),
-        }
-    }
-
-    /// Non-panicking [`decode`](Self::decode): `None` when no codeword
-    /// covers the window.
-    pub fn decode_checked(&self, peek: u32) -> Option<(u32, u32)> {
+    pub fn decode(&self, peek: u32) -> Option<(u32, u32)> {
         debug_assert!(peek < (1 << MAX_CODE_LEN));
         let packed = self.lut[(peek >> (MAX_CODE_LEN - self.lut_bits)) as usize];
         if packed == LUT_INVALID {
@@ -250,9 +237,7 @@ mod tests {
             }
             let len = code.length(entry);
             let window = (code.code(entry) as u32) << (MAX_CODE_LEN - len);
-            let (dec, dlen) = code.decode(window);
-            assert_eq!(dec as usize, entry);
-            assert_eq!(dlen, len);
+            assert_eq!(code.decode(window), Some((entry as u32, len)));
         }
     }
 

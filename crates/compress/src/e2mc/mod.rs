@@ -50,7 +50,9 @@ use std::sync::Arc;
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
-use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
+use crate::{
+    load_verbatim, store_verbatim, Block, BlockCompressor, DecodeError, BLOCK_BITS, BLOCK_BYTES,
+};
 
 /// Number of parallel decoding ways (the paper's best configuration).
 pub const WAYS: usize = 4;
@@ -163,7 +165,7 @@ impl SymbolTable {
             .collect();
         let dec = (0..1usize << MAX_CODE_LEN)
             .map(|window| {
-                let (entry, len) = code.decode_checked(window as u32)?;
+                let (entry, len) = code.decode(window as u32)?;
                 Some(if entry as usize == escape_entry {
                     (1 << 8) | len
                 } else {
@@ -268,20 +270,21 @@ impl SymbolTable {
     /// check, and bits past the stream's end read as zero (a symbol takes
     /// at most escape + 16 raw bits = 32 of the load's 57 aligned bits).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a corrupt stream: a window no codeword covers, or a way
-    /// that does not end exactly where the next one starts (the last one
-    /// at the stream's end). Cursors only move forward from `starts[0]`,
-    /// so that one check also bounds every start and end by the stream
-    /// length.
+    /// Rejects a corrupt stream with one verdict after the loop:
+    /// [`DecodeError::NoCodeword`] for a window no codeword covers,
+    /// [`DecodeError::BadLayout`] for a way that does not end exactly
+    /// where the next one starts (the last one at the stream's end).
+    /// Cursors only move forward from `starts[0]`, so that one check also
+    /// bounds every start and end by the stream length.
     pub fn decode_ways_into(
         &self,
         r: &BitReader<'_>,
         starts: [u32; WAYS],
         hole: Range<usize>,
         out: &mut [u16; SYMBOLS_PER_BLOCK],
-    ) {
+    ) -> Result<(), DecodeError> {
         let mut stream = [0u8; BLOCK_BYTES + 8];
         let len_bits = r.pad_into(&mut stream);
         // One wrapped subtraction tests both ends of the hole; spelled
@@ -318,12 +321,13 @@ impl SymbolTable {
                 };
             }
         }
-        if !covered || pos != [starts[1], starts[2], starts[3], len_bits] {
-            let what =
-                if covered { "a way ends off the next one's start" } else { "no codeword matches" };
-            // slc-lint: allow(hot-path): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
-            panic!("corrupt E2MC stream: {what}");
+        if !covered {
+            return Err(DecodeError::NoCodeword);
         }
+        if pos != [starts[1], starts[2], starts[3], len_bits] {
+            return Err(DecodeError::BadLayout);
+        }
+        Ok(())
     }
 
     /// The underlying canonical code (decode tables, per-entry lengths).
@@ -471,23 +475,32 @@ impl BlockCompressor for E2mc {
         w.finish_block(block)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
         let mut r = BitReader::new(payload, size_bits);
-        // slc-lint: allow(assert): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
-        assert!(r.read_bit(), "corrupt E2MC stream: mode bit clear on compressed block");
+        if !r.read_bit() {
+            // Mode bit clear on a block flagged as coded.
+            return Err(DecodeError::UnknownTag);
+        }
         // Each way is independently addressable through its pdp; the
         // table decodes all four side by side.
         let mut starts = [HEADER_BITS; WAYS];
         for s in starts.iter_mut().skip(1) {
             *s += r.read(PDP_BITS) as u32;
         }
+        r.check()?;
         let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        self.table.decode_ways_into(&r, starts, 0..0, &mut symbols);
+        self.table.decode_ways_into(&r, starts, 0..0, &mut symbols)?;
         *out = symbols_to_block(&symbols);
+        Ok(())
     }
 
     fn size_bits(&self, block: &Block) -> u32 {
@@ -668,7 +681,7 @@ mod tests {
                 if hole.contains(&(way * WAY_SYMBOLS + i)) {
                     continue;
                 }
-                let (entry, len) = table.code.decode_checked(bits(pos, MAX_CODE_LEN))?;
+                let (entry, len) = table.code.decode(bits(pos, MAX_CODE_LEN))?;
                 pos += len;
                 *symbol = if entry as usize == table.escape_entry {
                     pos += 16;
@@ -703,12 +716,11 @@ mod tests {
         dirty[16 + n - 1] |= (1 << slack) - 1;
         let stream = &dirty[16..16 + n];
         let expect = reference_decode(table, stream, len_bits, starts, hole.clone());
-        let got = std::panic::catch_unwind(|| {
-            let mut out = [UNTOUCHED; SYMBOLS_PER_BLOCK];
-            table.decode_ways_into(&BitReader::new(stream, len_bits), starts, hole, &mut out);
-            out
-        })
-        .ok();
+        let mut out = [UNTOUCHED; SYMBOLS_PER_BLOCK];
+        let got = table
+            .decode_ways_into(&BitReader::new(stream, len_bits), starts, hole, &mut out)
+            .ok()
+            .map(|()| out);
         assert_eq!(got, expect, "decoders disagree");
         got
     }

@@ -9,7 +9,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{Block, BlockCompressor, BLOCK_BYTES};
+use crate::{load_verbatim, Block, BlockCompressor, DecodeError};
 
 /// FPC word patterns with their 3-bit prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,10 +167,15 @@ impl BlockCompressor for Fpc {
         w.finish_block(block)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
         let mut r = BitReader::new(payload, size_bits);
         let mut words = [0u32; WORDS_PER_BLOCK];
@@ -220,12 +225,13 @@ impl BlockCompressor for Fpc {
                     words[i] = payload(32);
                     r.skip(35);
                 }
-                // slc-lint: allow(hot-path): corrupt-stream guard, contained by the engine's per-chunk catch_unwind
-                _ => unreachable!("3-bit prefix"),
+                // A 3-bit prefix has no ninth value.
+                _ => return Err(DecodeError::UnknownTag),
             }
             i += 1;
         }
         *out = words_to_block(&words);
+        r.check()
     }
 }
 
@@ -237,7 +243,7 @@ fn sign_extend32(v: u32, bits: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BLOCK_BITS;
+    use crate::{BLOCK_BITS, BLOCK_BYTES};
     use proptest::prelude::*;
 
     fn block_from_u32s(f: impl Fn(usize) -> u32) -> Block {

@@ -12,7 +12,9 @@ use crate::bitstream::{BitReader, BitWriter};
 use crate::e2mc::{CanonicalCode, MAX_CODE_LEN};
 use crate::sc2::Sc2;
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
+use crate::{
+    load_verbatim, store_verbatim, Block, BlockCompressor, DecodeError, BLOCK_BITS, BLOCK_BYTES,
+};
 
 /// One Huffman-coded field of an `f32` word (FP-H splits words into
 /// sign+exponent / mantissa-high / mantissa-low).
@@ -41,11 +43,11 @@ impl FieldCode {
         wtr.write(self.code.code(f) as u64, self.code.length(f));
     }
 
-    fn decode(&self, r: &mut BitReader<'_>) -> u32 {
+    fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, DecodeError> {
         let window = r.peek_padded(MAX_CODE_LEN) as u32;
-        let (entry, len) = self.code.decode(window);
+        let (entry, len) = self.code.decode(window).ok_or(DecodeError::NoCodeword)?;
         r.skip(len);
-        entry << self.shift
+        Ok(entry << self.shift)
     }
 
     fn size(&self, w: u32) -> u32 {
@@ -98,17 +100,25 @@ impl BlockCompressor for FpH {
         wtr.finish_block(block)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
         let mut r = BitReader::new(payload, size_bits);
         let mut words = [0u32; WORDS_PER_BLOCK];
         for w in words.iter_mut() {
-            *w = self.fields.iter().map(|f| f.decode(&mut r)).fold(0, |a, b| a | b);
+            for f in &self.fields {
+                *w |= f.decode(&mut r)?;
+            }
         }
         *out = words_to_block(&words);
+        r.check()
     }
 
     fn size_bits(&self, block: &Block) -> u32 {
@@ -217,24 +227,30 @@ impl BlockCompressor for HyComp {
         (wtr.finish(), true)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
+        // The size is wire data: a stream too short for its own tag has
+        // no inner stream to frame.
+        let inner_bits = size_bits.checked_sub(TAG_BITS).ok_or(DecodeError::Truncated)?;
         let mut r = BitReader::new(payload, size_bits);
         let choice = match r.read(TAG_BITS) {
             0 => HyChoice::FpH,
             1 => HyChoice::Bdi,
             2 => HyChoice::Sc2,
-            // slc-lint: allow(hot-path): corrupt-tag guard, contained by the engine's per-chunk catch_unwind
-            t => panic!("corrupt HyComp stream: tag {t}"),
+            _ => return Err(DecodeError::UnknownTag),
         };
         // Re-frame the remaining bits for the sub-decoder: realigned to
         // bit 0 of a stack buffer, one left-justified 64-bit word per read
         // (the last store's zero padding is why the buffer has 8 bytes of
         // slack past a block).
-        let inner_bits = size_bits - TAG_BITS;
         let mut inner = [0u8; BLOCK_BYTES + 8];
         let mut remaining = inner_bits;
         for word in inner.chunks_exact_mut(8) {
@@ -245,7 +261,8 @@ impl BlockCompressor for HyComp {
             word.copy_from_slice(&(r.read(take) << (64 - take)).to_be_bytes());
             remaining -= take;
         }
-        self.method(choice).decompress_into(inner_bits.max(1), true, &inner, out);
+        r.check()?;
+        self.method(choice).decompress_into(inner_bits.max(1), true, &inner, out)
     }
 
     fn size_bits(&self, block: &Block) -> u32 {

@@ -200,6 +200,54 @@ impl Compressed {
     }
 }
 
+/// Why a decoder rejected its input — the one failure channel of every
+/// decode function in this crate, from [`bitstream::BitReader`] up to
+/// [`BlockCompressor::decompress_into`] and [`ChunkCoder::decode_chunk`].
+/// Corrupt bytes are an expected input on the load path, so they are
+/// reported by value, never by panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DecodeError {
+    /// The stream ends before the decode does: a read ran past the
+    /// declared bit length, or a section is shorter than its header says.
+    Truncated,
+    /// A tag, prefix or mode field holds a value no encoder writes.
+    UnknownTag,
+    /// No codeword matches the bits at the cursor.
+    NoCodeword,
+    /// Header fields or section boundaries do not fit the stream (an E2MC
+    /// way ending off the next one's start, an SLC hole past the block,
+    /// a rANS word stream of the wrong length).
+    BadLayout,
+    /// A rANS frequency table not ascending or not summing to the scale.
+    BadTable,
+    /// A rANS lane state outside its interval, or not back at its
+    /// initial value when the stream ends.
+    BadState,
+}
+
+impl DecodeError {
+    /// A fixed one-line description (what the engine reports as a
+    /// corrupt chunk's `reason`).
+    pub fn reason(self) -> &'static str {
+        match self {
+            DecodeError::Truncated => "stream ends before the decode does",
+            DecodeError::UnknownTag => "tag or prefix no encoder writes",
+            DecodeError::NoCodeword => "no codeword matches the stream",
+            DecodeError::BadLayout => "header fields or section boundaries do not fit the stream",
+            DecodeError::BadTable => "rANS frequency table invalid",
+            DecodeError::BadState => "rANS lane state outside its interval",
+        }
+    }
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.reason())
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
 /// A block compressor/decompressor pair.
 ///
 /// Implementations must be lossless: `decompress(compress(b)) == b` for every
@@ -236,26 +284,33 @@ pub trait BlockCompressor {
     /// The arguments are the deconstructed fields of a [`Compressed`]
     /// value; taking them apart lets the engine's chunk decoder feed
     /// wire bytes straight in — no owned `Compressed` (and no payload
-    /// allocation) on the hot decode path. Callers must pass
-    /// `payload.len() >= size_bytes` (the borrowed mirror of
-    /// [`Compressed::new`]'s size contract); `out` is fully overwritten.
+    /// allocation) on the hot decode path.
     ///
-    /// # Panics
-    ///
-    /// Implementations may panic if the payload was not produced by the
-    /// same compressor (corrupt stream).
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block);
+    /// This is the one decode path, and it is total: for *any*
+    /// `size_bits`, flag and `payload` — wire bytes, another codec's
+    /// stream, a payload shorter than `size_bits` claims — it returns
+    /// `Ok` with `out` fully overwritten or a [`DecodeError`] with `out`
+    /// unspecified, and never panics or reads out of bounds.
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError>;
 
     /// Reconstructs the original block (owned convenience wrapper over
     /// [`decompress_into`](Self::decompress_into); cold paths and tests).
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `c` was not produced by the same
-    /// compressor (corrupt stream).
+    /// Panics if `c` was not produced by this compressor and does not
+    /// decode; untrusted bytes go through
+    /// [`decompress_into`](Self::decompress_into).
     fn decompress(&self, c: &Compressed) -> Block {
         let mut out = [0u8; BLOCK_BYTES];
-        self.decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut out);
+        self.decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut out)
+            .expect("a stream this codec produced decodes");
         out
     }
 
@@ -284,6 +339,14 @@ pub trait BlockCompressor {
 pub(crate) fn store_verbatim(block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
     out.extend_from_slice(block);
     (BLOCK_BITS, false)
+}
+
+/// The decode twin of [`store_verbatim`], shared by every codec's
+/// [`decompress_into`](BlockCompressor::decompress_into): copies the
+/// verbatim block out of `payload`, which must hold a whole one.
+pub(crate) fn load_verbatim(payload: &[u8], out: &mut Block) -> Result<(), DecodeError> {
+    *out = *payload.first_chunk().ok_or(DecodeError::Truncated)?;
+    Ok(())
 }
 
 #[cfg(test)]

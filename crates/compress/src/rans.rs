@@ -44,8 +44,8 @@
 //! The table is serialised sparsely (only present symbols) and
 //! re-validated on parse: ascending symbols, frequencies summing to
 //! exactly [`RANS_SCALE`]. Decode never reads out of bounds and never
-//! panics — corrupt streams surface as `Err` (or a guarded panic at the
-//! [`BlockCompressor`] boundary, matching the other codecs' contract).
+//! panics — corrupt streams surface as a [`DecodeError`], at stream and
+//! at block granularity alike.
 //!
 //! # Two coding granularities
 //!
@@ -62,7 +62,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::codec::ChunkCoder;
-use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS};
+use crate::{load_verbatim, store_verbatim, Block, BlockCompressor, DecodeError, BLOCK_BITS};
 
 /// log2 of the frequency scale: frequencies are normalised to 2^12.
 pub const RANS_SCALE_BITS: u32 = 12;
@@ -220,8 +220,8 @@ fn write_table(freq: &[u16; 256], out: &mut Vec<u8>) {
 /// but the *byte* is attacker-controlled, so this is a registered taint
 /// source (`tools/lint/untrusted.txt`) and downstream layout arithmetic
 /// must be guarded or carry a reviewed waiver.
-fn table_count(src: &[u8]) -> Result<usize, &'static str> {
-    let &n_minus_1 = src.first().ok_or("rans table truncated")?;
+fn table_count(src: &[u8]) -> Result<usize, DecodeError> {
+    let &n_minus_1 = src.first().ok_or(DecodeError::Truncated)?;
     Ok(n_minus_1 as usize + 1)
 }
 
@@ -236,12 +236,12 @@ fn table_freq(r: &mut BitReader) -> u32 {
 /// the number of bytes consumed. Registered as a taint *sanitizer*: a
 /// table that survives the length, ascending-symbol, and frequency-sum
 /// checks below is safe to decode against.
-fn parse_table(src: &[u8]) -> Result<([u16; 256], usize), &'static str> {
+fn parse_table(src: &[u8]) -> Result<([u16; 256], usize), DecodeError> {
     let n = table_count(src)?;
     // slc-lint: trusted(n is 1..=256 by u8 + 1 construction, so the layout arithmetic cannot overflow)
     let used = 1 + n + (n * RANS_SCALE_BITS as usize).div_ceil(8);
     if src.len() < used {
-        return Err("rans table truncated");
+        return Err(DecodeError::Truncated);
     }
     // slc-lint: trusted(1 + n <= used <= src.len() was checked just above, so the symbol slice is in bounds)
     let syms = &src[1..1 + n];
@@ -252,7 +252,7 @@ fn parse_table(src: &[u8]) -> Result<([u16; 256], usize), &'static str> {
     let mut prev: i32 = -1;
     for &s in syms {
         if i32::from(s) <= prev {
-            return Err("rans table symbols not ascending");
+            return Err(DecodeError::BadTable);
         }
         prev = i32::from(s);
         let f = table_freq(&mut r);
@@ -261,7 +261,7 @@ fn parse_table(src: &[u8]) -> Result<([u16; 256], usize), &'static str> {
         sum += f;
     }
     if sum != RANS_SCALE {
-        return Err("rans table frequencies do not sum to the scale");
+        return Err(DecodeError::BadTable);
     }
     Ok((freq, used))
 }
@@ -343,12 +343,12 @@ pub fn encode_stream(data: &[u8], out: &mut Vec<u8>) {
 /// container geometry). Corrupt input yields `Err`, never a panic or an
 /// out-of-bounds access; a full-size but wrong decode is impossible
 /// because the word cursor and final lane states are checked.
-pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
+pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
     let (freq, used) = parse_table(src)?;
     let dec = DecTable::build(&freq);
     let body = &src[used..];
     if body.len() < STATE_BYTES {
-        return Err("rans stream too short for lane states");
+        return Err(DecodeError::Truncated);
     }
     let mut states = [0u32; RANS_LANES];
     let (state_words, _) = body.as_chunks::<4>();
@@ -356,12 +356,12 @@ pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
         *s = u32::from_le_bytes(*c);
     }
     if states.iter().any(|&x| x < RANS_L) {
-        return Err("rans lane state below the normalised interval");
+        return Err(DecodeError::BadState);
     }
     let words = &body[STATE_BYTES..];
     let limit = words.len();
     if !limit.is_multiple_of(2) {
-        return Err("rans word stream misaligned");
+        return Err(DecodeError::BadLayout);
     }
     let mut pos = 0usize;
     let slot_mask = RANS_SCALE - 1;
@@ -401,52 +401,10 @@ pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
         states[lane] = step(states[lane], out);
     }
     if pos != limit {
-        return Err("rans word stream length mismatch");
+        return Err(DecodeError::BadLayout);
     }
     if states.iter().any(|&x| x != RANS_L) {
-        return Err("rans lane states corrupt at end of stream");
-    }
-    Ok(())
-}
-
-/// Scalar reference decoder: one symbol at a time, linear-search symbol
-/// lookup, branchy renormalisation — a direct transcription of the rANS
-/// decode recurrence sharing none of [`decode_stream`]'s lane buffering,
-/// LUT or branchless tricks. Property tests pin the interleaved decoder
-/// byte-identical to this.
-pub fn decode_reference(src: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
-    let (freq, used) = parse_table(src)?;
-    let mut cum = [0u32; 257];
-    for s in 0..256 {
-        cum[s + 1] = cum[s] + u32::from(freq[s]);
-    }
-    let body = &src[used..];
-    if body.len() < STATE_BYTES || !(body.len() - STATE_BYTES).is_multiple_of(2) {
-        return Err("rans stream body malformed");
-    }
-    let mut states = [0u32; RANS_LANES];
-    let (state_words, _) = body.as_chunks::<4>();
-    for (s, c) in states.iter_mut().zip(state_words) {
-        *s = u32::from_le_bytes(*c);
-    }
-    let words = &body[STATE_BYTES..];
-    let mut pos = 0usize;
-    for (i, out) in dst.iter_mut().enumerate() {
-        let x = &mut states[i % RANS_LANES];
-        let slot = *x & (RANS_SCALE - 1);
-        let s = (0usize..256).find(|&s| slot < cum[s + 1]).expect("cum[256] is the scale");
-        *x = u32::from(freq[s]) * (*x >> RANS_SCALE_BITS) + slot - cum[s];
-        if *x < RANS_L {
-            if pos + 2 > words.len() {
-                return Err("rans word stream exhausted");
-            }
-            *x = (*x << 16) | u32::from(u16::from_le_bytes([words[pos], words[pos + 1]]));
-            pos += 2;
-        }
-        *out = s as u8;
-    }
-    if pos != words.len() || states.iter().any(|&x| x != RANS_L) {
-        return Err("rans stream corrupt at end");
+        return Err(DecodeError::BadState);
     }
     Ok(())
 }
@@ -490,16 +448,18 @@ impl BlockCompressor for Rans {
         (bits, true)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..crate::BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
-        let src = &payload[..(size_bits as usize).div_ceil(8)];
-        if let Err(reason) = decode_stream(src, out) {
-            // slc-lint: allow(hot-path): maps the stream decoder's Err to the block API's documented guard panic, contained by the engine's per-chunk catch_unwind
-            panic!("corrupt rANS stream: {reason}");
-        }
+        let src = payload.get(..(size_bits as usize).div_ceil(8)).ok_or(DecodeError::Truncated)?;
+        decode_stream(src, out)
     }
 
     fn chunk_coder(&self) -> Option<&dyn ChunkCoder> {
@@ -514,7 +474,7 @@ impl ChunkCoder for Rans {
         out
     }
 
-    fn decode_chunk(&self, src: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
+    fn decode_chunk(&self, src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
         decode_stream(src, dst)
     }
 }
@@ -523,6 +483,54 @@ impl ChunkCoder for Rans {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Scalar reference decoder: one symbol at a time, linear-search symbol
+    /// lookup, branchy renormalisation — a direct transcription of the rANS
+    /// decode recurrence sharing none of [`decode_stream`]'s lane buffering,
+    /// LUT or branchless tricks. `roundtrip` pins the interleaved decoder
+    /// byte-identical to this.
+    fn decode_reference(src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
+        let (freq, used) = parse_table(src)?;
+        let mut cum = [0u32; 257];
+        for s in 0..256 {
+            cum[s + 1] = cum[s] + u32::from(freq[s]);
+        }
+        let body = &src[used..];
+        if body.len() < STATE_BYTES {
+            return Err(DecodeError::Truncated);
+        }
+        if !(body.len() - STATE_BYTES).is_multiple_of(2) {
+            return Err(DecodeError::BadLayout);
+        }
+        let mut states = [0u32; RANS_LANES];
+        let (state_words, _) = body.as_chunks::<4>();
+        for (s, c) in states.iter_mut().zip(state_words) {
+            *s = u32::from_le_bytes(*c);
+        }
+        let words = &body[STATE_BYTES..];
+        let mut pos = 0usize;
+        for (i, out) in dst.iter_mut().enumerate() {
+            let x = &mut states[i % RANS_LANES];
+            let slot = *x & (RANS_SCALE - 1);
+            let s = (0usize..256).find(|&s| slot < cum[s + 1]).expect("cum[256] is the scale");
+            *x = u32::from(freq[s]) * (*x >> RANS_SCALE_BITS) + slot - cum[s];
+            if *x < RANS_L {
+                if pos + 2 > words.len() {
+                    return Err(DecodeError::BadLayout);
+                }
+                *x = (*x << 16) | u32::from(u16::from_le_bytes([words[pos], words[pos + 1]]));
+                pos += 2;
+            }
+            *out = s as u8;
+        }
+        if pos != words.len() {
+            return Err(DecodeError::BadLayout);
+        }
+        if states.iter().any(|&x| x != RANS_L) {
+            return Err(DecodeError::BadState);
+        }
+        Ok(())
+    }
 
     fn roundtrip(data: &[u8]) {
         let stream = Rans::new().encode_chunk(data);

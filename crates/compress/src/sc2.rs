@@ -10,7 +10,7 @@
 use crate::bitstream::{BitReader, BitWriter};
 use crate::e2mc::{CanonicalCode, MAX_CODE_LEN};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{store_verbatim, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
+use crate::{load_verbatim, store_verbatim, Block, BlockCompressor, DecodeError, BLOCK_BITS};
 use std::collections::HashMap;
 
 /// Number of most-frequent words granted Huffman codes.
@@ -83,16 +83,21 @@ impl BlockCompressor for Sc2 {
         wtr.finish_block(block)
     }
 
-    fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {
+    fn decompress_into(
+        &self,
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
         if !compressed {
-            out.copy_from_slice(&payload[..BLOCK_BYTES]);
-            return;
+            return load_verbatim(payload, out);
         }
         let mut r = BitReader::new(payload, size_bits);
         let mut words = [0u32; WORDS_PER_BLOCK];
         for w in words.iter_mut() {
             let window = r.peek_padded(MAX_CODE_LEN) as u32;
-            let (entry, len) = self.code.decode(window);
+            let (entry, len) = self.code.decode(window).ok_or(DecodeError::NoCodeword)?;
             r.skip(len);
             *w = if entry as usize == self.escape_entry {
                 r.read(32) as u32
@@ -101,6 +106,7 @@ impl BlockCompressor for Sc2 {
             };
         }
         *out = words_to_block(&words);
+        r.check()
     }
 
     fn size_bits(&self, block: &Block) -> u32 {
@@ -112,6 +118,7 @@ impl BlockCompressor for Sc2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BLOCK_BYTES;
     use proptest::prelude::*;
 
     fn training() -> Vec<u8> {

@@ -55,7 +55,9 @@ fn check_block(block: &[u8; BLOCK_BYTES]) {
         let owned = codec.decompress(&c);
         assert_eq!(&owned, block, "{}: owned roundtrip", codec.name());
         let mut borrowed = [0xa5u8; BLOCK_BYTES];
-        codec.decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut borrowed);
+        codec
+            .decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut borrowed)
+            .expect("own stream decodes");
         assert_eq!(borrowed, owned, "{}: borrowed decode must equal owned", codec.name());
         // The payload as the engine hands it over: a slice of exactly
         // `ceil(bits / 8)` bytes with other blocks' bytes on both sides,
@@ -64,7 +66,9 @@ fn check_block(block: &[u8; BLOCK_BYTES]) {
         let mut framed = vec![0xa5u8; n + 32];
         framed[16..16 + n].copy_from_slice(&c.payload()[..n]);
         let mut exact = [0x5au8; BLOCK_BYTES];
-        codec.decompress_into(c.size_bits(), c.is_compressed(), &framed[16..16 + n], &mut exact);
+        codec
+            .decompress_into(c.size_bits(), c.is_compressed(), &framed[16..16 + n], &mut exact)
+            .expect("own stream decodes from an exact-length slice");
         assert_eq!(exact, owned, "{}: exact-length slice in a dirty buffer", codec.name());
         let mut sink = vec![0xa5u8; 2 * BLOCK_BYTES];
         sink.truncate(3);

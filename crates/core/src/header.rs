@@ -16,6 +16,7 @@
 use slc_compress::bitstream::{BitReader, BitWriter};
 use slc_compress::e2mc::{PDP_BITS, WAYS};
 use slc_compress::symbols::SYMBOLS_PER_BLOCK;
+use slc_compress::DecodeError;
 
 /// Header bits for a lossless block: `m` + 3 pdps.
 pub const LOSSLESS_HEADER_BITS: u32 = 1 + (WAYS as u32 - 1) * PDP_BITS;
@@ -83,23 +84,33 @@ impl SlcHeader {
     }
 
     /// Deserialises a header from the start of a compressed block.
-    pub fn read(r: &mut BitReader<'_>) -> Self {
-        let lossy = r.read_bit();
-        if lossy {
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Truncated`] when the stream is shorter than the
+    /// header, [`DecodeError::BadLayout`] for a lossy header whose hole
+    /// `ss .. ss + len` runs past the block — a header
+    /// [`write`](Self::write) can serialise but no compressor produces.
+    pub fn read(r: &mut BitReader<'_>) -> Result<Self, DecodeError> {
+        let hole = if r.read_bit() {
             let ss = r.read(6) as u8;
             let len = r.read(4) as u8 + 1;
-            let mut pdps = [0u32; WAYS - 1];
-            for p in pdps.iter_mut() {
-                *p = r.read(PDP_BITS) as u32;
+            if usize::from(ss) + usize::from(len) > SYMBOLS_PER_BLOCK {
+                return Err(DecodeError::BadLayout);
             }
-            SlcHeader::Lossy { ss, len, pdps }
+            Some((ss, len))
         } else {
-            let mut pdps = [0u32; WAYS - 1];
-            for p in pdps.iter_mut() {
-                *p = r.read(PDP_BITS) as u32;
-            }
-            SlcHeader::Lossless { pdps }
+            None
+        };
+        let mut pdps = [0u32; WAYS - 1];
+        for p in pdps.iter_mut() {
+            *p = r.read(PDP_BITS) as u32;
         }
+        r.check()?;
+        Ok(match hole {
+            Some((ss, len)) => SlcHeader::Lossy { ss, len, pdps },
+            None => SlcHeader::Lossless { pdps },
+        })
     }
 }
 
@@ -108,14 +119,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn roundtrip(h: SlcHeader) -> SlcHeader {
+    /// Writes `h` and reads back the first `bits` bits of it.
+    fn read_back(h: SlcHeader, bits: u32) -> Result<SlcHeader, DecodeError> {
         let mut bytes = Vec::new();
         let mut w = BitWriter::new(&mut bytes);
         h.write(&mut w);
         assert_eq!(w.len_bits(), h.size_bits());
-        let bits = w.finish();
-        let mut r = BitReader::new(&bytes, bits);
-        SlcHeader::read(&mut r)
+        let written = w.finish();
+        SlcHeader::read(&mut BitReader::new(&bytes, bits.min(written)))
+    }
+
+    fn roundtrip(h: SlcHeader) -> SlcHeader {
+        read_back(h, u32::MAX).expect("a written header reads back")
     }
 
     #[test]
@@ -155,6 +170,32 @@ mod tests {
     }
 
     #[test]
+    fn a_hole_running_past_the_block_is_rejected_at_read() {
+        // Every (ss, len) the 6 + 4 header bits can express — all of
+        // which `write` serialises: the hole must end inside the block.
+        for ss in 0..SYMBOLS_PER_BLOCK as u8 {
+            for len in 1..=16u8 {
+                let h = SlcHeader::Lossy { ss, len, pdps: [7, 8, 9] };
+                let fits = usize::from(ss) + usize::from(len) <= SYMBOLS_PER_BLOCK;
+                let expect = if fits { Ok(h) } else { Err(DecodeError::BadLayout) };
+                assert_eq!(read_back(h, u32::MAX), expect, "ss {ss} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_shorter_than_its_header_is_truncated() {
+        for h in [
+            SlcHeader::Lossless { pdps: [100, 200, 300] },
+            SlcHeader::Lossy { ss: 3, len: 4, pdps: [1, 2, 3] },
+        ] {
+            for cut in 0..h.size_bits() {
+                assert_eq!(read_back(h, cut), Err(DecodeError::Truncated), "{h:?} cut to {cut}");
+            }
+        }
+    }
+
+    #[test]
     fn header_delta_is_ten_bits() {
         assert_eq!(LOSSY_HEADER_DELTA, 10);
     }
@@ -164,6 +205,9 @@ mod tests {
         fn prop_header_roundtrip(ss in 0u8..64, len in 1u8..=16,
                                  pdps in proptest::array::uniform3(0u32..1024),
                                  lossy in any::<bool>()) {
+            // `write` takes any in-range ss and len; `read` also wants
+            // the hole to end inside the block.
+            let ss = ss.min(SYMBOLS_PER_BLOCK as u8 - len);
             let h = if lossy {
                 SlcHeader::Lossy { ss, len, pdps }
             } else {

@@ -13,7 +13,7 @@ use crate::tree::{CodeLengthTree, Selection};
 use slc_compress::bitstream::{BitReader, BitWriter};
 use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable, WAYS};
 use slc_compress::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
-use slc_compress::{Block, Mag, BLOCK_BITS, BLOCK_BYTES};
+use slc_compress::{Block, DecodeError, Mag, BLOCK_BITS, BLOCK_BYTES};
 
 /// The three TSLC variants evaluated in the paper (Section V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -506,7 +506,8 @@ impl SlcCompressor {
     ///
     /// # Panics
     ///
-    /// Panics on a corrupt payload.
+    /// Panics if `c` does not decode — impossible for a value this
+    /// compressor produced, the only kind there is outside this crate.
     pub fn decompress(&self, c: &SlcCompressed) -> Block {
         match c.kind {
             StoredKind::Uncompressed => {
@@ -514,13 +515,15 @@ impl SlcCompressor {
                 out.copy_from_slice(&c.payload[..BLOCK_BYTES]);
                 out
             }
-            StoredKind::Lossless | StoredKind::Lossy { .. } => self.decode_stream(c),
+            StoredKind::Lossless | StoredKind::Lossy { .. } => {
+                self.decode_stream(c).expect("a stream this compressor produced decodes")
+            }
         }
     }
 
-    fn decode_stream(&self, c: &SlcCompressed) -> Block {
+    fn decode_stream(&self, c: &SlcCompressed) -> Result<Block, DecodeError> {
         let mut r = BitReader::new(&c.payload, c.size_bits);
-        let header = SlcHeader::read(&mut r);
+        let header = SlcHeader::read(&mut r)?;
         let (hole, pdps) = match header {
             SlcHeader::Lossless { pdps } => (0..0, pdps),
             SlcHeader::Lossy { ss, len, pdps } => (ss as usize..(ss + len) as usize, pdps),
@@ -532,11 +535,11 @@ impl SlcCompressor {
             *start += pdp;
         }
         let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        self.e2mc.table().decode_ways_into(&r, starts, hole.clone(), &mut symbols);
+        self.e2mc.table().decode_ways_into(&r, starts, hole.clone(), &mut symbols)?;
         if !hole.is_empty() {
             fill_approximated(&mut symbols, hole.start, hole.len(), self.config.predictor);
         }
-        symbols_to_block(&symbols)
+        Ok(symbols_to_block(&symbols))
     }
 
     /// Compress-then-decompress convenience: what a load returns after the
@@ -657,11 +660,27 @@ mod tests {
             for bit in header_bits - (WAYS as u32 - 1) * PDP_BITS..header_bits {
                 let mut corrupt = c.clone();
                 corrupt.payload[bit as usize / 8] ^= 0x80 >> (bit % 8);
-                let verdict = std::panic::catch_unwind(|| s.decompress(&corrupt));
+                let verdict = s.decode_stream(&corrupt);
                 assert!(verdict.is_err(), "block {k}: pdp bit {bit} flipped, still decoded");
             }
         }
         assert!(lossless > 0 && lossy > 0, "scan must cover both framings");
+    }
+
+    #[test]
+    fn a_hole_rewritten_past_the_block_is_rejected_before_the_predictor() {
+        // ss = 63, len = 2 in a real lossy block's header: the way
+        // decoder would skip slot 63 and the predictor's bounds assert
+        // was the only thing in the way. Now the header does not parse.
+        let s = slc(SlcVariant::TslcOpt);
+        let mut c = (0..256)
+            .map(|k| s.compress(&float_block(k as f32 * 1.7, 0.125)))
+            .find(SlcCompressed::is_lossy)
+            .expect("a lossy block in the scan");
+        // Stream bits 1..=6 are ss, 7..=10 are len - 1.
+        c.payload[0] = (c.payload[0] | 0x7e) & !0x01;
+        c.payload[1] = (c.payload[1] & 0x1f) | 0x20;
+        assert_eq!(s.decode_stream(&c), Err(DecodeError::BadLayout));
     }
 
     #[test]

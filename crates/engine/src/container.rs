@@ -258,10 +258,11 @@ pub fn raw_chunk_len(total_len: u64, chunk_bytes: u32, index: usize) -> u64 {
 
 /// Why a container failed to parse or decode.
 ///
-/// Every variant is a *returned* failure: the decode path is documented
-/// panic-free for arbitrary input (codec guard-panics on corrupt block
-/// streams are caught per chunk and surface as
-/// [`ChunkCorrupt`](Self::ChunkCorrupt)).
+/// Every variant is a *returned* failure, end to end: the decode path
+/// is panic-free for arbitrary input, and a codec that rejects a block
+/// or chunk stream says so with a
+/// [`DecodeError`](slc_compress::DecodeError) that surfaces as
+/// [`ChunkCorrupt`](Self::ChunkCorrupt) — nothing is caught.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerError {
     /// Input shorter than the fixed header.
@@ -312,12 +313,14 @@ pub enum ContainerError {
         /// What was wrong with it.
         reason: &'static str,
     },
-    /// A chunk's payload bytes do not decode as a valid block stream
-    /// (bad tag, short body, or the codec rejected the bits).
+    /// A chunk's payload bytes do not decode: the block framing is
+    /// broken (bad tag, short body, trailing bytes) or the codec
+    /// rejected a stream.
     ChunkCorrupt {
         /// Chunk index that failed to decode.
         chunk: usize,
-        /// What was wrong with it.
+        /// What was wrong with it: the framing fault, or the codec's
+        /// [`DecodeError::reason`](slc_compress::DecodeError::reason).
         reason: &'static str,
     },
     /// The caller-provided output buffer of

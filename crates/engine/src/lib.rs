@@ -47,11 +47,13 @@
 //!   (`slc-par` is order-preserving and chunks are independent), and
 //!   parallel decode is byte-identical to serial decode — both pinned by
 //!   property tests across every codec.
-//! * [`Engine::decompress`] never panics on arbitrary input: the frame
-//!   is fully validated before any chunk decodes, every payload index is
-//!   pre-bounded, and codec guard-panics on corrupt block streams are
-//!   caught per chunk and returned as
-//!   [`ContainerError::ChunkCorrupt`].
+//! * [`Engine::decompress`] never panics on arbitrary input, and not
+//!   because anything is caught: the frame is fully validated before any
+//!   chunk decodes, every payload index is pre-bounded, and the codecs'
+//!   decode functions are total — a corrupt block or chunk stream comes
+//!   back as a [`DecodeError`](slc_compress::DecodeError), which the
+//!   chunk worker reports as [`ContainerError::ChunkCorrupt`]. The
+//!   workspace therefore also runs built with `panic = "abort"`.
 //! * [`Engine::compress_with_sizes`] is the no-re-analysis path for
 //!   callers that already know each block's stored size (the harness'
 //!   cached snapshot analyses — see `slc_workloads::engine` for the
@@ -66,8 +68,7 @@ pub mod container;
 pub use container::{ContainerError, DirEntry, Frame, Header, StorageMode};
 pub use container::{DIR_ENTRY_BYTES, HEADER_BYTES, MAGIC, MAX_CHUNK_BYTES, VERSION};
 
-use slc_compress::{Block, BlockCodec, CodecId, BLOCK_BITS, BLOCK_BYTES};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use slc_compress::{Block, BlockCodec, CodecId, DecodeError, BLOCK_BITS, BLOCK_BYTES};
 use std::sync::Arc;
 
 /// Tag bit marking a block stored in coded (compressed) form.
@@ -579,25 +580,17 @@ fn encode_chunk(
 /// The tag is attacker-controlled wire data — a registered taint source
 /// (`tools/lint/untrusted.txt`): the size bits it carries must be
 /// range-validated before they bound any slice or loop, which is
-/// exactly what [`decode_chunk`] does right after reading it.
+/// exactly what [`decode_blocks`] does right after reading it.
 fn block_tag(src: &[u8], pos: usize) -> u16 {
     u16::from_le_bytes([src[pos], src[pos + 1]])
 }
 
 /// Decodes one chunk into its output slice.
 ///
-/// `entry`'s payload span was bounds-checked by [`Frame::parse`]; block
-/// tags and bodies are re-validated here (the span being in bounds says
-/// nothing about its contents), and codec guard-panics on corrupt block
-/// streams are caught and mapped to [`ContainerError::ChunkCorrupt`] so
-/// the engine's decode path never unwinds out of a worker.
-///
-/// Coded blocks decode **in place**: each full block's span of `dst`
-/// is handed to the codec as the output buffer
-/// ([`decompress_into`](slc_compress::BlockCompressor::decompress_into)),
-/// so the per-block body copy the old owned API forced is gone. Only a
-/// ragged tail block (stream length not a block multiple) bounces
-/// through a stack block before its prefix is copied out.
+/// `entry`'s payload span was bounds-checked by [`Frame::parse`]; what
+/// the span holds is the codec's to judge, and its verdict — the chunk
+/// coder's for a whole-chunk stream, [`decode_blocks`]' for block
+/// framing — is reported as [`ContainerError::ChunkCorrupt`].
 fn decode_chunk(
     codec: &dyn BlockCodec,
     payload: &[u8],
@@ -615,72 +608,65 @@ fn decode_chunk(
             Ok(())
         }
         StorageMode::Coded => {
-            if let Some(cc) = codec.chunk_coder() {
-                let outcome = catch_unwind(AssertUnwindSafe(|| cc.decode_chunk(src, dst)));
-                return match outcome {
-                    Ok(Ok(())) => Ok(()),
-                    Ok(Err(reason)) => Err(ContainerError::ChunkCorrupt { chunk, reason }),
-                    Err(_) => Err(ContainerError::ChunkCorrupt {
-                        chunk,
-                        reason: "codec rejected the chunk stream",
-                    }),
-                };
-            }
-            let nblocks = dst.len().div_ceil(BLOCK_BYTES);
-            let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), &'static str> {
-                let mut pos = 0usize;
-                for b in 0..nblocks {
-                    if pos + 2 > src.len() {
-                        return Err("block tag past end of chunk");
-                    }
-                    let tag = block_tag(src, pos);
-                    pos += 2;
-                    let bits = u32::from(tag & !TAG_CODED);
-                    let is_coded = tag & TAG_CODED != 0;
-                    if bits > BLOCK_BITS || (!is_coded && bits != BLOCK_BITS) {
-                        return Err("invalid block tag");
-                    }
-                    let body_len = bits.div_ceil(8) as usize;
-                    if pos + body_len > src.len() {
-                        return Err("block body past end of chunk");
-                    }
-                    let body = &src[pos..pos + body_len];
-                    pos += body_len;
-                    let lo = b * BLOCK_BYTES;
-                    // Full blocks decode straight into dst; only a ragged
-                    // tail takes the stack bounce.
-                    let mut tail = [0u8; BLOCK_BYTES];
-                    let out: &mut Block = match dst[lo..].first_chunk_mut::<BLOCK_BYTES>() {
-                        Some(full) => full,
-                        None => &mut tail,
-                    };
-                    if is_coded {
-                        codec.decompress_into(bits, true, body, out);
-                    } else if body.len() == BLOCK_BYTES {
-                        out.copy_from_slice(body);
-                    } else {
-                        return Err("verbatim body is not exactly one block");
-                    }
-                    let n = dst.len() - lo;
-                    if n < BLOCK_BYTES {
-                        dst[lo..].copy_from_slice(&tail[..n]);
-                    }
-                }
-                if pos != src.len() {
-                    return Err("trailing bytes after last block");
-                }
-                Ok(())
-            }));
-            match outcome {
-                Ok(Ok(())) => Ok(()),
-                Ok(Err(reason)) => Err(ContainerError::ChunkCorrupt { chunk, reason }),
-                Err(_) => Err(ContainerError::ChunkCorrupt {
-                    chunk,
-                    reason: "codec rejected the block stream",
-                }),
-            }
+            let decoded = match codec.chunk_coder() {
+                Some(cc) => cc.decode_chunk(src, dst).map_err(DecodeError::reason),
+                None => decode_blocks(codec, src, dst),
+            };
+            decoded.map_err(|reason| ContainerError::ChunkCorrupt { chunk, reason })
         }
     }
+}
+
+/// Decodes a block-framed chunk: walks the tags, re-validating each one
+/// and its body span (the chunk span being in bounds says nothing about
+/// its contents), and hands every coded body to the codec.
+///
+/// Coded blocks decode **in place**: each full block's span of `dst`
+/// is handed to the codec as the output buffer
+/// ([`decompress_into`](slc_compress::BlockCompressor::decompress_into)).
+/// Only a ragged tail block (stream length not a block multiple) bounces
+/// through a stack block before its prefix is copied out.
+fn decode_blocks(codec: &dyn BlockCodec, src: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
+    let mut pos = 0usize;
+    for b in 0..dst.len().div_ceil(BLOCK_BYTES) {
+        if pos + 2 > src.len() {
+            return Err("block tag past end of chunk");
+        }
+        let tag = block_tag(src, pos);
+        pos += 2;
+        let bits = u32::from(tag & !TAG_CODED);
+        let is_coded = tag & TAG_CODED != 0;
+        if bits > BLOCK_BITS || (!is_coded && bits != BLOCK_BITS) {
+            return Err("invalid block tag");
+        }
+        let body_len = bits.div_ceil(8) as usize;
+        if pos + body_len > src.len() {
+            return Err("block body past end of chunk");
+        }
+        let body = &src[pos..pos + body_len];
+        pos += body_len;
+        let lo = b * BLOCK_BYTES;
+        // Full blocks decode straight into dst; only a ragged tail takes
+        // the stack bounce.
+        let mut tail = [0u8; BLOCK_BYTES];
+        let out: &mut Block = match dst[lo..].first_chunk_mut::<BLOCK_BYTES>() {
+            Some(full) => full,
+            None => &mut tail,
+        };
+        if is_coded {
+            codec.decompress_into(bits, true, body, out).map_err(DecodeError::reason)?;
+        } else {
+            *out = *body.first_chunk().ok_or("verbatim body is not exactly one block")?;
+        }
+        let n = dst.len() - lo;
+        if n < BLOCK_BYTES {
+            dst[lo..].copy_from_slice(&tail[..n]);
+        }
+    }
+    if pos != src.len() {
+        return Err("trailing bytes after last block");
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -11,6 +11,14 @@
 //! directions. Any contract violation aborts the process, so a plain
 //! exit-0 run is the pass signal.
 //!
+//! Each container then takes a seeded hostile pass: [`HOSTILE_FLIPS`]
+//! single-bit flips, each decoded with nothing around the call — it
+//! must come back `Err` or a buffer of the right size, and the counts
+//! are printed. Built with `panic = "abort"` (CI does, through
+//! `CARGO_PROFILE_RELEASE_PANIC`), a decode panic anywhere below the
+//! engine kills the process instead of unwinding, which is how the
+//! "decode never panics" contract is proven rather than caught.
+//!
 //! `--codec <name>` swaps the substrate: `e2mc` (default) probes the
 //! trained snapshot codec, `rans` the whole-chunk entropy coder and
 //! `bdi` the base+delta codec. The cached-size identity is asserted for
@@ -31,6 +39,32 @@ use slc_compress::{bdi::Bdi, BlockCodec};
 use slc_engine::{frame_info, Engine, Threads};
 use slc_workloads::{all_workloads, compress_snapshot, snapshot_bytes, snapshot_engine};
 use slc_workloads::{Harness, Scale, SnapshotAnalysis};
+
+/// Single-bit flips per container in the hostile pass.
+const HOSTILE_FLIPS: usize = 32;
+
+/// Decodes `container` with one seeded bit flipped, [`HOSTILE_FLIPS`]
+/// times; returns how many flips were rejected (the rest decoded to a
+/// full-size buffer — a flip in a verbatim byte is just different data).
+fn hostile_pass(engine: &Engine, container: &[u8], decoded_len: usize, seed: u64) -> usize {
+    let mut hostile = container.to_vec();
+    let mut state = seed | 1;
+    let mut rejected = 0;
+    for _ in 0..HOSTILE_FLIPS {
+        // xorshift64*: reproducible from the seed alone.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let bit = (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 16) as usize % (hostile.len() * 8);
+        hostile[bit / 8] ^= 1 << (bit % 8);
+        match engine.decompress_threads(&hostile, Threads::Auto) {
+            Ok(out) => assert_eq!(out.len(), decoded_len, "bit {bit}: short decode"),
+            Err(_) => rejected += 1,
+        }
+        hostile[bit / 8] ^= 1 << (bit % 8);
+    }
+    rejected
+}
 
 /// Wall-clock GB/s for `bytes` processed in `seconds` (1 byte/ns = 1 GB/s).
 fn gbps(bytes: usize, seconds: f64) -> f64 {
@@ -72,8 +106,8 @@ fn main() {
         "Engine snapshot probe: framed container end-to-end (scale {scale:?}, codec {codec_name})"
     );
     println!(
-        "{:>6} {:>10} {:>8} {:>8} {:>12} {:>12}",
-        "bench", "bytes", "chunks", "ratio", "comp_GB/s", "decomp_GB/s"
+        "{:>6} {:>10} {:>8} {:>8} {:>12} {:>12} {:>9}",
+        "bench", "bytes", "chunks", "ratio", "comp_GB/s", "decomp_GB/s", "hostile"
     );
     let mut largest: Option<(Vec<u8>, Engine)> = None;
     for w in all_workloads(scale) {
@@ -110,15 +144,17 @@ fn main() {
         assert_eq!(parallel, serial, "{}: parallel decode diverged from serial", a.name);
         assert_eq!(parallel, bytes, "{}: roundtrip is not byte-identical", a.name);
 
+        let rejected = hostile_pass(&engine, &container, bytes.len(), bytes.len() as u64);
         let info = frame_info(&container).expect("engine-produced container must parse");
         println!(
-            "{:>6} {:>10} {:>8} {:>8.3} {:>12.3} {:>12.3}",
+            "{:>6} {:>10} {:>8} {:>8.3} {:>12.3} {:>12.3} {:>9}",
             a.name,
             bytes.len(),
             info.chunk_count,
             info.ratio(),
             gbps(bytes.len(), comp_s),
             gbps(bytes.len(), decomp_s),
+            format!("{rejected}/{HOSTILE_FLIPS}"),
         );
         if largest.as_ref().is_none_or(|(b, _)| b.len() < bytes.len()) {
             largest = Some((bytes, engine));
@@ -150,4 +186,7 @@ fn main() {
         );
     }
     println!("all snapshots roundtripped byte-identically (parallel == serial == original)");
+    println!(
+        "hostile column: flips rejected / tried per container; every other flip decoded full-size"
+    );
 }

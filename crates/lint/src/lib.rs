@@ -44,8 +44,8 @@
 //! line, or in the standalone comment block directly above it:
 //!
 //! ```text
-//! // slc-lint: allow(hot-path): guard panic, contained by the engine's
-//! // per-chunk catch_unwind
+//! // slc-lint: allow(hot-path): planner invariant — only the geometries
+//! // matched above are ever returned
 //! ```
 //!
 //! The check name in `allow(…)` must match the finding's check

@@ -166,7 +166,7 @@ fn reference_huffman_walk_agrees_with_lut() {
     for window in 0..1u32 << MAX_CODE_LEN {
         let expect = reference_decode(window);
         let got = code.decode(window);
-        assert_eq!(got, expect, "window {window:#06x}");
+        assert_eq!(got, Some(expect), "window {window:#06x}");
     }
 }
 

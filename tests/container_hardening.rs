@@ -1,17 +1,24 @@
-//! Container hardening: a seeded corruption barrage against the framed
+//! Container hardening: corruption barrages against the framed
 //! container format. Whatever the corruption — truncation at any byte
 //! boundary, bit flips anywhere, directory entries lying about offsets,
-//! sizes or modes — [`Engine::decompress`] must return an error or
-//! decode to *some* full-size buffer. It must never panic unguarded,
-//! read out of bounds, or allocate from a lying length field.
+//! sizes or modes, block tags and rANS table fields swept over every
+//! value they can hold, a header naming the wrong codec —
+//! [`Engine::decompress`] must return an error or decode to *some*
+//! full-size buffer. It must never panic (nothing here would catch
+//! one), read out of bounds, or allocate from a lying length field.
 
 use slc::slc_compress::bdi::Bdi;
+use slc::slc_compress::bpc::Bpc;
+use slc::slc_compress::cpack::Cpack;
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
-use slc::slc_compress::rans::Rans;
+use slc::slc_compress::fpc::Fpc;
+use slc::slc_compress::hycomp::HyComp;
+use slc::slc_compress::rans::{Rans, RANS_SCALE_BITS};
+use slc::slc_compress::sc2::Sc2;
+use slc::slc_compress::{BlockCodec, CodecId, BLOCK_BITS};
 use slc::slc_engine::{
-    frame_info, ContainerError, Engine, StorageMode, Threads, DIR_ENTRY_BYTES, HEADER_BYTES,
+    frame_info, ContainerError, Engine, Frame, StorageMode, Threads, DIR_ENTRY_BYTES, HEADER_BYTES,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Deterministic corruption source (xorshift64*), so a failing flip is
@@ -40,26 +47,80 @@ fn sample_stream() -> Vec<u8> {
     out
 }
 
+/// Four 256-byte chunks, of which every registered codec codes at least
+/// one: an f32 ramp (the trained codecs' and rANS' material), small
+/// integers (FPC, C-PACK, BPC), a pointer-like arithmetic run (BDI) and
+/// noise that stays raw. Small, because the sweeps below decode it
+/// hundreds of thousands of times.
+fn registry_stream() -> Vec<u8> {
+    let mut out: Vec<u8> =
+        (0..64u32).flat_map(|i| (((i * 3) % 257) as f32).to_le_bytes()).collect();
+    out.extend((0..64u32).flat_map(|i| (i % 7).to_le_bytes()));
+    out.extend((0..64u32).flat_map(|i| (0x1000_0000 + 3 * i).to_le_bytes()));
+    out.extend_from_slice(&sample_stream()[768..1024]);
+    out
+}
+
 fn bdi_engine() -> Engine {
     Engine::new(Arc::new(Bdi::new())).with_chunk_bytes(256)
 }
 
-/// One corrupted decode attempt: Ok must mean a full-size buffer, Err is
-/// fine, an unguarded panic fails the test with the corruption context.
-fn assert_contained(engine: &Engine, container: &[u8], expect_len: usize, what: &str) {
-    for threads in [Threads::Serial, Threads::Exact(3)] {
-        let result =
-            catch_unwind(AssertUnwindSafe(|| engine.decompress_threads(container, threads)));
-        match result {
-            Err(_) => panic!("{what}: unguarded panic escaped the decode path"),
-            Ok(Err(_)) => {}
-            Ok(Ok(out)) => assert_eq!(
+fn training_bytes() -> Vec<u8> {
+    (0..1u32 << 14).flat_map(|i| ((i % 257) as f32).to_le_bytes()).collect()
+}
+
+/// An engine per registered codec, in `CodecId::ALL` order, statistical
+/// codecs trained on the same sample.
+fn engines() -> Vec<Engine> {
+    let bytes = training_bytes();
+    let codecs: Vec<Arc<dyn BlockCodec>> = vec![
+        Arc::new(Bdi::new()),
+        Arc::new(Fpc::new()),
+        Arc::new(Cpack::new()),
+        Arc::new(Bpc::new()),
+        Arc::new(E2mc::train_on_bytes(&bytes, &E2mcConfig::default())),
+        Arc::new(Sc2::train_on_bytes(&bytes, slc::slc_compress::sc2::DEFAULT_TOP_K)),
+        Arc::new(HyComp::train_on_bytes(&bytes)),
+        Arc::new(Rans::new()),
+    ];
+    let engines: Vec<Engine> =
+        codecs.into_iter().map(|c| Engine::new(c).with_chunk_bytes(256)).collect();
+    assert!(engines.iter().map(Engine::codec_id).eq(CodecId::ALL), "one engine per codec id");
+    engines
+}
+
+/// Byte offset of the payload section, and the directory, of a pristine
+/// container.
+fn payload_and_directory(container: &[u8]) -> (usize, Vec<slc::slc_engine::DirEntry>) {
+    let frame = Frame::parse(container).expect("pristine container parses");
+    (container.len() - frame.payload.len(), frame.directory)
+}
+
+const BOTH: [Threads; 2] = [Threads::Serial, Threads::Exact(3)];
+
+/// One corrupted decode attempt per thread policy, called bare: Ok must
+/// mean a full-size buffer, Err is fine, a panic fails the test.
+fn assert_contained_under(
+    engine: &Engine,
+    container: &[u8],
+    expect_len: usize,
+    threads: &[Threads],
+    what: impl Fn() -> String,
+) {
+    for &threads in threads {
+        if let Ok(out) = engine.decompress_threads(container, threads) {
+            assert_eq!(
                 out.len(),
                 expect_len,
-                "{what}: a successful decode must be a full-size buffer"
-            ),
+                "{}: a successful decode must be a full-size buffer",
+                what()
+            );
         }
     }
+}
+
+fn assert_contained(engine: &Engine, container: &[u8], expect_len: usize, what: &str) {
+    assert_contained_under(engine, container, expect_len, &BOTH, || what.to_string());
 }
 
 #[test]
@@ -118,11 +179,10 @@ fn seeded_bit_flip_barrage_is_contained() {
 fn double_flips_across_trained_codec_payloads_are_contained() {
     // E2MC's decode path (Huffman tables + escapes) sees the barrage
     // too: flips in coded payloads must surface as ChunkCorrupt, not as
-    // an unwind out of a worker thread.
-    let training: Vec<u8> =
-        (0..1u32 << 14).flat_map(|i| ((i % 257) as f32).to_le_bytes()).collect();
-    let engine = Engine::new(Arc::new(E2mc::train_on_bytes(&training, &E2mcConfig::default())))
-        .with_chunk_bytes(256);
+    // a panic in a worker thread.
+    let engine =
+        Engine::new(Arc::new(E2mc::train_on_bytes(&training_bytes(), &E2mcConfig::default())))
+            .with_chunk_bytes(256);
     let data = sample_stream();
     let container = engine.compress(&data);
     let info = frame_info(&container).unwrap();
@@ -145,8 +205,8 @@ fn rans_chunk_streams_survive_the_barrage() {
     // The whole-chunk rANS path decodes through the chunk-coder dispatch
     // (table parse + interleaved stream walk), not the per-block tag
     // walk: flips and truncations in its payload must surface as
-    // ChunkCorrupt or decode to a full-size buffer — never as an unwind
-    // out of a worker or an out-of-bounds read.
+    // ChunkCorrupt or decode to a full-size buffer — never as a panic
+    // in a worker or an out-of-bounds read.
     let engine = Engine::new(Arc::new(Rans::new())).with_chunk_bytes(256);
     let data = sample_stream();
     let container = engine.compress(&data);
@@ -278,4 +338,144 @@ fn header_field_tampering_is_rejected() {
     let mut bad = container.clone();
     bad[16..24].copy_from_slice(&(data.len() as u64 * 1000).to_le_bytes());
     assert!(matches!(engine.decompress(&bad), Err(ContainerError::BadChunkCount { .. })));
+}
+
+#[test]
+fn first_two_bytes_of_every_coded_chunk_swept_over_all_values() {
+    // Structure-aware mutation: frame and directory stay valid, and the
+    // first two bytes of each coded chunk take every value they can. For
+    // the seven block-framed codecs that is the first block's tag — all
+    // 15-bit sizes x the coded flag, so the codec sees every size the
+    // wire can declare over a body that never matches it. For rANS it is
+    // the table's count byte and first symbol.
+    let data = registry_stream();
+    for engine in engines() {
+        let name = engine.codec_id().name();
+        let container = engine.compress(&data);
+        let (payload_at, directory) = payload_and_directory(&container);
+        let coded: Vec<_> = directory.iter().filter(|e| e.mode == StorageMode::Coded).collect();
+        assert!(!coded.is_empty(), "{name}: need coded chunks to mutate");
+        let mut hostile = container.clone();
+        for entry in coded {
+            let at = payload_at + entry.offset as usize;
+            for value in 0..=u16::MAX {
+                hostile[at..at + 2].copy_from_slice(&value.to_le_bytes());
+                // Serial decodes every value; the workers (same decode,
+                // other threads) see the sizes around the edges of the
+                // valid range and a stride of the rest.
+                let bits = u32::from(value & 0x7fff);
+                let edge = bits <= 1 || bits.abs_diff(BLOCK_BITS) <= 1;
+                let threads = if edge || value % 251 == 0 { &BOTH[..] } else { &BOTH[..1] };
+                assert_contained_under(&engine, &hostile, data.len(), threads, || {
+                    format!("{name}: chunk at {} starts {value:#06x}", entry.offset)
+                });
+            }
+            hostile[at..at + 2].copy_from_slice(&container[at..at + 2]);
+        }
+        assert_eq!(hostile, container, "{name}: sweep restores the container");
+    }
+}
+
+#[test]
+fn hycomp_blocks_too_short_for_their_own_tag_are_chunk_corrupt() {
+    // A coded HyComp block declaring 0 or 1 bits cannot hold its 2-bit
+    // method tag: the inner stream length would underflow. The codec
+    // must say so before it frames anything.
+    let engine = Engine::new(Arc::new(HyComp::train_on_bytes(&training_bytes())) as Arc<_>)
+        .with_chunk_bytes(256);
+    let data = sample_stream();
+    let container = engine.compress(&data);
+    let (payload_at, directory) = payload_and_directory(&container);
+    let (chunk, entry) = directory
+        .iter()
+        .enumerate()
+        .find(|(_, e)| e.mode == StorageMode::Coded)
+        .expect("a coded chunk exists");
+    for size_bits in [0u16, 1] {
+        let mut hostile = container.clone();
+        let at = payload_at + entry.offset as usize;
+        hostile[at..at + 2].copy_from_slice(&(size_bits | 0x8000).to_le_bytes());
+        for threads in BOTH {
+            match engine.decompress_threads(&hostile, threads) {
+                Err(ContainerError::ChunkCorrupt { chunk: at, .. }) => assert_eq!(at, chunk),
+                other => panic!("size_bits {size_bits}: expected ChunkCorrupt, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn rans_table_fields_swept_over_all_values() {
+    // The fields `tools/lint/untrusted.txt` names as taint sources, each
+    // over its whole range in every coded chunk: the count byte
+    // (`table_count`), and every 12-bit frequency field (`table_freq`).
+    let engine = Engine::new(Arc::new(Rans::new())).with_chunk_bytes(256);
+    let data = sample_stream();
+    let container = engine.compress(&data);
+    let (payload_at, directory) = payload_and_directory(&container);
+    let mut hostile = container.clone();
+    let mut fields = 0usize;
+    for entry in directory.iter().filter(|e| e.mode == StorageMode::Coded) {
+        let at = payload_at + entry.offset as usize;
+        for count in 0..=u8::MAX {
+            hostile[at] = count;
+            assert_contained_under(&engine, &hostile, data.len(), &BOTH, || {
+                format!("rans chunk at {}: count byte {count}", entry.offset)
+            });
+        }
+        hostile[at] = container[at];
+        // [count - 1][count symbols][count x 12-bit freq - 1], MSB first.
+        let count = container[at] as usize + 1;
+        let freqs_at = at + 1 + count;
+        for field in 0..count {
+            let bit = field * RANS_SCALE_BITS as usize;
+            let (byte, odd) = (freqs_at + bit / 8, !bit.is_multiple_of(8));
+            for value in 0..1u16 << RANS_SCALE_BITS {
+                if odd {
+                    hostile[byte] = (container[byte] & 0xf0) | (value >> 8) as u8;
+                    hostile[byte + 1] = value as u8;
+                } else {
+                    hostile[byte] = (value >> 4) as u8;
+                    hostile[byte + 1] = (container[byte + 1] & 0x0f) | (value << 4) as u8;
+                }
+                assert_contained_under(&engine, &hostile, data.len(), &BOTH[..1], || {
+                    format!("rans chunk at {}: freq field {field} = {value}", entry.offset)
+                });
+            }
+            hostile[byte..byte + 2].copy_from_slice(&container[byte..byte + 2]);
+            fields += 1;
+        }
+    }
+    assert!(fields > 0, "need rANS-coded chunks to mutate");
+    assert_eq!(hostile, container, "sweep restores the container");
+}
+
+#[test]
+fn containers_relabelled_for_every_other_codec_are_contained() {
+    // Differential decode at container level: a valid frame whose header
+    // names the wrong codec reaches that codec's decoder with chunk
+    // bytes another codec wrote — structured, plausible and wrong.
+    let data = registry_stream();
+    let engines = engines();
+    for writer in &engines {
+        let container = writer.compress(&data);
+        for reader in &engines {
+            let mut relabelled = container.clone();
+            relabelled[6] = reader.codec_id().as_u8();
+            let what = format!(
+                "{} container relabelled {}",
+                writer.codec_id().name(),
+                reader.codec_id().name()
+            );
+            assert_contained(reader, &relabelled, data.len(), &what);
+            if reader.codec_id() == writer.codec_id() {
+                assert_eq!(reader.decompress(&relabelled).as_deref(), Ok(&data[..]), "{what}");
+            } else {
+                assert!(matches!(
+                    writer.decompress(&relabelled),
+                    Err(ContainerError::CodecMismatch { .. })
+                ));
+            }
+        }
+    }
 }

@@ -1,8 +1,10 @@
-//! Decode hardening: seeded truncation and bit-flip smoke tests over
-//! every block codec. Corrupt streams must fail loudly (a guarded panic
-//! with a diagnostic) or decode to *some* full-size block — never index
-//! out of bounds — and the [`Compressed`] boundary must reject payloads
-//! that cannot hold their declared bit length. E2MC's parallel decoding
+//! Decode hardening: truncation, bit-flip, lying-size and wrong-codec
+//! barrages over every block codec, straight through
+//! [`BlockCompressor::decompress_into`] with nothing around the call to
+//! catch a panic. A corrupt stream must come back as a [`DecodeError`]
+//! or decode to *some* full block — never panic, never index out of
+//! bounds — and the [`Compressed`] boundary must reject payloads that
+//! cannot hold their declared bit length. E2MC's parallel decoding
 //! pointers are held to more: a flipped pdp is always rejected, at the
 //! codec and as `ChunkCorrupt` through the engine.
 
@@ -14,9 +16,9 @@ use slc::slc_compress::fpc::Fpc;
 use slc::slc_compress::hycomp::HyComp;
 use slc::slc_compress::rans::Rans;
 use slc::slc_compress::sc2::Sc2;
-use slc::slc_compress::{BlockCompressor, Compressed, BLOCK_BYTES};
+use slc::slc_compress::{Block, BlockCompressor, Compressed, DecodeError, BLOCK_BITS, BLOCK_BYTES};
 use slc::slc_engine::{ContainerError, Engine, Frame, StorageMode};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::catch_unwind;
 use std::sync::Arc;
 
 /// Deterministic corruption source (xorshift64*), so a failing flip is
@@ -89,26 +91,35 @@ fn all_codecs_roundtrip_a_sample() {
     }
 }
 
+/// One hostile decode, called bare: a panic fails the test. `Ok` hands
+/// back the block the codec filled.
+fn decode(
+    codec: &dyn BlockCompressor,
+    size_bits: u32,
+    compressed: bool,
+    payload: &[u8],
+) -> Result<Block, DecodeError> {
+    let mut out = [0xa5u8; BLOCK_BYTES];
+    codec.decompress_into(size_bits, compressed, payload, &mut out).map(|()| out)
+}
+
 #[test]
 fn truncated_streams_never_decode_silently_to_the_original() {
-    // Chopping the declared length in half must either trip a guarded
-    // bounds check (the loud-failure path) or, where a codec's layout
-    // happens to decode a prefix, produce a block that is *not* the
-    // original — silence plus the original bytes would mean the length
-    // field is ignored entirely.
+    // Chopping the declared length in half must either be rejected (the
+    // reader's overrun flag, a way off its boundary) or, where a codec's
+    // layout happens to decode a prefix, produce a block that is *not*
+    // the original — silence plus the original bytes would mean the
+    // length field is ignored entirely.
     for codec in codecs() {
         let block = compressible_block_for(codec.as_ref());
         let c = codec.compress(&block);
-        let truncated = Compressed::new(c.size_bits() / 2, c.payload().to_vec());
-        let result = catch_unwind(AssertUnwindSafe(|| codec.decompress(&truncated)));
-        match result {
-            Err(_) => {} // guarded panic: the preferred loud failure
-            Ok(out) => assert_ne!(
+        if let Ok(out) = decode(codec.as_ref(), c.size_bits() / 2, true, c.payload()) {
+            assert_ne!(
                 out,
                 block,
                 "{}: half the stream silently decoded to the full block",
                 codec.name()
-            ),
+            );
         }
     }
 }
@@ -116,28 +127,69 @@ fn truncated_streams_never_decode_silently_to_the_original() {
 #[test]
 fn seeded_bit_flips_are_contained() {
     // 64 seeded single-bit flips per codec: every corrupted stream must
-    // either panic behind a guard or decode to some full-size block.
-    // Nothing may abort, loop forever, or index out of bounds (the
-    // BitReader asserts are the backstop; this exercises them from
-    // every codec's decode path).
+    // come back as an `Err` or decode to some full block. Nothing may
+    // panic, loop forever, or index out of bounds.
     let mut rng = Rng(0x5eed_f417);
     for codec in codecs() {
         let block = compressible_block_for(codec.as_ref());
         let c = codec.compress(&block);
-        let mut panics = 0u32;
+        let mut rejected = 0u32;
         for _ in 0..64 {
             let mut bytes = c.payload().to_vec();
             let bit = (rng.next() as usize) % (bytes.len() * 8);
             bytes[bit / 8] ^= 1 << (bit % 8);
-            let corrupt = Compressed::new(c.size_bits(), bytes);
-            if catch_unwind(AssertUnwindSafe(|| codec.decompress(&corrupt))).is_err() {
-                panics += 1;
+            rejected += u32::from(decode(codec.as_ref(), c.size_bits(), true, &bytes).is_err());
+        }
+        assert_eq!(codec.decompress(&c), block, "{}: pristine stream", codec.name());
+        println!("{}: {rejected}/64 flips rejected", codec.name());
+    }
+}
+
+#[test]
+fn lying_sizes_and_short_payloads_are_contained() {
+    // The (size, flag, payload) triple is wire data and its parts need
+    // not agree: every declared size from 0 to past a block, coded and
+    // verbatim, over the whole payload and over one cut short of what
+    // the size claims.
+    for codec in codecs() {
+        let block = compressible_block_for(codec.as_ref());
+        let c = codec.compress(&block);
+        let payload = c.payload();
+        for size_bits in 0..=BLOCK_BITS + 64 {
+            for compressed in [true, false] {
+                let _ = decode(codec.as_ref(), size_bits, compressed, payload);
+                let _ =
+                    decode(codec.as_ref(), size_bits, compressed, &payload[..payload.len() / 2]);
+                let _ = decode(codec.as_ref(), size_bits, compressed, &[]);
             }
         }
-        // The uncorrupted stream must still decode after the barrage
-        // (no interior state was poisoned by the caught panics).
-        assert_eq!(codec.decompress(&c), block, "{}: codec state poisoned", codec.name());
-        println!("{}: {panics}/64 flips tripped a guard", codec.name());
+        // A verbatim block needs a whole block behind it.
+        assert_eq!(
+            decode(codec.as_ref(), BLOCK_BITS, false, &block[..BLOCK_BYTES - 1]),
+            Err(DecodeError::Truncated),
+            "{}",
+            codec.name()
+        );
+        assert_eq!(decode(codec.as_ref(), BLOCK_BITS, false, &block), Ok(block));
+    }
+}
+
+#[test]
+fn every_codecs_streams_are_contained_by_every_other_codec() {
+    // Differential decode across the registry: a stream one codec wrote
+    // is structured, plausible and wrong for the other seven. Each must
+    // reject it or fill the block; its own codec must still round-trip.
+    let codecs = codecs();
+    for writer in &codecs {
+        for block in candidate_blocks() {
+            let c = writer.compress(&block);
+            for reader in &codecs {
+                let got = decode(reader.as_ref(), c.size_bits(), c.is_compressed(), c.payload());
+                if reader.name() == writer.name() || !c.is_compressed() {
+                    assert_eq!(got, Ok(block), "{} read by {}", writer.name(), reader.name());
+                }
+            }
+        }
     }
 }
 
@@ -164,9 +216,8 @@ fn e2mc_pdp_flips_are_rejected() {
         for bit in 1..HEADER_BITS {
             let mut bytes = c.payload().to_vec();
             flip_stream_bit(&mut bytes, bit);
-            let corrupt = Compressed::new(c.size_bits(), bytes);
             assert!(
-                catch_unwind(AssertUnwindSafe(|| e.decompress(&corrupt))).is_err(),
+                decode(&e, c.size_bits(), true, &bytes).is_err(),
                 "pdp bit {bit} flipped, block still decoded"
             );
         }

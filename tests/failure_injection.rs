@@ -1,16 +1,17 @@
-//! Failure injection: corrupt streams must fail loudly (panic with a
-//! diagnostic), never silently decode to wrong data structures, and edge
-//! configurations must behave.
+//! Failure injection: corrupt streams must be rejected with a
+//! `DecodeError`, never silently decode to wrong data structures or
+//! panic; constructor contracts must panic; and edge configurations
+//! must behave.
 
 use slc::slc_compress::bitstream::{BitReader, BitWriter};
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
-use slc::slc_compress::{BlockCompressor, Compressed, Mag, BLOCK_BYTES};
+use slc::slc_compress::{BlockCompressor, DecodeError, Mag, BLOCK_BYTES};
 use slc::slc_core::header::SlcHeader;
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_sim::mc::UniformBursts;
 use slc::slc_sim::trace::{Op, Trace};
 use slc::slc_sim::{Engine, GpuConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::catch_unwind;
 
 fn trained() -> E2mc {
     let bytes: Vec<u8> = (0..1u32 << 14).flat_map(|i| ((i % 257) as f32).to_le_bytes()).collect();
@@ -26,14 +27,14 @@ fn sample_block() -> [u8; BLOCK_BYTES] {
 }
 
 #[test]
-fn truncated_e2mc_stream_panics_not_garbage() {
+fn truncated_e2mc_stream_is_an_error_not_garbage() {
     let e = trained();
     let c = e.compress(&sample_block());
     assert!(c.is_compressed());
-    // Chop the stream: decoding must hit a guarded bounds check.
-    let truncated = Compressed::new(c.size_bits() / 2, c.payload().to_vec());
-    let result = catch_unwind(AssertUnwindSafe(|| e.decompress(&truncated)));
-    assert!(result.is_err(), "truncated stream must not decode silently");
+    // Chop the stream: the last way no longer ends at the stream's end.
+    let mut out = [0u8; BLOCK_BYTES];
+    let verdict = e.decompress_into(c.size_bits() / 2, true, c.payload(), &mut out);
+    assert!(verdict.is_err(), "truncated stream must not decode silently");
 }
 
 #[test]
@@ -42,39 +43,46 @@ fn bit_flipped_mode_bit_is_detected() {
     let c = e.compress(&sample_block());
     let mut bytes = c.payload().to_vec();
     bytes[0] ^= 0x80; // clear the compressed-mode bit
-    let corrupt = Compressed::new(c.size_bits(), bytes);
-    let result = catch_unwind(AssertUnwindSafe(|| e.decompress(&corrupt)));
-    assert!(result.is_err(), "mode-bit corruption must be caught");
+    let mut out = [0u8; BLOCK_BYTES];
+    assert_eq!(
+        e.decompress_into(c.size_bits(), true, &bytes, &mut out),
+        Err(DecodeError::UnknownTag),
+        "mode-bit corruption must be caught"
+    );
 }
 
 #[test]
 fn bitreader_bounds_are_enforced() {
+    // By a sticky flag, not a panic: a read or skip past the end yields
+    // zeros, leaves the cursor alone and fails the reader's one check.
     let mut bytes = Vec::new();
     let mut w = BitWriter::new(&mut bytes);
     w.write(0xff, 8);
     let len = w.finish();
     let mut r = BitReader::new(&bytes, len);
-    r.read(8);
-    assert!(catch_unwind(AssertUnwindSafe(|| {
-        let mut r2 = r.clone();
-        r2.read(1)
-    }))
-    .is_err());
-    assert!(catch_unwind(AssertUnwindSafe(|| {
-        let mut r2 = BitReader::new(&bytes, len);
-        r2.seek(9)
-    }))
-    .is_err());
+    assert_eq!(r.read(8), 0xff);
+    assert_eq!(r.check(), Ok(()));
+    let mut past = r.clone();
+    assert_eq!(past.read(1), 0);
+    assert_eq!(past.remaining(), 0);
+    assert_eq!(past.check(), Err(DecodeError::Truncated));
+    let mut skipped = BitReader::new(&bytes, len);
+    skipped.skip(9);
+    assert_eq!(skipped.remaining(), 8);
+    assert_eq!(skipped.check(), Err(DecodeError::Truncated));
+    assert_eq!(r.check(), Ok(()), "the flag is per reader");
 }
 
 #[test]
 fn header_rejects_malformed_fields() {
-    assert!(catch_unwind(|| {
-        let h = SlcHeader::Lossy { ss: 63, len: 2, pdps: [0; 3] };
-        // ss 63 is fine; the hole runs past the block at decode level
-        h.write(&mut BitWriter::new(&mut Vec::new()));
-    })
-    .is_ok());
+    // ss 63 is in range for `write`; the hole running past the block is
+    // what `read` refuses.
+    let h = SlcHeader::Lossy { ss: 63, len: 2, pdps: [0; 3] };
+    let mut bytes = Vec::new();
+    let mut w = BitWriter::new(&mut bytes);
+    h.write(&mut w);
+    let len = w.finish();
+    assert_eq!(SlcHeader::read(&mut BitReader::new(&bytes, len)), Err(DecodeError::BadLayout));
     assert!(catch_unwind(|| {
         let h = SlcHeader::Lossy { ss: 70, len: 1, pdps: [0; 3] };
         h.write(&mut BitWriter::new(&mut Vec::new()))
