@@ -174,10 +174,7 @@ fn bench_slc_paths(c: &mut Criterion) {
 /// over one memory snapshot.
 ///
 /// `eval/bursts_map` analyses the snapshot **once** and sweeps all N
-/// decisions over the shared [`SnapshotAnalysis`];
-/// `eval/bursts_map_direct` is the pre-refactor shape — every scheme
-/// re-derives every block's E2MC code lengths — so the ratio of the two
-/// rows is the (schemes × thresholds) → 1 reduction in encode work.
+/// decisions over the shared [`SnapshotAnalysis`].
 fn bench_eval_paths(c: &mut Criterion) {
     let blocks = sample_blocks();
     let e2mc = trained_e2mc(&blocks);
@@ -205,18 +202,6 @@ fn bench_eval_paths(c: &mut Criterion) {
                 .map(|s| {
                     let mut acc = BurstsAccumulator::new(Mag::GDDR5);
                     acc.record(s, &snap);
-                    acc.into_map().len()
-                })
-                .sum::<usize>()
-        })
-    });
-    g.bench_function("bursts_map_direct", |b| {
-        b.iter(|| {
-            schemes
-                .iter()
-                .map(|s| {
-                    let mut acc = BurstsAccumulator::new(Mag::GDDR5);
-                    acc.snapshot(s, &mem);
                     acc.into_map().len()
                 })
                 .sum::<usize>()

@@ -163,7 +163,7 @@ impl Compressed {
     ///
     /// Panics if `payload` is too short to hold `size_bits` bits.
     pub fn new(size_bits: u32, payload: Vec<u8>) -> Self {
-        // slc-lint: allow(assert): documented size-contract guard; on the decode path the payload length is pinned to ceil(bits/8) before construction
+        // slc-lint: allow(hot-path): documented size-contract guard; on the decode path the payload length is pinned to ceil(bits/8) before construction
         assert!(
             payload.len() * 8 >= size_bits as usize,
             "payload of {} bytes cannot hold {} bits",

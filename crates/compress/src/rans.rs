@@ -215,55 +215,45 @@ fn write_table(freq: &[u16; 256], out: &mut Vec<u8>) {
     w.finish();
 }
 
-/// Reads the symbol-count byte of a serialised table. The wire encodes
-/// `n - 1` in one byte, so the returned count is always in `1..=256` —
-/// but the *byte* is attacker-controlled, so this is a registered taint
-/// source (`tools/lint/untrusted.txt`) and downstream layout arithmetic
-/// must be guarded or carry a reviewed waiver.
-fn table_count(src: &[u8]) -> Result<usize, DecodeError> {
-    let &n_minus_1 = src.first().ok_or(DecodeError::Truncated)?;
-    Ok(n_minus_1 as usize + 1)
-}
-
-/// Reads one `RANS_SCALE_BITS`-wide frequency field. The wire encodes
-/// `f - 1`, so the result is in `1..=RANS_SCALE` — a registered taint
-/// source like [`table_count`].
-fn table_freq(r: &mut BitReader) -> u32 {
-    r.read(RANS_SCALE_BITS) as u32 + 1
-}
-
 /// Parses and validates a serialised table; returns the frequencies and
-/// the number of bytes consumed. Registered as a taint *sanitizer*: a
-/// table that survives the length, ascending-symbol, and frequency-sum
-/// checks below is safe to decode against.
-fn parse_table(src: &[u8]) -> Result<([u16; 256], usize), DecodeError> {
-    let n = table_count(src)?;
-    // slc-lint: trusted(n is 1..=256 by u8 + 1 construction, so the layout arithmetic cannot overflow)
-    let used = 1 + n + (n * RANS_SCALE_BITS as usize).div_ceil(8);
-    if src.len() < used {
-        return Err(DecodeError::Truncated);
-    }
-    // slc-lint: trusted(1 + n <= used <= src.len() was checked just above, so the symbol slice is in bounds)
-    let syms = &src[1..1 + n];
+/// the bytes that follow it. A table that survives the length,
+/// ascending-symbol and frequency-sum checks is safe to decode against.
+///
+/// Every field is attacker-controlled, so the table comes off the front
+/// of `src` by checked splits and no wire integer is an index or an
+/// unchecked operand (the two denied lints keep it that way). The count
+/// byte stores `n - 1` and each 12-bit field `freq - 1`, so `n` is
+/// `1..=256` and a frequency `1..=RANS_SCALE`: the `saturating_*` below
+/// never saturate, they only spell that out for the lint.
+#[deny(clippy::indexing_slicing, clippy::arithmetic_side_effects)]
+fn parse_table(src: &[u8]) -> Result<([u16; 256], &[u8]), DecodeError> {
+    let (&n_minus_1, rest) = src.split_first().ok_or(DecodeError::Truncated)?;
+    let n = u32::from(n_minus_1).saturating_add(1);
+    let (syms, rest) = rest.split_at_checked(n as usize).ok_or(DecodeError::Truncated)?;
+    let freq_bits = n.saturating_mul(RANS_SCALE_BITS);
+    let (packed, rest) =
+        rest.split_at_checked(freq_bits.div_ceil(8) as usize).ok_or(DecodeError::Truncated)?;
+    let mut r = BitReader::new(packed, freq_bits);
     let mut freq = [0u16; 256];
-    // slc-lint: trusted(slice lies inside the length-checked used prefix; n <= 256 keeps the bit count far below u32::MAX)
-    let mut r = BitReader::new(&src[1 + n..used], (n as u32) * RANS_SCALE_BITS);
-    let mut sum = 0u32;
-    let mut prev: i32 = -1;
+    // What is left of the scale: running over it or short of it is a bad
+    // table.
+    let mut unassigned = RANS_SCALE;
+    let mut prev = None;
     for &s in syms {
-        if i32::from(s) <= prev {
+        if prev.is_some_and(|p| s <= p) {
             return Err(DecodeError::BadTable);
         }
-        prev = i32::from(s);
-        let f = table_freq(&mut r);
-        freq[s as usize] = f as u16;
-        // slc-lint: trusted(at most 256 addends of at most RANS_SCALE each — the sum stays far below u32::MAX)
-        sum += f;
+        prev = Some(s);
+        let f = (r.read(RANS_SCALE_BITS) as u32).saturating_add(1);
+        unassigned = unassigned.checked_sub(f).ok_or(DecodeError::BadTable)?;
+        if let Some(slot) = freq.get_mut(usize::from(s)) {
+            *slot = f as u16;
+        }
     }
-    if sum != RANS_SCALE {
+    if unassigned != 0 {
         return Err(DecodeError::BadTable);
     }
-    Ok((freq, used))
+    Ok((freq, rest))
 }
 
 /// One encoder step for symbol `s` on state `x`: branchless renorm (an
@@ -328,7 +318,7 @@ fn rans_encode(data: &[u8], t: &EncTable, out: &mut Vec<u8>) {
 ///
 /// Panics on empty input (no meaningful table exists).
 pub fn encode_stream(data: &[u8], out: &mut Vec<u8>) {
-    // slc-lint: allow(assert): documented API-contract panic, checked once per stream on the encode side
+    // slc-lint: allow(hot-path): documented API-contract panic, checked once per stream on the encode side
     assert!(!data.is_empty(), "rANS stream encode needs at least one byte");
     let counts = histogram(data);
     // slc-lint: allow(hot-path): infallible after the non-empty assert — a non-empty histogram always has a non-zero count
@@ -344,9 +334,8 @@ pub fn encode_stream(data: &[u8], out: &mut Vec<u8>) {
 /// out-of-bounds access; a full-size but wrong decode is impossible
 /// because the word cursor and final lane states are checked.
 pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
-    let (freq, used) = parse_table(src)?;
+    let (freq, body) = parse_table(src)?;
     let dec = DecTable::build(&freq);
-    let body = &src[used..];
     if body.len() < STATE_BYTES {
         return Err(DecodeError::Truncated);
     }
@@ -490,12 +479,11 @@ mod tests {
     /// LUT or branchless tricks. `roundtrip` pins the interleaved decoder
     /// byte-identical to this.
     fn decode_reference(src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
-        let (freq, used) = parse_table(src)?;
+        let (freq, body) = parse_table(src)?;
         let mut cum = [0u32; 257];
         for s in 0..256 {
             cum[s + 1] = cum[s] + u32::from(freq[s]);
         }
-        let body = &src[used..];
         if body.len() < STATE_BYTES {
             return Err(DecodeError::Truncated);
         }
@@ -600,8 +588,8 @@ mod tests {
         let freq = normalize_freqs(&histogram(&data)).unwrap();
         let mut bytes = Vec::new();
         write_table(&freq, &mut bytes);
-        let (parsed, used) = parse_table(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
+        let (parsed, rest) = parse_table(&bytes).unwrap();
+        assert!(rest.is_empty());
         assert_eq!(parsed, freq);
         // Truncations and a broken frequency sum must be rejected.
         for cut in 0..bytes.len() {

@@ -153,27 +153,33 @@ impl<'a> Frame<'a> {
     /// inside [`Frame::payload`], raw entries are guaranteed to match
     /// their chunk's exact raw length, and `chunk_count` is consistent
     /// with `total_len` / `chunk_bytes` — the invariants the per-chunk
-    /// decoders index under. Never panics, whatever the input bytes.
+    /// decoders index under. Never panics, whatever the input bytes: the
+    /// header and every directory entry are taken off the input as
+    /// fixed-size arrays by checked splits, so no wire integer is ever
+    /// an index or an unchecked operand (the two denied lints below
+    /// keep it that way).
+    #[deny(clippy::indexing_slicing, clippy::arithmetic_side_effects)]
     pub fn parse(bytes: &'a [u8]) -> Result<Self, ContainerError> {
-        if bytes.len() < HEADER_BYTES {
+        let Some((head, rest)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
             return Err(ContainerError::TooShort { need: HEADER_BYTES, have: bytes.len() });
+        };
+        let &[m0, m1, m2, m3, v0, v1, codec, flags, ref geometry @ ..] = head;
+        let &[b0, b1, b2, b3, c0, c1, c2, c3, ref total_len @ ..] = geometry;
+        let magic = [m0, m1, m2, m3];
+        if magic != MAGIC {
+            return Err(ContainerError::BadMagic(magic));
         }
-        if bytes[0..4] != MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&bytes[0..4]);
-            return Err(ContainerError::BadMagic(m));
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+        let version = u16::from_le_bytes([v0, v1]);
         if version != VERSION {
             return Err(ContainerError::BadVersion(version));
         }
-        let codec = CodecId::from_u8(bytes[6]).ok_or(ContainerError::UnknownCodec(bytes[6]))?;
-        if bytes[7] != 0 {
-            return Err(ContainerError::BadFlags(bytes[7]));
+        let codec = CodecId::from_u8(codec).ok_or(ContainerError::UnknownCodec(codec))?;
+        if flags != 0 {
+            return Err(ContainerError::BadFlags(flags));
         }
-        let chunk_bytes = le_u32(bytes, 8);
-        let chunk_count = le_u32(bytes, 12);
-        let total_len = le_u64(bytes, 16);
+        let chunk_bytes = u32::from_le_bytes([b0, b1, b2, b3]);
+        let chunk_count = u32::from_le_bytes([c0, c1, c2, c3]);
+        let total_len = u64::from_le_bytes(*total_len);
         if chunk_bytes == 0
             || !(chunk_bytes as usize).is_multiple_of(BLOCK_BYTES)
             || chunk_bytes as usize > MAX_CHUNK_BYTES
@@ -187,17 +193,17 @@ impl<'a> Frame<'a> {
                 expected: expected_chunks,
             });
         }
-        let dir_end = HEADER_BYTES + chunk_count as usize * DIR_ENTRY_BYTES;
-        if bytes.len() < dir_end {
-            return Err(ContainerError::DirectoryTruncated { need: dir_end, have: bytes.len() });
-        }
-        let payload = &bytes[dir_end..];
-        let mut directory = Vec::with_capacity(chunk_count as usize);
-        for chunk in 0..chunk_count as usize {
-            let at = HEADER_BYTES + chunk * DIR_ENTRY_BYTES;
-            let offset = le_u64(bytes, at);
-            let encoded_bits = le_u32(bytes, at + 8);
-            let mode = StorageMode::from_u8(bytes[at + 12])
+        let dir_len = (chunk_count as usize).checked_mul(DIR_ENTRY_BYTES);
+        let Some((dir, payload)) = dir_len.and_then(|len| rest.split_at_checked(len)) else {
+            let need = dir_len.and_then(|len| len.checked_add(HEADER_BYTES)).unwrap_or(usize::MAX);
+            return Err(ContainerError::DirectoryTruncated { need, have: bytes.len() });
+        };
+        let (entries, _) = dir.as_chunks::<DIR_ENTRY_BYTES>();
+        let mut directory = Vec::with_capacity(entries.len());
+        for (chunk, &[ref offset @ .., e0, e1, e2, e3, mode]) in entries.iter().enumerate() {
+            let offset = u64::from_le_bytes(*offset);
+            let encoded_bits = u32::from_le_bytes([e0, e1, e2, e3]);
+            let mode = StorageMode::from_u8(mode)
                 .ok_or(ContainerError::InvalidEntry { chunk, reason: "unknown storage mode" })?;
             let entry = DirEntry { offset, encoded_bits, mode };
             if !encoded_bits.is_multiple_of(8) {
@@ -235,18 +241,6 @@ impl<'a> Frame<'a> {
             payload,
         })
     }
-}
-
-/// Little-endian u32 at `at`; bounds were validated by the caller.
-fn le_u32(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
-}
-
-/// Little-endian u64 at `at`; bounds were validated by the caller.
-fn le_u64(b: &[u8], at: usize) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&b[at..at + 8]);
-    u64::from_le_bytes(w)
 }
 
 /// Raw (decoded) length in bytes of chunk `index` of a stream of
@@ -332,6 +326,13 @@ pub enum ContainerError {
         /// Length of the buffer the caller supplied.
         out_len: usize,
     },
+    /// The owned output of [`decompress`](crate::Engine::decompress)
+    /// could not be allocated: the header's `total_len` asks for more
+    /// memory than the allocator will give.
+    OutputAllocFailed {
+        /// Decoded byte length from the header.
+        total_len: u64,
+    },
 }
 
 impl fmt::Display for ContainerError {
@@ -365,6 +366,9 @@ impl fmt::Display for ContainerError {
             }
             ContainerError::OutputLenMismatch { total_len, out_len } => {
                 write!(f, "output buffer holds {out_len} bytes, container decodes to {total_len}")
+            }
+            ContainerError::OutputAllocFailed { total_len } => {
+                write!(f, "cannot allocate the {total_len} bytes the container decodes to")
             }
         }
     }
@@ -487,6 +491,7 @@ mod tests {
             ContainerError::InvalidEntry { chunk: 1, reason: "test" },
             ContainerError::ChunkCorrupt { chunk: 0, reason: "test" },
             ContainerError::OutputLenMismatch { total_len: 9, out_len: 4 },
+            ContainerError::OutputAllocFailed { total_len: u64::MAX },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -269,7 +269,15 @@ impl Engine {
         threads: Threads,
     ) -> Result<Vec<u8>, ContainerError> {
         let frame = self.parse_own(container)?;
-        let mut out = vec![0u8; frame.header.total_len as usize];
+        // `total_len` is a wire field no payload byte has vouched for
+        // yet: reserve fallibly, so a header that claims terabytes is an
+        // `Err`, not an allocator abort.
+        let total_len = frame.header.total_len;
+        let alloc_failed = ContainerError::OutputAllocFailed { total_len };
+        let len = usize::try_from(total_len).map_err(|_| alloc_failed)?;
+        let mut out = Vec::new();
+        out.try_reserve_exact(len).map_err(|_| alloc_failed)?;
+        out.resize(len, 0);
         self.decode_frame(&frame, &mut out, threads)?;
         Ok(out)
     }
@@ -575,16 +583,6 @@ fn encode_chunk(
     }
 }
 
-/// Reads the little-endian `u16` block tag at `pos` of a coded chunk.
-///
-/// The tag is attacker-controlled wire data — a registered taint source
-/// (`tools/lint/untrusted.txt`): the size bits it carries must be
-/// range-validated before they bound any slice or loop, which is
-/// exactly what [`decode_blocks`] does right after reading it.
-fn block_tag(src: &[u8], pos: usize) -> u16 {
-    u16::from_le_bytes([src[pos], src[pos + 1]])
-}
-
 /// Decodes one chunk into its output slice.
 ///
 /// `entry`'s payload span was bounds-checked by [`Frame::parse`]; what
@@ -621,35 +619,40 @@ fn decode_chunk(
 /// and its body span (the chunk span being in bounds says nothing about
 /// its contents), and hands every coded body to the codec.
 ///
+/// The tag is attacker-controlled, so `src` is walked as a shrinking
+/// slice: the tag and the body it sizes come off the front by checked
+/// splits and the size bits never become an index (the two denied lints
+/// keep it that way).
+///
 /// Coded blocks decode **in place**: each full block's span of `dst`
 /// is handed to the codec as the output buffer
 /// ([`decompress_into`](slc_compress::BlockCompressor::decompress_into)).
 /// Only a ragged tail block (stream length not a block multiple) bounces
 /// through a stack block before its prefix is copied out.
-fn decode_blocks(codec: &dyn BlockCodec, src: &[u8], dst: &mut [u8]) -> Result<(), &'static str> {
-    let mut pos = 0usize;
-    for b in 0..dst.len().div_ceil(BLOCK_BYTES) {
-        if pos + 2 > src.len() {
+#[deny(clippy::indexing_slicing, clippy::arithmetic_side_effects)]
+fn decode_blocks(
+    codec: &dyn BlockCodec,
+    mut src: &[u8],
+    dst: &mut [u8],
+) -> Result<(), &'static str> {
+    for span in dst.chunks_mut(BLOCK_BYTES) {
+        let Some((tag, rest)) = src.split_first_chunk::<2>() else {
             return Err("block tag past end of chunk");
-        }
-        let tag = block_tag(src, pos);
-        pos += 2;
+        };
+        let tag = u16::from_le_bytes(*tag);
         let bits = u32::from(tag & !TAG_CODED);
         let is_coded = tag & TAG_CODED != 0;
         if bits > BLOCK_BITS || (!is_coded && bits != BLOCK_BITS) {
             return Err("invalid block tag");
         }
-        let body_len = bits.div_ceil(8) as usize;
-        if pos + body_len > src.len() {
+        let Some((body, rest)) = rest.split_at_checked(bits.div_ceil(8) as usize) else {
             return Err("block body past end of chunk");
-        }
-        let body = &src[pos..pos + body_len];
-        pos += body_len;
-        let lo = b * BLOCK_BYTES;
+        };
+        src = rest;
         // Full blocks decode straight into dst; only a ragged tail takes
         // the stack bounce.
         let mut tail = [0u8; BLOCK_BYTES];
-        let out: &mut Block = match dst[lo..].first_chunk_mut::<BLOCK_BYTES>() {
+        let out: &mut Block = match span.first_chunk_mut::<BLOCK_BYTES>() {
             Some(full) => full,
             None => &mut tail,
         };
@@ -658,12 +661,13 @@ fn decode_blocks(codec: &dyn BlockCodec, src: &[u8], dst: &mut [u8]) -> Result<(
         } else {
             *out = *body.first_chunk().ok_or("verbatim body is not exactly one block")?;
         }
-        let n = dst.len() - lo;
-        if n < BLOCK_BYTES {
-            dst[lo..].copy_from_slice(&tail[..n]);
+        if span.len() < BLOCK_BYTES {
+            for (d, s) in span.iter_mut().zip(tail) {
+                *d = s;
+            }
         }
     }
-    if pos != src.len() {
+    if !src.is_empty() {
         return Err("trailing bytes after last block");
     }
     Ok(())

@@ -109,7 +109,7 @@ pub fn evaluate_prepared(
 ) -> Eval {
     let energy_model = EnergyModel::default();
     let mag = harness.config.mag();
-    let rows = slc_par::par_map_ref(prepared, |(w, artifacts)| {
+    let rows = slc_par::par_map(prepared.iter().collect(), |(w, artifacts)| {
         // Baselines. Cloning `artifacts.e2mc` into a scheme is an Arc
         // refcount bump (the trained table is shared), so every worker
         // and every variant below reuses the one trained model; the E2MC

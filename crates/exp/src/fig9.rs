@@ -50,7 +50,7 @@ pub fn compute(scale: Scale) -> Fig9 {
         let harness = Harness::new(scale).with_config(config);
         let threshold = mag.bytes() / 2;
         let eval = evaluate_prepared(&harness, threshold, &[SlcVariant::TslcOpt], &prepared);
-        let ratios = slc_par::par_map_ref(&prepared, |(_, artifacts)| {
+        let ratios = slc_par::par_map(prepared.iter().collect(), |(_, artifacts)| {
             let mut acc = RatioAccumulator::new(mag, BLOCK_BYTES as u32);
             for b in artifacts.final_analysis().entries() {
                 acc.record_bits(b.analysis.e2mc_size_bits());

@@ -1,6 +1,6 @@
-//! Waiver-debt lock: pins the count of `slc-lint: allow(...)` /
-//! `trusted(...)` waivers per `(file, check)` and diffs a fresh count
-//! against `tools/lint/waivers.lock`.
+//! Waiver-debt lock: pins the count of `slc-lint: allow(...)` waivers
+//! per `(file, check)` and diffs a fresh count against
+//! `tools/lint/waivers.lock`.
 //!
 //! Waivers are reviewed exceptions; without a lock they accrete
 //! silently — every new one looks local and harmless. With the lock, a
@@ -13,7 +13,7 @@
 //! numbers, so unrelated edits that merely move a waiver around do not
 //! churn the lock.
 
-use crate::{waivers, Finding, Workspace, TRUSTED};
+use crate::{waivers, Finding, Workspace};
 use std::collections::BTreeMap;
 
 /// Check name for waiver-debt drift.
@@ -22,9 +22,7 @@ pub const WAIVER_DEBT: &str = "waiver-debt";
 /// Path of the committed lock, workspace-relative.
 pub const LOCK_PATH: &str = "tools/lint/waivers.lock";
 
-/// Counts waivers in the loaded workspace, keyed by
-/// `(file, check)` — the `check` is the waived check name for
-/// `allow(...)` waivers and [`TRUSTED`] for `trusted(...)` ones.
+/// Counts waivers in the loaded workspace, keyed by `(file, check)`.
 pub fn snapshot(ws: &Workspace) -> BTreeMap<(String, String), usize> {
     let mut out: BTreeMap<(String, String), usize> = BTreeMap::new();
     for file in &ws.files {
@@ -35,9 +33,8 @@ pub fn snapshot(ws: &Workspace) -> BTreeMap<(String, String), usize> {
     out
 }
 
-/// Parses lock-file text: `path kind(check) = count` lines, `#`
-/// comments. `kind` is `allow` or `trusted` (display only — the check
-/// name alone is the key).
+/// Parses lock-file text: `path allow(check) = count` lines, `#`
+/// comments.
 pub fn parse_lock(text: &str) -> BTreeMap<(String, String), usize> {
     let mut out = BTreeMap::new();
     for line in text.lines() {
@@ -47,13 +44,11 @@ pub fn parse_lock(text: &str) -> BTreeMap<(String, String), usize> {
         }
         let Some((lhs, count)) = line.split_once('=') else { continue };
         let Ok(count) = count.trim().parse::<usize>() else { continue };
-        let Some((path, kinded)) = lhs.trim().rsplit_once(' ') else { continue };
-        let check = kinded
-            .strip_suffix(')')
-            .and_then(|k| k.split_once('('))
-            .map(|(_, check)| check.to_string());
-        let Some(check) = check else { continue };
-        out.insert((path.trim().to_string(), check), count);
+        let Some((path, allow)) = lhs.trim().rsplit_once(' ') else { continue };
+        let Some(check) = allow.strip_prefix("allow(").and_then(|a| a.strip_suffix(')')) else {
+            continue;
+        };
+        out.insert((path.trim().to_string(), check.to_string()), count);
     }
     out
 }
@@ -62,14 +57,13 @@ pub fn parse_lock(text: &str) -> BTreeMap<(String, String), usize> {
 /// writes).
 pub fn render_lock(snapshot: &BTreeMap<(String, String), usize>) -> String {
     let mut out = String::from(
-        "# slc waiver-debt lock. Counts every `slc-lint: allow(...)` and\n\
-         # `trusted(...)` waiver per (file, check). CI fails when the fresh\n\
-         # count differs — new waivers are reviewable debt. Regenerate with\n\
+        "# slc waiver-debt lock. Counts every `slc-lint: allow(...)` waiver\n\
+         # per (file, check). CI fails when the fresh count differs — new\n\
+         # waivers are reviewable debt. Regenerate with\n\
          #   cargo run --release -p slc-lint -- --update-waiver-lock\n",
     );
     for ((path, check), count) in snapshot {
-        let kind = if check == TRUSTED { "trusted" } else { "allow" };
-        out.push_str(&format!("{path} {kind}({check}) = {count}\n"));
+        out.push_str(&format!("{path} allow({check}) = {count}\n"));
     }
     out
 }
@@ -116,13 +110,13 @@ mod tests {
     const SRC: &str = "fn f() {\n    \
         x.unwrap(); // slc-lint: allow(hot-path): reviewed, infallible\n    \
         y.unwrap(); // slc-lint: allow(hot-path): reviewed, also infallible\n    \
-        n + 1; // slc-lint: trusted(n is a u8 read)\n}\n";
+        unsafe { go() } // slc-lint: allow(unsafe): reviewed FFI shim\n}\n";
 
     #[test]
     fn snapshot_counts_per_file_and_check() {
         let snap = snapshot(&ws(SRC));
         assert_eq!(snap[&("crates/a/src/lib.rs".to_string(), "hot-path".to_string())], 2);
-        assert_eq!(snap[&("crates/a/src/lib.rs".to_string(), TRUSTED.to_string())], 1);
+        assert_eq!(snap[&("crates/a/src/lib.rs".to_string(), "unsafe".to_string())], 1);
     }
 
     #[test]
@@ -148,7 +142,10 @@ mod tests {
     #[test]
     fn paid_down_debt_flags_as_stale() {
         let lock = parse_lock(&render_lock(&snapshot(&ws(SRC))));
-        let paid = SRC.replace("    n + 1; // slc-lint: trusted(n is a u8 read)\n", "");
+        let paid = SRC.replace(
+            "    y.unwrap(); // slc-lint: allow(hot-path): reviewed, also infallible\n",
+            "",
+        );
         let f = check_lock(&snapshot(&ws(&paid)), &lock);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("stale waiver lock"), "{f:?}");
@@ -158,10 +155,10 @@ mod tests {
     fn lock_lines_parse_kinds() {
         let lock = parse_lock(
             "# header\ncrates/a/src/lib.rs allow(hot-path) = 2\n\
-             crates/a/src/lib.rs trusted(trusted) = 1\n",
+             crates/a/src/lib.rs allow(unsafe) = 1\nnot a lock line = 3\n",
         );
         assert_eq!(lock.len(), 2);
         assert_eq!(lock[&("crates/a/src/lib.rs".to_string(), "hot-path".to_string())], 2);
-        assert_eq!(lock[&("crates/a/src/lib.rs".to_string(), "trusted".to_string())], 1);
+        assert_eq!(lock[&("crates/a/src/lib.rs".to_string(), "unsafe".to_string())], 1);
     }
 }

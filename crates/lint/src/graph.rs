@@ -1,5 +1,4 @@
-//! Best-effort intra-workspace call graph + the hot-path and assert
-//! checks.
+//! Best-effort intra-workspace call graph + the hot-path check.
 //!
 //! The graph is token-level: nodes are `fn` definitions found by the
 //! [`scan`](crate::scan)ner, edges come from call sites resolved by
@@ -27,19 +26,24 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Check name for the panic/alloc audit.
 pub const HOT_PATH: &str = "hot-path";
-/// Check name for the hard-assert policy.
-pub const ASSERT: &str = "assert";
 
-/// Macro names that panic.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-/// Macro names that allocate.
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
+/// Macro names that panic or allocate. Hard asserts are among them: the
+/// repo convention on hot paths is `debug_assert!`, which never flags.
+const BANNED_MACROS: &[&str] = &[
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+    "vec",
+    "format",
+];
 /// Method names that panic or allocate.
 const BANNED_METHODS: &[&str] = &["unwrap", "expect", "to_vec", "collect"];
 /// `Type::fn` pairs that allocate.
 const BANNED_PATHS: &[(&str, &str)] = &[("Vec", "new"), ("Box", "new")];
-/// Hard asserts (the repo convention on hot paths is `debug_assert!`).
-const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 
 /// One parsed manifest root: `path/to/file.rs::fn_name`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,7 +169,7 @@ impl<'a> CallGraph<'a> {
     }
 }
 
-/// Runs the hot-path audit (check 1) and the assert policy (check 4).
+/// Runs the hot-path audit.
 ///
 /// Roots come from the manifest; a root that resolves to no function is
 /// itself a finding, so the manifest cannot rot silently. Functions
@@ -229,9 +233,6 @@ fn audit_body(ws: &Workspace, id: NodeId, root: &str, findings: &mut Vec<Finding
     let file = &ws.files[id.0];
     let def = &file.fns[id.1];
     let file_waivers = waivers(file);
-    let waived = |check: &str, line: u32| {
-        file_waivers.iter().any(|w| w.check == check && w.target_line == line)
-    };
     let via = if def.name == root {
         String::new()
     } else {
@@ -239,33 +240,26 @@ fn audit_body(ws: &Workspace, id: NodeId, root: &str, findings: &mut Vec<Finding
     };
     for call in &def.calls {
         let name = call.name();
-        let (check, what) = match call.kind {
-            CallKind::Macro if PANIC_MACROS.contains(&name) => (HOT_PATH, format!("`{name}!`")),
-            CallKind::Macro if ALLOC_MACROS.contains(&name) => (HOT_PATH, format!("`{name}!`")),
-            CallKind::Macro if ASSERT_MACROS.contains(&name) => {
-                (ASSERT, format!("hard `{name}!` (use `debug_assert` on hot paths)"))
-            }
-            CallKind::Method if BANNED_METHODS.contains(&name) => {
-                (HOT_PATH, format!("`.{name}()`"))
-            }
+        let what = match call.kind {
+            CallKind::Macro if BANNED_MACROS.contains(&name) => format!("`{name}!`"),
+            CallKind::Method if BANNED_METHODS.contains(&name) => format!("`.{name}()`"),
             CallKind::Path
                 if call.qualifier().is_some_and(|q| BANNED_PATHS.contains(&(q, name))) =>
             {
-                (HOT_PATH, format!("`{}::{}`", call.qualifier().unwrap_or(""), name))
+                format!("`{}::{}`", call.qualifier().unwrap_or(""), name)
             }
             _ => continue,
         };
-        if waived(check, call.line) {
+        if file_waivers.iter().any(|w| w.check == HOT_PATH && w.target_line == call.line) {
             continue;
         }
         findings.push(Finding {
-            check,
+            check: HOT_PATH,
             file: file.path.clone(),
             line: call.line,
             message: format!("hot fn `{}`{via} reaches {what}", def.name),
         });
     }
-    let _ = ws;
 }
 
 #[cfg(test)]
@@ -353,12 +347,12 @@ mod tests {
             "crates/a/src/lib.rs",
             "a",
             "fn root() {\n    assert!(x > 0);\n    debug_assert!(x > 0);\n    \
-             assert_eq!(a, b); // slc-lint: allow(assert): cold validation gate\n}\n",
+             assert_eq!(a, b); // slc-lint: allow(hot-path): cold validation gate\n}\n",
         )]);
         let f = check_hot_paths(&ws, &parse_manifest("crates/a/src/lib.rs::root"));
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].check, ASSERT);
-        assert_eq!(f[0].line, 2);
+        assert_eq!((f[0].check, f[0].line), (HOT_PATH, 2));
+        assert!(f[0].message.contains("`assert!`"), "{f:?}");
     }
 
     #[test]

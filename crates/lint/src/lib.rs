@@ -6,13 +6,15 @@
 //! container is offline), shipping its own hand-rolled Rust [`lexer`], a
 //! shallow item [`scan`]ner, and a best-effort intra-workspace call
 //! graph; the per-file scan fans out through the workspace's `slc-par`.
-//! Seven checks run over the whole workspace:
+//! Four checks run over the whole workspace:
 //!
 //! 1. **`hot-path`** — functions rooted at the committed manifest
 //!    `tools/lint/hot_paths.txt` must not transitively reach `panic!`,
-//!    `unreachable!`, `todo!`, `unimplemented!`, `.unwrap()`,
-//!    `.expect(…)`, `vec![…]`, `Vec::new`, `.to_vec()`, `format!`,
-//!    `Box::new` or `.collect()`.
+//!    `unreachable!`, `todo!`, `unimplemented!`, a hard `assert!` /
+//!    `assert_eq!` / `assert_ne!` (repo convention: `debug_assert!` on
+//!    hot paths, which never flags), `.unwrap()`, `.expect(…)`,
+//!    `vec![…]`, `Vec::new`, `.to_vec()`, `format!`, `Box::new` or
+//!    `.collect()`.
 //! 2. **`unsafe`** — every `unsafe` block/fn/impl must carry a
 //!    `// SAFETY:` comment (same line or the comment block directly
 //!    above); the tool always prints the full unsafe inventory.
@@ -20,23 +22,16 @@
 //!    magic/version/geometry constants and header field layouts are
 //!    extracted from source and diffed against
 //!    `tools/lint/wire_format.lock`.
-//! 4. **`assert`** — hard `assert!`/`assert_eq!`/`assert_ne!` in
-//!    manifest hot paths flags (repo convention: `debug_assert!` on hot
-//!    paths); `debug_assert*` never flags.
-//! 5. **`bench-rows`** — bench ids registered in `crates/bench` sources
+//! 4. **`bench-rows`** — bench ids registered in `crates/bench` sources
 //!    must match `tools/bench_rows.txt` / `tools/eval_rows.txt` in both
 //!    directions, catching dropped rows at lint time.
-//! 6. **`wire-taint`** — dataflow: a value returned by a taint *source*
-//!    (the wire-read helpers registered in `tools/lint/untrusted.txt`)
-//!    must not reach a dangerous sink — slice indexing, allocation
-//!    sizes (`with_capacity`/`resize`/`reserve`), `copy_from_slice`/
-//!    `get_unchecked` arguments, `for`-loop range bounds, or shift
-//!    amounts — without first passing a registered *sanitizer* or a
-//!    visible range comparison. See [`taint`].
-//! 7. **`taint-arith`** — bare `+`/`-`/`*` (and their compound-assign
-//!    forms) on a still-unguarded tainted integer flags: arithmetic on
-//!    untrusted lengths must be `checked_*`/`saturating_*` or follow a
-//!    range guard, so silent wraparound cannot size a later access.
+//!
+//! What this crate does *not* police is wire-derived integers: the three
+//! functions that read them (`Frame::parse`, `decode_blocks`,
+//! `parse_table`) take their fields off the input by checked slice
+//! splits and carry `#[deny(clippy::indexing_slicing,
+//! clippy::arithmetic_side_effects)]`, so `cargo clippy` — a tool this
+//! repo does not maintain — rejects a re-introduced index or bare `+`.
 //!
 //! # Waiver syntax
 //!
@@ -49,28 +44,15 @@
 //! ```
 //!
 //! The check name in `allow(…)` must match the finding's check
-//! (`hot-path`, `assert`, `unsafe`, …) and the reason after the second
-//! colon must be non-empty. A waiver placed on the line of an `fn`
-//! definition (or directly above it) exempts the *whole function*: its
-//! body is not audited and the call graph does not traverse through it —
-//! the escape hatch for cold entry wrappers that share a name with hot
-//! code.
+//! (`hot-path`, `unsafe`, …) and the reason after the second colon must
+//! be non-empty. A waiver placed on the line of an `fn` definition (or
+//! directly above it) exempts the *whole function*: its body is not
+//! audited and the call graph does not traverse through it — the escape
+//! hatch for cold entry wrappers that share a name with hot code.
 //!
-//! The taint checks use a dedicated marker with the same placement
-//! rules (trailing or standalone-above; on an `fn` line it exempts the
-//! whole function from taint analysis):
-//!
-//! ```text
-//! // slc-lint: trusted(count is a u8 wire field, the sum cannot wrap)
-//! ```
-//!
-//! `trusted(…)` covers **both** `wire-taint` and `taint-arith` at its
-//! target line — a reviewed site is trusted as a whole, not per check —
-//! and the reason must be non-empty.
-//!
-//! Every `allow(…)`/`trusted(…)` waiver in the workspace is additionally
-//! pinned by `tools/lint/waivers.lock` (check **`waiver-debt`**, see
-//! [`debt`]): a new waiver fails CI until the lock is regenerated with
+//! Every `allow(…)` waiver in the workspace is additionally pinned by
+//! `tools/lint/waivers.lock` (check **`waiver-debt`**, see [`debt`]): a
+//! new waiver fails CI until the lock is regenerated with
 //! `--update-waiver-lock`, so waiver debt cannot grow silently.
 //!
 //! # Hot-path manifest format (`tools/lint/hot_paths.txt`)
@@ -86,21 +68,6 @@
 //! that name in the file (so `cfg`-duplicated definitions are all
 //! audited). A root that no longer resolves is itself a finding — the
 //! manifest cannot silently rot.
-//!
-//! # Taint manifest format (`tools/lint/untrusted.txt`)
-//!
-//! One entry per line, `#` comments allowed:
-//!
-//! ```text
-//! source    crates/engine/src/container.rs::le_u32
-//! sanitizer crates/engine/src/container.rs::parse
-//! ```
-//!
-//! A `source` is a function whose return value is wire-controlled; a
-//! `sanitizer` is a validation gate whose return value is clean no
-//! matter what went in. Entries resolve through the call graph (path
-//! and file must both match), and an entry that no longer resolves is
-//! itself a finding — the manifest cannot silently rot.
 //!
 //! # Regenerating the locks
 //!
@@ -138,7 +105,6 @@ pub mod hygiene;
 pub mod lexer;
 pub mod rows;
 pub mod scan;
-pub mod taint;
 pub mod wire;
 
 use scan::FileIndex;
@@ -237,13 +203,7 @@ impl Workspace {
     }
 }
 
-/// The pseudo-check name under which `trusted(…)` waivers are recorded:
-/// one `trusted` marker covers both taint checks at its target line.
-pub const TRUSTED: &str = "trusted";
-
-/// A parsed waiver: `// slc-lint: allow(<check>): <reason>`, or the
-/// taint form `// slc-lint: trusted(<reason>)` (recorded with `check ==`
-/// [`TRUSTED`]).
+/// A parsed waiver: `// slc-lint: allow(<check>): <reason>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waiver {
     pub check: String,
@@ -289,27 +249,16 @@ pub fn waivers(file: &FileIndex) -> Vec<Waiver> {
 
 /// Parses the waiver marker out of one comment's text.
 fn parse_waiver_text(text: &str) -> Option<(String, String)> {
-    if let Some(at) = text.find("slc-lint: allow(") {
-        let rest = &text[at + "slc-lint: allow(".len()..];
-        let close = rest.find(')')?;
-        let check = rest[..close].trim().to_string();
-        let after = rest[close + 1..].trim_start();
-        let reason = after.strip_prefix(':')?.trim().to_string();
-        if check.is_empty() || reason.is_empty() {
-            return None;
-        }
-        return Some((check, reason));
-    }
-    // Taint form: the reason lives inside the parens (and may itself
-    // contain parens, so match the *last* close on the comment line).
-    let at = text.find("slc-lint: trusted(")?;
-    let rest = &text[at + "slc-lint: trusted(".len()..];
-    let close = rest.rfind(')')?;
-    let reason = rest[..close].trim().to_string();
-    if reason.is_empty() {
+    let at = text.find("slc-lint: allow(")?;
+    let rest = &text[at + "slc-lint: allow(".len()..];
+    let close = rest.find(')')?;
+    let check = rest[..close].trim().to_string();
+    let after = rest[close + 1..].trim_start();
+    let reason = after.strip_prefix(':')?.trim().to_string();
+    if check.is_empty() || reason.is_empty() {
         return None;
     }
-    Some((TRUSTED.to_string(), reason))
+    Some((check, reason))
 }
 
 /// True when a finding of `check` at `line` in `file` is waived.
@@ -320,11 +269,6 @@ pub fn is_waived(file: &FileIndex, check: &str, line: u32) -> bool {
 /// The exact syntax hint printed under failures, so a finding's fix is
 /// copy-pasteable from CI output.
 pub fn waiver_hint(check: &str) -> String {
-    if check == taint::WIRE_TAINT || check == taint::TAINT_ARITH {
-        return "to waive a reviewed site, annotate it with: \
-                // slc-lint: trusted(<non-empty reason>)"
-            .to_string();
-    }
     if check == debt::WAIVER_DEBT {
         return "review the waiver change, then regenerate the lock with \
                 `cargo run --release -p slc-lint -- --update-waiver-lock`"
@@ -481,31 +425,20 @@ mod tests {
     }
 
     #[test]
-    fn trusted_waiver_parsing() {
-        assert_eq!(
-            parse_waiver_text(" slc-lint: trusted(n <= 256 (a u8 field) cannot wrap)"),
-            Some((TRUSTED.to_string(), "n <= 256 (a u8 field) cannot wrap".to_string())),
-            "reason may contain parens; the last close wins"
-        );
-        assert_eq!(parse_waiver_text(" slc-lint: trusted()"), None, "empty reason");
-        assert_eq!(parse_waiver_text(" slc-lint: trusted"), None, "no parens");
-    }
-
-    #[test]
     fn trailing_and_standalone_waiver_targets() {
         let file = FileIndex::build(
             "crates/x/src/lib.rs",
             "x",
             "fn f() {\n    work(); // slc-lint: allow(hot-path): trailing reason\n    \
-             // slc-lint: allow(assert): standalone reason\n    // continues\n    more();\n}\n",
+             // slc-lint: allow(unsafe): standalone reason\n    // continues\n    more();\n}\n",
         );
         let ws = waivers(&file);
         assert_eq!(ws.len(), 2);
         assert_eq!((ws[0].check.as_str(), ws[0].target_line), ("hot-path", 2));
-        assert_eq!((ws[1].check.as_str(), ws[1].target_line), ("assert", 5));
+        assert_eq!((ws[1].check.as_str(), ws[1].target_line), ("unsafe", 5));
         assert!(is_waived(&file, "hot-path", 2));
         assert!(!is_waived(&file, "hot-path", 5));
-        assert!(is_waived(&file, "assert", 5));
+        assert!(is_waived(&file, "unsafe", 5));
     }
 
     #[test]
@@ -516,8 +449,8 @@ mod tests {
             "crates/x/src/lib.rs",
             "x",
             "/// Waive with `// slc-lint: allow(hot-path): <reason>`.\n\
-             //! Or taint: // slc-lint: trusted(reviewed)\n\
-             /** block doc: slc-lint: allow(assert): nope */\n\
+             //! Or: // slc-lint: allow(unsafe): reviewed\n\
+             /** block doc: slc-lint: allow(hot-path): nope */\n\
              fn f() {\n    work();\n}\n",
         );
         assert!(waivers(&file).is_empty(), "{:?}", waivers(&file));

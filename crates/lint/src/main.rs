@@ -16,7 +16,7 @@
 //! tool could not do its job — also surfaced as findings), so CI can
 //! gate on it directly; see the crate docs for the full taxonomy.
 
-use slc_lint::{debt, graph, hygiene, rows, taint, waiver_hint, wire, Finding, Workspace};
+use slc_lint::{debt, graph, hygiene, rows, waiver_hint, wire, Finding, Workspace};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -80,7 +80,7 @@ fn main() -> ExitCode {
 
     let mut findings: Vec<Finding> = Vec::new();
 
-    // 1 + 4: hot-path audit and assert policy share the call graph.
+    // 1: hot-path audit.
     match std::fs::read_to_string(root.join(HOT_PATHS_MANIFEST)) {
         Ok(text) => {
             let manifest = graph::parse_manifest(&text);
@@ -116,7 +116,7 @@ fn main() -> ExitCode {
         }),
     }
 
-    // 5: bench-row cross-check.
+    // 4: bench-row cross-check.
     let mut manifests = Vec::new();
     for path in ["tools/bench_rows.txt", "tools/eval_rows.txt"] {
         match std::fs::read_to_string(root.join(path)) {
@@ -131,22 +131,7 @@ fn main() -> ExitCode {
     }
     findings.extend(rows::check_rows(&ws, &manifests));
 
-    // 6 + 7: wire-taint dataflow + tainted arithmetic.
-    match std::fs::read_to_string(root.join(taint::MANIFEST)) {
-        Ok(text) => {
-            let manifest = taint::parse_manifest(&text);
-            note(&format!("slc-lint: tracking {} taint sources/sanitizers", manifest.len()));
-            findings.extend(taint::check_taint(&ws, &manifest));
-        }
-        Err(e) => findings.push(Finding {
-            check: taint::WIRE_TAINT,
-            file: taint::MANIFEST.to_string(),
-            line: 0,
-            message: format!("cannot read taint manifest: {e}"),
-        }),
-    }
-
-    // 8: waiver-debt lock.
+    // The waiver-debt lock.
     match std::fs::read_to_string(root.join(debt::LOCK_PATH)) {
         Ok(text) => {
             findings.extend(debt::check_lock(&debt_snapshot, &debt::parse_lock(&text)));

@@ -66,10 +66,6 @@ pub struct FnDef {
     /// Token index range of the body (within [`FileIndex::lexed`]),
     /// empty for bodyless trait declarations.
     pub body: std::ops::Range<usize>,
-    /// Parameter binding names, in declaration order (`self` and
-    /// destructured patterns are skipped — the taint pass only needs
-    /// plain `name: Type` bindings).
-    pub params: Vec<String>,
 }
 
 /// What kind of `unsafe` occurrence a site is.
@@ -340,7 +336,6 @@ impl FileIndex {
             None => (0..0, j + 1),
         };
         let calls = collect_calls(toks, body.clone(), owner.as_deref());
-        let params = collect_params(toks, i + 2, body_open.unwrap_or(j));
         // Nested fns inside this body are still scanned by the outer
         // loop; `current_fn` attribution for unsafe blocks uses the
         // innermost fn whose body covers them. A simple assignment is
@@ -354,7 +349,6 @@ impl FileIndex {
             is_unsafe,
             calls,
             body: body.clone(),
-            params,
         });
         // Continue scanning *inside* the body (for nested items and
         // unsafe blocks) rather than skipping it.
@@ -819,52 +813,6 @@ fn collect_calls(
     out
 }
 
-/// Extracts parameter binding names from a `fn` signature: the idents
-/// immediately followed by `:` at paren depth 1 of the first `(…)`
-/// group between `sig_start` (just past the fn name) and `sig_end` (the
-/// body `{` / terminating `;`). `self` receivers and destructured
-/// patterns contribute nothing — the taint pass only tracks plain
-/// named bindings.
-fn collect_params(toks: &[Token], sig_start: usize, sig_end: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut j = sig_start;
-    // Skip a generics group between the name and the parameter list
-    // (`fn f<T: AsRef<[u8]>>(x: T)`).
-    while j < sig_end {
-        match &toks[j].kind {
-            TokenKind::Punct('<') => j = skip_angles(toks, j),
-            TokenKind::Punct('(') => break,
-            _ => j += 1,
-        }
-    }
-    if j >= sig_end {
-        return out;
-    }
-    let mut depth = 0i32;
-    while j < sig_end {
-        match &toks[j].kind {
-            TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-            TokenKind::Punct(')') | TokenKind::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            TokenKind::Ident(w)
-                if depth == 1
-                    && toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
-                    && !toks.get(j + 2).is_some_and(|n| n.is_punct(':'))
-                    && w != "self" =>
-            {
-                out.push(w.clone());
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    out
-}
-
 /// Skips a balanced `<…>` group starting at the `<` at `i`, returning
 /// the index just past the matching `>`.
 fn skip_angles(toks: &[Token], i: usize) -> usize {
@@ -912,26 +860,6 @@ mod tests {
                 ("run", Some("Engine")),
                 ("code", Some("Coder")),
                 ("free", None)
-            ]
-        );
-    }
-
-    #[test]
-    fn params_are_captured_by_name() {
-        let idx = index(
-            "fn f(a: u32, mut b: &[u8], c: std::ops::Range<usize>) {}\n\
-             impl E { fn m<T: AsRef<[u8]>>(&mut self, src: T, at: usize) -> u8 { 0 } }\n\
-             fn g() {}\n\
-             trait T { fn decl(&self, n: usize); }",
-        );
-        let params: Vec<_> = idx.fns.iter().map(|f| (f.name.as_str(), f.params.clone())).collect();
-        assert_eq!(
-            params,
-            [
-                ("f", vec!["a".to_string(), "b".to_string(), "c".to_string()]),
-                ("m", vec!["src".to_string(), "at".to_string()]),
-                ("g", vec![]),
-                ("decl", vec!["n".to_string()]),
             ]
         );
     }

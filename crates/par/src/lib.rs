@@ -120,16 +120,6 @@ where
         .collect()
 }
 
-/// Borrowed-input variant of [`par_map`].
-pub fn par_map_ref<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map(items.iter().collect(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,12 +172,6 @@ mod tests {
     fn empty_and_single() {
         assert_eq!(par_map(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(par_map(vec![7], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn ref_variant_borrows() {
-        let items = vec![String::from("a"), String::from("bb")];
-        assert_eq!(par_map_ref(&items, |s| s.len()), vec![1, 2]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::analysis::{AnalyzedBlock, SizeSnapshot, SnapshotAnalysis};
 use slc_compress::e2mc::{BlockAnalysis, E2mc};
-use slc_compress::{Block, Mag, BLOCK_BYTES};
+use slc_compress::{Mag, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_sim::dense::DenseAddrMap;
 use slc_sim::mc::BurstsMap;
@@ -144,23 +144,11 @@ impl Scheme {
         }
     }
 
-    /// Bursts one block costs under `mag`, given whether it lives in a
-    /// safe-to-approximate region.
-    pub fn bursts_for_block(&self, block: &Block, mag: Mag, approximable: bool) -> u32 {
-        match self {
-            Scheme::Uncompressed => mag.bursts_for_bytes(BLOCK_BYTES as u32, BLOCK_BYTES as u32),
-            _ => self.bursts_for_analysis(
-                &self.e2mc().expect("compressed schemes carry a table").analyze(block),
-                mag,
-                approximable,
-            ),
-        }
-    }
-
-    /// [`bursts_for_block`](Self::bursts_for_block) over a precomputed
-    /// analysis — the decision sweep of the shared pipeline. `analysis`
-    /// must come from this scheme's trained table (checked at the
-    /// snapshot level by [`SnapshotAnalysis::matches`]).
+    /// Bursts one analysed block costs under `mag`, given whether it
+    /// lives in a safe-to-approximate region — the decision sweep of the
+    /// shared pipeline. `analysis` must come from this scheme's trained
+    /// table (checked at the snapshot level by
+    /// [`SnapshotAnalysis::matches`]).
     pub fn bursts_for_analysis(
         &self,
         analysis: &BlockAnalysis,
@@ -236,24 +224,6 @@ impl BurstsAccumulator {
         cell.1 += 1;
     }
 
-    /// Records the burst counts of every region block in `mem` under
-    /// `scheme`, borrowing each block in place (no region-table clone,
-    /// no per-block copy). This is the re-encoding reference path; the
-    /// shared pipeline records precomputed analyses via
-    /// [`record`](Self::record).
-    pub fn snapshot(&mut self, scheme: &Scheme, mem: &GpuMemory) {
-        if matches!(scheme, Scheme::Uncompressed) {
-            return;
-        }
-        let mag = self.mag;
-        for (region, addr, block) in mem.blocks_with_addr() {
-            let bursts = scheme.bursts_for_block(block, mag, region.safe_to_approx);
-            let cell = &mut self.cells.run_slice(addr, 1)[0];
-            cell.0 += u64::from(bursts);
-            cell.1 += 1;
-        }
-    }
-
     /// Records one already-analysed snapshot under `scheme`: the cheap
     /// decision sweep of the shared pipeline — no block is re-encoded,
     /// and each contiguous address run of the snapshot updates its dense
@@ -265,7 +235,7 @@ impl BurstsAccumulator {
     /// table than the scheme's (the analyses would be meaningless).
     pub fn record(&mut self, scheme: &Scheme, snapshot: &SnapshotAnalysis) {
         let Some(e2mc) = scheme.e2mc() else {
-            return; // Uncompressed records nothing, as in `snapshot`.
+            return; // Uncompressed has no table and records nothing.
         };
         assert!(
             snapshot.matches(e2mc),
@@ -425,9 +395,15 @@ mod tests {
             Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt),
             Scheme::slc(e.clone(), Mag::NARROW_16, 8, SlcVariant::TslcSimp),
         ] {
+            // Block by block, no runs, against the run-sliced sweep.
             let mut direct = BurstsAccumulator::new(Mag::GDDR5);
-            direct.snapshot(&scheme, &mem);
-            let snap = SnapshotAnalysis::capture(scheme.e2mc().unwrap(), &mem);
+            for (region, addr, block) in mem.blocks_with_addr() {
+                let analysis = e.analyze(block);
+                let bursts =
+                    scheme.bursts_for_analysis(&analysis, Mag::GDDR5, region.safe_to_approx);
+                direct.record_one(addr, bursts);
+            }
+            let snap = SnapshotAnalysis::capture(&e, &mem);
             let mut swept = BurstsAccumulator::new(Mag::GDDR5);
             swept.record(&scheme, &snap);
             assert_eq!(direct.into_map(), swept.into_map());
@@ -469,20 +445,21 @@ mod tests {
     #[test]
     fn snapshot_count_is_min_over_blocks() {
         let e = trained();
-        let scheme = Scheme::E2mc(e);
+        let scheme = Scheme::E2mc(e.clone());
         let small = filled_memory();
         let mut bigger = filled_memory();
         let extra = bigger.malloc("late", 256, true, 16);
         bigger.write_f32(extra, &vec![3.0f32; 64]);
+        let small_snap = SnapshotAnalysis::capture(&e, &small);
         let mut acc = BurstsAccumulator::new(Mag::GDDR5);
-        acc.snapshot(&scheme, &small);
+        acc.record(&scheme, &small_snap);
         assert_eq!(acc.snapshots(), 1);
-        acc.snapshot(&scheme, &small);
+        acc.record(&scheme, &small_snap);
         assert_eq!(acc.snapshots(), 2);
         // Blocks of the extra region have been folded only once; the
         // deterministic answer is the minimum, never whichever block the
         // hash map happens to yield first.
-        acc.snapshot(&scheme, &bigger);
+        acc.record(&scheme, &SnapshotAnalysis::capture(&e, &bigger));
         assert_eq!(acc.snapshots(), 1);
     }
 
@@ -519,13 +496,14 @@ mod tests {
     fn slc_bursts_never_exceed_lossless() {
         let e = trained();
         let slc = Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
-        let lossless = Scheme::E2mc(e);
+        let lossless = Scheme::E2mc(e.clone());
         let mut block = [0u8; BLOCK_BYTES];
         for (i, c) in block.chunks_exact_mut(4).enumerate() {
             c.copy_from_slice(&(((i * 3) % 512) as f32).to_le_bytes());
         }
-        let a = slc.bursts_for_block(&block, Mag::GDDR5, true);
-        let b = lossless.bursts_for_block(&block, Mag::GDDR5, true);
+        let analysis = e.analyze(&block);
+        let a = slc.bursts_for_analysis(&analysis, Mag::GDDR5, true);
+        let b = lossless.bursts_for_analysis(&analysis, Mag::GDDR5, true);
         assert!(a <= b);
     }
 }

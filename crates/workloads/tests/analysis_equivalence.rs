@@ -1,16 +1,17 @@
 //! Pin of the shared-analysis pipeline: burst maps computed by sweeping a
-//! per-snapshot [`SnapshotAnalysis`] are **bit-identical** to the direct
-//! per-block [`Scheme::bursts_for_block`] path, across random memory
+//! per-snapshot [`SnapshotAnalysis`] are **bit-identical** to encoding
+//! every block for real and counting the bursts its stored form needs
+//! ([`encoded_bursts`], the oracle this file owns), across random memory
 //! images, every MAG, a spread of thresholds and all TSLC variants.
 //!
 //! This is the equivalence contract the multi-layer refactor rests on:
 //! one E2MC analysis pass per snapshot may serve every scheme, variant
-//! and threshold only because each decision sweep reproduces the
-//! re-encoding path exactly.
+//! and threshold only because each decision sweep reproduces what an
+//! encode would have stored exactly.
 
 use proptest::prelude::*;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
-use slc_compress::{Block, Mag, BLOCK_BYTES};
+use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::SlcVariant;
 use slc_sim::mc::{BurstsMap, BurstsSource};
 use slc_sim::GpuMemory;
@@ -93,10 +94,31 @@ fn build_memory(region_blocks: &[(bool, u8)], seed: u64) -> GpuMemory {
     mem
 }
 
-/// The reference path: per-block re-encoding via `bursts_for_block`.
+/// The oracle: bursts of the form an actual encode of `block` stores —
+/// SLC's own output for an approximable block under an SLC scheme, the
+/// E2MC bitstream otherwise. Nothing here reads a `BlockAnalysis`.
+fn encoded_bursts(scheme: &Scheme, block: &Block, mag: Mag, approximable: bool) -> u32 {
+    match scheme {
+        Scheme::Slc(slc) if approximable => slc.compress(block).bursts(),
+        _ => {
+            let e2mc = scheme.e2mc().expect("compressed schemes carry a table");
+            let stored = BlockCompressor::compress(e2mc, block);
+            mag.bursts_for_bits(stored.size_bits(), BLOCK_BYTES as u32)
+        }
+    }
+}
+
+/// The reference path: every block of `mem` encoded and folded in one
+/// by one.
+fn record_encoded(acc: &mut BurstsAccumulator, scheme: &Scheme, mem: &GpuMemory) {
+    for (region, addr, block) in mem.blocks_with_addr() {
+        acc.record_one(addr, encoded_bursts(scheme, block, acc.mag(), region.safe_to_approx));
+    }
+}
+
 fn direct_map(scheme: &Scheme, mem: &GpuMemory, mag: Mag) -> BurstsMap {
     let mut acc = BurstsAccumulator::new(mag);
-    acc.snapshot(scheme, mem);
+    record_encoded(&mut acc, scheme, mem);
     acc.into_map()
 }
 
@@ -155,13 +177,13 @@ proptest! {
                 let scheme = Scheme::slc(e2mc.clone(), mag, threshold, variant);
                 prop_assert_eq!(
                     scheme.bursts_for_analysis(&analysis, mag, approximable),
-                    scheme.bursts_for_block(&block, mag, approximable)
+                    encoded_bursts(&scheme, &block, mag, approximable)
                 );
             }
             let lossless = Scheme::E2mc(e2mc.clone());
             prop_assert_eq!(
                 lossless.bursts_for_analysis(&analysis, mag, approximable),
-                lossless.bursts_for_block(&block, mag, approximable)
+                encoded_bursts(&lossless, &block, mag, approximable)
             );
         }
     }
@@ -263,8 +285,8 @@ fn corpus_exercises_every_storage_mode() {
 #[test]
 fn staged_snapshots_match_direct_accumulation_over_boundaries() {
     // Multi-snapshot folding (the harness' per-boundary mean) must agree
-    // between the fused stage-and-analyse pass and stage + direct
-    // re-encoding, including across evolving memory states.
+    // between the fused stage-and-analyse pass and stage + encoding
+    // every block, including across evolving memory states.
     let e2mc = trained();
     for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
         let scheme = Scheme::slc(e2mc.clone(), Mag::GDDR5, 16, variant);
@@ -277,7 +299,7 @@ fn staged_snapshots_match_direct_accumulation_over_boundaries() {
             let snap = scheme.stage_analyzed(&mut fused_mem).expect("slc has a table");
             fused.record(&scheme, &snap);
             scheme.stage(&mut legacy_mem);
-            legacy.snapshot(&scheme, &legacy_mem);
+            record_encoded(&mut legacy, &scheme, &legacy_mem);
             // Perturb both memories identically between boundaries, as a
             // kernel would.
             for mem in [&mut fused_mem, &mut legacy_mem] {

@@ -1,8 +1,9 @@
 //! Container hardening: corruption barrages against the framed
 //! container format. Whatever the corruption — truncation at any byte
 //! boundary, bit flips anywhere, directory entries lying about offsets,
-//! sizes or modes, block tags and rANS table fields swept over every
-//! value they can hold, a header naming the wrong codec —
+//! sizes or modes, header geometry, directory bytes, block tags and rANS
+//! table fields swept over every value they can hold, a header naming
+//! the wrong codec —
 //! [`Engine::decompress`] must return an error or decode to *some*
 //! full-size buffer. It must never panic (nothing here would catch
 //! one), read out of bounds, or allocate from a lying length field.
@@ -18,6 +19,7 @@ use slc::slc_compress::sc2::Sc2;
 use slc::slc_compress::{BlockCodec, CodecId, BLOCK_BITS};
 use slc::slc_engine::{
     frame_info, ContainerError, Engine, Frame, StorageMode, Threads, DIR_ENTRY_BYTES, HEADER_BYTES,
+    MAX_CHUNK_BYTES,
 };
 use std::sync::Arc;
 
@@ -341,6 +343,81 @@ fn header_field_tampering_is_rejected() {
 }
 
 #[test]
+fn header_geometry_and_directory_bytes_swept_over_all_values() {
+    // The integers `Frame::parse` reads — `chunk_bytes`, `chunk_count`,
+    // `total_len` (header bytes 8..24) and all 13 bytes of every
+    // directory entry — one byte at a time over all 256 values. A raw
+    // chunk, coded chunks and a ragged coded tail, so a tampered
+    // `total_len` that keeps the chunk count reaches the block walk with
+    // a different output length.
+    let mut data = registry_stream();
+    data.rotate_right(256);
+    data.truncate(956);
+    let bytes = training_bytes();
+    let codecs: [Arc<dyn BlockCodec>; 3] = [
+        Arc::new(Bdi::new()),
+        Arc::new(E2mc::train_on_bytes(&bytes, &E2mcConfig::default())),
+        Arc::new(Rans::new()),
+    ];
+    for codec in codecs {
+        let engine = Engine::new(codec).with_chunk_bytes(256);
+        let name = engine.codec_id().name();
+        let container = engine.compress(&data);
+        let info = frame_info(&container).unwrap();
+        assert!(info.raw_chunks > 0 && info.coded_chunks > 0, "{name}: need both storage modes");
+        let dir_end = HEADER_BYTES + info.chunk_count as usize * DIR_ENTRY_BYTES;
+        let mut hostile = container.clone();
+        for at in 8..dir_end {
+            for value in 0..=u8::MAX {
+                hostile[at] = value;
+                // A decode that succeeds owes the length its header claims.
+                let claimed = u64::from_le_bytes(*hostile[16..].first_chunk().unwrap());
+                assert_contained_under(&engine, &hostile, claimed as usize, &BOTH, || {
+                    format!("{name}: metadata byte {at} = {value:#04x}")
+                });
+            }
+            hostile[at] = container[at];
+        }
+        assert_eq!(engine.decompress(&hostile).unwrap(), data, "{name}: sweep restores");
+    }
+}
+
+#[test]
+fn header_claiming_terabytes_is_an_error_not_an_abort() {
+    // 1,300,024 bytes that `Frame::parse` accepts: 100,000 empty coded
+    // chunks of the largest legal chunk size, 1.5 TiB decoded. The owned
+    // output is sized by that header field alone.
+    let (chunk_bytes, chunk_count) = (MAX_CHUNK_BYTES as u32, 100_000u32);
+    let total_len = u64::from(chunk_bytes) * u64::from(chunk_count);
+    let mut hostile = b"SLC1".to_vec();
+    hostile.extend_from_slice(&1u16.to_le_bytes());
+    hostile.extend_from_slice(&[CodecId::Bdi.as_u8(), 0]);
+    hostile.extend_from_slice(&chunk_bytes.to_le_bytes());
+    hostile.extend_from_slice(&chunk_count.to_le_bytes());
+    hostile.extend_from_slice(&total_len.to_le_bytes());
+    for _ in 0..chunk_count {
+        hostile.extend_from_slice(&0u64.to_le_bytes());
+        hostile.extend_from_slice(&0u32.to_le_bytes());
+        hostile.push(StorageMode::Coded.as_u8());
+    }
+    assert_eq!(hostile.len(), 1_300_024);
+    assert_eq!(frame_info(&hostile).unwrap().total_len, total_len);
+    let engine = bdi_engine();
+    let refused = Err(ContainerError::OutputAllocFailed { total_len });
+    assert_eq!(engine.decompress(&hostile), refused);
+    for threads in BOTH {
+        assert_eq!(engine.decompress_threads(&hostile, threads), refused, "{threads:?}");
+    }
+    // The borrowed path never allocates from the header: the caller's
+    // buffer is simply the wrong size.
+    let mut small = [0u8; 256];
+    assert_eq!(
+        engine.decompress_into(&hostile, &mut small),
+        Err(ContainerError::OutputLenMismatch { total_len, out_len: 256 })
+    );
+}
+
+#[test]
 fn first_two_bytes_of_every_coded_chunk_swept_over_all_values() {
     // Structure-aware mutation: frame and directory stay valid, and the
     // first two bytes of each coded chunk take every value they can. For
@@ -406,9 +483,9 @@ fn hycomp_blocks_too_short_for_their_own_tag_are_chunk_corrupt() {
 
 #[test]
 fn rans_table_fields_swept_over_all_values() {
-    // The fields `tools/lint/untrusted.txt` names as taint sources, each
-    // over its whole range in every coded chunk: the count byte
-    // (`table_count`), and every 12-bit frequency field (`table_freq`).
+    // Every wire integer `parse_table` reads, each over its whole range
+    // in every coded chunk: the count byte, and every 12-bit frequency
+    // field.
     let engine = Engine::new(Arc::new(Rans::new())).with_chunk_bytes(256);
     let data = sample_stream();
     let container = engine.compress(&data);
