@@ -162,7 +162,7 @@ fn bench_slc_paths(c: &mut Criterion) {
                 i = (i + 1) % blocks.len();
                 blocks[i]
             },
-            |block| slc.roundtrip(&block),
+            |block| slc.decompress(&slc.compress(&block)),
             BatchSize::SmallInput,
         )
     });

@@ -90,7 +90,7 @@ impl<'a> BitWriter<'a> {
     /// masks its values. Note that for `width == 64` every `u64` fits, so
     /// the value check applies only to `width < 64` (`(1u64 << 64)` would
     /// overflow — the guard must never be written as a single shift).
-    /// Release builds additionally mask in [`push`](Self::push), so a
+    /// Release builds additionally mask in the private `push`, so a
     /// contract violation corrupts at most its own field, never the
     /// already-staged bits.
     #[inline]

@@ -180,20 +180,9 @@ impl SymbolTable {
         Self { code, escape_entry, top: symbols, enc, dec, bits }
     }
 
-    /// Encoded length of `symbol` in bits (escape + 16 raw bits when the
-    /// symbol is not in the table).
-    pub fn symbol_bits(&self, symbol: u16) -> u32 {
-        self.bits[symbol as usize] as u32
-    }
-
     /// Total cost of an escaped symbol.
     pub fn escape_bits(&self) -> u32 {
         self.code.length(self.escape_entry) + 16
-    }
-
-    /// Number of symbols holding dedicated codes.
-    pub fn coded_symbols(&self) -> usize {
-        self.top.len()
     }
 
     /// Appends the codeword(s) for `symbol` — one precomputed write, even

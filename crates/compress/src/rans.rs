@@ -55,7 +55,7 @@
 //! But the natural unit for an entropy coder is the engine *chunk*: one
 //! frequency gather and one shared table amortised over all blocks of a
 //! 64 KiB chunk. [`Rans`] therefore also implements
-//! [`ChunkCoder`](crate::codec::ChunkCoder), and the engine routes whole
+//! [`ChunkCoder`], and the engine routes whole
 //! chunks through [`encode_stream`]/[`decode_stream`] — zero container
 //! format changes, because a `Coded` chunk's byte interpretation belongs
 //! to the codec named in the header.

@@ -30,10 +30,9 @@
 //! [`stored_bits_with`](slc::SlcCompressor::stored_bits_with),
 //! [`stored_bursts_with`](slc::SlcCompressor::stored_bursts_with) and
 //! [`compress_with`](slc::SlcCompressor::compress_with) take a
-//! `&BlockAnalysis`; only the encoders keep a block-taking convenience
-//! ([`compress`](slc::SlcCompressor::compress),
-//! [`roundtrip`](slc::SlcCompressor::roundtrip)) that derives the
-//! analysis internally.
+//! `&BlockAnalysis`; only [`compress`](slc::SlcCompressor::compress)
+//! keeps a block-taking convenience that derives the analysis
+//! internally.
 //!
 //! **Sharing contract:** an analysis is valid for any number of
 //! consumers as long as (a) it was produced by the *same trained table*

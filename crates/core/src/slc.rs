@@ -115,14 +115,14 @@ pub enum FitOutcome {
     /// The full lossless stream fits the budget even though the
     /// fault-free pipeline stores this block verbatim (compressing saved
     /// no bursts at full row capacity — it saves the row now). No data
-    /// loss; encode with [`SlcCompressor::compress_lossless_with`].
+    /// loss; encode with [`SlcCompressor::compress_fitted`].
     Lossless {
         /// Stored size in bits (the lossless E2MC size under SLC
         /// framing), `<= budget_bits`.
         bits: u32,
     },
     /// A *deeper* lossy truncation than the fault-free decision fits the
-    /// budget — encode with [`SlcCompressor::compress_degraded`].
+    /// budget — encode with [`SlcCompressor::compress_fitted`].
     Degraded {
         /// Stored size in bits, `<= budget_bits`.
         bits: u32,
@@ -261,22 +261,35 @@ impl SlcCompressor {
         (decision, selection)
     }
 
+    /// The stored form the fault-free pipeline gives a block, with the
+    /// Fig. 4 decision behind it — the one place the (mode, selection)
+    /// pair becomes a [`StoredKind`], shared by sizing and encoding.
+    fn natural_form(&self, analysis: &BlockAnalysis) -> (BudgetDecision, StoredKind) {
+        let (decision, selection) = self.analyze_with(analysis);
+        let kind = match (decision.mode, selection) {
+            (ModeChoice::Uncompressed, _) => StoredKind::Uncompressed,
+            (ModeChoice::Lossy, Some(selection)) => StoredKind::Lossy { selection },
+            (ModeChoice::Lossless, _) | (ModeChoice::Lossy, None) => {
+                if self.lossless_saves_nothing(decision.comp_size_bits) {
+                    StoredKind::Uncompressed
+                } else {
+                    StoredKind::Lossless
+                }
+            }
+        };
+        (decision, kind)
+    }
+
     /// Stored size in bits and whether the block goes lossy, without
     /// encoding anything — the fast path for burst accounting (hardware
     /// likewise derives the burst count from the code-length sum alone).
     pub fn stored_bits_with(&self, analysis: &BlockAnalysis) -> (u32, bool) {
-        let (decision, selection) = self.analyze_with(analysis);
-        match (decision.mode, selection) {
-            (ModeChoice::Uncompressed, _) => (BLOCK_BITS, false),
-            (ModeChoice::Lossless, _) | (ModeChoice::Lossy, None) => {
-                if self.lossless_saves_nothing(decision.comp_size_bits) {
-                    (BLOCK_BITS, false)
-                } else {
-                    (decision.comp_size_bits, false)
-                }
-            }
-            (ModeChoice::Lossy, Some(sel)) => {
-                (decision.comp_size_bits - sel.freed_bits + crate::header::LOSSY_HEADER_DELTA, true)
+        let (decision, kind) = self.natural_form(analysis);
+        match kind {
+            StoredKind::Uncompressed => (BLOCK_BITS, false),
+            StoredKind::Lossless => (decision.comp_size_bits, false),
+            StoredKind::Lossy { selection } => {
+                (decision.comp_size_bits - selection.freed_bits + LOSSY_HEADER_DELTA, true)
             }
         }
     }
@@ -306,7 +319,7 @@ impl SlcCompressor {
     /// `comp_size + LOSSY_HEADER_DELTA - budget_bits` codeword bits;
     /// otherwise [`FitOutcome::Unstorable`]. A `Degraded` verdict's
     /// `bits` is guaranteed `<= budget_bits` and matches what
-    /// [`compress_degraded`](Self::compress_degraded) actually encodes.
+    /// [`compress_fitted`](Self::compress_fitted) actually encodes.
     pub fn fit_within_with(&self, analysis: &BlockAnalysis, budget_bits: u32) -> FitOutcome {
         let (bits, lossy) = self.stored_bits_with(analysis);
         if bits <= budget_bits {
@@ -333,46 +346,40 @@ impl SlcCompressor {
         }
     }
 
-    /// Encodes the stored form a [`FitOutcome::Lossless`] verdict from
-    /// [`fit_within_with`](Self::fit_within_with) promised: the block's
-    /// full lossless stream under SLC framing, bypassing the
-    /// burst-saving check that would store it verbatim at full capacity.
-    /// Round-trips exactly.
-    pub fn compress_lossless_with(&self, block: &Block, analysis: &BlockAnalysis) -> SlcCompressed {
-        let comp = LOSSLESS_HEADER_BITS + analysis.total_code_bits();
-        let decision = BudgetDecision {
-            comp_size_bits: comp,
-            bit_budget: comp,
-            extra_bits: 0,
-            mode: ModeChoice::Lossless,
-        };
-        self.store_lossless(block, decision)
-    }
-
-    /// Encodes the stored form a [`FitOutcome::Degraded`] verdict from
-    /// [`fit_within_with`](Self::fit_within_with) promised: the block with
-    /// `selection`'s symbols truncated, under a synthetic budget decision
-    /// whose bit budget is the faulty row's surviving capacity.
+    /// Encodes the stored form a [`fit_within_with`](Self::fit_within_with)
+    /// verdict names: the full lossless stream for `Lossless` (bypassing
+    /// the burst-saving check that would store it verbatim at full
+    /// capacity; round-trips exactly), the block with `selection`'s
+    /// symbols truncated for `Degraded`. `Natural` and `Unstorable` encode
+    /// as [`compress_with`](Self::compress_with) does — an unstorable
+    /// block lives in a spare row, or nowhere, in its fault-free form.
     ///
-    /// `analysis` must be this block's (same contract as
-    /// [`compress_with`](Self::compress_with)), and `selection` must come
-    /// from a `Degraded` verdict at this `budget_bits` — the encoded
-    /// stream is asserted to fit it.
-    pub fn compress_degraded(
+    /// `analysis` must be this block's and `fit` a verdict for it; the
+    /// encoded stream is asserted to be the size the verdict promised.
+    pub fn compress_fitted(
         &self,
         block: &Block,
         analysis: &BlockAnalysis,
-        selection: Selection,
-        budget_bits: u32,
+        fit: FitOutcome,
     ) -> SlcCompressed {
+        let (bits, mode, kind) = match fit {
+            FitOutcome::Natural { .. } | FitOutcome::Unstorable => {
+                return self.compress_with(block, analysis)
+            }
+            FitOutcome::Lossless { bits } => (bits, ModeChoice::Lossless, StoredKind::Lossless),
+            FitOutcome::Degraded { bits, selection } => {
+                (bits, ModeChoice::Lossy, StoredKind::Lossy { selection })
+            }
+        };
+        // A synthetic decision whose bit budget is the promised size.
         let comp = LOSSLESS_HEADER_BITS + analysis.total_code_bits();
         let decision = BudgetDecision {
             comp_size_bits: comp,
-            bit_budget: budget_bits,
-            extra_bits: comp.saturating_sub(budget_bits),
-            mode: ModeChoice::Lossy,
+            bit_budget: bits,
+            extra_bits: comp - bits,
+            mode,
         };
-        self.store_lossy(block, decision, selection)
+        self.store(block, decision, kind)
     }
 
     /// Compresses one block.
@@ -390,17 +397,15 @@ impl SlcCompressor {
     /// [`E2mc::analyze`] on the same trained table) for this block;
     /// handing in another block's analysis produces a wrong-size stream.
     pub fn compress_with(&self, block: &Block, analysis: &BlockAnalysis) -> SlcCompressed {
-        let (decision, selection) = self.analyze_with(analysis);
-        match (decision.mode, selection) {
-            (ModeChoice::Uncompressed, _) => self.store_uncompressed(block, decision),
-            (ModeChoice::Lossless, _) | (ModeChoice::Lossy, None) => {
-                if self.lossless_saves_nothing(decision.comp_size_bits) {
-                    self.store_uncompressed(block, decision)
-                } else {
-                    self.store_lossless(block, decision)
-                }
-            }
-            (ModeChoice::Lossy, Some(sel)) => self.store_lossy(block, decision, sel),
+        let (decision, kind) = self.natural_form(analysis);
+        self.store(block, decision, kind)
+    }
+
+    fn store(&self, block: &Block, decision: BudgetDecision, kind: StoredKind) -> SlcCompressed {
+        match kind {
+            StoredKind::Uncompressed => self.store_uncompressed(block, decision),
+            StoredKind::Lossless => self.store_lossless(block, decision),
+            StoredKind::Lossy { selection } => self.store_lossy(block, decision, selection),
         }
     }
 
@@ -540,13 +545,6 @@ impl SlcCompressor {
             fill_approximated(&mut symbols, hole.start, hole.len(), self.config.predictor);
         }
         Ok(symbols_to_block(&symbols))
-    }
-
-    /// Compress-then-decompress convenience: what a load returns after the
-    /// block has travelled through DRAM, plus the stored form.
-    pub fn roundtrip(&self, block: &Block) -> (Block, SlcCompressed) {
-        let c = self.compress(block);
-        (self.decompress(&c), c)
     }
 }
 
@@ -829,10 +827,11 @@ mod tests {
             // the Degraded rung whatever this block's natural size is.
             let (natural_bits, _) = s.stored_bits_with(&a);
             let budget = natural_bits.saturating_sub(16).max(crate::header::LOSSY_HEADER_BITS);
-            if let FitOutcome::Degraded { bits, selection } = s.fit_within_with(&a, budget) {
+            let fit = s.fit_within_with(&a, budget);
+            if let FitOutcome::Degraded { bits, selection } = fit {
                 degraded_seen += 1;
                 assert!(bits <= budget);
-                let c = s.compress_degraded(&block, &a, selection, budget);
+                let c = s.compress_fitted(&block, &a, fit);
                 assert_eq!(c.size_bits(), bits, "promised size must match the encoding");
                 assert!(c.is_lossy());
                 // Error stays confined to the truncated hole.
@@ -866,7 +865,7 @@ mod tests {
             if natural == BLOCK_BITS && comp < BLOCK_BITS {
                 let verdict = s.fit_within_with(&a, comp.max(BLOCK_BITS - 8));
                 assert_eq!(verdict, FitOutcome::Lossless { bits: comp });
-                let c = s.compress_lossless_with(&block, &a);
+                let c = s.compress_fitted(&block, &a, verdict);
                 assert_eq!(c.size_bits(), comp);
                 assert_eq!(s.decompress(&c), block, "the lossless rung must round-trip");
                 squeezed += 1;

@@ -28,8 +28,8 @@
 //! multiple) is zero-padded for the codec; the decoder truncates back
 //! to the header's exact `total_len`.
 //!
-//! Codecs that implement [`ChunkCoder`] (rANS) replace the per-block
-//! framing of a `Coded` chunk with **one self-contained stream per
+//! Codecs that implement [`slc_compress::codec::ChunkCoder`] (rANS)
+//! replace the per-block framing of a `Coded` chunk with **one stream per
 //! chunk**, amortising model setup (one frequency table per 64 KiB
 //! chunk instead of per 128 B block). This changes nothing in the
 //! container format: the frame never interprets a `Coded` chunk's
@@ -51,7 +51,7 @@
 //!   because anything is caught: the frame is fully validated before any
 //!   chunk decodes, every payload index is pre-bounded, and the codecs'
 //!   decode functions are total — a corrupt block or chunk stream comes
-//!   back as a [`DecodeError`](slc_compress::DecodeError), which the
+//!   back as a [`slc_compress::DecodeError`], which the
 //!   chunk worker reports as [`ContainerError::ChunkCorrupt`]. The
 //!   workspace therefore also runs built with `panic = "abort"`.
 //! * [`Engine::compress_with_sizes`] is the no-re-analysis path for

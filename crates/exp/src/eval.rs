@@ -114,7 +114,7 @@ pub fn evaluate_prepared(
         // refcount bump (the trained table is shared), so every worker
         // and every variant below reuses the one trained model; the E2MC
         // baseline additionally sweeps the artifacts' cached exact-run
-        // analyses instead of replaying the kernels (see
+        // stored sizes instead of replaying the kernels (see
         // `Harness::run_functional`).
         let nocomp = Scheme::Uncompressed;
         let (_, t_nocomp) = harness.evaluate(w.as_ref(), artifacts, &nocomp);

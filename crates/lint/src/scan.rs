@@ -1,6 +1,6 @@
 //! Shallow item and call-site scanner over the token stream.
 //!
-//! This is deliberately *not* a parser: it walks the [`lexer`] token
+//! This is deliberately *not* a parser: it walks the [`crate::lexer`] token
 //! stream once, tracking brace depth and an `impl`/`trait`/`mod` context
 //! stack, and extracts exactly what the checks need — function
 //! definitions with body spans and per-body call sites, `unsafe`

@@ -21,13 +21,6 @@ use slc_compress::{Block, BLOCK_BYTES};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DevicePtr(pub u64);
 
-impl DevicePtr {
-    /// Byte address of element `i` of an `f32` array at this pointer.
-    pub fn f32_addr(self, i: usize) -> u64 {
-        self.0 + (i as u64) * 4
-    }
-}
-
 /// One allocation (the paper's "memory region").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {

@@ -22,8 +22,18 @@ use slc_compress::Block;
 use slc_sim::{BlockAddr, GpuMemory};
 use std::sync::Arc;
 
+/// What a [`Snapshot`] keeps per block: measured once from the block's
+/// bytes under the trained table, addressed for the run decomposition.
+pub trait SnapshotBlock: Send + Sized {
+    /// Measures one block of a region with the given approximability.
+    fn measure(e2mc: &E2mc, addr: BlockAddr, approximable: bool, block: &Block) -> Self;
+
+    /// Block address (`region.base / BLOCK_BYTES + index`).
+    fn addr(&self) -> BlockAddr;
+}
+
 /// One analysed block of a snapshot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzedBlock {
     /// Block address (`region.base / BLOCK_BYTES + index`).
     pub addr: BlockAddr,
@@ -31,106 +41,20 @@ pub struct AnalyzedBlock {
     pub approximable: bool,
     /// The block's shared analysis (code lengths + total bits).
     pub analysis: BlockAnalysis,
+    /// Bursts of the stream the block actually stores, when the fault
+    /// ladder gave it a form other than the scheme's own decision (a
+    /// lossless squeeze or a deeper truncation, [`crate::ladder`]);
+    /// burst accounting honours it over the decision from `analysis`.
+    pub stored_bursts: Option<u32>,
 }
 
-/// Per-block analyses of one memory snapshot under one trained table.
-///
-/// Entries are ordered exactly as [`GpuMemory::all_blocks`] iterates
-/// (region table order, ascending block offset within each region), so
-/// order-sensitive consumers — floating-point ratio accumulators, report
-/// rows — produce byte-identical output to a direct walk over memory.
-#[derive(Debug, Clone)]
-pub struct SnapshotAnalysis {
-    entries: Vec<AnalyzedBlock>,
-    /// Identity of the trained model the analyses were computed with.
-    table: Arc<SymbolTable>,
-}
-
-impl SnapshotAnalysis {
-    /// Analyses every region block of `mem` under `e2mc`, one E2MC pass
-    /// per block, fanned out across **chunks** of blocks with
-    /// [`slc_par::par_map`] (order-preserving, so the entry order is
-    /// identical to a serial walk). Chunking keeps the per-item work
-    /// coarse enough to amortise the pool's hand-off cost — a single
-    /// block analyses in tens of nanoseconds — and degenerates to one
-    /// plain loop on single-core hosts.
-    pub fn capture(e2mc: &E2mc, mem: &GpuMemory) -> Self {
-        /// Blocks per parallel work item (≈ a few hundred µs of work).
-        const CHUNK_BLOCKS: usize = 4096;
-        let blocks: Vec<(BlockAddr, bool, &Block)> = mem
-            .blocks_with_addr()
-            .map(|(region, addr, block)| (addr, region.safe_to_approx, block))
-            .collect();
-        let analyzed = slc_par::par_map(blocks.chunks(CHUNK_BLOCKS).collect(), |chunk| {
-            chunk
-                .iter()
-                .map(|&(addr, approximable, block)| AnalyzedBlock {
-                    addr,
-                    approximable,
-                    analysis: e2mc.analyze(block),
-                })
-                .collect::<Vec<_>>()
-        });
-        let entries = analyzed.into_iter().flatten().collect();
-        Self { entries, table: Arc::clone(e2mc.shared_table()) }
+impl SnapshotBlock for AnalyzedBlock {
+    fn measure(e2mc: &E2mc, addr: BlockAddr, approximable: bool, block: &Block) -> Self {
+        Self { addr, approximable, analysis: e2mc.analyze(block), stored_bursts: None }
     }
 
-    /// Builds a snapshot from already-analysed blocks (the harness' fused
-    /// stage-and-analyse pass, which computes each analysis as a side
-    /// effect of staging).
-    pub fn from_entries(e2mc: &E2mc, entries: Vec<AnalyzedBlock>) -> Self {
-        Self { entries, table: Arc::clone(e2mc.shared_table()) }
-    }
-
-    /// The analysed blocks, in [`GpuMemory::all_blocks`] order.
-    pub fn entries(&self) -> &[AnalyzedBlock] {
-        &self.entries
-    }
-
-    /// Maximal runs of entries with consecutive block addresses, in entry
-    /// order — the dense-record fast path. Regions are block-contiguous
-    /// and allocated back to back, so a snapshot usually decomposes into
-    /// a single run; a dense accumulator materialises each run's cells
-    /// once and sweeps them by index, with no per-entry map probe of any
-    /// kind.
-    pub fn runs(&self) -> impl Iterator<Item = &[AnalyzedBlock]> + '_ {
-        let entries = &self.entries;
-        let mut pos = 0usize;
-        std::iter::from_fn(move || {
-            if pos >= entries.len() {
-                return None;
-            }
-            let start = pos;
-            pos += 1;
-            while pos < entries.len() && entries[pos].addr == entries[pos - 1].addr + 1 {
-                pos += 1;
-            }
-            Some(&entries[start..pos])
-        })
-    }
-
-    /// `true` when the snapshot was analysed with exactly `e2mc`'s
-    /// trained table (the `Arc` allocation, not value equality) — the
-    /// precondition for feeding it to any scheme built on that table.
-    pub fn matches(&self, e2mc: &E2mc) -> bool {
-        Arc::ptr_eq(&self.table, e2mc.shared_table())
-    }
-
-    /// Slims the snapshot down to its [`SizeSnapshot`]: per-block stored
-    /// sizes only, the full code-length artifacts dropped.
-    pub fn to_sizes(&self) -> SizeSnapshot {
-        SizeSnapshot {
-            entries: self
-                .entries
-                .iter()
-                .map(|b| SizedBlock {
-                    addr: b.addr,
-                    approximable: b.approximable,
-                    size_bits: b.analysis.e2mc_size_bits(),
-                })
-                .collect(),
-            table: Arc::clone(&self.table),
-        }
+    fn addr(&self) -> BlockAddr {
+        self.addr
     }
 }
 
@@ -156,77 +80,90 @@ impl SizedBlock {
     }
 }
 
-/// The size-bits-only variant of [`SnapshotAnalysis`].
+impl SnapshotBlock for SizedBlock {
+    /// [`E2mc::stored_size_bits`]: a dense-table sum, no tree walk.
+    fn measure(e2mc: &E2mc, addr: BlockAddr, approximable: bool, block: &Block) -> Self {
+        Self { addr, approximable, size_bits: e2mc.stored_size_bits(block) }
+    }
+
+    fn addr(&self) -> BlockAddr {
+        self.addr
+    }
+}
+
+/// Per-block measurements of one memory snapshot under one trained table.
+///
+/// Entries are ordered exactly as [`GpuMemory::all_blocks`] iterates
+/// (region table order, ascending block offset within each region), so
+/// order-sensitive consumers — floating-point ratio accumulators, report
+/// rows — produce byte-identical output to a direct walk over memory.
+#[derive(Debug, Clone)]
+pub struct Snapshot<B> {
+    pub(crate) entries: Vec<B>,
+    /// Identity of the trained model the entries were measured with.
+    table: Arc<SymbolTable>,
+}
+
+/// Full per-block analyses: what SLC staging decisions and the Fig. 2 /
+/// §V-C studies read.
+pub type SnapshotAnalysis = Snapshot<AnalyzedBlock>;
+
+/// The size-bits-only snapshot.
 ///
 /// A full [`BlockAnalysis`] is 196 B of per-symbol code lengths and tree
 /// sums; consumers that only ever read the block's *stored size* — the
 /// E2MC-baseline burst sweep, the fault ladder's escalation counters —
 /// pay for none of that here: one `u32` per block, a ~49× smaller
-/// footprint per cached snapshot. Captured directly via
-/// [`E2mc::stored_size_bits`] (a dense-table sum, no tree walk), or
-/// slimmed from a full snapshot with [`SnapshotAnalysis::to_sizes`];
-/// both pin the identical size the full analysis reports.
-///
-/// Like its full-fat sibling it carries the trained table's `Arc`
-/// identity, entries in [`GpuMemory::all_blocks`] order, and a
-/// [`runs`](Self::runs) decomposition for dense accumulators.
-#[derive(Debug, Clone)]
-pub struct SizeSnapshot {
-    entries: Vec<SizedBlock>,
-    /// Identity of the trained model the sizes were computed with.
-    table: Arc<SymbolTable>,
-}
+/// footprint per cached snapshot, pinned to the size the full analysis
+/// reports.
+pub type SizeSnapshot = Snapshot<SizedBlock>;
 
-impl SizeSnapshot {
-    /// Captures every region block's stored size under `e2mc`, chunked
-    /// across the pool exactly like [`SnapshotAnalysis::capture`].
+impl<B: SnapshotBlock> Snapshot<B> {
+    /// Measures every region block of `mem` under `e2mc`, one pass per
+    /// block, fanned out across **chunks** of blocks with
+    /// [`slc_par::par_map`] (order-preserving, so the entry order is
+    /// identical to a serial walk). Chunking keeps the per-item work
+    /// coarse enough to amortise the pool's hand-off cost — a single
+    /// block analyses in tens of nanoseconds — and degenerates to one
+    /// plain loop on single-core hosts.
     pub fn capture(e2mc: &E2mc, mem: &GpuMemory) -> Self {
-        /// Blocks per parallel work item (sizing is cheaper than a full
-        /// analysis, so work items are coarser).
-        const CHUNK_BLOCKS: usize = 8192;
+        /// Blocks per parallel work item (≈ a few hundred µs of work).
+        const CHUNK_BLOCKS: usize = 4096;
         let blocks: Vec<(BlockAddr, bool, &Block)> = mem
             .blocks_with_addr()
             .map(|(region, addr, block)| (addr, region.safe_to_approx, block))
             .collect();
-        let sized = slc_par::par_map(blocks.chunks(CHUNK_BLOCKS).collect(), |chunk| {
+        let measured = slc_par::par_map(blocks.chunks(CHUNK_BLOCKS).collect(), |chunk| {
             chunk
                 .iter()
-                .map(|&(addr, approximable, block)| SizedBlock {
-                    addr,
-                    approximable,
-                    size_bits: e2mc.stored_size_bits(block),
-                })
+                .map(|&(addr, approximable, block)| B::measure(e2mc, addr, approximable, block))
                 .collect::<Vec<_>>()
         });
-        let entries = sized.into_iter().flatten().collect();
+        // Sized up front: flattening into a growing vector would hold up
+        // to twice the snapshot in spare capacity for its whole life.
+        let mut entries = Vec::with_capacity(blocks.len());
+        measured.into_iter().for_each(|chunk| entries.extend(chunk));
         Self { entries, table: Arc::clone(e2mc.shared_table()) }
     }
 
-    /// The sized blocks, in [`GpuMemory::all_blocks`] order.
-    pub fn entries(&self) -> &[SizedBlock] {
+    /// The measured blocks, in [`GpuMemory::all_blocks`] order.
+    pub fn entries(&self) -> &[B] {
         &self.entries
     }
 
-    /// Maximal runs of entries with consecutive block addresses — see
-    /// [`SnapshotAnalysis::runs`].
-    pub fn runs(&self) -> impl Iterator<Item = &[SizedBlock]> + '_ {
-        let entries = &self.entries;
-        let mut pos = 0usize;
-        std::iter::from_fn(move || {
-            if pos >= entries.len() {
-                return None;
-            }
-            let start = pos;
-            pos += 1;
-            while pos < entries.len() && entries[pos].addr == entries[pos - 1].addr + 1 {
-                pos += 1;
-            }
-            Some(&entries[start..pos])
-        })
+    /// Maximal runs of entries with consecutive block addresses, in entry
+    /// order — the dense-record fast path. Regions are block-contiguous
+    /// and allocated back to back, so a snapshot usually decomposes into
+    /// a single run; a dense accumulator materialises each run's cells
+    /// once and sweeps them by index, with no per-entry map probe of any
+    /// kind.
+    pub fn runs(&self) -> impl Iterator<Item = &[B]> + '_ {
+        self.entries.chunk_by(|a, b| b.addr() == a.addr() + 1)
     }
 
-    /// `true` when the sizes were computed with exactly `e2mc`'s trained
-    /// table — see [`SnapshotAnalysis::matches`].
+    /// `true` when the snapshot was measured with exactly `e2mc`'s
+    /// trained table (the `Arc` allocation, not value equality) — the
+    /// precondition for feeding it to any scheme built on that table.
     pub fn matches(&self, e2mc: &E2mc) -> bool {
         Arc::ptr_eq(&self.table, e2mc.shared_table())
     }
@@ -293,10 +230,6 @@ mod tests {
             assert_eq!(s.approximable, f.approximable);
             assert_eq!(s.e2mc_size_bits(), f.analysis.e2mc_size_bits(), "block {}", s.addr);
         }
-        // Slimming a full snapshot is the same thing.
-        let slimmed = full.to_sizes();
-        assert_eq!(slimmed.entries(), slim.entries());
-        assert!(slimmed.matches(&e2mc));
         // Run decomposition is identical too.
         let full_runs: Vec<usize> = full.runs().map(<[AnalyzedBlock]>::len).collect();
         let slim_runs: Vec<usize> = slim.runs().map(<[SizedBlock]>::len).collect();

@@ -214,23 +214,26 @@ impl Harness {
     ///
     /// Each snapshot's blocks are analysed once and the analyses drive
     /// both the SLC staging decision and the burst accounting (the fused
-    /// [`Scheme::stage_analyzed`] pass). Non-mutating schemes sharing the
+    /// [`Scheme::stage_analyzed`] walk). Non-mutating schemes sharing the
     /// artifacts' trained table skip the kernel replay entirely: their
     /// run observes exactly the exact run's memory trajectory, so they
     /// sweep the cached [`BenchmarkArtifacts::exact_size_snapshots`] —
     /// byte-identical output, one sizing pass amortised over every
     /// scheme, MAG and threshold.
+    ///
+    /// Faulty DRAM ([`GpuConfig::fault`]) invalidates both shortcuts: the
+    /// ladder ([`crate::ladder`]) must walk each snapshot to count
+    /// escalations and assign spare slots, whatever the scheme — even the
+    /// uncompressed one, to tally uncorrectable blocks.
     pub fn run_functional(
         &self,
         w: &dyn Workload,
         artifacts: &BenchmarkArtifacts,
         scheme: &Scheme,
     ) -> FunctionalOutcome {
-        if self.config.fault.is_some() {
-            // Faulty DRAM invalidates every cached shortcut below: the
-            // ladder must walk each snapshot to count escalations and
-            // assign spare slots, whatever the scheme.
-            return self.run_functional_faulty(w, artifacts, scheme);
+        let ladder = LadderState::new(&self.config);
+        if ladder.is_some() {
+            return self.replay(w, artifacts, scheme, ladder);
         }
         let mag = self.config.mag();
         if matches!(scheme, Scheme::Uncompressed) {
@@ -270,76 +273,40 @@ impl Harness {
                 fault: None,
             };
         }
-        self.run_functional_direct(w, artifacts, scheme)
+        self.replay(w, artifacts, scheme, None)
     }
 
-    /// The uncached functional pass: replays the kernels under the
-    /// scheme's staging, analysing each boundary snapshot once.
-    fn run_functional_direct(
+    /// The uncached functional pass: replays the kernels with the one
+    /// staging walk at every kernel-boundary staging point — each
+    /// snapshot analysed once, every block resolved by `ladder` first
+    /// when there is one — and packages the ladder's [`FaultPlan`] for
+    /// the timing side.
+    fn replay(
         &self,
         w: &dyn Workload,
         artifacts: &BenchmarkArtifacts,
         scheme: &Scheme,
+        mut ladder: Option<LadderState>,
     ) -> FunctionalOutcome {
         let mut accumulator = BurstsAccumulator::new(self.config.mag());
         let output = {
             let mut mem = w.build(self.seed);
             let mut stage = |m: &mut GpuMemory| {
-                let snapshot =
-                    scheme.stage_analyzed(m).expect("Uncompressed is handled by the caller");
-                accumulator.record(scheme, &snapshot);
+                if let Some(snapshot) = scheme.stage_walk(m, ladder.as_mut()) {
+                    accumulator.record(scheme, &snapshot);
+                }
             };
             w.execute(&mut mem, &mut stage);
             w.output(&mem)
         };
-        let error_pct = w.error(&artifacts.exact_output, &output);
-        let mre_pct = metrics::mre(&artifacts.exact_output, &output) * 100.0;
         FunctionalOutcome {
             kind: scheme.kind(),
-            error_pct,
-            mre_pct,
+            error_pct: w.error(&artifacts.exact_output, &output),
+            mre_pct: metrics::mre(&artifacts.exact_output, &output) * 100.0,
             psnr_db: metrics::psnr(&artifacts.exact_output, &output),
             max_abs_err: metrics::max_abs_error(&artifacts.exact_output, &output),
             bursts: accumulator.into_map(),
-            fault: None,
-        }
-    }
-
-    /// The fault-aware functional pass: replays the kernels with the
-    /// graceful-degradation ladder ([`crate::ladder`]) resolving every
-    /// block at every kernel-boundary staging point, and packages the
-    /// resulting [`FaultPlan`] for the timing side.
-    ///
-    /// Runs for *every* scheme when [`GpuConfig::fault`] is set — the
-    /// cached lossless shortcut of [`run_functional`](Self::run_functional)
-    /// cannot count ladder decisions, and even the uncompressed scheme
-    /// must walk the snapshots to tally uncorrectable blocks.
-    fn run_functional_faulty(
-        &self,
-        w: &dyn Workload,
-        artifacts: &BenchmarkArtifacts,
-        scheme: &Scheme,
-    ) -> FunctionalOutcome {
-        let mut ladder =
-            LadderState::new(&self.config).expect("caller checked that config.fault is set");
-        let mut accumulator = BurstsAccumulator::new(self.config.mag());
-        let output = {
-            let mut mem = w.build(self.seed);
-            let mut stage =
-                |m: &mut GpuMemory| ladder.stage_and_record(scheme, m, &mut accumulator);
-            w.execute(&mut mem, &mut stage);
-            w.output(&mem)
-        };
-        let error_pct = w.error(&artifacts.exact_output, &output);
-        let mre_pct = metrics::mre(&artifacts.exact_output, &output) * 100.0;
-        FunctionalOutcome {
-            kind: scheme.kind(),
-            error_pct,
-            mre_pct,
-            psnr_db: metrics::psnr(&artifacts.exact_output, &output),
-            max_abs_err: metrics::max_abs_error(&artifacts.exact_output, &output),
-            bursts: accumulator.into_map(),
-            fault: Some(ladder.into_plan()),
+            fault: ladder.map(LadderState::into_plan),
         }
     }
 
@@ -424,7 +391,7 @@ mod tests {
         let artifacts = h.prepare(&nn);
         let scheme = Scheme::E2mc(artifacts.e2mc.clone());
         let cached = h.run_functional(&nn, &artifacts, &scheme);
-        let direct = h.run_functional_direct(&nn, &artifacts, &scheme);
+        let direct = h.replay(&nn, &artifacts, &scheme, None);
         assert_eq!(cached.error_pct, direct.error_pct);
         assert_eq!(cached.mre_pct, direct.mre_pct);
         assert_eq!(cached.bursts, direct.bursts);

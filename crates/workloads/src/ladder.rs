@@ -1,8 +1,8 @@
 //! The graceful-degradation ladder: fitting blocks into faulty DRAM rows.
 //!
-//! When [`slc_sim::GpuConfig::fault`] is set, every kernel-boundary
-//! staging pass walks this ladder per block instead of the plain scheme
-//! decision. The rungs, in order:
+//! When [`slc_sim::GpuConfig::fault`] is set, the kernel-boundary staging
+//! walk ([`Scheme::stage_analyzed`]'s, the only one there is) asks this
+//! ladder for a verdict per block before it stages. The rungs, in order:
 //!
 //! 1. **Exact / natural** — healthy rows, and faulty rows whose
 //!    fault-free stored form already fits the surviving capacity, take
@@ -14,8 +14,9 @@
 //!    for capacity. No data loss, so this rung is *not* an escalation.
 //! 3. **Deeper lossy** — a deeper truncation than the fault-free
 //!    decision ([`SlcCompressor::fit_within_with`]), reusing the cached
-//!    [`BlockAnalysis`] — no block is ever re-encoded to make the
-//!    decision. Counted per (snapshot, block) as a *fault escalation*.
+//!    [`BlockAnalysis`](slc_compress::e2mc::BlockAnalysis) — no block is
+//!    ever re-encoded to make the decision. Counted per (snapshot,
+//!    block) as a *fault escalation*.
 //! 4. **Remap** — the block's data moves to a bounded spare pool
 //!    (first-come first-served, never freed); the timing side charges
 //!    the indirection — a pointer burst plus the spare row's own DRAM
@@ -30,38 +31,42 @@
 //! pool's FCFS assignment — and with it every counter — replays exactly
 //! under a fixed seed.
 
+use crate::analysis::AnalyzedBlock;
 use crate::scheme::{BurstsAccumulator, Scheme};
-use slc_compress::e2mc::BlockAnalysis;
-use slc_compress::BLOCK_BYTES;
+use slc_compress::BLOCK_BITS;
 use slc_core::slc::FitOutcome;
-use slc_core::{Selection, SlcCompressor};
+use slc_core::SlcCompressor;
 use slc_sim::fault::{FaultCounters, FaultMap, RemapTable};
 use slc_sim::{BlockAddr, FaultPlan, GpuConfig, GpuMemory};
 use std::collections::HashSet;
 
 /// One block's ladder verdict for one snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LadderVerdict {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LadderVerdict {
     /// Healthy row, or the fault-free stored form fits the surviving
     /// capacity: stage and record exactly as without faults.
     Intact,
-    /// Store the full lossless stream in place of the verbatim block
-    /// (SLC only; no data loss, no escalation).
-    SqueezeLossless,
-    /// Store a deeper truncation than the fault-free decision; counted
-    /// as a fault escalation.
-    Degrade {
-        /// The Fig. 5 selection the deeper truncation uses.
-        selection: Selection,
-        /// The faulty row's surviving capacity the stream must fit.
-        budget_bits: u32,
-    },
+    /// Store the form `fit` names in place of the fault-free one (SLC
+    /// only): the full lossless stream of a verbatim block (no data
+    /// loss, no escalation), or a deeper truncation than the fault-free
+    /// decision (counted as a fault escalation).
+    Refit(FitOutcome),
     /// The block lives in the spare pool; it stages and records its
     /// fault-free form (the spare row is healthy) and the timing side
     /// pays the indirection.
     Remapped,
     /// Lost on real hardware; kept intact and counted here.
     Uncorrectable,
+}
+
+/// The verdict of a block with a single stored form of `bits`: it fits
+/// the budget as it is or nothing does.
+fn all_or_nothing(bits: u32, budget_bits: u32) -> FitOutcome {
+    if bits <= budget_bits {
+        FitOutcome::Natural { bits, lossy: false }
+    } else {
+        FitOutcome::Unstorable
+    }
 }
 
 /// Ladder state carried across the kernel-boundary snapshots of one
@@ -89,11 +94,6 @@ impl LadderState {
         })
     }
 
-    /// The fault map the ladder consults.
-    pub fn fault_map(&self) -> &FaultMap {
-        &self.map
-    }
-
     /// The counters accumulated so far.
     pub fn counters(&self) -> &FaultCounters {
         &self.counters
@@ -105,21 +105,42 @@ impl LadderState {
         FaultPlan::new(self.table, self.counters)
     }
 
-    /// Resolves one block for the current snapshot and updates the
-    /// counters. `analysis` is the block's cached per-snapshot analysis;
-    /// only [`Scheme::Uncompressed`] resolves without one.
+    /// Resolves one analysed block of a compressed scheme for the current
+    /// snapshot: `slc` is the scheme's lossy compressor, `None` for
+    /// lossless E2MC.
+    pub(crate) fn resolve(
+        &mut self,
+        slc: Option<&SlcCompressor>,
+        block: &AnalyzedBlock,
+    ) -> LadderVerdict {
+        self.resolve_fit(block.addr, |budget_bits| match slc {
+            Some(slc) if block.approximable => slc.fit_within_with(&block.analysis, budget_bits),
+            // E2MC, and SLC in an exact region, may only store the
+            // lossless stream.
+            _ => all_or_nothing(block.analysis.e2mc_size_bits(), budget_bits),
+        })
+    }
+
+    /// Resolves one block of the uncompressed scheme: verbatim blocks
+    /// only survive a faulty row that kept full block capacity.
+    pub(crate) fn resolve_verbatim(&mut self, addr: BlockAddr) {
+        self.resolve_fit(addr, |budget_bits| all_or_nothing(BLOCK_BITS, budget_bits));
+    }
+
+    /// Walks one block down the ladder and updates the counters; `fit`
+    /// fits the block's stored forms into a faulty row's surviving
+    /// capacity — the same compressor under a tighter bit budget — and
+    /// is only asked for blocks in faulty rows not yet given up on.
     ///
     /// Remap and uncorrectable verdicts are sticky: a permanent fault
     /// stays remapped (or lost) for the rest of the run even if a later
     /// snapshot's content would fit, and is counted exactly once.
     /// Escalations, by contrast, are per-(snapshot, block) decisions —
     /// each snapshot a block must store a deeper truncation counts.
-    pub fn resolve(
+    fn resolve_fit(
         &mut self,
-        scheme: &Scheme,
         addr: BlockAddr,
-        approximable: bool,
-        analysis: Option<&BlockAnalysis>,
+        fit: impl FnOnce(u32) -> FitOutcome,
     ) -> LadderVerdict {
         let Some(budget_bits) = self.map.block_budget_bits(addr) else {
             return LadderVerdict::Intact;
@@ -130,36 +151,14 @@ impl LadderState {
         if self.uncorrectable.contains(&addr) {
             return LadderVerdict::Uncorrectable;
         }
-        match (scheme, analysis) {
-            (Scheme::Uncompressed, _) => {
-                // Verbatim blocks only survive a faulty row that kept
-                // full block capacity.
-                if (BLOCK_BYTES as u32) * 8 <= budget_bits {
-                    return LadderVerdict::Intact;
-                }
+        match fit(budget_bits) {
+            FitOutcome::Natural { .. } => return LadderVerdict::Intact,
+            fit @ FitOutcome::Lossless { .. } => return LadderVerdict::Refit(fit),
+            fit @ FitOutcome::Degraded { .. } => {
+                self.counters.fault_escalations += 1;
+                return LadderVerdict::Refit(fit);
             }
-            (Scheme::E2mc(_), Some(a)) => {
-                if a.e2mc_size_bits() <= budget_bits {
-                    return LadderVerdict::Intact;
-                }
-            }
-            (Scheme::Slc(s), Some(a)) => {
-                if approximable {
-                    match s.fit_within_with(a, budget_bits) {
-                        FitOutcome::Natural { .. } => return LadderVerdict::Intact,
-                        FitOutcome::Lossless { .. } => return LadderVerdict::SqueezeLossless,
-                        FitOutcome::Degraded { selection, .. } => {
-                            self.counters.fault_escalations += 1;
-                            return LadderVerdict::Degrade { selection, budget_bits };
-                        }
-                        FitOutcome::Unstorable => {}
-                    }
-                } else if a.e2mc_size_bits() <= budget_bits {
-                    // Exact regions may only store losslessly.
-                    return LadderVerdict::Intact;
-                }
-            }
-            _ => unreachable!("compressed schemes resolve with an analysis"),
+            FitOutcome::Unstorable => {}
         }
         match self.table.assign(addr) {
             Some(_) => {
@@ -175,115 +174,22 @@ impl LadderState {
         }
     }
 
-    /// The fault-aware replacement for the harness' fused
-    /// stage-and-record pass: resolves every block of `mem` against the
-    /// ladder, stages approximable regions (with the degraded or
-    /// squeezed stored form where the ladder demands one), and folds the
-    /// actually-stored burst counts into `acc`.
+    /// The fault-aware stage-and-record pass: [`Scheme::stage_analyzed`]'s
+    /// walk with this ladder resolving every block of `mem` first, then
+    /// [`BurstsAccumulator::record`] over the staged snapshot, so the
+    /// bursts folded into `acc` are those of the streams actually stored.
     ///
-    /// With a zero-density map every verdict is [`LadderVerdict::Intact`]
-    /// and the pass reduces to [`Scheme::stage_analyzed`] +
-    /// [`BurstsAccumulator::record`] — byte-identical staging, identical
-    /// cells.
+    /// With a zero-density map every block is intact and the pass is
+    /// byte-identical to the fault-free one — same staging, same cells.
     pub fn stage_and_record(
         &mut self,
         scheme: &Scheme,
         mem: &mut GpuMemory,
         acc: &mut BurstsAccumulator,
     ) {
-        let mag = acc.mag();
-        match scheme {
-            Scheme::Uncompressed => {
-                // No staging and no burst recording (the uncompressed
-                // map stays empty, as in the fault-free pipeline); the
-                // walk only feeds the ladder counters.
-                let addrs: Vec<BlockAddr> = mem.blocks_with_addr().map(|(_, a, _)| a).collect();
-                for addr in addrs {
-                    self.resolve(scheme, addr, false, None);
-                }
-            }
-            Scheme::E2mc(e2mc) => {
-                // Lossless staging is the identity: analyse, resolve and
-                // record in one read-only walk. Whatever the verdict,
-                // the stored form is the block's lossless stream — in
-                // its own row, a spare slot, or (uncorrectable, model
-                // intact) unchanged — so the recorded bursts are the
-                // plain scheme decision.
-                for (region, addr, block) in mem.blocks_with_addr() {
-                    let analysis = e2mc.analyze(block);
-                    self.resolve(scheme, addr, region.safe_to_approx, Some(&analysis));
-                    acc.record_one(
-                        addr,
-                        scheme.bursts_for_analysis(&analysis, mag, region.safe_to_approx),
-                    );
-                }
-            }
-            Scheme::Slc(slc) => self.stage_and_record_slc(scheme, slc, mem, acc),
+        if let Some(snapshot) = scheme.stage_walk(mem, Some(self)) {
+            acc.record(scheme, &snapshot);
         }
-    }
-
-    /// The SLC arm of [`stage_and_record`](Self::stage_and_record):
-    /// pass A resolves every block in address-walk order on the
-    /// *pre-stage* content (the analyses the budget decisions need
-    /// anyway), pass B stages approximable regions under the queued
-    /// verdicts. Staging visits approx blocks in the same relative
-    /// order the walk saw them, so verdicts merge back by position —
-    /// the same positional contract [`Scheme::stage_analyzed`] relies
-    /// on.
-    fn stage_and_record_slc(
-        &mut self,
-        scheme: &Scheme,
-        slc: &SlcCompressor,
-        mem: &mut GpuMemory,
-        acc: &mut BurstsAccumulator,
-    ) {
-        let mag = acc.mag();
-        let e2mc = slc.e2mc().clone(); // Arc bump, not a table copy
-        let mut queue: Vec<(BlockAddr, LadderVerdict, BlockAnalysis)> = Vec::new();
-        for (region, addr, block) in mem.blocks_with_addr() {
-            let analysis = e2mc.analyze(block);
-            let verdict = self.resolve(scheme, addr, region.safe_to_approx, Some(&analysis));
-            if region.safe_to_approx {
-                queue.push((addr, verdict, analysis));
-            } else {
-                // Exact regions are never staged; their stored form is
-                // the lossless stream wherever the ladder put it.
-                acc.record_one(addr, scheme.bursts_for_analysis(&analysis, mag, false));
-            }
-        }
-        let mut pending = queue.into_iter();
-        mem.stage_approx_regions(|_region, block| {
-            let (addr, verdict, analysis) =
-                pending.next().expect("one resolved verdict per approx block");
-            match verdict {
-                LadderVerdict::Degrade { selection, budget_bits } => {
-                    let c = slc.compress_degraded(block, &analysis, selection, budget_bits);
-                    let out = slc.decompress(&c);
-                    acc.record_one(addr, c.bursts());
-                    out
-                }
-                LadderVerdict::SqueezeLossless => {
-                    let c = slc.compress_lossless_with(block, &analysis);
-                    let out = slc.decompress(&c);
-                    debug_assert_eq!(&out[..], &block[..], "lossless squeeze must round-trip");
-                    acc.record_one(addr, c.bursts());
-                    out
-                }
-                LadderVerdict::Intact | LadderVerdict::Remapped | LadderVerdict::Uncorrectable => {
-                    // The fault-free staging path, verbatim from
-                    // `Scheme::stage_analyzed`: exact modes round-trip
-                    // bit-for-bit so the pre-stage analysis is the
-                    // post-stage one; lossy reconstructions are
-                    // re-analysed for the burst decision.
-                    let c = slc.compress_with(block, &analysis);
-                    let out = slc.decompress(&c);
-                    let post = if c.is_lossy() { e2mc.analyze(&out) } else { analysis };
-                    acc.record_one(addr, slc.stored_bursts_with(&post));
-                    out
-                }
-            }
-        });
-        debug_assert!(pending.next().is_none(), "resolved verdicts left over");
     }
 }
 
@@ -292,7 +198,7 @@ mod tests {
     use super::*;
     use crate::analysis::SnapshotAnalysis;
     use slc_compress::e2mc::{E2mc, E2mcConfig};
-    use slc_compress::Mag;
+    use slc_compress::{Mag, BLOCK_BYTES};
     use slc_core::slc::SlcVariant;
     use slc_sim::{DevicePtr, FaultConfig, FaultPattern};
 
@@ -451,6 +357,57 @@ mod tests {
                     "block {addr} stored beyond the surviving capacity"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn verbatim_blocks_squeeze_lossless_through_the_walk() {
+        // The one rung with no data loss and no escalation: a block the
+        // fault-free pipeline stores verbatim (its lossless stream saves
+        // no bursts) squeezes into a faulty row as that stream.
+        use slc_core::header::LOSSLESS_HEADER_BITS;
+        let e = trained();
+        let scheme = Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
+        let Scheme::Slc(slc) = &scheme else { unreachable!() };
+        // Floats off the trained grid cost escapes: close to, but under,
+        // a full block.
+        let mut mem = filled_memory();
+        let vals: Vec<f32> = (0..512).map(|i| (i % 512) as f32 + (i % 3) as f32 * 0.37).collect();
+        mem.write_f32(DevicePtr(0), &vals);
+        let snap = SnapshotAnalysis::capture(&e, &mem);
+        let approx = || snap.entries().iter().filter(|b| b.approximable);
+        let fit =
+            |b: &AnalyzedBlock, budget_bytes| slc.fit_within_with(&b.analysis, budget_bytes * 8);
+        let (budget_bytes, squeezed) = (8..BLOCK_BYTES as u32)
+            .rev()
+            .find_map(|budget| {
+                let squeezed: Vec<_> = approx()
+                    .filter(|b| matches!(fit(b, budget), FitOutcome::Lossless { .. }))
+                    .collect();
+                (!squeezed.is_empty()).then_some((budget, squeezed))
+            })
+            .expect("some budget must squeeze a verbatim block");
+        let degraded = approx()
+            .filter(|b| matches!(fit(b, budget_bytes), FitOutcome::Degraded { .. }))
+            .count() as u64;
+        let mut ladder = LadderState::new(&faulty_config(1.0, budget_bytes, 4096)).unwrap();
+        let before = mem.clone();
+        let mut acc = BurstsAccumulator::new(Mag::GDDR5);
+        ladder.stage_and_record(&scheme, &mut mem, &mut acc);
+        assert_eq!(ladder.counters().fault_escalations, degraded, "a squeeze is no escalation");
+        let map = acc.into_map();
+        let block_at = |m: &GpuMemory, addr| {
+            *m.blocks_with_addr().find(|&(_, a, _)| a == addr).expect("block is mapped").2
+        };
+        for b in squeezed {
+            assert_eq!(block_at(&mem, b.addr), block_at(&before, b.addr), "block {}", b.addr);
+            let stream_bits = LOSSLESS_HEADER_BITS + b.analysis.total_code_bits();
+            assert_eq!(
+                slc_sim::mc::BurstsSource::bursts(&map, b.addr),
+                Mag::GDDR5.bursts_for_bits(stream_bits, BLOCK_BYTES as u32),
+                "block {} must record the stream it stores",
+                b.addr
+            );
         }
     }
 }

@@ -46,6 +46,6 @@ pub mod suite;
 pub use analysis::{AnalyzedBlock, SizeSnapshot, SizedBlock, SnapshotAnalysis};
 pub use engine::{compress_snapshot, snapshot_bytes, snapshot_engine};
 pub use harness::{BenchmarkArtifacts, FunctionalOutcome, Harness, TimingOutcome};
-pub use ladder::{LadderState, LadderVerdict};
+pub use ladder::LadderState;
 pub use scheme::{Scheme, SchemeKind};
 pub use suite::{all_workloads, workload_by_name, Scale, Workload};

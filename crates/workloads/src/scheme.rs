@@ -7,7 +7,8 @@
 //! accounting for the timing simulator, and the codec latencies of
 //! Section IV-A.
 
-use crate::analysis::{AnalyzedBlock, SizeSnapshot, SnapshotAnalysis};
+use crate::analysis::{SizeSnapshot, SnapshotAnalysis};
+use crate::ladder::{LadderState, LadderVerdict};
 use slc_compress::e2mc::{BlockAnalysis, E2mc};
 use slc_compress::{Mag, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
@@ -87,61 +88,80 @@ impl Scheme {
         }
     }
 
-    /// Functional kernel-boundary staging: rewrites safe-to-approximate
-    /// regions with what a DRAM round-trip returns. Lossless schemes leave
-    /// memory untouched.
-    pub fn stage(&self, mem: &mut GpuMemory) {
-        if let Scheme::Slc(slc) = self {
-            mem.stage_approx_regions(|_region, block| slc.roundtrip(block).0);
-        }
-    }
-
-    /// [`stage`](Self::stage) fused with the per-snapshot analysis pass:
-    /// stages `mem` and returns the [`SnapshotAnalysis`] of the **staged**
-    /// state, analysing each block exactly once.
-    ///
-    /// For SLC the staging round-trip already needs the block's analysis
-    /// to drive its budget decision; blocks the budget keeps exact
-    /// round-trip to identical bytes, so their pre-stage analysis *is*
-    /// the post-stage analysis and only lossy blocks are analysed a
-    /// second time (on their reconstruction, whose stored form the burst
-    /// accounting must reflect — identical to analysing the staged memory
-    /// from scratch, just without the redundant passes). Lossless schemes
-    /// leave memory untouched and simply capture the snapshot.
+    /// Functional kernel-boundary staging fused with the per-snapshot
+    /// analysis pass: rewrites safe-to-approximate regions with what a
+    /// DRAM round-trip returns and yields the [`SnapshotAnalysis`] of the
+    /// **staged** state, analysing each block exactly once. Lossless
+    /// schemes leave memory untouched and simply capture the snapshot.
     ///
     /// Returns `None` for [`Scheme::Uncompressed`], which has no trained
     /// table and needs no per-block analysis.
     pub fn stage_analyzed(&self, mem: &mut GpuMemory) -> Option<SnapshotAnalysis> {
-        let e2mc = self.e2mc()?.clone(); // Arc bump, not a table copy
-        if let Scheme::Slc(slc) = self {
-            // Staging visits approx-region blocks in region-table order —
-            // the same relative order the full entry walk below sees them
-            // — so the staged analyses merge back by position, no map.
-            let mut staged: Vec<BlockAnalysis> = Vec::new();
+        self.stage_walk(mem, None)
+    }
+
+    /// The one staging walk. The pre-stage snapshot is captured once;
+    /// `ladder`, when present, turns every entry into a verdict in entry
+    /// order (so its spare pool fills first-come first-served over the
+    /// whole address walk), and without one every block is intact — the
+    /// fault-free pass is the ladder's walk with no fault map. Each
+    /// approximable SLC block is then encoded in the form its verdict
+    /// names, the reconstruction written back, and its entry patched in
+    /// place: exact forms round-trip to identical bytes, so the pre-stage
+    /// analysis *is* the post-stage one and only lossy reconstructions
+    /// are analysed a second time (identical to analysing the staged
+    /// memory from scratch, without the redundant passes); a form the
+    /// ladder imposed also carries the bursts of the stream it stores.
+    pub(crate) fn stage_walk(
+        &self,
+        mem: &mut GpuMemory,
+        ladder: Option<&mut LadderState>,
+    ) -> Option<SnapshotAnalysis> {
+        let Some(e2mc) = self.e2mc() else {
+            // Nothing to stage or record; the walk only feeds the
+            // ladder's counters.
+            if let Some(ladder) = ladder {
+                for (_, addr, _) in mem.blocks_with_addr() {
+                    ladder.resolve_verbatim(addr);
+                }
+            }
+            return None;
+        };
+        let slc = match self {
+            Scheme::Slc(slc) => Some(slc),
+            _ => None,
+        };
+        let mut snapshot = SnapshotAnalysis::capture(e2mc, mem);
+        // No ladder, no verdicts: every block below reads as intact.
+        let verdicts: Vec<LadderVerdict> = ladder.map_or_else(Vec::new, |ladder| {
+            snapshot.entries.iter().map(|b| ladder.resolve(slc, b)).collect()
+        });
+        if let Some(slc) = slc {
+            // Staging visits approximable blocks in entry order.
+            let mut approx = snapshot
+                .entries
+                .iter_mut()
+                .zip(verdicts.into_iter().chain(std::iter::repeat(LadderVerdict::Intact)))
+                .filter(|(entry, _)| entry.approximable);
             mem.stage_approx_regions(|_region, block| {
-                let analysis = e2mc.analyze(block);
-                let c = slc.compress_with(block, &analysis);
-                let out = slc.decompress(&c);
-                // Exact modes reproduce the block bit-for-bit, so the
-                // reconstruction's analysis is the one already in hand.
-                staged.push(if c.is_lossy() { e2mc.analyze(&out) } else { analysis });
+                let (entry, verdict) = approx.next().expect("one entry per approximable block");
+                let stored = match verdict {
+                    LadderVerdict::Refit(fit) => {
+                        let c = slc.compress_fitted(block, &entry.analysis, fit);
+                        entry.stored_bursts = Some(c.bursts());
+                        c
+                    }
+                    _ => slc.compress_with(block, &entry.analysis),
+                };
+                let out = slc.decompress(&stored);
+                if stored.is_lossy() {
+                    entry.analysis = e2mc.analyze(&out);
+                }
                 out
             });
-            let mut staged = staged.into_iter();
-            let mut entries = Vec::new();
-            for (region, addr, block) in mem.blocks_with_addr() {
-                let analysis = if region.safe_to_approx {
-                    staged.next().expect("one staged analysis per approx block")
-                } else {
-                    e2mc.analyze(block)
-                };
-                entries.push(AnalyzedBlock { addr, approximable: region.safe_to_approx, analysis });
-            }
-            debug_assert!(staged.next().is_none(), "staged analyses left over");
-            Some(SnapshotAnalysis::from_entries(&e2mc, entries))
-        } else {
-            Some(SnapshotAnalysis::capture(&e2mc, mem))
+            debug_assert!(approx.next().is_none(), "approximable entries left unstaged");
         }
+        Some(snapshot)
     }
 
     /// Bursts one analysed block costs under `mag`, given whether it
@@ -167,16 +187,6 @@ impl Scheme {
             }
         }
     }
-
-    /// Builds the per-block burst map of one device memory snapshot:
-    /// one analysis pass, one decision sweep.
-    pub fn bursts_map(&self, mem: &GpuMemory, mag: Mag) -> BurstsMap {
-        let mut acc = BurstsAccumulator::new(mag);
-        if let Some(e2mc) = self.e2mc() {
-            acc.record(self, &SnapshotAnalysis::capture(e2mc, mem));
-        }
-        acc.into_map()
-    }
 }
 
 /// Averages per-block burst counts over multiple memory snapshots.
@@ -191,9 +201,10 @@ impl Scheme {
 /// Accumulation is dense and address-indexed: per-block `(sum, folds)`
 /// cells live in a [`DenseAddrMap`] keyed by block ordinal, and
 /// [`record`](Self::record) sweeps a snapshot's contiguous address runs
-/// ([`SnapshotAnalysis::runs`]) straight through each run's cell slice —
-/// the per-entry hash-and-probe of the old `HashMap` accumulator (the
-/// dominant cost of the eval sweep) is gone entirely.
+/// ([`Snapshot::runs`](crate::analysis::Snapshot::runs)) straight through
+/// each run's cell slice — the per-entry hash-and-probe of the old
+/// `HashMap` accumulator (the dominant cost of the eval sweep) is gone
+/// entirely.
 #[derive(Debug, Clone)]
 pub struct BurstsAccumulator {
     mag: Mag,
@@ -214,20 +225,27 @@ impl BurstsAccumulator {
         self.mag
     }
 
-    /// Folds one block's burst count in directly — the fault ladder's
-    /// entry point ([`crate::ladder`]), whose per-block verdicts can
-    /// override the plain scheme decision (a degraded block stores a
-    /// deeper truncation than [`Scheme::bursts_for_analysis`] assumes).
+    /// Folds the burst counts of one run of consecutive block addresses
+    /// starting at `start` into the run's cell slice, by index.
+    fn fold(&mut self, start: BlockAddr, bursts: impl ExactSizeIterator<Item = u32>) {
+        for (cell, b) in self.cells.run_slice(start, bursts.len()).iter_mut().zip(bursts) {
+            cell.0 += u64::from(b);
+            cell.1 += 1;
+        }
+    }
+
+    /// Folds one block's burst count in directly, bypassing the scheme
+    /// decision (differential tests record real encodes this way).
     pub fn record_one(&mut self, addr: BlockAddr, bursts: u32) {
-        let cell = &mut self.cells.run_slice(addr, 1)[0];
-        cell.0 += u64::from(bursts);
-        cell.1 += 1;
+        self.fold(addr, std::iter::once(bursts));
     }
 
     /// Records one already-analysed snapshot under `scheme`: the cheap
     /// decision sweep of the shared pipeline — no block is re-encoded,
     /// and each contiguous address run of the snapshot updates its dense
-    /// cell slice by index (no per-entry map probe).
+    /// cell slice by index (no per-entry map probe). A block the fault
+    /// ladder stored in another form counts its
+    /// [`stored_bursts`](crate::analysis::AnalyzedBlock::stored_bursts).
     ///
     /// # Panics
     ///
@@ -243,12 +261,11 @@ impl BurstsAccumulator {
         );
         let mag = self.mag;
         for run in snapshot.runs() {
-            let cells = self.cells.run_slice(run[0].addr, run.len());
-            for (cell, b) in cells.iter_mut().zip(run) {
-                let bursts = scheme.bursts_for_analysis(&b.analysis, mag, b.approximable);
-                cell.0 += u64::from(bursts);
-                cell.1 += 1;
-            }
+            let bursts = run.iter().map(|b| {
+                b.stored_bursts
+                    .unwrap_or_else(|| scheme.bursts_for_analysis(&b.analysis, mag, b.approximable))
+            });
+            self.fold(run[0].addr, bursts);
         }
     }
 
@@ -277,12 +294,8 @@ impl BurstsAccumulator {
         );
         let mag = self.mag;
         for run in snapshot.runs() {
-            let cells = self.cells.run_slice(run[0].addr, run.len());
-            for (cell, b) in cells.iter_mut().zip(run) {
-                let bursts = mag.bursts_for_bits(b.e2mc_size_bits(), BLOCK_BYTES as u32);
-                cell.0 += u64::from(bursts);
-                cell.1 += 1;
-            }
+            let bursts = run.iter().map(|b| mag.bursts_for_bits(b.size_bits, BLOCK_BYTES as u32));
+            self.fold(run[0].addr, bursts);
         }
     }
 
@@ -352,8 +365,8 @@ mod tests {
     fn lossless_schemes_never_mutate_memory() {
         let mut mem = filled_memory();
         let before = mem.read_f32(slc_sim::DevicePtr(0), 256);
-        Scheme::Uncompressed.stage(&mut mem);
-        Scheme::E2mc(trained()).stage(&mut mem);
+        assert!(Scheme::Uncompressed.stage_analyzed(&mut mem).is_none());
+        assert!(Scheme::E2mc(trained()).stage_analyzed(&mut mem).is_some());
         assert_eq!(mem.read_f32(slc_sim::DevicePtr(0), 256), before);
     }
 
@@ -362,7 +375,7 @@ mod tests {
         let mut mem = filled_memory();
         let exact_before = mem.read_f32(slc_sim::DevicePtr(1024), 256);
         let s = Scheme::slc(trained(), Mag::GDDR5, 16, SlcVariant::TslcSimp);
-        s.stage(&mut mem);
+        s.stage_analyzed(&mut mem);
         assert_eq!(
             mem.read_f32(slc_sim::DevicePtr(1024), 256),
             exact_before,
@@ -370,19 +383,25 @@ mod tests {
         );
     }
 
+    /// One analysis pass, one decision sweep over `mem`.
+    fn swept_map(scheme: &Scheme, e2mc: &E2mc, mem: &GpuMemory) -> BurstsMap {
+        let mut acc = BurstsAccumulator::new(Mag::GDDR5);
+        acc.record(scheme, &SnapshotAnalysis::capture(e2mc, mem));
+        acc.into_map()
+    }
+
     #[test]
     fn bursts_map_compresses_compressible_blocks() {
         let mem = filled_memory();
-        let scheme = Scheme::E2mc(trained());
-        let map = scheme.bursts_map(&mem, Mag::GDDR5);
+        let e = trained();
+        let map = swept_map(&Scheme::E2mc(e.clone()), &e, &mem);
         assert!(!map.is_empty(), "in-distribution data should compress below 4 bursts");
         assert!(map.mean_bursts() < 4.0);
     }
 
     #[test]
     fn uncompressed_map_is_empty() {
-        let mem = filled_memory();
-        let map = Scheme::Uncompressed.bursts_map(&mem, Mag::GDDR5);
+        let map = swept_map(&Scheme::Uncompressed, &trained(), &filled_memory());
         assert!(map.is_empty());
     }
 
@@ -461,35 +480,6 @@ mod tests {
         // hash map happens to yield first.
         acc.record(&scheme, &SnapshotAnalysis::capture(&e, &bigger));
         assert_eq!(acc.snapshots(), 1);
-    }
-
-    #[test]
-    fn stage_analyzed_matches_stage_then_capture() {
-        let e = trained();
-        for scheme in [
-            Scheme::E2mc(e.clone()),
-            Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcSimp),
-            Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcPred),
-            Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt),
-        ] {
-            let mut fused_mem = filled_memory();
-            let snap = scheme.stage_analyzed(&mut fused_mem).expect("scheme has a table");
-            let mut legacy_mem = filled_memory();
-            scheme.stage(&mut legacy_mem);
-            assert_eq!(
-                legacy_mem.read_f32(slc_sim::DevicePtr(0), 256),
-                fused_mem.read_f32(slc_sim::DevicePtr(0), 256),
-                "fused staging must mutate memory identically"
-            );
-            let reference = SnapshotAnalysis::capture(scheme.e2mc().unwrap(), &legacy_mem);
-            assert_eq!(snap.entries().len(), reference.entries().len());
-            for (got, want) in snap.entries().iter().zip(reference.entries()) {
-                assert_eq!(got.addr, want.addr);
-                assert_eq!(got.approximable, want.approximable);
-                assert_eq!(got.analysis, want.analysis, "block {}", got.addr);
-            }
-        }
-        assert!(Scheme::Uncompressed.stage_analyzed(&mut filled_memory()).is_none());
     }
 
     #[test]

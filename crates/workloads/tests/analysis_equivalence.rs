@@ -156,8 +156,6 @@ proptest! {
                     &direct, &swept,
                     "mag {:?} threshold {} scheme {:?} diverged", mag, threshold, scheme.kind()
                 );
-                // And the public one-shot helper takes the same path.
-                prop_assert_eq!(&scheme.bursts_map(&mem, mag), &direct);
             }
         }
     }
@@ -298,7 +296,8 @@ fn staged_snapshots_match_direct_accumulation_over_boundaries() {
         for round in 0..3u64 {
             let snap = scheme.stage_analyzed(&mut fused_mem).expect("slc has a table");
             fused.record(&scheme, &snap);
-            scheme.stage(&mut legacy_mem);
+            let Scheme::Slc(slc) = &scheme else { unreachable!() };
+            legacy_mem.stage_approx_regions(|_, b| slc.decompress(&slc.compress(b)));
             record_encoded(&mut legacy, &scheme, &legacy_mem);
             // Perturb both memories identically between boundaries, as a
             // kernel would.

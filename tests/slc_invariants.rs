@@ -5,7 +5,7 @@ use slc::slc_compress::symbols::block_to_symbols;
 use slc::slc_compress::{BlockCompressor, Mag};
 use slc::slc_core::predict::PredictorKind;
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant, StoredKind};
-use slc::slc_workloads::{all_workloads, Harness, Scale};
+use slc::slc_workloads::{all_workloads, Harness, Scale, Scheme, SnapshotAnalysis};
 
 fn harness() -> Harness {
     Harness::new(Scale::Tiny)
@@ -67,6 +67,52 @@ fn lossy_blocks_differ_only_in_approximated_symbols() {
         }
     }
     assert!(lossy_seen > 50, "only {lossy_seen} lossy blocks across the suite");
+}
+
+#[test]
+fn staging_honours_the_lossy_contract_at_the_memory_level() {
+    // The same contract one level up, through the harness' staging walk:
+    // whatever the variant and threshold, staging touches approximable
+    // blocks only, and those only inside the hole the pre-stage analysis
+    // selects; the snapshot it returns describes the staged memory.
+    let h = harness();
+    let mut changed = 0usize;
+    for w in all_workloads(Scale::Tiny) {
+        let a = h.prepare(w.as_ref());
+        let before = SnapshotAnalysis::capture(&a.e2mc, &a.exact_memory);
+        for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
+            for threshold in 0..=32 {
+                let scheme = Scheme::slc(a.e2mc.clone(), Mag::GDDR5, threshold, variant);
+                let Scheme::Slc(slc) = &scheme else { unreachable!() };
+                let what = format!("{} {variant:?} threshold {threshold}", w.name());
+                let mut staged = a.exact_memory.clone();
+                let snapshot = scheme.stage_analyzed(&mut staged).expect("SLC has a table");
+                let blocks = a.exact_memory.blocks_with_addr().zip(staged.blocks_with_addr());
+                for (((region, addr, pre), (_, _, post)), entry) in blocks.zip(before.entries()) {
+                    if pre == post {
+                        continue;
+                    }
+                    changed += 1;
+                    assert!(region.safe_to_approx, "{what}: exact block {addr} changed");
+                    assert_ne!(threshold, 0, "{what}: block {addr} changed");
+                    let (_, selection) = slc.analyze_with(&entry.analysis);
+                    let hole = selection.map_or(0..0, |s| s.start..s.start + s.symbols);
+                    let (orig, dec) = (block_to_symbols(pre), block_to_symbols(post));
+                    for i in (0..64).filter(|i| !hole.contains(i)) {
+                        assert_eq!(orig[i], dec[i], "{what}: block {addr} symbol {i} leaked");
+                    }
+                }
+                let recaptured = SnapshotAnalysis::capture(&a.e2mc, &staged);
+                assert_eq!(snapshot.entries(), recaptured.entries(), "{what}");
+                // And the walk is nothing but encode → decode per block.
+                let mut oracle = a.exact_memory.clone();
+                oracle.stage_approx_regions(|_, b| slc.decompress(&slc.compress(b)));
+                let same = staged.blocks_with_addr().eq(oracle.blocks_with_addr());
+                assert!(same, "{what}: staged memory differs from the per-block round trip");
+            }
+        }
+    }
+    assert!(changed > 1000, "only {changed} staged blocks changed across the sweep");
 }
 
 #[test]
