@@ -109,12 +109,13 @@
 //!   ([`ChunkCoder`]) that gathers one frequency table per engine chunk
 //!   instead of per 128 B block.
 //!
-//! `cargo bench --bench codec_throughput` (crate `slc-bench`) measures
-//! all of this and refreshes the repo-root `BENCH_codec.json` baseline
-//! (CI fails on >30% regression against the committed baseline; see
-//! `tools/check_bench_regression.py`).
+//! The `benchmark/` ledger measures these paths from outside the crate
+//! (`compress.{encode,decode,analyze}_ns_per_block` on `mixed_bdi`,
+//! `snap_e2mc` and `mixed_rans`; see `benchmark/README.md`). Per-block
+//! FPC, C-PACK and BPC have no ledger row yet (ROADMAP item 1a).
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bdi;
 pub mod bitstream;

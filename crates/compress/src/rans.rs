@@ -50,8 +50,8 @@
 //! # Two coding granularities
 //!
 //! [`Rans`] implements [`BlockCompressor`] per 128 B block (each block
-//! stream carries its own table), which is what the registry, the
-//! hardening barrages and the `compress_block/rans` bench row exercise.
+//! stream carries its own table), which is what the registry and the
+//! hardening barrages exercise.
 //! But the natural unit for an entropy coder is the engine *chunk*: one
 //! frequency gather and one shared table amortised over all blocks of a
 //! 64 KiB chunk. [`Rans`] therefore also implements

@@ -4,7 +4,7 @@ use slc_core::slc::SlcVariant;
 use slc_workloads::{all_workloads, Harness, Scale, Scheme};
 
 fn main() {
-    let scale = Scale::Small;
+    let scale = Scale::from_env();
     let h = Harness::new(scale);
     let mag = h.config.mag();
     println!(

@@ -7,14 +7,14 @@ use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_workloads::{all_workloads, Harness, Scale};
 
 fn main() {
-    let scale = Scale::Small;
+    let scale = Scale::from_env();
     let h = Harness::new(scale);
     let mag = h.config.mag();
     for w in all_workloads(scale) {
         let a = h.prepare(w.as_ref());
         let slc = SlcCompressor::new(a.e2mc.clone(), SlcConfig::new(mag, 16, SlcVariant::TslcOpt));
         println!("{}:", a.name);
-        let initial = w.build(42);
+        let initial = w.build(h.seed);
         for (which, memref) in [("init", &initial), ("final", &a.exact_memory)] {
             for region in memref.regions() {
                 let bytes = memref.region_bytes(region);

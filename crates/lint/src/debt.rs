@@ -110,13 +110,13 @@ mod tests {
     const SRC: &str = "fn f() {\n    \
         x.unwrap(); // slc-lint: allow(hot-path): reviewed, infallible\n    \
         y.unwrap(); // slc-lint: allow(hot-path): reviewed, also infallible\n    \
-        unsafe { go() } // slc-lint: allow(unsafe): reviewed FFI shim\n}\n";
+        go(); // slc-lint: allow(wire-format): reviewed layout change\n}\n";
 
     #[test]
     fn snapshot_counts_per_file_and_check() {
         let snap = snapshot(&ws(SRC));
         assert_eq!(snap[&("crates/a/src/lib.rs".to_string(), "hot-path".to_string())], 2);
-        assert_eq!(snap[&("crates/a/src/lib.rs".to_string(), "unsafe".to_string())], 1);
+        assert_eq!(snap[&("crates/a/src/lib.rs".to_string(), "wire-format".to_string())], 1);
     }
 
     #[test]
@@ -155,10 +155,10 @@ mod tests {
     fn lock_lines_parse_kinds() {
         let lock = parse_lock(
             "# header\ncrates/a/src/lib.rs allow(hot-path) = 2\n\
-             crates/a/src/lib.rs allow(unsafe) = 1\nnot a lock line = 3\n",
+             crates/a/src/lib.rs allow(wire-format) = 1\nnot a lock line = 3\n",
         );
         assert_eq!(lock.len(), 2);
         assert_eq!(lock[&("crates/a/src/lib.rs".to_string(), "hot-path".to_string())], 2);
-        assert_eq!(lock[&("crates/a/src/lib.rs".to_string(), "unsafe".to_string())], 1);
+        assert_eq!(lock[&("crates/a/src/lib.rs".to_string(), "wire-format".to_string())], 1);
     }
 }

@@ -18,7 +18,7 @@
 //! Every resolution is filtered by the crate dependency closure: code in
 //! `slc-compress` cannot grow an edge into `slc-sim`, because the crate
 //! cannot name it. Test code (`#[cfg(test)]` modules, `tests/`,
-//! `benches/`, `examples/`) is excluded from the def index entirely.
+//! `examples/`) is excluded from the def index entirely.
 
 use crate::scan::{CallKind, CallSite, FnDef};
 use crate::{waivers, Finding, Workspace};

@@ -13,12 +13,11 @@
 //!
 //! Comments are lexed into a side channel ([`Lexed::comments`]) rather
 //! than the main token stream, so item scanning stays simple while the
-//! waiver / `SAFETY:` checks still see every comment with its line.
+//! waiver check still sees every comment with its line.
 
 /// What a token is, coarsely. The scanner works on identifier text and
 /// single-character punctuation; literal *values* are kept only where a
-/// check needs them (string contents for the wire-format freeze and the
-/// bench-row cross-check).
+/// check needs them (string contents for the wire-format freeze).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or keyword (including raw identifiers, `r#type`).

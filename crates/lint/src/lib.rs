@@ -1,12 +1,12 @@
 //! `slc-lint` — the workspace's static-analysis pass.
 //!
 //! The repo's load-bearing invariants are enforced *dynamically* by
-//! corruption barrages and bench gates; this crate turns them into
+//! corruption barrages and ledger digests; this crate turns them into
 //! CI-time compile gates. It has no external dependencies (the build
 //! container is offline), shipping its own hand-rolled Rust [`lexer`], a
 //! shallow item [`scan`]ner, and a best-effort intra-workspace call
 //! graph; the per-file scan fans out through the workspace's `slc-par`.
-//! Four checks run over the whole workspace:
+//! Two checks run over the whole workspace:
 //!
 //! 1. **`hot-path`** — functions rooted at the committed manifest
 //!    `tools/lint/hot_paths.txt` must not transitively reach `panic!`,
@@ -15,23 +15,21 @@
 //!    hot paths, which never flags), `.unwrap()`, `.expect(…)`,
 //!    `vec![…]`, `Vec::new`, `.to_vec()`, `format!`, `Box::new` or
 //!    `.collect()`.
-//! 2. **`unsafe`** — every `unsafe` block/fn/impl must carry a
-//!    `// SAFETY:` comment (same line or the comment block directly
-//!    above); the tool always prints the full unsafe inventory.
-//! 3. **`wire-format`** — `CodecId` discriminants, the container
+//! 2. **`wire-format`** — `CodecId` discriminants, the container
 //!    magic/version/geometry constants and header field layouts are
 //!    extracted from source and diffed against
 //!    `tools/lint/wire_format.lock`.
-//! 4. **`bench-rows`** — bench ids registered in `crates/bench` sources
-//!    must match `tools/bench_rows.txt` / `tools/eval_rows.txt` in both
-//!    directions, catching dropped rows at lint time.
 //!
-//! What this crate does *not* police is wire-derived integers: the three
-//! functions that read them (`Frame::parse`, `decode_blocks`,
-//! `parse_table`) take their fields off the input by checked slice
-//! splits and carry `#[deny(clippy::indexing_slicing,
-//! clippy::arithmetic_side_effects)]`, so `cargo clippy` — a tool this
-//! repo does not maintain — rejects a re-introduced index or bare `+`.
+//! What this crate does *not* police is what the compiler's own lints
+//! can: the three functions that read wire-derived integers
+//! (`Frame::parse`, `decode_blocks`, `parse_table`) take their fields off
+//! the input by checked slice splits and carry
+//! `#[deny(clippy::indexing_slicing, clippy::arithmetic_side_effects)]`,
+//! and `slc-compress` — the one crate that is not
+//! `#![forbid(unsafe_code)]` — carries
+//! `#![deny(clippy::undocumented_unsafe_blocks)]`, so `cargo clippy` — a
+//! tool this repo does not maintain — rejects a re-introduced index, a
+//! bare `+` or an `unsafe` block without its `// SAFETY:` comment.
 //!
 //! # Waiver syntax
 //!
@@ -44,11 +42,12 @@
 //! ```
 //!
 //! The check name in `allow(…)` must match the finding's check
-//! (`hot-path`, `unsafe`, …) and the reason after the second colon must
-//! be non-empty. A waiver placed on the line of an `fn` definition (or
-//! directly above it) exempts the *whole function*: its body is not
-//! audited and the call graph does not traverse through it — the escape
-//! hatch for cold entry wrappers that share a name with hot code.
+//! (`hot-path` is the only one with waivable sites) and the reason after
+//! the second colon must be non-empty. A waiver placed on the line of an
+//! `fn` definition (or directly above it) exempts the *whole function*:
+//! its body is not audited and the call graph does not traverse through
+//! it — the escape hatch for cold entry wrappers that share a name with
+//! hot code.
 //!
 //! Every `allow(…)` waiver in the workspace is additionally pinned by
 //! `tools/lint/waivers.lock` (check **`waiver-debt`**, see [`debt`]): a
@@ -82,10 +81,10 @@
 //! # CLI output and exit codes
 //!
 //! `cargo run --release -p slc-lint [-- --format json]` — the default
-//! output is human-readable findings plus the unsafe inventory; with
-//! `--format json` a single machine-readable object (findings, unsafe
-//! inventory, waiver inventory, scan stats) is printed to stdout — CI
-//! uploads it as an artifact. The exit-code taxonomy:
+//! output is human-readable findings; with `--format json` a single
+//! machine-readable object (`"schema": 2`: findings, waiver inventory,
+//! scan stats) is printed to stdout — CI uploads it as an artifact. The
+//! exit-code taxonomy:
 //!
 //! * **0** — every check ran and produced no findings (or a
 //!   `--update-*-lock` rewrite succeeded).
@@ -101,9 +100,7 @@
 
 pub mod debt;
 pub mod graph;
-pub mod hygiene;
 pub mod lexer;
-pub mod rows;
 pub mod scan;
 pub mod wire;
 
@@ -153,7 +150,7 @@ impl Workspace {
         }
         transitive_close(&mut deps);
         for (dir, name) in &crate_dirs {
-            for sub in ["src", "tests", "benches", "examples"] {
+            for sub in ["src", "tests", "examples"] {
                 collect_rs(&root.join(dir).join(sub), root, name, &mut sources)?;
             }
         }
@@ -330,8 +327,8 @@ fn parse_deps(cargo_toml: &Path) -> BTreeSet<String> {
     for line in text.lines() {
         let line = line.trim();
         if line.starts_with('[') {
-            // Only plain [dependencies]: dev-deps (proptest shims, bench
-            // harnesses) must not open call-graph edges into hot paths.
+            // Only plain [dependencies]: dev-deps (the proptest shim) must
+            // not open call-graph edges into hot paths.
             in_deps = line == "[dependencies]";
             continue;
         }
@@ -430,15 +427,15 @@ mod tests {
             "crates/x/src/lib.rs",
             "x",
             "fn f() {\n    work(); // slc-lint: allow(hot-path): trailing reason\n    \
-             // slc-lint: allow(unsafe): standalone reason\n    // continues\n    more();\n}\n",
+             // slc-lint: allow(wire-format): standalone reason\n    // continues\n    more();\n}\n",
         );
         let ws = waivers(&file);
         assert_eq!(ws.len(), 2);
         assert_eq!((ws[0].check.as_str(), ws[0].target_line), ("hot-path", 2));
-        assert_eq!((ws[1].check.as_str(), ws[1].target_line), ("unsafe", 5));
+        assert_eq!((ws[1].check.as_str(), ws[1].target_line), ("wire-format", 5));
         assert!(is_waived(&file, "hot-path", 2));
         assert!(!is_waived(&file, "hot-path", 5));
-        assert!(is_waived(&file, "unsafe", 5));
+        assert!(is_waived(&file, "wire-format", 5));
     }
 
     #[test]
@@ -449,7 +446,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "x",
             "/// Waive with `// slc-lint: allow(hot-path): <reason>`.\n\
-             //! Or: // slc-lint: allow(unsafe): reviewed\n\
+             //! Or: // slc-lint: allow(wire-format): reviewed\n\
              /** block doc: slc-lint: allow(hot-path): nope */\n\
              fn f() {\n    work();\n}\n",
         );

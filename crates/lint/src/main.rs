@@ -3,8 +3,8 @@
 //! Flags:
 //!
 //! * `--format json` — print one machine-readable JSON object (findings,
-//!   unsafe inventory, waiver inventory, scan stats) to stdout instead
-//!   of the human report; CI uploads it as an artifact.
+//!   waiver inventory, scan stats) to stdout instead of the human
+//!   report; CI uploads it as an artifact.
 //! * `--update-wire-lock` — re-extract the wire snapshot and rewrite
 //!   `tools/lint/wire_format.lock` instead of diffing. For intentional,
 //!   documented wire changes only.
@@ -16,7 +16,7 @@
 //! tool could not do its job — also surfaced as findings), so CI can
 //! gate on it directly; see the crate docs for the full taxonomy.
 
-use slc_lint::{debt, graph, hygiene, rows, waiver_hint, wire, Finding, Workspace};
+use slc_lint::{debt, graph, waiver_hint, wire, Finding, Workspace};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -95,17 +95,7 @@ fn main() -> ExitCode {
         }),
     }
 
-    // 2: unsafe hygiene + the always-reported inventory.
-    findings.extend(hygiene::check_unsafe(&ws));
-    let inventory = hygiene::inventory(&ws);
-    if !json {
-        println!("slc-lint: unsafe inventory ({} sites)", inventory.len());
-        for line in &inventory {
-            println!("  {line}");
-        }
-    }
-
-    // 3: wire-format freeze.
+    // 2: wire-format freeze.
     match std::fs::read_to_string(root.join(wire::LOCK_PATH)) {
         Ok(text) => findings.extend(wire::check_lock(&snapshot, &wire::parse_lock(&text))),
         Err(e) => findings.push(Finding {
@@ -115,21 +105,6 @@ fn main() -> ExitCode {
             message: format!("cannot read wire lock: {e} — generate it with --update-wire-lock"),
         }),
     }
-
-    // 4: bench-row cross-check.
-    let mut manifests = Vec::new();
-    for path in ["tools/bench_rows.txt", "tools/eval_rows.txt"] {
-        match std::fs::read_to_string(root.join(path)) {
-            Ok(text) => manifests.push((path.to_string(), rows::parse_rows(&text))),
-            Err(e) => findings.push(Finding {
-                check: rows::BENCH_ROWS,
-                file: path.to_string(),
-                line: 0,
-                message: format!("cannot read row manifest: {e}"),
-            }),
-        }
-    }
-    findings.extend(rows::check_rows(&ws, &manifests));
 
     // The waiver-debt lock.
     match std::fs::read_to_string(root.join(debt::LOCK_PATH)) {
@@ -148,7 +123,7 @@ fn main() -> ExitCode {
 
     findings.sort_by(|a, b| (&a.file, a.line, a.check).cmp(&(&b.file, b.line, b.check)));
     if json {
-        println!("{}", render_json(&ws, &findings, &inventory));
+        println!("{}", render_json(&ws, &findings));
         return if findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
     if findings.is_empty() {
@@ -166,15 +141,15 @@ fn main() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Renders the machine-readable report: findings, the unsafe inventory,
-/// the waiver inventory, and scan stats, as one JSON object.
+/// Renders the machine-readable report: findings, the waiver inventory
+/// and scan stats, as one JSON object.
 ///
 /// Hand-rolled on purpose — the lint ships zero external dependencies
 /// (offline build container), and the document is flat enough that a
 /// serializer would buy nothing but a dependency.
-fn render_json(ws: &Workspace, findings: &[Finding], unsafe_inventory: &[String]) -> String {
+fn render_json(ws: &Workspace, findings: &[Finding]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 1,\n");
+    out.push_str("  \"schema\": 2,\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", ws.files.len()));
     let fn_count: usize = ws.files.iter().map(|f| f.fns.len()).sum();
     out.push_str(&format!("  \"functions\": {fn_count},\n"));
@@ -193,15 +168,6 @@ fn render_json(ws: &Workspace, findings: &[Finding], unsafe_inventory: &[String]
         ));
     }
     out.push_str(if findings.is_empty() { "],\n" } else { "\n  ],\n" });
-
-    out.push_str("  \"unsafe_inventory\": [");
-    for (i, line) in unsafe_inventory.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    {}", json_str(line)));
-    }
-    out.push_str(if unsafe_inventory.is_empty() { "],\n" } else { "\n  ],\n" });
 
     let mut waiver_count = 0usize;
     out.push_str("  \"waivers\": [");

@@ -3,12 +3,12 @@
 //! This is deliberately *not* a parser: it walks the [`crate::lexer`] token
 //! stream once, tracking brace depth and an `impl`/`trait`/`mod` context
 //! stack, and extracts exactly what the checks need — function
-//! definitions with body spans and per-body call sites, `unsafe`
-//! occurrences, enums with discriminants, struct fields, and consts.
+//! definitions with body spans and per-body call sites, enums with
+//! discriminants, struct fields, and consts.
 //! Anything it does not understand it skips, so macro-heavy or exotic
 //! code degrades to "fewer facts", never to a crash.
 
-use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
+use crate::lexer::{lex, Lexed, Token, TokenKind};
 
 /// Where a call site points, syntactically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,32 +60,11 @@ pub struct FnDef {
     pub line: u32,
     /// True for functions in `#[cfg(test)]` modules or `#[test]` fns.
     pub is_test: bool,
-    pub is_unsafe: bool,
     /// Call sites found in the body, in source order.
     pub calls: Vec<CallSite>,
     /// Token index range of the body (within [`FileIndex::lexed`]),
     /// empty for bodyless trait declarations.
     pub body: std::ops::Range<usize>,
-}
-
-/// What kind of `unsafe` occurrence a site is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    Block,
-    Fn,
-    Impl,
-    Trait,
-}
-
-/// One `unsafe` occurrence.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    pub kind: UnsafeKind,
-    pub line: u32,
-    /// Name of the enclosing function, when inside one.
-    pub in_fn: Option<String>,
-    /// True when the site lives in test code.
-    pub is_test: bool,
 }
 
 /// An enum definition with its variants and literal discriminants.
@@ -129,11 +108,10 @@ pub struct FileIndex {
     pub crate_name: String,
     pub lexed: Lexed,
     pub fns: Vec<FnDef>,
-    pub unsafes: Vec<UnsafeSite>,
     pub enums: Vec<EnumDef>,
     pub structs: Vec<StructDef>,
     pub consts: Vec<ConstDef>,
-    /// True for integration tests / benches / examples — code that never
+    /// True for integration tests / examples — code that never
     /// ships in the library, excluded from the hot-path call graph.
     pub is_external_test: bool,
 }
@@ -143,7 +121,6 @@ impl FileIndex {
     pub fn build(path: &str, crate_name: &str, src: &str) -> Self {
         let lexed = lex(src);
         let is_external_test = path.contains("/tests/")
-            || path.contains("/benches/")
             || path.contains("/examples/")
             || path.starts_with("tests/")
             || path.starts_with("examples/");
@@ -152,7 +129,6 @@ impl FileIndex {
             crate_name: crate_name.to_string(),
             lexed,
             fns: Vec::new(),
-            unsafes: Vec::new(),
             enums: Vec::new(),
             structs: Vec::new(),
             consts: Vec::new(),
@@ -160,11 +136,6 @@ impl FileIndex {
         };
         idx.scan();
         idx
-    }
-
-    /// Comments overlapping 1-based source line `line`.
-    pub fn comments_on_line(&self, line: u32) -> impl Iterator<Item = &Comment> {
-        self.lexed.comments.iter().filter(move |c| c.line <= line && line <= c.end_line)
     }
 
     fn scan(&mut self) {
@@ -255,32 +226,6 @@ impl FileIndex {
                     ctx.pending_attrs.clear();
                     self.scan_const(toks, i)
                 }
-                "unsafe" => {
-                    let next = toks.get(i + 1);
-                    let kind = match next.map(|t| &t.kind) {
-                        Some(TokenKind::Punct('{')) => Some(UnsafeKind::Block),
-                        Some(TokenKind::Ident(w)) => match w.as_str() {
-                            "fn" => Some(UnsafeKind::Fn),
-                            "impl" => Some(UnsafeKind::Impl),
-                            "trait" => Some(UnsafeKind::Trait),
-                            _ => None,
-                        },
-                        _ => None,
-                    };
-                    if let Some(kind) = kind {
-                        // `unsafe fn` sites are recorded by scan_fn (it
-                        // knows the fn name); blocks/impls/traits here.
-                        if kind != UnsafeKind::Fn {
-                            self.unsafes.push(UnsafeSite {
-                                kind,
-                                line: t.line,
-                                in_fn: ctx.current_fn.clone(),
-                                is_test: ctx.in_test(),
-                            });
-                        }
-                    }
-                    i + 1
-                }
                 "fn" => self.scan_fn(toks, i, ctx),
                 _ => {
                     // Any other identifier at item position clears stale
@@ -298,20 +243,11 @@ impl FileIndex {
             return i + 1;
         };
         let attrs = std::mem::take(&mut ctx.pending_attrs);
-        let is_unsafe = i > 0 && toks[i - 1].ident() == Some("unsafe");
         let is_test = ctx.in_test()
             || attrs.iter().any(|a| {
                 a.split_whitespace().next() == Some("test")
                     || (a.contains("cfg") && a.contains("test"))
             });
-        if is_unsafe {
-            self.unsafes.push(UnsafeSite {
-                kind: UnsafeKind::Fn,
-                line: toks[i].line,
-                in_fn: Some(name.to_string()),
-                is_test,
-            });
-        }
         // Find the body `{` (or `;` for a bodyless declaration), skipping
         // balanced parens/brackets in the signature.
         let mut j = i + 2;
@@ -336,22 +272,16 @@ impl FileIndex {
             None => (0..0, j + 1),
         };
         let calls = collect_calls(toks, body.clone(), owner.as_deref());
-        // Nested fns inside this body are still scanned by the outer
-        // loop; `current_fn` attribution for unsafe blocks uses the
-        // innermost fn whose body covers them. A simple assignment is
-        // enough: bodies are scanned strictly after their `fn` token.
-        ctx.current_fn = Some(name.to_string());
         self.fns.push(FnDef {
             name: name.to_string(),
             owner,
             line: toks[i].line,
             is_test,
-            is_unsafe,
             calls,
             body: body.clone(),
         });
-        // Continue scanning *inside* the body (for nested items and
-        // unsafe blocks) rather than skipping it.
+        // Continue scanning *inside* the body (for nested items) rather
+        // than skipping it.
         let _ = end;
         i + 2
     }
@@ -537,7 +467,6 @@ struct ScanCtx {
     depth: u32,
     stack: Vec<Scope>,
     pending_attrs: Vec<String>,
-    current_fn: Option<String>,
 }
 
 impl ScanCtx {
@@ -940,15 +869,6 @@ mod tests {
             m,
             [("MAGIC", "* \"SLC1\""), ("TAG", "1 << 15"), ("N", "( BLOCK_BYTES as u32 ) * 8"),]
         );
-    }
-
-    #[test]
-    fn unsafe_sites_are_recorded() {
-        let idx =
-            index("fn f() { unsafe { work(); } }\nunsafe fn g() {}\nunsafe impl Send for X {}");
-        let kinds: Vec<_> = idx.unsafes.iter().map(|u| u.kind).collect();
-        assert_eq!(kinds, [UnsafeKind::Block, UnsafeKind::Fn, UnsafeKind::Impl]);
-        assert_eq!(idx.unsafes[0].in_fn.as_deref(), Some("f"));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use slc_lint::debt;
 use slc_lint::graph::{check_hot_paths, parse_manifest, HOT_PATH};
-use slc_lint::hygiene::{check_unsafe, inventory};
 use slc_lint::wire::{check_lock, parse_lock, render_lock, snapshot};
 use slc_lint::{Finding, Workspace};
 use std::path::{Path, PathBuf};
@@ -23,8 +22,6 @@ const NESTED_VIOLATING: &str = include_str!("fixtures/nested_comments_violating.
 const NESTED_CLEAN: &str = include_str!("fixtures/nested_comments_clean.rs");
 const WAIVER_MALFORMED: &str = include_str!("fixtures/waiver_malformed_violating.rs");
 const WAIVER_FN_LEVEL: &str = include_str!("fixtures/waiver_fn_level_clean.rs");
-const UNSAFE_VIOLATING: &str = include_str!("fixtures/unsafe_violating.rs");
-const UNSAFE_CLEAN: &str = include_str!("fixtures/unsafe_clean.rs");
 const WIRE_CODEC_V1: &str = include_str!("fixtures/wire_codec_v1.rs");
 const WIRE_CODEC_MUTATED: &str = include_str!("fixtures/wire_codec_mutated.rs");
 const WIRE_CONTAINER_V1: &str = include_str!("fixtures/wire_container_v1.rs");
@@ -90,20 +87,6 @@ fn malformed_waivers_suppress_nothing() {
 fn fn_level_waiver_exempts_body_and_traversal() {
     let f = audit(WAIVER_FN_LEVEL, "encode");
     assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn unsafe_fixture_pair() {
-    let ws = Workspace::from_sources(&[
-        ("crates/fix/src/bad.rs", "fix", UNSAFE_VIOLATING),
-        ("crates/fix/src/good.rs", "fix", UNSAFE_CLEAN),
-    ]);
-    let f = check_unsafe(&ws);
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(f[0].file, "crates/fix/src/bad.rs");
-    assert!(f[0].message.contains("`// SAFETY:`"));
-    // The inventory covers every site, commented or not.
-    assert_eq!(inventory(&ws).len(), 3);
 }
 
 fn wire_ws(codec_src: &str) -> Workspace {

@@ -21,13 +21,28 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `SLC_SCALE` (`tiny` / `small` / `full`) with `Small` default.
-    pub fn from_env() -> Self {
-        match std::env::var("SLC_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("full") => Scale::Full,
-            _ => Scale::Small,
+    /// The scale one `SLC_SCALE` value names: unset is `Small`; `tiny` /
+    /// `small` / `full` match trimmed and case-insensitively. Anything
+    /// else is an error naming the value — a typo must never silently
+    /// run (and print the figures of) a different scale.
+    pub fn parse(var: Option<&str>) -> Result<Self, String> {
+        let Some(v) = var else { return Ok(Scale::Small) };
+        match v.trim().to_ascii_lowercase().as_str() {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            _ => Err(format!("SLC_SCALE={v:?} is not one of tiny, small, full")),
         }
+    }
+
+    /// Reads `SLC_SCALE` through [`Scale::parse`]; an unrecognised value
+    /// (non-UTF-8 included) prints the error and exits with status 2.
+    pub fn from_env() -> Self {
+        let var = std::env::var_os("SLC_SCALE");
+        Self::parse(var.as_deref().map(|v| v.to_string_lossy()).as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// A scale-dependent pick: `tiny` / `small` / `full`.
@@ -131,6 +146,20 @@ mod tests {
         assert!(workload_by_name("srad1", Scale::Tiny).is_some());
         assert!(workload_by_name("BS", Scale::Tiny).is_some());
         assert!(workload_by_name("nope", Scale::Tiny).is_none());
+    }
+
+    #[test]
+    fn scale_parse_accepts_the_three_names_and_rejects_the_rest() {
+        // Pure-function test: no process-global env mutation.
+        assert_eq!(Scale::parse(None), Ok(Scale::Small));
+        assert_eq!(Scale::parse(Some(" Tiny")), Ok(Scale::Tiny));
+        assert_eq!(Scale::parse(Some("SMALL\n")), Ok(Scale::Small));
+        assert_eq!(Scale::parse(Some("\tfUlL ")), Ok(Scale::Full));
+        for bad in ["ful", "", "tiny,small"] {
+            let err = Scale::parse(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("tiny, small, full"), "{err}");
+        }
     }
 
     #[test]
