@@ -28,8 +28,9 @@
 //! decision consumes it:
 //! [`analyze_with`](slc::SlcCompressor::analyze_with),
 //! [`stored_bits_with`](slc::SlcCompressor::stored_bits_with),
-//! [`stored_bursts_with`](slc::SlcCompressor::stored_bursts_with) and
-//! [`compress_with`](slc::SlcCompressor::compress_with) take a
+//! [`stored_bursts_with`](slc::SlcCompressor::stored_bursts_with),
+//! [`compress_with`](slc::SlcCompressor::compress_with) and
+//! [`approximate_with`](slc::SlcCompressor::approximate_with) take a
 //! `&BlockAnalysis`; only [`compress`](slc::SlcCompressor::compress)
 //! keeps a block-taking convenience that derives the analysis
 //! internally.
@@ -42,7 +43,10 @@
 //! configurations can sweep one analysis with N cheap decisions, which
 //! is exactly what the workload harness' snapshot cache does (see
 //! `slc-workloads::analysis`). `compress_with` is pinned bit-identical
-//! to `compress` by unit and property tests.
+//! to `compress` by unit and property tests, and `approximate_with` —
+//! the lossy step without the entropy coder, what the staging walk
+//! calls — to `decompress(compress_with(..))`, which stays the codec and
+//! the reference.
 //!
 //! # Quick start
 //!

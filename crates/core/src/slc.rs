@@ -135,6 +135,24 @@ pub enum FitOutcome {
     Unstorable,
 }
 
+impl FitOutcome {
+    /// The stored form this verdict imposes in place of the fault-free
+    /// one, with the size in bits it promises; `None` for `Natural` and
+    /// `Unstorable`, which keep the fault-free form (an unstorable block
+    /// lives in a spare row, or nowhere). The one place a verdict becomes
+    /// a [`StoredKind`], shared by encoding, direct reconstruction and
+    /// burst accounting.
+    pub fn imposed_form(self) -> Option<(u32, StoredKind)> {
+        match self {
+            FitOutcome::Natural { .. } | FitOutcome::Unstorable => None,
+            FitOutcome::Lossless { bits } => Some((bits, StoredKind::Lossless)),
+            FitOutcome::Degraded { bits, selection } => {
+                Some((bits, StoredKind::Lossy { selection }))
+            }
+        }
+    }
+}
+
 /// How a block was stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoredKind {
@@ -225,13 +243,14 @@ impl SlcCompressor {
     /// Analyses `block` under the trained table: the per-symbol code
     /// lengths and their sum, the shared artifact every decision below
     /// consumes. Produce it once and fan it out to [`analyze_with`],
-    /// [`stored_bits_with`] or [`compress_with`] — across as many
-    /// schemes, thresholds and MAGs as needed — instead of paying one
-    /// table pass per consumer.
+    /// [`stored_bits_with`], [`compress_with`] or [`approximate_with`] —
+    /// across as many schemes, thresholds and MAGs as needed — instead of
+    /// paying one table pass per consumer.
     ///
     /// [`analyze_with`]: Self::analyze_with
     /// [`stored_bits_with`]: Self::stored_bits_with
     /// [`compress_with`]: Self::compress_with
+    /// [`approximate_with`]: Self::approximate_with
     pub fn analysis(&self, block: &Block) -> BlockAnalysis {
         self.e2mc.analyze(block)
     }
@@ -362,14 +381,8 @@ impl SlcCompressor {
         analysis: &BlockAnalysis,
         fit: FitOutcome,
     ) -> SlcCompressed {
-        let (bits, mode, kind) = match fit {
-            FitOutcome::Natural { .. } | FitOutcome::Unstorable => {
-                return self.compress_with(block, analysis)
-            }
-            FitOutcome::Lossless { bits } => (bits, ModeChoice::Lossless, StoredKind::Lossless),
-            FitOutcome::Degraded { bits, selection } => {
-                (bits, ModeChoice::Lossy, StoredKind::Lossy { selection })
-            }
+        let Some((bits, kind)) = fit.imposed_form() else {
+            return self.compress_with(block, analysis);
         };
         // A synthetic decision whose bit budget is the promised size.
         let comp = LOSSLESS_HEADER_BITS + analysis.total_code_bits();
@@ -377,9 +390,55 @@ impl SlcCompressor {
             comp_size_bits: comp,
             bit_budget: bits,
             extra_bits: comp - bits,
-            mode,
+            mode: match kind {
+                StoredKind::Lossy { .. } => ModeChoice::Lossy,
+                _ => ModeChoice::Lossless,
+            },
         };
         self.store(block, decision, kind)
+    }
+
+    /// What a DRAM round trip returns for `block`, without the
+    /// bitstream: `Some(decompress(&compress_with(block, analysis)))`
+    /// when the fault-free stored form is lossy, `None` when it is exact
+    /// (verbatim or lossless — the round trip returns `block` itself).
+    ///
+    /// The lossy step never needs the entropy coder: symbols outside the
+    /// `(ss, len)` hole decode to themselves and every [`PredictorKind`]
+    /// reads only those, so the reconstruction is the block with the
+    /// hole refilled. Pinned byte-identical to the encode → decode pair
+    /// by property test; `analysis` must be this block's, as for
+    /// [`compress_with`](Self::compress_with).
+    pub fn approximate_with(&self, block: &Block, analysis: &BlockAnalysis) -> Option<Block> {
+        let (_, kind) = self.natural_form(analysis);
+        self.approximate(block, kind)
+    }
+
+    /// [`approximate_with`](Self::approximate_with) for the stored form a
+    /// [`fit_within_with`](Self::fit_within_with) verdict names — the
+    /// reconstruction of [`compress_fitted`](Self::compress_fitted)'s
+    /// stream: `None` for the `Lossless` rung, the verdict's deeper hole
+    /// for `Degraded`, the fault-free form for `Natural` and `Unstorable`.
+    pub fn approximate_fitted(
+        &self,
+        block: &Block,
+        analysis: &BlockAnalysis,
+        fit: FitOutcome,
+    ) -> Option<Block> {
+        match fit.imposed_form() {
+            Some((_, kind)) => self.approximate(block, kind),
+            None => self.approximate_with(block, analysis),
+        }
+    }
+
+    /// `block` as stored in `kind` and read back: exact forms are `None`.
+    fn approximate(&self, block: &Block, kind: StoredKind) -> Option<Block> {
+        let StoredKind::Lossy { selection } = kind else {
+            return None;
+        };
+        let mut symbols = block_to_symbols(block);
+        fill_approximated(&mut symbols, selection.start, selection.symbols, self.config.predictor);
+        Some(symbols_to_block(&symbols))
     }
 
     /// Compresses one block.
@@ -389,9 +448,9 @@ impl SlcCompressor {
 
     /// [`compress`](Self::compress) over a precomputed analysis of the
     /// same `block` — the encode path of callers that already analysed
-    /// the block for its budget decision (e.g. the workload harness'
-    /// staging pass, which needs both the stored form and the burst
-    /// count).
+    /// the block for its budget decision, and with
+    /// [`decompress`](Self::decompress) the reference
+    /// [`approximate_with`](Self::approximate_with) is pinned against.
     ///
     /// `analysis` **must** come from [`Self::analysis`] (equivalently,
     /// [`E2mc::analyze`] on the same trained table) for this block;
@@ -959,6 +1018,77 @@ mod tests {
                 let out = s.decompress(&c);
                 if !c.is_lossy() {
                     prop_assert_eq!(out, block);
+                }
+            }
+        }
+
+        #[test]
+        fn prop_approximation_is_the_encode_decode_round_trip(
+            words in proptest::collection::vec(any::<u32>(), 32),
+            noise in any::<u32>(), threshold in 0u32..=32) {
+            // `approximate_with` / `approximate_fitted` against the codec
+            // they bypass, on three blocks per draw: floats on the trained
+            // grid (in-distribution: level code lengths, so the first node
+            // wins and holes open at symbol 0 — `FirstSymbol`'s special
+            // case), the same with `noise`-selected words replaced by
+            // arbitrary bits (escape-heavy), and every word replaced by
+            // one whose halves are both off the trained table (all-escape).
+            let on_grid = float_block((words[0] % 4000) as f32 * 0.25, 0.25);
+            let replaced = |mask: u32, force: u32| {
+                let mut block = on_grid;
+                for (i, w) in words.iter().enumerate() {
+                    if mask >> i & 1 == 1 {
+                        block[i * 4..i * 4 + 4].copy_from_slice(&(w | force).to_le_bytes());
+                    }
+                }
+                block
+            };
+            let all_escape = replaced(u32::MAX, 0x8000_0001);
+            let e2mc = e2mc();
+            for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
+                for predictor in
+                    [PredictorKind::Zero, PredictorKind::FirstSymbol, PredictorKind::LaneMatched]
+                {
+                    let config =
+                        SlcConfig::new(Mag::GDDR5, threshold, variant).with_predictor(predictor);
+                    let s = SlcCompressor::new(e2mc.clone(), config);
+                    for block in [on_grid, replaced(noise, 0), all_escape] {
+                        let a = s.analysis(&block);
+                        let c = s.compress_with(&block, &a);
+                        let decoded = s.decompress(&c);
+                        if c.is_lossy() {
+                            prop_assert_eq!(s.approximate_with(&block, &a), Some(decoded));
+                        } else {
+                            prop_assert_eq!(s.approximate_with(&block, &a), None);
+                            prop_assert_eq!(decoded, block);
+                        }
+                        // Every rung of the ladder, and the size it promises.
+                        let mut hole_at_start = false;
+                        for budget in (0..=BLOCK_BITS).step_by(8) {
+                            let fit = s.fit_within_with(&a, budget);
+                            let c = s.compress_fitted(&block, &a, fit);
+                            prop_assert_eq!(
+                                s.approximate_fitted(&block, &a, fit).unwrap_or(block),
+                                s.decompress(&c),
+                                "{:?} {:?} budget {}: {:?}", variant, predictor, budget, fit
+                            );
+                            if let Some((bits, kind)) = fit.imposed_form() {
+                                prop_assert_eq!(kind, c.kind());
+                                prop_assert_eq!(bits, c.size_bits());
+                                prop_assert_eq!(
+                                    Mag::GDDR5.bursts_for_bits(bits, BLOCK_BYTES as u32),
+                                    c.bursts()
+                                );
+                                hole_at_start |= matches!(
+                                    kind,
+                                    StoredKind::Lossy { selection } if selection.start == 0
+                                );
+                            }
+                        }
+                        if block == on_grid {
+                            prop_assert!(hole_at_start, "no budget opened a hole at symbol 0");
+                        }
+                    }
                 }
             }
         }

@@ -157,16 +157,20 @@ impl GpuMemory {
     }
 
     /// Applies `f` to every 128 B block of every safe-to-approximate
-    /// region, replacing the block with the function's output — the
-    /// kernel-boundary DRAM round-trip. Visits regions in table order and
-    /// blocks in ascending offset (the order [`Self::blocks_with_addr`]
-    /// reproduces, which lets stagers merge per-block state back by
-    /// position). Borrows regions and data disjointly: no region-table
+    /// region — the kernel-boundary DRAM round-trip: `Some(out)` replaces
+    /// the block, `None` leaves it alone (an exact stored form costs
+    /// neither a copy nor a compare). Visits regions in table order and
+    /// blocks in ascending offset, the order [`Self::blocks_with_addr`]
+    /// reproduces, so a stager can walk a snapshot's approximable entries
+    /// in step. Borrows regions and data disjointly: no region-table
     /// clone, no per-block copy on the read side.
     ///
     /// Returns the number of blocks visited (memory is only written for
     /// blocks the callback actually changed).
-    pub fn stage_approx_regions(&mut self, mut f: impl FnMut(&Region, &Block) -> Block) -> usize {
+    pub fn stage_approx_regions(
+        &mut self,
+        mut f: impl FnMut(&Region, &Block) -> Option<Block>,
+    ) -> usize {
         let Self { data, regions } = self;
         let mut visited = 0;
         for region in regions.iter().filter(|r| r.safe_to_approx) {
@@ -175,8 +179,7 @@ impl GpuMemory {
             for off in (start..end).step_by(BLOCK_BYTES) {
                 let block: &Block =
                     data[off..off + BLOCK_BYTES].try_into().expect("regions are block-padded");
-                let out = f(region, block);
-                if out != *block {
+                if let Some(out) = f(region, block).filter(|out| out != block) {
                     data[off..off + BLOCK_BYTES].copy_from_slice(&out);
                 }
                 visited += 1;
@@ -270,7 +273,7 @@ mod tests {
         let visited = m.stage_approx_regions(|_, b| {
             let mut out = *b;
             out[0] = 0xff;
-            out
+            Some(out)
         });
         assert_eq!(visited, 2, "two blocks in the approx region");
         assert_eq!(m.read_f32(e, 1)[0], 9.0, "exact region untouched");
@@ -289,7 +292,7 @@ mod tests {
             assert_eq!(region.base, a.0);
             staged_bases.push(region.base + count * BLOCK_BYTES as u64);
             count += 1;
-            *block
+            Some(*block)
         });
         let walk: Vec<u64> = m
             .blocks_with_addr()

@@ -183,7 +183,7 @@ impl Harness {
     /// carries.
     pub fn prepare(&self, w: &dyn Workload) -> BenchmarkArtifacts {
         let initial = w.build(self.seed);
-        let mut mem = w.build(self.seed);
+        let mut mem = initial.clone();
         let mut noop = |_: &mut GpuMemory| {};
         w.execute(&mut mem, &mut noop);
         let exact_output = w.output(&mem);

@@ -218,6 +218,16 @@ mod tests {
         m
     }
 
+    /// [`filled_memory`] with the approximable region off the trained
+    /// grid: those floats cost escapes, close to but under a full block,
+    /// so the fault-free pipeline stores some of them verbatim.
+    fn off_grid_memory() -> GpuMemory {
+        let mut m = filled_memory();
+        let vals: Vec<f32> = (0..512).map(|i| (i % 512) as f32 + (i % 3) as f32 * 0.37).collect();
+        m.write_f32(DevicePtr(0), &vals);
+        m
+    }
+
     fn faulty_config(density: f64, budget_bytes: u32, spare: u32) -> GpuConfig {
         GpuConfig::default().with_faults(
             FaultConfig::new(FaultPattern::RandomRows, density, 7)
@@ -361,6 +371,58 @@ mod tests {
     }
 
     #[test]
+    fn fault_staged_bytes_and_bursts_match_a_real_encode_and_decode() {
+        // The walk refills holes directly and prices a refit from its
+        // verdict; the replay resolves the same blocks in the same order
+        // and really encodes and decodes every one of them, on every rung.
+        let e = trained();
+        let scheme = Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
+        let Scheme::Slc(slc) = &scheme else { unreachable!() };
+        let pristine = off_grid_memory();
+        let before = SnapshotAnalysis::capture(&e, &pristine);
+        let blocks = |m: &GpuMemory| m.all_blocks().map(|(_, b)| b).collect::<Vec<_>>();
+        let pre = blocks(&pristine);
+        let (mut squeezed, mut degraded, mut unstorable) = (0, 0, 0);
+        for budget_bytes in (8..BLOCK_BYTES as u32).step_by(8) {
+            let cfg = faulty_config(1.0, budget_bytes, 4);
+            let mut ladder = LadderState::new(&cfg).unwrap();
+            let mut staged = pristine.clone();
+            let snapshot = scheme.stage_walk(&mut staged, Some(&mut ladder)).unwrap();
+            let post = blocks(&staged);
+            let mut replay = LadderState::new(&cfg).unwrap();
+            for (i, b) in before.entries().iter().enumerate() {
+                let what = format!("budget {budget_bytes} B, block {}", b.addr);
+                let verdict = replay.resolve(Some(slc), b);
+                match verdict {
+                    LadderVerdict::Refit(FitOutcome::Lossless { .. }) => squeezed += 1,
+                    LadderVerdict::Refit(_) => degraded += 1,
+                    LadderVerdict::Remapped | LadderVerdict::Uncorrectable => unstorable += 1,
+                    LadderVerdict::Intact => {}
+                }
+                let (stored, bursts) = match verdict {
+                    LadderVerdict::Refit(fit) => {
+                        let c = slc.compress_fitted(&pre[i], &b.analysis, fit);
+                        (slc.decompress(&c), Some(c.bursts()))
+                    }
+                    _ if b.approximable => {
+                        (slc.decompress(&slc.compress_with(&pre[i], &b.analysis)), None)
+                    }
+                    _ => (pre[i], None),
+                };
+                assert_eq!(post[i], stored, "{what}: staged bytes");
+                let entry = &snapshot.entries()[i];
+                assert_eq!(entry.stored_bursts, bursts, "{what}: recorded bursts");
+                assert_eq!(entry.analysis, e.analyze(&post[i]), "{what}: analysis");
+            }
+            assert_eq!(ladder.counters(), replay.counters(), "budget {budget_bytes} B");
+        }
+        assert!(
+            squeezed > 0 && degraded > 0 && unstorable > 0,
+            "rungs missed: {squeezed} squeezed, {degraded} degraded, {unstorable} unstorable"
+        );
+    }
+
+    #[test]
     fn verbatim_blocks_squeeze_lossless_through_the_walk() {
         // The one rung with no data loss and no escalation: a block the
         // fault-free pipeline stores verbatim (its lossless stream saves
@@ -369,11 +431,7 @@ mod tests {
         let e = trained();
         let scheme = Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
         let Scheme::Slc(slc) = &scheme else { unreachable!() };
-        // Floats off the trained grid cost escapes: close to, but under,
-        // a full block.
-        let mut mem = filled_memory();
-        let vals: Vec<f32> = (0..512).map(|i| (i % 512) as f32 + (i % 3) as f32 * 0.37).collect();
-        mem.write_f32(DevicePtr(0), &vals);
+        let mut mem = off_grid_memory();
         let snap = SnapshotAnalysis::capture(&e, &mem);
         let approx = || snap.entries().iter().filter(|b| b.approximable);
         let fit =

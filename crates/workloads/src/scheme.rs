@@ -105,13 +105,16 @@ impl Scheme {
     /// order (so its spare pool fills first-come first-served over the
     /// whole address walk), and without one every block is intact — the
     /// fault-free pass is the ladder's walk with no fault map. Each
-    /// approximable SLC block is then encoded in the form its verdict
-    /// names, the reconstruction written back, and its entry patched in
-    /// place: exact forms round-trip to identical bytes, so the pre-stage
+    /// approximable SLC block whose verdict names a lossy form is then
+    /// replaced by what a DRAM round trip returns — the hole refilled by
+    /// the predictor, no bitstream in between
+    /// ([`SlcCompressor::approximate_with`]) — and its entry patched in
+    /// place: exact forms read back identical bytes, so the pre-stage
     /// analysis *is* the post-stage one and only lossy reconstructions
     /// are analysed a second time (identical to analysing the staged
     /// memory from scratch, without the redundant passes); a form the
-    /// ladder imposed also carries the bursts of the stream it stores.
+    /// ladder imposed also carries the bursts of the size its verdict
+    /// promises.
     pub(crate) fn stage_walk(
         &self,
         mem: &mut GpuMemory,
@@ -137,6 +140,7 @@ impl Scheme {
             snapshot.entries.iter().map(|b| ladder.resolve(slc, b)).collect()
         });
         if let Some(slc) = slc {
+            let mag = slc.config().mag();
             // Staging visits approximable blocks in entry order.
             let mut approx = snapshot
                 .entries
@@ -145,19 +149,17 @@ impl Scheme {
                 .filter(|(entry, _)| entry.approximable);
             mem.stage_approx_regions(|_region, block| {
                 let (entry, verdict) = approx.next().expect("one entry per approximable block");
-                let stored = match verdict {
+                let out = match verdict {
                     LadderVerdict::Refit(fit) => {
-                        let c = slc.compress_fitted(block, &entry.analysis, fit);
-                        entry.stored_bursts = Some(c.bursts());
-                        c
+                        entry.stored_bursts = fit
+                            .imposed_form()
+                            .map(|(bits, _)| mag.bursts_for_bits(bits, BLOCK_BYTES as u32));
+                        slc.approximate_fitted(block, &entry.analysis, fit)
                     }
-                    _ => slc.compress_with(block, &entry.analysis),
-                };
-                let out = slc.decompress(&stored);
-                if stored.is_lossy() {
-                    entry.analysis = e2mc.analyze(&out);
-                }
-                out
+                    _ => slc.approximate_with(block, &entry.analysis),
+                }?;
+                entry.analysis = e2mc.analyze(&out);
+                Some(out)
             });
             debug_assert!(approx.next().is_none(), "approximable entries left unstaged");
         }

@@ -175,6 +175,8 @@ mod tests {
             let a = w.build(42);
             let b = w.build(42);
             assert_eq!(a.regions().len(), b.regions().len());
+            // `Harness::prepare` clones the image instead of building twice.
+            assert!(a.all_blocks().eq(b.all_blocks()), "{} image differs", w.name());
             let pa = w.output(&a);
             let pb = w.output(&b);
             assert_eq!(pa, pb, "{} build not deterministic", w.name());

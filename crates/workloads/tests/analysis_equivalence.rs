@@ -297,7 +297,7 @@ fn staged_snapshots_match_direct_accumulation_over_boundaries() {
             let snap = scheme.stage_analyzed(&mut fused_mem).expect("slc has a table");
             fused.record(&scheme, &snap);
             let Scheme::Slc(slc) = &scheme else { unreachable!() };
-            legacy_mem.stage_approx_regions(|_, b| slc.decompress(&slc.compress(b)));
+            legacy_mem.stage_approx_regions(|_, b| Some(slc.decompress(&slc.compress(b))));
             record_encoded(&mut legacy, &scheme, &legacy_mem);
             // Perturb both memories identically between boundaries, as a
             // kernel would.

@@ -104,9 +104,9 @@ fn staging_honours_the_lossy_contract_at_the_memory_level() {
                 }
                 let recaptured = SnapshotAnalysis::capture(&a.e2mc, &staged);
                 assert_eq!(snapshot.entries(), recaptured.entries(), "{what}");
-                // And the walk is nothing but encode → decode per block.
+                // And the walk leaves what encode → decode per block returns.
                 let mut oracle = a.exact_memory.clone();
-                oracle.stage_approx_regions(|_, b| slc.decompress(&slc.compress(b)));
+                oracle.stage_approx_regions(|_, b| Some(slc.decompress(&slc.compress(b))));
                 let same = staged.blocks_with_addr().eq(oracle.blocks_with_addr());
                 assert!(same, "{what}: staged memory differs from the per-block round trip");
             }
