@@ -91,11 +91,14 @@ impl BdiEncoding {
             BdiEncoding::Repeat => TAG + 64,
             BdiEncoding::Uncompressed => BLOCK_BITS,
             _ => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the const table lists every base-delta variant, the find is infallible"
+                )]
                 let (_, base, delta) = Self::BASE_DELTA_VARIANTS
                     .iter()
                     .copied()
                     .find(|&(e, _, _)| e == self)
-                    // slc-lint: allow(hot-path): the const table lists every base-delta variant, the find is infallible
                     .expect("variant listed");
                 let n = (BLOCK_BYTES / base) as u32;
                 TAG + (base as u32) * 8 + n + n * (delta as u32) * 8
@@ -473,7 +476,10 @@ impl BlockCompressor for Bdi {
             (4, 1) => encode_deltas::<4, 1>(&split4(&v8), base, mask, &mut w),
             (4, 2) => encode_deltas::<4, 2>(&split4(&v8), base, mask, &mut w),
             (2, 1) => encode_deltas::<2, 1>(&split2(&v8), base, mask, &mut w),
-            // slc-lint: allow(hot-path): planner invariant — choose_encoding only returns geometries handled above
+            #[expect(
+                clippy::unreachable,
+                reason = "planner invariant — choose_encoding only returns geometries handled above"
+            )]
             _ => unreachable!("not a BDI geometry"),
         }
         let bits = w.finish();

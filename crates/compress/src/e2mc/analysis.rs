@@ -85,6 +85,10 @@ impl BlockAnalysis {
     /// the maximum is the escape codeword plus 16 raw bits).
     pub fn from_lengths(lengths: [u32; SYMBOLS_PER_BLOCK]) -> Self {
         let mut widths = [0u8; SYMBOLS_PER_BLOCK];
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract of a test-and-tool constructor; E2mc::analyze never comes through here"
+        )]
         for (w, &l) in widths.iter_mut().zip(&lengths) {
             *w = u8::try_from(l).expect("code length exceeds 255 bits");
         }

@@ -25,6 +25,10 @@ fn huffman_lengths(freqs: &[u64]) -> Vec<u32> {
     use std::collections::BinaryHeap;
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
         (0..n).map(|i| Reverse((freqs[i], i))).collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "training time, not per block: both pops follow the len > 1 check"
+    )]
     while heap.len() > 1 {
         let Reverse((wa, a)) = heap.pop().expect("len > 1");
         let Reverse((wb, b)) = heap.pop().expect("len > 1");
@@ -158,7 +162,7 @@ impl CanonicalCode {
         let mut lut = vec![LUT_INVALID; 1usize << lut_bits];
         let mut code = 0u32;
         let mut index = 0u32;
-        #[allow(clippy::needless_range_loop)] // `len` is arithmetic, not just an index
+        #[expect(clippy::needless_range_loop, reason = "`len` is arithmetic, not just an index")]
         for len in 1..=MAX_CODE_LEN as usize {
             code <<= 1;
             for _ in 0..count[len] {

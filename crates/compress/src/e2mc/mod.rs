@@ -163,6 +163,10 @@ impl SymbolTable {
                 }
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "training time, not per block: the range yields exactly 1 << MAX_CODE_LEN entries"
+        )]
         let dec = (0..1usize << MAX_CODE_LEN)
             .map(|window| {
                 let (entry, len) = code.decode(window as u32)?;

@@ -155,7 +155,10 @@ impl BlockCompressor for Fpc {
                 FpcPattern::PaddedHalf => (word >> 16) as u64,
                 FpcPattern::TwoSeBytes => (((word >> 16) & 0xff) << 8 | (word & 0xff)) as u64,
                 FpcPattern::Raw => word as u64,
-                // slc-lint: allow(hot-path): encoder invariant — zero runs were consumed by the run loop above
+                #[expect(
+                    clippy::unreachable,
+                    reason = "encoder invariant — zero runs were consumed by the run loop above"
+                )]
                 FpcPattern::ZeroRun => unreachable!("zero runs handled above"),
             };
             // One write per token: 3-bit prefix immediately followed by the

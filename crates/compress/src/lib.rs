@@ -116,6 +116,20 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::panic_in_result_fn,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod bdi;
 pub mod bitstream;
@@ -164,7 +178,6 @@ impl Compressed {
     ///
     /// Panics if `payload` is too short to hold `size_bits` bits.
     pub fn new(size_bits: u32, payload: Vec<u8>) -> Self {
-        // slc-lint: allow(hot-path): documented size-contract guard; on the decode path the payload length is pinned to ceil(bits/8) before construction
         assert!(
             payload.len() * 8 >= size_bits as usize,
             "payload of {} bytes cannot hold {} bits",
@@ -274,7 +287,6 @@ pub trait BlockCompressor {
     /// wrapper over [`compress_into`](Self::compress_into) for cold paths
     /// and tests; its payload is the wrapper's one allocation).
     fn compress(&self, block: &Block) -> Compressed {
-        // slc-lint: allow(hot-path): the owned wrapper's single payload allocation (documented contract); only the default size_bits reaches it, hot callers encode through compress_into
         let mut payload = Vec::with_capacity(BLOCK_BYTES);
         let (size_bits, compressed) = self.compress_into(block, &mut payload);
         Compressed { size_bits, payload, compressed }
@@ -310,6 +322,10 @@ pub trait BlockCompressor {
     /// [`decompress_into`](Self::decompress_into).
     fn decompress(&self, c: &Compressed) -> Block {
         let mut out = [0u8; BLOCK_BYTES];
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract of the owned wrapper: only this codec's own streams go in, untrusted bytes take decompress_into"
+        )]
         self.decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut out)
             .expect("a stream this codec produced decodes");
         out

@@ -185,7 +185,7 @@ struct DecTable {
 
 impl DecTable {
     fn build(freq: &[u16; 256]) -> Self {
-        // slc-lint: allow(hot-path): 4 KiB decode table, built once per stream and amortised over the whole chunk
+        // One 4 KiB table per stream: per engine chunk, or per coded block.
         let mut slot_sym = Box::new([0u8; RANS_SCALE as usize]);
         let mut cum = [0u16; 256];
         let mut at = 0usize;
@@ -202,7 +202,7 @@ impl DecTable {
 
 /// Serialises the sparse frequency table (see the module docs layout).
 fn write_table(freq: &[u16; 256], out: &mut Vec<u8>) {
-    // slc-lint: allow(hot-path): per-stream table serialisation scratch, amortised over the whole chunk
+    // Grows as it collects: up to six allocations per stream, chunk or block.
     let present: Vec<u8> = (0u16..256).filter(|&s| freq[s as usize] > 0).map(|s| s as u8).collect();
     debug_assert!(!present.is_empty());
     out.push((present.len() - 1) as u8);
@@ -283,7 +283,7 @@ fn rans_encode(data: &[u8], t: &EncTable, out: &mut Vec<u8>) {
     let mut states = [RANS_L; RANS_LANES];
     // At most one 16-bit word per symbol, plus one slot of slack for the
     // unconditional store in enc_step.
-    // slc-lint: allow(hot-path): per-stream word staging buffer — the encode's single scratch allocation
+    // Per-stream word staging buffer, one allocation.
     let mut words = vec![0u16; n + 1];
     let mut wpos = 0usize;
     let mut i = n;
@@ -311,17 +311,19 @@ fn rans_encode(data: &[u8], t: &EncTable, out: &mut Vec<u8>) {
 
 /// Encodes `data` as one self-contained rANS stream
 /// (`[table][states][words]`, see the module docs), appended to `out`.
-/// The frequency table is gathered from `data` itself — the whole-chunk
-/// path that amortises one table over every block of an engine chunk.
+/// The frequency table is gathered from `data` itself, one per stream:
+/// a whole engine chunk ([`ChunkCoder`]) or one 128 B block ([`Rans`]).
 ///
 /// # Panics
 ///
 /// Panics on empty input (no meaningful table exists).
 pub fn encode_stream(data: &[u8], out: &mut Vec<u8>) {
-    // slc-lint: allow(hot-path): documented API-contract panic, checked once per stream on the encode side
     assert!(!data.is_empty(), "rANS stream encode needs at least one byte");
     let counts = histogram(data);
-    // slc-lint: allow(hot-path): infallible after the non-empty assert — a non-empty histogram always has a non-zero count
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible after the non-empty assert — a non-empty histogram always has a non-zero count"
+    )]
     let freq = normalize_freqs(&counts).expect("non-empty data has a non-zero count");
     let enc = EncTable::build(&freq);
     write_table(&freq, out);

@@ -579,6 +579,10 @@ impl SlcCompressor {
                 out.copy_from_slice(&c.payload[..BLOCK_BYTES]);
                 out
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "documented contract: an SlcCompressed is only ever built by this compressor, whose streams decode"
+            )]
             StoredKind::Lossless | StoredKind::Lossy { .. } => {
                 self.decode_stream(c).expect("a stream this compressor produced decodes")
             }

@@ -62,6 +62,20 @@
 //!   [`Engine::compress`].
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::panic_in_result_fn,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod container;
 
@@ -119,6 +133,10 @@ impl Engine {
     /// has no [`CodecId`] — only registered codecs can be named in a
     /// container header.
     pub fn new(codec: Arc<dyn BlockCodec>) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented constructor contract, once per engine: only a registered codec can be named in a container header"
+        )]
         let id = CodecId::from_name(codec.name()).unwrap_or_else(|| {
             panic!("codec {:?} has no container CodecId; register it first", codec.name())
         });
@@ -256,7 +274,6 @@ impl Engine {
     /// Decompresses a framed container ([`Threads::Auto`]).
     ///
     /// Never panics on arbitrary input — see the crate docs.
-    // slc-lint: allow(hot-path): cold per-container orchestrator (output buffer + worker scaffolding allocate once per call, not per block); shares its name with the per-block BlockCompressor::decompress the call graph fans out to
     pub fn decompress(&self, container: &[u8]) -> Result<Vec<u8>, ContainerError> {
         self.decompress_threads(container, Threads::Auto)
     }
@@ -298,7 +315,6 @@ impl Engine {
     /// Byte-identity with the owned path is pinned by property tests:
     /// `decompress_into` fills `out` with exactly the bytes
     /// [`decompress`](Self::decompress) would return.
-    // slc-lint: allow(hot-path): cold per-container orchestrator (worker scaffolding allocates once per call, not per block); shares its name with the per-block BlockCompressor::decompress_into the call graph fans out to
     pub fn decompress_into(&self, container: &[u8], out: &mut [u8]) -> Result<(), ContainerError> {
         self.decompress_into_threads(container, out, Threads::Auto)
     }
@@ -823,5 +839,64 @@ mod tests {
     fn sized_path_checks_block_count() {
         let e = bdi_engine(256);
         let _ = e.compress_with_sizes(&[0u8; 256], &[0u32; 3], Threads::Serial);
+    }
+
+    /// The wire freeze: evaluated constants and the bytes the two frame
+    /// writers emit for fixed inputs (`CodecId`'s names and numbers:
+    /// `slc_compress::codec::tests::wire_values_are_stable`). A wire change
+    /// edits this test in the commit that documents it.
+    #[test]
+    fn wire_format_is_frozen() {
+        assert_eq!((BLOCK_BYTES, BLOCK_BITS), (128, 1024));
+        assert_eq!((HEADER_BYTES, DIR_ENTRY_BYTES), (24, 13));
+        assert_eq!((MAGIC, VERSION), (*b"SLC1", 1));
+        assert_eq!((MAX_CHUNK_BYTES, TAG_CODED), (16 * 1024 * 1024, 0x8000));
+
+        // Every field holds distinct bytes, so a swapped pair of writes or
+        // a flipped byte order shows. The matches are exhaustive on
+        // purpose: a new variant does not compile until it has a number.
+        for codec in CodecId::ALL {
+            let codec_byte = match codec {
+                CodecId::Bdi => 0,
+                CodecId::Fpc => 1,
+                CodecId::Cpack => 2,
+                CodecId::Bpc => 3,
+                CodecId::E2mc => 4,
+                CodecId::Sc2 => 5,
+                CodecId::HyComp => 6,
+                CodecId::Rans => 7,
+            };
+            let header = Header {
+                codec,
+                chunk_bytes: 0x1413_1211,
+                chunk_count: 0x2423_2221,
+                total_len: 0x3837_3635_3433_3231,
+            };
+            let mut bytes = Vec::new();
+            header.write_to(&mut bytes);
+            let golden = [
+                b'S', b'L', b'C', b'1', 1, 0, codec_byte, 0, // magic, version, codec, flags
+                0x11, 0x12, 0x13, 0x14, // chunk_bytes
+                0x21, 0x22, 0x23, 0x24, // chunk_count
+                0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0x38, // total_len
+            ];
+            assert_eq!(bytes, golden, "{codec:?}");
+        }
+        for mode in [StorageMode::Raw, StorageMode::Coded] {
+            let mode_byte = match mode {
+                StorageMode::Raw => 0,
+                StorageMode::Coded => 1,
+            };
+            let entry = DirEntry { offset: 0x4847_4645_4443_4241, encoded_bits: 0x5453_5251, mode };
+            let mut bytes = Vec::new();
+            entry.write_to(&mut bytes);
+            let golden = [
+                0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48, // offset
+                0x51, 0x52, 0x53, 0x54, // encoded_bits
+                mode_byte,
+            ];
+            assert_eq!(bytes, golden, "{mode:?}");
+            assert_eq!(StorageMode::from_u8(mode_byte), Some(mode));
+        }
     }
 }

@@ -17,7 +17,7 @@ use slc::slc_compress::symbols::block_to_symbols;
 use slc::slc_compress::{Block, Mag};
 use slc::slc_core::predict::PredictorKind;
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
-use slc::slc_sim::mdc::MetadataCache;
+use slc::slc_sim::mdc::{MetadataCache, BLOCKS_PER_META_LINE};
 use slc::slc_workloads::{workload_by_name, Harness, Scale};
 
 fn main() {
@@ -81,18 +81,28 @@ fn main() {
         );
     }
 
-    // Two interleaved streams, as in a load+store kernel. They sit 2^20
-    // blocks (2^13 metadata lines) apart, so in a direct-mapped MDC of up
-    // to 2^13 lines they share every slot and evict each other: the hit
-    // rate is zero at every size — capacity cannot buy back a conflict.
-    println!("\n=== Ablation: metadata cache size (streaming 64k blocks) ===");
-    println!("{:>10} {:>10}", "entries", "hit rate");
-    for entries in [16usize, 64, 256, 512, 2048] {
+    // A load and a store stream, each revisiting its own 512 metadata
+    // lines in a seeded random order: a fixed working set of 1 Ki lines.
+    // Laid out back to back, no two lines share a slot once the cache
+    // holds the set, so the hit rate of the direct-mapped MDC rises as
+    // entries / 1024 and saturates. Laid out 2^13 lines apart, every line
+    // of one stream shares its slot with one of the other in any cache of
+    // up to 2^13 lines: capacity cannot buy back a conflict.
+    let hit_rate = |entries: usize, store_base_line: u64| {
         let mut mdc = MetadataCache::new(entries);
-        for i in 0..32_768u64 {
-            mdc.access(i, false);
-            mdc.access(1 << 20 | i, false);
+        let mut state = 42u64;
+        for _ in 0..1 << 16 {
+            for base_line in [0, store_base_line] {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                mdc.access((base_line + (state >> 33) % 512) * BLOCKS_PER_META_LINE, false);
+            }
         }
-        println!("{entries:>10} {:>9.2}%", mdc.hit_rate() * 100.0);
+        mdc.hit_rate() * 100.0
+    };
+    println!("\n=== Ablation: metadata cache size (two streams revisiting 1 Ki lines) ===");
+    println!("{:>10} {:>10}", "entries", "hit rate");
+    for entries in [16usize, 64, 256, 512, 1024, 2048] {
+        println!("{entries:>10} {:>9.2}%", hit_rate(entries, 512));
     }
+    println!("{:>10} {:>9.2}%  (aliasing: 2^13 lines apart)", 2048, hit_rate(2048, 1 << 13));
 }

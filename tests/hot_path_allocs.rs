@@ -1,0 +1,239 @@
+//! What the hot paths allocate, counted: per-block encode and decode of
+//! every codec, the engine's per-container scaffolding, `slc-core`'s
+//! staging and codec steps. Hardware compressors own no heap (paper §III),
+//! so a per-block count is an exact zero wherever the model keeps that
+//! promise and the measured cost where it does not (rANS). The counter is
+//! per thread and every measured call runs serially on its caller's
+//! thread, so parallel test threads do not disturb it.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+use slc::slc_compress::bdi::Bdi;
+use slc::slc_compress::bpc::Bpc;
+use slc::slc_compress::cpack::Cpack;
+use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
+use slc::slc_compress::fpc::Fpc;
+use slc::slc_compress::hycomp::HyComp;
+use slc::slc_compress::rans::Rans;
+use slc::slc_compress::sc2::{Sc2, DEFAULT_TOP_K};
+use slc::slc_compress::{Block, BlockCodec, Mag, BLOCK_BYTES};
+use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
+use slc::slc_engine::{Engine, Frame, Threads};
+use slc::slc_workloads::{all_workloads, Harness, Scale};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+use std::sync::Arc;
+
+thread_local! {
+    /// Calls to `alloc`, `alloc_zeroed` and `realloc` made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method hands its arguments unchanged to `System`, whose
+// contract is therefore this allocator's. The only addition is the
+// counter: a const-initialised thread-local `Cell<u64>` has no lazy
+// initialiser and no destructor, so touching it neither allocates nor
+// re-enters the allocator, on any thread at any point of its life.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
+        // `ptr` came from `System` because every method here delegates.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns how many allocations it made with its result.
+fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.get();
+    let out = f();
+    (ALLOCS.get() - before, out)
+}
+
+/// A seeded mix, one quarter each: zero blocks, u32 ramps with small
+/// deltas, smooth f32 values, and noise no codec can code.
+fn corpus(blocks: usize) -> Vec<Block> {
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (state >> 32) as u32
+    };
+    (0..blocks)
+        .map(|i| {
+            let mut block = [0u8; BLOCK_BYTES];
+            let base = next();
+            for (w, word) in block.chunks_exact_mut(4).enumerate() {
+                let value = match i % 4 {
+                    0 => 0,
+                    1 => base.wrapping_add(next() % 100),
+                    2 => (((base % 512) as f32) * 0.5 + w as f32 * 0.25).to_bits(),
+                    _ => next(),
+                };
+                word.copy_from_slice(&value.to_le_bytes());
+            }
+            block
+        })
+        .collect()
+}
+
+/// The seven block codecs the zero contract covers, then rANS.
+fn codecs(training: &[u8]) -> Vec<Arc<dyn BlockCodec>> {
+    vec![
+        Arc::new(Bdi::new()),
+        Arc::new(Fpc::new()),
+        Arc::new(Cpack::new()),
+        Arc::new(Bpc::new()),
+        Arc::new(E2mc::train_on_bytes(training, &E2mcConfig::default())),
+        Arc::new(Sc2::train_on_bytes(training, DEFAULT_TOP_K)),
+        Arc::new(HyComp::train_on_bytes(training)),
+        Arc::new(Rans::new()),
+    ]
+}
+
+#[test]
+fn per_block_encode_and_decode() {
+    let blocks = corpus(4096);
+    let n = blocks.len() as u64;
+    for codec in codecs(blocks.as_flattened()) {
+        let name = codec.name();
+        // A sink that already holds room for every block verbatim, plus
+        // the writer's look-ahead: what the engine's chunk buffer gives.
+        let mut sink = Vec::with_capacity((blocks.len() + 2) * BLOCK_BYTES);
+        let mut sizes = Vec::with_capacity(blocks.len());
+        let (encode, ()) = allocs(|| {
+            for block in &blocks {
+                sizes.push(codec.compress_into(block, &mut sink));
+            }
+        });
+        let (decode, ()) = allocs(|| {
+            let mut rest = &sink[..];
+            for (block, &(bits, coded)) in blocks.iter().zip(&sizes) {
+                let (payload, tail) = rest.split_at(bits.div_ceil(8) as usize);
+                rest = tail;
+                let mut out = [0u8; BLOCK_BYTES];
+                codec.decompress_into(bits, coded, payload, &mut out).unwrap();
+                assert_eq!(out, *block, "{name}");
+            }
+        });
+        let coded = sizes.iter().filter(|&&(_, coded)| coded).count() as u64;
+        assert!(0 < coded && coded < n, "{name} must both code and store verbatim: {coded}/{n}");
+        if name == "rans" {
+            // Not allocation-free per block, and this is what it costs
+            // (ROADMAP item 4): every encode, also one that then falls
+            // back to verbatim, takes a word buffer and a table scratch
+            // doubling from 8 symbols up to the block's distinct bytes
+            // (<= 128) — two to six allocations; every coded decode
+            // builds one 4 KiB `DecTable`, a verbatim one none.
+            assert!((2 * n..=6 * n).contains(&encode), "rans: {encode} over {n} encodes");
+            assert_eq!(decode, coded, "rans: one decode table per coded block");
+        } else {
+            assert_eq!((encode, decode), (0, 0), "{name} compress_into / decompress_into");
+        }
+    }
+}
+
+#[test]
+fn engine_scaffolding_scales_with_chunks_not_blocks() {
+    let blocks = corpus(8 * 512);
+    let bytes = blocks.as_flattened();
+    for codec in codecs(bytes) {
+        let name = codec.name();
+        // Compress, per container: the chunk, encoded and stored lists,
+        // the directory, the output; per chunk: its coded buffer — for
+        // rANS that and its one growth, the word buffer and up to six
+        // table scratch steps. Decompress, per container: the directory,
+        // the work list, a collect that may shrink in place; per chunk:
+        // nothing — for rANS one `DecTable`.
+        let (enc_per_chunk, dec_per_chunk) = if name == "rans" { (9, 1) } else { (1, 0) };
+        for blocks_per_chunk in [128, 512] {
+            let chunk_bytes = blocks_per_chunk * BLOCK_BYTES;
+            let engine = Engine::new(codec.clone()).with_chunk_bytes(chunk_bytes);
+            for chunks in [1u64, 4, 8] {
+                let at = format!("{name}, {chunks} chunks of {blocks_per_chunk} blocks");
+                let input = &bytes[..chunks as usize * chunk_bytes];
+                let (compress, container) =
+                    allocs(|| engine.compress_threads(input, Threads::Serial));
+                assert!(compress <= 5 + enc_per_chunk * chunks, "{at}: {compress}");
+                let parsed = allocs(|| Frame::parse(&container).is_ok());
+                assert_eq!(parsed, (1, true), "{at}: the directory is a frame's one allocation");
+                let mut out = vec![0u8; input.len()];
+                let (decompress, result) = allocs(|| {
+                    engine.decompress_into_threads(&container, &mut out, Threads::Serial)
+                });
+                assert_eq!((result, &out[..]), (Ok(()), input), "{at}");
+                assert!(decompress <= 3 + dec_per_chunk * chunks, "{at}: {decompress}");
+            }
+        }
+    }
+}
+
+/// PR 18's claim, pinned where lossy blocks are common: what the staging
+/// walk and the fault ladder call per block builds no `SlcCompressed`, no
+/// payload `Vec`, nothing on the heap; the codec costs the payload it
+/// returns and nothing else.
+#[test]
+fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
+    let harness = Harness::new(Scale::Tiny);
+    let (mut total, mut lossy) = (0, 0);
+    for w in all_workloads(Scale::Tiny) {
+        let a = harness.prepare(w.as_ref());
+        let blocks: Vec<Block> =
+            a.exact_memory.all_blocks().filter(|(r, _)| r.safe_to_approx).map(|(_, b)| b).collect();
+        for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
+            let at = format!("{} {}", w.name(), variant.label());
+            let slc = SlcCompressor::new(a.e2mc.clone(), SlcConfig::new(Mag::GDDR5, 16, variant));
+            let (staging, went_lossy) = allocs(|| {
+                let mut went_lossy = 0;
+                for block in &blocks {
+                    let analysis = slc.analysis(block);
+                    black_box(slc.stored_bursts_with(&analysis));
+                    went_lossy += usize::from(slc.approximate_with(block, &analysis).is_some());
+                    for budget in (0..=1024).step_by(128) {
+                        let fit = slc.fit_within_with(&analysis, budget);
+                        black_box(slc.approximate_fitted(block, &analysis, fit));
+                    }
+                }
+                went_lossy
+            });
+            assert_eq!(staging, 0, "{at}: analysis, stored_bursts_with, approximate_with, ladder");
+            if variant == SlcVariant::TslcOpt {
+                (total, lossy) = (total + blocks.len(), lossy + went_lossy);
+            }
+            let mut stored = Vec::with_capacity(blocks.len());
+            let (compress, ()) = allocs(|| {
+                stored.extend(blocks.iter().map(|b| slc.compress_with(b, &slc.analysis(b))));
+            });
+            assert_eq!(compress, blocks.len() as u64, "{at}: compress_with, one payload a block");
+            let (decompress, ()) = allocs(|| {
+                for c in &stored {
+                    black_box(slc.decompress(c));
+                }
+            });
+            assert_eq!(decompress, 0, "{at}: decompress");
+        }
+    }
+    assert!(4 * lossy >= total, "only {lossy} of {total} blocks go lossy under TSLC-OPT at 16 B");
+}
