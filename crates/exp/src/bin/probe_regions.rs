@@ -14,7 +14,7 @@ fn main() {
         let a = h.prepare(w.as_ref());
         let slc = SlcCompressor::new(a.e2mc.clone(), SlcConfig::new(mag, 16, SlcVariant::TslcOpt));
         println!("{}:", a.name);
-        let initial = w.build(h.seed);
+        let initial = a.initial_memory();
         for (which, memref) in [("init", &initial), ("final", &a.exact_memory)] {
             for region in memref.regions() {
                 let bytes = memref.region_bytes(region);

@@ -84,12 +84,15 @@ pub fn evaluate(
 /// Fig. 9's ratio sweep) prepare once and pass the result to
 /// [`evaluate_prepared`] instead of paying a second full prepare pass.
 ///
-/// The artifacts also lazily cache the exact run's per-snapshot E2MC
-/// stored sizes ([`BenchmarkArtifacts::exact_size_snapshots`]): the
-/// artifacts are MAG- and threshold-independent, so one prepared set
-/// serves any number of [`evaluate_prepared`] sweeps and the E2MC
-/// baseline inside each is a cheap decision sweep over the shared sizes,
-/// not a re-encode.
+/// This is where each benchmark's inputs are generated, once: the
+/// artifacts carry the seeded image
+/// ([`BenchmarkArtifacts::initial_memory`]) and every functional pass of
+/// every sweep replays over it. They also lazily cache the exact run's
+/// per-snapshot E2MC stored sizes
+/// ([`BenchmarkArtifacts::exact_size_snapshots`]): the artifacts are
+/// MAG- and threshold-independent, so one prepared set serves any number
+/// of [`evaluate_prepared`] sweeps and the E2MC baseline inside each is a
+/// cheap decision sweep over the shared sizes, not a re-encode.
 pub fn prepare_all(
     scale: Scale,
     harness: &Harness,

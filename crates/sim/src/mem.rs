@@ -156,6 +156,13 @@ impl GpuMemory {
         &self.data[region.base as usize..(region.base + region.size) as usize]
     }
 
+    /// Writable bytes of one region (for restoring a saved image).
+    /// `region` is an entry of this region table or of an equal one,
+    /// such as that of the memory this one was cloned from.
+    pub fn region_bytes_mut(&mut self, region: &Region) -> &mut [u8] {
+        &mut self.data[region.base as usize..(region.base + region.size) as usize]
+    }
+
     /// Applies `f` to every 128 B block of every safe-to-approximate
     /// region — the kernel-boundary DRAM round-trip: `Some(out)` replaces
     /// the block, `None` leaves it alone (an exact stored form costs
@@ -261,6 +268,22 @@ mod tests {
         let p = m.malloc("x", 16, false, 0);
         m.write_u32(p, 2, 0xdeadbeef);
         assert_eq!(m.read_u32(p, 2), 0xdeadbeef);
+    }
+
+    #[test]
+    fn region_bytes_mut_writes_one_region() {
+        let mut m = GpuMemory::new();
+        let a = m.malloc("a", 128, true, 16);
+        let b = m.malloc("b", 128, false, 0);
+        m.write_f32(a, &[1.0; 32]);
+        m.write_f32(b, &[2.0; 32]);
+        let saved = m.clone();
+        m.region_bytes_mut(&saved.regions()[1]).fill(0);
+        assert_eq!(m.read_f32(a, 32), [1.0; 32]);
+        assert_eq!(m.read_f32(b, 32), [0.0; 32]);
+        let region = &saved.regions()[1];
+        m.region_bytes_mut(region).copy_from_slice(saved.region_bytes(region));
+        assert_eq!(m.read_f32(b, 32), [2.0; 32]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Snapshot-level sharing of per-block E2MC analyses.
 //!
 //! A memory snapshot (one kernel-boundary state of a [`GpuMemory`]) is
-//! analysed **once** under the trained table — one
-//! [`E2mc::analyze`] pass per block, parallelised over blocks with
-//! `slc-par` — and the resulting [`SnapshotAnalysis`] then serves every
-//! consumer that would otherwise re-derive the same code lengths:
+//! analysed **once** under the trained table — one [`E2mc::analyze`]
+//! pass per block, in one serial walk over memory — and the resulting
+//! [`SnapshotAnalysis`] then serves every consumer that would otherwise
+//! re-derive the same code lengths:
 //!
 //! * [`BurstsAccumulator`](crate::scheme::BurstsAccumulator) decision
 //!   sweeps for any number of schemes, MAGs and thresholds;
@@ -18,13 +18,13 @@
 //! consumers verify it with [`SnapshotAnalysis::matches`].
 
 use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable};
-use slc_compress::Block;
+use slc_compress::{Block, BLOCK_BYTES};
 use slc_sim::{BlockAddr, GpuMemory};
 use std::sync::Arc;
 
 /// What a [`Snapshot`] keeps per block: measured once from the block's
 /// bytes under the trained table, addressed for the run decomposition.
-pub trait SnapshotBlock: Send + Sized {
+pub trait SnapshotBlock: Sized {
     /// Measures one block of a region with the given approximability.
     fn measure(e2mc: &E2mc, addr: BlockAddr, approximable: bool, block: &Block) -> Self;
 
@@ -119,30 +119,16 @@ pub type SnapshotAnalysis = Snapshot<AnalyzedBlock>;
 pub type SizeSnapshot = Snapshot<SizedBlock>;
 
 impl<B: SnapshotBlock> Snapshot<B> {
-    /// Measures every region block of `mem` under `e2mc`, one pass per
-    /// block, fanned out across **chunks** of blocks with
-    /// [`slc_par::par_map`] (order-preserving, so the entry order is
-    /// identical to a serial walk). Chunking keeps the per-item work
-    /// coarse enough to amortise the pool's hand-off cost — a single
-    /// block analyses in tens of nanoseconds — and degenerates to one
-    /// plain loop on single-core hosts.
+    /// Measures every region block of `mem` under `e2mc` in one in-order
+    /// pass, each entry written once into a buffer sized up front — the
+    /// snapshot's only allocation. Serial on purpose: callers fan out
+    /// over benchmarks, one level up, where a nested fan-out would run on
+    /// the calling worker anyway.
     pub fn capture(e2mc: &E2mc, mem: &GpuMemory) -> Self {
-        /// Blocks per parallel work item (≈ a few hundred µs of work).
-        const CHUNK_BLOCKS: usize = 4096;
-        let blocks: Vec<(BlockAddr, bool, &Block)> = mem
-            .blocks_with_addr()
-            .map(|(region, addr, block)| (addr, region.safe_to_approx, block))
-            .collect();
-        let measured = slc_par::par_map(blocks.chunks(CHUNK_BLOCKS).collect(), |chunk| {
-            chunk
-                .iter()
-                .map(|&(addr, approximable, block)| B::measure(e2mc, addr, approximable, block))
-                .collect::<Vec<_>>()
-        });
-        // Sized up front: flattening into a growing vector would hold up
-        // to twice the snapshot in spare capacity for its whole life.
-        let mut entries = Vec::with_capacity(blocks.len());
-        measured.into_iter().for_each(|chunk| entries.extend(chunk));
+        let mut entries = Vec::with_capacity(mem.len() / BLOCK_BYTES);
+        for (region, addr, block) in mem.blocks_with_addr() {
+            entries.push(B::measure(e2mc, addr, region.safe_to_approx, block));
+        }
         Self { entries, table: Arc::clone(e2mc.shared_table()) }
     }
 
@@ -173,7 +159,6 @@ impl<B: SnapshotBlock> Snapshot<B> {
 mod tests {
     use super::*;
     use slc_compress::e2mc::E2mcConfig;
-    use slc_compress::BLOCK_BYTES;
 
     fn trained() -> E2mc {
         let bytes: Vec<u8> =

@@ -118,9 +118,11 @@ pub fn quantize(values: &mut [f32], step: f32) {
 /// Panics unless both steps are powers of two and `p_fine ∈ [0, 1]`.
 pub fn dither(values: &mut [f32], coarse: f32, fine: f32, p_fine: f64, rng: &mut StdRng) {
     assert!((0.0..=1.0).contains(&p_fine), "p_fine {p_fine} out of range");
+    for step in [coarse, fine] {
+        assert!(step > 0.0 && step.log2().fract() == 0.0, "step must be a power of two");
+    }
     for v in values.iter_mut() {
         let step = if rng.gen_bool(p_fine) { fine } else { coarse };
-        assert!(step > 0.0 && step.log2().fract() == 0.0, "step must be a power of two");
         *v = (*v / step).round() * step;
     }
 }
@@ -192,6 +194,13 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn quantize_rejects_non_binary_steps() {
         quantize(&mut [1.0], 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn dither_rejects_a_non_binary_step_it_never_draws() {
+        // Both steps are checked up front, not when first drawn.
+        dither(&mut [1.0], 0.5, 0.1, 0.0, &mut rng(6, 0));
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! One benchmark evaluation follows the paper's methodology:
 //!
-//! 1. Build the inputs and run the kernels **exactly** — the reference
-//!    output and the steady-state memory image.
-//! 2. Train E2MC's symbol table on that memory image (the online
+//! 1. Build the inputs, once, and run the kernels **exactly** — the
+//!    reference output and the steady-state memory image.
+//! 2. Train E2MC's symbol table on both memory images (the online
 //!    sampling phase of §IV-A, which observes real traffic).
-//! 3. For every scheme: re-run the kernels with the scheme's
-//!    kernel-boundary staging (functional error), then derive the
-//!    per-block burst map of the final memory image.
+//! 3. For every scheme: re-run the kernels over the same inputs with the
+//!    scheme's kernel-boundary staging (functional error), recording
+//!    every block's bursts at each staging point.
 //! 4. Feed the benchmark's trace plus the burst map to the timing
 //!    simulator with the scheme's codec latencies.
 
@@ -36,9 +36,9 @@ pub struct BenchmarkArtifacts {
     pub e2mc: E2mc,
     /// The kernel pipeline's memory trace.
     pub trace: Trace,
-    /// Seed the artifacts were prepared with (= the harness seed), so
-    /// lazily derived runs replay the identical deterministic pipeline.
-    pub seed: u64,
+    /// The seeded image as its difference from [`Self::exact_memory`],
+    /// one entry per region — see [`Self::initial_memory`].
+    initial_delta: Vec<RegionDelta>,
     /// Identity of the prepared workload instance: name plus the
     /// scale-dependent input description, so a same-named workload at a
     /// different scale can never consume (or populate) this cache.
@@ -51,18 +51,42 @@ pub struct BenchmarkArtifacts {
     final_analysis: OnceLock<SnapshotAnalysis>,
 }
 
+/// How one region of the seeded image differs from the exact run's final
+/// one: not at all, as the zeroed buffer it started as, or by its bytes.
+#[derive(Debug, PartialEq, Eq)]
+enum RegionDelta {
+    Unchanged,
+    Zeroed,
+    Bytes(Box<[u8]>),
+}
+
 impl BenchmarkArtifacts {
+    /// The seeded memory image the exact run started from — the inputs
+    /// every replay runs over: [`Self::exact_memory`] with the regions
+    /// the kernels changed put back.
+    pub fn initial_memory(&self) -> GpuMemory {
+        let mut mem = self.exact_memory.clone();
+        for (region, delta) in self.exact_memory.regions().iter().zip(&self.initial_delta) {
+            match delta {
+                RegionDelta::Unchanged => {}
+                RegionDelta::Zeroed => mem.region_bytes_mut(region).fill(0),
+                RegionDelta::Bytes(seeded) => mem.region_bytes_mut(region).copy_from_slice(seeded),
+            }
+        }
+        mem
+    }
+
     /// Stored sizes of the memory image at every kernel-boundary DRAM
     /// round-trip of the **exact** run, under the trained table.
     ///
-    /// Computed once per artifacts (one deterministic replay of the
-    /// kernel pipeline, sizing each boundary snapshot) and shared by
-    /// every consumer thereafter: the E2MC-baseline functional pass of
-    /// [`Harness::run_functional`] at *any* MAG or threshold reduces to a
-    /// decision sweep over these sizes — the (schemes × thresholds)
-    /// → 1 collapse of the shared pipeline. Kernels never see staged
-    /// data in a lossless run, so these snapshots are bit-identical to
-    /// what that run would observe.
+    /// Computed once per artifacts (one replay of the kernel pipeline
+    /// over [`Self::initial_memory`], sizing each boundary snapshot) and
+    /// shared by every consumer thereafter: the E2MC-baseline functional
+    /// pass of [`Harness::run_functional`] at *any* MAG or threshold
+    /// reduces to a decision sweep over these sizes — the (schemes ×
+    /// thresholds) → 1 collapse of the shared pipeline. Kernels never
+    /// see staged data in a lossless run, so these snapshots are
+    /// bit-identical to what that run would observe.
     ///
     /// Every consumer of this cache — the baseline burst sweep here, the
     /// fault ladder's reconciliation tests — reads only each block's
@@ -80,14 +104,10 @@ impl BenchmarkArtifacts {
     /// (replaying a different pipeline would cache, and then keep
     /// serving, the wrong snapshots).
     pub fn exact_size_snapshots(&self, w: &dyn Workload) -> &[SizeSnapshot] {
-        assert_eq!(
-            Self::fingerprint(w),
-            self.workload_fingerprint,
-            "artifacts were prepared from a different workload instance"
-        );
+        self.assert_prepared_from(w);
         self.exact_size_snapshots.get_or_init(|| {
             let mut snapshots = Vec::new();
-            let mut mem = w.build(self.seed);
+            let mut mem = self.initial_memory();
             let mut capture =
                 |m: &mut GpuMemory| snapshots.push(SizeSnapshot::capture(&self.e2mc, m));
             w.execute(&mut mem, &mut capture);
@@ -100,6 +120,16 @@ impl BenchmarkArtifacts {
     /// scales of the same benchmark apart).
     fn fingerprint(w: &dyn Workload) -> String {
         format!("{}/{}", w.name(), w.input_description())
+    }
+
+    /// Panics unless `w` is the instance [`Harness::prepare`] ran: its
+    /// kernels are about to execute over this image.
+    fn assert_prepared_from(&self, w: &dyn Workload) {
+        assert_eq!(
+            Self::fingerprint(w),
+            self.workload_fingerprint,
+            "artifacts were prepared from a different workload instance"
+        );
     }
 
     /// Analysis of the final exact memory image (the state the Fig. 2
@@ -181,23 +211,36 @@ impl Harness {
     /// training on final state alone would crowd input symbols out of the
     /// table with transformed-output symbols the early traffic never
     /// carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the kernels allocate (both images need one region table).
     pub fn prepare(&self, w: &dyn Workload) -> BenchmarkArtifacts {
         let initial = w.build(self.seed);
         let mut mem = initial.clone();
         let mut noop = |_: &mut GpuMemory| {};
         w.execute(&mut mem, &mut noop);
+        assert_eq!(initial.regions(), mem.regions(), "region table mismatch: the kernels allocate");
         let exact_output = w.output(&mem);
-        let blocks: Vec<slc_compress::Block> =
-            initial.all_blocks().map(|(_, b)| b).chain(mem.all_blocks().map(|(_, b)| b)).collect();
-        let e2mc = E2mc::train_on_blocks(blocks.iter(), &E2mcConfig::default());
+        let blocks = initial.blocks_with_addr().chain(mem.blocks_with_addr()).map(|(_, _, b)| b);
+        let e2mc = E2mc::train_on_blocks(blocks, &E2mcConfig::default());
         let trace = w.trace(self.config.sms);
+        let initial_delta = initial
+            .regions()
+            .iter()
+            .map(|region| match initial.region_bytes(region) {
+                seeded if seeded == mem.region_bytes(region) => RegionDelta::Unchanged,
+                seeded if seeded.iter().all(|&b| b == 0) => RegionDelta::Zeroed,
+                seeded => RegionDelta::Bytes(seeded.into()),
+            })
+            .collect();
         BenchmarkArtifacts {
             name: w.name().to_owned(),
             exact_output,
             exact_memory: mem,
             e2mc,
             trace,
-            seed: self.seed,
+            initial_delta,
             workload_fingerprint: BenchmarkArtifacts::fingerprint(w),
             exact_size_snapshots: OnceLock::new(),
             final_analysis: OnceLock::new(),
@@ -250,15 +293,11 @@ impl Harness {
         let shares_artifact_table = scheme.e2mc().is_some_and(|e| {
             std::sync::Arc::ptr_eq(e.shared_table(), artifacts.e2mc.shared_table())
         });
-        if matches!(scheme, Scheme::E2mc(_))
-            && shares_artifact_table
-            && self.seed == artifacts.seed
-            && BenchmarkArtifacts::fingerprint(w) == artifacts.workload_fingerprint
-        {
+        if matches!(scheme, Scheme::E2mc(_)) && shares_artifact_table {
             // Lossless staging is the identity, so a fresh run would
-            // deterministically retrace the exact run; sweep its cached
-            // per-boundary stored sizes instead of re-executing the
-            // kernels (the E2MC burst decision needs nothing else).
+            // retrace the exact run; sweep its cached per-boundary stored
+            // sizes instead of re-executing the kernels (the E2MC burst
+            // decision needs nothing else).
             let mut accumulator = BurstsAccumulator::new(mag);
             for snapshot in artifacts.exact_size_snapshots(w) {
                 accumulator.record_sizes(scheme, snapshot);
@@ -276,11 +315,11 @@ impl Harness {
         self.replay(w, artifacts, scheme, None)
     }
 
-    /// The uncached functional pass: replays the kernels with the one
-    /// staging walk at every kernel-boundary staging point — each
-    /// snapshot analysed once, every block resolved by `ladder` first
-    /// when there is one — and packages the ladder's [`FaultPlan`] for
-    /// the timing side.
+    /// The uncached functional pass: replays the kernels over the
+    /// artifacts' seeded image with the one staging walk at every
+    /// kernel-boundary staging point — each snapshot analysed once, every
+    /// block resolved by `ladder` first when there is one — and packages
+    /// the ladder's [`FaultPlan`] for the timing side.
     fn replay(
         &self,
         w: &dyn Workload,
@@ -288,9 +327,10 @@ impl Harness {
         scheme: &Scheme,
         mut ladder: Option<LadderState>,
     ) -> FunctionalOutcome {
+        artifacts.assert_prepared_from(w);
         let mut accumulator = BurstsAccumulator::new(self.config.mag());
         let output = {
-            let mut mem = w.build(self.seed);
+            let mut mem = artifacts.initial_memory();
             let mut stage = |m: &mut GpuMemory| {
                 if let Some(snapshot) = scheme.stage_walk(m, ladder.as_mut()) {
                     accumulator.record(scheme, &snapshot);
@@ -363,10 +403,198 @@ pub fn normalized_bandwidth(baseline: &SimStats, candidate: &SimStats) -> f64 {
 mod tests {
     use super::*;
     use crate::benchmarks::nn::Nn;
+    use crate::metrics::ErrorMetric;
+    use crate::suite::all_workloads;
     use slc_core::slc::SlcVariant;
+    use slc_sim::{DevicePtr, FaultConfig, FaultPattern};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn harness() -> Harness {
         Harness::new(Scale::Tiny)
+    }
+
+    fn assert_same_image(got: &GpuMemory, want: &GpuMemory, at: &str) {
+        assert_eq!(got.regions(), want.regions(), "{at}: region table");
+        for region in want.regions() {
+            let same = got.region_bytes(region) == want.region_bytes(region);
+            assert!(same, "{at}: region {} differs", region.label);
+        }
+    }
+
+    #[test]
+    fn initial_memory_is_the_seeded_build() {
+        for seed in [42, 7] {
+            let h = Harness { seed, ..harness() };
+            for w in all_workloads(Scale::Tiny) {
+                let derived = h.prepare(w.as_ref()).initial_memory();
+                assert_same_image(&derived, &w.build(seed), &format!("{} seed {seed}", w.name()));
+            }
+        }
+    }
+
+    /// Floats per region of [`ThreeRegions`] (two blocks).
+    const N: usize = 64;
+
+    /// One region per delta case: the kernel only reads `kept`, rewrites
+    /// the non-zero `scaled` in place and fills the zeroed `filled`.
+    struct ThreeRegions {
+        /// Makes the kernel allocate, which `prepare` must refuse.
+        allocates: bool,
+    }
+
+    impl ThreeRegions {
+        const PTRS: [DevicePtr; 3] =
+            [DevicePtr(0), DevicePtr(4 * N as u64), DevicePtr(8 * N as u64)];
+    }
+
+    impl Workload for ThreeRegions {
+        fn name(&self) -> &'static str {
+            "SYN"
+        }
+
+        fn description(&self) -> &'static str {
+            "the three delta cases"
+        }
+
+        fn metric(&self) -> ErrorMetric {
+            ErrorMetric::Mre
+        }
+
+        fn approx_regions(&self) -> usize {
+            3
+        }
+
+        fn input_description(&self) -> String {
+            format!("{N} floats")
+        }
+
+        fn build(&self, seed: u64) -> GpuMemory {
+            let mut mem = GpuMemory::new();
+            let ptrs = ["kept", "scaled", "filled"].map(|label| mem.malloc(label, 4 * N, true, 16));
+            assert_eq!(ptrs, Self::PTRS);
+            let values: Vec<f32> = (0..N).map(|i| (seed as usize + i + 1) as f32).collect();
+            mem.write_f32(ptrs[0], &values);
+            mem.write_f32(ptrs[1], &values);
+            mem
+        }
+
+        fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory)) {
+            let [kept, scaled, filled] = Self::PTRS;
+            stage(mem);
+            let doubled: Vec<f32> = mem.read_f32(scaled, N).iter().map(|v| v * 2.0).collect();
+            let sums: Vec<f32> =
+                mem.read_f32(kept, N).iter().zip(&doubled).map(|(a, b)| a + b).collect();
+            mem.write_f32(scaled, &doubled);
+            mem.write_f32(filled, &sums);
+            if self.allocates {
+                mem.malloc("scratch", 4 * N, false, 0);
+            }
+            stage(mem);
+        }
+
+        fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+            mem.read_f32(Self::PTRS[2], N)
+        }
+
+        fn trace(&self, sms: usize) -> Trace {
+            Trace::new(sms)
+        }
+    }
+
+    #[test]
+    fn the_three_delta_cases_reconstruct_and_only_rewritten_bytes_are_kept() {
+        let h = harness();
+        let w = ThreeRegions { allocates: false };
+        let a = h.prepare(&w);
+        let seeded = w.build(h.seed);
+        assert_same_image(&a.initial_memory(), &seeded, "SYN");
+        let scaled = seeded.region_bytes(&seeded.regions()[1]);
+        assert_eq!(
+            a.initial_delta,
+            [RegionDelta::Unchanged, RegionDelta::Bytes(scaled.into()), RegionDelta::Zeroed]
+        );
+        // The replay runs over that image: lossless staging reproduces
+        // the exact output.
+        let f = h.replay(&w, &a, &Scheme::E2mc(a.e2mc.clone()), None);
+        assert_eq!((f.error_pct, f.max_abs_err), (0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "region table mismatch")]
+    fn prepare_refuses_kernels_that_allocate() {
+        harness().prepare(&ThreeRegions { allocates: true });
+    }
+
+    /// Delegates everything to `inner` and counts the `build` calls.
+    struct CountingBuilds {
+        inner: Nn,
+        builds: AtomicUsize,
+    }
+
+    impl Workload for CountingBuilds {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn description(&self) -> &'static str {
+            self.inner.description()
+        }
+
+        fn metric(&self) -> ErrorMetric {
+            self.inner.metric()
+        }
+
+        fn approx_regions(&self) -> usize {
+            self.inner.approx_regions()
+        }
+
+        fn input_description(&self) -> String {
+            self.inner.input_description()
+        }
+
+        fn build(&self, seed: u64) -> GpuMemory {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            self.inner.build(seed)
+        }
+
+        fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory)) {
+            self.inner.execute(mem, stage);
+        }
+
+        fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+            self.inner.output(mem)
+        }
+
+        fn trace(&self, sms: usize) -> Trace {
+            self.inner.trace(sms)
+        }
+
+        fn error(&self, exact: &[f32], approx: &[f32]) -> f64 {
+            self.inner.error(exact, approx)
+        }
+    }
+
+    #[test]
+    fn a_benchmark_is_built_exactly_once() {
+        // Every pass a figure makes: prepare, the two baselines, the
+        // three TSLC replays, a faulty-DRAM replay, the size cache.
+        let h = harness();
+        let w = CountingBuilds { inner: Nn::new(Scale::Tiny), builds: AtomicUsize::new(0) };
+        let a = h.prepare(&w);
+        let mut schemes = vec![Scheme::Uncompressed, Scheme::E2mc(a.e2mc.clone())];
+        schemes.extend(
+            [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt]
+                .map(|v| Scheme::slc(a.e2mc.clone(), h.config.mag(), 16, v)),
+        );
+        for scheme in &schemes {
+            h.run_functional(&w, &a, scheme);
+        }
+        let fault = FaultConfig::new(FaultPattern::RandomRows, 0.05, 7);
+        let faulty = h.clone().with_config(h.config.clone().with_faults(fault));
+        let f = faulty.run_functional(&w, &a, &schemes[4]);
+        assert!(f.fault.is_some(), "the ladder must have replayed");
+        assert!(!a.exact_size_snapshots(&w).is_empty());
+        assert_eq!(w.builds.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -413,6 +641,16 @@ mod tests {
         let h = harness();
         let artifacts = h.prepare(&Nn::new(Scale::Tiny));
         let _ = artifacts.exact_size_snapshots(&Nn::new(Scale::Small));
+    }
+
+    #[test]
+    #[should_panic(expected = "different workload instance")]
+    fn replays_reject_a_different_scale_instance() {
+        // The replay runs `w`'s kernels over the artifacts' image.
+        let h = harness();
+        let artifacts = h.prepare(&Nn::new(Scale::Tiny));
+        let scheme = Scheme::slc(artifacts.e2mc.clone(), h.config.mag(), 16, SlcVariant::TslcOpt);
+        h.run_functional(&Nn::new(Scale::Small), &artifacts, &scheme);
     }
 
     #[test]

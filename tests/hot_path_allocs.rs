@@ -1,10 +1,11 @@
 //! What the hot paths allocate, counted: per-block encode and decode of
 //! every codec, the engine's per-container scaffolding, `slc-core`'s
-//! staging and codec steps. Hardware compressors own no heap (paper §III),
-//! so a per-block count is an exact zero wherever the model keeps that
-//! promise and the measured cost where it does not (rANS). The counter is
-//! per thread and every measured call runs serially on its caller's
-//! thread, so parallel test threads do not disturb it.
+//! staging and codec steps, a snapshot's capture. Hardware compressors own
+//! no heap (paper §III), so a per-block count is an exact zero wherever
+//! the model keeps that promise and the measured cost where it does not
+//! (rANS). The counter is per thread and every measured call runs
+//! serially on its caller's thread, so parallel test threads do not
+//! disturb it.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -19,7 +20,8 @@ use slc::slc_compress::sc2::{Sc2, DEFAULT_TOP_K};
 use slc::slc_compress::{Block, BlockCodec, Mag, BLOCK_BYTES};
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_engine::{Engine, Frame, Threads};
-use slc::slc_workloads::{all_workloads, Harness, Scale};
+use slc::slc_sim::GpuMemory;
+use slc::slc_workloads::{all_workloads, Harness, Scale, Scheme, SizeSnapshot, SnapshotAnalysis};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -236,4 +238,40 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
         }
     }
     assert!(4 * lossy >= total, "only {lossy} of {total} blocks go lossy under TSLC-OPT at 16 B");
+}
+
+/// A snapshot is one buffer: capture sizes it from the memory image and
+/// writes every entry once, whatever the block count, and the fault-free
+/// staging walk adds nothing to it. The seeded image costs a clone of the
+/// final one.
+#[test]
+fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
+    for blocks in [1 << 10, 1 << 16] {
+        let corpus = corpus(blocks);
+        let e2mc = E2mc::train_on_bytes(corpus.as_flattened(), &E2mcConfig::default());
+        // Two regions, so the walk crosses a region boundary; the
+        // approximable one holds the corpus, a quarter of it blocks that
+        // TSLC-OPT sends lossy.
+        let mut mem = GpuMemory::new();
+        mem.malloc("approx", blocks / 2 * BLOCK_BYTES, true, 16);
+        mem.malloc("exact", blocks / 2 * BLOCK_BYTES, false, 0);
+        let approx = mem.regions()[0].clone();
+        mem.region_bytes_mut(&approx).copy_from_slice(corpus[..blocks / 2].as_flattened());
+        let (full, snapshot) = allocs(|| SnapshotAnalysis::capture(&e2mc, &mem));
+        assert_eq!((full, snapshot.entries().len()), (1, blocks), "SnapshotAnalysis::capture");
+        let (slim, snapshot) = allocs(|| SizeSnapshot::capture(&e2mc, &mem));
+        assert_eq!((slim, snapshot.entries().len()), (1, blocks), "SizeSnapshot::capture");
+        let scheme = Scheme::slc(e2mc.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
+        let (staged, snapshot) = allocs(|| scheme.stage_analyzed(&mut mem));
+        assert_eq!((staged, snapshot.map(|s| s.entries().len())), (1, Some(blocks)), "stage");
+        let staged_bytes = mem.region_bytes(&approx);
+        assert!(staged_bytes != corpus[..blocks / 2].as_flattened(), "nothing went lossy");
+    }
+    let harness = Harness::new(Scale::Tiny);
+    for w in all_workloads(Scale::Tiny) {
+        let a = harness.prepare(w.as_ref());
+        let (clone, _) = allocs(|| a.exact_memory.clone());
+        let (derived, _) = allocs(|| a.initial_memory());
+        assert_eq!(derived, clone, "{}: initial_memory", w.name());
+    }
 }
