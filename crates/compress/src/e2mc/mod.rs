@@ -430,12 +430,21 @@ impl E2mc {
     /// per block instead of the 196 B [`BlockAnalysis`] artifact — the
     /// slim size-only snapshot cache in `slc-workloads` is built on this.
     pub fn stored_size_bits(&self, block: &Block) -> u32 {
+        (HEADER_BITS + self.total_code_bits(block)).min(BLOCK_BITS)
+    }
+
+    /// Σ code lengths of `block`, no header and no cap — the root of the
+    /// Fig. 5 adder tree without the tree, equal to
+    /// `analyze(block).total_code_bits()`. All a Fig. 4 budget decision
+    /// reads: a caller that sizes first builds the [`BlockAnalysis`] only
+    /// for the blocks whose decision then needs the per-symbol lengths.
+    pub fn total_code_bits(&self, block: &Block) -> u32 {
         let symbols = block_to_symbols(block);
         let mut total = 0u32;
         for s in symbols {
             total += u32::from(self.table.bits[s as usize]);
         }
-        (HEADER_BITS + total).min(BLOCK_BITS)
+        total
     }
 }
 
@@ -587,6 +596,7 @@ mod tests {
                 }
             });
             assert_eq!(e.stored_size_bits(&block), e.analyze(&block).e2mc_size_bits());
+            assert_eq!(e.total_code_bits(&block), e.analyze(&block).total_code_bits());
             assert_eq!(e.stored_size_bits(&block), e.size_bits(&block));
         }
     }

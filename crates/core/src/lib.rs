@@ -44,9 +44,15 @@
 //! is exactly what the workload harness' snapshot cache does (see
 //! `slc-workloads::analysis`). `compress_with` is pinned bit-identical
 //! to `compress` by unit and property tests, and `approximate_with` —
-//! the lossy step without the entropy coder, what the staging walk
-//! calls — to `decompress(compress_with(..))`, which stays the codec and
-//! the reference.
+//! the lossy step without the entropy coder — to
+//! `decompress(compress_with(..))`, which stays the codec and the
+//! reference. A caller that reads each block once needs the artifact
+//! only where the tree is: [`stored_bits_from_sum`](slc::SlcCompressor::stored_bits_from_sum)
+//! settles every block the budget keeps exact from the code-length sum
+//! alone, as the hardware does, and
+//! [`stage_with`](slc::SlcCompressor::stage_with) gives the rest their
+//! stored bits and their reconstruction from one decision — the two
+//! calls the staging walk makes.
 //!
 //! # Quick start
 //!

@@ -285,18 +285,34 @@ impl SlcCompressor {
     /// pair becomes a [`StoredKind`], shared by sizing and encoding.
     fn natural_form(&self, analysis: &BlockAnalysis) -> (BudgetDecision, StoredKind) {
         let (decision, selection) = self.analyze_with(analysis);
-        let kind = match (decision.mode, selection) {
-            (ModeChoice::Uncompressed, _) => StoredKind::Uncompressed,
-            (ModeChoice::Lossy, Some(selection)) => StoredKind::Lossy { selection },
-            (ModeChoice::Lossless, _) | (ModeChoice::Lossy, None) => {
-                if self.lossless_saves_nothing(decision.comp_size_bits) {
-                    StoredKind::Uncompressed
-                } else {
-                    StoredKind::Lossless
-                }
-            }
+        let kind = match selection {
+            Some(selection) => StoredKind::Lossy { selection },
+            None => self.exact_form(decision.comp_size_bits),
         };
         (decision, kind)
+    }
+
+    /// The stored form of a block that keeps every symbol: the lossless
+    /// stream of `comp_size_bits`, or the verbatim block when that stream
+    /// saves no bursts over it (then decompression is skipped entirely —
+    /// the MDC's max burst count identifies the block).
+    fn exact_form(&self, comp_size_bits: u32) -> StoredKind {
+        if self.config.mag.round_up_bits(comp_size_bits) >= BLOCK_BITS {
+            StoredKind::Uncompressed
+        } else {
+            StoredKind::Lossless
+        }
+    }
+
+    /// Stored size in bits of `kind` under `decision`.
+    fn bits_of(decision: BudgetDecision, kind: StoredKind) -> u32 {
+        match kind {
+            StoredKind::Uncompressed => BLOCK_BITS,
+            StoredKind::Lossless => decision.comp_size_bits,
+            StoredKind::Lossy { selection } => {
+                decision.comp_size_bits - selection.freed_bits + LOSSY_HEADER_DELTA
+            }
+        }
     }
 
     /// Stored size in bits and whether the block goes lossy, without
@@ -304,26 +320,28 @@ impl SlcCompressor {
     /// likewise derives the burst count from the code-length sum alone).
     pub fn stored_bits_with(&self, analysis: &BlockAnalysis) -> (u32, bool) {
         let (decision, kind) = self.natural_form(analysis);
-        match kind {
-            StoredKind::Uncompressed => (BLOCK_BITS, false),
-            StoredKind::Lossless => (decision.comp_size_bits, false),
-            StoredKind::Lossy { selection } => {
-                (decision.comp_size_bits - selection.freed_bits + LOSSY_HEADER_DELTA, true)
-            }
-        }
+        (Self::bits_of(decision, kind), matches!(kind, StoredKind::Lossy { .. }))
+    }
+
+    /// [`stored_bits_with`](Self::stored_bits_with) from the code-length
+    /// sum alone ([`E2mc::total_code_bits`]), for every block the Fig. 4
+    /// budget keeps exact: `Some(bits)` is that call's `(bits, false)`.
+    /// `None` when the budget says lossy — only then are the per-symbol
+    /// lengths needed, to let the Fig. 5 tree pick the hole (or decline).
+    pub fn stored_bits_from_sum(&self, total_code_bits: u32) -> Option<u32> {
+        let decision = BudgetDecision::evaluate(
+            LOSSLESS_HEADER_BITS + total_code_bits,
+            self.config.mag,
+            self.config.threshold_bits(),
+        );
+        (decision.mode != ModeChoice::Lossy)
+            .then(|| Self::bits_of(decision, self.exact_form(decision.comp_size_bits)))
     }
 
     /// Bursts the stored block costs under the configured MAG.
     pub fn stored_bursts_with(&self, analysis: &BlockAnalysis) -> u32 {
         let (bits, _) = self.stored_bits_with(analysis);
         self.config.mag.bursts_for_bits(bits, BLOCK_BYTES as u32)
-    }
-
-    /// `true` when storing `bits` losslessly saves no bursts over the
-    /// verbatim block — then the block is stored raw and decompression is
-    /// skipped entirely (the MDC's max burst count identifies it).
-    fn lossless_saves_nothing(&self, bits: u32) -> bool {
-        self.config.mag.round_up_bits(bits) >= BLOCK_BITS
     }
 
     /// Fits an approximable block into a hard bit budget (a faulty DRAM
@@ -410,8 +428,16 @@ impl SlcCompressor {
     /// by property test; `analysis` must be this block's, as for
     /// [`compress_with`](Self::compress_with).
     pub fn approximate_with(&self, block: &Block, analysis: &BlockAnalysis) -> Option<Block> {
-        let (_, kind) = self.natural_form(analysis);
-        self.approximate(block, kind)
+        self.stage_with(block, analysis).1
+    }
+
+    /// One kernel-boundary round trip of `block` from one decision: the
+    /// bits its fault-free form stores
+    /// ([`stored_bits_with`](Self::stored_bits_with)`.0`) and what reading
+    /// it back returns ([`approximate_with`](Self::approximate_with)).
+    pub fn stage_with(&self, block: &Block, analysis: &BlockAnalysis) -> (u32, Option<Block>) {
+        let (decision, kind) = self.natural_form(analysis);
+        (Self::bits_of(decision, kind), self.approximate(block, kind))
     }
 
     /// [`approximate_with`](Self::approximate_with) for the stored form a
@@ -997,8 +1023,61 @@ mod tests {
         }
     }
 
+    /// Three blocks per draw: floats on the trained grid (in-distribution:
+    /// level code lengths, so the first node wins and holes open at symbol
+    /// 0 — `FirstSymbol`'s special case), the same with `noise`-selected
+    /// words replaced by arbitrary bits (escape-heavy), and every word
+    /// replaced by one whose halves are both off the trained table
+    /// (all-escape).
+    fn three_shapes(words: &[u32], noise: u32) -> [Block; 3] {
+        let on_grid = float_block((words[0] % 4000) as f32 * 0.25, 0.25);
+        let replaced = |mask: u32, force: u32| {
+            let mut block = on_grid;
+            for (i, w) in words.iter().enumerate() {
+                if mask >> i & 1 == 1 {
+                    block[i * 4..i * 4 + 4].copy_from_slice(&(w | force).to_le_bytes());
+                }
+            }
+            block
+        };
+        [on_grid, replaced(noise, 0), replaced(u32::MAX, 0x8000_0001)]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_sum_first_staging_is_the_analysis_pair(
+            words in proptest::collection::vec(any::<u32>(), 32),
+            noise in any::<u32>(), threshold in 0u32..=32) {
+            // The streamed walk sizes first and builds the analysis only
+            // where the budget says lossy: the shortcut must answer for
+            // exactly the other blocks, with the analysis path's bits, and
+            // the one-call entry point must be the pair it replaces.
+            let e2mc = e2mc();
+            for mag in [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64] {
+                for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
+                    let s = SlcCompressor::new(e2mc.clone(), SlcConfig::new(mag, threshold, variant));
+                    for block in three_shapes(&words, noise) {
+                        let a = s.analysis(&block);
+                        let (bits, lossy) = s.stored_bits_with(&a);
+                        let from_sum = s.stored_bits_from_sum(e2mc.total_code_bits(&block));
+                        // `None` is the budget's verdict, a superset of
+                        // "goes lossy": the tree may still decline.
+                        let budget_lossy = s.analyze_with(&a).0.mode == ModeChoice::Lossy;
+                        prop_assert_eq!(from_sum.is_none(), budget_lossy);
+                        prop_assert!(!lossy || from_sum.is_none());
+                        if let Some(sum_bits) = from_sum {
+                            prop_assert_eq!((sum_bits, false), (bits, lossy));
+                        }
+                        prop_assert_eq!(
+                            s.stage_with(&block, &a),
+                            (bits, s.approximate_with(&block, &a))
+                        );
+                    }
+                }
+            }
+        }
 
         #[test]
         fn prop_stored_streams_tile_their_ways(words in proptest::collection::vec(any::<u32>(), 32),
@@ -1031,23 +1110,8 @@ mod tests {
             words in proptest::collection::vec(any::<u32>(), 32),
             noise in any::<u32>(), threshold in 0u32..=32) {
             // `approximate_with` / `approximate_fitted` against the codec
-            // they bypass, on three blocks per draw: floats on the trained
-            // grid (in-distribution: level code lengths, so the first node
-            // wins and holes open at symbol 0 — `FirstSymbol`'s special
-            // case), the same with `noise`-selected words replaced by
-            // arbitrary bits (escape-heavy), and every word replaced by
-            // one whose halves are both off the trained table (all-escape).
-            let on_grid = float_block((words[0] % 4000) as f32 * 0.25, 0.25);
-            let replaced = |mask: u32, force: u32| {
-                let mut block = on_grid;
-                for (i, w) in words.iter().enumerate() {
-                    if mask >> i & 1 == 1 {
-                        block[i * 4..i * 4 + 4].copy_from_slice(&(w | force).to_le_bytes());
-                    }
-                }
-                block
-            };
-            let all_escape = replaced(u32::MAX, 0x8000_0001);
+            // they bypass, on [`three_shapes`] per draw.
+            let [on_grid, noisy, all_escape] = three_shapes(&words, noise);
             let e2mc = e2mc();
             for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
                 for predictor in
@@ -1056,7 +1120,7 @@ mod tests {
                     let config =
                         SlcConfig::new(Mag::GDDR5, threshold, variant).with_predictor(predictor);
                     let s = SlcCompressor::new(e2mc.clone(), config);
-                    for block in [on_grid, replaced(noise, 0), all_escape] {
+                    for block in [on_grid, noisy, all_escape] {
                         let a = s.analysis(&block);
                         let c = s.compress_with(&block, &a);
                         let decoded = s.decompress(&c);

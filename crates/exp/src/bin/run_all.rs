@@ -22,4 +22,5 @@ fn main() {
     println!("{}", eval.render_fig7());
     println!("{}", eval.render_fig8());
     println!("{}", slc_exp::fig9::compute(scale).render());
+    slc_exp::report::print_footprint();
 }

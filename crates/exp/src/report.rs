@@ -105,9 +105,45 @@ pub fn shade(intensity: f64) -> char {
     RAMP[idx]
 }
 
+/// This process's footprint line so far, from `/proc/self/status` and
+/// field 10 of `/proc/self/stat`; `None` where there is no such `/proc`.
+fn footprint() -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let hwm_kb: f64 = hwm.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) may hold spaces; count from its `)`.
+    let minor_faults = stat.rsplit_once(')')?.1.split_whitespace().nth(7)?;
+    Some(format!("footprint: peak_rss_mb {:.1}  minor_faults {minor_faults}", hwm_kb / 1024.0))
+}
+
+/// Ends a figure binary's run with one line on **stderr**, `footprint:
+/// peak_rss_mb <VmHWM>  minor_faults <n>` (stdout stays the figures, byte
+/// for byte); silent without `/proc`.
+/// With the shell's `time` this is the whole full-scale cost of a run —
+/// user, sys, peak RSS, page faults — from one command.
+pub fn print_footprint() {
+    if let Some(line) = footprint() {
+        eprintln!("{line}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn footprint_reads_this_process() {
+        let line = footprint().expect("/proc/self is readable on Linux");
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(
+            (fields[0], fields[1], fields[3]),
+            ("footprint:", "peak_rss_mb", "minor_faults")
+        );
+        assert!(fields[2].parse::<f64>().unwrap() > 1.0, "a test binary holds over 1 MB: {line}");
+        assert!(fields[4].parse::<u64>().unwrap() > 0, "and has faulted pages in: {line}");
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -11,8 +11,9 @@
 //! or not." Workload kernels allocate their arrays here, flagging the ones
 //! whose approximation cannot cause catastrophic failures; the harness
 //! then stages flagged regions through the SLC codec at kernel-boundary
-//! DRAM round-trips (see DESIGN.md for why kernel granularity preserves
-//! the paper's behaviour for these memory-bound apps).
+//! DRAM round-trips (see PAPER.md, "This reproduction", for why kernel
+//! granularity preserves the paper's behaviour for these memory-bound
+//! apps).
 
 use crate::BlockAddr;
 use slc_compress::{Block, BLOCK_BYTES};
@@ -163,14 +164,26 @@ impl GpuMemory {
         &mut self.data[region.base as usize..(region.base + region.size) as usize]
     }
 
+    /// Every region with its writable bytes, in table order — what an
+    /// in-order walk that rewrites blocks as it reads them borrows:
+    /// regions and data disjointly, no region-table clone. Regions tile
+    /// the data back to back ([`Self::malloc`] is the only way to make
+    /// one), so each is split off the front of what is left.
+    pub fn regions_mut(&mut self) -> impl Iterator<Item = (&Region, &mut [u8])> + '_ {
+        let mut rest = self.data.as_mut_slice();
+        self.regions.iter().map(move |region| {
+            let (bytes, tail) = std::mem::take(&mut rest).split_at_mut(region.size as usize);
+            rest = tail;
+            (region, bytes)
+        })
+    }
+
     /// Applies `f` to every 128 B block of every safe-to-approximate
     /// region — the kernel-boundary DRAM round-trip: `Some(out)` replaces
     /// the block, `None` leaves it alone (an exact stored form costs
     /// neither a copy nor a compare). Visits regions in table order and
     /// blocks in ascending offset, the order [`Self::blocks_with_addr`]
-    /// reproduces, so a stager can walk a snapshot's approximable entries
-    /// in step. Borrows regions and data disjointly: no region-table
-    /// clone, no per-block copy on the read side.
+    /// reproduces.
     ///
     /// Returns the number of blocks visited (memory is only written for
     /// blocks the callback actually changed).
@@ -178,16 +191,12 @@ impl GpuMemory {
         &mut self,
         mut f: impl FnMut(&Region, &Block) -> Option<Block>,
     ) -> usize {
-        let Self { data, regions } = self;
         let mut visited = 0;
-        for region in regions.iter().filter(|r| r.safe_to_approx) {
-            let start = region.base as usize;
-            let end = (region.base + region.size) as usize;
-            for off in (start..end).step_by(BLOCK_BYTES) {
-                let block: &Block =
-                    data[off..off + BLOCK_BYTES].try_into().expect("regions are block-padded");
+        for (region, bytes) in self.regions_mut().filter(|(r, _)| r.safe_to_approx) {
+            for chunk in bytes.chunks_exact_mut(BLOCK_BYTES) {
+                let block: &mut Block = chunk.try_into().expect("regions are block-padded");
                 if let Some(out) = f(region, block).filter(|out| out != block) {
-                    data[off..off + BLOCK_BYTES].copy_from_slice(&out);
+                    *block = out;
                 }
                 visited += 1;
             }
@@ -284,6 +293,24 @@ mod tests {
         let region = &saved.regions()[1];
         m.region_bytes_mut(region).copy_from_slice(saved.region_bytes(region));
         assert_eq!(m.read_f32(b, 32), [2.0; 32]);
+    }
+
+    #[test]
+    fn regions_mut_hands_out_each_regions_own_bytes() {
+        let mut m = GpuMemory::new();
+        for (i, blocks) in [2usize, 1, 3].into_iter().enumerate() {
+            m.malloc("r", blocks * BLOCK_BYTES - 4, i % 2 == 0, 16);
+        }
+        for (i, (_, bytes)) in m.regions_mut().enumerate() {
+            bytes.fill(i as u8 + 1);
+        }
+        let saved = m.clone();
+        assert_eq!(m.regions_mut().count(), 3);
+        for (i, (region, bytes)) in m.regions_mut().enumerate() {
+            assert_eq!(region, &saved.regions()[i]);
+            assert_eq!(bytes, saved.region_bytes(region));
+            assert!(bytes.iter().all(|&b| b == i as u8 + 1) && bytes.len() == region.size as usize);
+        }
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! Snapshot-level sharing of per-block E2MC analyses.
 //!
-//! A memory snapshot (one kernel-boundary state of a [`GpuMemory`]) is
-//! analysed **once** under the trained table — one [`E2mc::analyze`]
-//! pass per block, in one serial walk over memory — and the resulting
-//! [`SnapshotAnalysis`] then serves every consumer that would otherwise
-//! re-derive the same code lengths:
+//! A memory snapshot (one kernel-boundary state of a [`GpuMemory`]) that
+//! is read more than once is analysed **once** under the trained table —
+//! one [`E2mc::analyze`] pass per block, in one serial walk over memory —
+//! and the resulting [`SnapshotAnalysis`] then serves every consumer
+//! that would otherwise re-derive the same code lengths:
 //!
-//! * [`BurstsAccumulator`](crate::scheme::BurstsAccumulator) decision
-//!   sweeps for any number of schemes, MAGs and thresholds;
 //! * the Fig. 2 heat map and the §V-C compression-ratio studies, which
 //!   bucket the same per-block sizes;
 //! * the Fig. 9 MAG/threshold sweeps, which re-decide but never
-//!   re-encode.
+//!   re-encode;
+//! * [`BurstsAccumulator::record`](crate::scheme::BurstsAccumulator::record)
+//!   decision sweeps for any number of schemes, MAGs and thresholds over
+//!   one captured image.
+//!
+//! The replay's staging points are not among them: each is read exactly
+//! once, so [`Scheme::stage_and_record`](crate::scheme::Scheme::stage_and_record)
+//! streams block by block and materialises no snapshot at all.
 //!
 //! Analyses are only meaningful against the trained table that produced
 //! them, so a snapshot carries the `Arc` identity of its table and
@@ -41,16 +46,11 @@ pub struct AnalyzedBlock {
     pub approximable: bool,
     /// The block's shared analysis (code lengths + total bits).
     pub analysis: BlockAnalysis,
-    /// Bursts of the stream the block actually stores, when the fault
-    /// ladder gave it a form other than the scheme's own decision (a
-    /// lossless squeeze or a deeper truncation, [`crate::ladder`]);
-    /// burst accounting honours it over the decision from `analysis`.
-    pub stored_bursts: Option<u32>,
 }
 
 impl SnapshotBlock for AnalyzedBlock {
     fn measure(e2mc: &E2mc, addr: BlockAddr, approximable: bool, block: &Block) -> Self {
-        Self { addr, approximable, analysis: e2mc.analyze(block), stored_bursts: None }
+        Self { addr, approximable, analysis: e2mc.analyze(block) }
     }
 
     fn addr(&self) -> BlockAddr {
@@ -99,7 +99,7 @@ impl SnapshotBlock for SizedBlock {
 /// rows — produce byte-identical output to a direct walk over memory.
 #[derive(Debug, Clone)]
 pub struct Snapshot<B> {
-    pub(crate) entries: Vec<B>,
+    entries: Vec<B>,
     /// Identity of the trained model the entries were measured with.
     table: Arc<SymbolTable>,
 }
@@ -111,9 +111,10 @@ pub type SnapshotAnalysis = Snapshot<AnalyzedBlock>;
 /// The size-bits-only snapshot.
 ///
 /// A full [`BlockAnalysis`] is 196 B of per-symbol code lengths and tree
-/// sums; consumers that only ever read the block's *stored size* — the
-/// E2MC-baseline burst sweep, the fault ladder's escalation counters —
-/// pay for none of that here: one `u32` per block, a ~49× smaller
+/// sums, 208 B as an [`AnalyzedBlock`]; consumers that only ever read the
+/// block's *stored size* — the E2MC-baseline burst sweep, the fault
+/// ladder's reconciliation tests — pay for none of that here: a 16 B
+/// [`SizedBlock`] per block (address, region class, size), a 13× smaller
 /// footprint per cached snapshot, pinned to the size the full analysis
 /// reports.
 pub type SizeSnapshot = Snapshot<SizedBlock>;
@@ -219,6 +220,14 @@ mod tests {
         let full_runs: Vec<usize> = full.runs().map(<[AnalyzedBlock]>::len).collect();
         let slim_runs: Vec<usize> = slim.runs().map(<[SizedBlock]>::len).collect();
         assert_eq!(full_runs, slim_runs);
+    }
+
+    #[test]
+    fn entries_are_16_and_208_bytes() {
+        // What a cached snapshot costs per 128 B block, as the docs and
+        // ROADMAP quote it.
+        assert_eq!(std::mem::size_of::<SizedBlock>(), 16);
+        assert_eq!(std::mem::size_of::<AnalyzedBlock>(), 208);
     }
 
     #[test]

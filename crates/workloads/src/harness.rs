@@ -91,11 +91,10 @@ impl BenchmarkArtifacts {
     /// Every consumer of this cache — the baseline burst sweep here, the
     /// fault ladder's reconciliation tests — reads only each block's
     /// *stored size*, so the cache holds the slim [`SizeSnapshot`]
-    /// representation (one `u32` per block) rather than full
-    /// [`SnapshotAnalysis`] artifacts (196 B of code lengths per block,
-    /// ~49× the footprint). Consumers that need the full analyses — SLC
-    /// staging decisions, the Fig. 2 / §V-C studies — go through
-    /// [`Scheme::stage_analyzed`] or [`Self::final_analysis`] instead.
+    /// representation (16 B per block: address, region class, size)
+    /// rather than full [`SnapshotAnalysis`] artifacts (208 B per block,
+    /// 13× the footprint). The Fig. 2 / §V-C studies, which need the full
+    /// analyses, go through [`Self::final_analysis`] instead.
     ///
     /// # Panics
     ///
@@ -250,24 +249,26 @@ impl Harness {
     /// Step 3: one functional pass under `scheme`.
     ///
     /// The pass re-runs the kernels with the scheme's staging (lossy
-    /// mutation for SLC, identity otherwise) and snapshots per-block
-    /// burst counts at every kernel-boundary DRAM round-trip; the burst
-    /// map is the per-block mean over snapshots (see
+    /// mutation for SLC, identity otherwise) and counts every block's
+    /// bursts at every kernel-boundary DRAM round-trip; the burst map is
+    /// the per-block mean over those staging points (see
     /// [`crate::scheme::BurstsAccumulator`]).
     ///
-    /// Each snapshot's blocks are analysed once and the analyses drive
-    /// both the SLC staging decision and the burst accounting (the fused
-    /// [`Scheme::stage_analyzed`] walk). Non-mutating schemes sharing the
-    /// artifacts' trained table skip the kernel replay entirely: their
-    /// run observes exactly the exact run's memory trajectory, so they
-    /// sweep the cached [`BenchmarkArtifacts::exact_size_snapshots`] —
-    /// byte-identical output, one sizing pass amortised over every
-    /// scheme, MAG and threshold.
+    /// A mutating scheme replays the kernels with the streamed
+    /// [`Scheme::stage_and_record`] walk at every staging point: each
+    /// block is sized, decided, refilled and folded into its accumulator
+    /// cell in one pass, and no snapshot is ever materialised.
+    /// Non-mutating schemes sharing the artifacts' trained table skip the
+    /// kernel replay entirely: their run observes exactly the exact run's
+    /// memory trajectory, so they sweep the cached
+    /// [`BenchmarkArtifacts::exact_size_snapshots`] — byte-identical
+    /// output, one sizing pass amortised over every scheme, MAG and
+    /// threshold.
     ///
-    /// Faulty DRAM ([`GpuConfig::fault`]) invalidates both shortcuts: the
-    /// ladder ([`crate::ladder`]) must walk each snapshot to count
-    /// escalations and assign spare slots, whatever the scheme — even the
-    /// uncompressed one, to tally uncorrectable blocks.
+    /// Faulty DRAM ([`GpuConfig::fault`]) invalidates the shortcut: the
+    /// ladder ([`crate::ladder`]) must see every block of every staging
+    /// point to count escalations and assign spare slots, whatever the
+    /// scheme — even the uncompressed one, to tally uncorrectable blocks.
     pub fn run_functional(
         &self,
         w: &dyn Workload,
@@ -316,10 +317,11 @@ impl Harness {
     }
 
     /// The uncached functional pass: replays the kernels over the
-    /// artifacts' seeded image with the one staging walk at every
-    /// kernel-boundary staging point — each snapshot analysed once, every
-    /// block resolved by `ladder` first when there is one — and packages
-    /// the ladder's [`FaultPlan`] for the timing side.
+    /// artifacts' seeded image with the one streamed staging walk at
+    /// every kernel-boundary staging point — every block resolved by
+    /// `ladder` first when there is one, its bursts folded straight into
+    /// the accumulator — and packages the ladder's [`FaultPlan`] for the
+    /// timing side.
     fn replay(
         &self,
         w: &dyn Workload,
@@ -331,11 +333,8 @@ impl Harness {
         let mut accumulator = BurstsAccumulator::new(self.config.mag());
         let output = {
             let mut mem = artifacts.initial_memory();
-            let mut stage = |m: &mut GpuMemory| {
-                if let Some(snapshot) = scheme.stage_walk(m, ladder.as_mut()) {
-                    accumulator.record(scheme, &snapshot);
-                }
-            };
+            let mut stage =
+                |m: &mut GpuMemory| scheme.stage_walk(m, Some(&mut accumulator), ladder.as_mut());
             w.execute(&mut mem, &mut stage);
             w.output(&mem)
         };

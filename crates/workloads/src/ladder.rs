@@ -1,8 +1,9 @@
 //! The graceful-degradation ladder: fitting blocks into faulty DRAM rows.
 //!
 //! When [`slc_sim::GpuConfig::fault`] is set, the kernel-boundary staging
-//! walk ([`Scheme::stage_analyzed`]'s, the only one there is) asks this
-//! ladder for a verdict per block before it stages. The rungs, in order:
+//! walk ([`Scheme::stage_and_record`]'s, the only one there is) asks this
+//! ladder for a verdict on each block just before it stages it — block
+//! by block, in the walk's own pass. The rungs, in order:
 //!
 //! 1. **Exact / natural** — healthy rows, and faulty rows whose
 //!    fault-free stored form already fits the surviving capacity, take
@@ -13,10 +14,10 @@
 //!    verbatim, but whose full lossless stream fits the budget: compress
 //!    for capacity. No data loss, so this rung is *not* an escalation.
 //! 3. **Deeper lossy** — a deeper truncation than the fault-free
-//!    decision ([`SlcCompressor::fit_within_with`]), reusing the cached
-//!    [`BlockAnalysis`](slc_compress::e2mc::BlockAnalysis) — no block is
-//!    ever re-encoded to make the decision. Counted per (snapshot,
-//!    block) as a *fault escalation*.
+//!    decision ([`slc_core::SlcCompressor::fit_within_with`]), decided
+//!    from the block's [`BlockAnalysis`](slc_compress::e2mc::BlockAnalysis)
+//!    — no block is ever re-encoded to make the decision. Counted per
+//!    (snapshot, block) as a *fault escalation*.
 //! 4. **Remap** — the block's data moves to a bounded spare pool
 //!    (first-come first-served, never freed); the timing side charges
 //!    the indirection — a pointer burst plus the spare row's own DRAM
@@ -31,11 +32,8 @@
 //! pool's FCFS assignment — and with it every counter — replays exactly
 //! under a fixed seed.
 
-use crate::analysis::AnalyzedBlock;
 use crate::scheme::{BurstsAccumulator, Scheme};
-use slc_compress::BLOCK_BITS;
 use slc_core::slc::FitOutcome;
-use slc_core::SlcCompressor;
 use slc_sim::fault::{FaultCounters, FaultMap, RemapTable};
 use slc_sim::{BlockAddr, FaultPlan, GpuConfig, GpuMemory};
 use std::collections::HashSet;
@@ -57,16 +55,6 @@ pub(crate) enum LadderVerdict {
     Remapped,
     /// Lost on real hardware; kept intact and counted here.
     Uncorrectable,
-}
-
-/// The verdict of a block with a single stored form of `bits`: it fits
-/// the budget as it is or nothing does.
-fn all_or_nothing(bits: u32, budget_bits: u32) -> FitOutcome {
-    if bits <= budget_bits {
-        FitOutcome::Natural { bits, lossy: false }
-    } else {
-        FitOutcome::Unstorable
-    }
 }
 
 /// Ladder state carried across the kernel-boundary snapshots of one
@@ -105,39 +93,32 @@ impl LadderState {
         FaultPlan::new(self.table, self.counters)
     }
 
-    /// Resolves one analysed block of a compressed scheme for the current
-    /// snapshot: `slc` is the scheme's lossy compressor, `None` for
-    /// lossless E2MC.
-    pub(crate) fn resolve(
-        &mut self,
-        slc: Option<&SlcCompressor>,
-        block: &AnalyzedBlock,
-    ) -> LadderVerdict {
-        self.resolve_fit(block.addr, |budget_bits| match slc {
-            Some(slc) if block.approximable => slc.fit_within_with(&block.analysis, budget_bits),
-            // E2MC, and SLC in an exact region, may only store the
-            // lossless stream.
-            _ => all_or_nothing(block.analysis.e2mc_size_bits(), budget_bits),
+    /// Resolves one block with a single stored form of `bits` — verbatim
+    /// under the uncompressed scheme, the lossless stream under E2MC and
+    /// under SLC in an exact region: it fits the row as it is or nothing
+    /// does.
+    pub(crate) fn resolve_sized(&mut self, addr: BlockAddr, bits: u32) -> LadderVerdict {
+        self.resolve_fit(addr, |budget_bits| {
+            if bits <= budget_bits {
+                FitOutcome::Natural { bits, lossy: false }
+            } else {
+                FitOutcome::Unstorable
+            }
         })
-    }
-
-    /// Resolves one block of the uncompressed scheme: verbatim blocks
-    /// only survive a faulty row that kept full block capacity.
-    pub(crate) fn resolve_verbatim(&mut self, addr: BlockAddr) {
-        self.resolve_fit(addr, |budget_bits| all_or_nothing(BLOCK_BITS, budget_bits));
     }
 
     /// Walks one block down the ladder and updates the counters; `fit`
     /// fits the block's stored forms into a faulty row's surviving
     /// capacity — the same compressor under a tighter bit budget — and
-    /// is only asked for blocks in faulty rows not yet given up on.
+    /// is only asked for blocks in faulty rows not yet given up on, so
+    /// only those ever pay for an analysis.
     ///
     /// Remap and uncorrectable verdicts are sticky: a permanent fault
     /// stays remapped (or lost) for the rest of the run even if a later
     /// snapshot's content would fit, and is counted exactly once.
     /// Escalations, by contrast, are per-(snapshot, block) decisions —
     /// each snapshot a block must store a deeper truncation counts.
-    fn resolve_fit(
+    pub(crate) fn resolve_fit(
         &mut self,
         addr: BlockAddr,
         fit: impl FnOnce(u32) -> FitOutcome,
@@ -174,10 +155,10 @@ impl LadderState {
         }
     }
 
-    /// The fault-aware stage-and-record pass: [`Scheme::stage_analyzed`]'s
-    /// walk with this ladder resolving every block of `mem` first, then
-    /// [`BurstsAccumulator::record`] over the staged snapshot, so the
-    /// bursts folded into `acc` are those of the streams actually stored.
+    /// The fault-aware stage-and-record pass: [`Scheme::stage_and_record`]
+    /// with this ladder resolving every block of `mem` before it is
+    /// staged, so the bursts folded into `acc` are those of the streams
+    /// actually stored.
     ///
     /// With a zero-density map every block is intact and the pass is
     /// byte-identical to the fault-free one — same staging, same cells.
@@ -187,19 +168,18 @@ impl LadderState {
         mem: &mut GpuMemory,
         acc: &mut BurstsAccumulator,
     ) {
-        if let Some(snapshot) = scheme.stage_walk(mem, Some(self)) {
-            acc.record(scheme, &snapshot);
-        }
+        scheme.stage_walk(mem, Some(acc), Some(self));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::SnapshotAnalysis;
+    use crate::analysis::{AnalyzedBlock, SnapshotAnalysis};
     use slc_compress::e2mc::{E2mc, E2mcConfig};
     use slc_compress::{Mag, BLOCK_BYTES};
     use slc_core::slc::SlcVariant;
+    use slc_sim::mc::BurstsSource;
     use slc_sim::{DevicePtr, FaultConfig, FaultPattern};
 
     fn trained() -> E2mc {
@@ -363,7 +343,7 @@ mod tests {
             // capacity; everything else must fit the faulty row.
             if region.safe_to_approx && plan.slot_of(addr).is_none() {
                 assert!(
-                    slc_sim::mc::BurstsSource::bursts(&map, addr) <= max_bursts,
+                    BurstsSource::bursts(&map, addr) <= max_bursts,
                     "block {addr} stored beyond the surviving capacity"
                 );
             }
@@ -387,32 +367,39 @@ mod tests {
             let cfg = faulty_config(1.0, budget_bytes, 4);
             let mut ladder = LadderState::new(&cfg).unwrap();
             let mut staged = pristine.clone();
-            let snapshot = scheme.stage_walk(&mut staged, Some(&mut ladder)).unwrap();
+            let mut acc = BurstsAccumulator::new(Mag::GDDR5);
+            ladder.stage_and_record(&scheme, &mut staged, &mut acc);
             let post = blocks(&staged);
+            let recorded = acc.into_map();
             let mut replay = LadderState::new(&cfg).unwrap();
             for (i, b) in before.entries().iter().enumerate() {
                 let what = format!("budget {budget_bytes} B, block {}", b.addr);
-                let verdict = replay.resolve(Some(slc), b);
+                let verdict = if b.approximable {
+                    replay.resolve_fit(b.addr, |bits| slc.fit_within_with(&b.analysis, bits))
+                } else {
+                    replay.resolve_sized(b.addr, b.analysis.e2mc_size_bits())
+                };
                 match verdict {
                     LadderVerdict::Refit(FitOutcome::Lossless { .. }) => squeezed += 1,
                     LadderVerdict::Refit(_) => degraded += 1,
                     LadderVerdict::Remapped | LadderVerdict::Uncorrectable => unstorable += 1,
                     LadderVerdict::Intact => {}
                 }
+                // An imposed form costs its own stream; any other block
+                // what encoding the staged bytes stores.
                 let (stored, bursts) = match verdict {
                     LadderVerdict::Refit(fit) => {
                         let c = slc.compress_fitted(&pre[i], &b.analysis, fit);
-                        (slc.decompress(&c), Some(c.bursts()))
+                        (slc.decompress(&c), c.bursts())
                     }
                     _ if b.approximable => {
-                        (slc.decompress(&slc.compress_with(&pre[i], &b.analysis)), None)
+                        let stored = slc.decompress(&slc.compress_with(&pre[i], &b.analysis));
+                        (stored, slc.compress(&stored).bursts())
                     }
-                    _ => (pre[i], None),
+                    _ => (pre[i], scheme.bursts_for_analysis(&b.analysis, Mag::GDDR5, false)),
                 };
                 assert_eq!(post[i], stored, "{what}: staged bytes");
-                let entry = &snapshot.entries()[i];
-                assert_eq!(entry.stored_bursts, bursts, "{what}: recorded bursts");
-                assert_eq!(entry.analysis, e.analyze(&post[i]), "{what}: analysis");
+                assert_eq!(BurstsSource::bursts(&recorded, b.addr), bursts, "{what}: bursts");
             }
             assert_eq!(ladder.counters(), replay.counters(), "budget {budget_bytes} B");
         }
@@ -461,7 +448,7 @@ mod tests {
             assert_eq!(block_at(&mem, b.addr), block_at(&before, b.addr), "block {}", b.addr);
             let stream_bits = LOSSLESS_HEADER_BITS + b.analysis.total_code_bits();
             assert_eq!(
-                slc_sim::mc::BurstsSource::bursts(&map, b.addr),
+                BurstsSource::bursts(&map, b.addr),
                 Mag::GDDR5.bursts_for_bits(stream_bits, BLOCK_BYTES as u32),
                 "block {} must record the stream it stores",
                 b.addr

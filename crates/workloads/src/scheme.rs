@@ -10,7 +10,7 @@
 use crate::analysis::{SizeSnapshot, SnapshotAnalysis};
 use crate::ladder::{LadderState, LadderVerdict};
 use slc_compress::e2mc::{BlockAnalysis, E2mc};
-use slc_compress::{Mag, BLOCK_BYTES};
+use slc_compress::{Block, Mag, BLOCK_BITS, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_sim::dense::DenseAddrMap;
 use slc_sim::mc::BurstsMap;
@@ -88,82 +88,90 @@ impl Scheme {
         }
     }
 
-    /// Functional kernel-boundary staging fused with the per-snapshot
-    /// analysis pass: rewrites safe-to-approximate regions with what a
-    /// DRAM round-trip returns and yields the [`SnapshotAnalysis`] of the
-    /// **staged** state, analysing each block exactly once. Lossless
-    /// schemes leave memory untouched and simply capture the snapshot.
+    /// One kernel-boundary DRAM round trip of `mem`, recorded: every
+    /// safe-to-approximate block an SLC scheme stores lossy is replaced
+    /// by what a read returns, and the bursts of every block's stored
+    /// form are folded into `acc` — one streamed pass, block by block, no
+    /// snapshot in between; what the harness' replay runs at every
+    /// staging point ([`LadderState::stage_and_record`] is the same pass
+    /// with a fault ladder resolving each block first). Lossless schemes
+    /// leave memory untouched; [`Scheme::Uncompressed`] records nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `acc` counts bursts of another MAG than an SLC
+    /// scheme decides under.
+    pub fn stage_and_record(&self, mem: &mut GpuMemory, acc: &mut BurstsAccumulator) {
+        self.stage_walk(mem, Some(acc), None);
+    }
+
+    /// [`Self::stage_and_record`] without the accumulator, then the
+    /// [`SnapshotAnalysis`] of the **staged** image — the staging step as
+    /// a value, for tests and the `benchmark/` layer rows; no figure path
+    /// materialises it. [`BurstsAccumulator::record`] over the result
+    /// folds the bursts the streamed pass would have.
     ///
     /// Returns `None` for [`Scheme::Uncompressed`], which has no trained
     /// table and needs no per-block analysis.
     pub fn stage_analyzed(&self, mem: &mut GpuMemory) -> Option<SnapshotAnalysis> {
-        self.stage_walk(mem, None)
+        let e2mc = self.e2mc()?;
+        self.stage_walk(mem, None, None);
+        Some(SnapshotAnalysis::capture(e2mc, mem))
     }
 
-    /// The one staging walk. The pre-stage snapshot is captured once;
-    /// `ladder`, when present, turns every entry into a verdict in entry
-    /// order (so its spare pool fills first-come first-served over the
-    /// whole address walk), and without one every block is intact — the
-    /// fault-free pass is the ladder's walk with no fault map. Each
-    /// approximable SLC block whose verdict names a lossy form is then
-    /// replaced by what a DRAM round trip returns — the hole refilled by
-    /// the predictor, no bitstream in between
-    /// ([`SlcCompressor::approximate_with`]) — and its entry patched in
-    /// place: exact forms read back identical bytes, so the pre-stage
-    /// analysis *is* the post-stage one and only lossy reconstructions
-    /// are analysed a second time (identical to analysing the staged
-    /// memory from scratch, without the redundant passes); a form the
-    /// ladder imposed also carries the bursts of the size its verdict
-    /// promises.
+    /// The one staging walk: a single in-order pass over `mem`'s regions
+    /// whose working set is one block and one accumulator cell — no
+    /// snapshot, no verdict list. Per block it settles the stored form
+    /// (approximable SLC blocks: [`stage_approximable`]) and folds that
+    /// form's bursts into the region's cell slice of `acc`. `ladder`,
+    /// when present, resolves every block first, in this same
+    /// [`GpuMemory::blocks_with_addr`] order (so its spare pool fills
+    /// first-come first-served over the whole address walk); without one
+    /// every block is intact — the fault-free pass is the ladder's walk
+    /// with no fault map.
     pub(crate) fn stage_walk(
         &self,
         mem: &mut GpuMemory,
-        ladder: Option<&mut LadderState>,
-    ) -> Option<SnapshotAnalysis> {
-        let Some(e2mc) = self.e2mc() else {
-            // Nothing to stage or record; the walk only feeds the
-            // ladder's counters.
-            if let Some(ladder) = ladder {
-                for (_, addr, _) in mem.blocks_with_addr() {
-                    ladder.resolve_verbatim(addr);
-                }
-            }
-            return None;
-        };
+        mut acc: Option<&mut BurstsAccumulator>,
+        mut ladder: Option<&mut LadderState>,
+    ) {
+        let e2mc = self.e2mc();
         let slc = match self {
             Scheme::Slc(slc) => Some(slc),
             _ => None,
         };
-        let mut snapshot = SnapshotAnalysis::capture(e2mc, mem);
-        // No ladder, no verdicts: every block below reads as intact.
-        let verdicts: Vec<LadderVerdict> = ladder.map_or_else(Vec::new, |ladder| {
-            snapshot.entries.iter().map(|b| ladder.resolve(slc, b)).collect()
-        });
-        if let Some(slc) = slc {
-            let mag = slc.config().mag();
-            // Staging visits approximable blocks in entry order.
-            let mut approx = snapshot
-                .entries
-                .iter_mut()
-                .zip(verdicts.into_iter().chain(std::iter::repeat(LadderVerdict::Intact)))
-                .filter(|(entry, _)| entry.approximable);
-            mem.stage_approx_regions(|_region, block| {
-                let (entry, verdict) = approx.next().expect("one entry per approximable block");
-                let out = match verdict {
-                    LadderVerdict::Refit(fit) => {
-                        entry.stored_bursts = fit
-                            .imposed_form()
-                            .map(|(bits, _)| mag.bursts_for_bits(bits, BLOCK_BYTES as u32));
-                        slc.approximate_fitted(block, &entry.analysis, fit)
-                    }
-                    _ => slc.approximate_with(block, &entry.analysis),
-                }?;
-                entry.analysis = e2mc.analyze(&out);
-                Some(out)
-            });
-            debug_assert!(approx.next().is_none(), "approximable entries left unstaged");
+        if let (Some(slc), Some(acc)) = (slc, &acc) {
+            assert_eq!(slc.config().mag(), acc.mag, "scheme and accumulator disagree on the MAG");
         }
-        Some(snapshot)
+        for (region, bytes) in mem.regions_mut() {
+            let slc = slc.filter(|_| region.safe_to_approx);
+            let blocks = bytes.chunks_exact_mut(BLOCK_BYTES);
+            // Without a table there is nothing to record: the walk only
+            // feeds the ladder's counters.
+            let mut fold = acc.as_deref_mut().filter(|_| e2mc.is_some()).map(|acc| {
+                (acc.mag, acc.cells.run_slice(region.block_addr(0), blocks.len()).iter_mut())
+            });
+            for (i, chunk) in blocks.enumerate() {
+                let block: &mut Block = chunk.try_into().expect("regions are block-padded");
+                let addr = region.block_addr(i);
+                let bits = if let Some(slc) = slc {
+                    stage_approximable(slc, block, addr, ladder.as_deref_mut())
+                } else {
+                    // One stored form: the verbatim block without a
+                    // table, E2MC's (lossless stream or verbatim) with.
+                    let bits = e2mc.map_or(BLOCK_BITS, |e2mc| e2mc.stored_size_bits(block));
+                    if let Some(ladder) = ladder.as_deref_mut() {
+                        ladder.resolve_sized(addr, bits);
+                    }
+                    bits
+                };
+                if let Some((mag, cells)) = &mut fold {
+                    let cell = cells.next().expect("one cell per block of the region");
+                    cell.0 += u64::from(mag.bursts_for_bits(bits, BLOCK_BYTES as u32));
+                    cell.1 += 1;
+                }
+            }
+        }
     }
 
     /// Bursts one analysed block costs under `mag`, given whether it
@@ -191,22 +199,64 @@ impl Scheme {
     }
 }
 
-/// Averages per-block burst counts over multiple memory snapshots.
+/// Stages one safe-to-approximate block in place — a lossy stored form
+/// is replaced by what a read returns, the hole refilled by the
+/// predictor, no bitstream in between — and returns the bits it stores.
+///
+/// Sizes first: the code-length sum settles every block the Fig. 4 budget
+/// keeps exact, and a [`BlockAnalysis`] is built only where the Fig. 5
+/// tree is needed — a block the budget sends lossy, whose bits and bytes
+/// come from one decision, and a block in a faulty row `ladder` must fit.
+/// A refilled block costs what the next kernel boundary will find there
+/// (as if the staged image were analysed); a form the ladder imposed, the
+/// bits its verdict promises.
+fn stage_approximable(
+    slc: &SlcCompressor,
+    block: &mut Block,
+    addr: BlockAddr,
+    ladder: Option<&mut LadderState>,
+) -> u32 {
+    let e2mc = slc.e2mc();
+    if let Some(ladder) = ladder {
+        let mut analysis = None;
+        let verdict = ladder.resolve_fit(addr, |budget_bits| {
+            slc.fit_within_with(analysis.insert(e2mc.analyze(block)), budget_bits)
+        });
+        if let (LadderVerdict::Refit(fit), Some(analysis)) = (verdict, &analysis) {
+            if let Some((bits, _)) = fit.imposed_form() {
+                if let Some(staged) = slc.approximate_fitted(block, analysis, fit) {
+                    *block = staged;
+                }
+                return bits;
+            }
+        }
+    }
+    let sized = |block: &Block| slc.stored_bits_from_sum(e2mc.total_code_bits(block));
+    let Some(bits) = sized(block) else {
+        let (bits, staged) = slc.stage_with(block, &e2mc.analyze(block));
+        let Some(staged) = staged else { return bits };
+        *block = staged;
+        return sized(block).unwrap_or_else(|| slc.stored_bits_with(&e2mc.analyze(block)).0);
+    };
+    bits
+}
+
+/// Averages per-block burst counts over multiple staging points.
 ///
 /// Block contents — and therefore compressed sizes — evolve across
 /// kernels (FWT's buffers hold the raw signal in pass 1 and fully
 /// transformed data at the end). The timing simulator takes one static
-/// burst map, so the harness snapshots memory at every kernel-boundary
-/// DRAM round-trip and uses the per-block mean, which weights each
-/// kernel's traffic equally.
+/// burst map, so the harness counts every block's bursts at every
+/// kernel-boundary DRAM round-trip and uses the per-block mean, which
+/// weights each kernel's traffic equally.
 ///
 /// Accumulation is dense and address-indexed: per-block `(sum, folds)`
-/// cells live in a [`DenseAddrMap`] keyed by block ordinal, and
-/// [`record`](Self::record) sweeps a snapshot's contiguous address runs
-/// ([`Snapshot::runs`](crate::analysis::Snapshot::runs)) straight through
-/// each run's cell slice — the per-entry hash-and-probe of the old
-/// `HashMap` accumulator (the dominant cost of the eval sweep) is gone
-/// entirely.
+/// cells live in a [`DenseAddrMap`] keyed by block ordinal. The staging
+/// walk ([`Scheme::stage_and_record`]) folds each block's bursts into its
+/// region's cell slice where it computes them; [`record`](Self::record)
+/// sweeps a captured snapshot's contiguous address runs
+/// ([`Snapshot::runs`](crate::analysis::Snapshot::runs)) through each
+/// run's slice. Neither probes a map per entry.
 #[derive(Debug, Clone)]
 pub struct BurstsAccumulator {
     mag: Mag,
@@ -245,9 +295,10 @@ impl BurstsAccumulator {
     /// Records one already-analysed snapshot under `scheme`: the cheap
     /// decision sweep of the shared pipeline — no block is re-encoded,
     /// and each contiguous address run of the snapshot updates its dense
-    /// cell slice by index (no per-entry map probe). A block the fault
-    /// ladder stored in another form counts its
-    /// [`stored_bursts`](crate::analysis::AnalyzedBlock::stored_bursts).
+    /// cell slice by index (no per-entry map probe). Every block counts
+    /// the scheme's own decision over its analysis; the forms a fault
+    /// ladder imposes exist only inside the walk that imposed them
+    /// ([`LadderState::stage_and_record`]).
     ///
     /// # Panics
     ///
@@ -263,10 +314,8 @@ impl BurstsAccumulator {
         );
         let mag = self.mag;
         for run in snapshot.runs() {
-            let bursts = run.iter().map(|b| {
-                b.stored_bursts
-                    .unwrap_or_else(|| scheme.bursts_for_analysis(&b.analysis, mag, b.approximable))
-            });
+            let bursts =
+                run.iter().map(|b| scheme.bursts_for_analysis(&b.analysis, mag, b.approximable));
             self.fold(run[0].addr, bursts);
         }
     }

@@ -1,6 +1,6 @@
 //! What the hot paths allocate, counted: per-block encode and decode of
 //! every codec, the engine's per-container scaffolding, `slc-core`'s
-//! staging and codec steps, a snapshot's capture. Hardware compressors own
+//! staging and codec steps, a snapshot's capture, the staging walk. Hardware compressors own
 //! no heap (paper §III), so a per-block count is an exact zero wherever
 //! the model keeps that promise and the measured cost where it does not
 //! (rANS). The counter is per thread and every measured call runs
@@ -20,8 +20,11 @@ use slc::slc_compress::sc2::{Sc2, DEFAULT_TOP_K};
 use slc::slc_compress::{Block, BlockCodec, Mag, BLOCK_BYTES};
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_engine::{Engine, Frame, Threads};
-use slc::slc_sim::GpuMemory;
-use slc::slc_workloads::{all_workloads, Harness, Scale, Scheme, SizeSnapshot, SnapshotAnalysis};
+use slc::slc_sim::{FaultConfig, FaultPattern, GpuConfig, GpuMemory};
+use slc::slc_workloads::scheme::BurstsAccumulator;
+use slc::slc_workloads::{
+    all_workloads, Harness, LadderState, Scale, Scheme, SizeSnapshot, SnapshotAnalysis,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -210,9 +213,11 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
             let (staging, went_lossy) = allocs(|| {
                 let mut went_lossy = 0;
                 for block in &blocks {
+                    black_box(slc.stored_bits_from_sum(a.e2mc.total_code_bits(block)));
                     let analysis = slc.analysis(block);
                     black_box(slc.stored_bursts_with(&analysis));
                     went_lossy += usize::from(slc.approximate_with(block, &analysis).is_some());
+                    black_box(slc.stage_with(block, &analysis));
                     for budget in (0..=1024).step_by(128) {
                         let fit = slc.fit_within_with(&analysis, budget);
                         black_box(slc.approximate_fitted(block, &analysis, fit));
@@ -220,7 +225,7 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
                 }
                 went_lossy
             });
-            assert_eq!(staging, 0, "{at}: analysis, stored_bursts_with, approximate_with, ladder");
+            assert_eq!(staging, 0, "{at}: sum-only decision, analysis, staging calls, ladder");
             if variant == SlcVariant::TslcOpt {
                 (total, lossy) = (total + blocks.len(), lossy + went_lossy);
             }
@@ -241,9 +246,10 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
 }
 
 /// A snapshot is one buffer: capture sizes it from the memory image and
-/// writes every entry once, whatever the block count, and the fault-free
-/// staging walk adds nothing to it. The seeded image costs a clone of the
-/// final one.
+/// writes every entry once, whatever the block count. The staging walk
+/// holds none: its first staging point allocates the accumulator's cells
+/// and every later one nothing, with or without a fault ladder. The
+/// seeded image costs a clone of the final one.
 #[test]
 fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
     for blocks in [1 << 10, 1 << 16] {
@@ -262,10 +268,29 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
         let (slim, snapshot) = allocs(|| SizeSnapshot::capture(&e2mc, &mem));
         assert_eq!((slim, snapshot.entries().len()), (1, blocks), "SizeSnapshot::capture");
         let scheme = Scheme::slc(e2mc.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
-        let (staged, snapshot) = allocs(|| scheme.stage_analyzed(&mut mem));
-        assert_eq!((staged, snapshot.map(|s| s.entries().len())), (1, Some(blocks)), "stage");
+        // The directory, the first region's cells, their growth over the
+        // second region — and that is all the walk ever allocates.
+        let pristine = mem.clone();
+        let mut acc = BurstsAccumulator::new(Mag::GDDR5);
+        let first = allocs(|| scheme.stage_and_record(&mut mem, &mut acc)).0;
+        assert_eq!(first, 3, "first staging point: the accumulator's cells");
         let staged_bytes = mem.region_bytes(&approx);
         assert!(staged_bytes != corpus[..blocks / 2].as_flattened(), "nothing went lossy");
+        let later = allocs(|| scheme.stage_and_record(&mut mem, &mut acc)).0;
+        assert_eq!(later, 0, "later staging points");
+        let zero_density =
+            GpuConfig::default().with_faults(FaultConfig::new(FaultPattern::RandomRows, 0.0, 7));
+        let mut ladder = LadderState::new(&zero_density).expect("a fault map, if an empty one");
+        let (mut faulty, mut faulty_acc) = (pristine.clone(), BurstsAccumulator::new(Mag::GDDR5));
+        let first = allocs(|| ladder.stage_and_record(&scheme, &mut faulty, &mut faulty_acc)).0;
+        let later = allocs(|| ladder.stage_and_record(&scheme, &mut faulty, &mut faulty_acc)).0;
+        assert_eq!((first, later), (3, 0), "staging points under a zero-density ladder");
+        assert!(faulty.region_bytes(&approx) == mem.region_bytes(&approx), "same staged bytes");
+        assert_eq!(faulty_acc.into_map(), acc.into_map(), "same cells");
+        // The walk as a value: the staged image's one capture.
+        let mut mem = pristine;
+        let (staged, snapshot) = allocs(|| scheme.stage_analyzed(&mut mem));
+        assert_eq!((staged, snapshot.map(|s| s.entries().len())), (1, Some(blocks)), "stage");
     }
     let harness = Harness::new(Scale::Tiny);
     for w in all_workloads(Scale::Tiny) {
