@@ -8,4 +8,5 @@ fn main() {
     println!("{}", slc_exp::fig1::compute(scale, Mag::GDDR5).render());
     let ext = slc_exp::fig1::compute_section2a(scale, Mag::GDDR5);
     println!("{}", slc_exp::fig1::render_section2a(&ext));
+    slc_exp::report::print_footprint();
 }

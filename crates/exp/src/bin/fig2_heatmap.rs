@@ -6,4 +6,5 @@ use slc_workloads::Scale;
 fn main() {
     let scale = Scale::from_env();
     println!("{}", slc_exp::fig2::compute(scale, Mag::GDDR5).render());
+    slc_exp::report::print_footprint();
 }

@@ -13,4 +13,5 @@ fn main() {
         &[SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt],
     );
     println!("{}", eval.render_fig8());
+    slc_exp::report::print_footprint();
 }

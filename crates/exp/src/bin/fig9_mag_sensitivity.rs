@@ -5,4 +5,5 @@ use slc_workloads::Scale;
 fn main() {
     let scale = Scale::from_env();
     println!("{}", slc_exp::fig9::compute(scale).render());
+    slc_exp::report::print_footprint();
 }

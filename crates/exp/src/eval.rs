@@ -61,28 +61,48 @@ pub struct Eval {
     pub mag_bytes: u32,
 }
 
+/// The one driver of every figure: prepares each benchmark (exact run,
+/// table training, trace), hands it to `row`, and drops its artifacts
+/// before the worker takes the next one. One [`slc_par::par_map`], rows
+/// in the order of `workloads`.
+pub(crate) fn per_benchmark<R: Send>(
+    workloads: Vec<Box<dyn Workload>>,
+    harness: &Harness,
+    row: impl Fn(&dyn Workload, &BenchmarkArtifacts) -> R + Sync,
+) -> Vec<R> {
+    slc_par::par_map(workloads, |w| row(w.as_ref(), &harness.prepare(w.as_ref())))
+}
+
 /// Runs the evaluation at `scale` for the given TSLC variants.
 ///
 /// `config` fixes the MAG; the threshold follows the paper (16 B at MAG
 /// 32 B in Figs. 7–8, MAG/2 in Fig. 9).
 ///
 /// The nine benchmarks are independent, so they evaluate in parallel
-/// ([`slc_par::par_map`]); results come back in paper order regardless of
-/// which workload finishes first, keeping reports byte-identical to a
-/// serial run.
+/// ([`slc_par::par_map`]) and one at a time per worker: each is prepared,
+/// evaluated under every scheme and dropped before the worker takes the
+/// next, so one benchmark's images per worker are resident, not all nine.
+/// Results come back in paper order regardless of which workload finishes
+/// first, keeping reports byte-identical to a serial run.
 pub fn evaluate(
     scale: Scale,
     harness: &Harness,
     threshold_bytes: u32,
     variants: &[SlcVariant],
 ) -> Eval {
-    evaluate_prepared(harness, threshold_bytes, variants, &prepare_all(scale, harness))
+    let rows = per_benchmark(all_workloads(scale), harness, |w, artifacts| {
+        row(harness, threshold_bytes, variants, w, artifacts)
+    });
+    let mag_bytes = harness.config.mag().bytes();
+    Eval { rows, variants: variants.to_vec(), threshold_bytes, mag_bytes }
 }
 
 /// Step 1+2 (exact run + table training) for every benchmark, in
-/// parallel. Callers that need the artifacts for their own studies (e.g.
-/// Fig. 9's ratio sweep) prepare once and pass the result to
-/// [`evaluate_prepared`] instead of paying a second full prepare pass.
+/// parallel, **all nine sets resident at once**. [`evaluate`] and the
+/// figures no longer want that; it is for callers whose artifacts outlive
+/// one pass — a sweep that re-decides the same prepared set under many
+/// configurations ([`evaluate_prepared`] per MAG or threshold), the
+/// `benchmark/` ledger's traced run taking `evaluate` apart.
 ///
 /// This is where each benchmark's inputs are generated, once: the
 /// artifacts carry the seeded image
@@ -110,47 +130,57 @@ pub fn evaluate_prepared(
     variants: &[SlcVariant],
     prepared: &[(Box<dyn Workload>, BenchmarkArtifacts)],
 ) -> Eval {
-    let energy_model = EnergyModel::default();
-    let mag = harness.config.mag();
     let rows = slc_par::par_map(prepared.iter().collect(), |(w, artifacts)| {
-        // Baselines. Cloning `artifacts.e2mc` into a scheme is an Arc
-        // refcount bump (the trained table is shared), so every worker
-        // and every variant below reuses the one trained model; the E2MC
-        // baseline additionally sweeps the artifacts' cached exact-run
-        // stored sizes instead of replaying the kernels (see
-        // `Harness::run_functional`).
-        let nocomp = Scheme::Uncompressed;
-        let (_, t_nocomp) = harness.evaluate(w.as_ref(), artifacts, &nocomp);
-        let e2mc_scheme = Scheme::E2mc(artifacts.e2mc.clone());
-        let (_, t_e2mc) = harness.evaluate(w.as_ref(), artifacts, &e2mc_scheme);
-        let baseline_energy = energy_model.evaluate(&t_e2mc.stats, &harness.config);
-        // Variants.
-        let mut results = Vec::new();
-        for &variant in variants {
-            let scheme = Scheme::slc(artifacts.e2mc.clone(), mag, threshold_bytes, variant);
-            let (f, t) = harness.evaluate(w.as_ref(), artifacts, &scheme);
+        row(harness, threshold_bytes, variants, w.as_ref(), artifacts)
+    });
+    let mag_bytes = harness.config.mag().bytes();
+    Eval { rows, variants: variants.to_vec(), threshold_bytes, mag_bytes }
+}
+
+/// One benchmark's row: NOCOMP, the E2MC baseline and every variant over
+/// one working image ([`Harness::evaluate_schemes`]). Every scheme shares
+/// the one trained table (cloning it is an Arc refcount bump), and the
+/// E2MC baseline sweeps the artifacts' cached exact-run stored sizes
+/// instead of replaying the kernels (see [`Harness::run_functional`]).
+pub(crate) fn row(
+    harness: &Harness,
+    threshold_bytes: u32,
+    variants: &[SlcVariant],
+    w: &dyn Workload,
+    artifacts: &BenchmarkArtifacts,
+) -> EvalRow {
+    let energy_model = EnergyModel::default();
+    let slc = |&v| Scheme::slc(artifacts.e2mc.clone(), harness.config.mag(), threshold_bytes, v);
+    let mut schemes = vec![Scheme::Uncompressed, Scheme::E2mc(artifacts.e2mc.clone())];
+    schemes.extend(variants.iter().map(slc));
+    // One outcome (and its burst map) alive at a time.
+    let mut outcomes = harness.evaluate_schemes(w, artifacts, &schemes);
+    let mut baseline = || outcomes.next().expect("two baselines lead the schemes").1.stats;
+    let (nocomp, e2mc) = (baseline(), baseline());
+    let baseline_energy = energy_model.evaluate(&e2mc, &harness.config);
+    let variants = outcomes
+        .map(|(f, t)| {
             let energy = energy_model.evaluate(&t.stats, &harness.config);
-            results.push(VariantResult {
+            VariantResult {
                 kind: t.kind,
-                speedup: speedup(&t_e2mc.stats, &t.stats),
+                speedup: speedup(&e2mc, &t.stats),
                 error_pct: f.error_pct,
                 mre_pct: f.mre_pct,
-                norm_bandwidth: normalized_bandwidth(&t_e2mc.stats, &t.stats),
+                norm_bandwidth: normalized_bandwidth(&e2mc, &t.stats),
                 norm_energy: energy.total_mj() / baseline_energy.total_mj(),
                 norm_edp: energy.edp() / baseline_energy.edp(),
                 stats: t.stats,
                 energy,
-            });
-        }
-        EvalRow {
-            name: artifacts.name.clone(),
-            baseline: t_e2mc.stats.clone(),
-            baseline_energy,
-            e2mc_vs_nocomp: speedup(&t_nocomp.stats, &t_e2mc.stats),
-            variants: results,
-        }
-    });
-    Eval { rows, variants: variants.to_vec(), threshold_bytes, mag_bytes: mag.bytes() }
+            }
+        })
+        .collect();
+    EvalRow {
+        name: artifacts.name.clone(),
+        e2mc_vs_nocomp: speedup(&nocomp, &e2mc),
+        baseline: e2mc,
+        baseline_energy,
+        variants,
+    }
 }
 
 impl Eval {
@@ -272,8 +302,106 @@ impl Eval {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use slc_sim::{GpuMemory, Trace};
+    use slc_workloads::metrics::ErrorMetric;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// How often one benchmark was built and executed.
+    #[derive(Debug, Default)]
+    pub(crate) struct Calls {
+        builds: AtomicUsize,
+        executes: AtomicUsize,
+    }
+
+    impl Calls {
+        /// `(build calls, execute calls)` so far.
+        pub(crate) fn counts(&self) -> (usize, usize) {
+            (self.builds.load(Ordering::Relaxed), self.executes.load(Ordering::Relaxed))
+        }
+    }
+
+    /// Delegates everything to `inner` and counts `build` and `execute`.
+    struct Counted {
+        inner: Box<dyn Workload>,
+        calls: Arc<Calls>,
+    }
+
+    impl Workload for Counted {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn description(&self) -> &'static str {
+            self.inner.description()
+        }
+
+        fn metric(&self) -> ErrorMetric {
+            self.inner.metric()
+        }
+
+        fn approx_regions(&self) -> usize {
+            self.inner.approx_regions()
+        }
+
+        fn input_description(&self) -> String {
+            self.inner.input_description()
+        }
+
+        fn build(&self, seed: u64) -> GpuMemory {
+            self.calls.builds.fetch_add(1, Ordering::Relaxed);
+            self.inner.build(seed)
+        }
+
+        fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory)) {
+            self.calls.executes.fetch_add(1, Ordering::Relaxed);
+            self.inner.execute(mem, stage);
+        }
+
+        fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+            self.inner.output(mem)
+        }
+
+        fn trace(&self, sms: usize) -> Trace {
+            self.inner.trace(sms)
+        }
+
+        fn error(&self, exact: &[f32], approx: &[f32]) -> f64 {
+            self.inner.error(exact, approx)
+        }
+    }
+
+    /// Table III at tiny behind counting wrappers, with each one's counter.
+    pub(crate) fn counted_workloads() -> (Vec<Box<dyn Workload>>, Vec<Arc<Calls>>) {
+        let wrap = |inner| {
+            let calls = Arc::new(Calls::default());
+            (Box::new(Counted { inner, calls: calls.clone() }) as Box<dyn Workload>, calls)
+        };
+        all_workloads(Scale::Tiny).into_iter().map(wrap).unzip()
+    }
+
+    const VARIANTS: [SlcVariant; 3] =
+        [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt];
+
+    #[test]
+    fn evaluate_builds_each_benchmark_once_and_is_the_prepared_evaluation() {
+        let harness = Harness::new(Scale::Tiny);
+        // `evaluate`'s body over counting workloads: one build, and five
+        // executes — the exact run, the E2MC size pass, three variants.
+        let (workloads, calls) = counted_workloads();
+        let counted = per_benchmark(workloads, &harness, |w, a| row(&harness, 16, &VARIANTS, w, a));
+        for (row, calls) in counted.iter().zip(&calls) {
+            assert_eq!(calls.counts(), (1, 5), "{}: (builds, executes)", row.name);
+        }
+        // Benchmark-major and phase-major are the same rows.
+        let eval = evaluate(Scale::Tiny, &harness, 16, &VARIANTS);
+        let prepared =
+            evaluate_prepared(&harness, 16, &VARIANTS, &prepare_all(Scale::Tiny, &harness));
+        assert_eq!(format!("{:?}", eval.rows), format!("{counted:?}"));
+        assert_eq!(format!("{eval:?}"), format!("{prepared:?}"));
+    }
 
     #[test]
     fn tiny_eval_produces_sane_numbers() {

@@ -2,6 +2,7 @@
 //! E2MC at MAG 32 B — plus BPC, which the paper only argues about
 //! qualitatively (Section II-A) and we measure.
 
+use crate::eval::per_benchmark;
 use crate::report::{f3, TextTable};
 use slc_compress::bdi::Bdi;
 use slc_compress::bpc::Bpc;
@@ -9,7 +10,7 @@ use slc_compress::cpack::Cpack;
 use slc_compress::fpc::Fpc;
 use slc_compress::ratio::{geometric_mean, RatioAccumulator};
 use slc_compress::{BlockCompressor, Mag, BLOCK_BYTES};
-use slc_workloads::{all_workloads, Harness, Scale};
+use slc_workloads::{all_workloads, BenchmarkArtifacts, Harness, Scale};
 
 /// Per-benchmark, per-codec ratio pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,75 +44,82 @@ pub struct Fig1 {
     pub mag: Mag,
 }
 
-/// Computes Fig. 1 at `scale` under `mag`.
+/// Computes Fig. 1 at `scale` under `mag`, one benchmark at a time.
 pub fn compute(scale: Scale, mag: Mag) -> Fig1 {
-    let harness = Harness::new(scale);
-    // Benchmarks are independent: measure them in parallel, paper order
-    // preserved by the order-preserving map.
-    let rows = slc_par::par_map(all_workloads(scale), |w| {
-        let artifacts = harness.prepare(w.as_ref());
-        let bdi = Bdi::new();
-        let fpc = Fpc::new();
-        let cpack = Cpack::new();
-        let bpc = Bpc::new();
-        let codecs: [&dyn BlockCompressor; 5] = [&bdi, &fpc, &cpack, &artifacts.e2mc, &bpc];
-        let mut accs: Vec<RatioAccumulator> =
-            (0..codecs.len()).map(|_| RatioAccumulator::new(mag, BLOCK_BYTES as u32)).collect();
-        for (_, block) in artifacts.exact_memory.all_blocks() {
-            for (codec, acc) in codecs.iter().zip(accs.iter_mut()) {
-                acc.record_bits(codec.size_bits(&block));
-            }
+    let rows = per_benchmark(all_workloads(scale), &Harness::new(scale), |_, a| row(a, mag));
+    Fig1::from_rows(rows, mag)
+}
+
+/// One benchmark's Fig. 1 row: its final image under the [`CODECS`].
+pub(crate) fn row(artifacts: &BenchmarkArtifacts, mag: Mag) -> Fig1Row {
+    let (bdi, fpc, cpack, bpc) = (Bdi::new(), Fpc::new(), Cpack::new(), Bpc::new());
+    ratio_row(artifacts, &[&bdi, &fpc, &cpack, &artifacts.e2mc, &bpc], mag)
+}
+
+/// Raw and effective ratio of `artifacts`' final image under each codec.
+fn ratio_row(artifacts: &BenchmarkArtifacts, codecs: &[&dyn BlockCompressor], mag: Mag) -> Fig1Row {
+    let mut accs: Vec<RatioAccumulator> =
+        codecs.iter().map(|_| RatioAccumulator::new(mag, BLOCK_BYTES as u32)).collect();
+    for (_, block) in artifacts.exact_memory.all_blocks() {
+        for (codec, acc) in codecs.iter().zip(accs.iter_mut()) {
+            acc.record_bits(codec.size_bits(&block));
         }
-        Fig1Row {
-            name: artifacts.name.clone(),
-            ratios: accs
-                .iter()
-                .map(|a| RatioPair { raw: a.raw_ratio(), effective: a.effective_ratio() })
-                .collect(),
-        }
-    });
-    let gm = (0..CODECS.len())
-        .map(|c| RatioPair {
-            raw: geometric_mean(&rows.iter().map(|r| r.ratios[c].raw).collect::<Vec<_>>()),
-            effective: geometric_mean(
-                &rows.iter().map(|r| r.ratios[c].effective).collect::<Vec<_>>(),
-            ),
-        })
-        .collect();
-    Fig1 { rows, gm, mag }
+    }
+    Fig1Row {
+        name: artifacts.name.clone(),
+        ratios: accs
+            .iter()
+            .map(|a| RatioPair { raw: a.raw_ratio(), effective: a.effective_ratio() })
+            .collect(),
+    }
 }
 
 impl Fig1 {
+    /// The figure over per-benchmark `rows` (paper order), with the
+    /// geometric mean of every codec column.
+    pub(crate) fn from_rows(rows: Vec<Fig1Row>, mag: Mag) -> Self {
+        let gm = (0..rows.first().map_or(0, |r| r.ratios.len()))
+            .map(|c| {
+                let gm_of = |pick: fn(&RatioPair) -> f64| {
+                    geometric_mean(&rows.iter().map(|r| pick(&r.ratios[c])).collect::<Vec<_>>())
+                };
+                RatioPair { raw: gm_of(|p| p.raw), effective: gm_of(|p| p.effective) }
+            })
+            .collect();
+        Fig1 { rows, gm, mag }
+    }
+
     /// Percentage by which the effective GM trails the raw GM per codec
     /// (the paper reports 22 / 19 / 18 / 23 % for BDI/FPC/C-PACK/E2MC).
     pub fn gm_gap_pct(&self) -> Vec<f64> {
         self.gm.iter().map(|p| (1.0 - p.effective / p.raw) * 100.0).collect()
     }
 
-    /// Renders the figure as a table.
-    pub fn render(&self) -> String {
+    /// The ratio table: a raw and an effective column per name in
+    /// `codecs` (the order of every row's `ratios`), then the GM row.
+    fn table(&self, codecs: &[&str]) -> String {
         let mut header = vec!["Bench".to_owned()];
-        for c in CODECS {
+        for c in codecs {
             header.push(format!("{c}-Raw"));
             header.push(format!("{c}-Eff"));
         }
         let mut t = TextTable::new(header);
-        for row in &self.rows {
-            let mut cells = vec![row.name.clone()];
-            for p in &row.ratios {
+        let gm = ("GM", &self.gm);
+        for (name, ratios) in self.rows.iter().map(|r| (r.name.as_str(), &r.ratios)).chain([gm]) {
+            let mut cells = vec![name.to_owned()];
+            for p in ratios {
                 cells.push(f3(p.raw));
                 cells.push(f3(p.effective));
             }
             t.row(cells);
         }
-        let mut cells = vec!["GM".to_owned()];
-        for p in &self.gm {
-            cells.push(f3(p.raw));
-            cells.push(f3(p.effective));
-        }
-        t.row(cells);
+        t.render()
+    }
+
+    /// Renders the figure as a table.
+    pub fn render(&self) -> String {
         let mut out = format!("Fig. 1: raw vs effective compression ratio (MAG {})\n", self.mag);
-        out.push_str(&t.render());
+        out.push_str(&self.table(&CODECS));
         out.push_str("\nGM effective-vs-raw gap per codec (paper: BDI 22%, FPC 19%, C-PACK 18%, E2MC 23%):\n");
         for (c, gap) in CODECS.iter().zip(self.gm_gap_pct()) {
             out.push_str(&format!("  {c}: {gap:.1}%\n"));
@@ -125,72 +133,28 @@ impl Fig1 {
 pub fn compute_section2a(scale: Scale, mag: Mag) -> Fig1 {
     use slc_compress::hycomp::{FpH, HyComp};
     use slc_compress::sc2::Sc2;
-    let harness = Harness::new(scale);
-    let rows = slc_par::par_map(all_workloads(scale), |w| {
-        let artifacts = harness.prepare(w.as_ref());
+    let rows = per_benchmark(all_workloads(scale), &Harness::new(scale), |_, artifacts| {
         let training: Vec<u8> =
             artifacts.exact_memory.all_blocks().flat_map(|(_, b)| b.to_vec()).collect();
         let sc2 = Sc2::train_on_bytes(&training, slc_compress::sc2::DEFAULT_TOP_K);
         let fph = FpH::train_on_bytes(&training);
         let hycomp = HyComp::train_on_bytes(&training);
-        let codecs: [&dyn BlockCompressor; 3] = [&sc2, &fph, &hycomp];
-        let mut accs: Vec<RatioAccumulator> =
-            (0..codecs.len()).map(|_| RatioAccumulator::new(mag, BLOCK_BYTES as u32)).collect();
-        for (_, block) in artifacts.exact_memory.all_blocks() {
-            for (codec, acc) in codecs.iter().zip(accs.iter_mut()) {
-                acc.record_bits(codec.size_bits(&block));
-            }
-        }
-        Fig1Row {
-            name: artifacts.name.clone(),
-            ratios: accs
-                .iter()
-                .map(|a| RatioPair { raw: a.raw_ratio(), effective: a.effective_ratio() })
-                .collect(),
-        }
+        ratio_row(artifacts, &[&sc2, &fph, &hycomp], mag)
     });
-    let gm = (0..3)
-        .map(|c| RatioPair {
-            raw: geometric_mean(&rows.iter().map(|r| r.ratios[c].raw).collect::<Vec<_>>()),
-            effective: geometric_mean(
-                &rows.iter().map(|r| r.ratios[c].effective).collect::<Vec<_>>(),
-            ),
-        })
-        .collect();
-    Fig1 { rows, gm, mag }
+    Fig1::from_rows(rows, mag)
 }
 
 /// Renders the Section II-A table (SC2 / FP-H / HyComp).
 pub fn render_section2a(fig: &Fig1) -> String {
     const NAMES: [&str; 3] = ["SC2", "FP-H", "HyComp"];
-    let mut header = vec!["Bench".to_owned()];
-    for c in NAMES {
-        header.push(format!("{c}-Raw"));
-        header.push(format!("{c}-Eff"));
-    }
-    let mut t = TextTable::new(header);
-    for row in &fig.rows {
-        let mut cells = vec![row.name.clone()];
-        for p in &row.ratios {
-            cells.push(f3(p.raw));
-            cells.push(f3(p.effective));
-        }
-        t.row(cells);
-    }
-    let mut cells = vec!["GM".to_owned()];
-    for p in &fig.gm {
-        cells.push(f3(p.raw));
-        cells.push(f3(p.effective));
-    }
-    t.row(cells);
     let mut out = format!(
         "Section II-A quantified: SC2 / FP-H / HyComp under MAG {} (paper: argued qualitatively)\n",
         fig.mag
     );
-    out.push_str(&t.render());
+    out.push_str(&fig.table(&NAMES));
     out.push_str("\nEffective-vs-raw GM gap:\n");
-    for (c, p) in NAMES.iter().zip(&fig.gm) {
-        out.push_str(&format!("  {c}: {:.1}%\n", (1.0 - p.effective / p.raw) * 100.0));
+    for (c, gap) in NAMES.iter().zip(fig.gm_gap_pct()) {
+        out.push_str(&format!("  {c}: {gap:.1}%\n"));
     }
     out
 }

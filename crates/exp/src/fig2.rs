@@ -6,9 +6,10 @@
 //! origin. 32B on the x-axis represents the percentage of uncompressed
 //! blocks."
 
+use crate::eval::per_benchmark;
 use crate::report::shade;
 use slc_compress::{Mag, BLOCK_BITS, BLOCK_BYTES};
-use slc_workloads::{all_workloads, Harness, Scale};
+use slc_workloads::{all_workloads, BenchmarkArtifacts, Harness, Scale};
 
 /// One benchmark's distribution over bytes-above-MAG.
 #[derive(Debug, Clone)]
@@ -30,37 +31,37 @@ pub struct Fig2 {
     pub mag: Mag,
 }
 
-/// Computes the Fig. 2 distribution at `scale` under `mag`.
+/// Computes the Fig. 2 distribution at `scale` under `mag`, one benchmark
+/// at a time.
 pub fn compute(scale: Scale, mag: Mag) -> Fig2 {
-    let harness = Harness::new(scale);
-    let buckets = mag.bytes() as usize + 1;
-    let rows = slc_par::par_map(all_workloads(scale), |w| {
-        let artifacts = harness.prepare(w.as_ref());
-        let mut counts = vec![0u64; buckets];
-        let mut total = 0u64;
-        // One shared analysis of the final memory image sizes every
-        // bucket; nothing is re-encoded per figure.
-        for b in artifacts.final_analysis().entries() {
-            let bits = b.analysis.e2mc_size_bits();
-            total += 1;
-            if bits >= BLOCK_BITS || mag.round_up_bits(bits) >= BLOCK_BITS {
-                counts[mag.bytes() as usize] += 1; // uncompressed bucket
-            } else {
-                let bytes = bits.div_ceil(8);
-                let above = if bytes <= mag.bytes() {
-                    0 // "< 32B are also included in the 0B origin"
-                } else {
-                    mag.bytes_above_multiple(bytes)
-                };
-                counts[above as usize] += 1;
-            }
-        }
-        Fig2Row {
-            name: artifacts.name.clone(),
-            pct: counts.iter().map(|&c| c as f64 / total.max(1) as f64 * 100.0).collect(),
-        }
-    });
+    let rows = per_benchmark(all_workloads(scale), &Harness::new(scale), |_, a| row(a, mag));
     Fig2 { rows, mag }
+}
+
+/// One benchmark's Fig. 2 row. One shared analysis of the final memory
+/// image sizes every bucket; nothing is re-encoded per figure.
+pub(crate) fn row(artifacts: &BenchmarkArtifacts, mag: Mag) -> Fig2Row {
+    let mut counts = vec![0u64; mag.bytes() as usize + 1];
+    let mut total = 0u64;
+    for b in artifacts.final_analysis().entries() {
+        let bits = b.analysis.e2mc_size_bits();
+        total += 1;
+        if bits >= BLOCK_BITS || mag.round_up_bits(bits) >= BLOCK_BITS {
+            counts[mag.bytes() as usize] += 1; // uncompressed bucket
+        } else {
+            let bytes = bits.div_ceil(8);
+            let above = if bytes <= mag.bytes() {
+                0 // "< 32B are also included in the 0B origin"
+            } else {
+                mag.bytes_above_multiple(bytes)
+            };
+            counts[above as usize] += 1;
+        }
+    }
+    Fig2Row {
+        name: artifacts.name.clone(),
+        pct: counts.iter().map(|&c| c as f64 / total.max(1) as f64 * 100.0).collect(),
+    }
 }
 
 impl Fig2 {

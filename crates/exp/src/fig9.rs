@@ -5,12 +5,12 @@
 //! the §V-C effective-compression-ratio study (paper: E2MC GM 1.41 / 1.31
 //! / 1.16 at MAG 16/32/64 B, raw GM 1.54 independent of MAG).
 
-use crate::eval::{evaluate_prepared, prepare_all, Eval};
+use crate::eval::{self, per_benchmark, Eval, EvalRow};
 use crate::report::{err_pct, f3, TextTable};
 use slc_compress::ratio::{geometric_mean, RatioAccumulator};
 use slc_compress::{Mag, BLOCK_BYTES};
 use slc_core::slc::SlcVariant;
-use slc_workloads::{Harness, Scale};
+use slc_workloads::{all_workloads, BenchmarkArtifacts, Harness, Scale, Workload};
 
 /// One MAG's column of Fig. 9.
 #[derive(Debug, Clone)]
@@ -34,42 +34,69 @@ pub struct Fig9 {
     pub studies: Vec<MagStudy>,
 }
 
-/// Runs Fig. 9 at `scale`.
+/// The MAGs of Fig. 9, in column order.
+const MAGS: [Mag; 3] = [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64];
+
+/// One benchmark's share of one MAG's study: its TSLC-OPT row and its
+/// §V-C (raw, effective) E2MC ratio.
+pub(crate) type MagCell = (EvalRow, (f64, f64));
+
+/// Runs Fig. 9 at `scale`, one benchmark at a time.
 pub fn compute(scale: Scale) -> Fig9 {
-    // The exact run, trained table, trace and per-snapshot analyses are
-    // all MAG-independent (only burst accounting and the lossy budget see
-    // the MAG), so every benchmark is prepared **once** and the three MAG
-    // studies — evaluation and the §V-C ratio sweep alike — re-decide
-    // over the same shared analyses instead of re-executing and
-    // re-encoding per MAG.
-    let prepared = prepare_all(scale, &Harness::new(scale));
-    let mut studies = Vec::new();
-    for mag in [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64] {
-        let base = Harness::new(scale);
-        let config = base.config.with_mag(mag);
-        let harness = Harness::new(scale).with_config(config);
-        let threshold = mag.bytes() / 2;
-        let eval = evaluate_prepared(&harness, threshold, &[SlcVariant::TslcOpt], &prepared);
-        let ratios = slc_par::par_map(prepared.iter().collect(), |(_, artifacts)| {
-            let mut acc = RatioAccumulator::new(mag, BLOCK_BYTES as u32);
-            for b in artifacts.final_analysis().entries() {
-                acc.record_bits(b.analysis.e2mc_size_bits());
-            }
-            (acc.raw_ratio(), acc.effective_ratio())
-        });
-        let (raw, eff): (Vec<f64>, Vec<f64>) = ratios.into_iter().unzip();
-        studies.push(MagStudy {
-            mag,
-            threshold_bytes: threshold,
-            eval,
-            e2mc_effective_gm: geometric_mean(&eff),
-            e2mc_raw_gm: geometric_mean(&raw),
-        });
-    }
-    Fig9 { studies }
+    let harness = Harness::new(scale);
+    Fig9::from_rows(per_benchmark(all_workloads(scale), &harness, |w, a| row(&harness, w, a, None)))
+}
+
+/// One benchmark under every MAG, in [`MAGS`] order. The exact run,
+/// trained table, trace and size cache are all MAG-independent (only
+/// burst accounting and the lossy budget see the MAG), so the three
+/// studies re-decide over the one prepared benchmark. `at_base_mag` is
+/// the TSLC-OPT row at `base`'s own MAG and threshold MAG/2 when the
+/// caller has it already (Fig. 7 computes exactly that column).
+pub(crate) fn row(
+    base: &Harness,
+    w: &dyn Workload,
+    artifacts: &BenchmarkArtifacts,
+    at_base_mag: Option<&EvalRow>,
+) -> Vec<MagCell> {
+    // Every replay first, the final image's analysis (208 B a block)
+    // after: no working image is alive while it is.
+    let evals = MAGS.map(|mag| match at_base_mag {
+        Some(known) if mag == base.config.mag() => known.clone(),
+        _ => {
+            let harness = base.clone().with_config(base.config.with_mag(mag));
+            eval::row(&harness, mag.bytes() / 2, &[SlcVariant::TslcOpt], w, artifacts)
+        }
+    });
+    let ratios = MAGS.map(|mag| {
+        let mut acc = RatioAccumulator::new(mag, BLOCK_BYTES as u32);
+        for b in artifacts.final_analysis().entries() {
+            acc.record_bits(b.analysis.e2mc_size_bits());
+        }
+        (acc.raw_ratio(), acc.effective_ratio())
+    });
+    evals.into_iter().zip(ratios).collect()
 }
 
 impl Fig9 {
+    /// The study over per-benchmark [`row`]s (paper order).
+    pub(crate) fn from_rows(rows: Vec<Vec<MagCell>>) -> Self {
+        let study = |(m, &mag): (usize, &Mag)| {
+            let (rows, (raw, effective)): (Vec<_>, (Vec<_>, Vec<_>)) =
+                rows.iter().map(|cells| cells[m].clone()).unzip();
+            let threshold_bytes = mag.bytes() / 2;
+            let variants = vec![SlcVariant::TslcOpt];
+            MagStudy {
+                mag,
+                threshold_bytes,
+                eval: Eval { rows, variants, threshold_bytes, mag_bytes: mag.bytes() },
+                e2mc_effective_gm: geometric_mean(&effective),
+                e2mc_raw_gm: geometric_mean(&raw),
+            }
+        };
+        Fig9 { studies: MAGS.iter().enumerate().map(study).collect() }
+    }
+
     /// Renders speedups, errors and the §V-C ratios.
     pub fn render(&self) -> String {
         let mut header = vec!["Bench".to_owned()];

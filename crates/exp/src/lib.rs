@@ -8,6 +8,7 @@
 //! | Figs. 7a/7b (speedup, error) | [`eval`] | `fig7_speedup_error` |
 //! | Figs. 8a/8b (bandwidth, energy, EDP) | [`eval`] | `fig8_bandwidth_energy` |
 //! | Figs. 9a/9b + §V-C (MAG sensitivity) | [`fig9`] | `fig9_mag_sensitivity` |
+//! | All five figures, one pass over the benchmarks | [`all`] | `run_all` |
 //! | Table I (hardware cost) | [`tables`] | `table1_hardware` |
 //! | Table II (simulator config) | [`tables`] | `table2_config` |
 //! | Table III (benchmarks) | [`tables`] | `table3_benchmarks` |
@@ -17,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod all;
 pub mod eval;
 pub mod fig1;
 pub mod fig2;

@@ -106,22 +106,32 @@ pub fn shade(intensity: f64) -> char {
 }
 
 /// This process's footprint line so far, from `/proc/self/status` and
-/// field 10 of `/proc/self/stat`; `None` where there is no such `/proc`.
+/// fields 10, 14 and 15 of `/proc/self/stat` (minflt, utime, stime — all
+/// threads', exited workers included); `None` where there is no such
+/// `/proc`.
 fn footprint() -> Option<String> {
+    /// `USER_HZ`, the unit of utime / stime: 100 on every Linux ABI.
+    const TICKS_PER_S: f64 = 100.0;
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let hwm = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
     let hwm_kb: f64 = hwm.trim().strip_suffix("kB")?.trim().parse().ok()?;
     let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // The command name (field 2) may hold spaces; count from its `)`.
-    let minor_faults = stat.rsplit_once(')')?.1.split_whitespace().nth(7)?;
-    Some(format!("footprint: peak_rss_mb {:.1}  minor_faults {minor_faults}", hwm_kb / 1024.0))
+    // The command name (field 2) may hold spaces; count from its `)`,
+    // after which the first word is field 3.
+    let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
+    let seconds = |field: usize| Some(fields.get(field - 3)?.parse::<f64>().ok()? / TICKS_PER_S);
+    let (minor_faults, user_s, sys_s) = (fields.get(10 - 3)?, seconds(14)?, seconds(15)?);
+    Some(format!(
+        "footprint: peak_rss_mb {:.1}  minor_faults {minor_faults}  user_s {user_s:.2}  sys_s {sys_s:.2}",
+        hwm_kb / 1024.0
+    ))
 }
 
 /// Ends a figure binary's run with one line on **stderr**, `footprint:
-/// peak_rss_mb <VmHWM>  minor_faults <n>` (stdout stays the figures, byte
-/// for byte); silent without `/proc`.
-/// With the shell's `time` this is the whole full-scale cost of a run —
-/// user, sys, peak RSS, page faults — from one command.
+/// peak_rss_mb <VmHWM>  minor_faults <n>  user_s <utime>  sys_s <stime>`
+/// (stdout stays the figures, byte for byte); silent without `/proc`.
+/// This is the whole full-scale cost of a run — user, sys, peak RSS, page
+/// faults — from one command, with no shell `time`.
 pub fn print_footprint() {
     if let Some(line) = footprint() {
         eprintln!("{line}");
@@ -138,11 +148,21 @@ mod tests {
         let line = footprint().expect("/proc/self is readable on Linux");
         let fields: Vec<&str> = line.split_whitespace().collect();
         assert_eq!(
-            (fields[0], fields[1], fields[3]),
-            ("footprint:", "peak_rss_mb", "minor_faults")
+            (fields[0], fields[1], fields[3], fields[5], fields[7]),
+            ("footprint:", "peak_rss_mb", "minor_faults", "user_s", "sys_s")
         );
         assert!(fields[2].parse::<f64>().unwrap() > 1.0, "a test binary holds over 1 MB: {line}");
         assert!(fields[4].parse::<u64>().unwrap() > 0, "and has faulted pages in: {line}");
+        // CPU time grows while this thread spins: a 10 ms tick shows
+        // within seconds on the busiest machine.
+        let cpu = |line: &str| -> f64 {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            f[6].parse::<f64>().unwrap() + f[8].parse::<f64>().unwrap()
+        };
+        let start = std::time::Instant::now();
+        while cpu(&footprint().expect("still readable")) <= cpu(&line) {
+            assert!(start.elapsed().as_secs() < 30, "user_s + sys_s never moved from {line}");
+        }
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! reports.
 //!
 //! Thread count defaults to [`std::thread::available_parallelism`] and can
-//! be pinned with `SLC_PAR_THREADS`. `SLC_PAR_THREADS=1` forces the serial
-//! path (also the fallback for empty and single-item inputs), and so do
-//! `SLC_PAR_THREADS=0` and any unparseable value: an operator who sets the
-//! knob to "no threads" — or typos it — gets the predictable serial
-//! fallback, never an accidental fan-out across every core.
+//! be pinned with `SLC_PAR_THREADS`, a positive integer (surrounding
+//! whitespace ignored). `SLC_PAR_THREADS=1` forces the serial path (also
+//! the fallback for empty and single-item inputs). Anything else — `0`,
+//! the empty string, a typo — follows `SLC_SCALE`'s rule: the process
+//! prints the offending value and exits with status 2, because a pinned
+//! knob must neither silently mean "all cores" nor silently mean "serial".
 //!
 //! ```
 //! let squares = slc_par::par_map(vec![1u64, 2, 3, 4], |x| x * x);
@@ -35,23 +36,31 @@ thread_local! {
 }
 
 /// Thread cap for one `SLC_PAR_THREADS` value: unset defers to the
-/// hardware count, while `0` and garbage both clamp to serial (a pinned
-/// knob must never silently mean "all cores" — see the module docs).
-fn cap_from_env(var: Option<&str>, hw: usize) -> usize {
-    match var {
-        None => hw,
-        Some(v) => v.trim().parse::<usize>().unwrap_or(0).max(1),
+/// hardware count, a positive integer (trimmed) is the cap, and anything
+/// else is an error naming the value — see the module docs.
+fn cap_from_env(var: Option<&str>, hw: usize) -> Result<usize, String> {
+    let Some(v) = var else { return Ok(hw) };
+    match v.trim().parse::<usize>() {
+        Ok(cap) if cap > 0 => Ok(cap),
+        _ => Err(format!("SLC_PAR_THREADS={v:?} is not a positive integer")),
     }
 }
 
-/// Number of worker threads to use for `n` items.
+/// Number of worker threads to use for `n` items; an unusable
+/// `SLC_PAR_THREADS` (non-UTF-8 included) prints the error and exits with
+/// status 2.
 fn worker_count(n: usize) -> usize {
     if IN_WORKER.with(Cell::get) {
         return 1; // nested call: stay on the current worker thread
     }
     let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let cap = cap_from_env(std::env::var("SLC_PAR_THREADS").ok().as_deref(), hw);
-    cap.min(n)
+    let var = std::env::var_os("SLC_PAR_THREADS");
+    let cap = cap_from_env(var.as_deref().map(|v| v.to_string_lossy()).as_deref(), hw);
+    cap.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+    .min(n)
 }
 
 /// Maps `f` over `items` in parallel, preserving input order.
@@ -127,22 +136,22 @@ mod tests {
     #[test]
     fn env_cap_zero_and_garbage_mean_serial() {
         // Pure-function test (no process-global env mutation, which would
-        // race with other tests): 0 and any unparseable value clamp to 1
-        // worker instead of falling back to all cores.
-        assert_eq!(cap_from_env(Some("0"), 8), 1);
-        assert_eq!(cap_from_env(Some("garbage"), 8), 1);
-        assert_eq!(cap_from_env(Some(""), 8), 1);
-        assert_eq!(cap_from_env(Some("-3"), 8), 1);
-        assert_eq!(cap_from_env(Some("2.5"), 8), 1);
+        // race with other tests). The name is from when 0 and garbage
+        // clamped to one worker; now each is an error naming the value,
+        // never a silent serial run or a fan-out across every core.
+        for bad in ["0", "garbage", "", "  ", "-3", "2.5", "4x", "\u{fffd}"] {
+            let err = cap_from_env(Some(bad), 8).expect_err(bad);
+            assert_eq!(err, format!("SLC_PAR_THREADS={bad:?} is not a positive integer"));
+        }
         // Explicit counts and whitespace-padded counts pass through.
-        assert_eq!(cap_from_env(Some("1"), 8), 1);
-        assert_eq!(cap_from_env(Some("4"), 8), 4);
-        assert_eq!(cap_from_env(Some(" 4 "), 8), 4);
+        assert_eq!(cap_from_env(Some("1"), 8), Ok(1));
+        assert_eq!(cap_from_env(Some("4"), 8), Ok(4));
+        assert_eq!(cap_from_env(Some(" 4 "), 8), Ok(4));
         // More threads than cores is honoured (worker_count still clamps
         // to the item count).
-        assert_eq!(cap_from_env(Some("16"), 8), 16);
+        assert_eq!(cap_from_env(Some("16"), 8), Ok(16));
         // Unset defers to the hardware count.
-        assert_eq!(cap_from_env(None, 8), 8);
+        assert_eq!(cap_from_env(None, 8), Ok(8));
     }
 
     #[test]

@@ -65,12 +65,28 @@ impl BenchmarkArtifacts {
     /// every replay runs over: [`Self::exact_memory`] with the regions
     /// the kernels changed put back.
     pub fn initial_memory(&self) -> GpuMemory {
-        let mut mem = self.exact_memory.clone();
+        let mut image = None;
+        self.seeded(&mut image);
+        image.expect("just seeded")
+    }
+
+    /// The seeded image in `image`, one benchmark's working image: a
+    /// clone of [`Self::exact_memory`] on first use, the same buffer on
+    /// every later one. A used image has been through a replay, so every
+    /// region of it is rewritten: lossy staging also mutates the read-only
+    /// input regions the delta records as `Unchanged`.
+    fn seeded<'m>(&self, image: &'m mut Option<GpuMemory>) -> &'m mut GpuMemory {
+        let staged = image.is_some();
+        let mem = image.get_or_insert_with(|| self.exact_memory.clone());
         for (region, delta) in self.exact_memory.regions().iter().zip(&self.initial_delta) {
+            let bytes = mem.region_bytes_mut(region);
             match delta {
-                RegionDelta::Unchanged => {}
-                RegionDelta::Zeroed => mem.region_bytes_mut(region).fill(0),
-                RegionDelta::Bytes(seeded) => mem.region_bytes_mut(region).copy_from_slice(seeded),
+                RegionDelta::Unchanged if !staged => {}
+                RegionDelta::Unchanged => {
+                    bytes.copy_from_slice(self.exact_memory.region_bytes(region));
+                }
+                RegionDelta::Zeroed => bytes.fill(0),
+                RegionDelta::Bytes(seeded) => bytes.copy_from_slice(seeded),
             }
         }
         mem
@@ -103,13 +119,17 @@ impl BenchmarkArtifacts {
     /// (replaying a different pipeline would cache, and then keep
     /// serving, the wrong snapshots).
     pub fn exact_size_snapshots(&self, w: &dyn Workload) -> &[SizeSnapshot] {
+        self.exact_sizes_over(w, &mut None)
+    }
+
+    /// [`Self::exact_size_snapshots`], its one replay run over `image`.
+    fn exact_sizes_over(&self, w: &dyn Workload, image: &mut Option<GpuMemory>) -> &[SizeSnapshot] {
         self.assert_prepared_from(w);
         self.exact_size_snapshots.get_or_init(|| {
             let mut snapshots = Vec::new();
-            let mut mem = self.initial_memory();
             let mut capture =
                 |m: &mut GpuMemory| snapshots.push(SizeSnapshot::capture(&self.e2mc, m));
-            w.execute(&mut mem, &mut capture);
+            w.execute(self.seeded(image), &mut capture);
             snapshots
         })
     }
@@ -275,9 +295,21 @@ impl Harness {
         artifacts: &BenchmarkArtifacts,
         scheme: &Scheme,
     ) -> FunctionalOutcome {
+        self.functional_over(w, artifacts, scheme, &mut None)
+    }
+
+    /// [`Self::run_functional`], its kernel replay (if it needs one) run
+    /// over the benchmark's working `image`.
+    fn functional_over(
+        &self,
+        w: &dyn Workload,
+        artifacts: &BenchmarkArtifacts,
+        scheme: &Scheme,
+        image: &mut Option<GpuMemory>,
+    ) -> FunctionalOutcome {
         let ladder = LadderState::new(&self.config);
         if ladder.is_some() {
-            return self.replay(w, artifacts, scheme, ladder);
+            return self.replay(w, artifacts, scheme, ladder, image);
         }
         let mag = self.config.mag();
         if matches!(scheme, Scheme::Uncompressed) {
@@ -300,7 +332,7 @@ impl Harness {
             // sizes instead of re-executing the kernels (the E2MC burst
             // decision needs nothing else).
             let mut accumulator = BurstsAccumulator::new(mag);
-            for snapshot in artifacts.exact_size_snapshots(w) {
+            for snapshot in artifacts.exact_sizes_over(w, image) {
                 accumulator.record_sizes(scheme, snapshot);
             }
             return FunctionalOutcome {
@@ -313,7 +345,7 @@ impl Harness {
                 fault: None,
             };
         }
-        self.replay(w, artifacts, scheme, None)
+        self.replay(w, artifacts, scheme, None, image)
     }
 
     /// The uncached functional pass: replays the kernels over the
@@ -328,16 +360,15 @@ impl Harness {
         artifacts: &BenchmarkArtifacts,
         scheme: &Scheme,
         mut ladder: Option<LadderState>,
+        image: &mut Option<GpuMemory>,
     ) -> FunctionalOutcome {
         artifacts.assert_prepared_from(w);
         let mut accumulator = BurstsAccumulator::new(self.config.mag());
-        let output = {
-            let mut mem = artifacts.initial_memory();
-            let mut stage =
-                |m: &mut GpuMemory| scheme.stage_walk(m, Some(&mut accumulator), ladder.as_mut());
-            w.execute(&mut mem, &mut stage);
-            w.output(&mem)
-        };
+        let mem = artifacts.seeded(image);
+        let mut stage =
+            |m: &mut GpuMemory| scheme.stage_walk(m, Some(&mut accumulator), ladder.as_mut());
+        w.execute(mem, &mut stage);
+        let output = w.output(mem);
         FunctionalOutcome {
             kind: scheme.kind(),
             error_pct: w.error(&artifacts.exact_output, &output),
@@ -382,9 +413,26 @@ impl Harness {
         artifacts: &BenchmarkArtifacts,
         scheme: &Scheme,
     ) -> (FunctionalOutcome, TimingOutcome) {
-        let f = self.run_functional(w, artifacts, scheme);
-        let t = self.run_timing(artifacts, &f, scheme);
-        (f, t)
+        let mut outcomes = self.evaluate_schemes(w, artifacts, std::slice::from_ref(scheme));
+        outcomes.next().expect("one scheme in, one outcome out")
+    }
+
+    /// [`Self::evaluate`] for every scheme in turn, lazily, over **one
+    /// working image**: the first kernel replay (the E2MC size pass
+    /// included) clones the seeded image and every later one resets that
+    /// clone in place, so a benchmark's row faults its image in once.
+    pub fn evaluate_schemes<'a>(
+        &'a self,
+        w: &'a dyn Workload,
+        artifacts: &'a BenchmarkArtifacts,
+        schemes: &'a [Scheme],
+    ) -> impl Iterator<Item = (FunctionalOutcome, TimingOutcome)> + 'a {
+        let mut image = None;
+        schemes.iter().map(move |scheme| {
+            let f = self.functional_over(w, artifacts, scheme, &mut image);
+            let t = self.run_timing(artifacts, &f, scheme);
+            (f, t)
+        })
     }
 }
 
@@ -429,6 +477,44 @@ mod tests {
                 assert_same_image(&derived, &w.build(seed), &format!("{} seed {seed}", w.name()));
             }
         }
+    }
+
+    /// The trap: lossy staging also rewrites read-only input regions the
+    /// delta records as `Unchanged`, so the in-place reset must rewrite
+    /// every region, not only the changed ones.
+    #[test]
+    fn a_staged_working_image_resets_to_the_seeded_one() {
+        let mut staged_an_unchanged_region = false;
+        for seed in [42, 7] {
+            let h = Harness { seed, ..harness() };
+            for w in all_workloads(Scale::Tiny) {
+                let at = format!("{} seed {seed}", w.name());
+                let a = h.prepare(w.as_ref());
+                let opt = Scheme::slc(a.e2mc.clone(), h.config.mag(), 16, SlcVariant::TslcOpt);
+                let fresh = h.replay(w.as_ref(), &a, &opt, None, &mut None);
+                let mut image = None;
+                let first = h.replay(w.as_ref(), &a, &opt, None, &mut image);
+                let staged = image.clone().expect("the replay left its image behind");
+                staged_an_unchanged_region |= a
+                    .exact_memory
+                    .regions()
+                    .iter()
+                    .zip(&a.initial_delta)
+                    .filter(|(_, delta)| **delta == RegionDelta::Unchanged)
+                    .any(|(r, _)| staged.region_bytes(r) != a.exact_memory.region_bytes(r));
+                assert_same_image(a.seeded(&mut image), &a.initial_memory(), &at);
+                let again = h.replay(w.as_ref(), &a, &opt, None, &mut image);
+                for f in [&first, &again] {
+                    assert_eq!(f.bursts, fresh.bursts, "{at}: bursts");
+                    assert_eq!(
+                        (f.error_pct, f.mre_pct, f.psnr_db, f.max_abs_err),
+                        (fresh.error_pct, fresh.mre_pct, fresh.psnr_db, fresh.max_abs_err),
+                        "{at}: errors"
+                    );
+                }
+            }
+        }
+        assert!(staged_an_unchanged_region, "no replay staged a read-only input: no trap tested");
     }
 
     /// Floats per region of [`ThreeRegions`] (two blocks).
@@ -514,7 +600,7 @@ mod tests {
         );
         // The replay runs over that image: lossless staging reproduces
         // the exact output.
-        let f = h.replay(&w, &a, &Scheme::E2mc(a.e2mc.clone()), None);
+        let f = h.replay(&w, &a, &Scheme::E2mc(a.e2mc.clone()), None, &mut None);
         assert_eq!((f.error_pct, f.max_abs_err), (0.0, 0.0));
     }
 
@@ -618,7 +704,7 @@ mod tests {
         let artifacts = h.prepare(&nn);
         let scheme = Scheme::E2mc(artifacts.e2mc.clone());
         let cached = h.run_functional(&nn, &artifacts, &scheme);
-        let direct = h.replay(&nn, &artifacts, &scheme, None);
+        let direct = h.replay(&nn, &artifacts, &scheme, None, &mut None);
         assert_eq!(cached.error_pct, direct.error_pct);
         assert_eq!(cached.mre_pct, direct.mre_pct);
         assert_eq!(cached.bursts, direct.bursts);

@@ -33,30 +33,41 @@ use std::sync::Arc;
 thread_local! {
     /// Calls to `alloc`, `alloc_zeroed` and `realloc` made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// A size to watch for, and how many of those calls asked for it.
+    static WATCHED: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
+}
+
+/// Counts one allocator call of `size` bytes on this thread.
+fn count(size: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    WATCHED.with(|w| {
+        let (watched, seen) = w.get();
+        w.set((watched, seen + u64::from(size == watched)));
+    });
 }
 
 struct Counting;
 
 // SAFETY: every method hands its arguments unchanged to `System`, whose
 // contract is therefore this allocator's. The only addition is the
-// counter: a const-initialised thread-local `Cell<u64>` has no lazy
-// initialiser and no destructor, so touching it neither allocates nor
-// re-enters the allocator, on any thread at any point of its life.
+// counters: const-initialised thread-local `Cell`s of integers have no
+// lazy initialiser and no destructor, so touching them neither allocates
+// nor re-enters the allocator, on any thread at any point of its life.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
         // `ptr` came from `System` because every method here delegates.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -76,6 +87,14 @@ fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.get();
     let out = f();
     (ALLOCS.get() - before, out)
+}
+
+/// Runs `f` and returns how many of its allocations were of exactly
+/// `size` bytes with its result.
+fn allocs_of<R>(size: usize, f: impl FnOnce() -> R) -> (u64, R) {
+    WATCHED.set((size, 0));
+    let out = f();
+    (WATCHED.replace((usize::MAX, 0)).1, out)
 }
 
 /// A seeded mix, one quarter each: zero blocks, u32 ramps with small
@@ -249,7 +268,8 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
 /// writes every entry once, whatever the block count. The staging walk
 /// holds none: its first staging point allocates the accumulator's cells
 /// and every later one nothing, with or without a fault ladder. The
-/// seeded image costs a clone of the final one.
+/// seeded image costs a clone of the final one, and a benchmark's row
+/// makes that clone once: the second and later replays reset it in place.
 #[test]
 fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
     for blocks in [1 << 10, 1 << 16] {
@@ -298,5 +318,16 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
         let (clone, _) = allocs(|| a.exact_memory.clone());
         let (derived, _) = allocs(|| a.initial_memory());
         assert_eq!(derived, clone, "{}: initial_memory", w.name());
+        // One row, four kernel replays: the E2MC size pass, three variants.
+        let image = a.exact_memory.len();
+        assert_eq!(allocs_of(image, || a.initial_memory()).0, 1, "{}: a clone is seen", w.name());
+        let mut schemes = vec![Scheme::E2mc(a.e2mc.clone())];
+        schemes.extend(
+            [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt]
+                .map(|v| Scheme::slc(a.e2mc.clone(), Mag::GDDR5, 16, v)),
+        );
+        let (images, outcomes) =
+            allocs_of(image, || harness.evaluate_schemes(w.as_ref(), &a, &schemes).count());
+        assert_eq!((images, outcomes), (1, 4), "{}: one working image a row", w.name());
     }
 }
