@@ -17,7 +17,7 @@
 //! their placement; we implement them as half-stride staggered windows
 //! (eight 4-symbol windows starting at `2 + 8i`, four 8-symbol windows
 //! starting at `4 + 16i`), the natural way to add finer sums with a few
-//! extra adders. See DESIGN.md for the rationale and
+//! extra adders. See PAPER.md, "This reproduction", for the rationale and
 //! `examples/ablation.rs` for the measured effect.
 
 use slc_compress::e2mc::BlockAnalysis;

@@ -367,10 +367,6 @@ pub(crate) mod tests {
         fn trace(&self, sms: usize) -> Trace {
             self.inner.trace(sms)
         }
-
-        fn error(&self, exact: &[f32], approx: &[f32]) -> f64 {
-            self.inner.error(exact, approx)
-        }
     }
 
     /// Table III at tiny behind counting wrappers, with each one's counter.

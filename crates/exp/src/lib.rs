@@ -1,5 +1,5 @@
 //! Experiment harness: regenerates every table and figure of the SLC
-//! paper (see DESIGN.md's per-experiment index).
+//! paper (see PAPER.md, "This reproduction").
 //!
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|

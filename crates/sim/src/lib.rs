@@ -4,7 +4,7 @@
 //! performance effect is purely a memory-system effect — fewer 32 B DRAM
 //! bursts per block ⇒ lower DRAM occupancy and queueing ⇒ fewer SM stalls
 //! for memory-bound kernels — so this crate models exactly that path
-//! (DESIGN.md, substitution table):
+//! (PAPER.md, "This reproduction"):
 //!
 //! * [`sm`] — an SM front-end issuing coalesced 128 B requests from a
 //!   trace, with bounded MSHRs and explicit sync points (latency hiding).
@@ -43,7 +43,7 @@ pub use dram::sched::SchedPolicy;
 pub use engine::Engine;
 pub use fault::{FaultConfig, FaultMap, FaultPattern, FaultPlan};
 pub use mc::{BurstsMap, BurstsSource};
-pub use mem::{DevicePtr, GpuMemory, Region};
+pub use mem::{DevicePtr, F32View, F32ViewMut, GpuMemory, Region};
 pub use stats::SimStats;
 pub use trace::{Op, Trace};
 

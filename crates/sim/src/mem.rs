@@ -14,9 +14,20 @@
 //! DRAM round-trips (see PAPER.md, "This reproduction", for why kernel
 //! granularity preserves the paper's behaviour for these memory-bound
 //! apps).
+//!
+//! A kernel computes on this memory, never on a copy of it:
+//! [`GpuMemory::launch`] lends it every array it names as a *view* — an
+//! [`F32View`] of an input, an [`F32ViewMut`] of an output, each a borrow
+//! of the array's own bytes that decodes or encodes one little-endian
+//! `f32` per access. The views of one launch are disjoint slices of the
+//! image, so a kernel owns no array-sized buffer and a result is in
+//! device memory the moment it is computed.
+//! [`GpuMemory::write_f32`] / [`GpuMemory::read_f32`] are the host side,
+//! `cudaMemcpy`: how inputs get in and outputs get out.
 
 use crate::BlockAddr;
 use slc_compress::{Block, BLOCK_BYTES};
+use std::ops::Range;
 
 /// An opaque device address returned by [`GpuMemory::malloc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,6 +65,97 @@ impl Region {
         let first = self.base / BLOCK_BYTES as u64;
         let last = (self.base + self.size).div_ceil(BLOCK_BYTES as u64);
         first..last
+    }
+}
+
+/// A kernel's read-only view of one `f32` array in device memory.
+#[derive(Debug, Clone, Copy)]
+pub struct F32View<'a> {
+    words: &'a [[u8; 4]],
+}
+
+impl<'a> F32View<'a> {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether the array has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Element `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is past the end of the array.
+    pub fn get(&self, i: usize) -> f32 {
+        f32::from_le_bytes(self.words[i])
+    }
+
+    /// The elements in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f32> + 'a {
+        self.words.iter().map(|&w| f32::from_le_bytes(w))
+    }
+
+    /// The view of elements `range` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` runs past the end of the array.
+    pub fn slice(&self, range: Range<usize>) -> F32View<'a> {
+        F32View { words: &self.words[range] }
+    }
+}
+
+/// A kernel's read-write view of one `f32` array in device memory.
+#[derive(Debug)]
+pub struct F32ViewMut<'a> {
+    words: &'a mut [[u8; 4]],
+}
+
+impl F32ViewMut<'_> {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether the array has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Element `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is past the end of the array.
+    pub fn get(&self, i: usize) -> f32 {
+        f32::from_le_bytes(self.words[i])
+    }
+
+    /// Stores `value` as element `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is past the end of the array.
+    pub fn set(&mut self, i: usize, value: f32) {
+        self.words[i] = value.to_le_bytes();
+    }
+
+    /// The elements in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f32> + '_ {
+        self.words.iter().map(|&w| f32::from_le_bytes(w))
+    }
+
+    /// Overwrites the whole array with `src`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lengths differ.
+    pub fn copy_from(&mut self, src: F32View<'_>) {
+        self.words.copy_from_slice(src.words);
     }
 }
 
@@ -120,8 +222,8 @@ impl GpuMemory {
         let start = ptr.0 as usize;
         let end = start + values.len() * 4;
         assert!(end <= self.data.len(), "device write out of bounds");
-        for (i, v) in values.iter().enumerate() {
-            self.data[start + 4 * i..start + 4 * i + 4].copy_from_slice(&v.to_le_bytes());
+        for (c, v) in self.data[start..end].chunks_exact_mut(4).zip(values) {
+            c.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -140,16 +242,50 @@ impl GpuMemory {
             .collect()
     }
 
-    /// Reads one `u32` element.
-    pub fn read_u32(&self, ptr: DevicePtr, index: usize) -> u32 {
-        let start = ptr.0 as usize + index * 4;
-        u32::from_le_bytes(self.data[start..start + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Writes one `u32` element.
-    pub fn write_u32(&mut self, ptr: DevicePtr, index: usize, value: u32) {
-        let start = ptr.0 as usize + index * 4;
-        self.data[start..start + 4].copy_from_slice(&value.to_le_bytes());
+    /// Launches a kernel over `N` input and `M` output arrays, each a
+    /// `(start, f32 count)` pair: lends every input as an [`F32View`] and
+    /// every output (or array updated in place) as an [`F32ViewMut`], in
+    /// argument order, all at once. The views are disjoint borrows split
+    /// off the image in address order, as [`Self::regions_mut`] splits
+    /// regions, so no array can alias another and nothing is copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an array runs past the allocation or two of them
+    /// overlap (an array read and written goes in `outputs` alone).
+    pub fn launch<const N: usize, const M: usize>(
+        &mut self,
+        inputs: [(DevicePtr, usize); N],
+        outputs: [(DevicePtr, usize); M],
+    ) -> ([F32View<'_>; N], [F32ViewMut<'_>; M]) {
+        for (ptr, len) in inputs.iter().chain(&outputs) {
+            let in_bounds = ptr.0 as usize + len * 4 <= self.data.len();
+            assert!(in_bounds, "device array out of bounds");
+        }
+        let mut ins = [None; N];
+        let mut outs = [const { None }; M];
+        // `rest` is the image from byte address `base` on.
+        let (mut rest, mut base) = (self.data.as_mut_slice(), 0);
+        for _ in 0..N + M {
+            let pending_in = (0..N).filter(|&i| ins[i].is_none()).map(|i| (inputs[i], false, i));
+            let pending_out = (0..M).filter(|&i| outs[i].is_none()).map(|i| (outputs[i], true, i));
+            let ((ptr, len), written, slot) = pending_in
+                .chain(pending_out)
+                .min_by_key(|&(array, ..)| array)
+                .expect("N + M arrays, one lent per pass");
+            let start = ptr.0 as usize;
+            assert!(start >= base, "device arrays overlap");
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(start - base);
+            let (bytes, tail) = tail.split_at_mut(len * 4);
+            (rest, base) = (tail, start + len * 4);
+            let (words, _) = bytes.as_chunks_mut();
+            if written {
+                outs[slot] = Some(F32ViewMut { words });
+            } else {
+                ins[slot] = Some(F32View { words });
+            }
+        }
+        (ins.map(|v| v.expect("every input lent")), outs.map(|v| v.expect("every output lent")))
     }
 
     /// Raw bytes of one region (for sampling / compression passes).
@@ -271,12 +407,84 @@ mod tests {
         assert_eq!(m.read_f32(p, 4), vec![1.0, -2.5, 3.25, f32::MIN_POSITIVE]);
     }
 
-    #[test]
-    fn u32_roundtrip() {
+    /// Three two-block arrays, `a` `b` `c`, holding 1.0s, 2.0s and 3.0s.
+    fn three_arrays() -> (GpuMemory, [DevicePtr; 3]) {
         let mut m = GpuMemory::new();
-        let p = m.malloc("x", 16, false, 0);
-        m.write_u32(p, 2, 0xdeadbeef);
-        assert_eq!(m.read_u32(p, 2), 0xdeadbeef);
+        let ptrs = ["a", "b", "c"].map(|label| m.malloc(label, 256, true, 16));
+        for (ptr, v) in ptrs.iter().zip([1.0, 2.0, 3.0]) {
+            m.write_f32(*ptr, &[v; 64]);
+        }
+        (m, ptrs)
+    }
+
+    #[test]
+    fn a_view_round_trips_every_bit_pattern() {
+        let (mut m, [a, b, _]) = three_arrays();
+        let patterns = [
+            f32::MIN_POSITIVE.to_bits(),
+            (-0.0f32).to_bits(),
+            0x7fc0_0001, // quiet NaN with a payload
+            0xff80_0001, // signalling NaN, sign set
+            0x0000_0001, // smallest subnormal
+            f32::INFINITY.to_bits(),
+        ];
+        let ([], [mut out]) = m.launch([], [(a, 64)]);
+        for (i, &bits) in patterns.iter().enumerate() {
+            out.set(i, f32::from_bits(bits));
+            assert_eq!(out.get(i).to_bits(), bits, "read-write view, element {i}");
+        }
+        assert_eq!((out.len(), out.is_empty()), (64, false));
+        // The same bits through a read view, a copy and the host's memcpy.
+        let ([src], [mut dst]) = m.launch([(a, 64)], [(b, 64)]);
+        dst.copy_from(src);
+        assert!(dst.iter().map(f32::to_bits).eq(src.iter().map(f32::to_bits)));
+        assert_eq!((src.len(), src.slice(2..5).len(), src.slice(64..64).is_empty()), (64, 3, true));
+        assert_eq!(src.slice(2..5).get(0).to_bits(), patterns[2]);
+        for ptr in [a, b] {
+            let host = m.read_f32(ptr, patterns.len());
+            assert!(host.iter().map(|v| v.to_bits()).eq(patterns), "{ptr:?}");
+        }
+    }
+
+    #[test]
+    fn the_arrays_of_one_launch_alias_nothing() {
+        let (mut m, [a, b, c]) = three_arrays();
+        let pristine = m.clone();
+        // Argument order is the caller's, not the address order; `a` is
+        // lent as its two halves.
+        let ([second_half, first_half], [mut last, mut middle]) =
+            m.launch([(DevicePtr(a.0 + 128), 32), (a, 32)], [(c, 64), (b, 64)]);
+        assert!(first_half.iter().chain(second_half.iter()).all(|v| v == 1.0));
+        assert!(middle.iter().all(|v| v == 2.0) && last.iter().all(|v| v == 3.0));
+        for i in 0..64 {
+            middle.set(i, 20.0);
+            last.set(i, 30.0);
+        }
+        // Each write landed in its own array and nowhere else.
+        assert_eq!(m.read_f32(a, 64), pristine.read_f32(a, 64));
+        assert_eq!(m.read_f32(b, 64), [20.0; 64]);
+        assert_eq!(m.read_f32(c, 64), [30.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "device arrays overlap")]
+    fn an_array_read_and_written_in_one_launch_panics() {
+        let (mut m, [a, ..]) = three_arrays();
+        let _ = m.launch([(a, 64)], [(a, 64)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "device arrays overlap")]
+    fn outputs_that_share_one_element_panic() {
+        let (mut m, [a, b, _]) = three_arrays();
+        let _ = m.launch([], [(b, 64), (a, 65)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn an_array_past_the_allocation_panics() {
+        let (mut m, [_, _, c]) = three_arrays();
+        let _ = m.launch([(c, 65)], []);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! input-to-hidden weight matrix, streamed once in the forward pass and
 //! twice (read + write) in the weight-update pass.
 
-use super::{read_region, zip_sweep, ArraySpec};
+use super::{zip_sweep, ArraySpec};
 use crate::gen;
 use crate::metrics::ErrorMetric;
 use crate::suite::{Scale, Workload};
@@ -112,63 +112,53 @@ impl Workload for Bp {
         let (n, h) = (self.n_in, self.n_hidden);
         stage(mem);
         // Kernel 1: layer forward (input -> hidden).
-        let x = mem.read_f32(input, n);
-        let weights1 = mem.read_f32(w1, n * h);
-        let mut hidden = vec![0.0f32; h];
+        let ([x, weights1], [mut hidden]) = mem.launch([(input, n), (w1, n * h)], [(hid, h)]);
         for j in 0..h {
             let mut s = 0.0f32;
             for i in 0..n {
-                s += x[i] * weights1[i * h + j];
+                s += x.get(i) * weights1.get(i * h + j);
             }
-            hidden[j] = sigmoid(s / n as f32);
+            hidden.set(j, sigmoid(s / n as f32));
         }
-        mem.write_f32(hid, &hidden);
         stage(mem);
         // Kernel 2 (small): output, deltas.
-        let hidden = mem.read_f32(hid, h);
-        let weights2 = mem.read_f32(w2, h);
-        let out = sigmoid(hidden.iter().zip(&weights2).map(|(a, b)| a * b).sum::<f32>());
+        let ([hidden, weights2], []) = mem.launch([(hid, h), (w2, h)], []);
+        let out = sigmoid(hidden.iter().zip(weights2.iter()).map(|(a, b)| a * b).sum::<f32>());
         let target = 2.5f32; // strong training signal: updates exceed the weight grid
         let delta_out = out * (1.0 - out) * (target - out);
-        let mut delta_h = vec![0.0f32; h];
-        for j in 0..h {
-            delta_h[j] = hidden[j] * (1.0 - hidden[j]) * weights2[j] * delta_out;
-        }
-        // Kernel 3: adjust weights with momentum.
-        let x = mem.read_f32(input, n);
-        let mut weights1 = mem.read_f32(w1, n * h);
-        let mut prev1 = mem.read_f32(w1p, n * h);
-        for (i, &xi) in x.iter().enumerate().take(n) {
-            for (j, &dh) in delta_h.iter().enumerate().take(h) {
+        let delta_h: Vec<f32> = hidden
+            .iter()
+            .zip(weights2.iter())
+            .map(|(hj, wj)| hj * (1.0 - hj) * wj * delta_out)
+            .collect();
+        // Kernel 3: adjust weights with momentum, in place.
+        let ([x, hidden], [mut weights1, mut prev1, mut weights2, mut prev2]) =
+            mem.launch([(input, n), (hid, h)], [(w1, n * h), (w1p, n * h), (w2, h), (w2p, h)]);
+        for i in 0..n {
+            let xi = x.get(i);
+            for (j, &dh) in delta_h.iter().enumerate() {
                 let idx = i * h + j;
-                let dw = ETA * dh * xi + MOMENTUM * prev1[idx];
-                weights1[idx] += dw;
-                prev1[idx] = dw;
+                let dw = ETA * dh * xi + MOMENTUM * prev1.get(idx);
+                // Fixed-point weight storage: updates snap back to the
+                // weight grid, as in quantised training (keeps
+                // DRAM-resident weights on the limited alphabet real
+                // deployments exhibit).
+                weights1.set(idx, gen::snap(weights1.get(idx) + dw, 1.0 / 2048.0));
+                prev1.set(idx, gen::snap(dw, 1.0 / 2048.0));
             }
         }
-        // Fixed-point weight storage: updates snap back to the weight
-        // grid, as in quantised training (keeps DRAM-resident weights on
-        // the limited alphabet real deployments exhibit).
-        gen::quantize(&mut weights1, 1.0 / 2048.0);
-        gen::quantize(&mut prev1, 1.0 / 2048.0);
-        mem.write_f32(w1, &weights1);
-        mem.write_f32(w1p, &prev1);
-        let mut weights2 = mem.read_f32(w2, h);
-        let mut prev2 = mem.read_f32(w2p, h);
         for j in 0..h {
-            let dw = ETA * delta_out * hidden[j] + MOMENTUM * prev2[j];
-            weights2[j] += dw;
-            prev2[j] = dw;
+            let dw = ETA * delta_out * hidden.get(j) + MOMENTUM * prev2.get(j);
+            weights2.set(j, weights2.get(j) + dw);
+            prev2.set(j, dw);
         }
-        mem.write_f32(w2, &weights2);
-        mem.write_f32(w2p, &prev2);
         stage(mem);
     }
 
     fn output(&self, mem: &GpuMemory) -> Vec<f32> {
         let [_, w1, .., w2, _] = self.ptrs();
-        let mut out = read_region(mem, w1, self.n_in * self.n_hidden);
-        out.extend(read_region(mem, w2, self.n_hidden));
+        let mut out = mem.read_f32(w1, self.n_in * self.n_hidden);
+        out.extend(mem.read_f32(w2, self.n_hidden));
         out
     }
 

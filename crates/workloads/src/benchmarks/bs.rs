@@ -4,7 +4,7 @@
 //! parameter arrays and the call-price output; the put-price output is
 //! left exact (Table III: #AR = 4).
 
-use super::{read_region, zip_sweep, ArraySpec};
+use super::{zip_sweep, ArraySpec};
 use crate::gen;
 use crate::metrics::ErrorMetric;
 use crate::suite::{Scale, Workload};
@@ -111,25 +111,21 @@ impl Workload for Bs {
     fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory)) {
         let [price, strike, years, call, put] = self.ptrs();
         stage(mem); // inputs land in DRAM compressed
-        let s = mem.read_f32(price, self.options);
-        let x = mem.read_f32(strike, self.options);
-        let t = mem.read_f32(years, self.options);
-        let mut calls = vec![0.0f32; self.options];
-        let mut puts = vec![0.0f32; self.options];
-        for i in 0..self.options {
-            let (c, p) = black_scholes(s[i], x[i], t[i], RISKFREE, VOLATILITY);
-            calls[i] = c;
-            puts[i] = p;
+        let n = self.options;
+        let ([s, x, t], [mut calls, mut puts]) =
+            mem.launch([(price, n), (strike, n), (years, n)], [(call, n), (put, n)]);
+        for i in 0..n {
+            let (c, p) = black_scholes(s.get(i), x.get(i), t.get(i), RISKFREE, VOLATILITY);
+            calls.set(i, c);
+            puts.set(i, p);
         }
-        mem.write_f32(call, &calls);
-        mem.write_f32(put, &puts);
         stage(mem); // outputs written back through the compressor
     }
 
     fn output(&self, mem: &GpuMemory) -> Vec<f32> {
         let [.., call, put] = self.ptrs();
-        let mut out = read_region(mem, call, self.options);
-        out.extend(read_region(mem, put, self.options));
+        let mut out = mem.read_f32(call, self.options);
+        out.extend(mem.read_f32(put, self.options));
         out
     }
 

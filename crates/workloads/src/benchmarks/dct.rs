@@ -6,7 +6,7 @@
 //! compressible workload of the suite — and, in the paper, the biggest
 //! SLC winner at MAG 32 B.
 
-use super::{read_region, zip_sweep, ArraySpec};
+use super::{zip_sweep, ArraySpec};
 use crate::gen;
 use crate::metrics::ErrorMetric;
 use crate::suite::{Scale, Workload};
@@ -105,31 +105,30 @@ impl Workload for Dct {
     fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory)) {
         let (src, dst) = self.ptrs();
         stage(mem);
-        let img = mem.read_f32(src, self.n * self.n);
-        let mut out = vec![0.0f32; self.n * self.n];
+        let px = self.n * self.n;
+        let ([img], [mut out]) = mem.launch([(src, px)], [(dst, px)]);
         for by in (0..self.n).step_by(B) {
             for bx in (0..self.n).step_by(B) {
                 let mut block = [0.0f32; B * B];
                 for y in 0..B {
                     for x in 0..B {
-                        block[y * B + x] = img[(by + y) * self.n + bx + x];
+                        block[y * B + x] = img.get((by + y) * self.n + bx + x);
                     }
                 }
                 let coeffs = dct8x8(&block);
                 for y in 0..B {
                     for x in 0..B {
-                        out[(by + y) * self.n + bx + x] = coeffs[y * B + x];
+                        out.set((by + y) * self.n + bx + x, coeffs[y * B + x]);
                     }
                 }
             }
         }
-        mem.write_f32(dst, &out);
         stage(mem);
     }
 
     fn output(&self, mem: &GpuMemory) -> Vec<f32> {
         let (_, dst) = self.ptrs();
-        read_region(mem, dst, self.n * self.n)
+        mem.read_f32(dst, self.n * self.n)
     }
 
     fn trace(&self, sms: usize) -> Trace {

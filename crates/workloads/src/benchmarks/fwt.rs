@@ -7,12 +7,12 @@
 //! error injected early propagates through later stages, as on real
 //! hardware.
 
-use super::{read_region, zip_sweep, ArraySpec};
+use super::{zip_sweep, ArraySpec};
 use crate::gen;
 use crate::metrics::ErrorMetric;
 use crate::suite::{Scale, Workload};
 use slc_sim::trace::TraceBuilder;
-use slc_sim::{DevicePtr, GpuMemory, Trace};
+use slc_sim::{DevicePtr, F32ViewMut, GpuMemory, Trace};
 
 /// Number of batched kernel launches (grouped butterfly stages).
 const PASSES: usize = 4;
@@ -47,17 +47,17 @@ impl Fwt {
 }
 
 /// Applies Walsh-Hadamard butterfly stages `[from, to)` in place.
-fn wht_stages(data: &mut [f32], from: usize, to: usize) {
+fn wht_stages(data: &mut F32ViewMut<'_>, from: usize, to: usize) {
     let n = data.len();
     for s in from..to {
         let h = 1usize << s;
         let mut i = 0;
         while i < n {
             for j in i..i + h {
-                let a = data[j];
-                let b = data[j + h];
-                data[j] = a + b;
-                data[j + h] = a - b;
+                let a = data.get(j);
+                let b = data.get(j + h);
+                data.set(j, a + b);
+                data.set(j + h, a - b);
             }
             i += 2 * h;
         }
@@ -107,9 +107,11 @@ impl Workload for Fwt {
         let mut src = data;
         let mut dst = pong;
         for (from, to) in self.pass_ranges() {
-            let mut buf = mem.read_f32(src, self.n);
-            wht_stages(&mut buf, from, to);
-            mem.write_f32(dst, &buf);
+            // One launch: the source copied to the destination, then this
+            // pass's butterflies applied there in place.
+            let ([input], [mut out]) = mem.launch([(src, self.n)], [(dst, self.n)]);
+            out.copy_from(input);
+            wht_stages(&mut out, from, to);
             stage(mem);
             std::mem::swap(&mut src, &mut dst);
         }
@@ -120,7 +122,7 @@ impl Workload for Fwt {
         // `pass_ranges` always yields PASSES = 4 passes for our sizes.
         let (data, pong) = self.ptrs();
         let final_ptr = if self.pass_ranges().len().is_multiple_of(2) { data } else { pong };
-        read_region(mem, final_ptr, self.n)
+        mem.read_f32(final_ptr, self.n)
     }
 
     fn trace(&self, sms: usize) -> Trace {
@@ -147,21 +149,29 @@ impl Workload for Fwt {
 mod tests {
     use super::*;
 
+    /// `values` uploaded to a device and transformed there by stages
+    /// `[0, to)`.
+    fn wht(values: &[f32], to: usize) -> Vec<f32> {
+        let mut mem = GpuMemory::new();
+        let ptr = mem.malloc("data", values.len() * 4, true, 16);
+        mem.write_f32(ptr, values);
+        let ([], [mut data]) = mem.launch([], [(ptr, values.len())]);
+        wht_stages(&mut data, 0, to);
+        mem.read_f32(ptr, values.len())
+    }
+
     #[test]
     fn wht_of_impulse_is_constant() {
         let mut data = vec![0.0f32; 8];
         data[0] = 1.0;
-        wht_stages(&mut data, 0, 3);
-        assert_eq!(data, vec![1.0; 8]);
+        assert_eq!(wht(&data, 3), vec![1.0; 8]);
     }
 
     #[test]
     fn wht_is_involutive_up_to_n() {
-        let mut data = vec![3.0, -1.0, 2.0, 0.5, 7.0, -2.0, 1.5, 4.0];
-        let orig = data.clone();
-        wht_stages(&mut data, 0, 3);
-        wht_stages(&mut data, 0, 3);
-        for (a, b) in data.iter().zip(&orig) {
+        let orig = [3.0, -1.0, 2.0, 0.5, 7.0, -2.0, 1.5, 4.0];
+        let twice = wht(&wht(&orig, 3), 3);
+        for (a, b) in twice.iter().zip(&orig) {
             assert!((a / 8.0 - b).abs() < 1e-5);
         }
     }
@@ -171,8 +181,7 @@ mod tests {
         let f = Fwt::new(Scale::Tiny);
         let mut mem = f.build(7);
         let (data, _) = f.ptrs();
-        let mut expect = mem.read_f32(data, 1 << 12);
-        wht_stages(&mut expect, 0, 12);
+        let expect = wht(&mem.read_f32(data, 1 << 12), 12);
         let mut noop = |_: &mut GpuMemory| {};
         f.execute(&mut mem, &mut noop);
         assert_eq!(f.output(&mem), expect);

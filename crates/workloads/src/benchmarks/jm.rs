@@ -6,7 +6,7 @@
 //! test; a flipped decision under approximation is exactly the "boolean
 //! that may flip" the paper blames for JM's comparatively high error.
 
-use super::{read_region, zip_sweep, ArraySpec};
+use super::{zip_sweep, ArraySpec};
 use crate::gen;
 use crate::metrics::ErrorMetric;
 use crate::suite::{Scale, Workload};
@@ -118,8 +118,8 @@ fn coplanar_tri_tri(n: V3, t1: [V3; 3], t2: [V3; 3]) -> bool {
             [v[0], v[1]]
         }
     };
-    let a: Vec<[f32; 2]> = t1.iter().map(|&v| proj(v)).collect();
-    let b: Vec<[f32; 2]> = t2.iter().map(|&v| proj(v)).collect();
+    let a = t1.map(proj);
+    let b = t2.map(proj);
     for i in 0..3 {
         for j in 0..3 {
             if segments_intersect_2d(a[i], a[(i + 1) % 3], b[j], b[(j + 1) % 3]) {
@@ -244,23 +244,22 @@ impl Workload for Jm {
     fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory)) {
         let (coords, flags) = self.ptrs();
         stage(mem);
-        let arrays: Vec<Vec<f32>> =
-            coords.iter().map(|&p| mem.read_f32(p, self.pairs * 3)).collect();
-        let mut out = vec![0.0f32; self.pairs];
+        let (arrays, [mut out]) =
+            mem.launch(coords.map(|p| (p, self.pairs * 3)), [(flags, self.pairs)]);
         for i in 0..self.pairs {
-            let v =
-                |a: usize| -> V3 { [arrays[a][3 * i], arrays[a][3 * i + 1], arrays[a][3 * i + 2]] };
+            let v = |a: usize| -> V3 {
+                [arrays[a].get(3 * i), arrays[a].get(3 * i + 1), arrays[a].get(3 * i + 2)]
+            };
             let t1 = [v(0), v(1), v(2)];
             let t2 = [v(3), v(4), v(5)];
-            out[i] = if tri_tri_intersect(t1, t2) { 1.0 } else { 0.0 };
+            out.set(i, if tri_tri_intersect(t1, t2) { 1.0 } else { 0.0 });
         }
-        mem.write_f32(flags, &out);
         stage(mem);
     }
 
     fn output(&self, mem: &GpuMemory) -> Vec<f32> {
         let (_, flags) = self.ptrs();
-        read_region(mem, flags, self.pairs)
+        mem.read_f32(flags, self.pairs)
     }
 
     fn trace(&self, sms: usize) -> Trace {

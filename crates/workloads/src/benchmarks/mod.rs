@@ -58,11 +58,6 @@ pub(crate) fn zip_sweep(
     }
 }
 
-/// Reads back a whole `f32` region (output extraction helper).
-pub(crate) fn read_region(mem: &slc_sim::GpuMemory, ptr: DevicePtr, len: usize) -> Vec<f32> {
-    mem.read_f32(ptr, len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@
 //! each to a query point. Numeric output, MRE metric, 2 approximable
 //! regions: the records and the distances (Table III: #AR = 2).
 
-use super::{read_region, zip_sweep, ArraySpec};
+use super::{zip_sweep, ArraySpec};
 use crate::gen;
 use crate::metrics::ErrorMetric;
 use crate::suite::{Scale, Workload};
@@ -88,20 +88,19 @@ impl Workload for Nn {
         let (records, distances) = self.ptrs();
         let (qlat, qlng) = self.query(0);
         stage(mem);
-        let data = mem.read_f32(records, self.records * 2);
-        let mut out = vec![0.0f32; self.records];
+        let ([data], [mut out]) =
+            mem.launch([(records, self.records * 2)], [(distances, self.records)]);
         for i in 0..self.records {
-            let dlat = data[2 * i] - qlat;
-            let dlng = data[2 * i + 1] - qlng;
-            out[i] = (dlat * dlat + dlng * dlng).sqrt();
+            let dlat = data.get(2 * i) - qlat;
+            let dlng = data.get(2 * i + 1) - qlng;
+            out.set(i, (dlat * dlat + dlng * dlng).sqrt());
         }
-        mem.write_f32(distances, &out);
         stage(mem);
     }
 
     fn output(&self, mem: &GpuMemory) -> Vec<f32> {
         let (_, distances) = self.ptrs();
-        read_region(mem, distances, self.records)
+        mem.read_f32(distances, self.records)
     }
 
     fn trace(&self, sms: usize) -> Trace {

@@ -6,12 +6,12 @@
 //! diffusion steps of two kernels each, with DRAM round-trips between
 //! kernels — approximation errors feed back through the iteration.
 
-use super::{read_region, zip_sweep, ArraySpec};
+use super::{zip_sweep, ArraySpec};
 use crate::gen;
 use crate::metrics::ErrorMetric;
 use crate::suite::{Scale, Workload};
 use slc_sim::trace::TraceBuilder;
-use slc_sim::{DevicePtr, GpuMemory, Trace};
+use slc_sim::{DevicePtr, F32View, F32ViewMut, GpuMemory, Trace};
 
 /// Diffusion iterations (Rodinia default is 100; two suffice to exercise
 /// the error-feedback path at tractable cost).
@@ -51,70 +51,61 @@ impl Srad {
     }
 }
 
-/// One gradient/coefficient pass: fills dN/dS/dW/dE and c.
-#[allow(clippy::too_many_arguments)]
+/// One gradient/coefficient pass: fills dN/dS/dW/dE (`grad`) and c.
 fn srad_kernel1(
     n: usize,
-    j: &[f32],
+    j: impl Fn(usize) -> f32,
     q0sqr: f32,
-    dn: &mut [f32],
-    ds: &mut [f32],
-    dw: &mut [f32],
-    de: &mut [f32],
-    c: &mut [f32],
+    [dn, ds, dw, de]: &mut [F32ViewMut<'_>; 4],
+    c: &mut F32ViewMut<'_>,
 ) {
     for row in 0..n {
         for col in 0..n {
             let idx = row * n + col;
             // Guard: J >= 1 on exact data; approximation can zero it.
-            let jc = j[idx].max(1e-6);
-            let north = j[row.saturating_sub(1) * n + col];
-            let south = j[(row + 1).min(n - 1) * n + col];
-            let west = j[row * n + col.saturating_sub(1)];
-            let east = j[row * n + (col + 1).min(n - 1)];
-            dn[idx] = north - jc;
-            ds[idx] = south - jc;
-            dw[idx] = west - jc;
-            de[idx] = east - jc;
-            let g2 =
-                (dn[idx] * dn[idx] + ds[idx] * ds[idx] + dw[idx] * dw[idx] + de[idx] * de[idx])
-                    / (jc * jc);
-            let l = (dn[idx] + ds[idx] + dw[idx] + de[idx]) / jc;
+            let jc = j(idx).max(1e-6);
+            let north = j(row.saturating_sub(1) * n + col) - jc;
+            let south = j((row + 1).min(n - 1) * n + col) - jc;
+            let west = j(row * n + col.saturating_sub(1)) - jc;
+            let east = j(row * n + (col + 1).min(n - 1)) - jc;
+            dn.set(idx, north);
+            ds.set(idx, south);
+            dw.set(idx, west);
+            de.set(idx, east);
+            let g2 = (north * north + south * south + west * west + east * east) / (jc * jc);
+            let l = (north + south + west + east) / jc;
             let num = 0.5 * g2 - (1.0 / 16.0) * l * l;
             let den = (1.0 + 0.25 * l).powi(2);
             let qsqr = num / den;
             let denom = (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr));
-            c[idx] = (1.0 / (1.0 + denom)).clamp(0.0, 1.0);
+            c.set(idx, (1.0 / (1.0 + denom)).clamp(0.0, 1.0));
         }
     }
 }
 
-/// One diffusion update pass: out = J + λ/4 · div(c ∇J).
-#[allow(clippy::too_many_arguments)]
+/// One diffusion update pass over `j` in place: J += λ/4 · div(c ∇J),
+/// stored at the source's 2^-9 display precision (8-bit-derived medical
+/// imagery).
 fn srad_kernel2(
     n: usize,
-    j: &[f32],
-    dn: &[f32],
-    ds: &[f32],
-    dw: &[f32],
-    de: &[f32],
-    c: &[f32],
-    out: &mut [f32],
+    [dn, ds, dw, de]: [F32View<'_>; 4],
+    c: F32View<'_>,
+    j: &mut F32ViewMut<'_>,
 ) {
     for row in 0..n {
         for col in 0..n {
             let idx = row * n + col;
-            let cn = c[idx];
-            let cs = c[(row + 1).min(n - 1) * n + col];
-            let cw = c[idx];
-            let ce = c[row * n + (col + 1).min(n - 1)];
-            let d = cn * dn[idx] + cs * ds[idx] + cw * dw[idx] + ce * de[idx];
-            out[idx] = j[idx] + 0.25 * LAMBDA * d;
+            let cn = c.get(idx);
+            let cs = c.get((row + 1).min(n - 1) * n + col);
+            let cw = c.get(idx);
+            let ce = c.get(row * n + (col + 1).min(n - 1));
+            let d = cn * dn.get(idx) + cs * ds.get(idx) + cw * dw.get(idx) + ce * de.get(idx);
+            j.set(idx, gen::snap(j.get(idx) + 0.25 * LAMBDA * d, 1.0 / 512.0));
         }
     }
 }
 
-fn q0sqr_of(j: &[f32]) -> f32 {
+fn q0sqr_of(j: F32View<'_>) -> f32 {
     let nf = j.len() as f32;
     let sum: f32 = j.iter().sum();
     let sum2: f32 = j.iter().map(|v| v * v).sum();
@@ -183,42 +174,44 @@ impl Workload for Srad {
         let mut src = ptrs[0];
         let mut dst = if self.version == 1 { ptrs[6] } else { ptrs[0] };
         for _ in 0..ITERATIONS {
-            let j = mem.read_f32(src, px);
             // Reduction for q0sqr. v1 materialises row partials in `sums`
             // (its 8th region); v2 reduces in registers/shared memory.
-            if self.version == 1 {
-                let mut sums = vec![0.0f32; px];
-                for (row, chunk) in j.chunks(n).enumerate() {
-                    sums[row] = chunk.iter().sum();
+            // v1's kernel 1 then works on J as the reduction read it, not
+            // as the reduction's own DRAM round trip left it (staging a
+            // staged block again is not the identity): the one plane a
+            // kernel holds outside device memory.
+            let reduced = if self.version == 1 {
+                let ([j], [mut sums]) = mem.launch([(src, px)], [(ptrs[7], px)]);
+                for i in 0..px {
+                    let partial =
+                        if i < n { j.slice(i * n..(i + 1) * n).iter().sum() } else { 0.0 };
+                    sums.set(i, partial);
                 }
-                mem.write_f32(ptrs[7], &sums);
+                let reduced = (q0sqr_of(j), j.iter().collect::<Vec<f32>>());
                 stage(mem);
+                Some(reduced)
+            } else {
+                None
+            };
+            let at = |i: usize| (ptrs[i], px);
+            let ([j], [dn, ds, dw, de, mut c]) =
+                mem.launch([(src, px)], [at(2), at(3), at(4), at(5), at(1)]);
+            let (grad_out, c_out) = (&mut [dn, ds, dw, de], &mut c);
+            match reduced {
+                Some((q0sqr, j)) => srad_kernel1(n, |i| j[i], q0sqr, grad_out, c_out),
+                None => srad_kernel1(n, |i| j.get(i), q0sqr_of(j), grad_out, c_out),
             }
-            let q0 = q0sqr_of(&j);
-            let mut dn = vec![0.0f32; px];
-            let mut ds = vec![0.0f32; px];
-            let mut dw = vec![0.0f32; px];
-            let mut de = vec![0.0f32; px];
-            let mut c = vec![0.0f32; px];
-            srad_kernel1(n, &j, q0, &mut dn, &mut ds, &mut dw, &mut de, &mut c);
-            mem.write_f32(ptrs[2], &dn);
-            mem.write_f32(ptrs[3], &ds);
-            mem.write_f32(ptrs[4], &dw);
-            mem.write_f32(ptrs[5], &de);
-            mem.write_f32(ptrs[1], &c);
             stage(mem);
-            let j = mem.read_f32(src, px);
-            let dn = mem.read_f32(ptrs[2], px);
-            let ds = mem.read_f32(ptrs[3], px);
-            let dw = mem.read_f32(ptrs[4], px);
-            let de = mem.read_f32(ptrs[5], px);
-            let c = mem.read_f32(ptrs[1], px);
-            let mut out = vec![0.0f32; px];
-            srad_kernel2(n, &j, &dn, &ds, &dw, &de, &c, &mut out);
-            // The diffused image is stored at the source's 2^-9 display
-            // precision each iteration (8-bit-derived medical imagery).
-            gen::quantize(&mut out, 1.0 / 512.0);
-            mem.write_f32(dst, &out);
+            if self.version == 1 {
+                let ([j, dn, ds, dw, de, c], [mut out]) =
+                    mem.launch([(src, px), at(2), at(3), at(4), at(5), at(1)], [(dst, px)]);
+                out.copy_from(j);
+                srad_kernel2(n, [dn, ds, dw, de], c, &mut out);
+            } else {
+                let ([dn, ds, dw, de, c], [mut j]) =
+                    mem.launch([at(2), at(3), at(4), at(5), at(1)], [(src, px)]);
+                srad_kernel2(n, [dn, ds, dw, de], c, &mut j);
+            }
             stage(mem);
             if self.version == 1 {
                 std::mem::swap(&mut src, &mut dst);
@@ -233,7 +226,7 @@ impl Workload for Srad {
         // lands in J when ITERATIONS is even.
         let ptrs = self.ptrs();
         let final_ptr = if self.version == 1 && ITERATIONS % 2 == 1 { ptrs[6] } else { ptrs[0] };
-        read_region(mem, final_ptr, self.pixels())
+        mem.read_f32(final_ptr, self.pixels())
     }
 
     fn trace(&self, sms: usize) -> Trace {
@@ -321,7 +314,11 @@ mod tests {
 
     #[test]
     fn q0sqr_of_constant_image_is_zero() {
-        assert!(q0sqr_of(&[2.0; 64]).abs() < 1e-9);
+        let mut mem = GpuMemory::new();
+        let j = mem.malloc("J", 64 * 4, true, 16);
+        mem.write_f32(j, &[2.0; 64]);
+        let ([j], []) = mem.launch([(j, 64)], []);
+        assert!(q0sqr_of(j).abs() < 1e-9);
     }
 
     #[test]

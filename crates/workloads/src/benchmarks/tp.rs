@@ -4,7 +4,6 @@
 //! the input and output matrices (Table III: #AR = 2). The trace exhibits
 //! transpose's signature strided stores.
 
-use super::read_region;
 use crate::gen;
 use crate::metrics::ErrorMetric;
 use crate::suite::{Scale, Workload};
@@ -69,20 +68,19 @@ impl Workload for Tp {
     fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory)) {
         let (input, output) = self.ptrs();
         stage(mem);
-        let src = mem.read_f32(input, self.n * self.n);
-        let mut dst = vec![0.0f32; self.n * self.n];
+        let px = self.n * self.n;
+        let ([src], [mut dst]) = mem.launch([(input, px)], [(output, px)]);
         for i in 0..self.n {
             for j in 0..self.n {
-                dst[j * self.n + i] = src[i * self.n + j];
+                dst.set(j * self.n + i, src.get(i * self.n + j));
             }
         }
-        mem.write_f32(output, &dst);
         stage(mem);
     }
 
     fn output(&self, mem: &GpuMemory) -> Vec<f32> {
         let (_, output) = self.ptrs();
-        read_region(mem, output, self.n * self.n)
+        mem.read_f32(output, self.n * self.n)
     }
 
     fn trace(&self, sms: usize) -> Trace {

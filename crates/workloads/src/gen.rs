@@ -4,7 +4,7 @@
 //! replaced with seeded synthetic equivalents that reproduce the
 //! *compressibility profile* that matters to SLC: smooth images, clustered
 //! floating-point magnitudes, and high-entropy option parameters (see
-//! DESIGN.md's substitution table). Everything is deterministic in the
+//! PAPER.md, "This reproduction"). Everything is deterministic in the
 //! seed.
 
 use rand::rngs::StdRng;
@@ -100,8 +100,14 @@ pub fn noisy_field(
 pub fn quantize(values: &mut [f32], step: f32) {
     assert!(step > 0.0 && step.log2().fract() == 0.0, "step must be a power of two, got {step}");
     for v in values.iter_mut() {
-        *v = (*v / step).round() * step;
+        *v = snap(*v, step);
     }
+}
+
+/// `v` on the grid of multiples of `step`: [`quantize`] for one value,
+/// what a kernel applies to an element as it stores it.
+pub fn snap(v: f32, step: f32) -> f32 {
+    (v / step).round() * step
 }
 
 /// Mixed-precision quantisation: each value snaps to the `coarse` grid,
@@ -123,7 +129,7 @@ pub fn dither(values: &mut [f32], coarse: f32, fine: f32, p_fine: f64, rng: &mut
     }
     for v in values.iter_mut() {
         let step = if rng.gen_bool(p_fine) { fine } else { coarse };
-        *v = (*v / step).round() * step;
+        *v = snap(*v, step);
     }
 }
 

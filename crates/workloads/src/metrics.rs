@@ -44,9 +44,100 @@ impl ErrorMetric {
     }
 }
 
+/// Every error figure one replay reports ([`ErrorMetric::compare`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OutputErrors {
+    /// The benchmark's own metric, in percent ([`ErrorMetric::compute`]).
+    pub error_pct: f64,
+    /// [`mre`], in percent.
+    pub mre_pct: f64,
+    /// [`psnr`], in dB.
+    pub psnr_db: f64,
+    /// [`max_abs_error`].
+    pub max_abs_err: f64,
+}
+
+impl ErrorMetric {
+    /// [`Self::compute`], [`mre`], [`psnr`] and [`max_abs_error`] from one
+    /// pass over the outputs, each bit-identical to its own function: one
+    /// accumulator per figure, every one summed in element order.
+    /// `exact_range` is [`value_range`] of `exact`, which a caller
+    /// comparing many approximations against one exact output takes once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when lengths differ or the outputs are empty.
+    pub fn compare(self, exact: &[f32], exact_range: f64, approx: &[f32]) -> OutputErrors {
+        check(exact, approx);
+        let n = exact.len() as f64;
+        let (nrmse_miss, peak) = (exact_range.max(1.0), peak_of(exact_range));
+        let (mut relative, mut squared_nrmse, mut squared_psnr) = (0.0, 0.0, 0.0);
+        let (mut worst, mut flips) = (0.0f64, 0usize);
+        for (&e, &a) in exact.iter().zip(approx) {
+            relative += relative_error(e, a);
+            squared_nrmse += squared_error(e, a, nrmse_miss);
+            squared_psnr += squared_error(e, a, peak);
+            worst = worst.max(abs_error(e, a));
+            flips += usize::from(flipped(e, a));
+        }
+        let mre = relative / n;
+        let error = match self {
+            ErrorMetric::Mre => mre,
+            ErrorMetric::Nrmse | ErrorMetric::ImageDiff => nrmse_of(squared_nrmse / n, exact_range),
+            ErrorMetric::MissRate => flips as f64 / n,
+        };
+        OutputErrors {
+            error_pct: error * 100.0,
+            mre_pct: mre * 100.0,
+            psnr_db: psnr_of(squared_psnr / n, peak),
+            max_abs_err: worst,
+        }
+    }
+}
+
 fn check(exact: &[f32], approx: &[f32]) {
     assert_eq!(exact.len(), approx.len(), "output length mismatch");
     assert!(!exact.is_empty(), "empty outputs");
+}
+
+/// `max - min` of an exact output (0 for a constant one): what [`nrmse`]
+/// normalises by and [`psnr`] takes as its peak.
+pub fn value_range(exact: &[f32]) -> f64 {
+    let min = exact.iter().cloned().fold(f32::INFINITY, f32::min);
+    let max = exact.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    (f64::from(max) - f64::from(min)).max(0.0)
+}
+
+/// One output's term of [`mre`].
+fn relative_error(e: f32, a: f32) -> f64 {
+    if !a.is_finite() {
+        // Approximation produced NaN/Inf (e.g. a zero-filled divisor):
+        // count as a fully wrong output.
+        return 1.0;
+    }
+    let e = f64::from(e);
+    let a = f64::from(a);
+    ((a - e).abs() / e.abs().max(1e-6_f64)).min(1.0)
+}
+
+/// One output's squared deviation; a NaN/Inf output deviates by `miss`.
+fn squared_error(e: f32, a: f32, miss: f64) -> f64 {
+    let d = if a.is_finite() { f64::from(a) - f64::from(e) } else { miss };
+    d * d
+}
+
+/// One output's term of [`max_abs_error`].
+fn abs_error(e: f32, a: f32) -> f64 {
+    if a.is_finite() {
+        (f64::from(a) - f64::from(e)).abs()
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Whether a boolean output (0.0 / 1.0) changed its decision.
+fn flipped(e: f32, a: f32) -> bool {
+    (e > 0.5) != (a > 0.5)
 }
 
 /// Mean relative error: `mean(|a - e| / max(|e|, eps))`.
@@ -55,46 +146,22 @@ fn check(exact: &[f32], approx: &[f32]) {
 /// the standard practice in the approximate-computing literature.
 pub fn mre(exact: &[f32], approx: &[f32]) -> f64 {
     check(exact, approx);
-    let eps = 1e-6_f64;
-    let sum: f64 = exact
-        .iter()
-        .zip(approx)
-        .map(|(&e, &a)| {
-            if !a.is_finite() {
-                // Approximation produced NaN/Inf (e.g. a zero-filled
-                // divisor): count as a fully wrong output.
-                return 1.0;
-            }
-            let e = f64::from(e);
-            let a = f64::from(a);
-            ((a - e).abs() / e.abs().max(eps)).min(1.0)
-        })
-        .sum();
+    let sum: f64 = exact.iter().zip(approx).map(|(&e, &a)| relative_error(e, a)).sum();
     sum / exact.len() as f64
 }
 
 /// NRMSE: `rms(a - e) / (max(e) - min(e))`; 0 when the output is constant
-/// and exactly reproduced, 1-scale otherwise.
+/// and exactly reproduced, 1-scale otherwise. NaN/Inf outputs count as a
+/// full-range miss.
 pub fn nrmse(exact: &[f32], approx: &[f32]) -> f64 {
     check(exact, approx);
-    let n = exact.len() as f64;
-    let min = exact.iter().cloned().fold(f32::INFINITY, f32::min);
-    let max = exact.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let range = (f64::from(max) - f64::from(min)).max(0.0);
-    let mse: f64 = exact
-        .iter()
-        .zip(approx)
-        .map(|(&e, &a)| {
-            let d = if a.is_finite() {
-                f64::from(a) - f64::from(e)
-            } else {
-                // NaN/Inf outputs count as a full-range miss.
-                range.max(1.0)
-            };
-            d * d
-        })
-        .sum::<f64>()
-        / n;
+    let range = value_range(exact);
+    let squared: f64 =
+        exact.iter().zip(approx).map(|(&e, &a)| squared_error(e, a, range.max(1.0))).sum();
+    nrmse_of(squared / exact.len() as f64, range)
+}
+
+fn nrmse_of(mse: f64, range: f64) -> f64 {
     if range <= 0.0 {
         return if mse == 0.0 { 0.0 } else { 1.0 };
     }
@@ -107,22 +174,22 @@ pub fn nrmse(exact: &[f32], approx: &[f32]) -> f64 {
 /// approximations count as a full-range miss, as in [`nrmse`].
 pub fn psnr(exact: &[f32], approx: &[f32]) -> f64 {
     check(exact, approx);
-    let n = exact.len() as f64;
-    let min = exact.iter().cloned().fold(f32::INFINITY, f32::min);
-    let max = exact.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let range = (f64::from(max) - f64::from(min)).max(0.0);
-    // A constant exact output has no range; fall back to unit peak so a
-    // miss still registers as finite (and identity as infinite).
-    let peak = if range > 0.0 { range } else { 1.0 };
-    let mse: f64 = exact
-        .iter()
-        .zip(approx)
-        .map(|(&e, &a)| {
-            let d = if a.is_finite() { f64::from(a) - f64::from(e) } else { peak };
-            d * d
-        })
-        .sum::<f64>()
-        / n;
+    let peak = peak_of(value_range(exact));
+    let squared: f64 = exact.iter().zip(approx).map(|(&e, &a)| squared_error(e, a, peak)).sum();
+    psnr_of(squared / exact.len() as f64, peak)
+}
+
+/// A constant exact output has no range; fall back to unit peak so a
+/// miss still registers as finite (and identity as infinite).
+fn peak_of(range: f64) -> f64 {
+    if range > 0.0 {
+        range
+    } else {
+        1.0
+    }
+}
+
+fn psnr_of(mse: f64, peak: f64) -> f64 {
     if mse == 0.0 {
         return f64::INFINITY;
     }
@@ -133,26 +200,14 @@ pub fn psnr(exact: &[f32], approx: &[f32]) -> f64 {
 /// approximation produced NaN/Inf.
 pub fn max_abs_error(exact: &[f32], approx: &[f32]) -> f64 {
     check(exact, approx);
-    exact
-        .iter()
-        .zip(approx)
-        .map(
-            |(&e, &a)| {
-                if a.is_finite() {
-                    (f64::from(a) - f64::from(e)).abs()
-                } else {
-                    f64::INFINITY
-                }
-            },
-        )
-        .fold(0.0, f64::max)
+    exact.iter().zip(approx).map(|(&e, &a)| abs_error(e, a)).fold(0.0, f64::max)
 }
 
 /// Fraction of decisions that differ; outputs are booleans stored as
 /// 0.0 / 1.0 floats.
 pub fn miss_rate(exact: &[f32], approx: &[f32]) -> f64 {
     check(exact, approx);
-    let misses = exact.iter().zip(approx).filter(|(&e, &a)| (e > 0.5) != (a > 0.5)).count();
+    let misses = exact.iter().zip(approx).filter(|(&e, &a)| flipped(e, a)).count();
     misses as f64 / exact.len() as f64
 }
 
@@ -229,6 +284,47 @@ mod tests {
         let approx = vec![1.01f32, 1.01];
         let pct = ErrorMetric::Mre.compute(&exact, &approx);
         assert!((pct - 1.0).abs() < 0.01, "got {pct}");
+    }
+
+    #[test]
+    fn one_pass_equals_the_four_functions_bit_for_bit() {
+        // Sums of many unequal terms, so a different summation order
+        // would show; a NaN and an infinity among the approximations.
+        let wide: Vec<f32> = (0..4097).map(|i| (i as f32 * 0.37).sin() * 1e3 + 0.1).collect();
+        let mut noisy: Vec<f32> = wide.iter().map(|v| v * 1.0001 + 1e-3).collect();
+        (noisy[17], noisy[4000]) = (f32::NAN, f32::NEG_INFINITY);
+        // A range below one (NRMSE and PSNR then price a miss
+        // differently), a constant output, and decisions.
+        let narrow: Vec<f32> = wide.iter().map(|v| v * 1e-4).collect();
+        let narrow_noisy: Vec<f32> = noisy.iter().map(|v| v * 1e-4).collect();
+        let flat = vec![5.0f32; 64];
+        let mut flat_noisy = flat.clone();
+        flat_noisy[3] = f32::INFINITY;
+        let flags: Vec<f32> = (0..64).map(|i| (i % 3 == 0) as u8 as f32).collect();
+        let flipped: Vec<f32> = (0..64).map(|i| (i % 2 == 0) as u8 as f32).collect();
+        let cases = [
+            (&wide, &noisy),
+            (&wide, &wide),
+            (&narrow, &narrow_noisy),
+            (&flat, &flat_noisy),
+            (&flat, &flat),
+            (&flags, &flipped),
+        ];
+        let metrics =
+            [ErrorMetric::Mre, ErrorMetric::Nrmse, ErrorMetric::ImageDiff, ErrorMetric::MissRate];
+        for (exact, approx) in cases {
+            for metric in metrics {
+                let got = metric.compare(exact, value_range(exact), approx);
+                let want = [
+                    metric.compute(exact, approx),
+                    mre(exact, approx) * 100.0,
+                    psnr(exact, approx),
+                    max_abs_error(exact, approx),
+                ];
+                let got = [got.error_pct, got.mre_pct, got.psnr_db, got.max_abs_err];
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{metric:?}");
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@ use slc_sim::{GpuMemory, Trace};
 ///
 /// The paper runs 4 M options / 1024² images / 8–20 M elements on
 /// gpgpu-sim; this reproduction defaults to 4–16× smaller inputs so the
-/// full figure suite runs in minutes (DESIGN.md §7). `Full` matches the
-/// paper sizes where feasible.
+/// full figure suite runs in minutes (PAPER.md, "This reproduction").
+/// `Full` matches the paper sizes where feasible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
     /// Fast inputs for unit/integration tests.
@@ -91,12 +91,6 @@ pub trait Workload: Send + Sync {
     /// The memory trace of the kernel pipeline for `sms` SMs (access
     /// pattern is data-independent for all Table III benchmarks).
     fn trace(&self, sms: usize) -> Trace;
-
-    /// Error between an approximated output and the exact output,
-    /// in percent.
-    fn error(&self, exact: &[f32], approx: &[f32]) -> f64 {
-        self.metric().compute(exact, approx)
-    }
 }
 
 /// All nine benchmarks at `scale`, in the paper's figure order.

@@ -1,6 +1,7 @@
 //! What the hot paths allocate, counted: per-block encode and decode of
 //! every codec, the engine's per-container scaffolding, `slc-core`'s
-//! staging and codec steps, a snapshot's capture, the staging walk. Hardware compressors own
+//! staging and codec steps, a snapshot's capture, the staging walk, the
+//! benchmarks' kernels. Hardware compressors own
 //! no heap (paper §III), so a per-block count is an exact zero wherever
 //! the model keeps that promise and the measured cost where it does not
 //! (rANS). The counter is per thread and every measured call runs
@@ -329,5 +330,39 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
         let (images, outcomes) =
             allocs_of(image, || harness.evaluate_schemes(w.as_ref(), &a, &schemes).count());
         assert_eq!((images, outcomes), (1, 4), "{}: one working image a row", w.name());
+    }
+}
+
+/// A kernel computes on device memory, through the views
+/// [`GpuMemory::launch`] lends it: whatever the input size, `execute`
+/// makes the same few allocations (pointer lists, BP's hidden-layer
+/// deltas) and none the size of an array. The one exception is counted
+/// too: SRAD1's kernel 1 reads J as it was before the reduction's staging
+/// point, so each of its two iterations holds that one plane.
+#[test]
+fn a_kernel_owns_no_array() {
+    let mut noop = |_: &mut GpuMemory| {};
+    for (tiny, small) in all_workloads(Scale::Tiny).iter().zip(all_workloads(Scale::Small)) {
+        let name = tiny.name();
+        let mut totals = [0; 2];
+        for (w, total) in [tiny, &small].into_iter().zip(&mut totals) {
+            let image = w.build(42);
+            let mut mem = image.clone();
+            *total = allocs(|| w.execute(&mut mem, &mut noop)).0;
+            let mut sizes: Vec<usize> = image.regions().iter().map(|r| r.size as usize).collect();
+            sizes.sort_unstable();
+            sizes.dedup();
+            let array_sized: u64 = sizes
+                .iter()
+                .map(|&size| {
+                    let mut mem = image.clone();
+                    allocs_of(size, || w.execute(&mut mem, &mut noop)).0
+                })
+                .sum();
+            let held = if name == "SRAD1" { 2 } else { 0 };
+            assert_eq!(array_sized, held, "{name}, {}: array-sized", w.input_description());
+        }
+        assert_eq!(totals[0], totals[1], "{name}: allocations at tiny and at small");
+        assert!(totals[0] <= 8, "{name}: {} allocations", totals[0]);
     }
 }
