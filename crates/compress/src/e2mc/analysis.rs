@@ -17,38 +17,40 @@ use crate::BLOCK_BITS;
 
 use super::HEADER_BITS;
 
-/// Aligned sums of the Fig. 5 adder tree above its leaf level: 32 pair
-/// sums, 16 sums of 4, 8 of 8, 4 of 16, 2 of 32 and the 64-symbol root,
-/// concatenated level by level.
-pub const TREE_SUM_NODES: usize = SYMBOLS_PER_BLOCK - 1;
+/// `u64` words [`BlockAnalysis::tree_sums`] packs the Fig. 5 adder
+/// tree's 63 sums above the leaf level into, four `u16` lanes a word.
+pub const TREE_SUM_WORDS: usize = SYMBOLS_PER_BLOCK / 4;
 
-/// Per-symbol code lengths, the Fig. 5 tree's level sums and their total
-/// for one analysed block.
+/// One level of the adder tree on four `u16` lanes: the sums of lanes
+/// 0 + 1 and 2 + 3, in lanes 0 and 1 (no sum of the tree passes 16 320,
+/// so neither carries out of its lane).
+fn add_adjacent(lanes: u64) -> u64 {
+    const EVEN_LANES: u64 = 0x0000_ffff_0000_ffff;
+    let sums = (lanes & EVEN_LANES) + ((lanes >> 16) & EVEN_LANES);
+    (sums & 0xffff) | ((sums >> 16) & 0xffff_0000)
+}
+
+/// Per-symbol code lengths and their total for one analysed block.
 ///
 /// Produced by [`E2mc::analyze`](super::E2mc::analyze) in a single pass
-/// over the dense width table; carries **no payload**, only the sizing
-/// facts every downstream decision needs. All derived quantities
-/// (`slc-core`'s budget decision and tree selection, burst counts, ratio
-/// accumulators) are deterministic functions of this value, so computing
-/// it once per block and sharing the artifact is bit-identical to
-/// re-deriving it at every consumer. The adder tree's intermediate sums
-/// are part of the artifact: the hardware computes them anyway while
-/// summing the block size, so every scheme/MAG/threshold sweep that
-/// re-decides over a shared analysis reads the tree instead of rebuilding
-/// it per decision.
+/// over the dense width table — the hardware's 64 length-ROM reads —
+/// and carries **no payload**, only what every downstream decision
+/// reads. All derived quantities (`slc-core`'s budget decision and tree
+/// selection, burst counts, ratio accumulators) are deterministic
+/// functions of this value, so computing it once per block and sharing
+/// the artifact is bit-identical to re-deriving it at every consumer.
+/// The adder tree's intermediate sums are *not* part of it: more than
+/// half of all blocks never consult the tree, so
+/// [`tree_sums`](Self::tree_sums) adds them up where a block does.
 ///
 /// Lengths are stored as bytes (the widest encoding is the escape code
-/// plus 16 raw bits, well under 256) and tree sums as `u16` (the root is
-/// at most 64 × 255 = 16320 bits), keeping the artifact at 196 bytes so
+/// plus 16 raw bits, well under 256), keeping the artifact at 68 bytes so
 /// snapshot-level caches of hundreds of thousands of analyses stay cheap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockAnalysis {
     /// Encoded length of each of the 64 symbols in bits (escape symbols
     /// cost their escape codeword plus 16 raw bits).
     lengths: [u8; SYMBOLS_PER_BLOCK],
-    /// The adder tree's aligned sums above the leaf level, levels
-    /// concatenated bottom-up (see [`TREE_SUM_NODES`]).
-    tree_sums: [u16; TREE_SUM_NODES],
     /// Sum of `lengths` — the data portion of every framing's size.
     total_code_bits: u32,
 }
@@ -57,21 +59,19 @@ impl BlockAnalysis {
     /// Builds an analysis from per-symbol widths as the dense table
     /// stores them (the [`E2mc::analyze`](super::E2mc::analyze) path).
     pub(super) fn from_widths(lengths: [u8; SYMBOLS_PER_BLOCK]) -> Self {
-        let mut tree_sums = [0u16; TREE_SUM_NODES];
-        for i in 0..SYMBOLS_PER_BLOCK / 2 {
-            tree_sums[i] = u16::from(lengths[2 * i]) + u16::from(lengths[2 * i + 1]);
+        let total_code_bits = lengths.iter().map(|&w| u32::from(w)).sum();
+        Self { lengths, total_code_bits }
+    }
+
+    /// Replaces the widths of the symbols from `start` on with `widths`
+    /// and adjusts the total — what is left to do for a block of which
+    /// only those symbols were rewritten
+    /// ([`E2mc::reanalyze`](super::E2mc::reanalyze)).
+    pub(super) fn rewrite(&mut self, start: usize, widths: impl Iterator<Item = u8>) {
+        for (old, new) in self.lengths[start..].iter_mut().zip(widths) {
+            self.total_code_bits = self.total_code_bits - u32::from(*old) + u32::from(new);
+            *old = new;
         }
-        let (mut prev, mut out, mut width) = (0usize, SYMBOLS_PER_BLOCK / 2, SYMBOLS_PER_BLOCK / 4);
-        while width >= 1 {
-            for i in 0..width {
-                tree_sums[out + i] = tree_sums[prev + 2 * i] + tree_sums[prev + 2 * i + 1];
-            }
-            prev = out;
-            out += width;
-            width /= 2;
-        }
-        let total_code_bits = u32::from(tree_sums[TREE_SUM_NODES - 1]);
-        Self { lengths, tree_sums, total_code_bits }
     }
 
     /// Builds an analysis from raw per-symbol code lengths.
@@ -112,12 +112,30 @@ impl BlockAnalysis {
     }
 
     /// The Fig. 5 adder tree's aligned sums above the leaf level, levels
-    /// concatenated bottom-up: 32 pair sums, then 16 sums of 4 symbols,
-    /// 8 of 8, 4 of 16, 2 of 32 and finally the 64-symbol root. Computed
-    /// once at analysis time; `slc-core`'s tree construction copies these
-    /// instead of re-adding 63 nodes per decision.
-    pub fn tree_sums(&self) -> &[u16; TREE_SUM_NODES] {
-        &self.tree_sums
+    /// concatenated bottom-up — 32 pair sums, 16 sums of 4 symbols, 8 of
+    /// 8, 4 of 16, 2 of 32, the 64-symbol root — packed as the adders
+    /// produce them: node `i` of that order is `u16` lane `i % 4` of word
+    /// `i / 4` (the lane past the root is zero), so levels 2 to 5 are
+    /// whole words and a consumer compares four nodes at a time. Added up
+    /// here, on demand, one mask-shift-add step per level.
+    pub fn tree_sums(&self) -> [u64; TREE_SUM_WORDS] {
+        const EVEN_BYTES: u64 = 0x00ff_00ff_00ff_00ff;
+        const PAIR_WORDS: usize = SYMBOLS_PER_BLOCK / 8;
+        let mut words = [0u64; TREE_SUM_WORDS];
+        for (pairs, lengths) in words.iter_mut().zip(self.lengths.as_chunks::<8>().0) {
+            let eight = u64::from_le_bytes(*lengths);
+            *pairs = (eight & EVEN_BYTES) + ((eight >> 8) & EVEN_BYTES);
+        }
+        // Halving levels laid end to end: the nodes of word `w` are the
+        // adjacent sums of words `2 (w - 8)` and `2 (w - 8) + 1`; the
+        // last word is its own second child, still zero, and takes the
+        // root from the two half-block sums it then holds.
+        for w in PAIR_WORDS..TREE_SUM_WORDS {
+            let below = 2 * (w - PAIR_WORDS);
+            words[w] = add_adjacent(words[below]) | add_adjacent(words[below + 1]) << 32;
+        }
+        words[TREE_SUM_WORDS - 1] |= add_adjacent(words[TREE_SUM_WORDS - 1]) << 32;
+        words
     }
 
     /// Sum of all code lengths (the tree's root, before any header).
@@ -169,26 +187,40 @@ mod tests {
         BlockAnalysis::from_lengths([256; SYMBOLS_PER_BLOCK]);
     }
 
+    /// Nodes of the tree above its leaves: 32 + 16 + 8 + 4 + 2 + 1.
+    const TREE_SUM_NODES: usize = SYMBOLS_PER_BLOCK - 1;
+
+    /// [`BlockAnalysis::tree_sums`], one node per element.
+    fn unpacked(a: &BlockAnalysis) -> [u16; SYMBOLS_PER_BLOCK] {
+        let words = a.tree_sums();
+        std::array::from_fn(|i| (words[i / 4] >> (16 * (i % 4))) as u16)
+    }
+
     #[test]
     fn tree_sums_match_a_scalar_rebuild() {
-        let mut lengths = [0u32; SYMBOLS_PER_BLOCK];
-        for (i, l) in lengths.iter_mut().enumerate() {
+        let mut ramp = [0u32; SYMBOLS_PER_BLOCK];
+        for (i, l) in ramp.iter_mut().enumerate() {
             *l = (i as u32 * 7 + 3) % 29;
         }
-        let a = BlockAnalysis::from_lengths(lengths);
-        let sums = a.tree_sums();
-        // Level by level: node k of width w sums lengths[k*w..(k+1)*w].
-        let (mut offset, mut width) = (0usize, 2usize);
-        while width <= SYMBOLS_PER_BLOCK {
-            for node in 0..SYMBOLS_PER_BLOCK / width {
-                let want: u32 = lengths[node * width..(node + 1) * width].iter().sum();
-                assert_eq!(u32::from(sums[offset + node]), want, "width {width} node {node}");
+        // All-255: every lane of the word-wide sums at its maximum, so a
+        // carry into the neighbouring lane would show.
+        for lengths in [ramp, [255; SYMBOLS_PER_BLOCK]] {
+            let a = BlockAnalysis::from_lengths(lengths);
+            let sums = unpacked(&a);
+            assert_eq!(sums[TREE_SUM_NODES], 0, "the lane past the root");
+            // Level by level: node k of width w sums lengths[k*w..(k+1)*w].
+            let (mut offset, mut width) = (0usize, 2usize);
+            while width <= SYMBOLS_PER_BLOCK {
+                for node in 0..SYMBOLS_PER_BLOCK / width {
+                    let want: u32 = lengths[node * width..(node + 1) * width].iter().sum();
+                    assert_eq!(u32::from(sums[offset + node]), want, "width {width} node {node}");
+                }
+                offset += SYMBOLS_PER_BLOCK / width;
+                width *= 2;
             }
-            offset += SYMBOLS_PER_BLOCK / width;
-            width *= 2;
+            assert_eq!(offset, TREE_SUM_NODES);
+            assert_eq!(u32::from(sums[TREE_SUM_NODES - 1]), a.total_code_bits());
         }
-        assert_eq!(offset, TREE_SUM_NODES);
-        assert_eq!(u32::from(sums[TREE_SUM_NODES - 1]), a.total_code_bits());
     }
 
     #[test]
@@ -196,6 +228,22 @@ mod tests {
         // The widest per-symbol encoding is 255 bits; the root is 64 × 255.
         let a = BlockAnalysis::from_lengths([255; SYMBOLS_PER_BLOCK]);
         assert_eq!(a.total_code_bits(), 255 * SYMBOLS_PER_BLOCK as u32);
-        assert_eq!(u32::from(a.tree_sums()[TREE_SUM_NODES - 1]), 16320);
+        assert_eq!(u32::from(unpacked(&a)[TREE_SUM_NODES - 1]), 16320);
+    }
+
+    #[test]
+    fn the_artifact_is_68_bytes() {
+        // Lengths and their sum, nothing else: what the docs, ROADMAP and
+        // `slc-workloads`' snapshot entry size quote.
+        assert_eq!(std::mem::size_of::<BlockAnalysis>(), 68);
+    }
+
+    #[test]
+    fn rewriting_a_run_of_widths_keeps_the_total() {
+        let mut a = BlockAnalysis::from_lengths([9; SYMBOLS_PER_BLOCK]);
+        a.rewrite(60, [0u8, 255, 17, 3].into_iter());
+        let mut want = [9u32; SYMBOLS_PER_BLOCK];
+        want[60..].copy_from_slice(&[0, 255, 17, 3]);
+        assert_eq!(a, BlockAnalysis::from_lengths(want));
     }
 }

@@ -41,7 +41,7 @@ mod analysis;
 mod huffman;
 mod sampler;
 
-pub use analysis::{BlockAnalysis, TREE_SUM_NODES};
+pub use analysis::{BlockAnalysis, TREE_SUM_WORDS};
 pub use huffman::{CanonicalCode, MAX_CODE_LEN};
 pub use sampler::SymbolSampler;
 
@@ -120,7 +120,7 @@ pub struct SymbolTable {
     /// `enc` at 1/8th the footprint (64 KB vs 512 KB): the size-only paths
     /// (code-length sums, SLC's tree adder) touch symbols randomly, so the
     /// denser table keeps them in cache.
-    bits: Vec<u8>,
+    bits: Box<[u8; 1 << 16]>,
 }
 
 impl std::fmt::Debug for SymbolTable {
@@ -180,7 +180,10 @@ impl SymbolTable {
             .collect::<Vec<u32>>()
             .try_into()
             .expect("one entry per window");
-        let bits = enc.iter().map(|&p| (p & 0xff) as u8).collect();
+        let mut bits = Box::new([0u8; 1 << 16]);
+        for (width, &packed) in bits.iter_mut().zip(&enc) {
+            *width = (packed & 0xff) as u8;
+        }
         Self { code, escape_entry, top: symbols, enc, dec, bits }
     }
 
@@ -392,20 +395,31 @@ impl E2mc {
     }
 
     /// Analyses one block without encoding anything: one pass over the
-    /// dense width table yields the per-symbol code lengths and their sum
-    /// — everything the paper's tree adder, the Fig. 4 budget decision
-    /// and all burst accounting need. The returned [`BlockAnalysis`] is
-    /// the shared artifact of the SLC pipeline: produce it once per
-    /// block, then let any number of schemes, thresholds and figures
-    /// consume it (see the `slc-core` crate docs for the sharing
-    /// contract).
+    /// dense width table — the hardware's 64 length-ROM reads — yields the
+    /// per-symbol code lengths and their sum, everything the paper's tree
+    /// adder, the Fig. 4 budget decision and all burst accounting need.
+    /// The returned [`BlockAnalysis`] is the shared artifact of the SLC
+    /// pipeline: produce it once per block, then let any number of
+    /// schemes, thresholds and figures consume it (see the `slc-core`
+    /// crate docs for the sharing contract).
     pub fn analyze(&self, block: &Block) -> BlockAnalysis {
-        let symbols = block_to_symbols(block);
-        let mut widths = [0u8; SYMBOLS_PER_BLOCK];
-        for (o, s) in widths.iter_mut().zip(symbols) {
-            *o = self.table.bits[s as usize];
-        }
+        let widths = block_to_symbols(block).map(|s| self.table.bits[usize::from(s)]);
         BlockAnalysis::from_widths(widths)
+    }
+
+    /// Brings `analysis` up to date with a `block` of which only the
+    /// symbols `rewritten` changed since it was analysed (SLC refilling
+    /// a truncated hole): those are looked up again, their new widths go
+    /// in and the total is adjusted — only the rewritten symbols re-enter
+    /// the adder tree. Equals `analyze(block)`; the other symbols' widths
+    /// are taken on trust.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rewritten` runs past the block's 64 symbols.
+    pub fn reanalyze(&self, analysis: &mut BlockAnalysis, block: &Block, rewritten: Range<usize>) {
+        let symbols = &block_to_symbols(block)[rewritten.clone()];
+        analysis.rewrite(rewritten.start, symbols.iter().map(|&s| self.table.bits[usize::from(s)]));
     }
 
     /// Per-symbol code lengths of a block — the values the paper's parallel
@@ -427,24 +441,16 @@ impl E2mc {
     /// the point is the footprint, not the value: consumers that only
     /// ever read the stored size (the E2MC-baseline burst sweep, the
     /// batch engine's skip-incompressible hint) capture a 4-byte number
-    /// per block instead of the 196 B [`BlockAnalysis`] artifact — the
+    /// per block instead of the 68 B [`BlockAnalysis`] artifact — the
     /// slim size-only snapshot cache in `slc-workloads` is built on this.
     pub fn stored_size_bits(&self, block: &Block) -> u32 {
         (HEADER_BITS + self.total_code_bits(block)).min(BLOCK_BITS)
     }
 
-    /// Σ code lengths of `block`, no header and no cap — the root of the
-    /// Fig. 5 adder tree without the tree, equal to
-    /// `analyze(block).total_code_bits()`. All a Fig. 4 budget decision
-    /// reads: a caller that sizes first builds the [`BlockAnalysis`] only
-    /// for the blocks whose decision then needs the per-symbol lengths.
-    pub fn total_code_bits(&self, block: &Block) -> u32 {
-        let symbols = block_to_symbols(block);
-        let mut total = 0u32;
-        for s in symbols {
-            total += u32::from(self.table.bits[s as usize]);
-        }
-        total
+    /// Σ code lengths of `block`, no header and no cap: equal to
+    /// `analyze(block).total_code_bits()` without the length array.
+    fn total_code_bits(&self, block: &Block) -> u32 {
+        block_to_symbols(block).iter().map(|&s| u32::from(self.table.bits[s as usize])).sum()
     }
 }
 

@@ -74,7 +74,7 @@
 //!   test pins pointer identity across clones.
 //! * **Shared block analyses** — [`e2mc::E2mc::analyze`] captures a
 //!   block's per-symbol code lengths and their sum as an
-//!   [`e2mc::BlockAnalysis`] (196 bytes, no payload) in one pass over the
+//!   [`e2mc::BlockAnalysis`] (68 bytes, no payload) in one pass over the
 //!   dense width table. Every size-only consumer — SLC's budget decision
 //!   and Fig. 5 tree in `slc-core`, burst accounting and ratio studies in
 //!   the workload harness — takes the artifact instead of re-deriving the

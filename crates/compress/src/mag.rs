@@ -59,10 +59,7 @@ impl Mag {
     /// (the paper's *effective* compressed size). Zero stays zero-cost-free:
     /// any access moves at least one burst, so 0 rounds to one MAG.
     pub fn round_up_bytes(self, bytes: u32) -> u32 {
-        if bytes == 0 {
-            return self.0;
-        }
-        bytes.div_ceil(self.0) * self.0
+        (bytes.max(1) + self.0 - 1) & !(self.0 - 1)
     }
 
     /// Rounds a bit size up to the next multiple of the MAG, in bits.
@@ -73,8 +70,10 @@ impl Mag {
     /// Number of bursts needed to move `bytes` of a block of
     /// `block_bytes`, clamped to the uncompressed burst count.
     pub fn bursts_for_bytes(self, bytes: u32, block_bytes: u32) -> u32 {
-        let max = block_bytes.div_ceil(self.0);
-        bytes.div_ceil(self.0).clamp(1, max)
+        // A MAG is a power of two ([`Mag::new`]): divisions are shifts.
+        let shift = self.0.trailing_zeros();
+        let max = (block_bytes + self.0 - 1) >> shift;
+        ((bytes + self.0 - 1) >> shift).clamp(1, max)
     }
 
     /// Number of bursts for a bit-sized payload.
@@ -85,7 +84,7 @@ impl Mag {
     /// How many bytes of a compressed size are above the highest MAG
     /// multiple at or below it (the heat-map x-axis of Fig. 2).
     pub fn bytes_above_multiple(self, bytes: u32) -> u32 {
-        bytes % self.0
+        bytes & (self.0 - 1)
     }
 }
 
@@ -137,6 +136,39 @@ mod tests {
     fn bytes_above_multiple_matches_modulo() {
         assert_eq!(Mag::GDDR5.bytes_above_multiple(36), 4);
         assert_eq!(Mag::GDDR5.bytes_above_multiple(64), 0);
+    }
+
+    #[test]
+    fn masks_and_shifts_equal_the_divisions_they_replace() {
+        for mag_bytes in [8u32, 16, 32, 64, 128] {
+            let mag = Mag::new(mag_bytes);
+            assert_eq!(mag.round_up_bytes(0), mag_bytes, "zero bytes still move one MAG");
+            for bytes in 0..=160u32 {
+                let at = format!("MAG {mag_bytes}, {bytes} B");
+                assert_eq!(
+                    mag.round_up_bytes(bytes),
+                    bytes.max(1).div_ceil(mag_bytes) * mag_bytes,
+                    "{at}"
+                );
+                assert_eq!(mag.bytes_above_multiple(bytes), bytes % mag_bytes, "{at}");
+                for block_bytes in [bytes.max(1), 128] {
+                    let max = block_bytes.div_ceil(mag_bytes);
+                    let want = bytes.div_ceil(mag_bytes).clamp(1, max);
+                    assert_eq!(mag.bursts_for_bytes(bytes, block_bytes), want, "{at}");
+                }
+            }
+            for bits in 0..=1400u32 {
+                let at = format!("MAG {mag_bytes}, {bits} bits");
+                let bytes = bits.div_ceil(8);
+                assert_eq!(
+                    mag.round_up_bits(bits),
+                    bytes.max(1).div_ceil(mag_bytes) * mag_bytes * 8,
+                    "{at}"
+                );
+                let want = bytes.div_ceil(mag_bytes).clamp(1, 128 / mag_bytes);
+                assert_eq!(mag.bursts_for_bits(bits, 128), want, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -79,7 +79,8 @@ impl BudgetDecision {
                 mode: ModeChoice::Lossless,
             };
         }
-        let bit_budget = (comp_size_bits / mag_bits) * mag_bits;
+        // A MAG is a power of two: the multiple at or below is a mask.
+        let bit_budget = comp_size_bits & !(mag_bits - 1);
         let extra_bits = comp_size_bits - bit_budget;
         let mode = if extra_bits == 0 {
             ModeChoice::Lossless
@@ -207,6 +208,24 @@ mod tests {
                 THR_16B,
             );
             assert_eq!(via, direct);
+        }
+    }
+
+    #[test]
+    fn the_masked_budget_equals_the_division_it_replaces() {
+        for mag_bytes in [8u32, 16, 32, 64, 128] {
+            let mag = Mag::new(mag_bytes);
+            for size in 0..=1400u32 {
+                let d = BudgetDecision::evaluate(size, mag, THR_16B);
+                let want = match size {
+                    s if s >= BLOCK_BITS => BLOCK_BITS,
+                    s if s <= mag.bits() => mag.bits(),
+                    s => s / mag.bits() * mag.bits(),
+                };
+                assert_eq!(d.bit_budget, want, "MAG {mag_bytes}, {size} bits");
+                let above = size > mag.bits() && size < BLOCK_BITS;
+                assert_eq!(d.extra_bits, if above { size % mag.bits() } else { 0 });
+            }
         }
     }
 

@@ -46,13 +46,21 @@
 //! to `compress` by unit and property tests, and `approximate_with` —
 //! the lossy step without the entropy coder — to
 //! `decompress(compress_with(..))`, which stays the codec and the
-//! reference. A caller that reads each block once needs the artifact
-//! only where the tree is: [`stored_bits_from_sum`](slc::SlcCompressor::stored_bits_from_sum)
-//! settles every block the budget keeps exact from the code-length sum
-//! alone, as the hardware does, and
-//! [`stage_with`](slc::SlcCompressor::stage_with) gives the rest their
-//! stored bits and their reconstruction from one decision — the two
-//! calls the staging walk makes.
+//! reference.
+//!
+//! A caller that reads each block once — the staging walk — makes one
+//! table pass per visit, each step a stage of the paper's hardware:
+//! `analyze` is the 64 reads of the code-length ROM;
+//! [`BlockAnalysis::tree_sums`](slc_compress::e2mc::BlockAnalysis::tree_sums)
+//! is the adder tree, run only for a block that reaches the selector;
+//! [`CodeLengthTree::select`](tree::CodeLengthTree::select) is the
+//! comparators and the priority encoder over its sums; and
+//! [`stage_in_place`](slc::SlcCompressor::stage_in_place) is the whole
+//! fault-free round trip on that one analysis — decide, refill the hole
+//! in the block's own bytes, look up only the hole's rewritten symbols
+//! again ([`E2mc::reanalyze`](slc_compress::e2mc::E2mc::reanalyze): only
+//! they re-enter the tree) and decide once more, so contract (b) holds
+//! again on return.
 //!
 //! # Quick start
 //!

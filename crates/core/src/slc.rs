@@ -323,21 +323,6 @@ impl SlcCompressor {
         (Self::bits_of(decision, kind), matches!(kind, StoredKind::Lossy { .. }))
     }
 
-    /// [`stored_bits_with`](Self::stored_bits_with) from the code-length
-    /// sum alone ([`E2mc::total_code_bits`]), for every block the Fig. 4
-    /// budget keeps exact: `Some(bits)` is that call's `(bits, false)`.
-    /// `None` when the budget says lossy — only then are the per-symbol
-    /// lengths needed, to let the Fig. 5 tree pick the hole (or decline).
-    pub fn stored_bits_from_sum(&self, total_code_bits: u32) -> Option<u32> {
-        let decision = BudgetDecision::evaluate(
-            LOSSLESS_HEADER_BITS + total_code_bits,
-            self.config.mag,
-            self.config.threshold_bits(),
-        );
-        (decision.mode != ModeChoice::Lossy)
-            .then(|| Self::bits_of(decision, self.exact_form(decision.comp_size_bits)))
-    }
-
     /// Bursts the stored block costs under the configured MAG.
     pub fn stored_bursts_with(&self, analysis: &BlockAnalysis) -> u32 {
         let (bits, _) = self.stored_bits_with(analysis);
@@ -428,16 +413,27 @@ impl SlcCompressor {
     /// by property test; `analysis` must be this block's, as for
     /// [`compress_with`](Self::compress_with).
     pub fn approximate_with(&self, block: &Block, analysis: &BlockAnalysis) -> Option<Block> {
-        self.stage_with(block, analysis).1
+        self.approximate(block, self.natural_form(analysis).1)
     }
 
-    /// One kernel-boundary round trip of `block` from one decision: the
-    /// bits its fault-free form stores
-    /// ([`stored_bits_with`](Self::stored_bits_with)`.0`) and what reading
-    /// it back returns ([`approximate_with`](Self::approximate_with)).
-    pub fn stage_with(&self, block: &Block, analysis: &BlockAnalysis) -> (u32, Option<Block>) {
+    /// One fault-free kernel-boundary round trip of an approximable
+    /// block, in place, on one table pass: `analysis` must be `block`'s
+    /// on entry and is `block`'s on return. An exact form leaves both
+    /// untouched; a lossy one refills the hole in the block's own bytes
+    /// ([`approximate_with`](Self::approximate_with)) and looks up only
+    /// the hole's ≤ 16 rewritten symbols again ([`E2mc::reanalyze`] —
+    /// only they re-enter the tree). Returns the bits the next kernel
+    /// boundary will find stored:
+    /// [`stored_bits_with`](Self::stored_bits_with) of the bytes `block`
+    /// now holds, decided on the same analysis.
+    pub fn stage_in_place(&self, block: &mut Block, analysis: &mut BlockAnalysis) -> u32 {
         let (decision, kind) = self.natural_form(analysis);
-        (Self::bits_of(decision, kind), self.approximate(block, kind))
+        let StoredKind::Lossy { selection } = kind else {
+            return Self::bits_of(decision, kind);
+        };
+        self.refill(block, selection);
+        self.e2mc.reanalyze(analysis, block, selection.start..selection.start + selection.symbols);
+        self.stored_bits_with(analysis).0
     }
 
     /// [`approximate_with`](Self::approximate_with) for the stored form a
@@ -462,9 +458,17 @@ impl SlcCompressor {
         let StoredKind::Lossy { selection } = kind else {
             return None;
         };
+        let mut out = *block;
+        self.refill(&mut out, selection);
+        Some(out)
+    }
+
+    /// Overwrites `selection`'s symbols of `block` with the predictor's
+    /// values, as a read of the lossy stored form returns them.
+    fn refill(&self, block: &mut Block, selection: Selection) {
         let mut symbols = block_to_symbols(block);
         fill_approximated(&mut symbols, selection.start, selection.symbols, self.config.predictor);
-        Some(symbols_to_block(&symbols))
+        *block = symbols_to_block(&symbols);
     }
 
     /// Compresses one block.
@@ -1047,33 +1051,38 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn prop_sum_first_staging_is_the_analysis_pair(
+        fn prop_the_in_place_round_trip_is_the_naive_sequence(
             words in proptest::collection::vec(any::<u32>(), 32),
             noise in any::<u32>(), threshold in 0u32..=32) {
-            // The streamed walk sizes first and builds the analysis only
-            // where the budget says lossy: the shortcut must answer for
-            // exactly the other blocks, with the analysis path's bits, and
-            // the one-call entry point must be the pair it replaces.
+            // What the streamed walk calls per block against the calls it
+            // stands for: analyse, approximate, analyse what was written,
+            // price that. The in-place call must leave those bytes, return
+            // those bits, and its hole re-look-up must leave the analysis
+            // a fresh pass over the refilled block gives, field for field.
             let e2mc = e2mc();
             for mag in [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64] {
                 for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
-                    let s = SlcCompressor::new(e2mc.clone(), SlcConfig::new(mag, threshold, variant));
-                    for block in three_shapes(&words, noise) {
-                        let a = s.analysis(&block);
-                        let (bits, lossy) = s.stored_bits_with(&a);
-                        let from_sum = s.stored_bits_from_sum(e2mc.total_code_bits(&block));
-                        // `None` is the budget's verdict, a superset of
-                        // "goes lossy": the tree may still decline.
-                        let budget_lossy = s.analyze_with(&a).0.mode == ModeChoice::Lossy;
-                        prop_assert_eq!(from_sum.is_none(), budget_lossy);
-                        prop_assert!(!lossy || from_sum.is_none());
-                        if let Some(sum_bits) = from_sum {
-                            prop_assert_eq!((sum_bits, false), (bits, lossy));
+                    for predictor in
+                        [PredictorKind::Zero, PredictorKind::FirstSymbol, PredictorKind::LaneMatched]
+                    {
+                        let config =
+                            SlcConfig::new(mag, threshold, variant).with_predictor(predictor);
+                        let s = SlcCompressor::new(e2mc.clone(), config);
+                        for block in three_shapes(&words, noise) {
+                            let before = s.analysis(&block);
+                            let naive = s.approximate_with(&block, &before).unwrap_or(block);
+                            let (mut staged, mut analysis) = (block, before.clone());
+                            let bits = s.stage_in_place(&mut staged, &mut analysis);
+                            prop_assert_eq!(staged, naive);
+                            let fresh = s.analysis(&naive);
+                            prop_assert_eq!(bits, s.stored_bits_with(&fresh).0);
+                            prop_assert_eq!(analysis.lengths_u8(), fresh.lengths_u8());
+                            prop_assert_eq!(analysis.total_code_bits(), fresh.total_code_bits());
+                            prop_assert_eq!(analysis.tree_sums(), fresh.tree_sums());
+                            if naive == block {
+                                prop_assert_eq!(bits, s.stored_bits_with(&before).0);
+                            }
                         }
-                        prop_assert_eq!(
-                            s.stage_with(&block, &a),
-                            (bits, s.approximate_with(&block, &a))
-                        );
                     }
                 }
             }

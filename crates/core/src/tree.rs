@@ -17,10 +17,19 @@
 //! their placement; we implement them as half-stride staggered windows
 //! (eight 4-symbol windows starting at `2 + 8i`, four 8-symbol windows
 //! starting at `4 + 16i`), the natural way to add finer sums with a few
-//! extra adders. See PAPER.md, "This reproduction", for the rationale and
+//! extra adders. Each is two sums of the level below — the window at
+//! `2 + 8i` is pairs `4i + 1` and `4i + 2`, the one at `4 + 16i` quads
+//! `4i + 1` and `4i + 2` — so a staggered node costs one adder. See
+//! PAPER.md, "This reproduction", for the rationale and
 //! `examples/ablation.rs` for the measured effect.
+//!
+//! Nothing is stored per block: [`BlockAnalysis::tree_sums`] adds the
+//! levels up, four `u16` nodes to a `u64` word, when a block reaches the
+//! selector — Fig. 5's comparators and priority encoder over those words
+//! (one subtraction compares four nodes, `trailing_zeros` picks the
+//! first), with level 1 compared straight off the code lengths.
 
-use slc_compress::e2mc::BlockAnalysis;
+use slc_compress::e2mc::{BlockAnalysis, TREE_SUM_WORDS};
 use slc_compress::symbols::SYMBOLS_PER_BLOCK;
 
 /// Highest level the selector may use (16 symbols; the header's 4-bit
@@ -45,81 +54,95 @@ pub struct Selection {
     pub staggered: bool,
 }
 
-/// Total node count of the complete tree (64 + 32 + ... + 1).
-const NODES: usize = 2 * SYMBOLS_PER_BLOCK - 1;
-
-/// Start offset of each level inside the flat node array.
-const LEVEL_OFFSET: [usize; LEVELS as usize + 1] = [0, 64, 96, 112, 120, 124, 126, 127];
+/// Where each selectable level above the leaves starts inside
+/// [`BlockAnalysis::tree_sums`], in words of four nodes: level `k` in
+/// `2..=5` is `LEVEL_WORDS[k - 2]..LEVEL_WORDS[k - 1]`.
+const LEVEL_WORDS: [usize; MAX_SELECT_LEVEL as usize] = [0, 8, 12, 14, 15];
 
 // The literal offsets encode SYMBOLS_PER_BLOCK == 64; fail the build, not
 // the decoded data, if the block geometry ever changes.
-const _: () = assert!(LEVEL_OFFSET[0] == 0 && LEVEL_OFFSET[1] == SYMBOLS_PER_BLOCK);
-const _: () = assert!(LEVEL_OFFSET[LEVELS as usize] == NODES);
+const _: () = assert!(LEVEL_WORDS[1] == SYMBOLS_PER_BLOCK / 8);
+const _: () = assert!(LEVEL_WORDS[MAX_SELECT_LEVEL as usize - 1] == TREE_SUM_WORDS - 1);
+
+/// The most a selectable node can free (16 symbols of 255 bits): a
+/// target at or below it leaves every `u16` lane's top bit to the
+/// comparators.
+const MAX_NODE_BITS: u32 = 16 * 255;
+
+/// A one in each of a word's four `u16` lanes, and each lane's top bit.
+const LANES: u64 = 0x0001_0001_0001_0001;
+const LANE_TOPS: u64 = LANES << 15;
+
+/// Fig. 5's comparators, four nodes at a time: the top bit of each `u16`
+/// lane of the result is set where that lane of `nodes` is at least
+/// `needed`'s (a target of at most [`MAX_NODE_BITS`] in every lane); each
+/// lane is lent its top bit first, so nothing borrows across lanes.
+fn comparators(nodes: u64, needed: u64) -> u64 {
+    ((nodes | LANE_TOPS) - needed) & LANE_TOPS
+}
+
+/// One level's comparators and priority encoder: index and sum of the
+/// first node of `level`, four to a word, that frees `needed` bits.
+fn first_freeing(level: &[u64], needed: u64) -> Option<(usize, u32)> {
+    level.iter().enumerate().find_map(|(w, &nodes)| {
+        let freeing = comparators(nodes, needed);
+        (freeing != 0).then(|| {
+            let lane = freeing.trailing_zeros() / 16;
+            (4 * w + lane as usize, (nodes >> (16 * lane)) as u32 & 0xffff)
+        })
+    })
+}
+
+/// Level 1's: the nodes are the code lengths themselves, eight `u8`s to
+/// a word, compared as the word's even and its odd bytes.
+fn first_freeing_symbol(lengths: &[u8; SYMBOLS_PER_BLOCK], needed: u64) -> Option<(usize, u32)> {
+    const EVEN_BYTES: u64 = 0x00ff_00ff_00ff_00ff;
+    lengths.as_chunks::<8>().0.iter().enumerate().find_map(|(w, eight)| {
+        let nodes = u64::from_le_bytes(*eight);
+        let freeing = (comparators(nodes & EVEN_BYTES, needed) >> 8)
+            | comparators((nodes >> 8) & EVEN_BYTES, needed);
+        (freeing != 0).then(|| {
+            let symbol = 8 * w + freeing.trailing_zeros() as usize / 8;
+            (symbol, u32::from(lengths[symbol]))
+        })
+    })
+}
+
+/// TSLC-OPT's staggered windows over the level whose words are `below`:
+/// lanes 1 and 2 of every word added (nodes `4i + 1` and `4i + 2`),
+/// packed like a level — window `i` in lane `i % 4` of word `i / 4`.
+fn staggered_windows(below: &[u64]) -> [u64; 2] {
+    let mut windows = [0u64; 2];
+    for (i, &nodes) in below.iter().enumerate() {
+        windows[i / 4] |= (((nodes >> 16) + (nodes >> 32)) & 0xffff) << (16 * (i % 4));
+    }
+    windows
+}
 
 /// The adder tree over one block's code lengths.
 ///
-/// Stored as one flat fixed-size array (levels concatenated), so building
-/// a tree — which happens once per compressed block — allocates nothing.
+/// The block's 68-byte [`BlockAnalysis`] and nothing more: the sums
+/// exist only while [`select`](Self::select) consults them.
 #[derive(Debug, Clone)]
 pub struct CodeLengthTree {
-    /// `nodes[LEVEL_OFFSET[k-1]..LEVEL_OFFSET[k]]` = level `k`'s aligned
-    /// sums of `2^(k-1)` symbols.
-    nodes: [u32; NODES],
+    analysis: BlockAnalysis,
 }
 
 impl CodeLengthTree {
     /// Builds the tree from per-symbol code lengths.
-    pub fn new(lengths: &[u32; SYMBOLS_PER_BLOCK]) -> Self {
-        let mut nodes = [0u32; NODES];
-        nodes[..SYMBOLS_PER_BLOCK].copy_from_slice(lengths);
-        for level in 1..LEVELS as usize {
-            let (prev, prev_end) = (LEVEL_OFFSET[level - 1], LEVEL_OFFSET[level]);
-            let width = (prev_end - prev) / 2;
-            for i in 0..width {
-                nodes[prev_end + i] = nodes[prev + 2 * i] + nodes[prev + 2 * i + 1];
-            }
-        }
-        Self { nodes }
-    }
-
-    /// Builds the tree from a shared [`BlockAnalysis`] — both the lengths
-    /// and every intermediate sum were already computed at analysis time
-    /// (the hardware's adder tree produces them while sizing the block),
-    /// so this is a widening copy: no additions, no second table pass,
-    /// and N schemes/MAGs/thresholds sweeping one analysis share one
-    /// summation instead of re-adding 63 nodes per decision.
-    pub fn from_analysis(analysis: &BlockAnalysis) -> Self {
-        const _: () = assert!(NODES - SYMBOLS_PER_BLOCK == slc_compress::e2mc::TREE_SUM_NODES);
-        let mut nodes = [0u32; NODES];
-        for (node, &len) in nodes.iter_mut().zip(analysis.lengths_u8()) {
-            *node = u32::from(len);
-        }
-        for (node, &sum) in nodes[SYMBOLS_PER_BLOCK..].iter_mut().zip(analysis.tree_sums()) {
-            *node = u32::from(sum);
-        }
-        Self { nodes }
-    }
-
-    /// Sum of all code lengths (the last node of the tree, used as the
-    /// data portion of *comp size*).
-    pub fn total_bits(&self) -> u32 {
-        self.nodes[NODES - 1]
-    }
-
-    /// The aligned intermediate sums at `level` (1-based).
     ///
     /// # Panics
     ///
-    /// Panics if `level` is outside `1..=7`.
-    pub fn level_sums(&self, level: u32) -> &[u32] {
-        assert!((1..=LEVELS).contains(&level), "level {level} out of range");
-        &self.nodes[LEVEL_OFFSET[level as usize - 1]..LEVEL_OFFSET[level as usize]]
+    /// Panics if a length exceeds 255 bits
+    /// ([`BlockAnalysis::from_lengths`]).
+    pub fn new(lengths: &[u32; SYMBOLS_PER_BLOCK]) -> Self {
+        Self { analysis: BlockAnalysis::from_lengths(*lengths) }
     }
 
-    /// Sum of code lengths over `start..start + len` (used for the
-    /// staggered TSLC-OPT nodes; hardware adds a few extra adders).
-    pub fn window_sum(&self, start: usize, len: usize) -> u32 {
-        self.nodes[start..start + len].iter().sum()
+    /// The tree over a shared [`BlockAnalysis`]: no table pass happens
+    /// here, N schemes/MAGs/thresholds sweeping one analysis share its.
+    pub fn from_analysis(analysis: &BlockAnalysis) -> Self {
+        Self { analysis: analysis.clone() }
     }
 
     /// Selects the sub-block to approximate for `needed_bits`.
@@ -133,59 +156,42 @@ impl CodeLengthTree {
     /// Returns `None` when no node of ≤ 16 symbols frees enough bits (the
     /// block then stays lossless).
     pub fn select(&self, needed_bits: u32, opt_nodes: bool) -> Option<Selection> {
-        if needed_bits == 0 {
+        if needed_bits == 0 || needed_bits > MAX_NODE_BITS {
             return None;
         }
-        for level in 1..=MAX_SELECT_LEVEL {
-            let node_syms = 1usize << (level - 1);
-            // Candidate nodes in priority-encoder order: aligned nodes
-            // first-index-first, with staggered windows interleaved by
-            // start position for TSLC-OPT.
-            let aligned = self.level_sums(level);
-            let mut best: Option<Selection> = None;
-            for (i, &sum) in aligned.iter().enumerate() {
-                if sum >= needed_bits {
-                    best = Some(Selection {
-                        start: i * node_syms,
-                        symbols: node_syms,
-                        freed_bits: sum,
-                        level,
-                        staggered: false,
-                    });
-                    break;
-                }
-            }
-            if opt_nodes && (level == 3 || level == 4) {
-                // Extra nodes: 8 windows of 4 symbols at starts 2+8i
-                // (level 3), 4 windows of 8 symbols at starts 4+16i
-                // (level 4).
-                let (count, stride, offset) = if level == 3 { (8, 8, 2) } else { (4, 16, 4) };
-                for j in 0..count {
-                    let start = offset + j * stride;
-                    let sum = self.window_sum(start, node_syms);
-                    if sum >= needed_bits {
-                        let cand = Selection {
-                            start,
-                            symbols: node_syms,
-                            freed_bits: sum,
-                            level,
-                            staggered: true,
-                        };
-                        // Priority encoder across the level: first start
-                        // wins; on a tie the aligned node wins.
-                        best = match best {
-                            Some(b) if b.start <= cand.start => Some(b),
-                            _ => Some(cand),
-                        };
-                        break;
-                    }
-                }
-            }
-            if best.is_some() {
-                return best;
-            }
+        let needed = u64::from(needed_bits) * LANES;
+        let node = |level: u32, (index, freed_bits): (usize, u32), staggered: bool| {
+            let symbols = 1usize << (level - 1);
+            // A staggered window starts half a node into every second
+            // aligned node: 2 + 8i at level 3, 4 + 16i at level 4.
+            let start = if staggered { symbols / 2 + 2 * symbols * index } else { symbols * index };
+            Selection { start, symbols, freed_bits, level, staggered }
+        };
+        let sums = self.analysis.tree_sums();
+        let words =
+            |level: u32| &sums[LEVEL_WORDS[level as usize - 2]..LEVEL_WORDS[level as usize - 1]];
+        // Level 1 is the code lengths themselves, and its 64 comparators
+        // can only fire under a pair that fires: a symbol that frees
+        // enough makes its pair sum do so too.
+        if let Some(pair) = first_freeing(words(2), needed) {
+            let symbol = first_freeing_symbol(self.analysis.lengths_u8(), needed);
+            return Some(symbol.map_or(node(2, pair, false), |hit| node(1, hit, false)));
         }
-        None
+        (3..=MAX_SELECT_LEVEL).find_map(|level| {
+            let aligned = first_freeing(words(level), needed).map(|hit| node(level, hit, false));
+            let staggered = if opt_nodes && level < MAX_SELECT_LEVEL {
+                first_freeing(&staggered_windows(words(level - 1)), needed)
+                    .map(|hit| node(level, hit, true))
+            } else {
+                None
+            };
+            // Priority encoder across the level: first start wins; on a
+            // tie the aligned node wins.
+            match (aligned, staggered) {
+                (Some(a), Some(s)) => Some(if a.start <= s.start { a } else { s }),
+                (a, s) => a.or(s),
+            }
+        })
     }
 }
 
@@ -194,25 +200,127 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The selector this module had before it read the analysis directly,
+    /// kept verbatim as the oracle: every node widened into one flat
+    /// `[u32; 127]`, staggered windows re-added from the leaves.
+    mod reference {
+        use super::super::{Selection, LEVELS, MAX_SELECT_LEVEL};
+        use slc_compress::symbols::SYMBOLS_PER_BLOCK;
+
+        const NODES: usize = 2 * SYMBOLS_PER_BLOCK - 1;
+        const LEVEL_OFFSET: [usize; LEVELS as usize + 1] = [0, 64, 96, 112, 120, 124, 126, 127];
+
+        pub struct WidenedTree {
+            nodes: [u32; NODES],
+        }
+
+        impl WidenedTree {
+            pub fn new(lengths: &[u32; SYMBOLS_PER_BLOCK]) -> Self {
+                let mut nodes = [0u32; NODES];
+                nodes[..SYMBOLS_PER_BLOCK].copy_from_slice(lengths);
+                for level in 1..LEVELS as usize {
+                    let (prev, prev_end) = (LEVEL_OFFSET[level - 1], LEVEL_OFFSET[level]);
+                    let width = (prev_end - prev) / 2;
+                    for i in 0..width {
+                        nodes[prev_end + i] = nodes[prev + 2 * i] + nodes[prev + 2 * i + 1];
+                    }
+                }
+                Self { nodes }
+            }
+
+            pub fn level_sums(&self, level: u32) -> &[u32] {
+                assert!((1..=LEVELS).contains(&level), "level {level} out of range");
+                &self.nodes[LEVEL_OFFSET[level as usize - 1]..LEVEL_OFFSET[level as usize]]
+            }
+
+            pub fn window_sum(&self, start: usize, len: usize) -> u32 {
+                self.nodes[start..start + len].iter().sum()
+            }
+
+            pub fn select(&self, needed_bits: u32, opt_nodes: bool) -> Option<Selection> {
+                if needed_bits == 0 {
+                    return None;
+                }
+                for level in 1..=MAX_SELECT_LEVEL {
+                    let node_syms = 1usize << (level - 1);
+                    let aligned = self.level_sums(level);
+                    let mut best: Option<Selection> = None;
+                    for (i, &sum) in aligned.iter().enumerate() {
+                        if sum >= needed_bits {
+                            best = Some(Selection {
+                                start: i * node_syms,
+                                symbols: node_syms,
+                                freed_bits: sum,
+                                level,
+                                staggered: false,
+                            });
+                            break;
+                        }
+                    }
+                    if opt_nodes && (level == 3 || level == 4) {
+                        let (count, stride, offset) =
+                            if level == 3 { (8, 8, 2) } else { (4, 16, 4) };
+                        for j in 0..count {
+                            let start = offset + j * stride;
+                            let sum = self.window_sum(start, node_syms);
+                            if sum >= needed_bits {
+                                let cand = Selection {
+                                    start,
+                                    symbols: node_syms,
+                                    freed_bits: sum,
+                                    level,
+                                    staggered: true,
+                                };
+                                best = match best {
+                                    Some(b) if b.start <= cand.start => Some(b),
+                                    _ => Some(cand),
+                                };
+                                break;
+                            }
+                        }
+                    }
+                    if best.is_some() {
+                        return best;
+                    }
+                }
+                None
+            }
+        }
+    }
+    use reference::WidenedTree;
+
     fn uniform(len: u32) -> [u32; SYMBOLS_PER_BLOCK] {
         [len; SYMBOLS_PER_BLOCK]
+    }
+
+    /// Level `level`'s aligned sums as the selector reads them: the
+    /// lengths at level 1, lanes of the on-demand sums above.
+    fn sums_at(tree: &CodeLengthTree, level: u32) -> Vec<u32> {
+        if level == 1 {
+            return tree.analysis.code_lengths().to_vec();
+        }
+        let words = tree.analysis.tree_sums();
+        let first = SYMBOLS_PER_BLOCK - (SYMBOLS_PER_BLOCK >> (level - 2));
+        (first..first + (SYMBOLS_PER_BLOCK >> (level - 1)))
+            .map(|node| (words[node / 4] >> (16 * (node % 4))) as u32 & 0xffff)
+            .collect()
     }
 
     #[test]
     fn total_is_sum_of_lengths() {
         let tree = CodeLengthTree::new(&uniform(5));
-        assert_eq!(tree.total_bits(), 5 * 64);
+        assert_eq!(tree.analysis.total_code_bits(), 5 * 64);
     }
 
     #[test]
     fn level_shapes_match_paper() {
         let tree = CodeLengthTree::new(&uniform(1));
-        assert_eq!(tree.level_sums(1).len(), 64);
-        assert_eq!(tree.level_sums(2).len(), 32);
-        assert_eq!(tree.level_sums(3).len(), 16); // "originally have 16"
-        assert_eq!(tree.level_sums(4).len(), 8); // "... and 8 nodes"
-        assert_eq!(tree.level_sums(5).len(), 4);
-        assert_eq!(tree.level_sums(7).len(), 1);
+        assert_eq!(sums_at(&tree, 1).len(), 64);
+        assert_eq!(sums_at(&tree, 2).len(), 32);
+        assert_eq!(sums_at(&tree, 3).len(), 16); // "originally have 16"
+        assert_eq!(sums_at(&tree, 4).len(), 8); // "... and 8 nodes"
+        assert_eq!(sums_at(&tree, 5).len(), 4);
+        assert_eq!(sums_at(&tree, 7), [64]);
     }
 
     #[test]
@@ -220,7 +328,7 @@ mod tests {
         let tree = CodeLengthTree::new(&uniform(3));
         for level in 1..=MAX_SELECT_LEVEL {
             let syms = 1u32 << (level - 1);
-            assert!(tree.level_sums(level).iter().all(|&s| s == 3 * syms));
+            assert!(sums_at(&tree, level).iter().all(|&s| s == 3 * syms));
         }
     }
 
@@ -307,21 +415,35 @@ mod tests {
         lens[40] = 9;
         let via_analysis = CodeLengthTree::from_analysis(&BlockAnalysis::from_lengths(lens));
         let direct = CodeLengthTree::new(&lens);
-        assert_eq!(via_analysis.total_bits(), direct.total_bits());
+        let widened = WidenedTree::new(&lens);
+        assert_eq!(via_analysis.analysis, direct.analysis);
         for level in 1..=LEVELS {
-            assert_eq!(via_analysis.level_sums(level), direct.level_sums(level));
+            assert_eq!(sums_at(&via_analysis, level), sums_at(&direct, level));
+            assert_eq!(sums_at(&direct, level), widened.level_sums(level));
         }
         assert_eq!(via_analysis.select(20, true), direct.select(20, true));
     }
 
     #[test]
     fn window_sum_matches_manual_sum() {
-        let mut lens = uniform(1);
+        // A staggered window is two sums of the level below; asked for
+        // exactly the bits one frees, the selector must find it and report
+        // the sum of its leaves. Rising lengths make the window the first
+        // node of its level to qualify, lengths above 100 keep the levels
+        // below out of reach.
+        let mut lens = uniform(0);
         for (i, l) in lens.iter_mut().enumerate() {
-            *l = i as u32;
+            *l = 100 + i as u32;
         }
         let tree = CodeLengthTree::new(&lens);
-        assert_eq!(tree.window_sum(10, 4), 10 + 11 + 12 + 13);
+        for (level, symbols, stride) in [(3, 4, 8), (4, 8, 16)] {
+            for start in (symbols / 2..SYMBOLS_PER_BLOCK).step_by(stride) {
+                let manual: u32 = lens[start..start + symbols].iter().sum();
+                assert_eq!(manual, WidenedTree::new(&lens).window_sum(start, symbols));
+                let want = Selection { start, symbols, freed_bits: manual, level, staggered: true };
+                assert_eq!(tree.select(manual, true), Some(want));
+            }
+        }
     }
 
     proptest! {
@@ -333,7 +455,8 @@ mod tests {
             let tree = CodeLengthTree::new(&arr);
             if let Some(sel) = tree.select(needed, opt) {
                 prop_assert!(sel.freed_bits >= needed);
-                prop_assert_eq!(sel.freed_bits, tree.window_sum(sel.start, sel.symbols));
+                let leaves: u32 = arr[sel.start..sel.start + sel.symbols].iter().sum();
+                prop_assert_eq!(sel.freed_bits, leaves);
                 prop_assert!(sel.symbols <= 16);
                 prop_assert!(sel.start + sel.symbols <= SYMBOLS_PER_BLOCK);
             }
@@ -353,11 +476,34 @@ mod tests {
         }
 
         #[test]
+        fn prop_selection_equals_the_widened_reference(
+            lens in proptest::collection::vec(0u32..=255, SYMBOLS_PER_BLOCK),
+            cap in 1u32..=80, needed in 0u32..=20_000, opt in any::<bool>()) {
+            // Every length the artifact can hold, and a target past `u8`,
+            // past the 16-symbol maximum (4 080) and past `u16`; half the
+            // draws cap the lengths below 40 so targets in the hundreds
+            // land on every level, not only the first.
+            let mut arr = [0u32; SYMBOLS_PER_BLOCK];
+            arr.copy_from_slice(&lens);
+            if cap <= 40 {
+                arr.iter_mut().for_each(|l| *l %= cap);
+            }
+            let (tree, widened) = (CodeLengthTree::new(&arr), WidenedTree::new(&arr));
+            // The drawn target, and targets near what 1 to 16 average
+            // symbols free, so every level and both kinds of node answer.
+            let mean = arr.iter().sum::<u32>() / SYMBOLS_PER_BLOCK as u32;
+            let near = [1, 2, 3, 4, 6, 8, 12, 16].map(|k| k * mean + needed % 16);
+            for needed in [needed, needed % 512, needed % 64].into_iter().chain(near) {
+                prop_assert_eq!(tree.select(needed, opt), widened.select(needed, opt), "{}", needed);
+            }
+        }
+
+        #[test]
         fn prop_total_matches_sum(lens in proptest::collection::vec(0u32..33, SYMBOLS_PER_BLOCK)) {
             let mut arr = [0u32; SYMBOLS_PER_BLOCK];
             arr.copy_from_slice(&lens);
             let tree = CodeLengthTree::new(&arr);
-            prop_assert_eq!(tree.total_bits(), lens.iter().sum::<u32>());
+            prop_assert_eq!(tree.analysis.total_code_bits(), lens.iter().sum::<u32>());
         }
     }
 }

@@ -59,7 +59,7 @@ pub(crate) fn row(
     artifacts: &BenchmarkArtifacts,
     at_base_mag: Option<&EvalRow>,
 ) -> Vec<MagCell> {
-    // Every replay first, the final image's analysis (208 B a block)
+    // Every replay first, the final image's analysis (80 B a block)
     // after: no working image is alive while it is.
     let evals = MAGS.map(|mag| match at_base_mag {
         Some(known) if mag == base.config.mag() => known.clone(),

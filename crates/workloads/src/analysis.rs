@@ -110,11 +110,11 @@ pub type SnapshotAnalysis = Snapshot<AnalyzedBlock>;
 
 /// The size-bits-only snapshot.
 ///
-/// A full [`BlockAnalysis`] is 196 B of per-symbol code lengths and tree
-/// sums, 208 B as an [`AnalyzedBlock`]; consumers that only ever read the
+/// A full [`BlockAnalysis`] is 68 B of per-symbol code lengths and their
+/// sum, 80 B as an [`AnalyzedBlock`]; consumers that only ever read the
 /// block's *stored size* — the E2MC-baseline burst sweep, the fault
 /// ladder's reconciliation tests — pay for none of that here: a 16 B
-/// [`SizedBlock`] per block (address, region class, size), a 13× smaller
+/// [`SizedBlock`] per block (address, region class, size), a 5× smaller
 /// footprint per cached snapshot, pinned to the size the full analysis
 /// reports.
 pub type SizeSnapshot = Snapshot<SizedBlock>;
@@ -223,11 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn entries_are_16_and_208_bytes() {
+    fn entries_are_16_and_80_bytes() {
         // What a cached snapshot costs per 128 B block, as the docs and
         // ROADMAP quote it.
         assert_eq!(std::mem::size_of::<SizedBlock>(), 16);
-        assert_eq!(std::mem::size_of::<AnalyzedBlock>(), 208);
+        assert_eq!(std::mem::size_of::<BlockAnalysis>(), 68);
+        assert_eq!(std::mem::size_of::<AnalyzedBlock>(), 80);
     }
 
     #[test]

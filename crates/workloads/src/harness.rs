@@ -111,8 +111,8 @@ impl BenchmarkArtifacts {
     /// fault ladder's reconciliation tests — reads only each block's
     /// *stored size*, so the cache holds the slim [`SizeSnapshot`]
     /// representation (16 B per block: address, region class, size)
-    /// rather than full [`SnapshotAnalysis`] artifacts (208 B per block,
-    /// 13× the footprint). The Fig. 2 / §V-C studies, which need the full
+    /// rather than full [`SnapshotAnalysis`] artifacts (80 B per block,
+    /// 5× the footprint). The Fig. 2 / §V-C studies, which need the full
     /// analyses, go through [`Self::final_analysis`] instead.
     ///
     /// # Panics

@@ -203,11 +203,10 @@ impl Scheme {
 /// is replaced by what a read returns, the hole refilled by the
 /// predictor, no bitstream in between — and returns the bits it stores.
 ///
-/// Sizes first: the code-length sum settles every block the Fig. 4 budget
-/// keeps exact, and a [`BlockAnalysis`] is built only where the Fig. 5
-/// tree is needed — a block the budget sends lossy, whose bits and bytes
-/// come from one decision, and a block in a faulty row `ladder` must fit.
-/// A refilled block costs what the next kernel boundary will find there
+/// One table pass per visit: the block is analysed once, `ladder` (for a
+/// block in a faulty row it must fit) and the fault-free round trip
+/// ([`SlcCompressor::stage_in_place`]) both decide on that analysis. A
+/// refilled block costs what the next kernel boundary will find there
 /// (as if the staged image were analysed); a form the ladder imposed, the
 /// bits its verdict promises.
 fn stage_approximable(
@@ -216,29 +215,20 @@ fn stage_approximable(
     addr: BlockAddr,
     ladder: Option<&mut LadderState>,
 ) -> u32 {
-    let e2mc = slc.e2mc();
+    let mut analysis = slc.analysis(block);
     if let Some(ladder) = ladder {
-        let mut analysis = None;
-        let verdict = ladder.resolve_fit(addr, |budget_bits| {
-            slc.fit_within_with(analysis.insert(e2mc.analyze(block)), budget_bits)
-        });
-        if let (LadderVerdict::Refit(fit), Some(analysis)) = (verdict, &analysis) {
+        let verdict =
+            ladder.resolve_fit(addr, |budget_bits| slc.fit_within_with(&analysis, budget_bits));
+        if let LadderVerdict::Refit(fit) = verdict {
             if let Some((bits, _)) = fit.imposed_form() {
-                if let Some(staged) = slc.approximate_fitted(block, analysis, fit) {
+                if let Some(staged) = slc.approximate_fitted(block, &analysis, fit) {
                     *block = staged;
                 }
                 return bits;
             }
         }
     }
-    let sized = |block: &Block| slc.stored_bits_from_sum(e2mc.total_code_bits(block));
-    let Some(bits) = sized(block) else {
-        let (bits, staged) = slc.stage_with(block, &e2mc.analyze(block));
-        let Some(staged) = staged else { return bits };
-        *block = staged;
-        return sized(block).unwrap_or_else(|| slc.stored_bits_with(&e2mc.analyze(block)).0);
-    };
-    bits
+    slc.stage_in_place(block, &mut analysis)
 }
 
 /// Averages per-block burst counts over multiple staging points.

@@ -233,11 +233,13 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
             let (staging, went_lossy) = allocs(|| {
                 let mut went_lossy = 0;
                 for block in &blocks {
-                    black_box(slc.stored_bits_from_sum(a.e2mc.total_code_bits(block)));
                     let analysis = slc.analysis(block);
                     black_box(slc.stored_bursts_with(&analysis));
                     went_lossy += usize::from(slc.approximate_with(block, &analysis).is_some());
-                    black_box(slc.stage_with(block, &analysis));
+                    let (mut staged, mut restaged) = (*block, analysis.clone());
+                    black_box(slc.stage_in_place(&mut staged, &mut restaged));
+                    a.e2mc.reanalyze(&mut restaged, &staged, 48..64);
+                    black_box(restaged.tree_sums());
                     for budget in (0..=1024).step_by(128) {
                         let fit = slc.fit_within_with(&analysis, budget);
                         black_box(slc.approximate_fitted(block, &analysis, fit));
@@ -245,7 +247,7 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
                 }
                 went_lossy
             });
-            assert_eq!(staging, 0, "{at}: sum-only decision, analysis, staging calls, ladder");
+            assert_eq!(staging, 0, "{at}: analysis, round trip, hole re-look-up, ladder");
             if variant == SlcVariant::TslcOpt {
                 (total, lossy) = (total + blocks.len(), lossy + went_lossy);
             }
