@@ -144,8 +144,7 @@ impl BlockAnalysis {
     }
 
     /// Lossless compressed size under E2MC's framing: mode bit + pdps +
-    /// code lengths. Matches
-    /// [`E2mc::lossless_size_bits`](super::E2mc::lossless_size_bits).
+    /// code lengths.
     pub fn lossless_size_bits(&self) -> u32 {
         HEADER_BITS + self.total_code_bits
     }

@@ -108,8 +108,8 @@ pub struct SymbolTable {
     /// Symbol value -> packed `(bits << 8) | width`, where `bits` is the
     /// complete wire encoding (codeword, or escape codeword followed by the
     /// 16 raw symbol bits) and `width <= 32` its length. Precomputed so
-    /// [`encode_symbol`](Self::encode_symbol) is a single table load and
-    /// one [`BitWriter::write`].
+    /// [`stash_encodings`](Self::stash_encodings) is one table load per
+    /// symbol.
     enc: Vec<u64>,
     /// Decode window (left-aligned `MAX_CODE_LEN` bits) -> packed
     /// `(symbol << 16) | (escape << 8) | code_length`. Fuses the canonical
@@ -190,13 +190,6 @@ impl SymbolTable {
     /// Total cost of an escaped symbol.
     pub fn escape_bits(&self) -> u32 {
         self.code.length(self.escape_entry) + 16
-    }
-
-    /// Appends the codeword(s) for `symbol` — one precomputed write, even
-    /// for escapes (escape codeword and raw bits are fused at training).
-    pub fn encode_symbol(&self, w: &mut BitWriter<'_>, symbol: u16) {
-        let packed = self.enc[symbol as usize];
-        w.write(packed >> 8, (packed & 0xff) as u32);
     }
 
     /// Stashes every symbol's packed wire encoding in one table pass, for
@@ -421,37 +414,6 @@ impl E2mc {
         let symbols = &block_to_symbols(block)[rewritten.clone()];
         analysis.rewrite(rewritten.start, symbols.iter().map(|&s| self.table.bits[usize::from(s)]));
     }
-
-    /// Per-symbol code lengths of a block — the values the paper's parallel
-    /// tree adder sums to obtain the compressed size.
-    pub fn code_lengths(&self, block: &Block) -> [u32; SYMBOLS_PER_BLOCK] {
-        self.analyze(block).code_lengths()
-    }
-
-    /// Sum of code lengths plus header: the lossless compressed size.
-    pub fn lossless_size_bits(&self, block: &Block) -> u32 {
-        self.analyze(block).lossless_size_bits()
-    }
-
-    /// The E2MC stored size of `block` — `min(header + Σ code lengths,`
-    /// [`BLOCK_BITS`]`)` — as one running sum over the dense width table,
-    /// with no per-symbol length array or adder-tree sums materialised.
-    ///
-    /// Pinned equal to `analyze(block).e2mc_size_bits()` by a unit test;
-    /// the point is the footprint, not the value: consumers that only
-    /// ever read the stored size (the E2MC-baseline burst sweep, the
-    /// batch engine's skip-incompressible hint) capture a 4-byte number
-    /// per block instead of the 68 B [`BlockAnalysis`] artifact — the
-    /// slim size-only snapshot cache in `slc-workloads` is built on this.
-    pub fn stored_size_bits(&self, block: &Block) -> u32 {
-        (HEADER_BITS + self.total_code_bits(block)).min(BLOCK_BITS)
-    }
-
-    /// Σ code lengths of `block`, no header and no cap: equal to
-    /// `analyze(block).total_code_bits()` without the length array.
-    fn total_code_bits(&self, block: &Block) -> u32 {
-        block_to_symbols(block).iter().map(|&s| u32::from(self.table.bits[s as usize])).sum()
-    }
 }
 
 impl BlockCompressor for E2mc {
@@ -479,7 +441,7 @@ impl BlockCompressor for E2mc {
         }
         SymbolTable::write_encodings(&mut w, &encodings);
         debug_assert_eq!(w.len_bits(), total);
-        debug_assert_eq!(total, self.lossless_size_bits(block));
+        debug_assert_eq!(total, self.analyze(block).lossless_size_bits());
         w.finish_block(block)
     }
 
@@ -511,8 +473,16 @@ impl BlockCompressor for E2mc {
         Ok(())
     }
 
+    /// The E2MC stored size of `block` — `min(header + Σ code lengths,`
+    /// [`BLOCK_BITS`]`)`, equal to `analyze(block).e2mc_size_bits()` — as
+    /// one running sum over the dense width table, with no per-symbol
+    /// length array materialised: what size-only consumers read (the
+    /// E2MC-baseline size cache in `slc-workloads`, the batch engine's
+    /// skip-incompressible hint).
     fn size_bits(&self, block: &Block) -> u32 {
-        self.stored_size_bits(block)
+        let code_bits: u32 =
+            block_to_symbols(block).iter().map(|&s| u32::from(self.table.bits[s as usize])).sum();
+        (HEADER_BITS + code_bits).min(BLOCK_BITS)
     }
 }
 
@@ -568,9 +538,9 @@ mod tests {
     fn lossless_size_is_header_plus_code_lengths() {
         let e = trained();
         let block = block_from_u32s(|i| i as u32 % 97);
-        let lens = e.code_lengths(&block);
-        let total: u32 = lens.iter().sum();
-        assert_eq!(e.lossless_size_bits(&block), HEADER_BITS + total);
+        let a = e.analyze(&block);
+        let total: u32 = a.code_lengths().iter().sum();
+        assert_eq!(a.lossless_size_bits(), HEADER_BITS + total);
     }
 
     #[test]
@@ -580,17 +550,15 @@ mod tests {
             let block =
                 block_from_u32s(|i| (seed.wrapping_mul(2654435761) ^ (i as u32 * 31)) % 400);
             let a = e.analyze(&block);
-            assert_eq!(a.code_lengths(), e.code_lengths(&block));
             assert_eq!(a.total_code_bits(), a.code_lengths().iter().sum::<u32>());
-            assert_eq!(a.lossless_size_bits(), e.lossless_size_bits(&block));
             assert_eq!(a.e2mc_size_bits(), e.size_bits(&block));
         }
     }
 
     #[test]
     fn stored_size_direct_sum_equals_the_analysis_path() {
-        // The slim-cache capture path must agree bit-for-bit with the
-        // full artifact it replaces, including the incompressible cap.
+        // The size cache's running sum must agree bit-for-bit with the
+        // full artifact, including the incompressible cap.
         let e = trained();
         for seed in 0..32u32 {
             let block = block_from_u32s(|i| {
@@ -601,9 +569,8 @@ mod tests {
                     x % 400
                 }
             });
-            assert_eq!(e.stored_size_bits(&block), e.analyze(&block).e2mc_size_bits());
-            assert_eq!(e.total_code_bits(&block), e.analyze(&block).total_code_bits());
-            assert_eq!(e.stored_size_bits(&block), e.size_bits(&block));
+            assert_eq!(e.size_bits(&block), e.analyze(&block).e2mc_size_bits());
+            assert_eq!(e.size_bits(&block), e.compress(&block).size_bits());
         }
     }
 

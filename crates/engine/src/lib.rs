@@ -694,6 +694,7 @@ mod tests {
     use super::*;
     use slc_compress::bdi::Bdi;
     use slc_compress::e2mc::{E2mc, E2mcConfig};
+    use slc_compress::BlockCompressor;
 
     fn bdi_engine(chunk: usize) -> Engine {
         Engine::new(Arc::new(Bdi::new())).with_chunk_bytes(chunk)
@@ -782,10 +783,8 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             *b = (state >> 33) as u8;
         }
-        let sizes: Vec<u32> = data
-            .chunks_exact(BLOCK_BYTES)
-            .map(|c| e2mc.stored_size_bits(c.try_into().unwrap()))
-            .collect();
+        let sizes: Vec<u32> =
+            data.chunks_exact(BLOCK_BYTES).map(|c| e2mc.size_bits(c.try_into().unwrap())).collect();
         assert!(sizes.iter().any(|&s| s >= BLOCK_BITS), "need at least one verbatim block");
         let engine = Engine::new(Arc::new(e2mc)).with_chunk_bytes(512);
         let plain = engine.compress(&data);

@@ -108,11 +108,11 @@ pub fn evaluate(
 /// artifacts carry the seeded image
 /// ([`BenchmarkArtifacts::initial_memory`]) and every functional pass of
 /// every sweep replays over it. They also lazily cache the exact run's
-/// per-snapshot E2MC stored sizes
+/// E2MC stored sizes, one `u16` per block per staging point
 /// ([`BenchmarkArtifacts::exact_size_snapshots`]): the artifacts are
 /// MAG- and threshold-independent, so one prepared set serves any number
 /// of [`evaluate_prepared`] sweeps and the E2MC baseline inside each is a
-/// cheap decision sweep over the shared sizes, not a re-encode.
+/// burst sweep over the shared sizes, not a kernel replay.
 pub fn prepare_all(
     scale: Scale,
     harness: &Harness,
@@ -140,8 +140,9 @@ pub fn evaluate_prepared(
 /// One benchmark's row: NOCOMP, the E2MC baseline and every variant over
 /// one working image ([`Harness::evaluate_schemes`]). Every scheme shares
 /// the one trained table (cloning it is an Arc refcount bump), and the
-/// E2MC baseline sweeps the artifacts' cached exact-run stored sizes
-/// instead of replaying the kernels (see [`Harness::run_functional`]).
+/// E2MC baseline sweeps the artifacts' cached exact-run stored sizes (one
+/// `u16` a block per staging point) instead of replaying the kernels (see
+/// [`Harness::run_functional`]).
 pub(crate) fn row(
     harness: &Harness,
     threshold_bytes: u32,

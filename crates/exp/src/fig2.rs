@@ -8,7 +8,7 @@
 
 use crate::eval::per_benchmark;
 use crate::report::shade;
-use slc_compress::{Mag, BLOCK_BITS, BLOCK_BYTES};
+use slc_compress::{BlockCompressor, Mag, BLOCK_BITS, BLOCK_BYTES};
 use slc_workloads::{all_workloads, BenchmarkArtifacts, Harness, Scale};
 
 /// One benchmark's distribution over bytes-above-MAG.
@@ -38,13 +38,13 @@ pub fn compute(scale: Scale, mag: Mag) -> Fig2 {
     Fig2 { rows, mag }
 }
 
-/// One benchmark's Fig. 2 row. One shared analysis of the final memory
-/// image sizes every bucket; nothing is re-encoded per figure.
+/// One benchmark's Fig. 2 row: its final image sized block by block
+/// under the trained E2MC table, as Fig. 1 sizes it; nothing is encoded.
 pub(crate) fn row(artifacts: &BenchmarkArtifacts, mag: Mag) -> Fig2Row {
     let mut counts = vec![0u64; mag.bytes() as usize + 1];
     let mut total = 0u64;
-    for b in artifacts.final_analysis().entries() {
-        let bits = b.analysis.e2mc_size_bits();
+    for (_, _, block) in artifacts.exact_memory.blocks_with_addr() {
+        let bits = artifacts.e2mc.size_bits(block);
         total += 1;
         if bits >= BLOCK_BITS || mag.round_up_bits(bits) >= BLOCK_BITS {
             counts[mag.bytes() as usize] += 1; // uncompressed bucket

@@ -8,7 +8,7 @@
 use crate::eval::{self, per_benchmark, Eval, EvalRow};
 use crate::report::{err_pct, f3, TextTable};
 use slc_compress::ratio::{geometric_mean, RatioAccumulator};
-use slc_compress::{Mag, BLOCK_BYTES};
+use slc_compress::{BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::SlcVariant;
 use slc_workloads::{all_workloads, BenchmarkArtifacts, Harness, Scale, Workload};
 
@@ -50,17 +50,17 @@ pub fn compute(scale: Scale) -> Fig9 {
 /// One benchmark under every MAG, in [`MAGS`] order. The exact run,
 /// trained table, trace and size cache are all MAG-independent (only
 /// burst accounting and the lossy budget see the MAG), so the three
-/// studies re-decide over the one prepared benchmark. `at_base_mag` is
-/// the TSLC-OPT row at `base`'s own MAG and threshold MAG/2 when the
-/// caller has it already (Fig. 7 computes exactly that column).
+/// studies re-decide over the one prepared benchmark, and one pass that
+/// sizes the final image (as Fig. 1 does) feeds all three §V-C ratios.
+/// `at_base_mag` is the TSLC-OPT row at `base`'s own MAG and threshold
+/// MAG/2 when the caller has it already (Fig. 7 computes exactly that
+/// column).
 pub(crate) fn row(
     base: &Harness,
     w: &dyn Workload,
     artifacts: &BenchmarkArtifacts,
     at_base_mag: Option<&EvalRow>,
 ) -> Vec<MagCell> {
-    // Every replay first, the final image's analysis (80 B a block)
-    // after: no working image is alive while it is.
     let evals = MAGS.map(|mag| match at_base_mag {
         Some(known) if mag == base.config.mag() => known.clone(),
         _ => {
@@ -68,13 +68,12 @@ pub(crate) fn row(
             eval::row(&harness, mag.bytes() / 2, &[SlcVariant::TslcOpt], w, artifacts)
         }
     });
-    let ratios = MAGS.map(|mag| {
-        let mut acc = RatioAccumulator::new(mag, BLOCK_BYTES as u32);
-        for b in artifacts.final_analysis().entries() {
-            acc.record_bits(b.analysis.e2mc_size_bits());
-        }
-        (acc.raw_ratio(), acc.effective_ratio())
-    });
+    let mut accs = MAGS.map(|mag| RatioAccumulator::new(mag, BLOCK_BYTES as u32));
+    for (_, _, block) in artifacts.exact_memory.blocks_with_addr() {
+        let bits = artifacts.e2mc.size_bits(block);
+        accs.iter_mut().for_each(|acc| acc.record_bits(bits));
+    }
+    let ratios = accs.map(|acc| (acc.raw_ratio(), acc.effective_ratio()));
     evals.into_iter().zip(ratios).collect()
 }
 

@@ -207,7 +207,7 @@ impl Channel {
         }
     }
 
-    /// Drains buffered writes that must or may go ahead of a read
+    /// Drains buffered writes that must or may go ahead of a request
     /// arriving at `at`: overage writes first (starvation cap), then
     /// opportunistic drains while the bus is idle before the arrival.
     fn drain_before(&mut self, at: f64) {
@@ -247,12 +247,7 @@ impl Channel {
             SchedPolicy::FrFcfs => {
                 // The starvation cap is enforced at *every* channel event,
                 // not just read arrivals: overage writes leave first.
-                while self.writes.oldest_overage(at, self.age_cap) {
-                    self.service_next_write(at, true);
-                }
-                while self.free_at < at && !self.writes.is_empty() {
-                    self.service_next_write(at, false);
-                }
+                self.drain_before(at);
                 let (bank, row) = self.locate(local_block);
                 self.writes.push(PendingWrite { local_block, bursts, arrival: at, bank, row });
                 if self.writes.len() >= self.write_capacity {

@@ -12,12 +12,12 @@
 //! 4. Feed the benchmark's trace plus the burst map to the timing
 //!    simulator with the scheme's codec latencies.
 
-use crate::analysis::{SizeSnapshot, SnapshotAnalysis};
 use crate::ladder::LadderState;
 use crate::metrics;
 use crate::scheme::{BurstsAccumulator, Scheme, SchemeKind};
 use crate::suite::{Scale, Workload};
 use slc_compress::e2mc::{E2mc, E2mcConfig};
+use slc_compress::{BlockCompressor, BLOCK_BYTES};
 use slc_sim::mc::BurstsMap;
 use slc_sim::{Engine, FaultPlan, GpuConfig, GpuMemory, SimStats, Trace};
 use std::sync::OnceLock;
@@ -48,10 +48,7 @@ pub struct BenchmarkArtifacts {
     workload_fingerprint: String,
     /// Lazily captured per-kernel-boundary stored sizes of the exact
     /// (unstaged) run — see [`Self::exact_size_snapshots`].
-    exact_size_snapshots: OnceLock<Vec<SizeSnapshot>>,
-    /// Lazily captured analysis of [`Self::exact_memory`] — see
-    /// [`Self::final_analysis`].
-    final_analysis: OnceLock<SnapshotAnalysis>,
+    exact_size_snapshots: OnceLock<Vec<Box<[u16]>>>,
 }
 
 /// How one region of the seeded image differs from the exact run's final
@@ -95,43 +92,45 @@ impl BenchmarkArtifacts {
         mem
     }
 
-    /// Stored sizes of the memory image at every kernel-boundary DRAM
-    /// round-trip of the **exact** run, under the trained table.
+    /// E2MC stored sizes of the memory image at every kernel-boundary
+    /// DRAM round-trip of the **exact** run, under the trained table: one
+    /// buffer per staging point, one `u16` per block in
+    /// [`GpuMemory::blocks_with_addr`] order (a stored size is capped at
+    /// the 1024-bit verbatim block, so the cast is lossless).
     ///
     /// Computed once per artifacts (one replay of the kernel pipeline
-    /// over [`Self::initial_memory`], sizing each boundary snapshot) and
+    /// over [`Self::initial_memory`], sizing each boundary image) and
     /// shared by every consumer thereafter: the E2MC-baseline functional
-    /// pass of [`Harness::run_functional`] at *any* MAG or threshold
-    /// reduces to a decision sweep over these sizes — the (schemes ×
-    /// thresholds) → 1 collapse of the shared pipeline. Kernels never
-    /// see staged data in a lossless run, so these snapshots are
-    /// bit-identical to what that run would observe.
+    /// pass of [`Harness::run_functional`] at *any* MAG reduces to a
+    /// burst sweep over these sizes. Kernels never see staged data in a
+    /// lossless run, so these are the sizes that run would observe.
     ///
-    /// Every consumer of this cache — the baseline burst sweep here, the
-    /// fault ladder's reconciliation tests — reads only each block's
-    /// *stored size*, so the cache holds the slim [`SizeSnapshot`]
-    /// representation (16 B per block: address, region class, size)
-    /// rather than full [`SnapshotAnalysis`] artifacts (80 B per block,
-    /// 5× the footprint). The Fig. 2 / §V-C studies, which need the full
-    /// analyses, go through [`Self::final_analysis`] instead.
+    /// The baseline reads nothing but a block's stored size, and block
+    /// addresses and region classes are [`Self::exact_memory`]'s own
+    /// layout, so a staging point costs 2 B a block.
     ///
     /// # Panics
     ///
     /// Panics when `w` is not the workload instance these artifacts were
     /// prepared from — same benchmark *and* same scale-dependent input
     /// (replaying a different pipeline would cache, and then keep
-    /// serving, the wrong snapshots).
-    pub fn exact_size_snapshots(&self, w: &dyn Workload) -> &[SizeSnapshot] {
+    /// serving, the wrong sizes).
+    pub fn exact_size_snapshots(&self, w: &dyn Workload) -> &[Box<[u16]>] {
         self.exact_sizes_over(w, &mut None)
     }
 
     /// [`Self::exact_size_snapshots`], its one replay run over `image`.
-    fn exact_sizes_over(&self, w: &dyn Workload, image: &mut Option<GpuMemory>) -> &[SizeSnapshot] {
+    fn exact_sizes_over(&self, w: &dyn Workload, image: &mut Option<GpuMemory>) -> &[Box<[u16]>] {
         self.assert_prepared_from(w);
         self.exact_size_snapshots.get_or_init(|| {
             let mut snapshots = Vec::new();
-            let mut capture =
-                |m: &mut GpuMemory| snapshots.push(SizeSnapshot::capture(&self.e2mc, m));
+            let mut capture = |m: &mut GpuMemory| {
+                let mut sizes = Vec::with_capacity(m.len() / BLOCK_BYTES);
+                sizes.extend(m.blocks_with_addr().map(|(_, _, block)| {
+                    u16::try_from(self.e2mc.size_bits(block)).expect("capped at BLOCK_BITS")
+                }));
+                snapshots.push(sizes.into_boxed_slice());
+            };
             w.execute(self.seeded(image), &mut capture);
             snapshots
         })
@@ -157,14 +156,6 @@ impl BenchmarkArtifacts {
     /// `output`'s error figures against the exact run's, in one pass.
     fn errors_of(&self, w: &dyn Workload, output: &[f32]) -> metrics::OutputErrors {
         w.metric().compare(&self.exact_output, self.exact_range, output)
-    }
-
-    /// Analysis of the final exact memory image (the state the Fig. 2
-    /// heat map and the §V-C ratio studies bucket). Computed once; every
-    /// MAG/threshold sweep reuses it.
-    pub fn final_analysis(&self) -> &SnapshotAnalysis {
-        self.final_analysis
-            .get_or_init(|| SnapshotAnalysis::capture(&self.e2mc, &self.exact_memory))
     }
 }
 
@@ -271,7 +262,6 @@ impl Harness {
             initial_delta,
             workload_fingerprint: BenchmarkArtifacts::fingerprint(w),
             exact_size_snapshots: OnceLock::new(),
-            final_analysis: OnceLock::new(),
         }
     }
 
@@ -338,11 +328,16 @@ impl Harness {
         if matches!(scheme, Scheme::E2mc(_)) && shares_artifact_table {
             // Lossless staging is the identity, so a fresh run would
             // retrace the exact run; sweep its cached per-boundary stored
-            // sizes instead of re-executing the kernels (the E2MC burst
-            // decision needs nothing else).
+            // sizes region by region instead of re-executing the kernels
+            // (the E2MC burst count needs nothing else).
             let mut accumulator = BurstsAccumulator::new(mag);
-            for snapshot in artifacts.exact_sizes_over(w, image) {
-                accumulator.record_sizes(scheme, snapshot);
+            for sizes in artifacts.exact_sizes_over(w, image) {
+                let mut rest = &sizes[..];
+                for region in artifacts.exact_memory.regions() {
+                    let (head, tail) = rest.split_at(region.size as usize / BLOCK_BYTES);
+                    accumulator.fold_bits(region.block_addr(0), head.iter().map(|&b| b.into()));
+                    rest = tail;
+                }
             }
             let errors = artifacts.errors_of(w, &artifacts.exact_output);
             return FunctionalOutcome {
@@ -459,9 +454,11 @@ pub fn normalized_bandwidth(baseline: &SimStats, candidate: &SimStats) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::SnapshotAnalysis;
     use crate::benchmarks::nn::Nn;
     use crate::metrics::ErrorMetric;
     use crate::suite::all_workloads;
+    use slc_compress::{Mag, BLOCK_BITS};
     use slc_core::slc::SlcVariant;
     use slc_sim::{DevicePtr, FaultConfig, FaultPattern};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -531,7 +528,9 @@ mod tests {
     const N: usize = 64;
 
     /// One region per delta case: the kernel only reads `kept`, rewrites
-    /// the non-zero `scaled` in place and fills the zeroed `filled`.
+    /// the non-zero `scaled` in place and fills the zeroed `filled`. At
+    /// a middle staging point `filled`'s first block holds noise neither
+    /// image shows the table: a block of escapes, stored verbatim.
     struct ThreeRegions {
         /// Makes the kernel allocate, which `prepare` must refuse.
         allocates: bool,
@@ -575,6 +574,13 @@ mod tests {
 
         fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory)) {
             let [kept, scaled, filled] = Self::PTRS;
+            stage(mem);
+            let noise = mem.regions()[2].clone();
+            let mut state = 0x5eed_u64;
+            for byte in &mut mem.region_bytes_mut(&noise)[..BLOCK_BYTES] {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                *byte = (state >> 33) as u8;
+            }
             stage(mem);
             let doubled: Vec<f32> = mem.read_f32(scaled, N).iter().map(|v| v * 2.0).collect();
             let sums: Vec<f32> =
@@ -702,26 +708,70 @@ mod tests {
 
     #[test]
     fn cached_baseline_pass_equals_direct_replay() {
-        // The E2MC baseline sweeps the artifacts' cached exact-run
-        // analyses instead of re-executing the kernels; the outcome must
-        // be indistinguishable from the uncached replay.
+        // The E2MC baseline sweeps the artifacts' cached exact-run sizes
+        // region by region instead of re-executing the kernels; the
+        // outcome must be indistinguishable from the uncached replay, at
+        // every MAG, for every benchmark and seed.
+        for seed in [42, 7] {
+            let h = Harness { seed, ..harness() };
+            for w in all_workloads(Scale::Tiny) {
+                let a = h.prepare(w.as_ref());
+                let scheme = Scheme::E2mc(a.e2mc.clone());
+                for mag in [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64] {
+                    let at = format!("{} seed {seed} MAG {mag}", w.name());
+                    let hm = h.clone().with_config(h.config.with_mag(mag));
+                    let cached = hm.run_functional(w.as_ref(), &a, &scheme);
+                    let direct = hm.replay(w.as_ref(), &a, &scheme, None, &mut None);
+                    assert_eq!(cached.bursts, direct.bursts, "{at}: bursts");
+                    assert_eq!(
+                        (cached.error_pct, cached.mre_pct, cached.psnr_db, cached.max_abs_err),
+                        (direct.error_pct, direct.mre_pct, direct.psnr_db, direct.max_abs_err),
+                        "{at}: errors"
+                    );
+                }
+            }
+        }
+        // A scheme trained elsewhere must not consume the cache (and the
+        // harness falls back to the replay without panicking).
         let h = harness();
         let nn = Nn::new(Scale::Tiny);
         let artifacts = h.prepare(&nn);
-        let scheme = Scheme::E2mc(artifacts.e2mc.clone());
-        let cached = h.run_functional(&nn, &artifacts, &scheme);
-        let direct = h.replay(&nn, &artifacts, &scheme, None, &mut None);
-        assert_eq!(cached.error_pct, direct.error_pct);
-        assert_eq!(cached.mre_pct, direct.mre_pct);
-        assert_eq!(cached.bursts, direct.bursts);
-        // A scheme trained elsewhere must not consume the cache (and the
-        // harness falls back to the replay without panicking).
         let foreign = Scheme::E2mc(E2mc::train_on_bytes(
             &(0..4096u32).flat_map(|i| (i % 7).to_le_bytes()).collect::<Vec<u8>>(),
             &E2mcConfig::default(),
         ));
         let f = h.run_functional(&nn, &artifacts, &foreign);
         assert_eq!(f.error_pct, 0.0);
+    }
+
+    /// Entry *i* of staging point *k* of the size cache is the stored
+    /// size of the *i*-th block of an independent execute's *k*-th
+    /// snapshot; the synthetic pipeline adds a block no table codes.
+    #[test]
+    fn size_cache_equals_the_analysis_of_every_staging_point() {
+        let h = harness();
+        let mut workloads = all_workloads(Scale::Tiny);
+        workloads.push(Box::new(ThreeRegions { allocates: false }));
+        let mut verbatim = 0;
+        for w in &workloads {
+            let a = h.prepare(w.as_ref());
+            let mut snapshots = Vec::new();
+            let mut capture = |m: &mut GpuMemory| {
+                snapshots.push(SnapshotAnalysis::capture(&a.e2mc, m));
+            };
+            w.execute(&mut a.initial_memory(), &mut capture);
+            let cache = a.exact_size_snapshots(w.as_ref());
+            assert_eq!(cache.len(), snapshots.len(), "{}: staging points", w.name());
+            for (k, (sizes, snapshot)) in cache.iter().zip(&snapshots).enumerate() {
+                assert_eq!(sizes.len(), snapshot.entries().len(), "{} point {k}", w.name());
+                for (i, (&size, b)) in sizes.iter().zip(snapshot.entries()).enumerate() {
+                    let want = b.analysis.e2mc_size_bits();
+                    assert_eq!(u32::from(size), want, "{} point {k} block {i}", w.name());
+                    verbatim += usize::from(want == BLOCK_BITS);
+                }
+            }
+        }
+        assert!(verbatim > 0, "no verbatim block: the cap was not tested");
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!
 //! [`harness`] glues benchmarks to compression [`scheme`]s and the timing
 //! simulator; the `slc-exp` crate builds every paper figure from it.
-//! [`analysis`] holds the snapshot-level cache of per-block E2MC analyses
-//! (one `E2mc::analyze` pass per memory snapshot, swept by any number of
-//! schemes, MAGs and thresholds — the shared pipeline described in the
-//! `slc-core` crate docs); [`engine`] feeds those cached analyses to the
-//! `slc-engine` batch container path with zero re-analysis.
+//! [`analysis`] holds the snapshot-level capture of per-block E2MC
+//! analyses (one `E2mc::analyze` pass per memory snapshot, swept by any
+//! number of schemes, MAGs and thresholds — the shared pipeline described
+//! in the `slc-core` crate docs); [`engine`] feeds a captured snapshot to
+//! the `slc-engine` batch container path with zero re-analysis.
 //! [`ladder`] adds the graceful-degradation
 //! ladder that lets every scheme run on DRAM with permanently failed
 //! regions ([`slc_sim::fault`]): exact → lossless → lossy → spare-pool
@@ -43,7 +43,7 @@ pub mod metrics;
 pub mod scheme;
 pub mod suite;
 
-pub use analysis::{AnalyzedBlock, SizeSnapshot, SizedBlock, SnapshotAnalysis};
+pub use analysis::{AnalyzedBlock, SnapshotAnalysis};
 pub use engine::{compress_snapshot, snapshot_bytes, snapshot_engine};
 pub use harness::{BenchmarkArtifacts, FunctionalOutcome, Harness, TimingOutcome};
 pub use ladder::LadderState;

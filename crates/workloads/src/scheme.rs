@@ -7,10 +7,10 @@
 //! accounting for the timing simulator, and the codec latencies of
 //! Section IV-A.
 
-use crate::analysis::{SizeSnapshot, SnapshotAnalysis};
+use crate::analysis::SnapshotAnalysis;
 use crate::ladder::{LadderState, LadderVerdict};
 use slc_compress::e2mc::{BlockAnalysis, E2mc};
-use slc_compress::{Block, Mag, BLOCK_BITS, BLOCK_BYTES};
+use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BITS, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_sim::dense::DenseAddrMap;
 use slc_sim::mc::BurstsMap;
@@ -123,7 +123,8 @@ impl Scheme {
     /// whose working set is one block and one accumulator cell — no
     /// snapshot, no verdict list. Per block it settles the stored form
     /// (approximable SLC blocks: [`stage_approximable`]) and folds that
-    /// form's bursts into the region's cell slice of `acc`. `ladder`,
+    /// form's bits into the region's cell slice of `acc`
+    /// ([`BurstsAccumulator::fold_bits`]). `ladder`,
     /// when present, resolves every block first, in this same
     /// [`GpuMemory::blocks_with_addr`] order (so its spare pool fills
     /// first-come first-served over the whole address walk); without one
@@ -145,31 +146,25 @@ impl Scheme {
         }
         for (region, bytes) in mem.regions_mut() {
             let slc = slc.filter(|_| region.safe_to_approx);
-            let blocks = bytes.chunks_exact_mut(BLOCK_BYTES);
-            // Without a table there is nothing to record: the walk only
-            // feeds the ladder's counters.
-            let mut fold = acc.as_deref_mut().filter(|_| e2mc.is_some()).map(|acc| {
-                (acc.mag, acc.cells.run_slice(region.block_addr(0), blocks.len()).iter_mut())
-            });
-            for (i, chunk) in blocks.enumerate() {
+            let bits = bytes.chunks_exact_mut(BLOCK_BYTES).enumerate().map(|(i, chunk)| {
                 let block: &mut Block = chunk.try_into().expect("regions are block-padded");
                 let addr = region.block_addr(i);
-                let bits = if let Some(slc) = slc {
-                    stage_approximable(slc, block, addr, ladder.as_deref_mut())
-                } else {
-                    // One stored form: the verbatim block without a
-                    // table, E2MC's (lossless stream or verbatim) with.
-                    let bits = e2mc.map_or(BLOCK_BITS, |e2mc| e2mc.stored_size_bits(block));
-                    if let Some(ladder) = ladder.as_deref_mut() {
-                        ladder.resolve_sized(addr, bits);
-                    }
-                    bits
-                };
-                if let Some((mag, cells)) = &mut fold {
-                    let cell = cells.next().expect("one cell per block of the region");
-                    cell.0 += u64::from(mag.bursts_for_bits(bits, BLOCK_BYTES as u32));
-                    cell.1 += 1;
+                if let Some(slc) = slc {
+                    return stage_approximable(slc, block, addr, ladder.as_deref_mut());
                 }
+                // One stored form: the verbatim block without a table,
+                // E2MC's (lossless stream or verbatim) with.
+                let bits = e2mc.map_or(BLOCK_BITS, |e2mc| e2mc.size_bits(block));
+                if let Some(ladder) = ladder.as_deref_mut() {
+                    ladder.resolve_sized(addr, bits);
+                }
+                bits
+            });
+            // Without a table there is nothing to record: the walk only
+            // feeds the ladder's counters.
+            match acc.as_deref_mut().filter(|_| e2mc.is_some()) {
+                Some(acc) => acc.fold_bits(region.block_addr(0), bits),
+                None => bits.for_each(drop),
             }
         }
     }
@@ -242,11 +237,12 @@ fn stage_approximable(
 ///
 /// Accumulation is dense and address-indexed: per-block `(sum, folds)`
 /// cells live in a [`DenseAddrMap`] keyed by block ordinal. The staging
-/// walk ([`Scheme::stage_and_record`]) folds each block's bursts into its
-/// region's cell slice where it computes them; [`record`](Self::record)
-/// sweeps a captured snapshot's contiguous address runs
-/// ([`Snapshot::runs`](crate::analysis::Snapshot::runs)) through each
-/// run's slice. Neither probes a map per entry.
+/// walk ([`Scheme::stage_and_record`]) folds each block's stored bits
+/// into its region's cell slice where it computes them, and the E2MC
+/// baseline sweeps its cached sizes region by region through the same
+/// step; [`record`](Self::record) sweeps a captured snapshot's
+/// contiguous address runs ([`SnapshotAnalysis::runs`]) through each
+/// run's slice. None probes a map per entry.
 #[derive(Debug, Clone)]
 pub struct BurstsAccumulator {
     mag: Mag,
@@ -274,6 +270,15 @@ impl BurstsAccumulator {
             cell.0 += u64::from(b);
             cell.1 += 1;
         }
+    }
+
+    /// [`fold`](Self::fold) from stored sizes: each block's bits become
+    /// its burst count under the accumulator's MAG — the one step from a
+    /// stored size to a cell, shared by the staging walk and the E2MC
+    /// baseline's sweep of the size cache.
+    pub(crate) fn fold_bits(&mut self, start: BlockAddr, bits: impl ExactSizeIterator<Item = u32>) {
+        let mag = self.mag;
+        self.fold(start, bits.map(|b| mag.bursts_for_bits(b, BLOCK_BYTES as u32)));
     }
 
     /// Folds one block's burst count in directly, bypassing the scheme
@@ -306,36 +311,6 @@ impl BurstsAccumulator {
         for run in snapshot.runs() {
             let bursts =
                 run.iter().map(|b| scheme.bursts_for_analysis(&b.analysis, mag, b.approximable));
-            self.fold(run[0].addr, bursts);
-        }
-    }
-
-    /// [`record`](Self::record) over a size-only [`SizeSnapshot`] — the
-    /// E2MC-baseline sweep against the slim cache. Only the lossless
-    /// E2MC scheme can be swept from stored sizes alone: its burst count
-    /// is a pure function of the size, while an SLC decision needs the
-    /// full per-symbol code lengths (and [`Scheme::Uncompressed`] records
-    /// nothing, as everywhere else).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `scheme` is an SLC variant, or when the snapshot's
-    /// trained table is not the scheme's.
-    pub fn record_sizes(&mut self, scheme: &Scheme, snapshot: &SizeSnapshot) {
-        let Some(e2mc) = scheme.e2mc() else {
-            return;
-        };
-        assert!(
-            matches!(scheme, Scheme::E2mc(_)),
-            "size-only snapshots serve the lossless E2MC baseline; SLC decisions need full analyses"
-        );
-        assert!(
-            snapshot.matches(e2mc),
-            "snapshot analysed under a different trained table than the scheme's"
-        );
-        let mag = self.mag;
-        for run in snapshot.runs() {
-            let bursts = run.iter().map(|b| mag.bursts_for_bits(b.size_bits, BLOCK_BYTES as u32));
             self.fold(run[0].addr, bursts);
         }
     }
@@ -468,29 +443,6 @@ mod tests {
             swept.record(&scheme, &snap);
             assert_eq!(direct.into_map(), swept.into_map());
         }
-    }
-
-    #[test]
-    fn record_sizes_equals_record_for_the_e2mc_baseline() {
-        let e = trained();
-        let mem = filled_memory();
-        let scheme = Scheme::E2mc(e.clone());
-        let full = SnapshotAnalysis::capture(&e, &mem);
-        let slim = SizeSnapshot::capture(&e, &mem);
-        let mut a = BurstsAccumulator::new(Mag::GDDR5);
-        a.record(&scheme, &full);
-        let mut b = BurstsAccumulator::new(Mag::GDDR5);
-        b.record_sizes(&scheme, &slim);
-        assert_eq!(a.into_map(), b.into_map());
-    }
-
-    #[test]
-    #[should_panic(expected = "size-only snapshots serve the lossless E2MC baseline")]
-    fn record_sizes_rejects_slc_schemes() {
-        let e = trained();
-        let slim = SizeSnapshot::capture(&e, &filled_memory());
-        let scheme = Scheme::slc(e, Mag::GDDR5, 16, SlcVariant::TslcOpt);
-        BurstsAccumulator::new(Mag::GDDR5).record_sizes(&scheme, &slim);
     }
 
     #[test]

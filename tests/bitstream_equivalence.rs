@@ -241,7 +241,7 @@ proptest! {
         }
         let c = e2mc.compress(&block);
         if c.is_compressed() {
-            prop_assert_eq!(c.size_bits(), e2mc.lossless_size_bits(&block));
+            prop_assert_eq!(c.size_bits(), e2mc.analyze(&block).lossless_size_bits());
         }
         prop_assert_eq!(e2mc.decompress(&c), block);
     }

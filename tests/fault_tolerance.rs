@@ -131,19 +131,19 @@ fn ladder_counters_reconcile_with_an_independent_replay() {
     let budget = fault.budget_bits();
     let mut remapped: HashSet<u64> = HashSet::new();
     let mut lost: HashSet<u64> = HashSet::new();
-    for snapshot in a.exact_size_snapshots(w.as_ref()) {
-        for b in snapshot.entries() {
-            if !map.is_faulty(b.addr)
-                || remapped.contains(&b.addr)
-                || lost.contains(&b.addr)
-                || b.e2mc_size_bits() <= budget
+    for sizes in a.exact_size_snapshots(w.as_ref()) {
+        for ((_, addr, _), &bits) in a.exact_memory.blocks_with_addr().zip(sizes.iter()) {
+            if !map.is_faulty(addr)
+                || remapped.contains(&addr)
+                || lost.contains(&addr)
+                || u32::from(bits) <= budget
             {
                 continue;
             }
             if (remapped.len() as u32) < fault.spare_blocks {
-                remapped.insert(b.addr);
+                remapped.insert(addr);
             } else {
-                lost.insert(b.addr);
+                lost.insert(addr);
             }
         }
     }

@@ -23,9 +23,7 @@ use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_engine::{Engine, Frame, Threads};
 use slc::slc_sim::{FaultConfig, FaultPattern, GpuConfig, GpuMemory};
 use slc::slc_workloads::scheme::BurstsAccumulator;
-use slc::slc_workloads::{
-    all_workloads, Harness, LadderState, Scale, Scheme, SizeSnapshot, SnapshotAnalysis,
-};
+use slc::slc_workloads::{all_workloads, Harness, LadderState, Scale, Scheme, SnapshotAnalysis};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -268,7 +266,8 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
 }
 
 /// A snapshot is one buffer: capture sizes it from the memory image and
-/// writes every entry once, whatever the block count. The staging walk
+/// writes every entry once, whatever the block count, and the E2MC size
+/// cache is one such buffer per staging point. The staging walk
 /// holds none: its first staging point allocates the accumulator's cells
 /// and every later one nothing, with or without a fault ladder. The
 /// seeded image costs a clone of the final one, and a benchmark's row
@@ -288,8 +287,6 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
         mem.region_bytes_mut(&approx).copy_from_slice(corpus[..blocks / 2].as_flattened());
         let (full, snapshot) = allocs(|| SnapshotAnalysis::capture(&e2mc, &mem));
         assert_eq!((full, snapshot.entries().len()), (1, blocks), "SnapshotAnalysis::capture");
-        let (slim, snapshot) = allocs(|| SizeSnapshot::capture(&e2mc, &mem));
-        assert_eq!((slim, snapshot.entries().len()), (1, blocks), "SizeSnapshot::capture");
         let scheme = Scheme::slc(e2mc.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
         // The directory, the first region's cells, their growth over the
         // second region — and that is all the walk ever allocates.
@@ -332,6 +329,25 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
         let (images, outcomes) =
             allocs_of(image, || harness.evaluate_schemes(w.as_ref(), &a, &schemes).count());
         assert_eq!((images, outcomes), (1, 4), "{}: one working image a row", w.name());
+        // The size pass on its own: the seeded image's clone, what the
+        // kernels allocate, one buffer per staging point and the outer
+        // list's growth — nothing per block.
+        let a = harness.prepare(w.as_ref());
+        let mut mem = a.initial_memory();
+        let kernels = allocs(|| w.execute(&mut mem, &mut |_: &mut GpuMemory| {})).0;
+        let (first, points) = allocs(|| a.exact_size_snapshots(w.as_ref()).len());
+        let cached = allocs(|| a.exact_size_snapshots(w.as_ref())).0;
+        let growth = allocs(|| {
+            let mut list: Vec<Box<[u16]>> = Vec::new();
+            (0..points).for_each(|_| list.push(Box::default()));
+            list
+        });
+        assert_eq!(
+            first - cached,
+            clone + kernels + points as u64 + growth.0,
+            "{}: the size pass over {points} staging points",
+            w.name()
+        );
     }
 }
 
