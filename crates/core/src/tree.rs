@@ -21,7 +21,7 @@
 //! `2 + 8i` is pairs `4i + 1` and `4i + 2`, the one at `4 + 16i` quads
 //! `4i + 1` and `4i + 2` — so a staggered node costs one adder. See
 //! PAPER.md, "This reproduction", for the rationale and
-//! `examples/ablation.rs` for the measured effect.
+//! `slc probe ablation` for the measured effect.
 //!
 //! Nothing is stored per block: [`BlockAnalysis::tree_sums`] adds the
 //! levels up, four `u16` nodes to a `u64` word, when a block reaches the

@@ -1,5 +1,5 @@
-//! Every figure from **one** pass over the benchmarks — what `run_all`
-//! prints: each benchmark is built, executed, trained and traced once,
+//! Every figure from **one** pass over the benchmarks — what `slc run
+//! all` prints: each benchmark is built, executed, trained and traced once,
 //! gives its Fig. 1, 2, 7/8 and 9 rows, and is dropped.
 
 use crate::eval::{self, per_benchmark, Eval, EvalRow};
@@ -57,7 +57,7 @@ mod tests {
     #[test]
     fn the_one_pass_renders_what_each_module_computes() {
         // What licenses taking Fig. 9's 32 B column from Fig. 7's row:
-        // the standalone binaries and `run_all` cannot drift apart.
+        // `slc run fig1` … `fig9` and `slc run all` cannot drift apart.
         let scale = Scale::Tiny;
         let (fig1, fig2, eval, fig9) = compute(all_workloads(scale), scale);
         assert_eq!(fig1.render(), fig1::compute(scale, Mag::GDDR5).render());

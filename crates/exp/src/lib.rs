@@ -1,20 +1,20 @@
 //! Experiment harness: regenerates every table and figure of the SLC
 //! paper (see PAPER.md, "This reproduction").
 //!
-//! | Paper artefact | Module | Binary |
+//! | Paper artefact | Module | Command |
 //! |---|---|---|
-//! | Fig. 1 (raw vs effective ratio) | [`fig1`] | `fig1_compression_ratio` |
-//! | Fig. 2 (heat map) | [`fig2`] | `fig2_heatmap` |
-//! | Figs. 7a/7b (speedup, error) | [`eval`] | `fig7_speedup_error` |
-//! | Figs. 8a/8b (bandwidth, energy, EDP) | [`eval`] | `fig8_bandwidth_energy` |
-//! | Figs. 9a/9b + §V-C (MAG sensitivity) | [`fig9`] | `fig9_mag_sensitivity` |
-//! | All five figures, one pass over the benchmarks | [`all`] | `run_all` |
-//! | Table I (hardware cost) | [`tables`] | `table1_hardware` |
-//! | Table II (simulator config) | [`tables`] | `table2_config` |
-//! | Table III (benchmarks) | [`tables`] | `table3_benchmarks` |
+//! | Fig. 1 (raw vs effective ratio) + §II-A | [`fig1`] | `slc run fig1` |
+//! | Fig. 2 (heat map) | [`fig2`] | `slc run fig2` |
+//! | Figs. 7a/7b (speedup, error) | [`eval`] | `slc run fig7` |
+//! | Figs. 8a/8b (bandwidth, energy, EDP) | [`eval`] | `slc run fig8` |
+//! | Figs. 9a/9b + §V-C (MAG sensitivity) | [`fig9`] | `slc run fig9` |
+//! | All five figures, one pass over the benchmarks | [`all`] | `slc run all` |
+//! | Table I (hardware cost) | [`tables`] | `slc run table1` |
+//! | Table II (simulator config) | [`tables`] | `slc run table2` |
+//! | Table III (benchmarks) | [`tables`] | `slc run table3` |
 //!
-//! Binaries read `SLC_SCALE` (`tiny` / `small` / `full`, default `small`)
-//! and print paper-reference values next to measured ones.
+//! The `slc` binary reads `SLC_SCALE` (`tiny` / `small` / `full`, default
+//! `small`) and prints paper-reference values next to measured ones.
 
 #![forbid(unsafe_code)]
 

@@ -314,32 +314,6 @@ impl GpuMemory {
         })
     }
 
-    /// Applies `f` to every 128 B block of every safe-to-approximate
-    /// region — the kernel-boundary DRAM round-trip: `Some(out)` replaces
-    /// the block, `None` leaves it alone (an exact stored form costs
-    /// neither a copy nor a compare). Visits regions in table order and
-    /// blocks in ascending offset, the order [`Self::blocks_with_addr`]
-    /// reproduces.
-    ///
-    /// Returns the number of blocks visited (memory is only written for
-    /// blocks the callback actually changed).
-    pub fn stage_approx_regions(
-        &mut self,
-        mut f: impl FnMut(&Region, &Block) -> Option<Block>,
-    ) -> usize {
-        let mut visited = 0;
-        for (region, bytes) in self.regions_mut().filter(|(r, _)| r.safe_to_approx) {
-            for chunk in bytes.chunks_exact_mut(BLOCK_BYTES) {
-                let block: &mut Block = chunk.try_into().expect("regions are block-padded");
-                if let Some(out) = f(region, block).filter(|out| out != block) {
-                    *block = out;
-                }
-                visited += 1;
-            }
-        }
-        visited
-    }
-
     /// Iterates every region block **by reference** with its block
     /// address ([`Region::block_addr`]) and owning region — the zero-copy
     /// sibling of [`all_blocks`](Self::all_blocks) and the single
@@ -519,48 +493,6 @@ mod tests {
             assert_eq!(bytes, saved.region_bytes(region));
             assert!(bytes.iter().all(|&b| b == i as u8 + 1) && bytes.len() == region.size as usize);
         }
-    }
-
-    #[test]
-    fn stage_visits_only_approx_regions() {
-        let mut m = GpuMemory::new();
-        let a = m.malloc("approx", 256, true, 16);
-        let e = m.malloc("exact", 256, false, 0);
-        m.write_f32(a, &[7.0; 64]);
-        m.write_f32(e, &[9.0; 64]);
-        let visited = m.stage_approx_regions(|_, b| {
-            let mut out = *b;
-            out[0] = 0xff;
-            Some(out)
-        });
-        assert_eq!(visited, 2, "two blocks in the approx region");
-        assert_eq!(m.read_f32(e, 1)[0], 9.0, "exact region untouched");
-        let first = m.read_f32(a, 1)[0];
-        assert_ne!(first, 7.0, "approx region rewritten");
-    }
-
-    #[test]
-    fn stage_order_matches_blocks_with_addr() {
-        let mut m = GpuMemory::new();
-        let _exact = m.malloc("exact", 128, false, 0);
-        let a = m.malloc("approx", 256, true, 16);
-        let mut staged_bases = Vec::new();
-        let mut count = 0u64;
-        m.stage_approx_regions(|region, block| {
-            assert_eq!(region.base, a.0);
-            staged_bases.push(region.base + count * BLOCK_BYTES as u64);
-            count += 1;
-            Some(*block)
-        });
-        let walk: Vec<u64> = m
-            .blocks_with_addr()
-            .filter(|(r, _, _)| r.safe_to_approx)
-            .map(|(_, addr, _)| addr * BLOCK_BYTES as u64)
-            .collect();
-        // The staging walk and the shared block walk agree on order and
-        // position — the contract positional merges rely on.
-        assert_eq!(staged_bases, walk);
-        assert_eq!(walk, vec![128, 256]);
     }
 
     #[test]

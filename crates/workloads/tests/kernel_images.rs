@@ -5,7 +5,7 @@
 //! in place is held to the values, the order of operations and the
 //! staged inputs of the kernels the goldens were recorded from (parent
 //! commit `21f5e01`, whose kernels copied every array out and back).
-//! Finer than the figures: `run_all`'s text rounds to three decimals.
+//! Finer than the figures: `slc run all`'s text rounds to three decimals.
 
 use slc_compress::BLOCK_BYTES;
 use slc_sim::GpuMemory;

@@ -1,7 +1,7 @@
 //! Umbrella crate for the SLC reproduction.
 //!
-//! Re-exports every workspace crate under one roof so examples, integration
-//! tests and downstream users can depend on a single `slc` crate:
+//! Re-exports every workspace crate under one roof so integration tests and
+//! downstream users can depend on a single `slc` crate:
 //!
 //! * [`slc_core`] — the paper's contribution: MAG-aware selective lossy
 //!   compression (TSLC) layered on E2MC.
