@@ -162,13 +162,13 @@ impl Channel {
         (bank, row)
     }
 
-    /// Services one request *now*: the bank opens the row (hit or miss),
-    /// the data bus is granted once free, and the channel state advances.
-    /// This is the legacy in-order arithmetic, shared verbatim by both
-    /// policies — FR-FCFS only changes *which* request is serviced next.
-    fn service(&mut self, local_block: u64, bursts: u32, at: f64) -> DramAccess {
-        let (bank_idx, row) = self.locate(local_block);
-        let bank = &mut self.banks[bank_idx];
+    /// Services one request to `row` of bank `bank` *now*: the bank opens
+    /// the row (hit or miss), the data bus is granted once free, and the
+    /// channel state advances. This is the legacy in-order arithmetic,
+    /// shared verbatim by both policies — FR-FCFS only changes *which*
+    /// request is serviced next.
+    fn service(&mut self, bank: usize, row: u64, bursts: u32, at: f64) -> DramAccess {
+        let bank = &mut self.banks[bank];
         let start = at.max(bank.ready_at);
         let row_hit = bank.open_row == Some(row);
         let access_latency = if row_hit { self.row_hit_cycles } else { self.row_miss_cycles };
@@ -200,7 +200,7 @@ impl Channel {
             return;
         };
         let w = self.writes.remove(i);
-        self.service(w.local_block, w.bursts, w.arrival);
+        self.service(w.bank, w.row, w.bursts, w.arrival);
         self.telemetry.write_drains += 1;
         if forced {
             self.telemetry.write_drain_forced += 1;
@@ -231,7 +231,8 @@ impl Channel {
         if self.policy == SchedPolicy::FrFcfs {
             self.drain_before(at);
         }
-        self.service(local_block, bursts, at)
+        let (bank, row) = self.locate(local_block);
+        self.service(bank, row, bursts, at)
     }
 
     /// Accepts a write of `bursts` bursts to `local_block` at time `at`.
@@ -242,14 +243,14 @@ impl Channel {
     /// is at its high watermark — and `None` is returned (row outcome and
     /// bus occupancy materialise at drain time).
     pub fn write(&mut self, local_block: u64, bursts: u32, at: f64) -> Option<DramAccess> {
+        let (bank, row) = self.locate(local_block);
         match self.policy {
-            SchedPolicy::InOrder => Some(self.service(local_block, bursts, at)),
+            SchedPolicy::InOrder => Some(self.service(bank, row, bursts, at)),
             SchedPolicy::FrFcfs => {
                 // The starvation cap is enforced at *every* channel event,
                 // not just read arrivals: overage writes leave first.
                 self.drain_before(at);
-                let (bank, row) = self.locate(local_block);
-                self.writes.push(PendingWrite { local_block, bursts, arrival: at, bank, row });
+                self.writes.push(PendingWrite { bursts, arrival: at, bank, row });
                 if self.writes.len() >= self.write_capacity {
                     while self.writes.len() > self.write_capacity / 2 {
                         self.service_next_write(at, true);

@@ -34,15 +34,13 @@ pub enum SchedPolicy {
 /// One buffered write request.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingWrite {
-    /// Channel-local block index.
-    pub local_block: u64,
     /// Data bursts the write moves.
     pub bursts: u32,
     /// When the write reached the channel (SM cycles).
     pub arrival: f64,
-    /// Bank the block maps to (precomputed at enqueue).
+    /// Bank the block maps to (computed once, at enqueue).
     pub bank: usize,
-    /// Row the block maps to (precomputed at enqueue).
+    /// Row the block maps to (computed once, at enqueue).
     pub row: u64,
 }
 
@@ -117,8 +115,8 @@ impl WriteQueue {
 mod tests {
     use super::*;
 
-    fn w(local_block: u64, arrival: f64, bank: usize, row: u64) -> PendingWrite {
-        PendingWrite { local_block, bursts: 4, arrival, bank, row }
+    fn w(arrival: f64, bank: usize, row: u64) -> PendingWrite {
+        PendingWrite { bursts: 4, arrival, bank, row }
     }
 
     #[test]
@@ -132,8 +130,8 @@ mod tests {
     #[test]
     fn row_hit_beats_older_miss() {
         let mut q = WriteQueue::new();
-        q.push(w(0, 0.0, 0, 7)); // row miss (bank 0 has row 1 open)
-        q.push(w(1, 1.0, 0, 1)); // row hit
+        q.push(w(0.0, 0, 7)); // row miss (bank 0 has row 1 open)
+        q.push(w(1.0, 0, 1)); // row hit
         let i = q.select(2.0, 1e9, |b| if b == 0 { Some(1) } else { None });
         assert_eq!(i, Some(1), "the row hit wins while nothing is overage");
     }
@@ -141,20 +139,20 @@ mod tests {
     #[test]
     fn oldest_wins_among_row_hits_and_among_misses() {
         let mut q = WriteQueue::new();
-        q.push(w(0, 0.0, 0, 1)); // hit, oldest
-        q.push(w(1, 1.0, 0, 1)); // hit, younger
+        q.push(w(0.0, 0, 1)); // hit, oldest
+        q.push(w(1.0, 0, 1)); // hit, younger
         assert_eq!(q.select(2.0, 1e9, |_| Some(1)), Some(0));
         let mut q = WriteQueue::new();
-        q.push(w(0, 0.0, 0, 5)); // miss, oldest
-        q.push(w(1, 1.0, 0, 6)); // miss, younger
+        q.push(w(0.0, 0, 5)); // miss, oldest
+        q.push(w(1.0, 0, 6)); // miss, younger
         assert_eq!(q.select(2.0, 1e9, |_| Some(1)), Some(0));
     }
 
     #[test]
     fn age_cap_promotes_the_oldest_over_row_hits() {
         let mut q = WriteQueue::new();
-        q.push(w(0, 0.0, 0, 7)); // row miss, old
-        q.push(w(1, 1.0, 0, 1)); // row hit
+        q.push(w(0.0, 0, 7)); // row miss, old
+        q.push(w(1.0, 0, 1)); // row hit
         let open = |b: usize| if b == 0 { Some(1) } else { None };
         assert_eq!(q.select(50.0, 100.0, open), Some(1), "under the cap the hit wins");
         assert_eq!(q.select(150.0, 100.0, open), Some(0), "past the cap the oldest wins");
@@ -165,13 +163,13 @@ mod tests {
     #[test]
     fn remove_preserves_arrival_order() {
         let mut q = WriteQueue::new();
-        q.push(w(0, 0.0, 0, 0));
-        q.push(w(1, 1.0, 0, 1));
-        q.push(w(2, 2.0, 0, 2));
+        q.push(w(0.0, 0, 0));
+        q.push(w(1.0, 0, 1));
+        q.push(w(2.0, 0, 2));
         let e = q.remove(1);
-        assert_eq!(e.local_block, 1);
+        assert_eq!(e.row, 1);
         assert_eq!(q.oldest_arrival(), Some(0.0));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.remove(1).local_block, 2);
+        assert_eq!(q.remove(1).row, 2);
     }
 }

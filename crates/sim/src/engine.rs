@@ -2,8 +2,9 @@
 //!
 //! SMs interact only through the shared memory system, so correctness
 //! requires memory requests to arrive in global time order. The engine
-//! keeps all SMs in a min-heap keyed by their local clock and always steps
-//! the laggard, which bounds reordering to one op.
+//! always steps the laggard — the SM with the smallest (local clock,
+//! index), found at the root of a min-tree over one key per SM — which
+//! bounds reordering to one op.
 
 use crate::config::GpuConfig;
 use crate::fault::FaultPlan;
@@ -11,8 +12,6 @@ use crate::mc::{BurstsSource, MemorySystem};
 use crate::sm::SmState;
 use crate::stats::SimStats;
 use crate::trace::Trace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The timing simulator.
 ///
@@ -65,15 +64,29 @@ impl Engine {
     pub fn run(&self, trace: &Trace, bursts: &dyn BurstsSource) -> SimStats {
         let mut mem = MemorySystem::with_fault_plan(&self.cfg, bursts, self.fault.as_ref());
         let mut sms: Vec<SmState> = (0..trace.sms()).map(|_| SmState::new(&self.cfg)).collect();
-        // Min-heap over (local time, sm index): always step the laggard.
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..trace.sms())
-            .filter(|&i| !trace.stream(i).is_empty())
-            .map(|i| Reverse((0u64, i)))
-            .collect();
-        while let Some(Reverse((_, i))) = heap.pop() {
+        // A tournament over one key per SM: its clock above its index, so
+        // one integer compare orders keys as the (clock, index) tuple, and
+        // `u64::MAX` once its stream is done. Leaf `i` is `tree[m + i]` and
+        // every inner node the smaller child, so the root is the laggard.
+        let shift = usize::BITS - trace.sms().leading_zeros();
+        let m = trace.sms().next_power_of_two();
+        let mut tree = vec![u64::MAX; 2 * m];
+        for i in (0..trace.sms()).filter(|&i| !trace.stream(i).is_empty()) {
+            tree[m + i] = i as u64;
+        }
+        for node in (1..m).rev() {
+            tree[node] = tree[2 * node].min(tree[2 * node + 1]);
+        }
+        while tree[1] != u64::MAX {
+            let i = (tree[1] & ((1 << shift) - 1)) as usize;
             let sm = &mut sms[i];
-            if sm.step(trace.stream(i), &mut mem) && !sm.done(trace.stream(i)) {
-                heap.push(Reverse((sm.time(), i)));
+            let live = sm.step(trace.stream(i), &mut mem) && !sm.done(trace.stream(i));
+            debug_assert!(sm.time() >> (64 - shift) == 0, "the clock overflows its key");
+            let mut node = m + i;
+            tree[node] = if live { sm.time() << shift | i as u64 } else { u64::MAX };
+            while node > 1 {
+                node /= 2;
+                tree[node] = tree[2 * node].min(tree[2 * node + 1]);
             }
         }
         // End-of-kernel: drain dirty L2 lines and the channel write
@@ -201,7 +214,35 @@ mod tests {
 
     mod properties {
         use super::*;
+        use crate::SchedPolicy;
         use proptest::prelude::*;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        /// The reference: [`Engine::run`] as it was, every SM in a
+        /// min-heap over (local clock, index), one step per pop.
+        fn heap_run(cfg: &GpuConfig, trace: &Trace, bursts: &dyn BurstsSource) -> SimStats {
+            let mut mem = MemorySystem::new(cfg, bursts);
+            let mut sms: Vec<SmState> = (0..trace.sms()).map(|_| SmState::new(cfg)).collect();
+            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..trace.sms())
+                .filter(|&i| !trace.stream(i).is_empty())
+                .map(|i| Reverse((0u64, i)))
+                .collect();
+            while let Some(Reverse((_, i))) = heap.pop() {
+                let sm = &mut sms[i];
+                if sm.step(trace.stream(i), &mut mem) && !sm.done(trace.stream(i)) {
+                    heap.push(Reverse((sm.time(), i)));
+                }
+            }
+            let end = sms.iter().map(SmState::time).max().unwrap_or(0);
+            let horizon = mem.flush(end);
+            let mut stats = mem.into_stats();
+            for sm in &sms {
+                sm.accumulate(&mut stats);
+            }
+            stats.cycles = stats.cycles.max(horizon);
+            stats
+        }
 
         fn random_trace(ops: &[(u8, u64, u8)]) -> Trace {
             let cfg = GpuConfig::default();
@@ -237,6 +278,38 @@ mod tests {
                     prop_assert!(stats.cycles <= last,
                         "bursts {bursts} took {} > previous {}", stats.cycles, last);
                     last = stats.cycles;
+                }
+            }
+
+            /// The laggard found by the min-tree steps the SMs in the
+            /// order the heap did: silent SMs (empty streams),
+            /// streams of every length, and — with `mirror`, every SM
+            /// running the same ops — clocks tied all run long.
+            #[test]
+            fn prop_engine_equals_the_heap_loop(
+                ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..300),
+                silent in any::<u16>(),
+                mirror in any::<bool>(),
+            ) {
+                let cfg = GpuConfig::default();
+                let mut t = Trace::new(cfg.sms);
+                for &(sm, addr, kind) in &ops {
+                    let op = match kind % 8 {
+                        0..=3 => Op::Load(addr % 4096),
+                        4 => Op::Store(addr % 4096),
+                        5 | 6 => Op::Compute(u32::from(kind >> 6) + 1),
+                        _ => Op::Sync,
+                    };
+                    let live = |i: usize| silent >> i & 1 == 0;
+                    if mirror {
+                        (0..cfg.sms).filter(|&i| live(i)).for_each(|i| t.push(i, op));
+                    } else if live(sm as usize % cfg.sms) {
+                        t.push(sm as usize % cfg.sms, op);
+                    }
+                }
+                for cfg in [cfg.clone(), cfg.without_mdc().with_sched_policy(SchedPolicy::InOrder)] {
+                    let bursts = UniformBursts(3);
+                    prop_assert_eq!(Engine::new(cfg.clone()).run(&t, &bursts), heap_run(&cfg, &t, &bursts));
                 }
             }
 

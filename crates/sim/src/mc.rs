@@ -308,12 +308,8 @@ impl<'a> MemorySystem<'a> {
     pub fn load(&mut self, block: BlockAddr, at: u64) -> u64 {
         let t = at + self.icnt_latency;
         match self.l2.access(block, false) {
-            CacheOutcome::Hit => {
-                self.stats.l2_hits += 1;
-                t + self.l2_hit_latency + self.icnt_latency
-            }
+            CacheOutcome::Hit => t + self.l2_hit_latency + self.icnt_latency,
             CacheOutcome::Miss { writeback } => {
-                self.stats.l2_misses += 1;
                 if let Some(victim) = writeback {
                     self.dram_writeback(victim, t + self.l2_hit_latency);
                 }
@@ -329,14 +325,8 @@ impl<'a> MemorySystem<'a> {
     /// coalesced full-line store: allocates in L2 without a fetch).
     pub fn store(&mut self, block: BlockAddr, at: u64) {
         let t = at + self.icnt_latency;
-        match self.l2.access(block, true) {
-            CacheOutcome::Hit => self.stats.l2_hits += 1,
-            CacheOutcome::Miss { writeback } => {
-                self.stats.l2_misses += 1;
-                if let Some(victim) = writeback {
-                    self.dram_writeback(victim, t + self.l2_hit_latency);
-                }
-            }
+        if let CacheOutcome::Miss { writeback: Some(victim) } = self.l2.access(block, true) {
+            self.dram_writeback(victim, t + self.l2_hit_latency);
         }
     }
 
@@ -357,10 +347,12 @@ impl<'a> MemorySystem<'a> {
         self.dram.horizon().ceil() as u64
     }
 
-    /// Folds the distributed counters (MDC hit/miss, per-channel row
-    /// outcomes and scheduler telemetry) into `base` — the one place the
-    /// single-source counters surface as `SimStats`.
+    /// Folds the distributed counters (L2 and MDC hit/miss, per-channel
+    /// row outcomes and scheduler telemetry) into `base` — the one place
+    /// the single-source counters surface as `SimStats`.
     fn harvest(&self, mut base: SimStats) -> SimStats {
+        base.l2_hits = self.l2.hits();
+        base.l2_misses = self.l2.misses();
         if let Some(mdc) = &self.mdc {
             base.mdc_hits = mdc.hits();
             base.mdc_misses = mdc.misses();

@@ -24,13 +24,11 @@ pub struct SmState {
     outstanding: BinaryHeap<Reverse<u64>>,
     /// Latest completion among outstanding loads (for `Sync`).
     newest_completion: u64,
-    /// Private L1 cache.
+    /// Private L1 cache; it counts its own hits and misses.
     l1: Cache,
     mshrs: usize,
     /// Cycles spent stalled.
     stall_cycles: u64,
-    l1_hits: u64,
-    l1_misses: u64,
     loads: u64,
     stores: u64,
     ops: u64,
@@ -47,8 +45,6 @@ impl SmState {
             l1: Cache::new(cfg.l1_kb, cfg.l1_assoc),
             mshrs: cfg.mshrs_per_sm,
             stall_cycles: 0,
-            l1_hits: 0,
-            l1_misses: 0,
             loads: 0,
             stores: 0,
             ops: 0,
@@ -58,11 +54,6 @@ impl SmState {
     /// SM-local clock.
     pub fn time(&self) -> u64 {
         self.time
-    }
-
-    /// Index of the next op to execute.
-    pub fn pc(&self) -> usize {
-        self.pc
     }
 
     /// Whether the stream is exhausted.
@@ -85,11 +76,9 @@ impl SmState {
             Op::Load(block) => {
                 self.loads += 1;
                 if self.l1.access(block, false).is_hit() {
-                    self.l1_hits += 1;
                     self.time += 1;
                     return true;
                 }
-                self.l1_misses += 1;
                 // A full MSHR file blocks issue until the oldest miss
                 // returns.
                 if self.outstanding.len() >= self.mshrs {
@@ -124,8 +113,8 @@ impl SmState {
     /// Folds this SM's counters into aggregate statistics.
     pub fn accumulate(&self, stats: &mut crate::stats::SimStats) {
         stats.stall_cycles += self.stall_cycles;
-        stats.l1_hits += self.l1_hits;
-        stats.l1_misses += self.l1_misses;
+        stats.l1_hits += self.l1.hits();
+        stats.l1_misses += self.l1.misses();
         stats.loads += self.loads;
         stats.stores += self.stores;
         stats.ops += self.ops;

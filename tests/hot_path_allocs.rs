@@ -21,7 +21,8 @@ use slc::slc_compress::sc2::{Sc2, DEFAULT_TOP_K};
 use slc::slc_compress::{Block, BlockCodec, Mag, BLOCK_BYTES};
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_engine::{Engine, Frame, Threads};
-use slc::slc_sim::{FaultConfig, FaultPattern, GpuConfig, GpuMemory};
+use slc::slc_sim::mc::UniformBursts;
+use slc::slc_sim::{FaultConfig, FaultPattern, GpuConfig, GpuMemory, Trace};
 use slc::slc_workloads::scheme::BurstsAccumulator;
 use slc::slc_workloads::{all_workloads, Harness, LadderState, Scale, Scheme, SnapshotAnalysis};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -348,6 +349,44 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
             "{}: the size pass over {points} staging points",
             w.name()
         );
+    }
+}
+
+/// The timing run sizes its state once: caches, MDC, channels, SMs and
+/// the laggard's min-tree when it starts; the write buffers and MSHR files
+/// as they first fill; the end-of-kernel flush lists. A Table III trace
+/// and the same trace run twice over cost the same allocations, so nothing
+/// in the simulator's loop allocates per op. The counts are pinned: the 50
+/// an empty trace makes too (L2 tags and sets, the MDC, the channel list
+/// and 12 bank files, the SM list, 16 L1s of two buffers each, the tree),
+/// and growth that depends on how deep each benchmark fills the queues.
+#[test]
+fn a_timing_run_allocates_per_run_not_per_op() {
+    let pinned = [
+        ("JM", 189),
+        ("BS", 175),
+        ("DCT", 117),
+        ("FWT", 158),
+        ("TP", 159),
+        ("BP", 186),
+        ("NN", 134),
+        ("SRAD1", 161),
+        ("SRAD2", 141),
+    ];
+    let cfg = GpuConfig::default();
+    let bursts = UniformBursts(3);
+    let engine = slc::slc_sim::Engine::new(cfg.clone());
+    let empty = Trace::new(cfg.sms);
+    assert_eq!(allocs(|| engine.run(&empty, &bursts)).0, 50, "an empty trace");
+    for (w, (name, pin)) in all_workloads(Scale::Tiny).iter().zip(pinned) {
+        assert_eq!(w.name(), name);
+        let trace = w.trace(cfg.sms);
+        let mut twice = trace.clone();
+        twice.extend(&trace);
+        let (once, stats) = allocs(|| engine.run(&trace, &bursts));
+        let (doubled, stats_twice) = allocs(|| engine.run(&twice, &bursts));
+        assert_eq!(stats_twice.ops, 2 * stats.ops, "{name}");
+        assert_eq!((once, doubled), (pin, pin), "{name}: {} ops, then twice that", stats.ops);
     }
 }
 
