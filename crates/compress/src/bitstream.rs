@@ -19,8 +19,6 @@
 //!   regardless of alignment. It never fails mid-stream: a read past the
 //!   end yields zeros and latches a flag the decoder checks once per
 //!   block ([`BitReader::check`]).
-//! * [`BitWriter::append`] byte-copies the source stream when the writer
-//!   is byte-aligned and falls back to 56-bit word chunks otherwise.
 //!
 //! The hot-path argument checks in [`BitWriter::write`] are
 //! `debug_assert!`s: release builds trust the codecs (every call site
@@ -149,35 +147,6 @@ impl<'a> BitWriter<'a> {
         let ahead = end + GROW_BYTES;
         self.sink.resize(if capacity >= end { ahead.min(capacity) } else { ahead }, 0);
         self.sink[self.cursor..end].copy_from_slice(&aligned.to_be_bytes());
-    }
-
-    /// Appends the first `bits` bits of another packed stream.
-    pub fn append(&mut self, bytes: &[u8], bits: u32) {
-        debug_assert!(bytes.len() * 8 >= bits as usize);
-        if bits == 0 {
-            return;
-        }
-        if self.acc_bits == 0 {
-            // Byte-aligned: whole bytes copy verbatim, the tail is staged.
-            let whole = (bits / 8) as usize;
-            self.sink.truncate(self.cursor);
-            self.sink.extend_from_slice(&bytes[..whole]);
-            self.cursor += whole;
-            let tail = bits % 8;
-            if tail > 0 {
-                self.write((bytes[whole] >> (8 - tail)) as u64, tail);
-            }
-        } else {
-            // Misaligned: copy in 56-bit chunks through the normal
-            // write path.
-            let mut r = BitReader::new(bytes, bits);
-            let mut remaining = bits;
-            while remaining > 0 {
-                let take = remaining.min(56);
-                self.write(r.read(take), take);
-                remaining -= take;
-            }
-        }
     }
 
     /// Trims the sink to the stream's end and returns the bit length. A
@@ -432,38 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn append_concatenates_streams() {
-        let (mut bytes, mut bb) = (Vec::new(), Vec::new());
-        let mut a = BitWriter::new(&mut bytes);
-        a.write(0b101, 3);
-        let mut b = BitWriter::new(&mut bb);
-        b.write(0x1234, 16);
-        let blen = b.finish();
-        a.append(&bb, blen);
-        let len = a.finish();
-        assert_eq!(len, 19);
-        let mut r = BitReader::new(&bytes, len);
-        assert_eq!(r.read(3), 0b101);
-        assert_eq!(r.read(16), 0x1234);
-    }
-
-    #[test]
-    fn append_aligned_takes_byte_copy_path() {
-        let (mut bytes, mut bb) = (Vec::new(), Vec::new());
-        let mut a = BitWriter::new(&mut bytes);
-        a.write(0xAB, 8);
-        let mut b = BitWriter::new(&mut bb);
-        b.write(0x12345, 20);
-        let blen = b.finish();
-        a.append(&bb, blen);
-        let len = a.finish();
-        assert_eq!(len, 28);
-        let mut r = BitReader::new(&bytes, len);
-        assert_eq!(r.read(8), 0xAB);
-        assert_eq!(r.read(20), 0x12345);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "does not fit")]
     fn write_rejects_oversized_value() {
@@ -522,34 +459,6 @@ mod tests {
             let take = win.min(len);
             let read = r.read(take) << (win - take);
             prop_assert_eq!(peeked, read);
-        }
-
-        #[test]
-        fn prop_append_matches_inline_writes(head in proptest::collection::vec((any::<u64>(), 1u32..=64), 0..8),
-                                             tail in proptest::collection::vec((any::<u64>(), 1u32..=64), 0..8)) {
-            let mask = |v: u64, w: u32| if w == 64 { v } else { v & ((1u64 << w) - 1) };
-            // Reference: everything written inline.
-            let mut expect_bytes = Vec::new();
-            let mut inline = BitWriter::new(&mut expect_bytes);
-            for &(v, w) in head.iter().chain(&tail) {
-                inline.write(mask(v, w), w);
-            }
-            let expect_len = inline.finish();
-            // Candidate: tail serialised separately and appended.
-            let (mut bytes, mut bb) = (Vec::new(), Vec::new());
-            let mut a = BitWriter::new(&mut bytes);
-            for &(v, w) in &head {
-                a.write(mask(v, w), w);
-            }
-            let mut b = BitWriter::new(&mut bb);
-            for &(v, w) in &tail {
-                b.write(mask(v, w), w);
-            }
-            let blen = b.finish();
-            a.append(&bb, blen);
-            let len = a.finish();
-            prop_assert_eq!(len, expect_len);
-            prop_assert_eq!(bytes, expect_bytes);
         }
     }
 }

@@ -34,26 +34,15 @@ pub enum CodecId {
     Bpc = 3,
     /// Entropy-encoding based memory compression (trained).
     E2mc = 4,
-    /// Statistical cache compression (trained).
-    Sc2 = 5,
-    /// HyComp with its FP-H floating-point path (trained).
-    HyComp = 6,
+    // 5 and 6 are reserved: they named SC2 and HyComp, which are retired.
     /// Interleaved byte-oriented rANS entropy coding.
     Rans = 7,
 }
 
 impl CodecId {
     /// Every codec id, in wire order.
-    pub const ALL: [CodecId; 8] = [
-        CodecId::Bdi,
-        CodecId::Fpc,
-        CodecId::Cpack,
-        CodecId::Bpc,
-        CodecId::E2mc,
-        CodecId::Sc2,
-        CodecId::HyComp,
-        CodecId::Rans,
-    ];
+    pub const ALL: [CodecId; 6] =
+        [CodecId::Bdi, CodecId::Fpc, CodecId::Cpack, CodecId::Bpc, CodecId::E2mc, CodecId::Rans];
 
     /// The header byte.
     pub fn as_u8(self) -> u8 {
@@ -61,9 +50,17 @@ impl CodecId {
     }
 
     /// Parses a header byte; `None` for values no codec owns (a corrupt
-    /// or future-format container).
+    /// or future-format container, or a reserved number).
     pub fn from_u8(v: u8) -> Option<Self> {
-        Self::ALL.get(v as usize).copied()
+        match v {
+            0 => Some(CodecId::Bdi),
+            1 => Some(CodecId::Fpc),
+            2 => Some(CodecId::Cpack),
+            3 => Some(CodecId::Bpc),
+            4 => Some(CodecId::E2mc),
+            7 => Some(CodecId::Rans),
+            _ => None,
+        }
     }
 
     /// The codec's [`BlockCompressor::name`].
@@ -74,15 +71,12 @@ impl CodecId {
             CodecId::Cpack => "cpack",
             CodecId::Bpc => "bpc",
             CodecId::E2mc => "e2mc",
-            CodecId::Sc2 => "sc2",
-            CodecId::HyComp => "hycomp",
             CodecId::Rans => "rans",
         }
     }
 
     /// Inverse of [`name`](Self::name); `None` for unknown names (e.g.
-    /// `"fp-h"`, HyComp's internal sub-codec, which is not a standalone
-    /// container codec).
+    /// `"sc2"`, a retired codec whose number stays reserved).
     pub fn from_name(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|id| id.name() == name)
     }
@@ -132,16 +126,8 @@ mod tests {
     fn wire_values_are_stable() {
         // These are the on-disk format: renumbering them would silently
         // invalidate every existing container.
-        let expected = [
-            ("bdi", 0u8),
-            ("fpc", 1),
-            ("cpack", 2),
-            ("bpc", 3),
-            ("e2mc", 4),
-            ("sc2", 5),
-            ("hycomp", 6),
-            ("rans", 7),
-        ];
+        let expected =
+            [("bdi", 0u8), ("fpc", 1), ("cpack", 2), ("bpc", 3), ("e2mc", 4), ("rans", 7)];
         for (name, wire) in expected {
             let id = CodecId::from_name(name).expect(name);
             assert_eq!(id.as_u8(), wire, "{name}");
@@ -152,10 +138,13 @@ mod tests {
 
     #[test]
     fn unknown_bytes_and_names_are_rejected() {
-        assert_eq!(CodecId::from_u8(8), None);
-        assert_eq!(CodecId::from_u8(255), None);
-        assert_eq!(CodecId::from_name("fp-h"), None, "sub-codec, not a container codec");
-        assert_eq!(CodecId::from_name(""), None);
+        // 5 and 6 named SC2 and HyComp; retired numbers are never reused.
+        for byte in [5, 6, 8, 255] {
+            assert_eq!(CodecId::from_u8(byte), None, "{byte}");
+        }
+        for name in ["sc2", "hycomp", "fp-h", ""] {
+            assert_eq!(CodecId::from_name(name), None, "{name:?}");
+        }
     }
 
     #[test]

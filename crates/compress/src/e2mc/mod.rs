@@ -330,8 +330,7 @@ impl SymbolTable {
 /// The table lives behind an [`Arc`]: `E2mc::clone` is a refcount bump,
 /// never a copy of the precomputed tables, so schemes, harness artifacts
 /// and many concurrent compressor instances all share one trained model
-/// (the paper's frozen per-application code table; SC2 shares one trained
-/// Huffman structure across the whole cache the same way).
+/// (the paper's frozen per-application code table).
 #[derive(Debug, Clone)]
 pub struct E2mc {
     table: Arc<SymbolTable>,

@@ -4,11 +4,9 @@
 //! techniques the SLC paper (Lal et al., DATE 2019) evaluates in Figure 1 —
 //! [`bdi`] (Base-Delta-Immediate), [`fpc`] (Frequent Pattern Compression),
 //! [`cpack`] (C-PACK) and [`e2mc`] (entropy-encoding based memory
-//! compression) — plus the techniques the paper discusses only
-//! qualitatively in Section II-A: [`bpc`] (Bit-Plane Compression),
-//! [`sc2`] (statistical cache compression) and [`hycomp`] (HyComp with
-//! its FP-H floating-point path), so those claims can be checked
-//! quantitatively.
+//! compression) — plus [`bpc`] (Bit-Plane Compression), which the paper
+//! discusses only qualitatively in Section II-A, so that claim can be
+//! checked quantitatively. E2MC is the crate's one Huffman codec.
 //!
 //! All compressors operate on fixed-size memory blocks (128 B in current
 //! GPUs) and implement the [`BlockCompressor`] trait. Compressed sizes are
@@ -69,8 +67,7 @@
 //!   copy of the tables, so harnesses instantiate one scheme per variant,
 //!   threshold or worker thread against a single frozen model (the
 //!   paper's one-shot sampling phase freezes the table for the life of a
-//!   run; SC2 shares one trained Huffman structure across the whole cache
-//!   the same way). `E2mc::shared_table` exposes the handle, and a unit
+//!   run). `E2mc::shared_table` exposes the handle, and a unit
 //!   test pins pointer identity across clones.
 //! * **Shared block analyses** — [`e2mc::E2mc::analyze`] captures a
 //!   block's per-symbol code lengths and their sum as an
@@ -138,11 +135,9 @@ pub mod codec;
 pub mod cpack;
 pub mod e2mc;
 pub mod fpc;
-pub mod hycomp;
 pub mod mag;
 pub mod rans;
 pub mod ratio;
-pub mod sc2;
 pub mod symbols;
 
 pub use codec::{BlockCodec, ChunkCoder, CodecId};

@@ -24,9 +24,7 @@ use slc_compress::bpc::Bpc;
 use slc_compress::cpack::Cpack;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::fpc::Fpc;
-use slc_compress::hycomp::{FpH, HyComp};
 use slc_compress::rans::Rans;
-use slc_compress::sc2::Sc2;
 use slc_compress::{BlockCodec, BLOCK_BITS, BLOCK_BYTES};
 use std::sync::{Arc, OnceLock};
 
@@ -41,9 +39,6 @@ fn codecs() -> &'static [Arc<dyn BlockCodec>] {
             Arc::new(Cpack::new()),
             Arc::new(Bpc::new()),
             Arc::new(E2mc::train_on_bytes(&bytes, &E2mcConfig::default())),
-            Arc::new(Sc2::train_on_bytes(&bytes, slc_compress::sc2::DEFAULT_TOP_K)),
-            Arc::new(FpH::train_on_bytes(&bytes)),
-            Arc::new(HyComp::train_on_bytes(&bytes)),
             Arc::new(Rans::new()),
         ]
     })

@@ -81,24 +81,15 @@ pub mod container;
 
 pub use container::{ContainerError, DirEntry, Frame, Header, StorageMode};
 pub use container::{DIR_ENTRY_BYTES, HEADER_BYTES, MAGIC, MAX_CHUNK_BYTES, VERSION};
+/// How a batch call fans out across threads (one chunk per item).
+pub use slc_par::Threads;
 
 use slc_compress::{Block, BlockCodec, CodecId, DecodeError, BLOCK_BITS, BLOCK_BYTES};
+use slc_par::par_map;
 use std::sync::Arc;
 
 /// Tag bit marking a block stored in coded (compressed) form.
 const TAG_CODED: u16 = 1 << 15;
-
-/// How a batch call fans out across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Threads {
-    /// `slc-par`'s default: hardware parallelism, `SLC_PAR_THREADS`-capped.
-    Auto,
-    /// One thread, no pool.
-    Serial,
-    /// Exactly this many workers (still clamped to the chunk count) —
-    /// how tests exercise the threaded path on single-core hosts.
-    Exact(usize),
-}
 
 /// A batch compression/decompression engine bound to one block codec.
 ///
@@ -224,7 +215,7 @@ impl Engine {
         let blocks_per_chunk = self.chunk_bytes / BLOCK_BYTES;
         let codec = &*self.codec;
         let chunks: Vec<(usize, &[u8])> = bytes.chunks(self.chunk_bytes).enumerate().collect();
-        let encoded: Vec<(Vec<u8>, StorageMode)> = map_threads(chunks, threads, |(ci, chunk)| {
+        let encoded: Vec<(Vec<u8>, StorageMode)> = par_map(chunks, threads, |(ci, chunk)| {
             let chunk_hints = hints.map(|h| {
                 let lo = ci * blocks_per_chunk;
                 &h[lo..lo + chunk.len().div_ceil(BLOCK_BYTES)]
@@ -369,9 +360,8 @@ impl Engine {
             .enumerate()
             .map(|(i, (dst, &entry))| (i, entry, dst))
             .collect();
-        let results = map_threads(work, threads, |(i, entry, dst)| {
-            decode_chunk(codec, payload, entry, dst, i)
-        });
+        let results =
+            par_map(work, threads, |(i, entry, dst)| decode_chunk(codec, payload, entry, dst, i));
         for r in results {
             r?;
         }
@@ -515,18 +505,6 @@ pub fn frame_info(container: &[u8]) -> Result<FrameInfo, ContainerError> {
         raw_chunks: frame.header.chunk_count - coded,
         coded_chunks: coded,
     })
-}
-
-fn map_threads<T: Send, U: Send>(
-    items: Vec<T>,
-    threads: Threads,
-    f: impl Fn(T) -> U + Sync,
-) -> Vec<U> {
-    match threads {
-        Threads::Serial => items.into_iter().map(f).collect(),
-        Threads::Auto => slc_par::par_map(items, f),
-        Threads::Exact(workers) => slc_par::par_map_workers(items, f, workers),
-    }
 }
 
 /// Encodes one chunk, with a raw fallback when the coded stream does not
@@ -861,8 +839,6 @@ mod tests {
                 CodecId::Cpack => 2,
                 CodecId::Bpc => 3,
                 CodecId::E2mc => 4,
-                CodecId::Sc2 => 5,
-                CodecId::HyComp => 6,
                 CodecId::Rans => 7,
             };
             let header = Header {

@@ -15,15 +15,13 @@ use slc_compress::bpc::Bpc;
 use slc_compress::cpack::Cpack;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::fpc::Fpc;
-use slc_compress::hycomp::HyComp;
 use slc_compress::rans::Rans;
-use slc_compress::sc2::Sc2;
 use slc_compress::{BlockCodec, ChunkCoder, Compressed, BLOCK_BITS, BLOCK_BYTES};
 use slc_engine::{ContainerError, DirEntry, Engine, Header, StorageMode, Threads};
 use std::sync::{Arc, OnceLock};
 
 /// Every registered codec, trained once for the whole test binary (training
-/// E2MC/SC2/HyComp per proptest case would dominate the runtime).
+/// E2MC per proptest case would dominate the runtime).
 fn codecs() -> &'static [Arc<dyn BlockCodec>] {
     static CODECS: OnceLock<Vec<Arc<dyn BlockCodec>>> = OnceLock::new();
     CODECS.get_or_init(|| {
@@ -35,8 +33,6 @@ fn codecs() -> &'static [Arc<dyn BlockCodec>] {
             Arc::new(Cpack::new()),
             Arc::new(Bpc::new()),
             Arc::new(E2mc::train_on_bytes(&bytes, &E2mcConfig::default())),
-            Arc::new(Sc2::train_on_bytes(&bytes, slc_compress::sc2::DEFAULT_TOP_K)),
-            Arc::new(HyComp::train_on_bytes(&bytes)),
         ]
     })
 }

@@ -42,11 +42,7 @@ fn main() {
             println!("{}", eval.render_fig8());
             println!("{}", fig9.render());
         }
-        ["run", "fig1"] => {
-            println!("{}", fig1::compute(scale, Mag::GDDR5).render());
-            let ext = fig1::compute_section2a(scale, Mag::GDDR5);
-            println!("{}", fig1::render_section2a(&ext));
-        }
+        ["run", "fig1"] => println!("{}", fig1::compute(scale, Mag::GDDR5).render()),
         ["run", "fig2"] => println!("{}", fig2::compute(scale, Mag::GDDR5).render()),
         ["run", "fig7"] => println!("{}", tslc_eval(scale).render_fig7()),
         ["run", "fig8"] => println!("{}", tslc_eval(scale).render_fig8()),

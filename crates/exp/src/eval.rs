@@ -4,6 +4,7 @@
 use crate::report::{err_pct, f3, TextTable};
 use slc_compress::ratio::geometric_mean;
 use slc_core::slc::SlcVariant;
+use slc_par::{par_map, Threads};
 use slc_power::{EnergyBreakdown, EnergyModel};
 use slc_sim::SimStats;
 use slc_workloads::harness::BenchmarkArtifacts;
@@ -63,14 +64,14 @@ pub struct Eval {
 
 /// The one driver of every figure: prepares each benchmark (exact run,
 /// table training, trace), hands it to `row`, and drops its artifacts
-/// before the worker takes the next one. One [`slc_par::par_map`], rows
+/// before the worker takes the next one. One [`par_map`], rows
 /// in the order of `workloads`.
 pub(crate) fn per_benchmark<R: Send>(
     workloads: Vec<Box<dyn Workload>>,
     harness: &Harness,
     row: impl Fn(&dyn Workload, &BenchmarkArtifacts) -> R + Sync,
 ) -> Vec<R> {
-    slc_par::par_map(workloads, |w| row(w.as_ref(), &harness.prepare(w.as_ref())))
+    par_map(workloads, Threads::Auto, |w| row(w.as_ref(), &harness.prepare(w.as_ref())))
 }
 
 /// Runs the evaluation at `scale` for the given TSLC variants.
@@ -79,7 +80,7 @@ pub(crate) fn per_benchmark<R: Send>(
 /// 32 B in Figs. 7–8, MAG/2 in Fig. 9).
 ///
 /// The nine benchmarks are independent, so they evaluate in parallel
-/// ([`slc_par::par_map`]) and one at a time per worker: each is prepared,
+/// ([`par_map`]) and one at a time per worker: each is prepared,
 /// evaluated under every scheme and dropped before the worker takes the
 /// next, so one benchmark's images per worker are resident, not all nine.
 /// Results come back in paper order regardless of which workload finishes
@@ -117,7 +118,7 @@ pub fn prepare_all(
     scale: Scale,
     harness: &Harness,
 ) -> Vec<(Box<dyn Workload>, BenchmarkArtifacts)> {
-    slc_par::par_map(all_workloads(scale), |w| {
+    par_map(all_workloads(scale), Threads::Auto, |w| {
         let artifacts = harness.prepare(w.as_ref());
         (w, artifacts)
     })
@@ -130,7 +131,7 @@ pub fn evaluate_prepared(
     variants: &[SlcVariant],
     prepared: &[(Box<dyn Workload>, BenchmarkArtifacts)],
 ) -> Eval {
-    let rows = slc_par::par_map(prepared.iter().collect(), |(w, artifacts)| {
+    let rows = par_map(prepared.iter().collect(), Threads::Auto, |(w, artifacts)| {
         row(harness, threshold_bytes, variants, w.as_ref(), artifacts)
     });
     let mag_bytes = harness.config.mag().bytes();

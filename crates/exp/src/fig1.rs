@@ -1,6 +1,8 @@
 //! Figure 1: raw vs effective compression ratio of BDI, FPC, C-PACK and
 //! E2MC at MAG 32 B — plus BPC, which the paper only argues about
-//! qualitatively (Section II-A) and we measure.
+//! qualitatively (Section II-A) and we measure. The other Section II-A
+//! codecs (SC2, FP-H, HyComp) are retired; PAPER.md keeps their measured
+//! MAG gaps.
 
 use crate::eval::per_benchmark;
 use crate::report::{f3, TextTable};
@@ -50,16 +52,12 @@ pub fn compute(scale: Scale, mag: Mag) -> Fig1 {
     Fig1::from_rows(rows, mag)
 }
 
-/// One benchmark's Fig. 1 row: its final image under the [`CODECS`].
+/// One benchmark's Fig. 1 row: the raw and effective ratio of its final
+/// image under each of the [`CODECS`].
 pub(crate) fn row(artifacts: &BenchmarkArtifacts, mag: Mag) -> Fig1Row {
     let (bdi, fpc, cpack, bpc) = (Bdi::new(), Fpc::new(), Cpack::new(), Bpc::new());
-    ratio_row(artifacts, &[&bdi, &fpc, &cpack, &artifacts.e2mc, &bpc], mag)
-}
-
-/// Raw and effective ratio of `artifacts`' final image under each codec.
-fn ratio_row(artifacts: &BenchmarkArtifacts, codecs: &[&dyn BlockCompressor], mag: Mag) -> Fig1Row {
-    let mut accs: Vec<RatioAccumulator> =
-        codecs.iter().map(|_| RatioAccumulator::new(mag, BLOCK_BYTES as u32)).collect();
+    let codecs: [&dyn BlockCompressor; 5] = [&bdi, &fpc, &cpack, &artifacts.e2mc, &bpc];
+    let mut accs = codecs.map(|_| RatioAccumulator::new(mag, BLOCK_BYTES as u32));
     for (_, block) in artifacts.exact_memory.all_blocks() {
         for (codec, acc) in codecs.iter().zip(accs.iter_mut()) {
             acc.record_bits(codec.size_bits(&block));
@@ -95,11 +93,11 @@ impl Fig1 {
         self.gm.iter().map(|p| (1.0 - p.effective / p.raw) * 100.0).collect()
     }
 
-    /// The ratio table: a raw and an effective column per name in
-    /// `codecs` (the order of every row's `ratios`), then the GM row.
-    fn table(&self, codecs: &[&str]) -> String {
+    /// The ratio table: a raw and an effective column per codec, then the
+    /// GM row.
+    fn table(&self) -> String {
         let mut header = vec!["Bench".to_owned()];
-        for c in codecs {
+        for c in CODECS {
             header.push(format!("{c}-Raw"));
             header.push(format!("{c}-Eff"));
         }
@@ -119,7 +117,7 @@ impl Fig1 {
     /// Renders the figure as a table.
     pub fn render(&self) -> String {
         let mut out = format!("Fig. 1: raw vs effective compression ratio (MAG {})\n", self.mag);
-        out.push_str(&self.table(&CODECS));
+        out.push_str(&self.table());
         out.push_str("\nGM effective-vs-raw gap per codec (paper: BDI 22%, FPC 19%, C-PACK 18%, E2MC 23%):\n");
         for (c, gap) in CODECS.iter().zip(self.gm_gap_pct()) {
             out.push_str(&format!("  {c}: {gap:.1}%\n"));
@@ -128,54 +126,9 @@ impl Fig1 {
     }
 }
 
-/// Section II-A check: the paper argues SC2, HyComp and FP-H also suffer
-/// from MAG, qualitatively. This measures them.
-pub fn compute_section2a(scale: Scale, mag: Mag) -> Fig1 {
-    use slc_compress::hycomp::{FpH, HyComp};
-    use slc_compress::sc2::Sc2;
-    let rows = per_benchmark(all_workloads(scale), &Harness::new(scale), |_, artifacts| {
-        let training: Vec<u8> =
-            artifacts.exact_memory.all_blocks().flat_map(|(_, b)| b.to_vec()).collect();
-        let sc2 = Sc2::train_on_bytes(&training, slc_compress::sc2::DEFAULT_TOP_K);
-        let fph = FpH::train_on_bytes(&training);
-        let hycomp = HyComp::train_on_bytes(&training);
-        ratio_row(artifacts, &[&sc2, &fph, &hycomp], mag)
-    });
-    Fig1::from_rows(rows, mag)
-}
-
-/// Renders the Section II-A table (SC2 / FP-H / HyComp).
-pub fn render_section2a(fig: &Fig1) -> String {
-    const NAMES: [&str; 3] = ["SC2", "FP-H", "HyComp"];
-    let mut out = format!(
-        "Section II-A quantified: SC2 / FP-H / HyComp under MAG {} (paper: argued qualitatively)\n",
-        fig.mag
-    );
-    out.push_str(&fig.table(&NAMES));
-    out.push_str("\nEffective-vs-raw GM gap:\n");
-    for (c, gap) in NAMES.iter().zip(fig.gm_gap_pct()) {
-        out.push_str(&format!("  {c}: {gap:.1}%\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn section2a_codecs_also_suffer_from_mag() {
-        let fig = compute_section2a(Scale::Tiny, Mag::GDDR5);
-        assert_eq!(fig.rows.len(), 9);
-        for (c, p) in ["SC2", "FP-H", "HyComp"].iter().zip(&fig.gm) {
-            assert!(p.raw >= 1.0, "{c} raw {}", p.raw);
-            assert!(p.effective <= p.raw + 1e-12, "{c} gains from rounding?");
-        }
-        // The paper's claim: these techniques suffer due to MAG too.
-        let max_gap = fig.gm.iter().map(|p| 1.0 - p.effective / p.raw).fold(0.0f64, f64::max);
-        assert!(max_gap > 0.03, "MAG gap {max_gap:.3} too small to support §II-A");
-        assert!(render_section2a(&fig).contains("HyComp"));
-    }
 
     #[test]
     fn fig1_tiny_has_expected_shape() {

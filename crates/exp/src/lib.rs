@@ -3,7 +3,7 @@
 //!
 //! | Paper artefact | Module | Command |
 //! |---|---|---|
-//! | Fig. 1 (raw vs effective ratio) + §II-A | [`fig1`] | `slc run fig1` |
+//! | Fig. 1 (raw vs effective ratio) + BPC (§II-A) | [`fig1`] | `slc run fig1` |
 //! | Fig. 2 (heat map) | [`fig2`] | `slc run fig2` |
 //! | Figs. 7a/7b (speedup, error) | [`eval`] | `slc run fig7` |
 //! | Figs. 8a/8b (bandwidth, energy, EDP) | [`eval`] | `slc run fig8` |

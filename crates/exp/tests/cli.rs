@@ -29,6 +29,18 @@ fn run_all_at_tiny_equals_the_golden() {
 }
 
 #[test]
+fn each_run_arm_prints_its_slice_of_the_golden() {
+    // `slc run all` prints every figure and Table III once; each arm's
+    // stdout must be one of those pieces, verbatim, and nothing more.
+    let golden = include_str!("../../../tools/golden/run_all_tiny.txt");
+    for arm in ["fig1", "fig2", "fig7", "fig8", "fig9", "table3"] {
+        let stdout = stdout_of("tiny", &["run", arm]);
+        assert!(!stdout.trim().is_empty(), "slc run {arm} printed nothing");
+        assert!(golden.contains(&stdout), "slc run {arm} is not a slice of the golden:\n{stdout}");
+    }
+}
+
+#[test]
 fn tables_print_the_library_renders() {
     assert_eq!(stdout_of("tiny", &["run", "table1"]), slc_exp::tables::table1() + "\n");
     assert_eq!(stdout_of("tiny", &["run", "table2"]), slc_exp::tables::table2() + "\n");

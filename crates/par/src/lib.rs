@@ -7,16 +7,20 @@
 //! back in input order, so parallel and serial runs produce byte-identical
 //! reports.
 //!
-//! Thread count defaults to [`std::thread::available_parallelism`] and can
-//! be pinned with `SLC_PAR_THREADS`, a positive integer (surrounding
-//! whitespace ignored). `SLC_PAR_THREADS=1` forces the serial path (also
-//! the fallback for empty and single-item inputs). Anything else — `0`,
-//! the empty string, a typo — follows `SLC_SCALE`'s rule: the process
-//! prints the offending value and exits with status 2, because a pinned
-//! knob must neither silently mean "all cores" nor silently mean "serial".
+//! The caller picks the fan-out with a [`Threads`] policy. Under
+//! [`Threads::Auto`] the thread count defaults to
+//! [`std::thread::available_parallelism`] and can be pinned with
+//! `SLC_PAR_THREADS`, a positive integer (surrounding whitespace ignored).
+//! `SLC_PAR_THREADS=1` forces the serial path (also the fallback for empty
+//! and single-item inputs). Anything else — `0`, the empty string, a typo
+//! — follows `SLC_SCALE`'s rule: the process prints the offending value
+//! and exits with status 2, because a pinned knob must neither silently
+//! mean "all cores" nor silently mean "serial".
 //!
 //! ```
-//! let squares = slc_par::par_map(vec![1u64, 2, 3, 4], |x| x * x);
+//! use slc_par::{par_map, Threads};
+//!
+//! let squares = par_map(vec![1u64, 2, 3, 4], Threads::Auto, |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -35,6 +39,19 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
+/// How a [`par_map`] fans out across threads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Threads {
+    /// Hardware parallelism, `SLC_PAR_THREADS`-capped (see the module docs).
+    Auto,
+    /// One thread, no pool.
+    Serial,
+    /// Exactly this many workers (still clamped to the item count) — how
+    /// tests exercise the threaded path on single-core hosts without
+    /// mutating process-global environment.
+    Exact(usize),
+}
+
 /// Thread cap for one `SLC_PAR_THREADS` value: unset defers to the
 /// hardware count, a positive integer (trimmed) is the cap, and anything
 /// else is an error naming the value — see the module docs.
@@ -46,52 +63,44 @@ fn cap_from_env(var: Option<&str>, hw: usize) -> Result<usize, String> {
     }
 }
 
-/// Number of worker threads to use for `n` items; an unusable
-/// `SLC_PAR_THREADS` (non-UTF-8 included) prints the error and exits with
-/// status 2.
-fn worker_count(n: usize) -> usize {
+/// Number of worker threads `threads` gives `n` items: 1 inside a nested
+/// call, otherwise the policy's count clamped to `1..=n`. Under
+/// [`Threads::Auto`] an unusable `SLC_PAR_THREADS` (non-UTF-8 included)
+/// prints the error and exits with status 2.
+fn worker_count(threads: Threads, n: usize) -> usize {
     if IN_WORKER.with(Cell::get) {
         return 1; // nested call: stay on the current worker thread
     }
-    let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let var = std::env::var_os("SLC_PAR_THREADS");
-    let cap = cap_from_env(var.as_deref().map(|v| v.to_string_lossy()).as_deref(), hw);
-    cap.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
-    .min(n)
+    let workers = match threads {
+        Threads::Serial => 1,
+        Threads::Exact(workers) => workers,
+        Threads::Auto => {
+            let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+            let var = std::env::var_os("SLC_PAR_THREADS");
+            let cap = cap_from_env(var.as_deref().map(|v| v.to_string_lossy()).as_deref(), hw);
+            cap.unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2)
+            })
+        }
+    };
+    workers.clamp(1, n.max(1))
 }
 
-/// Maps `f` over `items` in parallel, preserving input order.
+/// Maps `f` over `items` under the `threads` policy, preserving input
+/// order: the output is the same whatever the policy.
 ///
 /// Items are distributed dynamically (an atomic cursor), so uneven work —
 /// one slow benchmark among nine — does not idle the other workers.
 /// Panics in `f` propagate to the caller once all threads have stopped.
-pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let workers = worker_count(items.len());
-    par_map_workers(items, f, workers)
-}
-
-/// [`par_map`] with an explicit worker count, bypassing the hardware
-/// count and the `SLC_PAR_THREADS` knob (still clamped to the item count,
-/// and to 1 inside a nested call — see the module docs). Callers that
-/// must exercise the threaded path deterministically — the engine's
-/// parallel-equals-serial property tests on a single-core host — pass the
-/// count instead of mutating process-global environment.
-pub fn par_map_workers<T, U, F>(items: Vec<T>, f: F, workers: usize) -> Vec<U>
+pub fn par_map<T, U, F>(items: Vec<T>, threads: Threads, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(T) -> U + Sync,
 {
     let n = items.len();
-    let workers = if IN_WORKER.with(Cell::get) { 1 } else { workers.clamp(1, n.max(1)) };
+    let workers = worker_count(threads, n);
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -160,11 +169,12 @@ mod tests {
         // here is isolated: with the worker flag set, worker_count must
         // clamp to 1 no matter the hardware or item count.
         IN_WORKER.with(|w| w.set(true));
-        assert_eq!(worker_count(64), 1);
+        assert_eq!(worker_count(Threads::Exact(64), 64), 1);
         IN_WORKER.with(|w| w.set(false));
         // And nested maps still produce correct, ordered output.
-        let out =
-            par_map((0..8usize).collect(), |i| par_map((0..4usize).collect(), move |j| i * 10 + j));
+        let out = par_map((0..8usize).collect(), Threads::Exact(3), |i| {
+            par_map((0..4usize).collect(), Threads::Exact(4), move |j| i * 10 + j)
+        });
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(inner, &vec![i * 10, i * 10 + 1, i * 10 + 2, i * 10 + 3]);
         }
@@ -173,19 +183,19 @@ mod tests {
     #[test]
     fn preserves_order() {
         let input: Vec<usize> = (0..1000).collect();
-        let out = par_map(input, |x| x * 2);
+        let out = par_map(input, Threads::Auto, |x| x * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(par_map(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
-        assert_eq!(par_map(vec![7], |x| x + 1), vec![8]);
+        assert_eq!(par_map(Vec::<u32>::new(), Threads::Auto, |x| x), Vec::<u32>::new());
+        assert_eq!(par_map(vec![7], Threads::Auto, |x| x + 1), vec![8]);
     }
 
     #[test]
     fn uneven_work_completes() {
-        let out = par_map((0..64usize).collect(), |i| {
+        let out = par_map((0..64usize).collect(), Threads::Auto, |i| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -197,7 +207,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker panic")]
     fn panics_propagate() {
-        let _ = par_map(vec![1, 2, 3], |x| {
+        let _ = par_map(vec![1, 2, 3], Threads::Auto, |x| {
             if x == 2 {
                 panic!("worker panic");
             }

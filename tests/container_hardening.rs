@@ -13,9 +13,7 @@ use slc::slc_compress::bpc::Bpc;
 use slc::slc_compress::cpack::Cpack;
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc::slc_compress::fpc::Fpc;
-use slc::slc_compress::hycomp::HyComp;
 use slc::slc_compress::rans::{Rans, RANS_SCALE_BITS};
-use slc::slc_compress::sc2::Sc2;
 use slc::slc_compress::{BlockCodec, CodecId, BLOCK_BITS};
 use slc::slc_engine::{
     frame_info, ContainerError, Engine, Frame, StorageMode, Threads, DIR_ENTRY_BYTES, HEADER_BYTES,
@@ -50,7 +48,7 @@ fn sample_stream() -> Vec<u8> {
 }
 
 /// Four 256-byte chunks, of which every registered codec codes at least
-/// one: an f32 ramp (the trained codecs' and rANS' material), small
+/// one: an f32 ramp (E2MC's and rANS' material), small
 /// integers (FPC, C-PACK, BPC), a pointer-like arithmetic run (BDI) and
 /// noise that stays raw. Small, because the sweeps below decode it
 /// hundreds of thousands of times.
@@ -71,8 +69,8 @@ fn training_bytes() -> Vec<u8> {
     (0..1u32 << 14).flat_map(|i| ((i % 257) as f32).to_le_bytes()).collect()
 }
 
-/// An engine per registered codec, in `CodecId::ALL` order, statistical
-/// codecs trained on the same sample.
+/// An engine per registered codec, in `CodecId::ALL` order, E2MC
+/// trained on the sample.
 fn engines() -> Vec<Engine> {
     let bytes = training_bytes();
     let codecs: Vec<Arc<dyn BlockCodec>> = vec![
@@ -81,8 +79,6 @@ fn engines() -> Vec<Engine> {
         Arc::new(Cpack::new()),
         Arc::new(Bpc::new()),
         Arc::new(E2mc::train_on_bytes(&bytes, &E2mcConfig::default())),
-        Arc::new(Sc2::train_on_bytes(&bytes, slc::slc_compress::sc2::DEFAULT_TOP_K)),
-        Arc::new(HyComp::train_on_bytes(&bytes)),
         Arc::new(Rans::new()),
     ];
     let engines: Vec<Engine> =
@@ -421,7 +417,7 @@ fn header_claiming_terabytes_is_an_error_not_an_abort() {
 fn first_two_bytes_of_every_coded_chunk_swept_over_all_values() {
     // Structure-aware mutation: frame and directory stay valid, and the
     // first two bytes of each coded chunk take every value they can. For
-    // the seven block-framed codecs that is the first block's tag — all
+    // the five block-framed codecs that is the first block's tag — all
     // 15-bit sizes x the coded flag, so the codec sees every size the
     // wire can declare over a body that never matches it. For rANS it is
     // the table's count byte and first symbol.
@@ -450,34 +446,6 @@ fn first_two_bytes_of_every_coded_chunk_swept_over_all_values() {
             hostile[at..at + 2].copy_from_slice(&container[at..at + 2]);
         }
         assert_eq!(hostile, container, "{name}: sweep restores the container");
-    }
-}
-
-#[test]
-fn hycomp_blocks_too_short_for_their_own_tag_are_chunk_corrupt() {
-    // A coded HyComp block declaring 0 or 1 bits cannot hold its 2-bit
-    // method tag: the inner stream length would underflow. The codec
-    // must say so before it frames anything.
-    let engine = Engine::new(Arc::new(HyComp::train_on_bytes(&training_bytes())) as Arc<_>)
-        .with_chunk_bytes(256);
-    let data = sample_stream();
-    let container = engine.compress(&data);
-    let (payload_at, directory) = payload_and_directory(&container);
-    let (chunk, entry) = directory
-        .iter()
-        .enumerate()
-        .find(|(_, e)| e.mode == StorageMode::Coded)
-        .expect("a coded chunk exists");
-    for size_bits in [0u16, 1] {
-        let mut hostile = container.clone();
-        let at = payload_at + entry.offset as usize;
-        hostile[at..at + 2].copy_from_slice(&(size_bits | 0x8000).to_le_bytes());
-        for threads in BOTH {
-            match engine.decompress_threads(&hostile, threads) {
-                Err(ContainerError::ChunkCorrupt { chunk: at, .. }) => assert_eq!(at, chunk),
-                other => panic!("size_bits {size_bits}: expected ChunkCorrupt, got {other:?}"),
-            }
-        }
     }
 }
 
@@ -553,6 +521,17 @@ fn containers_relabelled_for_every_other_codec_are_contained() {
                     Err(ContainerError::CodecMismatch { .. })
                 ));
             }
+        }
+        // The retired SC2 and HyComp numbers name no codec at all.
+        for reserved in [5u8, 6] {
+            let mut relabelled = container.clone();
+            relabelled[6] = reserved;
+            assert_eq!(
+                writer.decompress(&relabelled),
+                Err(ContainerError::UnknownCodec(reserved)),
+                "{} container relabelled {reserved}",
+                writer.codec_id().name()
+            );
         }
     }
 }

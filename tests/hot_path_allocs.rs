@@ -15,9 +15,7 @@ use slc::slc_compress::bpc::Bpc;
 use slc::slc_compress::cpack::Cpack;
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc::slc_compress::fpc::Fpc;
-use slc::slc_compress::hycomp::HyComp;
 use slc::slc_compress::rans::Rans;
-use slc::slc_compress::sc2::{Sc2, DEFAULT_TOP_K};
 use slc::slc_compress::{Block, BlockCodec, Mag, BLOCK_BYTES};
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_engine::{Engine, Frame, Threads};
@@ -123,7 +121,7 @@ fn corpus(blocks: usize) -> Vec<Block> {
         .collect()
 }
 
-/// The seven block codecs the zero contract covers, then rANS.
+/// The five block codecs the zero contract covers, then rANS.
 fn codecs(training: &[u8]) -> Vec<Arc<dyn BlockCodec>> {
     vec![
         Arc::new(Bdi::new()),
@@ -131,8 +129,6 @@ fn codecs(training: &[u8]) -> Vec<Arc<dyn BlockCodec>> {
         Arc::new(Cpack::new()),
         Arc::new(Bpc::new()),
         Arc::new(E2mc::train_on_bytes(training, &E2mcConfig::default())),
-        Arc::new(Sc2::train_on_bytes(training, DEFAULT_TOP_K)),
-        Arc::new(HyComp::train_on_bytes(training)),
         Arc::new(Rans::new()),
     ]
 }
