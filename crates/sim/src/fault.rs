@@ -33,7 +33,6 @@
 //! which level of that hierarchy fails as a unit.
 
 use crate::config::GpuConfig;
-use crate::dense::DenseAddrMap;
 use crate::stats::SimStats;
 use crate::BlockAddr;
 
@@ -217,26 +216,24 @@ impl FaultMap {
 
 /// First-come first-served assignment of faulty blocks to spare slots.
 ///
-/// Slots are never freed: a permanent fault stays remapped for the life
-/// of the run, so `used` only grows and doubles as the pool's occupancy
-/// peak.
+/// Slot `i` holds the `i`-th block remapped. Slots are never freed: a
+/// permanent fault stays remapped for the life of the run, so the slot
+/// count only grows and doubles as the pool's occupancy peak.
 #[derive(Debug, Clone)]
 pub struct RemapTable {
     capacity: u32,
-    slots: DenseAddrMap<u32>,
-    used: u32,
+    slots: Vec<BlockAddr>,
 }
 
 impl RemapTable {
     /// An empty table with `capacity` spare slots.
     pub fn new(capacity: u32) -> Self {
-        Self { capacity, slots: DenseAddrMap::new(u32::MAX), used: 0 }
+        Self { capacity, slots: Vec::new() }
     }
 
     /// The spare slot holding `block`'s data, if it was remapped.
     pub fn slot_of(&self, block: BlockAddr) -> Option<u32> {
-        let slot = self.slots.get(block);
-        (slot != u32::MAX).then_some(slot)
+        self.slots.iter().position(|&b| b == block).map(|slot| slot as u32)
     }
 
     /// Assigns `block` a spare slot, idempotently: an already-remapped
@@ -245,18 +242,16 @@ impl RemapTable {
         if let Some(slot) = self.slot_of(block) {
             return Some(slot);
         }
-        if self.used >= self.capacity {
+        if self.used() >= self.capacity {
             return None;
         }
-        let slot = self.used;
-        self.slots.set(block, slot);
-        self.used += 1;
-        Some(slot)
+        self.slots.push(block);
+        Some(self.used() - 1)
     }
 
     /// Slots handed out so far.
     pub fn used(&self) -> u32 {
-        self.used
+        self.slots.len() as u32
     }
 
     /// Total pool size.

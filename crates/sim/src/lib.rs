@@ -27,7 +27,6 @@
 
 pub mod cache;
 pub mod config;
-pub mod dense;
 pub mod dram;
 pub mod engine;
 pub mod fault;

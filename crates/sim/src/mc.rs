@@ -7,7 +7,6 @@
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::GpuConfig;
-use crate::dense::DenseAddrMap;
 use crate::dram::Dram;
 use crate::fault::FaultPlan;
 use crate::mdc::{MdcOutcome, MetadataCache};
@@ -34,29 +33,24 @@ impl BurstsSource for UniformBursts {
     }
 }
 
-/// Sentinel cell value marking a block the map holds no burst count for.
-/// Real burst counts are tiny (1..=4 under every MAG), so the all-ones
-/// word can never be a live value.
-const UNMAPPED: u32 = u32::MAX;
-
-/// Burst counts from a dense address-indexed map, with a default for
-/// unmapped blocks.
+/// Per-block burst counts, with a default for unmapped blocks.
 ///
-/// Blocks live in a [`DenseAddrMap`]: per-run vectors behind a compact
-/// segment directory, indexed by block ordinal — the timing hot loop
+/// Block addresses are the image's block ordinals
+/// ([`GpuMemory::malloc`](crate::mem::GpuMemory::malloc)), so the map is
+/// one byte per block, indexed by address: the timing hot loop
 /// ([`MemorySystem::load`]) resolves a block's burst count with one
-/// directory probe and an index instead of a hash-map probe per L2 miss.
-/// Workload snapshots allocate regions back to back, so the directory
-/// almost always holds a single segment.
+/// bounds-checked index per L2 miss. A stored block costs 1..=128 B / MAG
+/// bursts (8 at MAG 16 B), so a cell of 0 marks a block the map holds no
+/// count for.
 ///
-/// `PartialEq` compares contents (default + the full block→bursts
-/// mapping, in block order), which is what "byte-identical burst maps"
-/// means for the analysis-pipeline equivalence tests; vacant padding
-/// inside segments does not participate.
+/// `PartialEq` compares contents (default + the mapped block→bursts
+/// pairs, in block order), which is what "byte-identical burst maps"
+/// means for the analysis-pipeline equivalence tests; unmapped cells do
+/// not participate.
 #[derive(Debug, Clone)]
 pub struct BurstsMap {
     default: u32,
-    cells: DenseAddrMap<u32>,
+    cells: Vec<u8>,
 }
 
 impl Default for BurstsMap {
@@ -68,33 +62,43 @@ impl Default for BurstsMap {
 impl BurstsMap {
     /// Creates a map whose unmapped blocks cost `default` bursts.
     pub fn new(default: u32) -> Self {
-        Self { default, cells: DenseAddrMap::new(UNMAPPED) }
+        Self::from_cells(default, Vec::new())
+    }
+
+    /// A map whose block `addr` costs `cells[addr]` bursts; a cell of 0,
+    /// or a block past the end, costs `default`.
+    pub fn from_cells(default: u32, cells: Vec<u8>) -> Self {
+        Self { default, cells }
     }
 
     /// Sets the burst count of one block.
     ///
     /// # Panics
     ///
-    /// Panics on `u32::MAX`, which is reserved as the unmapped sentinel
-    /// (real burst counts are 1..=4).
+    /// Panics unless `bursts` is in `1..=255`: 0 marks an unmapped block.
     pub fn insert(&mut self, block: BlockAddr, bursts: u32) {
-        assert_ne!(bursts, UNMAPPED, "u32::MAX is the unmapped sentinel");
-        self.cells.set(block, bursts);
+        assert!((1..=255).contains(&bursts), "a burst count is 1..=255; 0 marks an unmapped block");
+        let i = block as usize;
+        if i >= self.cells.len() {
+            self.cells.resize(i + 1, 0);
+        }
+        self.cells[i] = bursts as u8;
     }
 
     /// Number of explicitly mapped blocks.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.iter().count()
     }
 
     /// Whether no block is mapped.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.iter().next().is_none()
     }
 
     /// Mapped blocks in ascending block-address order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, u32)> + '_ {
-        self.cells.iter()
+        let mapped = self.cells.iter().enumerate().filter(|&(_, &cell)| cell > 0);
+        mapped.map(|(addr, &cell)| (addr as BlockAddr, u32::from(cell)))
     }
 
     /// Average bursts over the mapped blocks, i.e. the map's full known
@@ -105,7 +109,7 @@ impl BurstsMap {
     /// default (telemetry).
     pub fn mean_bursts(&self) -> f64 {
         let (mut sum, mut n) = (0u64, 0u64);
-        for (_, bursts) in self.cells.iter() {
+        for (_, bursts) in self.iter() {
             sum += u64::from(bursts);
             n += 1;
         }
@@ -118,7 +122,7 @@ impl BurstsMap {
 
 impl PartialEq for BurstsMap {
     fn eq(&self, other: &Self) -> bool {
-        self.default == other.default && self.cells.iter().eq(other.cells.iter())
+        self.default == other.default && self.iter().eq(other.iter())
     }
 }
 
@@ -126,11 +130,9 @@ impl Eq for BurstsMap {}
 
 impl BurstsSource for BurstsMap {
     fn bursts(&self, block: BlockAddr) -> u32 {
-        let cell = self.cells.get(block);
-        if cell == UNMAPPED {
-            self.default
-        } else {
-            cell
+        match self.cells.get(block as usize) {
+            Some(&cell) if cell > 0 => u32::from(cell),
+            _ => self.default,
         }
     }
 }
@@ -450,11 +452,32 @@ mod tests {
     #[test]
     fn burst_map_defaults_and_overrides() {
         let mut map = BurstsMap::new(4);
+        assert!(map.is_empty());
+        assert!((map.mean_bursts() - 4.0).abs() < 1e-12, "an empty map reports the default");
         map.insert(10, 1);
         assert_eq!(map.bursts(10), 1);
-        assert_eq!(map.bursts(11), 4);
+        assert_eq!(map.bursts(9), 4, "an unmapped block below a mapped one");
+        assert_eq!(map.bursts(11), 4, "past the end");
         assert_eq!(map.len(), 1);
         assert!((map.mean_bursts() - 1.0).abs() < 1e-12);
+        map.insert(10, 3);
+        assert_eq!(map.bursts(10), 3, "an overwrite");
+        map.insert(1_000_000, 8);
+        assert_eq!(map.bursts(1_000_000), 8, "a far block after a near one");
+        assert_eq!((map.bursts(999_999), map.bursts(u64::MAX)), (4, 4));
+        assert_eq!(map.iter().collect::<Vec<_>>(), [(10, 3), (1_000_000, 8)]);
+        assert!((map.mean_bursts() - 5.5).abs() < 1e-12);
+        // Trailing vacancy does not take part in equality.
+        let mut short = BurstsMap::new(4);
+        short.insert(1, 2);
+        assert_eq!(short, BurstsMap::from_cells(4, vec![0, 2, 0, 0]));
+        assert_ne!(short, BurstsMap::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "0 marks an unmapped block")]
+    fn burst_map_rejects_a_zero_count() {
+        BurstsMap::new(4).insert(0, 0);
     }
 
     #[test]

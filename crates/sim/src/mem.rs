@@ -55,7 +55,10 @@ impl Region {
     }
 
     /// Block address of the region's `index`-th block — the one place
-    /// the region-to-block address arithmetic lives.
+    /// the region-to-block address arithmetic lives. Regions tile the
+    /// image from byte 0 ([`GpuMemory::malloc`]), so block addresses are
+    /// the image's block ordinals `0..len / 128`, and a per-block table
+    /// is a vector indexed by address.
     pub fn block_addr(&self, index: usize) -> BlockAddr {
         self.base / BLOCK_BYTES as u64 + index as u64
     }
@@ -173,6 +176,11 @@ impl GpuMemory {
     }
 
     /// Allocates `size` bytes, 128 B aligned — the extended `cudaMalloc`.
+    ///
+    /// The only way to make a region: each is padded to whole blocks and
+    /// placed right after the last, so the regions tile the image from
+    /// byte 0 and block addresses are the image's ordinals
+    /// `0..len / 128`.
     pub fn malloc(
         &mut self,
         label: &str,
@@ -517,12 +525,15 @@ mod tests {
         let mut m = GpuMemory::new();
         let a = m.malloc("a", 256, true, 16);
         m.malloc("b", 384, false, 0);
+        m.malloc("padded", 200, true, 16);
+        m.malloc("c", 128, false, 0);
         m.write_f32(a, &[5.5; 64]);
         let by_ref: Vec<(u64, bool, Block)> =
             m.blocks_with_addr().map(|(r, addr, b)| (addr, r.safe_to_approx, *b)).collect();
         let by_val: Vec<(bool, Block)> =
             m.all_blocks().map(|(r, b)| (r.safe_to_approx, b)).collect();
         assert_eq!(by_ref.len(), by_val.len());
+        assert_eq!(by_ref.len(), m.len() / BLOCK_BYTES, "the 200 B region pads to two blocks");
         for (i, ((addr, approx_a, block_a), (approx_b, block_b))) in
             by_ref.iter().zip(&by_val).enumerate()
         {

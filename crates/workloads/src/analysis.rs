@@ -24,14 +24,13 @@
 
 use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable};
 use slc_compress::BLOCK_BYTES;
-use slc_sim::{BlockAddr, GpuMemory};
+use slc_sim::GpuMemory;
 use std::sync::Arc;
 
-/// One analysed block of a snapshot.
+/// One analysed block of a snapshot; its index in
+/// [`SnapshotAnalysis::entries`] is its block address.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzedBlock {
-    /// Block address (`region.base / BLOCK_BYTES + index`).
-    pub addr: BlockAddr,
     /// Whether the owning region is marked safe to approximate.
     pub approximable: bool,
     /// The block's shared analysis (code lengths + total bits).
@@ -44,6 +43,8 @@ pub struct AnalyzedBlock {
 /// (region table order, ascending block offset within each region), so
 /// order-sensitive consumers — floating-point ratio accumulators, report
 /// rows — produce byte-identical output to a direct walk over memory.
+/// That order is ascending block address from 0
+/// ([`GpuMemory::malloc`]), so entry `i` is block `i`.
 #[derive(Debug, Clone)]
 pub struct SnapshotAnalysis {
     entries: Vec<AnalyzedBlock>,
@@ -59,26 +60,16 @@ impl SnapshotAnalysis {
     /// the calling worker anyway.
     pub fn capture(e2mc: &E2mc, mem: &GpuMemory) -> Self {
         let mut entries = Vec::with_capacity(mem.len() / BLOCK_BYTES);
-        for (region, addr, block) in mem.blocks_with_addr() {
+        for (region, _, block) in mem.blocks_with_addr() {
             let approximable = region.safe_to_approx;
-            entries.push(AnalyzedBlock { addr, approximable, analysis: e2mc.analyze(block) });
+            entries.push(AnalyzedBlock { approximable, analysis: e2mc.analyze(block) });
         }
         Self { entries, table: Arc::clone(e2mc.shared_table()) }
     }
 
-    /// The analysed blocks, in [`GpuMemory::all_blocks`] order.
+    /// The analysed blocks, indexed by block address.
     pub fn entries(&self) -> &[AnalyzedBlock] {
         &self.entries
-    }
-
-    /// Maximal runs of entries with consecutive block addresses, in entry
-    /// order — the dense-record fast path. Regions are block-contiguous
-    /// and allocated back to back, so a snapshot usually decomposes into
-    /// a single run; a dense accumulator materialises each run's cells
-    /// once and sweeps them by index, with no per-entry map probe of any
-    /// kind.
-    pub fn runs(&self) -> impl Iterator<Item = &[AnalyzedBlock]> + '_ {
-        self.entries.chunk_by(|a, b| b.addr == a.addr + 1)
     }
 
     /// `true` when the snapshot was analysed with exactly `e2mc`'s
@@ -94,6 +85,7 @@ mod tests {
     use super::*;
     use slc_compress::e2mc::E2mcConfig;
     use slc_compress::Block;
+    use slc_sim::BlockAddr;
 
     fn trained() -> E2mc {
         let bytes: Vec<u8> =
@@ -131,19 +123,19 @@ mod tests {
             out
         };
         assert_eq!(snap.entries().len(), direct.len());
-        for (got, want) in snap.entries().iter().zip(&direct) {
-            assert_eq!(got.addr, want.0);
+        for (i, (got, want)) in snap.entries().iter().zip(&direct).enumerate() {
+            assert_eq!(i as BlockAddr, want.0, "entry i is block i");
             assert_eq!(got.approximable, want.1);
             assert_eq!(got.analysis, want.2);
         }
     }
 
     #[test]
-    fn entries_are_16_and_80_bytes() {
+    fn an_analysis_is_68_bytes_and_an_entry_72() {
         // What a captured snapshot costs per 128 B block, as the docs and
         // ROADMAP quote it.
         assert_eq!(std::mem::size_of::<BlockAnalysis>(), 68);
-        assert_eq!(std::mem::size_of::<AnalyzedBlock>(), 80);
+        assert_eq!(std::mem::size_of::<AnalyzedBlock>(), 72);
     }
 
     #[test]

@@ -94,9 +94,9 @@ impl BenchmarkArtifacts {
 
     /// E2MC stored sizes of the memory image at every kernel-boundary
     /// DRAM round-trip of the **exact** run, under the trained table: one
-    /// buffer per staging point, one `u16` per block in
-    /// [`GpuMemory::blocks_with_addr`] order (a stored size is capped at
-    /// the 1024-bit verbatim block, so the cast is lossless).
+    /// buffer per staging point, one `u16` per block, indexed by block
+    /// address (a stored size is capped at the 1024-bit verbatim block,
+    /// so the cast is lossless).
     ///
     /// Computed once per artifacts (one replay of the kernel pipeline
     /// over [`Self::initial_memory`], sizing each boundary image) and
@@ -328,16 +328,11 @@ impl Harness {
         if matches!(scheme, Scheme::E2mc(_)) && shares_artifact_table {
             // Lossless staging is the identity, so a fresh run would
             // retrace the exact run; sweep its cached per-boundary stored
-            // sizes region by region instead of re-executing the kernels
-            // (the E2MC burst count needs nothing else).
+            // sizes, one per block address, instead of re-executing the
+            // kernels (the E2MC burst count needs nothing else).
             let mut accumulator = BurstsAccumulator::new(mag);
             for sizes in artifacts.exact_sizes_over(w, image) {
-                let mut rest = &sizes[..];
-                for region in artifacts.exact_memory.regions() {
-                    let (head, tail) = rest.split_at(region.size as usize / BLOCK_BYTES);
-                    accumulator.fold_bits(region.block_addr(0), head.iter().map(|&b| b.into()));
-                    rest = tail;
-                }
+                accumulator.fold_bits(0, sizes.iter().map(|&b| b.into()));
             }
             let errors = artifacts.errors_of(w, &artifacts.exact_output);
             return FunctionalOutcome {

@@ -373,11 +373,12 @@ mod tests {
             let recorded = acc.into_map();
             let mut replay = LadderState::new(&cfg).unwrap();
             for (i, b) in before.entries().iter().enumerate() {
-                let what = format!("budget {budget_bytes} B, block {}", b.addr);
+                let addr = i as BlockAddr;
+                let what = format!("budget {budget_bytes} B, block {addr}");
                 let verdict = if b.approximable {
-                    replay.resolve_fit(b.addr, |bits| slc.fit_within_with(&b.analysis, bits))
+                    replay.resolve_fit(addr, |bits| slc.fit_within_with(&b.analysis, bits))
                 } else {
-                    replay.resolve_sized(b.addr, b.analysis.e2mc_size_bits())
+                    replay.resolve_sized(addr, b.analysis.e2mc_size_bits())
                 };
                 match verdict {
                     LadderVerdict::Refit(FitOutcome::Lossless { .. }) => squeezed += 1,
@@ -399,7 +400,7 @@ mod tests {
                     _ => (pre[i], scheme.bursts_for_analysis(&b.analysis, Mag::GDDR5, false)),
                 };
                 assert_eq!(post[i], stored, "{what}: staged bytes");
-                assert_eq!(BurstsSource::bursts(&recorded, b.addr), bursts, "{what}: bursts");
+                assert_eq!(BurstsSource::bursts(&recorded, addr), bursts, "{what}: bursts");
             }
             assert_eq!(ladder.counters(), replay.counters(), "budget {budget_bytes} B");
         }
@@ -420,20 +421,23 @@ mod tests {
         let Scheme::Slc(slc) = &scheme else { unreachable!() };
         let mut mem = off_grid_memory();
         let snap = SnapshotAnalysis::capture(&e, &mem);
-        let approx = || snap.entries().iter().filter(|b| b.approximable);
+        let approx = || {
+            let entries = snap.entries().iter().enumerate();
+            entries.filter(|(_, b)| b.approximable).map(|(i, b)| (i as BlockAddr, b))
+        };
         let fit =
             |b: &AnalyzedBlock, budget_bytes| slc.fit_within_with(&b.analysis, budget_bytes * 8);
         let (budget_bytes, squeezed) = (8..BLOCK_BYTES as u32)
             .rev()
             .find_map(|budget| {
                 let squeezed: Vec<_> = approx()
-                    .filter(|b| matches!(fit(b, budget), FitOutcome::Lossless { .. }))
+                    .filter(|(_, b)| matches!(fit(b, budget), FitOutcome::Lossless { .. }))
                     .collect();
                 (!squeezed.is_empty()).then_some((budget, squeezed))
             })
             .expect("some budget must squeeze a verbatim block");
         let degraded = approx()
-            .filter(|b| matches!(fit(b, budget_bytes), FitOutcome::Degraded { .. }))
+            .filter(|(_, b)| matches!(fit(b, budget_bytes), FitOutcome::Degraded { .. }))
             .count() as u64;
         let mut ladder = LadderState::new(&faulty_config(1.0, budget_bytes, 4096)).unwrap();
         let before = mem.clone();
@@ -444,14 +448,13 @@ mod tests {
         let block_at = |m: &GpuMemory, addr| {
             *m.blocks_with_addr().find(|&(_, a, _)| a == addr).expect("block is mapped").2
         };
-        for b in squeezed {
-            assert_eq!(block_at(&mem, b.addr), block_at(&before, b.addr), "block {}", b.addr);
+        for (addr, b) in squeezed {
+            assert_eq!(block_at(&mem, addr), block_at(&before, addr), "block {addr}");
             let stream_bits = LOSSLESS_HEADER_BITS + b.analysis.total_code_bits();
             assert_eq!(
-                BurstsSource::bursts(&map, b.addr),
+                BurstsSource::bursts(&map, addr),
                 Mag::GDDR5.bursts_for_bits(stream_bits, BLOCK_BYTES as u32),
-                "block {} must record the stream it stores",
-                b.addr
+                "block {addr} must record the stream it stores"
             );
         }
     }

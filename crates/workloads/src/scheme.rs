@@ -12,7 +12,6 @@ use crate::ladder::{LadderState, LadderVerdict};
 use slc_compress::e2mc::{BlockAnalysis, E2mc};
 use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BITS, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
-use slc_sim::dense::DenseAddrMap;
 use slc_sim::mc::BurstsMap;
 use slc_sim::{BlockAddr, GpuMemory};
 
@@ -123,7 +122,7 @@ impl Scheme {
     /// whose working set is one block and one accumulator cell — no
     /// snapshot, no verdict list. Per block it settles the stored form
     /// (approximable SLC blocks: [`stage_approximable`]) and folds that
-    /// form's bits into the region's cell slice of `acc`
+    /// form's bits into the region's cells of `acc`
     /// ([`BurstsAccumulator::fold_bits`]). `ladder`,
     /// when present, resolves every block first, in this same
     /// [`GpuMemory::blocks_with_addr`] order (so its spare pool fills
@@ -235,27 +234,27 @@ fn stage_approximable(
 /// kernel-boundary DRAM round-trip and uses the per-block mean, which
 /// weights each kernel's traffic equally.
 ///
-/// Accumulation is dense and address-indexed: per-block `(sum, folds)`
-/// cells live in a [`DenseAddrMap`] keyed by block ordinal. The staging
+/// Block addresses are the image's block ordinals, so the per-block
+/// `(sum, folds)` cells are a vector indexed by address. The staging
 /// walk ([`Scheme::stage_and_record`]) folds each block's stored bits
-/// into its region's cell slice where it computes them, and the E2MC
-/// baseline sweeps its cached sizes region by region through the same
-/// step; [`record`](Self::record) sweeps a captured snapshot's
-/// contiguous address runs ([`SnapshotAnalysis::runs`]) through each
-/// run's slice. None probes a map per entry.
+/// into its region's cells where it computes them; the E2MC baseline
+/// sweeps a staging point's cached sizes, and [`record`](Self::record)
+/// a captured snapshot's entries, as one run from block 0.
 #[derive(Debug, Clone)]
 pub struct BurstsAccumulator {
     mag: Mag,
     max: u32,
-    /// Per-block (burst sum, fold count); vacant cells read (0, 0).
-    cells: DenseAddrMap<(u64, u32)>,
+    /// Per-block (burst sum, fold count), indexed by block address; a
+    /// block never folded reads (0, 0). A sum gains at most 16 bursts a
+    /// staging point, so a `u32` cannot overflow.
+    cells: Vec<(u32, u32)>,
 }
 
 impl BurstsAccumulator {
     /// Creates an accumulator for `mag`.
     pub fn new(mag: Mag) -> Self {
         let max = mag.bursts_for_bytes(BLOCK_BYTES as u32, BLOCK_BYTES as u32);
-        Self { mag, max, cells: DenseAddrMap::new((0, 0)) }
+        Self { mag, max, cells: Vec::new() }
     }
 
     /// The MAG the accumulator was created for.
@@ -264,10 +263,16 @@ impl BurstsAccumulator {
     }
 
     /// Folds the burst counts of one run of consecutive block addresses
-    /// starting at `start` into the run's cell slice, by index.
+    /// starting at `start` into the run's cells, growing the vector when
+    /// the run ends past it.
     fn fold(&mut self, start: BlockAddr, bursts: impl ExactSizeIterator<Item = u32>) {
-        for (cell, b) in self.cells.run_slice(start, bursts.len()).iter_mut().zip(bursts) {
-            cell.0 += u64::from(b);
+        let start = start as usize;
+        let end = start + bursts.len();
+        if end > self.cells.len() {
+            self.cells.resize(end, (0, 0));
+        }
+        for (cell, b) in self.cells[start..end].iter_mut().zip(bursts) {
+            cell.0 += b;
             cell.1 += 1;
         }
     }
@@ -289,8 +294,7 @@ impl BurstsAccumulator {
 
     /// Records one already-analysed snapshot under `scheme`: the cheap
     /// decision sweep of the shared pipeline — no block is re-encoded,
-    /// and each contiguous address run of the snapshot updates its dense
-    /// cell slice by index (no per-entry map probe). Every block counts
+    /// and entry `i` folds into cell `i`. Every block counts
     /// the scheme's own decision over its analysis; the forms a fault
     /// ladder imposes exist only inside the walk that imposed them
     /// ([`LadderState::stage_and_record`]).
@@ -308,18 +312,15 @@ impl BurstsAccumulator {
             "snapshot analysed under a different trained table than the scheme's"
         );
         let mag = self.mag;
-        for run in snapshot.runs() {
-            let bursts =
-                run.iter().map(|b| scheme.bursts_for_analysis(&b.analysis, mag, b.approximable));
-            self.fold(run[0].addr, bursts);
-        }
+        let entries = snapshot.entries().iter();
+        self.fold(0, entries.map(|b| scheme.bursts_for_analysis(&b.analysis, mag, b.approximable)));
     }
 
     /// Number of snapshots folded in: the minimum fold count over all
     /// recorded blocks (blocks first seen in a late snapshot report
     /// fewer folds).
     pub fn snapshots(&self) -> u32 {
-        self.cells.iter().map(|(_, (_, n))| n).min().unwrap_or(0)
+        self.cells.iter().map(|&(_, n)| n).filter(|&n| n > 0).min().unwrap_or(0)
     }
 
     /// Finishes into a [`BurstsMap`] of per-block rounded means.
@@ -332,12 +333,12 @@ impl BurstsAccumulator {
     /// blocks of the snapshots, comparable across schemes that compress
     /// different subsets.
     pub fn into_map(self) -> BurstsMap {
-        let mut map = BurstsMap::new(self.max);
-        for (addr, (sum, n)) in self.cells.iter() {
-            let mean = ((sum as f64 / f64::from(n)).round() as u32).clamp(1, self.max);
-            map.insert(addr, mean);
-        }
-        map
+        let max = self.max;
+        let mean = |(sum, n): (u32, u32)| match n {
+            0 => 0, // never folded: unmapped
+            n => ((f64::from(sum) / f64::from(n)).round() as u32).clamp(1, max) as u8,
+        };
+        BurstsMap::from_cells(max, self.cells.into_iter().map(mean).collect())
     }
 }
 
@@ -430,7 +431,7 @@ mod tests {
             Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt),
             Scheme::slc(e.clone(), Mag::NARROW_16, 8, SlcVariant::TslcSimp),
         ] {
-            // Block by block, no runs, against the run-sliced sweep.
+            // Block by block, by address, against the one-run sweep.
             let mut direct = BurstsAccumulator::new(Mag::GDDR5);
             for (region, addr, block) in mem.blocks_with_addr() {
                 let analysis = e.analyze(block);

@@ -195,17 +195,18 @@ proptest! {
     }
 }
 
-/// The retired `HashMap` accumulator, kept as the reference the dense
-/// address-indexed path must reproduce bit-for-bit: per-block (sum,
-/// folds) keyed by address, folded into rounded means over the **full**
-/// recorded population, in ascending address order.
+/// The retired `HashMap` accumulator, kept as the reference the
+/// address-indexed vectors must reproduce bit-for-bit: per-block (sum,
+/// folds) keyed by address (a snapshot entry's index), folded into
+/// rounded means over the **full** recorded population, in ascending
+/// address order.
 fn hashmap_reference(scheme: &Scheme, snapshots: &[SnapshotAnalysis], mag: Mag) -> Vec<(u64, u32)> {
     use std::collections::HashMap;
     let max = mag.bursts_for_bytes(BLOCK_BYTES as u32, BLOCK_BYTES as u32);
     let mut sums: HashMap<u64, (u64, u32)> = HashMap::new();
     for snap in snapshots {
-        for b in snap.entries() {
-            let e = sums.entry(b.addr).or_insert((0, 0));
+        for (addr, b) in snap.entries().iter().enumerate() {
+            let e = sums.entry(addr as u64).or_insert((0, 0));
             e.0 += u64::from(scheme.bursts_for_analysis(&b.analysis, mag, b.approximable));
             e.1 += 1;
         }
@@ -221,7 +222,7 @@ fn hashmap_reference(scheme: &Scheme, snapshots: &[SnapshotAnalysis], mag: Mag) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The dense accumulator/map must be bit-identical to the HashMap
+    /// The address-indexed accumulator/map must be bit-identical to the HashMap
     /// accumulation it replaced: same mapped addresses, same per-block
     /// means, same burst answers, same population mean — across random
     /// multi-snapshot folds, schemes, MAGs and thresholds.
