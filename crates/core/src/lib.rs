@@ -56,7 +56,7 @@
 //! [`CodeLengthTree::select`](tree::CodeLengthTree::select) is the
 //! comparators and the priority encoder over its sums; and
 //! [`stage_in_place`](slc::SlcCompressor::stage_in_place) is the whole
-//! fault-free round trip on that one analysis — decide, refill the hole
+//! round trip on that one analysis — decide, refill the hole
 //! in the block's own bytes, look up only the hole's rewritten symbols
 //! again ([`E2mc::reanalyze`](slc_compress::e2mc::E2mc::reanalyze): only
 //! they re-enter the tree) and decide once more, so contract (b) holds
@@ -112,5 +112,5 @@ pub mod slc;
 pub mod tree;
 
 pub use budget::{BudgetDecision, ModeChoice};
-pub use slc::{FitOutcome, SlcCompressed, SlcCompressor, SlcConfig, SlcVariant, StoredKind};
+pub use slc::{SlcCompressed, SlcCompressor, SlcConfig, SlcVariant, StoredKind};
 pub use tree::{CodeLengthTree, Selection};

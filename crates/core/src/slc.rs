@@ -7,7 +7,7 @@
 //! the block, filling truncated symbols via the configured predictor.
 
 use crate::budget::{BudgetDecision, ModeChoice};
-use crate::header::{SlcHeader, LOSSLESS_HEADER_BITS, LOSSY_HEADER_DELTA};
+use crate::header::{SlcHeader, LOSSY_HEADER_DELTA};
 use crate::predict::{fill_approximated, PredictorKind};
 use crate::tree::{CodeLengthTree, Selection};
 use slc_compress::bitstream::{BitReader, BitWriter};
@@ -95,61 +95,6 @@ impl SlcConfig {
     /// The active predictor.
     pub fn predictor(&self) -> PredictorKind {
         self.predictor
-    }
-}
-
-/// Verdict of fitting one approximable block into a constrained bit
-/// budget — the fault-tolerance degradation ladder's per-block decision
-/// (see [`SlcCompressor::fit_within_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FitOutcome {
-    /// The fault-free stored form already fits the budget: store it
-    /// unchanged (no escalation).
-    Natural {
-        /// Stored size in bits, identical to
-        /// [`SlcCompressor::stored_bits_with`].
-        bits: u32,
-        /// Whether that natural form is lossy.
-        lossy: bool,
-    },
-    /// The full lossless stream fits the budget even though the
-    /// fault-free pipeline stores this block verbatim (compressing saved
-    /// no bursts at full row capacity — it saves the row now). No data
-    /// loss; encode with [`SlcCompressor::compress_fitted`].
-    Lossless {
-        /// Stored size in bits (the lossless E2MC size under SLC
-        /// framing), `<= budget_bits`.
-        bits: u32,
-    },
-    /// A *deeper* lossy truncation than the fault-free decision fits the
-    /// budget — encode with [`SlcCompressor::compress_fitted`].
-    Degraded {
-        /// Stored size in bits, `<= budget_bits`.
-        bits: u32,
-        /// The Fig. 5 selection that frees enough codewords.
-        selection: Selection,
-    },
-    /// No stored form fits: even the deepest truncation the tree offers
-    /// overshoots the budget. The block must be remapped (or counted
-    /// uncorrectable).
-    Unstorable,
-}
-
-impl FitOutcome {
-    /// The stored form this verdict imposes in place of the fault-free
-    /// one, with the size in bits it promises; `None` for `Natural` and
-    /// `Unstorable`, which keep the fault-free form (an unstorable block
-    /// lives in a spare row, or nowhere). The one place a verdict becomes
-    /// a [`StoredKind`], shared by encoding, direct reconstruction and
-    /// burst accounting.
-    pub fn imposed_form(self) -> Option<(u32, StoredKind)> {
-        match self {
-            FitOutcome::Natural { .. } | FitOutcome::Unstorable => None,
-            FitOutcome::Lossless { bits } => Some((bits, StoredKind::Lossless)),
-            FitOutcome::Degraded { bits, selection } => {
-                Some((bits, StoredKind::Lossy { selection }))
-            }
-        }
     }
 }
 
@@ -280,10 +225,10 @@ impl SlcCompressor {
         (decision, selection)
     }
 
-    /// The stored form the fault-free pipeline gives a block, with the
+    /// The stored form the pipeline gives a block, with the
     /// Fig. 4 decision behind it — the one place the (mode, selection)
     /// pair becomes a [`StoredKind`], shared by sizing and encoding.
-    fn natural_form(&self, analysis: &BlockAnalysis) -> (BudgetDecision, StoredKind) {
+    fn stored_form(&self, analysis: &BlockAnalysis) -> (BudgetDecision, StoredKind) {
         let (decision, selection) = self.analyze_with(analysis);
         let kind = match selection {
             Some(selection) => StoredKind::Lossy { selection },
@@ -319,7 +264,7 @@ impl SlcCompressor {
     /// encoding anything — the fast path for burst accounting (hardware
     /// likewise derives the burst count from the code-length sum alone).
     pub fn stored_bits_with(&self, analysis: &BlockAnalysis) -> (u32, bool) {
-        let (decision, kind) = self.natural_form(analysis);
+        let (decision, kind) = self.stored_form(analysis);
         (Self::bits_of(decision, kind), matches!(kind, StoredKind::Lossy { .. }))
     }
 
@@ -329,81 +274,9 @@ impl SlcCompressor {
         self.config.mag.bursts_for_bits(bits, BLOCK_BYTES as u32)
     }
 
-    /// Fits an approximable block into a hard bit budget (a faulty DRAM
-    /// row's surviving capacity): the graceful-degradation ladder's
-    /// per-block decision, a pure function of the cached analysis — no
-    /// re-encoding anywhere.
-    ///
-    /// The rungs, in order: the *natural* stored form (whatever
-    /// [`stored_bits_with`](Self::stored_bits_with) picks — verbatim,
-    /// lossless or threshold-bounded lossy) if it fits; otherwise a
-    /// deeper Fig. 5 truncation freeing at least
-    /// `comp_size + LOSSY_HEADER_DELTA - budget_bits` codeword bits;
-    /// otherwise [`FitOutcome::Unstorable`]. A `Degraded` verdict's
-    /// `bits` is guaranteed `<= budget_bits` and matches what
-    /// [`compress_fitted`](Self::compress_fitted) actually encodes.
-    pub fn fit_within_with(&self, analysis: &BlockAnalysis, budget_bits: u32) -> FitOutcome {
-        let (bits, lossy) = self.stored_bits_with(analysis);
-        if bits <= budget_bits {
-            return FitOutcome::Natural { bits, lossy };
-        }
-        let comp = LOSSLESS_HEADER_BITS + analysis.total_code_bits();
-        if comp <= budget_bits {
-            // Only reachable from the verbatim corner (the natural form
-            // overshot, so it must be the 1024-bit raw block while the
-            // lossless stream is smaller): compress for capacity even
-            // though it buys no bursts.
-            debug_assert!(comp < BLOCK_BITS);
-            return FitOutcome::Lossless { bits: comp };
-        }
-        let needed = comp + LOSSY_HEADER_DELTA - budget_bits;
-        let tree = CodeLengthTree::from_analysis(analysis);
-        match tree.select(needed, self.config.variant.uses_opt_nodes()) {
-            Some(selection) => {
-                let bits = comp - selection.freed_bits + LOSSY_HEADER_DELTA;
-                debug_assert!(bits <= budget_bits);
-                FitOutcome::Degraded { bits, selection }
-            }
-            None => FitOutcome::Unstorable,
-        }
-    }
-
-    /// Encodes the stored form a [`fit_within_with`](Self::fit_within_with)
-    /// verdict names: the full lossless stream for `Lossless` (bypassing
-    /// the burst-saving check that would store it verbatim at full
-    /// capacity; round-trips exactly), the block with `selection`'s
-    /// symbols truncated for `Degraded`. `Natural` and `Unstorable` encode
-    /// as [`compress_with`](Self::compress_with) does — an unstorable
-    /// block lives in a spare row, or nowhere, in its fault-free form.
-    ///
-    /// `analysis` must be this block's and `fit` a verdict for it; the
-    /// encoded stream is asserted to be the size the verdict promised.
-    pub fn compress_fitted(
-        &self,
-        block: &Block,
-        analysis: &BlockAnalysis,
-        fit: FitOutcome,
-    ) -> SlcCompressed {
-        let Some((bits, kind)) = fit.imposed_form() else {
-            return self.compress_with(block, analysis);
-        };
-        // A synthetic decision whose bit budget is the promised size.
-        let comp = LOSSLESS_HEADER_BITS + analysis.total_code_bits();
-        let decision = BudgetDecision {
-            comp_size_bits: comp,
-            bit_budget: bits,
-            extra_bits: comp - bits,
-            mode: match kind {
-                StoredKind::Lossy { .. } => ModeChoice::Lossy,
-                _ => ModeChoice::Lossless,
-            },
-        };
-        self.store(block, decision, kind)
-    }
-
     /// What a DRAM round trip returns for `block`, without the
     /// bitstream: `Some(decompress(&compress_with(block, analysis)))`
-    /// when the fault-free stored form is lossy, `None` when it is exact
+    /// when the stored form is lossy, `None` when it is exact
     /// (verbatim or lossless — the round trip returns `block` itself).
     ///
     /// The lossy step never needs the entropy coder: symbols outside the
@@ -413,10 +286,15 @@ impl SlcCompressor {
     /// by property test; `analysis` must be this block's, as for
     /// [`compress_with`](Self::compress_with).
     pub fn approximate_with(&self, block: &Block, analysis: &BlockAnalysis) -> Option<Block> {
-        self.approximate(block, self.natural_form(analysis).1)
+        let StoredKind::Lossy { selection } = self.stored_form(analysis).1 else {
+            return None;
+        };
+        let mut out = *block;
+        self.refill(&mut out, selection);
+        Some(out)
     }
 
-    /// One fault-free kernel-boundary round trip of an approximable
+    /// One kernel-boundary round trip of an approximable
     /// block, in place, on one table pass: `analysis` must be `block`'s
     /// on entry and is `block`'s on return. An exact form leaves both
     /// untouched; a lossy one refills the hole in the block's own bytes
@@ -427,40 +305,13 @@ impl SlcCompressor {
     /// [`stored_bits_with`](Self::stored_bits_with) of the bytes `block`
     /// now holds, decided on the same analysis.
     pub fn stage_in_place(&self, block: &mut Block, analysis: &mut BlockAnalysis) -> u32 {
-        let (decision, kind) = self.natural_form(analysis);
+        let (decision, kind) = self.stored_form(analysis);
         let StoredKind::Lossy { selection } = kind else {
             return Self::bits_of(decision, kind);
         };
         self.refill(block, selection);
         self.e2mc.reanalyze(analysis, block, selection.start..selection.start + selection.symbols);
         self.stored_bits_with(analysis).0
-    }
-
-    /// [`approximate_with`](Self::approximate_with) for the stored form a
-    /// [`fit_within_with`](Self::fit_within_with) verdict names — the
-    /// reconstruction of [`compress_fitted`](Self::compress_fitted)'s
-    /// stream: `None` for the `Lossless` rung, the verdict's deeper hole
-    /// for `Degraded`, the fault-free form for `Natural` and `Unstorable`.
-    pub fn approximate_fitted(
-        &self,
-        block: &Block,
-        analysis: &BlockAnalysis,
-        fit: FitOutcome,
-    ) -> Option<Block> {
-        match fit.imposed_form() {
-            Some((_, kind)) => self.approximate(block, kind),
-            None => self.approximate_with(block, analysis),
-        }
-    }
-
-    /// `block` as stored in `kind` and read back: exact forms are `None`.
-    fn approximate(&self, block: &Block, kind: StoredKind) -> Option<Block> {
-        let StoredKind::Lossy { selection } = kind else {
-            return None;
-        };
-        let mut out = *block;
-        self.refill(&mut out, selection);
-        Some(out)
     }
 
     /// Overwrites `selection`'s symbols of `block` with the predictor's
@@ -486,11 +337,7 @@ impl SlcCompressor {
     /// [`E2mc::analyze`] on the same trained table) for this block;
     /// handing in another block's analysis produces a wrong-size stream.
     pub fn compress_with(&self, block: &Block, analysis: &BlockAnalysis) -> SlcCompressed {
-        let (decision, kind) = self.natural_form(analysis);
-        self.store(block, decision, kind)
-    }
-
-    fn store(&self, block: &Block, decision: BudgetDecision, kind: StoredKind) -> SlcCompressed {
+        let (decision, kind) = self.stored_form(analysis);
         match kind {
             StoredKind::Uncompressed => self.store_uncompressed(block, decision),
             StoredKind::Lossless => self.store_lossless(block, decision),
@@ -644,7 +491,7 @@ impl SlcCompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::LOSSY_HEADER_BITS;
+    use crate::header::{LOSSLESS_HEADER_BITS, LOSSY_HEADER_BITS};
     use proptest::prelude::*;
     use slc_compress::e2mc::{E2mcConfig, PDP_BITS};
     use slc_compress::BlockCompressor;
@@ -895,117 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_within_full_budget_is_always_natural() {
-        let s = slc(SlcVariant::TslcOpt);
-        for k in 0..96 {
-            let block = float_block(k as f32 * 1.7, 0.125 + (k % 7) as f32 * 0.05);
-            let a = s.analysis(&block);
-            let (bits, lossy) = s.stored_bits_with(&a);
-            assert_eq!(
-                s.fit_within_with(&a, BLOCK_BITS),
-                FitOutcome::Natural { bits, lossy },
-                "a full-block budget must never escalate"
-            );
-        }
-    }
-
-    #[test]
-    fn degraded_blocks_fit_encode_and_confine_error() {
-        let s = slc(SlcVariant::TslcOpt);
-        let mut degraded_seen = 0;
-        for k in 0..256 {
-            let block = float_block(k as f32 * 1.7, 0.125 + (k % 7) as f32 * 0.05);
-            let a = s.analysis(&block);
-            // Probe a ladder of shrinking budgets so the sweep exercises
-            // the Degraded rung whatever this block's natural size is.
-            let (natural_bits, _) = s.stored_bits_with(&a);
-            let budget = natural_bits.saturating_sub(16).max(crate::header::LOSSY_HEADER_BITS);
-            let fit = s.fit_within_with(&a, budget);
-            if let FitOutcome::Degraded { bits, selection } = fit {
-                degraded_seen += 1;
-                assert!(bits <= budget);
-                let c = s.compress_fitted(&block, &a, fit);
-                assert_eq!(c.size_bits(), bits, "promised size must match the encoding");
-                assert!(c.is_lossy());
-                // Error stays confined to the truncated hole.
-                let out = s.decompress(&c);
-                let in_syms = block_to_symbols(&block);
-                let out_syms = block_to_symbols(&out);
-                for i in 0..SYMBOLS_PER_BLOCK {
-                    let in_hole =
-                        (selection.start..selection.start + selection.symbols).contains(&i);
-                    if !in_hole {
-                        assert_eq!(in_syms[i], out_syms[i], "symbol {i} corrupted outside hole");
-                    }
-                }
-            }
-        }
-        assert!(degraded_seen > 0, "48 B budget never forced a degradation in 256 blocks");
-    }
-
-    #[test]
-    fn verbatim_blocks_squeeze_lossless_under_budget() {
-        // A block whose lossless stream saves no bursts is stored
-        // verbatim fault-free; under a budget between its lossless size
-        // and 1024 bits the ladder must take the lossless rung exactly.
-        let s = slc(SlcVariant::TslcOpt);
-        let mut squeezed = 0;
-        for k in 0..256 {
-            let block = float_block(k as f32 * 1.7, 0.125 + (k % 7) as f32 * 0.05);
-            let a = s.analysis(&block);
-            let comp = s.e2mc().size_bits(&block);
-            let (natural, _) = s.stored_bits_with(&a);
-            if natural == BLOCK_BITS && comp < BLOCK_BITS {
-                let verdict = s.fit_within_with(&a, comp.max(BLOCK_BITS - 8));
-                assert_eq!(verdict, FitOutcome::Lossless { bits: comp });
-                let c = s.compress_fitted(&block, &a, verdict);
-                assert_eq!(c.size_bits(), comp);
-                assert_eq!(s.decompress(&c), block, "the lossless rung must round-trip");
-                squeezed += 1;
-            }
-        }
-        assert!(squeezed > 0, "no verbatim-but-compressible block in scan");
-    }
-
-    #[test]
-    fn hopeless_budgets_are_unstorable() {
-        let s = slc(SlcVariant::TslcOpt);
-        for k in 0..64 {
-            let block = float_block(k as f32 * 1.7, 0.125);
-            let a = s.analysis(&block);
-            // A budget below the lossy header can hold nothing.
-            assert_eq!(s.fit_within_with(&a, 16), FitOutcome::Unstorable);
-        }
-    }
-
-    #[test]
-    fn fit_verdicts_weakly_improve_with_budget() {
-        // A bigger surviving capacity can never make a block's verdict
-        // worse (Unstorable -> Degraded -> Natural) nor its size larger
-        // within the Degraded rung.
-        let rank = |f: &FitOutcome| match f {
-            FitOutcome::Unstorable => 0,
-            FitOutcome::Degraded { .. } => 1,
-            FitOutcome::Lossless { .. } => 2,
-            FitOutcome::Natural { .. } => 3,
-        };
-        let s = slc(SlcVariant::TslcOpt);
-        for k in 0..96 {
-            let block = float_block(k as f32 * 1.9, 0.15 + (k % 5) as f32 * 0.04);
-            let a = s.analysis(&block);
-            let mut last = s.fit_within_with(&a, 8);
-            for budget_bytes in [16u32, 32, 48, 64, 96, 128] {
-                let next = s.fit_within_with(&a, budget_bytes * 8);
-                assert!(
-                    rank(&next) >= rank(&last),
-                    "block {k}: verdict worsened from {last:?} to {next:?}"
-                );
-                last = next;
-            }
-        }
-    }
-
-    #[test]
     fn analyze_matches_compress() {
         let s = slc(SlcVariant::TslcOpt);
         for k in 0..128 {
@@ -1118,9 +854,9 @@ mod tests {
         fn prop_approximation_is_the_encode_decode_round_trip(
             words in proptest::collection::vec(any::<u32>(), 32),
             noise in any::<u32>(), threshold in 0u32..=32) {
-            // `approximate_with` / `approximate_fitted` against the codec
-            // they bypass, on [`three_shapes`] per draw.
-            let [on_grid, noisy, all_escape] = three_shapes(&words, noise);
+            // `approximate_with` against the codec it bypasses, on
+            // [`three_shapes`] per draw.
+            let shapes = three_shapes(&words, noise);
             let e2mc = e2mc();
             for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
                 for predictor in
@@ -1129,7 +865,7 @@ mod tests {
                     let config =
                         SlcConfig::new(Mag::GDDR5, threshold, variant).with_predictor(predictor);
                     let s = SlcCompressor::new(e2mc.clone(), config);
-                    for block in [on_grid, noisy, all_escape] {
+                    for block in shapes {
                         let a = s.analysis(&block);
                         let c = s.compress_with(&block, &a);
                         let decoded = s.decompress(&c);
@@ -1138,32 +874,6 @@ mod tests {
                         } else {
                             prop_assert_eq!(s.approximate_with(&block, &a), None);
                             prop_assert_eq!(decoded, block);
-                        }
-                        // Every rung of the ladder, and the size it promises.
-                        let mut hole_at_start = false;
-                        for budget in (0..=BLOCK_BITS).step_by(8) {
-                            let fit = s.fit_within_with(&a, budget);
-                            let c = s.compress_fitted(&block, &a, fit);
-                            prop_assert_eq!(
-                                s.approximate_fitted(&block, &a, fit).unwrap_or(block),
-                                s.decompress(&c),
-                                "{:?} {:?} budget {}: {:?}", variant, predictor, budget, fit
-                            );
-                            if let Some((bits, kind)) = fit.imposed_form() {
-                                prop_assert_eq!(kind, c.kind());
-                                prop_assert_eq!(bits, c.size_bits());
-                                prop_assert_eq!(
-                                    Mag::GDDR5.bursts_for_bits(bits, BLOCK_BYTES as u32),
-                                    c.bursts()
-                                );
-                                hole_at_start |= matches!(
-                                    kind,
-                                    StoredKind::Lossy { selection } if selection.start == 0
-                                );
-                            }
-                        }
-                        if block == on_grid {
-                            prop_assert!(hole_at_start, "no budget opened a hole at symbol 0");
                         }
                     }
                 }

@@ -21,7 +21,7 @@ use slc_exp::{all, fig1, fig2, fig9, report, tables};
 use slc_workloads::{all_workloads, workload_by_name, Harness, Scale};
 
 const USAGE: &str = "usage: slc run all|fig1|fig2|fig7|fig8|fig9|table1|table2|table3
-       slc probe bursts|faults|regions|sched|ablation|quickstart|sim|dct
+       slc probe bursts|regions|sched|ablation|quickstart|sim|dct
        slc probe engine [--codec e2mc|rans|bdi]
        slc probe threshold [JM|BS|DCT|FWT|TP|BP|NN|SRAD1|SRAD2]";
 
@@ -51,7 +51,6 @@ fn main() {
         ["run", "table2"] => println!("{}", tables::table2()),
         ["run", "table3"] => println!("{}", tables::table3(scale)),
         ["probe", "bursts"] => probe::bursts(scale),
-        ["probe", "faults"] => probe::faults(scale),
         ["probe", "regions"] => probe::regions(scale),
         ["probe", "sched"] => probe::sched(scale),
         ["probe", "engine"] | ["probe", "engine", "--codec", "e2mc"] => probe::engine(scale, None),

@@ -1,6 +1,6 @@
 //! `slc probe …`: diagnostics that are not paper figures — tuning aids,
-//! the resilience and engine smokes CI runs, the ablations and the
-//! threshold sweep, and three walk-throughs of the library API.
+//! the engine smoke CI runs, the ablations and the threshold sweep, and
+//! three walk-throughs of the library API.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -15,7 +15,7 @@ use slc_engine::{frame_info, Engine, Threads};
 use slc_sim::mc::UniformBursts;
 use slc_sim::mdc::{MetadataCache, BLOCKS_PER_META_LINE};
 use slc_sim::trace::TraceBuilder;
-use slc_sim::{FaultConfig, FaultMap, FaultPattern, GpuConfig, SchedPolicy};
+use slc_sim::{GpuConfig, SchedPolicy};
 use slc_workloads::benchmarks::{dct::Dct, nn::Nn};
 use slc_workloads::{all_workloads, compress_snapshot, snapshot_bytes, snapshot_engine};
 use slc_workloads::{Harness, Scale, Scheme, SnapshotAnalysis, Workload};
@@ -51,69 +51,6 @@ pub fn bursts(scale: Scale) {
             bw(&t2.stats),
             t1.stats.cycles as f64 / t2.stats.cycles as f64
         );
-    }
-}
-
-/// Swept row-failure densities (nested under the fixed seed).
-const DENSITIES: [f64; 7] = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4];
-/// Fault-set seed; any fixed value gives a reproducible sweep.
-const FAULT_SEED: u64 = 7;
-
-/// `faults`: fault-capacity curves of the degradation ladder, the
-/// resilience study the fault-injection subsystem exists for.
-///
-/// For every benchmark, a density sweep of randomly failed DRAM rows
-/// (fixed seed, so the fault sets nest and every curve is monotone by
-/// construction) under TSLC-OPT at the paper-default 16 B threshold:
-/// the fraction of blocks in failed rows, the ladder counters, the
-/// surviving-capacity fraction `1 - uncorrectable/total`, output
-/// quality (PSNR / max absolute error) and the slowdown against the
-/// same scheme on healthy DRAM.
-pub fn faults(scale: Scale) {
-    let h = Harness::new(scale);
-    println!("Fault-capacity sweep: RandomRows, seed {FAULT_SEED}, TSLC-OPT/16 (scale {scale:?})");
-    println!(
-        "{:>6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>9}",
-        "bench",
-        "density",
-        "faulty%",
-        "escal",
-        "remaps",
-        "uncorr",
-        "capacity",
-        "psnr_db",
-        "max_err",
-        "slowdown"
-    );
-    for w in all_workloads(scale) {
-        let a = h.prepare(w.as_ref());
-        let scheme = Scheme::slc(a.e2mc.clone(), h.config.mag(), 16, SlcVariant::TslcOpt);
-        let (_, t0) = h.evaluate(w.as_ref(), &a, &scheme);
-        let total = a.exact_memory.blocks_with_addr().count() as u64;
-        for density in DENSITIES {
-            let fault = FaultConfig::new(FaultPattern::RandomRows, density, FAULT_SEED);
-            let cfg = h.config.clone().with_faults(fault);
-            let hf = h.clone().with_config(cfg.clone());
-            let (f, t) = hf.evaluate(w.as_ref(), &a, &scheme);
-            let map = FaultMap::from_config(&cfg).expect("fault config is set");
-            let faulty =
-                map.count_faulty(a.exact_memory.blocks_with_addr().map(|(_, addr, _)| addr));
-            let s = &t.stats;
-            let capacity = 1.0 - s.uncorrectable_blocks as f64 / total.max(1) as f64;
-            println!(
-                "{:>6} {:>8.3} {:>8.2} {:>8} {:>8} {:>8} {:>9.4} {:>9.1} {:>10.4} {:>9.4}",
-                a.name,
-                density,
-                100.0 * faulty as f64 / total.max(1) as f64,
-                s.fault_escalations,
-                s.remaps,
-                s.uncorrectable_blocks,
-                capacity,
-                f.psnr_db,
-                f.max_abs_err,
-                s.cycles as f64 / t0.stats.cycles.max(1) as f64,
-            );
-        }
     }
 }
 

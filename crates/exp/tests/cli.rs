@@ -51,6 +51,7 @@ fn usage_errors_exit_2_with_empty_stdout() {
     for (scale, args) in [
         ("tiny", &[][..]),
         ("tiny", &["run", "fig10"]),
+        ("tiny", &["probe", "faults"]),
         ("tiny", &["probe", "engine", "--codec", "lz4"]),
         ("tiny", &["probe", "threshold", "NOPE"]),
         ("bogus", &["run", "table1"]),

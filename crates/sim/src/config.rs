@@ -1,7 +1,6 @@
 //! Simulator configuration (paper Table II, GTX580-like).
 
 use crate::dram::sched::SchedPolicy;
-use crate::fault::FaultConfig;
 use slc_compress::Mag;
 
 /// Full GPU configuration.
@@ -85,11 +84,6 @@ pub struct GpuConfig {
     /// nor move metadata over the pins (every block costs the maximum
     /// burst count unconditionally). Disabled via [`Self::without_mdc`].
     pub mdc_enabled: bool,
-
-    /// Injected permanent DRAM faults (see [`crate::fault`]). `None` —
-    /// the default — means the fault subsystem is entirely absent; the
-    /// pipeline is pinned byte-identical to a zero-density fault set.
-    pub fault: Option<FaultConfig>,
 }
 
 impl Default for GpuConfig {
@@ -125,7 +119,6 @@ impl Default for GpuConfig {
             decompress_latency: 0,
             mdc_entries: 512,
             mdc_enabled: true,
-            fault: None,
         }
     }
 }
@@ -219,12 +212,6 @@ impl GpuConfig {
     /// no metadata traffic ever reaches the pins.
     pub fn without_mdc(mut self) -> Self {
         self.mdc_enabled = false;
-        self
-    }
-
-    /// Injects a permanent DRAM fault set (see [`crate::fault`]).
-    pub fn with_faults(mut self, fault: FaultConfig) -> Self {
-        self.fault = Some(fault);
         self
     }
 }

@@ -54,17 +54,6 @@ use sched::{PendingWrite, SchedPolicy, WriteQueue};
 /// below this base (2^40 blocks = 128 TiB).
 pub const META_BLOCK_BASE: u64 = 1 << 40;
 
-/// First block address of the spare-region pool (fault remapping).
-///
-/// Spare slot `s` resides at block address `SPARE_BLOCK_BASE + s` and is
-/// routed through the ordinary channel interleaving exactly like the
-/// metadata region: the slot's *own* address picks its channel, bank and
-/// row, so remapped traffic contends for real banks and buses instead of
-/// teleporting. Disjoint from both the data region (far below) and the
-/// metadata region (`2^40..2^41` covers every metadata line long before
-/// this base).
-pub const SPARE_BLOCK_BASE: u64 = 1 << 41;
-
 /// One DRAM bank: open row + availability horizon.
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
@@ -349,21 +338,6 @@ impl Dram {
         let meta = META_BLOCK_BASE + line;
         let (ch, local) = self.map(meta);
         self.channels[ch].write(local, 1, at)
-    }
-
-    /// Services a read of spare slot `slot` (a fault-remapped block's
-    /// data), routed like any other resident through the slot's own
-    /// address — see [`SPARE_BLOCK_BASE`].
-    pub fn read_spare(&mut self, slot: u32, bursts: u32, at: f64) -> DramAccess {
-        let (ch, local) = self.map(SPARE_BLOCK_BASE + u64::from(slot));
-        self.channels[ch].read(local, bursts, at)
-    }
-
-    /// Hands a write of spare slot `slot` to the slot's channel, routed
-    /// exactly like [`read_spare`](Self::read_spare) on the write path.
-    pub fn write_spare(&mut self, slot: u32, bursts: u32, at: f64) -> Option<DramAccess> {
-        let (ch, local) = self.map(SPARE_BLOCK_BASE + u64::from(slot));
-        self.channels[ch].write(local, bursts, at)
     }
 
     /// Drains every channel's buffered writes (end of kernel).

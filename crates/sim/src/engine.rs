@@ -7,7 +7,6 @@
 //! bounds reordering to one op.
 
 use crate::config::GpuConfig;
-use crate::fault::FaultPlan;
 use crate::mc::{BurstsSource, MemorySystem};
 use crate::sm::SmState;
 use crate::stats::SimStats;
@@ -33,22 +32,12 @@ use crate::trace::Trace;
 #[derive(Debug, Clone)]
 pub struct Engine {
     cfg: GpuConfig,
-    fault: Option<FaultPlan>,
 }
 
 impl Engine {
     /// Creates an engine for the given configuration.
     pub fn new(cfg: GpuConfig) -> Self {
-        Self { cfg, fault: None }
-    }
-
-    /// Attaches the functional fault ladder's verdicts (see
-    /// [`crate::fault`]): remapped blocks pay their indirection through
-    /// the DRAM model and the ladder counters surface in the run's
-    /// [`SimStats`].
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
+        Self { cfg }
     }
 
     /// The configuration.
@@ -62,7 +51,7 @@ impl Engine {
     /// use [`crate::mc::UniformBursts`] with the MAG's maximum for the
     /// no-compression baseline.
     pub fn run(&self, trace: &Trace, bursts: &dyn BurstsSource) -> SimStats {
-        let mut mem = MemorySystem::with_fault_plan(&self.cfg, bursts, self.fault.as_ref());
+        let mut mem = MemorySystem::new(&self.cfg, bursts);
         let mut sms: Vec<SmState> = (0..trace.sms()).map(|_| SmState::new(&self.cfg)).collect();
         // A tournament over one key per SM: its clock above its index, so
         // one integer compare orders keys as the (clock, index) tuple, and

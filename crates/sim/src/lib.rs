@@ -29,7 +29,6 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod engine;
-pub mod fault;
 pub mod mc;
 pub mod mdc;
 pub mod mem;
@@ -40,7 +39,6 @@ pub mod trace;
 pub use config::GpuConfig;
 pub use dram::sched::SchedPolicy;
 pub use engine::Engine;
-pub use fault::{FaultConfig, FaultMap, FaultPattern, FaultPlan};
 pub use mc::{BurstsMap, BurstsSource};
 pub use mem::{DevicePtr, F32View, F32ViewMut, GpuMemory, Region};
 pub use stats::SimStats;

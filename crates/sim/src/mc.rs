@@ -8,7 +8,6 @@
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::GpuConfig;
 use crate::dram::Dram;
-use crate::fault::FaultPlan;
 use crate::mdc::{MdcOutcome, MetadataCache};
 use crate::stats::SimStats;
 use crate::BlockAddr;
@@ -147,11 +146,6 @@ pub struct MemorySystem<'a> {
     mdc: Option<MetadataCache>,
     dram: Dram,
     bursts: &'a dyn BurstsSource,
-    /// Fault-remap verdicts from the functional ladder (see
-    /// [`crate::fault`]): remapped blocks pay a pointer burst at their
-    /// original (faulty) address plus the spare region's own access.
-    /// `None` — the fault-free system — takes none of those paths.
-    fault: Option<&'a FaultPlan>,
     stats: SimStats,
     max_bursts: u32,
     l2_hit_latency: u64,
@@ -169,22 +163,11 @@ impl std::fmt::Debug for MemorySystem<'_> {
 impl<'a> MemorySystem<'a> {
     /// Builds the memory system from the configuration.
     pub fn new(cfg: &GpuConfig, bursts: &'a dyn BurstsSource) -> Self {
-        Self::with_fault_plan(cfg, bursts, None)
-    }
-
-    /// Builds the memory system with an optional fault-remap plan (the
-    /// functional degradation ladder's verdicts; see [`crate::fault`]).
-    pub fn with_fault_plan(
-        cfg: &GpuConfig,
-        bursts: &'a dyn BurstsSource,
-        fault: Option<&'a FaultPlan>,
-    ) -> Self {
         Self {
             l2: Cache::new(cfg.l2_kb, cfg.l2_assoc),
             mdc: cfg.mdc_enabled.then(|| MetadataCache::new(cfg.mdc_entries.next_power_of_two())),
             dram: Dram::new(cfg),
             bursts,
-            fault,
             stats: SimStats::new(),
             max_bursts: cfg.max_bursts(),
             l2_hit_latency: cfg.l2_hit_latency,
@@ -253,17 +236,7 @@ impl<'a> MemorySystem<'a> {
         // MDC tells the MC how many bursts to fetch; a miss first pulls
         // the 32 B metadata line, which delays the data transfer.
         let start = self.mdc_lookup(block, at, false);
-        let access = if let Some(slot) = self.fault.and_then(|p| p.slot_of(block)) {
-            // Fault-remapped: the surviving capacity at the original
-            // address holds only the forwarding pointer (one burst), and
-            // the data lives in the spare region — a second, dependent
-            // DRAM access at the spare slot's own address.
-            self.stats.read_bursts += 1;
-            let pointer = self.dram.read(block, 1, start);
-            self.dram.read_spare(slot, bursts, pointer.done)
-        } else {
-            self.dram.read(block, bursts, start)
-        };
+        let access = self.dram.read(block, bursts, start);
         self.stats.dram_reads += 1;
         self.stats.read_bursts += u64::from(bursts);
         let mut done = access.done.ceil() as u64;
@@ -289,18 +262,7 @@ impl<'a> MemorySystem<'a> {
         // exactly like the fetch path — and delays the data transfer
         // behind it.
         let start = self.mdc_lookup(block, at, true);
-        if let Some(slot) = self.fault.and_then(|p| p.slot_of(block)) {
-            // Fault-remapped: read the forwarding pointer from the
-            // original address (one burst on the read path — hardware
-            // must resolve the indirection before it can steer the
-            // store), then hand the data write to the spare slot's
-            // channel.
-            self.stats.read_bursts += 1;
-            let pointer = self.dram.read(block, 1, start);
-            self.dram.write_spare(slot, bursts, pointer.done);
-        } else {
-            self.dram.write(block, bursts, start);
-        }
+        self.dram.write(block, bursts, start);
         self.stats.dram_writes += 1;
         self.stats.write_bursts += u64::from(bursts);
     }
@@ -365,9 +327,6 @@ impl<'a> MemorySystem<'a> {
         base.queue_wait_cycles = t.queue_wait as u64;
         base.write_drains = t.write_drains;
         base.write_drain_forced = t.write_drain_forced;
-        if let Some(plan) = self.fault {
-            plan.fold_into(&mut base);
-        }
         base
     }
 
@@ -607,79 +566,6 @@ mod tests {
         let mut m = MemorySystem::new(&cfg, &silly);
         m.load(0, 0);
         assert_eq!(m.stats().read_bursts, 4);
-    }
-
-    #[test]
-    fn remapped_block_pays_pointer_plus_spare_access() {
-        use crate::fault::{FaultCounters, FaultPlan, RemapTable};
-        let cfg = cfg();
-        let u = UniformBursts(2);
-        let mut table = RemapTable::new(4);
-        table.assign(0).unwrap();
-        let plan = FaultPlan::new(table, FaultCounters::default());
-
-        let mut plain = MemorySystem::new(&cfg, &u);
-        let mut faulty = MemorySystem::with_fault_plan(&cfg, &u, Some(&plan));
-        let done_plain = plain.load(0, 0);
-        let done_faulty = faulty.load(0, 0);
-        assert!(
-            done_faulty > done_plain,
-            "indirection must cost real time: {done_faulty} vs {done_plain}"
-        );
-        // One extra pointer burst on the pins, same logical read count.
-        assert_eq!(faulty.stats().read_bursts, plain.stats().read_bursts + 1);
-        assert_eq!(faulty.stats().dram_reads, 1);
-
-        // A block the plan does not remap behaves identically.
-        let t1 = plain.load(5, 1_000_000);
-        let t2 = faulty.load(5, 1_000_000);
-        assert_eq!(t1, t2, "non-remapped blocks must not be perturbed");
-    }
-
-    #[test]
-    fn remapped_writeback_routes_to_the_spare_region() {
-        use crate::fault::{FaultCounters, FaultPlan, RemapTable};
-        let cfg = cfg();
-        let u = UniformBursts(2);
-        let mut table = RemapTable::new(4);
-        table.assign(3).unwrap();
-        let plan = FaultPlan::new(table, FaultCounters::default());
-        let mut m = MemorySystem::with_fault_plan(&cfg, &u, Some(&plan));
-        m.store(3, 0);
-        m.flush(100);
-        let s = m.stats();
-        assert_eq!(s.dram_writes, 1);
-        assert_eq!(s.write_bursts, 2);
-        assert_eq!(s.read_bursts, 1, "the forwarding pointer is read before the store");
-    }
-
-    #[test]
-    fn empty_fault_plan_is_inert_and_harvests_counters() {
-        use crate::fault::{FaultCounters, FaultPlan, RemapTable};
-        let cfg = cfg();
-        let u = UniformBursts(2);
-        let counters = FaultCounters {
-            fault_escalations: 7,
-            remaps: 0,
-            spare_occupancy_peak: 0,
-            uncorrectable_blocks: 2,
-        };
-        let plan = FaultPlan::new(RemapTable::new(4), counters);
-        let mut plain = MemorySystem::new(&cfg, &u);
-        let mut faulty = MemorySystem::with_fault_plan(&cfg, &u, Some(&plan));
-        for (i, at) in [(0u64, 0u64), (12, 50), (7, 80)] {
-            assert_eq!(plain.load(i, at), faulty.load(i, at));
-        }
-        plain.store(3, 200);
-        faulty.store(3, 200);
-        assert_eq!(plain.flush(1000), faulty.flush(1000));
-        let s = faulty.into_stats();
-        assert_eq!(s.fault_escalations, 7);
-        assert_eq!(s.uncorrectable_blocks, 2);
-        let mut p = plain.into_stats();
-        p.fault_escalations = 7;
-        p.uncorrectable_blocks = 2;
-        assert_eq!(p, s, "an empty remap table must leave timing untouched");
     }
 
     #[test]

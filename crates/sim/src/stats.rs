@@ -65,16 +65,10 @@ pub struct SimStats {
     /// buffer (high watermark) or the starvation age cap rather than an
     /// idle bus or the end-of-kernel drain.
     pub write_drain_forced: u64,
-    /// Fault ladder (see `slc_sim::fault`): per-(snapshot, block)
-    /// decisions that degraded below the fault-free stored form to fit a
-    /// faulty row's surviving capacity. 0 without injected faults.
+    // Always 0: the retired fault ladder's counters, kept while the ledger hashes this `Debug`.
     pub fault_escalations: u64,
-    /// Distinct blocks remapped into the spare-region pool.
     pub remaps: u64,
-    /// Peak spare-pool occupancy in blocks.
     pub spare_occupancy_peak: u64,
-    /// Distinct blocks that neither fit the surviving capacity nor got a
-    /// spare slot — lost on real hardware, counted here.
     pub uncorrectable_blocks: u64,
 }
 

@@ -12,14 +12,13 @@
 //! 4. Feed the benchmark's trace plus the burst map to the timing
 //!    simulator with the scheme's codec latencies.
 
-use crate::ladder::LadderState;
 use crate::metrics;
 use crate::scheme::{BurstsAccumulator, Scheme, SchemeKind};
 use crate::suite::{Scale, Workload};
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::{BlockCompressor, BLOCK_BYTES};
 use slc_sim::mc::BurstsMap;
-use slc_sim::{Engine, FaultPlan, GpuConfig, GpuMemory, SimStats, Trace};
+use slc_sim::{Engine, GpuConfig, GpuMemory, SimStats, Trace};
 use std::sync::OnceLock;
 
 /// Per-benchmark reusable artifacts (exact run, trained table, trace).
@@ -170,17 +169,14 @@ pub struct FunctionalOutcome {
     /// benchmark GM, §V-A).
     pub mre_pct: f64,
     /// Peak signal-to-noise ratio in dB against the exact output
-    /// ([`metrics::psnr`]); infinite for exact reproductions. The
-    /// fault-capacity curves plot this against fault density.
+    /// ([`metrics::psnr`]); infinite for exact reproductions. No figure
+    /// prints it: ROADMAP item 2 makes it, and [`Self::max_abs_err`],
+    /// per-field error columns of the run report.
     pub psnr_db: f64,
     /// Largest absolute output deviation ([`metrics::max_abs_error`]).
     pub max_abs_err: f64,
     /// Burst count per block for the timing pass.
     pub bursts: BurstsMap,
-    /// The fault ladder's verdict when the config injects faults
-    /// ([`GpuConfig::fault`]): the remap table the timing pass replays
-    /// plus the final counters. `None` on every fault-free path.
-    pub fault: Option<FaultPlan>,
 }
 
 /// Result of one timing pass.
@@ -283,11 +279,6 @@ impl Harness {
     /// [`BenchmarkArtifacts::exact_size_snapshots`] — byte-identical
     /// output, one sizing pass amortised over every scheme, MAG and
     /// threshold.
-    ///
-    /// Faulty DRAM ([`GpuConfig::fault`]) invalidates the shortcut: the
-    /// ladder ([`crate::ladder`]) must see every block of every staging
-    /// point to count escalations and assign spare slots, whatever the
-    /// scheme — even the uncompressed one, to tally uncorrectable blocks.
     pub fn run_functional(
         &self,
         w: &dyn Workload,
@@ -306,10 +297,6 @@ impl Harness {
         scheme: &Scheme,
         image: &mut Option<GpuMemory>,
     ) -> FunctionalOutcome {
-        let ladder = LadderState::new(&self.config);
-        if ladder.is_some() {
-            return self.replay(w, artifacts, scheme, ladder, image);
-        }
         let mag = self.config.mag();
         if matches!(scheme, Scheme::Uncompressed) {
             return FunctionalOutcome {
@@ -319,7 +306,6 @@ impl Harness {
                 psnr_db: f64::INFINITY,
                 max_abs_err: 0.0,
                 bursts: BurstsAccumulator::new(mag).into_map(),
-                fault: None,
             };
         }
         let shares_artifact_table = scheme.e2mc().is_some_and(|e| {
@@ -342,31 +328,26 @@ impl Harness {
                 psnr_db: f64::INFINITY,
                 max_abs_err: 0.0,
                 bursts: accumulator.into_map(),
-                fault: None,
             };
         }
-        self.replay(w, artifacts, scheme, None, image)
+        self.replay(w, artifacts, scheme, image)
     }
 
     /// The uncached functional pass: replays the kernels over the
     /// artifacts' seeded image with the one streamed staging walk at
-    /// every kernel-boundary staging point — every block resolved by
-    /// `ladder` first when there is one, its bursts folded straight into
-    /// the accumulator — and packages the ladder's [`FaultPlan`] for the
-    /// timing side.
+    /// every kernel-boundary staging point, every block's bursts folded
+    /// straight into the accumulator.
     fn replay(
         &self,
         w: &dyn Workload,
         artifacts: &BenchmarkArtifacts,
         scheme: &Scheme,
-        mut ladder: Option<LadderState>,
         image: &mut Option<GpuMemory>,
     ) -> FunctionalOutcome {
         artifacts.assert_prepared_from(w);
         let mut accumulator = BurstsAccumulator::new(self.config.mag());
         let mem = artifacts.seeded(image);
-        let mut stage =
-            |m: &mut GpuMemory| scheme.stage_walk(m, Some(&mut accumulator), ladder.as_mut());
+        let mut stage = |m: &mut GpuMemory| scheme.stage_and_record(m, &mut accumulator);
         w.execute(mem, &mut stage);
         let errors = artifacts.errors_of(w, &w.output(mem));
         FunctionalOutcome {
@@ -376,7 +357,6 @@ impl Harness {
             psnr_db: errors.psnr_db,
             max_abs_err: errors.max_abs_err,
             bursts: accumulator.into_map(),
-            fault: ladder.map(LadderState::into_plan),
         }
     }
 
@@ -398,11 +378,7 @@ impl Harness {
         if matches!(scheme, Scheme::Uncompressed) {
             cfg = cfg.without_mdc();
         }
-        let mut engine = Engine::new(cfg);
-        if let Some(plan) = &functional.fault {
-            engine = engine.with_fault_plan(plan.clone());
-        }
-        let stats = engine.run(&artifacts.trace, &functional.bursts);
+        let stats = Engine::new(cfg).run(&artifacts.trace, &functional.bursts);
         TimingOutcome { kind: scheme.kind(), stats }
     }
 
@@ -455,7 +431,7 @@ mod tests {
     use crate::suite::all_workloads;
     use slc_compress::{Mag, BLOCK_BITS};
     use slc_core::slc::SlcVariant;
-    use slc_sim::{DevicePtr, FaultConfig, FaultPattern};
+    use slc_sim::DevicePtr;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn harness() -> Harness {
@@ -493,9 +469,9 @@ mod tests {
                 let at = format!("{} seed {seed}", w.name());
                 let a = h.prepare(w.as_ref());
                 let opt = Scheme::slc(a.e2mc.clone(), h.config.mag(), 16, SlcVariant::TslcOpt);
-                let fresh = h.replay(w.as_ref(), &a, &opt, None, &mut None);
+                let fresh = h.replay(w.as_ref(), &a, &opt, &mut None);
                 let mut image = None;
-                let first = h.replay(w.as_ref(), &a, &opt, None, &mut image);
+                let first = h.replay(w.as_ref(), &a, &opt, &mut image);
                 let staged = image.clone().expect("the replay left its image behind");
                 staged_an_unchanged_region |= a
                     .exact_memory
@@ -505,7 +481,7 @@ mod tests {
                     .filter(|(_, delta)| **delta == RegionDelta::Unchanged)
                     .any(|(r, _)| staged.region_bytes(r) != a.exact_memory.region_bytes(r));
                 assert_same_image(a.seeded(&mut image), &a.initial_memory(), &at);
-                let again = h.replay(w.as_ref(), &a, &opt, None, &mut image);
+                let again = h.replay(w.as_ref(), &a, &opt, &mut image);
                 for f in [&first, &again] {
                     assert_eq!(f.bursts, fresh.bursts, "{at}: bursts");
                     assert_eq!(
@@ -611,7 +587,7 @@ mod tests {
         );
         // The replay runs over that image: lossless staging reproduces
         // the exact output.
-        let f = h.replay(&w, &a, &Scheme::E2mc(a.e2mc.clone()), None, &mut None);
+        let f = h.replay(&w, &a, &Scheme::E2mc(a.e2mc.clone()), &mut None);
         assert_eq!((f.error_pct, f.max_abs_err), (0.0, 0.0));
     }
 
@@ -669,7 +645,7 @@ mod tests {
     #[test]
     fn a_benchmark_is_built_exactly_once() {
         // Every pass a figure makes: prepare, the two baselines, the
-        // three TSLC replays, a faulty-DRAM replay, the size cache.
+        // three TSLC replays, the size cache.
         let h = harness();
         let w = CountingBuilds { inner: Nn::new(Scale::Tiny), builds: AtomicUsize::new(0) };
         let a = h.prepare(&w);
@@ -681,10 +657,6 @@ mod tests {
         for scheme in &schemes {
             h.run_functional(&w, &a, scheme);
         }
-        let fault = FaultConfig::new(FaultPattern::RandomRows, 0.05, 7);
-        let faulty = h.clone().with_config(h.config.clone().with_faults(fault));
-        let f = faulty.run_functional(&w, &a, &schemes[4]);
-        assert!(f.fault.is_some(), "the ladder must have replayed");
         assert!(!a.exact_size_snapshots(&w).is_empty());
         assert_eq!(w.builds.load(Ordering::Relaxed), 1);
     }
@@ -716,7 +688,7 @@ mod tests {
                     let at = format!("{} seed {seed} MAG {mag}", w.name());
                     let hm = h.clone().with_config(h.config.with_mag(mag));
                     let cached = hm.run_functional(w.as_ref(), &a, &scheme);
-                    let direct = hm.replay(w.as_ref(), &a, &scheme, None, &mut None);
+                    let direct = hm.replay(w.as_ref(), &a, &scheme, &mut None);
                     assert_eq!(cached.bursts, direct.bursts, "{at}: bursts");
                     assert_eq!(
                         (cached.error_pct, cached.mre_pct, cached.psnr_db, cached.max_abs_err),

@@ -26,10 +26,6 @@
 //! number of schemes, MAGs and thresholds — the shared pipeline described
 //! in the `slc-core` crate docs); [`engine`] feeds a captured snapshot to
 //! the `slc-engine` batch container path with zero re-analysis.
-//! [`ladder`] adds the graceful-degradation
-//! ladder that lets every scheme run on DRAM with permanently failed
-//! regions ([`slc_sim::fault`]): exact → lossless → lossy → spare-pool
-//! remap → uncorrectable, resolved deterministically per snapshot.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +34,6 @@ pub mod benchmarks;
 pub mod engine;
 pub mod gen;
 pub mod harness;
-pub mod ladder;
 pub mod metrics;
 pub mod scheme;
 pub mod suite;
@@ -46,6 +41,5 @@ pub mod suite;
 pub use analysis::{AnalyzedBlock, SnapshotAnalysis};
 pub use engine::{compress_snapshot, snapshot_bytes, snapshot_engine};
 pub use harness::{BenchmarkArtifacts, FunctionalOutcome, Harness, TimingOutcome};
-pub use ladder::LadderState;
 pub use scheme::{Scheme, SchemeKind};
 pub use suite::{all_workloads, workload_by_name, Scale, Workload};

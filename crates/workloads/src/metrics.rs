@@ -169,7 +169,8 @@ fn nrmse_of(mse: f64, range: f64) -> f64 {
 }
 
 /// Peak signal-to-noise ratio in dB, with the exact output's value
-/// range as the peak (the convention the fault-capacity curves report).
+/// range as the peak (the convention of the per-field error columns
+/// ROADMAP item 2 adds to the run report).
 /// [`f64::INFINITY`] when the outputs are identical; non-finite
 /// approximations count as a full-range miss, as in [`nrmse`].
 pub fn psnr(exact: &[f32], approx: &[f32]) -> f64 {

@@ -8,9 +8,8 @@
 //! Section IV-A.
 
 use crate::analysis::SnapshotAnalysis;
-use crate::ladder::{LadderState, LadderVerdict};
 use slc_compress::e2mc::{BlockAnalysis, E2mc};
-use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BITS, BLOCK_BYTES};
+use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_sim::mc::BurstsMap;
 use slc_sim::{BlockAddr, GpuMemory};
@@ -92,16 +91,15 @@ impl Scheme {
     /// by what a read returns, and the bursts of every block's stored
     /// form are folded into `acc` — one streamed pass, block by block, no
     /// snapshot in between; what the harness' replay runs at every
-    /// staging point ([`LadderState::stage_and_record`] is the same pass
-    /// with a fault ladder resolving each block first). Lossless schemes
-    /// leave memory untouched; [`Scheme::Uncompressed`] records nothing.
+    /// staging point. Lossless schemes leave memory untouched;
+    /// [`Scheme::Uncompressed`] records nothing.
     ///
     /// # Panics
     ///
     /// Panics when `acc` counts bursts of another MAG than an SLC
     /// scheme decides under.
     pub fn stage_and_record(&self, mem: &mut GpuMemory, acc: &mut BurstsAccumulator) {
-        self.stage_walk(mem, Some(acc), None);
+        self.stage_walk(mem, Some(acc));
     }
 
     /// [`Self::stage_and_record`] without the accumulator, then the
@@ -114,28 +112,25 @@ impl Scheme {
     /// table and needs no per-block analysis.
     pub fn stage_analyzed(&self, mem: &mut GpuMemory) -> Option<SnapshotAnalysis> {
         let e2mc = self.e2mc()?;
-        self.stage_walk(mem, None, None);
+        self.stage_walk(mem, None);
         Some(SnapshotAnalysis::capture(e2mc, mem))
     }
 
     /// The one staging walk: a single in-order pass over `mem`'s regions
     /// whose working set is one block and one accumulator cell — no
     /// snapshot, no verdict list. Per block it settles the stored form
-    /// (approximable SLC blocks: [`stage_approximable`]) and folds that
-    /// form's bits into the region's cells of `acc`
-    /// ([`BurstsAccumulator::fold_bits`]). `ladder`,
-    /// when present, resolves every block first, in this same
-    /// [`GpuMemory::blocks_with_addr`] order (so its spare pool fills
-    /// first-come first-served over the whole address walk); without one
-    /// every block is intact — the fault-free pass is the ladder's walk
-    /// with no fault map.
-    pub(crate) fn stage_walk(
-        &self,
-        mem: &mut GpuMemory,
-        mut acc: Option<&mut BurstsAccumulator>,
-        mut ladder: Option<&mut LadderState>,
-    ) {
-        let e2mc = self.e2mc();
+    /// and folds that form's bits into the region's cells of `acc`
+    /// ([`BurstsAccumulator::fold_bits`]). An approximable block of an
+    /// SLC scheme is analysed once and staged in place on that analysis
+    /// ([`SlcCompressor::stage_in_place`]): a lossy stored form is
+    /// replaced by what a read returns, and the block costs what the next
+    /// kernel boundary will find there. Every other block keeps its bytes
+    /// and costs its E2MC stored size. [`Scheme::Uncompressed`] has no
+    /// table and neither stages nor records.
+    fn stage_walk(&self, mem: &mut GpuMemory, mut acc: Option<&mut BurstsAccumulator>) {
+        let Some(e2mc) = self.e2mc() else {
+            return;
+        };
         let slc = match self {
             Scheme::Slc(slc) => Some(slc),
             _ => None,
@@ -145,23 +140,15 @@ impl Scheme {
         }
         for (region, bytes) in mem.regions_mut() {
             let slc = slc.filter(|_| region.safe_to_approx);
-            let bits = bytes.chunks_exact_mut(BLOCK_BYTES).enumerate().map(|(i, chunk)| {
+            let bits = bytes.chunks_exact_mut(BLOCK_BYTES).map(|chunk| {
                 let block: &mut Block = chunk.try_into().expect("regions are block-padded");
-                let addr = region.block_addr(i);
-                if let Some(slc) = slc {
-                    return stage_approximable(slc, block, addr, ladder.as_deref_mut());
-                }
-                // One stored form: the verbatim block without a table,
-                // E2MC's (lossless stream or verbatim) with.
-                let bits = e2mc.map_or(BLOCK_BITS, |e2mc| e2mc.size_bits(block));
-                if let Some(ladder) = ladder.as_deref_mut() {
-                    ladder.resolve_sized(addr, bits);
-                }
-                bits
+                let Some(slc) = slc else {
+                    return e2mc.size_bits(block);
+                };
+                let mut analysis = slc.analysis(block);
+                slc.stage_in_place(block, &mut analysis)
             });
-            // Without a table there is nothing to record: the walk only
-            // feeds the ladder's counters.
-            match acc.as_deref_mut().filter(|_| e2mc.is_some()) {
+            match acc.as_deref_mut() {
                 Some(acc) => acc.fold_bits(region.block_addr(0), bits),
                 None => bits.for_each(drop),
             }
@@ -191,38 +178,6 @@ impl Scheme {
             }
         }
     }
-}
-
-/// Stages one safe-to-approximate block in place — a lossy stored form
-/// is replaced by what a read returns, the hole refilled by the
-/// predictor, no bitstream in between — and returns the bits it stores.
-///
-/// One table pass per visit: the block is analysed once, `ladder` (for a
-/// block in a faulty row it must fit) and the fault-free round trip
-/// ([`SlcCompressor::stage_in_place`]) both decide on that analysis. A
-/// refilled block costs what the next kernel boundary will find there
-/// (as if the staged image were analysed); a form the ladder imposed, the
-/// bits its verdict promises.
-fn stage_approximable(
-    slc: &SlcCompressor,
-    block: &mut Block,
-    addr: BlockAddr,
-    ladder: Option<&mut LadderState>,
-) -> u32 {
-    let mut analysis = slc.analysis(block);
-    if let Some(ladder) = ladder {
-        let verdict =
-            ladder.resolve_fit(addr, |budget_bits| slc.fit_within_with(&analysis, budget_bits));
-        if let LadderVerdict::Refit(fit) = verdict {
-            if let Some((bits, _)) = fit.imposed_form() {
-                if let Some(staged) = slc.approximate_fitted(block, &analysis, fit) {
-                    *block = staged;
-                }
-                return bits;
-            }
-        }
-    }
-    slc.stage_in_place(block, &mut analysis)
 }
 
 /// Averages per-block burst counts over multiple staging points.
@@ -295,9 +250,7 @@ impl BurstsAccumulator {
     /// Records one already-analysed snapshot under `scheme`: the cheap
     /// decision sweep of the shared pipeline — no block is re-encoded,
     /// and entry `i` folds into cell `i`. Every block counts
-    /// the scheme's own decision over its analysis; the forms a fault
-    /// ladder imposes exist only inside the walk that imposed them
-    /// ([`LadderState::stage_and_record`]).
+    /// the scheme's own decision over its analysis.
     ///
     /// # Panics
     ///

@@ -11,20 +11,18 @@
 //!
 //! The replay's staging walk captures no snapshot at all; its oracle is
 //! [`reference_point`]: every staging point of every benchmark's replay
-//! rebuilt from public per-block calls, fault-free and under two fault
-//! maps, must leave the same bytes and the same burst cells.
+//! rebuilt from public per-block calls must leave the same bytes and the
+//! same burst cells.
 
 use proptest::prelude::*;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
-use slc_core::slc::{FitOutcome, SlcVariant};
-use slc_sim::fault::{FaultCounters, FaultMap};
+use slc_core::slc::SlcVariant;
 use slc_sim::mc::{BurstsMap, BurstsSource};
-use slc_sim::{FaultConfig, FaultPattern, GpuMemory};
+use slc_sim::GpuMemory;
 use slc_workloads::analysis::SnapshotAnalysis;
 use slc_workloads::scheme::{BurstsAccumulator, Scheme};
-use slc_workloads::{all_workloads, Harness, LadderState, Scale};
-use std::collections::HashSet;
+use slc_workloads::{all_workloads, Harness, Scale};
 use std::sync::OnceLock;
 
 /// One trained table for the whole test binary (training is expensive and
@@ -325,46 +323,9 @@ fn staged_snapshots_match_direct_accumulation_over_boundaries() {
     }
 }
 
-/// The fault ladder from first principles: the fault map, the blocks
-/// already given up on, a first-come spare pool, and what it counted.
-struct ReferenceLadder {
-    map: FaultMap,
-    remapped: HashSet<u64>,
-    lost: HashSet<u64>,
-    counters: FaultCounters,
-    squeezed: u64,
-}
-
-impl ReferenceLadder {
-    /// The budget `addr`'s stored form must be fitted into, if any:
-    /// faulty row, not yet remapped or lost.
-    fn budget_bits(&self, addr: u64) -> Option<u32> {
-        let decided = self.remapped.contains(&addr) || self.lost.contains(&addr);
-        self.map.block_budget_bits(addr).filter(|_| !decided)
-    }
-
-    /// Nothing fits: a spare slot while there are any, lost otherwise.
-    fn give_up(&mut self, addr: u64) {
-        if (self.remapped.len() as u32) < self.map.config().spare_blocks {
-            self.remapped.insert(addr);
-            self.counters.remaps += 1;
-            self.counters.spare_occupancy_peak += 1;
-        } else {
-            self.lost.insert(addr);
-            self.counters.uncorrectable_blocks += 1;
-        }
-    }
-}
-
 /// One staging point of `mem` from public per-block calls only, no walk:
-/// analyse, decide, refill, analyse what was written, price that — and
-/// for a block `ladder` must fit, the imposed form and its bits.
-fn reference_point(
-    scheme: &Scheme,
-    mem: &mut GpuMemory,
-    acc: &mut BurstsAccumulator,
-    mut ladder: Option<&mut ReferenceLadder>,
-) {
+/// analyse, decide, refill, analyse what was written, price that.
+fn reference_point(scheme: &Scheme, mem: &mut GpuMemory, acc: &mut BurstsAccumulator) {
     let Scheme::Slc(slc) = scheme else { unreachable!("the oracle covers the TSLC variants") };
     let mag = slc.config().mag();
     for (region, bytes) in mem.regions_mut() {
@@ -372,28 +333,8 @@ fn reference_point(
             let block: &mut Block = chunk.try_into().unwrap();
             let addr = region.block_addr(i);
             let analysis = slc.analysis(block);
-            let budget = ladder.as_deref().and_then(|l| l.budget_bits(addr));
             if !region.safe_to_approx {
-                if budget.is_some_and(|budget| analysis.e2mc_size_bits() > budget) {
-                    ladder.as_deref_mut().unwrap().give_up(addr);
-                }
                 acc.record_one(addr, scheme.bursts_for_analysis(&analysis, mag, false));
-                continue;
-            }
-            let fit = budget.map(|budget| slc.fit_within_with(&analysis, budget));
-            if let (Some(fit), Some(ladder)) = (fit, ladder.as_deref_mut()) {
-                match fit {
-                    FitOutcome::Natural { .. } => {}
-                    FitOutcome::Lossless { .. } => ladder.squeezed += 1,
-                    FitOutcome::Degraded { .. } => ladder.counters.fault_escalations += 1,
-                    FitOutcome::Unstorable => ladder.give_up(addr),
-                }
-            }
-            if let Some((fit, (bits, _))) = fit.and_then(|fit| Some((fit, fit.imposed_form()?))) {
-                if let Some(out) = slc.approximate_fitted(block, &analysis, fit) {
-                    *block = out;
-                }
-                acc.record_one(addr, mag.bursts_for_bits(bits, BLOCK_BYTES as u32));
                 continue;
             }
             let stored = match slc.approximate_with(block, &analysis) {
@@ -410,65 +351,30 @@ fn reference_point(
 
 #[test]
 fn the_streamed_walk_equals_per_block_calls_at_every_staging_point() {
-    // Fault-free, then two fault maps: a budget just under the block
-    // squeezes blocks stored verbatim (a lossless stream above 112 B
-    // saves no burst) into that stream, a tight one forces deeper
-    // truncations and strands what no truncation fits.
-    let faults = [
-        None,
-        Some(FaultConfig::new(FaultPattern::RandomRows, 1.0, 7).with_budget_bytes(120)),
-        Some(FaultConfig::new(FaultPattern::RandomRows, 0.5, 11).with_budget_bytes(40)),
-    ];
     let harness = Harness::new(Scale::Tiny);
     let mag = harness.config.mag();
-    let (mut points, mut squeezed, mut degraded) = (0, [0; 3], [0; 3]);
+    let mut points = 0;
     for w in all_workloads(Scale::Tiny) {
         let a = harness.prepare(w.as_ref());
         for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
             let scheme = Scheme::slc(a.e2mc.clone(), mag, 16, variant);
-            for (f, fault) in faults.iter().enumerate() {
-                let at = format!("{} {} fault map {f}", w.name(), variant.label());
-                let config = fault.clone().map(|fault| harness.config.clone().with_faults(fault));
-                let mut ladder = config.as_ref().map(|c| LadderState::new(c).unwrap());
-                let mut reference_ladder = config.as_ref().map(|c| ReferenceLadder {
-                    map: FaultMap::from_config(c).unwrap(),
-                    remapped: HashSet::new(),
-                    lost: HashSet::new(),
-                    counters: FaultCounters::default(),
-                    squeezed: 0,
-                });
-                let mut acc = BurstsAccumulator::new(mag);
-                let mut reference_acc = BurstsAccumulator::new(mag);
-                let mut stage = |mem: &mut GpuMemory| {
-                    let mut reference = mem.clone();
-                    match &mut ladder {
-                        Some(ladder) => ladder.stage_and_record(&scheme, mem, &mut acc),
-                        None => scheme.stage_and_record(mem, &mut acc),
-                    }
-                    reference_point(
-                        &scheme,
-                        &mut reference,
-                        &mut reference_acc,
-                        reference_ladder.as_mut(),
-                    );
-                    for region in reference.regions() {
-                        let same = mem.region_bytes(region) == reference.region_bytes(region);
-                        assert!(same, "{at}, point {points}: region {} differs", region.label);
-                    }
-                    let recorded = acc.clone().into_map();
-                    assert_eq!(recorded, reference_acc.clone().into_map(), "{at}, point {points}");
-                    points += 1;
-                };
-                w.execute(&mut a.initial_memory(), &mut stage);
-                if let (Some(ladder), Some(reference)) = (ladder, reference_ladder) {
-                    assert_eq!(*ladder.counters(), reference.counters, "{at}");
-                    squeezed[f] += reference.squeezed;
-                    degraded[f] += reference.counters.fault_escalations;
+            let at = format!("{} {}", w.name(), variant.label());
+            let mut acc = BurstsAccumulator::new(mag);
+            let mut reference_acc = BurstsAccumulator::new(mag);
+            let mut stage = |mem: &mut GpuMemory| {
+                let mut reference = mem.clone();
+                scheme.stage_and_record(mem, &mut acc);
+                reference_point(&scheme, &mut reference, &mut reference_acc);
+                for region in reference.regions() {
+                    let same = mem.region_bytes(region) == reference.region_bytes(region);
+                    assert!(same, "{at}, point {points}: region {} differs", region.label);
                 }
-            }
+                let recorded = acc.clone().into_map();
+                assert_eq!(recorded, reference_acc.clone().into_map(), "{at}, point {points}");
+                points += 1;
+            };
+            w.execute(&mut a.initial_memory(), &mut stage);
         }
     }
-    assert!(points > 3 * 3 * 9, "a replay stages at every kernel boundary: {points} points");
-    assert!(squeezed[1] > 0, "no Refit(Lossless) under the 120 B budget: {squeezed:?}");
-    assert!(degraded[2] > 0, "no Refit(Degraded) under the 40 B budget: {degraded:?}");
+    assert!(points > 3 * 9, "a replay stages at every kernel boundary: {points} points");
 }

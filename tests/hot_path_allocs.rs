@@ -20,9 +20,9 @@ use slc::slc_compress::{Block, BlockCodec, Mag, BLOCK_BYTES};
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_engine::{Engine, Frame, Threads};
 use slc::slc_sim::mc::UniformBursts;
-use slc::slc_sim::{FaultConfig, FaultPattern, GpuConfig, GpuMemory, Trace};
+use slc::slc_sim::{GpuConfig, GpuMemory, Trace};
 use slc::slc_workloads::scheme::BurstsAccumulator;
-use slc::slc_workloads::{all_workloads, Harness, LadderState, Scale, Scheme, SnapshotAnalysis};
+use slc::slc_workloads::{all_workloads, Harness, Scale, Scheme, SnapshotAnalysis};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -162,7 +162,7 @@ fn per_block_encode_and_decode() {
         assert!(0 < coded && coded < n, "{name} must both code and store verbatim: {coded}/{n}");
         if name == "rans" {
             // Not allocation-free per block, and this is what it costs
-            // (ROADMAP item 4): every encode, also one that then falls
+            // (ROADMAP item 10): every encode, also one that then falls
             // back to verbatim, takes a word buffer and a table scratch
             // doubling from 8 symbols up to the block's distinct bytes
             // (<= 128) — two to six allocations; every coded decode
@@ -211,8 +211,8 @@ fn engine_scaffolding_scales_with_chunks_not_blocks() {
 }
 
 /// PR 18's claim, pinned where lossy blocks are common: what the staging
-/// walk and the fault ladder call per block builds no `SlcCompressed`, no
-/// payload `Vec`, nothing on the heap; the codec costs the payload it
+/// walk calls per block builds no `SlcCompressed`, no payload `Vec`,
+/// nothing on the heap; the codec costs the payload it
 /// returns and nothing else.
 #[test]
 fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
@@ -235,14 +235,10 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
                     black_box(slc.stage_in_place(&mut staged, &mut restaged));
                     a.e2mc.reanalyze(&mut restaged, &staged, 48..64);
                     black_box(restaged.tree_sums());
-                    for budget in (0..=1024).step_by(128) {
-                        let fit = slc.fit_within_with(&analysis, budget);
-                        black_box(slc.approximate_fitted(block, &analysis, fit));
-                    }
                 }
                 went_lossy
             });
-            assert_eq!(staging, 0, "{at}: analysis, round trip, hole re-look-up, ladder");
+            assert_eq!(staging, 0, "{at}: analysis, round trip, hole re-look-up");
             if variant == SlcVariant::TslcOpt {
                 (total, lossy) = (total + blocks.len(), lossy + went_lossy);
             }
@@ -266,7 +262,7 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
 /// writes every entry once, whatever the block count, and the E2MC size
 /// cache is one such buffer per staging point. The staging walk
 /// holds none: its first staging point allocates the accumulator's cells
-/// and every later one nothing, with or without a fault ladder. The
+/// and every later one nothing. The
 /// seeded image costs a clone of the final one, and a benchmark's row
 /// makes that clone once: the second and later replays reset it in place.
 #[test]
@@ -295,15 +291,6 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
         assert!(staged_bytes != corpus[..blocks / 2].as_flattened(), "nothing went lossy");
         let later = allocs(|| scheme.stage_and_record(&mut mem, &mut acc)).0;
         assert_eq!(later, 0, "later staging points");
-        let zero_density =
-            GpuConfig::default().with_faults(FaultConfig::new(FaultPattern::RandomRows, 0.0, 7));
-        let mut ladder = LadderState::new(&zero_density).expect("a fault map, if an empty one");
-        let (mut faulty, mut faulty_acc) = (pristine.clone(), BurstsAccumulator::new(Mag::GDDR5));
-        let first = allocs(|| ladder.stage_and_record(&scheme, &mut faulty, &mut faulty_acc)).0;
-        let later = allocs(|| ladder.stage_and_record(&scheme, &mut faulty, &mut faulty_acc)).0;
-        assert_eq!((first, later), (2, 0), "staging points under a zero-density ladder");
-        assert!(faulty.region_bytes(&approx) == mem.region_bytes(&approx), "same staged bytes");
-        assert_eq!(faulty_acc.into_map(), acc.into_map(), "same cells");
         // The walk as a value: the staged image's one capture.
         let mut mem = pristine;
         let (staged, snapshot) = allocs(|| scheme.stage_analyzed(&mut mem));
