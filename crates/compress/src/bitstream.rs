@@ -9,11 +9,12 @@
 //! Both halves work a machine word at a time instead of bit-by-bit:
 //!
 //! * [`BitWriter`] is the one serialiser: it borrows the caller's
-//!   `Vec<u8>` sink, stages bits in a 64-bit accumulator and lands them
-//!   with one unconditional 8-byte store per push, advancing its cursor
-//!   past the completed bytes only — no per-bit loop, no
-//!   read-modify-write of previously written bytes, and no buffer of its
-//!   own to allocate or copy out of.
+//!   `Vec<u8>` sink and stages pending bits in a 128-bit register. A
+//!   write of any width up to 64 is one shift and OR; only when 64 bits
+//!   are pending does it append one big-endian 8-byte word to the sink.
+//!   So the sink is touched once per 64 bits written, never past the
+//!   stream's end, and the writer has no buffer of its own to allocate
+//!   or copy out of.
 //! * [`BitReader`] services any `read`/`peek` from a single 16-byte
 //!   big-endian window load, so a 64-bit field costs one shift and mask
 //!   regardless of alignment. It never fails mid-stream: a read past the
@@ -27,18 +28,13 @@
 
 use crate::{store_verbatim, Block, DecodeError, BLOCK_BITS, BLOCK_BYTES};
 
-/// How far past the current flush [`BitWriter`] zero-extends its sink
-/// when it runs out of room: more than any codec's worst-case block
-/// encode, so a block costs one extension however many fields it writes.
-const GROW_BYTES: usize = BLOCK_BYTES * 3 / 2;
-
 /// Append-only bit writer over a caller-supplied sink.
 ///
-/// Bits go straight onto the end of the borrowed `Vec<u8>`; whatever the
-/// sink already holds is left untouched. [`finish`](Self::finish) pads
-/// the last partial byte with zeros and returns the bit length — until
-/// then the sink's tail past the completed bytes is flush scratch, so a
-/// writer must always be finished.
+/// Bits go onto the end of the borrowed `Vec<u8>` in whole 8-byte words;
+/// whatever the sink already holds is left untouched. Fewer than 64 bits
+/// are pending between writes. [`finish`](Self::finish) appends them,
+/// zero-padded to a whole byte, and returns the bit length, so a writer
+/// must always be finished: a dropped one loses its pending bits.
 ///
 /// ```
 /// use slc_compress::bitstream::{BitWriter, BitReader};
@@ -58,25 +54,24 @@ pub struct BitWriter<'a> {
     sink: &'a mut Vec<u8>,
     /// Sink length at construction; the stream's bit 0 lives here.
     start: usize,
-    /// End of the completed bytes. `sink[cursor..]` is flush scratch.
-    cursor: usize,
-    /// Staging word: the low `acc_bits` bits are pending output, MSB-first
-    /// (the oldest pending bit is the highest of the `acc_bits`).
-    acc: u64,
-    /// Number of valid bits in `acc` (always `< 8` between calls).
-    acc_bits: u32,
+    /// Staging register: the low `pending` bits are output not yet in the
+    /// sink, MSB-first (the oldest is the highest of them). Bits above
+    /// those are stale and never read.
+    acc: u128,
+    /// Number of pending bits in `acc` (always `< 64` between calls).
+    pending: u32,
 }
 
 impl<'a> BitWriter<'a> {
     /// Creates a writer appending to `sink`.
     pub fn new(sink: &'a mut Vec<u8>) -> Self {
         let start = sink.len();
-        Self { sink, start, cursor: start, acc: 0, acc_bits: 0 }
+        Self { sink, start, acc: 0, pending: 0 }
     }
 
     /// Number of bits written so far.
     pub fn len_bits(&self) -> u32 {
-        (self.cursor - self.start) as u32 * 8 + self.acc_bits
+        (self.sink.len() - self.start) as u32 * 8 + self.pending
     }
 
     /// Appends the `width` low-order bits of `value`, MSB first.
@@ -88,9 +83,9 @@ impl<'a> BitWriter<'a> {
     /// masks its values. Note that for `width == 64` every `u64` fits, so
     /// the value check applies only to `width < 64` (`(1u64 << 64)` would
     /// overflow — the guard must never be written as a single shift).
-    /// Release builds additionally mask in the private `push`, so a
+    /// Release builds additionally mask `value` to `width` bits, so a
     /// contract violation corrupts at most its own field, never the
-    /// already-staged bits.
+    /// pending bits of earlier writes.
     #[inline]
     pub fn write(&mut self, value: u64, width: u32) {
         debug_assert!(width <= 64, "width {width} exceeds 64");
@@ -98,63 +93,25 @@ impl<'a> BitWriter<'a> {
             width == 64 || value < (1u64 << width),
             "value {value:#x} does not fit in {width} bits"
         );
-        if width == 0 {
-            return;
-        }
-        if width > 57 {
-            // The staging word can hold at most 7 carried bits + 57 new
-            // ones; split wide fields once instead of checking per byte.
-            let low = width - 32;
-            self.push(value >> low, 32);
-            self.push(value, low);
-        } else {
-            self.push(value, width);
+        // At most 63 + 64 bits are pending here, so nothing is lost off
+        // the top of the register.
+        self.acc = (self.acc << width) | (u128::from(value) & ((1u128 << width) - 1));
+        self.pending += width;
+        if self.pending >= 64 {
+            self.pending -= 64;
+            self.sink.extend_from_slice(&((self.acc >> self.pending) as u64).to_be_bytes());
         }
     }
 
-    /// Stages `width <= 57` bits; completed bytes land in the sink via one
-    /// 8-byte store.
-    #[inline]
-    fn push(&mut self, value: u64, width: u32) {
-        // One cheap mask keeps an out-of-contract value from clobbering
-        // the staged bits of earlier writes.
-        let value = value & (u64::MAX >> (64 - width));
-        let total = self.acc_bits + width; // <= 7 + 57 = 64
-        let acc = (self.acc << width) | value;
-        let keep = total % 8;
-        // Store the whole left-aligned staging word unconditionally and
-        // advance only past the complete bytes; the slack bytes are
-        // rewritten by the next flush.
-        let aligned = acc << (64 - total);
-        let end = self.cursor + 8;
-        match self.sink.get_mut(self.cursor..end) {
-            Some(dst) => dst.copy_from_slice(&aligned.to_be_bytes()),
-            None => self.grow_and_store(end, aligned),
-        }
-        self.cursor += (total / 8) as usize;
-        self.acc = if keep == 0 { 0 } else { acc & ((1u64 << keep) - 1) };
-        self.acc_bits = keep;
-    }
-
-    /// The flush that ran out of room: zero-extends the sink so the store
-    /// ending at `end` fits — reaching [`GROW_BYTES`] ahead, but staying
-    /// within capacity the caller already reserved when that covers `end`
-    /// — then performs it.
-    #[cold]
-    #[inline(never)]
-    fn grow_and_store(&mut self, end: usize, aligned: u64) {
-        let capacity = self.sink.capacity();
-        let ahead = end + GROW_BYTES;
-        self.sink.resize(if capacity >= end { ahead.min(capacity) } else { ahead }, 0);
-        self.sink[self.cursor..end].copy_from_slice(&aligned.to_be_bytes());
-    }
-
-    /// Trims the sink to the stream's end and returns the bit length. A
-    /// last partial byte is already in place, zero-padded: the final
-    /// flush stored the whole left-aligned staging word at the cursor.
+    /// Appends the pending bits, zero-padded to a whole byte, and returns
+    /// the stream's length in bits.
     pub fn finish(self) -> u32 {
-        self.sink.truncate(self.cursor + usize::from(self.acc_bits > 0));
-        self.len_bits()
+        let bits = self.len_bits();
+        // Left-aligns the pending bits in a u64 (no bits at all when none
+        // are pending).
+        let tail = ((self.acc << (64 - self.pending)) as u64).to_be_bytes();
+        self.sink.extend_from_slice(&tail[..self.pending.div_ceil(8) as usize]);
+        bits
     }
 
     /// [`finish`](Self::finish) for a block encode, returning
@@ -431,7 +388,47 @@ mod tests {
         assert_eq!((r.remaining(), r.check()), (8, Err(DecodeError::Truncated)));
     }
 
+    /// The reference serialiser: appends `fields` to `prefix` one bit at a
+    /// time, MSB-first, zero-padding the last byte.
+    fn bit_at_a_time(prefix: &[u8], fields: &[(u64, u32)]) -> (Vec<u8>, u32) {
+        let mut bytes = prefix.to_vec();
+        let mut bits = 0u32;
+        for &(value, width) in fields {
+            for i in (0..width).rev() {
+                if bits.is_multiple_of(8) {
+                    bytes.push(0);
+                }
+                let last = bytes.last_mut().expect("a byte was pushed above");
+                *last |= (((value >> i) & 1) as u8) << (7 - bits % 8);
+                bits += 1;
+            }
+        }
+        (bytes, bits)
+    }
+
     proptest! {
+        #[test]
+        fn prop_matches_a_bit_at_a_time_writer(
+            prefix in proptest::collection::vec(any::<u8>(), 0..12),
+            fields in proptest::collection::vec((any::<u64>(), 0u32..=64), 0..48),
+        ) {
+            // Widths 0 and 64 are in range, and a non-empty prefix checks
+            // that the writer only appends.
+            let fields: Vec<(u64, u32)> = fields
+                .into_iter()
+                .map(|(v, width)| (if width == 64 { v } else { v & ((1u64 << width) - 1) }, width))
+                .collect();
+            let mut bytes = prefix.clone();
+            let mut w = BitWriter::new(&mut bytes);
+            for &(v, width) in &fields {
+                w.write(v, width);
+            }
+            let len = w.finish();
+            let (expect, expect_len) = bit_at_a_time(&prefix, &fields);
+            prop_assert_eq!(len, expect_len);
+            prop_assert_eq!(bytes, expect);
+        }
+
         #[test]
         fn prop_roundtrip(fields in proptest::collection::vec((any::<u64>(), 1u32..=64), 0..64)) {
             let mut bytes = Vec::new();

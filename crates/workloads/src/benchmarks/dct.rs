@@ -40,15 +40,21 @@ fn basis(k: usize, x: usize) -> f32 {
     ck * ((2 * x + 1) as f32 * k as f32 * std::f32::consts::PI / (2.0 * B as f32)).cos()
 }
 
-/// Forward 8×8 DCT of one block (rows then columns).
-fn dct8x8(block: &[f32; B * B]) -> [f32; B * B] {
+/// The 8×8 table of [`basis`], indexed `k * B + x`.
+fn basis_table() -> [f32; B * B] {
+    std::array::from_fn(|i| basis(i / B, i % B))
+}
+
+/// Forward 8×8 DCT of one block (rows then columns), with `table` from
+/// [`basis_table`].
+fn dct8x8(block: &[f32; B * B], table: &[f32; B * B]) -> [f32; B * B] {
     let mut tmp = [0.0f32; B * B];
     // Rows.
     for y in 0..B {
         for k in 0..B {
             let mut s = 0.0;
             for x in 0..B {
-                s += block[y * B + x] * basis(k, x);
+                s += block[y * B + x] * table[k * B + x];
             }
             tmp[y * B + k] = s;
         }
@@ -59,7 +65,7 @@ fn dct8x8(block: &[f32; B * B]) -> [f32; B * B] {
         for x in 0..B {
             let mut s = 0.0;
             for y in 0..B {
-                s += tmp[y * B + x] * basis(k, y);
+                s += tmp[y * B + x] * table[k * B + y];
             }
             out[k * B + x] = s;
         }
@@ -107,6 +113,7 @@ impl Workload for Dct {
         stage(mem);
         let px = self.n * self.n;
         let ([img], [mut out]) = mem.launch([(src, px)], [(dst, px)]);
+        let table = basis_table();
         for by in (0..self.n).step_by(B) {
             for bx in (0..self.n).step_by(B) {
                 let mut block = [0.0f32; B * B];
@@ -115,7 +122,7 @@ impl Workload for Dct {
                         block[y * B + x] = img.get((by + y) * self.n + bx + x);
                     }
                 }
-                let coeffs = dct8x8(&block);
+                let coeffs = dct8x8(&block, &table);
                 for y in 0..B {
                     for x in 0..B {
                         out.set((by + y) * self.n + bx + x, coeffs[y * B + x]);
@@ -155,7 +162,7 @@ mod tests {
     #[test]
     fn dct_of_constant_block_is_dc_only() {
         let block = [9.0f32; 64];
-        let out = dct8x8(&block);
+        let out = dct8x8(&block, &basis_table());
         assert!((out[0] - 9.0 * 8.0).abs() < 1e-3, "DC = 8 * mean, got {}", out[0]);
         for (i, &c) in out.iter().enumerate().skip(1) {
             assert!(c.abs() < 1e-3, "AC coefficient {i} = {c}");
@@ -169,7 +176,7 @@ mod tests {
         for (i, v) in block.iter_mut().enumerate() {
             *v = (i as f32 * 0.7).sin() * 50.0;
         }
-        let out = dct8x8(&block);
+        let out = dct8x8(&block, &basis_table());
         let e_in: f32 = block.iter().map(|v| v * v).sum();
         let e_out: f32 = out.iter().map(|v| v * v).sum();
         assert!((e_in - e_out).abs() / e_in < 1e-4);
