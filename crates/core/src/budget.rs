@@ -53,7 +53,7 @@ impl BudgetDecision {
     /// Runs the Fig. 4 decision flow.
     ///
     /// `threshold_bits` is the user-defined number of bits that may be
-    /// safely approximated (the paper's per-region `threshold`).
+    /// safely approximated (the paper's `threshold`, one per [`SlcConfig`](crate::SlcConfig)).
     pub fn evaluate(comp_size_bits: u32, mag: Mag, threshold_bits: u32) -> Self {
         let mag_bits = mag.bits();
         // Incompressible: uncompressed, budget = whole block. Note this

@@ -17,6 +17,7 @@ use slc_compress::bitstream::{BitReader, BitWriter};
 use slc_compress::e2mc::{PDP_BITS, WAYS};
 use slc_compress::symbols::SYMBOLS_PER_BLOCK;
 use slc_compress::DecodeError;
+use std::ops::Range;
 
 /// Header bits for a lossless block: `m` + 3 pdps.
 pub const LOSSLESS_HEADER_BITS: u32 = 1 + (WAYS as u32 - 1) * PDP_BITS;
@@ -28,6 +29,29 @@ pub const LOSSY_HEADER_BITS: u32 = LOSSLESS_HEADER_BITS + 6 + 4;
 /// selector must free these bits *in addition to* the extra bits.
 pub const LOSSY_HEADER_DELTA: u32 = LOSSY_HEADER_BITS - LOSSLESS_HEADER_BITS;
 
+/// The approximated run of a lossy block: 1 to 16 contiguous symbols (the
+/// 4-bit `len`) that end inside the block. [`Hole::new`] is the only way
+/// to make one, so every hole is one the header carries and the predictor fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hole {
+    start: u8,
+    len: u8,
+}
+
+impl Hole {
+    /// The run of `len` symbols from `start`, or `None` when `len` is not
+    /// in `1..=16` or the run ends past the block's 64 symbols.
+    pub fn new(start: usize, len: usize) -> Option<Hole> {
+        let fits = (1..=16).contains(&len) && start <= SYMBOLS_PER_BLOCK - len;
+        fits.then_some(Hole { start: start as u8, len: len as u8 })
+    }
+
+    /// The symbol indices the hole covers.
+    pub fn symbols(self) -> Range<usize> {
+        usize::from(self.start)..usize::from(self.start + self.len)
+    }
+}
+
 /// Decoded form of the Fig. 6 header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlcHeader {
@@ -36,12 +60,10 @@ pub enum SlcHeader {
         /// Bit offsets of ways 1..=3 within the data section.
         pdps: [u32; WAYS - 1],
     },
-    /// Lossy block with symbols `ss .. ss + len` approximated away.
+    /// Lossy block with the symbols of `hole` approximated away.
     Lossy {
-        /// First approximated symbol index (0..64).
-        ss: u8,
-        /// Number of approximated symbols (1..=16).
-        len: u8,
+        /// The approximated symbols (`ss` and `len` on the wire).
+        hole: Hole,
         /// Bit offsets of ways 1..=3 within the data section.
         pdps: [u32; WAYS - 1],
     },
@@ -57,29 +79,21 @@ impl SlcHeader {
     }
 
     /// Serialises the header.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lossy header's fields are out of range (`ss ≥ 64`,
-    /// `len ∉ 1..=16`, or a pdp too wide).
     pub fn write(&self, w: &mut BitWriter<'_>) {
-        match *self {
+        let pdps = match *self {
             SlcHeader::Lossless { pdps } => {
                 w.write(0, 1);
-                for p in pdps {
-                    w.write(p as u64, PDP_BITS);
-                }
+                pdps
             }
-            SlcHeader::Lossy { ss, len, pdps } => {
-                assert!((ss as usize) < SYMBOLS_PER_BLOCK, "ss {ss} out of range");
-                assert!((1..=16).contains(&len), "len {len} out of range");
+            SlcHeader::Lossy { hole, pdps } => {
                 w.write(1, 1);
-                w.write(ss as u64, 6);
-                w.write(len as u64 - 1, 4);
-                for p in pdps {
-                    w.write(p as u64, PDP_BITS);
-                }
+                w.write(u64::from(hole.start), 6);
+                w.write(u64::from(hole.len) - 1, 4);
+                pdps
             }
+        };
+        for p in pdps {
+            w.write(u64::from(p), PDP_BITS);
         }
     }
 
@@ -88,17 +102,13 @@ impl SlcHeader {
     /// # Errors
     ///
     /// [`DecodeError::Truncated`] when the stream is shorter than the
-    /// header, [`DecodeError::BadLayout`] for a lossy header whose hole
-    /// `ss .. ss + len` runs past the block — a header
-    /// [`write`](Self::write) can serialise but no compressor produces.
+    /// header, [`DecodeError::BadLayout`] for a lossy header whose
+    /// `ss .. ss + len` is no [`Hole`]: it runs past the block.
     pub fn read(r: &mut BitReader<'_>) -> Result<Self, DecodeError> {
         let hole = if r.read_bit() {
-            let ss = r.read(6) as u8;
-            let len = r.read(4) as u8 + 1;
-            if usize::from(ss) + usize::from(len) > SYMBOLS_PER_BLOCK {
-                return Err(DecodeError::BadLayout);
-            }
-            Some((ss, len))
+            let ss = r.read(6) as usize;
+            let len = r.read(4) as usize + 1;
+            Some(Hole::new(ss, len).ok_or(DecodeError::BadLayout)?)
         } else {
             None
         };
@@ -108,7 +118,7 @@ impl SlcHeader {
         }
         r.check()?;
         Ok(match hole {
-            Some((ss, len)) => SlcHeader::Lossy { ss, len, pdps },
+            Some(hole) => SlcHeader::Lossy { hole, pdps },
             None => SlcHeader::Lossless { pdps },
         })
     }
@@ -133,6 +143,24 @@ mod tests {
         read_back(h, u32::MAX).expect("a written header reads back")
     }
 
+    fn lossy(ss: usize, len: usize, pdps: [u32; WAYS - 1]) -> SlcHeader {
+        SlcHeader::Lossy { hole: Hole::new(ss, len).expect("a hole"), pdps }
+    }
+
+    #[test]
+    fn a_hole_is_one_to_sixteen_symbols_inside_the_block() {
+        for start in 0..=80 {
+            for len in 0..=20 {
+                let fits = (1..=16).contains(&len) && start + len <= SYMBOLS_PER_BLOCK;
+                let hole = Hole::new(start, len);
+                assert_eq!(hole.is_some(), fits, "start {start} len {len}");
+                if let Some(hole) = hole {
+                    assert_eq!(hole.symbols(), start..start + len);
+                }
+            }
+        }
+    }
+
     #[test]
     fn lossless_header_roundtrips() {
         let h = SlcHeader::Lossless { pdps: [100, 200, 300] };
@@ -142,53 +170,47 @@ mod tests {
 
     #[test]
     fn lossy_header_roundtrips() {
-        let h = SlcHeader::Lossy { ss: 42, len: 16, pdps: [1, 2, 1023] };
+        let h = lossy(42, 16, [1, 2, 1023]);
         assert_eq!(roundtrip(h), h);
         assert_eq!(h.size_bits(), 41);
     }
 
     #[test]
     fn len_encodes_one_to_sixteen_in_four_bits() {
-        for len in 1..=16u8 {
-            let h = SlcHeader::Lossy { ss: 0, len, pdps: [0; 3] };
+        for len in 1..=16 {
+            let h = lossy(0, len, [0; 3]);
             assert_eq!(roundtrip(h), h);
         }
     }
 
     #[test]
-    #[should_panic(expected = "len")]
-    fn zero_len_lossy_header_rejected() {
-        let h = SlcHeader::Lossy { ss: 0, len: 0, pdps: [0; 3] };
-        h.write(&mut BitWriter::new(&mut Vec::new()));
-    }
-
-    #[test]
-    #[should_panic(expected = "ss")]
-    fn out_of_range_ss_rejected() {
-        let h = SlcHeader::Lossy { ss: 64, len: 1, pdps: [0; 3] };
-        h.write(&mut BitWriter::new(&mut Vec::new()));
-    }
-
-    #[test]
     fn a_hole_running_past_the_block_is_rejected_at_read() {
-        // Every (ss, len) the 6 + 4 header bits can express — all of
-        // which `write` serialises: the hole must end inside the block.
-        for ss in 0..SYMBOLS_PER_BLOCK as u8 {
-            for len in 1..=16u8 {
-                let h = SlcHeader::Lossy { ss, len, pdps: [7, 8, 9] };
-                let fits = usize::from(ss) + usize::from(len) <= SYMBOLS_PER_BLOCK;
-                let expect = if fits { Ok(h) } else { Err(DecodeError::BadLayout) };
-                assert_eq!(read_back(h, u32::MAX), expect, "ss {ss} len {len}");
+        // Every (ss, len) the 6 + 4 header bits can express, written by
+        // hand: `read` accepts exactly the pairs that make a `Hole`.
+        for ss in 0..SYMBOLS_PER_BLOCK {
+            for len in 1..=16 {
+                let mut bytes = Vec::new();
+                let mut w = BitWriter::new(&mut bytes);
+                w.write(1, 1);
+                w.write(ss as u64, 6);
+                w.write(len as u64 - 1, 4);
+                for p in [7, 8, 9] {
+                    w.write(p, PDP_BITS);
+                }
+                let bits = w.finish();
+                let expect = match Hole::new(ss, len) {
+                    Some(hole) => Ok(SlcHeader::Lossy { hole, pdps: [7, 8, 9] }),
+                    None => Err(DecodeError::BadLayout),
+                };
+                let got = SlcHeader::read(&mut BitReader::new(&bytes, bits));
+                assert_eq!(got, expect, "ss {ss} len {len}");
             }
         }
     }
 
     #[test]
     fn a_stream_shorter_than_its_header_is_truncated() {
-        for h in [
-            SlcHeader::Lossless { pdps: [100, 200, 300] },
-            SlcHeader::Lossy { ss: 3, len: 4, pdps: [1, 2, 3] },
-        ] {
+        for h in [SlcHeader::Lossless { pdps: [100, 200, 300] }, lossy(3, 4, [1, 2, 3])] {
             for cut in 0..h.size_bits() {
                 assert_eq!(read_back(h, cut), Err(DecodeError::Truncated), "{h:?} cut to {cut}");
             }
@@ -202,14 +224,13 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_header_roundtrip(ss in 0u8..64, len in 1u8..=16,
+        fn prop_header_roundtrip(hole in (0usize..64, 1usize..=16).prop_map(|(ss, len)| {
+                                     Hole::new(ss % (SYMBOLS_PER_BLOCK + 1 - len), len).expect("a hole")
+                                 }),
                                  pdps in proptest::array::uniform3(0u32..1024),
                                  lossy in any::<bool>()) {
-            // `write` takes any in-range ss and len; `read` also wants
-            // the hole to end inside the block.
-            let ss = ss.min(SYMBOLS_PER_BLOCK as u8 - len);
             let h = if lossy {
-                SlcHeader::Lossy { ss, len, pdps }
+                SlcHeader::Lossy { hole, pdps }
             } else {
                 SlcHeader::Lossless { pdps }
             };

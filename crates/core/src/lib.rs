@@ -16,6 +16,20 @@
 //!   decompression.
 //! * [`slc`] — the end-to-end compressor/decompressor layered on E2MC.
 //!
+//! # The lossy contract
+//!
+//! SLC changes a block only within three bounds, each carried by a type:
+//!
+//! 1. **Only approximable regions.** The staging walk rewrites only the
+//!    blocks `slc_sim::GpuMemory::regions_mut` lends as
+//!    `slc_sim::RegionBlocks::Approx`; an exact region is lent read-only.
+//! 2. **Only the symbols of one [`Hole`]:** 1 to 16 contiguous symbols
+//!    inside the block, made only by [`Hole::new`] and held by the
+//!    selection, the header and the predictor.
+//! 3. **Only when the overshoot is within the threshold:** the extra bits
+//!    of [`BudgetDecision`] within the threshold of [`SlcConfig`], which
+//!    is one per scheme, not one per allocation as in §IV-C.
+//!
 //! # The shared block-analysis pipeline
 //!
 //! Every decision this crate makes — the Fig. 4 budget comparison, the
@@ -112,5 +126,6 @@ pub mod slc;
 pub mod tree;
 
 pub use budget::{BudgetDecision, ModeChoice};
+pub use header::Hole;
 pub use slc::{SlcCompressed, SlcCompressor, SlcConfig, SlcVariant, StoredKind};
 pub use tree::{CodeLengthTree, Selection};

@@ -17,6 +17,7 @@
 //! The literal rule is kept as [`PredictorKind::FirstSymbol`] for the
 //! ablation study.
 
+use crate::header::Hole;
 use slc_compress::symbols::SYMBOLS_PER_BLOCK;
 
 /// How a truncated symbol's value is predicted at decompression.
@@ -33,71 +34,55 @@ pub enum PredictorKind {
     LaneMatched,
 }
 
-/// Fills `symbols[ss..ss + len]` with predicted values.
+/// Fills the symbols of `hole` with predicted values.
 ///
 /// The slice outside the hole must already contain the decoded symbols.
-///
-/// # Panics
-///
-/// Panics if the hole is empty, longer than the 16 symbols the header can
-/// express (so it would cover the whole block), or runs past the end.
-pub fn fill_approximated(
-    symbols: &mut [u16; SYMBOLS_PER_BLOCK],
-    ss: usize,
-    len: usize,
-    kind: PredictorKind,
-) {
-    assert!(len >= 1, "empty hole");
-    assert!(ss + len <= SYMBOLS_PER_BLOCK, "hole {ss}+{len} past block end");
-    assert!(
-        len <= 16,
-        "hole of {len} symbols exceeds the header limit; would cover the whole block"
-    );
+pub fn fill_approximated(symbols: &mut [u16; SYMBOLS_PER_BLOCK], hole: Hole, kind: PredictorKind) {
+    let run = hole.symbols();
     match kind {
-        PredictorKind::Zero => {
-            for s in &mut symbols[ss..ss + len] {
-                *s = 0;
-            }
-        }
+        PredictorKind::Zero => symbols[run].fill(0),
         PredictorKind::FirstSymbol => {
-            let idx = if ss == 0 { len } else { 0 };
-            let v = symbols[idx];
-            for s in &mut symbols[ss..ss + len] {
-                *s = v;
-            }
+            let v = symbols[if run.start == 0 { run.end } else { 0 }];
+            symbols[run].fill(v);
         }
         PredictorKind::LaneMatched => {
-            for i in ss..ss + len {
-                symbols[i] = symbols[lane_matched_index(i, ss, len)];
+            for i in run {
+                symbols[i] = symbols[lane_matched_index(i, hole)];
             }
         }
     }
 }
 
 /// Index of the nearest non-truncated symbol with the same parity as `i`:
-/// searched before the hole first, then after it.
-pub fn lane_matched_index(i: usize, ss: usize, len: usize) -> usize {
-    debug_assert!((ss..ss + len).contains(&i));
+/// searched before the hole first, then after it. A hole of at most 16
+/// symbols always leaves one.
+fn lane_matched_index(i: usize, hole: Hole) -> usize {
+    let run = hole.symbols();
+    debug_assert!(run.contains(&i));
     // Last same-parity index before the hole.
-    if ss > 0 {
-        let before = ss - 1;
+    if run.start > 0 {
+        let before = run.start - 1;
         let candidate = if before % 2 == i % 2 { Some(before) } else { before.checked_sub(1) };
         if let Some(c) = candidate {
-            debug_assert_eq!(c % 2, i % 2);
             return c;
         }
     }
     // Otherwise the first same-parity index after the hole.
-    let after = ss + len;
-    let candidate = if after % 2 == i % 2 { after } else { after + 1 };
-    debug_assert!(candidate < SYMBOLS_PER_BLOCK, "hole of <64 symbols leaves a neighbour");
-    candidate
+    if run.end % 2 == i % 2 {
+        run.end
+    } else {
+        run.end + 1
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn hole(ss: usize, len: usize) -> Hole {
+        Hole::new(ss, len).expect("a hole")
+    }
 
     fn base_symbols() -> [u16; SYMBOLS_PER_BLOCK] {
         let mut s = [0u16; SYMBOLS_PER_BLOCK];
@@ -112,7 +97,7 @@ mod tests {
     #[test]
     fn zero_fills_zeros() {
         let mut s = base_symbols();
-        fill_approximated(&mut s, 10, 4, PredictorKind::Zero);
+        fill_approximated(&mut s, hole(10, 4), PredictorKind::Zero);
         assert!(s[10..14].iter().all(|&v| v == 0));
         assert_ne!(s[9], 0);
         assert_ne!(s[14], 0);
@@ -122,7 +107,7 @@ mod tests {
     fn first_symbol_uses_index_zero_for_interior_holes() {
         let mut s = base_symbols();
         let first = s[0];
-        fill_approximated(&mut s, 20, 8, PredictorKind::FirstSymbol);
+        fill_approximated(&mut s, hole(20, 8), PredictorKind::FirstSymbol);
         assert!(s[20..28].iter().all(|&v| v == first));
     }
 
@@ -130,7 +115,7 @@ mod tests {
     fn first_symbol_skips_hole_at_block_start() {
         let mut s = base_symbols();
         let after = s[4];
-        fill_approximated(&mut s, 0, 4, PredictorKind::FirstSymbol);
+        fill_approximated(&mut s, hole(0, 4), PredictorKind::FirstSymbol);
         assert!(s[0..4].iter().all(|&v| v == after));
     }
 
@@ -138,7 +123,7 @@ mod tests {
     fn lane_matched_preserves_parity() {
         let mut s = base_symbols();
         let orig = s;
-        fill_approximated(&mut s, 17, 6, PredictorKind::LaneMatched);
+        fill_approximated(&mut s, hole(17, 6), PredictorKind::LaneMatched);
         for (i, &sym) in s.iter().enumerate().take(23).skip(17) {
             // Predicted from before the hole: indices 15/16.
             let src = if i % 2 == 0 { 16 } else { 15 };
@@ -150,7 +135,7 @@ mod tests {
     fn lane_matched_hole_at_start_predicts_from_after() {
         let mut s = base_symbols();
         let orig = s;
-        fill_approximated(&mut s, 0, 3, PredictorKind::LaneMatched);
+        fill_approximated(&mut s, hole(0, 3), PredictorKind::LaneMatched);
         assert_eq!(s[0], orig[4]); // even lane: first even index after hole (3 is odd)
         assert_eq!(s[1], orig[3]); // odd lane
         assert_eq!(s[2], orig[4]);
@@ -167,9 +152,9 @@ mod tests {
         }
         let orig = slc_compress::symbols::block_to_symbols(&block);
         let mut lane = orig;
-        fill_approximated(&mut lane, 31, 4, PredictorKind::LaneMatched);
+        fill_approximated(&mut lane, hole(31, 4), PredictorKind::LaneMatched);
         let mut first = orig;
-        fill_approximated(&mut first, 31, 4, PredictorKind::FirstSymbol);
+        fill_approximated(&mut first, hole(31, 4), PredictorKind::FirstSymbol);
         let err = |s: &[u16; 64]| -> f64 {
             let b = slc_compress::symbols::symbols_to_block(s);
             (0..32)
@@ -183,36 +168,31 @@ mod tests {
         assert!(err(&lane) < err(&first), "lane {} vs first {}", err(&lane), err(&first));
     }
 
-    #[test]
-    #[should_panic(expected = "whole block")]
-    fn whole_block_hole_rejected() {
-        let mut s = base_symbols();
-        fill_approximated(&mut s, 0, SYMBOLS_PER_BLOCK, PredictorKind::Zero);
+    /// Every hole: each length, each start it can take.
+    fn any_hole() -> impl Strategy<Value = Hole> {
+        (0usize..64, 1usize..=16)
+            .prop_map(|(ss, len)| hole(ss % (SYMBOLS_PER_BLOCK + 1 - len), len))
     }
 
     proptest! {
         #[test]
-        fn prop_fill_touches_only_hole(ss in 0usize..64, len in 1usize..=16,
+        fn prop_fill_touches_only_hole(hole in any_hole(),
                                        kind in prop_oneof![Just(PredictorKind::Zero),
                                                            Just(PredictorKind::FirstSymbol),
                                                            Just(PredictorKind::LaneMatched)]) {
-            prop_assume!(ss + len <= SYMBOLS_PER_BLOCK);
             let mut s = base_symbols();
             let orig = s;
-            fill_approximated(&mut s, ss, len, kind);
-            for i in 0..SYMBOLS_PER_BLOCK {
-                if !(ss..ss + len).contains(&i) {
-                    prop_assert_eq!(s[i], orig[i], "index {} outside hole changed", i);
-                }
+            fill_approximated(&mut s, hole, kind);
+            for i in (0..SYMBOLS_PER_BLOCK).filter(|i| !hole.symbols().contains(i)) {
+                prop_assert_eq!(s[i], orig[i], "index {} outside hole changed", i);
             }
         }
 
         #[test]
-        fn prop_lane_matched_source_is_outside_hole(ss in 0usize..64, len in 1usize..=16) {
-            prop_assume!(ss + len <= SYMBOLS_PER_BLOCK);
-            for i in ss..ss + len {
-                let src = lane_matched_index(i, ss, len);
-                prop_assert!(!(ss..ss + len).contains(&src));
+        fn prop_lane_matched_source_is_outside_hole(hole in any_hole()) {
+            for i in hole.symbols() {
+                let src = lane_matched_index(i, hole);
+                prop_assert!(!hole.symbols().contains(&src));
                 prop_assert_eq!(src % 2, i % 2);
                 prop_assert!(src < SYMBOLS_PER_BLOCK);
             }

@@ -7,7 +7,7 @@
 //! the block, filling truncated symbols via the configured predictor.
 
 use crate::budget::{BudgetDecision, ModeChoice};
-use crate::header::{SlcHeader, LOSSY_HEADER_DELTA};
+use crate::header::{Hole, SlcHeader, LOSSY_HEADER_DELTA};
 use crate::predict::{fill_approximated, PredictorKind};
 use crate::tree::{CodeLengthTree, Selection};
 use slc_compress::bitstream::{BitReader, BitWriter};
@@ -280,7 +280,7 @@ impl SlcCompressor {
     /// (verbatim or lossless — the round trip returns `block` itself).
     ///
     /// The lossy step never needs the entropy coder: symbols outside the
-    /// `(ss, len)` hole decode to themselves and every [`PredictorKind`]
+    /// [`Hole`] decode to themselves and every [`PredictorKind`]
     /// reads only those, so the reconstruction is the block with the
     /// hole refilled. Pinned byte-identical to the encode → decode pair
     /// by property test; `analysis` must be this block's, as for
@@ -290,7 +290,7 @@ impl SlcCompressor {
             return None;
         };
         let mut out = *block;
-        self.refill(&mut out, selection);
+        self.refill(&mut out, selection.hole);
         Some(out)
     }
 
@@ -309,16 +309,16 @@ impl SlcCompressor {
         let StoredKind::Lossy { selection } = kind else {
             return Self::bits_of(decision, kind);
         };
-        self.refill(block, selection);
-        self.e2mc.reanalyze(analysis, block, selection.start..selection.start + selection.symbols);
+        self.refill(block, selection.hole);
+        self.e2mc.reanalyze(analysis, block, selection.hole.symbols());
         self.stored_bits_with(analysis).0
     }
 
-    /// Overwrites `selection`'s symbols of `block` with the predictor's
+    /// Overwrites `hole`'s symbols of `block` with the predictor's
     /// values, as a read of the lossy stored form returns them.
-    fn refill(&self, block: &mut Block, selection: Selection) {
+    fn refill(&self, block: &mut Block, hole: Hole) {
         let mut symbols = block_to_symbols(block);
-        fill_approximated(&mut symbols, selection.start, selection.symbols, self.config.predictor);
+        fill_approximated(&mut symbols, hole, self.config.predictor);
         *block = symbols_to_block(&symbols);
     }
 
@@ -357,16 +357,16 @@ impl SlcCompressor {
 
     /// Packed wire encodings of every symbol (one table pass via
     /// [`SymbolTable::stash_encodings`], shared by the sizing and write
-    /// steps), with `skip` symbols zeroed out — a zero encoding has width
-    /// 0 and writes nothing.
+    /// steps), with the symbols of `skip` zeroed out — a zero encoding
+    /// has width 0 and writes nothing.
     fn encodings(
         &self,
         symbols: &[u16; SYMBOLS_PER_BLOCK],
-        skip: Option<(usize, usize)>,
+        skip: Option<Hole>,
     ) -> [u64; SYMBOLS_PER_BLOCK] {
         let mut enc = self.e2mc.table().stash_encodings(symbols);
-        if let Some((ss, len)) = skip {
-            enc[ss..ss + len].fill(0);
+        if let Some(hole) = skip {
+            enc[hole.symbols()].fill(0);
         }
         enc
     }
@@ -426,9 +426,8 @@ impl SlcCompressor {
         sel: Selection,
     ) -> SlcCompressed {
         let symbols = block_to_symbols(block);
-        let encodings = self.encodings(&symbols, Some((sel.start, sel.symbols)));
-        let pdps = self.pdps(&encodings);
-        let header = SlcHeader::Lossy { ss: sel.start as u8, len: sel.symbols as u8, pdps };
+        let encodings = self.encodings(&symbols, Some(sel.hole));
+        let header = SlcHeader::Lossy { hole: sel.hole, pdps: self.pdps(&encodings) };
         let out =
             self.encode_stream(header, &encodings, StoredKind::Lossy { selection: sel }, decision);
         debug_assert!(
@@ -470,8 +469,8 @@ impl SlcCompressor {
         let mut r = BitReader::new(&c.payload, c.size_bits);
         let header = SlcHeader::read(&mut r)?;
         let (hole, pdps) = match header {
-            SlcHeader::Lossless { pdps } => (0..0, pdps),
-            SlcHeader::Lossy { ss, len, pdps } => (ss as usize..(ss + len) as usize, pdps),
+            SlcHeader::Lossless { pdps } => (None, pdps),
+            SlcHeader::Lossy { hole, pdps } => (Some(hole), pdps),
         };
         // The truncated run never reached the wire: the way decoder skips
         // it and the predictor fills it in afterwards.
@@ -480,9 +479,10 @@ impl SlcCompressor {
             *start += pdp;
         }
         let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        self.e2mc.table().decode_ways_into(&r, starts, hole.clone(), &mut symbols)?;
-        if !hole.is_empty() {
-            fill_approximated(&mut symbols, hole.start, hole.len(), self.config.predictor);
+        let skip = hole.map_or(0..0, Hole::symbols);
+        self.e2mc.table().decode_ways_into(&r, starts, skip, &mut symbols)?;
+        if let Some(hole) = hole {
+            fill_approximated(&mut symbols, hole, self.config.predictor);
         }
         Ok(symbols_to_block(&symbols))
     }
@@ -542,11 +542,10 @@ mod tests {
         for k in 0..256 {
             let block = float_block(k as f32 * 1.7, 0.125 + (k % 7) as f32 * 0.05);
             let c = s.compress(&block);
-            if let StoredKind::Lossy { selection } = c.kind() {
+            if c.is_lossy() {
                 lossy_seen += 1;
                 assert!(c.size_bits() <= c.decision().bit_budget);
                 assert!(c.bursts() < c.decision().lossless_bursts(Mag::GDDR5));
-                assert!(selection.symbols <= 16);
             }
         }
         assert!(lossy_seen > 0, "threshold of 16B never triggered in 256 blocks");
@@ -562,12 +561,8 @@ mod tests {
                 let out = s.decompress(&c);
                 let in_syms = block_to_symbols(&block);
                 let out_syms = block_to_symbols(&out);
-                for i in 0..SYMBOLS_PER_BLOCK {
-                    let in_hole =
-                        (selection.start..selection.start + selection.symbols).contains(&i);
-                    if !in_hole {
-                        assert_eq!(in_syms[i], out_syms[i], "symbol {i} corrupted outside hole");
-                    }
+                for i in (0..SYMBOLS_PER_BLOCK).filter(|i| !selection.hole.symbols().contains(i)) {
+                    assert_eq!(in_syms[i], out_syms[i], "symbol {i} corrupted outside hole");
                 }
                 return;
             }
@@ -631,12 +626,12 @@ mod tests {
             if let StoredKind::Lossy { selection } = c.kind() {
                 let zeroed = simp.decompress(&c);
                 let z = block_to_symbols(&zeroed);
-                assert!((selection.start..selection.start + selection.symbols).all(|i| z[i] == 0));
+                assert!(selection.hole.symbols().all(|i| z[i] == 0));
                 // Same stored bits, different reconstruction.
                 let cp = pred.compress(&block);
                 let predicted = pred.decompress(&cp);
                 let p = block_to_symbols(&predicted);
-                assert!((selection.start..selection.start + selection.symbols).any(|i| p[i] != 0));
+                assert!(selection.hole.symbols().any(|i| p[i] != 0));
                 // Prediction must be closer to the original for smooth data.
                 let err = |out: &Block| -> f64 {
                     (0..32)

@@ -29,6 +29,7 @@
 //! (one subtraction compares four nodes, `trailing_zeros` picks the
 //! first), with level 1 compared straight off the code lengths.
 
+use crate::header::Hole;
 use slc_compress::e2mc::{BlockAnalysis, TREE_SUM_WORDS};
 use slc_compress::symbols::SYMBOLS_PER_BLOCK;
 
@@ -42,10 +43,8 @@ pub const LEVELS: u32 = 7;
 /// A contiguous group of symbols chosen for approximation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Selection {
-    /// Index of the first approximated symbol (the header's `ss`).
-    pub start: usize,
-    /// Number of approximated symbols (the header's `len`).
-    pub symbols: usize,
+    /// The approximated symbols (the header's `ss` and `len`).
+    pub hole: Hole,
     /// Bits freed by dropping those symbols' codewords.
     pub freed_bits: u32,
     /// Tree level the node came from (1-based, paper numbering).
@@ -129,16 +128,6 @@ pub struct CodeLengthTree {
 }
 
 impl CodeLengthTree {
-    /// Builds the tree from per-symbol code lengths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a length exceeds 255 bits
-    /// ([`BlockAnalysis::from_lengths`]).
-    pub fn new(lengths: &[u32; SYMBOLS_PER_BLOCK]) -> Self {
-        Self { analysis: BlockAnalysis::from_lengths(*lengths) }
-    }
-
     /// The tree over a shared [`BlockAnalysis`]: no table pass happens
     /// here, N schemes/MAGs/thresholds sweeping one analysis share its.
     pub fn from_analysis(analysis: &BlockAnalysis) -> Self {
@@ -165,7 +154,7 @@ impl CodeLengthTree {
             // A staggered window starts half a node into every second
             // aligned node: 2 + 8i at level 3, 4 + 16i at level 4.
             let start = if staggered { symbols / 2 + 2 * symbols * index } else { symbols * index };
-            Selection { start, symbols, freed_bits, level, staggered }
+            Hole::new(start, symbols).map(|hole| Selection { hole, freed_bits, level, staggered })
         };
         let sums = self.analysis.tree_sums();
         let words =
@@ -175,20 +164,23 @@ impl CodeLengthTree {
         // enough makes its pair sum do so too.
         if let Some(pair) = first_freeing(words(2), needed) {
             let symbol = first_freeing_symbol(self.analysis.lengths_u8(), needed);
-            return Some(symbol.map_or(node(2, pair, false), |hit| node(1, hit, false)));
+            return symbol.map_or_else(|| node(2, pair, false), |hit| node(1, hit, false));
         }
         (3..=MAX_SELECT_LEVEL).find_map(|level| {
-            let aligned = first_freeing(words(level), needed).map(|hit| node(level, hit, false));
+            let aligned =
+                first_freeing(words(level), needed).and_then(|hit| node(level, hit, false));
             let staggered = if opt_nodes && level < MAX_SELECT_LEVEL {
                 first_freeing(&staggered_windows(words(level - 1)), needed)
-                    .map(|hit| node(level, hit, true))
+                    .and_then(|hit| node(level, hit, true))
             } else {
                 None
             };
             // Priority encoder across the level: first start wins; on a
             // tie the aligned node wins.
             match (aligned, staggered) {
-                (Some(a), Some(s)) => Some(if a.start <= s.start { a } else { s }),
+                (Some(a), Some(s)) => {
+                    Some(if a.hole.symbols().start <= s.hole.symbols().start { a } else { s })
+                }
                 (a, s) => a.or(s),
             }
         })
@@ -204,7 +196,7 @@ mod tests {
     /// kept verbatim as the oracle: every node widened into one flat
     /// `[u32; 127]`, staggered windows re-added from the leaves.
     mod reference {
-        use super::super::{Selection, LEVELS, MAX_SELECT_LEVEL};
+        use super::super::{Hole, Selection, LEVELS, MAX_SELECT_LEVEL};
         use slc_compress::symbols::SYMBOLS_PER_BLOCK;
 
         const NODES: usize = 2 * SYMBOLS_PER_BLOCK - 1;
@@ -248,8 +240,7 @@ mod tests {
                     for (i, &sum) in aligned.iter().enumerate() {
                         if sum >= needed_bits {
                             best = Some(Selection {
-                                start: i * node_syms,
-                                symbols: node_syms,
+                                hole: Hole::new(i * node_syms, node_syms).unwrap(),
                                 freed_bits: sum,
                                 level,
                                 staggered: false,
@@ -265,14 +256,13 @@ mod tests {
                             let sum = self.window_sum(start, node_syms);
                             if sum >= needed_bits {
                                 let cand = Selection {
-                                    start,
-                                    symbols: node_syms,
+                                    hole: Hole::new(start, node_syms).unwrap(),
                                     freed_bits: sum,
                                     level,
                                     staggered: true,
                                 };
                                 best = match best {
-                                    Some(b) if b.start <= cand.start => Some(b),
+                                    Some(b) if b.hole.symbols().start <= start => Some(b),
                                     _ => Some(cand),
                                 };
                                 break;
@@ -293,6 +283,10 @@ mod tests {
         [len; SYMBOLS_PER_BLOCK]
     }
 
+    fn tree_of(lengths: &[u32; SYMBOLS_PER_BLOCK]) -> CodeLengthTree {
+        CodeLengthTree::from_analysis(&BlockAnalysis::from_lengths(*lengths))
+    }
+
     /// Level `level`'s aligned sums as the selector reads them: the
     /// lengths at level 1, lanes of the on-demand sums above.
     fn sums_at(tree: &CodeLengthTree, level: u32) -> Vec<u32> {
@@ -308,13 +302,13 @@ mod tests {
 
     #[test]
     fn total_is_sum_of_lengths() {
-        let tree = CodeLengthTree::new(&uniform(5));
+        let tree = tree_of(&uniform(5));
         assert_eq!(tree.analysis.total_code_bits(), 5 * 64);
     }
 
     #[test]
     fn level_shapes_match_paper() {
-        let tree = CodeLengthTree::new(&uniform(1));
+        let tree = tree_of(&uniform(1));
         assert_eq!(sums_at(&tree, 1).len(), 64);
         assert_eq!(sums_at(&tree, 2).len(), 32);
         assert_eq!(sums_at(&tree, 3).len(), 16); // "originally have 16"
@@ -325,7 +319,7 @@ mod tests {
 
     #[test]
     fn intermediate_sums_double_per_level() {
-        let tree = CodeLengthTree::new(&uniform(3));
+        let tree = tree_of(&uniform(3));
         for level in 1..=MAX_SELECT_LEVEL {
             let syms = 1u32 << (level - 1);
             assert!(sums_at(&tree, level).iter().all(|&s| s == 3 * syms));
@@ -335,16 +329,15 @@ mod tests {
     #[test]
     fn select_prefers_lowest_level() {
         // Uniform 8-bit codes: one symbol frees 8 bits.
-        let tree = CodeLengthTree::new(&uniform(8));
+        let tree = tree_of(&uniform(8));
         let sel = tree.select(8, false).expect("selectable");
         assert_eq!(sel.level, 1);
-        assert_eq!(sel.symbols, 1);
-        assert_eq!(sel.start, 0);
+        assert_eq!(sel.hole.symbols(), 0..1);
         assert_eq!(sel.freed_bits, 8);
         // Needing 9 bits forces a pair.
         let sel = tree.select(9, false).expect("selectable");
         assert_eq!(sel.level, 2);
-        assert_eq!(sel.symbols, 2);
+        assert_eq!(sel.hole.symbols().len(), 2);
         assert_eq!(sel.freed_bits, 16);
     }
 
@@ -354,10 +347,10 @@ mod tests {
         // node is index 40.
         let mut lens = uniform(2);
         lens[40] = 30;
-        let tree = CodeLengthTree::new(&lens);
+        let tree = tree_of(&lens);
         let sel = tree.select(25, false).expect("selectable");
         assert_eq!(sel.level, 1);
-        assert_eq!(sel.start, 40);
+        assert_eq!(sel.hole.symbols().start, 40);
         assert_eq!(sel.freed_bits, 30);
     }
 
@@ -365,14 +358,14 @@ mod tests {
     fn select_returns_none_beyond_level_five() {
         // 1-bit codes: even 16 symbols free only 16 bits; asking for more
         // must fail (the 4-bit len header cannot express 32 symbols).
-        let tree = CodeLengthTree::new(&uniform(1));
+        let tree = tree_of(&uniform(1));
         assert!(tree.select(17, false).is_none());
         assert!(tree.select(16, false).is_some());
     }
 
     #[test]
     fn select_zero_bits_is_none() {
-        let tree = CodeLengthTree::new(&uniform(8));
+        let tree = tree_of(&uniform(8));
         assert!(tree.select(0, false).is_none());
     }
 
@@ -385,26 +378,23 @@ mod tests {
         // window [2, 6) at level 3.
         let mut lens = uniform(2);
         lens[2..6].fill(20);
-        let tree = CodeLengthTree::new(&lens);
+        let tree = tree_of(&lens);
         let plain = tree.select(60, false).expect("selectable");
         assert_eq!(plain.level, 4);
-        assert_eq!(plain.symbols, 8);
+        assert_eq!(plain.hole.symbols().len(), 8);
         let opt = tree.select(60, true).expect("selectable");
         assert_eq!(opt.level, 3);
-        assert_eq!(opt.symbols, 4);
-        assert_eq!(opt.start, 2);
+        assert_eq!(opt.hole.symbols(), 2..6);
         assert!(opt.staggered);
         assert!(opt.freed_bits >= 60);
-        // OPT approximates strictly fewer symbols here.
-        assert!(opt.symbols < plain.symbols);
     }
 
     #[test]
     fn aligned_node_wins_ties_against_staggered() {
-        let tree = CodeLengthTree::new(&uniform(8));
+        let tree = tree_of(&uniform(8));
         // 4-symbol windows all sum 32; aligned start 0 beats staggered 2.
         let sel = tree.select(32, true).expect("selectable");
-        assert_eq!(sel.start, 0);
+        assert_eq!(sel.hole.symbols().start, 0);
         assert!(!sel.staggered);
     }
 
@@ -413,15 +403,12 @@ mod tests {
         let mut lens = uniform(2);
         lens[5] = 17;
         lens[40] = 9;
-        let via_analysis = CodeLengthTree::from_analysis(&BlockAnalysis::from_lengths(lens));
-        let direct = CodeLengthTree::new(&lens);
+        let via_analysis = tree_of(&lens);
         let widened = WidenedTree::new(&lens);
-        assert_eq!(via_analysis.analysis, direct.analysis);
         for level in 1..=LEVELS {
-            assert_eq!(sums_at(&via_analysis, level), sums_at(&direct, level));
-            assert_eq!(sums_at(&direct, level), widened.level_sums(level));
+            assert_eq!(sums_at(&via_analysis, level), widened.level_sums(level));
         }
-        assert_eq!(via_analysis.select(20, true), direct.select(20, true));
+        assert_eq!(via_analysis.select(20, true), widened.select(20, true));
     }
 
     #[test]
@@ -435,12 +422,13 @@ mod tests {
         for (i, l) in lens.iter_mut().enumerate() {
             *l = 100 + i as u32;
         }
-        let tree = CodeLengthTree::new(&lens);
+        let tree = tree_of(&lens);
         for (level, symbols, stride) in [(3, 4, 8), (4, 8, 16)] {
             for start in (symbols / 2..SYMBOLS_PER_BLOCK).step_by(stride) {
                 let manual: u32 = lens[start..start + symbols].iter().sum();
                 assert_eq!(manual, WidenedTree::new(&lens).window_sum(start, symbols));
-                let want = Selection { start, symbols, freed_bits: manual, level, staggered: true };
+                let hole = Hole::new(start, symbols).unwrap();
+                let want = Selection { hole, freed_bits: manual, level, staggered: true };
                 assert_eq!(tree.select(manual, true), Some(want));
             }
         }
@@ -452,13 +440,11 @@ mod tests {
                                        needed in 1u32..200, opt in any::<bool>()) {
             let mut arr = [0u32; SYMBOLS_PER_BLOCK];
             arr.copy_from_slice(&lens);
-            let tree = CodeLengthTree::new(&arr);
+            let tree = tree_of(&arr);
             if let Some(sel) = tree.select(needed, opt) {
                 prop_assert!(sel.freed_bits >= needed);
-                let leaves: u32 = arr[sel.start..sel.start + sel.symbols].iter().sum();
+                let leaves: u32 = arr[sel.hole.symbols()].iter().sum();
                 prop_assert_eq!(sel.freed_bits, leaves);
-                prop_assert!(sel.symbols <= 16);
-                prop_assert!(sel.start + sel.symbols <= SYMBOLS_PER_BLOCK);
             }
         }
 
@@ -467,7 +453,7 @@ mod tests {
                                                needed in 1u32..200) {
             let mut arr = [0u32; SYMBOLS_PER_BLOCK];
             arr.copy_from_slice(&lens);
-            let tree = CodeLengthTree::new(&arr);
+            let tree = tree_of(&arr);
             match (tree.select(needed, false), tree.select(needed, true)) {
                 (Some(plain), Some(opt)) => prop_assert!(opt.level <= plain.level),
                 (Some(_), None) => prop_assert!(false, "opt lost a selection plain found"),
@@ -488,7 +474,7 @@ mod tests {
             if cap <= 40 {
                 arr.iter_mut().for_each(|l| *l %= cap);
             }
-            let (tree, widened) = (CodeLengthTree::new(&arr), WidenedTree::new(&arr));
+            let (tree, widened) = (tree_of(&arr), WidenedTree::new(&arr));
             // The drawn target, and targets near what 1 to 16 average
             // symbols free, so every level and both kinds of node answer.
             let mean = arr.iter().sum::<u32>() / SYMBOLS_PER_BLOCK as u32;
@@ -502,7 +488,7 @@ mod tests {
         fn prop_total_matches_sum(lens in proptest::collection::vec(0u32..33, SYMBOLS_PER_BLOCK)) {
             let mut arr = [0u32; SYMBOLS_PER_BLOCK];
             arr.copy_from_slice(&lens);
-            let tree = CodeLengthTree::new(&arr);
+            let tree = tree_of(&arr);
             prop_assert_eq!(tree.analysis.total_code_bits(), lens.iter().sum::<u32>());
         }
     }

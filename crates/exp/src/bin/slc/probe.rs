@@ -320,7 +320,7 @@ pub fn ablation(scale: Scale) {
             let (decision, selection) = slc.analyze_with(&slc.analysis(b));
             if let Some(sel) = selection {
                 lossy += 1;
-                symbols += sel.symbols as u64;
+                symbols += sel.hole.symbols().len() as u64;
                 over_bits += u64::from(sel.freed_bits.saturating_sub(decision.extra_bits));
             }
         }
@@ -452,7 +452,7 @@ pub fn quickstart() {
         let mode = match enc.kind() {
             StoredKind::Uncompressed => "verbat".to_owned(),
             StoredKind::Lossless => "lossls".to_owned(),
-            StoredKind::Lossy { selection } => format!("lossy({})", selection.symbols),
+            StoredKind::Lossy { selection } => format!("lossy({})", selection.hole.symbols().len()),
         };
         println!(
             "{:>5}  {:>8}b  {:>8}b  {:>5}b  {:>8}  {:>6}",

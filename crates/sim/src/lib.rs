@@ -40,7 +40,7 @@ pub use config::GpuConfig;
 pub use dram::sched::SchedPolicy;
 pub use engine::Engine;
 pub use mc::{BurstsMap, BurstsSource};
-pub use mem::{DevicePtr, F32View, F32ViewMut, GpuMemory, Region};
+pub use mem::{DevicePtr, F32View, F32ViewMut, GpuMemory, Region, RegionBlocks};
 pub use stats::SimStats;
 pub use trace::{Op, Trace};
 

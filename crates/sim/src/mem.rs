@@ -13,7 +13,13 @@
 //! then stages flagged regions through the SLC codec at kernel-boundary
 //! DRAM round-trips (see PAPER.md, "This reproduction", for why kernel
 //! granularity preserves the paper's behaviour for these memory-bound
-//! apps).
+//! apps). [`GpuMemory::regions_mut`] lends only flagged regions writable
+//! ([`RegionBlocks`]).
+//!
+//! [`GpuMemory::malloc`] takes no `threshold`: the lossy threshold is per
+//! scheme (`slc_core::SlcConfig`), not per allocation as in §IV-C. Every
+//! approximable region of the nine benchmarks asked for 16 B, and nothing
+//! ever read the per-region value.
 //!
 //! A kernel computes on this memory, never on a copy of it:
 //! [`GpuMemory::launch`] lends it every array it names as a *view* — an
@@ -42,18 +48,11 @@ pub struct Region {
     pub size: u64,
     /// `true` when the programmer marked the region safe to approximate.
     pub safe_to_approx: bool,
-    /// Per-region lossy threshold in bytes (paper: programmer-specified).
-    pub threshold_bytes: u32,
     /// Debug label.
     pub label: String,
 }
 
 impl Region {
-    /// Whether `addr` falls inside this region.
-    pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.base && addr < self.base + self.size
-    }
-
     /// Block address of the region's `index`-th block — the one place
     /// the region-to-block address arithmetic lives. Regions tile the
     /// image from byte 0 ([`GpuMemory::malloc`]), so block addresses are
@@ -62,13 +61,17 @@ impl Region {
     pub fn block_addr(&self, index: usize) -> BlockAddr {
         self.base / BLOCK_BYTES as u64 + index as u64
     }
+}
 
-    /// Block addresses covered by the region.
-    pub fn blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        let first = self.base / BLOCK_BYTES as u64;
-        let last = (self.base + self.size).div_ceil(BLOCK_BYTES as u64);
-        first..last
-    }
+/// One region's blocks as [`GpuMemory::regions_mut`] lends them: only a
+/// region marked safe to approximate is lent writable, so the lossy step
+/// has no way into an exact one.
+#[derive(Debug)]
+pub enum RegionBlocks<'a> {
+    /// A region that must stay exact, read-only.
+    Exact(&'a [Block]),
+    /// A safe-to-approximate region, writable.
+    Approx(&'a mut [Block]),
 }
 
 /// A kernel's read-only view of one `f32` array in device memory.
@@ -175,29 +178,19 @@ impl GpuMemory {
         Self::default()
     }
 
-    /// Allocates `size` bytes, 128 B aligned — the extended `cudaMalloc`.
+    /// Allocates `size` bytes, 128 B aligned — the extended `cudaMalloc`,
+    /// less its `threshold` (see the module docs).
     ///
     /// The only way to make a region: each is padded to whole blocks and
     /// placed right after the last, so the regions tile the image from
     /// byte 0 and block addresses are the image's ordinals
     /// `0..len / 128`.
-    pub fn malloc(
-        &mut self,
-        label: &str,
-        size: usize,
-        safe_to_approx: bool,
-        threshold_bytes: u32,
-    ) -> DevicePtr {
+    pub fn malloc(&mut self, label: &str, size: usize, safe_to_approx: bool) -> DevicePtr {
         let base = self.data.len() as u64;
         let padded = size.div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
         self.data.resize(self.data.len() + padded, 0);
-        self.regions.push(Region {
-            base,
-            size: padded as u64,
-            safe_to_approx,
-            threshold_bytes,
-            label: label.to_owned(),
-        });
+        let label = label.to_owned();
+        self.regions.push(Region { base, size: padded as u64, safe_to_approx, label });
         DevicePtr(base)
     }
 
@@ -209,16 +202,6 @@ impl GpuMemory {
     /// Number of regions marked safe to approximate (Table III's #AR).
     pub fn approx_regions(&self) -> usize {
         self.regions.iter().filter(|r| r.safe_to_approx).count()
-    }
-
-    /// The region containing `addr`, if any.
-    pub fn region_of(&self, addr: u64) -> Option<&Region> {
-        self.regions.iter().find(|r| r.contains(addr))
-    }
-
-    /// Whether a load from `addr` may be approximated.
-    pub fn is_approximable(&self, addr: u64) -> bool {
-        self.region_of(addr).is_some_and(|r| r.safe_to_approx)
     }
 
     /// Copies an `f32` slice to the device (`cudaMemcpy` host→device).
@@ -308,17 +291,24 @@ impl GpuMemory {
         &mut self.data[region.base as usize..(region.base + region.size) as usize]
     }
 
-    /// Every region with its writable bytes, in table order — what an
-    /// in-order walk that rewrites blocks as it reads them borrows:
-    /// regions and data disjointly, no region-table clone. Regions tile
-    /// the data back to back ([`Self::malloc`] is the only way to make
+    /// Every region with its blocks, in table order — what an in-order
+    /// walk that rewrites blocks as it reads them borrows: regions and
+    /// data disjointly, no region-table clone, and only approximable
+    /// regions writable ([`RegionBlocks`]). Regions tile the data back to
+    /// back in whole blocks ([`Self::malloc`] is the only way to make
     /// one), so each is split off the front of what is left.
-    pub fn regions_mut(&mut self) -> impl Iterator<Item = (&Region, &mut [u8])> + '_ {
-        let mut rest = self.data.as_mut_slice();
+    pub fn regions_mut(&mut self) -> impl Iterator<Item = (&Region, RegionBlocks<'_>)> + '_ {
+        let mut rest = self.data.as_chunks_mut().0;
         self.regions.iter().map(move |region| {
-            let (bytes, tail) = std::mem::take(&mut rest).split_at_mut(region.size as usize);
+            let count = region.size as usize / BLOCK_BYTES;
+            let (blocks, tail) = std::mem::take(&mut rest).split_at_mut(count);
             rest = tail;
-            (region, bytes)
+            let blocks = if region.safe_to_approx {
+                RegionBlocks::Approx(blocks)
+            } else {
+                RegionBlocks::Exact(blocks)
+            };
+            (region, blocks)
         })
     }
 
@@ -329,27 +319,15 @@ impl GpuMemory {
     /// analysis share.
     pub fn blocks_with_addr(&self) -> impl Iterator<Item = (&Region, BlockAddr, &Block)> + '_ {
         self.regions.iter().flat_map(move |region| {
-            let start = region.base as usize;
-            let end = (region.base + region.size) as usize;
-            self.data[start..end].chunks_exact(BLOCK_BYTES).enumerate().map(move |(i, chunk)| {
-                let block: &Block = chunk.try_into().expect("regions are block-padded");
-                (region, region.block_addr(i), block)
-            })
+            let blocks = self.region_bytes(region).as_chunks().0.iter().enumerate();
+            blocks.map(move |(i, block)| (region, region.block_addr(i), block))
         })
     }
 
     /// Iterates over the blocks of every region (for table training and
     /// ratio studies), flagged with the owning region.
     pub fn all_blocks(&self) -> impl Iterator<Item = (&Region, Block)> + '_ {
-        self.regions.iter().flat_map(move |region| {
-            let start = region.base as usize;
-            let end = (region.base + region.size) as usize;
-            self.data[start..end].chunks_exact(BLOCK_BYTES).map(move |chunk| {
-                let mut b = [0u8; BLOCK_BYTES];
-                b.copy_from_slice(chunk);
-                (region, b)
-            })
-        })
+        self.blocks_with_addr().map(|(region, _, block)| (region, *block))
     }
 
     /// Total allocated bytes.
@@ -370,21 +348,22 @@ mod tests {
     #[test]
     fn malloc_aligns_and_tracks_regions() {
         let mut m = GpuMemory::new();
-        let a = m.malloc("a", 100, true, 16);
-        let b = m.malloc("b", 256, false, 0);
+        let a = m.malloc("a", 100, true);
+        let b = m.malloc("b", 256, false);
         assert_eq!(a.0, 0);
         assert_eq!(b.0, 128, "second allocation starts on next block");
         assert_eq!(m.regions().len(), 2);
         assert_eq!(m.approx_regions(), 1);
-        assert!(m.is_approximable(a.0));
-        assert!(!m.is_approximable(b.0));
+        let approx: Vec<(u64, bool)> =
+            m.regions().iter().map(|r| (r.base, r.safe_to_approx)).collect();
+        assert_eq!(approx, [(a.0, true), (b.0, false)]);
         assert_eq!(m.len(), 128 + 256);
     }
 
     #[test]
     fn f32_roundtrip() {
         let mut m = GpuMemory::new();
-        let p = m.malloc("x", 16, true, 16);
+        let p = m.malloc("x", 16, true);
         m.write_f32(p, &[1.0, -2.5, 3.25, f32::MIN_POSITIVE]);
         assert_eq!(m.read_f32(p, 4), vec![1.0, -2.5, 3.25, f32::MIN_POSITIVE]);
     }
@@ -392,7 +371,7 @@ mod tests {
     /// Three two-block arrays, `a` `b` `c`, holding 1.0s, 2.0s and 3.0s.
     fn three_arrays() -> (GpuMemory, [DevicePtr; 3]) {
         let mut m = GpuMemory::new();
-        let ptrs = ["a", "b", "c"].map(|label| m.malloc(label, 256, true, 16));
+        let ptrs = ["a", "b", "c"].map(|label| m.malloc(label, 256, true));
         for (ptr, v) in ptrs.iter().zip([1.0, 2.0, 3.0]) {
             m.write_f32(*ptr, &[v; 64]);
         }
@@ -472,8 +451,8 @@ mod tests {
     #[test]
     fn region_bytes_mut_writes_one_region() {
         let mut m = GpuMemory::new();
-        let a = m.malloc("a", 128, true, 16);
-        let b = m.malloc("b", 128, false, 0);
+        let a = m.malloc("a", 128, true);
+        let b = m.malloc("b", 128, false);
         m.write_f32(a, &[1.0; 32]);
         m.write_f32(b, &[2.0; 32]);
         let saved = m.clone();
@@ -488,45 +467,54 @@ mod tests {
     #[test]
     fn regions_mut_hands_out_each_regions_own_bytes() {
         let mut m = GpuMemory::new();
-        for (i, blocks) in [2usize, 1, 3].into_iter().enumerate() {
-            m.malloc("r", blocks * BLOCK_BYTES - 4, i % 2 == 0, 16);
-        }
-        for (i, (_, bytes)) in m.regions_mut().enumerate() {
-            bytes.fill(i as u8 + 1);
+        for (i, blocks) in [2usize, 1, 3, 2].into_iter().enumerate() {
+            m.malloc("r", blocks * BLOCK_BYTES - 4, i % 2 == 0);
+            let region = m.regions()[i].clone();
+            m.region_bytes_mut(&region).fill(i as u8 + 1);
         }
         let saved = m.clone();
-        assert_eq!(m.regions_mut().count(), 3);
-        for (i, (region, bytes)) in m.regions_mut().enumerate() {
+        assert_eq!(m.regions_mut().count(), 4);
+        for (i, (region, blocks)) in m.regions_mut().enumerate() {
             assert_eq!(region, &saved.regions()[i]);
-            assert_eq!(bytes, saved.region_bytes(region));
-            assert!(bytes.iter().all(|&b| b == i as u8 + 1) && bytes.len() == region.size as usize);
+            // Writable exactly when the region may be approximated.
+            let blocks: &[Block] = match blocks {
+                RegionBlocks::Approx(blocks) => {
+                    assert!(region.safe_to_approx, "exact region {i} lent writable");
+                    blocks
+                }
+                RegionBlocks::Exact(blocks) => {
+                    assert!(!region.safe_to_approx, "approximable region {i} lent read-only");
+                    blocks
+                }
+            };
+            assert_eq!(blocks.as_flattened(), saved.region_bytes(region));
+            assert!(blocks.as_flattened().iter().all(|&b| b == i as u8 + 1));
         }
     }
 
     #[test]
     fn region_blocks_cover_allocation() {
         let mut m = GpuMemory::new();
-        let p = m.malloc("x", 300, true, 16);
-        let r = m.region_of(p.0).expect("region exists").clone();
-        let blocks: Vec<u64> = r.blocks().collect();
-        assert_eq!(blocks.len(), 3, "300 bytes pads to 384 = 3 blocks");
+        m.malloc("x", 300, true);
+        assert_eq!(m.regions()[0].size, 3 * BLOCK_BYTES as u64, "300 bytes pads to 3 blocks");
+        assert_eq!(m.blocks_with_addr().count(), 3);
     }
 
     #[test]
     fn all_blocks_counts_match() {
         let mut m = GpuMemory::new();
-        m.malloc("a", 128, true, 16);
-        m.malloc("b", 384, false, 0);
+        m.malloc("a", 128, true);
+        m.malloc("b", 384, false);
         assert_eq!(m.all_blocks().count(), 4);
     }
 
     #[test]
     fn blocks_with_addr_mirrors_all_blocks() {
         let mut m = GpuMemory::new();
-        let a = m.malloc("a", 256, true, 16);
-        m.malloc("b", 384, false, 0);
-        m.malloc("padded", 200, true, 16);
-        m.malloc("c", 128, false, 0);
+        let a = m.malloc("a", 256, true);
+        m.malloc("b", 384, false);
+        m.malloc("padded", 200, true);
+        m.malloc("c", 128, false);
         m.write_f32(a, &[5.5; 64]);
         let by_ref: Vec<(u64, bool, Block)> =
             m.blocks_with_addr().map(|(r, addr, b)| (addr, r.safe_to_approx, *b)).collect();
@@ -547,7 +535,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn oob_write_panics() {
         let mut m = GpuMemory::new();
-        let p = m.malloc("x", 8, false, 0);
+        let p = m.malloc("x", 8, false);
         m.write_f32(p, &[0.0; 64]);
     }
 }

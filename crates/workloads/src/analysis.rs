@@ -95,8 +95,8 @@ mod tests {
 
     fn memory() -> GpuMemory {
         let mut m = GpuMemory::new();
-        let a = m.malloc("approx", 512, true, 16);
-        let e = m.malloc("exact", 256, false, 0);
+        let a = m.malloc("approx", 512, true);
+        let e = m.malloc("exact", 256, false);
         let vals: Vec<f32> = (0..128).map(|i| (i % 512) as f32).collect();
         m.write_f32(a, &vals);
         m.write_f32(e, &vals[..64]);

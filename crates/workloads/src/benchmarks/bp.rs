@@ -76,12 +76,12 @@ impl Workload for Bp {
 
     fn build(&self, seed: u64) -> GpuMemory {
         let mut mem = GpuMemory::new();
-        let input = mem.malloc("input_units", self.n_in * 4, true, 16);
-        let w1 = mem.malloc("input_weights", self.n_in * self.n_hidden * 4, true, 16);
-        let _w1p = mem.malloc("input_prev_weights", self.n_in * self.n_hidden * 4, true, 16);
-        let _hid = mem.malloc("hidden_units", self.n_hidden * 4, true, 16);
-        let w2 = mem.malloc("hidden_weights", self.n_hidden * 4, true, 16);
-        let _w2p = mem.malloc("hidden_prev_weights", self.n_hidden * 4, true, 16);
+        let input = mem.malloc("input_units", self.n_in * 4, true);
+        let w1 = mem.malloc("input_weights", self.n_in * self.n_hidden * 4, true);
+        let _w1p = mem.malloc("input_prev_weights", self.n_in * self.n_hidden * 4, true);
+        let _hid = mem.malloc("hidden_units", self.n_hidden * 4, true);
+        let w2 = mem.malloc("hidden_weights", self.n_hidden * 4, true);
+        let _w2p = mem.malloc("hidden_prev_weights", self.n_hidden * 4, true);
         // Quantised inputs and initial weights (fixed-point-trained nets
         // and normalised features have limited precision).
         let mut x = gen::uniform_vec(&mut gen::rng(seed, 0), self.n_in, 0.0, 1.0);

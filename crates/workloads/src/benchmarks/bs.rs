@@ -90,11 +90,11 @@ impl Workload for Bs {
         let mut mem = GpuMemory::new();
         let n = self.options;
         let bytes = n * 4;
-        let price = mem.malloc("stock_price", bytes, true, 16);
-        let strike = mem.malloc("option_strike", bytes, true, 16);
-        let years = mem.malloc("option_years", bytes, true, 16);
-        let _call = mem.malloc("call_result", bytes, true, 16);
-        let _put = mem.malloc("put_result", bytes, false, 0);
+        let price = mem.malloc("stock_price", bytes, true);
+        let strike = mem.malloc("option_strike", bytes, true);
+        let years = mem.malloc("option_years", bytes, true);
+        let _call = mem.malloc("call_result", bytes, true);
+        let _put = mem.malloc("put_result", bytes, false);
         // CUDA SDK input ranges. Prices and strikes sit on exchange
         // grids (1/32 and 1/4 ticks); expiries are continuous, so the
         // years array and both outputs stay essentially incompressible.

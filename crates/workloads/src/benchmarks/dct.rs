@@ -97,8 +97,8 @@ impl Workload for Dct {
     fn build(&self, seed: u64) -> GpuMemory {
         let mut mem = GpuMemory::new();
         let bytes = self.n * self.n * 4;
-        let src = mem.malloc("src_image", bytes, true, 16);
-        let _dst = mem.malloc("dct_coeffs", bytes, true, 16);
+        let src = mem.malloc("src_image", bytes, true);
+        let _dst = mem.malloc("dct_coeffs", bytes, true);
         // 6-bit grayscale source; a small fraction of pixels carries
         // interpolated sub-level detail (the dither must see the smooth
         // field *before* integer rounding to preserve that detail).

@@ -88,8 +88,8 @@ impl Workload for Fwt {
     fn build(&self, seed: u64) -> GpuMemory {
         let mut mem = GpuMemory::new();
         let bytes = self.n * 4;
-        let data = mem.malloc("data", bytes, true, 16);
-        let _pong = mem.malloc("pong", bytes, true, 16);
+        let data = mem.malloc("data", bytes, true);
+        let _pong = mem.malloc("pong", bytes, true);
         // Audio-like fixed-point samples (1/16 steps). Butterfly sums stay
         // on the same grid, so intermediate passes keep a bounded symbol
         // alphabet and compressibility degrades gracefully rather than
@@ -153,7 +153,7 @@ mod tests {
     /// `[0, to)`.
     fn wht(values: &[f32], to: usize) -> Vec<f32> {
         let mut mem = GpuMemory::new();
-        let ptr = mem.malloc("data", values.len() * 4, true, 16);
+        let ptr = mem.malloc("data", values.len() * 4, true);
         mem.write_f32(ptr, values);
         let ([], [mut data]) = mem.launch([], [(ptr, values.len())]);
         wht_stages(&mut data, 0, to);

@@ -206,9 +206,9 @@ impl Workload for Jm {
         let labels = ["a_v0", "a_v1", "a_v2", "b_v0", "b_v1", "b_v2"];
         let mut ptrs = Vec::new();
         for label in labels {
-            ptrs.push(mem.malloc(label, coord_bytes, true, 16));
+            ptrs.push(mem.malloc(label, coord_bytes, true));
         }
-        let flags = mem.malloc("intersects", self.pairs * 4, false, 0);
+        let flags = mem.malloc("intersects", self.pairs * 4, false);
         let _ = flags;
         // Triangle pairs placed near each other so roughly a third
         // intersect: coordinates in a narrow magnitude band (clustered
@@ -336,6 +336,7 @@ mod tests {
         assert_eq!(mem.approx_regions(), 6);
         // The flags output is exact.
         let (_, flags) = jm.ptrs();
-        assert!(!mem.is_approximable(flags.0));
+        let region = mem.regions().iter().find(|r| r.base == flags.0).expect("a flags region");
+        assert!(!region.safe_to_approx);
     }
 }

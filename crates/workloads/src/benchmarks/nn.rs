@@ -59,8 +59,8 @@ impl Workload for Nn {
 
     fn build(&self, seed: u64) -> GpuMemory {
         let mut mem = GpuMemory::new();
-        let records = mem.malloc("records", self.records * 8, true, 16);
-        let _distances = mem.malloc("distances", self.records * 4, true, 16);
+        let records = mem.malloc("records", self.records * 8, true);
+        let _distances = mem.malloc("distances", self.records * 4, true);
         // Hurricane tracks: consecutive records follow a storm, so
         // adjacent values are highly similar (the similarity TSLC-PRED
         // exploits). Way-points carry 1/16-degree file precision with a

@@ -146,15 +146,15 @@ impl Workload for Srad {
     fn build(&self, seed: u64) -> GpuMemory {
         let mut mem = GpuMemory::new();
         let bytes = self.pixels() * 4;
-        let j = mem.malloc("J", bytes, true, 16);
-        mem.malloc("c", bytes, true, 16);
-        mem.malloc("dN", bytes, true, 16);
-        mem.malloc("dS", bytes, true, 16);
-        mem.malloc("dW", bytes, true, 16);
-        mem.malloc("dE", bytes, true, 16);
+        let j = mem.malloc("J", bytes, true);
+        mem.malloc("c", bytes, true);
+        mem.malloc("dN", bytes, true);
+        mem.malloc("dS", bytes, true);
+        mem.malloc("dW", bytes, true);
+        mem.malloc("dE", bytes, true);
         if self.version == 1 {
-            mem.malloc("J2", bytes, true, 16);
-            mem.malloc("sums", bytes, true, 16);
+            mem.malloc("J2", bytes, true);
+            mem.malloc("sums", bytes, true);
         }
         // Rodinia preprocesses the speckled image as J = exp(I/255); the
         // 8-bit source quantisation carries through at ~2^-9 resolution.
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn q0sqr_of_constant_image_is_zero() {
         let mut mem = GpuMemory::new();
-        let j = mem.malloc("J", 64 * 4, true, 16);
+        let j = mem.malloc("J", 64 * 4, true);
         mem.write_f32(j, &[2.0; 64]);
         let ([j], []) = mem.launch([(j, 64)], []);
         assert!(q0sqr_of(j).abs() < 1e-9);

@@ -55,8 +55,8 @@ impl Workload for Tp {
     fn build(&self, seed: u64) -> GpuMemory {
         let mut mem = GpuMemory::new();
         let bytes = self.n * self.n * 4;
-        let input = mem.malloc("idata", bytes, true, 16);
-        let _output = mem.malloc("odata", bytes, true, 16);
+        let input = mem.malloc("idata", bytes, true);
+        let _output = mem.malloc("odata", bytes, true);
         // A smooth field with mild noise at sensor precision (1/4 step):
         // moderately compressible.
         let mut img = gen::noisy_field(&mut gen::rng(seed, 0), self.n * self.n, 60.0, 40.0, 0.05);

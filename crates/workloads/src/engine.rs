@@ -100,8 +100,8 @@ mod tests {
 
     fn memory() -> GpuMemory {
         let mut m = GpuMemory::new();
-        let a = m.malloc("approx", 2048, true, 16);
-        let e = m.malloc("exact", 1024, false, 0);
+        let a = m.malloc("approx", 2048, true);
+        let e = m.malloc("exact", 1024, false);
         let vals: Vec<f32> = (0..512).map(|i| (i % 512) as f32).collect();
         m.write_f32(a, &vals);
         m.write_f32(e, &vals[..256]);

@@ -535,7 +535,7 @@ mod tests {
 
         fn build(&self, seed: u64) -> GpuMemory {
             let mut mem = GpuMemory::new();
-            let ptrs = ["kept", "scaled", "filled"].map(|label| mem.malloc(label, 4 * N, true, 16));
+            let ptrs = ["kept", "scaled", "filled"].map(|label| mem.malloc(label, 4 * N, true));
             assert_eq!(ptrs, Self::PTRS);
             let values: Vec<f32> = (0..N).map(|i| (seed as usize + i + 1) as f32).collect();
             mem.write_f32(ptrs[0], &values);
@@ -559,7 +559,7 @@ mod tests {
             mem.write_f32(scaled, &doubled);
             mem.write_f32(filled, &sums);
             if self.allocates {
-                mem.malloc("scratch", 4 * N, false, 0);
+                mem.malloc("scratch", 4 * N, false);
             }
             stage(mem);
         }

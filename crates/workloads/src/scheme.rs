@@ -9,10 +9,10 @@
 
 use crate::analysis::SnapshotAnalysis;
 use slc_compress::e2mc::{BlockAnalysis, E2mc};
-use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
+use slc_compress::{BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_sim::mc::BurstsMap;
-use slc_sim::{BlockAddr, GpuMemory};
+use slc_sim::{BlockAddr, GpuMemory, RegionBlocks};
 
 /// Identifies a scheme in figures and tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,37 +120,37 @@ impl Scheme {
     /// whose working set is one block and one accumulator cell — no
     /// snapshot, no verdict list. Per block it settles the stored form
     /// and folds that form's bits into the region's cells of `acc`
-    /// ([`BurstsAccumulator::fold_bits`]). An approximable block of an
-    /// SLC scheme is analysed once and staged in place on that analysis
-    /// ([`SlcCompressor::stage_in_place`]): a lossy stored form is
-    /// replaced by what a read returns, and the block costs what the next
-    /// kernel boundary will find there. Every other block keeps its bytes
-    /// and costs its E2MC stored size. [`Scheme::Uncompressed`] has no
-    /// table and neither stages nor records.
+    /// ([`BurstsAccumulator::fold_bits`]). An SLC scheme stages each
+    /// block it is lent writable ([`RegionBlocks::Approx`]) in place on
+    /// one analysis ([`SlcCompressor::stage_in_place`]): a lossy stored
+    /// form becomes what a read returns, and costs what the next kernel
+    /// boundary finds. Every other block keeps its bytes and costs its
+    /// E2MC size. [`Scheme::Uncompressed`] neither stages nor records.
     fn stage_walk(&self, mem: &mut GpuMemory, mut acc: Option<&mut BurstsAccumulator>) {
         let Some(e2mc) = self.e2mc() else {
             return;
         };
-        let slc = match self {
-            Scheme::Slc(slc) => Some(slc),
-            _ => None,
-        };
-        if let (Some(slc), Some(acc)) = (slc, &acc) {
+        if let (Scheme::Slc(slc), Some(acc)) = (self, &acc) {
             assert_eq!(slc.config().mag(), acc.mag, "scheme and accumulator disagree on the MAG");
         }
-        for (region, bytes) in mem.regions_mut() {
-            let slc = slc.filter(|_| region.safe_to_approx);
-            let bits = bytes.chunks_exact_mut(BLOCK_BYTES).map(|chunk| {
-                let block: &mut Block = chunk.try_into().expect("regions are block-padded");
-                let Some(slc) = slc else {
-                    return e2mc.size_bits(block);
-                };
-                let mut analysis = slc.analysis(block);
-                slc.stage_in_place(block, &mut analysis)
-            });
-            match acc.as_deref_mut() {
-                Some(acc) => acc.fold_bits(region.block_addr(0), bits),
-                None => bits.for_each(drop),
+        for (region, blocks) in mem.regions_mut() {
+            let start = region.block_addr(0);
+            match (self, blocks, acc.as_deref_mut()) {
+                (Scheme::Slc(slc), RegionBlocks::Approx(blocks), acc) => {
+                    let bits = blocks.iter_mut().map(|block| {
+                        let mut analysis = slc.analysis(block);
+                        slc.stage_in_place(block, &mut analysis)
+                    });
+                    match acc {
+                        Some(acc) => acc.fold_bits(start, bits),
+                        None => bits.for_each(drop),
+                    }
+                }
+                (_, RegionBlocks::Approx(&mut ref b) | RegionBlocks::Exact(&ref b), Some(acc)) => {
+                    acc.fold_bits(start, b.iter().map(|block| e2mc.size_bits(block)));
+                }
+                // Blocks kept exact, and no sizes to record.
+                (.., None) => {}
             }
         }
     }
@@ -168,13 +168,9 @@ impl Scheme {
     ) -> u32 {
         match self {
             Scheme::Uncompressed => mag.bursts_for_bytes(BLOCK_BYTES as u32, BLOCK_BYTES as u32),
-            Scheme::E2mc(_) => mag.bursts_for_bits(analysis.e2mc_size_bits(), BLOCK_BYTES as u32),
-            Scheme::Slc(s) => {
-                if approximable {
-                    s.stored_bursts_with(analysis)
-                } else {
-                    mag.bursts_for_bits(analysis.e2mc_size_bits(), BLOCK_BYTES as u32)
-                }
+            Scheme::Slc(s) if approximable => s.stored_bursts_with(analysis),
+            Scheme::E2mc(_) | Scheme::Slc(_) => {
+                mag.bursts_for_bits(analysis.e2mc_size_bits(), BLOCK_BYTES as u32)
             }
         }
     }
@@ -308,8 +304,8 @@ mod tests {
 
     fn filled_memory() -> GpuMemory {
         let mut m = GpuMemory::new();
-        let a = m.malloc("approx", 1024, true, 16);
-        let e = m.malloc("exact", 1024, false, 0);
+        let a = m.malloc("approx", 1024, true);
+        let e = m.malloc("exact", 1024, false);
         let vals: Vec<f32> = (0..256).map(|i| (i % 512) as f32).collect();
         m.write_f32(a, &vals);
         m.write_f32(e, &vals);
@@ -414,7 +410,7 @@ mod tests {
         let scheme = Scheme::E2mc(e.clone());
         let small = filled_memory();
         let mut bigger = filled_memory();
-        let extra = bigger.malloc("late", 256, true, 16);
+        let extra = bigger.malloc("late", 256, true);
         bigger.write_f32(extra, &vec![3.0f32; 64]);
         let small_snap = SnapshotAnalysis::capture(&e, &small);
         let mut acc = BurstsAccumulator::new(Mag::GDDR5);

@@ -19,7 +19,7 @@ use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::SlcVariant;
 use slc_sim::mc::{BurstsMap, BurstsSource};
-use slc_sim::GpuMemory;
+use slc_sim::{GpuMemory, RegionBlocks};
 use slc_workloads::analysis::SnapshotAnalysis;
 use slc_workloads::scheme::{BurstsAccumulator, Scheme};
 use slc_workloads::{all_workloads, Harness, Scale};
@@ -84,8 +84,7 @@ fn build_memory(region_blocks: &[(bool, u8)], seed: u64) -> GpuMemory {
     let mut fills = Vec::new();
     for (r, &(approx, blocks)) in region_blocks.iter().enumerate() {
         let blocks = usize::from(blocks.clamp(1, 4));
-        let ptr =
-            mem.malloc(if approx { "approx" } else { "exact" }, blocks * BLOCK_BYTES, approx, 16);
+        let ptr = mem.malloc(if approx { "approx" } else { "exact" }, blocks * BLOCK_BYTES, approx);
         fills.push((ptr, blocks, r as u64));
     }
     for (ptr, blocks, r) in fills {
@@ -304,8 +303,9 @@ fn staged_snapshots_match_direct_accumulation_over_boundaries() {
             let snap = scheme.stage_analyzed(&mut fused_mem).expect("slc has a table");
             fused.record(&scheme, &snap);
             let Scheme::Slc(slc) = &scheme else { unreachable!() };
-            for (_, bytes) in legacy_mem.regions_mut().filter(|(r, _)| r.safe_to_approx) {
-                for block in bytes.as_chunks_mut::<BLOCK_BYTES>().0 {
+            for (_, blocks) in legacy_mem.regions_mut() {
+                let RegionBlocks::Approx(blocks) = blocks else { continue };
+                for block in blocks {
                     *block = slc.decompress(&slc.compress(block));
                 }
             }
@@ -328,15 +328,20 @@ fn staged_snapshots_match_direct_accumulation_over_boundaries() {
 fn reference_point(scheme: &Scheme, mem: &mut GpuMemory, acc: &mut BurstsAccumulator) {
     let Scheme::Slc(slc) = scheme else { unreachable!("the oracle covers the TSLC variants") };
     let mag = slc.config().mag();
-    for (region, bytes) in mem.regions_mut() {
-        for (i, chunk) in bytes.chunks_exact_mut(BLOCK_BYTES).enumerate() {
-            let block: &mut Block = chunk.try_into().unwrap();
-            let addr = region.block_addr(i);
-            let analysis = slc.analysis(block);
-            if !region.safe_to_approx {
-                acc.record_one(addr, scheme.bursts_for_analysis(&analysis, mag, false));
+    for (region, blocks) in mem.regions_mut() {
+        let blocks = match blocks {
+            RegionBlocks::Approx(blocks) => blocks,
+            RegionBlocks::Exact(blocks) => {
+                for (i, block) in blocks.iter().enumerate() {
+                    let bursts = scheme.bursts_for_analysis(&slc.analysis(block), mag, false);
+                    acc.record_one(region.block_addr(i), bursts);
+                }
                 continue;
             }
+        };
+        for (i, block) in blocks.iter_mut().enumerate() {
+            let addr = region.block_addr(i);
+            let analysis = slc.analysis(block);
             let stored = match slc.approximate_with(block, &analysis) {
                 Some(out) => {
                     *block = out;

@@ -7,8 +7,7 @@
 //! commit `21f5e01`, whose kernels copied every array out and back).
 //! Finer than the figures: `slc run all`'s text rounds to three decimals.
 
-use slc_compress::BLOCK_BYTES;
-use slc_sim::GpuMemory;
+use slc_sim::{GpuMemory, RegionBlocks};
 use slc_workloads::{all_workloads, Scale, Workload};
 
 /// FNV-1a over every region's bytes, in table order.
@@ -27,9 +26,10 @@ fn image_hash(mem: &GpuMemory) -> u64 {
 /// the real staging walk, so a kernel that reads an array later than the
 /// recorded one did sees different values.
 fn perturb(mem: &mut GpuMemory, call: usize) {
-    for (_, bytes) in mem.regions_mut().filter(|(r, _)| r.safe_to_approx) {
-        let block = 7 * call % (bytes.len() / BLOCK_BYTES);
-        for word in bytes[block * BLOCK_BYTES..][..BLOCK_BYTES].chunks_exact_mut(4) {
+    for (_, blocks) in mem.regions_mut() {
+        let RegionBlocks::Approx(blocks) = blocks else { continue };
+        let block = 7 * call % blocks.len();
+        for word in blocks[block].chunks_exact_mut(4) {
             let bits = u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
             word.copy_from_slice(&((bits & !0xfff) ^ 0x1000).to_le_bytes());
         }

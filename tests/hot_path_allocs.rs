@@ -274,8 +274,8 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
         // approximable one holds the corpus, a quarter of it blocks that
         // TSLC-OPT sends lossy.
         let mut mem = GpuMemory::new();
-        mem.malloc("approx", blocks / 2 * BLOCK_BYTES, true, 16);
-        mem.malloc("exact", blocks / 2 * BLOCK_BYTES, false, 0);
+        mem.malloc("approx", blocks / 2 * BLOCK_BYTES, true);
+        mem.malloc("exact", blocks / 2 * BLOCK_BYTES, false);
         let approx = mem.regions()[0].clone();
         mem.region_bytes_mut(&approx).copy_from_slice(corpus[..blocks / 2].as_flattened());
         let (full, snapshot) = allocs(|| SnapshotAnalysis::capture(&e2mc, &mem));

@@ -2,9 +2,10 @@
 //! workload data, end to end.
 
 use slc::slc_compress::symbols::block_to_symbols;
-use slc::slc_compress::{BlockCompressor, Mag, BLOCK_BYTES};
+use slc::slc_compress::{BlockCompressor, Mag};
 use slc::slc_core::predict::PredictorKind;
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant, StoredKind};
+use slc::slc_sim::RegionBlocks;
 use slc::slc_workloads::{all_workloads, Harness, Scale, Scheme, SnapshotAnalysis};
 
 fn harness() -> Harness {
@@ -54,12 +55,8 @@ fn lossy_blocks_differ_only_in_approximated_symbols() {
                     lossy_seen += 1;
                     let orig = block_to_symbols(&block);
                     let dec = block_to_symbols(&out);
-                    for i in 0..64 {
-                        let hole =
-                            (selection.start..selection.start + selection.symbols).contains(&i);
-                        if !hole {
-                            assert_eq!(orig[i], dec[i], "{}: symbol {i} leaked", w.name());
-                        }
+                    for i in (0..64).filter(|i| !selection.hole.symbols().contains(i)) {
+                        assert_eq!(orig[i], dec[i], "{}: symbol {i} leaked", w.name());
                     }
                 }
                 _ => assert_eq!(out, block, "{}: lossless must be exact", w.name()),
@@ -96,7 +93,7 @@ fn staging_honours_the_lossy_contract_at_the_memory_level() {
                     assert!(region.safe_to_approx, "{what}: exact block {addr} changed");
                     assert_ne!(threshold, 0, "{what}: block {addr} changed");
                     let (_, selection) = slc.analyze_with(&entry.analysis);
-                    let hole = selection.map_or(0..0, |s| s.start..s.start + s.symbols);
+                    let hole = selection.map_or(0..0, |s| s.hole.symbols());
                     let (orig, dec) = (block_to_symbols(pre), block_to_symbols(post));
                     for i in (0..64).filter(|i| !hole.contains(i)) {
                         assert_eq!(orig[i], dec[i], "{what}: block {addr} symbol {i} leaked");
@@ -106,8 +103,9 @@ fn staging_honours_the_lossy_contract_at_the_memory_level() {
                 assert_eq!(snapshot.entries(), recaptured.entries(), "{what}");
                 // And the walk leaves what encode → decode per block returns.
                 let mut oracle = a.exact_memory.clone();
-                for (_, bytes) in oracle.regions_mut().filter(|(r, _)| r.safe_to_approx) {
-                    for block in bytes.as_chunks_mut::<BLOCK_BYTES>().0 {
+                for (_, blocks) in oracle.regions_mut() {
+                    let RegionBlocks::Approx(blocks) = blocks else { continue };
+                    for block in blocks {
                         *block = slc.decompress(&slc.compress(block));
                     }
                 }
