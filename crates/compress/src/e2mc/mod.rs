@@ -10,12 +10,13 @@
 //! followed by the 16 raw bits. Symbols are split into 4 **parallel
 //! decoding ways** (PDWs) of 16 symbols, each an independently
 //! addressable sub-stream: the block header carries one *parallel
-//! decoding pointer* (pdp) per non-first way. The hardware puts one
-//! decoder on each way; the software decoder
-//! ([`SymbolTable::decode_ways_into`], shared with SLC) does the same with
-//! four cursors advanced in lock step, so the ways' table loads overlap
-//! in the pipeline, and it rejects a block whose ways do not tile the
-//! data section exactly.
+//! decoding pointer* (pdp) per non-first way. Both framings, E2MC's and
+//! SLC's (which puts its `ss`/`len` between the mode bit and the pdps),
+//! write the pdps and ways through [`SymbolTable::write_ways`] and read
+//! them through [`SymbolTable::read_ways`]. The hardware puts one decoder
+//! on each way; `read_ways` does the same with four cursors advanced in
+//! lock step, so the ways' table loads overlap in the pipeline, and it
+//! rejects a block whose ways do not tile the data section exactly.
 //!
 //! The compressed size of a block is just the sum of its code lengths plus
 //! the header — the property SLC's bit-budgeting exploits (the paper's
@@ -194,9 +195,10 @@ impl SymbolTable {
 
     /// Stashes every symbol's packed wire encoding in one table pass, for
     /// the size-then-write pipeline shared by E2MC and SLC: size the ways
-    /// from the stash, derive the pdps, then serialise the stash without
-    /// touching the table again. A zero entry has width 0 and writes
-    /// nothing (SLC zeroes its truncated hole this way).
+    /// from the stash ([`way_bits`](Self::way_bits)), then write the pdps
+    /// and the stash without touching the table again
+    /// ([`write_ways`](Self::write_ways)). A zero entry has width 0 and
+    /// writes nothing (SLC zeroes its truncated hole this way).
     pub fn stash_encodings(&self, symbols: &[u16; SYMBOLS_PER_BLOCK]) -> [u64; SYMBOLS_PER_BLOCK] {
         let mut out = [0u64; SYMBOLS_PER_BLOCK];
         for (e, &s) in out.iter_mut().zip(symbols) {
@@ -205,12 +207,9 @@ impl SymbolTable {
         out
     }
 
-    /// Encoded bit count of each parallel decoding way of a stash.
-    ///
-    /// The pdp offsets are prefix sums of these, which is what lets both
-    /// framings write their header before a single codeword: ways lie back
-    /// to back, so sequentially writing the stash afterwards produces
-    /// exactly the concatenated per-way streams.
+    /// Encoded bit count of each parallel decoding way of a stash: what
+    /// [`write_ways`](Self::write_ways) takes, and what E2MC sums first to
+    /// choose between coding a block and storing it verbatim.
     pub fn way_bits(encodings: &[u64; SYMBOLS_PER_BLOCK]) -> [u32; WAYS] {
         let mut way_bits = [0u32; WAYS];
         for (bits, chunk) in way_bits.iter_mut().zip(encodings.chunks_exact(WAY_SYMBOLS)) {
@@ -219,9 +218,22 @@ impl SymbolTable {
         way_bits
     }
 
-    /// Serialises a stash produced by
-    /// [`stash_encodings`](Self::stash_encodings).
-    pub fn write_encodings(w: &mut BitWriter<'_>, encodings: &[u64; SYMBOLS_PER_BLOCK]) {
+    /// Writes the three pdps — prefix sums of `way_bits`, the
+    /// [`way_bits`](Self::way_bits) of `encodings` — and then the stash.
+    /// Ways lie back to back, so the stash written in order is exactly the
+    /// concatenated per-way streams the pdps point into. A [`PDP_BITS`]
+    /// pdp holds the offsets of a stream shorter than a block, the only
+    /// kind a caller writes.
+    pub fn write_ways(
+        w: &mut BitWriter<'_>,
+        encodings: &[u64; SYMBOLS_PER_BLOCK],
+        way_bits: [u32; WAYS],
+    ) {
+        let mut offset = 0u32;
+        for bits in &way_bits[..WAYS - 1] {
+            offset += bits;
+            w.write(u64::from(offset), PDP_BITS);
+        }
         // Codewords are concatenated MSB-first in a local word and handed
         // to the writer up to 64 bits at a time, exactly as writing each
         // one would lay them out: a writer call per codeword makes E2MC
@@ -241,12 +253,14 @@ impl SymbolTable {
         w.write(acc, acc_w);
     }
 
-    /// Decodes the four parallel decoding ways of a block side by side,
-    /// as the paper's four hardware decoders would: way `w` starts at
-    /// absolute bit `starts[w]` of `r`'s stream and holds symbols
-    /// `w * WAY_SYMBOLS..(w + 1) * WAY_SYMBOLS` of `out`, minus those in
-    /// `hole` (SLC's truncated run: never on the wire, left untouched
-    /// here; E2MC passes an empty range).
+    /// Reads the three pdps at `r`'s cursor and decodes the four parallel
+    /// decoding ways after them side by side, as the paper's four hardware
+    /// decoders would: way 0 starts right after the last pdp, way `w > 0`
+    /// that many bits further on as pdp `w` says, and way `w` holds
+    /// symbols `w * WAY_SYMBOLS..(w + 1) * WAY_SYMBOLS` of `out`, minus
+    /// those in `hole` (SLC's truncated run: never on the wire, left
+    /// untouched here; E2MC passes an empty range). `r` is left past the
+    /// pdps.
     ///
     /// The four cursors advance in lock step — symbol *i* of every way per
     /// iteration — so the four table loads are independent and overlap
@@ -258,21 +272,28 @@ impl SymbolTable {
     ///
     /// # Errors
     ///
-    /// Rejects a corrupt stream with one verdict after the loop:
+    /// [`DecodeError::Truncated`] for a stream that ends inside the pdps.
+    /// Past them, one verdict after the loop:
     /// [`DecodeError::NoCodeword`] for a window no codeword covers,
     /// [`DecodeError::BadLayout`] for a way that does not end exactly
     /// where the next one starts (the last one at the stream's end).
-    /// Cursors only move forward from `starts[0]`, so that one check also
-    /// bounds every start and end by the stream length.
-    pub fn decode_ways_into(
+    /// Cursors only move forward from way 0's start, so that one check
+    /// also bounds every start and end by the stream length.
+    pub fn read_ways(
         &self,
-        r: &BitReader<'_>,
-        starts: [u32; WAYS],
+        r: &mut BitReader<'_>,
         hole: Range<usize>,
         out: &mut [u16; SYMBOLS_PER_BLOCK],
     ) -> Result<(), DecodeError> {
+        let mut pdps = [0u32; WAYS];
+        for pdp in &mut pdps[1..] {
+            *pdp = r.read(PDP_BITS) as u32;
+        }
+        r.check()?;
         let mut stream = [0u8; BLOCK_BYTES + 8];
         let len_bits = r.pad_into(&mut stream);
+        let way0 = len_bits - r.remaining();
+        let starts = pdps.map(|pdp| way0 + pdp);
         // One wrapped subtraction tests both ends of the hole; spelled
         // `hole.contains(&slot)` the loop is a fifth slower.
         let (hole_start, hole_len) = (hole.start, hole.len());
@@ -430,12 +451,7 @@ impl BlockCompressor for E2mc {
         }
         let mut w = BitWriter::new(out);
         w.write(1, 1); // mode: compressed
-        let mut offset = 0u32;
-        for &bits in way_bits.iter().take(WAYS - 1) {
-            offset += bits;
-            w.write(offset as u64, PDP_BITS);
-        }
-        SymbolTable::write_encodings(&mut w, &encodings);
+        SymbolTable::write_ways(&mut w, &encodings, way_bits);
         debug_assert_eq!(w.len_bits(), total);
         debug_assert_eq!(total, self.analyze(block).lossless_size_bits());
         w.finish_block(block)
@@ -456,15 +472,8 @@ impl BlockCompressor for E2mc {
             // Mode bit clear on a block flagged as coded.
             return Err(DecodeError::UnknownTag);
         }
-        // Each way is independently addressable through its pdp; the
-        // table decodes all four side by side.
-        let mut starts = [HEADER_BITS; WAYS];
-        for s in starts.iter_mut().skip(1) {
-            *s += r.read(PDP_BITS) as u32;
-        }
-        r.check()?;
         let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        self.table.decode_ways_into(&r, starts, 0..0, &mut symbols)?;
+        self.table.read_ways(&mut r, 0..0, &mut symbols)?;
         *out = symbols_to_block(&symbols);
         Ok(())
     }
@@ -608,36 +617,34 @@ mod tests {
     /// Sentinel for slots a decoder must leave alone.
     const UNTOUCHED: u16 = 0xa5a5;
 
-    /// The header-less way streams of `symbols` minus `hole`, built from
-    /// the stash primitives every in-tree producer uses: bytes, bit
-    /// length and the four way starts.
+    /// The pdps and ways of `symbols` minus `hole`, as the one writer
+    /// every in-tree producer calls lays them down: bytes and bit length.
+    /// `None` for a stream longer than a block, which no producer writes.
     fn way_stream(
         table: &SymbolTable,
         symbols: &[u16; SYMBOLS_PER_BLOCK],
         hole: Range<usize>,
-    ) -> (Vec<u8>, u32, [u32; WAYS]) {
+    ) -> Option<(Vec<u8>, u32)> {
         let mut encodings = table.stash_encodings(symbols);
         encodings[hole].fill(0);
         let way_bits = SymbolTable::way_bits(&encodings);
-        let mut starts = [0u32; WAYS];
-        for way in 1..WAYS {
-            starts[way] = starts[way - 1] + way_bits[way - 1];
+        if (WAYS as u32 - 1) * PDP_BITS + way_bits.iter().sum::<u32>() > BLOCK_BITS {
+            return None;
         }
         let mut bytes = Vec::new();
         let mut w = BitWriter::new(&mut bytes);
-        SymbolTable::write_encodings(&mut w, &encodings);
+        SymbolTable::write_ways(&mut w, &encodings, way_bits);
         let len_bits = w.finish();
-        (bytes, len_bits, starts)
+        Some((bytes, len_bits))
     }
 
-    /// Scalar reference for `decode_ways_into`: one bit at a time, one
-    /// symbol at a time through the canonical code, way after way. `None`
-    /// where the stream is corrupt.
+    /// Scalar reference for `read_ways`: one bit at a time, the pdps off
+    /// the wire, then one symbol at a time through the canonical code, way
+    /// after way. `None` where the stream is corrupt.
     fn reference_decode(
         table: &SymbolTable,
         bytes: &[u8],
         len_bits: u32,
-        starts: [u32; WAYS],
         hole: Range<usize>,
     ) -> Option<[u16; SYMBOLS_PER_BLOCK]> {
         let bits = |pos: u32, n: u32| {
@@ -646,6 +653,14 @@ mod tests {
                 acc << 1 | u32::from(bit)
             })
         };
+        let way0 = (WAYS as u32 - 1) * PDP_BITS;
+        if len_bits < way0 {
+            return None;
+        }
+        let mut starts = [way0; WAYS];
+        for (way, start) in starts.iter_mut().enumerate().skip(1) {
+            *start += bits((way as u32 - 1) * PDP_BITS, PDP_BITS);
+        }
         let mut out = [UNTOUCHED; SYMBOLS_PER_BLOCK];
         for (way, symbols) in out.chunks_exact_mut(WAY_SYMBOLS).enumerate() {
             let mut pos = starts[way];
@@ -678,7 +693,6 @@ mod tests {
         table: &SymbolTable,
         bytes: &[u8],
         len_bits: u32,
-        starts: [u32; WAYS],
         hole: Range<usize>,
     ) -> Option<[u16; SYMBOLS_PER_BLOCK]> {
         let n = len_bits.div_ceil(8) as usize;
@@ -687,10 +701,10 @@ mod tests {
         let slack = (8 - len_bits % 8) % 8;
         dirty[16 + n - 1] |= (1 << slack) - 1;
         let stream = &dirty[16..16 + n];
-        let expect = reference_decode(table, stream, len_bits, starts, hole.clone());
+        let expect = reference_decode(table, stream, len_bits, hole.clone());
         let mut out = [UNTOUCHED; SYMBOLS_PER_BLOCK];
         let got = table
-            .decode_ways_into(&BitReader::new(stream, len_bits), starts, hole, &mut out)
+            .read_ways(&mut BitReader::new(stream, len_bits), hole, &mut out)
             .ok()
             .map(|()| out);
         assert_eq!(got, expect, "decoders disagree");
@@ -728,11 +742,11 @@ mod tests {
             let symbols = mixed_symbols(7, escapes);
             for start in 0..=SYMBOLS_PER_BLOCK {
                 for end in start..=SYMBOLS_PER_BLOCK {
-                    let (bytes, len_bits, starts) = way_stream(e.table(), &symbols, start..end);
-                    if len_bits > BLOCK_BITS {
-                        continue; // no block stream is longer than a block
-                    }
-                    let got = decode_both(e.table(), &bytes, len_bits, starts, start..end);
+                    let Some((bytes, len_bits)) = way_stream(e.table(), &symbols, start..end)
+                    else {
+                        continue;
+                    };
+                    let got = decode_both(e.table(), &bytes, len_bits, start..end);
                     assert_eq!(got, Some(punched(&symbols, start..end)), "hole {start}..{end}");
                 }
             }
@@ -746,10 +760,13 @@ mod tests {
         // is the tell.
         let e = trained();
         let symbols = mixed_symbols(3, 0);
-        let (bytes, len_bits, mut starts) = way_stream(e.table(), &symbols, 0..0);
-        assert!(decode_both(e.table(), &bytes, len_bits, starts, 0..0).is_some());
-        starts[1] += 1;
-        assert_eq!(decode_both(e.table(), &bytes, len_bits, starts, 0..0), None);
+        let (mut bytes, len_bits) = way_stream(e.table(), &symbols, 0..0).expect("coded");
+        assert!(decode_both(e.table(), &bytes, len_bits, 0..0).is_some());
+        // The first pdp is the stream's top 10 bits: one more on the wire.
+        let pdp = u16::from_be_bytes([bytes[0], bytes[1]]) >> 6;
+        let [hi, lo] = ((pdp + 1) << 6 | u16::from(bytes[1] & 0x3f)).to_be_bytes();
+        (bytes[0], bytes[1]) = (hi, lo);
+        assert_eq!(decode_both(e.table(), &bytes, len_bits, 0..0), None);
     }
 
     #[test]
@@ -823,9 +840,10 @@ mod tests {
             let e = trained();
             let symbols = mixed_symbols(seed, escapes);
             let hole = a.min(b)..a.max(b);
-            let (bytes, len_bits, starts) = way_stream(e.table(), &symbols, hole.clone());
-            prop_assume!(len_bits <= BLOCK_BITS);
-            let got = decode_both(e.table(), &bytes, len_bits, starts, hole.clone());
+            let stream = way_stream(e.table(), &symbols, hole.clone());
+            prop_assume!(stream.is_some());
+            let (bytes, len_bits) = stream.expect("assumed");
+            let got = decode_both(e.table(), &bytes, len_bits, hole.clone());
             prop_assert_eq!(got, Some(punched(&symbols, hole)));
         }
 
@@ -836,13 +854,15 @@ mod tests {
             let e = trained();
             let symbols = mixed_symbols(seed, escapes & escapes.rotate_left(7));
             let hole = a..(a + len).min(SYMBOLS_PER_BLOCK);
-            let (mut bytes, len_bits, starts) = way_stream(e.table(), &symbols, hole.clone());
-            prop_assume!(0 < len_bits && len_bits <= BLOCK_BITS);
+            let stream = way_stream(e.table(), &symbols, hole.clone());
+            prop_assume!(stream.is_some());
+            let (mut bytes, len_bits) = stream.expect("assumed");
+            // Any bit, the pdps' included: accept or reject, decode_both
+            // holds the two decoders to the same verdict and the same
+            // symbols.
             let bit = flip % len_bits;
             bytes[bit as usize / 8] ^= 0x80 >> (bit % 8);
-            // Accept or reject, decode_both holds the two decoders to the
-            // same verdict and the same symbols.
-            decode_both(e.table(), &bytes, len_bits, starts, hole);
+            decode_both(e.table(), &bytes, len_bits, hole);
         }
 
         #[test]

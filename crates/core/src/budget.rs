@@ -7,7 +7,6 @@
 //! are what sticks out above it; the user-set *threshold* bounds how many
 //! bits may be approximated away.
 
-use crate::header::LOSSLESS_HEADER_BITS;
 use slc_compress::e2mc::BlockAnalysis;
 use slc_compress::{Mag, BLOCK_BITS};
 
@@ -93,22 +92,18 @@ impl BudgetDecision {
     }
 
     /// Runs the Fig. 4 flow for a block that has already been analysed:
-    /// the lossless compressed size is the SLC header plus the analysis'
+    /// the lossless compressed size is
+    /// [`BlockAnalysis::lossless_size_bits`], the header plus the
     /// precomputed code-length sum (the root of its stored adder tree),
-    /// so the decision is a lookup plus a few compares on top of a shared
-    /// [`BlockAnalysis`] — no re-encoding, no re-summation.
+    /// so the decision is a few compares on top of a shared analysis —
+    /// no re-encoding, no re-summation.
     pub fn for_analysis(analysis: &BlockAnalysis, mag: Mag, threshold_bits: u32) -> Self {
-        Self::evaluate(LOSSLESS_HEADER_BITS + analysis.total_code_bits(), mag, threshold_bits)
+        Self::evaluate(analysis.lossless_size_bits(), mag, threshold_bits)
     }
 
     /// Bursts the block costs if stored losslessly under `mag`.
     pub fn lossless_bursts(&self, mag: Mag) -> u32 {
         mag.bursts_for_bits(self.comp_size_bits, BLOCK_BITS / 8)
-    }
-
-    /// Bursts the block costs if the lossy mode lands on the budget.
-    pub fn budget_bursts(&self, mag: Mag) -> u32 {
-        mag.bursts_for_bits(self.bit_budget, BLOCK_BITS / 8)
     }
 }
 
@@ -143,7 +138,6 @@ mod tests {
         let d = BudgetDecision::evaluate(256 + 40, Mag::GDDR5, THR_16B);
         assert_eq!(d.mode, ModeChoice::Lossy);
         assert_eq!(d.extra_bits, 40);
-        assert_eq!(d.budget_bursts(Mag::GDDR5), 1);
         assert_eq!(d.lossless_bursts(Mag::GDDR5), 2);
     }
 
@@ -198,12 +192,13 @@ mod tests {
 
     #[test]
     fn for_analysis_matches_evaluate_on_the_framed_size() {
+        use slc_compress::e2mc::HEADER_BITS;
         use slc_compress::symbols::SYMBOLS_PER_BLOCK;
         for fill in [2u32, 5, 9, 14] {
             let a = BlockAnalysis::from_lengths([fill; SYMBOLS_PER_BLOCK]);
             let via = BudgetDecision::for_analysis(&a, Mag::GDDR5, THR_16B);
             let direct = BudgetDecision::evaluate(
-                LOSSLESS_HEADER_BITS + fill * SYMBOLS_PER_BLOCK as u32,
+                HEADER_BITS + fill * SYMBOLS_PER_BLOCK as u32,
                 Mag::GDDR5,
                 THR_16B,
             );
@@ -253,12 +248,6 @@ mod tests {
             if d.mode == ModeChoice::Lossy {
                 prop_assert!(d.extra_bits >= 1 && d.extra_bits <= thr);
             }
-        }
-
-        #[test]
-        fn prop_budget_bursts_never_exceed_lossless(size in 1u32..=1023, thr in 0u32..=256) {
-            let d = BudgetDecision::evaluate(size, Mag::GDDR5, thr);
-            prop_assert!(d.budget_bursts(Mag::GDDR5) <= d.lossless_bursts(Mag::GDDR5));
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The compressed-block header (paper Fig. 6).
+//! SLC's fields of the compressed-block header (paper Fig. 6).
 //!
 //! `| m | ss | len | pdp | compressed data`
 //!
@@ -7,27 +7,29 @@
 //! * `len` (4 bits, lossy only) — number of approximated symbols minus one
 //!   ("the maximum number of approximated symbols is 16, thus we need
 //!   4-bit").
-//! * `pdp` ×3 — parallel decoding pointers for the 4 decoding ways. We
-//!   store bit-granular 10-bit pointers (see [`slc_compress::e2mc::PDP_BITS`]).
+//!
+//! These mode fields are all SLC adds to E2MC's block. The parallel
+//! decoding pointers and the ways they point into are E2MC's, written by
+//! [`SymbolTable::write_ways`](slc_compress::e2mc::SymbolTable::write_ways)
+//! and read by [`SymbolTable::read_ways`](slc_compress::e2mc::SymbolTable::read_ways)
+//! right after the mode fields, for both modes.
 //!
 //! Uncompressed blocks carry **no header**: the metadata cache's burst
 //! count already identifies them (4 bursts ⇒ verbatim).
 
 use slc_compress::bitstream::{BitReader, BitWriter};
-use slc_compress::e2mc::{PDP_BITS, WAYS};
+use slc_compress::e2mc::HEADER_BITS;
 use slc_compress::symbols::SYMBOLS_PER_BLOCK;
 use slc_compress::DecodeError;
 use std::ops::Range;
 
-/// Header bits for a lossless block: `m` + 3 pdps.
-pub const LOSSLESS_HEADER_BITS: u32 = 1 + (WAYS as u32 - 1) * PDP_BITS;
-
-/// Header bits for a lossy block: `m` + `ss` + `len` + 3 pdps.
-pub const LOSSY_HEADER_BITS: u32 = LOSSLESS_HEADER_BITS + 6 + 4;
+/// Header bits for a lossy block: E2MC's header (`m` and the pdps) plus
+/// `ss` and `len`.
+pub const LOSSY_HEADER_BITS: u32 = HEADER_BITS + 6 + 4;
 
 /// Extra header cost the lossy mode pays over the lossless mode; the tree
 /// selector must free these bits *in addition to* the extra bits.
-pub const LOSSY_HEADER_DELTA: u32 = LOSSY_HEADER_BITS - LOSSLESS_HEADER_BITS;
+pub const LOSSY_HEADER_DELTA: u32 = LOSSY_HEADER_BITS - HEADER_BITS;
 
 /// The approximated run of a lossy block: 1 to 16 contiguous symbols (the
 /// 4-bit `len`) that end inside the block. [`Hole::new`] is the only way
@@ -52,76 +54,31 @@ impl Hole {
     }
 }
 
-/// Decoded form of the Fig. 6 header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlcHeader {
-    /// Losslessly compressed block.
-    Lossless {
-        /// Bit offsets of ways 1..=3 within the data section.
-        pdps: [u32; WAYS - 1],
-    },
-    /// Lossy block with the symbols of `hole` approximated away.
-    Lossy {
-        /// The approximated symbols (`ss` and `len` on the wire).
-        hole: Hole,
-        /// Bit offsets of ways 1..=3 within the data section.
-        pdps: [u32; WAYS - 1],
-    },
+/// Writes the mode fields: `m = 0` for a lossless block, `m = 1`, `ss`
+/// and `len` for one with `hole` approximated away.
+pub fn write(w: &mut BitWriter<'_>, hole: Option<Hole>) {
+    match hole {
+        None => w.write(0, 1),
+        Some(hole) => {
+            w.write(1, 1);
+            w.write(u64::from(hole.start), 6);
+            w.write(u64::from(hole.len) - 1, 4);
+        }
+    }
 }
 
-impl SlcHeader {
-    /// Size of this header on the wire.
-    pub fn size_bits(&self) -> u32 {
-        match self {
-            SlcHeader::Lossless { .. } => LOSSLESS_HEADER_BITS,
-            SlcHeader::Lossy { .. } => LOSSY_HEADER_BITS,
-        }
-    }
-
-    /// Serialises the header.
-    pub fn write(&self, w: &mut BitWriter<'_>) {
-        let pdps = match *self {
-            SlcHeader::Lossless { pdps } => {
-                w.write(0, 1);
-                pdps
-            }
-            SlcHeader::Lossy { hole, pdps } => {
-                w.write(1, 1);
-                w.write(u64::from(hole.start), 6);
-                w.write(u64::from(hole.len) - 1, 4);
-                pdps
-            }
-        };
-        for p in pdps {
-            w.write(u64::from(p), PDP_BITS);
-        }
-    }
-
-    /// Deserialises a header from the start of a compressed block.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::Truncated`] when the stream is shorter than the
-    /// header, [`DecodeError::BadLayout`] for a lossy header whose
-    /// `ss .. ss + len` is no [`Hole`]: it runs past the block.
-    pub fn read(r: &mut BitReader<'_>) -> Result<Self, DecodeError> {
-        let hole = if r.read_bit() {
-            let ss = r.read(6) as usize;
-            let len = r.read(4) as usize + 1;
-            Some(Hole::new(ss, len).ok_or(DecodeError::BadLayout)?)
-        } else {
-            None
-        };
-        let mut pdps = [0u32; WAYS - 1];
-        for p in pdps.iter_mut() {
-            *p = r.read(PDP_BITS) as u32;
-        }
-        r.check()?;
-        Ok(match hole {
-            Some(hole) => SlcHeader::Lossy { hole, pdps },
-            None => SlcHeader::Lossless { pdps },
-        })
-    }
+/// Reads the mode fields at the start of a compressed block: `None` for
+/// a lossless block, the approximated [`Hole`] for a lossy one.
+///
+/// # Errors
+///
+/// [`DecodeError::Truncated`] when the stream ends inside the fields,
+/// [`DecodeError::BadLayout`] when `ss .. ss + len` is no [`Hole`]: it
+/// runs past the block.
+pub fn read(r: &mut BitReader<'_>) -> Result<Option<Hole>, DecodeError> {
+    let fields = r.read_bit().then(|| (r.read(6) as usize, r.read(4) as usize + 1));
+    r.check()?;
+    fields.map(|(ss, len)| Hole::new(ss, len).ok_or(DecodeError::BadLayout)).transpose()
 }
 
 #[cfg(test)]
@@ -129,22 +86,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Writes `h` and reads back the first `bits` bits of it.
-    fn read_back(h: SlcHeader, bits: u32) -> Result<SlcHeader, DecodeError> {
+    /// Writes `hole`'s mode fields and reads back the first `bits` bits.
+    fn read_back(hole: Option<Hole>, bits: u32) -> Result<Option<Hole>, DecodeError> {
         let mut bytes = Vec::new();
         let mut w = BitWriter::new(&mut bytes);
-        h.write(&mut w);
-        assert_eq!(w.len_bits(), h.size_bits());
+        write(&mut w, hole);
+        assert_eq!(w.len_bits(), if hole.is_some() { 11 } else { 1 });
         let written = w.finish();
-        SlcHeader::read(&mut BitReader::new(&bytes, bits.min(written)))
+        read(&mut BitReader::new(&bytes, bits.min(written)))
     }
 
-    fn roundtrip(h: SlcHeader) -> SlcHeader {
-        read_back(h, u32::MAX).expect("a written header reads back")
-    }
-
-    fn lossy(ss: usize, len: usize, pdps: [u32; WAYS - 1]) -> SlcHeader {
-        SlcHeader::Lossy { hole: Hole::new(ss, len).expect("a hole"), pdps }
+    fn roundtrip(hole: Option<Hole>) -> Option<Hole> {
+        read_back(hole, u32::MAX).expect("written mode fields read back")
     }
 
     #[test]
@@ -163,30 +116,33 @@ mod tests {
 
     #[test]
     fn lossless_header_roundtrips() {
-        let h = SlcHeader::Lossless { pdps: [100, 200, 300] };
-        assert_eq!(roundtrip(h), h);
-        assert_eq!(h.size_bits(), 31);
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
+        write(&mut w, None);
+        assert_eq!(w.finish(), 1);
+        assert_eq!(bytes, [0]);
+        assert_eq!(roundtrip(None), None);
     }
 
     #[test]
     fn lossy_header_roundtrips() {
-        let h = lossy(42, 16, [1, 2, 1023]);
-        assert_eq!(roundtrip(h), h);
-        assert_eq!(h.size_bits(), 41);
+        let hole = Hole::new(42, 16);
+        assert_eq!(roundtrip(hole), hole);
     }
 
     #[test]
     fn len_encodes_one_to_sixteen_in_four_bits() {
         for len in 1..=16 {
-            let h = lossy(0, len, [0; 3]);
-            assert_eq!(roundtrip(h), h);
+            let hole = Hole::new(0, len);
+            assert_eq!(roundtrip(hole), hole);
         }
     }
 
     #[test]
     fn a_hole_running_past_the_block_is_rejected_at_read() {
         // Every (ss, len) the 6 + 4 header bits can express, written by
-        // hand: `read` accepts exactly the pairs that make a `Hole`.
+        // hand: `read` accepts exactly the pairs that make a `Hole`, and
+        // for those `write` lays down the same bits.
         for ss in 0..SYMBOLS_PER_BLOCK {
             for len in 1..=16 {
                 let mut bytes = Vec::new();
@@ -194,25 +150,31 @@ mod tests {
                 w.write(1, 1);
                 w.write(ss as u64, 6);
                 w.write(len as u64 - 1, 4);
-                for p in [7, 8, 9] {
-                    w.write(p, PDP_BITS);
-                }
                 let bits = w.finish();
-                let expect = match Hole::new(ss, len) {
-                    Some(hole) => Ok(SlcHeader::Lossy { hole, pdps: [7, 8, 9] }),
-                    None => Err(DecodeError::BadLayout),
-                };
-                let got = SlcHeader::read(&mut BitReader::new(&bytes, bits));
-                assert_eq!(got, expect, "ss {ss} len {len}");
+                let hole = Hole::new(ss, len);
+                let got = read(&mut BitReader::new(&bytes, bits));
+                assert_eq!(got, hole.map(Some).ok_or(DecodeError::BadLayout), "ss {ss} len {len}");
+                if hole.is_some() {
+                    let mut written = Vec::new();
+                    let mut w = BitWriter::new(&mut written);
+                    write(&mut w, hole);
+                    w.finish();
+                    assert_eq!(written, bytes, "ss {ss} len {len}");
+                }
             }
         }
     }
 
     #[test]
     fn a_stream_shorter_than_its_header_is_truncated() {
-        for h in [SlcHeader::Lossless { pdps: [100, 200, 300] }, lossy(3, 4, [1, 2, 3])] {
-            for cut in 0..h.size_bits() {
-                assert_eq!(read_back(h, cut), Err(DecodeError::Truncated), "{h:?} cut to {cut}");
+        for hole in [None, Hole::new(3, 4), Hole::new(48, 16)] {
+            let bits = if hole.is_some() { 11 } else { 1 };
+            for cut in 0..bits {
+                assert_eq!(
+                    read_back(hole, cut),
+                    Err(DecodeError::Truncated),
+                    "{hole:?} cut to {cut}"
+                );
             }
         }
     }
@@ -220,21 +182,27 @@ mod tests {
     #[test]
     fn header_delta_is_ten_bits() {
         assert_eq!(LOSSY_HEADER_DELTA, 10);
+        assert_eq!(LOSSY_HEADER_BITS, 41);
     }
 
     proptest! {
         #[test]
         fn prop_header_roundtrip(hole in (0usize..64, 1usize..=16).prop_map(|(ss, len)| {
-                                     Hole::new(ss % (SYMBOLS_PER_BLOCK + 1 - len), len).expect("a hole")
+                                     Hole::new(ss % (SYMBOLS_PER_BLOCK + 1 - len), len)
                                  }),
-                                 pdps in proptest::array::uniform3(0u32..1024),
-                                 lossy in any::<bool>()) {
-            let h = if lossy {
-                SlcHeader::Lossy { hole, pdps }
-            } else {
-                SlcHeader::Lossless { pdps }
-            };
-            prop_assert_eq!(roundtrip(h), h);
+                                 lossy in any::<bool>(), tail in any::<u64>()) {
+            // What follows the mode fields is E2MC's: `read` consumes the
+            // fields and not a bit more.
+            let hole = hole.filter(|_| lossy);
+            let mut bytes = Vec::new();
+            let mut w = BitWriter::new(&mut bytes);
+            write(&mut w, hole);
+            w.write(tail, 64);
+            let bits = w.finish();
+            let mut r = BitReader::new(&bytes, bits);
+            prop_assert_eq!(read(&mut r), Ok(hole));
+            prop_assert_eq!(r.read(64), tail);
+            prop_assert_eq!(r.check(), Ok(()));
         }
     }
 }

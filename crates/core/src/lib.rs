@@ -10,8 +10,11 @@
 //! * [`tree`] — the Fig. 5 parallel tree adder whose intermediate sums pick
 //!   the sub-block of symbols to approximate (TSLC), including the extra
 //!   middle-level nodes of TSLC-OPT.
-//! * [`header`] — the Fig. 6 compressed-block header (mode bit, start
-//!   symbol, length, parallel decoding pointers), bit-exact.
+//! * [`header`] — SLC's fields of the Fig. 6 block header (mode bit,
+//!   start symbol, length), bit-exact. The parallel decoding pointers and
+//!   the ways after them are E2MC's framing, written and read for both
+//!   modes by [`SymbolTable`](slc_compress::e2mc::SymbolTable)'s
+//!   `write_ways` / `read_ways`.
 //! * [`predict`] — the value-similarity predictor used by TSLC-PRED/OPT at
 //!   decompression.
 //! * [`slc`] — the end-to-end compressor/decompressor layered on E2MC.

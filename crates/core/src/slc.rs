@@ -7,11 +7,11 @@
 //! the block, filling truncated symbols via the configured predictor.
 
 use crate::budget::{BudgetDecision, ModeChoice};
-use crate::header::{Hole, SlcHeader, LOSSY_HEADER_DELTA};
+use crate::header::{self, Hole, LOSSY_HEADER_DELTA};
 use crate::predict::{fill_approximated, PredictorKind};
 use crate::tree::{CodeLengthTree, Selection};
 use slc_compress::bitstream::{BitReader, BitWriter};
-use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable, WAYS};
+use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable};
 use slc_compress::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
 use slc_compress::{Block, DecodeError, Mag, BLOCK_BITS, BLOCK_BYTES};
 
@@ -338,69 +338,12 @@ impl SlcCompressor {
     /// handing in another block's analysis produces a wrong-size stream.
     pub fn compress_with(&self, block: &Block, analysis: &BlockAnalysis) -> SlcCompressed {
         let (decision, kind) = self.stored_form(analysis);
-        match kind {
-            StoredKind::Uncompressed => self.store_uncompressed(block, decision),
-            StoredKind::Lossless => self.store_lossless(block, decision),
-            StoredKind::Lossy { selection } => self.store_lossy(block, decision, selection),
-        }
-    }
-
-    fn store_uncompressed(&self, block: &Block, decision: BudgetDecision) -> SlcCompressed {
-        SlcCompressed {
-            payload: block.to_vec(),
-            size_bits: BLOCK_BITS,
-            kind: StoredKind::Uncompressed,
-            bursts: self.config.mag.bursts_for_bits(BLOCK_BITS, BLOCK_BYTES as u32),
-            decision,
-        }
-    }
-
-    /// Packed wire encodings of every symbol (one table pass via
-    /// [`SymbolTable::stash_encodings`], shared by the sizing and write
-    /// steps), with the symbols of `skip` zeroed out — a zero encoding
-    /// has width 0 and writes nothing.
-    fn encodings(
-        &self,
-        symbols: &[u16; SYMBOLS_PER_BLOCK],
-        skip: Option<Hole>,
-    ) -> [u64; SYMBOLS_PER_BLOCK] {
-        let mut enc = self.e2mc.table().stash_encodings(symbols);
-        if let Some(hole) = skip {
-            enc[hole.symbols()].fill(0);
-        }
-        enc
-    }
-
-    /// The parallel decoding pointers, from the per-way encoded bit
-    /// counts — known before a single codeword is written, so the block
-    /// encodes in one pass with no scratch writers.
-    fn pdps(&self, encodings: &[u64; SYMBOLS_PER_BLOCK]) -> [u32; WAYS - 1] {
-        let way_bits = SymbolTable::way_bits(encodings);
-        let mut pdps = [0u32; WAYS - 1];
-        let mut offset = 0u32;
-        for (pdp, &bits) in pdps.iter_mut().zip(&way_bits) {
-            offset += bits;
-            *pdp = offset;
-        }
-        pdps
-    }
-
-    /// Writes header + all ways into one stream (ways lie back to back, so
-    /// sequentially writing the stashed encodings yields exactly the
-    /// concatenated per-way streams; skipped symbols have width 0).
-    fn encode_stream(
-        &self,
-        header: SlcHeader,
-        encodings: &[u64; SYMBOLS_PER_BLOCK],
-        kind: StoredKind,
-        decision: BudgetDecision,
-    ) -> SlcCompressed {
-        // A stored stream is shorter than the raw block.
-        let mut payload = Vec::with_capacity(BLOCK_BYTES);
-        let mut w = BitWriter::new(&mut payload);
-        header.write(&mut w);
-        SymbolTable::write_encodings(&mut w, encodings);
-        let size_bits = w.finish();
+        let (payload, size_bits) = match kind {
+            StoredKind::Uncompressed => (block.to_vec(), BLOCK_BITS),
+            StoredKind::Lossless => self.store_coded(block, None),
+            StoredKind::Lossy { selection } => self.store_coded(block, Some(selection.hole)),
+        };
+        debug_assert_eq!(size_bits, Self::bits_of(decision, kind));
         SlcCompressed {
             payload,
             size_bits,
@@ -410,33 +353,21 @@ impl SlcCompressor {
         }
     }
 
-    fn store_lossless(&self, block: &Block, decision: BudgetDecision) -> SlcCompressed {
-        let symbols = block_to_symbols(block);
-        let encodings = self.encodings(&symbols, None);
-        let header = SlcHeader::Lossless { pdps: self.pdps(&encodings) };
-        let out = self.encode_stream(header, &encodings, StoredKind::Lossless, decision);
-        debug_assert_eq!(out.size_bits, decision.comp_size_bits);
-        out
-    }
-
-    fn store_lossy(
-        &self,
-        block: &Block,
-        decision: BudgetDecision,
-        sel: Selection,
-    ) -> SlcCompressed {
-        let symbols = block_to_symbols(block);
-        let encodings = self.encodings(&symbols, Some(sel.hole));
-        let header = SlcHeader::Lossy { hole: sel.hole, pdps: self.pdps(&encodings) };
-        let out =
-            self.encode_stream(header, &encodings, StoredKind::Lossy { selection: sel }, decision);
-        debug_assert!(
-            out.size_bits <= decision.bit_budget,
-            "lossy block {} bits overshoots budget {}",
-            out.size_bits,
-            decision.bit_budget
-        );
-        out
+    /// The Fig. 6 stream of `block`: SLC's mode fields, then E2MC's pdps
+    /// and ways with the symbols of `hole` left off the wire (a zeroed
+    /// stash entry writes nothing). Returns the payload and its bits.
+    fn store_coded(&self, block: &Block, hole: Option<Hole>) -> (Vec<u8>, u32) {
+        let mut encodings = self.e2mc.table().stash_encodings(&block_to_symbols(block));
+        if let Some(hole) = hole {
+            encodings[hole.symbols()].fill(0);
+        }
+        // A stored stream is shorter than the raw block.
+        let mut payload = Vec::with_capacity(BLOCK_BYTES);
+        let mut w = BitWriter::new(&mut payload);
+        header::write(&mut w, hole);
+        SymbolTable::write_ways(&mut w, &encodings, SymbolTable::way_bits(&encodings));
+        let size_bits = w.finish();
+        (payload, size_bits)
     }
 
     /// Decompresses a stored block.
@@ -467,20 +398,11 @@ impl SlcCompressor {
 
     fn decode_stream(&self, c: &SlcCompressed) -> Result<Block, DecodeError> {
         let mut r = BitReader::new(&c.payload, c.size_bits);
-        let header = SlcHeader::read(&mut r)?;
-        let (hole, pdps) = match header {
-            SlcHeader::Lossless { pdps } => (None, pdps),
-            SlcHeader::Lossy { hole, pdps } => (Some(hole), pdps),
-        };
+        let hole = header::read(&mut r)?;
         // The truncated run never reached the wire: the way decoder skips
         // it and the predictor fills it in afterwards.
-        let mut starts = [header.size_bits(); WAYS];
-        for (start, pdp) in starts[1..].iter_mut().zip(pdps) {
-            *start += pdp;
-        }
         let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        let skip = hole.map_or(0..0, Hole::symbols);
-        self.e2mc.table().decode_ways_into(&r, starts, skip, &mut symbols)?;
+        self.e2mc.table().read_ways(&mut r, hole.map_or(0..0, Hole::symbols), &mut symbols)?;
         if let Some(hole) = hole {
             fill_approximated(&mut symbols, hole, self.config.predictor);
         }
@@ -491,9 +413,9 @@ impl SlcCompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::{LOSSLESS_HEADER_BITS, LOSSY_HEADER_BITS};
+    use crate::header::LOSSY_HEADER_BITS;
     use proptest::prelude::*;
-    use slc_compress::e2mc::{E2mcConfig, PDP_BITS};
+    use slc_compress::e2mc::{E2mcConfig, HEADER_BITS, PDP_BITS, WAYS};
     use slc_compress::BlockCompressor;
 
     /// Training data resembling a smooth f32 field: symbol stream has
@@ -583,7 +505,7 @@ mod tests {
                 StoredKind::Uncompressed => continue,
                 StoredKind::Lossless => {
                     lossless += 1;
-                    LOSSLESS_HEADER_BITS
+                    HEADER_BITS
                 }
                 StoredKind::Lossy { .. } => {
                     lossy += 1;
@@ -758,6 +680,60 @@ mod tests {
         }
     }
 
+    #[test]
+    fn both_modes_share_e2mcs_framing_over_a_block_scan() {
+        // Fig. 6 is E2MC's block with `ss`/`len` after the mode bit. (a)
+        // A lossless SLC block is E2MC's coded block with the mode bit
+        // cleared, bit for bit. (b) Every lossy block under the three
+        // variants hashes to the digest its stream had before the pdps
+        // and ways moved behind `slc_compress::e2mc`.
+        let e = e2mc();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let (mut lossless, mut lossy) = (0, 0);
+        for (variant, threshold) in
+            [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt]
+                .into_iter()
+                .flat_map(|v| [(v, 4), (v, 16)])
+        {
+            let s = SlcCompressor::new(e.clone(), SlcConfig::new(Mag::GDDR5, threshold, variant));
+            for k in 0..512 {
+                // On the trained grid, with `k % 16` words off it: sizes
+                // from one MAG to past the block.
+                let mut block = float_block((k % 97) as f32 * 0.25, 0.25 * (1 + k % 3) as f32);
+                for i in 0..k % 16 {
+                    let word = ((k * 32 + i) as u32).wrapping_mul(0x9e37_79b9).to_le_bytes();
+                    block[i * 8..i * 8 + 4].copy_from_slice(&word);
+                }
+                let c = s.compress(&block);
+                match c.kind() {
+                    StoredKind::Lossless => {
+                        let coded = e.compress(&block);
+                        assert!(coded.is_compressed(), "block {k}");
+                        let mut expect = coded.payload().to_vec();
+                        expect[0] &= 0x7f;
+                        assert_eq!(c.size_bits(), coded.size_bits(), "block {k}");
+                        assert_eq!(c.payload(), &expect[..], "block {k}");
+                        lossless += 1;
+                    }
+                    StoredKind::Lossy { .. } => {
+                        fold(&c.size_bits().to_le_bytes());
+                        fold(c.payload());
+                        lossy += 1;
+                    }
+                    StoredKind::Uncompressed => {}
+                }
+            }
+        }
+        assert!(lossless >= 100, "{lossless} lossless blocks");
+        assert!(lossy >= 100, "{lossy} lossy blocks");
+        assert_eq!(digest, 0xc62b_04a9_ef8d_2aa1, "lossy stream digest over {lossy} blocks");
+    }
+
     /// Three blocks per draw: floats on the trained grid (in-distribution:
     /// level code lengths, so the first node wins and holes open at symbol
     /// 0 — `FirstSymbol`'s special case), the same with `noise`-selected
@@ -823,7 +799,7 @@ mod tests {
         fn prop_stored_streams_tile_their_ways(words in proptest::collection::vec(any::<u32>(), 32),
                                                 noise in any::<u32>(), threshold in 0u32..=32) {
             // The decoder rejects a block whose ways do not end exactly on
-            // the next way's start, so every stream `encode_stream` writes
+            // the next way's start, so every stream `store_coded` writes
             // — lossless or with any hole the tree selects — must tile:
             // smooth floats with `noise`-selected words replaced by
             // arbitrary bits, under every threshold and variant.

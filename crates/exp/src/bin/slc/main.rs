@@ -21,7 +21,7 @@ use slc_exp::{all, fig1, fig2, fig9, report, tables};
 use slc_workloads::{all_workloads, workload_by_name, Harness, Scale};
 
 const USAGE: &str = "usage: slc run all|fig1|fig2|fig7|fig8|fig9|table1|table2|table3
-       slc probe bursts|regions|sched|ablation|quickstart|sim|dct
+       slc probe bursts|regions|sched|ablation
        slc probe engine [--codec e2mc|rans|bdi]
        slc probe threshold [JM|BS|DCT|FWT|TP|BP|NN|SRAD1|SRAD2]";
 
@@ -63,9 +63,6 @@ fn main() {
                 None => usage(),
             }
         }
-        ["probe", "quickstart"] => probe::quickstart(),
-        ["probe", "sim"] => probe::sim(),
-        ["probe", "dct"] => probe::dct(scale),
         _ => usage(),
     }
     report::print_footprint();

@@ -1,22 +1,19 @@
 //! `slc probe …`: diagnostics that are not paper figures — tuning aids,
-//! the engine smoke CI runs, the ablations and the threshold sweep, and
-//! three walk-throughs of the library API.
+//! the engine smoke CI runs, the ablations and the threshold sweep.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::symbols::block_to_symbols;
 use slc_compress::{Block, BlockCodec, BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::budget::ModeChoice;
 use slc_core::predict::PredictorKind;
-use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant, StoredKind};
+use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_engine::{frame_info, Engine, Threads};
 use slc_sim::mc::UniformBursts;
 use slc_sim::mdc::{MetadataCache, BLOCKS_PER_META_LINE};
-use slc_sim::trace::TraceBuilder;
-use slc_sim::{GpuConfig, SchedPolicy};
-use slc_workloads::benchmarks::{dct::Dct, nn::Nn};
+use slc_sim::SchedPolicy;
+use slc_workloads::benchmarks::nn::Nn;
 use slc_workloads::{all_workloads, compress_snapshot, snapshot_bytes, snapshot_engine};
 use slc_workloads::{Harness, Scale, Scheme, SnapshotAnalysis, Workload};
 
@@ -411,150 +408,4 @@ pub fn threshold(scale: Scale, w: &dyn Workload) {
     }
     println!("\nA larger threshold approximates more blocks: traffic and cycles fall,");
     println!("error rises. The paper picks 16 B at MAG 32 B (and MAG/2 elsewhere).");
-}
-
-/// `quickstart`: compresses a few blocks with SLC and shows every
-/// decision.
-pub fn quickstart() {
-    // 1. Train the lossless E2MC baseline on traffic representative of
-    //    the application (here: a smooth f32 field at sensor precision).
-    let training: Vec<u8> = (0..1u32 << 16)
-        .flat_map(|i| {
-            let v = 1000.0 + ((i % 512) as f32) * 0.25;
-            v.to_le_bytes()
-        })
-        .collect();
-    let e2mc = E2mc::train_on_bytes(&training, &E2mcConfig::default());
-
-    // 2. Wrap it with SLC: GDDR5 MAG (32 B), 16 B lossy threshold,
-    //    TSLC-OPT (prediction + extra tree nodes).
-    let config = SlcConfig::new(Mag::GDDR5, 16, SlcVariant::TslcOpt);
-    let slc = SlcCompressor::new(e2mc.clone(), config);
-
-    // 3. Compress a few blocks and show the Fig. 4 decision flow.
-    println!(
-        "{:>5}  {:>9}  {:>9}  {:>6}  {:>8}  {:>6}",
-        "block", "lossless", "stored", "extra", "mode", "bursts"
-    );
-    for k in 0..8 {
-        let mut block = [0u8; BLOCK_BYTES];
-        for (i, c) in block.chunks_exact_mut(4).enumerate() {
-            // On-grid sensor samples with occasional full-precision
-            // outliers: the mix that lands blocks a few bytes above MAG.
-            let mut v = 1000.0 + ((k * 37 + i) % 512) as f32 * 0.25;
-            if i % (5 + k) == 0 {
-                v += 0.001 * (i + 1) as f32;
-            }
-            c.copy_from_slice(&v.to_le_bytes());
-        }
-        let lossless_bits = e2mc.size_bits(&block);
-        let enc = slc.compress(&block);
-        let mode = match enc.kind() {
-            StoredKind::Uncompressed => "verbat".to_owned(),
-            StoredKind::Lossless => "lossls".to_owned(),
-            StoredKind::Lossy { selection } => format!("lossy({})", selection.hole.symbols().len()),
-        };
-        println!(
-            "{:>5}  {:>8}b  {:>8}b  {:>5}b  {:>8}  {:>6}",
-            k,
-            lossless_bits,
-            enc.size_bits(),
-            enc.decision().extra_bits,
-            mode,
-            enc.bursts()
-        );
-        // Round-trip: lossless blocks reproduce exactly, lossy blocks
-        // differ only in the approximated symbols.
-        let out = slc.decompress(&enc);
-        match enc.decision().mode {
-            ModeChoice::Lossy if enc.is_lossy() => {
-                let diff = block.iter().zip(&out).filter(|(a, b)| a != b).count();
-                println!("       -> {diff} of 128 bytes approximated");
-            }
-            _ => assert_eq!(out, block, "lossless round-trip must be exact"),
-        }
-    }
-}
-
-/// `sim`: drives the timing model directly with a synthetic streaming
-/// trace to show bandwidth becoming cycles.
-pub fn sim() {
-    let cfg = GpuConfig::default();
-    println!(
-        "GTX580-like GPU: {} SMs @ {} MHz, {} channels, {:.1} GB/s, MAG {}",
-        cfg.sms,
-        cfg.sm_clock_mhz,
-        cfg.channels(),
-        cfg.bandwidth_gbps(),
-        cfg.mag()
-    );
-
-    // A memory-bound streaming kernel: 16k blocks (2 MB), light math.
-    let mut b = TraceBuilder::new(cfg.sms);
-    b.stream_sweep(0, 16_384, 8, 2, None);
-    let trace = b.build();
-
-    println!(
-        "\n{:>22}  {:>10}  {:>10}  {:>8}  {:>9}",
-        "compression", "cycles", "bursts", "speedup", "BW util"
-    );
-    let base = slc_sim::Engine::new(cfg.clone()).run(&trace, &UniformBursts(4));
-    for (label, bursts, compress, decompress) in [
-        ("none (4 bursts)", 4u32, 0u64, 0u64),
-        ("2x lossless (2+dec)", 2, 46, 20),
-        ("4x lossless (1+dec)", 1, 46, 20),
-    ] {
-        let cfg_run = cfg.clone().with_codec_latency(compress, decompress);
-        let stats = slc_sim::Engine::new(cfg_run).run(&trace, &UniformBursts(bursts));
-        println!(
-            "{:>22}  {:>10}  {:>10}  {:>8.3}  {:>8.1}%",
-            label,
-            stats.cycles,
-            stats.total_bursts(),
-            base.cycles as f64 / stats.cycles as f64,
-            stats.achieved_bandwidth_gbps(cfg.mag().bytes(), cfg.sm_clock_mhz)
-                / cfg.bandwidth_gbps()
-                * 100.0
-        );
-    }
-    println!("\nFor a bandwidth-bound kernel, halving bursts approaches a 2x speedup —");
-    println!("the headroom SLC captures by rounding compressed blocks down to MAG multiples.");
-}
-
-/// `dct`: runs the DCT benchmark under E2MC and SLC and compares output
-/// quality against the DRAM traffic saved — the trade-off at the heart
-/// of the paper.
-pub fn dct(scale: Scale) {
-    let h = Harness::new(scale);
-    let dct = Dct::new(scale);
-    println!("Preparing {} ({}) ...", dct.name(), dct.input_description());
-    let a = h.prepare(&dct);
-    let (f_base, t_base) = h.evaluate(&dct, &a, &Scheme::E2mc(a.e2mc.clone()));
-
-    println!(
-        "{:>10}  {:>10}  {:>10}  {:>12}  {:>10}",
-        "scheme", "bursts", "cycles", "image diff", "speedup"
-    );
-    println!(
-        "{:>10}  {:>10}  {:>10}  {:>11}%  {:>10}",
-        "E2MC",
-        t_base.stats.total_bursts(),
-        t_base.stats.cycles,
-        f_base.error_pct,
-        "1.000"
-    );
-    for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
-        let scheme = Scheme::slc(a.e2mc.clone(), h.config.mag(), 16, variant);
-        let (f, t) = h.evaluate(&dct, &a, &scheme);
-        println!(
-            "{:>10}  {:>10}  {:>10}  {:>11.4}%  {:>10.3}",
-            variant.label(),
-            t.stats.total_bursts(),
-            t.stats.cycles,
-            f.error_pct,
-            t_base.stats.cycles as f64 / t.stats.cycles as f64
-        );
-    }
-    println!("\nLower bursts at sub-percent image difference is SLC's bargain;");
-    println!("TSLC-PRED/OPT recover most of TSLC-SIMP's quality loss via prediction.");
 }

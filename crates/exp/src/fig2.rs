@@ -65,26 +65,6 @@ pub(crate) fn row(artifacts: &BenchmarkArtifacts, mag: Mag) -> Fig2Row {
 }
 
 impl Fig2 {
-    /// Percentage of blocks within `threshold_bytes` above a MAG multiple
-    /// (excluding exact multiples) — SLC's opportunity mass.
-    pub fn opportunity_pct(&self, row: &Fig2Row, threshold_bytes: u32) -> f64 {
-        row.pct[1..=threshold_bytes as usize].iter().sum()
-    }
-
-    /// The "number of samples" histogram of the paper's right y-axis:
-    /// how many (benchmark, bucket) cells fall into each percentage band.
-    pub fn sample_histogram(&self, band_pct: f64) -> Vec<u32> {
-        let bands = (100.0 / band_pct).ceil() as usize;
-        let mut hist = vec![0u32; bands];
-        for row in &self.rows {
-            for &p in &row.pct {
-                let idx = ((p / band_pct).floor() as usize).min(bands - 1);
-                hist[idx] += 1;
-            }
-        }
-        hist
-    }
-
     /// Renders the heat map with one shaded cell per 2-byte bucket.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -133,22 +113,16 @@ mod tests {
     #[test]
     fn significant_mass_sits_just_above_mag() {
         // The paper's core observation: a significant percentage of blocks
-        // land a few bytes above a multiple of MAG.
+        // land a few bytes above a multiple of MAG: 1 to 16 B above one,
+        // exact multiples excluded, is SLC's opportunity mass.
         let fig = compute(Scale::Tiny, Mag::GDDR5);
-        let avg_opportunity: f64 = fig.rows.iter().map(|r| fig.opportunity_pct(r, 16)).sum::<f64>()
-            / fig.rows.len() as f64;
+        let avg_opportunity: f64 =
+            fig.rows.iter().map(|r| r.pct[1..=16].iter().sum::<f64>()).sum::<f64>()
+                / fig.rows.len() as f64;
         assert!(
             avg_opportunity > 10.0,
             "average opportunity {avg_opportunity:.1}% too small to motivate SLC"
         );
-    }
-
-    #[test]
-    fn histogram_counts_all_cells() {
-        let fig = compute(Scale::Tiny, Mag::GDDR5);
-        let hist = fig.sample_histogram(5.0);
-        let total: u32 = hist.iter().sum();
-        assert_eq!(total as usize, 9 * 33);
     }
 
     #[test]

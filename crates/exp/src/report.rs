@@ -88,16 +88,6 @@ pub fn err_pct(v: f64) -> String {
     }
 }
 
-/// A one-line ASCII bar of `value` against `max` (for heat-map rows).
-pub fn bar(value: f64, max: f64, width: usize) -> String {
-    if max <= 0.0 {
-        return " ".repeat(width);
-    }
-    let filled = ((value / max) * width as f64).round() as usize;
-    let filled = filled.min(width);
-    format!("{}{}", "#".repeat(filled), " ".repeat(width - filled))
-}
-
 /// Shade characters for heat-map cells by intensity in [0, 1].
 pub fn shade(intensity: f64) -> char {
     const RAMP: [char; 6] = [' ', '.', ':', '+', '*', '#'];
@@ -184,13 +174,6 @@ mod tests {
     fn row_arity_is_checked() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only one"]);
-    }
-
-    #[test]
-    fn bar_scales() {
-        assert_eq!(bar(5.0, 10.0, 10), "#####     ");
-        assert_eq!(bar(0.0, 10.0, 4), "    ");
-        assert_eq!(bar(20.0, 10.0, 4), "####", "clamped at full");
     }
 
     #[test]

@@ -52,6 +52,9 @@ fn usage_errors_exit_2_with_empty_stdout() {
         ("tiny", &[][..]),
         ("tiny", &["run", "fig10"]),
         ("tiny", &["probe", "faults"]),
+        ("tiny", &["probe", "quickstart"]),
+        ("tiny", &["probe", "sim"]),
+        ("tiny", &["probe", "dct"]),
         ("tiny", &["probe", "engine", "--codec", "lz4"]),
         ("tiny", &["probe", "threshold", "NOPE"]),
         ("bogus", &["run", "table1"]),

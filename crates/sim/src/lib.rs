@@ -46,21 +46,3 @@ pub use trace::{Op, Trace};
 
 /// A 128 B-aligned block address (byte address >> 7).
 pub type BlockAddr = u64;
-
-/// Converts a byte address to its block address.
-pub fn block_of(byte_addr: u64) -> BlockAddr {
-    byte_addr >> 7
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn block_of_truncates_to_128() {
-        assert_eq!(block_of(0), 0);
-        assert_eq!(block_of(127), 0);
-        assert_eq!(block_of(128), 1);
-        assert_eq!(block_of(130), 1);
-    }
-}

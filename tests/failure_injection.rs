@@ -4,9 +4,9 @@
 //! must behave.
 
 use slc::slc_compress::bitstream::{BitReader, BitWriter};
-use slc::slc_compress::e2mc::{E2mc, E2mcConfig, PDP_BITS};
+use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc::slc_compress::{BlockCompressor, DecodeError, Mag, BLOCK_BYTES};
-use slc::slc_core::header::{Hole, SlcHeader};
+use slc::slc_core::header::{self, Hole};
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_sim::mc::UniformBursts;
 use slc::slc_sim::trace::{Op, Trace};
@@ -82,9 +82,8 @@ fn header_rejects_malformed_fields() {
     w.write(1, 1);
     w.write(63, 6);
     w.write(2 - 1, 4);
-    w.write(0, 3 * PDP_BITS);
     let len = w.finish();
-    assert_eq!(SlcHeader::read(&mut BitReader::new(&bytes, len)), Err(DecodeError::BadLayout));
+    assert_eq!(header::read(&mut BitReader::new(&bytes, len)), Err(DecodeError::BadLayout));
     assert_eq!(Hole::new(63, 2), None);
     assert_eq!(Hole::new(70, 1), None);
 }
