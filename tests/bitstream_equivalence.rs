@@ -114,6 +114,31 @@ fn ramp_block(start: u32, step: u32) -> Block {
     b
 }
 
+/// Every FPC token kind, each more than once: zero runs of 1, 3 and 9
+/// words (a run splits at 8), and each of the seven word patterns, with
+/// a negative value where the pattern sign-extends.
+fn fpc_pattern_block() -> Block {
+    let tokens: [&[u32]; 11] = [
+        &[0],                        // zero run of 1
+        &[3, 0xffff_fff9],           // Se4
+        &[0x7f, 0xffff_ff80],        // Se8
+        &[0x7fff, 0xffff_8001],      // Se16
+        &[0; 3],                     // zero run of 3
+        &[0xabcd_0000, 0x8001_0000], // PaddedHalf
+        &[0x0011_0022, 0xffe0_0010], // TwoSeBytes
+        &[0x5a5a_5a5a, 0xc3c3_c3c3], // RepeatedBytes
+        &[0x1234_5678, 0x9abc_def0], // Raw
+        &[0; 9],                     // zero run of 9: 8 + 1
+        &[5, 0x40, 0x1234, 0x7777_7777, 0xdead_beef],
+    ];
+    assert_eq!(tokens.iter().map(|t| t.len()).sum::<usize>(), BLOCK_BYTES / 4);
+    let mut b = [0u8; BLOCK_BYTES];
+    for (c, w) in b.chunks_exact_mut(4).zip(tokens.into_iter().flatten()) {
+        c.copy_from_slice(&w.to_le_bytes());
+    }
+    b
+}
+
 /// Golden stream hashes for deterministic blocks, recorded from the
 /// as-merged implementation (which the property tests above prove
 /// bit-identical to the seed's packing). Any change to these values is a
@@ -126,9 +151,11 @@ fn golden_codec_stream_hashes() {
     let bpc = Bpc::new();
     let ramp = ramp_block(0x4000_0000, 3);
     let zeros = [0u8; BLOCK_BYTES];
-    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 4] = [
+    let fpc_patterns = fpc_pattern_block();
+    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 5] = [
         ("bdi/ramp", &bdi, &ramp, 324, 0xd780_6542_3373_97d5),
         ("fpc/zeros", &fpc, &zeros, 24, 0x85e3_6318_cda0_4b7b),
+        ("fpc/patterns", &fpc, &fpc_patterns, 349, 0x3fcf_abcb_de06_9d45),
         ("cpack/zeros", &cpack, &zeros, 64, 0xa8c7_f832_281a_39c5),
         ("bpc/ramp", &bpc, &ramp, 47, 0x90be_3613_64aa_1e3d),
     ];
