@@ -26,7 +26,8 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::{
-    load_verbatim, store_verbatim, Block, BlockCompressor, DecodeError, BLOCK_BITS, BLOCK_BYTES,
+    load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BITS,
+    BLOCK_BYTES,
 };
 
 /// Width of the wire tag that opens every coded BDI stream.
@@ -295,8 +296,8 @@ impl<const BASE: usize, const DELTA: usize> Arm<BASE, DELTA> {
 }
 
 impl BlockCompressor for Bdi {
-    fn name(&self) -> &'static str {
-        "bdi"
+    fn id(&self) -> CodecId {
+        CodecId::Bdi
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {

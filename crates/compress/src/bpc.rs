@@ -15,7 +15,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{load_verbatim, Block, BlockCompressor, DecodeError};
+use crate::{load_verbatim, Block, BlockCompressor, CodecId, DecodeError};
 
 /// Number of deltas per block (words - 1).
 const DELTAS: usize = WORDS_PER_BLOCK - 1;
@@ -141,8 +141,8 @@ fn write_plane_run(w: &mut BitWriter<'_>, run: u32) {
 }
 
 impl BlockCompressor for Bpc {
-    fn name(&self) -> &'static str {
-        "bpc"
+    fn id(&self) -> CodecId {
+        CodecId::Bpc
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {

@@ -18,9 +18,9 @@ use crate::{BlockCompressor, DecodeError};
 /// Stable wire identity of a block codec (one byte in container headers).
 ///
 /// The discriminants are the on-disk format: they must never be renumbered,
-/// only appended to. [`CodecId::name`] round-trips with
-/// [`BlockCompressor::name`] via [`CodecId::from_name`], which is how the
-/// engine derives the header byte from whatever codec it was built with.
+/// only appended to. Every codec names its own id
+/// ([`BlockCompressor::id`]), which is how the engine derives the header
+/// byte from whatever codec it was built with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CodecId {
@@ -63,7 +63,7 @@ impl CodecId {
         }
     }
 
-    /// The codec's [`BlockCompressor::name`].
+    /// The codec's short machine-friendly name (e.g. `"bdi"`, `"e2mc"`).
     pub fn name(self) -> &'static str {
         match self {
             CodecId::Bdi => "bdi",
@@ -73,12 +73,6 @@ impl CodecId {
             CodecId::E2mc => "e2mc",
             CodecId::Rans => "rans",
         }
-    }
-
-    /// Inverse of [`name`](Self::name); `None` for unknown names (e.g.
-    /// `"sc2"`, a retired codec whose number stays reserved).
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|id| id.name() == name)
     }
 }
 
@@ -128,22 +122,21 @@ mod tests {
         // invalidate every existing container.
         let expected =
             [("bdi", 0u8), ("fpc", 1), ("cpack", 2), ("bpc", 3), ("e2mc", 4), ("rans", 7)];
-        for (name, wire) in expected {
-            let id = CodecId::from_name(name).expect(name);
-            assert_eq!(id.as_u8(), wire, "{name}");
-            assert_eq!(CodecId::from_u8(wire), Some(id));
-            assert_eq!(id.name(), name);
+        assert_eq!(CodecId::ALL.map(|id| (id.name(), id.as_u8())), expected);
+        for id in CodecId::ALL {
+            assert_eq!(CodecId::from_u8(id.as_u8()), Some(id));
         }
     }
 
     #[test]
     fn unknown_bytes_and_names_are_rejected() {
-        // 5 and 6 named SC2 and HyComp; retired numbers are never reused.
+        // 5 and 6 named SC2 and HyComp; retired numbers are never reused,
+        // and no codec answers to a retired name.
         for byte in [5, 6, 8, 255] {
             assert_eq!(CodecId::from_u8(byte), None, "{byte}");
         }
         for name in ["sc2", "hycomp", "fp-h", ""] {
-            assert_eq!(CodecId::from_name(name), None, "{name:?}");
+            assert!(CodecId::ALL.iter().all(|id| id.name() != name), "{name:?}");
         }
     }
 
@@ -155,6 +148,6 @@ mod tests {
         takes(&crate::bdi::Bdi::new());
         takes(&crate::fpc::Fpc::new());
         let boxed: Box<dyn BlockCodec> = Box::new(crate::cpack::Cpack::new());
-        assert_eq!(boxed.name(), "cpack");
+        assert_eq!(boxed.id(), CodecId::Cpack);
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{load_verbatim, Block, BlockCompressor, DecodeError};
+use crate::{load_verbatim, Block, BlockCompressor, CodecId, DecodeError};
 
 /// Number of dictionary entries (4-bit index as in the original design).
 pub const DICT_ENTRIES: usize = 16;
@@ -198,8 +198,8 @@ impl Cpack {
 }
 
 impl BlockCompressor for Cpack {
-    fn name(&self) -> &'static str {
-        "cpack"
+    fn id(&self) -> CodecId {
+        CodecId::Cpack
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {

@@ -56,9 +56,10 @@ pub struct BlockAnalysis {
 }
 
 impl BlockAnalysis {
-    /// Builds an analysis from per-symbol widths as the dense table
-    /// stores them (the [`E2mc::analyze`](super::E2mc::analyze) path).
-    pub(super) fn from_widths(lengths: [u8; SYMBOLS_PER_BLOCK]) -> Self {
+    /// Builds an analysis from per-symbol widths in bits, as the dense
+    /// width table stores them: the [`E2mc::analyze`](super::E2mc::analyze)
+    /// path, and tests and tools that synthesise length patterns.
+    pub fn from_widths(lengths: [u8; SYMBOLS_PER_BLOCK]) -> Self {
         let total_code_bits = lengths.iter().map(|&w| u32::from(w)).sum();
         Self { lengths, total_code_bits }
     }
@@ -72,27 +73,6 @@ impl BlockAnalysis {
             self.total_code_bits = self.total_code_bits - u32::from(*old) + u32::from(new);
             *old = new;
         }
-    }
-
-    /// Builds an analysis from raw per-symbol code lengths.
-    ///
-    /// Exposed for tests and tools that synthesise length patterns; the
-    /// production path is [`E2mc::analyze`](super::E2mc::analyze).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a length exceeds 255 bits (no real encoding comes close:
-    /// the maximum is the escape codeword plus 16 raw bits).
-    pub fn from_lengths(lengths: [u32; SYMBOLS_PER_BLOCK]) -> Self {
-        let mut widths = [0u8; SYMBOLS_PER_BLOCK];
-        #[expect(
-            clippy::expect_used,
-            reason = "documented contract of a test-and-tool constructor; E2mc::analyze never comes through here"
-        )]
-        for (w, &l) in widths.iter_mut().zip(&lengths) {
-            *w = u8::try_from(l).expect("code length exceeds 255 bits");
-        }
-        Self::from_widths(widths)
     }
 
     /// Per-symbol code lengths as stored (one byte each) — the zero-copy
@@ -163,27 +143,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_lengths_sums_and_frames() {
-        let mut lengths = [3u32; SYMBOLS_PER_BLOCK];
+    fn from_widths_sums_and_frames() {
+        let mut lengths = [3u8; SYMBOLS_PER_BLOCK];
         lengths[0] = 19;
-        let a = BlockAnalysis::from_lengths(lengths);
+        let a = BlockAnalysis::from_widths(lengths);
         assert_eq!(a.total_code_bits(), 3 * 63 + 19);
-        assert_eq!(a.code_lengths(), lengths);
+        assert_eq!(a.code_lengths(), lengths.map(u32::from));
         assert_eq!(a.lossless_size_bits(), HEADER_BITS + a.total_code_bits());
         assert_eq!(a.e2mc_size_bits(), a.lossless_size_bits());
     }
 
     #[test]
     fn e2mc_size_is_capped_at_the_block() {
-        let a = BlockAnalysis::from_lengths([28; SYMBOLS_PER_BLOCK]);
+        let a = BlockAnalysis::from_widths([28; SYMBOLS_PER_BLOCK]);
         assert!(a.lossless_size_bits() > BLOCK_BITS);
         assert_eq!(a.e2mc_size_bits(), BLOCK_BITS);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 255")]
-    fn oversized_lengths_are_rejected() {
-        BlockAnalysis::from_lengths([256; SYMBOLS_PER_BLOCK]);
     }
 
     /// Nodes of the tree above its leaves: 32 + 16 + 8 + 4 + 2 + 1.
@@ -197,21 +171,24 @@ mod tests {
 
     #[test]
     fn tree_sums_match_a_scalar_rebuild() {
-        let mut ramp = [0u32; SYMBOLS_PER_BLOCK];
+        let mut ramp = [0u8; SYMBOLS_PER_BLOCK];
         for (i, l) in ramp.iter_mut().enumerate() {
-            *l = (i as u32 * 7 + 3) % 29;
+            *l = ((i * 7 + 3) % 29) as u8;
         }
         // All-255: every lane of the word-wide sums at its maximum, so a
         // carry into the neighbouring lane would show.
         for lengths in [ramp, [255; SYMBOLS_PER_BLOCK]] {
-            let a = BlockAnalysis::from_lengths(lengths);
+            let a = BlockAnalysis::from_widths(lengths);
             let sums = unpacked(&a);
             assert_eq!(sums[TREE_SUM_NODES], 0, "the lane past the root");
             // Level by level: node k of width w sums lengths[k*w..(k+1)*w].
             let (mut offset, mut width) = (0usize, 2usize);
             while width <= SYMBOLS_PER_BLOCK {
                 for node in 0..SYMBOLS_PER_BLOCK / width {
-                    let want: u32 = lengths[node * width..(node + 1) * width].iter().sum();
+                    let want: u32 = lengths[node * width..(node + 1) * width]
+                        .iter()
+                        .map(|&l| u32::from(l))
+                        .sum();
                     assert_eq!(u32::from(sums[offset + node]), want, "width {width} node {node}");
                 }
                 offset += SYMBOLS_PER_BLOCK / width;
@@ -225,7 +202,7 @@ mod tests {
     #[test]
     fn tree_sums_cannot_overflow_u16() {
         // The widest per-symbol encoding is 255 bits; the root is 64 × 255.
-        let a = BlockAnalysis::from_lengths([255; SYMBOLS_PER_BLOCK]);
+        let a = BlockAnalysis::from_widths([255; SYMBOLS_PER_BLOCK]);
         assert_eq!(a.total_code_bits(), 255 * SYMBOLS_PER_BLOCK as u32);
         assert_eq!(u32::from(unpacked(&a)[TREE_SUM_NODES - 1]), 16320);
     }
@@ -239,10 +216,10 @@ mod tests {
 
     #[test]
     fn rewriting_a_run_of_widths_keeps_the_total() {
-        let mut a = BlockAnalysis::from_lengths([9; SYMBOLS_PER_BLOCK]);
+        let mut a = BlockAnalysis::from_widths([9; SYMBOLS_PER_BLOCK]);
         a.rewrite(60, [0u8, 255, 17, 3].into_iter());
-        let mut want = [9u32; SYMBOLS_PER_BLOCK];
+        let mut want = [9u8; SYMBOLS_PER_BLOCK];
         want[60..].copy_from_slice(&[0, 255, 17, 3]);
-        assert_eq!(a, BlockAnalysis::from_lengths(want));
+        assert_eq!(a, BlockAnalysis::from_widths(want));
     }
 }

@@ -25,13 +25,7 @@ fn huffman_lengths(freqs: &[u64]) -> Vec<u32> {
     use std::collections::BinaryHeap;
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
         (0..n).map(|i| Reverse((freqs[i], i))).collect();
-    #[expect(
-        clippy::expect_used,
-        reason = "training time, not per block: both pops follow the len > 1 check"
-    )]
-    while heap.len() > 1 {
-        let Reverse((wa, a)) = heap.pop().expect("len > 1");
-        let Reverse((wb, b)) = heap.pop().expect("len > 1");
+    while let (Some(Reverse((wa, a))), Some(Reverse((wb, b)))) = (heap.pop(), heap.pop()) {
         let node = weight.len();
         weight.push(wa + wb);
         parent.push(usize::MAX);
@@ -103,26 +97,16 @@ fn limit_lengths(freqs: &[u64], lengths: &[u32], max_len: u32) -> Vec<u32> {
 ///
 /// Entry indices are caller-defined (E2MC uses `0..k` for the top-k symbols
 /// and `k` for the escape). Codes are MSB-first, ordered by `(length,
-/// index)` as canonical codes require.
+/// index)` as canonical codes require. The code holds each entry's length
+/// and codeword only; E2MC's [`SymbolTable`](super::SymbolTable) builds
+/// the one decode table from them.
 #[derive(Debug, Clone)]
 pub struct CanonicalCode {
     /// Code length per entry.
     lengths: Vec<u32>,
     /// Codeword per entry (low `lengths[i]` bits significant).
     codes: Vec<u16>,
-    /// Single-lookup decode table, indexed by the top `lut_bits` bits of a
-    /// left-aligned `MAX_CODE_LEN`-bit window. Each entry packs
-    /// `(entry_index << 8) | code_length`; [`LUT_INVALID`] marks windows no
-    /// codeword covers (corrupt stream). This is the flat
-    /// max-code-length-indexed table of Rivera et al. / cuSZ+: one load
-    /// replaces the bit-serial canonical walk.
-    lut: Vec<u32>,
-    /// Window bits the LUT is indexed by (= longest assigned code length).
-    lut_bits: u32,
 }
-
-/// Sentinel for decode windows outside every codeword's range.
-const LUT_INVALID: u32 = u32::MAX;
 
 impl CanonicalCode {
     /// Builds a length-limited canonical code from entry frequencies.
@@ -147,47 +131,27 @@ impl CanonicalCode {
         Self::from_lengths(lengths)
     }
 
-    /// Builds the canonical code tables from per-entry lengths.
+    /// Assigns the canonical codewords for per-entry lengths: in `(length,
+    /// index)` order, each code is the previous one plus one, shifted left
+    /// by however much longer it is.
     fn from_lengths(lengths: Vec<u32>) -> Self {
-        let mut sorted: Vec<u32> =
-            (0..lengths.len() as u32).filter(|&i| lengths[i as usize] > 0).collect();
-        sorted.sort_by_key(|&i| (lengths[i as usize], i));
+        let mut sorted: Vec<usize> = (0..lengths.len()).filter(|&i| lengths[i] > 0).collect();
+        sorted.sort_by_key(|&i| (lengths[i], i));
         let mut codes = vec![0u16; lengths.len()];
-        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        let (mut code, mut prev_len) = (0u32, 0u32);
         for &i in &sorted {
-            count[lengths[i as usize] as usize] += 1;
+            code <<= lengths[i] - prev_len;
+            codes[i] = code as u16;
+            code += 1;
+            prev_len = lengths[i];
         }
-        let lut_bits =
-            (1..=MAX_CODE_LEN).rev().find(|&l| count[l as usize] > 0).unwrap_or(1).max(1);
-        let mut lut = vec![LUT_INVALID; 1usize << lut_bits];
-        let mut code = 0u32;
-        let mut index = 0u32;
-        #[expect(clippy::needless_range_loop, reason = "`len` is arithmetic, not just an index")]
-        for len in 1..=MAX_CODE_LEN as usize {
-            code <<= 1;
-            for _ in 0..count[len] {
-                let entry = sorted[index as usize];
-                codes[entry as usize] = code as u16;
-                // Every window whose top `len` bits equal this codeword
-                // decodes to this entry: fill its 2^(lut_bits - len) slots.
-                let span = 1u32 << (lut_bits - len as u32);
-                let base = code << (lut_bits - len as u32);
-                let packed = (entry << 8) | len as u32;
-                for slot in base..base + span {
-                    lut[slot as usize] = packed;
-                }
-                code += 1;
-                index += 1;
-            }
-        }
-        // Kraft completeness check: after the last length the code must have
-        // consumed exactly the whole space.
+        // Kraft completeness check: the code must not overflow the space.
         debug_assert!({
             let kraft: u64 =
                 lengths.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (MAX_CODE_LEN - l)).sum();
             kraft <= 1u64 << MAX_CODE_LEN
         });
-        Self { lengths, codes, lut, lut_bits }
+        Self { lengths, codes }
     }
 
     /// Number of entries in the alphabet (including zero-length ones).
@@ -204,44 +168,47 @@ impl CanonicalCode {
     pub fn code(&self, entry: usize) -> u16 {
         self.codes[entry]
     }
-
-    /// Decodes one entry from `peek` (left-aligned `MAX_CODE_LEN`-bit
-    /// window) returning `(entry, length)`, or `None` when no codeword
-    /// covers the window (corrupt stream).
-    ///
-    /// Single table lookup: the window's top [`max_length`](Self::max_length)
-    /// bits index a flat table precomputed at construction, replacing the
-    /// bit-serial canonical walk.
-    pub fn decode(&self, peek: u32) -> Option<(u32, u32)> {
-        debug_assert!(peek < (1 << MAX_CODE_LEN));
-        let packed = self.lut[(peek >> (MAX_CODE_LEN - self.lut_bits)) as usize];
-        if packed == LUT_INVALID {
-            None
-        } else {
-            Some((packed >> 8, packed & 0xff))
-        }
-    }
-
-    /// Longest assigned code length (the decode table's window width;
-    /// construction guarantees at least one live entry, so this is >= 1).
-    pub fn max_length(&self) -> u32 {
-        self.lut_bits
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The test oracle for every decoder built from a [`CanonicalCode`]:
+    /// the bit-serial walk, which takes one more bit of the window until
+    /// the prefix taken so far is the codeword of an entry that long.
+    pub(in crate::e2mc) struct BitSerialWalk(HashMap<(u32, u32), usize>);
+
+    impl BitSerialWalk {
+        pub(in crate::e2mc) fn new(code: &CanonicalCode) -> Self {
+            let live = (0..code.alphabet_len()).filter(|&e| code.length(e) > 0);
+            Self(live.map(|e| ((code.length(e), u32::from(code.code(e))), e)).collect())
+        }
+
+        /// `(entry, length)` of the codeword that starts the left-aligned
+        /// `MAX_CODE_LEN`-bit `window`; `None` where no codeword does.
+        pub(in crate::e2mc) fn decode(&self, window: u32) -> Option<(usize, u32)> {
+            (1..=MAX_CODE_LEN).find_map(|len| {
+                self.0.get(&(len, window >> (MAX_CODE_LEN - len))).map(|&e| (e, len))
+            })
+        }
+    }
+
+    fn max_length(code: &CanonicalCode) -> u32 {
+        (0..code.alphabet_len()).map(|e| code.length(e)).max().unwrap_or(0)
+    }
 
     fn roundtrip_all(code: &CanonicalCode) {
+        let walk = BitSerialWalk::new(code);
         for entry in 0..code.alphabet_len() {
             if code.length(entry) == 0 {
                 continue;
             }
             let len = code.length(entry);
             let window = (code.code(entry) as u32) << (MAX_CODE_LEN - len);
-            assert_eq!(code.decode(window), Some((entry as u32, len)));
+            assert_eq!(walk.decode(window), Some((entry, len)));
         }
     }
 
@@ -288,7 +255,7 @@ mod tests {
             b = c;
         }
         let code = CanonicalCode::from_frequencies(&freqs, 8);
-        assert!(code.max_length() <= 8);
+        assert!(max_length(&code) <= 8);
         roundtrip_all(&code);
     }
 
@@ -314,7 +281,7 @@ mod tests {
         fn prop_length_limit_holds(freqs in proptest::collection::vec(1u64..u32::MAX as u64, 2..500),
                                    max_len in 10u32..=16) {
             let code = CanonicalCode::from_frequencies(&freqs, max_len);
-            prop_assert!(code.max_length() <= max_len);
+            prop_assert!(max_length(&code) <= max_len);
         }
 
         #[test]

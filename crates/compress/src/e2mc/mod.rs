@@ -52,7 +52,8 @@ use std::sync::Arc;
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
 use crate::{
-    load_verbatim, store_verbatim, Block, BlockCompressor, DecodeError, BLOCK_BITS, BLOCK_BYTES,
+    load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BITS,
+    BLOCK_BYTES,
 };
 
 /// Number of parallel decoding ways (the paper's best configuration).
@@ -78,15 +79,13 @@ pub const HEADER_BITS: u32 = 1 + (WAYS as u32 - 1) * PDP_BITS;
 pub struct E2mcConfig {
     /// Number of most-frequent symbols granted Huffman codes.
     pub top_k: usize,
-    /// Maximum codeword length (hardware decode-table depth).
-    pub max_code_len: u32,
     /// Online-sampling block budget; `None` samples everything offered.
     pub sample_blocks: Option<u64>,
 }
 
 impl Default for E2mcConfig {
     fn default() -> Self {
-        Self { top_k: 1024, max_code_len: MAX_CODE_LEN, sample_blocks: None }
+        Self { top_k: 1024, sample_blocks: None }
     }
 }
 
@@ -94,9 +93,11 @@ impl Default for E2mcConfig {
 /// escape entry for the rest.
 ///
 /// Tables are frozen after the one-shot sampling phase (the paper trains
-/// once and never retrains), so they carry no interior mutability and the
-/// ~832 KB of precomputed encode/decode tables below are immutable for
-/// the life of the run. [`E2mc`] therefore holds the table behind an
+/// once and never retrains), so they carry no interior mutability. About
+/// 840 KB of precomputed tables below are immutable for the life of the
+/// run: the 512 KB encode table, the one 256 KB decode table, the 64 KB
+/// width table, and some 8 KB for the canonical code and its symbols.
+/// [`E2mc`] therefore holds the table behind an
 /// [`Arc`]: cloning a trained codec — and every [`crate::BlockCompressor`]
 /// or SLC scheme built on it — shares this one allocation instead of
 /// deep-copying it.
@@ -112,10 +113,12 @@ pub struct SymbolTable {
     /// [`stash_encodings`](Self::stash_encodings) is one table load per
     /// symbol.
     enc: Vec<u64>,
-    /// Decode window (left-aligned `MAX_CODE_LEN` bits) -> packed
-    /// `(symbol << 16) | (escape << 8) | code_length`. Fuses the canonical
-    /// decode and the entry-to-symbol lookup into one load per symbol;
-    /// length 0 marks windows no codeword covers (corrupt stream).
+    /// The one decode table: a left-aligned `MAX_CODE_LEN`-bit window ->
+    /// packed `(symbol << 16) | (escape << 8) | code_length`, the flat
+    /// longest-code-indexed table of Rivera et al. and cuSZ+. It fuses
+    /// the canonical decode and the entry-to-symbol lookup into one load
+    /// per symbol; length 0 marks windows no codeword covers (corrupt
+    /// stream).
     dec: Box<[u32; 1 << MAX_CODE_LEN]>,
     /// Symbol value -> encoded width in bits. Duplicates the width byte of
     /// `enc` at 1/8th the footprint (64 KB vs 512 KB): the size-only paths
@@ -141,46 +144,32 @@ impl SymbolTable {
         let escape_freq = (sampler.total() - covered).max(1);
         let mut freqs: Vec<u64> = top.iter().map(|&(_, c)| c).collect();
         freqs.push(escape_freq);
-        let code = CanonicalCode::from_frequencies(&freqs, config.max_code_len);
-        let mut lookup = vec![u32::MAX; 1 << 16];
+        // Every frequency is positive, so every entry gets a codeword.
+        let code = CanonicalCode::from_frequencies(&freqs, MAX_CODE_LEN);
         let symbols: Vec<u16> = top.iter().map(|&(s, _)| s).collect();
-        for (entry, &s) in symbols.iter().enumerate() {
-            lookup[s as usize] = entry as u32;
-        }
         let escape_entry = symbols.len();
-        let esc_code = code.code(escape_entry) as u64;
+        let esc_code = u64::from(code.code(escape_entry));
         let esc_len = code.length(escape_entry);
-        let enc: Vec<u64> = (0..1usize << 16)
-            .map(|symbol| {
-                let entry = lookup[symbol];
-                if entry == u32::MAX {
-                    // Escape codeword immediately followed by the 16 raw
-                    // bits, fused into one write.
-                    let bits = (esc_code << 16) | symbol as u64;
-                    (bits << 8) | (esc_len + 16) as u64
-                } else {
-                    let e = entry as usize;
-                    ((code.code(e) as u64) << 8) | code.length(e) as u64
-                }
-            })
+        // A symbol outside the top k is its escape codeword immediately
+        // followed by its 16 raw bits, fused into one write.
+        let mut enc: Vec<u64> = (0..1u64 << 16)
+            .map(|symbol| ((esc_code << 16 | symbol) << 8) | u64::from(esc_len + 16))
             .collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "training time, not per block: the range yields exactly 1 << MAX_CODE_LEN entries"
-        )]
-        let dec = (0..1usize << MAX_CODE_LEN)
-            .map(|window| {
-                let (entry, len) = code.decode(window as u32)?;
-                Some(if entry as usize == escape_entry {
-                    (1 << 8) | len
-                } else {
-                    ((symbols[entry as usize] as u32) << 16) | len
-                })
-            })
-            .map(|packed| packed.unwrap_or(0))
-            .collect::<Vec<u32>>()
-            .try_into()
-            .expect("one entry per window");
+        let mut dec = Box::new([0u32; 1 << MAX_CODE_LEN]);
+        for entry in 0..=escape_entry {
+            let (codeword, len) = (code.code(entry), code.length(entry));
+            let packed = match symbols.get(entry) {
+                Some(&s) => {
+                    enc[usize::from(s)] = u64::from(codeword) << 8 | u64::from(len);
+                    u32::from(s) << 16 | len
+                }
+                None => 1 << 8 | len,
+            };
+            // Every window whose top `len` bits are this codeword decodes
+            // to this entry: fill its 2^(MAX_CODE_LEN - len) slots.
+            let base = usize::from(codeword) << (MAX_CODE_LEN - len);
+            dec[base..base + (1 << (MAX_CODE_LEN - len))].fill(packed);
+        }
         let mut bits = Box::new([0u8; 1 << 16]);
         for (width, &packed) in bits.iter_mut().zip(&enc) {
             *width = (packed & 0xff) as u8;
@@ -337,7 +326,24 @@ impl SymbolTable {
         Ok(())
     }
 
-    /// The underlying canonical code (decode tables, per-entry lengths).
+    /// Decodes the symbol that starts the left-aligned 32-bit `window` with
+    /// the one table load [`read_ways`](Self::read_ways) makes per symbol:
+    /// the symbol and the bits it takes (an escape's codeword plus the 16
+    /// raw bits after it), or `None` where no codeword starts the window.
+    pub fn decode_symbol(&self, window: u32) -> Option<(u16, u32)> {
+        let packed = self.dec[(window >> (32 - MAX_CODE_LEN)) as usize];
+        let len = packed & 0xff;
+        if len == 0 {
+            None
+        } else if packed & 0x100 != 0 {
+            Some(((window >> (16 - len)) as u16, len + 16))
+        } else {
+            Some(((packed >> 16) as u16, len))
+        }
+    }
+
+    /// The underlying canonical code: each entry's length and codeword,
+    /// the top-k symbols' entries first and the escape's last.
     pub fn canonical_code(&self) -> &CanonicalCode {
         &self.code
     }
@@ -434,8 +440,8 @@ impl E2mc {
 }
 
 impl BlockCompressor for E2mc {
-    fn name(&self) -> &'static str {
-        "e2mc"
+    fn id(&self) -> CodecId {
+        CodecId::E2mc
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
@@ -493,6 +499,7 @@ impl BlockCompressor for E2mc {
 
 #[cfg(test)]
 mod tests {
+    use super::huffman::tests::BitSerialWalk;
     use super::*;
     use proptest::prelude::*;
 
@@ -639,8 +646,9 @@ mod tests {
     }
 
     /// Scalar reference for `read_ways`: one bit at a time, the pdps off
-    /// the wire, then one symbol at a time through the canonical code, way
-    /// after way. `None` where the stream is corrupt.
+    /// the wire, then one symbol at a time through the bit-serial walk of
+    /// the canonical code, way after way. `None` where the stream is
+    /// corrupt.
     fn reference_decode(
         table: &SymbolTable,
         bytes: &[u8],
@@ -661,6 +669,7 @@ mod tests {
         for (way, start) in starts.iter_mut().enumerate().skip(1) {
             *start += bits((way as u32 - 1) * PDP_BITS, PDP_BITS);
         }
+        let walk = BitSerialWalk::new(&table.code);
         let mut out = [UNTOUCHED; SYMBOLS_PER_BLOCK];
         for (way, symbols) in out.chunks_exact_mut(WAY_SYMBOLS).enumerate() {
             let mut pos = starts[way];
@@ -668,13 +677,13 @@ mod tests {
                 if hole.contains(&(way * WAY_SYMBOLS + i)) {
                     continue;
                 }
-                let (entry, len) = table.code.decode(bits(pos, MAX_CODE_LEN))?;
+                let (entry, len) = walk.decode(bits(pos, MAX_CODE_LEN))?;
                 pos += len;
-                *symbol = if entry as usize == table.escape_entry {
+                *symbol = if entry == table.escape_entry {
                     pos += 16;
                     bits(pos - 16, 16) as u16
                 } else {
-                    table.top[entry as usize]
+                    table.top[entry]
                 };
             }
             let end = if way + 1 < WAYS { starts[way + 1] } else { len_bits };
@@ -781,7 +790,7 @@ mod tests {
     #[test]
     fn clone_shares_the_trained_table() {
         // E2mc::clone must be an Arc refcount bump, not a deep copy of the
-        // ~832 KB of precomputed tables: both handles point at the same
+        // ~840 KB of precomputed tables: both handles point at the same
         // SymbolTable allocation.
         let a = trained();
         let b = a.clone();

@@ -9,7 +9,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_words, words_to_block, WORDS_PER_BLOCK};
-use crate::{load_verbatim, Block, BlockCompressor, DecodeError};
+use crate::{load_verbatim, Block, BlockCompressor, CodecId, DecodeError};
 
 /// FPC word patterns with their 3-bit prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,22 +69,25 @@ fn fits_se(word: u32, bits: u32) -> bool {
     (min..=max).contains(&v)
 }
 
-/// Classifies a single non-zero-run word.
-pub fn classify_word(word: u32) -> FpcPattern {
+/// Classifies a single word outside a zero run, returning its pattern
+/// and the payload bits that follow the prefix on the wire (the low
+/// [`data_bits`](FpcPattern::data_bits) of the value).
+pub fn classify_word(word: u32) -> (FpcPattern, u64) {
+    let word64 = u64::from(word);
     if fits_se(word, 4) {
-        FpcPattern::Se4
+        (FpcPattern::Se4, word64 & 0xf)
     } else if fits_se(word, 8) {
-        FpcPattern::Se8
+        (FpcPattern::Se8, word64 & 0xff)
     } else if fits_se(word, 16) {
-        FpcPattern::Se16
+        (FpcPattern::Se16, word64 & 0xffff)
     } else if word & 0xffff == 0 {
-        FpcPattern::PaddedHalf
+        (FpcPattern::PaddedHalf, word64 >> 16)
     } else if halfwords_are_se_bytes(word) {
-        FpcPattern::TwoSeBytes
+        (FpcPattern::TwoSeBytes, ((word64 >> 16) & 0xff) << 8 | (word64 & 0xff))
     } else if repeated_bytes(word) {
-        FpcPattern::RepeatedBytes
+        (FpcPattern::RepeatedBytes, word64 & 0xff)
     } else {
-        FpcPattern::Raw
+        (FpcPattern::Raw, word64)
     }
 }
 
@@ -127,8 +130,8 @@ impl Fpc {
 }
 
 impl BlockCompressor for Fpc {
-    fn name(&self) -> &'static str {
-        "fpc"
+    fn id(&self) -> CodecId {
+        CodecId::Fpc
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
@@ -147,20 +150,7 @@ impl BlockCompressor for Fpc {
                 i += run;
                 continue;
             }
-            let p = classify_word(word);
-            let data = match p {
-                FpcPattern::Se4 => (word & 0xf) as u64,
-                FpcPattern::Se8 | FpcPattern::RepeatedBytes => (word & 0xff) as u64,
-                FpcPattern::Se16 => (word & 0xffff) as u64,
-                FpcPattern::PaddedHalf => (word >> 16) as u64,
-                FpcPattern::TwoSeBytes => (((word >> 16) & 0xff) << 8 | (word & 0xff)) as u64,
-                FpcPattern::Raw => word as u64,
-                #[expect(
-                    clippy::unreachable,
-                    reason = "encoder invariant — zero runs were consumed by the run loop above"
-                )]
-                FpcPattern::ZeroRun => unreachable!("zero runs handled above"),
-            };
+            let (p, data) = classify_word(word);
             // One write per token: 3-bit prefix immediately followed by the
             // payload (bit-identical to writing them separately).
             let bits = p.data_bits();
@@ -268,14 +258,19 @@ mod tests {
 
     #[test]
     fn classification_matches_patterns() {
-        assert_eq!(classify_word(0x0000_0003), FpcPattern::Se4);
-        assert_eq!(classify_word(0xffff_fffc), FpcPattern::Se4); // -4
-        assert_eq!(classify_word(0x0000_007f), FpcPattern::Se8);
-        assert_eq!(classify_word(0x0000_7fff), FpcPattern::Se16);
-        assert_eq!(classify_word(0xabcd_0000), FpcPattern::PaddedHalf);
-        assert_eq!(classify_word(0x0011_0022), FpcPattern::TwoSeBytes);
-        assert_eq!(classify_word(0x5a5a_5a5a), FpcPattern::RepeatedBytes);
-        assert_eq!(classify_word(0x1234_5678), FpcPattern::Raw);
+        let cases = [
+            (0x0000_0003, FpcPattern::Se4, 0x3),
+            (0xffff_fffc, FpcPattern::Se4, 0xc), // -4
+            (0x0000_007f, FpcPattern::Se8, 0x7f),
+            (0x0000_7fff, FpcPattern::Se16, 0x7fff),
+            (0xabcd_0000, FpcPattern::PaddedHalf, 0xabcd),
+            (0x0011_0022, FpcPattern::TwoSeBytes, 0x1122),
+            (0x5a5a_5a5a, FpcPattern::RepeatedBytes, 0x5a),
+            (0x1234_5678, FpcPattern::Raw, 0x1234_5678),
+        ];
+        for (word, pattern, payload) in cases {
+            assert_eq!(classify_word(word), (pattern, payload), "{word:#010x}");
+        }
     }
 
     #[test]
@@ -283,7 +278,7 @@ mod tests {
         let fpc = Fpc::new();
         // halfwords 0xffe0 (-32) and 0x0010 (16): TwoSeBytes territory.
         let block = block_from_u32s(|_| 0xffe0_0010);
-        assert_eq!(classify_word(0xffe0_0010), FpcPattern::TwoSeBytes);
+        assert_eq!(classify_word(0xffe0_0010), (FpcPattern::TwoSeBytes, 0xe010));
         let c = fpc.compress(&block);
         assert_eq!(fpc.decompress(&c), block);
     }

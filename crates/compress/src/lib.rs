@@ -43,11 +43,12 @@
 //!   pair, so a C-PACK word or an FPC pattern costs two bitstream calls
 //!   end to end. The wire format is bit-identical to the original
 //!   byte-loop implementation (see `tests/bitstream_equivalence.rs`).
-//! * **LUT Huffman decode** — [`e2mc`]'s canonical code builds a flat
-//!   decode table indexed by the longest-code-length window at training
-//!   time; decoding a symbol is one table load (plus a raw 16-bit read
-//!   for escapes) instead of a bit-serial canonical walk, the scheme used
-//!   by GPU Huffman decoders (cuSZ+, Rivera et al.). Encoding uses a
+//! * **LUT Huffman decode** — [`e2mc::SymbolTable`] span-fills its one
+//!   decode table, indexed by a [`e2mc::MAX_CODE_LEN`]-bit window, from
+//!   the canonical code's lengths and codewords at training time;
+//!   decoding a symbol is one table load (plus a raw 16-bit read for
+//!   escapes) instead of a bit-serial canonical walk, the scheme used by
+//!   GPU Huffman decoders (cuSZ+, Rivera et al.). Encoding uses a
 //!   per-symbol `(codeword, length)` table with the escape's raw bits
 //!   pre-fused, so every symbol is exactly one `write`.
 //! * **Zero-alloc block codecs** — per-block state lives in fixed-size
@@ -61,8 +62,9 @@
 //!   bit-matrix transpose (Hacker's Delight §7-3), ~5 word-ops per plane
 //!   instead of a 33×31 single-bit gather.
 //! * **Shared trained artifacts** — [`e2mc::E2mc`] holds its trained
-//!   [`e2mc::SymbolTable`] (~832 KB of precomputed encode/decode tables)
-//!   behind an `Arc`. The clone-cost contract: cloning a trained codec —
+//!   [`e2mc::SymbolTable`] (~840 KB of precomputed tables: encode,
+//!   width and the one decode table) behind an `Arc`. The clone-cost
+//!   contract: cloning a trained codec —
 //!   or any scheme built on one — is an O(1) refcount bump, **never** a
 //!   copy of the tables, so harnesses instantiate one scheme per variant,
 //!   threshold or worker thread against a single frozen model (the
@@ -259,8 +261,9 @@ impl std::error::Error for DecodeError {}
 /// block `b`. This invariant is checked by property tests in every codec
 /// module and by the cross-codec integration tests.
 pub trait BlockCompressor {
-    /// Short machine-friendly identifier (e.g. `"bdi"`, `"e2mc"`).
-    fn name(&self) -> &'static str;
+    /// The codec's wire identity, the byte a container header names it
+    /// by ([`CodecId::name`] is its short name, e.g. `"bdi"`).
+    fn id(&self) -> CodecId;
 
     /// Compresses one block, appending exactly
     /// [`size_bytes`](Compressed::size_bytes) payload bytes to `out` —

@@ -62,7 +62,9 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::codec::ChunkCoder;
-use crate::{load_verbatim, store_verbatim, Block, BlockCompressor, DecodeError, BLOCK_BITS};
+use crate::{
+    load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BITS,
+};
 
 /// log2 of the frequency scale: frequencies are normalised to 2^12.
 pub const RANS_SCALE_BITS: u32 = 12;
@@ -424,8 +426,8 @@ impl Rans {
 }
 
 impl BlockCompressor for Rans {
-    fn name(&self) -> &'static str {
-        "rans"
+    fn id(&self) -> CodecId {
+        CodecId::Rans
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
@@ -625,7 +627,7 @@ mod tests {
     #[test]
     fn block_codec_roundtrips_and_registers() {
         let rans = Rans::new();
-        assert_eq!(rans.name(), "rans");
+        assert_eq!(rans.id(), CodecId::Rans);
         assert!(rans.chunk_coder().is_some(), "rans codes whole chunks");
         let mut block = [0u8; crate::BLOCK_BYTES];
         for (i, b) in block.iter_mut().enumerate() {

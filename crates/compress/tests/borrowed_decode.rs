@@ -48,12 +48,12 @@ fn check_block(block: &[u8; BLOCK_BYTES]) {
     for codec in codecs() {
         let c = codec.compress(block);
         let owned = codec.decompress(&c);
-        assert_eq!(&owned, block, "{}: owned roundtrip", codec.name());
+        assert_eq!(&owned, block, "{}: owned roundtrip", codec.id().name());
         let mut borrowed = [0xa5u8; BLOCK_BYTES];
         codec
             .decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut borrowed)
             .expect("own stream decodes");
-        assert_eq!(borrowed, owned, "{}: borrowed decode must equal owned", codec.name());
+        assert_eq!(borrowed, owned, "{}: borrowed decode must equal owned", codec.id().name());
         // The payload as the engine hands it over: a slice of exactly
         // `ceil(bits / 8)` bytes with other blocks' bytes on both sides,
         // which a decoder loading whole words must never let in.
@@ -64,15 +64,25 @@ fn check_block(block: &[u8; BLOCK_BYTES]) {
         codec
             .decompress_into(c.size_bits(), c.is_compressed(), &framed[16..16 + n], &mut exact)
             .expect("own stream decodes from an exact-length slice");
-        assert_eq!(exact, owned, "{}: exact-length slice in a dirty buffer", codec.name());
+        assert_eq!(exact, owned, "{}: exact-length slice in a dirty buffer", codec.id().name());
         let mut sink = vec![0xa5u8; 2 * BLOCK_BYTES];
         sink.truncate(3);
         let (bits, coded) = codec.compress_into(block, &mut sink);
-        assert_eq!((bits, coded), (c.size_bits(), c.is_compressed()), "{}", codec.name());
-        assert!(coded || bits == BLOCK_BITS, "{}: verbatim is one whole block", codec.name());
-        assert_eq!(sink[..3], [0xa5u8; 3], "{}: sink prefix must survive", codec.name());
-        assert_eq!(sink.len() - 3, bits.div_ceil(8) as usize, "{}: appended length", codec.name());
-        assert_eq!(&sink[3..], c.payload(), "{}: appended bytes must equal owned", codec.name());
+        assert_eq!((bits, coded), (c.size_bits(), c.is_compressed()), "{}", codec.id().name());
+        assert!(coded || bits == BLOCK_BITS, "{}: verbatim is one whole block", codec.id().name());
+        assert_eq!(sink[..3], [0xa5u8; 3], "{}: sink prefix must survive", codec.id().name());
+        assert_eq!(
+            sink.len() - 3,
+            bits.div_ceil(8) as usize,
+            "{}: appended length",
+            codec.id().name()
+        );
+        assert_eq!(
+            &sink[3..],
+            c.payload(),
+            "{}: appended bytes must equal owned",
+            codec.id().name()
+        );
     }
 }
 

@@ -194,11 +194,11 @@ mod tests {
     fn for_analysis_matches_evaluate_on_the_framed_size() {
         use slc_compress::e2mc::HEADER_BITS;
         use slc_compress::symbols::SYMBOLS_PER_BLOCK;
-        for fill in [2u32, 5, 9, 14] {
-            let a = BlockAnalysis::from_lengths([fill; SYMBOLS_PER_BLOCK]);
+        for fill in [2u8, 5, 9, 14] {
+            let a = BlockAnalysis::from_widths([fill; SYMBOLS_PER_BLOCK]);
             let via = BudgetDecision::for_analysis(&a, Mag::GDDR5, THR_16B);
             let direct = BudgetDecision::evaluate(
-                HEADER_BITS + fill * SYMBOLS_PER_BLOCK as u32,
+                HEADER_BITS + u32::from(fill) * SYMBOLS_PER_BLOCK as u32,
                 Mag::GDDR5,
                 THR_16B,
             );

@@ -284,7 +284,8 @@ mod tests {
     }
 
     fn tree_of(lengths: &[u32; SYMBOLS_PER_BLOCK]) -> CodeLengthTree {
-        CodeLengthTree::from_analysis(&BlockAnalysis::from_lengths(*lengths))
+        let widths = lengths.map(|l| u8::try_from(l).expect("a test width fits a byte"));
+        CodeLengthTree::from_analysis(&BlockAnalysis::from_widths(widths))
     }
 
     /// Level `level`'s aligned sums as the selector reads them: the

@@ -98,14 +98,13 @@ const TAG_CODED: u16 = 1 << 15;
 #[derive(Clone)]
 pub struct Engine {
     codec: Arc<dyn BlockCodec>,
-    id: CodecId,
     chunk_bytes: usize,
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("codec", &self.id.name())
+            .field("codec", &self.codec.id().name())
             .field("chunk_bytes", &self.chunk_bytes)
             .finish()
     }
@@ -116,22 +115,11 @@ impl Engine {
     /// the pool hand-off, fine enough that a snapshot fans out widely.
     pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 
-    /// Builds an engine around `codec` at the default chunk size.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the codec's [`name`](slc_compress::BlockCompressor::name)
-    /// has no [`CodecId`] — only registered codecs can be named in a
-    /// container header.
+    /// Builds an engine around `codec` at the default chunk size. The
+    /// container header names the codec by its
+    /// [`id`](slc_compress::BlockCompressor::id).
     pub fn new(codec: Arc<dyn BlockCodec>) -> Self {
-        #[expect(
-            clippy::panic,
-            reason = "documented constructor contract, once per engine: only a registered codec can be named in a container header"
-        )]
-        let id = CodecId::from_name(codec.name()).unwrap_or_else(|| {
-            panic!("codec {:?} has no container CodecId; register it first", codec.name())
-        });
-        Self { codec, id, chunk_bytes: Self::DEFAULT_CHUNK_BYTES }
+        Self { codec, chunk_bytes: Self::DEFAULT_CHUNK_BYTES }
     }
 
     /// Overrides the chunk size.
@@ -155,7 +143,7 @@ impl Engine {
 
     /// The wire identity of the engine's codec.
     pub fn codec_id(&self) -> CodecId {
-        self.id
+        self.codec.id()
     }
 
     /// The configured chunk size in bytes.
@@ -248,7 +236,7 @@ impl Engine {
         let mut out =
             Vec::with_capacity(HEADER_BYTES + chunks.len() * DIR_ENTRY_BYTES + payload_len);
         Header {
-            codec: self.id,
+            codec: self.codec.id(),
             chunk_bytes: self.chunk_bytes as u32,
             chunk_count: chunks.len() as u32,
             total_len,
@@ -332,10 +320,10 @@ impl Engine {
     /// codec.
     fn parse_own<'a>(&self, container: &'a [u8]) -> Result<Frame<'a>, ContainerError> {
         let frame = Frame::parse(container)?;
-        if frame.header.codec != self.id {
+        if frame.header.codec != self.codec.id() {
             return Err(ContainerError::CodecMismatch {
                 container: frame.header.codec,
-                engine: self.id,
+                engine: self.codec.id(),
             });
         }
         Ok(frame)

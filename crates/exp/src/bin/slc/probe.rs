@@ -209,7 +209,7 @@ fn timed<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, f64) {
 /// scheduling regression shows up as a flat or inverted scaling column
 /// rather than a silent slowdown.
 pub fn engine(scale: Scale, codec: Option<Arc<dyn BlockCodec>>) {
-    let codec_name = codec.as_ref().map_or("e2mc", |c| c.name());
+    let codec_name = codec.as_ref().map_or("e2mc", |c| c.id().name());
     let h = Harness::new(scale);
     println!(
         "Engine snapshot probe: framed container end-to-end (scale {scale:?}, codec {codec_name})"

@@ -10,8 +10,9 @@
 //!   property tests assert the production writer emits **bit-identical
 //!   streams** for arbitrary `(value, width)` sequences, which covers every
 //!   codec (codecs serialise exclusively through `BitWriter`).
-//! * A reference tree-walk decoder (linear scan over `(code, length)`
-//!   pairs) must agree with the production LUT decoder on every symbol.
+//! * A bit-serial canonical walk over every entry's `(length, code)` must
+//!   agree with E2MC's one decode table on every window, for the nine
+//!   benchmarks' trained tables and a synthetic one.
 //! * Golden vectors freeze known byte encodings and per-codec stream
 //!   hashes for deterministic blocks, so future refactors cannot silently
 //!   change the format.
@@ -21,9 +22,12 @@ use slc::slc_compress::bdi::Bdi;
 use slc::slc_compress::bitstream::{BitReader, BitWriter};
 use slc::slc_compress::bpc::Bpc;
 use slc::slc_compress::cpack::Cpack;
-use slc::slc_compress::e2mc::{E2mc, E2mcConfig, MAX_CODE_LEN};
+use slc::slc_compress::e2mc::{E2mc, E2mcConfig, SymbolTable, MAX_CODE_LEN};
 use slc::slc_compress::fpc::Fpc;
+use slc::slc_compress::symbols::SYMBOLS_PER_BLOCK;
 use slc::slc_compress::{Block, BlockCompressor, BLOCK_BYTES};
+use slc::slc_workloads::{all_workloads, Harness, Scale};
+use std::collections::HashMap;
 
 /// The seed's bit-by-bit packing model (MSB-first within each byte).
 mod reference {
@@ -171,30 +175,55 @@ fn golden_codec_stream_hashes() {
     }
 }
 
-#[test]
-fn reference_huffman_walk_agrees_with_lut() {
-    let training: Vec<u8> = (0..1u32 << 14).flat_map(|i| ((i % 301) * 11).to_le_bytes()).collect();
-    let e2mc = E2mc::train_on_bytes(&training, &E2mcConfig::default());
-    let table = e2mc.table();
+/// Checks every window of `table`'s one decode table against the
+/// bit-serial canonical walk over each entry's `(length, code)`, which
+/// takes one more bit of the window until the prefix taken so far is
+/// the codeword of an entry that long. Returns the longest code length.
+fn assert_decode_table_matches_the_walk(table: &SymbolTable, at: &str) -> u32 {
     let code = table.canonical_code();
-    // Reference decode: linear scan over every entry's (code, length).
-    let reference_decode = |window: u32| -> (u32, u32) {
-        for entry in 0..code.alphabet_len() {
-            let len = code.length(entry);
-            if len == 0 {
-                continue;
+    let escape = code.alphabet_len() - 1;
+    let codewords: HashMap<(u32, u32), usize> = (0..code.alphabet_len())
+        .filter(|&e| code.length(e) > 0)
+        .map(|e| ((code.length(e), u32::from(code.code(e))), e))
+        .collect();
+    for window in 0..1u32 << MAX_CODE_LEN {
+        // The 16 bits after the window vary, so an escape's raw read shows.
+        let bits = window << 16 | (window ^ 0x5a5a);
+        let walked = (1..=MAX_CODE_LEN).find_map(|len| {
+            codewords.get(&(len, window >> (MAX_CODE_LEN - len))).map(|&e| (e, len))
+        });
+        let got = table.decode_symbol(bits);
+        match walked {
+            None => assert_eq!(got, None, "{at}: window {window:#06x}"),
+            Some((e, len)) if e == escape => {
+                let raw = (bits >> (16 - len)) as u16;
+                assert_eq!(got, Some((raw, len + 16)), "{at}: window {window:#06x}");
             }
-            if window >> (MAX_CODE_LEN - len) == code.code(entry) as u32 {
-                return (entry as u32, len);
+            Some((e, len)) => {
+                let (symbol, width) = got.unwrap_or_else(|| panic!("{at}: {window:#06x}"));
+                assert_eq!(width, len, "{at}: window {window:#06x}");
+                // The symbol decoded is the one whose codeword this is.
+                let enc = table.stash_encodings(&[symbol; SYMBOLS_PER_BLOCK])[0];
+                let want = u64::from(code.code(e)) << 8 | u64::from(len);
+                assert_eq!(enc, want, "{at}: window {window:#06x}");
             }
         }
-        panic!("no codeword matches window {window:#06x}");
-    };
-    for window in 0..1u32 << MAX_CODE_LEN {
-        let expect = reference_decode(window);
-        let got = code.decode(window);
-        assert_eq!(got, Some(expect), "window {window:#06x}");
     }
+    (0..code.alphabet_len()).map(|e| code.length(e)).max().unwrap_or(0)
+}
+
+#[test]
+fn bit_serial_walk_agrees_with_the_decode_table() {
+    let training: Vec<u8> = (0..1u32 << 14).flat_map(|i| ((i % 301) * 11).to_le_bytes()).collect();
+    let synthetic = E2mc::train_on_bytes(&training, &E2mcConfig::default());
+    assert_decode_table_matches_the_walk(synthetic.table(), "synthetic");
+    // The nine Table III tables: every fill depth from 1 to 16 bits.
+    let h = Harness::new(Scale::Tiny);
+    let longest: Vec<u32> = all_workloads(Scale::Tiny)
+        .iter()
+        .map(|w| assert_decode_table_matches_the_walk(h.prepare(w.as_ref()).e2mc.table(), w.name()))
+        .collect();
+    assert!(longest.contains(&MAX_CODE_LEN), "{longest:?}");
 }
 
 proptest! {

@@ -39,10 +39,15 @@ fn every_codec_roundtrips_every_workload_block() {
                 codec.decompress(&c),
                 *block,
                 "{} failed roundtrip on workload block {i}",
-                codec.name()
+                codec.id().name()
             );
             assert!(c.size_bits() <= BLOCK_BITS);
-            assert_eq!(codec.size_bits(block), c.size_bits(), "{} size model drift", codec.name());
+            assert_eq!(
+                codec.size_bits(block),
+                c.size_bits(),
+                "{} size model drift",
+                codec.id().name()
+            );
         }
     }
 }

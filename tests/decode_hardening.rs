@@ -74,7 +74,7 @@ fn compressible_block_for(codec: &dyn BlockCompressor) -> [u8; BLOCK_BYTES] {
     candidate_blocks()
         .into_iter()
         .find(|b| codec.compress(b).is_compressed())
-        .unwrap_or_else(|| panic!("{}: no candidate block compresses", codec.name()))
+        .unwrap_or_else(|| panic!("{}: no candidate block compresses", codec.id().name()))
 }
 
 #[test]
@@ -83,7 +83,7 @@ fn all_codecs_roundtrip_a_sample() {
         let block = compressible_block_for(codec.as_ref());
         let c = codec.compress(&block);
         assert!(c.is_compressed());
-        assert_eq!(codec.decompress(&c), block, "{}: lossless roundtrip", codec.name());
+        assert_eq!(codec.decompress(&c), block, "{}: lossless roundtrip", codec.id().name());
     }
 }
 
@@ -114,7 +114,7 @@ fn truncated_streams_never_decode_silently_to_the_original() {
                 out,
                 block,
                 "{}: half the stream silently decoded to the full block",
-                codec.name()
+                codec.id().name()
             );
         }
     }
@@ -136,8 +136,8 @@ fn seeded_bit_flips_are_contained() {
             bytes[bit / 8] ^= 1 << (bit % 8);
             rejected += u32::from(decode(codec.as_ref(), c.size_bits(), true, &bytes).is_err());
         }
-        assert_eq!(codec.decompress(&c), block, "{}: pristine stream", codec.name());
-        println!("{}: {rejected}/64 flips rejected", codec.name());
+        assert_eq!(codec.decompress(&c), block, "{}: pristine stream", codec.id().name());
+        println!("{}: {rejected}/64 flips rejected", codec.id().name());
     }
 }
 
@@ -164,7 +164,7 @@ fn lying_sizes_and_short_payloads_are_contained() {
             decode(codec.as_ref(), BLOCK_BITS, false, &block[..BLOCK_BYTES - 1]),
             Err(DecodeError::Truncated),
             "{}",
-            codec.name()
+            codec.id().name()
         );
         assert_eq!(decode(codec.as_ref(), BLOCK_BITS, false, &block), Ok(block));
     }
@@ -181,8 +181,14 @@ fn every_codecs_streams_are_contained_by_every_other_codec() {
             let c = writer.compress(&block);
             for reader in &codecs {
                 let got = decode(reader.as_ref(), c.size_bits(), c.is_compressed(), c.payload());
-                if reader.name() == writer.name() || !c.is_compressed() {
-                    assert_eq!(got, Ok(block), "{} read by {}", writer.name(), reader.name());
+                if reader.id() == writer.id() || !c.is_compressed() {
+                    assert_eq!(
+                        got,
+                        Ok(block),
+                        "{} read by {}",
+                        writer.id().name(),
+                        reader.id().name()
+                    );
                 }
             }
         }

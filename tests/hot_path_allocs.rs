@@ -138,7 +138,7 @@ fn per_block_encode_and_decode() {
     let blocks = corpus(4096);
     let n = blocks.len() as u64;
     for codec in codecs(blocks.as_flattened()) {
-        let name = codec.name();
+        let name = codec.id().name();
         // A sink that already holds room for every block verbatim, plus
         // the writer's look-ahead: what the engine's chunk buffer gives.
         let mut sink = Vec::with_capacity((blocks.len() + 2) * BLOCK_BYTES);
@@ -180,7 +180,7 @@ fn engine_scaffolding_scales_with_chunks_not_blocks() {
     let blocks = corpus(8 * 512);
     let bytes = blocks.as_flattened();
     for codec in codecs(bytes) {
-        let name = codec.name();
+        let name = codec.id().name();
         // Compress, per container: the chunk, encoded and stored lists,
         // the directory, the output; per chunk: its coded buffer — for
         // rANS that and its one growth, the word buffer and up to six
