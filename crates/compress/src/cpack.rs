@@ -78,6 +78,13 @@ impl Dictionary {
     ///
     /// `bitmap.trailing_zeros()` recovers the lowest matching index, which
     /// is exactly what the sequential `position` probe returned.
+    ///
+    /// This SSE2 body, the workspace's one `unsafe` block, stays because
+    /// it is measured faster than the portable one below. Encoding 32 Ki
+    /// mixed blocks on a two-core Xeon, ten alternating pairs of runs,
+    /// took a median 332 ns/block with it against 579 ns/block with the
+    /// portable body. The portable body was faster in 0 of 10 pairs, and
+    /// both wrote identical bytes.
     #[cfg(target_arch = "x86_64")]
     fn match_masks(&self, word: u32) -> (u32, u32, u32) {
         // Four 4-lane load/compare/movemask rounds (SSE2 is part of the

@@ -1,9 +1,10 @@
 //! Tables I–III of the paper.
 
 use crate::report::TextTable;
+use slc_core::slc::SlcVariant;
 use slc_power::TslcHardwareModel;
 use slc_sim::GpuConfig;
-use slc_workloads::{all_workloads, Scale};
+use slc_workloads::{all_workloads, Scale, SchemeKind};
 
 /// Renders Table I (frequency, area, power of the SLC additions) from the
 /// gate-count model, side by side with the paper's synthesis numbers.
@@ -61,8 +62,14 @@ pub fn table2() -> String {
     t.row(vec!["Bus width".to_owned(), format!("{}-bit", c.bus_bits)]);
     t.row(vec!["Burst length".to_owned(), c.burst_length.to_string()]);
     t.row(vec!["MAG".to_owned(), c.mag().to_string()]);
-    t.row(vec!["E2MC latency".to_owned(), "46 cyc compress / 20 cyc decompress".to_owned()]);
-    t.row(vec!["TSLC latency".to_owned(), "60 cyc compress / 20 cyc decompress".to_owned()]);
+    let tslc = SchemeKind::Slc(SlcVariant::TslcOpt);
+    for (label, kind) in [("E2MC", SchemeKind::E2mc), ("TSLC", tslc)] {
+        let (enc, dec) = kind.codec_latency();
+        t.row(vec![
+            format!("{label} latency"),
+            format!("{enc} cyc compress / {dec} cyc decompress"),
+        ]);
+    }
     let mut out = String::from("Table II: baseline simulator configuration (GTX580-like)\n");
     out.push_str(&t.render());
     out

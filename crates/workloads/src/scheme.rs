@@ -34,6 +34,17 @@ impl SchemeKind {
             SchemeKind::Slc(v) => v.label(),
         }
     }
+
+    /// (compress, decompress) latency in SM cycles (paper §IV-A: E2MC
+    /// 46/20, TSLC 60/20): what the timing simulator charges and Table II
+    /// prints.
+    pub fn codec_latency(self) -> (u64, u64) {
+        match self {
+            SchemeKind::Uncompressed => (0, 0),
+            SchemeKind::E2mc => (46, 20),
+            SchemeKind::Slc(_) => (60, 20),
+        }
+    }
 }
 
 /// A runnable compression scheme.
@@ -67,14 +78,10 @@ impl Scheme {
         }
     }
 
-    /// (compress, decompress) latency in SM cycles (paper §IV-A: E2MC
-    /// 46/20, TSLC 60/20).
+    /// (compress, decompress) latency in SM cycles: its kind's
+    /// [`SchemeKind::codec_latency`].
     pub fn codec_latency(&self) -> (u64, u64) {
-        match self {
-            Scheme::Uncompressed => (0, 0),
-            Scheme::E2mc(_) => (46, 20),
-            Scheme::Slc(_) => (60, 20),
-        }
+        self.kind().codec_latency()
     }
 
     /// The trained lossless codec behind the scheme, if it has one.
