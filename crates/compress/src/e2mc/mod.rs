@@ -93,14 +93,13 @@ impl Default for E2mcConfig {
 /// escape entry for the rest.
 ///
 /// Tables are frozen after the one-shot sampling phase (the paper trains
-/// once and never retrains), so they carry no interior mutability. About
-/// 840 KB of precomputed tables below are immutable for the life of the
-/// run: the 512 KB encode table, the one 256 KB decode table, the 64 KB
-/// width table, and some 8 KB for the canonical code and its symbols.
-/// [`E2mc`] therefore holds the table behind an
-/// [`Arc`]: cloning a trained codec — and every [`crate::BlockCompressor`]
-/// or SLC scheme built on it — shares this one allocation instead of
-/// deep-copying it.
+/// once and never retrains), so they carry no interior mutability, and
+/// the ~840 KB of precomputed tables below are immutable for the life of
+/// the run: the 512 KB encode table, the one 256 KB decode table, the
+/// 64 KB width table, and about 8 KB of canonical code and symbols.
+/// [`E2mc`] therefore holds the table behind an [`Arc`]: cloning a
+/// trained codec — and every [`crate::BlockCompressor`] or SLC scheme
+/// built on it — shares this one allocation instead of deep-copying it.
 #[derive(Clone)]
 pub struct SymbolTable {
     code: CanonicalCode,
