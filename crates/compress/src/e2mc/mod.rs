@@ -300,20 +300,12 @@ impl SymbolTable {
                 let mut word = [0u8; 8];
                 word.copy_from_slice(&stream[byte..byte + 8]);
                 let buf = u64::from_be_bytes(word) << (*pos % 8);
-                let packed = self.dec[(buf >> (64 - MAX_CODE_LEN)) as usize];
-                let len = packed & 0xff;
-                if len == 0 {
+                let Some((symbol, bits)) = self.decode_symbol((buf >> 32) as u32) else {
                     covered = false;
                     break 'decode;
-                }
-                *pos += if packed & 0x100 != 0 {
-                    // Escape: the 16 raw bits follow the codeword.
-                    out[slot] = (buf >> (64 - len - 16)) as u16;
-                    len + 16
-                } else {
-                    out[slot] = (packed >> 16) as u16;
-                    len
                 };
+                out[slot] = symbol;
+                *pos += bits;
             }
         }
         if !covered {
@@ -326,15 +318,17 @@ impl SymbolTable {
     }
 
     /// Decodes the symbol that starts the left-aligned 32-bit `window` with
-    /// the one table load [`read_ways`](Self::read_ways) makes per symbol:
-    /// the symbol and the bits it takes (an escape's codeword plus the 16
-    /// raw bits after it), or `None` where no codeword starts the window.
+    /// one table load — [`read_ways`](Self::read_ways)' decode step: the
+    /// symbol and the bits it takes (an escape's codeword plus the 16 raw
+    /// bits after it), or `None` where no codeword starts the window.
+    #[inline]
     pub fn decode_symbol(&self, window: u32) -> Option<(u16, u32)> {
         let packed = self.dec[(window >> (32 - MAX_CODE_LEN)) as usize];
         let len = packed & 0xff;
         if len == 0 {
             None
         } else if packed & 0x100 != 0 {
+            // Escape: the 16 raw bits follow the codeword.
             Some(((window >> (16 - len)) as u16, len + 16))
         } else {
             Some(((packed >> 16) as u16, len))

@@ -499,11 +499,14 @@ fn rans_table_fields_swept_over_all_values() {
 fn containers_relabelled_for_every_other_codec_are_contained() {
     // Differential decode at container level: a valid frame whose header
     // names the wrong codec reaches that codec's decoder with chunk
-    // bytes another codec wrote — structured, plausible and wrong.
+    // bytes another codec wrote — structured, plausible and wrong. Each
+    // writer's own id, one per codec, is what its header carries.
     let data = registry_stream();
     let engines = engines();
     for writer in &engines {
         let container = writer.compress(&data);
+        let header = Frame::parse(&container).expect("pristine container parses").header;
+        assert_eq!(header.codec, writer.codec_id());
         for reader in &engines {
             let mut relabelled = container.clone();
             relabelled[6] = reader.codec_id().as_u8();
