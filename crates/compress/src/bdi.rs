@@ -161,9 +161,11 @@ impl BdiEncoding {
 /// for i in 0..32 {
 ///     block[i * 4..i * 4 + 4].copy_from_slice(&(1000u32 + i as u32).to_le_bytes());
 /// }
-/// let c = bdi.compress(&block);
-/// assert!(c.size_bits() < 128 * 8);
-/// assert_eq!(bdi.decompress(&c), block);
+/// let (mut payload, mut out) = (Vec::new(), [0u8; 128]);
+/// let (bits, coded) = bdi.compress_into(&block, &mut payload);
+/// assert!(coded && bits < 128 * 8);
+/// bdi.decompress_into(bits, coded, &payload, &mut out).unwrap();
+/// assert_eq!(out, block);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Bdi {
@@ -405,6 +407,7 @@ fn sign_extend(raw: u64, bytes: usize) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{decode, encode, roundtrip};
     use proptest::prelude::*;
 
     fn block_from_u32s(f: impl Fn(usize) -> u32) -> Block {
@@ -420,9 +423,9 @@ mod tests {
         let bdi = Bdi::new();
         let block = [0u8; BLOCK_BYTES];
         assert_eq!(bdi.choose_encoding(&block), BdiEncoding::Zeros);
-        let c = bdi.compress(&block);
-        assert_eq!(c.size_bits(), 4);
-        assert_eq!(bdi.decompress(&c), block);
+        let (bits, coded, payload) = encode(&bdi, &block);
+        assert_eq!(bits, 4);
+        assert_eq!(decode(&bdi, bits, coded, &payload), block);
     }
 
     #[test]
@@ -433,9 +436,9 @@ mod tests {
             chunk.copy_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
         }
         assert_eq!(bdi.choose_encoding(&block), BdiEncoding::Repeat);
-        let c = bdi.compress(&block);
-        assert_eq!(c.size_bits(), 68);
-        assert_eq!(bdi.decompress(&c), block);
+        let (bits, coded, payload) = encode(&bdi, &block);
+        assert_eq!(bits, 68);
+        assert_eq!(decode(&bdi, bits, coded, &payload), block);
     }
 
     #[test]
@@ -443,9 +446,9 @@ mod tests {
         let bdi = Bdi::new();
         let block = block_from_u32s(|i| 0x4000_0000 + i as u32);
         assert_eq!(bdi.choose_encoding(&block), BdiEncoding::B4D1);
-        let c = bdi.compress(&block);
-        assert_eq!(c.size_bits(), BdiEncoding::B4D1.size_bits());
-        assert_eq!(bdi.decompress(&c), block);
+        let (bits, coded, payload) = encode(&bdi, &block);
+        assert_eq!(bits, BdiEncoding::B4D1.size_bits());
+        assert_eq!(decode(&bdi, bits, coded, &payload), block);
     }
 
     #[test]
@@ -457,9 +460,9 @@ mod tests {
             block[i * 2..i * 2 + 2].copy_from_slice(&v.to_le_bytes());
         }
         assert_eq!(bdi.choose_encoding(&block), BdiEncoding::B2D1);
-        let c = bdi.compress(&block);
-        assert_eq!(c.size_bits(), BdiEncoding::B2D1.size_bits());
-        assert_eq!(bdi.decompress(&c), block);
+        let (bits, coded, payload) = encode(&bdi, &block);
+        assert_eq!(bits, BdiEncoding::B2D1.size_bits());
+        assert_eq!(decode(&bdi, bits, coded, &payload), block);
     }
 
     #[test]
@@ -470,8 +473,7 @@ mod tests {
         let block = block_from_u32s(|i| if i % 2 == 0 { i as u32 } else { 0x7fff_0000 + i as u32 });
         let enc = bdi.choose_encoding(&block);
         assert_ne!(enc, BdiEncoding::Uncompressed);
-        let c = bdi.compress(&block);
-        assert_eq!(bdi.decompress(&c), block);
+        assert_eq!(roundtrip(&bdi, &block), block);
     }
 
     #[test]
@@ -483,17 +485,17 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             *b = (state >> 56) as u8;
         }
-        let c = bdi.compress(&block);
-        assert_eq!(c.size_bits(), BLOCK_BITS);
-        assert!(!c.is_compressed());
-        assert_eq!(bdi.decompress(&c), block);
+        let (bits, coded, payload) = encode(&bdi, &block);
+        assert_eq!(bits, BLOCK_BITS);
+        assert!(!coded);
+        assert_eq!(decode(&bdi, bits, coded, &payload), block);
     }
 
     #[test]
     fn size_bits_matches_compress() {
         let bdi = Bdi::new();
         let block = block_from_u32s(|i| 7 * i as u32);
-        assert_eq!(bdi.size_bits(&block), bdi.compress(&block).size_bits());
+        assert_eq!(bdi.size_bits(&block), encode(&bdi, &block).0);
     }
 
     #[test]
@@ -532,7 +534,7 @@ mod tests {
             let bdi = Bdi::new();
             let mut block = [0u8; BLOCK_BYTES];
             block.copy_from_slice(&data);
-            prop_assert_eq!(bdi.decompress(&bdi.compress(&block)), block);
+            prop_assert_eq!(roundtrip(&bdi, &block), block);
         }
 
         #[test]
@@ -544,11 +546,11 @@ mod tests {
                 let v = base.wrapping_add(s % spread.max(1));
                 block[i*4..i*4+4].copy_from_slice(&v.to_le_bytes());
             }
-            let c = bdi.compress(&block);
-            prop_assert_eq!(bdi.decompress(&c), block);
+            let (bits, coded, payload) = encode(&bdi, &block);
+            prop_assert_eq!(decode(&bdi, bits, coded, &payload), block);
             // Low-spread data must compress.
             if spread <= 64 {
-                prop_assert!(c.size_bits() < BLOCK_BITS);
+                prop_assert!(bits < BLOCK_BITS);
             }
         }
 
@@ -557,13 +559,12 @@ mod tests {
             let bdi = Bdi::new();
             let mut block = [0u8; BLOCK_BYTES];
             block.copy_from_slice(&data);
-            let c = bdi.compress(&block);
+            let (bits, coded, payload) = encode(&bdi, &block);
+            prop_assert_eq!(payload.len(), bits.div_ceil(8) as usize);
             let mut out = vec![0xa5u8; 3];
-            let (bits, compressed) = bdi.compress_into(&block, &mut out);
-            prop_assert_eq!(bits, c.size_bits());
-            prop_assert_eq!(compressed, c.is_compressed());
+            prop_assert_eq!(bdi.compress_into(&block, &mut out), (bits, coded));
             prop_assert_eq!(&out[..3], &[0xa5u8; 3][..], "append-only");
-            prop_assert_eq!(&out[3..], &c.payload()[..c.size_bytes() as usize]);
+            prop_assert_eq!(&out[3..], &payload[..]);
         }
 
         #[test]

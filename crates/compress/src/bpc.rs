@@ -34,9 +34,11 @@ const PLANES: usize = 33;
 /// for i in 0..32 {
 ///     block[i * 4..i * 4 + 4].copy_from_slice(&(100 + 3 * i as u32).to_le_bytes());
 /// }
-/// let c = bpc.compress(&block);
-/// assert!(c.size_bits() < 128);
-/// assert_eq!(bpc.decompress(&c), block);
+/// let (mut payload, mut out) = (Vec::new(), [0u8; 128]);
+/// let (bits, coded) = bpc.compress_into(&block, &mut payload);
+/// assert!(coded && bits < 128);
+/// bpc.decompress_into(bits, coded, &payload, &mut out).unwrap();
+/// assert_eq!(out, block);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Bpc {
@@ -249,6 +251,7 @@ impl BlockCompressor for Bpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{decode, encode, roundtrip};
     use crate::{BLOCK_BITS, BLOCK_BYTES};
     use proptest::prelude::*;
 
@@ -263,35 +266,33 @@ mod tests {
     #[test]
     fn zero_block_is_tiny() {
         let bpc = Bpc::new();
-        let c = bpc.compress(&[0u8; BLOCK_BYTES]);
+        let (bits, coded, payload) = encode(&bpc, &[0u8; BLOCK_BYTES]);
         // base '00' + one zero-run of 33 planes (3 + 5 bits) = 10 bits.
-        assert_eq!(c.size_bits(), 10);
-        assert_eq!(bpc.decompress(&c), [0u8; BLOCK_BYTES]);
+        assert_eq!(bits, 10);
+        assert_eq!(decode(&bpc, bits, coded, &payload), [0u8; BLOCK_BYTES]);
     }
 
     #[test]
     fn linear_ramp_collapses() {
         let bpc = Bpc::new();
         let block = block_from_u32s(|i| 1_000_000 + 17 * i as u32);
-        let c = bpc.compress(&block);
-        assert!(c.size_bits() < 128, "ramp should collapse, got {} bits", c.size_bits());
-        assert_eq!(bpc.decompress(&c), block);
+        let (bits, coded, payload) = encode(&bpc, &block);
+        assert!(bits < 128, "ramp should collapse, got {bits} bits");
+        assert_eq!(decode(&bpc, bits, coded, &payload), block);
     }
 
     #[test]
     fn negative_deltas_roundtrip() {
         let bpc = Bpc::new();
         let block = block_from_u32s(|i| 5_000_000u32.wrapping_sub(123 * i as u32));
-        let c = bpc.compress(&block);
-        assert_eq!(bpc.decompress(&c), block);
+        assert_eq!(roundtrip(&bpc, &block), block);
     }
 
     #[test]
     fn wrapping_word_values_roundtrip() {
         let bpc = Bpc::new();
         let block = block_from_u32s(|i| if i % 2 == 0 { u32::MAX } else { 0 });
-        let c = bpc.compress(&block);
-        assert_eq!(bpc.decompress(&c), block);
+        assert_eq!(roundtrip(&bpc, &block), block);
     }
 
     #[test]
@@ -303,10 +304,10 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             *b = (state >> 48) as u8;
         }
-        let c = bpc.compress(&block);
-        assert_eq!(bpc.decompress(&c), block);
+        let (bits, coded, payload) = encode(&bpc, &block);
+        assert_eq!(decode(&bpc, bits, coded, &payload), block);
         // 33 mostly-raw planes exceed the block size.
-        assert_eq!(c.size_bits(), BLOCK_BITS);
+        assert_eq!(bits, BLOCK_BITS);
     }
 
     #[test]
@@ -327,8 +328,7 @@ mod tests {
         for (i, w) in words.iter().enumerate() {
             block[i * 4..i * 4 + 4].copy_from_slice(&w.to_le_bytes());
         }
-        let c = bpc.compress(&block);
-        assert_eq!(bpc.decompress(&c), block);
+        assert_eq!(roundtrip(&bpc, &block), block);
     }
 
     #[test]
@@ -350,7 +350,7 @@ mod tests {
             let bpc = Bpc::new();
             let mut block = [0u8; BLOCK_BYTES];
             block.copy_from_slice(&data);
-            prop_assert_eq!(bpc.decompress(&bpc.compress(&block)), block);
+            prop_assert_eq!(roundtrip(&bpc, &block), block);
         }
 
         #[test]
@@ -362,8 +362,7 @@ mod tests {
                 let v = start.wrapping_add(step * i as u32).wrapping_add(noise[i]);
                 block[i*4..i*4+4].copy_from_slice(&v.to_le_bytes());
             }
-            let c = bpc.compress(&block);
-            prop_assert_eq!(bpc.decompress(&c), block);
+            prop_assert_eq!(roundtrip(&bpc, &block), block);
         }
 
         #[test]

@@ -152,9 +152,11 @@ impl Dictionary {
 /// for c in block.chunks_exact_mut(4) {
 ///     c.copy_from_slice(&0xCAFE_F00Du32.to_le_bytes());
 /// }
-/// let c = cpack.compress(&block);
-/// assert_eq!(c.size_bits(), 34 + 31 * 6);
-/// assert_eq!(cpack.decompress(&c), block);
+/// let (mut payload, mut out) = (Vec::new(), [0u8; 128]);
+/// let (bits, coded) = cpack.compress_into(&block, &mut payload);
+/// assert_eq!((bits, coded), (34 + 31 * 6, true));
+/// cpack.decompress_into(bits, coded, &payload, &mut out).unwrap();
+/// assert_eq!(out, block);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cpack {
@@ -292,6 +294,7 @@ impl BlockCompressor for Cpack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{decode, encode, roundtrip};
     use crate::{BLOCK_BITS, BLOCK_BYTES};
     use proptest::prelude::*;
 
@@ -306,9 +309,9 @@ mod tests {
     #[test]
     fn zero_block_is_two_bits_per_word() {
         let cpack = Cpack::new();
-        let c = cpack.compress(&[0u8; BLOCK_BYTES]);
-        assert_eq!(c.size_bits(), 2 * WORDS_PER_BLOCK as u32);
-        assert_eq!(cpack.decompress(&c), [0u8; BLOCK_BYTES]);
+        let (bits, coded, payload) = encode(&cpack, &[0u8; BLOCK_BYTES]);
+        assert_eq!(bits, 2 * WORDS_PER_BLOCK as u32);
+        assert_eq!(decode(&cpack, bits, coded, &payload), [0u8; BLOCK_BYTES]);
     }
 
     #[test]
@@ -316,18 +319,18 @@ mod tests {
         let cpack = Cpack::new();
         // Same upper 3 bytes, differing low byte: one miss then mmmx codes.
         let block = block_from_u32s(|i| 0x1234_5600 | i as u32);
-        let c = cpack.compress(&block);
-        assert_eq!(c.size_bits(), 34 + 31 * 16);
-        assert_eq!(cpack.decompress(&c), block);
+        let (bits, coded, payload) = encode(&cpack, &block);
+        assert_eq!(bits, 34 + 31 * 16);
+        assert_eq!(decode(&cpack, bits, coded, &payload), block);
     }
 
     #[test]
     fn small_bytes_use_zzzx() {
         let cpack = Cpack::new();
         let block = block_from_u32s(|i| (i as u32 % 255) + 1);
-        let c = cpack.compress(&block);
-        assert_eq!(cpack.decompress(&c), block);
-        assert_eq!(c.size_bits(), 32 * 12);
+        let (bits, coded, payload) = encode(&cpack, &block);
+        assert_eq!(decode(&cpack, bits, coded, &payload), block);
+        assert_eq!(bits, 32 * 12);
     }
 
     #[test]
@@ -339,8 +342,7 @@ mod tests {
             let base = (i as u32 % 17) << 16;
             base | 0x00ff
         });
-        let c = cpack.compress(&block);
-        assert_eq!(cpack.decompress(&c), block);
+        assert_eq!(roundtrip(&cpack, &block), block);
     }
 
     #[test]
@@ -352,10 +354,10 @@ mod tests {
             state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
             *b = (state >> 40) as u8;
         }
-        let c = cpack.compress(&block);
-        assert_eq!(cpack.decompress(&c), block);
+        let (bits, coded, payload) = encode(&cpack, &block);
+        assert_eq!(decode(&cpack, bits, coded, &payload), block);
         // All-miss blocks cost 34 bits/word > 32: stored raw.
-        assert_eq!(c.size_bits(), BLOCK_BITS);
+        assert_eq!(bits, BLOCK_BITS);
     }
 
     #[test]
@@ -402,7 +404,7 @@ mod tests {
             let cpack = Cpack::new();
             let mut block = [0u8; BLOCK_BYTES];
             block.copy_from_slice(&data);
-            prop_assert_eq!(cpack.decompress(&cpack.compress(&block)), block);
+            prop_assert_eq!(roundtrip(&cpack, &block), block);
         }
 
         #[test]
@@ -416,7 +418,7 @@ mod tests {
                 let w = (base & 0xffff_ff00) | low as u32;
                 block[i*4..i*4+4].copy_from_slice(&w.to_le_bytes());
             }
-            prop_assert_eq!(cpack.decompress(&cpack.compress(&block)), block);
+            prop_assert_eq!(roundtrip(&cpack, &block), block);
         }
     }
 }

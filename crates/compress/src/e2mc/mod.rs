@@ -33,9 +33,11 @@
 //! for (i, c) in block.chunks_exact_mut(4).enumerate() {
 //!     c.copy_from_slice(&((i as u32) % 97).to_le_bytes());
 //! }
-//! let c = e2mc.compress(&block);
-//! assert!(c.size_bits() < 512, "low-entropy data compresses > 2x");
-//! assert_eq!(e2mc.decompress(&c), block);
+//! let (mut payload, mut out) = (Vec::new(), [0u8; 128]);
+//! let (bits, coded) = e2mc.compress_into(&block, &mut payload);
+//! assert!(coded && bits < 512, "low-entropy data compresses > 2x");
+//! e2mc.decompress_into(bits, coded, &payload, &mut out).unwrap();
+//! assert_eq!(out, block);
 //! ```
 
 mod analysis;
@@ -494,6 +496,7 @@ impl BlockCompressor for E2mc {
 mod tests {
     use super::huffman::tests::BitSerialWalk;
     use super::*;
+    use crate::testing::{decode, encode, roundtrip};
     use proptest::prelude::*;
 
     fn ramp_bytes(n: u32, modulo: u32) -> Vec<u8> {
@@ -516,9 +519,9 @@ mod tests {
     fn roundtrip_in_distribution_block() {
         let e = trained();
         let block = block_from_u32s(|i| (i as u32 * 7) % 97);
-        let c = e.compress(&block);
-        assert!(c.is_compressed());
-        assert_eq!(e.decompress(&c), block);
+        let (bits, coded, payload) = encode(&e, &block);
+        assert!(coded);
+        assert_eq!(decode(&e, bits, coded, &payload), block);
     }
 
     #[test]
@@ -526,8 +529,7 @@ mod tests {
         let e = trained();
         // Half the words are far outside the trained distribution.
         let block = block_from_u32s(|i| if i % 2 == 0 { 13 } else { 0xdead_0000 + i as u32 });
-        let c = e.compress(&block);
-        assert_eq!(e.decompress(&c), block);
+        assert_eq!(roundtrip(&e, &block), block);
     }
 
     #[test]
@@ -535,7 +537,7 @@ mod tests {
         let e = trained();
         for seed in 0..16u32 {
             let block = block_from_u32s(|i| (seed.wrapping_mul(2654435761) ^ i as u32) % 200);
-            assert_eq!(e.size_bits(&block), e.compress(&block).size_bits());
+            assert_eq!(e.size_bits(&block), encode(&e, &block).0);
         }
     }
 
@@ -575,7 +577,7 @@ mod tests {
                 }
             });
             assert_eq!(e.size_bits(&block), e.analyze(&block).e2mc_size_bits());
-            assert_eq!(e.size_bits(&block), e.compress(&block).size_bits());
+            assert_eq!(e.size_bits(&block), encode(&e, &block).0);
         }
     }
 
@@ -588,20 +590,20 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             *b = (state >> 33) as u8;
         }
-        let c = e.compress(&block);
+        let (bits, coded, payload) = encode(&e, &block);
         // 64 escapes at >16 bits each exceed the block size.
-        assert_eq!(c.size_bits(), BLOCK_BITS);
-        assert_eq!(e.decompress(&c), block);
+        assert_eq!(bits, BLOCK_BITS);
+        assert_eq!(decode(&e, bits, coded, &payload), block);
     }
 
     #[test]
     fn zero_block_compresses_to_near_header() {
         let e = trained();
-        let c = e.compress(&[0u8; BLOCK_BYTES]);
+        let (bits, coded, payload) = encode(&e, &[0u8; BLOCK_BYTES]);
         // Symbol 0 dominates training (upper halves of small u32s), so the
         // zero block should approach header + 64 * short code.
-        assert!(c.size_bits() < 200, "got {}", c.size_bits());
-        assert_eq!(e.decompress(&c), [0u8; BLOCK_BYTES]);
+        assert!(bits < 200, "got {bits}");
+        assert_eq!(decode(&e, bits, coded, &payload), [0u8; BLOCK_BYTES]);
     }
 
     #[test]
@@ -610,8 +612,7 @@ mod tests {
         // ways have distinct content exercises all four pointers.
         let e = trained();
         let block = block_from_u32s(|i| (i as u32 / 16) * 31 % 97);
-        let c = e.compress(&block);
-        assert_eq!(e.decompress(&c), block);
+        assert_eq!(roundtrip(&e, &block), block);
     }
 
     /// Sentinel for slots a decoder must leave alone.
@@ -798,7 +799,7 @@ mod tests {
         assert!(std::ptr::eq(a.table(), c.table()));
         // And the adopted codec is fully functional.
         let block = block_from_u32s(|i| (i as u32 * 7) % 97);
-        assert_eq!(c.decompress(&c.compress(&block)), block);
+        assert_eq!(roundtrip(&c, &block), block);
     }
 
     #[test]
@@ -808,7 +809,7 @@ mod tests {
         let e = E2mc::train_on_bytes(&bytes, &cfg);
         // Trained on two blocks only: still functional, just fewer codes.
         let block = block_from_u32s(|i| i as u32 % 97);
-        assert_eq!(e.decompress(&e.compress(&block)), block);
+        assert_eq!(roundtrip(&e, &block), block);
     }
 
     proptest! {
@@ -819,7 +820,7 @@ mod tests {
             let e = trained();
             let mut block = [0u8; BLOCK_BYTES];
             block.copy_from_slice(&data);
-            prop_assert_eq!(e.decompress(&e.compress(&block)), block);
+            prop_assert_eq!(roundtrip(&e, &block), block);
         }
 
         #[test]
@@ -829,9 +830,9 @@ mod tests {
             for (i, w) in words.iter().enumerate() {
                 block[i*4..i*4+4].copy_from_slice(&w.to_le_bytes());
             }
-            let c = e.compress(&block);
-            prop_assert!(c.is_compressed());
-            prop_assert_eq!(e.decompress(&c), block);
+            let (bits, coded, payload) = encode(&e, &block);
+            prop_assert!(coded);
+            prop_assert_eq!(decode(&e, bits, coded, &payload), block);
         }
 
         #[test]

@@ -113,9 +113,11 @@ fn repeated_bytes(word: u32) -> bool {
 ///
 /// let fpc = Fpc::new();
 /// let block = [0u8; 128]; // 32 zero words -> 4 zero-run tokens
-/// let c = fpc.compress(&block);
-/// assert_eq!(c.size_bits(), 4 * 6);
-/// assert_eq!(fpc.decompress(&c), block);
+/// let (mut payload, mut out) = (Vec::new(), [0u8; 128]);
+/// let (bits, coded) = fpc.compress_into(&block, &mut payload);
+/// assert_eq!((bits, coded), (4 * 6, true));
+/// fpc.decompress_into(bits, coded, &payload, &mut out).unwrap();
+/// assert_eq!(out, block);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fpc {
@@ -236,6 +238,7 @@ fn sign_extend32(v: u32, bits: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{decode, encode, roundtrip};
     use crate::{BLOCK_BITS, BLOCK_BYTES};
     use proptest::prelude::*;
 
@@ -250,10 +253,10 @@ mod tests {
     #[test]
     fn zero_block_collapses_to_runs() {
         let fpc = Fpc::new();
-        let c = fpc.compress(&[0u8; BLOCK_BYTES]);
+        let (bits, coded, payload) = encode(&fpc, &[0u8; BLOCK_BYTES]);
         // 32 zero words = 4 runs of 8, each 6 bits.
-        assert_eq!(c.size_bits(), 24);
-        assert_eq!(fpc.decompress(&c), [0u8; BLOCK_BYTES]);
+        assert_eq!(bits, 24);
+        assert_eq!(decode(&fpc, bits, coded, &payload), [0u8; BLOCK_BYTES]);
     }
 
     #[test]
@@ -279,18 +282,17 @@ mod tests {
         // halfwords 0xffe0 (-32) and 0x0010 (16): TwoSeBytes territory.
         let block = block_from_u32s(|_| 0xffe0_0010);
         assert_eq!(classify_word(0xffe0_0010), (FpcPattern::TwoSeBytes, 0xe010));
-        let c = fpc.compress(&block);
-        assert_eq!(fpc.decompress(&c), block);
+        assert_eq!(roundtrip(&fpc, &block), block);
     }
 
     #[test]
     fn small_integers_compress_well() {
         let fpc = Fpc::new();
         let block = block_from_u32s(|i| i as u32 % 8);
-        let c = fpc.compress(&block);
+        let (bits, coded, payload) = encode(&fpc, &block);
         // Mixture of zero-runs and 4-bit tokens: far below 1024 bits.
-        assert!(c.size_bits() < 300, "got {}", c.size_bits());
-        assert_eq!(fpc.decompress(&c), block);
+        assert!(bits < 300, "got {bits}");
+        assert_eq!(decode(&fpc, bits, coded, &payload), block);
     }
 
     #[test]
@@ -302,10 +304,10 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             *b = (state >> 33) as u8;
         }
-        let c = fpc.compress(&block);
+        let (bits, coded, payload) = encode(&fpc, &block);
         // 32 raw words would cost 32*35 = 1120 > 1024 bits.
-        assert_eq!(c.size_bits(), BLOCK_BITS);
-        assert_eq!(fpc.decompress(&c), block);
+        assert_eq!(bits, BLOCK_BITS);
+        assert_eq!(decode(&fpc, bits, coded, &payload), block);
     }
 
     #[test]
@@ -313,9 +315,9 @@ mod tests {
         let fpc = Fpc::new();
         // 9 zero words then data: run(8) + run(1) + tokens.
         let block = block_from_u32s(|i| if i < 9 { 0 } else { 0x1234_5678 });
-        let c = fpc.compress(&block);
-        assert_eq!(fpc.decompress(&c), block);
-        assert_eq!(c.size_bits(), 6 + 6 + 23 * 35);
+        let (bits, coded, payload) = encode(&fpc, &block);
+        assert_eq!(decode(&fpc, bits, coded, &payload), block);
+        assert_eq!(bits, 6 + 6 + 23 * 35);
     }
 
     proptest! {
@@ -324,7 +326,7 @@ mod tests {
             let fpc = Fpc::new();
             let mut block = [0u8; BLOCK_BYTES];
             block.copy_from_slice(&data);
-            prop_assert_eq!(fpc.decompress(&fpc.compress(&block)), block);
+            prop_assert_eq!(roundtrip(&fpc, &block), block);
         }
 
         #[test]
@@ -341,7 +343,7 @@ mod tests {
             for (i, w) in words.iter().enumerate() {
                 block[i*4..i*4+4].copy_from_slice(&w.to_le_bytes());
             }
-            prop_assert_eq!(fpc.decompress(&fpc.compress(&block)), block);
+            prop_assert_eq!(roundtrip(&fpc, &block), block);
         }
 
         #[test]

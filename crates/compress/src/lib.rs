@@ -23,11 +23,17 @@
 //! ```
 //! use slc_compress::{BlockCompressor, bdi::Bdi, mag::Mag, BLOCK_BYTES};
 //!
-//! let block = [0u8; 128]; // an all-zero block compresses extremely well
-//! let compressed = Bdi::new().compress(&block);
-//! assert!(compressed.size_bits() < 8 * BLOCK_BYTES as u32);
-//! let eff = Mag::GDDR5.round_up_bytes(compressed.size_bytes());
-//! assert_eq!(eff % 32, 0);
+//! let block = [0u8; BLOCK_BYTES]; // an all-zero block compresses extremely well
+//! let bdi = Bdi::new();
+//! let mut payload = Vec::new();
+//! let (bits, coded) = bdi.compress_into(&block, &mut payload);
+//! assert!(coded && bits < 8 * BLOCK_BYTES as u32);
+//! assert_eq!(payload.len(), bits.div_ceil(8) as usize);
+//! assert_eq!(Mag::GDDR5.round_up_bytes(bits.div_ceil(8)), 32);
+//!
+//! let mut out = [0xffu8; BLOCK_BYTES];
+//! bdi.decompress_into(bits, coded, &payload, &mut out).unwrap();
+//! assert_eq!(out, block);
 //! ```
 //!
 //! # Performance
@@ -55,9 +61,11 @@
 //!   arrays (BDI value/mask bitmaps, C-PACK's FIFO dictionary, BPC's
 //!   planes, E2MC's way sizes), and E2MC computes its parallel-decoding
 //!   pointers from code-length sums *before* encoding, eliminating the
-//!   per-way scratch writers. Encoding through
-//!   [`BlockCompressor::compress_into`] allocates nothing per block; the
-//!   owned [`BlockCompressor::compress`] wrapper allocates its payload.
+//!   per-way scratch writers. Neither
+//!   [`BlockCompressor::compress_into`] nor
+//!   [`BlockCompressor::decompress_into`], the one encode and the one
+//!   decode entry, allocates per block: both work on the caller's
+//!   buffers.
 //! * **Transposed bit-planes** — BPC's DBP rotation runs as a 32×32
 //!   bit-matrix transpose (Hacker's Delight §7-3), ~5 word-ops per plane
 //!   instead of a 33×31 single-bit gather.
@@ -150,63 +158,6 @@ pub const BLOCK_BITS: u32 = (BLOCK_BYTES as u32) * 8;
 /// A memory block, the unit of compression (one 128 B L2 line / DRAM block).
 pub type Block = [u8; BLOCK_BYTES];
 
-/// Outcome of compressing one block.
-///
-/// A `Compressed` value records the exact bit-size of the encoding and the
-/// packed payload. A compressor that cannot beat the uncompressed size
-/// reports `size_bits == BLOCK_BITS` and stores the block verbatim
-/// (`is_compressed() == false`), matching the "store uncompressed" leg of
-/// the paper's Figure 4 flow chart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Compressed {
-    size_bits: u32,
-    payload: Vec<u8>,
-    compressed: bool,
-}
-
-impl Compressed {
-    /// Wraps a compressed payload of `size_bits` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload` is too short to hold `size_bits` bits.
-    pub fn new(size_bits: u32, payload: Vec<u8>) -> Self {
-        assert!(
-            payload.len() * 8 >= size_bits as usize,
-            "payload of {} bytes cannot hold {} bits",
-            payload.len(),
-            size_bits
-        );
-        Self { size_bits, payload, compressed: true }
-    }
-
-    /// Wraps a block stored verbatim because compression did not pay off.
-    pub fn uncompressed(block: &Block) -> Self {
-        Self { size_bits: BLOCK_BITS, payload: block.to_vec(), compressed: false }
-    }
-
-    /// Exact size of the encoding in bits.
-    pub fn size_bits(&self) -> u32 {
-        self.size_bits
-    }
-
-    /// Size of the encoding in whole bytes (rounded up).
-    pub fn size_bytes(&self) -> u32 {
-        self.size_bits.div_ceil(8)
-    }
-
-    /// `true` if the block is stored in compressed form, `false` if verbatim.
-    pub fn is_compressed(&self) -> bool {
-        self.compressed
-    }
-
-    /// The packed payload bytes (compressed stream, or the raw block when
-    /// [`is_compressed`](Self::is_compressed) is `false`).
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
-    }
-}
-
 /// Why a decoder rejected its input — the one failure channel of every
 /// decode function in this crate, from [`bitstream::BitReader`] up to
 /// [`BlockCompressor::decompress_into`] and [`ChunkCoder::decode_chunk`].
@@ -257,19 +208,22 @@ impl std::error::Error for DecodeError {}
 
 /// A block compressor/decompressor pair.
 ///
-/// Implementations must be lossless: `decompress(compress(b)) == b` for every
-/// block `b`. This invariant is checked by property tests in every codec
-/// module and by the cross-codec integration tests.
+/// Implementations must be lossless: [`decompress_into`] of what
+/// [`compress_into`] wrote gives back the block, for every block. This
+/// invariant is checked by property tests in every codec module and by
+/// the cross-codec integration tests.
+///
+/// [`compress_into`]: Self::compress_into
+/// [`decompress_into`]: Self::decompress_into
 pub trait BlockCompressor {
     /// The codec's wire identity, the byte a container header names it
     /// by ([`CodecId::name`] is its short name, e.g. `"bdi"`).
     fn id(&self) -> CodecId;
 
-    /// Compresses one block, appending exactly
-    /// [`size_bytes`](Compressed::size_bytes) payload bytes to `out` —
-    /// the coded stream, or the verbatim block when coding does not pay
-    /// — and returning `(size_bits, is_compressed)`. Bytes already in
-    /// `out` are left untouched.
+    /// Compresses one block, appending exactly `size_bits.div_ceil(8)`
+    /// payload bytes to `out` — the coded stream, or the verbatim block
+    /// when coding does not pay — and returning `(size_bits,
+    /// is_compressed)`. Bytes already in `out` are left untouched.
     ///
     /// This is the one encode path: every codec serialises through a
     /// [`bitstream::BitWriter`] over `out` itself, so the engine's
@@ -277,21 +231,10 @@ pub trait BlockCompressor {
     /// and nothing allocates per block.
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool);
 
-    /// Compresses one block into an owned [`Compressed`] (convenience
-    /// wrapper over [`compress_into`](Self::compress_into) for cold paths
-    /// and tests; its payload is the wrapper's one allocation).
-    fn compress(&self, block: &Block) -> Compressed {
-        let mut payload = Vec::with_capacity(BLOCK_BYTES);
-        let (size_bits, compressed) = self.compress_into(block, &mut payload);
-        Compressed { size_bits, payload, compressed }
-    }
-
-    /// Reconstructs the original block into a caller-provided buffer.
-    ///
-    /// The arguments are the deconstructed fields of a [`Compressed`]
-    /// value; taking them apart lets the engine's chunk decoder feed
-    /// wire bytes straight in — no owned `Compressed` (and no payload
-    /// allocation) on the hot decode path.
+    /// Reconstructs the original block into a caller-provided buffer
+    /// from what [`compress_into`](Self::compress_into) returned and
+    /// wrote, so the engine's chunk decoder feeds wire bytes straight in
+    /// and nothing allocates per block.
     ///
     /// This is the one decode path, and it is total: for *any*
     /// `size_bits`, flag and `payload` — wire bytes, another codec's
@@ -306,31 +249,14 @@ pub trait BlockCompressor {
         out: &mut Block,
     ) -> Result<(), DecodeError>;
 
-    /// Reconstructs the original block (owned convenience wrapper over
-    /// [`decompress_into`](Self::decompress_into); cold paths and tests).
+    /// Compressed size in bits.
     ///
-    /// # Panics
-    ///
-    /// Panics if `c` was not produced by this compressor and does not
-    /// decode; untrusted bytes go through
-    /// [`decompress_into`](Self::decompress_into).
-    fn decompress(&self, c: &Compressed) -> Block {
-        let mut out = [0u8; BLOCK_BYTES];
-        #[expect(
-            clippy::expect_used,
-            reason = "documented contract of the owned wrapper: only this codec's own streams go in, untrusted bytes take decompress_into"
-        )]
-        self.decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut out)
-            .expect("a stream this codec produced decodes");
-        out
-    }
-
-    /// Compressed size in bits without materialising the payload.
-    ///
-    /// The default delegates to [`compress`](Self::compress); codecs with a
-    /// cheap size path (e.g. E2MC's code-length adder) override it.
+    /// The default encodes the block once through
+    /// [`compress_into`](Self::compress_into) into a block-sized buffer
+    /// it then drops; codecs with a cheap size path (e.g. E2MC's
+    /// code-length adder) override it.
     fn size_bits(&self, block: &Block) -> u32 {
-        self.compress(block).size_bits()
+        self.compress_into(block, &mut Vec::with_capacity(BLOCK_BYTES)).0
     }
 
     /// The codec's whole-chunk coding mode, if it has one.
@@ -360,30 +286,34 @@ pub(crate) fn load_verbatim(payload: &[u8], out: &mut Block) -> Result<(), Decod
     Ok(())
 }
 
+/// The unit tests' shorthand for the one encode and the one decode entry.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod testing {
+    use super::{Block, BlockCompressor, BLOCK_BYTES};
 
-    #[test]
-    fn compressed_size_bytes_rounds_up() {
-        let c = Compressed::new(9, vec![0xff, 0x80]);
-        assert_eq!(c.size_bytes(), 2);
-        assert_eq!(c.size_bits(), 9);
-        assert!(c.is_compressed());
+    /// [`BlockCompressor::compress_into`] on an empty buffer of its own:
+    /// `(size_bits, is_compressed, payload)`.
+    pub(crate) fn encode(codec: &impl BlockCompressor, block: &Block) -> (u32, bool, Vec<u8>) {
+        let mut payload = Vec::new();
+        let (bits, coded) = codec.compress_into(block, &mut payload);
+        (bits, coded, payload)
     }
 
-    #[test]
-    fn uncompressed_block_is_verbatim() {
-        let block = [0xabu8; BLOCK_BYTES];
-        let c = Compressed::uncompressed(&block);
-        assert_eq!(c.size_bits(), BLOCK_BITS);
-        assert!(!c.is_compressed());
-        assert_eq!(c.payload(), &block[..]);
+    /// [`BlockCompressor::decompress_into`] of a stream the codec wrote.
+    pub(crate) fn decode(
+        codec: &impl BlockCompressor,
+        bits: u32,
+        coded: bool,
+        payload: &[u8],
+    ) -> Block {
+        let mut out = [0u8; BLOCK_BYTES];
+        codec.decompress_into(bits, coded, payload, &mut out).unwrap();
+        out
     }
 
-    #[test]
-    #[should_panic(expected = "cannot hold")]
-    fn new_rejects_short_payload() {
-        let _ = Compressed::new(64, vec![0u8; 4]);
+    /// `block` after an encode → decode round trip.
+    pub(crate) fn roundtrip(codec: &impl BlockCompressor, block: &Block) -> Block {
+        let (bits, coded, payload) = encode(codec, block);
+        decode(codec, bits, coded, &payload)
     }
 }

@@ -409,9 +409,11 @@ pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
 ///
 /// let rans = Rans::new();
 /// let block = [0x42u8; 128]; // one symbol: near-zero entropy
-/// let c = rans.compress(&block);
-/// assert!(c.size_bits() < 128 * 8);
-/// assert_eq!(rans.decompress(&c), block);
+/// let (mut payload, mut out) = (Vec::new(), [0u8; 128]);
+/// let (bits, coded) = rans.compress_into(&block, &mut payload);
+/// assert!(coded && bits < 128 * 8);
+/// rans.decompress_into(bits, coded, &payload, &mut out).unwrap();
+/// assert_eq!(out, block);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Rans {
@@ -475,6 +477,7 @@ impl ChunkCoder for Rans {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{decode, encode};
     use proptest::prelude::*;
 
     /// Scalar reference decoder: one symbol at a time, linear-search symbol
@@ -633,18 +636,18 @@ mod tests {
         for (i, b) in block.iter_mut().enumerate() {
             *b = (i % 9) as u8;
         }
-        let c = rans.compress(&block);
-        assert!(c.is_compressed(), "9-symbol block must compress");
-        assert_eq!(rans.decompress(&c), block);
+        let (bits, coded, payload) = encode(&rans, &block);
+        assert!(coded, "9-symbol block must compress");
+        assert_eq!(decode(&rans, bits, coded, &payload), block);
         // Noise block: per-block table overhead forces verbatim storage.
         let mut state = 0x1234_5678u64;
         for b in block.iter_mut() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             *b = (state >> 33) as u8;
         }
-        let c = rans.compress(&block);
-        assert!(!c.is_compressed());
-        assert_eq!(rans.decompress(&c), block);
+        let (bits, coded, payload) = encode(&rans, &block);
+        assert!(!coded);
+        assert_eq!(decode(&rans, bits, coded, &payload), block);
     }
 
     proptest! {

@@ -1,6 +1,6 @@
-//! Pins the borrowed block decode (`decompress_into`) byte-identical to
-//! the owned path (`decompress`) for **every** codec, across random
-//! blocks and the codecs' own verbatim fallbacks.
+//! Pins the one block decode (`decompress_into`) of **every** codec to
+//! the block it was given, across random blocks and the codecs' own
+//! verbatim fallbacks.
 //!
 //! The output buffer is pre-filled with a dirty pattern on purpose:
 //! `decompress_into` writes into caller-owned storage, so any arm that
@@ -46,43 +46,30 @@ fn codecs() -> &'static [Arc<dyn BlockCodec>] {
 
 fn check_block(block: &[u8; BLOCK_BYTES]) {
     for codec in codecs() {
-        let c = codec.compress(block);
-        let owned = codec.decompress(&c);
-        assert_eq!(&owned, block, "{}: owned roundtrip", codec.id().name());
-        let mut borrowed = [0xa5u8; BLOCK_BYTES];
-        codec
-            .decompress_into(c.size_bits(), c.is_compressed(), c.payload(), &mut borrowed)
-            .expect("own stream decodes");
-        assert_eq!(borrowed, owned, "{}: borrowed decode must equal owned", codec.id().name());
+        let name = codec.id().name();
+        let mut payload = Vec::new();
+        let (bits, coded) = codec.compress_into(block, &mut payload);
+        assert!(coded || bits == BLOCK_BITS, "{name}: verbatim is one whole block");
+        assert_eq!(payload.len(), bits.div_ceil(8) as usize, "{name}: appended length");
+        let mut decoded = [0xa5u8; BLOCK_BYTES];
+        codec.decompress_into(bits, coded, &payload, &mut decoded).expect("own stream decodes");
+        assert_eq!(&decoded, block, "{name}: roundtrip into a dirty buffer");
         // The payload as the engine hands it over: a slice of exactly
         // `ceil(bits / 8)` bytes with other blocks' bytes on both sides,
         // which a decoder loading whole words must never let in.
-        let n = c.size_bits().div_ceil(8) as usize;
+        let n = payload.len();
         let mut framed = vec![0xa5u8; n + 32];
-        framed[16..16 + n].copy_from_slice(&c.payload()[..n]);
+        framed[16..16 + n].copy_from_slice(&payload);
         let mut exact = [0x5au8; BLOCK_BYTES];
         codec
-            .decompress_into(c.size_bits(), c.is_compressed(), &framed[16..16 + n], &mut exact)
+            .decompress_into(bits, coded, &framed[16..16 + n], &mut exact)
             .expect("own stream decodes from an exact-length slice");
-        assert_eq!(exact, owned, "{}: exact-length slice in a dirty buffer", codec.id().name());
+        assert_eq!(&exact, block, "{name}: exact-length slice in a dirty buffer");
         let mut sink = vec![0xa5u8; 2 * BLOCK_BYTES];
         sink.truncate(3);
-        let (bits, coded) = codec.compress_into(block, &mut sink);
-        assert_eq!((bits, coded), (c.size_bits(), c.is_compressed()), "{}", codec.id().name());
-        assert!(coded || bits == BLOCK_BITS, "{}: verbatim is one whole block", codec.id().name());
-        assert_eq!(sink[..3], [0xa5u8; 3], "{}: sink prefix must survive", codec.id().name());
-        assert_eq!(
-            sink.len() - 3,
-            bits.div_ceil(8) as usize,
-            "{}: appended length",
-            codec.id().name()
-        );
-        assert_eq!(
-            &sink[3..],
-            c.payload(),
-            "{}: appended bytes must equal owned",
-            codec.id().name()
-        );
+        assert_eq!(codec.compress_into(block, &mut sink), (bits, coded), "{name}");
+        assert_eq!(sink[..3], [0xa5u8; 3], "{name}: sink prefix must survive");
+        assert_eq!(sink[3..], payload, "{name}: appended bytes must equal an empty sink's");
     }
 }
 

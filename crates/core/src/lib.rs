@@ -47,7 +47,7 @@
 //! [`stored_bits_with`](slc::SlcCompressor::stored_bits_with),
 //! [`stored_bursts_with`](slc::SlcCompressor::stored_bursts_with),
 //! [`compress_with`](slc::SlcCompressor::compress_with) and
-//! [`approximate_with`](slc::SlcCompressor::approximate_with) take a
+//! [`stage_in_place`](slc::SlcCompressor::stage_in_place) take a
 //! `&BlockAnalysis`; only [`compress`](slc::SlcCompressor::compress)
 //! keeps a block-taking convenience that derives the analysis
 //! internally.
@@ -60,8 +60,8 @@
 //! configurations can sweep one analysis with N cheap decisions, which
 //! is exactly what the workload harness' snapshot cache does (see
 //! `slc-workloads::analysis`). `compress_with` is pinned bit-identical
-//! to `compress` by unit and property tests, and `approximate_with` —
-//! the lossy step without the entropy coder — to
+//! to `compress` by unit and property tests, and `stage_in_place` —
+//! the round trip without the entropy coder — to
 //! `decompress(compress_with(..))`, which stays the codec and the
 //! reference.
 //!

@@ -129,7 +129,8 @@ impl SlcCompressed {
     }
 
     /// DRAM bursts needed to fetch the block under the configured MAG —
-    /// the 2-bit value the metadata cache stores.
+    /// the value the metadata cache stores: 1 to 4 in 2 bits at 32 B,
+    /// 1 to 8 in 3 bits at 16 B, 1 or 2 in 1 bit at 64 B.
     pub fn bursts(&self) -> u32 {
         self.bursts
     }
@@ -188,14 +189,15 @@ impl SlcCompressor {
     /// Analyses `block` under the trained table: the per-symbol code
     /// lengths and their sum, the shared artifact every decision below
     /// consumes. Produce it once and fan it out to [`analyze_with`],
-    /// [`stored_bits_with`], [`compress_with`] or [`approximate_with`] —
-    /// across as many schemes, thresholds and MAGs as needed — instead of
-    /// paying one table pass per consumer.
+    /// [`stored_bits_with`], [`stored_bursts_with`], [`compress_with`] or
+    /// [`stage_in_place`] — across as many schemes, thresholds and MAGs as
+    /// needed — instead of paying one table pass per consumer.
     ///
     /// [`analyze_with`]: Self::analyze_with
     /// [`stored_bits_with`]: Self::stored_bits_with
+    /// [`stored_bursts_with`]: Self::stored_bursts_with
     /// [`compress_with`]: Self::compress_with
-    /// [`approximate_with`]: Self::approximate_with
+    /// [`stage_in_place`]: Self::stage_in_place
     pub fn analysis(&self, block: &Block) -> BlockAnalysis {
         self.e2mc.analyze(block)
     }
@@ -274,33 +276,16 @@ impl SlcCompressor {
         self.config.mag.bursts_for_bits(bits, BLOCK_BYTES as u32)
     }
 
-    /// What a DRAM round trip returns for `block`, without the
-    /// bitstream: `Some(decompress(&compress_with(block, analysis)))`
-    /// when the stored form is lossy, `None` when it is exact
-    /// (verbatim or lossless — the round trip returns `block` itself).
-    ///
-    /// The lossy step never needs the entropy coder: symbols outside the
-    /// [`Hole`] decode to themselves and every [`PredictorKind`]
-    /// reads only those, so the reconstruction is the block with the
-    /// hole refilled. Pinned byte-identical to the encode → decode pair
-    /// by property test; `analysis` must be this block's, as for
-    /// [`compress_with`](Self::compress_with).
-    pub fn approximate_with(&self, block: &Block, analysis: &BlockAnalysis) -> Option<Block> {
-        let StoredKind::Lossy { selection } = self.stored_form(analysis).1 else {
-            return None;
-        };
-        let mut out = *block;
-        self.refill(&mut out, selection.hole);
-        Some(out)
-    }
-
-    /// One kernel-boundary round trip of an approximable
-    /// block, in place, on one table pass: `analysis` must be `block`'s
-    /// on entry and is `block`'s on return. An exact form leaves both
-    /// untouched; a lossy one refills the hole in the block's own bytes
-    /// ([`approximate_with`](Self::approximate_with)) and looks up only
-    /// the hole's ≤ 16 rewritten symbols again ([`E2mc::reanalyze`] —
-    /// only they re-enter the tree). Returns the bits the next kernel
+    /// One kernel-boundary round trip of an approximable block, in
+    /// place, on one table pass: what [`decompress`](Self::decompress)
+    /// of [`compress_with`](Self::compress_with) returns (pinned by
+    /// property test), without the bitstream. `analysis` must be
+    /// `block`'s on entry and is `block`'s on return. An exact form
+    /// leaves both untouched. A lossy one refills the [`Hole`] in the
+    /// block's own bytes — symbols outside it decode to themselves and
+    /// every [`PredictorKind`] reads only those — and looks up only the
+    /// hole's ≤ 16 rewritten symbols again ([`E2mc::reanalyze`] — only
+    /// they re-enter the tree). Returns the bits the next kernel
     /// boundary will find stored:
     /// [`stored_bits_with`](Self::stored_bits_with) of the bytes `block`
     /// now holds, decided on the same analysis.
@@ -331,7 +316,7 @@ impl SlcCompressor {
     /// same `block` — the encode path of callers that already analysed
     /// the block for its budget decision, and with
     /// [`decompress`](Self::decompress) the reference
-    /// [`approximate_with`](Self::approximate_with) is pinned against.
+    /// [`stage_in_place`](Self::stage_in_place) is pinned against.
     ///
     /// `analysis` **must** come from [`Self::analysis`] (equivalently,
     /// [`E2mc::analyze`] on the same trained table) for this block;
@@ -712,11 +697,11 @@ mod tests {
                 let c = s.compress(&block);
                 match c.kind() {
                     StoredKind::Lossless => {
-                        let coded = e.compress(&block);
-                        assert!(coded.is_compressed(), "block {k}");
-                        let mut expect = coded.payload().to_vec();
+                        let mut expect = Vec::new();
+                        let (bits, coded) = e.compress_into(&block, &mut expect);
+                        assert!(coded, "block {k}");
                         expect[0] &= 0x7f;
-                        assert_eq!(c.size_bits(), coded.size_bits(), "block {k}");
+                        assert_eq!(c.size_bits(), bits, "block {k}");
                         assert_eq!(c.payload(), &expect[..], "block {k}");
                         lossless += 1;
                     }
@@ -762,10 +747,12 @@ mod tests {
             words in proptest::collection::vec(any::<u32>(), 32),
             noise in any::<u32>(), threshold in 0u32..=32) {
             // What the streamed walk calls per block against the calls it
-            // stands for: analyse, approximate, analyse what was written,
-            // price that. The in-place call must leave those bytes, return
-            // those bits, and its hole re-look-up must leave the analysis
-            // a fresh pass over the refilled block gives, field for field.
+            // stands for: analyse, encode, decode, analyse what was
+            // decoded, price that. The in-place call must leave the
+            // decoded bytes (the block itself, and its analysis untouched,
+            // unless the stored form is lossy), return those bits, and its
+            // hole re-look-up must leave the analysis a fresh pass over
+            // the refilled block gives, field for field.
             let e2mc = e2mc();
             for mag in [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64] {
                 for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
@@ -777,16 +764,21 @@ mod tests {
                         let s = SlcCompressor::new(e2mc.clone(), config);
                         for block in three_shapes(&words, noise) {
                             let before = s.analysis(&block);
-                            let naive = s.approximate_with(&block, &before).unwrap_or(block);
+                            let stored = s.compress_with(&block, &before);
+                            let decoded = s.decompress(&stored);
                             let (mut staged, mut analysis) = (block, before.clone());
                             let bits = s.stage_in_place(&mut staged, &mut analysis);
-                            prop_assert_eq!(staged, naive);
-                            let fresh = s.analysis(&naive);
+                            prop_assert_eq!(staged, decoded);
+                            if !stored.is_lossy() {
+                                prop_assert_eq!(staged, block);
+                                prop_assert_eq!(&analysis, &before);
+                            }
+                            let fresh = s.analysis(&decoded);
                             prop_assert_eq!(bits, s.stored_bits_with(&fresh).0);
                             prop_assert_eq!(analysis.lengths_u8(), fresh.lengths_u8());
                             prop_assert_eq!(analysis.total_code_bits(), fresh.total_code_bits());
                             prop_assert_eq!(analysis.tree_sums(), fresh.tree_sums());
-                            if naive == block {
+                            if decoded == block {
                                 prop_assert_eq!(bits, s.stored_bits_with(&before).0);
                             }
                         }
@@ -817,36 +809,6 @@ mod tests {
                 let out = s.decompress(&c);
                 if !c.is_lossy() {
                     prop_assert_eq!(out, block);
-                }
-            }
-        }
-
-        #[test]
-        fn prop_approximation_is_the_encode_decode_round_trip(
-            words in proptest::collection::vec(any::<u32>(), 32),
-            noise in any::<u32>(), threshold in 0u32..=32) {
-            // `approximate_with` against the codec it bypasses, on
-            // [`three_shapes`] per draw.
-            let shapes = three_shapes(&words, noise);
-            let e2mc = e2mc();
-            for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
-                for predictor in
-                    [PredictorKind::Zero, PredictorKind::FirstSymbol, PredictorKind::LaneMatched]
-                {
-                    let config =
-                        SlcConfig::new(Mag::GDDR5, threshold, variant).with_predictor(predictor);
-                    let s = SlcCompressor::new(e2mc.clone(), config);
-                    for block in shapes {
-                        let a = s.analysis(&block);
-                        let c = s.compress_with(&block, &a);
-                        let decoded = s.decompress(&c);
-                        if c.is_lossy() {
-                            prop_assert_eq!(s.approximate_with(&block, &a), Some(decoded));
-                        } else {
-                            prop_assert_eq!(s.approximate_with(&block, &a), None);
-                            prop_assert_eq!(decoded, block);
-                        }
-                    }
                 }
             }
         }

@@ -245,7 +245,7 @@ impl<'a> Frame<'a> {
 
 /// Raw (decoded) length in bytes of chunk `index` of a stream of
 /// `total_len` bytes sharded at `chunk_bytes`.
-pub fn raw_chunk_len(total_len: u64, chunk_bytes: u32, index: usize) -> u64 {
+fn raw_chunk_len(total_len: u64, chunk_bytes: u32, index: usize) -> u64 {
     let start = index as u64 * u64::from(chunk_bytes);
     total_len.saturating_sub(start).min(u64::from(chunk_bytes))
 }
@@ -318,17 +318,18 @@ pub enum ContainerError {
         reason: &'static str,
     },
     /// The caller-provided output buffer of
-    /// [`decompress_into`](crate::Engine::decompress_into) does not
-    /// match the container's decoded length.
+    /// [`decompress_into_threads`](crate::Engine::decompress_into_threads)
+    /// does not match the container's decoded length.
     OutputLenMismatch {
         /// Decoded byte length from the header.
         total_len: u64,
         /// Length of the buffer the caller supplied.
         out_len: usize,
     },
-    /// The owned output of [`decompress`](crate::Engine::decompress)
-    /// could not be allocated: the header's `total_len` asks for more
-    /// memory than the allocator will give.
+    /// The owned output of
+    /// [`decompress_threads`](crate::Engine::decompress_threads) could
+    /// not be allocated: the header's `total_len` asks for more memory
+    /// than the allocator will give.
     OutputAllocFailed {
         /// Decoded byte length from the header.
         total_len: u64,

@@ -12,6 +12,9 @@
 //! payload span — no scan dependency between chunks, the gap-array trick
 //! of GPU Huffman decoders applied at chunk granularity.
 //!
+//! Each entry names its [`Threads`] policy: [`Engine::compress_threads`],
+//! [`Engine::decompress_threads`] and [`Engine::decompress_into_threads`].
+//!
 //! # In-chunk block framing
 //!
 //! A `Coded` chunk is a byte-aligned sequence of blocks, each:
@@ -38,8 +41,8 @@
 //!
 //! For serving scenarios where the raw stream never exists in one
 //! buffer, [`Engine::stream_encoder`] offers an incremental `push`
-//! API whose output is byte-identical to [`Engine::compress`] while
-//! holding at most one chunk of raw input at a time.
+//! API whose output is byte-identical to [`Engine::compress_threads`]
+//! while holding at most one chunk of raw input at a time.
 //!
 //! # Determinism and safety contracts
 //!
@@ -47,8 +50,8 @@
 //!   (`slc-par` is order-preserving and chunks are independent), and
 //!   parallel decode is byte-identical to serial decode — both pinned by
 //!   property tests across every codec.
-//! * [`Engine::decompress`] never panics on arbitrary input, and not
-//!   because anything is caught: the frame is fully validated before any
+//! * Decode never panics on arbitrary input, and not because anything
+//!   is caught: the frame is fully validated before any
 //!   chunk decodes, every payload index is pre-bounded, and the codecs'
 //!   decode functions are total — a corrupt block or chunk stream comes
 //!   back as a [`slc_compress::DecodeError`], which the
@@ -59,7 +62,7 @@
 //!   cached snapshot analyses — see `slc_workloads::engine` for the
 //!   sharing contract): blocks whose stored size says "incompressible"
 //!   skip the codec entirely and the output is byte-identical to
-//!   [`Engine::compress`].
+//!   [`Engine::compress_threads`].
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -151,13 +154,8 @@ impl Engine {
         self.chunk_bytes
     }
 
-    /// Compresses `bytes` into a framed container ([`Threads::Auto`]).
-    pub fn compress(&self, bytes: &[u8]) -> Vec<u8> {
-        self.compress_threads(bytes, Threads::Auto)
-    }
-
-    /// [`compress`](Self::compress) with an explicit thread policy.
-    /// Output bytes are identical whatever the policy.
+    /// Compresses `bytes` into a framed container, fanning its chunks
+    /// out by `threads`. Output bytes are identical whatever the policy.
     pub fn compress_threads(&self, bytes: &[u8], threads: Threads) -> Vec<u8> {
         self.compress_impl(bytes, None, threads)
     }
@@ -168,9 +166,10 @@ impl Engine {
     ///
     /// The contract: `stored_bits[i]` must equal the codec's own
     /// `size_bits` for block `i` — then the output is **byte-identical**
-    /// to [`compress`](Self::compress) (pinned by tests). This is how the
-    /// workload harness feeds its cached `SnapshotAnalysis` sizes through
-    /// the engine without re-analysing a single block; lying sizes
+    /// to [`compress_threads`](Self::compress_threads) (pinned by tests).
+    /// This is how the workload harness feeds its cached
+    /// `SnapshotAnalysis` sizes through the engine without re-analysing a
+    /// single block; lying sizes
     /// produce a valid container whose raw/coded split is merely
     /// suboptimal for `< BLOCK_BITS` lies, or wrong (expanded verbatim
     /// blocks) for `>= BLOCK_BITS` lies about compressible data.
@@ -178,7 +177,7 @@ impl Engine {
     /// Codecs with a whole-chunk mode (`chunk_coder()`, e.g. rANS)
     /// ignore the sizes — their chunk streams are not block-framed, so
     /// there is no per-block decision to skip and the output is
-    /// trivially identical to [`compress`](Self::compress).
+    /// trivially identical to [`compress_threads`](Self::compress_threads).
     ///
     /// # Panics
     ///
@@ -250,15 +249,10 @@ impl Engine {
         out
     }
 
-    /// Decompresses a framed container ([`Threads::Auto`]).
+    /// Decompresses a framed container into a new buffer. Output bytes
+    /// are identical whatever the `threads` policy.
     ///
     /// Never panics on arbitrary input — see the crate docs.
-    pub fn decompress(&self, container: &[u8]) -> Result<Vec<u8>, ContainerError> {
-        self.decompress_threads(container, Threads::Auto)
-    }
-
-    /// [`decompress`](Self::decompress) with an explicit thread policy.
-    /// Output bytes are identical whatever the policy.
     pub fn decompress_threads(
         &self,
         container: &[u8],
@@ -279,10 +273,11 @@ impl Engine {
     }
 
     /// Decompresses a framed container into a caller-provided buffer —
-    /// the borrowed mirror of [`decompress`](Self::decompress) for
-    /// callers that reuse output storage across calls (buffer pools,
-    /// arenas, pinned staging memory). Nothing allocates per block:
-    /// every chunk decodes straight into its span of `out` through
+    /// the borrowed mirror of
+    /// [`decompress_threads`](Self::decompress_threads) for callers that
+    /// reuse output storage across calls (buffer pools, arenas, pinned
+    /// staging memory). Nothing allocates per block: every chunk decodes
+    /// straight into its span of `out` through
     /// [`decompress_into`](slc_compress::BlockCompressor::decompress_into).
     ///
     /// `out.len()` must equal the container's decoded length (the
@@ -292,14 +287,8 @@ impl Engine {
     /// unspecified (chunks decoded before the failure remain).
     ///
     /// Byte-identity with the owned path is pinned by property tests:
-    /// `decompress_into` fills `out` with exactly the bytes
-    /// [`decompress`](Self::decompress) would return.
-    pub fn decompress_into(&self, container: &[u8], out: &mut [u8]) -> Result<(), ContainerError> {
-        self.decompress_into_threads(container, out, Threads::Auto)
-    }
-
-    /// [`decompress_into`](Self::decompress_into) with an explicit
-    /// thread policy. Output bytes are identical whatever the policy.
+    /// `out` ends up holding exactly the bytes
+    /// [`decompress_threads`](Self::decompress_threads) would return.
     pub fn decompress_into_threads(
         &self,
         container: &[u8],
@@ -359,10 +348,10 @@ impl Engine {
     /// Starts a streaming encode: feed bytes in arbitrary-sized pieces
     /// via [`StreamEncoder::push`], finish with
     /// [`StreamEncoder::finish`]. The container is **byte-identical** to
-    /// [`compress`](Self::compress) over the concatenated input (pinned
-    /// by property tests), but the raw stream never has to exist in one
-    /// buffer: each chunk is encoded the moment it fills, so live
-    /// working memory beyond the compressed output is one chunk.
+    /// [`compress_threads`](Self::compress_threads) over the concatenated
+    /// input (pinned by property tests), but the raw stream never has to
+    /// exist in one buffer: each chunk is encoded the moment it fills, so
+    /// live working memory beyond the compressed output is one chunk.
     pub fn stream_encoder(&self) -> StreamEncoder {
         StreamEncoder {
             engine: self.clone(),
@@ -377,7 +366,7 @@ impl Engine {
 /// Incremental, bounded-memory encoder for serving scenarios (built by
 /// [`Engine::stream_encoder`]).
 ///
-/// The one-shot [`Engine::compress`] needs the whole raw stream in
+/// The one-shot [`Engine::compress_threads`] needs the whole raw stream in
 /// memory; `StreamEncoder` accepts it piecewise. Chunks are encoded as
 /// soon as they fill (serially, in arrival order), so the encoder only
 /// ever holds the compressed payload, a 13-byte directory entry per
@@ -684,8 +673,8 @@ mod tests {
         let e = bdi_engine(256);
         for len in [0usize, 1, 127, 128, 129, 255, 256, 257, 1000, 4096] {
             let data = sample_bytes(len);
-            let c = e.compress(&data);
-            assert_eq!(e.decompress(&c).unwrap(), data, "len {len}");
+            let c = e.compress_threads(&data, Threads::Auto);
+            assert_eq!(e.decompress_threads(&c, Threads::Auto).unwrap(), data, "len {len}");
             let info = frame_info(&c).unwrap();
             assert_eq!(info.total_len, len as u64);
             assert_eq!(info.chunk_count as u64, (len as u64).div_ceil(256));
@@ -696,7 +685,7 @@ mod tests {
     fn container_is_self_describing() {
         let e = bdi_engine(512);
         let data = sample_bytes(2000);
-        let c = e.compress(&data);
+        let c = e.compress_threads(&data, Threads::Auto);
         let info = frame_info(&c).unwrap();
         assert_eq!(info.codec, CodecId::Bdi);
         assert_eq!(info.chunk_bytes, 512);
@@ -713,7 +702,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             *b = (state >> 33) as u8;
         }
-        let c = e.compress(&noise);
+        let c = e.compress_threads(&noise, Threads::Auto);
         let info = frame_info(&c).unwrap();
         assert_eq!(info.coded_chunks, 0, "noise must store raw, not expand");
         // Raw storage bounds the overhead to header + directory.
@@ -721,16 +710,16 @@ mod tests {
             c.len(),
             HEADER_BYTES + info.chunk_count as usize * DIR_ENTRY_BYTES + noise.len()
         );
-        assert_eq!(e.decompress(&c).unwrap(), noise);
+        assert_eq!(e.decompress_threads(&c, Threads::Auto).unwrap(), noise);
     }
 
     #[test]
     fn codec_mismatch_is_rejected() {
         let data = sample_bytes(512);
-        let c = bdi_engine(256).compress(&data);
+        let c = bdi_engine(256).compress_threads(&data, Threads::Auto);
         let other = Engine::new(Arc::new(slc_compress::fpc::Fpc::new())).with_chunk_bytes(256);
         assert_eq!(
-            other.decompress(&c),
+            other.decompress_threads(&c, Threads::Auto),
             Err(ContainerError::CodecMismatch { container: CodecId::Bdi, engine: CodecId::Fpc })
         );
     }
@@ -753,10 +742,10 @@ mod tests {
             data.chunks_exact(BLOCK_BYTES).map(|c| e2mc.size_bits(c.try_into().unwrap())).collect();
         assert!(sizes.iter().any(|&s| s >= BLOCK_BITS), "need at least one verbatim block");
         let engine = Engine::new(Arc::new(e2mc)).with_chunk_bytes(512);
-        let plain = engine.compress(&data);
+        let plain = engine.compress_threads(&data, Threads::Auto);
         let sized = engine.compress_with_sizes(&data, &sizes, Threads::Serial);
         assert_eq!(plain, sized, "truthful sizes must not change a single byte");
-        assert_eq!(engine.decompress(&sized).unwrap(), data);
+        assert_eq!(engine.decompress_threads(&sized, Threads::Auto).unwrap(), data);
     }
 
     #[test]
@@ -764,10 +753,10 @@ mod tests {
         let e = bdi_engine(256);
         for len in [0usize, 1, 127, 128, 255, 256, 1000, 4096] {
             let data = sample_bytes(len);
-            let c = e.compress(&data);
-            let owned = e.decompress(&c).unwrap();
+            let c = e.compress_threads(&data, Threads::Auto);
+            let owned = e.decompress_threads(&c, Threads::Auto).unwrap();
             let mut borrowed = vec![0xa5u8; len];
-            e.decompress_into(&c, &mut borrowed).unwrap();
+            e.decompress_into_threads(&c, &mut borrowed, Threads::Auto).unwrap();
             assert_eq!(borrowed, owned, "len {len}");
         }
     }
@@ -775,11 +764,11 @@ mod tests {
     #[test]
     fn decompress_into_rejects_wrong_buffer_length() {
         let e = bdi_engine(256);
-        let c = e.compress(&sample_bytes(300));
+        let c = e.compress_threads(&sample_bytes(300), Threads::Auto);
         for bad in [0usize, 299, 301] {
             let mut out = vec![0u8; bad];
             assert_eq!(
-                e.decompress_into(&c, &mut out),
+                e.decompress_into_threads(&c, &mut out, Threads::Auto),
                 Err(ContainerError::OutputLenMismatch { total_len: 300, out_len: bad }),
                 "buffer of {bad} bytes must be rejected"
             );

@@ -16,7 +16,7 @@ use slc_compress::cpack::Cpack;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::fpc::Fpc;
 use slc_compress::rans::Rans;
-use slc_compress::{BlockCodec, ChunkCoder, Compressed, BLOCK_BITS, BLOCK_BYTES};
+use slc_compress::{BlockCodec, ChunkCoder, BLOCK_BITS, BLOCK_BYTES};
 use slc_engine::{ContainerError, DirEntry, Engine, Header, StorageMode, Threads};
 use std::sync::{Arc, OnceLock};
 
@@ -38,7 +38,7 @@ fn codecs() -> &'static [Arc<dyn BlockCodec>] {
 }
 
 /// Reference container builder: a plain sequential loop over blocks and
-/// chunks — per-block `compress`, u16 tag, raw fallback — independently
+/// chunks — per-block `compress_into`, u16 tag, raw fallback — independently
 /// restating the format spec the engine must match byte for byte.
 fn reference_container(codec: &dyn BlockCodec, bytes: &[u8], chunk_bytes: usize) -> Vec<u8> {
     let mut chunks: Vec<(Vec<u8>, StorageMode)> = Vec::new();
@@ -47,11 +47,14 @@ fn reference_container(codec: &dyn BlockCodec, bytes: &[u8], chunk_bytes: usize)
         for raw in chunk.chunks(BLOCK_BYTES) {
             let mut block = [0u8; BLOCK_BYTES];
             block[..raw.len()].copy_from_slice(raw);
-            let c = codec.compress(&block);
-            let c = if c.size_bits() > BLOCK_BITS { Compressed::uncompressed(&block) } else { c };
-            let tag = (c.size_bits() as u16) | if c.is_compressed() { 1u16 << 15 } else { 0 };
+            let mut payload = Vec::new();
+            let (mut bits, mut is_coded) = codec.compress_into(&block, &mut payload);
+            if bits > BLOCK_BITS {
+                (bits, is_coded, payload) = (BLOCK_BITS, false, block.to_vec());
+            }
+            let tag = (bits as u16) | if is_coded { 1u16 << 15 } else { 0 };
             coded.extend_from_slice(&tag.to_le_bytes());
-            coded.extend_from_slice(&c.payload()[..c.size_bits().div_ceil(8) as usize]);
+            coded.extend_from_slice(&payload[..bits.div_ceil(8) as usize]);
         }
         if coded.len() >= chunk.len() {
             chunks.push((chunk.to_vec(), StorageMode::Raw));
@@ -121,7 +124,7 @@ fn check_roundtrip(bytes: &[u8], chunk_blocks: usize) {
         // Borrowed decode into a deliberately dirty buffer must overwrite
         // every byte with exactly what the owned path returned.
         let mut borrowed = vec![0xa5u8; bytes.len()];
-        engine.decompress_into(&serial, &mut borrowed).unwrap();
+        engine.decompress_into_threads(&serial, &mut borrowed, Threads::Auto).unwrap();
         assert_eq!(borrowed, d_serial, "{name}: decompress_into must equal decompress");
     }
 }
@@ -138,14 +141,14 @@ fn edge_case_lengths_roundtrip() {
 fn truncating_a_container_is_an_error_not_a_panic() {
     let engine = Engine::new(Arc::new(Bdi::new())).with_chunk_bytes(256);
     let data = stream(1000, 3, 2);
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
     for cut in 0..container.len() {
-        match engine.decompress(&container[..cut]) {
+        match engine.decompress_threads(&container[..cut], Threads::Auto) {
             Err(_) => {}
             Ok(out) => assert_eq!(out, data[..0], "only a full parse may succeed"),
         }
     }
-    assert_eq!(engine.decompress(&container).unwrap(), data);
+    assert_eq!(engine.decompress_threads(&container, Threads::Auto).unwrap(), data);
 }
 
 #[test]
@@ -173,7 +176,7 @@ fn chunk_corruption_surfaces_as_chunk_corrupt() {
     // decoder must return ChunkCorrupt for that chunk, not panic.
     let bytes: Vec<u8> = stream(1024, 5, 0);
     let engine = Engine::new(Arc::new(Bdi::new())).with_chunk_bytes(256);
-    let mut container = engine.compress(&bytes);
+    let mut container = engine.compress_threads(&bytes, Threads::Auto);
     let info = slc_engine::frame_info(&container).unwrap();
     assert!(info.coded_chunks > 0, "need a coded chunk to corrupt");
     let dir_end =
@@ -182,7 +185,7 @@ fn chunk_corruption_surfaces_as_chunk_corrupt() {
     // the ramp compresses under BDI).
     container[dir_end] = 0xff;
     container[dir_end + 1] = 0x7f; // tag = size_bits 0x7fff, not coded
-    match engine.decompress(&container) {
+    match engine.decompress_threads(&container, Threads::Auto) {
         Err(ContainerError::ChunkCorrupt { .. }) => {}
         other => panic!("expected ChunkCorrupt, got {other:?}"),
     }
@@ -254,9 +257,13 @@ fn rans_engine_equals_chunk_level_reference() {
             "rans: engine container must equal the sequential chunk-level reference \
              (len {len}, chunk_blocks {chunk_blocks})"
         );
-        assert_eq!(engine.decompress(&serial).unwrap(), data, "rans: roundtrip");
+        assert_eq!(
+            engine.decompress_threads(&serial, Threads::Auto).unwrap(),
+            data,
+            "rans: roundtrip"
+        );
         let mut borrowed = vec![0xa5u8; data.len()];
-        engine.decompress_into(&serial, &mut borrowed).unwrap();
+        engine.decompress_into_threads(&serial, &mut borrowed, Threads::Auto).unwrap();
         assert_eq!(borrowed, data, "rans: decompress_into must equal decompress");
     }
 }
@@ -280,7 +287,7 @@ proptest! {
         let codecs: [Arc<dyn BlockCodec>; 2] = [Arc::new(Bdi::new()), Arc::new(Rans::new())];
         for codec in codecs {
             let engine = Engine::new(codec).with_chunk_bytes(chunk_blocks * BLOCK_BYTES);
-            let whole = engine.compress(&data);
+            let whole = engine.compress_threads(&data, Threads::Auto);
             let mut enc = engine.stream_encoder();
             let mut rest: &[u8] = &data;
             for &cut in &cuts {

@@ -100,11 +100,25 @@ mod tests {
     use crate::mc::{BurstsMap, UniformBursts};
     use crate::trace::{Op, TraceBuilder};
 
+    /// A streaming sweep over blocks `0..blocks`, eight loads a tile and
+    /// `compute_per_block` cycles per load, then a barrier. With
+    /// `stores`, each tile also stores as many blocks of a second array
+    /// that starts at block `blocks`.
+    fn sweep(cfg: &GpuConfig, blocks: u64, compute_per_block: u32, stores: bool) -> Trace {
+        let mut b = TraceBuilder::new(cfg.sms);
+        for first in (0..blocks).step_by(8) {
+            let loads: Vec<_> = (first..blocks.min(first + 8)).collect();
+            let written: Vec<_> =
+                if stores { loads.iter().map(|&l| l + blocks).collect() } else { Vec::new() };
+            b.tile(&loads, compute_per_block * loads.len() as u32, &written);
+        }
+        b.barrier();
+        b.build()
+    }
+
     /// A memory-bound streaming trace over `blocks` blocks.
     fn streaming_trace(cfg: &GpuConfig, blocks: u64, compute_per_block: u32) -> Trace {
-        let mut b = TraceBuilder::new(cfg.sms);
-        b.stream_sweep(0, blocks, 8, compute_per_block, None);
-        b.build()
+        sweep(cfg, blocks, compute_per_block, false)
     }
 
     #[test]
@@ -154,11 +168,10 @@ mod tests {
     #[test]
     fn stores_generate_writeback_traffic() {
         let cfg = GpuConfig::default();
-        let mut b = TraceBuilder::new(cfg.sms);
         // Load one array, store another, bigger than L2 (768 KB = 6144
         // blocks) so write-backs flow during the run.
-        b.stream_sweep(0, 10_000, 8, 2, Some(10_000 * 128));
-        let stats = Engine::new(cfg).run(&b.build(), &UniformBursts(4));
+        let trace = sweep(&cfg, 10_000, 2, true);
+        let stats = Engine::new(cfg).run(&trace, &UniformBursts(4));
         assert_eq!(stats.stores, 10_000);
         assert_eq!(stats.dram_writes, 10_000, "every stored block is eventually written back");
         assert_eq!(stats.write_bursts, 4 * 10_000);

@@ -65,18 +65,6 @@ impl Trace {
             _ => None,
         })
     }
-
-    /// Appends another trace's streams op-by-op (kernel concatenation).
-    ///
-    /// # Panics
-    ///
-    /// Panics when SM counts differ.
-    pub fn extend(&mut self, other: &Trace) {
-        assert_eq!(self.sms(), other.sms(), "cannot concatenate traces with different SM counts");
-        for (dst, src) in self.streams.iter_mut().zip(&other.streams) {
-            dst.extend_from_slice(src);
-        }
-    }
 }
 
 /// Builds traces by distributing a global sequence of *tiles* round-robin
@@ -128,34 +116,6 @@ impl TraceBuilder {
         }
     }
 
-    /// Emits a streaming sweep over `blocks` consecutive blocks starting
-    /// at byte address `base`, `tile_blocks` loads per tile, with
-    /// `compute_per_block` cycles and an optional parallel store stream
-    /// starting at `store_base`.
-    pub fn stream_sweep(
-        &mut self,
-        base: u64,
-        blocks: u64,
-        tile_blocks: u64,
-        compute_per_block: u32,
-        store_base: Option<u64>,
-    ) {
-        let first = base >> 7;
-        let store_first = store_base.map(|b| b >> 7);
-        let mut i = 0u64;
-        while i < blocks {
-            let n = tile_blocks.min(blocks - i);
-            let loads: Vec<BlockAddr> = (0..n).map(|k| first + i + k).collect();
-            let stores: Vec<BlockAddr> = match store_first {
-                Some(s) => (0..n).map(|k| s + i + k).collect(),
-                None => Vec::new(),
-            };
-            self.tile(&loads, compute_per_block * n as u32, &stores);
-            i += n;
-        }
-        self.barrier();
-    }
-
     /// Finishes the build.
     pub fn build(self) -> Trace {
         self.trace
@@ -188,43 +148,6 @@ mod tests {
         // SM0 got tiles 0 and 2, SM1 got tile 1.
         assert_eq!(t.stream(0).iter().filter(|o| matches!(o, Op::Load(_))).count(), 2);
         assert_eq!(t.stream(1).iter().filter(|o| matches!(o, Op::Load(_))).count(), 1);
-    }
-
-    #[test]
-    fn stream_sweep_covers_all_blocks() {
-        let mut b = TraceBuilder::new(4);
-        b.stream_sweep(0, 10, 4, 3, Some(128 * 100));
-        let t = b.build();
-        let mut loads: Vec<u64> = t
-            .streams
-            .iter()
-            .flatten()
-            .filter_map(|o| if let Op::Load(b) = o { Some(*b) } else { None })
-            .collect();
-        loads.sort_unstable();
-        assert_eq!(loads, (0..10).collect::<Vec<_>>());
-        let stores = t.streams.iter().flatten().filter(|o| matches!(o, Op::Store(_))).count();
-        assert_eq!(stores, 10);
-    }
-
-    #[test]
-    fn extend_concatenates_per_sm() {
-        let mut a = Trace::new(2);
-        a.push(0, Op::Load(0));
-        let mut b = Trace::new(2);
-        b.push(0, Op::Load(1));
-        b.push(1, Op::Sync);
-        a.extend(&b);
-        assert_eq!(a.stream(0), &[Op::Load(0), Op::Load(1)]);
-        assert_eq!(a.stream(1), &[Op::Sync]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different SM counts")]
-    fn extend_rejects_mismatched_sms() {
-        let mut a = Trace::new(2);
-        let b = Trace::new(3);
-        a.extend(&b);
     }
 
     #[test]

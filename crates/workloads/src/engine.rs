@@ -59,7 +59,7 @@ pub fn snapshot_engine(e2mc: &E2mc) -> Engine {
 /// Compresses a snapshot byte image into a framed container, feeding the
 /// engine the snapshot's **cached** per-block sizes instead of letting it
 /// re-analyse — see the module docs for the sharing contract. The
-/// container is byte-identical to `engine.compress(bytes)`.
+/// container is byte-identical to `engine.compress_threads(bytes, threads)`.
 ///
 /// # Panics
 ///
@@ -125,10 +125,10 @@ mod tests {
         let snapshot = SnapshotAnalysis::capture(&e2mc, &mem);
         let engine = snapshot_engine(&e2mc);
         let bytes = snapshot_bytes(&mem);
-        let plain = engine.compress(&bytes);
+        let plain = engine.compress_threads(&bytes, Threads::Auto);
         let cached = compress_snapshot(&engine, &e2mc, &bytes, &snapshot, Threads::Serial);
         assert_eq!(plain, cached, "the no-re-analysis path must not change a single byte");
-        assert_eq!(engine.decompress(&cached).unwrap(), bytes);
+        assert_eq!(engine.decompress_threads(&cached, Threads::Auto).unwrap(), bytes);
         let info = frame_info(&cached).unwrap();
         assert!(info.ratio() > 1.0, "in-distribution snapshot should compress");
     }

@@ -107,8 +107,8 @@ fn encoded_bursts(scheme: &Scheme, block: &Block, mag: Mag, approximable: bool) 
         Scheme::Slc(slc) if approximable => slc.compress(block).bursts(),
         _ => {
             let e2mc = scheme.e2mc().expect("compressed schemes carry a table");
-            let stored = BlockCompressor::compress(e2mc, block);
-            mag.bursts_for_bits(stored.size_bits(), BLOCK_BYTES as u32)
+            let (bits, _) = e2mc.compress_into(block, &mut Vec::new());
+            mag.bursts_for_bits(bits, BLOCK_BYTES as u32)
         }
     }
 }
@@ -324,7 +324,8 @@ fn staged_snapshots_match_direct_accumulation_over_boundaries() {
 }
 
 /// One staging point of `mem` from public per-block calls only, no walk:
-/// analyse, decide, refill, analyse what was written, price that.
+/// analyse, decide, encode and decode a lossy block, analyse what was
+/// written, price that.
 fn reference_point(scheme: &Scheme, mem: &mut GpuMemory, acc: &mut BurstsAccumulator) {
     let Scheme::Slc(slc) = scheme else { unreachable!("the oracle covers the TSLC variants") };
     let mag = slc.config().mag();
@@ -342,12 +343,11 @@ fn reference_point(scheme: &Scheme, mem: &mut GpuMemory, acc: &mut BurstsAccumul
         for (i, block) in blocks.iter_mut().enumerate() {
             let addr = region.block_addr(i);
             let analysis = slc.analysis(block);
-            let stored = match slc.approximate_with(block, &analysis) {
-                Some(out) => {
-                    *block = out;
-                    slc.analysis(&out)
-                }
-                None => analysis,
+            let stored = if slc.stored_bits_with(&analysis).1 {
+                *block = slc.decompress(&slc.compress_with(block, &analysis));
+                slc.analysis(block)
+            } else {
+                analysis
             };
             acc.record_one(addr, slc.stored_bursts_with(&stored));
         }

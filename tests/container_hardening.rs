@@ -4,7 +4,7 @@
 //! sizes or modes, header geometry, directory bytes, block tags and rANS
 //! table fields swept over every value they can hold, a header naming
 //! the wrong codec —
-//! [`Engine::decompress`] must return an error or decode to *some*
+//! [`Engine::decompress_threads`] must return an error or decode to *some*
 //! full-size buffer. It must never panic (nothing here would catch
 //! one), read out of bounds, or allocate from a lying length field.
 
@@ -125,14 +125,14 @@ fn assert_contained(engine: &Engine, container: &[u8], expect_len: usize, what: 
 fn truncation_at_every_header_and_directory_boundary() {
     let engine = bdi_engine();
     let data = sample_stream();
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
     let info = frame_info(&container).unwrap();
     let dir_end = HEADER_BYTES + info.chunk_count as usize * DIR_ENTRY_BYTES;
     // Every byte boundary of the header + directory: all structurally
     // fatal, so the parse must error (no partial metadata is usable).
     for cut in 0..dir_end {
         assert!(
-            engine.decompress(&container[..cut]).is_err(),
+            engine.decompress_threads(&container[..cut], Threads::Auto).is_err(),
             "cut at metadata byte {cut} must be an error"
         );
     }
@@ -141,18 +141,22 @@ fn truncation_at_every_header_and_directory_boundary() {
     for cut in dir_end..container.len() {
         assert_contained(&engine, &container[..cut], data.len(), &format!("payload cut {cut}"));
         assert!(
-            engine.decompress(&container[..cut]).is_err(),
+            engine.decompress_threads(&container[..cut], Threads::Auto).is_err(),
             "payload cut {cut} leaves a dangling directory span"
         );
     }
-    assert_eq!(engine.decompress(&container).unwrap(), data, "uncut container still decodes");
+    assert_eq!(
+        engine.decompress_threads(&container, Threads::Auto).unwrap(),
+        data,
+        "uncut container still decodes"
+    );
 }
 
 #[test]
 fn seeded_bit_flip_barrage_is_contained() {
     let engine = bdi_engine();
     let data = sample_stream();
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
     let mut rng = Rng(0xc0de_f11b_5eed);
     let mut errors = 0u32;
     const FLIPS: usize = 512;
@@ -161,7 +165,7 @@ fn seeded_bit_flip_barrage_is_contained() {
         let bit = (rng.next() as usize) % (corrupt.len() * 8);
         corrupt[bit / 8] ^= 1 << (bit % 8);
         assert_contained(&engine, &corrupt, data.len(), &format!("flip {i} (bit {bit})"));
-        if engine.decompress(&corrupt).is_err() {
+        if engine.decompress_threads(&corrupt, Threads::Auto).is_err() {
             errors += 1;
         }
     }
@@ -170,7 +174,11 @@ fn seeded_bit_flip_barrage_is_contained() {
     // changed-but-full-size decode is the correct contained outcome —
     // flipping a verbatim byte simply decodes to different data.
     assert!(errors > 0, "no flip was ever detected ({FLIPS} tried)");
-    assert_eq!(engine.decompress(&container).unwrap(), data, "pristine container unaffected");
+    assert_eq!(
+        engine.decompress_threads(&container, Threads::Auto).unwrap(),
+        data,
+        "pristine container unaffected"
+    );
 }
 
 #[test]
@@ -182,7 +190,7 @@ fn double_flips_across_trained_codec_payloads_are_contained() {
         Engine::new(Arc::new(E2mc::train_on_bytes(&training_bytes(), &E2mcConfig::default())))
             .with_chunk_bytes(256);
     let data = sample_stream();
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
     let info = frame_info(&container).unwrap();
     assert!(info.coded_chunks > 0, "need coded chunks to corrupt");
     let dir_end = HEADER_BYTES + info.chunk_count as usize * DIR_ENTRY_BYTES;
@@ -207,7 +215,7 @@ fn rans_chunk_streams_survive_the_barrage() {
     // in a worker or an out-of-bounds read.
     let engine = Engine::new(Arc::new(Rans::new())).with_chunk_bytes(256);
     let data = sample_stream();
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
     let info = frame_info(&container).unwrap();
     assert!(info.coded_chunks > 0, "need rANS-coded chunks to corrupt");
     let dir_end = HEADER_BYTES + info.chunk_count as usize * DIR_ENTRY_BYTES;
@@ -235,14 +243,18 @@ fn rans_chunk_streams_survive_the_barrage() {
         }
         assert_contained(&engine, &corrupt, data.len(), &format!("rans payload pair {i}"));
     }
-    assert_eq!(engine.decompress(&container).unwrap(), data, "pristine rANS container decodes");
+    assert_eq!(
+        engine.decompress_threads(&container, Threads::Auto).unwrap(),
+        data,
+        "pristine rANS container decodes"
+    );
 }
 
 #[test]
 fn lying_directory_entries_are_rejected_or_contained() {
     let engine = bdi_engine();
     let data = sample_stream();
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
     let info = frame_info(&container).unwrap();
     assert!(info.chunk_count >= 2);
     let entry_at = |chunk: usize| HEADER_BYTES + chunk * DIR_ENTRY_BYTES;
@@ -251,7 +263,7 @@ fn lying_directory_entries_are_rejected_or_contained() {
     let mut lying = container.clone();
     lying[entry_at(0)..entry_at(0) + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(matches!(
-        engine.decompress(&lying),
+        engine.decompress_threads(&lying, Threads::Auto),
         Err(ContainerError::InvalidEntry { chunk: 0, .. })
     ));
 
@@ -259,7 +271,7 @@ fn lying_directory_entries_are_rejected_or_contained() {
     let mut lying = container.clone();
     lying[entry_at(0) + 8..entry_at(0) + 12].copy_from_slice(&(!7u32).to_le_bytes());
     assert!(matches!(
-        engine.decompress(&lying),
+        engine.decompress_threads(&lying, Threads::Auto),
         Err(ContainerError::InvalidEntry { chunk: 0, .. })
     ));
 
@@ -267,7 +279,7 @@ fn lying_directory_entries_are_rejected_or_contained() {
     let mut lying = container.clone();
     lying[entry_at(0) + 8..entry_at(0) + 12].copy_from_slice(&9u32.to_le_bytes());
     assert!(matches!(
-        engine.decompress(&lying),
+        engine.decompress_threads(&lying, Threads::Auto),
         Err(ContainerError::InvalidEntry { chunk: 0, .. })
     ));
 
@@ -275,7 +287,7 @@ fn lying_directory_entries_are_rejected_or_contained() {
     let mut lying = container.clone();
     lying[entry_at(1) + 12] = 0x7e;
     assert!(matches!(
-        engine.decompress(&lying),
+        engine.decompress_threads(&lying, Threads::Auto),
         Err(ContainerError::InvalidEntry { chunk: 1, .. })
     ));
 
@@ -293,7 +305,10 @@ fn lying_directory_entries_are_rejected_or_contained() {
     // Lying chunk_count (header) — inconsistent with total_len.
     let mut lying = container.clone();
     lying[12..16].copy_from_slice(&(info.chunk_count + 1).to_le_bytes());
-    assert!(matches!(engine.decompress(&lying), Err(ContainerError::BadChunkCount { .. })));
+    assert!(matches!(
+        engine.decompress_threads(&lying, Threads::Auto),
+        Err(ContainerError::BadChunkCount { .. })
+    ));
 
     // Two entries aliasing the same span: structurally valid (both in
     // bounds) — must decode to a full-size buffer or error, never OOB.
@@ -308,34 +323,52 @@ fn lying_directory_entries_are_rejected_or_contained() {
 fn header_field_tampering_is_rejected() {
     let engine = bdi_engine();
     let data = sample_stream();
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
 
     let mut bad = container.clone();
     bad[0..4].copy_from_slice(b"SLX1");
-    assert!(matches!(engine.decompress(&bad), Err(ContainerError::BadMagic(_))));
+    assert!(matches!(
+        engine.decompress_threads(&bad, Threads::Auto),
+        Err(ContainerError::BadMagic(_))
+    ));
 
     let mut bad = container.clone();
     bad[4] = 99;
-    assert!(matches!(engine.decompress(&bad), Err(ContainerError::BadVersion(_))));
+    assert!(matches!(
+        engine.decompress_threads(&bad, Threads::Auto),
+        Err(ContainerError::BadVersion(_))
+    ));
 
     let mut bad = container.clone();
     bad[6] = 200;
-    assert!(matches!(engine.decompress(&bad), Err(ContainerError::UnknownCodec(200))));
+    assert!(matches!(
+        engine.decompress_threads(&bad, Threads::Auto),
+        Err(ContainerError::UnknownCodec(200))
+    ));
 
     let mut bad = container.clone();
     bad[7] = 1;
-    assert!(matches!(engine.decompress(&bad), Err(ContainerError::BadFlags(1))));
+    assert!(matches!(
+        engine.decompress_threads(&bad, Threads::Auto),
+        Err(ContainerError::BadFlags(1))
+    ));
 
     // Wrong-but-known codec byte: the engine must refuse to decode a
     // container labelled for a different codec.
     let mut bad = container.clone();
     bad[6] = slc::slc_compress::CodecId::Fpc.as_u8();
-    assert!(matches!(engine.decompress(&bad), Err(ContainerError::CodecMismatch { .. })));
+    assert!(matches!(
+        engine.decompress_threads(&bad, Threads::Auto),
+        Err(ContainerError::CodecMismatch { .. })
+    ));
 
     // total_len tampering desynchronises the chunk-count invariant.
     let mut bad = container.clone();
     bad[16..24].copy_from_slice(&(data.len() as u64 * 1000).to_le_bytes());
-    assert!(matches!(engine.decompress(&bad), Err(ContainerError::BadChunkCount { .. })));
+    assert!(matches!(
+        engine.decompress_threads(&bad, Threads::Auto),
+        Err(ContainerError::BadChunkCount { .. })
+    ));
 }
 
 #[test]
@@ -358,7 +391,7 @@ fn header_geometry_and_directory_bytes_swept_over_all_values() {
     for codec in codecs {
         let engine = Engine::new(codec).with_chunk_bytes(256);
         let name = engine.codec_id().name();
-        let container = engine.compress(&data);
+        let container = engine.compress_threads(&data, Threads::Auto);
         let info = frame_info(&container).unwrap();
         assert!(info.raw_chunks > 0 && info.coded_chunks > 0, "{name}: need both storage modes");
         let dir_end = HEADER_BYTES + info.chunk_count as usize * DIR_ENTRY_BYTES;
@@ -374,7 +407,11 @@ fn header_geometry_and_directory_bytes_swept_over_all_values() {
             }
             hostile[at] = container[at];
         }
-        assert_eq!(engine.decompress(&hostile).unwrap(), data, "{name}: sweep restores");
+        assert_eq!(
+            engine.decompress_threads(&hostile, Threads::Auto).unwrap(),
+            data,
+            "{name}: sweep restores"
+        );
     }
 }
 
@@ -400,7 +437,7 @@ fn header_claiming_terabytes_is_an_error_not_an_abort() {
     assert_eq!(frame_info(&hostile).unwrap().total_len, total_len);
     let engine = bdi_engine();
     let refused = Err(ContainerError::OutputAllocFailed { total_len });
-    assert_eq!(engine.decompress(&hostile), refused);
+    assert_eq!(engine.decompress_threads(&hostile, Threads::Auto), refused);
     for threads in BOTH {
         assert_eq!(engine.decompress_threads(&hostile, threads), refused, "{threads:?}");
     }
@@ -408,7 +445,7 @@ fn header_claiming_terabytes_is_an_error_not_an_abort() {
     // buffer is simply the wrong size.
     let mut small = [0u8; 256];
     assert_eq!(
-        engine.decompress_into(&hostile, &mut small),
+        engine.decompress_into_threads(&hostile, &mut small, Threads::Auto),
         Err(ContainerError::OutputLenMismatch { total_len, out_len: 256 })
     );
 }
@@ -424,7 +461,7 @@ fn first_two_bytes_of_every_coded_chunk_swept_over_all_values() {
     let data = registry_stream();
     for engine in engines() {
         let name = engine.codec_id().name();
-        let container = engine.compress(&data);
+        let container = engine.compress_threads(&data, Threads::Auto);
         let (payload_at, directory) = payload_and_directory(&container);
         let coded: Vec<_> = directory.iter().filter(|e| e.mode == StorageMode::Coded).collect();
         assert!(!coded.is_empty(), "{name}: need coded chunks to mutate");
@@ -456,7 +493,7 @@ fn rans_table_fields_swept_over_all_values() {
     // field.
     let engine = Engine::new(Arc::new(Rans::new())).with_chunk_bytes(256);
     let data = sample_stream();
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
     let (payload_at, directory) = payload_and_directory(&container);
     let mut hostile = container.clone();
     let mut fields = 0usize;
@@ -504,7 +541,7 @@ fn containers_relabelled_for_every_other_codec_are_contained() {
     let data = registry_stream();
     let engines = engines();
     for writer in &engines {
-        let container = writer.compress(&data);
+        let container = writer.compress_threads(&data, Threads::Auto);
         let header = Frame::parse(&container).expect("pristine container parses").header;
         assert_eq!(header.codec, writer.codec_id());
         for reader in &engines {
@@ -517,10 +554,14 @@ fn containers_relabelled_for_every_other_codec_are_contained() {
             );
             assert_contained(reader, &relabelled, data.len(), &what);
             if reader.codec_id() == writer.codec_id() {
-                assert_eq!(reader.decompress(&relabelled).as_deref(), Ok(&data[..]), "{what}");
+                assert_eq!(
+                    reader.decompress_threads(&relabelled, Threads::Auto).as_deref(),
+                    Ok(&data[..]),
+                    "{what}"
+                );
             } else {
                 assert!(matches!(
-                    writer.decompress(&relabelled),
+                    writer.decompress_threads(&relabelled, Threads::Auto),
                     Err(ContainerError::CodecMismatch { .. })
                 ));
             }
@@ -530,7 +571,7 @@ fn containers_relabelled_for_every_other_codec_are_contained() {
             let mut relabelled = container.clone();
             relabelled[6] = reserved;
             assert_eq!(
-                writer.decompress(&relabelled),
+                writer.decompress_threads(&relabelled, Threads::Auto),
                 Err(ContainerError::UnknownCodec(reserved)),
                 "{} container relabelled {reserved}",
                 writer.codec_id().name()

@@ -3,8 +3,8 @@
 //! [`BlockCompressor::decompress_into`] with nothing around the call to
 //! catch a panic. A corrupt stream must come back as a [`DecodeError`]
 //! or decode to *some* full block — never panic, never index out of
-//! bounds — and the [`Compressed`] boundary must reject payloads that
-//! cannot hold their declared bit length. E2MC's parallel decoding
+//! bounds — also when the payload is shorter than its declared bit
+//! length. E2MC's parallel decoding
 //! pointers are held to more: a flipped pdp is always rejected, at the
 //! codec and as `ChunkCorrupt` through the engine.
 
@@ -14,9 +14,8 @@ use slc::slc_compress::cpack::Cpack;
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig, HEADER_BITS};
 use slc::slc_compress::fpc::Fpc;
 use slc::slc_compress::rans::Rans;
-use slc::slc_compress::{Block, BlockCompressor, Compressed, DecodeError, BLOCK_BITS, BLOCK_BYTES};
-use slc::slc_engine::{ContainerError, Engine, Frame, StorageMode};
-use std::panic::catch_unwind;
+use slc::slc_compress::{Block, BlockCompressor, DecodeError, BLOCK_BITS, BLOCK_BYTES};
+use slc::slc_engine::{ContainerError, Engine, Frame, StorageMode, Threads};
 use std::sync::Arc;
 
 /// Deterministic corruption source (xorshift64*), so a failing flip is
@@ -73,7 +72,7 @@ fn candidate_blocks() -> Vec<[u8; BLOCK_BYTES]> {
 fn compressible_block_for(codec: &dyn BlockCompressor) -> [u8; BLOCK_BYTES] {
     candidate_blocks()
         .into_iter()
-        .find(|b| codec.compress(b).is_compressed())
+        .find(|b| encode(codec, b).1)
         .unwrap_or_else(|| panic!("{}: no candidate block compresses", codec.id().name()))
 }
 
@@ -81,10 +80,19 @@ fn compressible_block_for(codec: &dyn BlockCompressor) -> [u8; BLOCK_BYTES] {
 fn all_codecs_roundtrip_a_sample() {
     for codec in codecs() {
         let block = compressible_block_for(codec.as_ref());
-        let c = codec.compress(&block);
-        assert!(c.is_compressed());
-        assert_eq!(codec.decompress(&c), block, "{}: lossless roundtrip", codec.id().name());
+        let (bits, coded, payload) = encode(codec.as_ref(), &block);
+        assert!(coded);
+        let out = decode(codec.as_ref(), bits, coded, &payload);
+        assert_eq!(out, Ok(block), "{}: lossless roundtrip", codec.id().name());
     }
+}
+
+/// `block` through the one encode entry: `(size_bits, is_compressed,
+/// payload)`.
+fn encode(codec: &dyn BlockCompressor, block: &Block) -> (u32, bool, Vec<u8>) {
+    let mut payload = Vec::new();
+    let (bits, coded) = codec.compress_into(block, &mut payload);
+    (bits, coded, payload)
 }
 
 /// One hostile decode, called bare: a panic fails the test. `Ok` hands
@@ -108,8 +116,8 @@ fn truncated_streams_never_decode_silently_to_the_original() {
     // length field is ignored entirely.
     for codec in codecs() {
         let block = compressible_block_for(codec.as_ref());
-        let c = codec.compress(&block);
-        if let Ok(out) = decode(codec.as_ref(), c.size_bits() / 2, true, c.payload()) {
+        let (bits, _, payload) = encode(codec.as_ref(), &block);
+        if let Ok(out) = decode(codec.as_ref(), bits / 2, true, &payload) {
             assert_ne!(
                 out,
                 block,
@@ -128,15 +136,16 @@ fn seeded_bit_flips_are_contained() {
     let mut rng = Rng(0x5eed_f417);
     for codec in codecs() {
         let block = compressible_block_for(codec.as_ref());
-        let c = codec.compress(&block);
+        let (bits, _, payload) = encode(codec.as_ref(), &block);
         let mut rejected = 0u32;
         for _ in 0..64 {
-            let mut bytes = c.payload().to_vec();
+            let mut bytes = payload.clone();
             let bit = (rng.next() as usize) % (bytes.len() * 8);
             bytes[bit / 8] ^= 1 << (bit % 8);
-            rejected += u32::from(decode(codec.as_ref(), c.size_bits(), true, &bytes).is_err());
+            rejected += u32::from(decode(codec.as_ref(), bits, true, &bytes).is_err());
         }
-        assert_eq!(codec.decompress(&c), block, "{}: pristine stream", codec.id().name());
+        let pristine = decode(codec.as_ref(), bits, true, &payload);
+        assert_eq!(pristine, Ok(block), "{}: pristine stream", codec.id().name());
         println!("{}: {rejected}/64 flips rejected", codec.id().name());
     }
 }
@@ -149,8 +158,8 @@ fn lying_sizes_and_short_payloads_are_contained() {
     // the size claims.
     for codec in codecs() {
         let block = compressible_block_for(codec.as_ref());
-        let c = codec.compress(&block);
-        let payload = c.payload();
+        let (_, _, payload) = encode(codec.as_ref(), &block);
+        let payload = &payload[..];
         for size_bits in 0..=BLOCK_BITS + 64 {
             for compressed in [true, false] {
                 let _ = decode(codec.as_ref(), size_bits, compressed, payload);
@@ -178,10 +187,10 @@ fn every_codecs_streams_are_contained_by_every_other_codec() {
     let codecs = codecs();
     for writer in &codecs {
         for block in candidate_blocks() {
-            let c = writer.compress(&block);
+            let (bits, coded, payload) = encode(writer.as_ref(), &block);
             for reader in &codecs {
-                let got = decode(reader.as_ref(), c.size_bits(), c.is_compressed(), c.payload());
-                if reader.id() == writer.id() || !c.is_compressed() {
+                let got = decode(reader.as_ref(), bits, coded, &payload);
+                if reader.id() == writer.id() || !coded {
                     assert_eq!(
                         got,
                         Ok(block),
@@ -213,17 +222,17 @@ fn e2mc_pdp_flips_are_rejected() {
         for c in block.chunks_exact_mut(4) {
             c.copy_from_slice(&((rng.next() % 257) as f32).to_le_bytes());
         }
-        let c = e.compress(&block);
-        assert!(c.is_compressed());
+        let (bits, coded, payload) = encode(&e, &block);
+        assert!(coded);
         for bit in 1..HEADER_BITS {
-            let mut bytes = c.payload().to_vec();
+            let mut bytes = payload.clone();
             flip_stream_bit(&mut bytes, bit);
             assert!(
-                decode(&e, c.size_bits(), true, &bytes).is_err(),
+                decode(&e, bits, true, &bytes).is_err(),
                 "pdp bit {bit} flipped, block still decoded"
             );
         }
-        assert_eq!(e.decompress(&c), block);
+        assert_eq!(decode(&e, bits, true, &payload), Ok(block));
     }
 }
 
@@ -234,7 +243,7 @@ fn e2mc_pdp_flips_surface_as_chunk_corrupt_through_the_engine() {
     let data: Vec<u8> = (0..8 * BLOCK_BYTES as u32 / 4)
         .flat_map(|i| (((i * 3) % 257) as f32).to_le_bytes())
         .collect();
-    let container = engine.compress(&data);
+    let container = engine.compress_threads(&data, Threads::Auto);
     let frame = Frame::parse(&container).unwrap();
     let payload_at = container.len() - frame.payload.len();
     let mut rng = Rng(0x9d9_c0de);
@@ -248,7 +257,7 @@ fn e2mc_pdp_flips_surface_as_chunk_corrupt_through_the_engine() {
             let bit = 1 + (rng.next() % u64::from(HEADER_BITS - 1)) as u32;
             let mut corrupt = container.clone();
             flip_stream_bit(&mut corrupt[tag_at + 2..], bit);
-            match engine.decompress(&corrupt) {
+            match engine.decompress_threads(&corrupt, Threads::Auto) {
                 Err(ContainerError::ChunkCorrupt { chunk: at, .. }) => assert_eq!(at, chunk),
                 other => {
                     panic!("chunk {chunk}, pdp bit {bit}: expected ChunkCorrupt, got {other:?}")
@@ -256,24 +265,5 @@ fn e2mc_pdp_flips_surface_as_chunk_corrupt_through_the_engine() {
             }
         }
     }
-    assert_eq!(engine.decompress(&container).unwrap(), data);
-}
-
-#[test]
-fn compressed_boundary_validates_the_stored_length() {
-    // The declared bit length must fit the payload: a short payload is
-    // rejected at construction, before any decoder can run off its end.
-    assert!(catch_unwind(|| Compressed::new(65, vec![0u8; 8])).is_err());
-    assert!(catch_unwind(|| Compressed::new(64, vec![0u8; 8])).is_ok());
-    // And a stream truncated by dropping payload bytes (length kept) is
-    // caught at the same boundary.
-    let e = E2mc::train_on_bytes(&training_bytes(), &E2mcConfig::default());
-    let c = e.compress(&candidate_blocks()[0]);
-    let mut short = c.payload().to_vec();
-    short.truncate(short.len() / 2);
-    let bits = c.size_bits();
-    assert!(
-        catch_unwind(move || Compressed::new(bits, short)).is_err(),
-        "dropped payload bytes must be rejected at the Compressed boundary"
-    );
+    assert_eq!(engine.decompress_threads(&container, Threads::Auto).unwrap(), data);
 }

@@ -29,23 +29,24 @@ fn sample_block() -> [u8; BLOCK_BYTES] {
 #[test]
 fn truncated_e2mc_stream_is_an_error_not_garbage() {
     let e = trained();
-    let c = e.compress(&sample_block());
-    assert!(c.is_compressed());
+    let mut payload = Vec::new();
+    let (bits, coded) = e.compress_into(&sample_block(), &mut payload);
+    assert!(coded);
     // Chop the stream: the last way no longer ends at the stream's end.
     let mut out = [0u8; BLOCK_BYTES];
-    let verdict = e.decompress_into(c.size_bits() / 2, true, c.payload(), &mut out);
+    let verdict = e.decompress_into(bits / 2, true, &payload, &mut out);
     assert!(verdict.is_err(), "truncated stream must not decode silently");
 }
 
 #[test]
 fn bit_flipped_mode_bit_is_detected() {
     let e = trained();
-    let c = e.compress(&sample_block());
-    let mut bytes = c.payload().to_vec();
+    let mut bytes = Vec::new();
+    let (bits, _) = e.compress_into(&sample_block(), &mut bytes);
     bytes[0] ^= 0x80; // clear the compressed-mode bit
     let mut out = [0u8; BLOCK_BYTES];
     assert_eq!(
-        e.decompress_into(c.size_bits(), true, &bytes, &mut out),
+        e.decompress_into(bits, true, &bytes, &mut out),
         Err(DecodeError::UnknownTag),
         "mode-bit corruption must be caught"
     );
