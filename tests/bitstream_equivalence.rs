@@ -24,8 +24,9 @@ use slc::slc_compress::bpc::Bpc;
 use slc::slc_compress::cpack::Cpack;
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig, SymbolTable, MAX_CODE_LEN};
 use slc::slc_compress::fpc::Fpc;
+use slc::slc_compress::rans::Rans;
 use slc::slc_compress::symbols::SYMBOLS_PER_BLOCK;
-use slc::slc_compress::{Block, BlockCompressor, BLOCK_BYTES};
+use slc::slc_compress::{Block, BlockCompressor, ChunkCoder, BLOCK_BYTES};
 use slc::slc_workloads::{all_workloads, Harness, Scale};
 use std::collections::HashMap;
 
@@ -168,15 +169,22 @@ fn golden_codec_stream_hashes() {
     let fpc = Fpc::new();
     let cpack = Cpack::new();
     let bpc = Bpc::new();
+    let rans = Rans::new();
     let ramp = ramp_block(0x4000_0000, 3);
+    // Codes under rANS with renormalisation words; `ramp` falls back to
+    // verbatim and `zeros` is one symbol, states only.
+    let small_ramp = ramp_block(0, 1);
     let zeros = [0u8; BLOCK_BYTES];
     let fpc_patterns = fpc_pattern_block();
-    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 5] = [
+    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 8] = [
         ("bdi/ramp", &bdi, &ramp, 324, 0xd780_6542_3373_97d5),
         ("fpc/zeros", &fpc, &zeros, 24, 0x85e3_6318_cda0_4b7b),
         ("fpc/patterns", &fpc, &fpc_patterns, 349, 0x3fcf_abcb_de06_9d45),
         ("cpack/zeros", &cpack, &zeros, 64, 0xa8c7_f832_281a_39c5),
         ("bpc/ramp", &bpc, &ramp, 47, 0x90be_3613_64aa_1e3d),
+        ("rans/ramp", &rans, &ramp, 1024, 0x3d08_f3c2_c24d_3b45),
+        ("rans/zeros", &rans, &zeros, 160, 0xfc6f_7837_d90f_7af2),
+        ("rans/small-ramp", &rans, &small_ramp, 984, 0x8189_2335_a66b_e389),
     ];
     for (name, codec, block, bits, hash) in expectations {
         let (size_bits, coded, payload) = encode(codec, block);
@@ -187,6 +195,35 @@ fn golden_codec_stream_hashes() {
         assert_eq!(size_bits, bits, "{name}: stream length changed");
         assert_eq!(fnv(&payload), hash, "{name}: stream bytes changed");
         assert_eq!(&decode(codec, size_bits, coded, &payload), block, "{name}: roundtrip broken");
+    }
+}
+
+/// Golden whole-chunk rANS streams: what the engine stores for a coded
+/// 64 KiB chunk, one table and one interleaved word stream per chunk.
+/// A smooth f32 ramp (few distinct exponent and high-mantissa bytes) and
+/// seeded noise (all 256 symbols, the longest table).
+#[test]
+fn golden_rans_chunk_hashes() {
+    const CHUNK: usize = 64 * 1024;
+    let ramp: Vec<u8> =
+        (0..CHUNK / 4).flat_map(|i| (i as f32 * 0.25 + 1.0).to_bits().to_le_bytes()).collect();
+    let noise: Vec<u8> = (0..(CHUNK / BLOCK_BYTES) as u64).flat_map(test_block).collect();
+    let expectations: [(&str, &[u8], usize, u64); 2] = [
+        ("rans/chunk-ramp", &ramp, 45_281, 0x1e6a_8ef4_8cba_0475),
+        ("rans/chunk-noise", &noise, 66_405, 0xf835_a21a_809c_a83a),
+    ];
+    let rans = Rans::new();
+    for (name, chunk, len, hash) in expectations {
+        let stream = rans.encode_chunk(chunk);
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            eprintln!("GOLDEN {name} len={} fnv={:#018x}", stream.len(), fnv(&stream));
+            continue;
+        }
+        assert_eq!(stream.len(), len, "{name}: stream length changed");
+        assert_eq!(fnv(&stream), hash, "{name}: stream bytes changed");
+        let mut out = vec![0u8; chunk.len()];
+        rans.decode_chunk(&stream, &mut out).unwrap();
+        assert_eq!(out, chunk, "{name}: roundtrip broken");
     }
 }
 
