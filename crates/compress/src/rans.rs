@@ -13,9 +13,9 @@
 //! # Coding parameters
 //!
 //! * **Frequency scale** — per-symbol frequencies are normalised to a
-//!   [`RANS_SCALE`] = 2^12 total, the DietGPU/ryg sweet spot: a 4096-slot
-//!   decode LUT (4 KiB, L1-resident) and at most 12 bits of per-symbol
-//!   state growth.
+//!   [`RANS_SCALE`] = 2^12 total, the DietGPU/ryg sweet spot: 4096
+//!   8-byte decode slots (symbol, frequency, slot offset: 32 KiB on the
+//!   stack, one load per symbol) and at most 12 bits of state growth.
 //! * **State** — 32-bit per-lane state `x ∈ [2^16, 2^32)` with 16-bit
 //!   renormalisation. The interval ratio (`2^16`) times the scale
 //!   (`2^12`) stays below the state ceiling, so **exactly zero or one**
@@ -27,10 +27,10 @@
 //!   runs backwards so the decoder consumes symbols and words strictly
 //!   forwards; four in-flight states hide the serial multiply latency
 //!   of a single rANS chain.
-//! * **Division-free encode** — the per-symbol `x / freq` is a 64×64
-//!   reciprocal multiply (`ceil(2^48 / freq)`, exact for every
-//!   `x < 2^32`, `freq <= 4096`), so the encode step is also
-//!   multiply/shift/add only.
+//! * **Division-free encode** — the per-symbol `x / freq` is the high
+//!   half of one 64×64 multiply by `ceil(2^64 / freq)` (exact for every
+//!   `x < 2^32`, `freq <= 4096`), read from one 32-byte entry per
+//!   symbol, so the encode step is also multiply/shift/add only.
 //!
 //! # Stream layout
 //!
@@ -147,72 +147,86 @@ fn histogram(data: &[u8]) -> [u32; 256] {
     out
 }
 
-/// Per-symbol encoder tables: frequency, cumulative start, the scale
-/// complement (`SCALE - freq`, so the encode step is one fused
-/// multiply-add) and the `ceil(2^48 / freq)` reciprocal.
-struct EncTable {
-    freq: [u32; 256],
-    cum: [u32; 256],
-    cmpl: [u32; 256],
-    rcp: [u64; 256],
+/// One encoder entry per symbol, 32 bytes so one load brings all of it:
+/// the `ceil(2^64 / freq)` reciprocal, the bias added to the state (the
+/// cumulative start, see [`EncSym::new`]), the scale complement
+/// `SCALE - freq` and the renormalisation bound `freq << 4`.
+#[derive(Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct EncSym {
+    rcp: u64,
+    bias: u32,
+    cmpl: u32,
+    bound: u32,
 }
 
-impl EncTable {
-    fn build(freq: &[u16; 256]) -> Self {
-        let mut t = EncTable { freq: [0; 256], cum: [0; 256], cmpl: [0; 256], rcp: [0; 256] };
-        let mut cum = 0u32;
-        for (s, &fr) in freq.iter().enumerate() {
-            let f = u32::from(fr);
-            t.freq[s] = f;
-            t.cum[s] = cum;
-            t.cmpl[s] = RANS_SCALE - f;
-            if f > 0 {
-                // ceil(2^48 / f): exact floor division for every state
-                // below 2^32 because x * (ceil - 2^48/f) < 2^48.
-                t.rcp[s] = ((1u128 << 48).div_ceil(u128::from(f))) as u64;
-            }
-            cum += f;
-        }
-        debug_assert_eq!(cum, RANS_SCALE);
-        t
+impl EncSym {
+    /// The entry of a symbol of frequency `f` in `1..=RANS_SCALE` whose
+    /// slots start at `cum`.
+    fn new(f: u32, cum: u32) -> Self {
+        let cmpl = RANS_SCALE - f;
+        // ceil(2^64 / f) makes `x / f` the high half of one 64×64 multiply,
+        // exact for every x < 2^32 because x * (ceil - 2^64/f) < 2^64 / f.
+        // For f = 1 it is 2^64: u64::MAX makes the high half x - 1 instead,
+        // and the bias puts the missing `cmpl` back.
+        let (rcp, bias) =
+            if f == 1 { (u64::MAX, cum + cmpl) } else { (u64::MAX / u64::from(f) + 1, cum) };
+        EncSym { rcp, bias, cmpl, bound: f << 4 }
     }
 }
 
-/// Decoder tables: the 4096-slot symbol LUT plus per-symbol freq/cum.
-struct DecTable {
-    slot_sym: Box<[u8; RANS_SCALE as usize]>,
-    freq: [u16; 256],
-    cum: [u16; 256],
-}
-
-impl DecTable {
-    fn build(freq: &[u16; 256]) -> Self {
-        // One 4 KiB table per stream: per engine chunk, or per coded block.
-        let mut slot_sym = Box::new([0u8; RANS_SCALE as usize]);
-        let mut cum = [0u16; 256];
-        let mut at = 0usize;
-        for s in 0..256 {
-            cum[s] = at as u16;
-            let f = freq[s] as usize;
-            slot_sym[at..at + f].fill(s as u8);
-            at += f;
+/// The 256 encoder entries of a normalised table (absent symbols zeroed).
+fn enc_table(freq: &[u16; 256]) -> [EncSym; 256] {
+    let mut t = [EncSym::default(); 256];
+    let mut cum = 0u32;
+    for (e, &f) in t.iter_mut().zip(freq) {
+        if f > 0 {
+            *e = EncSym::new(u32::from(f), cum);
         }
-        debug_assert_eq!(at, RANS_SCALE as usize);
-        DecTable { slot_sym, freq: *freq, cum }
+        cum += u32::from(f);
     }
+    debug_assert_eq!(cum, RANS_SCALE);
+    t
 }
 
-/// Serialises the sparse frequency table (see the module docs layout).
+/// One decode slot per state slot `x mod RANS_SCALE`: the symbol, its
+/// frequency and `bias = slot - cum`, so a decode step is one 8-byte load.
+#[derive(Clone, Copy, Default)]
+#[repr(C, align(8))]
+struct DecSlot {
+    freq: u32,
+    bias: u16,
+    sym: u8,
+}
+
+/// The 4096 decode slots of a validated table: 32 KiB, built on the stack
+/// once per stream (per engine chunk, or per coded block).
+fn dec_table(freq: &[u16; 256]) -> [DecSlot; RANS_SCALE as usize] {
+    let mut t = [DecSlot::default(); RANS_SCALE as usize];
+    let mut at = 0usize;
+    for (sym, &f) in (0..=u8::MAX).zip(freq) {
+        let slots = &mut t[at..at + usize::from(f)];
+        for (bias, slot) in (0..f).zip(slots) {
+            *slot = DecSlot { freq: u32::from(f), bias, sym };
+        }
+        at += usize::from(f);
+    }
+    debug_assert_eq!(at, RANS_SCALE as usize);
+    t
+}
+
+/// Serialises the sparse frequency table (see the module docs layout):
+/// the count, then one pass over `freq` for the symbols and one for the
+/// frequencies.
 fn write_table(freq: &[u16; 256], out: &mut Vec<u8>) {
-    // Grows as it collects: up to six allocations per stream, chunk or block.
-    let present: Vec<u8> = (0u16..256).filter(|&s| freq[s as usize] > 0).map(|s| s as u8).collect();
-    debug_assert!(!present.is_empty());
-    out.push((present.len() - 1) as u8);
-    out.extend_from_slice(&present);
+    let n = freq.iter().filter(|&&f| f > 0).count();
+    debug_assert!(n > 0);
+    out.push((n - 1) as u8);
+    out.extend((0..=u8::MAX).zip(freq).filter(|&(_, &f)| f > 0).map(|(s, _)| s));
     let mut w = BitWriter::new(out);
-    for &s in &present {
+    for &f in freq.iter().filter(|&&f| f > 0) {
         // freq - 1 so the single-symbol table's 4096 fits the 12-bit field.
-        w.write(u64::from(freq[s as usize]) - 1, RANS_SCALE_BITS);
+        w.write(u64::from(f) - 1, RANS_SCALE_BITS);
     }
     w.finish();
 }
@@ -258,21 +272,21 @@ fn parse_table(src: &[u8]) -> Result<([u16; 256], &[u8]), DecodeError> {
     Ok((freq, rest))
 }
 
-/// One encoder step for symbol `s` on state `x`: branchless renorm (an
-/// unconditional word store with a conditionally-advanced cursor), then
-/// the reciprocal-multiply state update.
+/// One encoder step for the symbol of entry `e` on state `x`: branchless
+/// renorm (an unconditional word store with a conditionally-advanced
+/// cursor; `x >= freq << 20` tested as `x >> 16 >= freq << 4` on the
+/// shifted state a renorm keeps), then the reciprocal-multiply update.
 #[inline(always)]
-fn enc_step(x: u32, s: u8, t: &EncTable, words: &mut [u16], wpos: &mut usize) -> u32 {
-    let i = s as usize;
-    debug_assert!(t.freq[i] > 0, "encoding a symbol absent from the table");
-    let x_max = u64::from(t.freq[i]) << 20;
+fn enc_step(x: u32, e: &EncSym, words: &mut [u16], wpos: &mut usize) -> u32 {
+    debug_assert!(e.bound > 0, "encoding a symbol absent from the table");
+    let hi = x >> 16;
+    let renorm = hi >= e.bound;
     words[*wpos] = x as u16;
-    let renorm = u64::from(x) >= x_max;
     *wpos += renorm as usize;
-    let x = if renorm { x >> 16 } else { x };
-    let q = ((u128::from(x) * u128::from(t.rcp[i])) >> 48) as u32;
+    let x = if renorm { hi } else { x };
+    let q = ((u128::from(x) * u128::from(e.rcp)) >> 64) as u32;
     // x' = (x/f) << 12 | (x%f) + cum  ==  x + cum + (x/f) * (SCALE - f)
-    x.wrapping_add(t.cum[i]).wrapping_add(q.wrapping_mul(t.cmpl[i]))
+    x.wrapping_add(e.bias).wrapping_add(q.wrapping_mul(e.cmpl))
 }
 
 /// Encodes `data` with `t`, appending `[states][words]` to `out`.
@@ -280,34 +294,32 @@ fn enc_step(x: u32, s: u8, t: &EncTable, words: &mut [u16], wpos: &mut usize) ->
 /// Symbols are processed back to front (lane of symbol `i` is
 /// `i % RANS_LANES`) and the word buffer is emitted reversed, so the
 /// decoder walks both symbols and words strictly forwards.
-fn rans_encode(data: &[u8], t: &EncTable, out: &mut Vec<u8>) {
-    let n = data.len();
-    let mut states = [RANS_L; RANS_LANES];
+fn rans_encode(data: &[u8], t: &[EncSym; 256], out: &mut Vec<u8>) {
     // At most one 16-bit word per symbol, plus one slot of slack for the
-    // unconditional store in enc_step.
-    // Per-stream word staging buffer, one allocation.
-    let mut words = vec![0u16; n + 1];
+    // unconditional store in enc_step: the stream's one allocation.
+    let mut words = vec![0u16; data.len() + 1];
     let mut wpos = 0usize;
-    let mut i = n;
-    // Ragged head first (in backward order), then whole lane groups.
-    while !i.is_multiple_of(RANS_LANES) {
-        i -= 1;
-        states[i % RANS_LANES] =
-            enc_step(states[i % RANS_LANES], data[i], t, &mut words, &mut wpos);
+    let (groups, tail) = data.as_chunks::<RANS_LANES>();
+    // Ragged tail first (backwards), then whole groups, lanes 3, 2, 1, 0.
+    let mut states = [RANS_L; RANS_LANES];
+    for (x, &s) in states.iter_mut().zip(tail).rev() {
+        *x = enc_step(*x, &t[usize::from(s)], &mut words, &mut wpos);
     }
-    while i > 0 {
-        i -= RANS_LANES;
-        // Descending symbol order within the group: lanes 3, 2, 1, 0.
-        for lane in (0..RANS_LANES).rev() {
-            states[lane] = enc_step(states[lane], data[i + lane], t, &mut words, &mut wpos);
-        }
+    let [mut x0, mut x1, mut x2, mut x3] = states;
+    for &[s0, s1, s2, s3] in groups.iter().rev() {
+        x3 = enc_step(x3, &t[usize::from(s3)], &mut words, &mut wpos);
+        x2 = enc_step(x2, &t[usize::from(s2)], &mut words, &mut wpos);
+        x1 = enc_step(x1, &t[usize::from(s1)], &mut words, &mut wpos);
+        x0 = enc_step(x0, &t[usize::from(s0)], &mut words, &mut wpos);
     }
-    out.reserve(STATE_BYTES + wpos * 2);
-    for &s in &states {
-        out.extend_from_slice(&s.to_le_bytes());
+    let start = out.len();
+    out.resize(start + STATE_BYTES + 2 * wpos, 0);
+    let (state_bytes, word_bytes) = out[start..].split_at_mut(STATE_BYTES);
+    for (dst, x) in state_bytes.as_chunks_mut().0.iter_mut().zip([x0, x1, x2, x3]) {
+        *dst = x.to_le_bytes();
     }
-    for w in words[..wpos].iter().rev() {
-        out.extend_from_slice(&w.to_le_bytes());
+    for (dst, w) in word_bytes.as_chunks_mut().0.iter_mut().zip(words[..wpos].iter().rev()) {
+        *dst = w.to_le_bytes();
     }
 }
 
@@ -315,21 +327,15 @@ fn rans_encode(data: &[u8], t: &EncTable, out: &mut Vec<u8>) {
 /// (`[table][states][words]`, see the module docs), appended to `out`.
 /// The frequency table is gathered from `data` itself, one per stream:
 /// a whole engine chunk ([`ChunkCoder`]) or one 128 B block ([`Rans`]).
-///
-/// # Panics
-///
-/// Panics on empty input (no meaningful table exists).
+/// Empty `data` takes the one-symbol table (symbol 0) and no words.
 pub fn encode_stream(data: &[u8], out: &mut Vec<u8>) {
-    assert!(!data.is_empty(), "rANS stream encode needs at least one byte");
-    let counts = histogram(data);
-    #[expect(
-        clippy::expect_used,
-        reason = "infallible after the non-empty assert — a non-empty histogram always has a non-zero count"
-    )]
-    let freq = normalize_freqs(&counts).expect("non-empty data has a non-zero count");
-    let enc = EncTable::build(&freq);
+    let freq = normalize_freqs(&histogram(data)).unwrap_or_else(|| {
+        let mut one = [0; 256];
+        one[0] = RANS_SCALE as u16;
+        one
+    });
     write_table(&freq, out);
-    rans_encode(data, &enc, out);
+    rans_encode(data, &enc_table(&freq), out);
 }
 
 /// Decodes a stream produced by [`encode_stream`] into `dst` (whose
@@ -339,7 +345,7 @@ pub fn encode_stream(data: &[u8], out: &mut Vec<u8>) {
 /// because the word cursor and final lane states are checked.
 pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
     let (freq, body) = parse_table(src)?;
-    let dec = DecTable::build(&freq);
+    let dec = dec_table(&freq);
     if body.len() < STATE_BYTES {
         return Err(DecodeError::Truncated);
     }
@@ -358,18 +364,15 @@ pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
     }
     let mut pos = 0usize;
     let slot_mask = RANS_SCALE - 1;
-    // One step per lane, branch-free: LUT symbol lookup, multiply/shift
-    // state update, speculative word load with a conditionally-advanced
+    // One step per lane, branch-free: one slot load, multiply/add state
+    // update, speculative word load with a conditionally-advanced
     // cursor. A corrupt stream can only desynchronise the cursor or the
     // states, both checked after the loop.
     let mut step = |x: u32, out: &mut u8| {
-        let slot = x & slot_mask;
-        let s = dec.slot_sym[slot as usize];
-        *out = s;
-        let f = u32::from(dec.freq[s as usize]);
-        let c = u32::from(dec.cum[s as usize]);
-        // slot ∈ [cum, cum+f) by LUT construction, so no underflow.
-        let x = f.wrapping_mul(x >> RANS_SCALE_BITS).wrapping_add(slot - c);
+        let d = dec[(x & slot_mask) as usize];
+        *out = d.sym;
+        // f * (x >> 12) + slot - cum.
+        let x = d.freq.wrapping_mul(x >> RANS_SCALE_BITS).wrapping_add(u32::from(d.bias));
         let w = if pos + 2 <= limit {
             u32::from(u16::from_le_bytes([words[pos], words[pos + 1]]))
         } else {
@@ -527,6 +530,123 @@ mod tests {
         Ok(())
     }
 
+    /// The retired encoder, kept as the oracle for [`encode_stream`]'s
+    /// bytes: four 256-entry arrays and `x / f` as bits 48–79 of a `u128`
+    /// product with the `ceil(2^48 / f)` reciprocal, one lane-array
+    /// index per step, and the table written through a `present` list.
+    fn encode_reference(data: &[u8]) -> Vec<u8> {
+        struct EncTable {
+            freq: [u32; 256],
+            cum: [u32; 256],
+            cmpl: [u32; 256],
+            rcp: [u64; 256],
+        }
+        fn enc_step(x: u32, s: u8, t: &EncTable, words: &mut [u16], wpos: &mut usize) -> u32 {
+            let i = s as usize;
+            let x_max = u64::from(t.freq[i]) << 20;
+            words[*wpos] = x as u16;
+            let renorm = u64::from(x) >= x_max;
+            *wpos += renorm as usize;
+            let x = if renorm { x >> 16 } else { x };
+            let q = ((u128::from(x) * u128::from(t.rcp[i])) >> 48) as u32;
+            x.wrapping_add(t.cum[i]).wrapping_add(q.wrapping_mul(t.cmpl[i]))
+        }
+        let freq = normalize_freqs(&histogram(data)).expect("non-empty data");
+        let mut t = EncTable { freq: [0; 256], cum: [0; 256], cmpl: [0; 256], rcp: [0; 256] };
+        let mut cum = 0u32;
+        for (s, &fr) in freq.iter().enumerate() {
+            let f = u32::from(fr);
+            t.freq[s] = f;
+            t.cum[s] = cum;
+            t.cmpl[s] = RANS_SCALE - f;
+            if f > 0 {
+                t.rcp[s] = ((1u128 << 48).div_ceil(u128::from(f))) as u64;
+            }
+            cum += f;
+        }
+        let mut out = Vec::new();
+        let present: Vec<u8> =
+            (0u16..256).filter(|&s| freq[s as usize] > 0).map(|s| s as u8).collect();
+        out.push((present.len() - 1) as u8);
+        out.extend_from_slice(&present);
+        let mut w = BitWriter::new(&mut out);
+        for &s in &present {
+            w.write(u64::from(freq[s as usize]) - 1, RANS_SCALE_BITS);
+        }
+        w.finish();
+        let n = data.len();
+        let mut states = [RANS_L; RANS_LANES];
+        let mut words = vec![0u16; n + 1];
+        let mut wpos = 0usize;
+        let mut i = n;
+        while !i.is_multiple_of(RANS_LANES) {
+            i -= 1;
+            states[i % RANS_LANES] =
+                enc_step(states[i % RANS_LANES], data[i], &t, &mut words, &mut wpos);
+        }
+        while i > 0 {
+            i -= RANS_LANES;
+            for lane in (0..RANS_LANES).rev() {
+                states[lane] = enc_step(states[lane], data[i + lane], &t, &mut words, &mut wpos);
+            }
+        }
+        for &s in &states {
+            out.extend_from_slice(&s.to_le_bytes());
+        }
+        for w in words[..wpos].iter().rev() {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    /// Every frequency, at the edges of the state range and 64 seeded
+    /// states: the one-entry step renormalises exactly when
+    /// `x >= f << 20`, stores the low word then, and its state is
+    /// `((x / f) << 12) + x % f + cum` of the kept state. Each `f` is
+    /// checked at the first and the last `cum` it can have.
+    #[test]
+    fn enc_step_is_exact_for_every_frequency() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for f in 1..=RANS_SCALE {
+            let edges = [
+                RANS_L,
+                16 * f,
+                ((u64::from(f) << 20) - 1).min(u64::from(u32::MAX)) as u32,
+                u32::MAX,
+            ];
+            let randoms = (0..64).map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng >> 32) as u32
+            });
+            for x in edges.into_iter().chain(randoms) {
+                for cum in [0, RANS_SCALE - f] {
+                    let mut words = [0u16; 2];
+                    let mut wpos = 0;
+                    let got = enc_step(x, &EncSym::new(f, cum), &mut words, &mut wpos);
+                    let renorm = u64::from(x) >= u64::from(f) << 20;
+                    let kept = if renorm { x >> 16 } else { x };
+                    let want = ((kept / f) << 12) + kept % f + cum;
+                    assert_eq!((wpos, got), (usize::from(renorm), want), "f={f} cum={cum} x={x}");
+                    assert_eq!(words[0], x as u16, "f={f} x={x}: the low word is stored");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_stream_roundtrips() {
+        let mut stream = Vec::new();
+        encode_stream(&[], &mut stream);
+        // The one-symbol table (symbol 0, freq 4096: 1 + 1 + 2 bytes) and
+        // the four initial states, no words.
+        let mut want = vec![0, 0, 0xff, 0xf0];
+        want.extend(RANS_L.to_le_bytes().repeat(RANS_LANES));
+        assert_eq!(stream, want);
+        roundtrip(&[]);
+    }
+
     fn roundtrip(data: &[u8]) {
         let stream = Rans::new().encode_chunk(data);
         let mut out = vec![0u8; data.len()];
@@ -654,6 +774,7 @@ mod tests {
         #[test]
         fn prop_random_bytes_roundtrip(data in proptest::collection::vec(any::<u8>(), 1..4096)) {
             roundtrip(&data);
+            prop_assert_eq!(Rans::new().encode_chunk(&data), encode_reference(&data));
         }
 
         #[test]
@@ -665,6 +786,7 @@ mod tests {
             // for normalisation (huge frequencies, few slots).
             let data: Vec<u8> = seeds.iter().map(|&s| lo.wrapping_add(s)).collect();
             roundtrip(&data);
+            prop_assert_eq!(Rans::new().encode_chunk(&data), encode_reference(&data));
         }
 
         #[test]

@@ -176,21 +176,15 @@ fn per_block_encode_and_decode() {
             "fpc" => 6144,
             "cpack" => 5328,
             "bpc" => 5117,
-            _ => 23_586,
+            _ => 11_474,
         };
         assert_eq!(sized, pinned, "{name} size_bits over {n} blocks");
-        if name == "rans" {
-            // Not allocation-free per block, and this is what it costs
-            // (ROADMAP item 10): every encode, also one that then falls
-            // back to verbatim, takes a word buffer and a table scratch
-            // doubling from 8 symbols up to the block's distinct bytes
-            // (<= 128) — two to six allocations; every coded decode
-            // builds one 4 KiB `DecTable`, a verbatim one none.
-            assert!((2 * n..=6 * n).contains(&encode), "rans: {encode} over {n} encodes");
-            assert_eq!(decode, coded, "rans: one decode table per coded block");
-        } else {
-            assert_eq!((encode, decode), (0, 0), "{name} compress_into / decompress_into");
-        }
+        // rANS encode is not allocation-free per block, and this is what it
+        // costs (ROADMAP item 10): every encode, also one that then falls
+        // back to verbatim, takes one word buffer. Its decode table is on
+        // the stack, so decode joins the zero contract.
+        let encodes = if name == "rans" { n } else { 0 };
+        assert_eq!((encode, decode), (encodes, 0), "{name} compress_into / decompress_into");
     }
 }
 
@@ -202,11 +196,10 @@ fn engine_scaffolding_scales_with_chunks_not_blocks() {
         let name = codec.id().name();
         // Compress, per container: the chunk, encoded and stored lists,
         // the directory, the output; per chunk: its coded buffer — for
-        // rANS that and its one growth, the word buffer and up to six
-        // table scratch steps. Decompress, per container: the directory,
-        // the work list, a collect that may shrink in place; per chunk:
-        // nothing — for rANS one `DecTable`.
-        let (enc_per_chunk, dec_per_chunk) = if name == "rans" { (9, 1) } else { (1, 0) };
+        // rANS that, its one growth and the word buffer. Decompress, per
+        // container: the directory, the work list, a collect that may
+        // shrink in place; per chunk: nothing.
+        let (enc_per_chunk, dec_per_chunk) = if name == "rans" { (3, 0) } else { (1, 0) };
         for blocks_per_chunk in [128, 512] {
             let chunk_bytes = blocks_per_chunk * BLOCK_BYTES;
             let engine = Engine::new(codec.clone()).with_chunk_bytes(chunk_bytes);
