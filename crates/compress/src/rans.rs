@@ -13,9 +13,10 @@
 //! # Coding parameters
 //!
 //! * **Frequency scale** — per-symbol frequencies are normalised to a
-//!   [`RANS_SCALE`] = 2^12 total, the DietGPU/ryg sweet spot: 4096
-//!   8-byte decode slots (symbol, frequency, slot offset: 32 KiB on the
-//!   stack, one load per symbol) and at most 12 bits of state growth.
+//!   [`RANS_SCALE`] = 2^12 total, the DietGPU/ryg sweet spot: a
+//!   4096-slot decode table (symbol; frequency and slot offset: 20 KiB
+//!   on the stack, two independent loads per symbol) and at most 12
+//!   bits of state growth.
 //! * **State** — 32-bit per-lane state `x ∈ [2^16, 2^32)` with 16-bit
 //!   renormalisation. The interval ratio (`2^16`) times the scale
 //!   (`2^12`) stays below the state ceiling, so **exactly zero or one**
@@ -189,35 +190,40 @@ fn enc_table(freq: &[u16; 256]) -> [EncSym; 256] {
     t
 }
 
-/// One decode slot per state slot `x mod RANS_SCALE`: the symbol, its
-/// frequency and `bias = slot - cum`, so a decode step is one 8-byte load.
+/// A decode slot's frequency and `bias = slot - cum`.
 #[derive(Clone, Copy, Default)]
-#[repr(C, align(8))]
+#[repr(C, align(4))]
 struct DecSlot {
-    freq: u32,
+    freq: u16,
     bias: u16,
-    sym: u8,
 }
 
-/// The 4096 decode slots of a validated table: 32 KiB, built on the stack
-/// once per stream (per engine chunk, or per coded block).
-fn dec_table(freq: &[u16; 256]) -> [DecSlot; RANS_SCALE as usize] {
-    let mut t = [DecSlot::default(); RANS_SCALE as usize];
+/// The decode table, one entry per state slot `x mod RANS_SCALE`: its
+/// symbol and its [`DecSlot`], two loads that depend only on the state.
+/// 20 KiB on the stack, built once per stream (chunk or coded block).
+struct DecTable {
+    sym: [u8; RANS_SCALE as usize],
+    slot: [DecSlot; RANS_SCALE as usize],
+}
+
+fn dec_table(freq: &[u16; 256]) -> DecTable {
+    const SLOTS: usize = RANS_SCALE as usize;
+    let mut t = DecTable { sym: [0; SLOTS], slot: [DecSlot::default(); SLOTS] };
     let mut at = 0usize;
-    for (sym, &f) in (0..=u8::MAX).zip(freq) {
-        let slots = &mut t[at..at + usize::from(f)];
-        for (bias, slot) in (0..f).zip(slots) {
-            *slot = DecSlot { freq: u32::from(f), bias, sym };
+    for (s, &f) in (0..=u8::MAX).zip(freq) {
+        let slots = at..at + usize::from(f);
+        t.sym[slots.clone()].fill(s);
+        for (bias, d) in (0..f).zip(&mut t.slot[slots]) {
+            *d = DecSlot { freq: f, bias };
         }
         at += usize::from(f);
     }
-    debug_assert_eq!(at, RANS_SCALE as usize);
+    debug_assert_eq!(at, SLOTS);
     t
 }
 
 /// Serialises the sparse frequency table (see the module docs layout):
-/// the count, then one pass over `freq` for the symbols and one for the
-/// frequencies.
+/// the count, then the symbols and the frequencies, one pass each.
 fn write_table(freq: &[u16; 256], out: &mut Vec<u8>) {
     let n = freq.iter().filter(|&&f| f > 0).count();
     debug_assert!(n > 0);
@@ -364,15 +370,16 @@ pub fn decode_stream(src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
     }
     let mut pos = 0usize;
     let slot_mask = RANS_SCALE - 1;
-    // One step per lane, branch-free: one slot load, multiply/add state
-    // update, speculative word load with a conditionally-advanced
-    // cursor. A corrupt stream can only desynchronise the cursor or the
-    // states, both checked after the loop.
+    // One step per lane, branch-free: two independent table loads,
+    // multiply/add state update, speculative word load with a
+    // conditionally-advanced cursor. A corrupt stream can only
+    // desynchronise the cursor or the states, both checked after the loop.
     let mut step = |x: u32, out: &mut u8| {
-        let d = dec[(x & slot_mask) as usize];
-        *out = d.sym;
-        // f * (x >> 12) + slot - cum.
-        let x = d.freq.wrapping_mul(x >> RANS_SCALE_BITS).wrapping_add(u32::from(d.bias));
+        let slot = (x & slot_mask) as usize;
+        *out = dec.sym[slot];
+        let d = dec.slot[slot];
+        let x =
+            u32::from(d.freq).wrapping_mul(x >> RANS_SCALE_BITS).wrapping_add(u32::from(d.bias));
         let w = if pos + 2 <= limit {
             u32::from(u16::from_le_bytes([words[pos], words[pos + 1]]))
         } else {
@@ -600,8 +607,8 @@ mod tests {
     }
 
     /// Every frequency, at the edges of the state range and 64 seeded
-    /// states: the one-entry step renormalises exactly when
-    /// `x >= f << 20`, stores the low word then, and its state is
+    /// states: the one-entry step stores the low word, keeps it exactly
+    /// when `x >= f << 20`, and its state is
     /// `((x / f) << 12) + x % f + cum` of the kept state. Each `f` is
     /// checked at the first and the last `cum` it can have.
     #[test]
