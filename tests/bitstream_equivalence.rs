@@ -144,10 +144,6 @@ fn fpc_pattern_block() -> Block {
     b
 }
 
-/// Golden stream hashes for deterministic blocks, recorded from the
-/// as-merged implementation (which the property tests above prove
-/// bit-identical to the seed's packing). Any change to these values is a
-/// wire-format break.
 /// `block` through the one encode entry: `(size_bits, is_compressed,
 /// payload)`.
 fn encode(codec: &dyn BlockCompressor, block: &Block) -> (u32, bool, Vec<u8>) {
@@ -163,6 +159,41 @@ fn decode(codec: &dyn BlockCompressor, bits: u32, coded: bool, payload: &[u8]) -
     out
 }
 
+/// An E2MC table trained on dyadic counts: symbol `0x0100 + k` appears
+/// `2^(15 - k)` times for `k < 15`, two more symbols once each, so the
+/// codes run from 1 to 16 bits and the escape (count 1) takes the full
+/// `MAX_CODE_LEN`: an escaped symbol costs 32 bits, two adjacent ones 64.
+fn dyadic_e2mc() -> E2mc {
+    let mut symbols: Vec<u16> = (0..15u16).flat_map(|k| vec![0x0100 + k; 1 << (15 - k)]).collect();
+    symbols.extend([0x0100 + 15, 0x0100 + 16]);
+    let bytes: Vec<u8> = symbols.iter().flat_map(|s| s.to_le_bytes()).collect();
+    assert_eq!(bytes.len() % BLOCK_BYTES, 0, "no zero padding in training");
+    let e2mc = E2mc::train_on_bytes(&bytes, &E2mcConfig::default());
+    assert_eq!(e2mc.table().escape_bits(), MAX_CODE_LEN + 16);
+    e2mc
+}
+
+/// A block of `dyadic_e2mc` symbols in their trained proportions (slot
+/// `i` holds symbol `trailing_zeros(i + 1)`), with the slots set in
+/// `escapes` replaced by values outside the table.
+fn dyadic_block(escapes: u64) -> Block {
+    let symbols: Vec<u16> = (0..SYMBOLS_PER_BLOCK)
+        .map(|i| match escapes >> i & 1 {
+            1 => 0xbe00 | i as u16,
+            _ => 0x0100 + (i + 1).trailing_zeros() as u16,
+        })
+        .collect();
+    let mut b = [0u8; BLOCK_BYTES];
+    for (c, s) in b.chunks_exact_mut(2).zip(symbols) {
+        c.copy_from_slice(&s.to_le_bytes());
+    }
+    b
+}
+
+/// Golden stream hashes for deterministic blocks, recorded from the
+/// as-merged implementation (which the property tests above prove
+/// bit-identical to the seed's packing). Any change to these values is a
+/// wire-format break.
 #[test]
 fn golden_codec_stream_hashes() {
     let bdi = Bdi::new();
@@ -176,7 +207,16 @@ fn golden_codec_stream_hashes() {
     let small_ramp = ramp_block(0, 1);
     let zeros = [0u8; BLOCK_BYTES];
     let fpc_patterns = fpc_pattern_block();
-    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 8] = [
+    // E2MC over one trained table: a block in its distribution, one with
+    // every fourth symbol escaped (no two escapes share a pair), seeded
+    // noise (all escapes, stored verbatim), and two pairs of adjacent
+    // escapes (64-bit codeword pairs, the split path).
+    let e2mc = dyadic_e2mc();
+    let in_dist = dyadic_block(0);
+    let escapes = dyadic_block(0x1111_1111_1111_1111);
+    let noise = test_block(7);
+    let split = dyadic_block(0b11 << 2 | 0b11 << 40);
+    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 12] = [
         ("bdi/ramp", &bdi, &ramp, 324, 0xd780_6542_3373_97d5),
         ("fpc/zeros", &fpc, &zeros, 24, 0x85e3_6318_cda0_4b7b),
         ("fpc/patterns", &fpc, &fpc_patterns, 349, 0x3fcf_abcb_de06_9d45),
@@ -185,6 +225,10 @@ fn golden_codec_stream_hashes() {
         ("rans/ramp", &rans, &ramp, 1024, 0x3d08_f3c2_c24d_3b45),
         ("rans/zeros", &rans, &zeros, 160, 0xfc6f_7837_d90f_7af2),
         ("rans/small-ramp", &rans, &small_ramp, 984, 0x8189_2335_a66b_e389),
+        ("e2mc/in-distribution", &e2mc, &in_dist, 158, 0x0a75_54c2_a7c3_7492),
+        ("e2mc/escapes", &e2mc, &escapes, 654, 0x896d_6c07_c4eb_7e0b),
+        ("e2mc/verbatim", &e2mc, &noise, 1024, 0x86f2_1e0d_78f8_ab1b),
+        ("e2mc/split-pair", &e2mc, &split, 279, 0x4e96_05ee_0d37_03c9),
     ];
     for (name, codec, block, bits, hash) in expectations {
         let (size_bits, coded, payload) = encode(codec, block);
