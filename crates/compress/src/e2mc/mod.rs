@@ -51,7 +51,7 @@ pub use sampler::SymbolSampler;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::BitReader;
 use crate::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
 use crate::{
     load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BITS,
@@ -75,6 +75,60 @@ pub const PDP_BITS: u32 = 10;
 
 /// Header of a losslessly compressed E2MC block: mode bit + 3 pdps.
 pub const HEADER_BITS: u32 = 1 + (WAYS as u32 - 1) * PDP_BITS;
+
+/// Bytes of the stack buffer [`SymbolTable::write_ways`] packs a block
+/// into: the longest stream any table produces — an 11-bit prefix, the
+/// pdps and 64 escapes of 32 bits, 2089 bits — plus the 8 bytes the last
+/// store writes from its byte on.
+const STREAM_BUF: usize = 272;
+const _: () =
+    assert!((11 + HEADER_BITS - 1 + 64 * (MAX_CODE_LEN + 16)) as usize / 8 + 8 <= STREAM_BUF);
+
+/// The `enc` entry past every symbol's: 0, width 0. What a slot of
+/// [`SymbolTable::write_ways`]' hole indexes instead of its symbol.
+const HOLE_ENTRY: u32 = 1 << 16;
+
+/// The packer's register and cursor, local to
+/// [`SymbolTable::pack_ways`]: the bits not yet complete in the stream
+/// and where they go.
+struct WayPacker {
+    /// The low `fill` bits are pending, MSB first; the bits above them
+    /// are stale and never read.
+    acc: u64,
+    /// Pending bits, fewer than 8 between writes.
+    fill: u32,
+    /// Byte of the stream the pending bits start in.
+    at: usize,
+}
+
+impl WayPacker {
+    /// A packer whose first write lands at bit `bit`.
+    fn at(bit: u32) -> Self {
+        Self { acc: 0, fill: bit % 8, at: (bit / 8) as usize }
+    }
+
+    /// Appends the `width <= 57` low bits of `unit` (no bits above them
+    /// set). With fewer than 8 bits pending the register holds them all;
+    /// its pending bits are stored left-aligned at their byte of
+    /// `stream`, zeros after them, and the cursor moves past the bytes
+    /// they complete.
+    #[inline(always)]
+    fn put(&mut self, stream: &mut [u8; STREAM_BUF], unit: u64, width: u32) {
+        debug_assert!(width <= 57 && unit >> width == 0, "{unit:#x} in {width} bits");
+        self.acc = self.acc << width | unit;
+        self.fill += width;
+        // No bits pending only after a width-0 write to an empty register.
+        let word = self.acc.checked_shl(64 - self.fill).unwrap_or(0);
+        stream[self.at..self.at + 8].copy_from_slice(&word.to_be_bytes());
+        self.at += (self.fill / 8) as usize;
+        self.fill %= 8;
+    }
+
+    /// Bits written so far, from the stream's start.
+    fn pos(&self) -> u32 {
+        self.at as u32 * 8 + self.fill
+    }
+}
 
 /// Configuration for table training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,10 +164,10 @@ pub struct SymbolTable {
     escape_entry: usize,
     /// Symbol value -> packed `(bits << 8) | width`, where `bits` is the
     /// complete wire encoding (codeword, or escape codeword followed by the
-    /// 16 raw symbol bits) and `width <= 32` its length. Precomputed so
-    /// [`stash_encodings`](Self::stash_encodings) is one table load per
-    /// symbol.
-    enc: Vec<u64>,
+    /// 16 raw symbol bits) and `width <= 32` its length, then one zero
+    /// entry, [`HOLE_ENTRY`], for the slots of a hole. The one table
+    /// [`write_ways`](Self::write_ways) reads: a load per symbol.
+    enc: Box<[u64; HOLE_ENTRY as usize + 1]>,
     /// The one decode table: a left-aligned `MAX_CODE_LEN`-bit window ->
     /// packed `(symbol << 16) | (escape << 8) | code_length`, the flat
     /// longest-code-indexed table of Rivera et al. and cuSZ+. It fuses
@@ -153,9 +207,10 @@ impl SymbolTable {
         let esc_len = code.length(escape_entry);
         // A symbol outside the top k is its escape codeword immediately
         // followed by its 16 raw bits, fused into one write.
-        let mut enc: Vec<u64> = (0..1u64 << 16)
-            .map(|symbol| ((esc_code << 16 | symbol) << 8) | u64::from(esc_len + 16))
-            .collect();
+        let mut enc = Box::new([0u64; HOLE_ENTRY as usize + 1]);
+        for (symbol, e) in (0u64..).zip(&mut enc[..HOLE_ENTRY as usize]) {
+            *e = ((esc_code << 16 | symbol) << 8) | u64::from(esc_len + 16);
+        }
         let mut dec = Box::new([0u32; 1 << MAX_CODE_LEN]);
         for entry in 0..=escape_entry {
             let (codeword, len) = (code.code(entry), code.length(entry));
@@ -172,7 +227,7 @@ impl SymbolTable {
             dec[base..base + (1 << (MAX_CODE_LEN - len))].fill(packed);
         }
         let mut bits = Box::new([0u8; 1 << 16]);
-        for (width, &packed) in bits.iter_mut().zip(&enc) {
+        for (width, &packed) in bits.iter_mut().zip(enc.iter()) {
             *width = (packed & 0xff) as u8;
         }
         Self { code, escape_entry, top: symbols, enc, dec, bits }
@@ -183,64 +238,83 @@ impl SymbolTable {
         self.code.length(self.escape_entry) + 16
     }
 
-    /// Stashes every symbol's packed wire encoding in one table pass, for
-    /// the size-then-write pipeline shared by E2MC and SLC: size the ways
-    /// from the stash ([`way_bits`](Self::way_bits)), then write the pdps
-    /// and the stash without touching the table again
-    /// ([`write_ways`](Self::write_ways)). A zero entry has width 0 and
-    /// writes nothing (SLC zeroes its truncated hole this way).
-    pub fn stash_encodings(&self, symbols: &[u16; SYMBOLS_PER_BLOCK]) -> [u64; SYMBOLS_PER_BLOCK] {
-        let mut out = [0u64; SYMBOLS_PER_BLOCK];
-        for (e, &s) in out.iter_mut().zip(symbols) {
-            *e = self.enc[s as usize];
-        }
-        out
-    }
-
-    /// Encoded bit count of each parallel decoding way of a stash: what
-    /// [`write_ways`](Self::write_ways) takes, and what E2MC sums first to
-    /// choose between coding a block and storing it verbatim.
-    pub fn way_bits(encodings: &[u64; SYMBOLS_PER_BLOCK]) -> [u32; WAYS] {
-        let mut way_bits = [0u32; WAYS];
-        for (bits, chunk) in way_bits.iter_mut().zip(encodings.chunks_exact(WAY_SYMBOLS)) {
-            *bits = chunk.iter().map(|&e| (e & 0xff) as u32).sum();
-        }
-        way_bits
-    }
-
-    /// Writes the three pdps — prefix sums of `way_bits`, the
-    /// [`way_bits`](Self::way_bits) of `encodings` — and then the stash.
-    /// Ways lie back to back, so the stash written in order is exactly the
-    /// concatenated per-way streams the pdps point into. A [`PDP_BITS`]
-    /// pdp holds the offsets of a stream shorter than a block, the only
-    /// kind a caller writes.
+    /// Writes one block's Fig. 6 stream — the mode prefix, given as
+    /// `(value, bits)`, then the three pdps, then the four ways of
+    /// `symbols` minus those in `hole` — and returns its length in bits.
+    /// The stream is appended to `out` only if it is shorter than a block,
+    /// the only kind either framing stores; a longer one is counted and
+    /// dropped, and the caller stores the block verbatim. Both framings
+    /// write through here: E2MC with its 1-bit mode and an empty hole,
+    /// SLC with its mode fields and the truncated run as the hole (never
+    /// on the wire: its symbols take no bits). A prefix is at most 11
+    /// bits, SLC's lossy `m`/`ss`/`len`.
     pub fn write_ways(
-        w: &mut BitWriter<'_>,
-        encodings: &[u64; SYMBOLS_PER_BLOCK],
-        way_bits: [u32; WAYS],
-    ) {
-        let mut offset = 0u32;
-        for bits in &way_bits[..WAYS - 1] {
-            offset += bits;
-            w.write(u64::from(offset), PDP_BITS);
+        &self,
+        prefix: (u64, u32),
+        symbols: &[u16; SYMBOLS_PER_BLOCK],
+        hole: Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> u32 {
+        let mut stream = [0u8; STREAM_BUF];
+        let bits = self.pack_ways(prefix, symbols, hole, &mut stream);
+        if bits < BLOCK_BITS {
+            out.extend_from_slice(&stream[..bits.div_ceil(8) as usize]);
         }
-        // Codewords are concatenated MSB-first in a local word and handed
-        // to the writer up to 64 bits at a time, exactly as writing each
-        // one would lay them out: a writer call per codeword makes E2MC
-        // encode about a third slower.
-        let mut acc = 0u64;
-        let mut acc_w = 0u32;
-        for &e in encodings {
-            let width = (e & 0xff) as u32;
-            if acc_w + width > 64 {
-                w.write(acc, acc_w);
-                acc = 0;
-                acc_w = 0;
+        bits
+    }
+
+    /// [`write_ways`](Self::write_ways)' packer: writes the whole stream
+    /// into `stream`, zeroed, and returns its length in bits, whatever
+    /// that length.
+    ///
+    /// One pass in way order. Each symbol's `enc` entry is loaded straight
+    /// from the table, and adjacent symbols are fused into one unit, `c0
+    /// << w1 | c1`, so a block is 32 writes; a pair wider than 57 bits (two
+    /// escapes of 29 bits or more) takes two. A write shifts its unit into
+    /// a register holding fewer than 8 pending bits, stores the register
+    /// big-endian at the current byte, whatever it holds, and moves on by
+    /// the whole bytes it completed: no branch on the stream's fill. The
+    /// ways start at the fixed bit `prefix_bits + 30`, so each way's start
+    /// offset from there is its pdp; the prefix and the pdps are ORed into
+    /// the first bytes once the ways are written.
+    fn pack_ways(
+        &self,
+        (prefix, prefix_bits): (u64, u32),
+        symbols: &[u16; SYMBOLS_PER_BLOCK],
+        hole: Range<usize>,
+        stream: &mut [u8; STREAM_BUF],
+    ) -> u32 {
+        debug_assert!(prefix_bits <= 11 && prefix >> prefix_bits == 0, "prefix {prefix:#x}");
+        let way0 = prefix_bits + (WAYS as u32 - 1) * PDP_BITS;
+        let mut packer = WayPacker::at(way0);
+        // A hole slot indexes the zero entry past the symbols': width 0,
+        // nothing written.
+        let mut index = symbols.map(u32::from);
+        index[hole].fill(HOLE_ENTRY);
+        let entry = |slot: usize| self.enc[index[slot] as usize];
+        let mut pdps = 0u64;
+        for way in 0..WAYS {
+            if way > 0 {
+                // Its low bits: only a stream longer than a block, never
+                // stored, has offsets past them.
+                pdps = pdps << PDP_BITS | u64::from((packer.pos() - way0) % (1 << PDP_BITS));
             }
-            acc = (acc << width) | (e >> 8);
-            acc_w += width;
+            for slot in (way * WAY_SYMBOLS..(way + 1) * WAY_SYMBOLS).step_by(2) {
+                let (e0, e1) = (entry(slot), entry(slot + 1));
+                let (w0, w1) = ((e0 & 0xff) as u32, (e1 & 0xff) as u32);
+                if w0 + w1 > 57 {
+                    packer.put(stream, e0 >> 8, w0);
+                    packer.put(stream, e1 >> 8, w1);
+                } else {
+                    packer.put(stream, (e0 >> 8) << w1 | e1 >> 8, w0 + w1);
+                }
+            }
         }
-        w.write(acc, acc_w);
+        let header = (prefix << ((WAYS as u32 - 1) * PDP_BITS) | pdps) << (64 - way0);
+        let mut head = [0u8; 8];
+        head.copy_from_slice(&stream[..8]);
+        stream[..8].copy_from_slice(&(u64::from_be_bytes(head) | header).to_be_bytes());
+        packer.pos()
     }
 
     /// Reads the three pdps at `r`'s cursor and decodes the four parallel
@@ -440,22 +514,14 @@ impl BlockCompressor for E2mc {
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
-        let symbols = block_to_symbols(block);
-        // Size-then-write over one stashed table pass (shared with SLC's
-        // framing; see SymbolTable::stash_encodings) — replaces the seed's
-        // four scratch writers + append.
-        let encodings = self.table.stash_encodings(&symbols);
-        let way_bits = SymbolTable::way_bits(&encodings);
-        let total = HEADER_BITS + way_bits.iter().sum::<u32>();
-        if total >= BLOCK_BITS {
+        // Mode bit 1: compressed. A stream no shorter than the block is
+        // not appended, and the block is stored verbatim instead.
+        let bits = self.table.write_ways((1, 1), &block_to_symbols(block), 0..0, out);
+        debug_assert_eq!(bits, self.analyze(block).lossless_size_bits());
+        if bits >= BLOCK_BITS {
             return store_verbatim(block, out);
         }
-        let mut w = BitWriter::new(out);
-        w.write(1, 1); // mode: compressed
-        SymbolTable::write_ways(&mut w, &encodings, way_bits);
-        debug_assert_eq!(w.len_bits(), total);
-        debug_assert_eq!(total, self.analyze(block).lossless_size_bits());
-        w.finish_block(block)
+        (bits, true)
     }
 
     fn decompress_into(
@@ -496,6 +562,7 @@ impl BlockCompressor for E2mc {
 mod tests {
     use super::huffman::tests::BitSerialWalk;
     use super::*;
+    use crate::bitstream::BitWriter;
     use crate::testing::{decode, encode, roundtrip};
     use proptest::prelude::*;
 
@@ -626,17 +693,97 @@ mod tests {
         symbols: &[u16; SYMBOLS_PER_BLOCK],
         hole: Range<usize>,
     ) -> Option<(Vec<u8>, u32)> {
-        let mut encodings = table.stash_encodings(symbols);
+        let mut stream = [0u8; STREAM_BUF];
+        let len_bits = table.pack_ways((0, 0), symbols, hole, &mut stream);
+        (len_bits <= BLOCK_BITS)
+            .then(|| (stream[..len_bits.div_ceil(8) as usize].to_vec(), len_bits))
+    }
+
+    /// The writer [`SymbolTable::write_ways`] replaced, kept as its
+    /// oracle: every symbol's entry stashed in one table pass, the hole's
+    /// zeroed, the ways summed from the stash, then the prefix, the pdps
+    /// (their low [`PDP_BITS`]: only a stream longer than a block has
+    /// more) and the stash through a [`BitWriter`], the codewords
+    /// concatenated in a local word and handed over up to 64 bits at a
+    /// time.
+    fn write_ways_reference(
+        table: &SymbolTable,
+        (prefix, prefix_bits): (u64, u32),
+        symbols: &[u16; SYMBOLS_PER_BLOCK],
+        hole: Range<usize>,
+    ) -> (Vec<u8>, u32) {
+        let mut encodings = [0u64; SYMBOLS_PER_BLOCK];
+        for (e, &s) in encodings.iter_mut().zip(symbols) {
+            *e = table.enc[s as usize];
+        }
         encodings[hole].fill(0);
-        let way_bits = SymbolTable::way_bits(&encodings);
-        if (WAYS as u32 - 1) * PDP_BITS + way_bits.iter().sum::<u32>() > BLOCK_BITS {
-            return None;
+        let mut way_bits = [0u32; WAYS];
+        for (bits, chunk) in way_bits.iter_mut().zip(encodings.chunks_exact(WAY_SYMBOLS)) {
+            *bits = chunk.iter().map(|&e| (e & 0xff) as u32).sum();
         }
         let mut bytes = Vec::new();
         let mut w = BitWriter::new(&mut bytes);
-        SymbolTable::write_ways(&mut w, &encodings, way_bits);
+        w.write(prefix, prefix_bits);
+        let mut offset = 0u32;
+        for bits in &way_bits[..WAYS - 1] {
+            offset += bits;
+            w.write(u64::from(offset % (1 << PDP_BITS)), PDP_BITS);
+        }
+        let mut acc = 0u64;
+        let mut acc_w = 0u32;
+        for &e in &encodings {
+            let width = (e & 0xff) as u32;
+            if acc_w + width > 64 {
+                w.write(acc, acc_w);
+                acc = 0;
+                acc_w = 0;
+            }
+            acc = (acc << width) | (e >> 8);
+            acc_w += width;
+        }
+        w.write(acc, acc_w);
         let len_bits = w.finish();
-        Some((bytes, len_bits))
+        (bytes, len_bits)
+    }
+
+    /// Holds [`SymbolTable::write_ways`] to its oracle on `symbols` under
+    /// every hole and both framings' prefixes (E2MC's mode bit and an SLC
+    /// lossy `m`/`ss`/`len` from `fields`): the same bits and, where the
+    /// stream is stored, the same bytes; for a longer stream the packed
+    /// buffer matches too, and nothing is appended.
+    fn assert_writers_agree(table: &SymbolTable, symbols: &[u16; SYMBOLS_PER_BLOCK], fields: u64) {
+        for start in 0..=SYMBOLS_PER_BLOCK {
+            for end in start..=SYMBOLS_PER_BLOCK {
+                for prefix in [(1, 1), (0x400 | (fields & 0x3ff), 11)] {
+                    let at = format!("hole {start}..{end} prefix {prefix:?}");
+                    let (expect, expect_bits) =
+                        write_ways_reference(table, prefix, symbols, start..end);
+                    let mut stream = [0u8; STREAM_BUF];
+                    let bits = table.pack_ways(prefix, symbols, start..end, &mut stream);
+                    assert_eq!(bits, expect_bits, "{at}");
+                    assert_eq!(stream[..expect.len()], expect, "{at}");
+                    assert!(stream[expect.len()..].iter().all(|&b| b == 0), "{at}");
+                    let mut out = vec![0xa5];
+                    assert_eq!(table.write_ways(prefix, symbols, start..end, &mut out), bits);
+                    let stored = if bits < BLOCK_BITS { &expect[..] } else { &[] };
+                    assert_eq!(out[1..], *stored, "{at}");
+                }
+            }
+        }
+    }
+
+    /// A table trained on dyadic counts: symbol `0x0100 + k` appears
+    /// `2^(15 - k)` times for `k < 15`, two more once each, so the escape
+    /// (count 1) takes a `MAX_CODE_LEN` codeword and two adjacent escapes
+    /// make a 64-bit pair.
+    fn dyadic_table() -> E2mc {
+        let mut symbols: Vec<u16> =
+            (0..15u16).flat_map(|k| vec![0x0100 + k; 1 << (15 - k)]).collect();
+        symbols.extend([0x0100 + 15, 0x0100 + 16]);
+        let bytes: Vec<u8> = symbols.iter().flat_map(|s| s.to_le_bytes()).collect();
+        let e = E2mc::train_on_bytes(&bytes, &E2mcConfig::default());
+        assert_eq!(e.table().code.length(e.table().escape_entry), MAX_CODE_LEN);
+        e
     }
 
     /// Scalar reference for `read_ways`: one bit at a time, the pdps off
@@ -757,6 +904,28 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_longest_escapes_split_their_pair() {
+        // Two adjacent 32-bit escapes make a 64-bit pair, written as two
+        // units: escapes in one pair, in every pair, in every slot (the
+        // longest stream, 2089 bits with the SLC prefix), and at a way's
+        // end beside a symbol of the next way's start.
+        let e = dyadic_table();
+        let trained: Vec<u16> = (0..SYMBOLS_PER_BLOCK as u16).map(|i| 0x0100 + i % 7).collect();
+        for escapes in [0b11 << 6, 0x3333_3333_3333_3333, u64::MAX, 0x0001_8000_0001_8000] {
+            let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
+            for (slot, s) in symbols.iter_mut().enumerate() {
+                *s = if escapes >> slot & 1 == 1 { 0xc000 | slot as u16 } else { trained[slot] };
+            }
+            assert_writers_agree(e.table(), &symbols, escapes);
+            let stream = way_stream(e.table(), &symbols, 0..0);
+            assert_eq!(stream.is_some(), escapes.count_ones() <= 4, "{escapes:#x}");
+            if let Some((bytes, len_bits)) = stream {
+                assert_eq!(decode_both(e.table(), &bytes, len_bits, 0..0), Some(symbols));
+            }
+        }
+    }
+
+    #[test]
     fn a_pdp_off_its_way_boundary_is_rejected() {
         // Way 1's codewords still parse from one bit further on, which the
         // per-way decoder accepted as garbage; way 0 ending off that start
@@ -848,6 +1017,13 @@ mod tests {
             let (bytes, len_bits) = stream.expect("assumed");
             let got = decode_both(e.table(), &bytes, len_bits, hole.clone());
             prop_assert_eq!(got, Some(punched(&symbols, hole)));
+        }
+
+        #[test]
+        fn prop_write_ways_matches_the_retired_writer(seed in any::<u32>(), escapes in any::<u64>(),
+                                                       fields in any::<u64>()) {
+            let e = trained();
+            assert_writers_agree(e.table(), &mixed_symbols(seed, escapes), fields);
         }
 
         #[test]

@@ -17,7 +17,7 @@
 //! Uncompressed blocks carry **no header**: the metadata cache's burst
 //! count already identifies them (4 bursts ⇒ verbatim).
 
-use slc_compress::bitstream::{BitReader, BitWriter};
+use slc_compress::bitstream::BitReader;
 use slc_compress::e2mc::HEADER_BITS;
 use slc_compress::symbols::SYMBOLS_PER_BLOCK;
 use slc_compress::DecodeError;
@@ -54,16 +54,14 @@ impl Hole {
     }
 }
 
-/// Writes the mode fields: `m = 0` for a lossless block, `m = 1`, `ss`
-/// and `len` for one with `hole` approximated away.
-pub fn write(w: &mut BitWriter<'_>, hole: Option<Hole>) {
+/// The mode fields as `(value, bits)`, the prefix
+/// [`SymbolTable::write_ways`](slc_compress::e2mc::SymbolTable::write_ways)
+/// puts before the pdps: `m = 0` for a lossless block, `m = 1`, `ss` and
+/// `len` for one with `hole` approximated away.
+pub fn prefix(hole: Option<Hole>) -> (u64, u32) {
     match hole {
-        None => w.write(0, 1),
-        Some(hole) => {
-            w.write(1, 1);
-            w.write(u64::from(hole.start), 6);
-            w.write(u64::from(hole.len) - 1, 4);
-        }
+        None => (0, 1),
+        Some(hole) => (1 << 10 | u64::from(hole.start) << 4 | u64::from(hole.len - 1), 11),
     }
 }
 
@@ -85,13 +83,15 @@ pub fn read(r: &mut BitReader<'_>) -> Result<Option<Hole>, DecodeError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use slc_compress::bitstream::BitWriter;
 
     /// Writes `hole`'s mode fields and reads back the first `bits` bits.
     fn read_back(hole: Option<Hole>, bits: u32) -> Result<Option<Hole>, DecodeError> {
+        let (value, width) = prefix(hole);
+        assert_eq!(width, if hole.is_some() { 11 } else { 1 });
         let mut bytes = Vec::new();
         let mut w = BitWriter::new(&mut bytes);
-        write(&mut w, hole);
-        assert_eq!(w.len_bits(), if hole.is_some() { 11 } else { 1 });
+        w.write(value, width);
         let written = w.finish();
         read(&mut BitReader::new(&bytes, bits.min(written)))
     }
@@ -116,11 +116,7 @@ mod tests {
 
     #[test]
     fn lossless_header_roundtrips() {
-        let mut bytes = Vec::new();
-        let mut w = BitWriter::new(&mut bytes);
-        write(&mut w, None);
-        assert_eq!(w.finish(), 1);
-        assert_eq!(bytes, [0]);
+        assert_eq!(prefix(None), (0, 1));
         assert_eq!(roundtrip(None), None);
     }
 
@@ -142,7 +138,7 @@ mod tests {
     fn a_hole_running_past_the_block_is_rejected_at_read() {
         // Every (ss, len) the 6 + 4 header bits can express, written by
         // hand: `read` accepts exactly the pairs that make a `Hole`, and
-        // for those `write` lays down the same bits.
+        // for those `prefix` is the same bits.
         for ss in 0..SYMBOLS_PER_BLOCK {
             for len in 1..=16 {
                 let mut bytes = Vec::new();
@@ -155,11 +151,8 @@ mod tests {
                 let got = read(&mut BitReader::new(&bytes, bits));
                 assert_eq!(got, hole.map(Some).ok_or(DecodeError::BadLayout), "ss {ss} len {len}");
                 if hole.is_some() {
-                    let mut written = Vec::new();
-                    let mut w = BitWriter::new(&mut written);
-                    write(&mut w, hole);
-                    w.finish();
-                    assert_eq!(written, bytes, "ss {ss} len {len}");
+                    let by_hand = (1 << 10 | (ss as u64) << 4 | (len as u64 - 1), 11);
+                    assert_eq!(prefix(hole), by_hand, "ss {ss} len {len}");
                 }
             }
         }
@@ -196,7 +189,8 @@ mod tests {
             let hole = hole.filter(|_| lossy);
             let mut bytes = Vec::new();
             let mut w = BitWriter::new(&mut bytes);
-            write(&mut w, hole);
+            let (value, width) = prefix(hole);
+            w.write(value, width);
             w.write(tail, 64);
             let bits = w.finish();
             let mut r = BitReader::new(&bytes, bits);

@@ -10,8 +10,8 @@ use crate::budget::{BudgetDecision, ModeChoice};
 use crate::header::{self, Hole, LOSSY_HEADER_DELTA};
 use crate::predict::{fill_approximated, PredictorKind};
 use crate::tree::{CodeLengthTree, Selection};
-use slc_compress::bitstream::{BitReader, BitWriter};
-use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable};
+use slc_compress::bitstream::BitReader;
+use slc_compress::e2mc::{BlockAnalysis, E2mc};
 use slc_compress::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
 use slc_compress::{Block, DecodeError, Mag, BLOCK_BITS, BLOCK_BYTES};
 
@@ -339,19 +339,17 @@ impl SlcCompressor {
     }
 
     /// The Fig. 6 stream of `block`: SLC's mode fields, then E2MC's pdps
-    /// and ways with the symbols of `hole` left off the wire (a zeroed
-    /// stash entry writes nothing). Returns the payload and its bits.
+    /// and ways with the symbols of `hole` left off the wire. Returns the
+    /// payload and its bits.
     fn store_coded(&self, block: &Block, hole: Option<Hole>) -> (Vec<u8>, u32) {
-        let mut encodings = self.e2mc.table().stash_encodings(&block_to_symbols(block));
-        if let Some(hole) = hole {
-            encodings[hole.symbols()].fill(0);
-        }
         // A stored stream is shorter than the raw block.
         let mut payload = Vec::with_capacity(BLOCK_BYTES);
-        let mut w = BitWriter::new(&mut payload);
-        header::write(&mut w, hole);
-        SymbolTable::write_ways(&mut w, &encodings, SymbolTable::way_bits(&encodings));
-        let size_bits = w.finish();
+        let size_bits = self.e2mc.table().write_ways(
+            header::prefix(hole),
+            &block_to_symbols(block),
+            hole.map_or(0..0, Hole::symbols),
+            &mut payload,
+        );
         (payload, size_bits)
     }
 

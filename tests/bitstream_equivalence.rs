@@ -22,10 +22,10 @@ use slc::slc_compress::bdi::Bdi;
 use slc::slc_compress::bitstream::{BitReader, BitWriter};
 use slc::slc_compress::bpc::Bpc;
 use slc::slc_compress::cpack::Cpack;
-use slc::slc_compress::e2mc::{E2mc, E2mcConfig, SymbolTable, MAX_CODE_LEN};
+use slc::slc_compress::e2mc::{E2mc, E2mcConfig, MAX_CODE_LEN};
 use slc::slc_compress::fpc::Fpc;
 use slc::slc_compress::rans::Rans;
-use slc::slc_compress::symbols::SYMBOLS_PER_BLOCK;
+use slc::slc_compress::symbols::{symbols_to_block, SYMBOLS_PER_BLOCK};
 use slc::slc_compress::{Block, BlockCompressor, ChunkCoder, BLOCK_BYTES};
 use slc::slc_workloads::{all_workloads, Harness, Scale};
 use std::collections::HashMap;
@@ -271,11 +271,27 @@ fn golden_rans_chunk_hashes() {
     }
 }
 
-/// Checks every window of `table`'s one decode table against the
+/// `copies` copies of a `len`-bit `codeword` as E2MC lays them out in
+/// the first `copies` slots of a coded block, one bit at a time: the mode
+/// bit, pdps at the ends of ways 0 to 2, the codewords.
+fn copies_stream(codeword: u16, len: u32, copies: u32) -> (Vec<u8>, u32) {
+    let mut w = reference::RefWriter::new();
+    w.write(1, 1);
+    for way in 1..4 {
+        w.write(u64::from(copies.min(16 * way) * len), 10);
+    }
+    for _ in 0..copies {
+        w.write(u64::from(codeword), len);
+    }
+    (w.bytes, w.len_bits)
+}
+
+/// Checks every window of `e2mc`'s one decode table against the
 /// bit-serial canonical walk over each entry's `(length, code)`, which
 /// takes one more bit of the window until the prefix taken so far is
 /// the codeword of an entry that long. Returns the longest code length.
-fn assert_decode_table_matches_the_walk(table: &SymbolTable, at: &str) -> u32 {
+fn assert_decode_table_matches_the_walk(e2mc: &E2mc, at: &str) -> u32 {
+    let table = e2mc.table();
     let code = table.canonical_code();
     let escape = code.alphabet_len() - 1;
     let codewords: HashMap<(u32, u32), usize> = (0..code.alphabet_len())
@@ -298,10 +314,21 @@ fn assert_decode_table_matches_the_walk(table: &SymbolTable, at: &str) -> u32 {
             Some((e, len)) => {
                 let (symbol, width) = got.unwrap_or_else(|| panic!("{at}: {window:#06x}"));
                 assert_eq!(width, len, "{at}: window {window:#06x}");
-                // The symbol decoded is the one whose codeword this is.
-                let enc = table.stash_encodings(&[symbol; SYMBOLS_PER_BLOCK])[0];
-                let want = u64::from(code.code(e)) << 8 | u64::from(len);
-                assert_eq!(enc, want, "{at}: window {window:#06x}");
+                // The symbol decoded is the one whose codeword this is:
+                // 64 copies of it encode as 64 copies of that codeword. A
+                // 16-bit code's copies fill the block, which goes
+                // verbatim, so those write 16 copies, the rest a hole.
+                let copies = [symbol; SYMBOLS_PER_BLOCK];
+                let mut payload = Vec::new();
+                let (bits, coded) = if len < MAX_CODE_LEN {
+                    e2mc.compress_into(&symbols_to_block(&copies), &mut payload)
+                } else {
+                    (table.write_ways((1, 1), &copies, 16..SYMBOLS_PER_BLOCK, &mut payload), true)
+                };
+                let want =
+                    copies_stream(code.code(e), len, if len < MAX_CODE_LEN { 64 } else { 16 });
+                assert!(coded, "{at}: window {window:#06x}");
+                assert_eq!((payload, bits), want, "{at}: window {window:#06x}");
             }
         }
     }
@@ -312,12 +339,12 @@ fn assert_decode_table_matches_the_walk(table: &SymbolTable, at: &str) -> u32 {
 fn bit_serial_walk_agrees_with_the_decode_table() {
     let training: Vec<u8> = (0..1u32 << 14).flat_map(|i| ((i % 301) * 11).to_le_bytes()).collect();
     let synthetic = E2mc::train_on_bytes(&training, &E2mcConfig::default());
-    assert_decode_table_matches_the_walk(synthetic.table(), "synthetic");
+    assert_decode_table_matches_the_walk(&synthetic, "synthetic");
     // The nine Table III tables: every fill depth from 1 to 16 bits.
     let h = Harness::new(Scale::Tiny);
     let longest: Vec<u32> = all_workloads(Scale::Tiny)
         .iter()
-        .map(|w| assert_decode_table_matches_the_walk(h.prepare(w.as_ref()).e2mc.table(), w.name()))
+        .map(|w| assert_decode_table_matches_the_walk(&h.prepare(w.as_ref()).e2mc, w.name()))
         .collect();
     assert!(longest.contains(&MAX_CODE_LEN), "{longest:?}");
 }
