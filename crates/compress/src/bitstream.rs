@@ -1,4 +1,4 @@
-//! Bit-granular stream writer/reader used by every codec in this crate.
+//! Bit-granular stream writer/reader used by the codecs in this crate.
 //!
 //! Bits are packed MSB-first within each byte, which mirrors how a hardware
 //! shifter would serialise variable-length codewords onto a bus and keeps
@@ -8,13 +8,14 @@
 //!
 //! Both halves work a machine word at a time instead of bit-by-bit:
 //!
-//! * [`BitWriter`] is the one serialiser: it borrows the caller's
-//!   `Vec<u8>` sink and stages pending bits in a 128-bit register. A
-//!   write of any width up to 64 is one shift and OR; only when 64 bits
-//!   are pending does it append one big-endian 8-byte word to the sink.
-//!   So the sink is touched once per 64 bits written, never past the
-//!   stream's end, and the writer has no buffer of its own to allocate
-//!   or copy out of.
+//! * [`BitWriter`] serialises every codec but E2MC (whose ways
+//!   [`write_ways`](crate::e2mc::SymbolTable::write_ways) packs): it
+//!   borrows the caller's `Vec<u8>` sink and stages pending bits in a
+//!   128-bit register. A write of any width up to 64 is one shift and
+//!   OR; only when 64 bits are pending does it append one big-endian
+//!   8-byte word to the sink. So the sink is touched once per 64 bits
+//!   written, never past the stream's end, and the writer has no buffer
+//!   of its own.
 //! * [`BitReader`] services any `read`/`peek` from a single 16-byte
 //!   big-endian window load, so a 64-bit field costs one shift and mask
 //!   regardless of alignment. It never fails mid-stream: a read past the

@@ -12,11 +12,12 @@
 //! addressable sub-stream: the block header carries one *parallel
 //! decoding pointer* (pdp) per non-first way. Both framings, E2MC's and
 //! SLC's (which puts its `ss`/`len` between the mode bit and the pdps),
-//! write the pdps and ways through [`SymbolTable::write_ways`] and read
-//! them through [`SymbolTable::read_ways`]. The hardware puts one decoder
-//! on each way; `read_ways` does the same with four cursors advanced in
-//! lock step, so the ways' table loads overlap in the pipeline, and it
-//! rejects a block whose ways do not tile the data section exactly.
+//! write their stream through [`SymbolTable::write_ways`] and read the
+//! pdps and ways through [`SymbolTable::read_ways`]. The hardware puts one
+//! decoder on each way; `read_ways` does the same with four cursors
+//! advanced in lock step, so the ways' table loads overlap in the
+//! pipeline, and it rejects a block whose ways do not tile the data
+//! section exactly.
 //!
 //! The compressed size of a block is just the sum of its code lengths plus
 //! the header — the property SLC's bit-budgeting exploits (the paper's
@@ -76,59 +77,13 @@ pub const PDP_BITS: u32 = 10;
 /// Header of a losslessly compressed E2MC block: mode bit + 3 pdps.
 pub const HEADER_BITS: u32 = 1 + (WAYS as u32 - 1) * PDP_BITS;
 
-/// Bytes of the stack buffer [`SymbolTable::write_ways`] packs a block
-/// into: the longest stream any table produces — an 11-bit prefix, the
-/// pdps and 64 escapes of 32 bits, 2089 bits — plus the 8 bytes the last
-/// store writes from its byte on.
+/// Bytes of [`SymbolTable::write_ways`]' stack buffer: the longest
+/// stream (an 11-bit prefix, the pdps, 64 escapes of 32 bits) and the 8
+/// bytes the last store writes from its byte on.
 const STREAM_BUF: usize = 272;
-const _: () =
-    assert!((11 + HEADER_BITS - 1 + 64 * (MAX_CODE_LEN + 16)) as usize / 8 + 8 <= STREAM_BUF);
-
-/// The `enc` entry past every symbol's: 0, width 0. What a slot of
-/// [`SymbolTable::write_ways`]' hole indexes instead of its symbol.
+const _: () = assert!((41 + 64 * (MAX_CODE_LEN + 16) as usize) / 8 + 8 <= STREAM_BUF);
+/// The zero `enc` entry past every symbol's, which a hole's slots index.
 const HOLE_ENTRY: u32 = 1 << 16;
-
-/// The packer's register and cursor, local to
-/// [`SymbolTable::pack_ways`]: the bits not yet complete in the stream
-/// and where they go.
-struct WayPacker {
-    /// The low `fill` bits are pending, MSB first; the bits above them
-    /// are stale and never read.
-    acc: u64,
-    /// Pending bits, fewer than 8 between writes.
-    fill: u32,
-    /// Byte of the stream the pending bits start in.
-    at: usize,
-}
-
-impl WayPacker {
-    /// A packer whose first write lands at bit `bit`.
-    fn at(bit: u32) -> Self {
-        Self { acc: 0, fill: bit % 8, at: (bit / 8) as usize }
-    }
-
-    /// Appends the `width <= 57` low bits of `unit` (no bits above them
-    /// set). With fewer than 8 bits pending the register holds them all;
-    /// its pending bits are stored left-aligned at their byte of
-    /// `stream`, zeros after them, and the cursor moves past the bytes
-    /// they complete.
-    #[inline(always)]
-    fn put(&mut self, stream: &mut [u8; STREAM_BUF], unit: u64, width: u32) {
-        debug_assert!(width <= 57 && unit >> width == 0, "{unit:#x} in {width} bits");
-        self.acc = self.acc << width | unit;
-        self.fill += width;
-        // No bits pending only after a width-0 write to an empty register.
-        let word = self.acc.checked_shl(64 - self.fill).unwrap_or(0);
-        stream[self.at..self.at + 8].copy_from_slice(&word.to_be_bytes());
-        self.at += (self.fill / 8) as usize;
-        self.fill %= 8;
-    }
-
-    /// Bits written so far, from the stream's start.
-    fn pos(&self) -> u32 {
-        self.at as u32 * 8 + self.fill
-    }
-}
 
 /// Configuration for table training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,13 +104,9 @@ impl Default for E2mcConfig {
 /// escape entry for the rest.
 ///
 /// Tables are frozen after the one-shot sampling phase (the paper trains
-/// once and never retrains), so they carry no interior mutability, and
-/// the ~840 KB of precomputed tables below are immutable for the life of
-/// the run: the 512 KB encode table, the one 256 KB decode table, the
-/// 64 KB width table, and about 8 KB of canonical code and symbols.
-/// [`E2mc`] therefore holds the table behind an [`Arc`]: cloning a
-/// trained codec — and every [`crate::BlockCompressor`] or SLC scheme
-/// built on it — shares this one allocation instead of deep-copying it.
+/// once and never retrains), so the ~840 KB of precomputed tables below
+/// — 512 KB encode, 256 KB decode, 64 KB width, about 8 KB of code and
+/// symbols — are immutable for the run, and [`E2mc`] shares them.
 #[derive(Clone)]
 pub struct SymbolTable {
     code: CanonicalCode,
@@ -238,16 +189,12 @@ impl SymbolTable {
         self.code.length(self.escape_entry) + 16
     }
 
-    /// Writes one block's Fig. 6 stream — the mode prefix, given as
-    /// `(value, bits)`, then the three pdps, then the four ways of
-    /// `symbols` minus those in `hole` — and returns its length in bits.
-    /// The stream is appended to `out` only if it is shorter than a block,
-    /// the only kind either framing stores; a longer one is counted and
-    /// dropped, and the caller stores the block verbatim. Both framings
-    /// write through here: E2MC with its 1-bit mode and an empty hole,
-    /// SLC with its mode fields and the truncated run as the hole (never
-    /// on the wire: its symbols take no bits). A prefix is at most 11
-    /// bits, SLC's lossy `m`/`ss`/`len`.
+    /// Writes one block's Fig. 6 stream — the mode prefix `(value,
+    /// bits)` of at most 11 bits, the three pdps, then the ways of
+    /// `symbols` minus those in `hole` (SLC's truncated run: width 0) —
+    /// and returns its length in bits. Both framings write through here.
+    /// Only a stream shorter than a block, the only kind either stores, is
+    /// appended to `out`; for a longer one the caller stores the block.
     pub fn write_ways(
         &self,
         prefix: (u64, u32),
@@ -263,20 +210,13 @@ impl SymbolTable {
         bits
     }
 
-    /// [`write_ways`](Self::write_ways)' packer: writes the whole stream
-    /// into `stream`, zeroed, and returns its length in bits, whatever
-    /// that length.
-    ///
-    /// One pass in way order. Each symbol's `enc` entry is loaded straight
-    /// from the table, and adjacent symbols are fused into one unit, `c0
-    /// << w1 | c1`, so a block is 32 writes; a pair wider than 57 bits (two
-    /// escapes of 29 bits or more) takes two. A write shifts its unit into
-    /// a register holding fewer than 8 pending bits, stores the register
-    /// big-endian at the current byte, whatever it holds, and moves on by
-    /// the whole bytes it completed: no branch on the stream's fill. The
-    /// ways start at the fixed bit `prefix_bits + 30`, so each way's start
-    /// offset from there is its pdp; the prefix and the pdps are ORed into
-    /// the first bytes once the ways are written.
+    /// [`write_ways`](Self::write_ways)' packer: any stream into the zeroed
+    /// `stream`, in one pass in way order. Adjacent symbols' `enc` entries
+    /// are fused into one unit, `c0 << w1 | c1` (a pair over 57 bits takes
+    /// two), shifted into a register of fewer than 8 pending bits that is
+    /// stored big-endian at their byte: no branch on the fill. The ways
+    /// start at bit `prefix_bits + 30`, so each way's start offset is its
+    /// pdp; the prefix and the pdps are ORed in last.
     fn pack_ways(
         &self,
         (prefix, prefix_bits): (u64, u32),
@@ -286,35 +226,43 @@ impl SymbolTable {
     ) -> u32 {
         debug_assert!(prefix_bits <= 11 && prefix >> prefix_bits == 0, "prefix {prefix:#x}");
         let way0 = prefix_bits + (WAYS as u32 - 1) * PDP_BITS;
-        let mut packer = WayPacker::at(way0);
-        // A hole slot indexes the zero entry past the symbols': width 0,
-        // nothing written.
+        // The register's low `fill` bits are pending, from byte `at` on.
+        let (mut acc, mut fill, mut at) = (0u64, way0 % 8, (way0 / 8) as usize);
+        let mut put = |unit: u64, width: u32| {
+            debug_assert!(width <= 57 && unit >> width == 0, "{unit:#x} in {width} bits");
+            acc = acc << width | unit;
+            fill += width;
+            // None pending only after a width-0 unit on an empty register.
+            let word = acc.checked_shl(64 - fill).unwrap_or(0);
+            stream[at..at + 8].copy_from_slice(&word.to_be_bytes());
+            at += (fill / 8) as usize;
+            fill %= 8;
+            at as u32 * 8 + fill
+        };
         let mut index = symbols.map(u32::from);
         index[hole].fill(HOLE_ENTRY);
-        let entry = |slot: usize| self.enc[index[slot] as usize];
-        let mut pdps = 0u64;
-        for way in 0..WAYS {
+        let (mut pos, mut pdps) = (way0, 0u64);
+        for (way, way_index) in index.chunks_exact(WAY_SYMBOLS).enumerate() {
             if way > 0 {
-                // Its low bits: only a stream longer than a block, never
-                // stored, has offsets past them.
-                pdps = pdps << PDP_BITS | u64::from((packer.pos() - way0) % (1 << PDP_BITS));
+                // Its low bits: only a stream longer than a block has more.
+                pdps = pdps << PDP_BITS | u64::from((pos - way0) % (1 << PDP_BITS));
             }
-            for slot in (way * WAY_SYMBOLS..(way + 1) * WAY_SYMBOLS).step_by(2) {
-                let (e0, e1) = (entry(slot), entry(slot + 1));
+            for pair in way_index.chunks_exact(2) {
+                let (e0, e1) = (self.enc[pair[0] as usize], self.enc[pair[1] as usize]);
                 let (w0, w1) = ((e0 & 0xff) as u32, (e1 & 0xff) as u32);
-                if w0 + w1 > 57 {
-                    packer.put(stream, e0 >> 8, w0);
-                    packer.put(stream, e1 >> 8, w1);
+                pos = if w0 + w1 > 57 {
+                    put(e0 >> 8, w0);
+                    put(e1 >> 8, w1)
                 } else {
-                    packer.put(stream, (e0 >> 8) << w1 | e1 >> 8, w0 + w1);
-                }
+                    put((e0 >> 8) << w1 | e1 >> 8, w0 + w1)
+                };
             }
         }
         let header = (prefix << ((WAYS as u32 - 1) * PDP_BITS) | pdps) << (64 - way0);
         let mut head = [0u8; 8];
         head.copy_from_slice(&stream[..8]);
         stream[..8].copy_from_slice(&(u64::from_be_bytes(head) | header).to_be_bytes());
-        packer.pos()
+        pos
     }
 
     /// Reads the three pdps at `r`'s cursor and decodes the four parallel
@@ -442,10 +390,8 @@ impl E2mc {
 
     /// Trains a table by sampling `bytes` (the online sampling phase).
     pub fn train_on_bytes(bytes: &[u8], config: &E2mcConfig) -> Self {
-        let mut sampler = match config.sample_blocks {
-            Some(limit) => SymbolSampler::with_limit(limit),
-            None => SymbolSampler::new(),
-        };
+        let mut sampler =
+            config.sample_blocks.map_or_else(SymbolSampler::new, SymbolSampler::with_limit);
         sampler.sample_bytes(bytes);
         Self::new(SymbolTable::from_sampler(&sampler, config))
     }
@@ -455,10 +401,8 @@ impl E2mc {
         blocks: impl IntoIterator<Item = &'a Block>,
         config: &E2mcConfig,
     ) -> Self {
-        let mut sampler = match config.sample_blocks {
-            Some(limit) => SymbolSampler::with_limit(limit),
-            None => SymbolSampler::new(),
-        };
+        let mut sampler =
+            config.sample_blocks.map_or_else(SymbolSampler::new, SymbolSampler::with_limit);
         for b in blocks {
             if !sampler.sample_block(b) {
                 break;
@@ -514,8 +458,7 @@ impl BlockCompressor for E2mc {
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
-        // Mode bit 1: compressed. A stream no shorter than the block is
-        // not appended, and the block is stored verbatim instead.
+        // Mode bit 1: coded; a stream as long as the block is not appended.
         let bits = self.table.write_ways((1, 1), &block_to_symbols(block), 0..0, out);
         debug_assert_eq!(bits, self.analyze(block).lossless_size_bits());
         if bits >= BLOCK_BITS {

@@ -41,14 +41,18 @@
 //! The per-block hot paths are engineered to work a machine word at a
 //! time rather than bit by bit:
 //!
-//! * **Staging-register bitstream** — [`bitstream::BitWriter`] stages
-//!   bits in a 128-bit register and appends one 8-byte word to its sink
-//!   per 64 bits written; [`bitstream::BitReader`] serves any read or
-//!   peek from a single (at most 16-byte) window load. Codecs fuse each
-//!   token's prefix, index and literal fields into one `write`/`peek`
-//!   pair, so a C-PACK word or an FPC pattern costs two bitstream calls
-//!   end to end. The wire format is bit-identical to the original
-//!   byte-loop implementation (see `tests/bitstream_equivalence.rs`).
+//! * **Staging-register bitstream, one sink** — [`bitstream::BitWriter`]
+//!   stages bits in a 128-bit register and only appends to the `Vec<u8>`
+//!   handed to [`BlockCompressor::compress_into`], one 8-byte word per 64
+//!   bits; [`bitstream::BitReader`] serves any read or peek from a single
+//!   (at most 16-byte) window load. Codecs fuse each token's prefix, index
+//!   and literal fields into one `write`/`peek` pair, so a C-PACK word or
+//!   an FPC pattern costs two bitstream calls end to end. E2MC's and SLC's
+//!   Fig. 6 streams skip the writer: [`e2mc::SymbolTable::write_ways`]
+//!   packs codeword pairs in a register into a stack buffer, with no
+//!   branch per codeword, and appends the stream once. The wire format is
+//!   bit-identical to the original byte-loop implementation (see
+//!   `tests/bitstream_equivalence.rs`).
 //! * **LUT Huffman decode** — [`e2mc::SymbolTable`] span-fills its one
 //!   decode table, indexed by a [`e2mc::MAX_CODE_LEN`]-bit window, from
 //!   the canonical code's lengths and codewords at training time;
@@ -56,29 +60,23 @@
 //!   escapes) instead of a bit-serial canonical walk, the scheme used by
 //!   GPU Huffman decoders (cuSZ+, Rivera et al.). Encoding uses a
 //!   per-symbol `(codeword, length)` table with the escape's raw bits
-//!   pre-fused, so every symbol is exactly one `write`.
+//!   pre-fused, so every symbol is one table load.
 //! * **Zero-alloc block codecs** — per-block state lives in fixed-size
 //!   arrays (BDI value/mask bitmaps, C-PACK's FIFO dictionary, BPC's
-//!   planes, E2MC's way sizes), and E2MC computes its parallel-decoding
-//!   pointers from code-length sums *before* encoding, eliminating the
-//!   per-way scratch writers. Neither
-//!   [`BlockCompressor::compress_into`] nor
+//!   planes, E2MC's stream buffer, its pdps patched in after the ways).
+//!   Neither [`BlockCompressor::compress_into`] nor
 //!   [`BlockCompressor::decompress_into`], the one encode and the one
-//!   decode entry, allocates per block: both work on the caller's
-//!   buffers.
+//!   decode entry, allocates per block: both work on the caller's buffers.
 //! * **Transposed bit-planes** — BPC's DBP rotation runs as a 32×32
 //!   bit-matrix transpose (Hacker's Delight §7-3), ~5 word-ops per plane
 //!   instead of a 33×31 single-bit gather.
 //! * **Shared trained artifacts** — [`e2mc::E2mc`] holds its trained
-//!   [`e2mc::SymbolTable`] (~840 KB of precomputed tables: encode,
-//!   width and the one decode table) behind an `Arc`. The clone-cost
-//!   contract: cloning a trained codec —
-//!   or any scheme built on one — is an O(1) refcount bump, **never** a
-//!   copy of the tables, so harnesses instantiate one scheme per variant,
-//!   threshold or worker thread against a single frozen model (the
-//!   paper's one-shot sampling phase freezes the table for the life of a
-//!   run). `E2mc::shared_table` exposes the handle, and a unit
-//!   test pins pointer identity across clones.
+//!   [`e2mc::SymbolTable`] (~840 KB of encode, width and decode tables)
+//!   behind an `Arc`: cloning a trained codec, or any scheme built on one,
+//!   is an O(1) refcount bump, **never** a copy, so harnesses instantiate
+//!   one scheme per variant, threshold or worker thread against a single
+//!   frozen model (the paper's one-shot sampling phase). A unit test pins
+//!   pointer identity across clones.
 //! * **Shared block analyses** — [`e2mc::E2mc::analyze`] captures a
 //!   block's per-symbol code lengths and their sum as an
 //!   [`e2mc::BlockAnalysis`] (68 bytes, no payload) in one pass over the
@@ -98,13 +96,6 @@
 //!   planner, its delta writer and its decoder, so every trip count and
 //!   shift is a compile-time constant, and the writer packs every
 //!   `64 / delta_bits` deltas into one 64-bit write.
-//! * **One writer over the caller's sink** — every codec serialises
-//!   through the same [`bitstream::BitWriter`], which borrows the
-//!   `Vec<u8>` handed to [`BlockCompressor::compress_into`] and only
-//!   ever appends to it. There is no staging buffer to size, allocate or
-//!   copy out of: the engine's per-block loop gets payload bytes straight
-//!   in its chunk buffer, and the "coded stream vs verbatim block"
-//!   decision is taken once, in the writer's block finish.
 //! * **Interleaved rANS entropy substrate** — [`rans`] adds a 4-lane
 //!   byte-oriented rANS coder whose encode/decode inner loops are
 //!   branch-free (reciprocal-multiply encode, 4096-slot LUT decode,
@@ -225,10 +216,9 @@ pub trait BlockCompressor {
     /// when coding does not pay — and returning `(size_bits,
     /// is_compressed)`. Bytes already in `out` are left untouched.
     ///
-    /// This is the one encode path: every codec serialises through a
-    /// [`bitstream::BitWriter`] over `out` itself, so the engine's
-    /// per-block loop lands payload bytes straight in the chunk buffer
-    /// and nothing allocates per block.
+    /// This is the one encode path: every codec appends to `out` itself,
+    /// so the engine's per-block loop lands payload bytes straight in the
+    /// chunk buffer and nothing allocates per block.
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool);
 
     /// Reconstructs the original block into a caller-provided buffer

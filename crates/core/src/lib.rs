@@ -14,7 +14,8 @@
 //!   start symbol, length), bit-exact. The parallel decoding pointers and
 //!   the ways after them are E2MC's framing, written and read for both
 //!   modes by [`SymbolTable`](slc_compress::e2mc::SymbolTable)'s
-//!   `write_ways` / `read_ways`.
+//!   `write_ways` / `read_ways`; [`header::prefix`] is what SLC hands
+//!   `write_ways` to go before them.
 //! * [`predict`] — the value-similarity predictor used by TSLC-PRED/OPT at
 //!   decompression.
 //! * [`slc`] — the end-to-end compressor/decompressor layered on E2MC.

@@ -9,7 +9,10 @@
 //! * `reference` reimplements the seed's bit-by-bit packing semantics; the
 //!   property tests assert the production writer emits **bit-identical
 //!   streams** for arbitrary `(value, width)` sequences, which covers every
-//!   codec (codecs serialise exclusively through `BitWriter`).
+//!   codec that serialises through `BitWriter`: all but E2MC and SLC, whose
+//!   `SymbolTable::write_ways` `e2mc`'s own tests hold to the retired
+//!   `BitWriter`-based writer, and which the E2MC goldens and the
+//!   copies-of-a-codeword streams below pin here.
 //! * A bit-serial canonical walk over every entry's `(length, code)` must
 //!   agree with E2MC's one decode table on every window, for the nine
 //!   benchmarks' trained tables and a synthetic one.
