@@ -211,12 +211,12 @@ impl SymbolTable {
     }
 
     /// [`write_ways`](Self::write_ways)' packer: any stream into the zeroed
-    /// `stream`, in one pass in way order. Adjacent symbols' `enc` entries
-    /// are fused into one unit, `c0 << w1 | c1` (a pair over 57 bits takes
-    /// two), shifted into a register of fewer than 8 pending bits that is
-    /// stored big-endian at their byte: no branch on the fill. The ways
-    /// start at bit `prefix_bits + 30`, so each way's start offset is its
-    /// pdp; the prefix and the pdps are ORed in last.
+    /// `stream` (stale past its end), in one pass in way order. Adjacent
+    /// symbols' `enc` entries are fused into one unit, `c0 << w1 | c1` (a
+    /// pair over 57 bits takes two), shifted into a register of fewer than
+    /// 8 pending bits that is stored big-endian at their byte, stale bits
+    /// after them: no branch on the fill. Ways start at bit `prefix_bits +
+    /// 30`, so a way's start offset is its pdp; prefix and pdps go in last.
     fn pack_ways(
         &self,
         (prefix, prefix_bits): (u64, u32),
@@ -232,9 +232,8 @@ impl SymbolTable {
             debug_assert!(width <= 57 && unit >> width == 0, "{unit:#x} in {width} bits");
             acc = acc << width | unit;
             fill += width;
-            // None pending only after a width-0 unit on an empty register.
-            let word = acc.checked_shl(64 - fill).unwrap_or(0);
-            stream[at..at + 8].copy_from_slice(&word.to_be_bytes());
+            // The next store rewrites the stale bits; the last byte's go below.
+            stream[at..at + 8].copy_from_slice(&acc.rotate_right(fill).to_be_bytes());
             at += (fill / 8) as usize;
             fill %= 8;
             at as u32 * 8 + fill
@@ -258,6 +257,7 @@ impl SymbolTable {
                 };
             }
         }
+        stream[pos as usize / 8] &= !(0xff >> (pos % 8));
         let header = (prefix << ((WAYS as u32 - 1) * PDP_BITS) | pdps) << (64 - way0);
         let mut head = [0u8; 8];
         head.copy_from_slice(&stream[..8]);
@@ -693,7 +693,7 @@ mod tests {
     /// every hole and both framings' prefixes (E2MC's mode bit and an SLC
     /// lossy `m`/`ss`/`len` from `fields`): the same bits and, where the
     /// stream is stored, the same bytes; for a longer stream the packed
-    /// buffer matches too, and nothing is appended.
+    /// bytes match too, and nothing is appended.
     fn assert_writers_agree(table: &SymbolTable, symbols: &[u16; SYMBOLS_PER_BLOCK], fields: u64) {
         for start in 0..=SYMBOLS_PER_BLOCK {
             for end in start..=SYMBOLS_PER_BLOCK {
@@ -705,7 +705,6 @@ mod tests {
                     let bits = table.pack_ways(prefix, symbols, start..end, &mut stream);
                     assert_eq!(bits, expect_bits, "{at}");
                     assert_eq!(stream[..expect.len()], expect, "{at}");
-                    assert!(stream[expect.len()..].iter().all(|&b| b == 0), "{at}");
                     let mut out = vec![0xa5];
                     assert_eq!(table.write_ways(prefix, symbols, start..end, &mut out), bits);
                     let stored = if bits < BLOCK_BITS { &expect[..] } else { &[] };
