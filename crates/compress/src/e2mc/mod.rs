@@ -82,8 +82,6 @@ pub const HEADER_BITS: u32 = 1 + (WAYS as u32 - 1) * PDP_BITS;
 /// bytes the last store writes from its byte on.
 const STREAM_BUF: usize = 272;
 const _: () = assert!((41 + 64 * (MAX_CODE_LEN + 16) as usize) / 8 + 8 <= STREAM_BUF);
-/// The zero `enc` entry past every symbol's, which a hole's slots index.
-const HOLE_ENTRY: u32 = 1 << 16;
 
 /// Configuration for table training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,9 +114,9 @@ pub struct SymbolTable {
     /// Symbol value -> packed `(bits << 8) | width`, where `bits` is the
     /// complete wire encoding (codeword, or escape codeword followed by the
     /// 16 raw symbol bits) and `width <= 32` its length, then one zero
-    /// entry, [`HOLE_ENTRY`], for the slots of a hole. The one table
+    /// entry, which a hole's slots index. The one table
     /// [`write_ways`](Self::write_ways) reads: a load per symbol.
-    enc: Box<[u64; HOLE_ENTRY as usize + 1]>,
+    enc: Vec<u64>,
     /// The one decode table: a left-aligned `MAX_CODE_LEN`-bit window ->
     /// packed `(symbol << 16) | (escape << 8) | code_length`, the flat
     /// longest-code-indexed table of Rivera et al. and cuSZ+. It fuses
@@ -158,10 +156,10 @@ impl SymbolTable {
         let esc_len = code.length(escape_entry);
         // A symbol outside the top k is its escape codeword immediately
         // followed by its 16 raw bits, fused into one write.
-        let mut enc = Box::new([0u64; HOLE_ENTRY as usize + 1]);
-        for (symbol, e) in (0u64..).zip(&mut enc[..HOLE_ENTRY as usize]) {
-            *e = ((esc_code << 16 | symbol) << 8) | u64::from(esc_len + 16);
-        }
+        let mut enc: Vec<u64> = (0..1u64 << 16)
+            .map(|symbol| ((esc_code << 16 | symbol) << 8) | u64::from(esc_len + 16))
+            .chain([0])
+            .collect();
         let mut dec = Box::new([0u32; 1 << MAX_CODE_LEN]);
         for entry in 0..=escape_entry {
             let (codeword, len) = (code.code(entry), code.length(entry));
@@ -178,7 +176,7 @@ impl SymbolTable {
             dec[base..base + (1 << (MAX_CODE_LEN - len))].fill(packed);
         }
         let mut bits = Box::new([0u8; 1 << 16]);
-        for (width, &packed) in bits.iter_mut().zip(enc.iter()) {
+        for (width, &packed) in bits.iter_mut().zip(&enc) {
             *width = (packed & 0xff) as u8;
         }
         Self { code, escape_entry, top: symbols, enc, dec, bits }
@@ -238,8 +236,10 @@ impl SymbolTable {
             fill %= 8;
             at as u32 * 8 + fill
         };
+        // A hole slot indexes the zero entry past the symbols': width 0.
         let mut index = symbols.map(u32::from);
-        index[hole].fill(HOLE_ENTRY);
+        index[hole].fill(1 << 16);
+        let entry = |i: u32| self.enc[i as usize];
         let (mut pos, mut pdps) = (way0, 0u64);
         for (way, way_index) in index.chunks_exact(WAY_SYMBOLS).enumerate() {
             if way > 0 {
@@ -247,7 +247,7 @@ impl SymbolTable {
                 pdps = pdps << PDP_BITS | u64::from((pos - way0) % (1 << PDP_BITS));
             }
             for pair in way_index.chunks_exact(2) {
-                let (e0, e1) = (self.enc[pair[0] as usize], self.enc[pair[1] as usize]);
+                let (e0, e1) = (entry(pair[0]), entry(pair[1]));
                 let (w0, w1) = ((e0 & 0xff) as u32, (e1 & 0xff) as u32);
                 pos = if w0 + w1 > 57 {
                     put(e0 >> 8, w0);
