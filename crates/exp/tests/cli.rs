@@ -3,20 +3,29 @@
 
 use std::process::{Command, Output};
 
-/// Runs `slc` with `args` and `SLC_SCALE=scale`, one worker.
-fn slc(scale: &str, args: &[&str]) -> Output {
+/// Runs `slc` with `args`, `SLC_SCALE=scale` and `workers` workers.
+fn slc_on(workers: &str, scale: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_slc"))
         .args(args)
         .env("SLC_SCALE", scale)
-        .env("SLC_PAR_THREADS", "1")
+        .env("SLC_PAR_THREADS", workers)
         .output()
         .expect("the slc binary runs")
 }
 
-fn stdout_of(scale: &str, args: &[&str]) -> String {
-    let out = slc(scale, args);
+/// Runs `slc` with `args` and `SLC_SCALE=scale`, one worker.
+fn slc(scale: &str, args: &[&str]) -> Output {
+    slc_on("1", scale, args)
+}
+
+fn stdout_on(workers: &str, scale: &str, args: &[&str]) -> String {
+    let out = slc_on(workers, scale, args);
     assert!(out.status.success(), "slc {args:?}: {out:?}");
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+fn stdout_of(scale: &str, args: &[&str]) -> String {
+    stdout_on("1", scale, args)
 }
 
 #[test]
@@ -26,6 +35,17 @@ fn run_all_at_tiny_equals_the_golden() {
     let stdout = stdout_of("tiny", &["run", "all"]);
     let first = stdout.lines().zip(golden.lines()).position(|(a, b)| a != b);
     assert!(stdout == golden, "differs from the golden from line {first:?} on");
+}
+
+#[test]
+fn probe_ablation_at_tiny_equals_the_golden() {
+    // Its MDC-size table drives the simulator's metadata cache outside
+    // the timing model. One worker and two give the same bytes.
+    let golden = include_str!("../../../tools/golden/probe_ablation_tiny.txt");
+    for workers in ["1", "2"] {
+        let stdout = stdout_on(workers, "tiny", &["probe", "ablation"]);
+        assert!(stdout == golden, "{workers} workers: differs from the golden:\n{stdout}");
+    }
 }
 
 #[test]

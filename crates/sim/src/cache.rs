@@ -1,4 +1,5 @@
-//! Set-associative write-back cache model (L1 per SM, shared L2).
+//! Set-associative write-back cache model: the L1 of each SM, the shared
+//! L2 and the memory controller's metadata cache.
 //!
 //! Replacement is exact LRU, kept as an order instead of stamps: each set
 //! packs its way indices four bits apiece into one `u64`, least recent in
@@ -45,7 +46,11 @@ struct Set {
     dirty: u16,
 }
 
-/// A set-associative LRU cache of 128 B lines.
+/// A set-associative write-back LRU cache.
+///
+/// Tags are opaque line addresses and the caller picks the line size:
+/// the L1 and L2 cache 128 B blocks by [`BlockAddr`], the MDC 32 B
+/// metadata lines by line index.
 #[derive(Debug, Clone)]
 pub struct Cache {
     assoc: usize,
@@ -57,16 +62,15 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates a cache of `size_kb` KB with `assoc` ways and 128 B lines.
-    /// The set count is the line count over `assoc`, rounded down, and
-    /// need not be a power of two (the 768 KB L2 has 768 sets).
+    /// Creates a cache of `lines` lines with `assoc` ways. The set count
+    /// is `lines / assoc`, rounded down, and need not be a power of two
+    /// (the 768 KB L2 has 768 sets).
     ///
     /// # Panics
     ///
     /// Panics unless `assoc` is 1..=16 and the cache holds at least
     /// `assoc` lines.
-    pub fn new(size_kb: u32, assoc: usize) -> Self {
-        let lines = (size_kb as usize * 1024) / 128;
+    pub fn new(lines: usize, assoc: usize) -> Self {
         assert!(assoc > 0 && lines >= assoc, "degenerate cache geometry");
         assert!(assoc <= MAX_ASSOC, "at most {MAX_ASSOC} ways, got {assoc}");
         let sets = lines / assoc;
@@ -270,12 +274,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 16 ways")]
     fn rejects_more_ways_than_the_order_holds() {
-        let _ = Cache::new(64, MAX_ASSOC + 1);
+        let _ = Cache::new(512, MAX_ASSOC + 1);
     }
 
     #[test]
     fn repeated_access_hits() {
-        let mut c = Cache::new(16, 4);
+        let mut c = Cache::new(128, 4);
         assert!(!c.access(42, false).is_hit());
         assert!(c.access(42, false).is_hit());
         assert_eq!(c.hits(), 1);
@@ -284,8 +288,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        // 4 sets (2 KB / 128 / 4 ways) — pick 5 blocks mapping to set 0.
-        let mut c = Cache::new(2, 4);
+        // 4 sets (16 lines / 4 ways) — pick 5 blocks mapping to set 0.
+        let mut c = Cache::new(16, 4);
         let set0 = |i: u64| i * 4; // 4 sets: block % 4 == 0
         for i in 0..4 {
             c.access(set0(i), false);
@@ -299,7 +303,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_reports_writeback() {
-        let mut c = Cache::new(2, 1); // direct-mapped, 16 sets
+        let mut c = Cache::new(16, 1); // direct-mapped, 16 sets
         assert_eq!(c.access(0, true), CacheOutcome::Miss { writeback: None });
         match c.access(16, false) {
             CacheOutcome::Miss { writeback } => assert_eq!(writeback, Some(0)),
@@ -309,14 +313,14 @@ mod tests {
 
     #[test]
     fn clean_eviction_has_no_writeback() {
-        let mut c = Cache::new(2, 1);
+        let mut c = Cache::new(16, 1);
         c.access(0, false);
         assert_eq!(c.access(16, false), CacheOutcome::Miss { writeback: None });
     }
 
     #[test]
     fn write_hit_marks_dirty() {
-        let mut c = Cache::new(2, 1);
+        let mut c = Cache::new(16, 1);
         c.access(0, false);
         c.access(0, true);
         assert_eq!(c.flush_dirty(), vec![0]);
@@ -325,7 +329,7 @@ mod tests {
 
     #[test]
     fn flush_returns_all_dirty_lines() {
-        let mut c = Cache::new(16, 4);
+        let mut c = Cache::new(128, 4);
         for b in [3, 77, 200] {
             c.access(b, true);
         }
@@ -347,7 +351,7 @@ mod tests {
             ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..600)
         ) {
             for (size_kb, assoc) in GEOMETRIES {
-                let mut cache = Cache::new(size_kb, assoc);
+                let mut cache = Cache::new(size_kb as usize * 1024 / 128, assoc);
                 let mut reference = stamp_lru::StampCache::new(size_kb, assoc);
                 // Twice the capacity: reuse, and conflict misses in every set.
                 let window = 2 * (size_kb as u64 * 8 / assoc as u64) * assoc as u64;
@@ -372,7 +376,7 @@ mod tests {
 
         #[test]
         fn prop_hits_plus_misses_equals_accesses(blocks in proptest::collection::vec(0u64..256, 1..500)) {
-            let mut c = Cache::new(16, 8);
+            let mut c = Cache::new(128, 8);
             for &b in &blocks {
                 c.access(b, b % 3 == 0);
             }
@@ -382,8 +386,8 @@ mod tests {
         #[test]
         fn prop_working_set_within_capacity_always_hits_second_pass(
             start in 0u64..1000) {
-            // 16 KB / 128 = 128 lines; touch 64 distinct blocks twice.
-            let mut c = Cache::new(16, 8);
+            // 128 lines; touch 64 distinct blocks twice.
+            let mut c = Cache::new(128, 8);
             let blocks: Vec<u64> = (start..start + 64).collect();
             for &b in &blocks {
                 c.access(b, false);

@@ -11,6 +11,7 @@ use crate::dram::Dram;
 use crate::mdc::{MdcOutcome, MetadataCache};
 use crate::stats::SimStats;
 use crate::BlockAddr;
+use slc_compress::BLOCK_BYTES;
 
 /// Supplies the per-block burst count the MDC would hold.
 ///
@@ -164,7 +165,7 @@ impl<'a> MemorySystem<'a> {
     /// Builds the memory system from the configuration.
     pub fn new(cfg: &GpuConfig, bursts: &'a dyn BurstsSource) -> Self {
         Self {
-            l2: Cache::new(cfg.l2_kb, cfg.l2_assoc),
+            l2: Cache::new(cfg.l2_kb as usize * 1024 / BLOCK_BYTES, cfg.l2_assoc),
             mdc: cfg.mdc_enabled.then(|| MetadataCache::new(cfg.mdc_entries.next_power_of_two())),
             dram: Dram::new(cfg),
             bursts,
@@ -346,6 +347,8 @@ impl<'a> MemorySystem<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mdc::BLOCKS_PER_META_LINE;
+    use proptest::prelude::*;
 
     fn cfg() -> GpuConfig {
         GpuConfig::default()
@@ -566,6 +569,42 @@ mod tests {
         let mut m = MemorySystem::new(&cfg, &silly);
         m.load(0, 0);
         assert_eq!(m.stats().read_bursts, 4);
+    }
+
+    proptest! {
+        /// The MDC as `Cache` at one way over metadata-line indices, with
+        /// the direct-mapped `MetadataCache` as the oracle: the same hit or
+        /// miss, the same evicted dirty line, the same counters and the
+        /// same drain list in the same order.
+        #[test]
+        fn prop_one_way_cache_equals_the_metadata_cache(
+            ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..600)
+        ) {
+            for entries in [1usize, 2, 64, 512] {
+                let mut cache = Cache::new(entries, 1);
+                let mut reference = MetadataCache::new(entries);
+                for (i, &(kind, x)) in ops.iter().enumerate() {
+                    // Twice the capacity (reuse, and a conflict in every
+                    // slot), or any line a block address reaches.
+                    let line = if kind & 1 == 0 { x % (2 * entries as u64) } else { x / BLOCKS_PER_META_LINE };
+                    let block = line * BLOCKS_PER_META_LINE + x % BLOCKS_PER_META_LINE;
+                    let dirty = kind & 2 != 0;
+                    let want = match reference.access(block, dirty) {
+                        MdcOutcome::Hit => CacheOutcome::Hit,
+                        MdcOutcome::Miss { evicted_dirty_line } => {
+                            CacheOutcome::Miss { writeback: evicted_dirty_line }
+                        }
+                    };
+                    let got = cache.access(line, dirty);
+                    prop_assert_eq!(got, want, "{entries} entries, op {i}, line {line:#x}");
+                    if kind >> 2 == 0x3f {
+                        prop_assert_eq!(cache.flush_dirty(), reference.drain_dirty(), "op {i}");
+                    }
+                }
+                prop_assert_eq!((cache.hits(), cache.misses()), (reference.hits(), reference.misses()));
+                prop_assert_eq!(cache.flush_dirty(), reference.drain_dirty());
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::cache::Cache;
 use crate::config::GpuConfig;
 use crate::mc::MemorySystem;
 use crate::trace::Op;
+use slc_compress::BLOCK_BYTES;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -42,7 +43,7 @@ impl SmState {
             pc: 0,
             outstanding: BinaryHeap::new(),
             newest_completion: 0,
-            l1: Cache::new(cfg.l1_kb, cfg.l1_assoc),
+            l1: Cache::new(cfg.l1_kb as usize * 1024 / BLOCK_BYTES, cfg.l1_assoc),
             mshrs: cfg.mshrs_per_sm,
             stall_cycles: 0,
             loads: 0,
