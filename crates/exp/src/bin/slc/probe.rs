@@ -10,8 +10,8 @@ use slc_core::budget::ModeChoice;
 use slc_core::predict::PredictorKind;
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_engine::{frame_info, Engine, Threads};
+use slc_sim::cache::Cache;
 use slc_sim::mc::UniformBursts;
-use slc_sim::mdc::{MetadataCache, BLOCKS_PER_META_LINE};
 use slc_sim::SchedPolicy;
 use slc_workloads::benchmarks::nn::Nn;
 use slc_workloads::{all_workloads, compress_snapshot, snapshot_bytes, snapshot_engine};
@@ -367,15 +367,15 @@ pub fn ablation(scale: Scale) {
     // of one stream shares its slot with one of the other in any cache of
     // up to 2^13 lines: capacity cannot buy back a conflict.
     let hit_rate = |entries: usize, store_base_line: u64| {
-        let mut mdc = MetadataCache::new(entries);
+        let mut mdc = Cache::new(entries, 1);
         let mut state = 42u64;
         for _ in 0..1 << 16 {
             for base_line in [0, store_base_line] {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                mdc.access((base_line + (state >> 33) % 512) * BLOCKS_PER_META_LINE, false);
+                mdc.access(base_line + (state >> 33) % 512, false);
             }
         }
-        mdc.hit_rate() * 100.0
+        mdc.hits() as f64 / (mdc.hits() + mdc.misses()) as f64 * 100.0
     };
     println!("\n=== Ablation: metadata cache size (two streams revisiting 1 Ki lines) ===");
     println!("{:>10} {:>10}", "entries", "hit rate");

@@ -76,8 +76,8 @@ pub struct GpuConfig {
     /// Decompression latency in SM cycles added on the read-return path
     /// (§IV-A: 20 for both E2MC and TSLC).
     pub decompress_latency: u64,
-    /// Metadata cache entries (each entry covers one 32 B metadata line =
-    /// 128 blocks = 16 KB of data).
+    /// Metadata cache entries, one way per set (each entry covers one
+    /// 32 B metadata line = 128 blocks = 16 KB of data). At least 1.
     pub mdc_entries: usize,
     /// Whether the memory controller has an MDC at all. A GPU without
     /// compression has none — the NOCOMP baseline must neither consult it

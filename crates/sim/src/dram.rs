@@ -34,14 +34,13 @@
 pub mod sched;
 
 use crate::config::GpuConfig;
-use crate::mdc::MetadataCache;
 use crate::BlockAddr;
 use sched::{PendingWrite, SchedPolicy, WriteQueue};
 
 /// First block address of the metadata region.
 ///
-/// Compression metadata (the 2-bit burst counts, packed 128 blocks to a
-/// 32 B line) lives in DRAM like any other data, but **not** in the data
+/// Compression metadata (the per-block burst counts, packed into 32 B
+/// lines by the memory controller) lives in DRAM like any other data, but **not** in the data
 /// blocks' rows: metadata line `l` resides at block address
 /// `META_BLOCK_BASE + l` and is routed through the ordinary channel
 /// interleaving — its *own* address picks its channel, bank and row,
@@ -317,23 +316,23 @@ impl Dram {
         self.channels[ch].write(local, bursts, at)
     }
 
-    /// Services the one-burst fetch of the 32 B metadata line covering
-    /// `block`, returning its completion and row outcome.
+    /// Services the one-burst fetch of 32 B metadata line `line`,
+    /// returning its completion and row outcome.
     ///
-    /// The line lives at [`META_BLOCK_BASE`]` + `[`MetadataCache::line_of`]
-    /// and takes the ordinary interleaved path: its own address picks the
-    /// channel, bank and row (see [`META_BLOCK_BASE`]), so the burst
-    /// contends with that channel's data bus and row machinery like any
-    /// other access, and it never pre-opens the data block's row.
-    pub fn read_metadata(&mut self, block: BlockAddr, at: f64) -> DramAccess {
-        let meta = META_BLOCK_BASE + MetadataCache::line_of(block);
+    /// The line lives at [`META_BLOCK_BASE`]` + line` and takes the
+    /// ordinary interleaved path: its own address picks the channel, bank
+    /// and row (see [`META_BLOCK_BASE`]), so the burst contends with that
+    /// channel's data bus and row machinery like any other access, and it
+    /// never pre-opens the data block's row.
+    pub fn read_metadata_line(&mut self, line: u64, at: f64) -> DramAccess {
+        let meta = META_BLOCK_BASE + line;
         let (ch, local) = self.map(meta);
         self.channels[ch].read(local, 1, at)
     }
 
     /// Hands the one-burst write-back of metadata line `line` to the
     /// line's own channel (dirty MDC eviction). Routed exactly like
-    /// [`read_metadata`](Self::read_metadata), just on the write path.
+    /// [`read_metadata_line`](Self::read_metadata_line), just on the write path.
     pub fn write_metadata_line(&mut self, line: u64, at: f64) -> Option<DramAccess> {
         let meta = META_BLOCK_BASE + line;
         let (ch, local) = self.map(meta);

@@ -85,7 +85,7 @@ impl Engine {
         let horizon = mem.flush(end);
         // The memory system's counters are the starting point (no
         // field-by-field copy to drift); SM-side counters fold in on top.
-        let mut stats = mem.into_stats();
+        let mut stats = mem.stats();
         for sm in &sms {
             sm.accumulate(&mut stats);
         }
@@ -238,7 +238,7 @@ mod tests {
             }
             let end = sms.iter().map(SmState::time).max().unwrap_or(0);
             let horizon = mem.flush(end);
-            let mut stats = mem.into_stats();
+            let mut stats = mem.stats();
             for sm in &sms {
                 sm.accumulate(&mut stats);
             }

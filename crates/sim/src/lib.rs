@@ -8,9 +8,9 @@
 //!
 //! * [`sm`] — an SM front-end issuing coalesced 128 B requests from a
 //!   trace, with bounded MSHRs and explicit sync points (latency hiding).
-//! * [`cache`] — set-associative write-back caches for L1 and L2.
-//! * [`mdc`] — the metadata cache holding the 2-bit per-block burst counts
-//!   (paper Fig. 3).
+//! * [`cache`] — set-associative write-back caches: L1, L2 and the
+//!   metadata cache (MDC) holding the 2-bit per-block burst counts (paper
+//!   Fig. 3).
 //! * [`dram`] — GDDR5 channels with banks, row-buffer timing and a data
 //!   bus occupied per burst.
 //! * [`mc`] — the memory controller binding MDC, (de)compression latency
@@ -30,7 +30,6 @@ pub mod config;
 pub mod dram;
 pub mod engine;
 pub mod mc;
-pub mod mdc;
 pub mod mem;
 pub mod sm;
 pub mod stats;

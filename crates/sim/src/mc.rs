@@ -8,10 +8,19 @@
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::GpuConfig;
 use crate::dram::Dram;
-use crate::mdc::{MdcOutcome, MetadataCache};
 use crate::stats::SimStats;
 use crate::BlockAddr;
 use slc_compress::BLOCK_BYTES;
+
+/// Blocks covered by one metadata line: 32 B × 8 bits / 2 bits per block.
+///
+/// "As the number of bursts varies from 1 to 4, we store 2 bits in MDC."
+/// Metadata lives in DRAM: one 32 B metadata line packs the 2-bit burst
+/// counts of 128 consecutive blocks (16 KB of data). The MDC caches those
+/// lines in the memory controller; a miss costs one extra metadata burst
+/// on the channel the line's own DRAM address maps to (see
+/// [`crate::dram::META_BLOCK_BASE`] for the addressing scheme).
+const BLOCKS_PER_META_LINE: u64 = 128;
 
 /// Supplies the per-block burst count the MDC would hold.
 ///
@@ -140,11 +149,17 @@ impl BurstsSource for BurstsMap {
 /// L2 + memory controllers + DRAM: everything behind the interconnect.
 pub struct MemorySystem<'a> {
     l2: Cache,
+    /// The MDC: a write-back [`Cache`] of metadata lines, one way per set,
+    /// tagged by line index. Write-backs *update* metadata (the block's
+    /// burst count changes with its newly compressed size), so evicting a
+    /// dirty line must store it back to DRAM — dropping it would lose the
+    /// update — and whatever is dirty at end of kernel drains then.
+    ///
     /// `None` when the configuration disables the MDC
     /// ([`GpuConfig::mdc_enabled`] = false): the controller of a GPU
     /// without compression hardware — every block costs `max_bursts` and
     /// no metadata traffic exists.
-    mdc: Option<MetadataCache>,
+    mdc: Option<Cache>,
     dram: Dram,
     bursts: &'a dyn BurstsSource,
     stats: SimStats,
@@ -166,7 +181,7 @@ impl<'a> MemorySystem<'a> {
     pub fn new(cfg: &GpuConfig, bursts: &'a dyn BurstsSource) -> Self {
         Self {
             l2: Cache::new(cfg.l2_kb as usize * 1024 / BLOCK_BYTES, cfg.l2_assoc),
-            mdc: cfg.mdc_enabled.then(|| MetadataCache::new(cfg.mdc_entries.next_power_of_two())),
+            mdc: cfg.mdc_enabled.then(|| Cache::new(cfg.mdc_entries, 1)),
             dram: Dram::new(cfg),
             bursts,
             stats: SimStats::new(),
@@ -189,7 +204,7 @@ impl<'a> MemorySystem<'a> {
 
     /// Resolves the MDC lookup for `block` at time `at`: on a miss the
     /// 32 B metadata line is fetched from DRAM — a real
-    /// [`Dram::read_metadata`] in the dedicated metadata address range,
+    /// [`Dram::read_metadata_line`] in the dedicated metadata address range,
     /// so it occupies a channel's data bus and opens a metadata row
     /// (never the data row) — and the returned start time is the fetch's
     /// completion. With the MDC disabled there is no metadata machinery
@@ -202,7 +217,7 @@ impl<'a> MemorySystem<'a> {
     /// `metadata_writeback_bursts`. The victim's store never delays this
     /// request: the controller services the demand fetch first.
     ///
-    /// Hit/miss accounting lives inside [`MetadataCache`] — the single
+    /// Hit/miss accounting lives inside the MDC's [`Cache`] — the single
     /// source of truth, surfaced into `SimStats` at harvest time — and
     /// row outcomes are counted by the channel servicing each access
     /// command (metadata lines included; see
@@ -213,17 +228,18 @@ impl<'a> MemorySystem<'a> {
         let Some(mdc) = &mut self.mdc else {
             return at as f64;
         };
-        match mdc.access(block, dirty) {
-            MdcOutcome::Hit => at as f64,
-            MdcOutcome::Miss { evicted_dirty_line } => {
+        let line = block / BLOCKS_PER_META_LINE;
+        match mdc.access(line, dirty) {
+            CacheOutcome::Hit => at as f64,
+            CacheOutcome::Miss { writeback } => {
                 // Demand fetch first: the victim's store is handed to the
                 // scheduler only after the fetch holds the bus, so it can
                 // never delay the miss it was evicted for.
                 self.stats.metadata_bursts += 1;
-                let done = self.dram.read_metadata(block, at as f64).done;
-                if let Some(line) = evicted_dirty_line {
+                let done = self.dram.read_metadata_line(line, at as f64).done;
+                if let Some(victim) = writeback {
                     self.stats.metadata_writeback_bursts += 1;
-                    self.dram.write_metadata_line(line, at as f64);
+                    self.dram.write_metadata_line(victim, at as f64);
                 }
                 done
             }
@@ -303,7 +319,7 @@ impl<'a> MemorySystem<'a> {
         for victim in self.l2.flush_dirty() {
             self.dram_writeback(victim, at);
         }
-        let dirty_lines = self.mdc.as_mut().map(MetadataCache::drain_dirty).unwrap_or_default();
+        let dirty_lines = self.mdc.as_mut().map(Cache::flush_dirty).unwrap_or_default();
         for line in dirty_lines {
             self.stats.metadata_writeback_bursts += 1;
             self.dram.write_metadata_line(line, at as f64);
@@ -331,12 +347,6 @@ impl<'a> MemorySystem<'a> {
         base
     }
 
-    /// Consumes the system, yielding its statistics.
-    pub fn into_stats(self) -> SimStats {
-        let base = self.stats.clone();
-        self.harvest(base)
-    }
-
     /// Statistics so far. Note buffered writes' row outcomes materialise
     /// only once serviced (watermark/idle drains or [`Self::flush`]).
     pub fn stats(&self) -> SimStats {
@@ -347,8 +357,89 @@ impl<'a> MemorySystem<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mdc::BLOCKS_PER_META_LINE;
     use proptest::prelude::*;
+
+    /// The reference: the hand-written MDC the one-way [`Cache`] replaced,
+    /// verbatim but for its outcome type (it returned its own enum of the
+    /// same shape) and its unused hit rate.
+    mod mdc_reference {
+        use super::{BlockAddr, CacheOutcome, BLOCKS_PER_META_LINE};
+
+        /// One resident metadata line.
+        #[derive(Debug, Clone, Copy)]
+        struct Entry {
+            line: u64,
+            dirty: bool,
+        }
+
+        /// Direct-mapped metadata cache with per-line dirty state.
+        #[derive(Debug, Clone)]
+        pub struct MetadataCache {
+            entries: Vec<Option<Entry>>,
+            hits: u64,
+            misses: u64,
+        }
+
+        impl MetadataCache {
+            /// Creates an MDC with `entries` metadata lines.
+            ///
+            /// # Panics
+            ///
+            /// Panics unless `entries` is a power of two.
+            pub fn new(entries: usize) -> Self {
+                assert!(entries.is_power_of_two(), "MDC entries must be a power of two");
+                Self { entries: vec![None; entries], hits: 0, misses: 0 }
+            }
+
+            /// Metadata line index of a block.
+            pub fn line_of(block: BlockAddr) -> u64 {
+                block / BLOCKS_PER_META_LINE
+            }
+
+            /// Looks up the metadata line covering `block`, installing it on miss.
+            /// `dirty` marks the line as updated (a write-back changed the
+            /// block's burst count); fetch-path lookups pass `false`.
+            pub fn access(&mut self, block: BlockAddr, dirty: bool) -> CacheOutcome {
+                let line = Self::line_of(block);
+                let idx = (line as usize) & (self.entries.len() - 1);
+                if let Some(entry) = &mut self.entries[idx] {
+                    if entry.line == line {
+                        self.hits += 1;
+                        entry.dirty |= dirty;
+                        return CacheOutcome::Hit;
+                    }
+                }
+                let evicted_dirty_line =
+                    self.entries[idx].filter(|victim| victim.dirty).map(|victim| victim.line);
+                self.entries[idx] = Some(Entry { line, dirty });
+                self.misses += 1;
+                CacheOutcome::Miss { writeback: evicted_dirty_line }
+            }
+
+            /// Marks every resident line clean and returns the lines that were
+            /// dirty, in slot order — the end-of-kernel metadata drain.
+            pub fn drain_dirty(&mut self) -> Vec<u64> {
+                let mut dirty = Vec::new();
+                for entry in self.entries.iter_mut().flatten() {
+                    if entry.dirty {
+                        entry.dirty = false;
+                        dirty.push(entry.line);
+                    }
+                }
+                dirty
+            }
+
+            /// Hits so far.
+            pub fn hits(&self) -> u64 {
+                self.hits
+            }
+
+            /// Misses so far.
+            pub fn misses(&self) -> u64 {
+                self.misses
+            }
+        }
+    }
 
     fn cfg() -> GpuConfig {
         GpuConfig::default()
@@ -395,6 +486,20 @@ mod tests {
         m.load(1, 10_000);
         assert_eq!(m.stats().mdc_hits, 1);
         assert_eq!(m.stats().metadata_bursts, 1);
+    }
+
+    #[test]
+    fn blocks_share_metadata_lines() {
+        // 128 consecutive blocks share one metadata line: one MDC miss.
+        let cfg = cfg();
+        let u = UniformBursts(2);
+        let mut m = MemorySystem::new(&cfg, &u);
+        for b in 0..BLOCKS_PER_META_LINE {
+            m.load(b, 0);
+        }
+        assert_eq!((m.stats().mdc_misses, m.stats().mdc_hits), (1, BLOCKS_PER_META_LINE - 1));
+        m.load(BLOCKS_PER_META_LINE, 0);
+        assert_eq!(m.stats().mdc_misses, 2, "the next block starts the next line");
     }
 
     #[test]
@@ -532,7 +637,7 @@ mod tests {
         let u = UniformBursts(2);
         let mut m = MemorySystem::new(&cfg, &u);
         m.store(0, 0); // metadata line 0
-        m.store(crate::mdc::BLOCKS_PER_META_LINE, 0); // metadata line 1
+        m.store(BLOCKS_PER_META_LINE, 0); // metadata line 1
         let s = m.stats();
         assert_eq!(s.metadata_writeback_bursts, 0, "write-back: nothing leaves yet");
         m.flush(100);
@@ -555,7 +660,7 @@ mod tests {
         let u = UniformBursts(2);
         let mut m = MemorySystem::new(&cfg, &u);
         m.load(0, 0);
-        m.load(crate::mdc::BLOCKS_PER_META_LINE, 50_000); // evicts line 0
+        m.load(BLOCKS_PER_META_LINE, 50_000); // evicts line 0
         m.flush(100_000);
         let s = m.stats();
         assert_eq!(s.mdc_misses, 2);
@@ -572,30 +677,24 @@ mod tests {
     }
 
     proptest! {
-        /// The MDC as `Cache` at one way over metadata-line indices, with
-        /// the direct-mapped `MetadataCache` as the oracle: the same hit or
-        /// miss, the same evicted dirty line, the same counters and the
-        /// same drain list in the same order.
+        /// The MDC, `Cache` at one way over metadata-line indices, picks
+        /// what the retired direct-mapped cache did: the same hit or miss,
+        /// the same evicted dirty line, the same counters and the same
+        /// drain list in the same order.
         #[test]
         fn prop_one_way_cache_equals_the_metadata_cache(
             ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..600)
         ) {
             for entries in [1usize, 2, 64, 512] {
                 let mut cache = Cache::new(entries, 1);
-                let mut reference = MetadataCache::new(entries);
+                let mut reference = mdc_reference::MetadataCache::new(entries);
                 for (i, &(kind, x)) in ops.iter().enumerate() {
                     // Twice the capacity (reuse, and a conflict in every
                     // slot), or any line a block address reaches.
                     let line = if kind & 1 == 0 { x % (2 * entries as u64) } else { x / BLOCKS_PER_META_LINE };
                     let block = line * BLOCKS_PER_META_LINE + x % BLOCKS_PER_META_LINE;
                     let dirty = kind & 2 != 0;
-                    let want = match reference.access(block, dirty) {
-                        MdcOutcome::Hit => CacheOutcome::Hit,
-                        MdcOutcome::Miss { evicted_dirty_line } => {
-                            CacheOutcome::Miss { writeback: evicted_dirty_line }
-                        }
-                    };
-                    let got = cache.access(line, dirty);
+                    let (got, want) = (cache.access(line, dirty), reference.access(block, dirty));
                     prop_assert_eq!(got, want, "{entries} entries, op {i}, line {line:#x}");
                     if kind >> 2 == 0x3f {
                         prop_assert_eq!(cache.flush_dirty(), reference.drain_dirty(), "op {i}");
