@@ -43,18 +43,20 @@ pub fn table1() -> String {
     out
 }
 
-/// Renders Table II (baseline simulator configuration).
+/// Renders Table II (baseline simulator configuration). The thread, CTA,
+/// register and shared-memory limits configure nothing in a trace-driven
+/// memory model, so they are Table II's values as literals.
 pub fn table2() -> String {
     let c = GpuConfig::default();
     let mut t = TextTable::new(vec!["Parameter", "Value"]);
     t.row(vec!["#SMs".to_owned(), c.sms.to_string()]);
     t.row(vec!["SM freq (MHz)".to_owned(), format!("{}", c.sm_clock_mhz)]);
-    t.row(vec!["Max #Threads/SM".to_owned(), c.max_threads_per_sm.to_string()]);
-    t.row(vec!["Max CTA size".to_owned(), c.max_cta_size.to_string()]);
+    t.row(vec!["Max #Threads/SM".to_owned(), "1536".to_owned()]);
+    t.row(vec!["Max CTA size".to_owned(), "512".to_owned()]);
     t.row(vec!["L1 $ size/SM".to_owned(), format!("{} KB", c.l1_kb)]);
     t.row(vec!["L2 $ size".to_owned(), format!("{} KB", c.l2_kb)]);
-    t.row(vec!["#Registers/SM".to_owned(), format!("{} K", c.registers_per_sm / 1024)]);
-    t.row(vec!["Shared memory/SM".to_owned(), format!("{} KB", c.shared_mem_kb)]);
+    t.row(vec!["#Registers/SM".to_owned(), "32 K".to_owned()]);
+    t.row(vec!["Shared memory/SM".to_owned(), "48 KB".to_owned()]);
     t.row(vec!["Memory type".to_owned(), "GDDR5".to_owned()]);
     t.row(vec!["# Memory controllers".to_owned(), c.memory_controllers.to_string()]);
     t.row(vec!["Memory clock".to_owned(), format!("{} MHz", c.mem_clock_mhz)]);

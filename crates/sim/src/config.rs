@@ -5,23 +5,18 @@ use slc_compress::Mag;
 
 /// Full GPU configuration.
 ///
-/// Defaults reproduce the paper's Table II. Timing constants the table
-/// does not specify (cache latencies, DRAM bank timing) use standard
-/// GDDR5/Fermi ballpark values and are documented per field.
+/// Defaults reproduce the paper's Table II, less its thread, CTA,
+/// register and shared-memory limits, which configure nothing in a
+/// trace-driven memory model (Table II prints them as literals). Timing
+/// constants the table does not specify (cache latencies, DRAM bank
+/// timing) use standard GDDR5/Fermi ballpark values and are documented
+/// per field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors (Table II: 16).
     pub sms: usize,
     /// SM clock in MHz (Table II: 822).
     pub sm_clock_mhz: f64,
-    /// Maximum resident threads per SM (Table II: 1536; informational).
-    pub max_threads_per_sm: u32,
-    /// Maximum CTA size (Table II: 512; informational).
-    pub max_cta_size: u32,
-    /// Registers per SM (Table II: 32 K; informational).
-    pub registers_per_sm: u32,
-    /// Shared memory per SM in KB (Table II: 48; informational).
-    pub shared_mem_kb: u32,
     /// L1 cache per SM in KB (Table II: 16).
     pub l1_kb: u32,
     /// L1 associativity.
@@ -91,10 +86,6 @@ impl Default for GpuConfig {
         Self {
             sms: 16,
             sm_clock_mhz: 822.0,
-            max_threads_per_sm: 1536,
-            max_cta_size: 512,
-            registers_per_sm: 32 * 1024,
-            shared_mem_kb: 48,
             l1_kb: 16,
             l1_assoc: 4,
             l2_kb: 768,
