@@ -26,16 +26,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -69,11 +59,6 @@ impl TextTable {
 /// Formats a ratio/speedup with 3 decimals.
 pub fn f3(v: f64) -> String {
     format!("{v:.3}")
-}
-
-/// Formats a percentage with 2 decimals.
-pub fn pct(v: f64) -> String {
-    format!("{v:.2}%")
 }
 
 /// Formats an error percentage in scientific-ish style matching the
@@ -165,8 +150,7 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("name"));
         assert!(lines[2].ends_with("1.0"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert!(lines[3].starts_with("longer") && lines[3].ends_with("2.25"), "both rows render");
     }
 
     #[test]

@@ -169,11 +169,12 @@ pub struct FunctionalOutcome {
     /// benchmark GM, §V-A).
     pub mre_pct: f64,
     /// Peak signal-to-noise ratio in dB against the exact output
-    /// ([`metrics::psnr`]); infinite for exact reproductions. No figure
-    /// prints it: ROADMAP item 2 makes it, and [`Self::max_abs_err`],
-    /// per-field error columns of the run report.
+    /// ([`metrics::OutputErrors::psnr_db`]); infinite for exact
+    /// reproductions. No figure prints it: ROADMAP item 2 makes it, and
+    /// [`Self::max_abs_err`], per-field error columns of the run report.
     pub psnr_db: f64,
-    /// Largest absolute output deviation ([`metrics::max_abs_error`]).
+    /// Largest absolute output deviation
+    /// ([`metrics::OutputErrors::max_abs_err`]).
     pub max_abs_err: f64,
     /// Burst count per block for the timing pass.
     pub bursts: BurstsMap,

@@ -18,6 +18,26 @@ pub enum ErrorMetric {
     MissRate,
 }
 
+/// Every error figure one replay reports ([`ErrorMetric::compare`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OutputErrors {
+    /// The benchmark's own [`ErrorMetric`], in percent.
+    pub error_pct: f64,
+    /// Mean relative error, `mean(|a - e| / max(|e|, eps))`, in percent.
+    /// The epsilon guards against division blow-up on near-zero exact
+    /// values, the standard practice in the approximate-computing
+    /// literature.
+    pub mre_pct: f64,
+    /// Peak signal-to-noise ratio in dB, with the exact output's value
+    /// range as the peak (the convention of the per-field error columns
+    /// ROADMAP item 2 adds to the run report). [`f64::INFINITY`] when the
+    /// outputs are identical.
+    pub psnr_db: f64,
+    /// Largest absolute output deviation; [`f64::INFINITY`] when the
+    /// approximation produced NaN/Inf.
+    pub max_abs_err: f64,
+}
+
 impl ErrorMetric {
     /// Table III's label for the metric.
     pub fn label(self) -> &'static str {
@@ -29,38 +49,13 @@ impl ErrorMetric {
         }
     }
 
-    /// Computes the metric between `approx` and `exact` outputs, as a
-    /// percentage in `[0, 100]`-ish range (may exceed 100 for wild MRE).
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ or the outputs are empty.
-    pub fn compute(self, exact: &[f32], approx: &[f32]) -> f64 {
-        match self {
-            ErrorMetric::Mre => mre(exact, approx) * 100.0,
-            ErrorMetric::Nrmse | ErrorMetric::ImageDiff => nrmse(exact, approx) * 100.0,
-            ErrorMetric::MissRate => miss_rate(exact, approx) * 100.0,
-        }
-    }
-}
-
-/// Every error figure one replay reports ([`ErrorMetric::compare`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OutputErrors {
-    /// The benchmark's own metric, in percent ([`ErrorMetric::compute`]).
-    pub error_pct: f64,
-    /// [`mre`], in percent.
-    pub mre_pct: f64,
-    /// [`psnr`], in dB.
-    pub psnr_db: f64,
-    /// [`max_abs_error`].
-    pub max_abs_err: f64,
-}
-
-impl ErrorMetric {
-    /// [`Self::compute`], [`mre`], [`psnr`] and [`max_abs_error`] from one
-    /// pass over the outputs, each bit-identical to its own function: one
-    /// accumulator per figure, every one summed in element order.
+    /// Every [`OutputErrors`] figure of `approx` against `exact`, from one
+    /// pass over the outputs: one accumulator per figure, every one summed
+    /// in element order. The benchmark's own metric is MRE, NRMSE —
+    /// `rms(a - e)` over the exact output's value range, 0 when a constant
+    /// output is reproduced exactly and 1 when not — or the share of
+    /// 0.0 / 1.0 decisions that flipped. A NaN/Inf output counts as a full
+    /// miss: a relative error of 1 and a full-range deviation.
     /// `exact_range` is [`value_range`] of `exact`, which a caller
     /// comparing many approximations against one exact output takes once.
     ///
@@ -100,15 +95,15 @@ fn check(exact: &[f32], approx: &[f32]) {
     assert!(!exact.is_empty(), "empty outputs");
 }
 
-/// `max - min` of an exact output (0 for a constant one): what [`nrmse`]
-/// normalises by and [`psnr`] takes as its peak.
+/// `max - min` of an exact output (0 for a constant one): what NRMSE
+/// normalises by and PSNR takes as its peak.
 pub fn value_range(exact: &[f32]) -> f64 {
     let min = exact.iter().cloned().fold(f32::INFINITY, f32::min);
     let max = exact.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     (f64::from(max) - f64::from(min)).max(0.0)
 }
 
-/// One output's term of [`mre`].
+/// One output's relative error, capped at 1.
 fn relative_error(e: f32, a: f32) -> f64 {
     if !a.is_finite() {
         // Approximation produced NaN/Inf (e.g. a zero-filled divisor):
@@ -126,7 +121,7 @@ fn squared_error(e: f32, a: f32, miss: f64) -> f64 {
     d * d
 }
 
-/// One output's term of [`max_abs_error`].
+/// One output's absolute deviation.
 fn abs_error(e: f32, a: f32) -> f64 {
     if a.is_finite() {
         (f64::from(a) - f64::from(e)).abs()
@@ -140,44 +135,11 @@ fn flipped(e: f32, a: f32) -> bool {
     (e > 0.5) != (a > 0.5)
 }
 
-/// Mean relative error: `mean(|a - e| / max(|e|, eps))`.
-///
-/// The epsilon guards against division blow-up on near-zero exact values,
-/// the standard practice in the approximate-computing literature.
-pub fn mre(exact: &[f32], approx: &[f32]) -> f64 {
-    check(exact, approx);
-    let sum: f64 = exact.iter().zip(approx).map(|(&e, &a)| relative_error(e, a)).sum();
-    sum / exact.len() as f64
-}
-
-/// NRMSE: `rms(a - e) / (max(e) - min(e))`; 0 when the output is constant
-/// and exactly reproduced, 1-scale otherwise. NaN/Inf outputs count as a
-/// full-range miss.
-pub fn nrmse(exact: &[f32], approx: &[f32]) -> f64 {
-    check(exact, approx);
-    let range = value_range(exact);
-    let squared: f64 =
-        exact.iter().zip(approx).map(|(&e, &a)| squared_error(e, a, range.max(1.0))).sum();
-    nrmse_of(squared / exact.len() as f64, range)
-}
-
 fn nrmse_of(mse: f64, range: f64) -> f64 {
     if range <= 0.0 {
         return if mse == 0.0 { 0.0 } else { 1.0 };
     }
     mse.sqrt() / range
-}
-
-/// Peak signal-to-noise ratio in dB, with the exact output's value
-/// range as the peak (the convention of the per-field error columns
-/// ROADMAP item 2 adds to the run report).
-/// [`f64::INFINITY`] when the outputs are identical; non-finite
-/// approximations count as a full-range miss, as in [`nrmse`].
-pub fn psnr(exact: &[f32], approx: &[f32]) -> f64 {
-    check(exact, approx);
-    let peak = peak_of(value_range(exact));
-    let squared: f64 = exact.iter().zip(approx).map(|(&e, &a)| squared_error(e, a, peak)).sum();
-    psnr_of(squared / exact.len() as f64, peak)
 }
 
 /// A constant exact output has no range; fall back to unit peak so a
@@ -197,24 +159,75 @@ fn psnr_of(mse: f64, peak: f64) -> f64 {
     10.0 * (peak * peak / mse).log10()
 }
 
-/// Largest absolute output deviation; [`f64::INFINITY`] when the
-/// approximation produced NaN/Inf.
-pub fn max_abs_error(exact: &[f32], approx: &[f32]) -> f64 {
-    check(exact, approx);
-    exact.iter().zip(approx).map(|(&e, &a)| abs_error(e, a)).fold(0.0, f64::max)
-}
-
-/// Fraction of decisions that differ; outputs are booleans stored as
-/// 0.0 / 1.0 floats.
-pub fn miss_rate(exact: &[f32], approx: &[f32]) -> f64 {
-    check(exact, approx);
-    let misses = exact.iter().zip(approx).filter(|(&e, &a)| flipped(e, a)).count();
-    misses as f64 / exact.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The per-figure functions `compare` is pinned against, one pass each.
+
+    impl ErrorMetric {
+        /// Computes the metric between `approx` and `exact` outputs, as a
+        /// percentage in `[0, 100]`-ish range (may exceed 100 for wild MRE).
+        ///
+        /// # Panics
+        ///
+        /// Panics when lengths differ or the outputs are empty.
+        fn compute(self, exact: &[f32], approx: &[f32]) -> f64 {
+            match self {
+                ErrorMetric::Mre => mre(exact, approx) * 100.0,
+                ErrorMetric::Nrmse | ErrorMetric::ImageDiff => nrmse(exact, approx) * 100.0,
+                ErrorMetric::MissRate => miss_rate(exact, approx) * 100.0,
+            }
+        }
+    }
+
+    /// Mean relative error: `mean(|a - e| / max(|e|, eps))`.
+    ///
+    /// The epsilon guards against division blow-up on near-zero exact values,
+    /// the standard practice in the approximate-computing literature.
+    fn mre(exact: &[f32], approx: &[f32]) -> f64 {
+        check(exact, approx);
+        let sum: f64 = exact.iter().zip(approx).map(|(&e, &a)| relative_error(e, a)).sum();
+        sum / exact.len() as f64
+    }
+
+    /// NRMSE: `rms(a - e) / (max(e) - min(e))`; 0 when the output is constant
+    /// and exactly reproduced, 1-scale otherwise. NaN/Inf outputs count as a
+    /// full-range miss.
+    fn nrmse(exact: &[f32], approx: &[f32]) -> f64 {
+        check(exact, approx);
+        let range = value_range(exact);
+        let squared: f64 =
+            exact.iter().zip(approx).map(|(&e, &a)| squared_error(e, a, range.max(1.0))).sum();
+        nrmse_of(squared / exact.len() as f64, range)
+    }
+
+    /// Peak signal-to-noise ratio in dB, with the exact output's value
+    /// range as the peak (the convention of the per-field error columns
+    /// ROADMAP item 2 adds to the run report).
+    /// [`f64::INFINITY`] when the outputs are identical; non-finite
+    /// approximations count as a full-range miss, as in [`nrmse`].
+    fn psnr(exact: &[f32], approx: &[f32]) -> f64 {
+        check(exact, approx);
+        let peak = peak_of(value_range(exact));
+        let squared: f64 = exact.iter().zip(approx).map(|(&e, &a)| squared_error(e, a, peak)).sum();
+        psnr_of(squared / exact.len() as f64, peak)
+    }
+
+    /// Largest absolute output deviation; [`f64::INFINITY`] when the
+    /// approximation produced NaN/Inf.
+    fn max_abs_error(exact: &[f32], approx: &[f32]) -> f64 {
+        check(exact, approx);
+        exact.iter().zip(approx).map(|(&e, &a)| abs_error(e, a)).fold(0.0, f64::max)
+    }
+
+    /// Fraction of decisions that differ; outputs are booleans stored as
+    /// 0.0 / 1.0 floats.
+    fn miss_rate(exact: &[f32], approx: &[f32]) -> f64 {
+        check(exact, approx);
+        let misses = exact.iter().zip(approx).filter(|(&e, &a)| flipped(e, a)).count();
+        misses as f64 / exact.len() as f64
+    }
 
     #[test]
     fn identical_outputs_have_zero_error() {
