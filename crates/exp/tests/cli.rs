@@ -4,7 +4,7 @@
 use std::process::{Command, Output};
 
 /// Runs `slc` with `args`, `SLC_SCALE=scale` and `workers` workers.
-fn slc_on(workers: &str, scale: &str, args: &[&str]) -> Output {
+fn slc(workers: &str, scale: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_slc"))
         .args(args)
         .env("SLC_SCALE", scale)
@@ -13,17 +13,13 @@ fn slc_on(workers: &str, scale: &str, args: &[&str]) -> Output {
         .expect("the slc binary runs")
 }
 
-/// Runs `slc` with `args` and `SLC_SCALE=scale`, one worker.
-fn slc(scale: &str, args: &[&str]) -> Output {
-    slc_on("1", scale, args)
-}
-
 fn stdout_on(workers: &str, scale: &str, args: &[&str]) -> String {
-    let out = slc_on(workers, scale, args);
+    let out = slc(workers, scale, args);
     assert!(out.status.success(), "slc {args:?}: {out:?}");
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
 }
 
+/// `slc`'s stdout with one worker, which must exit 0.
 fn stdout_of(scale: &str, args: &[&str]) -> String {
     stdout_on("1", scale, args)
 }
@@ -79,7 +75,7 @@ fn usage_errors_exit_2_with_empty_stdout() {
         ("tiny", &["probe", "threshold", "NOPE"]),
         ("bogus", &["run", "table1"]),
     ] {
-        let out = slc(scale, args);
+        let out = slc("1", scale, args);
         assert_eq!(out.status.code(), Some(2), "SLC_SCALE={scale} slc {args:?}");
         assert!(out.stdout.is_empty(), "SLC_SCALE={scale} slc {args:?} printed to stdout");
     }

@@ -40,10 +40,10 @@ use sched::{PendingWrite, SchedPolicy, WriteQueue};
 /// First block address of the metadata region.
 ///
 /// Compression metadata (the per-block burst counts, packed into 32 B
-/// lines by the memory controller) lives in DRAM like any other data, but **not** in the data
-/// blocks' rows: metadata line `l` resides at block address
-/// `META_BLOCK_BASE + l` and is routed through the ordinary channel
-/// interleaving — its *own* address picks its channel, bank and row,
+/// lines by the memory controller) lives in DRAM like any other data,
+/// but **not** in the data blocks' rows: metadata line `l` resides at
+/// block address `META_BLOCK_BASE + l` and is routed through the ordinary
+/// channel interleaving — its *own* address picks its channel, bank and row,
 /// exactly like any other DRAM resident. Consequently a metadata-line
 /// access opens a metadata row (it can never turn the following data
 /// access into a free row hit), consecutive lines spread round-robin

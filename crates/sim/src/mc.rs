@@ -688,10 +688,11 @@ mod tests {
             for entries in [1usize, 2, 64, 512] {
                 let mut cache = Cache::new(entries, 1);
                 let mut reference = mdc_reference::MetadataCache::new(entries);
+                // Twice the capacity: reuse, and a conflict in every slot.
+                let window = 2 * entries as u64;
                 for (i, &(kind, x)) in ops.iter().enumerate() {
-                    // Twice the capacity (reuse, and a conflict in every
-                    // slot), or any line a block address reaches.
-                    let line = if kind & 1 == 0 { x % (2 * entries as u64) } else { x / BLOCKS_PER_META_LINE };
+                    // A line in the window, or any line a block reaches.
+                    let line = if kind & 1 == 0 { x % window } else { x / BLOCKS_PER_META_LINE };
                     let block = line * BLOCKS_PER_META_LINE + x % BLOCKS_PER_META_LINE;
                     let dirty = kind & 2 != 0;
                     let (got, want) = (cache.access(line, dirty), reference.access(block, dirty));
