@@ -43,8 +43,6 @@ pub struct EvalRow {
     pub baseline: SimStats,
     /// E2MC baseline energy.
     pub baseline_energy: EnergyBreakdown,
-    /// Speedup of E2MC over *no compression* (context).
-    pub e2mc_vs_nocomp: f64,
     /// TSLC variants in the requested order.
     pub variants: Vec<VariantResult>,
 }
@@ -138,8 +136,8 @@ pub fn evaluate_prepared(
     Eval { rows, variants: variants.to_vec(), threshold_bytes, mag_bytes }
 }
 
-/// One benchmark's row: NOCOMP, the E2MC baseline and every variant over
-/// one working image ([`Harness::evaluate_schemes`]). Every scheme shares
+/// One benchmark's row: the E2MC baseline and every variant over one
+/// working image ([`Harness::evaluate_schemes`]). Every scheme shares
 /// the one trained table (cloning it is an Arc refcount bump), and the
 /// E2MC baseline sweeps the artifacts' cached exact-run stored sizes (one
 /// `u16` a block per staging point) instead of replaying the kernels (see
@@ -153,12 +151,11 @@ pub(crate) fn row(
 ) -> EvalRow {
     let energy_model = EnergyModel::default();
     let slc = |&v| Scheme::slc(artifacts.e2mc.clone(), harness.config.mag(), threshold_bytes, v);
-    let mut schemes = vec![Scheme::Uncompressed, Scheme::E2mc(artifacts.e2mc.clone())];
+    let mut schemes = vec![Scheme::E2mc(artifacts.e2mc.clone())];
     schemes.extend(variants.iter().map(slc));
     // One outcome (and its burst map) alive at a time.
     let mut outcomes = harness.evaluate_schemes(w, artifacts, &schemes);
-    let mut baseline = || outcomes.next().expect("two baselines lead the schemes").1.stats;
-    let (nocomp, e2mc) = (baseline(), baseline());
+    let e2mc = outcomes.next().expect("the baseline leads the schemes").1.stats;
     let baseline_energy = energy_model.evaluate(&e2mc, &harness.config);
     let variants = outcomes
         .map(|(f, t)| {
@@ -176,13 +173,7 @@ pub(crate) fn row(
             }
         })
         .collect();
-    EvalRow {
-        name: artifacts.name.clone(),
-        e2mc_vs_nocomp: speedup(&nocomp, &e2mc),
-        baseline: e2mc,
-        baseline_energy,
-        variants,
-    }
+    EvalRow { name: artifacts.name.clone(), baseline: e2mc, baseline_energy, variants }
 }
 
 impl Eval {
@@ -306,7 +297,7 @@ impl Eval {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use slc_sim::{GpuMemory, Trace};
+    use slc_sim::{DevicePtr, GpuMemory, Trace};
     use slc_workloads::metrics::ErrorMetric;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -362,8 +353,8 @@ pub(crate) mod tests {
             self.inner.execute(mem, stage);
         }
 
-        fn output(&self, mem: &GpuMemory) -> Vec<f32> {
-            self.inner.output(mem)
+        fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
+            self.inner.output_arrays()
         }
 
         fn trace(&self, sms: usize) -> Trace {

@@ -29,7 +29,15 @@
 //! image, so a kernel owns no array-sized buffer and a result is in
 //! device memory the moment it is computed.
 //! [`GpuMemory::write_f32`] / [`GpuMemory::read_f32`] are the host side,
-//! `cudaMemcpy`: how inputs get in and outputs get out.
+//! `cudaMemcpy`: how inputs get in and outputs get out, and
+//! [`GpuMemory::f32_view`] reads an array where it lies.
+//!
+//! Every writable path — `launch`'s outputs, `write_f32`,
+//! [`GpuMemory::region_bytes_mut`] and the approximable half of
+//! `regions_mut` — passes one hook: while
+//! [`GpuMemory::record_first_writes`] is on, the first time a region is
+//! lent writable its bytes are saved, so a run over the image itself
+//! leaves what it overwrote behind without a copy of the whole image.
 
 use crate::BlockAddr;
 use slc_compress::{Block, BLOCK_BYTES};
@@ -165,11 +173,25 @@ impl F32ViewMut<'_> {
     }
 }
 
+/// The step [`GpuMemory::malloc`] grows an image's buffer by. 32 MiB is
+/// the largest mmap threshold glibc's allocator adapts to, so a buffer of
+/// whole steps is always a mapping of its own: only its length is ever
+/// touched, and dropping it returns the pages. Grown by exact lengths, an
+/// image below the threshold the allocator has adapted to (at
+/// `Scale::Small` every one is, 1.5–9.5 MB) lands in the allocating
+/// thread's arena, which keeps the pages resident after the drop: the two
+/// workers of an evaluation then each hold the largest benchmark's
+/// working set for the rest of the process.
+const IMAGE_STEP: usize = 32 << 20;
+
 /// Byte-addressable device memory plus the region table.
 #[derive(Debug, Clone, Default)]
 pub struct GpuMemory {
     data: Vec<u8>,
     regions: Vec<Region>,
+    /// While recording ([`Self::record_first_writes`]), one entry per
+    /// region: the bytes it held when it was first lent writable.
+    first_writes: Option<Vec<Option<Box<[u8]>>>>,
 }
 
 impl GpuMemory {
@@ -184,14 +206,60 @@ impl GpuMemory {
     /// The only way to make a region: each is padded to whole blocks and
     /// placed right after the last, so the regions tile the image from
     /// byte 0 and block addresses are the image's ordinals
-    /// `0..len / 128`.
+    /// `0..len / 128`. The buffer grows in whole 32 MiB steps
+    /// (`IMAGE_STEP`), so a built image is a mapping of its own: its
+    /// length is resident, the rest of its capacity is never touched, and
+    /// dropping it unmaps it.
     pub fn malloc(&mut self, label: &str, size: usize, safe_to_approx: bool) -> DevicePtr {
         let base = self.data.len() as u64;
         let padded = size.div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
-        self.data.resize(self.data.len() + padded, 0);
+        let len = self.data.len() + padded;
+        if len > self.data.capacity() {
+            self.data.reserve_exact(len.next_multiple_of(IMAGE_STEP) - self.data.len());
+        }
+        self.data.resize(len, 0);
         let label = label.to_owned();
         self.regions.push(Region { base, size: padded as u64, safe_to_approx, label });
+        if let Some(saved) = &mut self.first_writes {
+            saved.push(None);
+        }
         DevicePtr(base)
+    }
+
+    /// Starts recording first writes: from now on, the first time each
+    /// region is lent writable — by any path, see the module docs — its
+    /// bytes are saved, until [`Self::take_first_writes`]. Off by
+    /// default; a restart forgets what was saved.
+    pub fn record_first_writes(&mut self) {
+        self.first_writes = Some(vec![None; self.regions.len()]);
+    }
+
+    /// Stops recording and returns, per region in table order, the bytes
+    /// it held before it was first lent writable since
+    /// [`Self::record_first_writes`]; `None` for a region not lent
+    /// writable since.
+    ///
+    /// # Panics
+    ///
+    /// Panics when recording is off.
+    pub fn take_first_writes(&mut self) -> Vec<Option<Box<[u8]>>> {
+        self.first_writes.take().expect("take_first_writes without record_first_writes")
+    }
+
+    /// The recording hook every writable path calls before it lends
+    /// bytes `start..end`: saves each region they touch that has no saved
+    /// copy yet. One branch when recording is off.
+    fn lend_writable(&mut self, start: usize, end: usize) {
+        let Self { data, regions, first_writes: Some(saved) } = self else { return };
+        if start == end {
+            return;
+        }
+        let first = regions.partition_point(|r| r.base + r.size <= start as u64);
+        let touched = regions[first..].iter().zip(&mut saved[first..]);
+        for (region, slot) in touched.take_while(|(r, _)| r.base < end as u64) {
+            let bytes = &data[region.base as usize..(region.base + region.size) as usize];
+            slot.get_or_insert_with(|| bytes.into());
+        }
     }
 
     /// The region table.
@@ -213,6 +281,7 @@ impl GpuMemory {
         let start = ptr.0 as usize;
         let end = start + values.len() * 4;
         assert!(end <= self.data.len(), "device write out of bounds");
+        self.lend_writable(start, end);
         for (c, v) in self.data[start..end].chunks_exact_mut(4).zip(values) {
             c.copy_from_slice(&v.to_le_bytes());
         }
@@ -224,13 +293,20 @@ impl GpuMemory {
     ///
     /// Panics when the read runs past the allocation.
     pub fn read_f32(&self, ptr: DevicePtr, len: usize) -> Vec<f32> {
+        self.f32_view(ptr, len).iter().collect()
+    }
+
+    /// A read-only view of `len` `f32`s at `ptr`, where they lie: what
+    /// reads an output without copying it to the host.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the array runs past the allocation.
+    pub fn f32_view(&self, ptr: DevicePtr, len: usize) -> F32View<'_> {
         let start = ptr.0 as usize;
         let end = start + len * 4;
         assert!(end <= self.data.len(), "device read out of bounds");
-        self.data[start..end]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
+        F32View { words: self.data[start..end].as_chunks().0 }
     }
 
     /// Launches a kernel over `N` input and `M` output arrays, each a
@@ -252,6 +328,9 @@ impl GpuMemory {
         for (ptr, len) in inputs.iter().chain(&outputs) {
             let in_bounds = ptr.0 as usize + len * 4 <= self.data.len();
             assert!(in_bounds, "device array out of bounds");
+        }
+        for (ptr, len) in outputs {
+            self.lend_writable(ptr.0 as usize, ptr.0 as usize + len * 4);
         }
         let mut ins = [None; N];
         let mut outs = [const { None }; M];
@@ -288,7 +367,9 @@ impl GpuMemory {
     /// `region` is an entry of this region table or of an equal one,
     /// such as that of the memory this one was cloned from.
     pub fn region_bytes_mut(&mut self, region: &Region) -> &mut [u8] {
-        &mut self.data[region.base as usize..(region.base + region.size) as usize]
+        let (start, end) = (region.base as usize, (region.base + region.size) as usize);
+        self.lend_writable(start, end);
+        &mut self.data[start..end]
     }
 
     /// Every region with its blocks, in table order — what an in-order
@@ -298,6 +379,14 @@ impl GpuMemory {
     /// back in whole blocks ([`Self::malloc`] is the only way to make
     /// one), so each is split off the front of what is left.
     pub fn regions_mut(&mut self) -> impl Iterator<Item = (&Region, RegionBlocks<'_>)> + '_ {
+        if self.first_writes.is_some() {
+            for i in 0..self.regions.len() {
+                let Region { base, size, safe_to_approx, .. } = self.regions[i];
+                if safe_to_approx {
+                    self.lend_writable(base as usize, (base + size) as usize);
+                }
+            }
+        }
         let mut rest = self.data.as_chunks_mut().0;
         self.regions.iter().map(move |region| {
             let count = region.size as usize / BLOCK_BYTES;
@@ -490,6 +579,76 @@ mod tests {
             assert_eq!(blocks.as_flattened(), saved.region_bytes(region));
             assert!(blocks.as_flattened().iter().all(|&b| b == i as u8 + 1));
         }
+    }
+
+    /// Six one-block regions, region `i` filled with byte `i + 1`; the
+    /// odd ones may be approximated.
+    fn six_regions() -> GpuMemory {
+        let mut m = GpuMemory::new();
+        for i in 0..6 {
+            let ptr = m.malloc("r", BLOCK_BYTES, i % 2 == 1);
+            m.write_f32(ptr, &[f32::from_bits(u32::from_le_bytes([i as u8 + 1; 4])); 32]);
+        }
+        m
+    }
+
+    #[test]
+    fn the_record_saves_each_region_lent_writable_as_it_was_before() {
+        let mut m = six_regions();
+        let before = m.clone();
+        let ptr = |i: usize| DevicePtr(m.regions()[i].base);
+        let (r0, r1, r2, r4) = (ptr(0), ptr(1), ptr(2), ptr(4));
+        // Off: nothing is saved.
+        m.write_f32(r0, &[9.0]);
+        m.record_first_writes();
+        // Region 0 read, region 2 written (twice: the first write's bytes
+        // are kept), region 4 through `write_f32`.
+        let ([input], [mut out]) = m.launch([(r0, 32)], [(r2, 32)]);
+        out.set(0, input.get(0));
+        let ([], [mut out]) = m.launch([], [(r2, 32)]);
+        out.set(1, 7.0);
+        m.write_f32(r4, &[4.0; 3]);
+        let saved = m.take_first_writes();
+        let want = |i: usize| Some(Box::<[u8]>::from(before.region_bytes(&before.regions()[i])));
+        let mut expected = vec![None; 6];
+        for i in [2, 4] {
+            expected[i] = want(i);
+        }
+        // Region 0 was written only while recording was off, then read.
+        assert_eq!(saved, expected);
+        // Off again: writes go unrecorded.
+        m.write_f32(r1, &[1.0]);
+        m.record_first_writes();
+        m.region_bytes_mut(&before.regions()[5]).fill(0);
+        let lent_by_walk = m.regions_mut().count();
+        assert_eq!(lent_by_walk, 6);
+        let staged = m.take_first_writes();
+        // The walk lends the approximable regions 1, 3 and 5 writable:
+        // region 1 as `write_f32` left it, 5 as it was before its fill.
+        let mut expected = vec![None; 6];
+        expected[1] = Some(Box::<[u8]>::from(m.region_bytes(&before.regions()[1])));
+        expected[3] = want(3);
+        expected[5] = want(5);
+        assert_eq!(staged, expected);
+    }
+
+    #[test]
+    fn a_region_made_while_recording_is_recorded_too() {
+        let mut m = six_regions();
+        m.record_first_writes();
+        let ptr = m.malloc("late", 4, false);
+        m.write_f32(ptr, &[1.0]);
+        let saved = m.take_first_writes();
+        assert_eq!(saved.len(), 7);
+        assert_eq!(saved[6].as_deref(), Some(&[0u8; BLOCK_BYTES][..]));
+        assert!(saved[..6].iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn f32_view_reads_in_place() {
+        let (m, [a, b, _]) = three_arrays();
+        assert!(m.f32_view(a, 64).iter().eq(m.read_f32(a, 64)));
+        assert_eq!(m.f32_view(DevicePtr(b.0 + 4), 2).iter().collect::<Vec<_>>(), [2.0, 2.0]);
     }
 
     #[test]

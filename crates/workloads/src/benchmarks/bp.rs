@@ -155,11 +155,9 @@ impl Workload for Bp {
         stage(mem);
     }
 
-    fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+    fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
         let [_, w1, .., w2, _] = self.ptrs();
-        let mut out = mem.read_f32(w1, self.n_in * self.n_hidden);
-        out.extend(mem.read_f32(w2, self.n_hidden));
-        out
+        vec![(w1, self.n_in * self.n_hidden), (w2, self.n_hidden)]
     }
 
     fn trace(&self, sms: usize) -> Trace {

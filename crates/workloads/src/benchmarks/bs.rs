@@ -122,11 +122,9 @@ impl Workload for Bs {
         stage(mem); // outputs written back through the compressor
     }
 
-    fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+    fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
         let [.., call, put] = self.ptrs();
-        let mut out = mem.read_f32(call, self.options);
-        out.extend(mem.read_f32(put, self.options));
-        out
+        vec![(call, self.options), (put, self.options)]
     }
 
     fn trace(&self, sms: usize) -> Trace {

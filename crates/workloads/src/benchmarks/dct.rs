@@ -133,9 +133,9 @@ impl Workload for Dct {
         stage(mem);
     }
 
-    fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+    fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
         let (_, dst) = self.ptrs();
-        mem.read_f32(dst, self.n * self.n)
+        vec![(dst, self.n * self.n)]
     }
 
     fn trace(&self, sms: usize) -> Trace {

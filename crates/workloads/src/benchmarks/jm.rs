@@ -257,9 +257,9 @@ impl Workload for Jm {
         stage(mem);
     }
 
-    fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+    fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
         let (_, flags) = self.ptrs();
-        mem.read_f32(flags, self.pairs)
+        vec![(flags, self.pairs)]
     }
 
     fn trace(&self, sms: usize) -> Trace {

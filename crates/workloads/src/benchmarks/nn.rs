@@ -98,9 +98,9 @@ impl Workload for Nn {
         stage(mem);
     }
 
-    fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+    fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
         let (_, distances) = self.ptrs();
-        mem.read_f32(distances, self.records)
+        vec![(distances, self.records)]
     }
 
     fn trace(&self, sms: usize) -> Trace {

@@ -219,14 +219,14 @@ impl Workload for Srad {
         }
     }
 
-    fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+    fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
         // v1 with an even iteration count ends back in J (after the final
         // swap, `src` points at the last-written buffer = J2 for odd
         // iterations). ITERATIONS = 2: J -> J2 -> J ... the final write
         // lands in J when ITERATIONS is even.
         let ptrs = self.ptrs();
         let final_ptr = if self.version == 1 && ITERATIONS % 2 == 1 { ptrs[6] } else { ptrs[0] };
-        mem.read_f32(final_ptr, self.pixels())
+        vec![(final_ptr, self.pixels())]
     }
 
     fn trace(&self, sms: usize) -> Trace {

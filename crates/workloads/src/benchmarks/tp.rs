@@ -78,9 +78,9 @@ impl Workload for Tp {
         stage(mem);
     }
 
-    fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+    fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
         let (_, output) = self.ptrs();
-        mem.read_f32(output, self.n * self.n)
+        vec![(output, self.n * self.n)]
     }
 
     fn trace(&self, sms: usize) -> Trace {

@@ -2,10 +2,15 @@
 //!
 //! One benchmark evaluation follows the paper's methodology:
 //!
-//! 1. Build the inputs, once, and run the kernels **exactly** — the
-//!    reference output and the steady-state memory image.
+//! 1. Build the inputs, once, and run the kernels **exactly** on that
+//!    one image — the reference output and the steady-state memory
+//!    image. The image records what the run overwrites
+//!    ([`GpuMemory::record_first_writes`]): the seeded bytes of each
+//!    region the kernels write, saved when it is first lent writable, so
+//!    the seeded image lives on as a per-region delta, not a second copy.
 //! 2. Train E2MC's symbol table on both memory images (the online
-//!    sampling phase of §IV-A, which observes real traffic).
+//!    sampling phase of §IV-A, which observes real traffic): the seeded
+//!    one rebuilt region by region from the delta, then the final one.
 //! 3. For every scheme: re-run the kernels over the same inputs with the
 //!    scheme's kernel-boundary staging (functional error), recording
 //!    every block's bursts at each staging point.
@@ -16,7 +21,7 @@ use crate::metrics;
 use crate::scheme::{BurstsAccumulator, Scheme, SchemeKind};
 use crate::suite::{Scale, Workload};
 use slc_compress::e2mc::{E2mc, E2mcConfig};
-use slc_compress::{BlockCompressor, BLOCK_BYTES};
+use slc_compress::{Block, BlockCompressor, BLOCK_BYTES};
 use slc_sim::mc::BurstsMap;
 use slc_sim::{Engine, GpuConfig, GpuMemory, SimStats, Trace};
 use std::sync::OnceLock;
@@ -153,9 +158,31 @@ impl BenchmarkArtifacts {
     }
 
     /// `output`'s error figures against the exact run's, in one pass.
-    fn errors_of(&self, w: &dyn Workload, output: &[f32]) -> metrics::OutputErrors {
+    fn errors_of(
+        &self,
+        w: &dyn Workload,
+        output: impl IntoIterator<Item = f32>,
+    ) -> metrics::OutputErrors {
         w.metric().compare(&self.exact_output, self.exact_range, output)
     }
+}
+
+/// The seeded image's blocks in region order, rebuilt from the final
+/// image and the delta: what E2MC trained on when the seeded image was a
+/// second copy.
+fn seeded_blocks<'a>(
+    exact: &'a GpuMemory,
+    delta: &'a [RegionDelta],
+) -> impl Iterator<Item = &'a Block> + 'a {
+    static ZERO: Block = [0; BLOCK_BYTES];
+    exact.regions().iter().zip(delta).flat_map(move |(region, delta)| {
+        let (zeros, bytes) = match delta {
+            RegionDelta::Unchanged => (0, exact.region_bytes(region)),
+            RegionDelta::Zeroed => (region.size as usize / BLOCK_BYTES, &[][..]),
+            RegionDelta::Bytes(seeded) => (0, &seeded[..]),
+        };
+        std::iter::repeat_n(&ZERO, zeros).chain(bytes.as_chunks().0)
+    })
 }
 
 /// Result of one functional (data) pass under a scheme.
@@ -220,6 +247,15 @@ impl Harness {
 
     /// Step 1 + 2: exact run and table training.
     ///
+    /// The exact run executes on the built image itself, recording the
+    /// seeded bytes of each region it writes
+    /// ([`GpuMemory::record_first_writes`]); that image becomes
+    /// [`BenchmarkArtifacts::exact_memory`] and the record its
+    /// per-region delta, so a prepared benchmark costs one image. A
+    /// region never lent writable, or lent but left as it was, is
+    /// unchanged; an all-zero saved copy is the zeroed buffer it started
+    /// as; any other is kept.
+    ///
     /// The symbol table is trained on the initial *and* final memory
     /// images: the paper's online sampling observes the app's early
     /// traffic (input-dominated) and the steady state, and both matter —
@@ -231,24 +267,28 @@ impl Harness {
     ///
     /// Panics when the kernels allocate (both images need one region table).
     pub fn prepare(&self, w: &dyn Workload) -> BenchmarkArtifacts {
-        let initial = w.build(self.seed);
-        let mut mem = initial.clone();
-        let mut noop = |_: &mut GpuMemory| {};
-        w.execute(&mut mem, &mut noop);
-        assert_eq!(initial.regions(), mem.regions(), "region table mismatch: the kernels allocate");
-        let exact_output = w.output(&mem);
-        let blocks = initial.blocks_with_addr().chain(mem.blocks_with_addr()).map(|(_, _, b)| b);
-        let e2mc = E2mc::train_on_blocks(blocks, &E2mcConfig::default());
-        let trace = w.trace(self.config.sms);
-        let initial_delta = initial
+        let mut mem = w.build(self.seed);
+        let regions = mem.regions().len();
+        mem.record_first_writes();
+        w.execute(&mut mem, &mut |_: &mut GpuMemory| {});
+        assert_eq!(regions, mem.regions().len(), "region table mismatch: the kernels allocate");
+        let saved = mem.take_first_writes();
+        let initial_delta: Vec<RegionDelta> = mem
             .regions()
             .iter()
-            .map(|region| match initial.region_bytes(region) {
-                seeded if seeded == mem.region_bytes(region) => RegionDelta::Unchanged,
-                seeded if seeded.iter().all(|&b| b == 0) => RegionDelta::Zeroed,
-                seeded => RegionDelta::Bytes(seeded.into()),
+            .zip(saved)
+            .map(|(region, saved)| match saved {
+                None => RegionDelta::Unchanged,
+                Some(seeded) if *seeded == *mem.region_bytes(region) => RegionDelta::Unchanged,
+                Some(seeded) if seeded.iter().all(|&b| b == 0) => RegionDelta::Zeroed,
+                Some(seeded) => RegionDelta::Bytes(seeded),
             })
             .collect();
+        let exact_output = w.output(&mem);
+        let blocks =
+            seeded_blocks(&mem, &initial_delta).chain(mem.blocks_with_addr().map(|(_, _, b)| b));
+        let e2mc = E2mc::train_on_blocks(blocks, &E2mcConfig::default());
+        let trace = w.trace(self.config.sms);
         BenchmarkArtifacts {
             name: w.name().to_owned(),
             exact_range: metrics::value_range(&exact_output),
@@ -321,7 +361,7 @@ impl Harness {
             for sizes in artifacts.exact_sizes_over(w, image) {
                 accumulator.fold_bits(0, sizes.iter().map(|&b| b.into()));
             }
-            let errors = artifacts.errors_of(w, &artifacts.exact_output);
+            let errors = artifacts.errors_of(w, artifacts.exact_output.iter().copied());
             return FunctionalOutcome {
                 kind: scheme.kind(),
                 error_pct: errors.error_pct,
@@ -337,7 +377,8 @@ impl Harness {
     /// The uncached functional pass: replays the kernels over the
     /// artifacts' seeded image with the one streamed staging walk at
     /// every kernel-boundary staging point, every block's bursts folded
-    /// straight into the accumulator.
+    /// straight into the accumulator. The error figures read the output
+    /// arrays where the replay left them.
     fn replay(
         &self,
         w: &dyn Workload,
@@ -350,7 +391,10 @@ impl Harness {
         let mem = artifacts.seeded(image);
         let mut stage = |m: &mut GpuMemory| scheme.stage_and_record(m, &mut accumulator);
         w.execute(mem, &mut stage);
-        let errors = artifacts.errors_of(w, &w.output(mem));
+        let mem = &*mem;
+        let output = w.output_arrays().into_iter();
+        let errors =
+            artifacts.errors_of(w, output.flat_map(|(ptr, len)| mem.f32_view(ptr, len).iter()));
         FunctionalOutcome {
             kind: scheme.kind(),
             error_pct: errors.error_pct,
@@ -398,6 +442,9 @@ impl Harness {
     /// working image**: the first kernel replay (the E2MC size pass
     /// included) clones the seeded image and every later one resets that
     /// clone in place, so a benchmark's row faults its image in once.
+    /// Each replay's error figures read the output where it lies, so a
+    /// row holds the exact image, the working image and the exact output,
+    /// and no other copy of the inputs or the output.
     pub fn evaluate_schemes<'a>(
         &'a self,
         w: &'a dyn Workload,
@@ -565,8 +612,8 @@ mod tests {
             stage(mem);
         }
 
-        fn output(&self, mem: &GpuMemory) -> Vec<f32> {
-            mem.read_f32(Self::PTRS[2], N)
+        fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
+            vec![(Self::PTRS[2], N)]
         }
 
         fn trace(&self, sms: usize) -> Trace {
@@ -590,6 +637,73 @@ mod tests {
         // the exact output.
         let f = h.replay(&w, &a, &Scheme::E2mc(a.e2mc.clone()), &mut None);
         assert_eq!((f.error_pct, f.max_abs_err), (0.0, 0.0));
+    }
+
+    /// The retired `prepare`, the oracle of the one that runs on the
+    /// built image: the exact run on a clone of the seeded image, the
+    /// delta by diffing the two, E2MC trained on both images.
+    fn prepare_by_clone(h: &Harness, w: &dyn Workload) -> BenchmarkArtifacts {
+        let initial = w.build(h.seed);
+        let mut mem = initial.clone();
+        w.execute(&mut mem, &mut |_: &mut GpuMemory| {});
+        assert_eq!(initial.regions(), mem.regions(), "region table mismatch: the kernels allocate");
+        let exact_output = w.output(&mem);
+        let blocks = initial.blocks_with_addr().chain(mem.blocks_with_addr()).map(|(_, _, b)| b);
+        let e2mc = E2mc::train_on_blocks(blocks, &E2mcConfig::default());
+        let initial_delta = initial
+            .regions()
+            .iter()
+            .map(|region| match initial.region_bytes(region) {
+                seeded if seeded == mem.region_bytes(region) => RegionDelta::Unchanged,
+                seeded if seeded.iter().all(|&b| b == 0) => RegionDelta::Zeroed,
+                seeded => RegionDelta::Bytes(seeded.into()),
+            })
+            .collect();
+        BenchmarkArtifacts {
+            name: w.name().to_owned(),
+            exact_range: metrics::value_range(&exact_output),
+            exact_output,
+            exact_memory: mem,
+            e2mc,
+            trace: w.trace(h.config.sms),
+            initial_delta,
+            workload_fingerprint: BenchmarkArtifacts::fingerprint(w),
+            exact_size_snapshots: OnceLock::new(),
+        }
+    }
+
+    #[test]
+    fn prepare_equals_the_retired_clone_and_diff() {
+        let mut workloads = all_workloads(Scale::Tiny);
+        workloads.push(Box::new(ThreeRegions { allocates: false }));
+        for seed in [42, 7] {
+            let h = Harness { seed, ..harness() };
+            for w in &workloads {
+                let at = format!("{} seed {seed}", w.name());
+                let (got, want) = (h.prepare(w.as_ref()), prepare_by_clone(&h, w.as_ref()));
+                assert_eq!(got.initial_delta, want.initial_delta, "{at}: delta");
+                let bits = |a: &BenchmarkArtifacts| {
+                    a.exact_output.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&got), bits(&want), "{at}: exact output");
+                assert_eq!(got.exact_range.to_bits(), want.exact_range.to_bits(), "{at}: range");
+                assert_same_image(&got.exact_memory, &want.exact_memory, &at);
+                assert_eq!(got.trace.len(), want.trace.len(), "{at}: trace");
+                assert_eq!(got.workload_fingerprint, want.workload_fingerprint, "{at}");
+                // The same training sequence (the default sampler counts
+                // every block, so order alone would not show in the
+                // table): the seeded image's blocks, in region order.
+                let seeded = want.initial_memory();
+                let rebuilt = seeded_blocks(&got.exact_memory, &got.initial_delta);
+                assert!(rebuilt.eq(seeded.blocks_with_addr().map(|(.., b)| b)), "{at}: seeded");
+                // The trained tables agree on every block either image holds.
+                let images = [&seeded, &want.exact_memory];
+                for (_, addr, block) in images.into_iter().flat_map(GpuMemory::blocks_with_addr) {
+                    let sizes = (got.e2mc.size_bits(block), want.e2mc.size_bits(block));
+                    assert_eq!(sizes.0, sizes.1, "{at}: block {addr}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -634,8 +748,8 @@ mod tests {
             self.inner.execute(mem, stage);
         }
 
-        fn output(&self, mem: &GpuMemory) -> Vec<f32> {
-            self.inner.output(mem)
+        fn output_arrays(&self) -> Vec<(DevicePtr, usize)> {
+            self.inner.output_arrays()
         }
 
         fn trace(&self, sms: usize) -> Trace {

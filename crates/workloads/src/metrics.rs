@@ -58,23 +58,32 @@ impl ErrorMetric {
     /// miss: a relative error of 1 and a full-range deviation.
     /// `exact_range` is [`value_range`] of `exact`, which a caller
     /// comparing many approximations against one exact output takes once.
+    /// `approx` is read once, in order: a slice's `.iter().copied()`, or
+    /// the output arrays where they lie in device memory.
     ///
     /// # Panics
     ///
     /// Panics when lengths differ or the outputs are empty.
-    pub fn compare(self, exact: &[f32], exact_range: f64, approx: &[f32]) -> OutputErrors {
-        check(exact, approx);
+    pub fn compare(
+        self,
+        exact: &[f32],
+        exact_range: f64,
+        approx: impl IntoIterator<Item = f32>,
+    ) -> OutputErrors {
+        let mut approx = approx.into_iter();
         let n = exact.len() as f64;
         let (nrmse_miss, peak) = (exact_range.max(1.0), peak_of(exact_range));
         let (mut relative, mut squared_nrmse, mut squared_psnr) = (0.0, 0.0, 0.0);
-        let (mut worst, mut flips) = (0.0f64, 0usize);
-        for (&e, &a) in exact.iter().zip(approx) {
+        let (mut worst, mut flips, mut paired) = (0.0f64, 0usize, 0usize);
+        for (&e, a) in exact.iter().zip(&mut approx) {
             relative += relative_error(e, a);
             squared_nrmse += squared_error(e, a, nrmse_miss);
             squared_psnr += squared_error(e, a, peak);
             worst = worst.max(abs_error(e, a));
             flips += usize::from(flipped(e, a));
+            paired += 1;
         }
+        check(exact.len(), paired + approx.count());
         let mre = relative / n;
         let error = match self {
             ErrorMetric::Mre => mre,
@@ -90,9 +99,9 @@ impl ErrorMetric {
     }
 }
 
-fn check(exact: &[f32], approx: &[f32]) {
-    assert_eq!(exact.len(), approx.len(), "output length mismatch");
-    assert!(!exact.is_empty(), "empty outputs");
+fn check(exact: usize, approx: usize) {
+    assert_eq!(exact, approx, "output length mismatch");
+    assert!(exact != 0, "empty outputs");
 }
 
 /// `max - min` of an exact output (0 for a constant one): what NRMSE
@@ -162,6 +171,7 @@ fn psnr_of(mse: f64, peak: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slc_sim::GpuMemory;
 
     // The per-figure functions `compare` is pinned against, one pass each.
 
@@ -186,7 +196,7 @@ mod tests {
     /// The epsilon guards against division blow-up on near-zero exact values,
     /// the standard practice in the approximate-computing literature.
     fn mre(exact: &[f32], approx: &[f32]) -> f64 {
-        check(exact, approx);
+        check(exact.len(), approx.len());
         let sum: f64 = exact.iter().zip(approx).map(|(&e, &a)| relative_error(e, a)).sum();
         sum / exact.len() as f64
     }
@@ -195,7 +205,7 @@ mod tests {
     /// and exactly reproduced, 1-scale otherwise. NaN/Inf outputs count as a
     /// full-range miss.
     fn nrmse(exact: &[f32], approx: &[f32]) -> f64 {
-        check(exact, approx);
+        check(exact.len(), approx.len());
         let range = value_range(exact);
         let squared: f64 =
             exact.iter().zip(approx).map(|(&e, &a)| squared_error(e, a, range.max(1.0))).sum();
@@ -208,7 +218,7 @@ mod tests {
     /// [`f64::INFINITY`] when the outputs are identical; non-finite
     /// approximations count as a full-range miss, as in [`nrmse`].
     fn psnr(exact: &[f32], approx: &[f32]) -> f64 {
-        check(exact, approx);
+        check(exact.len(), approx.len());
         let peak = peak_of(value_range(exact));
         let squared: f64 = exact.iter().zip(approx).map(|(&e, &a)| squared_error(e, a, peak)).sum();
         psnr_of(squared / exact.len() as f64, peak)
@@ -217,14 +227,14 @@ mod tests {
     /// Largest absolute output deviation; [`f64::INFINITY`] when the
     /// approximation produced NaN/Inf.
     fn max_abs_error(exact: &[f32], approx: &[f32]) -> f64 {
-        check(exact, approx);
+        check(exact.len(), approx.len());
         exact.iter().zip(approx).map(|(&e, &a)| abs_error(e, a)).fold(0.0, f64::max)
     }
 
     /// Fraction of decisions that differ; outputs are booleans stored as
     /// 0.0 / 1.0 floats.
     fn miss_rate(exact: &[f32], approx: &[f32]) -> f64 {
-        check(exact, approx);
+        check(exact.len(), approx.len());
         let misses = exact.iter().zip(approx).filter(|(&e, &a)| flipped(e, a)).count();
         misses as f64 / exact.len() as f64
     }
@@ -327,18 +337,50 @@ mod tests {
         let metrics =
             [ErrorMetric::Mre, ErrorMetric::Nrmse, ErrorMetric::ImageDiff, ErrorMetric::MissRate];
         for (exact, approx) in cases {
+            // The approximation also as a replay reads it: two arrays in
+            // device memory (as BS's calls and puts), through views.
+            let mut mem = GpuMemory::new();
+            let half = approx.len() / 2;
+            let ptrs =
+                [half, approx.len() - half].map(|len| (mem.malloc("out", 4 * len, true), len));
+            mem.write_f32(ptrs[0].0, &approx[..half]);
+            mem.write_f32(ptrs[1].0, &approx[half..]);
+            let in_place = || ptrs.iter().flat_map(|&(ptr, len)| mem.f32_view(ptr, len).iter());
             for metric in metrics {
-                let got = metric.compare(exact, value_range(exact), approx);
                 let want = [
                     metric.compute(exact, approx),
                     mre(exact, approx) * 100.0,
                     psnr(exact, approx),
                     max_abs_error(exact, approx),
                 ];
-                let got = [got.error_pct, got.mre_pct, got.psnr_db, got.max_abs_err];
-                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{metric:?}");
+                let range = value_range(exact);
+                for got in [
+                    metric.compare(exact, range, approx.iter().copied()),
+                    metric.compare(exact, range, in_place()),
+                ] {
+                    let got = [got.error_pct, got.mre_pct, got.psnr_db, got.max_abs_err];
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{metric:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn compare_refuses_a_longer_approximation() {
+        let _ = ErrorMetric::Mre.compare(&[1.0], 0.0, [1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn compare_refuses_a_shorter_approximation() {
+        let _ = ErrorMetric::Nrmse.compare(&[1.0, 2.0], 1.0, [1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty outputs")]
+    fn compare_refuses_empty_outputs() {
+        let _ = ErrorMetric::MissRate.compare(&[], 0.0, std::iter::empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workload abstraction and the benchmark registry (Table III).
 
 use crate::metrics::ErrorMetric;
-use slc_sim::{GpuMemory, Trace};
+use slc_sim::{DevicePtr, GpuMemory, Trace};
 
 /// Input scaling relative to the paper's inputs.
 ///
@@ -85,8 +85,22 @@ pub trait Workload: Send + Sync {
     /// between dependent kernels, mirroring where data crosses DRAM.
     fn execute(&self, mem: &mut GpuMemory, stage: &mut dyn FnMut(&mut GpuMemory));
 
-    /// Extracts the output the error metric is computed over.
-    fn output(&self, mem: &GpuMemory) -> Vec<f32>;
+    /// The arrays the error metric is computed over, in order, each a
+    /// `(start, f32 count)` pair as [`GpuMemory::launch`] takes them. A
+    /// replay's error figures read them where they lie
+    /// ([`GpuMemory::f32_view`]).
+    fn output_arrays(&self) -> Vec<(DevicePtr, usize)>;
+
+    /// The output the error metric is computed over: the
+    /// [`Self::output_arrays`] copied back to back into one vector.
+    fn output(&self, mem: &GpuMemory) -> Vec<f32> {
+        let arrays = self.output_arrays();
+        let mut out = Vec::with_capacity(arrays.iter().map(|&(_, len)| len).sum());
+        for (ptr, len) in arrays {
+            out.extend(mem.f32_view(ptr, len).iter());
+        }
+        out
+    }
 
     /// The memory trace of the kernel pipeline for `sms` SMs (access
     /// pattern is data-independent for all Table III benchmarks).
@@ -169,7 +183,7 @@ mod tests {
             let a = w.build(42);
             let b = w.build(42);
             assert_eq!(a.regions().len(), b.regions().len());
-            // `Harness::prepare` clones the image instead of building twice.
+            // `Harness::prepare` runs on the one built image.
             assert!(a.all_blocks().eq(b.all_blocks()), "{} image differs", w.name());
             let pa = w.output(&a);
             let pb = w.output(&b);

@@ -164,7 +164,7 @@ fn mag_extremes_are_consistent() {
 fn zero_sized_inputs_are_rejected_or_empty() {
     // Metric on empty outputs must panic (caller bug), not return 0.
     let mre = slc::slc_workloads::metrics::ErrorMetric::Mre;
-    assert!(catch_unwind(|| mre.compare(&[], 0.0, &[])).is_err());
+    assert!(catch_unwind(|| mre.compare(&[], 0.0, [])).is_err());
     // An empty trace runs to zero cycles.
     let cfg = GpuConfig::default();
     let stats = Engine::new(cfg.clone()).run(&Trace::new(cfg.sms), &UniformBursts(4));

@@ -31,16 +31,17 @@ use std::sync::Arc;
 thread_local! {
     /// Calls to `alloc`, `alloc_zeroed` and `realloc` made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// A size to watch for, and how many of those calls asked for it.
-    static WATCHED: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
+    /// The least and greatest size to watch for, and how many of those
+    /// calls asked for a size between them.
+    static WATCHED: Cell<(usize, usize, u64)> = const { Cell::new((usize::MAX, 0, 0)) };
 }
 
 /// Counts one allocator call of `size` bytes on this thread.
 fn count(size: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
     WATCHED.with(|w| {
-        let (watched, seen) = w.get();
-        w.set((watched, seen + u64::from(size == watched)));
+        let (least, greatest, seen) = w.get();
+        w.set((least, greatest, seen + u64::from((least..=greatest).contains(&size))));
     });
 }
 
@@ -90,9 +91,15 @@ fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// Runs `f` and returns how many of its allocations were of exactly
 /// `size` bytes with its result.
 fn allocs_of<R>(size: usize, f: impl FnOnce() -> R) -> (u64, R) {
-    WATCHED.set((size, 0));
+    allocs_between(size, size, f)
+}
+
+/// Runs `f` and returns how many of its allocations were of `least` to
+/// `greatest` bytes with its result.
+fn allocs_between<R>(least: usize, greatest: usize, f: impl FnOnce() -> R) -> (u64, R) {
+    WATCHED.set((least, greatest, 0));
     let out = f();
-    (WATCHED.replace((usize::MAX, 0)).1, out)
+    (WATCHED.replace((usize::MAX, 0, 0)).2, out)
 }
 
 /// A seeded mix, one quarter each: zero blocks, u32 ramps with small
@@ -344,6 +351,61 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
             "{}: the size pass over {points} staging points",
             w.name()
         );
+    }
+}
+
+/// `Harness::prepare` runs the exact pass on the image `Workload::build`
+/// made and keeps it: it makes no image-sized allocation the build does
+/// not. E2MC training sizes its tables by the symbol space, whatever the
+/// image, and at tiny scale one of them is DCT's image size.
+#[test]
+fn prepare_costs_the_built_image_and_no_copy() {
+    let harness = Harness::new(Scale::Tiny);
+    for w in all_workloads(Scale::Tiny) {
+        let image = w.build(harness.seed).len();
+        let (built, _) = allocs_of(image, || w.build(harness.seed));
+        let (prepared, a) = allocs_of(image, || harness.prepare(w.as_ref()));
+        let seeded = a.initial_memory();
+        let images = [&seeded, &a.exact_memory];
+        let blocks = images.into_iter().flat_map(GpuMemory::blocks_with_addr).map(|(.., b)| b);
+        let train = || E2mc::train_on_blocks(blocks, &E2mcConfig::default());
+        let (trained, _) = allocs_of(image, train);
+        assert_eq!(prepared, built + trained, "{}: image-sized allocations", w.name());
+    }
+}
+
+/// A TSLC replay reads its output where the kernels left it: a row of
+/// the three variants allocates of the output's size only what its
+/// kernels do (SRAD1's held plane, [`a_kernel_owns_no_array`]). What the
+/// row allocates that is larger is pinned: the working image, once; per
+/// replay the accumulator's cells where they are larger (JM), and the
+/// timing run's 48 KiB L2 tag array where that is.
+#[test]
+fn a_replay_reads_its_output_in_place() {
+    let harness = Harness::new(Scale::Tiny);
+    let larger = [
+        ("JM", 1 + 3 * 2),
+        ("BS", 1),
+        ("DCT", 1 + 3),
+        ("FWT", 1 + 3),
+        ("TP", 1),
+        ("BP", 1),
+        ("NN", 1 + 3),
+        ("SRAD1", 1 + 3),
+        ("SRAD2", 1 + 3),
+    ];
+    for (w, (name, pin)) in all_workloads(Scale::Tiny).iter().zip(larger) {
+        assert_eq!(w.name(), name);
+        let a = harness.prepare(w.as_ref());
+        let output = 4 * w.output_arrays().iter().map(|&(_, len)| len).sum::<usize>();
+        let schemes = [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt]
+            .map(|v| Scheme::slc(a.e2mc.clone(), Mag::GDDR5, 16, v));
+        let row = || harness.evaluate_schemes(w.as_ref(), &a, &schemes).count();
+        let mut mem = a.initial_memory();
+        let (kernels, ()) = allocs_of(output, || w.execute(&mut mem, &mut |_: &mut GpuMemory| {}));
+        assert_eq!(allocs_of(output, row), (3 * kernels, 3), "{name}: output-sized");
+        let above = allocs_between(output + 1, usize::MAX, row).0;
+        assert_eq!(above, pin, "{name}: larger than the output ({output} B)");
     }
 }
 
