@@ -50,7 +50,7 @@ pub use huffman::{CanonicalCode, MAX_CODE_LEN};
 pub use sampler::SymbolSampler;
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::bitstream::BitReader;
 use crate::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
@@ -102,33 +102,39 @@ impl Default for E2mcConfig {
 /// escape entry for the rest.
 ///
 /// Tables are frozen after the one-shot sampling phase (the paper trains
-/// once and never retrains), so the ~840 KB of precomputed tables below
-/// — 512 KB encode, 256 KB decode, 64 KB width, about 8 KB of code and
-/// symbols — are immutable for the run, and [`E2mc`] shares them.
+/// once and never retrains), so everything below is immutable for the
+/// run, and [`E2mc`] shares it. Training builds the code, the top
+/// symbols (about 8 KB) and the 64 KB width table, all that sizing,
+/// staging and burst accounting read. The 512 KB encode and 256 KB decode
+/// tables are built the first time a stream is written or read
+/// ([`write_ways`](Self::write_ways), [`read_ways`](Self::read_ways),
+/// [`decode_symbol`](Self::decode_symbol)), so a table that only sizes
+/// blocks never holds them.
 #[derive(Clone)]
 pub struct SymbolTable {
     code: CanonicalCode,
     /// Entry index -> symbol value, for entries `0..top.len()`.
     top: Vec<u16>,
     escape_entry: usize,
+    /// Symbol value -> encoded width in bits: the code length, or the
+    /// escape's plus 16. The size-only paths (code-length sums, SLC's
+    /// tree adder) touch symbols randomly, so this dense table keeps them
+    /// in cache.
+    bits: Box<[u8; 1 << 16]>,
     /// Symbol value -> packed `(bits << 8) | width`, where `bits` is the
     /// complete wire encoding (codeword, or escape codeword followed by the
     /// 16 raw symbol bits) and `width <= 32` its length, then one zero
     /// entry, which a hole's slots index. The one table
-    /// [`write_ways`](Self::write_ways) reads: a load per symbol.
-    enc: Vec<u64>,
+    /// [`write_ways`](Self::write_ways) reads: a load per symbol. Built on
+    /// first use.
+    enc: OnceLock<Vec<u64>>,
     /// The one decode table: a left-aligned `MAX_CODE_LEN`-bit window ->
     /// packed `(symbol << 16) | (escape << 8) | code_length`, the flat
     /// longest-code-indexed table of Rivera et al. and cuSZ+. It fuses
     /// the canonical decode and the entry-to-symbol lookup into one load
     /// per symbol; length 0 marks windows no codeword covers (corrupt
-    /// stream).
-    dec: Box<[u32; 1 << MAX_CODE_LEN]>,
-    /// Symbol value -> encoded width in bits. Duplicates the width byte of
-    /// `enc` at 1/8th the footprint (64 KB vs 512 KB): the size-only paths
-    /// (code-length sums, SLC's tree adder) touch symbols randomly, so the
-    /// denser table keeps them in cache.
-    bits: Box<[u8; 1 << 16]>,
+    /// stream). Built on first use.
+    dec: OnceLock<Box<[u32; 1 << MAX_CODE_LEN]>>,
 }
 
 impl std::fmt::Debug for SymbolTable {
@@ -152,34 +158,52 @@ impl SymbolTable {
         let code = CanonicalCode::from_frequencies(&freqs, MAX_CODE_LEN);
         let symbols: Vec<u16> = top.iter().map(|&(s, _)| s).collect();
         let escape_entry = symbols.len();
-        let esc_code = u64::from(code.code(escape_entry));
-        let esc_len = code.length(escape_entry);
-        // A symbol outside the top k is its escape codeword immediately
-        // followed by its 16 raw bits, fused into one write.
-        let mut enc: Vec<u64> = (0..1u64 << 16)
-            .map(|symbol| ((esc_code << 16 | symbol) << 8) | u64::from(esc_len + 16))
-            .chain([0])
-            .collect();
-        let mut dec = Box::new([0u32; 1 << MAX_CODE_LEN]);
-        for entry in 0..=escape_entry {
-            let (codeword, len) = (code.code(entry), code.length(entry));
-            let packed = match symbols.get(entry) {
-                Some(&s) => {
-                    enc[usize::from(s)] = u64::from(codeword) << 8 | u64::from(len);
-                    u32::from(s) << 16 | len
-                }
-                None => 1 << 8 | len,
-            };
-            // Every window whose top `len` bits are this codeword decodes
-            // to this entry: fill its 2^(MAX_CODE_LEN - len) slots.
-            let base = usize::from(codeword) << (MAX_CODE_LEN - len);
-            dec[base..base + (1 << (MAX_CODE_LEN - len))].fill(packed);
+        // A symbol outside the top k is its escape codeword and 16 raw bits.
+        let mut bits = Box::new([(code.length(escape_entry) + 16) as u8; 1 << 16]);
+        for (entry, &s) in symbols.iter().enumerate() {
+            bits[usize::from(s)] = code.length(entry) as u8;
         }
-        let mut bits = Box::new([0u8; 1 << 16]);
-        for (width, &packed) in bits.iter_mut().zip(&enc) {
-            *width = (packed & 0xff) as u8;
-        }
-        Self { code, escape_entry, top: symbols, enc, dec, bits }
+        let (enc, dec) = (OnceLock::new(), OnceLock::new());
+        Self { code, escape_entry, top: symbols, bits, enc, dec }
+    }
+
+    /// The encode table, built on first use.
+    fn enc(&self) -> &[u64] {
+        self.enc.get_or_init(|| {
+            let esc_code = u64::from(self.code.code(self.escape_entry));
+            let esc_len = self.code.length(self.escape_entry);
+            // A symbol outside the top k is its escape codeword immediately
+            // followed by its 16 raw bits, fused into one write.
+            let mut enc: Vec<u64> = (0..1u64 << 16)
+                .map(|symbol| ((esc_code << 16 | symbol) << 8) | u64::from(esc_len + 16))
+                .chain([0])
+                .collect();
+            for (entry, &s) in self.top.iter().enumerate() {
+                let (codeword, len) = (self.code.code(entry), self.code.length(entry));
+                enc[usize::from(s)] = u64::from(codeword) << 8 | u64::from(len);
+            }
+            enc
+        })
+    }
+
+    /// The decode table, built on first use.
+    fn dec(&self) -> &[u32; 1 << MAX_CODE_LEN] {
+        self.dec.get_or_init(|| {
+            let mut dec = Box::new([0u32; 1 << MAX_CODE_LEN]);
+            for entry in 0..=self.escape_entry {
+                let (codeword, len) = (self.code.code(entry), self.code.length(entry));
+                let packed = match self.top.get(entry) {
+                    Some(&s) => u32::from(s) << 16 | len,
+                    None => 1 << 8 | len,
+                };
+                // Every window whose top `len` bits are this codeword
+                // decodes to this entry: fill its 2^(MAX_CODE_LEN - len)
+                // slots.
+                let base = usize::from(codeword) << (MAX_CODE_LEN - len);
+                dec[base..base + (1 << (MAX_CODE_LEN - len))].fill(packed);
+            }
+            dec
+        })
     }
 
     /// Total cost of an escaped symbol.
@@ -239,7 +263,8 @@ impl SymbolTable {
         // A hole slot indexes the zero entry past the symbols': width 0.
         let mut index = symbols.map(u32::from);
         index[hole].fill(1 << 16);
-        let entry = |i: u32| self.enc[i as usize];
+        let enc = self.enc();
+        let entry = |i: u32| enc[i as usize];
         let (mut pos, mut pdps) = (way0, 0u64);
         for (way, way_index) in index.chunks_exact(WAY_SYMBOLS).enumerate() {
             if way > 0 {
@@ -309,6 +334,7 @@ impl SymbolTable {
         // One wrapped subtraction tests both ends of the hole; spelled
         // `hole.contains(&slot)` the loop is a fifth slower.
         let (hole_start, hole_len) = (hole.start, hole.len());
+        let dec = self.dec();
         let mut pos = starts;
         let mut covered = true;
         'decode: for i in 0..WAY_SYMBOLS {
@@ -324,7 +350,7 @@ impl SymbolTable {
                 let mut word = [0u8; 8];
                 word.copy_from_slice(&stream[byte..byte + 8]);
                 let buf = u64::from_be_bytes(word) << (*pos % 8);
-                let Some((symbol, bits)) = self.decode_symbol((buf >> 32) as u32) else {
+                let Some((symbol, bits)) = decode_in(dec, (buf >> 32) as u32) else {
                     covered = false;
                     break 'decode;
                 };
@@ -345,24 +371,30 @@ impl SymbolTable {
     /// one table load — [`read_ways`](Self::read_ways)' decode step: the
     /// symbol and the bits it takes (an escape's codeword plus the 16 raw
     /// bits after it), or `None` where no codeword starts the window.
-    #[inline]
     pub fn decode_symbol(&self, window: u32) -> Option<(u16, u32)> {
-        let packed = self.dec[(window >> (32 - MAX_CODE_LEN)) as usize];
-        let len = packed & 0xff;
-        if len == 0 {
-            None
-        } else if packed & 0x100 != 0 {
-            // Escape: the 16 raw bits follow the codeword.
-            Some(((window >> (16 - len)) as u16, len + 16))
-        } else {
-            Some(((packed >> 16) as u16, len))
-        }
+        decode_in(self.dec(), window)
     }
 
     /// The underlying canonical code: each entry's length and codeword,
     /// the top-k symbols' entries first and the escape's last.
     pub fn canonical_code(&self) -> &CanonicalCode {
         &self.code
+    }
+}
+
+/// [`SymbolTable::decode_symbol`] against a decode table `read_ways`
+/// fetched once for its block.
+#[inline]
+fn decode_in(dec: &[u32; 1 << MAX_CODE_LEN], window: u32) -> Option<(u16, u32)> {
+    let packed = dec[(window >> (32 - MAX_CODE_LEN)) as usize];
+    let len = packed & 0xff;
+    if len == 0 {
+        None
+    } else if packed & 0x100 != 0 {
+        // Escape: the 16 raw bits follow the codeword.
+        Some(((window >> (16 - len)) as u16, len + 16))
+    } else {
+        Some(((packed >> 16) as u16, len))
     }
 }
 
@@ -657,7 +689,7 @@ mod tests {
     ) -> (Vec<u8>, u32) {
         let mut encodings = [0u64; SYMBOLS_PER_BLOCK];
         for (e, &s) in encodings.iter_mut().zip(symbols) {
-            *e = table.enc[s as usize];
+            *e = table.enc()[s as usize];
         }
         encodings[hole].fill(0);
         let mut way_bits = [0u32; WAYS];
@@ -895,8 +927,8 @@ mod tests {
     #[test]
     fn clone_shares_the_trained_table() {
         // E2mc::clone must be an Arc refcount bump, not a deep copy of the
-        // ~840 KB of precomputed tables: both handles point at the same
-        // SymbolTable allocation.
+        // trained tables: both handles point at the same SymbolTable
+        // allocation.
         let a = trained();
         let b = a.clone();
         assert!(std::ptr::eq(a.table(), b.table()), "clone deep-copied the symbol table");

@@ -86,13 +86,12 @@ impl SymbolSampler {
     /// The `k` most frequent symbols, most frequent first; ties broken by
     /// symbol value for determinism.
     pub fn top_symbols(&self, k: usize) -> Vec<(u16, u64)> {
-        let mut live: Vec<(u16, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(s, &c)| (s as u16, c))
-            .collect();
+        // Sized once: collected from a filter, the list would grow by
+        // doubling, through copies of up to 256 KiB.
+        let mut live = Vec::with_capacity(self.distinct_symbols());
+        live.extend(
+            self.counts.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(s, &c)| (s as u16, c)),
+        );
         live.sort_by_key(|&(s, c)| (std::cmp::Reverse(c), s));
         live.truncate(k);
         live

@@ -71,10 +71,14 @@
 //!   bit-matrix transpose (Hacker's Delight §7-3), ~5 word-ops per plane
 //!   instead of a 33×31 single-bit gather.
 //! * **Shared trained artifacts** — [`e2mc::E2mc`] holds its trained
-//!   [`e2mc::SymbolTable`] (~840 KB of encode, width and decode tables)
-//!   behind an `Arc`: cloning a trained codec, or any scheme built on one,
-//!   is an O(1) refcount bump, **never** a copy, so harnesses instantiate
-//!   one scheme per variant, threshold or worker thread against a single
+//!   [`e2mc::SymbolTable`] behind an `Arc`. Training builds the code and
+//!   the 64 KB width table that every size-only path reads; the 512 KB
+//!   encode and 256 KB decode tables are built the first time a stream is
+//!   written or read, so a table that only sizes blocks (staging, the
+//!   size cache, burst accounting) never holds them. Cloning a trained
+//!   codec, or any scheme built on one, is an O(1) refcount bump,
+//!   **never** a copy, so harnesses instantiate one scheme per variant,
+//!   threshold or worker thread against a single
 //!   frozen model (the paper's one-shot sampling phase). A unit test pins
 //!   pointer identity across clones.
 //! * **Shared block analyses** — [`e2mc::E2mc::analyze`] captures a

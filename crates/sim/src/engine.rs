@@ -214,6 +214,32 @@ mod tests {
         assert!(stats.l2_hits > 0);
     }
 
+    #[test]
+    fn a_dependent_load_chain_takes_its_hand_computed_latency() {
+        // One SM loads, waits, loads again: each block a different row of
+        // bank 0 on channel 0, so every load misses L1, L2 and the row
+        // buffer, and none overlaps another. With the MDC off a load costs
+        // the interconnect both ways, the L2 lookup, precharge + activate
+        // + CAS and the block's bursts; the channel reports the data's
+        // arrival in whole cycles.
+        let base = GpuConfig::default().without_mdc();
+        let per_row = (base.channels() * base.banks_per_channel) as u64 * base.row_blocks;
+        let chain = 40;
+        let mut t = Trace::new(base.sms);
+        for row in 0..chain {
+            t.push(0, Op::Load(row * per_row));
+            t.push(0, Op::Sync);
+        }
+        for cfg in [base.clone(), base.with_sched_policy(crate::SchedPolicy::InOrder)] {
+            let dram =
+                cfg.row_miss_sm_cycles() + f64::from(cfg.max_bursts()) * cfg.burst_sm_cycles();
+            let load = 2 * cfg.icnt_latency + cfg.l2_hit_latency + dram.ceil() as u64;
+            let stats = Engine::new(cfg.clone()).run(&t, &UniformBursts(cfg.max_bursts()));
+            assert_eq!((stats.row_misses, stats.dram_reads), (chain, chain));
+            assert_eq!(stats.cycles, chain * load, "{:?}: {load} cycles a load", cfg.sched_policy);
+        }
+    }
+
     mod properties {
         use super::*;
         use crate::SchedPolicy;
@@ -312,6 +338,26 @@ mod tests {
                 for cfg in [cfg.clone(), cfg.without_mdc().with_sched_policy(SchedPolicy::InOrder)] {
                     let bursts = UniformBursts(3);
                     prop_assert_eq!(Engine::new(cfg.clone()).run(&t, &bursts), heap_run(&cfg, &t, &bursts));
+                }
+            }
+
+            /// No SM finishes before its own work: its compute cycles plus
+            /// one issue cycle per load and store.
+            #[test]
+            fn prop_cycles_cover_every_sms_issue_work(
+                ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..400),
+                bursts in 1u32..=4,
+            ) {
+                let cfg = GpuConfig::default();
+                let trace = random_trace(&ops);
+                let stats = Engine::new(cfg).run(&trace, &UniformBursts(bursts));
+                for sm in 0..trace.sms() {
+                    let work: u64 = trace.stream(sm).iter().map(|p| match p.op() {
+                        Op::Compute(n) => u64::from(n),
+                        Op::Load(_) | Op::Store(_) => 1,
+                        Op::Sync => 0,
+                    }).sum();
+                    prop_assert!(stats.cycles >= work, "SM {sm}: {} < {work}", stats.cycles);
                 }
             }
 

@@ -9,7 +9,7 @@
 use crate::cache::Cache;
 use crate::config::GpuConfig;
 use crate::mc::MemorySystem;
-use crate::trace::Op;
+use crate::trace::{Op, PackedOp};
 use slc_compress::BLOCK_BYTES;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -58,19 +58,19 @@ impl SmState {
     }
 
     /// Whether the stream is exhausted.
-    pub fn done(&self, stream: &[Op]) -> bool {
+    pub fn done(&self, stream: &[PackedOp]) -> bool {
         self.pc >= stream.len()
     }
 
     /// Executes exactly one op against the memory system, advancing the
     /// SM-local clock. Returns `false` when the stream was already done.
-    pub fn step(&mut self, stream: &[Op], mem: &mut MemorySystem<'_>) -> bool {
-        let Some(&op) = stream.get(self.pc) else {
+    pub fn step(&mut self, stream: &[PackedOp], mem: &mut MemorySystem<'_>) -> bool {
+        let Some(&packed) = stream.get(self.pc) else {
             return false;
         };
         self.pc += 1;
         self.ops += 1;
-        match op {
+        match packed.op() {
             Op::Compute(n) => {
                 self.time += u64::from(n);
             }
@@ -139,7 +139,7 @@ mod tests {
         let u = UniformBursts(4);
         let mut mem = MemorySystem::new(&cfg, &u);
         let mut sm = SmState::new(&cfg);
-        let stream = [Op::Compute(100)];
+        let stream = [Op::Compute(100)].map(Op::pack);
         assert!(sm.step(&stream, &mut mem));
         assert_eq!(sm.time(), 100);
         assert!(!sm.step(&stream, &mut mem), "stream exhausted");
@@ -151,7 +151,7 @@ mod tests {
         let u = UniformBursts(4);
         let mut mem = MemorySystem::new(&cfg, &u);
         let mut sm = SmState::new(&cfg);
-        let stream = [Op::Load(0), Op::Sync];
+        let stream = [Op::Load(0), Op::Sync].map(Op::pack);
         sm.step(&stream, &mut mem);
         assert_eq!(sm.time(), 1, "load issue takes one cycle");
         sm.step(&stream, &mut mem);
@@ -164,7 +164,7 @@ mod tests {
         let u = UniformBursts(4);
         let mut mem = MemorySystem::new(&cfg, &u);
         let mut sm = SmState::new(&cfg);
-        let stream = [Op::Load(9), Op::Sync, Op::Load(9), Op::Sync];
+        let stream = [Op::Load(9), Op::Sync, Op::Load(9), Op::Sync].map(Op::pack);
         for _ in 0..4 {
             sm.step(&stream, &mut mem);
         }
@@ -184,7 +184,7 @@ mod tests {
         let mut mem = MemorySystem::new(&c, &u);
         let mut sm = SmState::new(&c);
         // Three misses with 2 MSHRs: the third must wait for the first.
-        let stream = [Op::Load(0), Op::Load(1), Op::Load(2)];
+        let stream = [Op::Load(0), Op::Load(1), Op::Load(2)].map(Op::pack);
         for _ in 0..3 {
             sm.step(&stream, &mut mem);
         }
@@ -199,7 +199,7 @@ mod tests {
         let u = UniformBursts(4);
         let mut mem = MemorySystem::new(&cfg, &u);
         let mut sm = SmState::new(&cfg);
-        let stream = [Op::Store(4), Op::Store(5)];
+        let stream = [Op::Store(4), Op::Store(5)].map(Op::pack);
         sm.step(&stream, &mut mem);
         sm.step(&stream, &mut mem);
         assert_eq!(sm.time(), 2, "stores never block the SM");

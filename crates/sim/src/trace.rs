@@ -5,6 +5,13 @@
 //! block transactions). `Compute` models the arithmetic between memory
 //! instructions — the workload's arithmetic intensity knob — and `Sync`
 //! models data dependencies / barriers by draining outstanding loads.
+//!
+//! A trace stores each op in 4 bytes, as a [`PackedOp`]: the kind in the
+//! top two bits and a 30-bit payload below them — the block address, the
+//! compute cycles, or 0 for `Sync`. A payload is therefore below 2^30: a
+//! block address below 128 GiB of image (the largest at full scale, NN's,
+//! is about 1.97 M blocks), a `Compute` below 2^30 cycles.
+//! [`Trace::push`] panics on a larger one.
 
 use crate::BlockAddr;
 
@@ -21,10 +28,55 @@ pub enum Op {
     Sync,
 }
 
+/// Bits of a [`PackedOp`]'s payload.
+const PAYLOAD_BITS: u32 = 30;
+
+const PAYLOAD_MASK: u32 = (1 << PAYLOAD_BITS) - 1;
+
+impl Op {
+    /// The op as a trace stores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block address or compute count is 2^30 or more.
+    pub(crate) fn pack(self) -> PackedOp {
+        let (kind, payload) = match self {
+            Op::Load(block) => (0, block),
+            Op::Store(block) => (1, block),
+            Op::Compute(n) => (2, u64::from(n)),
+            Op::Sync => (3, 0),
+        };
+        assert!(
+            payload <= u64::from(PAYLOAD_MASK),
+            "{self:?}: a trace op's payload must be below 2^{PAYLOAD_BITS} (a block address: 128 GiB of image)"
+        );
+        PackedOp(kind << PAYLOAD_BITS | payload as u32)
+    }
+}
+
+/// One stored trace op: the kind in the top two bits, the payload in the
+/// low 30. [`Trace::push`] makes it and [`PackedOp::op`] reads it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedOp(u32);
+
+impl PackedOp {
+    /// The op this word holds: a shift and a mask.
+    #[inline]
+    pub fn op(self) -> Op {
+        let payload = self.0 & PAYLOAD_MASK;
+        match self.0 >> PAYLOAD_BITS {
+            0 => Op::Load(BlockAddr::from(payload)),
+            1 => Op::Store(BlockAddr::from(payload)),
+            2 => Op::Compute(payload),
+            _ => Op::Sync,
+        }
+    }
+}
+
 /// A complete trace: one op stream per SM.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    streams: Vec<Vec<Op>>,
+    streams: Vec<Vec<PackedOp>>,
 }
 
 impl Trace {
@@ -38,14 +90,18 @@ impl Trace {
         self.streams.len()
     }
 
-    /// The op stream of one SM.
-    pub fn stream(&self, sm: usize) -> &[Op] {
+    /// The stored op stream of one SM; [`PackedOp::op`] reads each op.
+    pub fn stream(&self, sm: usize) -> &[PackedOp] {
         &self.streams[sm]
     }
 
     /// Appends an op to one SM's stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op's block address or compute count is 2^30 or more.
     pub fn push(&mut self, sm: usize, op: Op) {
-        self.streams[sm].push(op);
+        self.streams[sm].push(op.pack());
     }
 
     /// Total op count across streams.
@@ -60,8 +116,8 @@ impl Trace {
 
     /// Every distinct block address the trace touches.
     pub fn touched_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.streams.iter().flatten().filter_map(|op| match op {
-            Op::Load(b) | Op::Store(b) => Some(*b),
+        self.streams.iter().flatten().filter_map(|packed| match packed.op() {
+            Op::Load(b) | Op::Store(b) => Some(b),
             _ => None,
         })
     }
@@ -133,9 +189,42 @@ mod tests {
         t.push(1, Op::Compute(5));
         t.push(1, Op::Sync);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.stream(0), &[Op::Load(1)]);
+        assert_eq!(t.stream(0), &[Op::Load(1).pack()]);
         assert_eq!(t.sms(), 2);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn every_op_round_trips_at_both_ends_of_its_payload() {
+        let top = (1 << PAYLOAD_BITS) - 1;
+        for op in [
+            Op::Load(0),
+            Op::Load(top),
+            Op::Store(0),
+            Op::Store(top),
+            Op::Compute(0),
+            Op::Compute(top as u32),
+            Op::Sync,
+        ] {
+            assert_eq!(op.pack().op(), op);
+        }
+    }
+
+    #[test]
+    fn a_stored_op_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<PackedOp>(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "Load(1073741824): a trace op's payload must be below 2^30")]
+    fn a_block_address_of_2_30_panics_naming_the_limit() {
+        Trace::new(1).push(0, Op::Load(1 << 30));
+    }
+
+    #[test]
+    #[should_panic(expected = "Compute(1073741824): a trace op's payload must be below 2^30")]
+    fn a_compute_count_of_2_30_panics_naming_the_limit() {
+        Trace::new(1).push(0, Op::Compute(1 << 30));
     }
 
     #[test]
@@ -146,8 +235,8 @@ mod tests {
         b.tile(&[2], 10, &[]);
         let t = b.build();
         // SM0 got tiles 0 and 2, SM1 got tile 1.
-        assert_eq!(t.stream(0).iter().filter(|o| matches!(o, Op::Load(_))).count(), 2);
-        assert_eq!(t.stream(1).iter().filter(|o| matches!(o, Op::Load(_))).count(), 1);
+        let loads = |sm| t.stream(sm).iter().filter(|p| matches!(p.op(), Op::Load(_))).count();
+        assert_eq!((loads(0), loads(1)), (2, 1));
     }
 
     #[test]

@@ -226,8 +226,8 @@ mod tests {
         let w1_blocks = (1024 * 16 * 4 / 128) as u64;
         let w1_loads = (0..t.sms())
             .flat_map(|s| t.stream(s))
-            .filter(|o| {
-                matches!(o, slc_sim::Op::Load(b) if (w1_first..w1_first + w1_blocks).contains(b))
+            .filter(|p| {
+                matches!(p.op(), slc_sim::Op::Load(b) if (w1_first..w1_first + w1_blocks).contains(&b))
             })
             .count() as u64;
         // Forward pass once + update pass once (the RMW load).

@@ -194,7 +194,7 @@ mod tests {
         // 4 passes x (128 load-blocks + 128 store-blocks) for 4096 f32.
         let loads = (0..t.sms())
             .flat_map(|s| t.stream(s))
-            .filter(|o| matches!(o, slc_sim::Op::Load(_)))
+            .filter(|p| matches!(p.op(), slc_sim::Op::Load(_)))
             .count();
         assert_eq!(loads, 4 * 128);
     }

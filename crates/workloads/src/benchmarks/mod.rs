@@ -82,14 +82,14 @@ mod tests {
         zip_sweep(&mut b, 1024, 32, &[input], &[output], 2);
         let t = b.build();
         let loads: Vec<u64> = (0..t.sms())
-            .flat_map(|s| t.stream(s).iter())
-            .filter_map(|o| if let Op::Load(b) = o { Some(*b) } else { None })
+            .flat_map(|s| t.stream(s))
+            .filter_map(|p| if let Op::Load(b) = p.op() { Some(b) } else { None })
             .collect();
         // 1024 f32 = 4 KB = 32 blocks, tiles of 32 elems = 1 block each.
         assert_eq!(loads.len(), 32);
         let stores = (0..t.sms())
-            .flat_map(|s| t.stream(s).iter())
-            .filter(|o| matches!(o, Op::Store(_)))
+            .flat_map(|s| t.stream(s))
+            .filter(|p| matches!(p.op(), Op::Store(_)))
             .count();
         assert_eq!(stores, 32);
     }

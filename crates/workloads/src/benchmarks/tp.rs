@@ -149,7 +149,7 @@ mod tests {
             let stores: Vec<u64> = t
                 .stream(sm)
                 .iter()
-                .filter_map(|o| if let slc_sim::Op::Store(b) = o { Some(*b) } else { None })
+                .filter_map(|p| if let slc_sim::Op::Store(b) = p.op() { Some(b) } else { None })
                 .collect();
             for w in stores.windows(2) {
                 if w[1] > w[0] && w[1] - w[0] == row_blocks {

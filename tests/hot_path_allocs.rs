@@ -16,7 +16,7 @@ use slc::slc_compress::cpack::Cpack;
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc::slc_compress::fpc::Fpc;
 use slc::slc_compress::rans::Rans;
-use slc::slc_compress::{Block, BlockCodec, Mag, BLOCK_BYTES};
+use slc::slc_compress::{Block, BlockCodec, BlockCompressor, Mag, BLOCK_BYTES};
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc::slc_engine::{Engine, Frame, Threads};
 use slc::slc_sim::mc::UniformBursts;
@@ -128,16 +128,60 @@ fn corpus(blocks: usize) -> Vec<Block> {
         .collect()
 }
 
-/// The five block codecs the zero contract covers, then rANS.
+/// The five block codecs the zero contract covers, then rANS. E2MC
+/// comes warmed ([`warm`]).
 fn codecs(training: &[u8]) -> Vec<Arc<dyn BlockCodec>> {
+    let e2mc = E2mc::train_on_bytes(training, &E2mcConfig::default());
+    warm(&e2mc);
     vec![
         Arc::new(Bdi::new()),
         Arc::new(Fpc::new()),
         Arc::new(Cpack::new()),
         Arc::new(Bpc::new()),
-        Arc::new(E2mc::train_on_bytes(training, &E2mcConfig::default())),
+        Arc::new(e2mc),
         Arc::new(Rans::new()),
     ]
+}
+
+/// Bytes of E2MC's encode table: a `u64` per symbol and the hole's entry.
+const E2MC_ENCODE_TABLE: usize = ((1 << 16) + 1) * 8;
+
+/// Bytes of E2MC's decode table: a `u32` per 16-bit window.
+const E2MC_DECODE_TABLE: usize = (1 << 16) * 4;
+
+/// Writes and reads one stream through `e2mc`'s table, which builds its
+/// encode and decode tables: what the first block coded and the first
+/// decoded would do. A count after this sees the per-block work only.
+fn warm(e2mc: &E2mc) {
+    let table = e2mc.table();
+    black_box(table.write_ways((1, 1), &[0; BLOCK_BYTES / 2], 0..0, &mut Vec::new()));
+    black_box(table.decode_symbol(0));
+}
+
+/// Training builds neither stream table; the first block coded builds
+/// the encode table and nothing else, the first decoded the decode table
+/// and nothing else, and from then on both cost nothing.
+#[test]
+fn e2mc_builds_its_encode_and_decode_tables_on_first_use() {
+    let blocks = corpus(64);
+    let train = || E2mc::train_on_bytes(blocks.as_flattened(), &E2mcConfig::default());
+    assert_eq!(allocs_of(E2MC_ENCODE_TABLE, train).0, 0, "training: an encode table");
+    assert_eq!(allocs_of(E2MC_DECODE_TABLE, train).0, 0, "training: a decode table");
+    let e2mc = train();
+    // The zero block codes; the sink holds room for it twice.
+    let mut sink = Vec::with_capacity(3 * BLOCK_BYTES);
+    let (all, (table, (bits, coded))) =
+        allocs(|| allocs_of(E2MC_ENCODE_TABLE, || e2mc.compress_into(&blocks[0], &mut sink)));
+    assert!(coded && bits < 200, "the zero block codes: {bits} bits");
+    assert_eq!((all, table), (1, 1), "first encode: the encode table");
+    let payload = sink.clone();
+    assert_eq!(allocs(|| e2mc.compress_into(&blocks[0], &mut sink)), (0, (bits, coded)), "again");
+    let mut out = [0xa5; BLOCK_BYTES];
+    let mut decode = || e2mc.decompress_into(bits, coded, &payload, &mut out);
+    let (all, (table, decoded)) = allocs(|| allocs_of(E2MC_DECODE_TABLE, &mut decode));
+    assert_eq!((all, table, decoded), (1, 1, Ok(())), "first decode: the decode table");
+    assert_eq!(allocs(decode), (0, Ok(())), "second decode");
+    assert_eq!(out, blocks[0]);
 }
 
 #[test]
@@ -241,6 +285,7 @@ fn slc_core_staging_is_heap_free_and_the_codec_costs_its_payload() {
         let a = harness.prepare(w.as_ref());
         let blocks: Vec<Block> =
             a.exact_memory.all_blocks().filter(|(r, _)| r.safe_to_approx).map(|(_, b)| b).collect();
+        warm(&a.e2mc);
         for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
             let at = format!("{} {}", w.name(), variant.label());
             let slc = SlcCompressor::new(a.e2mc.clone(), SlcConfig::new(Mag::GDDR5, 16, variant));
@@ -356,8 +401,9 @@ fn a_snapshot_is_one_allocation_and_the_seeded_image_one_clone() {
 
 /// `Harness::prepare` runs the exact pass on the image `Workload::build`
 /// made and keeps it: it makes no image-sized allocation the build does
-/// not. E2MC training sizes its tables by the symbol space, whatever the
-/// image, and at tiny scale one of them is DCT's image size.
+/// not. E2MC training sizes its sampler and width table by the symbol
+/// space, whatever the image, and builds no encode or decode table: no
+/// figure writes or reads a stream.
 #[test]
 fn prepare_costs_the_built_image_and_no_copy() {
     let harness = Harness::new(Scale::Tiny);
@@ -365,6 +411,10 @@ fn prepare_costs_the_built_image_and_no_copy() {
         let image = w.build(harness.seed).len();
         let (built, _) = allocs_of(image, || w.build(harness.seed));
         let (prepared, a) = allocs_of(image, || harness.prepare(w.as_ref()));
+        for table in [E2MC_ENCODE_TABLE, E2MC_DECODE_TABLE] {
+            let (tables, _) = allocs_of(table, || harness.prepare(w.as_ref()));
+            assert_eq!(tables, 0, "{}: prepare, {table} B", w.name());
+        }
         let seeded = a.initial_memory();
         let images = [&seeded, &a.exact_memory];
         let blocks = images.into_iter().flat_map(GpuMemory::blocks_with_addr).map(|(.., b)| b);
@@ -441,7 +491,7 @@ fn a_timing_run_allocates_per_run_not_per_op() {
         let trace = w.trace(cfg.sms);
         let mut twice = trace.clone();
         for sm in 0..trace.sms() {
-            trace.stream(sm).iter().for_each(|&op| twice.push(sm, op));
+            trace.stream(sm).iter().for_each(|packed| twice.push(sm, packed.op()));
         }
         let (once, stats) = allocs(|| engine.run(&trace, &bursts));
         let (doubled, stats_twice) = allocs(|| engine.run(&twice, &bursts));
