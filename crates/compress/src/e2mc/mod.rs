@@ -412,12 +412,7 @@ pub struct E2mc {
 impl E2mc {
     /// Wraps a pre-trained table.
     pub fn new(table: SymbolTable) -> Self {
-        Self::from_shared(Arc::new(table))
-    }
-
-    /// Wraps an already-shared pre-trained table without re-wrapping it.
-    pub fn from_shared(table: Arc<SymbolTable>) -> Self {
-        Self { table }
+        Self { table: Arc::new(table) }
     }
 
     /// Trains a table by sampling `bytes` (the online sampling phase).
@@ -933,16 +928,6 @@ mod tests {
         let b = a.clone();
         assert!(std::ptr::eq(a.table(), b.table()), "clone deep-copied the symbol table");
         assert!(Arc::ptr_eq(a.shared_table(), b.shared_table()));
-    }
-
-    #[test]
-    fn from_shared_adopts_without_copying() {
-        let a = trained();
-        let c = E2mc::from_shared(Arc::clone(a.shared_table()));
-        assert!(std::ptr::eq(a.table(), c.table()));
-        // And the adopted codec is fully functional.
-        let block = block_from_u32s(|i| (i as u32 * 7) % 97);
-        assert_eq!(roundtrip(&c, &block), block);
     }
 
     #[test]

@@ -66,24 +66,6 @@ impl RatioAccumulator {
         let original = self.blocks as f64 * f64::from(self.block_bytes);
         original / self.effective_bytes.max(1) as f64
     }
-
-    /// Total effective bytes transferred, i.e. what the bus actually moves.
-    pub fn effective_bytes(&self) -> u64 {
-        self.effective_bytes
-    }
-
-    /// Merges another accumulator (must share MAG and block size).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configurations differ.
-    pub fn merge(&mut self, other: &RatioAccumulator) {
-        assert_eq!(self.mag, other.mag, "cannot merge accumulators with different MAGs");
-        assert_eq!(self.block_bytes, other.block_bytes);
-        self.blocks += other.blocks;
-        self.raw_bytes += other.raw_bytes;
-        self.effective_bytes += other.effective_bytes;
-    }
 }
 
 /// Geometric mean of a slice of positive values; 0.0 for an empty slice.
@@ -132,25 +114,6 @@ mod tests {
         acc.record_bytes(200);
         assert_eq!(acc.raw_ratio(), 1.0);
         assert_eq!(acc.effective_ratio(), 1.0);
-    }
-
-    #[test]
-    fn merge_combines_totals() {
-        let mut a = RatioAccumulator::new(Mag::GDDR5, 128);
-        let mut b = RatioAccumulator::new(Mag::GDDR5, 128);
-        a.record_bytes(32);
-        b.record_bytes(64);
-        a.merge(&b);
-        assert_eq!(a.blocks(), 2);
-        assert!((a.raw_ratio() - 256.0 / 96.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "different MAGs")]
-    fn merge_rejects_mismatched_mag() {
-        let mut a = RatioAccumulator::new(Mag::GDDR5, 128);
-        let b = RatioAccumulator::new(Mag::WIDE_64, 128);
-        a.merge(&b);
     }
 
     #[test]

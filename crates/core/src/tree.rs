@@ -19,9 +19,9 @@
 //! starting at `4 + 16i`), the natural way to add finer sums with a few
 //! extra adders. Each is two sums of the level below — the window at
 //! `2 + 8i` is pairs `4i + 1` and `4i + 2`, the one at `4 + 16i` quads
-//! `4i + 1` and `4i + 2` — so a staggered node costs one adder. See
-//! PAPER.md, "This reproduction", for the rationale and
-//! `slc probe ablation` for the measured effect.
+//! `4i + 1` and `4i + 2` — so a staggered node costs one adder. PAPER.md,
+//! "Deviations from the paper", staggered nodes, lists this placement and
+//! its measured effect, which `slc probe ablation` prints.
 //!
 //! Nothing is stored per block: [`BlockAnalysis::tree_sums`] adds the
 //! levels up, four `u16` nodes to a `u64` word, when a block reaches the

@@ -6,7 +6,6 @@ use crate::eval::{self, per_benchmark, Eval, EvalRow};
 use crate::fig1::{self, Fig1};
 use crate::fig2::{self, Fig2};
 use crate::fig9::{self, Fig9};
-use slc_compress::Mag;
 use slc_core::slc::SlcVariant;
 use slc_workloads::{Harness, Scale, Workload};
 
@@ -21,7 +20,7 @@ const THRESHOLD_BYTES: u32 = 16;
 /// taken from that row, not replayed.
 pub fn compute(workloads: Vec<Box<dyn Workload>>, scale: Scale) -> (Fig1, Fig2, Eval, Fig9) {
     let harness = Harness::new(scale);
-    let mag = Mag::GDDR5;
+    let mag = harness.config.mag();
     let rows = per_benchmark(workloads, &harness, |w, a| {
         let eval = eval::row(&harness, THRESHOLD_BYTES, &VARIANTS, w, a);
         // TSLC-OPT is the last of `VARIANTS`.
@@ -60,8 +59,8 @@ mod tests {
         // `slc run fig1` … `fig9` and `slc run all` cannot drift apart.
         let scale = Scale::Tiny;
         let (fig1, fig2, eval, fig9) = compute(all_workloads(scale), scale);
-        assert_eq!(fig1.render(), fig1::compute(scale, Mag::GDDR5).render());
-        assert_eq!(fig2.render(), fig2::compute(scale, Mag::GDDR5).render());
+        assert_eq!(fig1.render(), fig1::compute(scale).render());
+        assert_eq!(fig2.render(), fig2::compute(scale).render());
         let alone = eval::evaluate(scale, &Harness::new(scale), THRESHOLD_BYTES, &VARIANTS);
         assert_eq!(eval.render_fig7(), alone.render_fig7());
         assert_eq!(eval.render_fig8(), alone.render_fig8());

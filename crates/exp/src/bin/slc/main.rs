@@ -1,13 +1,13 @@
 //! `slc`: every table, figure and probe of the reproduction from one
 //! binary.
 //!
-//! `slc run …` prints the paper's artefacts (see the table in
-//! [`slc_exp`]'s crate docs); `slc probe …` prints the diagnostics that
-//! are not paper figures. Every subcommand reads `SLC_SCALE` (`tiny` /
-//! `small` / `full`, default `small`) and ends with the `footprint:` line
-//! on stderr, so stdout is the figures byte for byte. Any other argument
-//! list prints the usage on stderr and exits 2, like an unusable
-//! `SLC_SCALE` or `SLC_PAR_THREADS`.
+//! `slc run …` prints the paper's artefacts and `slc probe …` the
+//! diagnostics that are not paper figures; PAPER.md's "Map from the paper
+//! to the code" names what each one reproduces. Every subcommand reads
+//! `SLC_SCALE` (`tiny` / `small` / `full`, default `small`) and ends with
+//! the `footprint:` line on stderr, so stdout is the figures byte for
+//! byte. Any other argument list prints the usage on stderr and exits 2,
+//! like an unusable `SLC_SCALE` or `SLC_PAR_THREADS`.
 
 mod probe;
 
@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use slc_compress::bdi::Bdi;
 use slc_compress::rans::Rans;
-use slc_compress::Mag;
 use slc_core::slc::SlcVariant;
 use slc_exp::{all, fig1, fig2, fig9, report, tables};
 use slc_workloads::{all_workloads, workload_by_name, Harness, Scale};
@@ -42,8 +41,8 @@ fn main() {
             println!("{}", eval.render_fig8());
             println!("{}", fig9.render());
         }
-        ["run", "fig1"] => println!("{}", fig1::compute(scale, Mag::GDDR5).render()),
-        ["run", "fig2"] => println!("{}", fig2::compute(scale, Mag::GDDR5).render()),
+        ["run", "fig1"] => println!("{}", fig1::compute(scale).render()),
+        ["run", "fig2"] => println!("{}", fig2::compute(scale).render()),
         ["run", "fig7"] => println!("{}", tslc_eval(scale).render_fig7()),
         ["run", "fig8"] => println!("{}", tslc_eval(scale).render_fig8()),
         ["run", "fig9"] => println!("{}", fig9::compute(scale).render()),

@@ -1,8 +1,8 @@
 //! Figure 1: raw vs effective compression ratio of BDI, FPC, C-PACK and
 //! E2MC at MAG 32 B — plus BPC, which the paper only argues about
 //! qualitatively (Section II-A) and we measure. The other Section II-A
-//! codecs (SC2, FP-H, HyComp) are retired; PAPER.md keeps their measured
-//! MAG gaps.
+//! codecs (SC2, FP-H, HyComp) are not modelled; PAPER.md, "Deviations
+//! from the paper", gives their measured MAG gaps.
 
 use crate::eval::per_benchmark;
 use crate::report::{f3, TextTable};
@@ -46,9 +46,12 @@ pub struct Fig1 {
     pub mag: Mag,
 }
 
-/// Computes Fig. 1 at `scale` under `mag`, one benchmark at a time.
-pub fn compute(scale: Scale, mag: Mag) -> Fig1 {
-    let rows = per_benchmark(all_workloads(scale), &Harness::new(scale), |_, a| row(a, mag));
+/// Computes Fig. 1 at `scale` under the simulated GPU's MAG (32 B), one
+/// benchmark at a time.
+pub fn compute(scale: Scale) -> Fig1 {
+    let harness = Harness::new(scale);
+    let mag = harness.config.mag();
+    let rows = per_benchmark(all_workloads(scale), &harness, |_, a| row(a, mag));
     Fig1::from_rows(rows, mag)
 }
 
@@ -132,7 +135,7 @@ mod tests {
 
     #[test]
     fn fig1_tiny_has_expected_shape() {
-        let fig = compute(Scale::Tiny, Mag::GDDR5);
+        let fig = compute(Scale::Tiny);
         assert_eq!(fig.rows.len(), 9);
         assert_eq!(fig.gm.len(), 5);
         for row in &fig.rows {

@@ -31,10 +31,12 @@ pub struct Fig2 {
     pub mag: Mag,
 }
 
-/// Computes the Fig. 2 distribution at `scale` under `mag`, one benchmark
-/// at a time.
-pub fn compute(scale: Scale, mag: Mag) -> Fig2 {
-    let rows = per_benchmark(all_workloads(scale), &Harness::new(scale), |_, a| row(a, mag));
+/// Computes the Fig. 2 distribution at `scale` under the simulated GPU's
+/// MAG (32 B), one benchmark at a time.
+pub fn compute(scale: Scale) -> Fig2 {
+    let harness = Harness::new(scale);
+    let mag = harness.config.mag();
+    let rows = per_benchmark(all_workloads(scale), &harness, |_, a| row(a, mag));
     Fig2 { rows, mag }
 }
 
@@ -101,7 +103,7 @@ mod tests {
 
     #[test]
     fn distribution_sums_to_hundred() {
-        let fig = compute(Scale::Tiny, Mag::GDDR5);
+        let fig = compute(Scale::Tiny);
         assert_eq!(fig.rows.len(), 9);
         for row in &fig.rows {
             assert_eq!(row.pct.len(), 33);
@@ -115,7 +117,7 @@ mod tests {
         // The paper's core observation: a significant percentage of blocks
         // land a few bytes above a multiple of MAG: 1 to 16 B above one,
         // exact multiples excluded, is SLC's opportunity mass.
-        let fig = compute(Scale::Tiny, Mag::GDDR5);
+        let fig = compute(Scale::Tiny);
         let avg_opportunity: f64 =
             fig.rows.iter().map(|r| r.pct[1..=16].iter().sum::<f64>()).sum::<f64>()
                 / fig.rows.len() as f64;
@@ -127,7 +129,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_benchmark() {
-        let fig = compute(Scale::Tiny, Mag::GDDR5);
+        let fig = compute(Scale::Tiny);
         let s = fig.render();
         for name in ["JM", "BS", "DCT", "SRAD2"] {
             assert!(s.contains(name), "missing {name}");

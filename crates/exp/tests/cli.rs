@@ -1,6 +1,8 @@
 //! The `slc` binary end to end: its stdout is the figures byte for byte,
-//! and every usage error exits 2 before printing anything.
+//! every command PAPER.md's map names runs, and every usage error exits 2
+//! before printing anything.
 
+use std::collections::BTreeSet;
 use std::process::{Command, Output};
 
 /// Runs `slc` with `args`, `SLC_SCALE=scale` and `workers` workers.
@@ -60,6 +62,47 @@ fn each_run_arm_prints_its_slice_of_the_golden() {
 fn tables_print_the_library_renders() {
     assert_eq!(stdout_of("tiny", &["run", "table1"]), slc_exp::tables::table1() + "\n");
     assert_eq!(stdout_of("tiny", &["run", "table2"]), slc_exp::tables::table2() + "\n");
+}
+
+/// The argument lists of the `slc …` commands in the table rows of
+/// PAPER.md's "Map from the paper to the code".
+fn map_commands() -> Vec<Vec<&'static str>> {
+    let paper = include_str!("../../../PAPER.md");
+    let (_, map) =
+        paper.split_once("\n## Map from the paper to the code\n").expect("PAPER.md has its map");
+    let map = map.split("\n## ").next().unwrap_or(map);
+    map.lines()
+        .filter(|line| line.starts_with('|'))
+        .flat_map(|line| line.split('`').skip(1).step_by(2))
+        .filter_map(|span| span.strip_prefix("slc "))
+        .map(|command| command.split_whitespace().collect())
+        .collect()
+}
+
+#[test]
+fn every_command_in_papers_map_runs_and_the_map_covers_the_usage() {
+    let commands = map_commands();
+    for args in &commands {
+        let out = slc("2", "tiny", args);
+        assert!(out.status.success(), "PAPER.md's `slc {}` failed: {out:?}", args.join(" "));
+        assert!(!out.stdout.is_empty(), "PAPER.md's `slc {}` printed nothing", args.join(" "));
+    }
+    // Every (verb, subcommand) the usage lists has a row, and no row names
+    // one the usage does not list.
+    let pair = |verb: &str, sub: &str| (verb.to_owned(), sub.to_owned());
+    let mapped: BTreeSet<_> =
+        commands.iter().map(|args| pair(args[0], args.get(1).copied().unwrap_or(""))).collect();
+    let usage = String::from_utf8(slc("1", "tiny", &[]).stderr).expect("the usage is UTF-8");
+    let listed: BTreeSet<_> = usage
+        .lines()
+        .filter_map(|line| line.split_once("slc ").map(|(_, rest)| rest))
+        .flat_map(|rest| {
+            let mut words = rest.split_whitespace();
+            let verb = words.next().unwrap_or("");
+            words.next().unwrap_or("").split('|').map(move |sub| pair(verb, sub))
+        })
+        .collect();
+    assert_eq!(mapped, listed, "PAPER.md's map (left) against `slc`'s usage (right)");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! performance effect is purely a memory-system effect — fewer 32 B DRAM
 //! bursts per block ⇒ lower DRAM occupancy and queueing ⇒ fewer SM stalls
 //! for memory-bound kernels — so this crate models exactly that path
-//! (PAPER.md, "This reproduction"):
+//! (PAPER.md, "Timing model"):
 //!
 //! * [`sm`] — an SM front-end issuing coalesced 128 B requests from a
 //!   trace, with bounded MSHRs and explicit sync points (latency hiding).

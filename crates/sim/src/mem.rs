@@ -10,11 +10,11 @@
 //! memory allocation is used to determine if a load is safe to approximate
 //! or not." Workload kernels allocate their arrays here, flagging the ones
 //! whose approximation cannot cause catastrophic failures; the harness
-//! then stages flagged regions through the SLC codec at kernel-boundary
-//! DRAM round-trips (see PAPER.md, "This reproduction", for why kernel
-//! granularity preserves the paper's behaviour for these memory-bound
-//! apps). [`GpuMemory::regions_mut`] lends only flagged regions writable
-//! ([`RegionBlocks`]).
+//! then stages every flagged region through the SLC codec at every kernel
+//! boundary, not on the memory controller's write path as the paper does
+//! (PAPER.md, "Deviations from the paper", staging at every kernel
+//! boundary). [`GpuMemory::regions_mut`] lends only flagged regions
+//! writable ([`RegionBlocks`]).
 //!
 //! [`GpuMemory::malloc`] takes no `threshold`: the lossy threshold is per
 //! scheme (`slc_core::SlcConfig`), not per allocation as in §IV-C. Every

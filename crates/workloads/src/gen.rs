@@ -3,9 +3,9 @@
 //! The paper's inputs (CUDA SDK / Rodinia / AxBench data sets) are
 //! replaced with seeded synthetic equivalents that reproduce the
 //! *compressibility profile* that matters to SLC: smooth images, clustered
-//! floating-point magnitudes, and high-entropy option parameters (see
-//! PAPER.md, "This reproduction"). Everything is deterministic in the
-//! seed.
+//! floating-point magnitudes, and high-entropy option parameters (PAPER.md,
+//! "Deviations from the paper", seeded inputs and three scales, gives what
+//! that does to E2MC's ratio). Everything is deterministic in the seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -6,14 +6,14 @@ use slc_sim::{DevicePtr, GpuMemory, Trace};
 /// Input scaling relative to the paper's inputs.
 ///
 /// The paper runs 4 M options / 1024² images / 8–20 M elements on
-/// gpgpu-sim; this reproduction defaults to 4–16× smaller inputs so the
-/// full figure suite runs in minutes (PAPER.md, "This reproduction").
-/// `Full` matches the paper sizes where feasible.
+/// gpgpu-sim. `Small`, the default, is 3–40× smaller, so `slc run all`
+/// takes seconds; `Full` matches the paper sizes where feasible (PAPER.md,
+/// "Deviations from the paper", seeded inputs and three scales).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
     /// Fast inputs for unit/integration tests.
     Tiny,
-    /// Default experiment inputs (4–16× below the paper).
+    /// Default experiment inputs (3–40× below the paper).
     #[default]
     Small,
     /// Paper-sized inputs.
