@@ -154,20 +154,26 @@ fn truncating_a_container_is_an_error_not_a_panic() {
 #[test]
 fn exact_worker_counts_agree_everywhere() {
     // Exercise several explicit worker counts (including more workers
-    // than chunks) against the serial reference.
-    let engine = Engine::new(Arc::new(Fpc::new())).with_chunk_bytes(128);
+    // than chunks) against the serial reference, for a cheap block codec,
+    // the trained per-block codec and the whole-chunk coder.
     let data = stream(1500, 11, 4);
-    let serial = engine.compress_threads(&data, Threads::Serial);
-    for workers in [1usize, 2, 3, 8, 64] {
-        assert_eq!(engine.compress_threads(&data, Threads::Exact(workers)), serial);
-        assert_eq!(
-            engine.decompress_threads(&serial, Threads::Exact(workers)).unwrap(),
-            data,
-            "{workers} workers"
-        );
+    let e2mc = E2mc::train_on_bytes(&data, &E2mcConfig::default());
+    let codecs: [Arc<dyn BlockCodec>; 4] =
+        [Arc::new(Fpc::new()), Arc::new(Bdi::new()), Arc::new(e2mc), Arc::new(Rans::new())];
+    for codec in codecs {
+        let name = codec.id().name();
+        let engine = Engine::new(codec).with_chunk_bytes(128);
+        let serial = engine.compress_threads(&data, Threads::Serial);
+        for threads in [1usize, 2, 3, 8, 64].map(Threads::Exact).into_iter().chain([Threads::Auto])
+        {
+            assert_eq!(engine.compress_threads(&data, threads), serial, "{name}, {threads:?}");
+            assert_eq!(
+                engine.decompress_threads(&serial, threads).unwrap(),
+                data,
+                "{name}, {threads:?}"
+            );
+        }
     }
-    assert_eq!(engine.compress_threads(&data, Threads::Auto), serial);
-    assert_eq!(engine.decompress_threads(&serial, Threads::Auto).unwrap(), data);
 }
 
 #[test]

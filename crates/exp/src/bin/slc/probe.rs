@@ -1,11 +1,11 @@
-//! `slc probe …`: diagnostics that are not paper figures — tuning aids,
-//! the engine smoke CI runs, the ablations and the threshold sweep.
+//! `slc probe …`: diagnostics that are not paper figures — per-benchmark
+//! bursts and region outcomes, the scheduler matrix, the framed-container
+//! round trip, the ablations and the threshold sweep.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use slc_compress::symbols::block_to_symbols;
-use slc_compress::{Block, BlockCodec, BlockCompressor, Mag, BLOCK_BYTES};
+use slc_compress::{Block, BlockCodec, BlockCompressor, BLOCK_BYTES};
 use slc_core::budget::ModeChoice;
 use slc_core::predict::PredictorKind;
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
@@ -88,13 +88,13 @@ pub fn regions(scale: Scale) {
     }
 }
 
-/// `sched`: timing under the scheduler-policy matrix, the tuning aid
-/// that attributes PR 5's model changes.
+/// `sched`: cycles under the scheduler-policy matrix.
 ///
 /// For every benchmark, NOCOMP cycles under {InOrder, FR-FCFS} × {MDC,
-/// no MDC} (the pre-PR baseline is InOrder + MDC; the fixed baseline is
-/// FR-FCFS without an MDC) and E2MC cycles under both policies, plus the
-/// FR-FCFS write-drain telemetry of the E2MC run.
+/// no MDC} and E2MC cycles under both policies, plus the FR-FCFS
+/// write-drain telemetry of the E2MC run. The harness's NOCOMP run is
+/// the `no_fr` column (FR-FCFS without an MDC); the other columns show
+/// what an in-order channel and metadata traffic each add.
 pub fn sched(scale: Scale) {
     let h = Harness::new(scale);
     println!("NOCOMP cycles per policy x MDC, E2MC cycles per policy (scale {scale:?})");
@@ -169,25 +169,18 @@ fn hostile_pass(engine: &Engine, container: &[u8], decoded_len: usize, seed: u64
     rejected
 }
 
-/// Runs `f` over `bytes` bytes: its result and wall-clock GB/s (1 byte/ns
-/// = 1 GB/s).
-fn timed<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, f64) {
-    let t = Instant::now();
-    let out = f();
-    (out, bytes as f64 / t.elapsed().as_secs_f64() / 1e9)
-}
-
 /// `engine`: every benchmark's exact snapshot through the batch engine,
-/// the end-to-end smoke for the framed container path.
+/// the end-to-end check of the framed container path.
 ///
 /// For each workload the probe concatenates the exact-region byte image
 /// ([`snapshot_bytes`]), compresses it twice — once from scratch and
 /// once through the cached-size fast path ([`compress_snapshot`]) — and
 /// checks the two containers are byte-identical, that parallel decode
 /// equals serial decode equals the original image, and prints the
-/// container's compression ratio plus wall-clock GB/s for both
-/// directions. Any contract violation aborts the process, so a plain
-/// exit-0 run is the pass signal.
+/// image's size and the container's chunk count and compression ratio.
+/// Any contract violation aborts the process, so a plain exit-0 run is
+/// the pass signal. Nothing printed is timed, so the output is the same
+/// bytes at any worker count; the container's throughput is the ledger's.
 ///
 /// Each container then takes a seeded hostile pass: [`HOSTILE_FLIPS`]
 /// single-bit flips, each decoded with nothing around the call — it
@@ -202,23 +195,13 @@ fn timed<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, f64) {
 /// is asserted for every substrate — chunk coders document that they
 /// ignore the size hints, and this is where that contract is exercised
 /// end to end.
-///
-/// After the per-workload sweep the probe re-runs the largest snapshot
-/// under `Threads::Exact(n)` for n = 1, 2, 4, 8, printing per-worker-
-/// count GB/s (and asserting the containers stay byte-identical), so a
-/// scheduling regression shows up as a flat or inverted scaling column
-/// rather than a silent slowdown.
 pub fn engine(scale: Scale, codec: Option<Arc<dyn BlockCodec>>) {
     let codec_name = codec.as_ref().map_or("e2mc", |c| c.id().name());
     let h = Harness::new(scale);
     println!(
         "Engine snapshot probe: framed container end-to-end (scale {scale:?}, codec {codec_name})"
     );
-    println!(
-        "{:>6} {:>10} {:>8} {:>8} {:>12} {:>12} {:>9}",
-        "bench", "bytes", "chunks", "ratio", "comp_GB/s", "decomp_GB/s", "hostile"
-    );
-    let mut largest: Option<(Vec<u8>, Engine)> = None;
+    println!("{:>6} {:>10} {:>8} {:>8} {:>9}", "bench", "bytes", "chunks", "ratio", "hostile");
     for w in all_workloads(scale) {
         let a = h.prepare(w.as_ref());
         let bytes = snapshot_bytes(&a.exact_memory);
@@ -228,8 +211,7 @@ pub fn engine(scale: Scale, codec: Option<Arc<dyn BlockCodec>>) {
         };
         let snapshot = SnapshotAnalysis::capture(&a.e2mc, &a.exact_memory);
 
-        let (container, comp) =
-            timed(bytes.len(), || engine.compress_threads(&bytes, Threads::Auto));
+        let container = engine.compress_threads(&bytes, Threads::Auto);
 
         // The cached-size fast path must reproduce the container exactly:
         // per-block codecs because the hints equal their own size_bits,
@@ -241,9 +223,9 @@ pub fn engine(scale: Scale, codec: Option<Arc<dyn BlockCodec>>) {
             a.name
         );
 
-        let (parallel, decomp) =
-            timed(bytes.len(), || engine.decompress_threads(&container, Threads::Auto));
-        let parallel = parallel.expect("engine-produced container must decode");
+        let parallel = engine
+            .decompress_threads(&container, Threads::Auto)
+            .expect("engine-produced container must decode");
         let serial = engine
             .decompress_threads(&container, Threads::Serial)
             .expect("engine-produced container must decode serially");
@@ -253,35 +235,13 @@ pub fn engine(scale: Scale, codec: Option<Arc<dyn BlockCodec>>) {
         let rejected = hostile_pass(&engine, &container, bytes.len(), bytes.len() as u64);
         let info = frame_info(&container).expect("engine-produced container must parse");
         println!(
-            "{:>6} {:>10} {:>8} {:>8.3} {:>12.3} {:>12.3} {:>9}",
+            "{:>6} {:>10} {:>8} {:>8.3} {:>9}",
             a.name,
             bytes.len(),
             info.chunk_count,
             info.ratio(),
-            comp,
-            decomp,
             format!("{rejected}/{HOSTILE_FLIPS}"),
         );
-        if largest.as_ref().is_none_or(|(b, _)| b.len() < bytes.len()) {
-            largest = Some((bytes, engine));
-        }
-    }
-
-    // Worker-count scaling on the largest snapshot: output bytes are
-    // policy-independent (asserted), only the wall clock may move.
-    let (bytes, engine) = largest.expect("at least one workload at every scale");
-    let reference = engine.compress_threads(&bytes, Threads::Serial);
-    println!("worker scaling on largest snapshot ({} bytes, codec {codec_name}):", bytes.len());
-    println!("{:>8} {:>12} {:>12}", "workers", "comp_GB/s", "decomp_GB/s");
-    for n in [1usize, 2, 4, 8] {
-        let (container, comp) =
-            timed(bytes.len(), || engine.compress_threads(&bytes, Threads::Exact(n)));
-        assert_eq!(container, reference, "Exact({n}) container diverged from serial");
-        let (decoded, decomp) =
-            timed(bytes.len(), || engine.decompress_threads(&container, Threads::Exact(n)));
-        let decoded = decoded.expect("engine-produced container must decode at any worker count");
-        assert_eq!(decoded, bytes, "Exact({n}) decode is not byte-identical");
-        println!("{n:>8} {comp:>12.3} {decomp:>12.3}");
     }
     println!("all snapshots roundtripped byte-identically (parallel == serial == original)");
     println!(
@@ -300,7 +260,9 @@ pub fn engine(scale: Scale, codec: Option<Arc<dyn BlockCodec>>) {
 ///
 /// The lossy-threshold sweep is [`threshold`].
 pub fn ablation(scale: Scale) {
-    let a = Harness::new(scale).prepare(&Nn::new(scale));
+    let h = Harness::new(scale);
+    let mag = h.config.mag();
+    let a = h.prepare(&Nn::new(scale));
     let blocks: Vec<Block> =
         a.exact_memory.all_blocks().filter(|(r, _)| r.safe_to_approx).map(|(_, b)| b).collect();
 
@@ -309,7 +271,7 @@ pub fn ablation(scale: Scale) {
         ("plain tree (TSLC-PRED)", SlcVariant::TslcPred),
         ("extra nodes (TSLC-OPT)", SlcVariant::TslcOpt),
     ] {
-        let slc = SlcCompressor::new(a.e2mc.clone(), SlcConfig::new(Mag::GDDR5, 16, variant));
+        let slc = SlcCompressor::new(a.e2mc.clone(), SlcConfig::new(mag, 16, variant));
         let mut lossy = 0u64;
         let mut symbols = 0u64;
         let mut over_bits = 0u64;
@@ -336,7 +298,7 @@ pub fn ablation(scale: Scale) {
     ] {
         let slc = SlcCompressor::new(
             a.e2mc.clone(),
-            SlcConfig::new(Mag::GDDR5, 16, SlcVariant::TslcPred).with_predictor(kind),
+            SlcConfig::new(mag, 16, SlcVariant::TslcPred).with_predictor(kind),
         );
         let mut sq = 0.0f64;
         let mut lossy = 0u64;

@@ -1,6 +1,6 @@
-//! The `slc` binary end to end: its stdout is the figures byte for byte,
-//! every command PAPER.md's map names runs, and every usage error exits 2
-//! before printing anything.
+//! The `slc` binary end to end: every command PAPER.md's map names prints
+//! its golden byte for byte, the map quotes numbers those goldens print,
+//! and every usage error exits 2 before printing anything.
 
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
@@ -26,36 +26,11 @@ fn stdout_of(scale: &str, args: &[&str]) -> String {
     stdout_on("1", scale, args)
 }
 
-#[test]
-fn run_all_at_tiny_equals_the_golden() {
-    let golden = include_str!("../../../tools/golden/run_all_tiny.txt");
-    // Not `assert_eq!`: a 133-line diff of two strings helps nobody.
-    let stdout = stdout_of("tiny", &["run", "all"]);
-    let first = stdout.lines().zip(golden.lines()).position(|(a, b)| a != b);
-    assert!(stdout == golden, "differs from the golden from line {first:?} on");
-}
-
-#[test]
-fn probe_ablation_at_tiny_equals_the_golden() {
-    // Its MDC-size table drives the simulator's metadata cache outside
-    // the timing model. One worker and two give the same bytes.
-    let golden = include_str!("../../../tools/golden/probe_ablation_tiny.txt");
-    for workers in ["1", "2"] {
-        let stdout = stdout_on(workers, "tiny", &["probe", "ablation"]);
-        assert!(stdout == golden, "{workers} workers: differs from the golden:\n{stdout}");
-    }
-}
-
-#[test]
-fn each_run_arm_prints_its_slice_of_the_golden() {
-    // `slc run all` prints every figure and Table III once; each arm's
-    // stdout must be one of those pieces, verbatim, and nothing more.
-    let golden = include_str!("../../../tools/golden/run_all_tiny.txt");
-    for arm in ["fig1", "fig2", "fig7", "fig8", "fig9", "table3"] {
-        let stdout = stdout_of("tiny", &["run", arm]);
-        assert!(!stdout.trim().is_empty(), "slc run {arm} printed nothing");
-        assert!(golden.contains(&stdout), "slc run {arm} is not a slice of the golden:\n{stdout}");
-    }
+/// `tools/golden/<name>`, read when the test runs: a golden that a row
+/// names but nobody recorded fails that row.
+fn golden(name: &str) -> String {
+    let path = format!("{}/../../tools/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 #[test]
@@ -64,24 +39,95 @@ fn tables_print_the_library_renders() {
     assert_eq!(stdout_of("tiny", &["run", "table2"]), slc_exp::tables::table2() + "\n");
 }
 
-/// The argument lists of the `slc …` commands in the table rows of
-/// PAPER.md's "Map from the paper to the code".
-fn map_commands() -> Vec<Vec<&'static str>> {
+/// The rows of the table in PAPER.md's "Map from the paper to the code",
+/// each as its five cells: artefact, command, entry point, gate, number.
+fn map_rows() -> Vec<[&'static str; 5]> {
     let paper = include_str!("../../../PAPER.md");
     let (_, map) =
         paper.split_once("\n## Map from the paper to the code\n").expect("PAPER.md has its map");
     let map = map.split("\n## ").next().unwrap_or(map);
     map.lines()
         .filter(|line| line.starts_with('|'))
-        .flat_map(|line| line.split('`').skip(1).step_by(2))
-        .filter_map(|span| span.strip_prefix("slc "))
-        .map(|command| command.split_whitespace().collect())
+        .skip(2) // the header and its rule
+        .map(|line| {
+            let cells: Vec<_> = line.trim_matches('|').split('|').map(str::trim).collect();
+            cells.try_into().unwrap_or_else(|cells| panic!("not five cells: {cells:?}"))
+        })
         .collect()
+}
+
+/// The `…` spans of a table cell.
+fn code_spans(cell: &str) -> impl Iterator<Item = &str> {
+    cell.split('`').skip(1).step_by(2)
+}
+
+/// The argument list of a map row's `slc …` command.
+fn command_of(row: &[&'static str; 5]) -> Vec<&'static str> {
+    let command = code_spans(row[1]).find_map(|span| span.strip_prefix("slc "));
+    command.unwrap_or_else(|| panic!("{}: no `slc …` command", row[0])).split_whitespace().collect()
+}
+
+/// The first decimal number in `text` that does not end a word (the 2 of
+/// `E2MC` is not one).
+fn first_number(text: &str) -> Option<&str> {
+    let bytes = text.as_bytes();
+    let start = (0..bytes.len()).find(|&i| {
+        bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric())
+    })?;
+    let rest = &text[start..];
+    let len = rest.find(|c: char| !c.is_ascii_digit() && c != '.').unwrap_or(rest.len());
+    Some(rest[..len].trim_end_matches('.'))
+}
+
+#[test]
+fn every_map_row_prints_its_tiny_golden_and_quotes_a_gated_number() {
+    // `slc run all` prints every figure and Table III once; each other
+    // `run` arm's stdout must be one of those pieces, verbatim. Every
+    // other command has its own golden, named after its arguments
+    // without `--codec`.
+    let run_all = golden("run_all_tiny.txt");
+    for row @ [artefact, _, _, gate, number] in map_rows() {
+        let args = command_of(&row);
+        let command = args.join(" ");
+        let slug: Vec<_> = args.iter().copied().filter(|&arg| arg != "--codec").collect();
+        let name = format!("{}_tiny.txt", slug.join("_"));
+        for workers in ["1", "2"] {
+            let stdout = stdout_on(workers, "tiny", &args);
+            assert!(!stdout.trim().is_empty(), "`slc {command}` printed nothing");
+            if matches!(args[..], ["run", arm] if arm != "all") {
+                assert!(
+                    run_all.contains(&stdout),
+                    "`slc {command}` is not a slice of run_all_tiny.txt:\n{stdout}"
+                );
+                continue;
+            }
+            // Not `assert_eq!`: a 133-line diff of two strings helps nobody.
+            let golden = golden(&name);
+            let line = stdout.lines().zip(golden.lines()).take_while(|(a, b)| a == b).count() + 1;
+            assert!(
+                stdout == golden,
+                "`slc {command}` with SLC_PAR_THREADS={workers}: differs from {name} from line {line} on"
+            );
+        }
+        // The first number of the row's last cell is printed by a golden
+        // that the Gate cell names, at the scale the cell names.
+        let quoted = first_number(number).unwrap_or_else(|| panic!("{artefact}: no number"));
+        let at_scale: Vec<_> = code_spans(gate)
+            .filter(|span| span.ends_with(".txt"))
+            .filter(|name| {
+                ["tiny", "small", "full"].iter().any(|s| name.contains(s) && number.contains(s))
+            })
+            .collect();
+        assert!(
+            at_scale.iter().any(|name| golden(name).contains(quoted)),
+            "{artefact}: {quoted} is printed by none of {at_scale:?}, its Gate's goldens at the scale of {number:?}"
+        );
+    }
 }
 
 #[test]
 fn every_command_in_papers_map_runs_and_the_map_covers_the_usage() {
-    let commands = map_commands();
+    let commands: Vec<_> = map_rows().iter().map(command_of).collect();
     for args in &commands {
         let out = slc("2", "tiny", args);
         assert!(out.status.success(), "PAPER.md's `slc {}` failed: {out:?}", args.join(" "));
