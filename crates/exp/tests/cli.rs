@@ -79,22 +79,37 @@ fn first_number(text: &str) -> Option<&str> {
     Some(rest[..len].trim_end_matches('.'))
 }
 
-#[test]
-fn every_map_row_prints_its_tiny_golden_and_quotes_a_gated_number() {
-    // `slc run all` prints every figure and Table III once; each other
-    // `run` arm's stdout must be one of those pieces, verbatim. Every
-    // other command has its own golden, named after its arguments
-    // without `--codec`.
+/// A map command that prints all of `run_all_tiny.txt`.
+fn is_run_all(args: &[&str]) -> bool {
+    args == ["run", "all"]
+}
+
+/// A map command that prints one piece of `run_all_tiny.txt`.
+fn is_run_arm(args: &[&str]) -> bool {
+    matches!(args, ["run", arm] if *arm != "all")
+}
+
+fn is_probe_ablation(args: &[&str]) -> bool {
+    args == ["probe", "ablation"]
+}
+
+/// Runs the command of every map row that `select` takes at `tiny` with
+/// one and two workers, and compares its stdout byte for byte with its
+/// golden, named after its arguments without `--codec`. A `run` arm
+/// other than `all` has no golden of its own: its stdout must be one of
+/// the pieces of `run_all_tiny.txt`, verbatim. `select` must take a row.
+fn assert_rows_print_their_goldens(select: impl Fn(&[&str]) -> bool) {
     let run_all = golden("run_all_tiny.txt");
-    for row @ [artefact, _, _, gate, number] in map_rows() {
-        let args = command_of(&row);
+    let rows: Vec<_> = map_rows().iter().map(command_of).filter(|args| select(args)).collect();
+    assert!(!rows.is_empty(), "no map row selected");
+    for args in rows {
         let command = args.join(" ");
         let slug: Vec<_> = args.iter().copied().filter(|&arg| arg != "--codec").collect();
         let name = format!("{}_tiny.txt", slug.join("_"));
         for workers in ["1", "2"] {
             let stdout = stdout_on(workers, "tiny", &args);
             assert!(!stdout.trim().is_empty(), "`slc {command}` printed nothing");
-            if matches!(args[..], ["run", arm] if arm != "all") {
+            if is_run_arm(&args) {
                 assert!(
                     run_all.contains(&stdout),
                     "`slc {command}` is not a slice of run_all_tiny.txt:\n{stdout}"
@@ -109,8 +124,33 @@ fn every_map_row_prints_its_tiny_golden_and_quotes_a_gated_number() {
                 "`slc {command}` with SLC_PAR_THREADS={workers}: differs from {name} from line {line} on"
             );
         }
-        // The first number of the row's last cell is printed by a golden
-        // that the Gate cell names, at the scale the cell names.
+    }
+}
+
+#[test]
+fn run_all_at_tiny_equals_the_golden() {
+    assert_rows_print_their_goldens(is_run_all);
+}
+
+#[test]
+fn probe_ablation_at_tiny_equals_the_golden() {
+    assert_rows_print_their_goldens(is_probe_ablation);
+}
+
+#[test]
+fn each_run_arm_prints_its_slice_of_the_golden() {
+    assert_rows_print_their_goldens(is_run_arm);
+}
+
+#[test]
+fn every_map_row_prints_its_tiny_golden_and_quotes_a_gated_number() {
+    // The rows the three tests above leave: every other probe.
+    assert_rows_print_their_goldens(|args| {
+        !is_run_all(args) && !is_run_arm(args) && !is_probe_ablation(args)
+    });
+    // The first number of each row's last cell is printed by a golden
+    // that the Gate cell names, at the scale the cell names.
+    for [artefact, _, _, gate, number] in map_rows() {
         let quoted = first_number(number).unwrap_or_else(|| panic!("{artefact}: no number"));
         let at_scale: Vec<_> = code_spans(gate)
             .filter(|span| span.ends_with(".txt"))
