@@ -103,12 +103,28 @@ impl<T: BlockCompressor + Send + Sync + ?Sized> BlockCodec for T {}
 /// never an out-of-bounds access. The engine calls it with no guard
 /// around it.
 pub trait ChunkCoder: Send + Sync {
-    /// Encodes `chunk` as one self-contained stream.
-    fn encode_chunk(&self, chunk: &[u8]) -> Vec<u8>;
+    /// Encodes `chunk` as one self-contained stream and appends it to
+    /// `out` if it is shorter than `limit` bytes; returns whether it did.
+    /// Otherwise `out` keeps its length, and the coder may stop as soon
+    /// as the stream cannot come in under `limit`: the engine passes the
+    /// chunk's own length and stores a chunk whose stream is not shorter
+    /// verbatim. `usize::MAX` takes any stream.
+    fn encode_chunk_into(&self, chunk: &[u8], limit: usize, out: &mut Vec<u8>) -> bool;
+
+    /// Encodes `chunk` as one self-contained stream of its own, however
+    /// long: [`encode_chunk_into`](Self::encode_chunk_into) with no
+    /// limit, into a buffer cut back to the stream (the coder may have
+    /// used room past it while encoding).
+    fn encode_chunk(&self, chunk: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_chunk_into(chunk, usize::MAX, &mut out);
+        out.shrink_to_fit();
+        out
+    }
 
     /// Decodes a stream produced by
-    /// [`encode_chunk`](Self::encode_chunk) into `dst`, whose length is
-    /// the original chunk length.
+    /// [`encode_chunk_into`](Self::encode_chunk_into) into `dst`, whose
+    /// length is the original chunk length.
     fn decode_chunk(&self, src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError>;
 }
 

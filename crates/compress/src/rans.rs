@@ -63,9 +63,7 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::codec::ChunkCoder;
-use crate::{
-    load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BITS,
-};
+use crate::{load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError};
 
 /// log2 of the frequency scale: frequencies are normalised to 2^12.
 pub const RANS_SCALE_BITS: u32 = 12;
@@ -222,6 +220,12 @@ fn dec_table(freq: &[u16; 256]) -> DecTable {
     t
 }
 
+/// Serialised size of a table of `n` present symbols: the count byte,
+/// the symbols and their 12-bit frequencies, packed.
+fn table_bytes(n: usize) -> usize {
+    1 + n + (n * RANS_SCALE_BITS as usize).div_ceil(8)
+}
+
 /// Serialises the sparse frequency table (see the module docs layout):
 /// the count, then the symbols and the frequencies, one pass each.
 fn write_table(freq: &[u16; 256], out: &mut Vec<u8>) {
@@ -279,69 +283,100 @@ fn parse_table(src: &[u8]) -> Result<([u16; 256], &[u8]), DecodeError> {
 }
 
 /// One encoder step for the symbol of entry `e` on state `x`: branchless
-/// renorm (an unconditional word store with a conditionally-advanced
-/// cursor; `x >= freq << 20` tested as `x >> 16 >= freq << 4` on the
+/// renorm (an unconditional store of the low word just below `words[free..]`,
+/// the words kept so far, with `free` moved down over it only when it is
+/// kept; `x >= freq << 20` tested as `x >> 16 >= freq << 4` on the
 /// shifted state a renorm keeps), then the reciprocal-multiply update.
 #[inline(always)]
-fn enc_step(x: u32, e: &EncSym, words: &mut [u16], wpos: &mut usize) -> u32 {
+fn enc_step(x: u32, e: &EncSym, words: &mut [[u8; 2]], free: &mut usize) -> u32 {
     debug_assert!(e.bound > 0, "encoding a symbol absent from the table");
     let hi = x >> 16;
     let renorm = hi >= e.bound;
-    words[*wpos] = x as u16;
-    *wpos += renorm as usize;
+    words[*free - 1] = (x as u16).to_le_bytes();
+    *free -= renorm as usize;
     let x = if renorm { hi } else { x };
     let q = ((u128::from(x) * u128::from(e.rcp)) >> 64) as u32;
     // x' = (x/f) << 12 | (x%f) + cum  ==  x + cum + (x/f) * (SCALE - f)
     x.wrapping_add(e.bias).wrapping_add(q.wrapping_mul(e.cmpl))
 }
 
-/// Encodes `data` with `t`, appending `[states][words]` to `out`.
+/// Encodes `data` with `t`, appending `[states][words]` to `out`, and
+/// returns true; or false, with `out` for the caller to cut back, once
+/// more than `max_words` words would follow the states.
 ///
 /// Symbols are processed back to front (lane of symbol `i` is
-/// `i % RANS_LANES`) and the word buffer is emitted reversed, so the
-/// decoder walks both symbols and words strictly forwards.
-fn rans_encode(data: &[u8], t: &[EncSym; 256], out: &mut Vec<u8>) {
-    // At most one 16-bit word per symbol, plus one slot of slack for the
-    // unconditional store in enc_step: the stream's one allocation.
-    let mut words = vec![0u16; data.len() + 1];
-    let mut wpos = 0usize;
+/// `i % RANS_LANES`), so the words come out in reverse decode order.
+/// They are stored from the top of a region of `out` downwards, where
+/// they read in decode order, and slid down behind the states at the
+/// end. The region is `out`'s own: nothing else is allocated. Past
+/// `max_words` the stream is given up before the next lane group, so the
+/// region holds `max_words`, one group and the unconditional store.
+fn rans_encode(data: &[u8], t: &[EncSym; 256], max_words: usize, out: &mut Vec<u8>) -> bool {
+    let start = out.len();
+    let words_at = start + STATE_BYTES;
+    // At most one word per symbol, plus the unconditional store's slot.
+    let cap = (data.len() + 1).min(max_words.saturating_add(RANS_LANES));
+    // `free` below `floor`: more than `max_words` words kept.
+    let floor = cap.saturating_sub(max_words);
+    out.resize(words_at + 2 * cap, 0);
+    let (words, _) = out[words_at..].as_chunks_mut::<2>();
+    let mut free = cap;
     let (groups, tail) = data.as_chunks::<RANS_LANES>();
     // Ragged tail first (backwards), then whole groups, lanes 3, 2, 1, 0.
     let mut states = [RANS_L; RANS_LANES];
     for (x, &s) in states.iter_mut().zip(tail).rev() {
-        *x = enc_step(*x, &t[usize::from(s)], &mut words, &mut wpos);
+        *x = enc_step(*x, &t[usize::from(s)], words, &mut free);
     }
     let [mut x0, mut x1, mut x2, mut x3] = states;
     for &[s0, s1, s2, s3] in groups.iter().rev() {
-        x3 = enc_step(x3, &t[usize::from(s3)], &mut words, &mut wpos);
-        x2 = enc_step(x2, &t[usize::from(s2)], &mut words, &mut wpos);
-        x1 = enc_step(x1, &t[usize::from(s1)], &mut words, &mut wpos);
-        x0 = enc_step(x0, &t[usize::from(s0)], &mut words, &mut wpos);
+        if free < floor {
+            break;
+        }
+        x3 = enc_step(x3, &t[usize::from(s3)], words, &mut free);
+        x2 = enc_step(x2, &t[usize::from(s2)], words, &mut free);
+        x1 = enc_step(x1, &t[usize::from(s1)], words, &mut free);
+        x0 = enc_step(x0, &t[usize::from(s0)], words, &mut free);
     }
-    let start = out.len();
-    out.resize(start + STATE_BYTES + 2 * wpos, 0);
-    let (state_bytes, word_bytes) = out[start..].split_at_mut(STATE_BYTES);
-    for (dst, x) in state_bytes.as_chunks_mut().0.iter_mut().zip([x0, x1, x2, x3]) {
+    if free < floor {
+        return false;
+    }
+    for (dst, x) in out[start..words_at].as_chunks_mut().0.iter_mut().zip([x0, x1, x2, x3]) {
         *dst = x.to_le_bytes();
     }
-    for (dst, w) in word_bytes.as_chunks_mut().0.iter_mut().zip(words[..wpos].iter().rev()) {
-        *dst = w.to_le_bytes();
-    }
+    out.copy_within(words_at + 2 * free..words_at + 2 * cap, words_at);
+    out.truncate(words_at + 2 * (cap - free));
+    true
 }
 
 /// Encodes `data` as one self-contained rANS stream
-/// (`[table][states][words]`, see the module docs), appended to `out`.
+/// (`[table][states][words]`, see the module docs) and appends it to
+/// `out` if it is shorter than `limit` bytes; returns whether it did.
+/// A stream that cannot come in under `limit` is given up as soon as
+/// that is certain, and `out` keeps its length: a caller that stores
+/// such data verbatim (the engine's raw chunk, [`Rans`]' verbatim block)
+/// does not code it to the end. `usize::MAX` takes any stream.
+///
 /// The frequency table is gathered from `data` itself, one per stream:
 /// a whole engine chunk ([`ChunkCoder`]) or one 128 B block ([`Rans`]).
 /// Empty `data` takes the one-symbol table (symbol 0) and no words.
-pub fn encode_stream(data: &[u8], out: &mut Vec<u8>) {
+pub fn encode_stream(data: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
     let freq = normalize_freqs(&histogram(data)).unwrap_or_else(|| {
         let mut one = [0; 256];
         one[0] = RANS_SCALE as u16;
         one
     });
+    let table = table_bytes(freq.iter().filter(|&&f| f > 0).count());
+    // Word bytes that keep the stream under `limit`.
+    let Some(room) = limit.checked_sub(table + STATE_BYTES + 1) else {
+        return false;
+    };
+    let start = out.len();
     write_table(&freq, out);
-    rans_encode(data, &enc_table(&freq), out);
+    if rans_encode(data, &enc_table(&freq), room / 2, out) {
+        return true;
+    }
+    out.truncate(start);
+    false
 }
 
 /// Decodes a stream produced by [`encode_stream`] into `dst` (whose
@@ -444,13 +479,10 @@ impl BlockCompressor for Rans {
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         let start = out.len();
-        encode_stream(block, out);
-        let bits = ((out.len() - start) * 8) as u32;
-        if bits >= BLOCK_BITS {
-            out.truncate(start);
-            return store_verbatim(block, out);
+        if encode_stream(block, block.len(), out) {
+            return (((out.len() - start) * 8) as u32, true);
         }
-        (bits, true)
+        store_verbatim(block, out)
     }
 
     fn decompress_into(
@@ -473,10 +505,8 @@ impl BlockCompressor for Rans {
 }
 
 impl ChunkCoder for Rans {
-    fn encode_chunk(&self, chunk: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(chunk.len() / 2 + 64);
-        encode_stream(chunk, &mut out);
-        out
+    fn encode_chunk_into(&self, chunk: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
+        encode_stream(chunk, limit, out)
     }
 
     fn decode_chunk(&self, src: &[u8], dst: &mut [u8]) -> Result<(), DecodeError> {
@@ -606,6 +636,16 @@ mod tests {
         out
     }
 
+    /// [`encode_reference`], and for empty data the one-symbol stream.
+    fn encode_reference_or_empty(data: &[u8]) -> Vec<u8> {
+        if data.is_empty() {
+            let mut stream = Vec::new();
+            assert!(encode_stream(data, usize::MAX, &mut stream));
+            return stream;
+        }
+        encode_reference(data)
+    }
+
     /// Every frequency, at the edges of the state range and 64 seeded
     /// states: the one-entry step stores the low word, keeps it exactly
     /// when `x >= f << 20`, and its state is
@@ -629,14 +669,16 @@ mod tests {
             });
             for x in edges.into_iter().chain(randoms) {
                 for cum in [0, RANS_SCALE - f] {
-                    let mut words = [0u16; 2];
-                    let mut wpos = 0;
-                    let got = enc_step(x, &EncSym::new(f, cum), &mut words, &mut wpos);
+                    let mut words = [[0u8; 2]; 2];
+                    let mut free = 2;
+                    let got = enc_step(x, &EncSym::new(f, cum), &mut words, &mut free);
                     let renorm = u64::from(x) >= u64::from(f) << 20;
                     let kept = if renorm { x >> 16 } else { x };
                     let want = ((kept / f) << 12) + kept % f + cum;
-                    assert_eq!((wpos, got), (usize::from(renorm), want), "f={f} cum={cum} x={x}");
-                    assert_eq!(words[0], x as u16, "f={f} x={x}: the low word is stored");
+                    let stored = (2 - free, got);
+                    assert_eq!(stored, (usize::from(renorm), want), "f={f} cum={cum} x={x}");
+                    let low = (x as u16).to_le_bytes();
+                    assert_eq!(words[1], low, "f={f} x={x}: the low word is stored");
                 }
             }
         }
@@ -645,7 +687,7 @@ mod tests {
     #[test]
     fn empty_stream_roundtrips() {
         let mut stream = Vec::new();
-        encode_stream(&[], &mut stream);
+        assert!(encode_stream(&[], usize::MAX, &mut stream));
         // The one-symbol table (symbol 0, freq 4096: 1 + 1 + 2 bytes) and
         // the four initial states, no words.
         let mut want = vec![0, 0, 0xff, 0xf0];
@@ -794,6 +836,29 @@ mod tests {
             let data: Vec<u8> = seeds.iter().map(|&s| lo.wrapping_add(s)).collect();
             roundtrip(&data);
             prop_assert_eq!(Rans::new().encode_chunk(&data), encode_reference(&data));
+        }
+
+        #[test]
+        fn prop_a_limit_keeps_the_whole_stream_or_nothing(
+            seeds in proptest::collection::vec(any::<u8>(), 0..600),
+            alphabet in 1u8..=255,
+        ) {
+            // Below, at and above the stream's length, and where the table
+            // alone reaches the limit: the stream is appended whole exactly
+            // when it is shorter than the limit, and otherwise `out` is
+            // back at its length with its bytes untouched.
+            let data: Vec<u8> = seeds.iter().map(|&s| s % alphabet).collect();
+            let whole = encode_reference_or_empty(&data);
+            let mut limits: Vec<usize> = (0..=24).collect();
+            limits.extend(whole.len().saturating_sub(12)..whole.len() + 12);
+            for limit in limits {
+                let mut out = vec![0x5a; 3];
+                let kept = encode_stream(&data, limit, &mut out);
+                prop_assert_eq!(kept, whole.len() < limit, "limit {}", limit);
+                prop_assert_eq!(&out[..3], &[0x5a; 3][..]);
+                let want: &[u8] = if kept { &whole } else { &[] };
+                prop_assert_eq!(&out[3..], want, "limit {}", limit);
+            }
         }
 
         #[test]

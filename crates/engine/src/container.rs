@@ -102,10 +102,11 @@ impl DirEntry {
         u64::from(self.encoded_bits) / 8
     }
 
-    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.offset.to_le_bytes());
-        out.extend_from_slice(&self.encoded_bits.to_le_bytes());
-        out.push(self.mode.as_u8());
+    /// The entry's 13 wire bytes.
+    pub(crate) fn to_bytes(self) -> [u8; DIR_ENTRY_BYTES] {
+        let [o0, o1, o2, o3, o4, o5, o6, o7] = self.offset.to_le_bytes();
+        let [e0, e1, e2, e3] = self.encoded_bits.to_le_bytes();
+        [o0, o1, o2, o3, o4, o5, o6, o7, e0, e1, e2, e3, self.mode.as_u8()]
     }
 }
 
@@ -435,13 +436,13 @@ mod tests {
         // One raw chunk of 128 bytes whose entry points past the payload.
         let mut b = header_bytes(0, 128, 1, 128);
         let entry = DirEntry { offset: 1, encoded_bits: 128 * 8, mode: StorageMode::Raw };
-        entry.write_to(&mut b);
+        b.extend_from_slice(&entry.to_bytes());
         b.extend_from_slice(&[0u8; 128]); // 128 payload bytes, span needs 129
         assert!(matches!(Frame::parse(&b), Err(ContainerError::InvalidEntry { .. })));
         // Overflowing span.
         let mut b = header_bytes(0, 128, 1, 128);
         let entry = DirEntry { offset: u64::MAX, encoded_bits: 128 * 8, mode: StorageMode::Raw };
-        entry.write_to(&mut b);
+        b.extend_from_slice(&entry.to_bytes());
         b.extend_from_slice(&[0u8; 128]);
         assert!(matches!(
             Frame::parse(&b),
@@ -450,7 +451,7 @@ mod tests {
         // Raw chunk lying about its length.
         let mut b = header_bytes(0, 128, 1, 128);
         let entry = DirEntry { offset: 0, encoded_bits: 64 * 8, mode: StorageMode::Raw };
-        entry.write_to(&mut b);
+        b.extend_from_slice(&entry.to_bytes());
         b.extend_from_slice(&[0u8; 128]);
         assert!(matches!(
             Frame::parse(&b),

@@ -44,6 +44,18 @@
 //! API whose output is byte-identical to [`Engine::compress_threads`]
 //! while holding at most one chunk of raw input at a time.
 //!
+//! # One copy of the payload
+//!
+//! Every compress path writes each chunk once, through one chunk writer
+//! that appends the chunk's stored form to the buffer that becomes the
+//! container: the coded form in place, or the raw bytes once the coded
+//! form is certain not to be shorter. A serial compress reserves
+//! header, directory and input length once and holds no other copy of
+//! its payload. With more workers each codes one contiguous run of chunks,
+//! the first into the container and each later one into a buffer of its
+//! own that is appended once. [`StreamEncoder`] moves its payload
+//! behind the header and directory within the same buffer.
+//!
 //! # Determinism and safety contracts
 //!
 //! * Parallel and serial compress produce **byte-identical** containers
@@ -89,10 +101,17 @@ pub use slc_par::Threads;
 
 use slc_compress::{Block, BlockCodec, CodecId, DecodeError, BLOCK_BITS, BLOCK_BYTES};
 use slc_par::par_map;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Tag bit marking a block stored in coded (compressed) form.
 const TAG_CODED: u16 = 1 << 15;
+
+/// Room a container or a run's buffer is reserved with past its input
+/// length: what a chunk's writer may hold beyond the chunk's own length
+/// before it gives the coded form up — one block's tag and a codec's
+/// stream for it, or the last lane group of a rANS stream.
+const ENCODE_SLACK: usize = 4 * BLOCK_BYTES;
 
 /// A batch compression/decompression engine bound to one block codec.
 ///
@@ -198,55 +217,96 @@ impl Engine {
         self.compress_impl(bytes, Some(stored_bits), threads)
     }
 
+    /// The one-copy writer of the crate docs: the header and a
+    /// placeholder directory, then every chunk appended behind them by
+    /// [`encode_chunk`], in one contiguous run of chunks per worker
+    /// ([`slc_par::worker_count`], so a nested call is one run). A later
+    /// run's buffer is appended once, its entries moved by where its
+    /// payload lands.
     fn compress_impl(&self, bytes: &[u8], hints: Option<&[u32]>, threads: Threads) -> Vec<u8> {
-        let blocks_per_chunk = self.chunk_bytes / BLOCK_BYTES;
-        let codec = &*self.codec;
-        let chunks: Vec<(usize, &[u8])> = bytes.chunks(self.chunk_bytes).enumerate().collect();
-        let encoded: Vec<(Vec<u8>, StorageMode)> = par_map(chunks, threads, |(ci, chunk)| {
-            let chunk_hints = hints.map(|h| {
-                let lo = ci * blocks_per_chunk;
-                &h[lo..lo + chunk.len().div_ceil(BLOCK_BYTES)]
-            });
-            encode_chunk(codec, chunk, chunk_hints)
-        });
-        // A raw chunk's buffer comes back empty (see `encode_chunk`): its
-        // stored bytes are the chunk's own slice of the input.
-        let stored: Vec<(&[u8], StorageMode)> = encoded
-            .iter()
-            .zip(bytes.chunks(self.chunk_bytes))
-            .map(|((data, mode), chunk)| {
-                (if *mode == StorageMode::Raw { chunk } else { &data[..] }, *mode)
+        let chunks = bytes.len().div_ceil(self.chunk_bytes);
+        let payload_at = HEADER_BYTES + chunks * DIR_ENTRY_BYTES;
+        let mut out = Vec::with_capacity(payload_at + bytes.len() + ENCODE_SLACK);
+        self.header(chunks, bytes.len() as u64).write_to(&mut out);
+        out.resize(payload_at, 0);
+        let runs = slc_par::worker_count(threads, chunks);
+        // Run r holds chunks first(r)..first(r + 1).
+        let first = |r: usize| r * chunks / runs;
+        let run_dir = |r: usize| (first(r + 1) - first(r)) * DIR_ENTRY_BYTES;
+        // A later run's buffer starts with its own directory entries.
+        let mut later: Vec<Vec<u8>> = (1..runs)
+            .map(|r| {
+                let input = (first(r + 1) * self.chunk_bytes).min(bytes.len())
+                    - first(r) * self.chunk_bytes;
+                let mut buf = Vec::with_capacity(run_dir(r) + input + ENCODE_SLACK);
+                buf.resize(run_dir(r), 0);
+                buf
             })
             .collect();
-        let dir: Vec<_> = stored.iter().map(|&(s, mode)| (s.len(), mode)).collect();
-        let mut out = self.frame_head(bytes.len() as u64, &dir);
-        for (s, _) in stored {
-            out.extend_from_slice(s);
+        let work: Vec<(usize, &mut Vec<u8>, usize)> = std::iter::once((0, &mut out, HEADER_BYTES))
+            .chain(later.iter_mut().enumerate().map(|(i, buf)| (i + 1, buf, 0)))
+            .collect();
+        par_map(work, threads, |(r, buf, dir_at)| {
+            self.encode_run(bytes, hints, first(r)..first(r + 1), buf, dir_at);
+        });
+        for (r, buf) in (1..).zip(&later) {
+            let base = (out.len() - payload_at) as u64;
+            let (dir, payload) = buf.split_at(run_dir(r));
+            let slots = &mut out[HEADER_BYTES + first(r) * DIR_ENTRY_BYTES..payload_at];
+            for (slot, entry) in
+                slots.as_chunks_mut::<DIR_ENTRY_BYTES>().0.iter_mut().zip(dir.as_chunks().0)
+            {
+                *slot = *entry;
+                let [offset @ .., _, _, _, _, _] = slot;
+                *offset = (u64::from_le_bytes(*offset) + base).to_le_bytes();
+            }
+            out.extend_from_slice(payload);
         }
         out
     }
 
-    /// Starts a container: the header and one directory entry per chunk
-    /// of the given stored length and mode (offsets are the running
-    /// payload length), with room reserved for the payload the caller
-    /// then appends chunk by chunk.
-    fn frame_head(&self, total_len: u64, chunks: &[(usize, StorageMode)]) -> Vec<u8> {
-        let payload_len: usize = chunks.iter().map(|&(len, _)| len).sum();
-        let mut out =
-            Vec::with_capacity(HEADER_BYTES + chunks.len() * DIR_ENTRY_BYTES + payload_len);
+    /// Appends the stored form of each of `bytes`' chunks `run` to `buf`,
+    /// and writes each one's directory entry at `buf[dir_at..]`, its
+    /// offset counted from where the run's payload starts (`buf`'s length
+    /// on entry).
+    fn encode_run(
+        &self,
+        bytes: &[u8],
+        hints: Option<&[u32]>,
+        run: Range<usize>,
+        buf: &mut Vec<u8>,
+        dir_at: usize,
+    ) {
+        let blocks_per_chunk = self.chunk_bytes / BLOCK_BYTES;
+        let base = buf.len();
+        for (i, ci) in run.enumerate() {
+            let lo = ci * self.chunk_bytes;
+            let chunk = &bytes[lo..(lo + self.chunk_bytes).min(bytes.len())];
+            let chunk_hints = hints.map(|h| {
+                let lo = ci * blocks_per_chunk;
+                &h[lo..lo + chunk.len().div_ceil(BLOCK_BYTES)]
+            });
+            let at = buf.len();
+            let mode = encode_chunk(&*self.codec, chunk, chunk_hints, buf);
+            let entry = DirEntry {
+                offset: (at - base) as u64,
+                encoded_bits: ((buf.len() - at) * 8) as u32,
+                mode,
+            };
+            let slot = dir_at + i * DIR_ENTRY_BYTES;
+            buf[slot..slot + DIR_ENTRY_BYTES].copy_from_slice(&entry.to_bytes());
+        }
+    }
+
+    /// The header of a container of `chunk_count` chunks holding
+    /// `total_len` bytes.
+    fn header(&self, chunk_count: usize, total_len: u64) -> Header {
         Header {
             codec: self.codec.id(),
             chunk_bytes: self.chunk_bytes as u32,
-            chunk_count: chunks.len() as u32,
+            chunk_count: chunk_count as u32,
             total_len,
         }
-        .write_to(&mut out);
-        let mut offset = 0u64;
-        for &(len, mode) in chunks {
-            DirEntry { offset, encoded_bits: (len * 8) as u32, mode }.write_to(&mut out);
-            offset += len as u64;
-        }
-        out
     }
 
     /// Decompresses a framed container into a new buffer. Output bytes
@@ -369,16 +429,21 @@ impl Engine {
 /// The one-shot [`Engine::compress_threads`] needs the whole raw stream in
 /// memory; `StreamEncoder` accepts it piecewise. Chunks are encoded as
 /// soon as they fill (serially, in arrival order), so the encoder only
-/// ever holds the compressed payload, a 13-byte directory entry per
-/// chunk, and at most one chunk of raw tail — a few tens of KiB of
-/// working state however long the stream runs.
+/// ever holds the compressed payload, a directory entry per chunk, and
+/// at most one chunk of raw tail — a few tens of KiB of working state
+/// however long the stream runs. Each chunk is written once, straight
+/// into the payload, by the same writer as
+/// [`Engine::compress_threads`]'s.
 #[derive(Debug)]
 pub struct StreamEncoder {
     engine: Engine,
     /// Raw tail shorter than one chunk, awaiting more input.
     pending: Vec<u8>,
-    /// Stored length and mode of every chunk encoded so far.
-    dir: Vec<(usize, StorageMode)>,
+    /// The directory entry of every chunk encoded so far.
+    dir: Vec<DirEntry>,
+    /// Every chunk's stored form, back to back: the container's payload,
+    /// which [`finish`](Self::finish) moves behind the header and
+    /// directory within this buffer.
     payload: Vec<u8>,
     total_len: u64,
 }
@@ -410,14 +475,20 @@ impl StreamEncoder {
         self.pending.extend_from_slice(full.remainder());
     }
 
-    /// Encodes any pending tail and assembles the framed container.
+    /// Encodes any pending tail and returns the framed container: the
+    /// payload buffer itself, with the header and directory appended and
+    /// rotated in front of the payload.
     pub fn finish(mut self) -> Vec<u8> {
         if !self.pending.is_empty() {
             let chunk = std::mem::take(&mut self.pending);
             self.encode_one(&chunk);
         }
-        let mut out = self.engine.frame_head(self.total_len, &self.dir);
-        out.extend_from_slice(&self.payload);
+        let mut out = self.payload;
+        self.engine.header(self.dir.len(), self.total_len).write_to(&mut out);
+        for entry in &self.dir {
+            out.extend_from_slice(&entry.to_bytes());
+        }
+        out.rotate_right(HEADER_BYTES + self.dir.len() * DIR_ENTRY_BYTES);
         out
     }
 
@@ -427,12 +498,10 @@ impl StreamEncoder {
     }
 
     fn encode_one(&mut self, chunk: &[u8]) {
-        let (data, mode) = encode_chunk(&*self.engine.codec, chunk, None);
-        // A raw chunk's buffer comes back empty (see `encode_chunk`): its
-        // stored bytes are the caller's chunk itself.
-        let stored: &[u8] = if mode == StorageMode::Raw { chunk } else { &data };
-        self.dir.push((stored.len(), mode));
-        self.payload.extend_from_slice(stored);
+        let at = self.payload.len();
+        let mode = encode_chunk(&*self.engine.codec, chunk, None, &mut self.payload);
+        let encoded_bits = ((self.payload.len() - at) * 8) as u32;
+        self.dir.push(DirEntry { offset: at as u64, encoded_bits, mode });
     }
 }
 
@@ -484,36 +553,53 @@ pub fn frame_info(container: &[u8]) -> Result<FrameInfo, ContainerError> {
     })
 }
 
-/// Encodes one chunk, with a raw fallback when the coded stream does not
-/// beat the chunk's verbatim bytes.
+/// Appends one chunk's stored form to `out` and returns its mode: the
+/// coded form when it is shorter than the chunk, else the chunk's
+/// verbatim bytes. This is the one chunk writer, behind
+/// [`Engine::compress_threads`], [`Engine::compress_with_sizes`] and
+/// [`StreamEncoder`].
 ///
-/// A raw decision returns an **empty** buffer: the chunk's verbatim
-/// bytes already live in the caller's input, so the assembly stage
-/// ([`Engine::compress_impl`], [`StreamEncoder::encode_one`]) copies
-/// them from there instead of through a second per-chunk allocation.
+/// The coded form is written in place at the end of `out`; once it is
+/// certain not to come in under the chunk's length the coder stops,
+/// `out` is truncated back and the raw bytes go in instead. Codecs with a
+/// whole-chunk mode ([`ChunkCoder`]) write the chunk as one stream (size
+/// hints do not apply — the stream is not block-framed); everything else
+/// goes through the per-block tag + body framing of [`encode_blocks`].
 ///
-/// Codecs with a whole-chunk mode ([`ChunkCoder`]) encode the chunk as
-/// one stream (size hints do not apply — the stream is not block-framed);
-/// everything else goes through the per-block tag + body framing, encoded
-/// straight into the chunk buffer via
-/// [`compress_into`](slc_compress::BlockCompressor::compress_into) (the
-/// tag is back-patched once the body size is known).
+/// [`ChunkCoder`]: slc_compress::codec::ChunkCoder
 fn encode_chunk(
     codec: &dyn BlockCodec,
     chunk: &[u8],
     hints: Option<&[u32]>,
-) -> (Vec<u8>, StorageMode) {
-    if let Some(cc) = codec.chunk_coder() {
-        let mut coded = cc.encode_chunk(chunk);
-        return if coded.len() >= chunk.len() {
-            coded.clear();
-            (coded, StorageMode::Raw)
-        } else {
-            (coded, StorageMode::Coded)
-        };
+    out: &mut Vec<u8>,
+) -> StorageMode {
+    let start = out.len();
+    let coded = match codec.chunk_coder() {
+        Some(cc) => cc.encode_chunk_into(chunk, chunk.len(), out),
+        None => encode_blocks(codec, chunk, hints, out),
+    };
+    if coded {
+        return StorageMode::Coded;
     }
-    let nblocks = chunk.len().div_ceil(BLOCK_BYTES);
-    let mut coded = Vec::with_capacity(chunk.len() + 2 * nblocks);
+    out.truncate(start);
+    out.extend_from_slice(chunk);
+    StorageMode::Raw
+}
+
+/// Appends `chunk`'s blocks to `out` in the tag + body framing and
+/// returns true, or returns false as soon as the framing has reached the
+/// chunk's own length (the chunk is then stored raw).
+///
+/// Each body is encoded straight into `out` via
+/// [`compress_into`](slc_compress::BlockCompressor::compress_into) (the
+/// tag is back-patched once the body size is known).
+fn encode_blocks(
+    codec: &dyn BlockCodec,
+    chunk: &[u8],
+    hints: Option<&[u32]>,
+    out: &mut Vec<u8>,
+) -> bool {
+    let start = out.len();
     for (i, raw) in chunk.chunks(BLOCK_BYTES).enumerate() {
         // Borrow full blocks in place; only a ragged tail needs the
         // zero-padded copy.
@@ -528,30 +614,28 @@ fn encode_chunk(
         // A hint of >= BLOCK_BITS means "stored verbatim": identical to
         // what the codec would decide, minus the encode work.
         let skip = hints.is_some_and(|h| h[i] >= BLOCK_BITS);
-        let tag_at = coded.len();
-        coded.extend_from_slice(&[0, 0]);
+        let tag_at = out.len();
+        out.extend_from_slice(&[0, 0]);
         let (mut bits, mut is_coded) = if skip {
-            coded.extend_from_slice(block);
+            out.extend_from_slice(block);
             (BLOCK_BITS, false)
         } else {
-            codec.compress_into(block, &mut coded)
+            codec.compress_into(block, out)
         };
         // Defensive: the tag has 15 size bits and every codec caps at the
         // verbatim block; store raw if one ever misbehaves.
         if bits > BLOCK_BITS {
-            coded.truncate(tag_at + 2);
-            coded.extend_from_slice(block);
+            out.truncate(tag_at + 2);
+            out.extend_from_slice(block);
             (bits, is_coded) = (BLOCK_BITS, false);
         }
         let tag = (bits as u16) | if is_coded { TAG_CODED } else { 0 };
-        coded[tag_at..tag_at + 2].copy_from_slice(&tag.to_le_bytes());
+        out[tag_at..tag_at + 2].copy_from_slice(&tag.to_le_bytes());
+        if out.len() - start >= chunk.len() {
+            return false;
+        }
     }
-    if coded.len() >= chunk.len() {
-        coded.clear();
-        (coded, StorageMode::Raw)
-    } else {
-        (coded, StorageMode::Coded)
-    }
+    true
 }
 
 /// Decodes one chunk into its output slice.
@@ -840,8 +924,7 @@ mod tests {
                 StorageMode::Coded => 1,
             };
             let entry = DirEntry { offset: 0x4847_4645_4443_4241, encoded_bits: 0x5453_5251, mode };
-            let mut bytes = Vec::new();
-            entry.write_to(&mut bytes);
+            let bytes = entry.to_bytes();
             let golden = [
                 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48, // offset
                 0x51, 0x52, 0x53, 0x54, // encoded_bits

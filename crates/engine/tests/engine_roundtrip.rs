@@ -17,7 +17,7 @@ use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::fpc::Fpc;
 use slc_compress::rans::Rans;
 use slc_compress::{BlockCodec, ChunkCoder, BLOCK_BITS, BLOCK_BYTES};
-use slc_engine::{ContainerError, DirEntry, Engine, Header, StorageMode, Threads};
+use slc_engine::{ContainerError, Engine, Header, StorageMode, Threads};
 use std::sync::{Arc, OnceLock};
 
 /// Every registered codec, trained once for the whole test binary (training
@@ -62,23 +62,34 @@ fn reference_container(codec: &dyn BlockCodec, bytes: &[u8], chunk_bytes: usize)
             chunks.push((coded, StorageMode::Coded));
         }
     }
+    let stored: Vec<_> = chunks.iter().map(|(data, mode)| (&data[..], *mode)).collect();
+    assemble(codec, bytes.len(), chunk_bytes, &stored)
+}
+
+/// The format spec restated: the header, one directory entry per stored
+/// chunk with offsets running over the payload, then the stored chunks.
+fn assemble(
+    codec: &dyn BlockCodec,
+    total_len: usize,
+    chunk_bytes: usize,
+    stored: &[(&[u8], StorageMode)],
+) -> Vec<u8> {
     let mut out = Vec::new();
     Header {
         codec: codec.id(),
         chunk_bytes: chunk_bytes as u32,
-        chunk_count: chunks.len() as u32,
-        total_len: bytes.len() as u64,
+        chunk_count: stored.len() as u32,
+        total_len: total_len as u64,
     }
     .write_to(&mut out);
     let mut offset = 0u64;
-    for (data, mode) in &chunks {
-        let entry = DirEntry { offset, encoded_bits: (data.len() * 8) as u32, mode: *mode };
-        out.extend_from_slice(&entry.offset.to_le_bytes());
-        out.extend_from_slice(&entry.encoded_bits.to_le_bytes());
-        out.push(entry.mode.as_u8());
+    for &(data, mode) in stored {
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&((data.len() * 8) as u32).to_le_bytes());
+        out.push(mode.as_u8());
         offset += data.len() as u64;
     }
-    for (data, _) in &chunks {
+    for (data, _) in stored {
         out.extend_from_slice(data);
     }
     out
@@ -218,26 +229,8 @@ fn reference_container_chunked(
             chunks.push((coded, StorageMode::Coded));
         }
     }
-    let mut out = Vec::new();
-    Header {
-        codec: codec.id(),
-        chunk_bytes: chunk_bytes as u32,
-        chunk_count: chunks.len() as u32,
-        total_len: bytes.len() as u64,
-    }
-    .write_to(&mut out);
-    let mut offset = 0u64;
-    for (data, mode) in &chunks {
-        let entry = DirEntry { offset, encoded_bits: (data.len() * 8) as u32, mode: *mode };
-        out.extend_from_slice(&entry.offset.to_le_bytes());
-        out.extend_from_slice(&entry.encoded_bits.to_le_bytes());
-        out.push(entry.mode.as_u8());
-        offset += data.len() as u64;
-    }
-    for (data, _) in &chunks {
-        out.extend_from_slice(data);
-    }
-    out
+    let stored: Vec<_> = chunks.iter().map(|(data, mode)| (&data[..], *mode)).collect();
+    assemble(codec, bytes.len(), chunk_bytes, &stored)
 }
 
 #[test]
@@ -271,6 +264,133 @@ fn rans_engine_equals_chunk_level_reference() {
         let mut borrowed = vec![0xa5u8; data.len()];
         engine.decompress_into_threads(&serial, &mut borrowed, Threads::Auto).unwrap();
         assert_eq!(borrowed, data, "rans: decompress_into must equal decompress");
+    }
+}
+
+/// The retired chunk encoder, kept as the oracle for the in-place
+/// writer: each chunk into a buffer of its own, reserved at the chunk
+/// plus its tags, and an empty buffer for a raw chunk, whose bytes the
+/// assembly takes from the input.
+fn retired_encode_chunk(
+    codec: &dyn BlockCodec,
+    chunk: &[u8],
+    hints: Option<&[u32]>,
+) -> (Vec<u8>, StorageMode) {
+    if let Some(cc) = codec.chunk_coder() {
+        let mut coded = cc.encode_chunk(chunk);
+        return if coded.len() >= chunk.len() {
+            coded.clear();
+            (coded, StorageMode::Raw)
+        } else {
+            (coded, StorageMode::Coded)
+        };
+    }
+    let nblocks = chunk.len().div_ceil(BLOCK_BYTES);
+    let mut coded = Vec::with_capacity(chunk.len() + 2 * nblocks);
+    for (i, raw) in chunk.chunks(BLOCK_BYTES).enumerate() {
+        let mut block = [0u8; BLOCK_BYTES];
+        block[..raw.len()].copy_from_slice(raw);
+        let skip = hints.is_some_and(|h| h[i] >= BLOCK_BITS);
+        let tag_at = coded.len();
+        coded.extend_from_slice(&[0, 0]);
+        let (mut bits, mut is_coded) = if skip {
+            coded.extend_from_slice(&block);
+            (BLOCK_BITS, false)
+        } else {
+            codec.compress_into(&block, &mut coded)
+        };
+        if bits > BLOCK_BITS {
+            coded.truncate(tag_at + 2);
+            coded.extend_from_slice(&block);
+            (bits, is_coded) = (BLOCK_BITS, false);
+        }
+        let tag = (bits as u16) | if is_coded { 1u16 << 15 } else { 0 };
+        coded[tag_at..tag_at + 2].copy_from_slice(&tag.to_le_bytes());
+    }
+    if coded.len() >= chunk.len() {
+        coded.clear();
+        (coded, StorageMode::Raw)
+    } else {
+        (coded, StorageMode::Coded)
+    }
+}
+
+/// The retired assembly: every chunk encoded into its own buffer first,
+/// then header, directory and the stored chunks copied into a second
+/// buffer.
+fn retired_compress(
+    codec: &dyn BlockCodec,
+    bytes: &[u8],
+    hints: Option<&[u32]>,
+    chunk_bytes: usize,
+) -> Vec<u8> {
+    let blocks_per_chunk = chunk_bytes / BLOCK_BYTES;
+    let encoded: Vec<(Vec<u8>, StorageMode)> = bytes
+        .chunks(chunk_bytes)
+        .enumerate()
+        .map(|(ci, chunk)| {
+            let chunk_hints = hints.map(|h| {
+                let lo = ci * blocks_per_chunk;
+                &h[lo..lo + chunk.len().div_ceil(BLOCK_BYTES)]
+            });
+            retired_encode_chunk(codec, chunk, chunk_hints)
+        })
+        .collect();
+    let stored: Vec<(&[u8], StorageMode)> = encoded
+        .iter()
+        .zip(bytes.chunks(chunk_bytes))
+        .map(|((data, mode), chunk)| {
+            (if *mode == StorageMode::Raw { chunk } else { &data[..] }, *mode)
+        })
+        .collect();
+    assemble(codec, bytes.len(), chunk_bytes, &stored)
+}
+
+#[test]
+fn compress_equals_the_retired_assembly() {
+    // Coded chunks, whole chunks of noise that go raw, a mixed stretch
+    // and a ragged tail, over one, four and eight blocks a chunk.
+    let mut data = stream(2048, 5, 0);
+    data.extend(stream(1024, 9, 1));
+    data.extend(stream(2100, 3, 3));
+    let aligned = &data[..data.len() / BLOCK_BYTES * BLOCK_BYTES];
+    let mut all: Vec<Arc<dyn BlockCodec>> = codecs().to_vec();
+    all.push(Arc::new(Rans::new()));
+    let policies = [Threads::Serial, Threads::Exact(2), Threads::Exact(8)];
+    for codec in &all {
+        let name = codec.id().name();
+        let truthful: Vec<u32> = aligned
+            .chunks_exact(BLOCK_BYTES)
+            .map(|b| codec.size_bits(b.try_into().unwrap()))
+            .collect();
+        assert!(truthful.contains(&BLOCK_BITS), "{name}: no block is stored verbatim");
+        // Hints that also mark every third block verbatim, coded or not.
+        let lying: Vec<u32> = (0..)
+            .zip(&truthful)
+            .map(|(i, &bits)| if i % 3 == 0 { BLOCK_BITS } else { bits })
+            .collect();
+        for chunk_blocks in [1, 4, 8] {
+            let chunk_bytes = chunk_blocks * BLOCK_BYTES;
+            let engine = Engine::new(Arc::clone(codec)).with_chunk_bytes(chunk_bytes);
+            for len in [0, 1, BLOCK_BYTES - 1, data.len()] {
+                let input = &data[..len];
+                let want = retired_compress(codec.as_ref(), input, None, chunk_bytes);
+                for threads in policies {
+                    let at = format!("{name}, {len} bytes, {chunk_blocks} blocks, {threads:?}");
+                    assert_eq!(engine.compress_threads(input, threads), want, "{at}");
+                }
+            }
+            for hints in [&truthful, &lying] {
+                let want = retired_compress(codec.as_ref(), aligned, Some(hints), chunk_bytes);
+                let frame = slc_engine::Frame::parse(&want).unwrap();
+                let modes: Vec<_> = frame.directory.iter().map(|e| e.mode).collect();
+                assert!(modes.contains(&StorageMode::Raw), "{name}: no raw chunk");
+                for threads in policies {
+                    let at = format!("{name}, sized, {chunk_blocks} blocks, {threads:?}");
+                    assert_eq!(engine.compress_with_sizes(aligned, hints, threads), want, "{at}");
+                }
+            }
+        }
     }
 }
 

@@ -67,7 +67,10 @@ fn cap_from_env(var: Option<&str>, hw: usize) -> Result<usize, String> {
 /// call, otherwise the policy's count clamped to `1..=n`. Under
 /// [`Threads::Auto`] an unusable `SLC_PAR_THREADS` (non-UTF-8 included)
 /// prints the error and exits with status 2.
-fn worker_count(threads: Threads, n: usize) -> usize {
+///
+/// [`par_map`] runs this many threads; a caller that splits its work into
+/// one contiguous run per worker sizes the runs with it.
+pub fn worker_count(threads: Threads, n: usize) -> usize {
     if IN_WORKER.with(Cell::get) {
         return 1; // nested call: stay on the current worker thread
     }
