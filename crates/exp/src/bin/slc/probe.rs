@@ -14,6 +14,7 @@ use slc_sim::cache::Cache;
 use slc_sim::mc::UniformBursts;
 use slc_sim::SchedPolicy;
 use slc_workloads::benchmarks::nn::Nn;
+use slc_workloads::harness::speedup;
 use slc_workloads::{all_workloads, compress_snapshot, snapshot_bytes, snapshot_engine};
 use slc_workloads::{Harness, Scale, Scheme, SnapshotAnalysis, Workload};
 
@@ -34,8 +35,7 @@ pub fn bursts(scale: Scale) {
         let s = Scheme::slc(a.e2mc.clone(), mag, 16, SlcVariant::TslcOpt);
         let (f2, t2) = h.evaluate(w.as_ref(), &a, &s);
         let bw = |st: &slc_sim::SimStats| {
-            st.achieved_bandwidth_gbps(mag.bytes(), h.config.sm_clock_mhz)
-                / h.config.bandwidth_gbps()
+            st.achieved_bandwidth_gbps(mag.bytes()) / h.config.bandwidth_gbps()
         };
         println!(
             "{:>6} {:>9.3} {:>9.3} {:>9} {:>8.2} {:>8.2} {:>8.2} {:>7.3}",
@@ -46,7 +46,7 @@ pub fn bursts(scale: Scale) {
             bw(&t0.stats),
             bw(&t1.stats),
             bw(&t2.stats),
-            t1.stats.cycles as f64 / t2.stats.cycles as f64
+            speedup(&t1.stats, &t2.stats)
         );
     }
 }
@@ -364,7 +364,7 @@ pub fn threshold(scale: Scale, w: &dyn Workload) {
             "{:>9}B  {:>12.3}  {:>10.3}  {:>9.4}%",
             threshold,
             f.bursts.mean_bursts(),
-            t_base.stats.cycles as f64 / t.stats.cycles as f64,
+            speedup(&t_base.stats, &t.stats),
             f.error_pct
         );
     }

@@ -149,7 +149,7 @@ pub(crate) fn row(
     w: &dyn Workload,
     artifacts: &BenchmarkArtifacts,
 ) -> EvalRow {
-    let energy_model = EnergyModel::default();
+    let energy_model = EnergyModel;
     let slc = |&v| Scheme::slc(artifacts.e2mc.clone(), harness.config.mag(), threshold_bytes, v);
     let mut schemes = vec![Scheme::E2mc(artifacts.e2mc.clone())];
     schemes.extend(variants.iter().map(slc));
@@ -177,121 +177,112 @@ pub(crate) fn row(
 }
 
 impl Eval {
+    /// Geometric mean of `metric` of variant `v` across benchmarks.
+    fn gm(&self, v: usize, metric: impl Fn(&VariantResult) -> f64) -> f64 {
+        geometric_mean(&self.rows.iter().map(|r| metric(&r.variants[v])).collect::<Vec<_>>())
+    }
+
     /// Geometric-mean speedup of variant `v` across benchmarks.
     pub fn gm_speedup(&self, v: usize) -> f64 {
-        geometric_mean(&self.rows.iter().map(|r| r.variants[v].speedup).collect::<Vec<_>>())
+        self.gm(v, |r| r.speedup)
     }
 
     /// Geometric-mean normalised bandwidth of variant `v`.
     pub fn gm_bandwidth(&self, v: usize) -> f64 {
-        geometric_mean(&self.rows.iter().map(|r| r.variants[v].norm_bandwidth).collect::<Vec<_>>())
+        self.gm(v, |r| r.norm_bandwidth)
     }
 
     /// Geometric-mean normalised energy of variant `v`.
     pub fn gm_energy(&self, v: usize) -> f64 {
-        geometric_mean(&self.rows.iter().map(|r| r.variants[v].norm_energy).collect::<Vec<_>>())
+        self.gm(v, |r| r.norm_energy)
     }
 
     /// Geometric-mean normalised EDP of variant `v`.
     pub fn gm_edp(&self, v: usize) -> f64 {
-        geometric_mean(&self.rows.iter().map(|r| r.variants[v].norm_edp).collect::<Vec<_>>())
+        self.gm(v, |r| r.norm_edp)
     }
 
     /// Geometric mean of the per-benchmark MREs of variant `v`, in percent
     /// (the paper reports 0.99 % for TSLC-OPT); zero errors are clamped to
     /// a 1e-6 % floor so the GM stays defined.
     pub fn gm_mre(&self, v: usize) -> f64 {
-        geometric_mean(
-            &self.rows.iter().map(|r| r.variants[v].mre_pct.max(1e-6)).collect::<Vec<_>>(),
-        )
+        self.gm(v, |r| r.mre_pct.max(1e-6))
+    }
+
+    /// One column per variant, labelled by the variant.
+    fn variant_columns(&self) -> Vec<Column<'_>> {
+        let label = |(v, variant): (usize, &SlcVariant)| (variant.label().to_owned(), self, v);
+        self.variants.iter().enumerate().map(label).collect()
     }
 
     /// Renders Fig. 7 (speedup + error).
     pub fn render_fig7(&self) -> String {
-        let labels: Vec<&str> = self.variants.iter().map(|v| v.label()).collect();
-        let mut header = vec!["Bench".to_owned()];
-        for l in &labels {
-            header.push(format!("{l} speedup"));
-        }
-        for l in &labels {
-            header.push(format!("{l} err"));
-        }
-        let mut t = TextTable::new(header);
-        for row in &self.rows {
-            let mut cells = vec![row.name.clone()];
-            for v in &row.variants {
-                cells.push(f3(v.speedup));
-            }
-            for v in &row.variants {
-                cells.push(err_pct(v.error_pct));
-            }
-            t.row(cells);
-        }
-        let mut cells = vec!["GM".to_owned()];
-        for v in 0..self.variants.len() {
-            cells.push(f3(self.gm_speedup(v)));
-        }
-        for v in 0..self.variants.len() {
-            cells.push(err_pct(self.gm_mre(v)));
-        }
-        t.row(cells);
-        let mut out = format!(
-            "Fig. 7: speedup and error vs E2MC (MAG {} B, threshold {} B)\n",
+        let table =
+            grouped_table(&[SPEEDUP, ERROR], &self.variant_columns(), |m, l| format!("{l} {m}"));
+        format!(
+            "Fig. 7: speedup and error vs E2MC (MAG {} B, threshold {} B)\n{table}\n\
+             (GM error row shows the geometric mean of per-benchmark MREs;\n paper: GM speedups \
+             1.090/1.098/1.097, GM MRE 0.99% for TSLC-OPT)\n",
             self.mag_bytes, self.threshold_bytes
-        );
-        out.push_str(&t.render());
-        out.push_str(
-            "\n(GM error row shows the geometric mean of per-benchmark MREs;\n paper: GM speedups 1.090/1.098/1.097, GM MRE 0.99% for TSLC-OPT)\n",
-        );
-        out
+        )
     }
 
     /// Renders Fig. 8 (bandwidth, energy, EDP).
     pub fn render_fig8(&self) -> String {
-        let labels: Vec<&str> = self.variants.iter().map(|v| v.label()).collect();
-        let mut header = vec!["Bench".to_owned()];
-        for l in &labels {
-            header.push(format!("{l} BW"));
-        }
-        for l in &labels {
-            header.push(format!("{l} E"));
-        }
-        for l in &labels {
-            header.push(format!("{l} EDP"));
-        }
-        let mut t = TextTable::new(header);
-        for row in &self.rows {
-            let mut cells = vec![row.name.clone()];
-            for v in &row.variants {
-                cells.push(f3(v.norm_bandwidth));
-            }
-            for v in &row.variants {
-                cells.push(f3(v.norm_energy));
-            }
-            for v in &row.variants {
-                cells.push(f3(v.norm_edp));
-            }
-            t.row(cells);
-        }
-        let mut cells = vec!["GM".to_owned()];
-        for v in 0..self.variants.len() {
-            cells.push(f3(self.gm_bandwidth(v)));
-        }
-        for v in 0..self.variants.len() {
-            cells.push(f3(self.gm_energy(v)));
-        }
-        for v in 0..self.variants.len() {
-            cells.push(f3(self.gm_edp(v)));
-        }
-        t.row(cells);
-        let mut out = format!(
-            "Fig. 8: bandwidth, energy and EDP normalised to E2MC (MAG {} B, threshold {} B)\n",
+        let metrics = [BANDWIDTH, ENERGY, EDP];
+        let table = grouped_table(&metrics, &self.variant_columns(), |m, l| format!("{l} {m}"));
+        format!(
+            "Fig. 8: bandwidth, energy and EDP normalised to E2MC (MAG {} B, threshold {} B)\n\
+             {table}\n(paper GMs: bandwidth ~0.86, energy ~0.917, EDP ~0.825)\n",
             self.mag_bytes, self.threshold_bytes
-        );
-        out.push_str(&t.render());
-        out.push_str("\n(paper GMs: bandwidth ~0.86, energy ~0.917, EDP ~0.825)\n");
-        out
+        )
     }
+}
+
+/// One column of a metric's group: its label, the evaluation and the
+/// variant index in it.
+pub(crate) type Column<'a> = (String, &'a Eval, usize);
+
+/// A metric of Figs. 7–9: its header name, its cell format, one
+/// benchmark's value and the GM row's.
+pub(crate) struct Metric {
+    name: &'static str,
+    fmt: fn(f64) -> String,
+    value: fn(&VariantResult) -> f64,
+    gm: fn(&Eval, usize) -> f64,
+}
+
+pub(crate) const SPEEDUP: Metric =
+    Metric { name: "speedup", fmt: f3, value: |r| r.speedup, gm: Eval::gm_speedup };
+/// The error column's GM is the MREs'.
+pub(crate) const ERROR: Metric =
+    Metric { name: "err", fmt: err_pct, value: |r| r.error_pct, gm: Eval::gm_mre };
+const BANDWIDTH: Metric =
+    Metric { name: "BW", fmt: f3, value: |r| r.norm_bandwidth, gm: Eval::gm_bandwidth };
+const ENERGY: Metric = Metric { name: "E", fmt: f3, value: |r| r.norm_energy, gm: Eval::gm_energy };
+const EDP: Metric = Metric { name: "EDP", fmt: f3, value: |r| r.norm_edp, gm: Eval::gm_edp };
+
+/// The table of Figs. 7, 8 and 9: a column per (metric, column),
+/// metric-major, headed `header(metric name, label)`; a row per
+/// benchmark of the first column's evaluation; then the GM row.
+pub(crate) fn grouped_table(
+    metrics: &[Metric],
+    columns: &[Column<'_>],
+    header: impl Fn(&str, &str) -> String,
+) -> String {
+    let line = |first: String, cell: &dyn Fn(&Metric, &Column<'_>) -> String| {
+        let mut cells = vec![first];
+        for m in metrics {
+            cells.extend(columns.iter().map(|c| cell(m, c)));
+        }
+        cells
+    };
+    let mut t = TextTable::new(line("Bench".to_owned(), &|m, (l, ..)| header(m.name, l)));
+    for (i, row) in columns[0].1.rows.iter().enumerate() {
+        t.row(line(row.name.clone(), &|m, &(_, e, v)| (m.fmt)((m.value)(&e.rows[i].variants[v]))));
+    }
+    t.row(line("GM".to_owned(), &|m, &(_, e, v)| (m.fmt)((m.gm)(e, v))));
+    t.render()
 }
 
 #[cfg(test)]

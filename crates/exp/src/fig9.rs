@@ -5,8 +5,7 @@
 //! the §V-C effective-compression-ratio study (paper: E2MC GM 1.41 / 1.31
 //! / 1.16 at MAG 16/32/64 B, raw GM 1.54 independent of MAG).
 
-use crate::eval::{self, per_benchmark, Eval, EvalRow};
-use crate::report::{err_pct, f3, TextTable};
+use crate::eval::{self, grouped_table, per_benchmark, Eval, EvalRow, ERROR, SPEEDUP};
 use slc_compress::ratio::{geometric_mean, RatioAccumulator};
 use slc_compress::{BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::SlcVariant;
@@ -98,36 +97,12 @@ impl Fig9 {
 
     /// Renders speedups, errors and the §V-C ratios.
     pub fn render(&self) -> String {
-        let mut header = vec!["Bench".to_owned()];
-        for s in &self.studies {
-            header.push(format!("speedup@{}", s.mag));
-        }
-        for s in &self.studies {
-            header.push(format!("err@{}", s.mag));
-        }
-        let mut t = TextTable::new(header);
-        let names: Vec<String> = self.studies[0].eval.rows.iter().map(|r| r.name.clone()).collect();
-        for (i, name) in names.iter().enumerate() {
-            let mut cells = vec![name.clone()];
-            for s in &self.studies {
-                cells.push(f3(s.eval.rows[i].variants[0].speedup));
-            }
-            for s in &self.studies {
-                cells.push(err_pct(s.eval.rows[i].variants[0].error_pct));
-            }
-            t.row(cells);
-        }
-        let mut cells = vec!["GM".to_owned()];
-        for s in &self.studies {
-            cells.push(f3(s.eval.gm_speedup(0)));
-        }
-        for s in &self.studies {
-            cells.push(err_pct(s.eval.gm_mre(0)));
-        }
-        t.row(cells);
+        let columns: Vec<_> =
+            self.studies.iter().map(|s| (s.mag.to_string(), &s.eval, 0)).collect();
+        let table = grouped_table(&[SPEEDUP, ERROR], &columns, |m, l| format!("{m}@{l}"));
         let mut out =
             String::from("Fig. 9: TSLC-OPT speedup and error across MAGs (threshold = MAG/2)\n");
-        out.push_str(&t.render());
+        out.push_str(&table);
         out.push_str("\n(paper GM speedups: 1.05 @16B, 1.097 @32B, 1.09 @64B; NN +35%, SRAD1 +27%, TP +21% @64B)\n");
         out.push_str(
             "\n§V-C: E2MC compression-ratio GM by MAG (paper: eff 1.41/1.31/1.16, raw 1.54):\n",

@@ -3,6 +3,9 @@
 use crate::report::TextTable;
 use slc_core::slc::SlcVariant;
 use slc_power::TslcHardwareModel;
+use slc_sim::config::{
+    BURST_LENGTH, L1_KB, L2_KB, MEMORY_CONTROLLERS, MEM_CLOCK_MHZ, SM_CLOCK_MHZ,
+};
 use slc_sim::GpuConfig;
 use slc_workloads::{all_workloads, Scale, SchemeKind};
 
@@ -50,19 +53,19 @@ pub fn table2() -> String {
     let c = GpuConfig::default();
     let mut t = TextTable::new(vec!["Parameter", "Value"]);
     t.row(vec!["#SMs".to_owned(), c.sms.to_string()]);
-    t.row(vec!["SM freq (MHz)".to_owned(), format!("{}", c.sm_clock_mhz)]);
+    t.row(vec!["SM freq (MHz)".to_owned(), format!("{SM_CLOCK_MHZ}")]);
     t.row(vec!["Max #Threads/SM".to_owned(), "1536".to_owned()]);
     t.row(vec!["Max CTA size".to_owned(), "512".to_owned()]);
-    t.row(vec!["L1 $ size/SM".to_owned(), format!("{} KB", c.l1_kb)]);
-    t.row(vec!["L2 $ size".to_owned(), format!("{} KB", c.l2_kb)]);
+    t.row(vec!["L1 $ size/SM".to_owned(), format!("{L1_KB} KB")]);
+    t.row(vec!["L2 $ size".to_owned(), format!("{L2_KB} KB")]);
     t.row(vec!["#Registers/SM".to_owned(), "32 K".to_owned()]);
     t.row(vec!["Shared memory/SM".to_owned(), "48 KB".to_owned()]);
     t.row(vec!["Memory type".to_owned(), "GDDR5".to_owned()]);
-    t.row(vec!["# Memory controllers".to_owned(), c.memory_controllers.to_string()]);
-    t.row(vec!["Memory clock".to_owned(), format!("{} MHz", c.mem_clock_mhz)]);
+    t.row(vec!["# Memory controllers".to_owned(), MEMORY_CONTROLLERS.to_string()]);
+    t.row(vec!["Memory clock".to_owned(), format!("{MEM_CLOCK_MHZ} MHz")]);
     t.row(vec!["Memory bandwidth".to_owned(), format!("{:.1} GB/s", c.bandwidth_gbps())]);
-    t.row(vec!["Bus width".to_owned(), format!("{}-bit", c.bus_bits)]);
-    t.row(vec!["Burst length".to_owned(), c.burst_length.to_string()]);
+    t.row(vec!["Bus width".to_owned(), format!("{}-bit", c.bus_bits())]);
+    t.row(vec!["Burst length".to_owned(), BURST_LENGTH.to_string()]);
     t.row(vec!["MAG".to_owned(), c.mag().to_string()]);
     let tslc = SchemeKind::Slc(SlcVariant::TslcOpt);
     for (label, kind) in [("E2MC", SchemeKind::E2mc), ("TSLC", tslc)] {

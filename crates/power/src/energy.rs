@@ -4,52 +4,39 @@
 //! — everything that burns power for as long as the kernel runs), an
 //! op-proportional SM term, and per-event memory-system terms. SLC
 //! affects the first through shorter runtime and the memory terms through
-//! fewer bursts; the SM term is workload-constant. The default constants
+//! fewer bursts; the SM term is workload-constant. The constants
 //! are calibrated so a GTX580-like baseline spends roughly half its
 //! energy in the time-proportional term and a quarter in DRAM — the
 //! regime in which the paper's 9.7 % speedup + 14 % traffic cut yield its
 //! reported ~8.3 % energy and ~17.5 % EDP reductions.
 
+use slc_sim::config::SM_CLOCK_MHZ;
 use slc_sim::{GpuConfig, SimStats};
 
-/// Energy model constants. All energies in nanojoules, power in watts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergyModel {
-    /// Time-proportional chip power (leakage + clock tree + board), W.
-    pub static_power_w: f64,
-    /// Energy per executed SM trace op (amortised warp instruction), nJ.
-    pub energy_per_op_nj: f64,
-    /// Energy per L1 access, nJ.
-    pub energy_per_l1_nj: f64,
-    /// Energy per L2 access, nJ.
-    pub energy_per_l2_nj: f64,
-    /// Energy per DRAM data/metadata burst (I/O + core), nJ.
-    pub energy_per_burst_nj: f64,
-    /// Energy per DRAM row activation, nJ.
-    pub energy_per_row_act_nj: f64,
-    /// Energy per block compression (from the Table I RTL numbers), nJ.
-    pub energy_per_compress_nj: f64,
-    /// Energy per block decompression, nJ.
-    pub energy_per_decompress_nj: f64,
-}
+/// Time-proportional chip power (leakage + clock tree + board), W.
+const STATIC_POWER_W: f64 = 95.0;
+/// Energy per executed SM trace op (amortised warp instruction), nJ.
+const ENERGY_PER_OP_NJ: f64 = 8.0;
+/// Energy per L1 access, nJ.
+const ENERGY_PER_L1_NJ: f64 = 0.15;
+/// Energy per L2 access, nJ.
+const ENERGY_PER_L2_NJ: f64 = 0.6;
+/// Energy per DRAM data/metadata burst, nJ: 32 B at ~20 pJ/bit (GDDR5
+/// I/O + core).
+const ENERGY_PER_BURST_NJ: f64 = 5.2;
+/// Energy per DRAM row activation, nJ.
+const ENERGY_PER_ROW_ACT_NJ: f64 = 3.0;
+/// Energy per block compression, nJ (Table I: 1.62 mW × 60 cycles /
+/// 822 MHz ≈ 0.12 nJ).
+const ENERGY_PER_COMPRESS_NJ: f64 = 0.12;
+/// Energy per block decompression, nJ (Table I: 0.21 mW × 20 cycles /
+/// 822 MHz ≈ 0.005 nJ).
+const ENERGY_PER_DECOMPRESS_NJ: f64 = 0.005;
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        Self {
-            static_power_w: 95.0,
-            energy_per_op_nj: 8.0,
-            energy_per_l1_nj: 0.15,
-            energy_per_l2_nj: 0.6,
-            // 32 B burst at ~20 pJ/bit (GDDR5 I/O + core).
-            energy_per_burst_nj: 5.2,
-            energy_per_row_act_nj: 3.0,
-            // Table I: 1.62 mW × 60 cycles / 822 MHz ≈ 0.12 nJ.
-            energy_per_compress_nj: 0.12,
-            // Table I: 0.21 mW × 20 cycles / 822 MHz ≈ 0.005 nJ.
-            energy_per_decompress_nj: 0.005,
-        }
-    }
-}
+/// The energy model: its constants (energies in nanojoules, power in
+/// watts) are this module's, calibrated once for Table II's GPU.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EnergyModel;
 
 /// Per-component energy of one run, in millijoules.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,20 +68,21 @@ impl EnergyBreakdown {
 }
 
 impl EnergyModel {
-    /// Computes the breakdown of one simulated run.
-    pub fn evaluate(&self, stats: &SimStats, cfg: &GpuConfig) -> EnergyBreakdown {
-        let seconds = stats.cycles as f64 / (cfg.sm_clock_mhz * 1e6);
+    /// Computes the breakdown of one simulated run at [`SM_CLOCK_MHZ`].
+    /// `_cfg` changes nothing: every configuration runs at that clock.
+    pub fn evaluate(&self, stats: &SimStats, _cfg: &GpuConfig) -> EnergyBreakdown {
+        let seconds = stats.cycles as f64 / (SM_CLOCK_MHZ * 1e6);
         let nj_to_mj = 1e-6;
-        let static_mj = self.static_power_w * seconds * 1e3;
-        let sm_mj = self.energy_per_op_nj * stats.ops as f64 * nj_to_mj;
-        let cache_mj = (self.energy_per_l1_nj * (stats.l1_hits + stats.l1_misses) as f64
-            + self.energy_per_l2_nj * (stats.l2_hits + stats.l2_misses) as f64)
+        let static_mj = STATIC_POWER_W * seconds * 1e3;
+        let sm_mj = ENERGY_PER_OP_NJ * stats.ops as f64 * nj_to_mj;
+        let cache_mj = (ENERGY_PER_L1_NJ * (stats.l1_hits + stats.l1_misses) as f64
+            + ENERGY_PER_L2_NJ * (stats.l2_hits + stats.l2_misses) as f64)
             * nj_to_mj;
-        let dram_mj = (self.energy_per_burst_nj * stats.total_bursts() as f64
-            + self.energy_per_row_act_nj * stats.row_misses as f64)
+        let dram_mj = (ENERGY_PER_BURST_NJ * stats.total_bursts() as f64
+            + ENERGY_PER_ROW_ACT_NJ * stats.row_misses as f64)
             * nj_to_mj;
-        let codec_mj = (self.energy_per_compress_nj * stats.compressed_blocks as f64
-            + self.energy_per_decompress_nj * stats.decompressed_blocks as f64)
+        let codec_mj = (ENERGY_PER_COMPRESS_NJ * stats.compressed_blocks as f64
+            + ENERGY_PER_DECOMPRESS_NJ * stats.decompressed_blocks as f64)
             * nj_to_mj;
         EnergyBreakdown { static_mj, sm_mj, cache_mj, dram_mj, codec_mj, seconds }
     }
@@ -123,7 +111,7 @@ mod tests {
 
     #[test]
     fn energy_scales_with_runtime_and_traffic() {
-        let m = EnergyModel::default();
+        let m = EnergyModel;
         let cfg = GpuConfig::default();
         let base = m.evaluate(&stats(1_000_000, 120_000), &cfg);
         let faster = m.evaluate(&stats(900_000, 100_000), &cfg);
@@ -133,7 +121,7 @@ mod tests {
 
     #[test]
     fn edp_is_energy_times_delay() {
-        let m = EnergyModel::default();
+        let m = EnergyModel;
         let cfg = GpuConfig::default();
         let b = m.evaluate(&stats(1_000_000, 120_000), &cfg);
         assert!((b.edp() - b.total_mj() * b.seconds).abs() < 1e-12);
@@ -143,7 +131,7 @@ mod tests {
     fn calibration_puts_static_near_half() {
         // The Fig. 8b regime: time-proportional energy is the largest
         // share, DRAM a strong second, for a memory-bound run.
-        let m = EnergyModel::default();
+        let m = EnergyModel;
         let cfg = GpuConfig::default();
         // Saturated memory: ~7 bursts per cycle across 12 channels.
         let b = m.evaluate(&stats(1_000_000, 7_000_000), &cfg);
@@ -156,7 +144,7 @@ mod tests {
     #[test]
     fn codec_energy_is_negligible() {
         // "in terms of hardware overhead, SLC is feasible and very cheap".
-        let m = EnergyModel::default();
+        let m = EnergyModel;
         let cfg = GpuConfig::default();
         let mut s = stats(1_000_000, 120_000);
         s.compressed_blocks = 30_000;
@@ -169,7 +157,7 @@ mod tests {
     fn paper_regime_reproduces_figure_8b() {
         // 9.7 % faster + ~14 % fewer bursts should land near the paper's
         // 8.3 % energy and 17.5 % EDP reductions.
-        let m = EnergyModel::default();
+        let m = EnergyModel;
         let cfg = GpuConfig::default();
         let base = m.evaluate(&stats(1_000_000, 7_000_000), &cfg);
         let mut slc = stats(903_000, 6_020_000);

@@ -21,7 +21,7 @@
 //!   per-channel [`sched::WriteQueue`] and drain row-hit-first
 //!   (oldest-first among equals) when the high watermark is reached, when
 //!   the bus is idle at the next arrival (read-idle drain), and fully at
-//!   end of kernel. A starvation cap ([`GpuConfig::sched_age_cap`])
+//!   end of kernel. A starvation cap ([`SCHED_AGE_CAP`])
 //!   promotes any write older than the cap over every row hit — and over
 //!   an arriving read — so no request is reordered past its age bound.
 //!
@@ -33,7 +33,9 @@
 
 pub mod sched;
 
-use crate::config::GpuConfig;
+use crate::config::{
+    GpuConfig, BANKS_PER_CHANNEL, ROW_BLOCKS, SCHED_AGE_CAP, WRITE_BUFFER_ENTRIES,
+};
 use crate::BlockAddr;
 use sched::{PendingWrite, SchedPolicy, WriteQueue};
 
@@ -52,6 +54,9 @@ use sched::{PendingWrite, SchedPolicy, WriteQueue};
 /// model reads the line from wherever it lives. Data blocks stay far
 /// below this base (2^40 blocks = 128 TiB).
 pub const META_BLOCK_BASE: u64 = 1 << 40;
+
+/// [`SCHED_AGE_CAP`] in the SM-cycle time base the channel keeps.
+const AGE_CAP: f64 = SCHED_AGE_CAP as f64;
 
 /// One DRAM bank: open row + availability horizon.
 #[derive(Debug, Clone, Copy, Default)]
@@ -112,41 +117,31 @@ pub struct Channel {
     burst_cycles: f64,
     row_hit_cycles: f64,
     row_miss_cycles: f64,
-    row_blocks: u64,
     policy: SchedPolicy,
     writes: WriteQueue,
-    write_capacity: usize,
-    age_cap: f64,
     telemetry: ChannelTelemetry,
 }
 
 impl Channel {
     /// Creates a channel from the GPU configuration.
     pub fn new(cfg: &GpuConfig) -> Self {
-        assert!(
-            cfg.sched_policy == SchedPolicy::InOrder || cfg.write_buffer_entries >= 2,
-            "FR-FCFS write buffer needs room to buffer and drain"
-        );
         Self {
-            banks: vec![Bank::default(); cfg.banks_per_channel],
+            banks: vec![Bank::default(); BANKS_PER_CHANNEL],
             free_at: 0.0,
             burst_cycles: cfg.burst_sm_cycles(),
             row_hit_cycles: cfg.row_hit_sm_cycles(),
             row_miss_cycles: cfg.row_miss_sm_cycles(),
-            row_blocks: cfg.row_blocks,
             policy: cfg.sched_policy,
             writes: WriteQueue::new(),
-            write_capacity: cfg.write_buffer_entries,
-            age_cap: cfg.sched_age_cap as f64,
             telemetry: ChannelTelemetry::default(),
         }
     }
 
     /// Bank and row of a channel-local block index.
     fn locate(&self, local_block: u64) -> (usize, u64) {
-        let row_group = local_block / self.row_blocks;
-        let bank = (row_group as usize) % self.banks.len();
-        let row = row_group / self.banks.len() as u64;
+        let row_group = local_block / ROW_BLOCKS;
+        let bank = (row_group as usize) % BANKS_PER_CHANNEL;
+        let row = row_group / BANKS_PER_CHANNEL as u64;
         (bank, row)
     }
 
@@ -184,7 +179,7 @@ impl Channel {
     /// it at its arrival time (bank/bus maxima handle the waiting).
     fn service_next_write(&mut self, now: f64, forced: bool) {
         let banks = &self.banks;
-        let Some(i) = self.writes.select(now, self.age_cap, |b| banks[b].open_row) else {
+        let Some(i) = self.writes.select(now, AGE_CAP, |b| banks[b].open_row) else {
             return;
         };
         let w = self.writes.remove(i);
@@ -199,7 +194,7 @@ impl Channel {
     /// arriving at `at`: overage writes first (starvation cap), then
     /// opportunistic drains while the bus is idle before the arrival.
     fn drain_before(&mut self, at: f64) {
-        while self.writes.oldest_overage(at, self.age_cap) {
+        while self.writes.oldest_overage(at, AGE_CAP) {
             self.service_next_write(at, true);
         }
         // Read-idle drain: the bus has been idle since `free_at`, so
@@ -239,8 +234,8 @@ impl Channel {
                 // not just read arrivals: overage writes leave first.
                 self.drain_before(at);
                 self.writes.push(PendingWrite { bursts, arrival: at, bank, row });
-                if self.writes.len() >= self.write_capacity {
-                    while self.writes.len() > self.write_capacity / 2 {
+                if self.writes.len() >= WRITE_BUFFER_ENTRIES {
+                    while self.writes.len() > WRITE_BUFFER_ENTRIES / 2 {
                         self.service_next_write(at, true);
                     }
                 }
@@ -407,7 +402,7 @@ mod tests {
         let mut ch = Channel::new(&cfg());
         ch.read(0, 4, 0.0);
         // Same bank reappears after banks * row_blocks blocks.
-        let stride = cfg().banks_per_channel as u64 * cfg().row_blocks;
+        let stride = BANKS_PER_CHANNEL as u64 * ROW_BLOCKS;
         let a = ch.read(stride, 4, 1000.0);
         assert!(!a.row_hit);
     }
@@ -459,7 +454,7 @@ mod tests {
     fn read_bypasses_buffered_writes() {
         // A queued write to a far row must not delay a younger read under
         // FR-FCFS; under InOrder the write occupies the bus first.
-        let far = cfg().banks_per_channel as u64 * cfg().row_blocks;
+        let far = BANKS_PER_CHANNEL as u64 * ROW_BLOCKS;
         let in_order = {
             let mut ch = Channel::new(&cfg_with(SchedPolicy::InOrder));
             ch.write(far, 4, 0.0);
@@ -480,12 +475,12 @@ mod tests {
     fn watermark_drains_to_half_capacity() {
         let cfg = cfg_with(SchedPolicy::FrFcfs);
         let mut ch = Channel::new(&cfg);
-        for i in 0..cfg.write_buffer_entries {
+        for i in 0..WRITE_BUFFER_ENTRIES {
             ch.write(i as u64, 4, 0.0);
         }
         assert_eq!(
             ch.pending_writes(),
-            cfg.write_buffer_entries / 2,
+            WRITE_BUFFER_ENTRIES / 2,
             "hitting the high watermark drains to half capacity"
         );
         assert!(ch.telemetry().write_drain_forced > 0);
@@ -500,13 +495,13 @@ mod tests {
         for i in 0..400u64 {
             ch.read(i * 2, 4, 0.0);
         }
-        assert!(ch.free_at() > cfg.sched_age_cap as f64 + 100.0);
+        assert!(ch.free_at() > AGE_CAP + 100.0);
         ch.write(1, 4, 10.0);
         // Just under the cap: reads keep bypassing the buffered write.
-        ch.read(3, 4, 10.0 + cfg.sched_age_cap as f64 - 1.0);
+        ch.read(3, 4, 10.0 + AGE_CAP - 1.0);
         assert_eq!(ch.pending_writes(), 1);
         // Past the cap: the stale write is forced out ahead of the read.
-        ch.read(5, 4, 11.0 + cfg.sched_age_cap as f64);
+        ch.read(5, 4, 11.0 + AGE_CAP);
         assert_eq!(ch.pending_writes(), 0);
         assert_eq!(ch.telemetry().write_drain_forced, 1);
     }
@@ -520,7 +515,7 @@ mod tests {
         // inside the age cap), so the write drains opportunistically (not
         // force-counted) and the read still starts unobstructed.
         let at = 500.0;
-        assert!(at < cfg.sched_age_cap as f64);
+        assert!(at < AGE_CAP);
         let read = ch.read(16, 4, at);
         assert_eq!(ch.pending_writes(), 0);
         assert_eq!(ch.telemetry().write_drains, 1);
@@ -534,7 +529,7 @@ mod tests {
         // Writes ping-ponging between two rows of one bank: buffered
         // FR-FCFS drain groups them per row, the in-order service
         // activates on every single write.
-        let far = cfg().banks_per_channel as u64 * cfg().row_blocks;
+        let far = BANKS_PER_CHANNEL as u64 * ROW_BLOCKS;
         let mut in_order = Channel::new(&cfg_with(SchedPolicy::InOrder));
         let mut frfcfs = Channel::new(&cfg_with(SchedPolicy::FrFcfs));
         for i in 0..6u64 {

@@ -40,11 +40,6 @@ impl Engine {
         Self { cfg }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &GpuConfig {
-        &self.cfg
-    }
-
     /// Runs `trace` to completion and returns the statistics.
     ///
     /// `bursts` supplies the per-block burst counts (compression state);
@@ -52,7 +47,7 @@ impl Engine {
     /// no-compression baseline.
     pub fn run(&self, trace: &Trace, bursts: &dyn BurstsSource) -> SimStats {
         let mut mem = MemorySystem::new(&self.cfg, bursts);
-        let mut sms: Vec<SmState> = (0..trace.sms()).map(|_| SmState::new(&self.cfg)).collect();
+        let mut sms: Vec<SmState> = (0..trace.sms()).map(|_| SmState::default()).collect();
         // A tournament over one key per SM: its clock above its index, so
         // one integer compare orders keys as the (clock, index) tuple, and
         // `u64::MAX` once its stream is done. Leaf `i` is `tree[m + i]` and
@@ -97,6 +92,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{BANKS_PER_CHANNEL, ICNT_LATENCY, L2_HIT_LATENCY, ROW_BLOCKS};
     use crate::mc::{BurstsMap, UniformBursts};
     use crate::trace::{Op, TraceBuilder};
 
@@ -223,7 +219,7 @@ mod tests {
         // + CAS and the block's bursts; the channel reports the data's
         // arrival in whole cycles.
         let base = GpuConfig::default().without_mdc();
-        let per_row = (base.channels() * base.banks_per_channel) as u64 * base.row_blocks;
+        let per_row = (base.channels() * BANKS_PER_CHANNEL) as u64 * ROW_BLOCKS;
         let chain = 40;
         let mut t = Trace::new(base.sms);
         for row in 0..chain {
@@ -233,7 +229,7 @@ mod tests {
         for cfg in [base.clone(), base.with_sched_policy(crate::SchedPolicy::InOrder)] {
             let dram =
                 cfg.row_miss_sm_cycles() + f64::from(cfg.max_bursts()) * cfg.burst_sm_cycles();
-            let load = 2 * cfg.icnt_latency + cfg.l2_hit_latency + dram.ceil() as u64;
+            let load = 2 * ICNT_LATENCY + L2_HIT_LATENCY + dram.ceil() as u64;
             let stats = Engine::new(cfg.clone()).run(&t, &UniformBursts(cfg.max_bursts()));
             assert_eq!((stats.row_misses, stats.dram_reads), (chain, chain));
             assert_eq!(stats.cycles, chain * load, "{:?}: {load} cycles a load", cfg.sched_policy);
@@ -251,7 +247,7 @@ mod tests {
         /// min-heap over (local clock, index), one step per pop.
         fn heap_run(cfg: &GpuConfig, trace: &Trace, bursts: &dyn BurstsSource) -> SimStats {
             let mut mem = MemorySystem::new(cfg, bursts);
-            let mut sms: Vec<SmState> = (0..trace.sms()).map(|_| SmState::new(cfg)).collect();
+            let mut sms: Vec<SmState> = (0..trace.sms()).map(|_| SmState::default()).collect();
             let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..trace.sms())
                 .filter(|&i| !trace.stream(i).is_empty())
                 .map(|i| Reverse((0u64, i)))
@@ -384,7 +380,7 @@ mod tests {
         let cfg = GpuConfig::default();
         let trace = streaming_trace(&cfg, 8000, 0);
         let stats = Engine::new(cfg.clone()).run(&trace, &UniformBursts(4));
-        let bw = stats.achieved_bandwidth_gbps(cfg.mag().bytes(), cfg.sm_clock_mhz);
+        let bw = stats.achieved_bandwidth_gbps(cfg.mag().bytes());
         assert!(bw > 0.3 * cfg.bandwidth_gbps(), "streaming should use bandwidth, got {bw:.1}");
         assert!(bw <= cfg.bandwidth_gbps() * 1.01, "cannot exceed peak, got {bw:.1}");
     }

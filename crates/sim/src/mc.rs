@@ -6,7 +6,7 @@
 //! the required number of bursts for every compressed block."
 
 use crate::cache::{Cache, CacheOutcome};
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, ICNT_LATENCY, L2_ASSOC, L2_HIT_LATENCY, L2_KB, MDC_ENTRIES};
 use crate::dram::Dram;
 use crate::stats::SimStats;
 use crate::BlockAddr;
@@ -164,8 +164,6 @@ pub struct MemorySystem<'a> {
     bursts: &'a dyn BurstsSource,
     stats: SimStats,
     max_bursts: u32,
-    l2_hit_latency: u64,
-    icnt_latency: u64,
     compress_latency: u64,
     decompress_latency: u64,
 }
@@ -180,14 +178,12 @@ impl<'a> MemorySystem<'a> {
     /// Builds the memory system from the configuration.
     pub fn new(cfg: &GpuConfig, bursts: &'a dyn BurstsSource) -> Self {
         Self {
-            l2: Cache::new(cfg.l2_kb as usize * 1024 / BLOCK_BYTES, cfg.l2_assoc),
-            mdc: cfg.mdc_enabled.then(|| Cache::new(cfg.mdc_entries, 1)),
+            l2: Cache::new(L2_KB * 1024 / BLOCK_BYTES, L2_ASSOC),
+            mdc: cfg.mdc_enabled.then(|| Cache::new(MDC_ENTRIES, 1)),
             dram: Dram::new(cfg),
             bursts,
             stats: SimStats::new(),
             max_bursts: cfg.max_bursts(),
-            l2_hit_latency: cfg.l2_hit_latency,
-            icnt_latency: cfg.icnt_latency,
             compress_latency: cfg.compress_latency,
             decompress_latency: cfg.decompress_latency,
         }
@@ -287,15 +283,15 @@ impl<'a> MemorySystem<'a> {
     /// A coalesced load arriving from an SM at time `at`; returns the time
     /// the data is back at the SM.
     pub fn load(&mut self, block: BlockAddr, at: u64) -> u64 {
-        let t = at + self.icnt_latency;
+        let t = at + ICNT_LATENCY;
         match self.l2.access(block, false) {
-            CacheOutcome::Hit => t + self.l2_hit_latency + self.icnt_latency,
+            CacheOutcome::Hit => t + L2_HIT_LATENCY + ICNT_LATENCY,
             CacheOutcome::Miss { writeback } => {
                 if let Some(victim) = writeback {
-                    self.dram_writeback(victim, t + self.l2_hit_latency);
+                    self.dram_writeback(victim, t + L2_HIT_LATENCY);
                 }
-                let done = self.dram_fetch(block, t + self.l2_hit_latency);
-                let completion = done + self.icnt_latency;
+                let done = self.dram_fetch(block, t + L2_HIT_LATENCY);
+                let completion = done + ICNT_LATENCY;
                 self.stats.read_latency_sum += completion - at;
                 completion
             }
@@ -305,9 +301,9 @@ impl<'a> MemorySystem<'a> {
     /// A coalesced store arriving from an SM at time `at` (fully
     /// coalesced full-line store: allocates in L2 without a fetch).
     pub fn store(&mut self, block: BlockAddr, at: u64) {
-        let t = at + self.icnt_latency;
+        let t = at + ICNT_LATENCY;
         if let CacheOutcome::Miss { writeback: Some(victim) } = self.l2.access(block, true) {
-            self.dram_writeback(victim, t + self.l2_hit_latency);
+            self.dram_writeback(victim, t + L2_HIT_LATENCY);
         }
     }
 
@@ -453,7 +449,7 @@ mod tests {
         let cold = m.load(7, 0);
         let warm_start = cold + 10;
         let warm = m.load(7, warm_start);
-        assert_eq!(warm - warm_start, 2 * cfg.icnt_latency + cfg.l2_hit_latency);
+        assert_eq!(warm - warm_start, 2 * ICNT_LATENCY + L2_HIT_LATENCY);
         assert!(cold > warm - warm_start, "cold miss must be slower");
         assert_eq!(m.stats().l2_hits, 1);
         assert_eq!(m.stats().l2_misses, 1);
@@ -628,16 +624,16 @@ mod tests {
 
     #[test]
     fn dirty_mdc_eviction_writes_the_line_back() {
-        // A one-entry MDC: the second write-back's metadata line evicts
-        // the first, whose burst-count update must be stored to DRAM (one
-        // metadata write-back burst), and the survivor drains at flush
-        // (the second).
-        let mut cfg = cfg();
-        cfg.mdc_entries = 1;
+        // Metadata lines 0 and MDC_ENTRIES share the direct-mapped MDC's
+        // slot 0: the second write-back's line evicts the first, whose
+        // burst-count update must be stored to DRAM (one metadata
+        // write-back burst), and the survivor drains at flush (the
+        // second). Both stores reach the channels' write queues.
+        let cfg = cfg();
         let u = UniformBursts(2);
         let mut m = MemorySystem::new(&cfg, &u);
         m.store(0, 0); // metadata line 0
-        m.store(BLOCKS_PER_META_LINE, 0); // metadata line 1
+        m.store(MDC_ENTRIES as u64 * BLOCKS_PER_META_LINE, 0); // line MDC_ENTRIES
         let s = m.stats();
         assert_eq!(s.metadata_writeback_bursts, 0, "write-back: nothing leaves yet");
         m.flush(100);
@@ -649,21 +645,24 @@ mod tests {
             "one dirty eviction + one dirty line at the final drain"
         );
         assert_eq!(s.total_bursts(), 2 + 2 + 2 * 2, "write-backs count on the pins");
+        assert_eq!(s.write_drains, 2 + 2, "two data blocks and two metadata lines were written");
+        m.load(1, 10_000); // line 0 again, through a block not in L2
+        assert_eq!(m.stats().mdc_misses, 3, "line 0 was evicted, not drained in place");
     }
 
     #[test]
     fn clean_metadata_lines_never_write_back() {
-        // Read-only traffic dirties nothing: evictions and the final
-        // drain stay silent however small the MDC.
-        let mut cfg = cfg();
-        cfg.mdc_entries = 1;
+        // Read-only traffic dirties nothing: the eviction of line 0 by
+        // line MDC_ENTRIES (the same slot) and the final drain stay silent.
+        let cfg = cfg();
         let u = UniformBursts(2);
         let mut m = MemorySystem::new(&cfg, &u);
         m.load(0, 0);
-        m.load(BLOCKS_PER_META_LINE, 50_000); // evicts line 0
-        m.flush(100_000);
+        m.load(MDC_ENTRIES as u64 * BLOCKS_PER_META_LINE, 50_000); // evicts line 0
+        m.load(1, 100_000); // line 0 again, through a block not in L2: a miss
+        m.flush(150_000);
         let s = m.stats();
-        assert_eq!(s.mdc_misses, 2);
+        assert_eq!(s.mdc_misses, 3);
         assert_eq!(s.metadata_writeback_bursts, 0);
     }
 

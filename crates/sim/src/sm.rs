@@ -7,7 +7,7 @@
 //! — are whatever the SM spends waiting on memory.
 
 use crate::cache::Cache;
-use crate::config::GpuConfig;
+use crate::config::{L1_ASSOC, L1_KB, MSHRS_PER_SM};
 use crate::mc::MemorySystem;
 use crate::trace::{Op, PackedOp};
 use slc_compress::BLOCK_BYTES;
@@ -27,7 +27,6 @@ pub struct SmState {
     newest_completion: u64,
     /// Private L1 cache; it counts its own hits and misses.
     l1: Cache,
-    mshrs: usize,
     /// Cycles spent stalled.
     stall_cycles: u64,
     loads: u64,
@@ -35,23 +34,24 @@ pub struct SmState {
     ops: u64,
 }
 
-impl SmState {
-    /// Creates an SM with the configuration's L1 and MSHR file.
-    pub fn new(cfg: &GpuConfig) -> Self {
+impl Default for SmState {
+    /// An SM with Table II's L1 and an empty MSHR file.
+    fn default() -> Self {
         Self {
             time: 0,
             pc: 0,
             outstanding: BinaryHeap::new(),
             newest_completion: 0,
-            l1: Cache::new(cfg.l1_kb as usize * 1024 / BLOCK_BYTES, cfg.l1_assoc),
-            mshrs: cfg.mshrs_per_sm,
+            l1: Cache::new(L1_KB * 1024 / BLOCK_BYTES, L1_ASSOC),
             stall_cycles: 0,
             loads: 0,
             stores: 0,
             ops: 0,
         }
     }
+}
 
+impl SmState {
     /// SM-local clock.
     pub fn time(&self) -> u64 {
         self.time
@@ -82,7 +82,7 @@ impl SmState {
                 }
                 // A full MSHR file blocks issue until the oldest miss
                 // returns.
-                if self.outstanding.len() >= self.mshrs {
+                if self.outstanding.len() >= MSHRS_PER_SM {
                     let Reverse(earliest) =
                         self.outstanding.pop().expect("mshrs > 0 implies non-empty");
                     if earliest > self.time {
@@ -126,8 +126,10 @@ impl SmState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{BANKS_PER_CHANNEL, ROW_BLOCKS};
     use crate::mc::UniformBursts;
     use crate::trace::Op;
+    use crate::GpuConfig;
 
     fn cfg() -> GpuConfig {
         GpuConfig::default()
@@ -138,7 +140,7 @@ mod tests {
         let cfg = cfg();
         let u = UniformBursts(4);
         let mut mem = MemorySystem::new(&cfg, &u);
-        let mut sm = SmState::new(&cfg);
+        let mut sm = SmState::default();
         let stream = [Op::Compute(100)].map(Op::pack);
         assert!(sm.step(&stream, &mut mem));
         assert_eq!(sm.time(), 100);
@@ -150,7 +152,7 @@ mod tests {
         let cfg = cfg();
         let u = UniformBursts(4);
         let mut mem = MemorySystem::new(&cfg, &u);
-        let mut sm = SmState::new(&cfg);
+        let mut sm = SmState::default();
         let stream = [Op::Load(0), Op::Sync].map(Op::pack);
         sm.step(&stream, &mut mem);
         assert_eq!(sm.time(), 1, "load issue takes one cycle");
@@ -163,7 +165,7 @@ mod tests {
         let cfg = cfg();
         let u = UniformBursts(4);
         let mut mem = MemorySystem::new(&cfg, &u);
-        let mut sm = SmState::new(&cfg);
+        let mut sm = SmState::default();
         let stream = [Op::Load(9), Op::Sync, Op::Load(9), Op::Sync].map(Op::pack);
         for _ in 0..4 {
             sm.step(&stream, &mut mem);
@@ -178,19 +180,26 @@ mod tests {
 
     #[test]
     fn full_mshr_file_stalls() {
-        let mut c = cfg();
-        c.mshrs_per_sm = 2;
+        // MSHRS_PER_SM + 1 misses to successive rows of one bank: the bank
+        // serialises them, so the first is still in flight when the last
+        // finds the file full, and the SM waits exactly for it.
+        let cfg = cfg();
         let u = UniformBursts(4);
-        let mut mem = MemorySystem::new(&c, &u);
-        let mut sm = SmState::new(&c);
-        // Three misses with 2 MSHRs: the third must wait for the first.
-        let stream = [Op::Load(0), Op::Load(1), Op::Load(2)].map(Op::pack);
-        for _ in 0..3 {
+        let row_stride = (cfg.channels() * BANKS_PER_CHANNEL) as u64 * ROW_BLOCKS;
+        let stream: Vec<_> =
+            (0..=MSHRS_PER_SM as u64).map(|row| Op::Load(row * row_stride).pack()).collect();
+        let first = MemorySystem::new(&cfg, &u).load(0, 0);
+        let issued = MSHRS_PER_SM as u64;
+        assert!(first > issued, "the first miss returns after the file fills: {first}");
+        let mut mem = MemorySystem::new(&cfg, &u);
+        let mut sm = SmState::default();
+        for _ in 0..stream.len() {
             sm.step(&stream, &mut mem);
         }
         let mut stats = crate::stats::SimStats::new();
         sm.accumulate(&mut stats);
-        assert!(stats.stall_cycles > 0, "expected an MSHR stall");
+        assert_eq!(stats.stall_cycles, first - issued, "the last miss waited for the first");
+        assert_eq!(sm.time(), first + 1);
     }
 
     #[test]
@@ -198,7 +207,7 @@ mod tests {
         let cfg = cfg();
         let u = UniformBursts(4);
         let mut mem = MemorySystem::new(&cfg, &u);
-        let mut sm = SmState::new(&cfg);
+        let mut sm = SmState::default();
         let stream = [Op::Store(4), Op::Store(5)].map(Op::pack);
         sm.step(&stream, &mut mem);
         sm.step(&stream, &mut mem);

@@ -1,5 +1,7 @@
 //! Simulation statistics.
 
+use crate::config::SM_CLOCK_MHZ;
+
 /// Counters produced by one simulation run.
 ///
 /// All times are SM cycles. Energy is derived from these counters by
@@ -118,12 +120,12 @@ impl SimStats {
         }
     }
 
-    /// Achieved DRAM bandwidth in GB/s for a run at `sm_clock_mhz`.
-    pub fn achieved_bandwidth_gbps(&self, mag_bytes: u32, sm_clock_mhz: f64) -> f64 {
+    /// Achieved DRAM bandwidth in GB/s for a run at [`SM_CLOCK_MHZ`].
+    pub fn achieved_bandwidth_gbps(&self, mag_bytes: u32) -> f64 {
         if self.cycles == 0 {
             return 0.0;
         }
-        let seconds = self.cycles as f64 / (sm_clock_mhz * 1e6);
+        let seconds = self.cycles as f64 / (SM_CLOCK_MHZ * 1e6);
         self.dram_bytes(mag_bytes) as f64 / seconds / 1e9
     }
 }
@@ -152,7 +154,7 @@ mod tests {
         assert!((s.l2_miss_rate() - 0.25).abs() < 1e-12);
         assert!((s.mdc_hit_rate() - 0.9).abs() < 1e-12);
         assert!((s.avg_read_latency() - 100.0).abs() < 1e-12);
-        let bw = s.achieved_bandwidth_gbps(32, 822.0);
+        let bw = s.achieved_bandwidth_gbps(32);
         assert!(bw > 0.0);
     }
 
@@ -162,6 +164,6 @@ mod tests {
         assert_eq!(s.avg_read_latency(), 0.0);
         assert_eq!(s.l2_miss_rate(), 0.0);
         assert_eq!(s.mdc_hit_rate(), 0.0);
-        assert_eq!(s.achieved_bandwidth_gbps(32, 822.0), 0.0);
+        assert_eq!(s.achieved_bandwidth_gbps(32), 0.0);
     }
 }

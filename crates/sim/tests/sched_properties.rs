@@ -7,12 +7,13 @@
 //!    arrival) on randomized access sequences — the refactor changed the
 //!    plumbing, never the legacy arithmetic;
 //! 2. FR-FCFS never reorders past the starvation cap: at every read
-//!    arrival, no buffered write older than `sched_age_cap` survives the
+//!    arrival, no buffered write older than `SCHED_AGE_CAP` survives the
 //!    arbitration (the oldest request's completion is bounded);
 //! 3. row-hit-first drain strictly reduces row activates against
 //!    `InOrder` on bank-conflict write traffic.
 
 use proptest::prelude::*;
+use slc_sim::config::{BANKS_PER_CHANNEL, ROW_BLOCKS, SCHED_AGE_CAP, WRITE_BUFFER_ENTRIES};
 use slc_sim::dram::sched::SchedPolicy;
 use slc_sim::dram::Channel;
 use slc_sim::GpuConfig;
@@ -27,24 +28,22 @@ struct LegacyChannel {
     burst_cycles: f64,
     row_hit_cycles: f64,
     row_miss_cycles: f64,
-    row_blocks: u64,
 }
 
 impl LegacyChannel {
     fn new(cfg: &GpuConfig) -> Self {
         Self {
-            open_row: vec![None; cfg.banks_per_channel],
-            ready_at: vec![0.0; cfg.banks_per_channel],
+            open_row: vec![None; BANKS_PER_CHANNEL],
+            ready_at: vec![0.0; BANKS_PER_CHANNEL],
             free_at: 0.0,
             burst_cycles: cfg.burst_sm_cycles(),
             row_hit_cycles: cfg.row_hit_sm_cycles(),
             row_miss_cycles: cfg.row_miss_sm_cycles(),
-            row_blocks: cfg.row_blocks,
         }
     }
 
     fn access(&mut self, local_block: u64, bursts: u32, at: f64) -> (f64, bool) {
-        let row_group = local_block / self.row_blocks;
+        let row_group = local_block / ROW_BLOCKS;
         let bank = (row_group as usize) % self.open_row.len();
         let row = row_group / self.open_row.len() as u64;
         let start = at.max(self.ready_at[bank]);
@@ -110,7 +109,7 @@ proptest! {
         ops in proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u16>(), any::<bool>()), 1..300)
     ) {
         let cfg = frfcfs_cfg();
-        let cap = cfg.sched_age_cap as f64;
+        let cap = SCHED_AGE_CAP as f64;
         let mut channel = Channel::new(&cfg);
         let mut now = 0.0f64;
         for &(block, bursts, dt, is_write) in &ops {
@@ -128,7 +127,7 @@ proptest! {
                     "write from {oldest} still buffered after event at {now} (cap {cap})"
                 );
             }
-            prop_assert!(channel.pending_writes() <= cfg.write_buffer_entries);
+            prop_assert!(channel.pending_writes() <= WRITE_BUFFER_ENTRIES);
         }
     }
 
@@ -146,11 +145,11 @@ proptest! {
         let cfg_f = frfcfs_cfg();
         // Two rows of bank 0: row 0 starts at block 0, row 1 after a full
         // sweep of every bank's first row group.
-        let far = cfg_i.banks_per_channel as u64 * cfg_i.row_blocks;
+        let far = BANKS_PER_CHANNEL as u64 * ROW_BLOCKS;
         let mut in_order = Channel::new(&cfg_i);
         let mut frfcfs = Channel::new(&cfg_f);
         for (i, &second_row) in rows.iter().enumerate() {
-            let offset = u64::from(offsets[i % offsets.len()]) % cfg_i.row_blocks;
+            let offset = u64::from(offsets[i % offsets.len()]) % ROW_BLOCKS;
             let block = if second_row { far + offset } else { offset };
             // Same-instant arrivals: the burst of write-backs an L2 flush
             // emits, which is exactly where drain grouping pays.

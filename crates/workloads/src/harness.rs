@@ -418,7 +418,7 @@ impl Harness {
         functional: &FunctionalOutcome,
         scheme: &Scheme,
     ) -> TimingOutcome {
-        let (compress, decompress) = scheme.codec_latency();
+        let (compress, decompress) = scheme.kind().codec_latency();
         let mut cfg = self.config.clone().with_codec_latency(compress, decompress);
         if matches!(scheme, Scheme::Uncompressed) {
             cfg = cfg.without_mdc();

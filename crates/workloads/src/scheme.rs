@@ -78,12 +78,6 @@ impl Scheme {
         }
     }
 
-    /// (compress, decompress) latency in SM cycles: its kind's
-    /// [`SchemeKind::codec_latency`].
-    pub fn codec_latency(&self) -> (u64, u64) {
-        self.kind().codec_latency()
-    }
-
     /// The trained lossless codec behind the scheme, if it has one.
     pub fn e2mc(&self) -> Option<&E2mc> {
         match self {
@@ -328,10 +322,10 @@ mod tests {
 
     #[test]
     fn latencies_match_paper() {
-        assert_eq!(Scheme::Uncompressed.codec_latency(), (0, 0));
-        assert_eq!(Scheme::E2mc(trained()).codec_latency(), (46, 20));
+        assert_eq!(Scheme::Uncompressed.kind().codec_latency(), (0, 0));
+        assert_eq!(Scheme::E2mc(trained()).kind().codec_latency(), (46, 20));
         let s = Scheme::slc(trained(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
-        assert_eq!(s.codec_latency(), (60, 20));
+        assert_eq!(s.kind().codec_latency(), (60, 20));
     }
 
     #[test]

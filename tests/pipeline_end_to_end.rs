@@ -29,7 +29,7 @@ fn nn_full_pipeline_shows_the_paper_shape() {
     assert!(f_slc.error_pct < 25.0, "error {}%", f_slc.error_pct);
     assert!(speedup(&t_e2mc.stats, &t_slc.stats) >= 0.99);
     // Energy follows cycles and bursts.
-    let em = EnergyModel::default();
+    let em = EnergyModel;
     let e_base = em.evaluate(&t_e2mc.stats, &h.config);
     let e_slc = em.evaluate(&t_slc.stats, &h.config);
     if t_slc.stats.cycles < t_e2mc.stats.cycles {
