@@ -23,8 +23,26 @@
 //! values per arm. Each arm is monomorphised: its planner and its delta
 //! writer share the value count, widths and masks as compile-time
 //! constants.
+//!
+//! # Decoding
+//!
+//! Every encoding has a fixed length, so its fields sit at fixed bit
+//! offsets: a 4-bit tag, then (for an arm) the base, one mask bit per
+//! value and the deltas, in the 64-bit groups the encoder writes. The
+//! base, the mask and each group are whole bytes long, so every field
+//! after the tag starts at bit 4 of a byte. The decoder needs no bit
+//! cursor. It reads the tag, checks once that the stream holds the
+//! encoding's [`size_bits`](BdiEncoding::size_bits), and copies those
+//! bytes into a zero-padded stack window. `Arm::read` then takes the
+//! base, the mask and four D2, eight D1 or two D4 deltas per 64-bit load
+//! at offsets the arm fixes, selects each value's base without a branch
+//! and stores the block a 64-bit word at a time. No offset or length
+//! comes from the wire, so past the one length check nothing can fail.
+//! The `BitReader` decoder this replaced is kept in the tests as the
+//! oracle: both give the same `Result` and, on `Ok`, the same block, on
+//! every encoder output and on arbitrary payloads.
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::BitWriter;
 use crate::{
     load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BITS,
     BLOCK_BYTES,
@@ -35,6 +53,33 @@ const TAG_BITS: u32 = 4;
 
 /// The block's sixteen 64-bit words, little-endian.
 type Words = [u64; BLOCK_BYTES / 8];
+
+/// Bytes in a decode window: the longest coded stream (B8D4 and B2D1,
+/// 596 bits) in whole bytes.
+const WINDOW: usize = 75;
+
+/// A coded stream's bytes, zero-padded: every decode load reads it at a
+/// compile-time offset.
+type Window = [u8; WINDOW];
+
+/// The first `len` bytes of `stream` in a [`Window`], or `Truncated`
+/// when it holds fewer.
+#[inline(always)]
+fn window(stream: &[u8], len: usize) -> Result<Window, DecodeError> {
+    let mut win = [0u8; WINDOW];
+    win[..len].copy_from_slice(stream.get(..len).ok_or(DecodeError::Truncated)?);
+    Ok(win)
+}
+
+/// The 64 stream bits that follow the tag and `byte` more whole bytes:
+/// stream bits `4 + 8 * byte ..`, i.e. the low nibble of window byte
+/// `byte`, the next seven bytes and the high nibble of the ninth.
+#[inline(always)]
+fn field(win: &Window, byte: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&win[byte..byte + 8]);
+    (u64::from_be_bytes(word) << TAG_BITS) | u64::from(win[byte + 8] >> (8 - TAG_BITS))
+}
 
 /// The BDI encoding chosen for a block, ordered by decreasing specificity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -236,6 +281,15 @@ impl<const BASE: usize, const DELTA: usize> Arm<BASE, DELTA> {
     const PER_WRITE: usize = 8 / DELTA;
     /// Tag, base, one mask bit and one delta per value.
     const BITS: u32 = TAG_BITS + 8 * BASE as u32 + Self::N as u32 * (1 + 8 * DELTA as u32);
+    /// The stream in whole bytes: what [`read`](Self::read) copies.
+    const BYTES: usize = {
+        let bytes = Self::BITS.div_ceil(8) as usize;
+        assert!(bytes <= WINDOW, "an arm's stream fits the decode window");
+        bytes
+    };
+    /// Where the deltas start, in whole bytes past the tag (see
+    /// [`field`]): after the base and the mask.
+    const DELTAS_AT: usize = BASE + Self::N / 8;
     const VALUE_MASK: u64 = mask_for(BASE);
     const DELTA_MASK: u64 = mask_for(DELTA);
 
@@ -277,7 +331,7 @@ impl<const BASE: usize, const DELTA: usize> Arm<BASE, DELTA> {
 
     /// Writes the base, the mask and the deltas. Deltas go
     /// [`PER_WRITE`](Self::PER_WRITE) to a 64-bit write, MSB-first,
-    /// mirroring [`decode_base_delta`]'s fetches.
+    /// mirroring [`read`](Self::read)'s loads.
     fn write(v8: &Words, base: u64, mask: u64, w: &mut BitWriter<'_>) {
         w.write(base, 8 * BASE as u32);
         // Value 0's flag goes first on the wire (MSB of the field).
@@ -294,6 +348,40 @@ impl<const BASE: usize, const DELTA: usize> Arm<BASE, DELTA> {
             }
             w.write(raw, 64);
         }
+    }
+
+    /// Decodes the block from the arm's stream, which the caller has
+    /// checked holds [`BITS`](Self::BITS) bits: the decode twin of
+    /// [`write`](Self::write). The base, the mask and each group of
+    /// [`PER_WRITE`](Self::PER_WRITE) deltas are one [`field`] load at
+    /// an offset the arm fixes. A delta is shifted to the top of its
+    /// group and arithmetic-shifted back down, which sign-extends it, and
+    /// its mask bit, shifted to the sign, selects the base as all-ones or
+    /// zero.
+    #[inline(always)]
+    fn read(stream: &[u8], out: &mut Block) -> Result<(), DecodeError> {
+        let win = window(stream, Self::BYTES)?;
+        let base = field(&win, 0) >> (64 - 8 * BASE);
+        // Value `i`'s flag is bit `63 - i` (value 0's goes first); each
+        // group shifts its flags out of the top.
+        let mut mask = field(&win, BASE);
+        // A group's deltas fill `BASE / DELTA` of the block's words.
+        let (words, _) = out.as_chunks_mut::<8>();
+        for (g, group_words) in words.chunks_exact_mut(BASE / DELTA).enumerate() {
+            let group = field(&win, Self::DELTAS_AT + 8 * g);
+            for (k, word) in group_words.iter_mut().enumerate() {
+                let mut w = 0u64;
+                for t in 0..Self::PER_WORD {
+                    let at = k * Self::PER_WORD + t;
+                    let delta = ((group << (8 * DELTA * at)) as i64 >> (64 - 8 * DELTA)) as u64;
+                    let sel = ((mask << at) as i64 >> 63) as u64;
+                    w |= ((base & sel).wrapping_add(delta) & Self::VALUE_MASK) << (8 * BASE * t);
+                }
+                *word = w.to_le_bytes();
+            }
+            mask <<= Self::PER_WRITE;
+        }
+        Ok(())
     }
 }
 
@@ -316,6 +404,18 @@ impl BlockCompressor for Bdi {
         (bits, true)
     }
 
+    /// Decodes one stream without a bit cursor (see the module's
+    /// "Decoding"). The stream is the first `size_bits` bits of
+    /// `payload`, cut to the bits the payload holds:
+    ///
+    /// * fewer than 4 bits: [`DecodeError::Truncated`];
+    /// * a tag of 8 to 15: [`DecodeError::UnknownTag`] (8 is
+    ///   Uncompressed, which travels with the coded flag clear);
+    /// * fewer bits than the tag's encoding needs: `Truncated`;
+    /// * otherwise `Ok`, and bits past the encoding's end are ignored.
+    ///
+    /// A verbatim block (`compressed` clear) needs a whole block of
+    /// payload. Nothing here allocates or panics.
     fn decompress_into(
         &self,
         size_bits: u32,
@@ -326,68 +426,40 @@ impl BlockCompressor for Bdi {
         if !compressed {
             return load_verbatim(payload, out);
         }
-        let mut r = BitReader::new(payload, size_bits);
-        let enc = BdiEncoding::from_tag(r.read(4) as u8).ok_or(DecodeError::UnknownTag)?;
-        // The caller's buffer may hold stale bytes; the zero-run and
-        // masked-delta arms rely on a zeroed canvas.
-        out.fill(0);
+        let held = u64::from(size_bits).min((payload.len() as u64).saturating_mul(8));
+        let tag = match payload.first() {
+            Some(&byte) if held >= u64::from(TAG_BITS) => byte >> (8 - TAG_BITS),
+            _ => return Err(DecodeError::Truncated),
+        };
+        let enc = match BdiEncoding::from_tag(tag) {
+            None | Some(BdiEncoding::Uncompressed) => return Err(DecodeError::UnknownTag),
+            Some(enc) => enc,
+        };
+        if held < u64::from(enc.size_bits()) {
+            return Err(DecodeError::Truncated);
+        }
         match enc {
-            BdiEncoding::Zeros => {}
+            BdiEncoding::Zeros => out.fill(0),
             BdiEncoding::Repeat => {
-                let v = r.read(64).to_le_bytes();
-                for chunk in out.chunks_exact_mut(8) {
-                    chunk.copy_from_slice(&v);
+                // The tag and one 64-bit value: 9 bytes.
+                let v = field(&window(payload, 9)?, 0).to_le_bytes();
+                for word in out.as_chunks_mut::<8>().0 {
+                    *word = v;
                 }
             }
-            // Verbatim blocks travel with the coded flag clear; no
-            // encoder writes this tag into a coded stream.
+            BdiEncoding::B8D1 => Arm::<8, 1>::read(payload, out)?,
+            BdiEncoding::B8D2 => Arm::<8, 2>::read(payload, out)?,
+            BdiEncoding::B8D4 => Arm::<8, 4>::read(payload, out)?,
+            BdiEncoding::B4D1 => Arm::<4, 1>::read(payload, out)?,
+            BdiEncoding::B4D2 => Arm::<4, 2>::read(payload, out)?,
+            BdiEncoding::B2D1 => Arm::<2, 1>::read(payload, out)?,
             BdiEncoding::Uncompressed => return Err(DecodeError::UnknownTag),
-            BdiEncoding::B8D1 => decode_base_delta::<8, 1>(&mut r, out),
-            BdiEncoding::B8D2 => decode_base_delta::<8, 2>(&mut r, out),
-            BdiEncoding::B8D4 => decode_base_delta::<8, 4>(&mut r, out),
-            BdiEncoding::B4D1 => decode_base_delta::<4, 1>(&mut r, out),
-            BdiEncoding::B4D2 => decode_base_delta::<4, 2>(&mut r, out),
-            BdiEncoding::B2D1 => decode_base_delta::<2, 1>(&mut r, out),
         }
-        r.check()
+        Ok(())
     }
 
     fn size_bits(&self, block: &Block) -> u32 {
         self.choose_encoding(block).size_bits()
-    }
-}
-
-/// Decodes the base + mask + delta section of one `BASE`/`DELTA` geometry
-/// into `out` (the tag has already been consumed).
-///
-/// Monomorphised per arm so the value count, the batch width and every
-/// shift and mask below are compile-time constants: deltas arrive in full
-/// 64-bit reader fetches (the value count is always a multiple of the
-/// per-fetch batch) and the fixed-trip inner loop unrolls into straight
-/// shift/add/store code — the decode twin of [`Arm::write`].
-fn decode_base_delta<const BASE: usize, const DELTA: usize>(
-    r: &mut BitReader<'_>,
-    out: &mut Block,
-) {
-    let n = BLOCK_BYTES / BASE;
-    let dbits = DELTA as u32 * 8;
-    let per_read = (64 / dbits) as usize;
-    debug_assert_eq!(n % per_read, 0, "every BDI geometry batches evenly");
-    let dmask = mask_for(DELTA);
-    let wmask = mask_for(BASE);
-    let base = r.read(BASE as u32 * 8);
-    // n <= 64, so the whole mask is one bitmap read.
-    let mask = r.read(n as u32);
-    for chunk in 0..n / per_read {
-        let raw = r.read(per_read as u32 * dbits);
-        for t in 0..per_read {
-            let idx = chunk * per_read + t;
-            let v_raw = (raw >> ((per_read - 1 - t) as u32 * dbits)) & dmask;
-            let delta = sign_extend(v_raw, DELTA);
-            let b = if (mask >> (n - 1 - idx)) & 1 == 1 { base } else { 0 };
-            let v = b.wrapping_add(delta as u64) & wmask;
-            out[idx * BASE..(idx + 1) * BASE].copy_from_slice(&v.to_le_bytes()[..BASE]);
-        }
     }
 }
 
@@ -399,14 +471,10 @@ const fn mask_for(bytes: usize) -> u64 {
     }
 }
 
-fn sign_extend(raw: u64, bytes: usize) -> i64 {
-    let shift = 64 - bytes as u32 * 8;
-    ((raw << shift) as i64) >> shift
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::BitReader;
     use crate::testing::{decode, encode, roundtrip};
     use proptest::prelude::*;
 
@@ -997,6 +1065,121 @@ mod tests {
             let (mut got, mut want) = (vec![0x5au8; 5], vec![0x5au8; 5]);
             prop_assert_eq!(bdi.compress_into(&block, &mut got), swar_compress_into(&block, &mut want));
             prop_assert_eq!(got, want);
+        }
+    }
+
+    // The `BitReader` decoder that fixed-offset decoding replaced, kept
+    // verbatim as the oracle (`decompress_into` became a free function).
+
+    /// The oracle's `decompress_into`.
+    fn bit_reader_decompress_into(
+        size_bits: u32,
+        compressed: bool,
+        payload: &[u8],
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
+        if !compressed {
+            return load_verbatim(payload, out);
+        }
+        let mut r = BitReader::new(payload, size_bits);
+        let enc = BdiEncoding::from_tag(r.read(4) as u8).ok_or(DecodeError::UnknownTag)?;
+        // The caller's buffer may hold stale bytes; the zero-run and
+        // masked-delta arms rely on a zeroed canvas.
+        out.fill(0);
+        match enc {
+            BdiEncoding::Zeros => {}
+            BdiEncoding::Repeat => {
+                let v = r.read(64).to_le_bytes();
+                for chunk in out.chunks_exact_mut(8) {
+                    chunk.copy_from_slice(&v);
+                }
+            }
+            // Verbatim blocks travel with the coded flag clear; no
+            // encoder writes this tag into a coded stream.
+            BdiEncoding::Uncompressed => return Err(DecodeError::UnknownTag),
+            BdiEncoding::B8D1 => decode_base_delta::<8, 1>(&mut r, out),
+            BdiEncoding::B8D2 => decode_base_delta::<8, 2>(&mut r, out),
+            BdiEncoding::B8D4 => decode_base_delta::<8, 4>(&mut r, out),
+            BdiEncoding::B4D1 => decode_base_delta::<4, 1>(&mut r, out),
+            BdiEncoding::B4D2 => decode_base_delta::<4, 2>(&mut r, out),
+            BdiEncoding::B2D1 => decode_base_delta::<2, 1>(&mut r, out),
+        }
+        r.check()
+    }
+
+    /// Decodes the base + mask + delta section of one `BASE`/`DELTA` geometry
+    /// into `out` (the tag has already been consumed).
+    ///
+    /// Monomorphised per arm so the value count, the batch width and every
+    /// shift and mask below are compile-time constants: deltas arrive in full
+    /// 64-bit reader fetches (the value count is always a multiple of the
+    /// per-fetch batch) and the fixed-trip inner loop unrolls into straight
+    /// shift/add/store code — the decode twin of [`Arm::write`].
+    fn decode_base_delta<const BASE: usize, const DELTA: usize>(
+        r: &mut BitReader<'_>,
+        out: &mut Block,
+    ) {
+        let n = BLOCK_BYTES / BASE;
+        let dbits = DELTA as u32 * 8;
+        let per_read = (64 / dbits) as usize;
+        debug_assert_eq!(n % per_read, 0, "every BDI geometry batches evenly");
+        let dmask = mask_for(DELTA);
+        let wmask = mask_for(BASE);
+        let base = r.read(BASE as u32 * 8);
+        // n <= 64, so the whole mask is one bitmap read.
+        let mask = r.read(n as u32);
+        for chunk in 0..n / per_read {
+            let raw = r.read(per_read as u32 * dbits);
+            for t in 0..per_read {
+                let idx = chunk * per_read + t;
+                let v_raw = (raw >> ((per_read - 1 - t) as u32 * dbits)) & dmask;
+                let delta = sign_extend(v_raw, DELTA);
+                let b = if (mask >> (n - 1 - idx)) & 1 == 1 { base } else { 0 };
+                let v = b.wrapping_add(delta as u64) & wmask;
+                out[idx * BASE..(idx + 1) * BASE].copy_from_slice(&v.to_le_bytes()[..BASE]);
+            }
+        }
+    }
+
+    fn sign_extend(raw: u64, bytes: usize) -> i64 {
+        let shift = 64 - bytes as u32 * 8;
+        ((raw << shift) as i64) >> shift
+    }
+
+    /// Both decoders on one input: the same `Result`, and the same block
+    /// on `Ok` (on `Err` the block is unspecified).
+    fn assert_decoders_agree(size_bits: u32, compressed: bool, payload: &[u8]) {
+        let (mut got, mut want) = ([0xa5u8; BLOCK_BYTES], [0x5au8; BLOCK_BYTES]);
+        let got_result = Bdi::new().decompress_into(size_bits, compressed, payload, &mut got);
+        let want_result = bit_reader_decompress_into(size_bits, compressed, payload, &mut want);
+        assert_eq!(got_result, want_result, "size_bits {size_bits}, payload {payload:02x?}");
+        if got_result.is_ok() {
+            assert_eq!(got, want, "size_bits {size_bits}, payload {payload:02x?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn prop_fixed_offsets_decode_like_the_bit_reader(block in structured()) {
+            let (bits, coded, payload) = encode(&Bdi::new(), &block);
+            assert_decoders_agree(bits, coded, &payload);
+        }
+
+        #[test]
+        fn prop_fixed_offsets_reject_like_the_bit_reader(
+            tag in 0u8..16,
+            size_bits in 0u32..=1100,
+            len in 0usize..81,
+            noise in proptest::collection::vec(any::<u8>(), 80),
+        ) {
+            let mut payload = noise;
+            payload[0] = (tag << 4) | (payload[0] & 0x0f);
+            // The payload cut to `len` bytes, and whole: every encoding
+            // fits 80 bytes, so the whole one decodes noise as the tag's
+            // encoding whenever `size_bits` covers it.
+            assert_decoders_agree(size_bits, true, &payload[..len]);
+            assert_decoders_agree(size_bits, true, &payload);
         }
     }
 }

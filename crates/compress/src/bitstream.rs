@@ -16,11 +16,14 @@
 //!   8-byte word to the sink. So the sink is touched once per 64 bits
 //!   written, never past the stream's end, and the writer has no buffer
 //!   of its own.
-//! * [`BitReader`] services any `read`/`peek` from a single 16-byte
-//!   big-endian window load, so a 64-bit field costs one shift and mask
-//!   regardless of alignment. It never fails mid-stream: a read past the
-//!   end yields zeros and latches a flag the decoder checks once per
-//!   block ([`BitReader::check`]).
+//! * [`BitReader`] serves a `read`/`peek` whose bits lie inside one
+//!   8-byte big-endian load (bit offset in its byte plus width at most
+//!   64: every field up to 57 bits, and a 64-bit one on a byte boundary)
+//!   with that load, a shift and a mask. A misaligned field wider than
+//!   that spans 9 bytes and goes through a 16-byte window filled by a
+//!   variable-length copy, which costs several times as much. It never
+//!   fails mid-stream: a read past the end yields zeros and latches a
+//!   flag the decoder checks once per block ([`BitReader::check`]).
 //!
 //! The hot-path argument checks in [`BitWriter::write`] are
 //! `debug_assert!`s: release builds trust the codecs (every call site
@@ -136,7 +139,7 @@ impl<'a> BitWriter<'a> {
 /// decoder runs its fixed-trip block loop with no error handling of its
 /// own per read and asks [`check`](Self::check) once when it is done.
 /// (The one rarely-taken compare per read is the old bounds assert's;
-/// written as two selects instead it cost BDI decode 5 %.)
+/// written as two selects instead it measured 5 % slower.)
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],

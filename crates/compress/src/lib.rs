@@ -44,8 +44,11 @@
 //! * **Staging-register bitstream, one sink** — [`bitstream::BitWriter`]
 //!   stages bits in a 128-bit register and only appends to the `Vec<u8>`
 //!   handed to [`BlockCompressor::compress_into`], one 8-byte word per 64
-//!   bits; [`bitstream::BitReader`] serves any read or peek from a single
-//!   (at most 16-byte) window load. Codecs fuse each token's prefix, index
+//!   bits; [`bitstream::BitReader`] serves a read or peek from one 8-byte
+//!   load, and from a 16-byte window only a field that reaches past the
+//!   8 bytes from its first (a misaligned 64-bit one). BDI decodes with
+//!   no reader: its fields sit at fixed offsets (see [`bdi`]'s
+//!   "Decoding"). Codecs fuse each token's prefix, index
 //!   and literal fields into one `write`/`peek` pair, so a C-PACK word or
 //!   an FPC pattern costs two bitstream calls end to end. E2MC's and SLC's
 //!   Fig. 6 streams skip the writer: [`e2mc::SymbolTable::write_ways`]

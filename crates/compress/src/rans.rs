@@ -63,7 +63,9 @@
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::codec::ChunkCoder;
-use crate::{load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError};
+use crate::{
+    load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BYTES,
+};
 
 /// log2 of the frequency scale: frequencies are normalised to 2^12.
 pub const RANS_SCALE_BITS: u32 = 12;
@@ -499,10 +501,25 @@ impl BlockCompressor for Rans {
         decode_stream(src, out)
     }
 
+    /// One [`compress_into`](BlockCompressor::compress_into) into a
+    /// buffer it never outgrows: the block and the 7 bytes rANS' words
+    /// may reserve past it.
+    fn size_bits(&self, block: &Block) -> u32 {
+        self.compress_into(block, &mut Vec::with_capacity(SIZE_BUFFER)).0
+    }
+
     fn chunk_coder(&self) -> Option<&dyn ChunkCoder> {
         Some(self)
     }
 }
+
+/// The most a block encode writes into an empty buffer. A verbatim block
+/// is [`BLOCK_BYTES`]. A coded attempt writes its `table` bytes, the
+/// states and [`rans_encode`]'s word region of `2 * cap` bytes, with
+/// `cap <= room / 2 + RANS_LANES` and `room = BLOCK_BYTES - table -
+/// STATE_BYTES - 1` ([`encode_stream`] at a limit of one block): at most
+/// `BLOCK_BYTES - 1 + 2 * RANS_LANES` bytes, 7 past the block.
+const SIZE_BUFFER: usize = BLOCK_BYTES - 1 + 2 * RANS_LANES;
 
 impl ChunkCoder for Rans {
     fn encode_chunk_into(&self, chunk: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
@@ -836,6 +853,23 @@ mod tests {
             let data: Vec<u8> = seeds.iter().map(|&s| lo.wrapping_add(s)).collect();
             roundtrip(&data);
             prop_assert_eq!(Rans::new().encode_chunk(&data), encode_reference(&data));
+        }
+
+        #[test]
+        fn prop_a_block_encode_never_outgrows_the_size_buffer(
+            seeds in proptest::collection::vec(any::<u8>(), BLOCK_BYTES),
+            alphabet in 1u8..=255,
+        ) {
+            // One symbol (the shortest table, the most room for words) to
+            // noise (a table that leaves none): `size_bits`' buffer holds
+            // every encode without growing.
+            let mut block = [0u8; BLOCK_BYTES];
+            for (b, &s) in block.iter_mut().zip(&seeds) {
+                *b = s % alphabet;
+            }
+            let mut out = Vec::with_capacity(SIZE_BUFFER);
+            Rans::new().compress_into(&block, &mut out);
+            prop_assert_eq!(out.capacity(), SIZE_BUFFER);
         }
 
         #[test]

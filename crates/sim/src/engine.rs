@@ -376,6 +376,28 @@ mod tests {
     }
 
     #[test]
+    fn cycles_cover_the_bus_time_of_every_burst() {
+        // The busiest channel carries at least the average channel's
+        // bursts, one after another: cycles × channels ≥ bursts × burst
+        // cycles. Loads alone and with write-backs, at every burst count.
+        // A streaming sweep of whole blocks runs within 8 % of the bound
+        // (1.07 loads only, 1.03 with write-backs); one burst a block
+        // leaves more room (1.30), row opens weighing more per burst.
+        let cfg = GpuConfig::default();
+        for stores in [false, true] {
+            for bursts in 1..=cfg.max_bursts() {
+                let trace = sweep(&cfg, 8000, 0, stores);
+                let stats = Engine::new(cfg.clone()).run(&trace, &UniformBursts(bursts));
+                let bus = stats.total_bursts() as f64 * cfg.burst_sm_cycles();
+                let margin = stats.cycles as f64 * cfg.channels() as f64 / bus;
+                let at = format!("stores {stores}, {bursts} bursts: {margin:.3}");
+                assert!(margin >= 1.0, "{at}");
+                assert!(bursts < cfg.max_bursts() || margin < 1.08, "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn achieved_bandwidth_is_below_peak() {
         let cfg = GpuConfig::default();
         let trace = streaming_trace(&cfg, 8000, 0);

@@ -204,6 +204,96 @@ fn every_codecs_streams_are_contained_by_every_other_codec() {
     }
 }
 
+#[test]
+fn bdi_error_contract_holds_at_every_tag_and_length_edge() {
+    use DecodeError::{Truncated, UnknownTag};
+    // (tag, size_bits, payload bytes, result). An encoding needs its
+    // fixed length: Zeros 4 bits (1 byte), Repeat 68 (9), B8D1 212 (27),
+    // B8D2 340 (43), B8D4 596 (75), B4D1 324 (41), B4D2 580 (73), B2D1
+    // 596 (75). Each is met at one bit short, exact and one bit long, and
+    // at a payload one byte short and one byte long. Fewer than 4 bits
+    // leave no tag; tags 8 to 15 are unknown whatever the length.
+    const CONTRACT: [(u8, u32, usize, Result<(), DecodeError>); 59] = [
+        (0, 3, 1, Err(Truncated)),
+        (0, 4, 1, Ok(())),
+        (0, 5, 1, Ok(())),
+        (0, 4, 0, Err(Truncated)),
+        (0, 4, 2, Ok(())),
+        (1, 67, 9, Err(Truncated)),
+        (1, 68, 9, Ok(())),
+        (1, 69, 9, Ok(())),
+        (1, 68, 8, Err(Truncated)),
+        (1, 68, 10, Ok(())),
+        (2, 211, 27, Err(Truncated)),
+        (2, 212, 27, Ok(())),
+        (2, 213, 27, Ok(())),
+        (2, 212, 26, Err(Truncated)),
+        (2, 212, 28, Ok(())),
+        (3, 339, 43, Err(Truncated)),
+        (3, 340, 43, Ok(())),
+        (3, 341, 43, Ok(())),
+        (3, 340, 42, Err(Truncated)),
+        (3, 340, 44, Ok(())),
+        (4, 595, 75, Err(Truncated)),
+        (4, 596, 75, Ok(())),
+        (4, 597, 75, Ok(())),
+        (4, 596, 74, Err(Truncated)),
+        (4, 596, 76, Ok(())),
+        (5, 323, 41, Err(Truncated)),
+        (5, 324, 41, Ok(())),
+        (5, 325, 41, Ok(())),
+        (5, 324, 40, Err(Truncated)),
+        (5, 324, 42, Ok(())),
+        (6, 579, 73, Err(Truncated)),
+        (6, 580, 73, Ok(())),
+        (6, 581, 73, Ok(())),
+        (6, 580, 72, Err(Truncated)),
+        (6, 580, 74, Ok(())),
+        (7, 595, 75, Err(Truncated)),
+        (7, 596, 75, Ok(())),
+        (7, 597, 75, Ok(())),
+        (7, 596, 74, Err(Truncated)),
+        (7, 596, 76, Ok(())),
+        (8, 3, 1, Err(Truncated)),
+        (8, 4, 1, Err(UnknownTag)),
+        (8, 1100, 80, Err(UnknownTag)),
+        (9, 4, 1, Err(UnknownTag)),
+        (9, 1100, 80, Err(UnknownTag)),
+        (10, 4, 1, Err(UnknownTag)),
+        (10, 1100, 80, Err(UnknownTag)),
+        (11, 4, 1, Err(UnknownTag)),
+        (11, 1100, 80, Err(UnknownTag)),
+        (12, 4, 1, Err(UnknownTag)),
+        (12, 1100, 80, Err(UnknownTag)),
+        (13, 4, 1, Err(UnknownTag)),
+        (13, 1100, 80, Err(UnknownTag)),
+        (14, 4, 1, Err(UnknownTag)),
+        (14, 1100, 80, Err(UnknownTag)),
+        (15, 3, 1, Err(Truncated)),
+        (15, 4, 1, Err(UnknownTag)),
+        (15, 1100, 80, Err(UnknownTag)),
+        (15, u32::MAX, 0, Err(Truncated)),
+    ];
+    let mut rng = Rng(0xb0d1_c0de);
+    let noise: Vec<u8> = (0..80).map(|_| rng.next() as u8).collect();
+    let bdi = Bdi::new();
+    // The block each tag's stream decodes to at its exact length.
+    let mut exact = [None; 16];
+    for (tag, size_bits, len, want) in CONTRACT {
+        let mut payload = noise[..len].to_vec();
+        if let Some(first) = payload.first_mut() {
+            *first = (tag << 4) | (*first & 0x0f);
+        }
+        let got = decode(&bdi, size_bits, true, &payload);
+        assert_eq!(got.map(|_| ()), want, "tag {tag}, {size_bits} bits, {len} bytes");
+        // Surplus bits and bytes are ignored: every `Ok` of a tag is the
+        // same block.
+        if let Ok(block) = got {
+            assert_eq!(*exact[usize::from(tag)].get_or_insert(block), block, "tag {tag}");
+        }
+    }
+}
+
 /// Flips stream bit `bit` (MSB-first, as the codecs number them).
 fn flip_stream_bit(bytes: &mut [u8], bit: u32) {
     bytes[bit as usize / 8] ^= 0x80 >> (bit % 8);

@@ -224,18 +224,17 @@ fn per_block_encode_and_decode() {
         let coded = sizes.iter().filter(|&&(_, coded)| coded).count() as u64;
         assert!(0 < coded && coded < n, "{name} must both code and store verbatim: {coded}/{n}");
         // bdi and e2mc size a block without encoding it. The others'
-        // `size_bits` is one `compress_into` into one block-sized buffer,
-        // which grows once more for a block whose coded stream overruns
-        // it before the verbatim fallback (half the corpus for fpc). The
-        // counts of fpc, cpack and bpc are those of the owned `compress`
-        // the default used to call, measured before it went. rANS writes
-        // its words into that buffer: a block whose table leaves room for
-        // words (all but the noise quarter, which gives up at its table)
-        // reserves them up to 7 bytes past the block, so the buffer grows
-        // once for three blocks in four.
+        // `size_bits` is one `compress_into` into one buffer. The
+        // default's is block-sized and grows once more for a block whose
+        // coded stream overruns it before the verbatim fallback (half the
+        // corpus for fpc). The counts of fpc, cpack and bpc are those of
+        // the owned `compress` the default used to call, measured before
+        // it went. rANS sizes its buffer for the 7 bytes its words may
+        // reserve past the block, so it never grows: one per block.
+        let mut sized_bits = Vec::with_capacity(blocks.len());
         let (sized, ()) = allocs(|| {
             for block in &blocks {
-                black_box(codec.size_bits(block));
+                sized_bits.push(black_box(codec.size_bits(block)));
             }
         });
         let pinned = match name {
@@ -243,9 +242,13 @@ fn per_block_encode_and_decode() {
             "fpc" => 6144,
             "cpack" => 5328,
             "bpc" => 5117,
-            _ => 7168,
+            _ => 4096,
         };
         assert_eq!(sized, pinned, "{name} size_bits over {n} blocks");
+        assert!(
+            sized_bits.iter().copied().eq(sizes.iter().map(|&(bits, _)| bits)),
+            "{name}: size_bits and compress_into disagree"
+        );
         // Every codec, rANS too, encodes into the sink and decodes into
         // the block it is handed: rANS' words go into the sink's spare
         // room, and its decode table is on the stack.

@@ -4,7 +4,7 @@
 use slc::slc_core::slc::SlcVariant;
 use slc::slc_power::EnergyModel;
 use slc::slc_workloads::harness::{normalized_bandwidth, speedup};
-use slc::slc_workloads::{workload_by_name, Harness, Scale, Scheme};
+use slc::slc_workloads::{all_workloads, workload_by_name, Harness, Scale, Scheme};
 
 #[test]
 fn nn_full_pipeline_shows_the_paper_shape() {
@@ -78,4 +78,31 @@ fn threshold_zero_reduces_to_lossless_e2mc_timing() {
     let slc0 = Scheme::slc(a.e2mc.clone(), h.config.mag(), 0, SlcVariant::TslcOpt);
     let f = h.run_functional(w.as_ref(), &a, &slc0);
     assert_eq!(f.error_pct, 0.0, "threshold 0 must be lossless");
+}
+
+#[test]
+fn no_benchmark_runs_faster_than_its_bursts_occupy_the_bus() {
+    // The busiest channel carries at least the average channel's bursts,
+    // one after another: cycles × channels ≥ bursts × burst cycles. The
+    // tightest run at tiny, JM under NOCOMP, comes within 7 % of it, so
+    // the bound is tight, not vacuous.
+    let h = Harness::new(Scale::Tiny);
+    let channels = h.config.channels() as f64;
+    let mut tightest = f64::INFINITY;
+    for w in all_workloads(Scale::Tiny) {
+        let a = h.prepare(w.as_ref());
+        let schemes = [
+            Scheme::Uncompressed,
+            Scheme::E2mc(a.e2mc.clone()),
+            Scheme::slc(a.e2mc.clone(), h.config.mag(), 16, SlcVariant::TslcOpt),
+        ];
+        for (_, t) in h.evaluate_schemes(w.as_ref(), &a, &schemes) {
+            let s = &t.stats;
+            let bus = s.total_bursts() as f64 * h.config.burst_sm_cycles();
+            let margin = s.cycles as f64 * channels / bus;
+            assert!(margin >= 1.0, "{} {}: {margin}", w.name(), t.kind.label());
+            tightest = tightest.min(margin);
+        }
+    }
+    assert!(tightest < 1.1, "no run near the bus bound: {tightest}");
 }
