@@ -13,36 +13,31 @@
 //!
 //! # Choosing an encoding
 //!
-//! After the two special cases the planner is a first fit: it tries the
-//! six base+delta arms in [`BdiEncoding::BASE_DELTA_VARIANTS`] order,
-//! smallest compressed size first, and takes the first arm that
-//! represents the block. An arm represents it when every value that does
-//! not fit a delta from zero fits a delta from the first such value,
-//! which becomes the arm's explicit base. The loop leaves an arm at the
-//! first value that fits neither, so an incompressible block costs a few
-//! values per arm. Each arm is monomorphised: its planner and its delta
-//! writer share the value count, widths and masks as compile-time
-//! constants.
+//! After the two special cases, the six base+delta arms are tried in
+//! [`BdiEncoding::BASE_DELTA_VARIANTS`] order, smallest first, and the
+//! first that represents the block wins: every value that is not a delta
+//! from zero must be one from the first such value, the arm's base. Each
+//! arm checks and writes in one pass (`Arm::encode`): it packs the deltas
+//! into 64-bit groups that go straight to their offsets in a stack window,
+//! and leaves at the first value that fits neither base, so an
+//! incompressible block costs a few values per arm. `compress_into`,
+//! `choose_encoding` and `size_bits` all run this pass.
 //!
 //! # Decoding
 //!
 //! Every encoding has a fixed length, so its fields sit at fixed bit
 //! offsets: a 4-bit tag, then (for an arm) the base, one mask bit per
-//! value and the deltas, in the 64-bit groups the encoder writes. The
-//! base, the mask and each group are whole bytes long, so every field
-//! after the tag starts at bit 4 of a byte. The decoder needs no bit
-//! cursor. It reads the tag, checks once that the stream holds the
-//! encoding's [`size_bits`](BdiEncoding::size_bits), and copies those
-//! bytes into a zero-padded stack window. `Arm::read` then takes the
-//! base, the mask and four D2, eight D1 or two D4 deltas per 64-bit load
-//! at offsets the arm fixes, selects each value's base without a branch
-//! and stores the block a 64-bit word at a time. No offset or length
-//! comes from the wire, so past the one length check nothing can fail.
-//! The `BitReader` decoder this replaced is kept in the tests as the
+//! value and the 64-bit delta groups `Arm::encode` puts. Every field after
+//! the tag starts at bit 4 of a byte, so the decoder needs no bit cursor:
+//! it checks once that the stream holds the tag's
+//! [`size_bits`](BdiEncoding::size_bits), copies those bytes into a
+//! zero-padded stack window, and `Arm::read` loads each field at an offset
+//! the arm fixes and stores the block a 64-bit word at a time. No offset
+//! or length comes from the wire, so past the one length check nothing can
+//! fail. The `BitReader` decoder this replaced is kept in the tests as the
 //! oracle: both give the same `Result` and, on `Ok`, the same block, on
 //! every encoder output and on arbitrary payloads.
 
-use crate::bitstream::BitWriter;
 use crate::{
     load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BITS,
     BLOCK_BYTES,
@@ -54,12 +49,12 @@ const TAG_BITS: u32 = 4;
 /// The block's sixteen 64-bit words, little-endian.
 type Words = [u64; BLOCK_BYTES / 8];
 
-/// Bytes in a decode window: the longest coded stream (B8D4 and B2D1,
+/// Bytes in a stream window: the longest coded stream (B8D4 and B2D1,
 /// 596 bits) in whole bytes.
 const WINDOW: usize = 75;
 
-/// A coded stream's bytes, zero-padded: every decode load reads it at a
-/// compile-time offset.
+/// A coded stream's bytes, zero-padded: the encoder stores and the
+/// decoder loads every field at a compile-time offset.
 type Window = [u8; WINDOW];
 
 /// The first `len` bytes of `stream` in a [`Window`], or `Truncated`
@@ -79,6 +74,17 @@ fn field(win: &Window, byte: usize) -> u64 {
     let mut word = [0u8; 8];
     word.copy_from_slice(&win[byte..byte + 8]);
     (u64::from_be_bytes(word) << TAG_BITS) | u64::from(win[byte + 8] >> (8 - TAG_BITS))
+}
+
+/// ORs `x` into the 64 stream bits [`field`] reads at `byte`, and into
+/// no other bit of the window.
+#[inline(always)]
+fn put(win: &mut Window, byte: usize, x: u64) {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&win[byte..byte + 8]);
+    let word = u64::from_be_bytes(word) | (x >> TAG_BITS);
+    win[byte..byte + 8].copy_from_slice(&word.to_be_bytes());
+    win[byte + 8] |= (x << (8 - TAG_BITS)) as u8;
 }
 
 /// The BDI encoding chosen for a block, ordered by decreasing specificity.
@@ -164,33 +170,19 @@ impl BdiEncoding {
         }
     }
 
-    /// `(base, mask)` when this base+delta arm represents the block (see
-    /// [`Arm::fit`]); `None` when it does not, and for every encoding
-    /// that is not a base+delta arm.
-    fn fit(self, v8: &Words) -> Option<(u64, u64)> {
+    /// Whether this base+delta arm represents the block, with its stream
+    /// after the tag in the zeroed `win` if so (see [`Arm::encode`]);
+    /// `false` for every encoding that is not a base+delta arm.
+    #[inline(always)]
+    fn encode_arm(self, v8: &Words, win: &mut Window) -> bool {
         match self {
-            BdiEncoding::B8D1 => Arm::<8, 1>::fit(v8),
-            BdiEncoding::B8D2 => Arm::<8, 2>::fit(v8),
-            BdiEncoding::B8D4 => Arm::<8, 4>::fit(v8),
-            BdiEncoding::B4D1 => Arm::<4, 1>::fit(v8),
-            BdiEncoding::B4D2 => Arm::<4, 2>::fit(v8),
-            BdiEncoding::B2D1 => Arm::<2, 1>::fit(v8),
-            BdiEncoding::Zeros | BdiEncoding::Repeat | BdiEncoding::Uncompressed => None,
-        }
-    }
-
-    /// Writes the fields that follow the tag. Zeros has none, and an
-    /// uncompressed block travels verbatim with no coded stream at all.
-    fn write_fields(self, v8: &Words, base: u64, mask: u64, w: &mut BitWriter<'_>) {
-        match self {
-            BdiEncoding::Zeros | BdiEncoding::Uncompressed => {}
-            BdiEncoding::Repeat => w.write(v8[0], 64),
-            BdiEncoding::B8D1 => Arm::<8, 1>::write(v8, base, mask, w),
-            BdiEncoding::B8D2 => Arm::<8, 2>::write(v8, base, mask, w),
-            BdiEncoding::B8D4 => Arm::<8, 4>::write(v8, base, mask, w),
-            BdiEncoding::B4D1 => Arm::<4, 1>::write(v8, base, mask, w),
-            BdiEncoding::B4D2 => Arm::<4, 2>::write(v8, base, mask, w),
-            BdiEncoding::B2D1 => Arm::<2, 1>::write(v8, base, mask, w),
+            BdiEncoding::B8D1 => Arm::<8, 1>::encode(v8, win),
+            BdiEncoding::B8D2 => Arm::<8, 2>::encode(v8, win),
+            BdiEncoding::B8D4 => Arm::<8, 4>::encode(v8, win),
+            BdiEncoding::B4D1 => Arm::<4, 1>::encode(v8, win),
+            BdiEncoding::B4D2 => Arm::<4, 2>::encode(v8, win),
+            BdiEncoding::B2D1 => Arm::<2, 1>::encode(v8, win),
+            BdiEncoding::Zeros | BdiEncoding::Repeat | BdiEncoding::Uncompressed => false,
         }
     }
 }
@@ -223,48 +215,46 @@ impl Bdi {
         Self::default()
     }
 
-    /// Determines the best encoding for `block` without materialising it.
-    ///
-    /// Same planner as [`compress_into`](BlockCompressor::compress_into),
-    /// so the two can never disagree on the winning variant.
+    /// The encoding [`compress_into`](BlockCompressor::compress_into)
+    /// gives `block`: the same pass, appending nothing.
     pub fn choose_encoding(&self, block: &Block) -> BdiEncoding {
-        plan(&words_of(block)).0
+        encode(block, None)
     }
 }
 
-/// The block's sixteen 64-bit words: one load pass feeds the
-/// Zeros/Repeat checks and every arm's values.
-fn words_of(block: &Block) -> Words {
-    let mut v8 = [0u64; BLOCK_BYTES / 8];
-    let (words, _) = block.as_chunks::<8>();
-    for (slot, c) in v8.iter_mut().zip(words) {
-        *slot = u64::from_le_bytes(*c);
+/// The block's encoding: Zeros, Repeat, the first base+delta arm that
+/// represents the block, else Uncompressed. A coded encoding's stream is
+/// appended to `out` when there is one.
+#[inline(always)]
+fn encode(block: &Block, out: Option<&mut Vec<u8>>) -> BdiEncoding {
+    // One load pass feeds the Zeros/Repeat checks and every arm's values.
+    let v8: &Words = &std::array::from_fn(|i| u64::from_le_bytes(block.as_chunks().0[i]));
+    let tag = |enc: BdiEncoding| enc.tag() << (8 - TAG_BITS);
+    if v8.iter().fold(0, |acc, &w| acc | w) == 0 {
+        if let Some(out) = out {
+            out.push(tag(BdiEncoding::Zeros));
+        }
+        return BdiEncoding::Zeros;
     }
-    v8
-}
-
-fn is_zero(v8: &Words) -> bool {
-    v8.iter().fold(0u64, |acc, &w| acc | w) == 0
-}
-
-fn is_repeat8(v8: &Words) -> bool {
-    v8.iter().all(|&w| w == v8[0])
-}
-
-/// The block's encoding with the base and mask a base+delta arm writes
-/// (both 0 for the other encodings): Zeros, Repeat, then the first fit
-/// over [`BdiEncoding::BASE_DELTA_VARIANTS`], else Uncompressed.
-fn plan(v8: &Words) -> (BdiEncoding, u64, u64) {
-    if is_zero(v8) {
-        return (BdiEncoding::Zeros, 0, 0);
+    if v8.iter().all(|&w| w == v8[0]) {
+        // The tag and the value, 9 bytes: no window to zero.
+        if let Some(out) = out {
+            let mut stream = [tag(BdiEncoding::Repeat) | (v8[0] >> 60) as u8; 9];
+            stream[1..].copy_from_slice(&(v8[0] << TAG_BITS).to_be_bytes());
+            out.extend_from_slice(&stream);
+        }
+        return BdiEncoding::Repeat;
     }
-    if is_repeat8(v8) {
-        return (BdiEncoding::Repeat, 0, 0);
+    let mut win = [0; WINDOW];
+    let mut arms = BdiEncoding::BASE_DELTA_VARIANTS.iter();
+    let Some(&(enc, ..)) = arms.find(|&&(enc, ..)| enc.encode_arm(v8, &mut win)) else {
+        return BdiEncoding::Uncompressed;
+    };
+    win[0] |= tag(enc);
+    if let Some(out) = out {
+        out.extend_from_slice(&win[..enc.size_bits().div_ceil(8) as usize]);
     }
-    BdiEncoding::BASE_DELTA_VARIANTS
-        .iter()
-        .find_map(|&(enc, ..)| enc.fit(v8).map(|(base, mask)| (enc, base, mask)))
-        .unwrap_or((BdiEncoding::Uncompressed, 0, 0))
+    enc
 }
 
 /// One base+delta arm: the block as `BLOCK_BYTES / BASE` values of
@@ -277,21 +267,21 @@ impl<const BASE: usize, const DELTA: usize> Arm<BASE, DELTA> {
     const N: usize = BLOCK_BYTES / BASE;
     /// Values in one of the block's 64-bit words.
     const PER_WORD: usize = 8 / BASE;
-    /// Deltas packed into one 64-bit write.
+    /// Deltas packed into one 64-bit group.
     const PER_WRITE: usize = 8 / DELTA;
     /// Tag, base, one mask bit and one delta per value.
     const BITS: u32 = TAG_BITS + 8 * BASE as u32 + Self::N as u32 * (1 + 8 * DELTA as u32);
     /// The stream in whole bytes: what [`read`](Self::read) copies.
     const BYTES: usize = {
         let bytes = Self::BITS.div_ceil(8) as usize;
-        assert!(bytes <= WINDOW, "an arm's stream fits the decode window");
+        assert!(bytes <= WINDOW, "an arm's stream fits the window");
         bytes
     };
     /// Where the deltas start, in whole bytes past the tag (see
     /// [`field`]): after the base and the mask.
     const DELTAS_AT: usize = BASE + Self::N / 8;
-    const VALUE_MASK: u64 = mask_for(BASE);
-    const DELTA_MASK: u64 = mask_for(DELTA);
+    const VALUE_MASK: u64 = u64::MAX >> (64 - 8 * BASE);
+    const DELTA_MASK: u64 = u64::MAX >> (64 - 8 * DELTA);
 
     /// Value `i`, little-endian.
     #[inline(always)]
@@ -308,53 +298,46 @@ impl<const BASE: usize, const DELTA: usize> Arm<BASE, DELTA> {
         d.wrapping_add(Self::DELTA_MASK / 2 + 1) & Self::VALUE_MASK <= Self::DELTA_MASK
     }
 
-    /// `(base, mask)` when the arm represents the block, else `None`.
-    /// The base is the first value that is not a delta from zero (0 when
-    /// every value is), and mask bit `i` is set when value `i` deltas
-    /// from that base rather than from zero.
-    fn fit(v8: &Words) -> Option<(u64, u64)> {
-        let mut base = None;
+    /// Whether the arm represents the block, writing its stream after the
+    /// tag into the zeroed `win` as it checks (and leaving `win` zero if
+    /// not): each group of deltas, MSB-first, goes to the offset
+    /// [`read`](Self::read) loads it from. Out of line: inlined into the
+    /// arm loop, it would have every arm checked before the first exits.
+    #[inline(never)]
+    fn encode(v8: &Words, win: &mut Window) -> bool {
+        // Found first, so that no value's check waits on the one before.
+        let base = (0..Self::N).map(|i| Self::value(v8, i)).find(|&v| !Self::fits(v)).unwrap_or(0);
         let mut mask = 0u64;
-        for i in 0..Self::N {
-            let v = Self::value(v8, i);
-            if Self::fits(v) {
-                continue;
-            }
-            let b = *base.get_or_insert(v);
-            if !Self::fits(v.wrapping_sub(b)) {
-                return None;
-            }
-            mask |= 1 << i;
-        }
-        Some((base.unwrap_or(0), mask))
-    }
-
-    /// Writes the base, the mask and the deltas. Deltas go
-    /// [`PER_WRITE`](Self::PER_WRITE) to a 64-bit write, MSB-first,
-    /// mirroring [`read`](Self::read)'s loads.
-    fn write(v8: &Words, base: u64, mask: u64, w: &mut BitWriter<'_>) {
-        w.write(base, 8 * BASE as u32);
-        // Value 0's flag goes first on the wire (MSB of the field).
-        w.write(mask.reverse_bits() >> (64 - Self::N), Self::N as u32);
-        for chunk in 0..Self::N / Self::PER_WRITE {
-            let mut raw = 0u64;
-            for i in chunk * Self::PER_WRITE..(chunk + 1) * Self::PER_WRITE {
-                // All-ones when the mask selects the explicit base. The
-                // low `8 * DELTA` bits of the wrapping difference are the
+        for g in 0..Self::N / Self::PER_WRITE {
+            let mut group = 0u64;
+            for j in 0..Self::PER_WRITE {
+                let i = g * Self::PER_WRITE + j;
+                let v = Self::value(v8, i);
+                // All-ones when value `i` deltas from the base. The low
+                // `8 * DELTA` bits of the wrapping difference are the
                 // signed delta's.
-                let sel = 0u64.wrapping_sub((mask >> i) & 1);
-                let delta = Self::value(v8, i).wrapping_sub(base & sel) & Self::DELTA_MASK;
-                raw = (raw << (8 * DELTA)) | delta;
+                let sel = u64::from(Self::fits(v)).wrapping_sub(1);
+                let delta = v.wrapping_sub(base & sel);
+                if !Self::fits(delta) {
+                    if g > 0 {
+                        *win = [0; WINDOW];
+                    }
+                    return false;
+                }
+                mask |= (sel & 1) << i;
+                group |= (delta & Self::DELTA_MASK) << (8 * DELTA * (Self::PER_WRITE - 1 - j));
             }
-            w.write(raw, 64);
+            put(win, Self::DELTAS_AT + 8 * g, group);
         }
+        put(win, 0, base << (64 - 8 * BASE));
+        // Value 0's flag goes first on the wire (MSB of the field).
+        put(win, BASE, mask.reverse_bits());
+        true
     }
 
     /// Decodes the block from the arm's stream, which the caller has
-    /// checked holds [`BITS`](Self::BITS) bits: the decode twin of
-    /// [`write`](Self::write). The base, the mask and each group of
-    /// [`PER_WRITE`](Self::PER_WRITE) deltas are one [`field`] load at
-    /// an offset the arm fixes. A delta is shifted to the top of its
+    /// checked holds [`BITS`](Self::BITS) bits: the twin of
+    /// [`encode`](Self::encode). A delta is shifted to the top of its
     /// group and arithmetic-shifted back down, which sign-extends it, and
     /// its mask bit, shifted to the sign, selects the base as all-ones or
     /// zero.
@@ -391,17 +374,10 @@ impl BlockCompressor for Bdi {
     }
 
     fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
-        let v8 = words_of(block);
-        let (enc, base, mask) = plan(&v8);
-        if enc == BdiEncoding::Uncompressed {
-            return store_verbatim(block, out);
+        match encode(block, Some(&mut *out)) {
+            BdiEncoding::Uncompressed => store_verbatim(block, out),
+            enc => (enc.size_bits(), true),
         }
-        let mut w = BitWriter::new(out);
-        w.write(u64::from(enc.tag()), TAG_BITS);
-        enc.write_fields(&v8, base, mask, &mut w);
-        let bits = w.finish();
-        debug_assert_eq!(bits, enc.size_bits());
-        (bits, true)
     }
 
     /// Decodes one stream without a bit cursor (see the module's
@@ -463,20 +439,28 @@ impl BlockCompressor for Bdi {
     }
 }
 
-const fn mask_for(bytes: usize) -> u64 {
-    if bytes >= 8 {
-        u64::MAX
-    } else {
-        (1u64 << (bytes * 8)) - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitstream::BitReader;
+    use crate::bitstream::{BitReader, BitWriter};
     use crate::testing::{decode, encode, roundtrip};
     use proptest::prelude::*;
+
+    fn mask_for(bytes: usize) -> u64 {
+        u64::MAX >> (64 - 8 * bytes)
+    }
+
+    fn words_of(block: &Block) -> Words {
+        std::array::from_fn(|i| u64::from_le_bytes(block.as_chunks().0[i]))
+    }
+
+    fn is_zero(v8: &Words) -> bool {
+        v8.iter().fold(0u64, |acc, &w| acc | w) == 0
+    }
+
+    fn is_repeat8(v8: &Words) -> bool {
+        v8.iter().all(|&w| w == v8[0])
+    }
 
     fn block_from_u32s(f: impl Fn(usize) -> u32) -> Block {
         let mut b = [0u8; BLOCK_BYTES];
@@ -1056,8 +1040,58 @@ mod tests {
         assert_eq!(seen.len(), 9, "{seen:?}");
     }
 
+    /// The offsets an arm's fields sit at: the base, the mask and each
+    /// delta group.
+    fn arm_offsets<const BASE: usize, const DELTA: usize>() -> Vec<usize> {
+        let groups = Arm::<BASE, DELTA>::N / Arm::<BASE, DELTA>::PER_WRITE;
+        let deltas = (0..groups).map(|g| Arm::<BASE, DELTA>::DELTAS_AT + 8 * g);
+        [0, BASE].into_iter().chain(deltas).collect()
+    }
+
+    #[test]
+    fn put_writes_what_field_reads_and_nothing_else() {
+        let offsets = [
+            arm_offsets::<8, 1>(),
+            arm_offsets::<8, 2>(),
+            arm_offsets::<8, 4>(),
+            arm_offsets::<4, 1>(),
+            arm_offsets::<4, 2>(),
+            arm_offsets::<2, 1>(),
+        ]
+        .concat();
+        for byte in offsets {
+            assert!(byte + 8 < WINDOW, "a field at {byte} ends past the window");
+            // The field's 64 bits and no others: the low nibble of `byte`,
+            // seven whole bytes and the high nibble of `byte + 8`.
+            let mut bits = [0u8; WINDOW];
+            put(&mut bits, byte, u64::MAX);
+            for (i, &got) in bits.iter().enumerate() {
+                let want = match i.wrapping_sub(byte) {
+                    0 => 0x0f,
+                    1..=7 => 0xff,
+                    8 => 0xf0,
+                    _ => 0,
+                };
+                assert_eq!(got, want, "put at {byte} wrote byte {i}");
+            }
+            for x in [0, 1, 0xf, 0xf << 60, 1 << 63, 0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210] {
+                let mut win = [0u8; WINDOW];
+                put(&mut win, byte, x);
+                assert_eq!(field(&win, byte), x, "at {byte}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn prop_entry_points_agree_on_the_size(block in structured()) {
+            let bdi = Bdi::new();
+            let bits = bdi.size_bits(&block);
+            prop_assert_eq!(bdi.compress_into(&block, &mut Vec::new()).0, bits);
+            prop_assert_eq!(bdi.choose_encoding(&block).size_bits(), bits);
+        }
+
         #[test]
         fn prop_first_fit_equals_the_swar_planner(block in structured()) {
             let bdi = Bdi::new();
@@ -1114,7 +1148,8 @@ mod tests {
     /// shift and mask below are compile-time constants: deltas arrive in full
     /// 64-bit reader fetches (the value count is always a multiple of the
     /// per-fetch batch) and the fixed-trip inner loop unrolls into straight
-    /// shift/add/store code — the decode twin of [`Arm::write`].
+    /// shift/add/store code — the decode twin of the delta groups
+    /// [`Arm::encode`] puts.
     fn decode_base_delta<const BASE: usize, const DELTA: usize>(
         r: &mut BitReader<'_>,
         out: &mut Block,

@@ -9,7 +9,8 @@
 //! Both halves work a machine word at a time instead of bit-by-bit:
 //!
 //! * [`BitWriter`] serialises every codec but E2MC (whose ways
-//!   [`write_ways`](crate::e2mc::SymbolTable::write_ways) packs): it
+//!   [`write_ways`](crate::e2mc::SymbolTable::write_ways) packs) and BDI
+//!   (whose fixed-length fields go straight to their offsets): it
 //!   borrows the caller's `Vec<u8>` sink and stages pending bits in a
 //!   128-bit register. A write of any width up to 64 is one shift and
 //!   OR; only when 64 bits are pending does it append one big-endian

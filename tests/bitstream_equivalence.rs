@@ -21,7 +21,7 @@
 //!   change the format.
 
 use proptest::prelude::*;
-use slc::slc_compress::bdi::Bdi;
+use slc::slc_compress::bdi::{Bdi, BdiEncoding};
 use slc::slc_compress::bitstream::{BitReader, BitWriter};
 use slc::slc_compress::bpc::Bpc;
 use slc::slc_compress::cpack::Cpack;
@@ -122,6 +122,55 @@ fn ramp_block(start: u32, step: u32) -> Block {
     b
 }
 
+/// A block of sixteen 64-bit words, `f(i)` at word `i`.
+fn u64_block(f: impl Fn(u64) -> u64) -> Block {
+    let mut b = [0u8; BLOCK_BYTES];
+    for (i, c) in b.chunks_exact_mut(8).enumerate() {
+        c.copy_from_slice(&f(i as u64).to_le_bytes());
+    }
+    b
+}
+
+/// A block of sixty-four 16-bit values, `f(i)` at value `i`.
+fn u16_block(f: impl Fn(u16) -> u16) -> Block {
+    let mut b = [0u8; BLOCK_BYTES];
+    for (i, c) in b.chunks_exact_mut(2).enumerate() {
+        c.copy_from_slice(&f(i as u16).to_le_bytes());
+    }
+    b
+}
+
+/// One block per BDI encoding, with the encoding it must take. Each
+/// base+delta block is built so that every arm before its own in
+/// `BASE_DELTA_VARIANTS` fails; the B8 and B2D1 blocks also hold small
+/// values that delta from the implicit zero base. `bdi/tie` fits both
+/// B2D1 and B8D4 (596 bits each) and no smaller arm: B2D1 wins the tie.
+fn bdi_golden_blocks() -> [(&'static str, Block, BdiEncoding); 10] {
+    const BASE: u64 = 0x1234_5678_9abc_def0;
+    let near = |i: u64, step: u64| if i.is_multiple_of(3) { i } else { BASE + i * step };
+    // Every 16-bit value is within 15 of 0x4000 and every word within
+    // 2^17 of the first, but the second 16-bit lane alternates, so every
+    // other word's low 32 bits sit about 2^16 from the first value's: no
+    // 16-bit delta reaches them.
+    let tie = |i: u64| 0x4000_4000_4000_4000 + i + ((i % 2) << 16);
+    [
+        ("bdi/zeros", [0u8; BLOCK_BYTES], BdiEncoding::Zeros),
+        ("bdi/repeat", u64_block(|_| BASE), BdiEncoding::Repeat),
+        ("bdi/b8d1", u64_block(|i| near(i, 7)), BdiEncoding::B8D1),
+        ("bdi/b8d2", u64_block(|i| near(i, 1000)), BdiEncoding::B8D2),
+        ("bdi/b8d4", u64_block(|i| near(i, 100_000)), BdiEncoding::B8D4),
+        ("bdi/ramp", ramp_block(0x4000_0000, 3), BdiEncoding::B4D1),
+        ("bdi/b4d2", ramp_block(0x4000_0000, 300), BdiEncoding::B4D2),
+        (
+            "bdi/b2d1",
+            u16_block(|i| if i.is_multiple_of(5) { i } else { 0x4100 + i }),
+            BdiEncoding::B2D1,
+        ),
+        ("bdi/tie", u64_block(tie), BdiEncoding::B2D1),
+        ("bdi/verbatim", test_block(7), BdiEncoding::Uncompressed),
+    ]
+}
+
 /// Every FPC token kind, each more than once: zero runs of 1, 3 and 9
 /// words (a run splits at 8), and each of the seven word patterns, with
 /// a negative value where the pattern sign-extends.
@@ -193,13 +242,32 @@ fn dyadic_block(escapes: u64) -> Block {
     b
 }
 
+/// Encodes `block`, then checks the stream's length and FNV hash against
+/// the golden and that it decodes back to `block`. Under `GOLDEN_PRINT`
+/// it prints the stream's length and hash instead.
+fn assert_golden_stream(
+    name: &str,
+    codec: &dyn BlockCompressor,
+    block: &Block,
+    bits: u32,
+    hash: u64,
+) {
+    let (size_bits, coded, payload) = encode(codec, block);
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        eprintln!("GOLDEN {name} bits={size_bits} fnv={:#018x}", fnv(&payload));
+        return;
+    }
+    assert_eq!(size_bits, bits, "{name}: stream length changed");
+    assert_eq!(fnv(&payload), hash, "{name}: stream bytes changed");
+    assert_eq!(&decode(codec, size_bits, coded, &payload), block, "{name}: roundtrip broken");
+}
+
 /// Golden stream hashes for deterministic blocks, recorded from the
 /// as-merged implementation (which the property tests above prove
 /// bit-identical to the seed's packing). Any change to these values is a
 /// wire-format break.
 #[test]
 fn golden_codec_stream_hashes() {
-    let bdi = Bdi::new();
     let fpc = Fpc::new();
     let cpack = Cpack::new();
     let bpc = Bpc::new();
@@ -219,8 +287,7 @@ fn golden_codec_stream_hashes() {
     let escapes = dyadic_block(0x1111_1111_1111_1111);
     let noise = test_block(7);
     let split = dyadic_block(0b11 << 2 | 0b11 << 40);
-    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 12] = [
-        ("bdi/ramp", &bdi, &ramp, 324, 0xd780_6542_3373_97d5),
+    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 11] = [
         ("fpc/zeros", &fpc, &zeros, 24, 0x85e3_6318_cda0_4b7b),
         ("fpc/patterns", &fpc, &fpc_patterns, 349, 0x3fcf_abcb_de06_9d45),
         ("cpack/zeros", &cpack, &zeros, 64, 0xa8c7_f832_281a_39c5),
@@ -234,14 +301,26 @@ fn golden_codec_stream_hashes() {
         ("e2mc/split-pair", &e2mc, &split, 279, 0x4e96_05ee_0d37_03c9),
     ];
     for (name, codec, block, bits, hash) in expectations {
-        let (size_bits, coded, payload) = encode(codec, block);
-        if std::env::var("GOLDEN_PRINT").is_ok() {
-            eprintln!("GOLDEN {name} bits={size_bits} fnv={:#018x}", fnv(&payload));
-            continue;
-        }
-        assert_eq!(size_bits, bits, "{name}: stream length changed");
-        assert_eq!(fnv(&payload), hash, "{name}: stream bytes changed");
-        assert_eq!(&decode(codec, size_bits, coded, &payload), block, "{name}: roundtrip broken");
+        assert_golden_stream(name, codec, block, bits, hash);
+    }
+    // One BDI stream per encoding, in `bdi_golden_blocks` order.
+    let bdi_expectations: [(u32, u64); 10] = [
+        (4, 0xaf63_bd4c_8601_b7df),
+        (68, 0xb6a3_5722_3f12_d68f),
+        (212, 0x08f2_513f_b553_d248),
+        (340, 0x1768_9df8_55fb_7f1e),
+        (596, 0xf604_a4b8_ba64_038d),
+        (324, 0xd780_6542_3373_97d5),
+        (580, 0xa2c5_5b46_4925_237f),
+        (596, 0x8f37_37d6_a87b_13c5),
+        (596, 0x82ee_d499_df48_70a3),
+        (1024, 0x86f2_1e0d_78f8_ab1b),
+    ];
+    let bdi = Bdi::new();
+    for ((name, block, enc), (bits, hash)) in bdi_golden_blocks().into_iter().zip(bdi_expectations)
+    {
+        assert_eq!(bdi.choose_encoding(&block), enc, "{name}: encoding changed");
+        assert_golden_stream(name, &bdi, &block, bits, hash);
     }
 }
 

@@ -223,7 +223,8 @@ fn per_block_encode_and_decode() {
         });
         let coded = sizes.iter().filter(|&&(_, coded)| coded).count() as u64;
         assert!(0 < coded && coded < n, "{name} must both code and store verbatim: {coded}/{n}");
-        // bdi and e2mc size a block without encoding it. The others'
+        // bdi sizes a block by encoding it into a stack window and e2mc
+        // without encoding it, so neither allocates. The others'
         // `size_bits` is one `compress_into` into one buffer. The
         // default's is block-sized and grows once more for a block whose
         // coded stream overruns it before the verbatim fallback (half the
