@@ -58,9 +58,8 @@
 //! (the `Arc`-shared [`slc_compress::e2mc::SymbolTable`]) and (b) the
 //! block bytes have not changed. MAG, lossy threshold and TSLC variant
 //! are *not* baked into the analysis — N schemes at different
-//! configurations can sweep one analysis with N cheap decisions, which
-//! is exactly what the workload harness' snapshot cache does (see
-//! `slc-workloads::analysis`). `compress_with` is pinned bit-identical
+//! configurations can sweep one analysis with N cheap decisions.
+//! `compress_with` is pinned bit-identical
 //! to `compress` by unit and property tests, and `stage_in_place` —
 //! the round trip without the entropy coder — to
 //! `decompress(compress_with(..))`, which stays the codec and the

@@ -39,22 +39,16 @@
 //! bytes — they belong to the codec named in the header — and the raw
 //! fallback applies identically.
 //!
-//! For serving scenarios where the raw stream never exists in one
-//! buffer, [`Engine::stream_encoder`] offers an incremental `push`
-//! API whose output is byte-identical to [`Engine::compress_threads`]
-//! while holding at most one chunk of raw input at a time.
-//!
 //! # One copy of the payload
 //!
-//! Every compress path writes each chunk once, through one chunk writer
-//! that appends the chunk's stored form to the buffer that becomes the
+//! Compress writes each chunk once, through one chunk writer that
+//! appends the chunk's stored form to the buffer that becomes the
 //! container: the coded form in place, or the raw bytes once the coded
 //! form is certain not to be shorter. A serial compress reserves
 //! header, directory and input length once and holds no other copy of
 //! its payload. With more workers each codes one contiguous run of chunks,
 //! the first into the container and each later one into a buffer of its
-//! own that is appended once. [`StreamEncoder`] moves its payload
-//! behind the header and directory within the same buffer.
+//! own that is appended once.
 //!
 //! # Determinism and safety contracts
 //!
@@ -69,12 +63,6 @@
 //!   back as a [`slc_compress::DecodeError`], which the
 //!   chunk worker reports as [`ContainerError::ChunkCorrupt`]. The
 //!   workspace therefore also runs built with `panic = "abort"`.
-//! * [`Engine::compress_with_sizes`] is the no-re-analysis path for
-//!   callers that already know each block's stored size (the harness'
-//!   cached snapshot analyses — see `slc_workloads::engine` for the
-//!   sharing contract): blocks whose stored size says "incompressible"
-//!   skip the codec entirely and the output is byte-identical to
-//!   [`Engine::compress_threads`].
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -175,55 +163,14 @@ impl Engine {
 
     /// Compresses `bytes` into a framed container, fanning its chunks
     /// out by `threads`. Output bytes are identical whatever the policy.
-    pub fn compress_threads(&self, bytes: &[u8], threads: Threads) -> Vec<u8> {
-        self.compress_impl(bytes, None, threads)
-    }
-
-    /// Compresses a block-aligned stream whose per-block stored sizes are
-    /// already known, skipping the codec for every block the sizes call
-    /// incompressible (`>= BLOCK_BITS` → stored verbatim).
     ///
-    /// The contract: `stored_bits[i]` must equal the codec's own
-    /// `size_bits` for block `i` — then the output is **byte-identical**
-    /// to [`compress_threads`](Self::compress_threads) (pinned by tests).
-    /// This is how the workload harness feeds its cached
-    /// `SnapshotAnalysis` sizes through the engine without re-analysing a
-    /// single block; lying sizes
-    /// produce a valid container whose raw/coded split is merely
-    /// suboptimal for `< BLOCK_BITS` lies, or wrong (expanded verbatim
-    /// blocks) for `>= BLOCK_BITS` lies about compressible data.
-    ///
-    /// Codecs with a whole-chunk mode (`chunk_coder()`, e.g. rANS)
-    /// ignore the sizes — their chunk streams are not block-framed, so
-    /// there is no per-block decision to skip and the output is
-    /// trivially identical to [`compress_threads`](Self::compress_threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bytes` is not block-aligned or `stored_bits` has a
-    /// different block count.
-    pub fn compress_with_sizes(
-        &self,
-        bytes: &[u8],
-        stored_bits: &[u32],
-        threads: Threads,
-    ) -> Vec<u8> {
-        assert_eq!(bytes.len() % BLOCK_BYTES, 0, "sized compression needs block-aligned input");
-        assert_eq!(
-            stored_bits.len(),
-            bytes.len() / BLOCK_BYTES,
-            "one stored size per block required"
-        );
-        self.compress_impl(bytes, Some(stored_bits), threads)
-    }
-
     /// The one-copy writer of the crate docs: the header and a
     /// placeholder directory, then every chunk appended behind them by
-    /// [`encode_chunk`], in one contiguous run of chunks per worker
+    /// `encode_chunk`, in one contiguous run of chunks per worker
     /// ([`slc_par::worker_count`], so a nested call is one run). A later
     /// run's buffer is appended once, its entries moved by where its
     /// payload lands.
-    fn compress_impl(&self, bytes: &[u8], hints: Option<&[u32]>, threads: Threads) -> Vec<u8> {
+    pub fn compress_threads(&self, bytes: &[u8], threads: Threads) -> Vec<u8> {
         let chunks = bytes.len().div_ceil(self.chunk_bytes);
         let payload_at = HEADER_BYTES + chunks * DIR_ENTRY_BYTES;
         let mut out = Vec::with_capacity(payload_at + bytes.len() + ENCODE_SLACK);
@@ -247,7 +194,7 @@ impl Engine {
             .chain(later.iter_mut().enumerate().map(|(i, buf)| (i + 1, buf, 0)))
             .collect();
         par_map(work, threads, |(r, buf, dir_at)| {
-            self.encode_run(bytes, hints, first(r)..first(r + 1), buf, dir_at);
+            self.encode_run(bytes, first(r)..first(r + 1), buf, dir_at);
         });
         for (r, buf) in (1..).zip(&later) {
             let base = (out.len() - payload_at) as u64;
@@ -269,25 +216,13 @@ impl Engine {
     /// and writes each one's directory entry at `buf[dir_at..]`, its
     /// offset counted from where the run's payload starts (`buf`'s length
     /// on entry).
-    fn encode_run(
-        &self,
-        bytes: &[u8],
-        hints: Option<&[u32]>,
-        run: Range<usize>,
-        buf: &mut Vec<u8>,
-        dir_at: usize,
-    ) {
-        let blocks_per_chunk = self.chunk_bytes / BLOCK_BYTES;
+    fn encode_run(&self, bytes: &[u8], run: Range<usize>, buf: &mut Vec<u8>, dir_at: usize) {
         let base = buf.len();
         for (i, ci) in run.enumerate() {
             let lo = ci * self.chunk_bytes;
             let chunk = &bytes[lo..(lo + self.chunk_bytes).min(bytes.len())];
-            let chunk_hints = hints.map(|h| {
-                let lo = ci * blocks_per_chunk;
-                &h[lo..lo + chunk.len().div_ceil(BLOCK_BYTES)]
-            });
             let at = buf.len();
-            let mode = encode_chunk(&*self.codec, chunk, chunk_hints, buf);
+            let mode = encode_chunk(&*self.codec, chunk, buf);
             let entry = DirEntry {
                 offset: (at - base) as u64,
                 encoded_bits: ((buf.len() - at) * 8) as u32,
@@ -405,103 +340,32 @@ impl Engine {
         Ok(())
     }
 
-    /// Starts a streaming encode: feed bytes in arbitrary-sized pieces
-    /// via [`StreamEncoder::push`], finish with
-    /// [`StreamEncoder::finish`]. The container is **byte-identical** to
-    /// [`compress_threads`](Self::compress_threads) over the concatenated
-    /// input (pinned by property tests), but the raw stream never has to
-    /// exist in one buffer: each chunk is encoded the moment it fills, so
-    /// live working memory beyond the compressed output is one chunk.
+    /// Starts a [`StreamEncoder`].
+    #[doc(hidden)]
     pub fn stream_encoder(&self) -> StreamEncoder {
-        StreamEncoder {
-            engine: self.clone(),
-            pending: Vec::with_capacity(self.chunk_bytes),
-            dir: Vec::new(),
-            payload: Vec::new(),
-            total_len: 0,
-        }
+        StreamEncoder { engine: self.clone(), bytes: Vec::new() }
     }
 }
 
-/// Incremental, bounded-memory encoder for serving scenarios (built by
-/// [`Engine::stream_encoder`]).
-///
-/// The one-shot [`Engine::compress_threads`] needs the whole raw stream in
-/// memory; `StreamEncoder` accepts it piecewise. Chunks are encoded as
-/// soon as they fill (serially, in arrival order), so the encoder only
-/// ever holds the compressed payload, a directory entry per chunk, and
-/// at most one chunk of raw tail — a few tens of KiB of working state
-/// however long the stream runs. Each chunk is written once, straight
-/// into the payload, by the same writer as
-/// [`Engine::compress_threads`]'s.
+/// Kept for `benchmark/`; ROADMAP item 19 deletes it. Buffers every
+/// pushed byte and compresses them at [`finish`](Self::finish), so its
+/// container is [`Engine::compress_threads`]' over the concatenated input.
+#[doc(hidden)]
 #[derive(Debug)]
 pub struct StreamEncoder {
     engine: Engine,
-    /// Raw tail shorter than one chunk, awaiting more input.
-    pending: Vec<u8>,
-    /// The directory entry of every chunk encoded so far.
-    dir: Vec<DirEntry>,
-    /// Every chunk's stored form, back to back: the container's payload,
-    /// which [`finish`](Self::finish) moves behind the header and
-    /// directory within this buffer.
-    payload: Vec<u8>,
-    total_len: u64,
+    bytes: Vec<u8>,
 }
 
 impl StreamEncoder {
-    /// Appends `bytes` to the stream, encoding every chunk that fills.
+    /// Appends `bytes` to the stream.
     pub fn push(&mut self, bytes: &[u8]) {
-        let chunk_bytes = self.engine.chunk_bytes;
-        self.total_len += bytes.len() as u64;
-        let mut rest = bytes;
-        if !self.pending.is_empty() {
-            let need = chunk_bytes - self.pending.len();
-            let take = need.min(rest.len());
-            self.pending.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.pending.len() == chunk_bytes {
-                let chunk = std::mem::take(&mut self.pending);
-                self.encode_one(&chunk);
-                self.pending = chunk;
-                self.pending.clear();
-            }
-        }
-        // Full chunks encode straight from the caller's buffer — no copy
-        // through `pending`.
-        let mut full = rest.chunks_exact(chunk_bytes);
-        for chunk in &mut full {
-            self.encode_one(chunk);
-        }
-        self.pending.extend_from_slice(full.remainder());
+        self.bytes.extend_from_slice(bytes);
     }
 
-    /// Encodes any pending tail and returns the framed container: the
-    /// payload buffer itself, with the header and directory appended and
-    /// rotated in front of the payload.
-    pub fn finish(mut self) -> Vec<u8> {
-        if !self.pending.is_empty() {
-            let chunk = std::mem::take(&mut self.pending);
-            self.encode_one(&chunk);
-        }
-        let mut out = self.payload;
-        self.engine.header(self.dir.len(), self.total_len).write_to(&mut out);
-        for entry in &self.dir {
-            out.extend_from_slice(&entry.to_bytes());
-        }
-        out.rotate_right(HEADER_BYTES + self.dir.len() * DIR_ENTRY_BYTES);
-        out
-    }
-
-    /// Bytes accepted so far.
-    pub fn total_len(&self) -> u64 {
-        self.total_len
-    }
-
-    fn encode_one(&mut self, chunk: &[u8]) {
-        let at = self.payload.len();
-        let mode = encode_chunk(&*self.engine.codec, chunk, None, &mut self.payload);
-        let encoded_bits = ((self.payload.len() - at) * 8) as u32;
-        self.dir.push(DirEntry { offset: at as u64, encoded_bits, mode });
+    /// The framed container of everything pushed, compressed serially.
+    pub fn finish(self) -> Vec<u8> {
+        self.engine.compress_threads(&self.bytes, Threads::Serial)
     }
 }
 
@@ -556,27 +420,21 @@ pub fn frame_info(container: &[u8]) -> Result<FrameInfo, ContainerError> {
 /// Appends one chunk's stored form to `out` and returns its mode: the
 /// coded form when it is shorter than the chunk, else the chunk's
 /// verbatim bytes. This is the one chunk writer, behind
-/// [`Engine::compress_threads`], [`Engine::compress_with_sizes`] and
-/// [`StreamEncoder`].
+/// [`Engine::compress_threads`].
 ///
 /// The coded form is written in place at the end of `out`; once it is
 /// certain not to come in under the chunk's length the coder stops,
 /// `out` is truncated back and the raw bytes go in instead. Codecs with a
-/// whole-chunk mode ([`ChunkCoder`]) write the chunk as one stream (size
-/// hints do not apply — the stream is not block-framed); everything else
-/// goes through the per-block tag + body framing of [`encode_blocks`].
+/// whole-chunk mode ([`ChunkCoder`]) write the chunk as one stream;
+/// everything else goes through the per-block tag + body framing of
+/// [`encode_blocks`].
 ///
 /// [`ChunkCoder`]: slc_compress::codec::ChunkCoder
-fn encode_chunk(
-    codec: &dyn BlockCodec,
-    chunk: &[u8],
-    hints: Option<&[u32]>,
-    out: &mut Vec<u8>,
-) -> StorageMode {
+fn encode_chunk(codec: &dyn BlockCodec, chunk: &[u8], out: &mut Vec<u8>) -> StorageMode {
     let start = out.len();
     let coded = match codec.chunk_coder() {
         Some(cc) => cc.encode_chunk_into(chunk, chunk.len(), out),
-        None => encode_blocks(codec, chunk, hints, out),
+        None => encode_blocks(codec, chunk, out),
     };
     if coded {
         return StorageMode::Coded;
@@ -593,14 +451,9 @@ fn encode_chunk(
 /// Each body is encoded straight into `out` via
 /// [`compress_into`](slc_compress::BlockCompressor::compress_into) (the
 /// tag is back-patched once the body size is known).
-fn encode_blocks(
-    codec: &dyn BlockCodec,
-    chunk: &[u8],
-    hints: Option<&[u32]>,
-    out: &mut Vec<u8>,
-) -> bool {
+fn encode_blocks(codec: &dyn BlockCodec, chunk: &[u8], out: &mut Vec<u8>) -> bool {
     let start = out.len();
-    for (i, raw) in chunk.chunks(BLOCK_BYTES).enumerate() {
+    for raw in chunk.chunks(BLOCK_BYTES) {
         // Borrow full blocks in place; only a ragged tail needs the
         // zero-padded copy.
         let mut tail = [0u8; BLOCK_BYTES];
@@ -611,17 +464,9 @@ fn encode_blocks(
                 &tail
             }
         };
-        // A hint of >= BLOCK_BITS means "stored verbatim": identical to
-        // what the codec would decide, minus the encode work.
-        let skip = hints.is_some_and(|h| h[i] >= BLOCK_BITS);
         let tag_at = out.len();
         out.extend_from_slice(&[0, 0]);
-        let (mut bits, mut is_coded) = if skip {
-            out.extend_from_slice(block);
-            (BLOCK_BITS, false)
-        } else {
-            codec.compress_into(block, out)
-        };
+        let (mut bits, mut is_coded) = codec.compress_into(block, out);
         // Defensive: the tag has 15 size bits and every codec caps at the
         // verbatim block; store raw if one ever misbehaves.
         if bits > BLOCK_BITS {
@@ -732,8 +577,6 @@ fn decode_blocks(
 mod tests {
     use super::*;
     use slc_compress::bdi::Bdi;
-    use slc_compress::e2mc::{E2mc, E2mcConfig};
-    use slc_compress::BlockCompressor;
 
     fn bdi_engine(chunk: usize) -> Engine {
         Engine::new(Arc::new(Bdi::new())).with_chunk_bytes(chunk)
@@ -809,30 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn sized_path_is_byte_identical_for_e2mc() {
-        let training: Vec<u8> =
-            (0..1u32 << 14).flat_map(|i| ((i % 257) as f32).to_le_bytes()).collect();
-        let e2mc = E2mc::train_on_bytes(&training, &E2mcConfig::default());
-        let mut data: Vec<u8> =
-            (0..2048u32).flat_map(|i| (((i * 3) % 257) as f32).to_le_bytes()).collect();
-        // Salt a stripe of noise so some blocks are genuinely
-        // incompressible and the skip hint actually fires.
-        let mut state = 0xfeedu64;
-        for b in data[1024..2048].iter_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *b = (state >> 33) as u8;
-        }
-        let sizes: Vec<u32> =
-            data.chunks_exact(BLOCK_BYTES).map(|c| e2mc.size_bits(c.try_into().unwrap())).collect();
-        assert!(sizes.iter().any(|&s| s >= BLOCK_BITS), "need at least one verbatim block");
-        let engine = Engine::new(Arc::new(e2mc)).with_chunk_bytes(512);
-        let plain = engine.compress_threads(&data, Threads::Auto);
-        let sized = engine.compress_with_sizes(&data, &sizes, Threads::Serial);
-        assert_eq!(plain, sized, "truthful sizes must not change a single byte");
-        assert_eq!(engine.decompress_threads(&sized, Threads::Auto).unwrap(), data);
-    }
-
-    #[test]
     fn decompress_into_matches_owned_path() {
         let e = bdi_engine(256);
         for len in [0usize, 1, 127, 128, 255, 256, 1000, 4096] {
@@ -870,13 +689,6 @@ mod tests {
     #[should_panic(expected = "multiple of 128")]
     fn chunk_size_must_be_block_aligned() {
         let _ = bdi_engine(100);
-    }
-
-    #[test]
-    #[should_panic(expected = "one stored size per block")]
-    fn sized_path_checks_block_count() {
-        let e = bdi_engine(256);
-        let _ = e.compress_with_sizes(&[0u8; 256], &[0u32; 3], Threads::Serial);
     }
 
     /// The wire freeze: evaluated constants and the bytes the two frame

@@ -271,11 +271,7 @@ fn rans_engine_equals_chunk_level_reference() {
 /// writer: each chunk into a buffer of its own, reserved at the chunk
 /// plus its tags, and an empty buffer for a raw chunk, whose bytes the
 /// assembly takes from the input.
-fn retired_encode_chunk(
-    codec: &dyn BlockCodec,
-    chunk: &[u8],
-    hints: Option<&[u32]>,
-) -> (Vec<u8>, StorageMode) {
+fn retired_encode_chunk(codec: &dyn BlockCodec, chunk: &[u8]) -> (Vec<u8>, StorageMode) {
     if let Some(cc) = codec.chunk_coder() {
         let mut coded = cc.encode_chunk(chunk);
         return if coded.len() >= chunk.len() {
@@ -287,18 +283,12 @@ fn retired_encode_chunk(
     }
     let nblocks = chunk.len().div_ceil(BLOCK_BYTES);
     let mut coded = Vec::with_capacity(chunk.len() + 2 * nblocks);
-    for (i, raw) in chunk.chunks(BLOCK_BYTES).enumerate() {
+    for raw in chunk.chunks(BLOCK_BYTES) {
         let mut block = [0u8; BLOCK_BYTES];
         block[..raw.len()].copy_from_slice(raw);
-        let skip = hints.is_some_and(|h| h[i] >= BLOCK_BITS);
         let tag_at = coded.len();
         coded.extend_from_slice(&[0, 0]);
-        let (mut bits, mut is_coded) = if skip {
-            coded.extend_from_slice(&block);
-            (BLOCK_BITS, false)
-        } else {
-            codec.compress_into(&block, &mut coded)
-        };
+        let (mut bits, mut is_coded) = codec.compress_into(&block, &mut coded);
         if bits > BLOCK_BITS {
             coded.truncate(tag_at + 2);
             coded.extend_from_slice(&block);
@@ -318,24 +308,9 @@ fn retired_encode_chunk(
 /// The retired assembly: every chunk encoded into its own buffer first,
 /// then header, directory and the stored chunks copied into a second
 /// buffer.
-fn retired_compress(
-    codec: &dyn BlockCodec,
-    bytes: &[u8],
-    hints: Option<&[u32]>,
-    chunk_bytes: usize,
-) -> Vec<u8> {
-    let blocks_per_chunk = chunk_bytes / BLOCK_BYTES;
-    let encoded: Vec<(Vec<u8>, StorageMode)> = bytes
-        .chunks(chunk_bytes)
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let chunk_hints = hints.map(|h| {
-                let lo = ci * blocks_per_chunk;
-                &h[lo..lo + chunk.len().div_ceil(BLOCK_BYTES)]
-            });
-            retired_encode_chunk(codec, chunk, chunk_hints)
-        })
-        .collect();
+fn retired_compress(codec: &dyn BlockCodec, bytes: &[u8], chunk_bytes: usize) -> Vec<u8> {
+    let encoded: Vec<(Vec<u8>, StorageMode)> =
+        bytes.chunks(chunk_bytes).map(|chunk| retired_encode_chunk(codec, chunk)).collect();
     let stored: Vec<(&[u8], StorageMode)> = encoded
         .iter()
         .zip(bytes.chunks(chunk_bytes))
@@ -353,43 +328,26 @@ fn compress_equals_the_retired_assembly() {
     let mut data = stream(2048, 5, 0);
     data.extend(stream(1024, 9, 1));
     data.extend(stream(2100, 3, 3));
-    let aligned = &data[..data.len() / BLOCK_BYTES * BLOCK_BYTES];
     let mut all: Vec<Arc<dyn BlockCodec>> = codecs().to_vec();
     all.push(Arc::new(Rans::new()));
     let policies = [Threads::Serial, Threads::Exact(2), Threads::Exact(8)];
     for codec in &all {
         let name = codec.id().name();
-        let truthful: Vec<u32> = aligned
-            .chunks_exact(BLOCK_BYTES)
-            .map(|b| codec.size_bits(b.try_into().unwrap()))
-            .collect();
-        assert!(truthful.contains(&BLOCK_BITS), "{name}: no block is stored verbatim");
-        // Hints that also mark every third block verbatim, coded or not.
-        let lying: Vec<u32> = (0..)
-            .zip(&truthful)
-            .map(|(i, &bits)| if i % 3 == 0 { BLOCK_BITS } else { bits })
-            .collect();
         for chunk_blocks in [1, 4, 8] {
             let chunk_bytes = chunk_blocks * BLOCK_BYTES;
             let engine = Engine::new(Arc::clone(codec)).with_chunk_bytes(chunk_bytes);
             for len in [0, 1, BLOCK_BYTES - 1, data.len()] {
                 let input = &data[..len];
-                let want = retired_compress(codec.as_ref(), input, None, chunk_bytes);
+                let want = retired_compress(codec.as_ref(), input, chunk_bytes);
                 for threads in policies {
                     let at = format!("{name}, {len} bytes, {chunk_blocks} blocks, {threads:?}");
                     assert_eq!(engine.compress_threads(input, threads), want, "{at}");
                 }
             }
-            for hints in [&truthful, &lying] {
-                let want = retired_compress(codec.as_ref(), aligned, Some(hints), chunk_bytes);
-                let frame = slc_engine::Frame::parse(&want).unwrap();
-                let modes: Vec<_> = frame.directory.iter().map(|e| e.mode).collect();
-                assert!(modes.contains(&StorageMode::Raw), "{name}: no raw chunk");
-                for threads in policies {
-                    let at = format!("{name}, sized, {chunk_blocks} blocks, {threads:?}");
-                    assert_eq!(engine.compress_with_sizes(aligned, hints, threads), want, "{at}");
-                }
-            }
+            let whole = engine.compress_threads(&data, Threads::Serial);
+            let frame = slc_engine::Frame::parse(&whole).unwrap();
+            let modes: Vec<_> = frame.directory.iter().map(|e| e.mode).collect();
+            assert!(modes.contains(&StorageMode::Raw), "{name}: no raw chunk");
         }
     }
 }

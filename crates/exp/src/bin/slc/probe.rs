@@ -15,8 +15,7 @@ use slc_sim::mc::UniformBursts;
 use slc_sim::SchedPolicy;
 use slc_workloads::benchmarks::nn::Nn;
 use slc_workloads::harness::speedup;
-use slc_workloads::{all_workloads, compress_snapshot, snapshot_bytes, snapshot_engine};
-use slc_workloads::{Harness, Scale, Scheme, SnapshotAnalysis, Workload};
+use slc_workloads::{all_workloads, snapshot_bytes, Harness, Scale, Scheme, Workload};
 
 /// `bursts`: per-benchmark burst counts, bandwidth utilisation and
 /// TSLC-OPT speedup at a glance.
@@ -173,9 +172,7 @@ fn hostile_pass(engine: &Engine, container: &[u8], decoded_len: usize, seed: u64
 /// the end-to-end check of the framed container path.
 ///
 /// For each workload the probe concatenates the exact-region byte image
-/// ([`snapshot_bytes`]), compresses it twice — once from scratch and
-/// once through the cached-size fast path ([`compress_snapshot`]) — and
-/// checks the two containers are byte-identical, that parallel decode
+/// ([`snapshot_bytes`]), compresses it, checks that parallel decode
 /// equals serial decode equals the original image, and prints the
 /// image's size and the container's chunk count and compression ratio.
 /// Any contract violation aborts the process, so a plain exit-0 run is
@@ -191,10 +188,7 @@ fn hostile_pass(engine: &Engine, container: &[u8], decoded_len: usize, seed: u64
 /// "decode never panics" contract is proven rather than caught.
 ///
 /// `codec` swaps the substrate (`--codec rans|bdi`); `None` (`e2mc`, the
-/// default) probes the trained snapshot codec. The cached-size identity
-/// is asserted for every substrate — chunk coders document that they
-/// ignore the size hints, and this is where that contract is exercised
-/// end to end.
+/// default) probes the trained snapshot codec.
 pub fn engine(scale: Scale, codec: Option<Arc<dyn BlockCodec>>) {
     let codec_name = codec.as_ref().map_or("e2mc", |c| c.id().name());
     let h = Harness::new(scale);
@@ -207,22 +201,9 @@ pub fn engine(scale: Scale, codec: Option<Arc<dyn BlockCodec>>) {
         let bytes = snapshot_bytes(&a.exact_memory);
         let engine = match &codec {
             Some(codec) => Engine::new(Arc::clone(codec)),
-            None => snapshot_engine(&a.e2mc),
+            None => Engine::new(Arc::new(a.e2mc.clone())),
         };
-        let snapshot = SnapshotAnalysis::capture(&a.e2mc, &a.exact_memory);
-
         let container = engine.compress_threads(&bytes, Threads::Auto);
-
-        // The cached-size fast path must reproduce the container exactly:
-        // per-block codecs because the hints equal their own size_bits,
-        // chunk coders (rANS) because they ignore the hints entirely.
-        let cached = compress_snapshot(&engine, &a.e2mc, &bytes, &snapshot, Threads::Auto);
-        assert_eq!(
-            container, cached,
-            "{}: cached-size container differs from the from-scratch one",
-            a.name
-        );
-
         let parallel = engine
             .decompress_threads(&container, Threads::Auto)
             .expect("engine-produced container must decode");

@@ -96,22 +96,8 @@ pub fn evaluate(
     Eval { rows, variants: variants.to_vec(), threshold_bytes, mag_bytes }
 }
 
-/// Step 1+2 (exact run + table training) for every benchmark, in
-/// parallel, **all nine sets resident at once**. [`evaluate`] and the
-/// figures no longer want that; it is for callers whose artifacts outlive
-/// one pass — a sweep that re-decides the same prepared set under many
-/// configurations ([`evaluate_prepared`] per MAG or threshold), the
-/// `benchmark/` ledger's traced run taking `evaluate` apart.
-///
-/// This is where each benchmark's inputs are generated, once: the
-/// artifacts carry the seeded image
-/// ([`BenchmarkArtifacts::initial_memory`]) and every functional pass of
-/// every sweep replays over it. They also lazily cache the exact run's
-/// E2MC stored sizes, one `u16` per block per staging point
-/// ([`BenchmarkArtifacts::exact_size_snapshots`]): the artifacts are
-/// MAG- and threshold-independent, so one prepared set serves any number
-/// of [`evaluate_prepared`] sweeps and the E2MC baseline inside each is a
-/// burst sweep over the shared sizes, not a kernel replay.
+/// Kept for `benchmark/`; ROADMAP item 19 deletes it.
+#[doc(hidden)]
 pub fn prepare_all(
     scale: Scale,
     harness: &Harness,
@@ -122,7 +108,8 @@ pub fn prepare_all(
     })
 }
 
-/// [`evaluate`] over benchmarks that are already prepared.
+/// Kept for `benchmark/`; ROADMAP item 19 deletes it.
+#[doc(hidden)]
 pub fn evaluate_prepared(
     harness: &Harness,
     threshold_bytes: u32,

@@ -1,26 +1,11 @@
-//! Snapshot-level sharing of per-block E2MC analyses.
+//! Per-block E2MC analyses of one memory snapshot, captured in one walk.
 //!
-//! A memory snapshot (one kernel-boundary state of a [`GpuMemory`]) that
-//! is read more than once is analysed **once** under the trained table —
-//! one [`E2mc::analyze`] pass per block, in one serial walk over memory —
-//! and the resulting [`SnapshotAnalysis`] then serves every consumer
-//! that would otherwise re-derive the same code lengths:
-//! [`BurstsAccumulator::record`](crate::scheme::BurstsAccumulator::record)
-//! decision sweeps for any number of schemes, MAGs and thresholds over
-//! one captured image, and the batch engine's
-//! [`compress_snapshot`](crate::engine::compress_snapshot).
-//!
-//! Consumers that read only a block's stored size do not capture one:
-//! Fig. 1, Fig. 2 and §V-C size the final image block by block, and the
-//! E2MC baseline's per-staging-point sizes are one `u16` a block
+//! No figure or table path captures one: the replay's staging walk
+//! ([`Scheme::stage_and_record`](crate::scheme::Scheme::stage_and_record))
+//! analyses each block where it stages it, and the E2MC baseline keeps
+//! one `u16` size a block
 //! ([`BenchmarkArtifacts::exact_size_snapshots`](crate::harness::BenchmarkArtifacts::exact_size_snapshots)).
-//! The replay's staging points are not among them either: each is read
-//! exactly once, so [`Scheme::stage_and_record`](crate::scheme::Scheme::stage_and_record)
-//! streams block by block and materialises no snapshot at all.
-//!
-//! Analyses are only meaningful against the trained table that produced
-//! them, so a snapshot carries the `Arc` identity of its table and
-//! consumers verify it with [`SnapshotAnalysis::matches`].
+//! [`SnapshotAnalysis`] is kept for `benchmark/`; ROADMAP item 19 deletes it.
 
 use slc_compress::e2mc::{BlockAnalysis, E2mc, SymbolTable};
 use slc_compress::BLOCK_BYTES;
@@ -37,14 +22,9 @@ pub struct AnalyzedBlock {
     pub analysis: BlockAnalysis,
 }
 
-/// Per-block analyses of one memory snapshot under one trained table.
-///
-/// Entries are ordered exactly as [`GpuMemory::all_blocks`] iterates
-/// (region table order, ascending block offset within each region), so
-/// order-sensitive consumers — floating-point ratio accumulators, report
-/// rows — produce byte-identical output to a direct walk over memory.
-/// That order is ascending block address from 0
-/// ([`GpuMemory::malloc`]), so entry `i` is block `i`.
+/// Per-block analyses of one memory snapshot under one trained table,
+/// in the order [`GpuMemory::blocks_with_addr`] walks: entry `i` is
+/// block `i`.
 #[derive(Debug, Clone)]
 pub struct SnapshotAnalysis {
     entries: Vec<AnalyzedBlock>,
@@ -53,11 +33,10 @@ pub struct SnapshotAnalysis {
 }
 
 impl SnapshotAnalysis {
-    /// Analyses every region block of `mem` under `e2mc` in one in-order
-    /// pass, each entry written once into a buffer sized up front — the
-    /// snapshot's only allocation. Serial on purpose: callers fan out
-    /// over benchmarks, one level up, where a nested fan-out would run on
-    /// the calling worker anyway.
+    /// Kept for `benchmark/`; ROADMAP item 19 deletes it. Analyses every
+    /// region block of `mem` under `e2mc` in one in-order pass into a
+    /// buffer sized up front, the snapshot's only allocation.
+    #[doc(hidden)]
     pub fn capture(e2mc: &E2mc, mem: &GpuMemory) -> Self {
         let mut entries = Vec::with_capacity(mem.len() / BLOCK_BYTES);
         for (region, _, block) in mem.blocks_with_addr() {

@@ -156,15 +156,6 @@ impl BenchmarkArtifacts {
             "artifacts were prepared from a different workload instance"
         );
     }
-
-    /// `output`'s error figures against the exact run's, in one pass.
-    fn errors_of(
-        &self,
-        w: &dyn Workload,
-        output: impl IntoIterator<Item = f32>,
-    ) -> metrics::OutputErrors {
-        w.metric().compare(&self.exact_output, self.exact_range, output)
-    }
 }
 
 /// The seeded image's blocks in region order, rebuilt from the final
@@ -338,40 +329,32 @@ impl Harness {
         scheme: &Scheme,
         image: &mut Option<GpuMemory>,
     ) -> FunctionalOutcome {
-        let mag = self.config.mag();
-        if matches!(scheme, Scheme::Uncompressed) {
-            return FunctionalOutcome {
-                kind: scheme.kind(),
-                error_pct: 0.0,
-                mre_pct: 0.0,
-                psnr_db: f64::INFINITY,
-                max_abs_err: 0.0,
-                bursts: BurstsAccumulator::new(mag).into_map(),
-            };
-        }
+        let mut accumulator = BurstsAccumulator::new(self.config.mag());
         let shares_artifact_table = scheme.e2mc().is_some_and(|e| {
             std::sync::Arc::ptr_eq(e.shared_table(), artifacts.e2mc.shared_table())
         });
-        if matches!(scheme, Scheme::E2mc(_)) && shares_artifact_table {
+        match scheme {
+            Scheme::Uncompressed => {}
             // Lossless staging is the identity, so a fresh run would
             // retrace the exact run; sweep its cached per-boundary stored
             // sizes, one per block address, instead of re-executing the
             // kernels (the E2MC burst count needs nothing else).
-            let mut accumulator = BurstsAccumulator::new(mag);
-            for sizes in artifacts.exact_sizes_over(w, image) {
-                accumulator.fold_bits(0, sizes.iter().map(|&b| b.into()));
+            Scheme::E2mc(_) if shares_artifact_table => {
+                for sizes in artifacts.exact_sizes_over(w, image) {
+                    accumulator.fold_bits(0, sizes.iter().map(|&b| b.into()));
+                }
             }
-            let errors = artifacts.errors_of(w, artifacts.exact_output.iter().copied());
-            return FunctionalOutcome {
-                kind: scheme.kind(),
-                error_pct: errors.error_pct,
-                mre_pct: errors.mre_pct,
-                psnr_db: f64::INFINITY,
-                max_abs_err: 0.0,
-                bursts: accumulator.into_map(),
-            };
+            _ => return self.replay(w, artifacts, scheme, image),
         }
-        self.replay(w, artifacts, scheme, image)
+        // Neither scheme changes a byte, so the output is the exact one.
+        FunctionalOutcome {
+            kind: scheme.kind(),
+            error_pct: 0.0,
+            mre_pct: 0.0,
+            psnr_db: f64::INFINITY,
+            max_abs_err: 0.0,
+            bursts: accumulator.into_map(),
+        }
     }
 
     /// The uncached functional pass: replays the kernels over the
@@ -392,9 +375,9 @@ impl Harness {
         let mut stage = |m: &mut GpuMemory| scheme.stage_and_record(m, &mut accumulator);
         w.execute(mem, &mut stage);
         let mem = &*mem;
-        let output = w.output_arrays().into_iter();
-        let errors =
-            artifacts.errors_of(w, output.flat_map(|(ptr, len)| mem.f32_view(ptr, len).iter()));
+        let output =
+            w.output_arrays().into_iter().flat_map(|(ptr, len)| mem.f32_view(ptr, len).iter());
+        let errors = w.metric().compare(&artifacts.exact_output, artifacts.exact_range, output);
         FunctionalOutcome {
             kind: scheme.kind(),
             error_pct: errors.error_pct,
@@ -473,7 +456,6 @@ pub fn normalized_bandwidth(baseline: &SimStats, candidate: &SimStats) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::SnapshotAnalysis;
     use crate::benchmarks::nn::Nn;
     use crate::metrics::ErrorMetric;
     use crate::suite::all_workloads;
@@ -837,17 +819,16 @@ mod tests {
         let mut verbatim = 0;
         for w in &workloads {
             let a = h.prepare(w.as_ref());
-            let mut snapshots = Vec::new();
+            let mut snapshots: Vec<Vec<u32>> = Vec::new();
             let mut capture = |m: &mut GpuMemory| {
-                snapshots.push(SnapshotAnalysis::capture(&a.e2mc, m));
+                snapshots.push(m.blocks_with_addr().map(|(.., b)| a.e2mc.size_bits(b)).collect());
             };
             w.execute(&mut a.initial_memory(), &mut capture);
             let cache = a.exact_size_snapshots(w.as_ref());
             assert_eq!(cache.len(), snapshots.len(), "{}: staging points", w.name());
             for (k, (sizes, snapshot)) in cache.iter().zip(&snapshots).enumerate() {
-                assert_eq!(sizes.len(), snapshot.entries().len(), "{} point {k}", w.name());
-                for (i, (&size, b)) in sizes.iter().zip(snapshot.entries()).enumerate() {
-                    let want = b.analysis.e2mc_size_bits();
+                assert_eq!(sizes.len(), snapshot.len(), "{} point {k}", w.name());
+                for (i, (&size, &want)) in sizes.iter().zip(snapshot).enumerate() {
                     assert_eq!(u32::from(size), want, "{} point {k} block {i}", w.name());
                     verbatim += usize::from(want == BLOCK_BITS);
                 }

@@ -21,11 +21,8 @@
 //!
 //! [`harness`] glues benchmarks to compression [`scheme`]s and the timing
 //! simulator; the `slc-exp` crate builds every paper figure from it.
-//! [`analysis`] holds the snapshot-level capture of per-block E2MC
-//! analyses (one `E2mc::analyze` pass per memory snapshot, swept by any
-//! number of schemes, MAGs and thresholds — the shared pipeline described
-//! in the `slc-core` crate docs); [`engine`] feeds a captured snapshot to
-//! the `slc-engine` batch container path with zero re-analysis.
+//! [`engine`] turns a memory image into the byte stream the `slc-engine`
+//! batch container path takes.
 
 #![forbid(unsafe_code)]
 
@@ -38,8 +35,8 @@ pub mod metrics;
 pub mod scheme;
 pub mod suite;
 
-pub use analysis::{AnalyzedBlock, SnapshotAnalysis};
-pub use engine::{compress_snapshot, snapshot_bytes, snapshot_engine};
+pub use analysis::SnapshotAnalysis;
+pub use engine::{compress_snapshot, snapshot_bytes};
 pub use harness::{BenchmarkArtifacts, FunctionalOutcome, Harness, TimingOutcome};
 pub use scheme::{Scheme, SchemeKind};
 pub use suite::{all_workloads, workload_by_name, Scale, Workload};

@@ -8,7 +8,7 @@
 //! Section IV-A.
 
 use crate::analysis::SnapshotAnalysis;
-use slc_compress::e2mc::{BlockAnalysis, E2mc};
+use slc_compress::e2mc::E2mc;
 use slc_compress::{BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_sim::mc::BurstsMap;
@@ -103,14 +103,10 @@ impl Scheme {
         self.stage_walk(mem, Some(acc));
     }
 
-    /// [`Self::stage_and_record`] without the accumulator, then the
-    /// [`SnapshotAnalysis`] of the **staged** image — the staging step as
-    /// a value, for tests and the `benchmark/` layer rows; no figure path
-    /// materialises it. [`BurstsAccumulator::record`] over the result
-    /// folds the bursts the streamed pass would have.
-    ///
-    /// Returns `None` for [`Scheme::Uncompressed`], which has no trained
-    /// table and needs no per-block analysis.
+    /// Kept for `benchmark/`; ROADMAP item 19 deletes it. Stages `mem`
+    /// as [`Self::stage_and_record`] does, then captures the staged
+    /// image; `None` for [`Scheme::Uncompressed`].
+    #[doc(hidden)]
     pub fn stage_analyzed(&self, mem: &mut GpuMemory) -> Option<SnapshotAnalysis> {
         let e2mc = self.e2mc()?;
         self.stage_walk(mem, None);
@@ -155,26 +151,6 @@ impl Scheme {
             }
         }
     }
-
-    /// Bursts one analysed block costs under `mag`, given whether it
-    /// lives in a safe-to-approximate region — the decision sweep of the
-    /// shared pipeline. `analysis` must come from this scheme's trained
-    /// table (checked at the snapshot level by
-    /// [`SnapshotAnalysis::matches`]).
-    pub fn bursts_for_analysis(
-        &self,
-        analysis: &BlockAnalysis,
-        mag: Mag,
-        approximable: bool,
-    ) -> u32 {
-        match self {
-            Scheme::Uncompressed => mag.bursts_for_bytes(BLOCK_BYTES as u32, BLOCK_BYTES as u32),
-            Scheme::Slc(s) if approximable => s.stored_bursts_with(analysis),
-            Scheme::E2mc(_) | Scheme::Slc(_) => {
-                mag.bursts_for_bits(analysis.e2mc_size_bits(), BLOCK_BYTES as u32)
-            }
-        }
-    }
 }
 
 /// Averages per-block burst counts over multiple staging points.
@@ -190,8 +166,7 @@ impl Scheme {
 /// `(sum, folds)` cells are a vector indexed by address. The staging
 /// walk ([`Scheme::stage_and_record`]) folds each block's stored bits
 /// into its region's cells where it computes them; the E2MC baseline
-/// sweeps a staging point's cached sizes, and [`record`](Self::record)
-/// a captured snapshot's entries, as one run from block 0.
+/// sweeps a staging point's cached sizes as one run from block 0.
 #[derive(Debug, Clone)]
 pub struct BurstsAccumulator {
     mag: Mag,
@@ -207,11 +182,6 @@ impl BurstsAccumulator {
     pub fn new(mag: Mag) -> Self {
         let max = mag.bursts_for_bytes(BLOCK_BYTES as u32, BLOCK_BYTES as u32);
         Self { mag, max, cells: Vec::new() }
-    }
-
-    /// The MAG the accumulator was created for.
-    pub fn mag(&self) -> Mag {
-        self.mag
     }
 
     /// Folds the burst counts of one run of consecutive block addresses
@@ -244,15 +214,15 @@ impl BurstsAccumulator {
         self.fold(addr, std::iter::once(bursts));
     }
 
-    /// Records one already-analysed snapshot under `scheme`: the cheap
-    /// decision sweep of the shared pipeline — no block is re-encoded,
-    /// and entry `i` folds into cell `i`. Every block counts
-    /// the scheme's own decision over its analysis.
+    /// Kept for `benchmark/`; ROADMAP item 19 deletes it. Folds entry
+    /// `i` of `snapshot` into cell `i` at the bursts `scheme` stores it
+    /// in: SLC's for an approximable block, E2MC's otherwise.
     ///
     /// # Panics
     ///
     /// Panics when the snapshot was analysed with a different trained
     /// table than the scheme's (the analyses would be meaningless).
+    #[doc(hidden)]
     pub fn record(&mut self, scheme: &Scheme, snapshot: &SnapshotAnalysis) {
         let Some(e2mc) = scheme.e2mc() else {
             return; // Uncompressed has no table and records nothing.
@@ -262,8 +232,13 @@ impl BurstsAccumulator {
             "snapshot analysed under a different trained table than the scheme's"
         );
         let mag = self.mag;
-        let entries = snapshot.entries().iter();
-        self.fold(0, entries.map(|b| scheme.bursts_for_analysis(&b.analysis, mag, b.approximable)));
+        self.fold(
+            0,
+            snapshot.entries().iter().map(|b| match scheme {
+                Scheme::Slc(s) if b.approximable => s.stored_bursts_with(&b.analysis),
+                _ => mag.bursts_for_bits(b.analysis.e2mc_size_bits(), BLOCK_BYTES as u32),
+            }),
+        );
     }
 
     /// Number of snapshots folded in: the minimum fold count over all
@@ -328,12 +303,20 @@ mod tests {
         assert_eq!(s.kind().codec_latency(), (60, 20));
     }
 
+    /// One recorded staging point of `mem` under `scheme`.
+    fn walked_map(scheme: &Scheme, mem: &mut GpuMemory) -> BurstsMap {
+        let mut acc = BurstsAccumulator::new(Mag::GDDR5);
+        scheme.stage_and_record(mem, &mut acc);
+        acc.into_map()
+    }
+
     #[test]
     fn lossless_schemes_never_mutate_memory() {
         let mut mem = filled_memory();
         let before = mem.read_f32(slc_sim::DevicePtr(0), 256);
-        assert!(Scheme::Uncompressed.stage_analyzed(&mut mem).is_none());
-        assert!(Scheme::E2mc(trained()).stage_analyzed(&mut mem).is_some());
+        for scheme in [Scheme::Uncompressed, Scheme::E2mc(trained())] {
+            walked_map(&scheme, &mut mem);
+        }
         assert_eq!(mem.read_f32(slc_sim::DevicePtr(0), 256), before);
     }
 
@@ -341,8 +324,7 @@ mod tests {
     fn slc_stages_only_approx_regions() {
         let mut mem = filled_memory();
         let exact_before = mem.read_f32(slc_sim::DevicePtr(1024), 256);
-        let s = Scheme::slc(trained(), Mag::GDDR5, 16, SlcVariant::TslcSimp);
-        s.stage_analyzed(&mut mem);
+        walked_map(&Scheme::slc(trained(), Mag::GDDR5, 16, SlcVariant::TslcSimp), &mut mem);
         assert_eq!(
             mem.read_f32(slc_sim::DevicePtr(1024), 256),
             exact_before,
@@ -350,49 +332,66 @@ mod tests {
         );
     }
 
-    /// One analysis pass, one decision sweep over `mem`.
-    fn swept_map(scheme: &Scheme, e2mc: &E2mc, mem: &GpuMemory) -> BurstsMap {
-        let mut acc = BurstsAccumulator::new(Mag::GDDR5);
-        acc.record(scheme, &SnapshotAnalysis::capture(e2mc, mem));
-        acc.into_map()
-    }
-
     #[test]
     fn bursts_map_compresses_compressible_blocks() {
-        let mem = filled_memory();
-        let e = trained();
-        let map = swept_map(&Scheme::E2mc(e.clone()), &e, &mem);
+        let map = walked_map(&Scheme::E2mc(trained()), &mut filled_memory());
         assert!(!map.is_empty(), "in-distribution data should compress below 4 bursts");
         assert!(map.mean_bursts() < 4.0);
     }
 
     #[test]
     fn uncompressed_map_is_empty() {
-        let map = swept_map(&Scheme::Uncompressed, &trained(), &filled_memory());
-        assert!(map.is_empty());
+        assert!(walked_map(&Scheme::Uncompressed, &mut filled_memory()).is_empty());
     }
 
+    /// E2MC and the three TSLC variants.
+    fn compressed_schemes(e: &E2mc) -> Vec<Scheme> {
+        let mut schemes = vec![Scheme::E2mc(e.clone())];
+        schemes.extend(
+            [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt]
+                .map(|v| Scheme::slc(e.clone(), Mag::GDDR5, 16, v)),
+        );
+        schemes
+    }
+
+    /// The `record` shim over a capture folds what the per-block public
+    /// calls price each block at.
     #[test]
     fn record_sweep_equals_direct_snapshot() {
         let e = trained();
         let mem = filled_memory();
-        for scheme in [
-            Scheme::E2mc(e.clone()),
-            Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt),
-            Scheme::slc(e.clone(), Mag::NARROW_16, 8, SlcVariant::TslcSimp),
-        ] {
-            // Block by block, by address, against the one-run sweep.
+        for scheme in compressed_schemes(&e) {
             let mut direct = BurstsAccumulator::new(Mag::GDDR5);
             for (region, addr, block) in mem.blocks_with_addr() {
-                let analysis = e.analyze(block);
-                let bursts =
-                    scheme.bursts_for_analysis(&analysis, Mag::GDDR5, region.safe_to_approx);
+                let bursts = match &scheme {
+                    Scheme::Slc(slc) if region.safe_to_approx => {
+                        slc.stored_bursts_with(&slc.analysis(block))
+                    }
+                    _ => Mag::GDDR5.bursts_for_bits(e.size_bits(block), BLOCK_BYTES as u32),
+                };
                 direct.record_one(addr, bursts);
             }
-            let snap = SnapshotAnalysis::capture(&e, &mem);
             let mut swept = BurstsAccumulator::new(Mag::GDDR5);
-            swept.record(&scheme, &snap);
-            assert_eq!(direct.into_map(), swept.into_map());
+            swept.record(&scheme, &SnapshotAnalysis::capture(&e, &mem));
+            assert_eq!(direct.into_map(), swept.into_map(), "{:?}", scheme.kind());
+        }
+    }
+
+    /// The `stage_analyzed` shim is the walk, then a capture of what it
+    /// left.
+    #[test]
+    fn stage_analyzed_is_the_walk_then_a_capture() {
+        let e = trained();
+        let mut schemes = compressed_schemes(&e);
+        schemes.push(Scheme::Uncompressed);
+        for scheme in schemes {
+            let (mut shim, mut walked) = (filled_memory(), filled_memory());
+            let snapshot = scheme.stage_analyzed(&mut shim);
+            walked_map(&scheme, &mut walked);
+            assert!(shim.blocks_with_addr().eq(walked.blocks_with_addr()), "{:?}", scheme.kind());
+            let entries = |s: SnapshotAnalysis| s.entries().to_vec();
+            let want = scheme.e2mc().map(|e| SnapshotAnalysis::capture(e, &walked));
+            assert_eq!(snapshot.map(entries), want.map(entries), "{:?}", scheme.kind());
         }
     }
 
@@ -413,31 +412,29 @@ mod tests {
         let mut bigger = filled_memory();
         let extra = bigger.malloc("late", 256, true);
         bigger.write_f32(extra, &vec![3.0f32; 64]);
-        let small_snap = SnapshotAnalysis::capture(&e, &small);
         let mut acc = BurstsAccumulator::new(Mag::GDDR5);
-        acc.record(&scheme, &small_snap);
+        scheme.stage_and_record(&mut small.clone(), &mut acc);
         assert_eq!(acc.snapshots(), 1);
-        acc.record(&scheme, &small_snap);
+        scheme.stage_and_record(&mut small.clone(), &mut acc);
         assert_eq!(acc.snapshots(), 2);
         // Blocks of the extra region have been folded only once; the
         // deterministic answer is the minimum, never whichever block the
         // hash map happens to yield first.
-        acc.record(&scheme, &SnapshotAnalysis::capture(&e, &bigger));
+        scheme.stage_and_record(&mut bigger, &mut acc);
         assert_eq!(acc.snapshots(), 1);
     }
 
     #[test]
     fn slc_bursts_never_exceed_lossless() {
         let e = trained();
-        let slc = Scheme::slc(e.clone(), Mag::GDDR5, 16, SlcVariant::TslcOpt);
-        let lossless = Scheme::E2mc(e.clone());
+        let slc =
+            SlcCompressor::new(e.clone(), SlcConfig::new(Mag::GDDR5, 16, SlcVariant::TslcOpt));
         let mut block = [0u8; BLOCK_BYTES];
         for (i, c) in block.chunks_exact_mut(4).enumerate() {
             c.copy_from_slice(&(((i * 3) % 512) as f32).to_le_bytes());
         }
-        let analysis = e.analyze(&block);
-        let a = slc.bursts_for_analysis(&analysis, Mag::GDDR5, true);
-        let b = lossless.bursts_for_analysis(&analysis, Mag::GDDR5, true);
+        let a = slc.stored_bursts_with(&slc.analysis(&block));
+        let b = Mag::GDDR5.bursts_for_bits(e.size_bits(&block), BLOCK_BYTES as u32);
         assert!(a <= b);
     }
 }

@@ -1,18 +1,16 @@
-//! Pin of the shared-analysis pipeline: burst maps computed by sweeping a
-//! per-snapshot [`SnapshotAnalysis`] are **bit-identical** to encoding
-//! every block for real and counting the bursts its stored form needs
-//! ([`encoded_bursts`], the oracle this file owns), across random memory
-//! images, every MAG, a spread of thresholds and all TSLC variants.
+//! Pin of the one route from a block to its burst count: the staging
+//! walk ([`Scheme::stage_and_record`]) leaves the same memory and the
+//! same burst map as encoding every block for real — decoding what an
+//! SLC scheme stores lossy, and counting the bursts each stored form
+//! needs ([`encoded_point`], the oracle this file owns) — across random
+//! memory images, every MAG, a spread of thresholds and all TSLC
+//! variants.
 //!
-//! This is the equivalence contract the multi-layer refactor rests on:
-//! one E2MC analysis pass per snapshot may serve every scheme, variant
-//! and threshold only because each decision sweep reproduces what an
-//! encode would have stored exactly.
-//!
-//! The replay's staging walk captures no snapshot at all; its oracle is
-//! [`reference_point`]: every staging point of every benchmark's replay
-//! rebuilt from public per-block calls must leave the same bytes and the
-//! same burst cells.
+//! A second oracle, [`reference_point`], rebuilds every staging point of
+//! every benchmark's replay from public per-block calls
+//! (`SlcCompressor::stored_bursts_with`, and `Mag::bursts_for_bits` over
+//! `E2mc::size_bits`): it must leave the same bytes and the same burst
+//! cells.
 
 use proptest::prelude::*;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
@@ -20,7 +18,6 @@ use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::SlcVariant;
 use slc_sim::mc::{BurstsMap, BurstsSource};
 use slc_sim::{GpuMemory, RegionBlocks};
-use slc_workloads::analysis::SnapshotAnalysis;
 use slc_workloads::scheme::{BurstsAccumulator, Scheme};
 use slc_workloads::{all_workloads, Harness, Scale};
 use std::sync::OnceLock;
@@ -113,25 +110,51 @@ fn encoded_bursts(scheme: &Scheme, block: &Block, mag: Mag, approximable: bool) 
     }
 }
 
-/// The reference path: every block of `mem` encoded and folded in one
-/// by one.
-fn record_encoded(acc: &mut BurstsAccumulator, scheme: &Scheme, mem: &GpuMemory) {
-    for (region, addr, block) in mem.blocks_with_addr() {
-        acc.record_one(addr, encoded_bursts(scheme, block, acc.mag(), region.safe_to_approx));
+/// One staging point of `mem` from encodes alone: every approximable
+/// block an SLC scheme stores lossy becomes what its decode returns, then
+/// every block costs the bursts its encode stores. Returns those bursts,
+/// indexed by block address.
+fn encoded_point(scheme: &Scheme, mem: &mut GpuMemory, mag: Mag) -> Vec<u32> {
+    if let Scheme::Slc(slc) = scheme {
+        for (_, blocks) in mem.regions_mut() {
+            let RegionBlocks::Approx(blocks) = blocks else { continue };
+            for block in blocks {
+                *block = slc.decompress(&slc.compress(block));
+            }
+        }
     }
+    mem.blocks_with_addr()
+        .map(|(region, _, block)| encoded_bursts(scheme, block, mag, region.safe_to_approx))
+        .collect()
 }
 
-fn direct_map(scheme: &Scheme, mem: &GpuMemory, mag: Mag) -> BurstsMap {
+/// [`encoded_point`] at every point, folded block by block.
+fn encoded_map(scheme: &Scheme, points: &mut [GpuMemory], mag: Mag) -> BurstsMap {
     let mut acc = BurstsAccumulator::new(mag);
-    record_encoded(&mut acc, scheme, mem);
+    for mem in points {
+        for (addr, bursts) in (0..).zip(encoded_point(scheme, mem, mag)) {
+            acc.record_one(addr, bursts);
+        }
+    }
     acc.into_map()
 }
 
-/// The shared path: one analysis pass, one decision sweep.
-fn analysis_map(scheme: &Scheme, snap: &SnapshotAnalysis, mag: Mag) -> BurstsMap {
+/// The walk at every point.
+fn walked_map(scheme: &Scheme, points: &mut [GpuMemory], mag: Mag) -> BurstsMap {
     let mut acc = BurstsAccumulator::new(mag);
-    acc.record(scheme, snap);
+    for mem in points {
+        scheme.stage_and_record(mem, &mut acc);
+    }
     acc.into_map()
+}
+
+/// E2MC and the three TSLC variants at `mag` and `threshold`.
+fn schemes(e2mc: &E2mc, mag: Mag, threshold: u32) -> Vec<Scheme> {
+    let mut schemes = vec![Scheme::E2mc(e2mc.clone())];
+    for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
+        schemes.push(Scheme::slc(e2mc.clone(), mag, threshold, variant));
+    }
+    schemes
 }
 
 proptest! {
@@ -145,22 +168,16 @@ proptest! {
     ) {
         let e2mc = trained();
         let mem = build_memory(&regions, seed);
-        // One analysis pass per (table, snapshot) serves every scheme,
-        // MAG and threshold below.
-        let snap = SnapshotAnalysis::capture(&e2mc, &mem);
         for mag in [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64] {
             let threshold = [0, 4, mag.bytes() / 2, mag.bytes()][threshold_sel];
-            let mut schemes = vec![Scheme::E2mc(e2mc.clone())];
-            for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
-                schemes.push(Scheme::slc(e2mc.clone(), mag, threshold, variant));
-            }
-            for scheme in &schemes {
-                let direct = direct_map(scheme, &mem, mag);
-                let swept = analysis_map(scheme, &snap, mag);
+            for scheme in &schemes(&e2mc, mag, threshold) {
+                let (mut walked, mut encoded) = ([mem.clone()], [mem.clone()]);
+                let map = walked_map(scheme, &mut walked, mag);
                 prop_assert_eq!(
-                    &direct, &swept,
+                    &map, &encoded_map(scheme, &mut encoded, mag),
                     "mag {:?} threshold {} scheme {:?} diverged", mag, threshold, scheme.kind()
                 );
+                prop_assert!(walked[0].blocks_with_addr().eq(encoded[0].blocks_with_addr()));
             }
         }
     }
@@ -169,42 +186,40 @@ proptest! {
     fn prop_per_block_decision_sweep_matches_reencoding(
         seed in any::<u64>(),
         kind in any::<u8>(),
-        approximable in any::<bool>(),
         threshold in 0u32..=32,
     ) {
         let e2mc = trained();
         let block = block_for(seed, kind);
         let analysis = e2mc.analyze(&block);
         for mag in [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64] {
-            for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
-                let scheme = Scheme::slc(e2mc.clone(), mag, threshold, variant);
+            for scheme in &schemes(&e2mc, mag, threshold) {
+                if let Scheme::Slc(slc) = scheme {
+                    prop_assert_eq!(
+                        slc.stored_bursts_with(&analysis),
+                        encoded_bursts(scheme, &block, mag, true)
+                    );
+                }
                 prop_assert_eq!(
-                    scheme.bursts_for_analysis(&analysis, mag, approximable),
-                    encoded_bursts(&scheme, &block, mag, approximable)
+                    mag.bursts_for_bits(e2mc.size_bits(&block), BLOCK_BYTES as u32),
+                    encoded_bursts(scheme, &block, mag, false)
                 );
             }
-            let lossless = Scheme::E2mc(e2mc.clone());
-            prop_assert_eq!(
-                lossless.bursts_for_analysis(&analysis, mag, approximable),
-                encoded_bursts(&lossless, &block, mag, approximable)
-            );
         }
     }
 }
 
 /// The retired `HashMap` accumulator, kept as the reference the
 /// address-indexed vectors must reproduce bit-for-bit: per-block (sum,
-/// folds) keyed by address (a snapshot entry's index), folded into
-/// rounded means over the **full** recorded population, in ascending
-/// address order.
-fn hashmap_reference(scheme: &Scheme, snapshots: &[SnapshotAnalysis], mag: Mag) -> Vec<(u64, u32)> {
+/// folds) keyed by address, folded into rounded means over the **full**
+/// recorded population, in ascending address order.
+fn hashmap_reference(points: &[Vec<u32>], mag: Mag) -> Vec<(u64, u32)> {
     use std::collections::HashMap;
     let max = mag.bursts_for_bytes(BLOCK_BYTES as u32, BLOCK_BYTES as u32);
     let mut sums: HashMap<u64, (u64, u32)> = HashMap::new();
-    for snap in snapshots {
-        for (addr, b) in snap.entries().iter().enumerate() {
-            let e = sums.entry(addr as u64).or_insert((0, 0));
-            e.0 += u64::from(scheme.bursts_for_analysis(&b.analysis, mag, b.approximable));
+    for point in points {
+        for (addr, &bursts) in (0..).zip(point) {
+            let e = sums.entry(addr).or_insert((0, 0));
+            e.0 += u64::from(bursts);
             e.1 += 1;
         }
     }
@@ -233,25 +248,16 @@ proptest! {
         let e2mc = trained();
         for mag in [Mag::NARROW_16, Mag::GDDR5, Mag::WIDE_64] {
             let threshold = [0, 4, mag.bytes() / 2, mag.bytes()][threshold_sel];
-            let mut schemes = vec![Scheme::E2mc(e2mc.clone())];
-            for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
-                schemes.push(Scheme::slc(e2mc.clone(), mag, threshold, variant));
-            }
             // Same region layout, different contents per snapshot: the
             // evolving-memory shape the harness folds across kernels.
-            let snaps: Vec<SnapshotAnalysis> = (0..snapshots)
-                .map(|s| {
-                    let mem = build_memory(&regions, seed ^ ((s as u64) << 48));
-                    SnapshotAnalysis::capture(&e2mc, &mem)
-                })
+            let images: Vec<GpuMemory> = (0..snapshots)
+                .map(|s| build_memory(&regions, seed ^ ((s as u64) << 48)))
                 .collect();
-            for scheme in &schemes {
-                let mut acc = BurstsAccumulator::new(mag);
-                for snap in &snaps {
-                    acc.record(scheme, snap);
-                }
-                let map = acc.into_map();
-                let reference = hashmap_reference(scheme, &snaps, mag);
+            for scheme in &schemes(&e2mc, mag, threshold) {
+                let map = walked_map(scheme, &mut images.clone(), mag);
+                let points: Vec<Vec<u32>> =
+                    images.clone().iter_mut().map(|m| encoded_point(scheme, m, mag)).collect();
+                let reference = hashmap_reference(&points, mag);
                 let dense: Vec<(u64, u32)> = map.iter().collect();
                 prop_assert_eq!(&dense, &reference, "mapped content diverged");
                 prop_assert_eq!(map.len(), reference.len(), "population diverged");
@@ -289,37 +295,31 @@ fn corpus_exercises_every_storage_mode() {
 #[test]
 fn staged_snapshots_match_direct_accumulation_over_boundaries() {
     // Multi-snapshot folding (the harness' per-boundary mean) must agree
-    // between the fused stage-and-analyse pass and stage + encoding
-    // every block, including across evolving memory states.
+    // between the walk and stage + encoding every block, including
+    // across evolving memory states.
     let e2mc = trained();
     for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
         let scheme = Scheme::slc(e2mc.clone(), Mag::GDDR5, 16, variant);
         let regions = [(true, 3u8), (false, 2u8), (true, 2u8)];
-        let mut fused_mem = build_memory(&regions, 99);
-        let mut legacy_mem = build_memory(&regions, 99);
-        let mut fused = BurstsAccumulator::new(Mag::GDDR5);
-        let mut legacy = BurstsAccumulator::new(Mag::GDDR5);
+        let mut walked_mem = build_memory(&regions, 99);
+        let mut encoded_mem = build_memory(&regions, 99);
+        let mut walked = BurstsAccumulator::new(Mag::GDDR5);
+        let mut encoded = BurstsAccumulator::new(Mag::GDDR5);
         for round in 0..3u64 {
-            let snap = scheme.stage_analyzed(&mut fused_mem).expect("slc has a table");
-            fused.record(&scheme, &snap);
-            let Scheme::Slc(slc) = &scheme else { unreachable!() };
-            for (_, blocks) in legacy_mem.regions_mut() {
-                let RegionBlocks::Approx(blocks) = blocks else { continue };
-                for block in blocks {
-                    *block = slc.decompress(&slc.compress(block));
-                }
+            scheme.stage_and_record(&mut walked_mem, &mut walked);
+            for (addr, bursts) in (0..).zip(encoded_point(&scheme, &mut encoded_mem, Mag::GDDR5)) {
+                encoded.record_one(addr, bursts);
             }
-            record_encoded(&mut legacy, &scheme, &legacy_mem);
             // Perturb both memories identically between boundaries, as a
             // kernel would.
-            for mem in [&mut fused_mem, &mut legacy_mem] {
+            for mem in [&mut walked_mem, &mut encoded_mem] {
                 let vals: Vec<f32> =
                     (0..32).map(|i| 250.0 + (i as u64 + round) as f32 * 0.5).collect();
                 mem.write_f32(slc_sim::DevicePtr(0), &vals);
             }
         }
-        assert_eq!(fused.snapshots(), 3);
-        assert_eq!(fused.into_map(), legacy.into_map(), "{variant:?}");
+        assert_eq!(walked.snapshots(), 3);
+        assert_eq!(walked.into_map(), encoded.into_map(), "{variant:?}");
     }
 }
 
@@ -334,7 +334,8 @@ fn reference_point(scheme: &Scheme, mem: &mut GpuMemory, acc: &mut BurstsAccumul
             RegionBlocks::Approx(blocks) => blocks,
             RegionBlocks::Exact(blocks) => {
                 for (i, block) in blocks.iter().enumerate() {
-                    let bursts = scheme.bursts_for_analysis(&slc.analysis(block), mag, false);
+                    let bursts =
+                        mag.bursts_for_bits(slc.e2mc().size_bits(block), BLOCK_BYTES as u32);
                     acc.record_one(region.block_addr(i), bursts);
                 }
                 continue;

@@ -6,7 +6,8 @@ use slc::slc_compress::{BlockCompressor, Mag};
 use slc::slc_core::predict::PredictorKind;
 use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant, StoredKind};
 use slc::slc_sim::RegionBlocks;
-use slc::slc_workloads::{all_workloads, Harness, Scale, Scheme, SnapshotAnalysis};
+use slc::slc_workloads::scheme::BurstsAccumulator;
+use slc::slc_workloads::{all_workloads, Harness, Scale, Scheme};
 
 fn harness() -> Harness {
     Harness::new(Scale::Tiny)
@@ -71,36 +72,44 @@ fn staging_honours_the_lossy_contract_at_the_memory_level() {
     // The same contract one level up, through the harness' staging walk:
     // whatever the variant and threshold, staging touches approximable
     // blocks only, and those only inside the hole the pre-stage analysis
-    // selects; the snapshot it returns describes the staged memory.
+    // selects; the bursts it records are those of the staged memory.
     let h = harness();
     let mut changed = 0usize;
     for w in all_workloads(Scale::Tiny) {
         let a = h.prepare(w.as_ref());
-        let before = SnapshotAnalysis::capture(&a.e2mc, &a.exact_memory);
         for variant in [SlcVariant::TslcSimp, SlcVariant::TslcPred, SlcVariant::TslcOpt] {
             for threshold in 0..=32 {
                 let scheme = Scheme::slc(a.e2mc.clone(), Mag::GDDR5, threshold, variant);
                 let Scheme::Slc(slc) = &scheme else { unreachable!() };
                 let what = format!("{} {variant:?} threshold {threshold}", w.name());
                 let mut staged = a.exact_memory.clone();
-                let snapshot = scheme.stage_analyzed(&mut staged).expect("SLC has a table");
+                let mut recorded = BurstsAccumulator::new(Mag::GDDR5);
+                scheme.stage_and_record(&mut staged, &mut recorded);
                 let blocks = a.exact_memory.blocks_with_addr().zip(staged.blocks_with_addr());
-                for (((region, addr, pre), (_, _, post)), entry) in blocks.zip(before.entries()) {
+                for ((region, addr, pre), (_, _, post)) in blocks {
                     if pre == post {
                         continue;
                     }
                     changed += 1;
                     assert!(region.safe_to_approx, "{what}: exact block {addr} changed");
                     assert_ne!(threshold, 0, "{what}: block {addr} changed");
-                    let (_, selection) = slc.analyze_with(&entry.analysis);
+                    let (_, selection) = slc.analyze_with(&slc.analysis(pre));
                     let hole = selection.map_or(0..0, |s| s.hole.symbols());
                     let (orig, dec) = (block_to_symbols(pre), block_to_symbols(post));
                     for i in (0..64).filter(|i| !hole.contains(i)) {
                         assert_eq!(orig[i], dec[i], "{what}: block {addr} symbol {i} leaked");
                     }
                 }
-                let recaptured = SnapshotAnalysis::capture(&a.e2mc, &staged);
-                assert_eq!(snapshot.entries(), recaptured.entries(), "{what}");
+                let mut priced = BurstsAccumulator::new(Mag::GDDR5);
+                for (region, addr, block) in staged.blocks_with_addr() {
+                    let bursts = if region.safe_to_approx {
+                        slc.stored_bursts_with(&slc.analysis(block))
+                    } else {
+                        Mag::GDDR5.bursts_for_bits(a.e2mc.size_bits(block), 128)
+                    };
+                    priced.record_one(addr, bursts);
+                }
+                assert_eq!(recorded.into_map(), priced.into_map(), "{what}");
                 // And the walk leaves what encode → decode per block returns.
                 let mut oracle = a.exact_memory.clone();
                 for (_, blocks) in oracle.regions_mut() {
