@@ -250,13 +250,14 @@ impl<'a> BitReader<'a> {
 
     /// Overwrites `copy` with the whole stream followed by zeros and
     /// returns the stream's length in bits, for decoders that keep several
-    /// cursors of their own: any 8-byte load at a byte offset
-    /// `<= BLOCK_BYTES` stays inside the copy, and every bit past the
-    /// stream's end — slack in the last byte, whatever follows it in the
-    /// backing slice — reads as zero. Block streams are at most
+    /// cursors of their own (E2MC's way decoder): any 8-byte load at a
+    /// byte offset `<= BLOCK_BYTES` stays inside the copy, and every bit
+    /// past the stream's end — slack in the last byte, whatever follows it
+    /// in the backing slice — reads as zero. Block streams are at most
     /// [`BLOCK_BITS`] long; a longer one is cut there.
-    pub fn pad_into(&self, copy: &mut [u8; BLOCK_BYTES + 8]) -> u32 {
-        *copy = [0; BLOCK_BYTES + 8];
+    pub fn pad_into<const N: usize>(&self, copy: &mut [u8; N]) -> u32 {
+        const { assert!(N >= BLOCK_BYTES + 8) };
+        *copy = [0; N];
         let bits = self.len_bits.min(BLOCK_BITS);
         let (whole, slack) = ((bits / 8) as usize, bits % 8);
         copy[..whole].copy_from_slice(&self.bytes[..whole]);

@@ -14,10 +14,11 @@
 //! SLC's (which puts its `ss`/`len` between the mode bit and the pdps),
 //! write their stream through [`SymbolTable::write_ways`] and read the
 //! pdps and ways through [`SymbolTable::read_ways`]. The hardware puts one
-//! decoder on each way; `read_ways` does the same with four cursors
+//! decoder on each way; the decoding loop does the same with four cursors
 //! advanced in lock step, so the ways' table loads overlap in the
 //! pipeline, and it rejects a block whose ways do not tile the data
-//! section exactly.
+//! section exactly. SLC's hole is a compile-time parameter of both loops:
+//! E2MC's streams run copies with no per-symbol hole test.
 //!
 //! The compressed size of a block is just the sum of its code lengths plus
 //! the header — the property SLC's bit-budgeting exploits (the paper's
@@ -53,10 +54,9 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::bitstream::BitReader;
-use crate::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
+use crate::symbols::{block_to_symbols, SYMBOLS_PER_BLOCK};
 use crate::{
     load_verbatim, store_verbatim, Block, BlockCompressor, CodecId, DecodeError, BLOCK_BITS,
-    BLOCK_BYTES,
 };
 
 /// Number of parallel decoding ways (the paper's best configuration).
@@ -77,11 +77,18 @@ pub const PDP_BITS: u32 = 10;
 /// Header of a losslessly compressed E2MC block: mode bit + 3 pdps.
 pub const HEADER_BITS: u32 = 1 + (WAYS as u32 - 1) * PDP_BITS;
 
-/// Bytes of [`SymbolTable::write_ways`]' stack buffer: the longest
-/// stream (an 11-bit prefix, the pdps, 64 escapes of 32 bits) and the 8
-/// bytes the last store writes from its byte on.
-const STREAM_BUF: usize = 272;
-const _: () = assert!((41 + 64 * (MAX_CODE_LEN + 16) as usize) / 8 + 8 <= STREAM_BUF);
+/// Bytes of [`SymbolTable::write_ways`]' buffer: 8-byte stores at offsets
+/// modulo 512, past the longest stream (prefix, pdps, 64 escapes of 32 bits).
+const STREAM_BUF: usize = 512 + 8;
+const _: () = assert!((41 + 64 * (MAX_CODE_LEN + 16) as usize) / 8 < 512);
+
+/// Bytes of the way decoder's stream copy: 8-byte loads at offsets modulo 256,
+/// past any cursor (prefix, pdps, a pdp of 1023, 15 symbols of 32 bits).
+const WAY_COPY: usize = 256 + 8;
+const _: () = assert!((41 + 1023 + (WAY_SYMBOLS - 1) * (MAX_CODE_LEN as usize + 16)) / 8 < 256);
+
+/// The flag of a `dec` entry that decodes to a plain codeword's symbol.
+const PLAIN: u32 = 1 << 8;
 
 /// Configuration for table training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,12 +135,11 @@ pub struct SymbolTable {
     /// [`write_ways`](Self::write_ways) reads: a load per symbol. Built on
     /// first use.
     enc: OnceLock<Vec<u64>>,
-    /// The one decode table: a left-aligned `MAX_CODE_LEN`-bit window ->
-    /// packed `(symbol << 16) | (escape << 8) | code_length`, the flat
-    /// longest-code-indexed table of Rivera et al. and cuSZ+. It fuses
-    /// the canonical decode and the entry-to-symbol lookup into one load
-    /// per symbol; length 0 marks windows no codeword covers (corrupt
-    /// stream). Built on first use.
+    /// The one decode table, built on first use: a left-aligned
+    /// `MAX_CODE_LEN`-bit window -> `(symbol << 16) | PLAIN | code_length`,
+    /// the escape's `code_length` alone, or 0 where no codeword covers it (a
+    /// corrupt stream; 0 faults no page in). The flat longest-code-indexed
+    /// table of Rivera et al. and cuSZ+: one load per symbol.
     dec: OnceLock<Box<[u32; 1 << MAX_CODE_LEN]>>,
 }
 
@@ -193,8 +199,8 @@ impl SymbolTable {
             for entry in 0..=self.escape_entry {
                 let (codeword, len) = (self.code.code(entry), self.code.length(entry));
                 let packed = match self.top.get(entry) {
-                    Some(&s) => u32::from(s) << 16 | len,
-                    None => 1 << 8 | len,
+                    Some(&s) => u32::from(s) << 16 | PLAIN | len,
+                    None => len,
                 };
                 // Every window whose top `len` bits are this codeword
                 // decodes to this entry: fill its 2^(MAX_CODE_LEN - len)
@@ -225,7 +231,10 @@ impl SymbolTable {
         out: &mut Vec<u8>,
     ) -> u32 {
         let mut stream = [0u8; STREAM_BUF];
-        let bits = self.pack_ways(prefix, symbols, hole, &mut stream);
+        let bits = match hole.is_empty() {
+            true => self.pack_ways::<false>(prefix, symbols, hole, &mut stream),
+            false => self.pack_ways::<true>(prefix, symbols, hole, &mut stream),
+        };
         if bits < BLOCK_BITS {
             out.extend_from_slice(&stream[..bits.div_ceil(8) as usize]);
         }
@@ -239,7 +248,8 @@ impl SymbolTable {
     /// 8 pending bits that is stored big-endian at their byte, stale bits
     /// after them: no branch on the fill. Ways start at bit `prefix_bits +
     /// 30`, so a way's start offset is its pdp; prefix and pdps go in last.
-    fn pack_ways(
+    /// Only the `HOLE` copy tests for `hole`'s slots: width 0.
+    fn pack_ways<const HOLE: bool>(
         &self,
         (prefix, prefix_bits): (u64, u32),
         symbols: &[u16; SYMBOLS_PER_BLOCK],
@@ -255,24 +265,27 @@ impl SymbolTable {
             acc = acc << width | unit;
             fill += width;
             // The next store rewrites the stale bits; the last byte's go below.
-            stream[at..at + 8].copy_from_slice(&acc.rotate_right(fill).to_be_bytes());
+            stream[at % 512..at % 512 + 8].copy_from_slice(&acc.rotate_right(fill).to_be_bytes());
             at += (fill / 8) as usize;
             fill %= 8;
             at as u32 * 8 + fill
         };
-        // A hole slot indexes the zero entry past the symbols': width 0.
-        let mut index = symbols.map(u32::from);
-        index[hole].fill(1 << 16);
-        let enc = self.enc();
-        let entry = |i: u32| enc[i as usize];
+        let (hole_start, hole_len) = (hole.start, hole.len());
+        // Sliced to its length once, `enc` takes a `u16` with no bounds check.
+        let enc = &self.enc()[..=1 << 16];
+        let entry = |slot: usize, symbol: u16| {
+            let in_hole = HOLE && slot.wrapping_sub(hole_start) < hole_len;
+            enc[if in_hole { 1 << 16 } else { usize::from(symbol) }]
+        };
         let (mut pos, mut pdps) = (way0, 0u64);
-        for (way, way_index) in index.chunks_exact(WAY_SYMBOLS).enumerate() {
+        for (way, way_symbols) in symbols.chunks_exact(WAY_SYMBOLS).enumerate() {
             if way > 0 {
                 // Its low bits: only a stream longer than a block has more.
                 pdps = pdps << PDP_BITS | u64::from((pos - way0) % (1 << PDP_BITS));
             }
-            for pair in way_index.chunks_exact(2) {
-                let (e0, e1) = (entry(pair[0]), entry(pair[1]));
+            for (i, pair) in way_symbols.chunks_exact(2).enumerate() {
+                let slot = way * WAY_SYMBOLS + 2 * i;
+                let (e0, e1) = (entry(slot, pair[0]), entry(slot + 1, pair[1]));
                 let (w0, w1) = ((e0 & 0xff) as u32, (e1 & 0xff) as u32);
                 pos = if w0 + w1 > 57 {
                     put(e0 >> 8, w0);
@@ -291,21 +304,11 @@ impl SymbolTable {
     }
 
     /// Reads the three pdps at `r`'s cursor and decodes the four parallel
-    /// decoding ways after them side by side, as the paper's four hardware
-    /// decoders would: way 0 starts right after the last pdp, way `w > 0`
-    /// that many bits further on as pdp `w` says, and way `w` holds
-    /// symbols `w * WAY_SYMBOLS..(w + 1) * WAY_SYMBOLS` of `out`, minus
-    /// those in `hole` (SLC's truncated run: never on the wire, left
-    /// untouched here; E2MC passes an empty range). `r` is left past the
-    /// pdps.
-    ///
-    /// The four cursors advance in lock step — symbol *i* of every way per
-    /// iteration — so the four table loads are independent and overlap
-    /// instead of queueing behind one load→shift chain. Each symbol
-    /// rebuilds its window with one unconditional 8-byte load from
-    /// [`BitReader::pad_into`]'s copy: no refill branch, no slice-end
-    /// check, and bits past the stream's end read as zero (a symbol takes
-    /// at most escape + 16 raw bits = 32 of the load's 57 aligned bits).
+    /// decoding ways after them: way 0 starts right after the last pdp,
+    /// way `w > 0` that many bits further on as pdp `w` says, and way `w`
+    /// holds symbols `w * WAY_SYMBOLS..(w + 1) * WAY_SYMBOLS`, stored into
+    /// `out` as little-endian `u16`s, minus those in `hole` (SLC's
+    /// truncated run: never on the wire, their bytes left untouched here).
     ///
     /// # Errors
     ///
@@ -318,19 +321,37 @@ impl SymbolTable {
     /// also bounds every start and end by the stream length.
     pub fn read_ways(
         &self,
-        r: &mut BitReader<'_>,
+        r: &BitReader<'_>,
         hole: Range<usize>,
-        out: &mut [u16; SYMBOLS_PER_BLOCK],
+        out: &mut Block,
     ) -> Result<(), DecodeError> {
-        let mut pdps = [0u32; WAYS];
-        for pdp in &mut pdps[1..] {
-            *pdp = r.read(PDP_BITS) as u32;
-        }
-        r.check()?;
-        let mut stream = [0u8; BLOCK_BYTES + 8];
+        let mut stream = [0u8; WAY_COPY];
         let len_bits = r.pad_into(&mut stream);
-        let way0 = len_bits - r.remaining();
-        let starts = pdps.map(|pdp| way0 + pdp);
+        self.decode_ways::<true>(&stream, len_bits, len_bits - r.remaining(), hole, out)
+    }
+
+    /// The decoding loop over [`BitReader::pad_into`]'s copy of a `len_bits`
+    /// stream whose pdps start at bit `at`; only the `HOLE` copy tests for
+    /// `hole`'s slots. The four cursors advance in lock step — symbol *i*
+    /// of every way per iteration — so the four table loads overlap instead
+    /// of queueing behind one load→shift chain. Each window, the pdps' too,
+    /// is one 8-byte load from the copy: no refill branch, no bounds check,
+    /// and bits past the stream's end read as zero (a symbol takes at most
+    /// escape + 16 raw bits = 32 of the load's 57 aligned bits).
+    fn decode_ways<const HOLE: bool>(
+        &self,
+        stream: &[u8; WAY_COPY],
+        len_bits: u32,
+        at: u32,
+        hole: Range<usize>,
+        out: &mut Block,
+    ) -> Result<(), DecodeError> {
+        let way0 = at + (WAYS as u32 - 1) * PDP_BITS;
+        if len_bits < way0 {
+            return Err(DecodeError::Truncated);
+        }
+        let pdps = (window(stream, at) >> 34) as u32;
+        let starts = [0, pdps >> 20, pdps >> 10 & 0x3ff, pdps & 0x3ff].map(|pdp| way0 + pdp);
         // One wrapped subtraction tests both ends of the hole; spelled
         // `hole.contains(&slot)` the loop is a fifth slower.
         let (hole_start, hole_len) = (hole.start, hole.len());
@@ -340,21 +361,15 @@ impl SymbolTable {
         'decode: for i in 0..WAY_SYMBOLS {
             for (way, pos) in pos.iter_mut().enumerate() {
                 let slot = way * WAY_SYMBOLS + i;
-                if slot.wrapping_sub(hole_start) < hole_len {
+                if HOLE && slot.wrapping_sub(hole_start) < hole_len {
                     continue;
                 }
-                // Past the block every bit is padding, so clamping the
-                // load keeps a corrupt pdp inside the copy at no cost to
-                // the bits it reads.
-                let byte = (*pos as usize / 8).min(BLOCK_BYTES);
-                let mut word = [0u8; 8];
-                word.copy_from_slice(&stream[byte..byte + 8]);
-                let buf = u64::from_be_bytes(word) << (*pos % 8);
-                let Some((symbol, bits)) = decode_in(dec, (buf >> 32) as u32) else {
+                let Some((symbol, bits)) = decode_in(dec, (window(stream, *pos) >> 32) as u32)
+                else {
                     covered = false;
                     break 'decode;
                 };
-                out[slot] = symbol;
+                out[2 * slot..2 * slot + 2].copy_from_slice(&symbol.to_le_bytes());
                 *pos += bits;
             }
         }
@@ -368,9 +383,9 @@ impl SymbolTable {
     }
 
     /// Decodes the symbol that starts the left-aligned 32-bit `window` with
-    /// one table load — [`read_ways`](Self::read_ways)' decode step: the
-    /// symbol and the bits it takes (an escape's codeword plus the 16 raw
-    /// bits after it), or `None` where no codeword starts the window.
+    /// one table load — the way decoder's step: the symbol and the bits it
+    /// takes (an escape's codeword plus the 16 raw bits after it), or
+    /// `None` where no codeword starts the window.
     pub fn decode_symbol(&self, window: u32) -> Option<(u16, u32)> {
         decode_in(self.dec(), window)
     }
@@ -382,19 +397,30 @@ impl SymbolTable {
     }
 }
 
-/// [`SymbolTable::decode_symbol`] against a decode table `read_ways`
-/// fetched once for its block.
+/// The 64 bits of the decoder's copy from bit `pos` on: one big-endian
+/// load, whose modulo changes no offset (see [`WAY_COPY`]).
+#[inline]
+fn window(stream: &[u8; WAY_COPY], pos: u32) -> u64 {
+    let byte = pos as usize / 8 % 256;
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&stream[byte..byte + 8]);
+    u64::from_be_bytes(word) << (pos % 8)
+}
+
+/// [`SymbolTable::decode_symbol`] against a decode table the way decoder
+/// fetched once for its block: a plain codeword costs one `PLAIN` test,
+/// and an escape and an uncovered window (entry 0) share the other branch.
 #[inline]
 fn decode_in(dec: &[u32; 1 << MAX_CODE_LEN], window: u32) -> Option<(u16, u32)> {
     let packed = dec[(window >> (32 - MAX_CODE_LEN)) as usize];
     let len = packed & 0xff;
-    if len == 0 {
+    if packed & PLAIN != 0 {
+        Some(((packed >> 16) as u16, len))
+    } else if len == 0 {
         None
-    } else if packed & 0x100 != 0 {
+    } else {
         // Escape: the 16 raw bits follow the codeword.
         Some(((window >> (16 - len)) as u16, len + 16))
-    } else {
-        Some(((packed >> 16) as u16, len))
     }
 }
 
@@ -504,15 +530,13 @@ impl BlockCompressor for E2mc {
         if !compressed {
             return load_verbatim(payload, out);
         }
-        let mut r = BitReader::new(payload, size_bits);
-        if !r.read_bit() {
-            // Mode bit clear on a block flagged as coded.
+        let mut stream = [0u8; WAY_COPY];
+        let len_bits = BitReader::new(payload, size_bits).pad_into(&mut stream);
+        if stream[0] >> 7 == 0 {
+            // Mode bit clear (or no bit at all) on a block flagged as coded.
             return Err(DecodeError::UnknownTag);
         }
-        let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        self.table.read_ways(&mut r, 0..0, &mut symbols)?;
-        *out = symbols_to_block(&symbols);
-        Ok(())
+        self.table.decode_ways::<false>(&stream, len_bits, 1, 0..0, out)
     }
 
     /// The E2MC stored size of `block` — `min(header + Σ code lengths,`
@@ -533,7 +557,9 @@ mod tests {
     use super::huffman::tests::BitSerialWalk;
     use super::*;
     use crate::bitstream::BitWriter;
+    use crate::symbols::symbols_to_block;
     use crate::testing::{decode, encode, roundtrip};
+    use crate::BLOCK_BYTES;
     use proptest::prelude::*;
 
     fn ramp_bytes(n: u32, modulo: u32) -> Vec<u8> {
@@ -655,6 +681,26 @@ mod tests {
     /// Sentinel for slots a decoder must leave alone.
     const UNTOUCHED: u16 = 0xa5a5;
 
+    /// Packs `symbols` minus `hole` into `stream` with the packer's `HOLE`
+    /// copy and, for an empty hole, checks that the hole-free copy packs the
+    /// same bits and bytes.
+    fn pack(
+        table: &SymbolTable,
+        prefix: (u64, u32),
+        symbols: &[u16; SYMBOLS_PER_BLOCK],
+        hole: Range<usize>,
+        stream: &mut [u8; STREAM_BUF],
+    ) -> u32 {
+        let bits = table.pack_ways::<true>(prefix, symbols, hole.clone(), stream);
+        if hole.is_empty() {
+            let mut free = [0u8; STREAM_BUF];
+            assert_eq!(table.pack_ways::<false>(prefix, symbols, hole, &mut free), bits);
+            let n = bits.div_ceil(8) as usize;
+            assert_eq!(free[..n], stream[..n], "the hole-free copy");
+        }
+        bits
+    }
+
     /// The pdps and ways of `symbols` minus `hole`, as the one writer
     /// every in-tree producer calls lays them down: bytes and bit length.
     /// `None` for a stream longer than a block, which no producer writes.
@@ -664,7 +710,7 @@ mod tests {
         hole: Range<usize>,
     ) -> Option<(Vec<u8>, u32)> {
         let mut stream = [0u8; STREAM_BUF];
-        let len_bits = table.pack_ways((0, 0), symbols, hole, &mut stream);
+        let len_bits = pack(table, (0, 0), symbols, hole, &mut stream);
         (len_bits <= BLOCK_BITS)
             .then(|| (stream[..len_bits.div_ceil(8) as usize].to_vec(), len_bits))
     }
@@ -716,6 +762,192 @@ mod tests {
         (bytes, len_bits)
     }
 
+    /// Bytes of [`pack_ways_retired`]' buffer: the longest stream and the
+    /// 8 bytes its last store writes from its byte on.
+    const RETIRED_BUF: usize = 272;
+
+    /// The packer as it was before the hole became a compile-time
+    /// parameter, kept as the oracle of both its copies: the hole's slots
+    /// set to `enc`'s zero entry in a 64-entry index array, and every
+    /// 8-byte store bounds-checked.
+    fn pack_ways_retired(
+        table: &SymbolTable,
+        (prefix, prefix_bits): (u64, u32),
+        symbols: &[u16; SYMBOLS_PER_BLOCK],
+        hole: Range<usize>,
+        stream: &mut [u8; RETIRED_BUF],
+    ) -> u32 {
+        let way0 = prefix_bits + (WAYS as u32 - 1) * PDP_BITS;
+        let (mut acc, mut fill, mut at) = (0u64, way0 % 8, (way0 / 8) as usize);
+        let mut put = |unit: u64, width: u32| {
+            acc = acc << width | unit;
+            fill += width;
+            stream[at..at + 8].copy_from_slice(&acc.rotate_right(fill).to_be_bytes());
+            at += (fill / 8) as usize;
+            fill %= 8;
+            at as u32 * 8 + fill
+        };
+        let mut index = symbols.map(u32::from);
+        index[hole].fill(1 << 16);
+        let enc = table.enc();
+        let entry = |i: u32| enc[i as usize];
+        let (mut pos, mut pdps) = (way0, 0u64);
+        for (way, way_index) in index.chunks_exact(WAY_SYMBOLS).enumerate() {
+            if way > 0 {
+                pdps = pdps << PDP_BITS | u64::from((pos - way0) % (1 << PDP_BITS));
+            }
+            for pair in way_index.chunks_exact(2) {
+                let (e0, e1) = (entry(pair[0]), entry(pair[1]));
+                let (w0, w1) = ((e0 & 0xff) as u32, (e1 & 0xff) as u32);
+                pos = if w0 + w1 > 57 {
+                    put(e0 >> 8, w0);
+                    put(e1 >> 8, w1)
+                } else {
+                    put((e0 >> 8) << w1 | e1 >> 8, w0 + w1)
+                };
+            }
+        }
+        stream[pos as usize / 8] &= !(0xff >> (pos % 8));
+        let header = (prefix << ((WAYS as u32 - 1) * PDP_BITS) | pdps) << (64 - way0);
+        let mut head = [0u8; 8];
+        head.copy_from_slice(&stream[..8]);
+        stream[..8].copy_from_slice(&(u64::from_be_bytes(head) | header).to_be_bytes());
+        pos
+    }
+
+    /// The way decoder as it was before the hole became a compile-time
+    /// parameter, kept as the oracle of both its copies: the pdps through
+    /// `r`, a copy of [`BLOCK_BYTES`]` + 8` bytes with every load clamped
+    /// into it, a hole test per symbol, and the symbols into a `u16` array.
+    fn read_ways_retired(
+        table: &SymbolTable,
+        r: &mut BitReader<'_>,
+        hole: Range<usize>,
+        out: &mut [u16; SYMBOLS_PER_BLOCK],
+    ) -> Result<(), DecodeError> {
+        let mut pdps = [0u32; WAYS];
+        for pdp in &mut pdps[1..] {
+            *pdp = r.read(PDP_BITS) as u32;
+        }
+        r.check()?;
+        let mut stream = [0u8; BLOCK_BYTES + 8];
+        let len_bits = r.pad_into(&mut stream);
+        let way0 = len_bits - r.remaining();
+        let starts = pdps.map(|pdp| way0 + pdp);
+        let (hole_start, hole_len) = (hole.start, hole.len());
+        let dec = table.dec();
+        let mut pos = starts;
+        let mut covered = true;
+        'decode: for i in 0..WAY_SYMBOLS {
+            for (way, pos) in pos.iter_mut().enumerate() {
+                let slot = way * WAY_SYMBOLS + i;
+                if slot.wrapping_sub(hole_start) < hole_len {
+                    continue;
+                }
+                let byte = (*pos as usize / 8).min(BLOCK_BYTES);
+                let mut word = [0u8; 8];
+                word.copy_from_slice(&stream[byte..byte + 8]);
+                let buf = u64::from_be_bytes(word) << (*pos % 8);
+                let Some((symbol, bits)) = decode_in(dec, (buf >> 32) as u32) else {
+                    covered = false;
+                    break 'decode;
+                };
+                out[slot] = symbol;
+                *pos += bits;
+            }
+        }
+        if !covered {
+            return Err(DecodeError::NoCodeword);
+        }
+        if pos != [starts[1], starts[2], starts[3], len_bits] {
+            return Err(DecodeError::BadLayout);
+        }
+        Ok(())
+    }
+
+    /// Holds both decoders — [`SymbolTable::read_ways`] past the
+    /// `prefix_bits` and, for E2MC's one-bit prefix, [`E2mc`]'s own
+    /// decode — to [`read_ways_retired`] on `bytes`: the same `Result`,
+    /// variant included, and on success the same symbols.
+    fn assert_decoders_agree(
+        e: &E2mc,
+        bytes: &[u8],
+        len_bits: u32,
+        prefix_bits: u32,
+        hole: Range<usize>,
+        at: &str,
+    ) {
+        let mut r = BitReader::new(bytes, len_bits);
+        r.read(prefix_bits);
+        let mut expect = [UNTOUCHED; SYMBOLS_PER_BLOCK];
+        let verdict = read_ways_retired(e.table(), &mut r.clone(), hole.clone(), &mut expect);
+        let mut got = symbols_to_block(&[UNTOUCHED; SYMBOLS_PER_BLOCK]);
+        assert_eq!(e.table().read_ways(&r, hole, &mut got), verdict, "read_ways, {at}");
+        if verdict.is_ok() {
+            assert_eq!(block_to_symbols(&got), expect, "read_ways, {at}");
+        }
+        if prefix_bits == 1 {
+            let mut r = BitReader::new(bytes, len_bits);
+            let mut expect = [UNTOUCHED; SYMBOLS_PER_BLOCK];
+            let verdict = if r.read_bit() {
+                read_ways_retired(e.table(), &mut r, 0..0, &mut expect)
+            } else {
+                Err(DecodeError::UnknownTag)
+            };
+            let mut got = [0xa5; BLOCK_BYTES];
+            assert_eq!(e.decompress_into(len_bits, true, bytes, &mut got), verdict, "e2mc, {at}");
+            if verdict.is_ok() {
+                assert_eq!(block_to_symbols(&got), expect, "e2mc, {at}");
+            }
+        }
+    }
+
+    /// Holds the packer and both decoders to their retired loops on
+    /// `symbols` under every hole, the empty one included, and both
+    /// framings' prefixes (E2MC's mode bit and an SLC lossy `m`/`ss`/`len`
+    /// from `fields`). The packer must write the same bits and bytes; the
+    /// decoders are fed each stream as written, with bit `flip` modulo its
+    /// length flipped, with its pdps replaced by `pdps`, and cut to `cut`
+    /// modulo its length plus one bits.
+    fn assert_loops_agree(
+        e: &E2mc,
+        symbols: &[u16; SYMBOLS_PER_BLOCK],
+        fields: u64,
+        [flip, pdps, cut]: [u32; 3],
+    ) {
+        for start in 0..=SYMBOLS_PER_BLOCK {
+            for end in start..=SYMBOLS_PER_BLOCK {
+                for prefix in [(1, 1), (0x400 | (fields & 0x3ff), 11)] {
+                    let at = format!("hole {start}..{end} prefix {prefix:?}");
+                    let mut expect = [0u8; RETIRED_BUF];
+                    let bits =
+                        pack_ways_retired(e.table(), prefix, symbols, start..end, &mut expect);
+                    let mut stream = [0u8; STREAM_BUF];
+                    assert_eq!(pack(e.table(), prefix, symbols, start..end, &mut stream), bits);
+                    let written = &stream[..bits.div_ceil(8) as usize];
+                    assert_eq!(*written, expect[..written.len()], "{at}");
+                    let mut flipped = written.to_vec();
+                    flipped[(flip % bits) as usize / 8] ^= 0x80 >> (flip % bits % 8);
+                    let mut repointed = written.to_vec();
+                    for (i, bit) in (prefix.1..prefix.1 + 3 * PDP_BITS).rev().enumerate() {
+                        let byte = &mut repointed[bit as usize / 8];
+                        *byte &= !(0x80 >> (bit % 8));
+                        *byte |= ((pdps >> i & 1) as u8) << (7 - bit % 8);
+                    }
+                    for (variant, bytes, len_bits) in [
+                        ("as written", written, bits),
+                        ("flipped", &flipped, bits),
+                        ("repointed", &repointed, bits),
+                        ("cut", written, cut % (bits + 1)),
+                    ] {
+                        let at = format!("{at}, {variant}");
+                        assert_decoders_agree(e, bytes, len_bits, prefix.1, start..end, &at);
+                    }
+                }
+            }
+        }
+    }
+
     /// Holds [`SymbolTable::write_ways`] to its oracle on `symbols` under
     /// every hole and both framings' prefixes (E2MC's mode bit and an SLC
     /// lossy `m`/`ss`/`len` from `fields`): the same bits and, where the
@@ -729,7 +961,7 @@ mod tests {
                     let (expect, expect_bits) =
                         write_ways_reference(table, prefix, symbols, start..end);
                     let mut stream = [0u8; STREAM_BUF];
-                    let bits = table.pack_ways(prefix, symbols, start..end, &mut stream);
+                    let bits = pack(table, prefix, symbols, start..end, &mut stream);
                     assert_eq!(bits, expect_bits, "{at}");
                     assert_eq!(stream[..expect.len()], expect, "{at}");
                     let mut out = vec![0xa5];
@@ -821,11 +1053,11 @@ mod tests {
         dirty[16 + n - 1] |= (1 << slack) - 1;
         let stream = &dirty[16..16 + n];
         let expect = reference_decode(table, stream, len_bits, hole.clone());
-        let mut out = [UNTOUCHED; SYMBOLS_PER_BLOCK];
+        let mut out = symbols_to_block(&[UNTOUCHED; SYMBOLS_PER_BLOCK]);
         let got = table
-            .read_ways(&mut BitReader::new(stream, len_bits), hole, &mut out)
+            .read_ways(&BitReader::new(stream, len_bits), hole, &mut out)
             .ok()
-            .map(|()| out);
+            .map(|()| block_to_symbols(&out));
         assert_eq!(got, expect, "decoders disagree");
         got
     }
@@ -983,6 +1215,15 @@ mod tests {
                                                        fields in any::<u64>()) {
             let e = trained();
             assert_writers_agree(e.table(), &mixed_symbols(seed, escapes), fields);
+        }
+
+        #[test]
+        fn prop_loops_match_their_retired_oracles(seed in any::<u32>(), escapes in any::<u64>(),
+                                                  fields in any::<u64>(), flip in any::<u32>(),
+                                                  pdps in any::<u32>(), cut in any::<u32>()) {
+            let e = trained();
+            let symbols = mixed_symbols(seed, escapes & escapes.rotate_left(7));
+            assert_loops_agree(&e, &symbols, fields, [flip, pdps, cut]);
         }
 
         #[test]

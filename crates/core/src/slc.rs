@@ -12,7 +12,7 @@ use crate::predict::{fill_approximated, PredictorKind};
 use crate::tree::{CodeLengthTree, Selection};
 use slc_compress::bitstream::BitReader;
 use slc_compress::e2mc::{BlockAnalysis, E2mc};
-use slc_compress::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
+use slc_compress::symbols::{block_to_symbols, symbols_to_block};
 use slc_compress::{Block, DecodeError, Mag, BLOCK_BITS, BLOCK_BYTES};
 
 /// The three TSLC variants evaluated in the paper (Section V).
@@ -384,12 +384,12 @@ impl SlcCompressor {
         let hole = header::read(&mut r)?;
         // The truncated run never reached the wire: the way decoder skips
         // it and the predictor fills it in afterwards.
-        let mut symbols = [0u16; SYMBOLS_PER_BLOCK];
-        self.e2mc.table().read_ways(&mut r, hole.map_or(0..0, Hole::symbols), &mut symbols)?;
+        let mut block = [0u8; BLOCK_BYTES];
+        self.e2mc.table().read_ways(&r, hole.map_or(0..0, Hole::symbols), &mut block)?;
         if let Some(hole) = hole {
-            fill_approximated(&mut symbols, hole, self.config.predictor);
+            self.refill(&mut block, hole);
         }
-        Ok(symbols_to_block(&symbols))
+        Ok(block)
     }
 }
 
@@ -399,6 +399,7 @@ mod tests {
     use crate::header::LOSSY_HEADER_BITS;
     use proptest::prelude::*;
     use slc_compress::e2mc::{E2mcConfig, HEADER_BITS, PDP_BITS, WAYS};
+    use slc_compress::symbols::SYMBOLS_PER_BLOCK;
     use slc_compress::BlockCompressor;
 
     /// Training data resembling a smooth f32 field: symbol stream has

@@ -453,10 +453,10 @@ fn encode_chunk(codec: &dyn BlockCodec, chunk: &[u8], out: &mut Vec<u8>) -> Stor
 /// tag is back-patched once the body size is known).
 fn encode_blocks(codec: &dyn BlockCodec, chunk: &[u8], out: &mut Vec<u8>) -> bool {
     let start = out.len();
+    // Borrow full blocks in place; only a ragged tail, the last block,
+    // needs the zero-padded copy.
+    let mut tail = [0u8; BLOCK_BYTES];
     for raw in chunk.chunks(BLOCK_BYTES) {
-        // Borrow full blocks in place; only a ragged tail needs the
-        // zero-padded copy.
-        let mut tail = [0u8; BLOCK_BYTES];
         let block: &Block = match raw.try_into() {
             Ok(full) => full,
             Err(_) => {
@@ -535,6 +535,9 @@ fn decode_blocks(
     mut src: &[u8],
     dst: &mut [u8],
 ) -> Result<(), &'static str> {
+    // Full blocks decode straight into dst; only a ragged tail, the last
+    // block, takes the stack bounce.
+    let mut tail = [0u8; BLOCK_BYTES];
     for span in dst.chunks_mut(BLOCK_BYTES) {
         let Some((tag, rest)) = src.split_first_chunk::<2>() else {
             return Err("block tag past end of chunk");
@@ -549,9 +552,6 @@ fn decode_blocks(
             return Err("block body past end of chunk");
         };
         src = rest;
-        // Full blocks decode straight into dst; only a ragged tail takes
-        // the stack bounce.
-        let mut tail = [0u8; BLOCK_BYTES];
         let out: &mut Block = match span.first_chunk_mut::<BLOCK_BYTES>() {
             Some(full) => full,
             None => &mut tail,
